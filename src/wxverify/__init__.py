@@ -18,8 +18,9 @@ from .cyclones import (IntensityError, StormFix, StormTrack, TrackerConfig,
                        track_dpe, track_storm)
 from .errors import WxVerifyError
 from .extremes import (CategoricalScores, EventKind, EventSegment, MatchResult,
-                       categorical_scores, csi, far, label_events,
-                       match_events, pod, temporal_iou)
+                       label_event_runs, label_events, match_counts,
+                       match_events, scores_from_counts,
+                       segments_by_location, temporal_iou)
 from .grid import (EARTH_RADIUS_KM, GeoGrid, GridField, VariableId,
                    derive_wind_speed, haversine_km, interp_to_stations,
                    latitude_weights, regrid_bilinear)
@@ -42,8 +43,8 @@ __all__ = [
     "DailyHistory", "ThresholdField", "DailyMeanClimatology",
     "daily_extremes", "build_thresholds", "build_daily_mean_climatology",
     "EventKind", "EventSegment", "MatchResult", "CategoricalScores",
-    "label_events", "temporal_iou", "match_events", "categorical_scores",
-    "pod", "far", "csi",
+    "label_event_runs", "label_events", "segments_by_location",
+    "temporal_iou", "match_events", "match_counts", "scores_from_counts",
     "StormFix", "StormTrack", "TrackSource", "TrackerConfig",
     "IntensityError", "track_storm", "homogeneous_sample", "track_dpe",
     "intensity_errors",

@@ -43,9 +43,9 @@ from .errors import (ChecksumMismatch, DegenerateAnomaly,
                      InvalidHeader, ManifestError, MissingFix, NoValidPairs,
                      NonFiniteValue, NonMonotoneTime, NonUniformGrid,
                      PolarRow, SeedOutsideDomain, TargetOutsideDomain,
-                     UndefinedScore, UnitOutOfRange, UnknownStation,
-                     WxVerifyError)
-from .extremes import EventKind, label_events, match_events, scores_from_counts
+                     UnitOutOfRange, UnknownStation, WxVerifyError)
+from .extremes import (EventKind, label_event_runs, match_counts,
+                       scores_from_counts, segments_by_location)
 from .grid import (GeoGrid, GridField, VariableId, derive_wind_speed,
                    interp_to_stations, latitude_weights)
 from .harness import (SyntheticScenario, generate_variable_series,
@@ -65,8 +65,8 @@ INPUT_ERRORS = (ManifestError, InvalidHeader, ChecksumMismatch,
                 UnitOutOfRange, UnknownStation, DuplicateObservation,
                 NonUniformGrid)
 COMPUTE_ERRORS = (InsufficientHistory, NoValidPairs, DegenerateAnomaly,
-                  EmptyBand, PolarRow, MissingFix, UndefinedScore,
-                  GridMismatch, TargetOutsideDomain, SeedOutsideDomain)
+                  EmptyBand, PolarRow, MissingFix, GridMismatch,
+                  TargetOutsideDomain, SeedOutsideDomain)
 
 DEFAULT_SPECTRA_LEADS = (6, 72, 120, 240)
 DEFAULT_EXTREME_LEAD_DAYS = (1, 3, 7, 10)
@@ -272,10 +272,13 @@ def cmd_build_climatology(args) -> int:
 
 # --- extremes ----------------------------------------------------------------
 
-def _day_extreme_from_fields(fields: Sequence[GridField], kind: EventKind
-                             ) -> np.ndarray:
-    stack = np.stack([f.values for f in fields])
-    return stack.max(axis=0) if kind is EventKind.HEATWAVE else stack.min(axis=0)
+def _day_extremes(fields_per_day: Sequence[Sequence[GridField]],
+                  kind: EventKind) -> np.ndarray:
+    """(days x locations) daily max (heat) or min (cold) of each day's fields."""
+    stack = np.stack([[f.values for f in fields] for fields in fields_per_day])
+    extreme = stack.max(axis=1) if kind is EventKind.HEATWAVE \
+        else stack.min(axis=1)
+    return extreme.reshape(len(fields_per_day), -1)
 
 
 def _truth_day_fields(manifest, day: datetime) -> list[GridField]:
@@ -299,6 +302,9 @@ def cmd_extremes(args) -> int:
     lead_days = (_parse_int_list(args.lead_days) if args.lead_days
                  else DEFAULT_EXTREME_LEAD_DAYS)
     gamma = args.gamma
+    # checked here: match_events only runs where both sides have events
+    if not 0.0 < gamma <= 1.0:
+        raise ManifestError(f"--gamma must lie in (0, 1], got {gamma}")
 
     thresholds_sha = None
     if manifest.thresholds_path is not None \
@@ -331,60 +337,49 @@ def cmd_extremes(args) -> int:
 
     card = new_scorecard("extremes", manifest.sha256,
                          thresholds_sha256=thresholds_sha, gamma=gamma)
+    kinds = (EventKind.HEATWAVE, EventKind.COLDSURGE)
+    n_loc = tgrid.shape[0] * tgrid.shape[1]
+    region_locations = [
+        (region, np.nonzero(_region_mask(tgrid, box).reshape(-1))[0])
+        for region, box in sorted(manifest.regions.items())]
+
+    # Thresholds and truth events do not depend on the model: label the
+    # truth once per lead day. Calendar days at lead d: date(init) + (d - 1).
+    per_day = {}  # lead day -> ({kind: thresholds}, {kind: truth segments})
+    for d in lead_days:
+        days = [init + timedelta(days=d - 1) for init in manifest.init_times]
+        day_indices = [calendar_day_index(day) for day in days]
+        tau = {EventKind.HEATWAVE: thresholds.tau_heat[day_indices, :],
+               EventKind.COLDSURGE: thresholds.tau_cold[day_indices, :]}
+        truth_fields = [_truth_day_fields(manifest, day) for day in days]
+        truth = {kind: segments_by_location(label_event_runs(
+                     _day_extremes(truth_fields, kind), tau[kind], kind), kind)
+                 for kind in kinds}
+        fileio.write_segments_csv(
+            [seg for kind in kinds for segs in truth[kind].values()
+             for seg in segs],
+            out_dir / "segments" / f"truth_day{d}.csv")
+        per_day[d] = (tau, truth)
+
     rows = []
     for model in sorted(manifest.models):
         for d in lead_days:
-            # Calendar days covered at this lead: date(init) + (d - 1).
-            days = [init + timedelta(days=d - 1) for init in manifest.init_times]
-            day_indices = [calendar_day_index(day) for day in days]
-            truth_max = []
-            truth_min = []
-            fc_max = []
-            fc_min = []
-            for init, day in zip(manifest.init_times, days):
-                truth_fields = _truth_day_fields(manifest, day)
-                truth_max.append(_day_extreme_from_fields(
-                    truth_fields, EventKind.HEATWAVE))
-                truth_min.append(_day_extreme_from_fields(
-                    truth_fields, EventKind.COLDSURGE))
-                leads = [24 * (d - 1) + h for h in climatology.SYNOPTIC_HOURS]
-                fc_fields = [_model_field(manifest, model, init,
-                                          VariableId.T2M, lead)
-                             for lead in leads]
-                fc_max.append(_day_extreme_from_fields(
-                    fc_fields, EventKind.HEATWAVE))
-                fc_min.append(_day_extreme_from_fields(
-                    fc_fields, EventKind.COLDSURGE))
-            truth_max = np.stack(truth_max).reshape(len(days), -1)
-            truth_min = np.stack(truth_min).reshape(len(days), -1)
-            fc_max = np.stack(fc_max).reshape(len(days), -1)
-            fc_min = np.stack(fc_min).reshape(len(days), -1)
-            tau_heat = thresholds.tau_heat[day_indices, :]
-            tau_cold = thresholds.tau_cold[day_indices, :]
-            # label and match once per location; regions only aggregate
-            n_loc = truth_max.shape[1]
-            counts = {}  # (kind, loc) -> (tp, fp, fn)
-            truth_segments = []
+            tau, truth = per_day[d]
+            leads = [24 * (d - 1) + h for h in climatology.SYNOPTIC_HOURS]
+            fc_fields = [[_model_field(manifest, model, init, VariableId.T2M,
+                                       lead) for lead in leads]
+                         for init in manifest.init_times]
             fc_segments = []
-            for kind, truth_series, fc_series, tau in (
-                    (EventKind.HEATWAVE, truth_max, fc_max, tau_heat),
-                    (EventKind.COLDSURGE, truth_min, fc_min, tau_cold)):
-                for loc in range(n_loc):
-                    loc_id = str(loc)
-                    truth_ev = label_events(truth_series[:, loc], tau[:, loc],
-                                            kind, loc_id)
-                    fc_ev = label_events(fc_series[:, loc], tau[:, loc],
-                                         kind, loc_id)
-                    truth_segments.extend(truth_ev)
-                    fc_segments.extend(fc_ev)
-                    m = match_events(fc_ev, truth_ev, gamma)
-                    counts[(kind, loc)] = (m.tp, m.fp, m.fn)
-            for region, box in sorted(manifest.regions.items()):
-                locations = np.nonzero(_region_mask(tgrid, box).reshape(-1))[0]
-                for kind in (EventKind.HEATWAVE, EventKind.COLDSURGE):
-                    tp = sum(counts[(kind, loc)][0] for loc in locations)
-                    fp = sum(counts[(kind, loc)][1] for loc in locations)
-                    fn = sum(counts[(kind, loc)][2] for loc in locations)
+            counts = {}  # kind -> per-location (tp, fp, fn) arrays
+            for kind in kinds:
+                fc = segments_by_location(label_event_runs(
+                    _day_extremes(fc_fields, kind), tau[kind], kind), kind)
+                fc_segments.extend(seg for segs in fc.values() for seg in segs)
+                counts[kind] = match_counts(fc, truth[kind], n_loc, gamma)
+            for region, locations in region_locations:
+                for kind in kinds:
+                    tp, fp, fn = (int(a[locations].sum())
+                                  for a in counts[kind])
                     scores = scores_from_counts(tp, fp, fn)
                     rows.append({
                         "model": model, "kind": kind.value, "lead_days": d,
@@ -392,8 +387,6 @@ def cmd_extremes(args) -> int:
                         "far": na(scores.far), "csi": na(scores.csi),
                         "tp": tp, "fp": fp, "fn": fn,
                     })
-            fileio.write_segments_csv(
-                truth_segments, out_dir / "segments" / f"truth_day{d}.csv")
             fileio.write_segments_csv(
                 fc_segments, out_dir / "segments" / f"{model}_day{d}.csv")
     card["event_scores"] = rows

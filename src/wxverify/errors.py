@@ -42,17 +42,6 @@ class InsufficientHistory(WxVerifyError):
     """Not enough historical samples to build a climatology or threshold."""
 
 
-class UndefinedScore(WxVerifyError):
-    """A categorical score has a zero denominator.
-
-    Carries the score name so callers can surface "n/a" per score.
-    """
-
-    def __init__(self, score: str, message: str | None = None):
-        self.score = score
-        super().__init__(message or f"{score} undefined (zero denominator)")
-
-
 # --- cyclones ---------------------------------------------------------------
 
 class SeedOutsideDomain(WxVerifyError):

@@ -14,11 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
-
-from .errors import UndefinedScore
 
 #: Minimum run length, in days, for an exceedance run to count as an event.
 MIN_EVENT_DAYS = 3
@@ -52,36 +50,61 @@ class EventSegment:
         return self.end_day - self.start_day + 1
 
 
+def label_event_runs(values: np.ndarray, thresholds: np.ndarray,
+                     kind: EventKind, first_day: int = 1
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal exceedance runs of length >= 3 at every location.
+
+    ``values`` and ``thresholds`` are aligned (days x locations) arrays;
+    row k describes calendar day ``first_day + k``. Comparisons are
+    strict (> for heat, < for cold); NaN days never exceed and therefore
+    break runs. Runs touching either series boundary count on their
+    observed length. Returns ``(location, start_day, end_day)`` int
+    arrays (inclusive days), ordered by location and then by start day.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    t = np.asarray(thresholds, dtype=np.float64)
+    if v.shape != t.shape or v.ndim != 2:
+        raise ValueError(
+            "values and thresholds must be aligned (days x locations) arrays")
+    with np.errstate(invalid="ignore"):
+        mask = v > t if kind is EventKind.HEATWAVE else v < t
+    padded = np.zeros((v.shape[0] + 2, v.shape[1]), dtype=np.int8)
+    padded[1:-1] = mask
+    # +1 where a run starts, -1 one row past where it ends; transposed so
+    # that nonzero() walks location-major
+    edges = np.diff(padded, axis=0).T
+    location, start = np.nonzero(edges == 1)
+    stop = np.nonzero(edges == -1)[1]
+    keep = stop - start >= MIN_EVENT_DAYS
+    return (location[keep], first_day + start[keep],
+            first_day + stop[keep] - 1)
+
+
 def label_events(values: np.ndarray, thresholds: np.ndarray, kind: EventKind,
                  location: str = "", first_day: int = 1) -> list[EventSegment]:
-    """Maximal exceedance runs of length >= 3 in a daily series.
-
-    ``values`` and ``thresholds`` are aligned per-day arrays; entry k
-    describes calendar day ``first_day + k``. Comparisons are strict
-    (> for heat, < for cold); NaN days never exceed and therefore break
-    runs. Runs touching either series boundary count on their observed
-    length.
-    """
+    """Event segments of one daily series; see :func:`label_event_runs`."""
     v = np.asarray(values, dtype=np.float64)
     t = np.asarray(thresholds, dtype=np.float64)
     if v.shape != t.shape or v.ndim != 1:
         raise ValueError("values and thresholds must be aligned 1-D arrays")
-    with np.errstate(invalid="ignore"):
-        if kind is EventKind.HEATWAVE:
-            mask = v > t
-        else:
-            mask = v < t
-    segments = []
-    idx = np.nonzero(mask)[0]
-    if idx.size == 0:
-        return segments
-    breaks = np.nonzero(np.diff(idx) > 1)[0]
-    for run in np.split(idx, breaks + 1):
-        if run.size >= MIN_EVENT_DAYS:
-            segments.append(EventSegment(location, kind,
-                                         first_day + int(run[0]),
-                                         first_day + int(run[-1])))
-    return segments
+    _, starts, ends = label_event_runs(v[:, None], t[:, None], kind, first_day)
+    return [EventSegment(location, kind, start, end)
+            for start, end in zip(starts.tolist(), ends.tolist())]
+
+
+def segments_by_location(runs: tuple[np.ndarray, np.ndarray, np.ndarray],
+                         kind: EventKind) -> dict[int, list[EventSegment]]:
+    """Group the runs of :func:`label_event_runs` into segments.
+
+    Keys are location indices in ascending order; each segment's
+    ``location`` is the index as a decimal string.
+    """
+    grouped: dict[int, list[EventSegment]] = {}
+    for loc, start, end in zip(*(a.tolist() for a in runs)):
+        grouped.setdefault(loc, []).append(
+            EventSegment(str(loc), kind, start, end))
+    return grouped
 
 
 def temporal_iou(a: EventSegment, b: EventSegment) -> float:
@@ -188,25 +211,28 @@ def match_events(pred: Sequence[EventSegment], truth: Sequence[EventSegment],
     return MatchResult(tp, len(pred) - tp, len(truth) - tp, pairs, gamma)
 
 
-def pod(m: MatchResult) -> float:
-    """Probability of detection, TP / (TP + FN)."""
-    if m.tp + m.fn == 0:
-        raise UndefinedScore("POD")
-    return m.tp / (m.tp + m.fn)
+def match_counts(pred: Mapping[int, Sequence[EventSegment]],
+                 truth: Mapping[int, Sequence[EventSegment]],
+                 n_locations: int, gamma: float = 0.5
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-location (tp, fp, fn) int arrays over ``n_locations``.
 
-
-def far(m: MatchResult) -> float:
-    """False alarm ratio, FP / (TP + FP)."""
-    if m.tp + m.fp == 0:
-        raise UndefinedScore("FAR")
-    return m.fp / (m.tp + m.fp)
-
-
-def csi(m: MatchResult) -> float:
-    """Critical success index, TP / (TP + FP + FN)."""
-    if m.tp + m.fp + m.fn == 0:
-        raise UndefinedScore("CSI")
-    return m.tp / (m.tp + m.fp + m.fn)
+    ``pred`` and ``truth`` map a location index to its segments, as
+    :func:`segments_by_location` returns them. :func:`match_events` runs
+    only where both sides have segments, in ascending location order;
+    elsewhere tp = 0, fp = #pred and fn = #truth.
+    """
+    tp = np.zeros(n_locations, dtype=np.int64)
+    fp = np.zeros(n_locations, dtype=np.int64)
+    fn = np.zeros(n_locations, dtype=np.int64)
+    for loc, segments in pred.items():
+        fp[loc] = len(segments)
+    for loc, segments in truth.items():
+        fn[loc] = len(segments)
+    for loc in sorted(pred.keys() & truth.keys()):
+        m = match_events(pred[loc], truth[loc], gamma)
+        tp[loc], fp[loc], fn[loc] = m.tp, m.fp, m.fn
+    return tp, fp, fn
 
 
 @dataclass(frozen=True)
@@ -230,8 +256,3 @@ def scores_from_counts(tp: int, fp: int, fn: int) -> CategoricalScores:
         far=fp / (tp + fp) if tp + fp else None,
         csi=tp / (tp + fp + fn) if tp + fp + fn else None,
     )
-
-
-def categorical_scores(m: MatchResult) -> CategoricalScores:
-    """All three categorical scores, with zero-denominator cases as None."""
-    return scores_from_counts(m.tp, m.fp, m.fn)

@@ -619,7 +619,13 @@ def load_manifest(path: str | os.PathLike,
     climatology_pattern = clim.get("daily_mean_pattern")
     thresholds_path = clim.get("thresholds_path")
     history_pattern = clim.get("history_pattern")
-    history_years = tuple(int(y) for y in clim.get("history_years", []))
+    history_years = clim.get("history_years", [])
+    if not isinstance(history_years, list) or not all(
+            isinstance(y, int) and not isinstance(y, bool)
+            for y in history_years):
+        raise ManifestError(f"{path}: climatology history_years must be a "
+                            f"list of integer years")
+    history_years = tuple(history_years)
 
     regions_doc = doc.get("regions", {"global": None})
     regions: dict[str, tuple[float, float, float, float] | None] = {}

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the engine's code paths: metrics are
 scalar loops with exactly-rounded accumulation (math.fsum), the spectrum
 is a direct O(N^2) transform, percentiles are computed from a Python
-sort, and event labeling/matching are brute-force searches.
+sort, and event labeling/matching are brute-force searches. The one
+exception is the per-location event loop, which calls the engine's
+one-series labeling and matching to check the vectorized bookkeeping
+around them.
 """
 
 from __future__ import annotations
@@ -153,6 +156,29 @@ def match_exhaustive(pred, truth, gamma: float) -> tuple[int, int, int]:
             # nothing larger is possible once a size-k matching exists
             break
     return best_count, n_p - best_count, n_t - best_count
+
+
+# --- per-location event verification -------------------------------------------
+
+def event_counts_per_location(truth_series, fc_series, thresholds, kind,
+                              gamma: float) -> list[tuple[int, int, int]]:
+    """(tp, fp, fn) for each column of (days x locations) daily extremes.
+
+    The scalar reference for the vectorized extremes command: one
+    label_events call per location and series, and one match_events
+    call per location, whether or not either side has events.
+    """
+    from wxverify.extremes import label_events, match_events
+
+    counts = []
+    for loc in range(truth_series.shape[1]):
+        truth = label_events(truth_series[:, loc], thresholds[:, loc], kind,
+                             str(loc))
+        pred = label_events(fc_series[:, loc], thresholds[:, loc], kind,
+                            str(loc))
+        m = match_events(pred, truth, gamma)
+        counts.append((m.tp, m.fp, m.fn))
+    return counts
 
 
 # --- geometry ---------------------------------------------------------------------

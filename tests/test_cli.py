@@ -2,12 +2,18 @@ from __future__ import annotations
 
 import json
 import os
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from wxverify.cli import main
+import oracles
+from wxverify import fileio
+from wxverify.cli import _region_mask, main
+from wxverify.climatology import SYNOPTIC_HOURS, calendar_day_index
+from wxverify.extremes import EventKind
+from wxverify.grid import VariableId
 from wxverify.report import validate_scorecard
 
 EXTREMES_SCENARIO = {
@@ -222,6 +228,17 @@ class TestExitCodes:
         assert rc == 3
         assert "2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("years", [["20x3"], "2023"],
+                             ids=["non-integer-year", "string-not-list"])
+    def test_bad_history_years_is_exit_2(self, evaluate_run, years, capsys):
+        doc = json.loads((evaluate_run / "manifest.json").read_text())
+        doc["climatology"]["history_years"] = years
+        path = evaluate_run / "manifest_bad_years.json"
+        path.write_text(json.dumps(doc))
+        rc = run_cli("build-climatology", "--manifest", path)
+        assert rc == 2
+        assert "history_years" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def extremes_run(tmp_path_factory):
@@ -281,10 +298,102 @@ class TestExtremes:
         assert (out1 / "scorecard.json").read_bytes() == \
             (out2 / "scorecard.json").read_bytes()
 
+    @pytest.mark.parametrize("gamma", ["0", "1.5", "nan"])
+    def test_gamma_outside_unit_interval_rejected(self, extremes_run, gamma,
+                                                  tmp_path, capsys):
+        rc = run_cli("extremes", "--manifest", extremes_run / "manifest.json",
+                     "--out", tmp_path / "out", "--lead-days", "1",
+                     "--gamma", gamma)
+        assert rc == 2
+        assert "--gamma" in capsys.readouterr().err
+
     def test_lead_day_beyond_horizon_rejected(self, extremes_run, tmp_path):
         rc = run_cli("extremes", "--manifest", extremes_run / "manifest.json",
                      "--out", tmp_path / "out", "--lead-days", "10")
         assert rc == 2
+
+
+@pytest.fixture(scope="module")
+def noisy_extremes_run(tmp_path_factory):
+    """The extremes scenario with red noise, so that some locations have
+    events on only one side."""
+    root = tmp_path_factory.mktemp("noisyext")
+    scenario = root / "scenario.json"
+    t2m = dict(EXTREMES_SCENARIO["processes"]["t2m"], ar1=0.8, noise_sigma=1.5)
+    scenario.write_text(json.dumps(dict(EXTREMES_SCENARIO,
+                                        processes={"t2m": t2m})))
+    inits = ",".join(f"2025-07-{day:02d}T00:00:00Z" for day in range(17, 25))
+    rc = run_cli("synth", "--scenario", scenario, "--out", root / "run",
+                 "--inits", inits, "--max-lead-hours", "66",
+                 "--models", "perfect,persistence,lagged:48")
+    assert rc == 0
+    rc = run_cli("build-climatology", "--manifest", root / "run/manifest.json")
+    assert rc == 0
+    return root / "run"
+
+
+class TestExtremesReference:
+    def test_region_counts_match_per_location_loop(self, noisy_extremes_run,
+                                                   tmp_path):
+        doc = json.loads((noisy_extremes_run / "manifest.json").read_text())
+        box = [-30.0, 40.0, 0.0, 200.0]  # both heat episodes, not the cold one
+        doc["regions"] = {"global": None, "box": box}
+        manifest_path = noisy_extremes_run / "manifest_regions.json"
+        manifest_path.write_text(json.dumps(doc))
+        lead_days = (1, 3)
+        out = tmp_path / "out"
+        assert run_cli("extremes", "--manifest", manifest_path, "--out", out,
+                       "--lead-days", ",".join(map(str, lead_days))) == 0
+        card = load_card(out)
+
+        manifest = fileio.load_manifest(manifest_path)
+        thresholds, grid = fileio.read_thresholds(
+            manifest.root / manifest.thresholds_path)
+        masks = {"global": _region_mask(grid, None).reshape(-1),
+                 "box": _region_mask(grid, box).reshape(-1)}
+
+        def series(paths_per_day, kind):
+            reduce = np.max if kind is EventKind.HEATWAVE else np.min
+            return np.stack([
+                reduce([fileio.read_grid(p).values for p in paths], axis=0)
+                .reshape(-1) for paths in paths_per_day])
+
+        sides_in_box = {"both": set(), "pred": set(), "truth": set()}
+        for d in lead_days:
+            days = [init + timedelta(days=d - 1)
+                    for init in manifest.init_times]
+            rows = [calendar_day_index(day) for day in days]
+            truth_paths = [[manifest.truth_path(VariableId.T2M,
+                                                day + timedelta(hours=h))
+                            for h in SYNOPTIC_HOURS] for day in days]
+            for model in manifest.models:
+                fc_paths = [[manifest.model_path(model, init, VariableId.T2M,
+                                                 24 * (d - 1) + h)
+                             for h in SYNOPTIC_HOURS]
+                            for init in manifest.init_times]
+                for kind, tau in ((EventKind.HEATWAVE, thresholds.tau_heat),
+                                  (EventKind.COLDSURGE, thresholds.tau_cold)):
+                    counts = oracles.event_counts_per_location(
+                        series(truth_paths, kind), series(fc_paths, kind),
+                        tau[rows, :], kind, 0.5)
+                    for region, mask in masks.items():
+                        expected = tuple(
+                            sum(c[i] for c, inside in zip(counts, mask)
+                                if inside) for i in range(3))
+                        (row,) = rows_by(card, "event_scores", model=model,
+                                         kind=kind.value, lead_days=d,
+                                         region=region)
+                        assert (row["tp"], row["fp"], row["fn"]) == expected
+                    for loc, (tp, fp, fn) in enumerate(counts):
+                        n_pred, n_truth = tp + fp, tp + fn
+                        if masks["box"][loc] and (n_pred or n_truth):
+                            side = ("both" if n_pred and n_truth
+                                    else "pred" if n_pred else "truth")
+                            sides_in_box[side].add((kind, loc))
+        # the comparison covers locations where matching happens and
+        # locations with events on one side only
+        assert len(sides_in_box["both"]) >= 2
+        assert sides_in_box["pred"] and sides_in_box["truth"]
 
 
 class TestExtremesEmptyYear:

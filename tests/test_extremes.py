@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from wxverify.errors import UndefinedScore
-from wxverify.extremes import (EventKind, EventSegment,
-                               categorical_scores, csi, far, label_events,
-                               match_events, pod, scores_from_counts,
+from wxverify.extremes import (EventKind, EventSegment, label_event_runs,
+                               label_events, match_events, scores_from_counts,
                                temporal_iou)
 
 
@@ -79,6 +79,44 @@ class TestLabelEvents:
                    for s in label_events(values, thresholds,
                                          EventKind.HEATWAVE)]
             assert got == oracles.label_events_bruteforce(mask), mask
+
+
+class TestLabelEventRuns:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_bruteforce_column_by_column(self, data):
+        n_days = data.draw(st.integers(0, 14), label="n_days")
+        n_loc = data.draw(st.integers(1, 5), label="n_loc")
+        size = n_days * n_loc
+
+        def grid(cells):
+            drawn = data.draw(st.lists(st.sampled_from(cells), min_size=size,
+                                       max_size=size))
+            return np.array(drawn, dtype=np.float64).reshape(n_days, n_loc)
+
+        values = grid([-1.0, 0.0, 1.0, np.nan])
+        thresholds = grid([-0.5, 0.0, 0.5])
+        first_day = data.draw(st.integers(-2, 3), label="first_day")
+        for kind in EventKind:
+            loc, start, end = label_event_runs(values, thresholds, kind,
+                                               first_day)
+            expected = []
+            for j in range(n_loc):
+                # Python comparisons with NaN are False: NaN never exceeds
+                mask = [v > t if kind is EventKind.HEATWAVE else v < t
+                        for v, t in zip(values[:, j].tolist(),
+                                        thresholds[:, j].tolist())]
+                expected += [(j, first_day + s, first_day + e)
+                             for s, e in oracles.label_events_bruteforce(mask)]
+            got = list(zip(loc.tolist(), start.tolist(), end.tolist()))
+            assert got == expected, kind
+
+    def test_rejects_misaligned_or_one_dimensional(self):
+        with pytest.raises(ValueError):
+            label_event_runs(np.zeros(5), np.zeros(5), EventKind.HEATWAVE)
+        with pytest.raises(ValueError):
+            label_event_runs(np.zeros((5, 2)), np.zeros((5, 3)),
+                             EventKind.HEATWAVE)
 
 
 class TestTemporalIou:
@@ -174,7 +212,7 @@ class TestMatchEvents:
     def test_duplicated_truth_as_prediction_is_perfect(self, rng):
         truth = [seg(2, 5), seg(9, 12), seg(20, 24)]
         m = match_events(list(truth), truth)
-        scores = categorical_scores(m)
+        scores = scores_from_counts(m.tp, m.fp, m.fn)
         assert scores.pod == 1.0 and scores.far == 0.0
 
 
@@ -198,16 +236,9 @@ class TestCategoricalScores:
         assert scores.pod is None and scores.far is None and scores.csi is None
         partial = scores_from_counts(0, 0, 5)
         assert partial.pod == 0.0 and partial.far is None and partial.csi == 0.0
-
-    def test_strict_functions_raise(self):
         m = match_events([], [])
-        with pytest.raises(UndefinedScore) as err:
-            pod(m)
-        assert err.value.score == "POD"
-        with pytest.raises(UndefinedScore):
-            far(m)
-        with pytest.raises(UndefinedScore):
-            csi(m)
+        empty = scores_from_counts(m.tp, m.fp, m.fn)
+        assert empty.pod is None and empty.far is None and empty.csi is None
 
     def test_csi_bounded_by_pod_and_far(self, rng):
         for _ in range(300):
