@@ -11,8 +11,7 @@ testable at desk scale.
 __version__ = "0.1.0"
 
 from .climatology import (DailyHistory, DailyMeanClimatology, ThresholdField,
-                          build_daily_mean_climatology, build_thresholds,
-                          daily_extremes)
+                          build_daily_mean_climatology, build_thresholds)
 from .cyclones import (IntensityError, StormFix, StormTrack, TrackerConfig,
                        TrackSource, homogeneous_sample, intensity_errors,
                        track_dpe, track_storm)
@@ -25,8 +24,7 @@ from .grid import (EARTH_RADIUS_KM, GeoGrid, GridField, VariableId,
                    derive_wind_speed, haversine_km, interp_to_stations,
                    latitude_weights, regrid_bilinear)
 from .harness import (PlantedEpisode, SyntheticScenario, VariableProcess,
-                      VortexSpec, generate_truth, persistence_forecast,
-                      smoothed_forecast)
+                      VortexSpec, persistence_forecast, smoothed_forecast)
 from .metrics import MetricKind, MetricValue, acc, activity, bias, wrmse
 from .spectra import ZonalSpectrum, midlatitude_spectrum, zonal_spectrum_row
 from .stations import (QcFlag, QcThresholds, Station, StationTable,
@@ -41,7 +39,7 @@ __all__ = [
     "MetricKind", "MetricValue", "wrmse", "acc", "bias", "activity",
     "ZonalSpectrum", "zonal_spectrum_row", "midlatitude_spectrum",
     "DailyHistory", "ThresholdField", "DailyMeanClimatology",
-    "daily_extremes", "build_thresholds", "build_daily_mean_climatology",
+    "build_thresholds", "build_daily_mean_climatology",
     "EventKind", "EventSegment", "MatchResult", "CategoricalScores",
     "label_event_runs", "label_events", "segments_by_location",
     "temporal_iou", "match_events", "match_counts", "scores_from_counts",
@@ -51,5 +49,5 @@ __all__ = [
     "Station", "StationTable", "QcFlag", "QcThresholds", "window_average",
     "qc_ratio_filter", "station_scores",
     "SyntheticScenario", "VariableProcess", "VortexSpec", "PlantedEpisode",
-    "generate_truth", "persistence_forecast", "smoothed_forecast",
+    "persistence_forecast", "smoothed_forecast",
 ]

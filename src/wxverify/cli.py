@@ -29,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import climatology, fileio, harness, report, stations
+from . import climatology, fileio, report, stations
 from .climatology import (DailyMeanClimatology,
                           build_daily_mean_climatology, build_thresholds,
                           calendar_day_index, daily_means_from_fields,
@@ -46,8 +46,8 @@ from .errors import (ChecksumMismatch, DegenerateAnomaly,
                      UnitOutOfRange, UnknownStation, WxVerifyError)
 from .extremes import (EventKind, label_event_runs, match_counts,
                        scores_from_counts, segments_by_location)
-from .grid import (GeoGrid, GridField, VariableId, derive_wind_speed,
-                   interp_to_stations, latitude_weights)
+from .grid import (GeoGrid, GridField, VariableId, interp_to_stations,
+                   latitude_weights)
 from .harness import (SyntheticScenario, generate_variable_series,
                       load_scenario, make_besttrack, persistence_forecast,
                       smoothed_forecast)
@@ -89,56 +89,59 @@ def _workers(args) -> int:
     return 1
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
-    except ValueError as exc:
-        raise ManifestError(f"bad integer list {text!r}") from exc
+def _parse_leads(text: str | None, default: Sequence[int], flag: str,
+                manifest: fileio.RunManifest, hours_of) -> tuple[int, ...]:
+    """A comma-separated lead list, or ``default`` when the flag is absent.
+
+    An empty list is rejected, and so is any value whose lead hours
+    (``hours_of(value)``) leave the manifest's 6-hourly lead grid.
+    """
+    if text is None:
+        values = tuple(default)
+    else:
+        try:
+            values = tuple(int(part) for part in text.split(",")
+                           if part.strip())
+        except ValueError as exc:
+            raise ManifestError(f"{flag}: bad integer list {text!r}") from exc
+        if not values:
+            raise ManifestError(f"{flag}: empty lead list {text!r}")
+    on_grid = set(manifest.lead_hours)
+    for value in values:
+        hours = hours_of(value)
+        if not on_grid.issuperset(hours):
+            span = f"{hours[0]}..{hours[-1]}" if len(hours) > 1 else hours[0]
+            raise ManifestError(
+                f"{flag} value {value} ({span} h) is outside the manifest "
+                f"lead grid (0..{manifest.max_lead_hours} h, every 6 h)")
+    return values
 
 
-def _truth_field(manifest: fileio.RunManifest, variable: VariableId,
-                 when: datetime) -> GridField:
-    if variable.derived:
-        u = fileio.read_grid(manifest.truth_path(VariableId.U10, when))
-        v = fileio.read_grid(manifest.truth_path(VariableId.V10, when))
-        return derive_wind_speed(u, v)
-    return fileio.read_grid(manifest.truth_path(variable, when))
+def _lead_hours(lead: int) -> tuple[int, ...]:
+    return (lead,)
 
 
-def _model_field(manifest: fileio.RunManifest, model: str, init: datetime,
-                 variable: VariableId, lead: int) -> GridField:
-    if variable.derived:
-        u = fileio.read_grid(manifest.model_path(model, init, VariableId.U10, lead))
-        v = fileio.read_grid(manifest.model_path(model, init, VariableId.V10, lead))
-        return derive_wind_speed(u, v)
-    return fileio.read_grid(manifest.model_path(model, init, variable, lead))
+def _extreme_day_hours(day: int) -> tuple[int, ...]:
+    """The four synoptic lead hours of extremes lead day ``day`` (1-based)."""
+    return tuple(24 * (day - 1) + h for h in climatology.SYNOPTIC_HOURS)
 
 
-def _load_climatologies(manifest: fileio.RunManifest
-                        ) -> dict[VariableId, DailyMeanClimatology]:
-    clims: dict[VariableId, DailyMeanClimatology] = {}
-    if manifest.climatology_pattern is None:
-        return clims
-    for variable in manifest.variables:
-        if variable.derived:
-            continue
-        clims[variable] = fileio.read_daily_climatology(
-            manifest.climatology_path(variable))
-    return clims
+def _cyclone_day_hours(day: int) -> tuple[int, ...]:
+    return (24 * day,)
 
 
 # --- evaluate ----------------------------------------------------------------
 
-def _evaluate_task(manifest, clims, model, variable, lead):
+def _evaluate_task(source, clims, model, variable, lead):
     """Metric means over init times for one (model, variable, lead)."""
     weights = None
     clim = clims.get(variable)
     per_metric: dict[str, list[float]] = {"wrmse": [], "acc": [], "bias": [],
                                           "activity": []}
-    for init in manifest.init_times:
+    for init in source.manifest.init_times:
         when = init + timedelta(hours=lead)
-        pred = _model_field(manifest, model, init, variable, lead)
-        truth = _truth_field(manifest, variable, when)
+        pred = source.model(model, init, variable, lead)
+        truth = source.truth(variable, when)
         if weights is None:
             weights = latitude_weights(pred.grid)
         per_metric["wrmse"].append(metric_wrmse(pred, truth, weights))
@@ -171,13 +174,14 @@ def _evaluate_task(manifest, clims, model, variable, lead):
 def cmd_evaluate(args) -> int:
     manifest = fileio.load_manifest(args.manifest)
     out_dir = Path(args.out)
-    leads = _parse_int_list(args.leads) if args.leads else manifest.lead_hours
-    for lead in leads:
-        if lead % 6 or lead < 0 or lead > manifest.max_lead_hours:
-            raise ManifestError(f"lead {lead} outside manifest lead grid")
-    spectra_leads = (_parse_int_list(args.spectra_leads) if args.spectra_leads
-                     else tuple(l for l in DEFAULT_SPECTRA_LEADS if l in leads))
-    clims = _load_climatologies(manifest)
+    leads = _parse_leads(args.leads, manifest.lead_hours, "--leads",
+                         manifest, _lead_hours)
+    spectra_leads = _parse_leads(
+        args.spectra_leads,
+        tuple(l for l in DEFAULT_SPECTRA_LEADS if l in leads),
+        "--spectra-leads", manifest, _lead_hours)
+    source = fileio.FieldSource(manifest)
+    clims = source.climatologies()
 
     tasks = [(model, variable, lead)
              for model in sorted(manifest.models)
@@ -187,9 +191,9 @@ def cmd_evaluate(args) -> int:
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(
-                lambda t: _evaluate_task(manifest, clims, *t), tasks))
+                lambda t: _evaluate_task(source, clims, *t), tasks))
     else:
-        results = [_evaluate_task(manifest, clims, *t) for t in tasks]
+        results = [_evaluate_task(source, clims, *t) for t in tasks]
 
     card = new_scorecard("evaluate", manifest.sha256)
     card["grid_metrics"] = [row for rows in results for row in rows]
@@ -206,8 +210,7 @@ def cmd_evaluate(args) -> int:
         for variable in manifest.variables:
             for lead in spectra_leads:
                 spectrum = mean_spectrum(
-                    lambda init: _model_field(manifest, model, init,
-                                              variable, lead))
+                    lambda init: source.model(model, init, variable, lead))
                 rel = f"spectra/{model}_{variable.key}_{lead:03d}h.csv"
                 write_spectrum_csv(spectrum, out_dir / rel)
                 spectra_rows.append({"model": model, "variable": variable.key,
@@ -215,7 +218,7 @@ def cmd_evaluate(args) -> int:
     for variable in manifest.variables:
         for lead in spectra_leads:
             spectrum = mean_spectrum(
-                lambda init: _truth_field(manifest, variable,
+                lambda init: source.truth(variable,
                                           init + timedelta(hours=lead)))
             rel = f"spectra/truth_{variable.key}_{lead:03d}h.csv"
             write_spectrum_csv(spectrum, out_dir / rel)
@@ -231,18 +234,11 @@ def cmd_evaluate(args) -> int:
 
 # --- build-climatology -------------------------------------------------------
 
-def _history_fields(manifest: fileio.RunManifest, variable: VariableId,
-                    year: int) -> list[GridField]:
-    fields = []
-    for when in harness.year_times(year):
-        fields.append(fileio.read_grid(manifest.history_path(variable, when)))
-    return fields
-
-
 def cmd_build_climatology(args) -> int:
     manifest = fileio.load_manifest(args.manifest, require=("history",))
     if manifest.climatology_pattern is None:
         raise ManifestError("manifest declares no climatology daily_mean_pattern")
+    source = fileio.FieldSource(manifest)
     grid = None
     for variable in manifest.variables:
         if variable.derived:
@@ -250,7 +246,7 @@ def cmd_build_climatology(args) -> int:
         per_year = []
         t2m_by_year = {}
         for year in manifest.history_years:
-            fields = _history_fields(manifest, variable, year)
+            fields = source.history(variable, year)
             per_year.append(daily_means_from_fields(fields))
             if variable is VariableId.T2M:
                 t2m_by_year[year] = fields
@@ -281,9 +277,9 @@ def _day_extremes(fields_per_day: Sequence[Sequence[GridField]],
     return extreme.reshape(len(fields_per_day), -1)
 
 
-def _truth_day_fields(manifest, day: datetime) -> list[GridField]:
-    return [_truth_field(manifest, VariableId.T2M,
-                         day + timedelta(hours=h))
+def _truth_day_fields(source: fileio.FieldSource, day: datetime
+                      ) -> list[GridField]:
+    return [source.truth(VariableId.T2M, day + timedelta(hours=h))
             for h in climatology.SYNOPTIC_HOURS]
 
 
@@ -299,12 +295,16 @@ def _region_mask(grid: GeoGrid, box) -> np.ndarray:
 def cmd_extremes(args) -> int:
     manifest = fileio.load_manifest(args.manifest)
     out_dir = Path(args.out)
-    lead_days = (_parse_int_list(args.lead_days) if args.lead_days
-                 else DEFAULT_EXTREME_LEAD_DAYS)
+    lead_days = _parse_leads(args.lead_days, DEFAULT_EXTREME_LEAD_DAYS,
+                             "--lead-days", manifest, _extreme_day_hours)
     gamma = args.gamma
     # checked here: match_events only runs where both sides have events
     if not 0.0 < gamma <= 1.0:
         raise ManifestError(f"--gamma must lie in (0, 1], got {gamma}")
+    for init in manifest.init_times:
+        if init.hour != 0:
+            raise ManifestError("extremes evaluation expects 00Z init times")
+    source = fileio.FieldSource(manifest)
 
     thresholds_sha = None
     if manifest.thresholds_path is not None \
@@ -313,7 +313,7 @@ def cmd_extremes(args) -> int:
         thresholds, tgrid = fileio.read_thresholds(tpath)
         thresholds_sha = hashlib.sha256(tpath.read_bytes()).hexdigest()
     elif manifest.history_pattern and manifest.history_years:
-        t2m_by_year = {year: _history_fields(manifest, VariableId.T2M, year)
+        t2m_by_year = {year: source.history(VariableId.T2M, year)
                        for year in manifest.history_years}
         thresholds = build_thresholds(history_from_fields(t2m_by_year))
         tgrid = t2m_by_year[manifest.history_years[0]][0].grid
@@ -321,17 +321,7 @@ def cmd_extremes(args) -> int:
         raise ManifestError(
             "extremes needs thresholds_path or a history section to build from")
 
-    for init in manifest.init_times:
-        if init.hour != 0:
-            raise ManifestError("extremes evaluation expects 00Z init times")
-
-    max_day = max(lead_days)
-    if 24 * (max_day - 1) + 18 > manifest.max_lead_hours:
-        raise ManifestError(
-            f"lead day {max_day} needs {24 * (max_day - 1) + 18} h of forecast, "
-            f"manifest stops at {manifest.max_lead_hours} h")
-
-    first_truth = _truth_field(manifest, VariableId.T2M, manifest.init_times[0])
+    first_truth = source.truth(VariableId.T2M, manifest.init_times[0])
     if first_truth.grid != tgrid:
         raise ManifestError("threshold grid does not match the truth grid")
 
@@ -351,7 +341,7 @@ def cmd_extremes(args) -> int:
         day_indices = [calendar_day_index(day) for day in days]
         tau = {EventKind.HEATWAVE: thresholds.tau_heat[day_indices, :],
                EventKind.COLDSURGE: thresholds.tau_cold[day_indices, :]}
-        truth_fields = [_truth_day_fields(manifest, day) for day in days]
+        truth_fields = [_truth_day_fields(source, day) for day in days]
         truth = {kind: segments_by_location(label_event_runs(
                      _day_extremes(truth_fields, kind), tau[kind], kind), kind)
                  for kind in kinds}
@@ -365,9 +355,8 @@ def cmd_extremes(args) -> int:
     for model in sorted(manifest.models):
         for d in lead_days:
             tau, truth = per_day[d]
-            leads = [24 * (d - 1) + h for h in climatology.SYNOPTIC_HOURS]
-            fc_fields = [[_model_field(manifest, model, init, VariableId.T2M,
-                                       lead) for lead in leads]
+            fc_fields = [[source.model(model, init, VariableId.T2M, lead)
+                          for lead in _extreme_day_hours(d)]
                          for init in manifest.init_times]
             fc_segments = []
             counts = {}  # kind -> per-location (tp, fp, fn) arrays
@@ -403,14 +392,10 @@ def cmd_cyclones(args) -> int:
     besttrack_path = Path(args.besttrack)
     truth_list = fileio.read_besttrack(besttrack_path)
     truth_tracks = {t.storm_id: t for t in truth_list}
-    lead_days = (_parse_int_list(args.lead_days) if args.lead_days
-                 else DEFAULT_CYCLONE_LEAD_DAYS)
+    lead_days = _parse_leads(args.lead_days, DEFAULT_CYCLONE_LEAD_DAYS,
+                             "--lead-days", manifest, _cyclone_day_hours)
     lead_steps = [4 * d for d in lead_days]
     n_leads = manifest.max_lead_hours // 6 + 1
-    for step in lead_steps:
-        if step >= n_leads:
-            raise ManifestError(
-                f"lead day {step // 4} beyond manifest max lead")
     config = TrackerConfig(search_radius_km=args.search_radius_km,
                            wind_radius_km=args.wind_radius_km,
                            mslp_cutoff_pa=args.mslp_cutoff_pa)
@@ -418,6 +403,7 @@ def cmd_cyclones(args) -> int:
         if variable not in manifest.variables:
             raise ManifestError(f"cyclones needs {variable.key} in the manifest")
 
+    source = fileio.FieldSource(manifest)
     model_tracks: dict[str, dict] = {}
     all_tracks: list[StormTrack] = []
     for model in sorted(manifest.models):
@@ -427,11 +413,11 @@ def cmd_cyclones(args) -> int:
                 seed_fix = truth_tracks[storm_id].fix_at_time(init)
                 if seed_fix is None:
                     continue
-                msl = [_model_field(manifest, model, init, VariableId.MSL, 6 * k)
+                msl = [source.model(model, init, VariableId.MSL, 6 * k)
                        for k in range(n_leads)]
-                u10 = [_model_field(manifest, model, init, VariableId.U10, 6 * k)
+                u10 = [source.model(model, init, VariableId.U10, 6 * k)
                        for k in range(n_leads)]
-                v10 = [_model_field(manifest, model, init, VariableId.V10, 6 * k)
+                v10 = [source.model(model, init, VariableId.V10, 6 * k)
                        for k in range(n_leads)]
                 track = track_storm(msl, u10, v10, seed_fix.position,
                                     storm_id=storm_id,
@@ -484,18 +470,19 @@ def cmd_stations(args) -> int:
     if not station_vars:
         raise NoValidPairs("no station variable overlaps the manifest variables")
 
+    source = fileio.FieldSource(manifest)
     positions = table.positions()
     reference = np.full(table.values.shape, np.nan)
     for vi, variable in enumerate(table.variables):
         if variable not in manifest.variables:
             continue
         for ti, when in enumerate(table.times):
-            truth = _truth_field(manifest, variable, when)
+            truth = source.truth(variable, when)
             reference[vi, ti] = interp_to_stations(truth, positions)
     qc_table, qc_report = stations.apply_qc(table, reference,
                                             QcThresholds.default())
 
-    clims = _load_climatologies(manifest)
+    clims = source.climatologies()
     station_clims = {}
     for variable in station_vars:
         clim = clims.get(variable)
@@ -511,7 +498,7 @@ def cmd_stations(args) -> int:
     for model in sorted(manifest.models):
         for variable in station_vars:
             for lead in manifest.lead_hours:
-                forecasts = [_model_field(manifest, model, init, variable, lead)
+                forecasts = [source.model(model, init, variable, lead)
                              for init in manifest.init_times]
                 try:
                     scores = stations.station_scores(
@@ -596,36 +583,9 @@ def cmd_synth(args) -> int:
     truth_pattern = "truth/{variable}/{time}.rbg"
     _write_truth(scenario, out_dir, truth_pattern, keep)
 
-    def truth_at(variable, when):
-        return fileio.read_grid(out_dir / truth_pattern.format(
-            variable=variable.key, time=when.strftime("%Y%m%d%H")))
-
-    model_patterns = {}
-    for name, (kind, param) in sorted(model_specs.items()):
-        pattern = f"models/{name}/{{init}}/{{variable}}/{{lead:03d}}.rbg"
-        model_patterns[name] = pattern
-        for init in init_times:
-            for variable in scenario.variables:
-                if kind == "persistence":
-                    fields = persistence_forecast(truth_at(variable, init), leads)
-                elif kind == "smoothed":
-                    fields = smoothed_forecast(truth_at(variable, init), leads,
-                                               param)
-                elif kind == "perfect":
-                    fields = [truth_at(variable, init + timedelta(hours=lead))
-                              .at(init + timedelta(hours=lead), lead)
-                              for lead in leads]
-                else:  # lagged: stale truth from `param` hours earlier
-                    fields = [truth_at(variable,
-                                       init + timedelta(hours=lead - param))
-                              .at(init + timedelta(hours=lead), lead)
-                              for lead in leads]
-                for field in fields:
-                    rel = pattern.format(variable=variable.key,
-                                         init=init.strftime("%Y%m%d%H"),
-                                         lead=field.lead_hours)
-                    fileio.write_grid(field, out_dir / rel)
-
+    model_patterns = {
+        name: f"models/{name}/{{init}}/{{variable}}/{{lead:03d}}.rbg"
+        for name in sorted(model_specs)}
     history_years = list(scenario.years[:-1]) if len(scenario.years) > 1 \
         else list(scenario.years)
     climatology_doc = {
@@ -650,6 +610,31 @@ def cmd_synth(args) -> int:
     # keep the generating process parameters next to the outputs
     (out_dir / "scenario.json").write_bytes(Path(args.scenario).read_bytes())
 
+    # forecasts are built from the truth just written, read back through
+    # the manifest like any other run
+    source = fileio.FieldSource(fileio.load_manifest(manifest_path, require=()))
+    for name, (kind, param) in sorted(model_specs.items()):
+        for init in init_times:
+            for variable in scenario.variables:
+                if kind == "persistence":
+                    fields = persistence_forecast(source.truth(variable, init),
+                                                  leads)
+                elif kind == "smoothed":
+                    fields = smoothed_forecast(source.truth(variable, init),
+                                               leads, param)
+                elif kind == "perfect":
+                    fields = [source.truth(variable, init + timedelta(hours=lead))
+                              .at(init + timedelta(hours=lead), lead)
+                              for lead in leads]
+                else:  # lagged: stale truth from `param` hours earlier
+                    fields = [source.truth(variable,
+                                           init + timedelta(hours=lead - param))
+                              .at(init + timedelta(hours=lead), lead)
+                              for lead in leads]
+                for field in fields:
+                    fileio.write_grid(field, source.manifest.model_path(
+                        name, init, variable, field.lead_hours))
+
     if scenario.vortices:
         tracks = make_besttrack(scenario)
         lines = ["storm_id,iso_time,lat,lon,mslp_hpa,wind_ms"]
@@ -662,15 +647,16 @@ def cmd_synth(args) -> int:
             ("\n".join(lines) + "\n").encode())
 
     if args.stations:
-        _write_station_csvs(scenario, out_dir, init_times, leads, args.stations)
+        _write_station_csvs(scenario, source, args.stations)
 
     print(f"wrote {manifest_path}")
     return 0
 
 
-def _write_station_csvs(scenario: SyntheticScenario, out_dir: Path,
-                        init_times, leads, n_stations: int) -> None:
+def _write_station_csvs(scenario: SyntheticScenario,
+                        source: fileio.FieldSource, n_stations: int) -> None:
     """Sample synthetic stations at grid nodes; observations equal truth."""
+    out_dir = source.manifest.root
     grid = scenario.grid
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=scenario.seed, spawn_key=(10_001,)))
@@ -689,15 +675,14 @@ def _write_station_csvs(scenario: SyntheticScenario, out_dir: Path,
         ("\n".join(meta_lines) + "\n").encode())
 
     valid_times = sorted({init + timedelta(hours=lead)
-                          for init in init_times for lead in leads})
+                          for init in source.manifest.init_times
+                          for lead in source.manifest.lead_hours})
     obs_lines = ["station_id,iso_time,variable,value_si"]
     for variable in scenario.variables:
         if variable.derived:
             continue
         for when in valid_times:
-            rel = "truth/{variable}/{time}.rbg".format(
-                variable=variable.key, time=when.strftime("%Y%m%d%H"))
-            field = fileio.read_grid(out_dir / rel)
+            field = source.truth(variable, when)
             for sid, i, j in sites:
                 obs_lines.append(
                     f"{sid},{fileio.format_time(when)},{variable.key},"

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,41 +44,6 @@ def calendar_day_index(when: datetime) -> int:
     if is_leap_day(when):
         day = 28
     return _CUM_DAYS[month - 1] + day - 1
-
-
-def daily_extremes(samples: Iterable[tuple[datetime, float]]
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-calendar-day (max, min) from a 6-hourly series of one year.
-
-    Returns two length-365 arrays; days with fewer than the four
-    00/06/12/18 UTC samples are absent (NaN). Feb 29 samples are
-    dropped. Timestamps off the synoptic hours are rejected.
-    """
-    day_max = np.full(DAYS_PER_YEAR, np.nan)
-    day_min = np.full(DAYS_PER_YEAR, np.nan)
-    counts = np.zeros(DAYS_PER_YEAR, dtype=np.intp)
-    seen: set[datetime] = set()
-    for when, value in samples:
-        if when.hour not in SYNOPTIC_HOURS or when.minute or when.second \
-                or when.microsecond:
-            raise ValueError(f"sample at {when} is not 00/06/12/18 UTC aligned")
-        if when in seen:
-            raise ValueError(f"duplicate sample timestamp {when}")
-        seen.add(when)
-        if is_leap_day(when):
-            continue
-        d = calendar_day_index(when)
-        if counts[d] == 0:
-            day_max[d] = value
-            day_min[d] = value
-        else:
-            day_max[d] = max(day_max[d], value)
-            day_min[d] = min(day_min[d], value)
-        counts[d] += 1
-    incomplete = counts < len(SYNOPTIC_HOURS)
-    day_max[incomplete] = np.nan
-    day_min[incomplete] = np.nan
-    return day_max, day_min
 
 
 @dataclass(frozen=True)

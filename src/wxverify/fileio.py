@@ -8,6 +8,9 @@ daily-climatology stores reuse the same layout with a 365-deep day axis
 (climatology payloads are float64 so that through-disk evaluation stays
 bit-identical to in-memory evaluation).
 
+Commands read fields through one run-scoped :class:`FieldSource`, which
+resolves manifest paths and validates each grid geometry once per run.
+
 Writers create a temp file and rename, so a file is either complete or
 absent. Serialization is canonical: rewriting what was just read
 produces byte-identical files. Readers are total over the typed error
@@ -36,7 +39,8 @@ from .errors import (ChecksumMismatch, DuplicateObservation,
                      NonFiniteValue, NonMonotoneTime, NonUniformGrid,
                      UnknownStation, WxVerifyError)
 from .extremes import EventSegment
-from .grid import GeoGrid, GridField, VariableId
+from .grid import GeoGrid, GridField, VariableId, derive_wind_speed
+from .harness import year_times
 from .stations import Station, StationTable, six_hour_times, table_from_records
 
 GRID_MAGIC = "RBGRID1"
@@ -80,10 +84,10 @@ def _sidecar_path(path: Path) -> Path:
 
 def _load_sidecar(path: Path, magic: str) -> dict:
     sidecar = _sidecar_path(path)
-    if not sidecar.exists():
-        raise InvalidHeader(f"sidecar missing: {sidecar}")
     try:
         header = json.loads(sidecar.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise InvalidHeader(f"sidecar missing: {sidecar}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidHeader(f"unparseable sidecar {sidecar}: {exc}") from exc
     if not isinstance(header, dict) or header.get("magic") != magic:
@@ -102,7 +106,7 @@ def _header_value(header: dict, key: str, kind, path: Path):
                 raise ValueError("not an integer")
             return out
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidHeader(f"{path}: bad {key!r} value {value!r}") from exc
 
 
@@ -115,9 +119,11 @@ def _uniform_steps(grid: GeoGrid) -> tuple[float, float]:
 
 
 def _read_payload(path: Path, header: dict, n_values: int, dtype: str) -> np.ndarray:
-    if not path.exists():
-        raise InvalidHeader(f"payload missing: {path}")
-    blob = path.read_bytes()
+    """Checked payload as float64; finiteness is the caller's check."""
+    try:
+        blob = path.read_bytes()
+    except FileNotFoundError:
+        raise InvalidHeader(f"payload missing: {path}") from None
     item = 4 if dtype == "f32le" else 8
     if len(blob) != item * n_values:
         raise HeaderPayloadShapeMismatch(
@@ -126,7 +132,10 @@ def _read_payload(path: Path, header: dict, n_values: int, dtype: str) -> np.nda
     if zlib.crc32(blob) != checksum:
         raise ChecksumMismatch(f"{path}: CRC-32 mismatch")
     np_dtype = "<f4" if dtype == "f32le" else "<f8"
-    values = np.frombuffer(blob, dtype=np_dtype).astype(np.float64)
+    return np.frombuffer(blob, dtype=np_dtype).astype(np.float64)
+
+
+def _require_finite(values: np.ndarray, path: Path) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise NonFiniteValue(f"{path}: payload contains NaN/Inf")
     return values
@@ -144,29 +153,42 @@ def _grid_header_geometry(header: dict, path: Path):
     return n_lat, n_lon, lat_start, lat_step, lon_start, lon_step
 
 
-def _normalized_grid_and_values(header: dict, values: np.ndarray, path: Path
-                                ) -> tuple[GeoGrid, np.ndarray]:
-    """Reshape a payload and normalize orientation to engine convention."""
-    n_lat, n_lon, lat_start, lat_step, lon_start, lon_step = \
-        _grid_header_geometry(header, path)
-    try:
-        grid_values = values.reshape(n_lat, n_lon)
-    except ValueError as exc:
-        raise HeaderPayloadShapeMismatch(f"{path}: {exc}") from exc
-    if lat_step > 0:  # south-to-north file: flip rows
-        grid_values = grid_values[::-1]
+def _oriented_grid(geometry: tuple, path: Path) -> tuple[GeoGrid, bool, int]:
+    """Engine-convention grid of a sidecar geometry, plus how to orient
+    the payload onto it: flip the rows, then roll the columns left."""
+    n_lat, n_lon, lat_start, lat_step, lon_start, lon_step = geometry
+    flip_rows = lat_step > 0  # south-to-north file
+    if flip_rows:
         lat_start = lat_start + lat_step * (n_lat - 1)
         lat_step = -lat_step
     lons = (lon_start + lon_step * np.arange(n_lon)) % 360.0
+    lon_shift = 0
     if n_lon > 1 and not np.all(np.diff(lons) > 0):
-        shift = int(np.argmin(lons))
-        lons = np.roll(lons, -shift)
-        grid_values = np.roll(grid_values, -shift, axis=1)
+        lon_shift = int(np.argmin(lons))
+        lons = np.roll(lons, -lon_shift)
     try:
         grid = GeoGrid(lat_start + lat_step * np.arange(n_lat), lons)
     except ValueError as exc:
         raise InvalidHeader(f"{path}: {exc}") from exc
-    return grid, grid_values
+    return grid, flip_rows, lon_shift
+
+
+def _cached_grid(geometry: tuple, path: Path, geometries: dict | None
+                 ) -> tuple[GeoGrid, bool, int]:
+    """:func:`_oriented_grid`, built and validated once per geometry key.
+
+    Floats are keyed on their exact bits, so ``-0.0`` and ``0.0`` never
+    share an entry. A geometry that fails validation is never cached.
+    """
+    if geometries is None:
+        return _oriented_grid(geometry, path)
+    n_lat, n_lon, *starts_and_steps = geometry
+    key = (n_lat, n_lon, *(x.hex() for x in starts_and_steps))
+    entry = geometries.get(key)
+    if entry is None:
+        # concurrent readers that both missed end up sharing one entry
+        entry = geometries.setdefault(key, _oriented_grid(geometry, path))
+    return entry
 
 
 def write_grid(field: GridField, path: str | os.PathLike) -> Path:
@@ -201,16 +223,27 @@ def write_grid(field: GridField, path: str | os.PathLike) -> Path:
     return path
 
 
-def read_grid(path: str | os.PathLike) -> GridField:
-    """Read a field written by :func:`write_grid`; round-trip is lossless."""
+def read_grid(path: str | os.PathLike, geometries: dict | None = None
+              ) -> GridField:
+    """Read a field written by :func:`write_grid`; round-trip is lossless.
+
+    ``geometries`` is an optional cache of validated grids shared across
+    reads (see :class:`FieldSource`); without it every read builds and
+    validates its own grid.
+    """
     path = Path(path)
     header = _load_sidecar(path, GRID_MAGIC)
     if header.get("dtype") != "f32le":
         raise InvalidHeader(f"{path}: unsupported dtype {header.get('dtype')!r}")
-    n_lat = _header_value(header, "n_lat", int, path)
-    n_lon = _header_value(header, "n_lon", int, path)
+    geometry = _grid_header_geometry(header, path)
+    n_lat, n_lon = geometry[:2]
     values = _read_payload(path, header, n_lat * n_lon, "f32le")
-    grid, grid_values = _normalized_grid_and_values(header, values, path)
+    grid, flip_rows, lon_shift = _cached_grid(geometry, path, geometries)
+    grid_values = values.reshape(n_lat, n_lon)
+    if flip_rows:
+        grid_values = grid_values[::-1]
+    if lon_shift:
+        grid_values = np.roll(grid_values, -lon_shift, axis=1)
     try:
         variable = VariableId.from_key(_header_value(header, "variable", str, path))
     except ValueError as exc:
@@ -218,7 +251,10 @@ def read_grid(path: str | os.PathLike) -> GridField:
     valid_time = parse_time(_header_value(header, "valid_time", str, path))
     lead_hours = _header_value(header, "lead_hours", int, path)
     try:
+        # GridField checks finiteness; the payload is not scanned twice
         return GridField(grid, variable, valid_time, lead_hours, grid_values)
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"{path}: payload contains NaN/Inf") from exc
     except ValueError as exc:
         raise InvalidHeader(f"{path}: {exc}") from exc
 
@@ -272,7 +308,8 @@ def read_thresholds(path: str | os.PathLike) -> tuple[ThresholdField, GeoGrid]:
     if n_days != DAYS_PER_YEAR:
         raise InvalidHeader(f"{path}: expected a {DAYS_PER_YEAR}-day axis")
     n_loc = n_lat * n_lon
-    values = _read_payload(path, header, 2 * n_days * n_loc, "f32le")
+    values = _require_finite(
+        _read_payload(path, header, 2 * n_days * n_loc, "f32le"), path)
     stack = values.reshape(2, n_days, n_loc)
     lat_start = _header_value(header, "lat_start", float, path)
     lat_step = _header_value(header, "lat_step", float, path)
@@ -321,7 +358,8 @@ def read_daily_climatology(path: str | os.PathLike) -> DailyMeanClimatology:
     n_days = _header_value(header, "n_days", int, path)
     if n_days != DAYS_PER_YEAR:
         raise InvalidHeader(f"{path}: expected a {DAYS_PER_YEAR}-day axis")
-    values = _read_payload(path, header, n_days * n_lat * n_lon, "f64le")
+    values = _require_finite(
+        _read_payload(path, header, n_days * n_lat * n_lon, "f64le"), path)
     lat_start = _header_value(header, "lat_start", float, path)
     lat_step = _header_value(header, "lat_step", float, path)
     lon_start = _header_value(header, "lon_start", float, path)
@@ -517,7 +555,7 @@ class RunManifest:
     resolved against the manifest directory.
     """
 
-    root: Path
+    path: Path
     variables: tuple[VariableId, ...]
     init_times: tuple[datetime, ...]
     max_lead_hours: int
@@ -529,6 +567,10 @@ class RunManifest:
     history_pattern: str | None
     regions: Mapping[str, tuple[float, float, float, float] | None]
     sha256: str
+
+    @property
+    def root(self) -> Path:
+        return self.path.parent
 
     @property
     def lead_hours(self) -> tuple[int, ...]:
@@ -561,6 +603,65 @@ class RunManifest:
             raise ManifestError("manifest declares no history")
         return self._fmt(self.history_pattern, variable=variable.key,
                          time=when.astimezone(timezone.utc).strftime("%Y%m%d%H"))
+
+
+class FieldSource:
+    """The one way a run reads the fields its manifest names.
+
+    A command creates one per run. Every grid read goes through the
+    module-level :func:`read_grid` with a geometry cache held here, so a
+    :class:`GeoGrid` is built and validated once per distinct sidecar
+    geometry instead of once per file; fields that share a geometry
+    share one grid object. Safe to share between threads. Derived WS10
+    is computed from U10 and V10 here and nowhere else.
+    """
+
+    def __init__(self, manifest: RunManifest):
+        self.manifest = manifest
+        # geometry key -> (GeoGrid, flip_rows, lon_shift); see _cached_grid
+        self._geometries: dict[tuple, tuple[GeoGrid, bool, int]] = {}
+
+    def read(self, path: str | os.PathLike) -> GridField:
+        return read_grid(path, self._geometries)
+
+    def _field(self, path_of, variable: VariableId) -> GridField:
+        if variable.derived:
+            return derive_wind_speed(self.read(path_of(VariableId.U10)),
+                                     self.read(path_of(VariableId.V10)))
+        return self.read(path_of(variable))
+
+    def truth(self, variable: VariableId, when: datetime) -> GridField:
+        return self._field(lambda v: self.manifest.truth_path(v, when),
+                           variable)
+
+    def model(self, name: str, init: datetime, variable: VariableId,
+              lead_hours: int) -> GridField:
+        return self._field(
+            lambda v: self.manifest.model_path(name, init, v, lead_hours),
+            variable)
+
+    def history(self, variable: VariableId, year: int) -> list[GridField]:
+        """Every 6-hourly history field of one calendar year."""
+        return [self.read(self.manifest.history_path(variable, when))
+                for when in year_times(year)]
+
+    def climatologies(self) -> dict[VariableId, DailyMeanClimatology]:
+        """Daily-mean climatology of each stored variable; empty when the
+        manifest declares none."""
+        clims: dict[VariableId, DailyMeanClimatology] = {}
+        if self.manifest.climatology_pattern is None:
+            return clims
+        for variable in self.manifest.variables:
+            if variable.derived:
+                continue
+            path = self.manifest.climatology_path(variable)
+            if not path.exists():
+                raise ManifestError(
+                    f"climatology file {path} has not been built; run "
+                    f"`wxverify build-climatology --manifest "
+                    f"{self.manifest.path}` first")
+            clims[variable] = read_daily_climatology(path)
+        return clims
 
 
 def manifest_sha256(path: Path) -> str:
@@ -646,7 +747,7 @@ def load_manifest(path: str | os.PathLike,
         regions = {"global": None}
 
     manifest = RunManifest(
-        root=path.parent,
+        path=path,
         variables=variables,
         init_times=init_times,
         max_lead_hours=max_lead,

@@ -158,6 +158,8 @@ class GeoGrid:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GeoGrid):
             return NotImplemented
+        if self is other:  # fields read through one FieldSource share grids
+            return True
         return (np.array_equal(self.lat_deg, other.lat_deg)
                 and np.array_equal(self.lon_deg, other.lon_deg))
 

@@ -252,12 +252,6 @@ def generate_variable_series(scenario: SyntheticScenario, variable: VariableId
             yield GridField(scenario.grid, variable, when, 0, quantized)
 
 
-def generate_truth(scenario: SyntheticScenario) -> Iterator[GridField]:
-    """All variables' streams, variable-major (each one time-ordered)."""
-    for variable in scenario.variables:
-        yield from generate_variable_series(scenario, variable)
-
-
 def make_besttrack(scenario: SyntheticScenario) -> list[StormTrack]:
     """Analytic best tracks of the scenario's planted vortices.
 

@@ -130,11 +130,6 @@ class StationTable:
     def positions(self) -> list[tuple[float, float]]:
         return [(s.lat, s.lon) for s in self.stations]
 
-    def flag_counts(self, variable: VariableId) -> dict[QcFlag, int]:
-        row = self.flags[self.variable_index(variable)]
-        return {f: int(np.count_nonzero(row == code))
-                for f, code in _FLAG_CODE.items()}
-
 
 def window_average(records: Iterable[tuple[datetime, float]],
                    target: datetime) -> float | None:

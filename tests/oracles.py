@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from datetime import date
 from itertools import combinations, permutations
 
 import numpy as np
@@ -94,6 +95,42 @@ def percentile_sorted_oracle(pool, q: float) -> float:
     if g == 0.0 or lo + 1 >= n:
         return s[min(lo, n - 1)]
     return s[lo] + g * (s[lo + 1] - s[lo])
+
+
+# --- daily-extremes oracle -------------------------------------------------------
+
+def calendar_day_oracle(when) -> int:
+    """0-based day of a fixed 365-day year; Feb 29 shares Feb 28's index."""
+    day = 28 if (when.month, when.day) == (2, 29) else when.day
+    return (date(2001, when.month, day) - date(2001, 1, 1)).days
+
+
+def daily_extremes(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Per-calendar-day (max, min) from a 6-hourly series of one year.
+
+    The scalar counterpart of ``climatology.history_from_fields`` for one
+    location. Returns two length-365 arrays; days with fewer than the
+    four 00/06/12/18 UTC samples are absent (NaN). Feb 29 samples are
+    dropped. Timestamps off the synoptic hours are rejected.
+    """
+    values_by_day: dict[int, list[float]] = {}
+    seen = set()
+    for when, value in samples:
+        if when.hour % 6 or when.minute or when.second or when.microsecond:
+            raise ValueError(f"sample at {when} is not 00/06/12/18 UTC aligned")
+        if when in seen:
+            raise ValueError(f"duplicate sample timestamp {when}")
+        seen.add(when)
+        if (when.month, when.day) == (2, 29):
+            continue
+        values_by_day.setdefault(calendar_day_oracle(when), []).append(value)
+    day_max = np.full(365, np.nan)
+    day_min = np.full(365, np.nan)
+    for day, values in values_by_day.items():
+        if len(values) == 4:
+            day_max[day] = max(values)
+            day_min[day] = min(values)
+    return day_max, day_min
 
 
 # --- event-labeling oracle ------------------------------------------------------

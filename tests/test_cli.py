@@ -468,3 +468,52 @@ class TestCyclones:
             assert row["n_storms"] == 0
             assert row["dpe_km"] == "n/a"
             assert row["mslp_bias_hpa"] == "n/a"
+
+
+class TestLeadLists:
+    @pytest.mark.parametrize("run, argv, expected", [
+        ("extremes_run", ["extremes", "--lead-days", ","],
+         "--lead-days: empty lead list"),
+        ("extremes_run", ["extremes", "--lead-days", "0"],
+         "--lead-days value 0 (-24..-6 h)"),
+        ("evaluate_run", ["evaluate", "--leads", ","],
+         "--leads: empty lead list"),
+        ("evaluate_run", ["evaluate", "--spectra-leads", "7"],
+         "--spectra-leads value 7 (7 h)"),
+        ("cyclone_run", ["cyclones", "--lead-days=-1", "--besttrack", None],
+         "--lead-days value -1 (-24 h)"),
+    ], ids=["extremes-empty", "extremes-day-0", "evaluate-empty",
+            "spectra-off-grid", "cyclones-negative"])
+    def test_bad_lead_list_is_exit_2(self, request, run, argv, expected,
+                                     tmp_path, capsys):
+        data = request.getfixturevalue(run)
+        argv = [data / "besttrack.csv" if a is None else a for a in argv]
+        rc = run_cli(*argv, "--manifest", data / "manifest.json",
+                     "--out", tmp_path / "out")
+        assert rc == 2
+        assert expected in capsys.readouterr().err
+
+
+class TestUnbuiltClimatology:
+    @pytest.mark.parametrize("command", ["evaluate", "stations"])
+    def test_names_file_and_next_step(self, command, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(
+            EVALUATE_SCENARIO,
+            processes={"t2m": EVALUATE_SCENARIO["processes"]["t2m"]})))
+        run = tmp_path / "run"
+        assert run_cli("synth", "--scenario", scenario, "--out", run,
+                       "--inits", "2025-07-01T00:00:00Z",
+                       "--max-lead-hours", "12", "--models", "perfect",
+                       "--truth-span", "run", "--stations", "3") == 0
+        capsys.readouterr()
+        extra = (["--station-meta", run / "stations_meta.csv",
+                  "--station-obs", run / "stations_obs.csv"]
+                 if command == "stations" else [])
+        rc = run_cli(command, "--manifest", run / "manifest.json",
+                     "--out", tmp_path / "out", *extra)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(run / "clim" / "t2m.rbc") in err
+        assert f"wxverify build-climatology --manifest " \
+               f"{run / 'manifest.json'}" in err

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 import oracles
+from conftest import make_field, make_grid
 from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
                                   build_daily_mean_climatology,
                                   build_thresholds, calendar_day_index,
-                                  daily_extremes, window_indices)
+                                  history_from_fields, window_indices)
 from wxverify.errors import InsufficientHistory
 
 
@@ -46,26 +47,26 @@ class TestDailyExtremes:
         t0 = datetime(2025, 3, 10, tzinfo=timezone.utc)
         samples = [(t0 + timedelta(hours=6 * k), v)
                    for k, v in enumerate([280.0, 285.0, 290.0, 283.0])]
-        dmax, dmin = daily_extremes(samples)
+        dmax, dmin = oracles.daily_extremes(samples)
         d = calendar_day_index(t0)
         assert dmax[d] == 290.0 and dmin[d] == 280.0
 
     def test_constant_day(self):
         t0 = datetime(2025, 3, 10, tzinfo=timezone.utc)
         samples = [(t0 + timedelta(hours=6 * k), 300.0) for k in range(4)]
-        dmax, dmin = daily_extremes(samples)
+        dmax, dmin = oracles.daily_extremes(samples)
         d = calendar_day_index(t0)
         assert dmax[d] == 300.0 and dmin[d] == 300.0
 
     def test_incomplete_day_absent(self):
         t0 = datetime(2025, 3, 10, tzinfo=timezone.utc)
         samples = [(t0 + timedelta(hours=6 * k), 300.0) for k in range(3)]
-        dmax, _ = daily_extremes(samples)
+        dmax, _ = oracles.daily_extremes(samples)
         assert np.isnan(dmax[calendar_day_index(t0)])
 
     def test_off_synoptic_hour_rejected(self):
         with pytest.raises(ValueError):
-            daily_extremes([(datetime(2025, 3, 10, 5, tzinfo=timezone.utc), 1.0)])
+            oracles.daily_extremes([(datetime(2025, 3, 10, 5, tzinfo=timezone.utc), 1.0)])
 
     def test_sinusoid_matches_closed_form(self):
         def temp(t):
@@ -73,7 +74,7 @@ class TestDailyExtremes:
             return (285.0 + 10.0 * math.sin(2 * math.pi * d / 365.0)
                     + 3.0 * math.sin(2 * math.pi * t.hour / 24.0 - math.pi / 2))
 
-        dmax, dmin = daily_extremes(six_hourly_year(2025, temp))
+        dmax, dmin = oracles.daily_extremes(six_hourly_year(2025, temp))
         for day in (0, 99, 199, 364):
             base = 285.0 + 10.0 * math.sin(2 * math.pi * (day + 1) / 365.0)
             hours = np.array([0, 6, 12, 18])
@@ -83,8 +84,29 @@ class TestDailyExtremes:
 
     def test_leap_year_day_count(self):
         samples = six_hourly_year(2024, lambda t: 1.0)
-        dmax, dmin = daily_extremes(samples)
+        dmax, dmin = oracles.daily_extremes(samples)
         assert not np.any(np.isnan(dmax)) and not np.any(np.isnan(dmin))
+
+    def test_history_from_fields_matches_oracle(self, rng):
+        # a leap year with some samples missing: Feb 29 is dropped and
+        # incomplete days come out absent in both implementations
+        grid = make_grid(2, 3)
+        times = [when for when, _ in six_hourly_year(2024, lambda t: 0.0)]
+        keep = rng.random(len(times)) > 0.01
+        values = 285.0 + 5.0 * rng.standard_normal((len(times),) + grid.shape)
+        fields = [make_field(grid, v, valid_time=t)
+                  for t, v, k in zip(times, values, keep) if k]
+        history = history_from_fields({2024: fields})
+        flat = values.reshape(len(times), -1)
+        for loc in range(flat.shape[1]):
+            samples = [(t, float(flat[i, loc]))
+                       for i, (t, k) in enumerate(zip(times, keep)) if k]
+            dmax, dmin = oracles.daily_extremes(samples)
+            assert np.array_equal(history.daily_max[0, :, loc], dmax,
+                                  equal_nan=True)
+            assert np.array_equal(history.daily_min[0, :, loc], dmin,
+                                  equal_nan=True)
+        assert np.isnan(history.daily_max[0]).any()
 
 
 def dense_history(rng, n_years=12, n_loc=3, loc_mean=288.0):

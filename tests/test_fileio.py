@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 import zlib
 from datetime import timedelta
 
@@ -125,6 +127,15 @@ class TestGridRoundTrip:
         back = fileio.read_grid(path)
         assert back.grid == field.grid
         assert np.array_equal(back.values, field.values)
+
+    def test_infinite_header_integer_is_invalid_header(self, rng, tmp_path):
+        path = fileio.write_grid(f32_field(rng, make_grid(2, 4)),
+                                 tmp_path / "f.rbg")
+        sidecar = tmp_path / "f.rbg.json"
+        sidecar.write_text(sidecar.read_text().replace(
+            '"n_lat": 2', '"n_lat": Infinity'))
+        with pytest.raises(InvalidHeader, match="n_lat"):
+            fileio.read_grid(path)
 
     @given(st.binary(min_size=0, max_size=400))
     @settings(max_examples=120, deadline=None,
@@ -306,3 +317,195 @@ class TestManifest:
         path.write_text(json.dumps({"variables": ["t2m"]}))
         with pytest.raises(ManifestError):
             fileio.load_manifest(path)
+
+
+def write_raw_grid(path, values, geometry, valid_time=T0, variable="t2m"):
+    """Payload + sidecar in any orientation the format allows."""
+    n_lat, n_lon, lat_start, lat_step, lon_start, lon_step = geometry
+    blob = np.ascontiguousarray(values, dtype="<f4").tobytes()
+    header = {"magic": fileio.GRID_MAGIC, "variable": variable, "unit": "K",
+              "valid_time": fileio.format_time(valid_time), "lead_hours": 0,
+              "n_lat": n_lat, "n_lon": n_lon, "lat_start": lat_start,
+              "lat_step": lat_step, "lon_start": lon_start,
+              "lon_step": lon_step, "dtype": "f32le",
+              "checksum": zlib.crc32(blob)}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(blob)
+    path.with_name(path.name + ".json").write_text(json.dumps(header))
+    return path
+
+
+def grid_manifest(root, variables=("t2m",)):
+    """A manifest whose truth files are ``g/{variable}_{time}.rbg``."""
+    doc = {"variables": list(variables),
+           "init_times": [fileio.format_time(T0)], "max_lead_hours": 0,
+           "truth_pattern": "g/{variable}_{time}.rbg",
+           "models": {"m": "m/{variable}_{init}_{lead:03d}.rbg"}}
+    path = root / "manifest.json"
+    path.write_text(json.dumps(doc))
+    return fileio.load_manifest(path, require=())
+
+
+def twins(geometry):
+    """Other headers close to ``geometry``: the same rows stored in the
+    opposite order, and the latitude start with its zero sign flipped."""
+    n_lat, n_lon, lat_start, lat_step, lon_start, lon_step = geometry
+    out = [(n_lat, n_lon, lat_start + lat_step * (n_lat - 1), -lat_step,
+            lon_start, lon_step)]
+    if lat_start == 0.0:
+        out.append((n_lat, n_lon, -lat_start, lat_step, lon_start, lon_step))
+    return out
+
+
+def geometry_key(geometry):
+    n_lat, n_lon, *floats = geometry
+    return (n_lat, n_lon, *(float(x).hex() for x in floats))
+
+
+def outcome(call):
+    """(result, None), or (None, the typed error) when ``call`` raises one."""
+    try:
+        return call(), None
+    except WxVerifyError as exc:
+        return None, exc
+
+
+@st.composite
+def uniform_geometries(draw):
+    """Uniform sidecar geometries: either row order, wrapping or not,
+    negative longitude starts, and latitude starts of +-0.0."""
+    n_lat = draw(st.integers(1, 5))
+    lat_step = draw(st.sampled_from([0.5, 2.5, 12.0, 22.5]))
+    span = lat_step * (n_lat - 1)
+    south_first = draw(st.booleans())
+    lo, hi = (-90.0, 90.0 - span) if south_first else (-90.0 + span, 90.0)
+    lat_start = draw(st.sampled_from([0.0, -0.0]) | st.floats(lo, hi))
+    if not lo <= lat_start <= hi:
+        lat_start = hi
+    if draw(st.booleans()):  # wrapping
+        n_lon = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12]))
+        lon_step = 360.0 / n_lon
+    else:
+        n_lon = draw(st.integers(1, 6))
+        lon_step = draw(st.sampled_from([0.5, 5.0, 22.5, 50.0]))
+    lon_start = draw(st.sampled_from([0.0, -0.0, -180.0, -45.0, 350.0])
+                     | st.floats(-360.0, 359.0))
+    return (n_lat, n_lon, lat_start, lat_step if south_first else -lat_step,
+            lon_start, lon_step)
+
+
+class TestFieldSource:
+    @given(drawn=st.lists(uniform_geometries(), min_size=1, max_size=3),
+           order=st.lists(st.integers(0, 8), min_size=1, max_size=12),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_cached_reads_match_fresh_reads(self, tmp_path_factory,
+                                            drawn, order, seed):
+        geometries = drawn + [t for g in drawn for t in twins(g)]
+        root = tmp_path_factory.mktemp("geo")
+        rng = np.random.default_rng(seed)
+        source = fileio.FieldSource(grid_manifest(root))
+        shared = {}  # geometry key -> first grid object read for it
+        for k, g in enumerate(order):
+            geometry = geometries[g % len(geometries)]
+            when = T0 + k * timedelta(hours=6)
+            path = write_raw_grid(
+                source.manifest.truth_path(VariableId.T2M, when),
+                rng.standard_normal(geometry[:2]), geometry, when)
+            fresh, fresh_err = outcome(lambda: fileio.read_grid(path))
+            cached, cached_err = outcome(
+                lambda: source.truth(VariableId.T2M, when))
+            if fresh_err is not None:
+                assert type(cached_err) is type(fresh_err)
+                assert str(cached_err) == str(fresh_err)
+                continue
+            assert cached_err is None
+            assert cached.grid == fresh.grid
+            assert cached.values.tobytes() == fresh.values.tobytes()
+            assert (cached.variable, cached.valid_time, cached.lead_hours) == \
+                (fresh.variable, fresh.valid_time, fresh.lead_hours)
+            first = shared.setdefault(geometry_key(geometry), cached.grid)
+            assert first is cached.grid
+            assert not any(grid is cached.grid
+                           for key, grid in shared.items()
+                           if key != geometry_key(geometry))
+            writes = []
+            for name, field in (("fresh", fresh), ("cached", cached)):
+                out = root / "w" / f"{name}{k}.rbg"
+                written, err = outcome(lambda: fileio.write_grid(field, out))
+                writes.append(
+                    type(err) if err is not None else
+                    (written.read_bytes(),
+                     out.with_name(out.name + ".json").read_bytes()))
+            assert writes[0] == writes[1]
+
+    def test_bad_geometry_raises_on_every_read(self, rng, tmp_path):
+        source = fileio.FieldSource(grid_manifest(tmp_path))
+        bad = (3, 4, 95.0, -5.0, 0.0, 90.0)  # first row north of the pole
+        good = (3, 4, 85.0, -5.0, 0.0, 90.0)
+        write_raw_grid(tmp_path / "bad.rbg", np.zeros((3, 4)), bad)
+        write_raw_grid(tmp_path / "good.rbg", np.zeros((3, 4)), good)
+        for _ in range(3):
+            with pytest.raises(InvalidHeader, match="bad.rbg"):
+                source.read(tmp_path / "bad.rbg")
+            assert source.read(tmp_path / "good.rbg").grid.n_lat == 3
+
+    def test_nan_payload_error_names_path(self, tmp_path):
+        values = np.zeros((2, 4))
+        values[1, 2] = np.nan
+        path = write_raw_grid(tmp_path / "nan.rbg", values,
+                              (2, 4, 10.0, -5.0, 0.0, 90.0))
+        source = fileio.FieldSource(grid_manifest(tmp_path))
+        for read in (fileio.read_grid, source.read):
+            with pytest.raises(NonFiniteValue) as err:
+                read(path)
+            assert str(path) in str(err.value)
+
+    def test_threads_share_one_grid_object(self, rng, tmp_path):
+        # more threads than cores and a short switch interval, so that
+        # concurrent misses on one geometry are likely
+        geometry = (4, 8, 60.0, -10.0, 0.0, 45.0)
+        paths = [write_raw_grid(tmp_path / f"f{k}.rbg",
+                                rng.standard_normal((4, 8)), geometry)
+                 for k in range(4)]
+        n_threads = 6
+        barrier = threading.Barrier(n_threads, timeout=30)
+        grids = []
+
+        def read(source):
+            barrier.wait()
+            grids.extend(source.read(p).grid for p in paths)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                source = fileio.FieldSource(grid_manifest(tmp_path))
+                grids.clear()
+                threads = [threading.Thread(target=read, args=(source,))
+                           for _ in range(n_threads)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert len(grids) == n_threads * len(paths)
+                assert all(grid is grids[0] for grid in grids)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_resolves_manifest_paths_and_derives_wind(self, rng, tmp_path):
+        manifest = grid_manifest(tmp_path, ("u10", "v10", "ws10"))
+        grid = make_grid(3, 4)
+        for variable in (VariableId.U10, VariableId.V10):
+            field = f32_field(rng, grid, variable=variable)
+            fileio.write_grid(field, manifest.truth_path(variable, T0))
+            fileio.write_grid(field, manifest.model_path("m", T0, variable, 0))
+        source = fileio.FieldSource(manifest)
+        for read in (lambda v: source.truth(v, T0),
+                     lambda v: source.model("m", T0, v, 0)):
+            u, v, ws = (read(var) for var in (VariableId.U10, VariableId.V10,
+                                              VariableId.WS10))
+            assert ws.variable is VariableId.WS10
+            assert np.array_equal(ws.values, np.hypot(u.values, v.values))
+            assert u.grid is v.grid is ws.grid
