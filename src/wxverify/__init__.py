@@ -25,7 +25,7 @@ from .grid import (EARTH_RADIUS_KM, GeoGrid, GridField, VariableId,
                    latitude_weights, regrid_bilinear)
 from .harness import (PlantedEpisode, SyntheticScenario, VariableProcess,
                       VortexSpec, persistence_forecast, smoothed_forecast)
-from .metrics import MetricKind, MetricValue, acc, activity, bias, wrmse
+from .metrics import acc, activity, bias, wrmse
 from .spectra import ZonalSpectrum, midlatitude_spectrum, zonal_spectrum_row
 from .stations import (QcFlag, QcThresholds, Station, StationTable,
                        qc_ratio_filter, station_scores, window_average)
@@ -36,7 +36,7 @@ __all__ = [
     "GeoGrid", "GridField", "VariableId", "EARTH_RADIUS_KM",
     "latitude_weights", "regrid_bilinear", "interp_to_stations",
     "haversine_km", "derive_wind_speed",
-    "MetricKind", "MetricValue", "wrmse", "acc", "bias", "activity",
+    "wrmse", "acc", "bias", "activity",
     "ZonalSpectrum", "zonal_spectrum_row", "midlatitude_spectrum",
     "DailyHistory", "ThresholdField", "DailyMeanClimatology",
     "build_thresholds", "build_daily_mean_climatology",

@@ -20,9 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Sequence
@@ -51,7 +49,6 @@ from .grid import (GeoGrid, GridField, VariableId, interp_to_stations,
 from .harness import (SyntheticScenario, generate_variable_series,
                       load_scenario, make_besttrack, persistence_forecast,
                       smoothed_forecast)
-from .metrics import MetricKind, MetricValue
 from .metrics import acc as metric_acc
 from .metrics import activity as metric_activity
 from .metrics import bias as metric_bias
@@ -75,18 +72,6 @@ DEFAULT_CYCLONE_LEAD_DAYS = (1, 3, 5)
 
 def _mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
-
-
-def _workers(args) -> int:
-    if args.workers is not None:
-        return max(1, args.workers)
-    env = os.environ.get("RB_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ManifestError(f"RB_WORKERS must be an integer, got {env!r}")
-    return 1
 
 
 def _parse_leads(text: str | None, default: Sequence[int], flag: str,
@@ -154,18 +139,12 @@ def _evaluate_task(source, clims, model, variable, lead):
     rows = []
     for metric in ("wrmse", "acc", "bias", "activity"):
         values = per_metric[metric]
-        if values:
-            checked = MetricValue(MetricKind(metric), variable, lead,
-                                  _mean(values))
-            value = checked.value
-        else:
-            value = "n/a"
         rows.append({
             "model": model,
             "variable": variable.key,
             "lead_hours": lead,
             "metric": metric,
-            "value": value,
+            "value": _mean(values) if values else "n/a",
             "n_samples": len(values),
         })
     return rows
@@ -183,20 +162,13 @@ def cmd_evaluate(args) -> int:
     source = fileio.FieldSource(manifest)
     clims = source.climatologies()
 
-    tasks = [(model, variable, lead)
-             for model in sorted(manifest.models)
-             for variable in manifest.variables
-             for lead in leads]
-    n_workers = _workers(args)
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(
-                lambda t: _evaluate_task(source, clims, *t), tasks))
-    else:
-        results = [_evaluate_task(source, clims, *t) for t in tasks]
-
     card = new_scorecard("evaluate", manifest.sha256)
-    card["grid_metrics"] = [row for rows in results for row in rows]
+    card["grid_metrics"] = [row
+                            for model in sorted(manifest.models)
+                            for variable in manifest.variables
+                            for lead in leads
+                            for row in _evaluate_task(source, clims, model,
+                                                      variable, lead)]
 
     def mean_spectrum(load_field) -> ZonalSpectrum:
         stack = [midlatitude_spectrum(load_field(init))
@@ -257,11 +229,11 @@ def cmd_build_climatology(args) -> int:
         path = fileio.write_daily_climatology(
             clim, manifest.climatology_path(variable))
         print(f"wrote {path}")
-        if variable is VariableId.T2M and manifest.thresholds_path is not None:
+        if variable is VariableId.T2M and manifest.thresholds_file is not None:
             history = history_from_fields(t2m_by_year)
             thresholds = build_thresholds(history)
-            path = fileio.write_thresholds(
-                thresholds, grid, manifest.root / manifest.thresholds_path)
+            path = fileio.write_thresholds(thresholds, grid,
+                                           manifest.thresholds_file)
             print(f"wrote {path}")
     return 0
 
@@ -307,11 +279,11 @@ def cmd_extremes(args) -> int:
     source = fileio.FieldSource(manifest)
 
     thresholds_sha = None
-    if manifest.thresholds_path is not None \
-            and (manifest.root / manifest.thresholds_path).exists():
-        tpath = manifest.root / manifest.thresholds_path
-        thresholds, tgrid = fileio.read_thresholds(tpath)
-        thresholds_sha = hashlib.sha256(tpath.read_bytes()).hexdigest()
+    stored = source.thresholds()
+    if stored is not None:
+        thresholds, tgrid = stored
+        thresholds_sha = hashlib.sha256(
+            manifest.thresholds_file.read_bytes()).hexdigest()
     elif manifest.history_pattern and manifest.history_years:
         t2m_by_year = {year: source.history(VariableId.T2M, year)
                        for year in manifest.history_years}
@@ -720,7 +692,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--leads", help="comma-separated lead hours (default: all)")
     p.add_argument("--spectra-leads", help="comma-separated spectra lead hours")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted and ignored; evaluate runs serially")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("extremes", help="heatwave / cold-surge scores")

@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InsufficientHistory
+from .errors import InsufficientHistory, NonFiniteValue
 from .grid import GeoGrid, GridField, VariableId
 
 DAYS_PER_YEAR = 365
@@ -139,7 +139,7 @@ class ThresholdField:
         if th.shape != tc.shape or th.ndim != 2 or th.shape[0] != DAYS_PER_YEAR:
             raise ValueError("thresholds must have shape (365, n_locations)")
         if not (np.all(np.isfinite(th)) and np.all(np.isfinite(tc))):
-            raise ValueError("thresholds must be finite")
+            raise NonFiniteValue("thresholds must be finite")
         if np.any(th < tc):
             raise ValueError("tau_heat must be >= tau_cold everywhere")
         th.setflags(write=False)
@@ -228,7 +228,7 @@ class DailyMeanClimatology:
         if dm.shape != (DAYS_PER_YEAR, self.grid.n_lat, self.grid.n_lon):
             raise ValueError("day_mean must have shape (365, n_lat, n_lon)")
         if not np.all(np.isfinite(dm)):
-            raise ValueError("day_mean must be finite")
+            raise NonFiniteValue("day_mean must be finite")
         dm.setflags(write=False)
         object.__setattr__(self, "day_mean", dm)
         object.__setattr__(self, "years", tuple(int(y) for y in self.years))

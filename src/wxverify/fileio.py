@@ -1,15 +1,17 @@
 """Bit-exact readers and writers.
 
-Gridded fields live in a flat little-endian float32 payload plus a JSON
-sidecar (`<path>.json`) carrying geometry, time metadata, and a CRC-32
-of the payload. Uniform grids only; orientation is normalized to
-north-to-south rows and [0, 360) eastward columns on read. Threshold and
-daily-climatology stores reuse the same layout with a 365-deep day axis
+Gridded fields, extreme thresholds and daily-mean climatologies are all
+stored the same way: a flat little-endian payload plus a JSON sidecar
+(`<path>.json`) carrying the magic, dtype, geometry and a CRC-32 of the
+payload, written and read by one codec. Uniform grids only; orientation
+is normalized to north-to-south rows and [0, 360) eastward columns on
+read. Threshold and climatology payloads carry a 365-deep day axis
 (climatology payloads are float64 so that through-disk evaluation stays
 bit-identical to in-memory evaluation).
 
-Commands read fields through one run-scoped :class:`FieldSource`, which
-resolves manifest paths and validates each grid geometry once per run.
+Commands read stored arrays through one run-scoped :class:`FieldSource`,
+which resolves manifest paths and validates each grid geometry once per
+run.
 
 Writers create a temp file and rename, so a file is either complete or
 absent. Serialization is canonical: rewriting what was just read
@@ -88,6 +90,8 @@ def _load_sidecar(path: Path, magic: str) -> dict:
         header = json.loads(sidecar.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise InvalidHeader(f"sidecar missing: {sidecar}") from None
+    except OSError as exc:
+        raise InvalidHeader(f"cannot read sidecar {sidecar}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidHeader(f"unparseable sidecar {sidecar}: {exc}") from exc
     if not isinstance(header, dict) or header.get("magic") != magic:
@@ -110,35 +114,11 @@ def _header_value(header: dict, key: str, kind, path: Path):
         raise InvalidHeader(f"{path}: bad {key!r} value {value!r}") from exc
 
 
-def _uniform_steps(grid: GeoGrid) -> tuple[float, float]:
-    if not grid.is_uniform():
-        raise NonUniformGrid("file format stores uniformly spaced grids only")
-    lat_step = float(grid.lat_deg[1] - grid.lat_deg[0]) if grid.n_lat > 1 else -1.0
-    lon_step = float(grid.lon_deg[1] - grid.lon_deg[0]) if grid.n_lon > 1 else 1.0
-    return lat_step, lon_step
-
-
-def _read_payload(path: Path, header: dict, n_values: int, dtype: str) -> np.ndarray:
-    """Checked payload as float64; finiteness is the caller's check."""
+def _header_variable(header: dict, path: Path) -> VariableId:
     try:
-        blob = path.read_bytes()
-    except FileNotFoundError:
-        raise InvalidHeader(f"payload missing: {path}") from None
-    item = 4 if dtype == "f32le" else 8
-    if len(blob) != item * n_values:
-        raise HeaderPayloadShapeMismatch(
-            f"{path}: payload is {len(blob)} bytes, header implies {item * n_values}")
-    checksum = _header_value(header, "checksum", int, path)
-    if zlib.crc32(blob) != checksum:
-        raise ChecksumMismatch(f"{path}: CRC-32 mismatch")
-    np_dtype = "<f4" if dtype == "f32le" else "<f8"
-    return np.frombuffer(blob, dtype=np_dtype).astype(np.float64)
-
-
-def _require_finite(values: np.ndarray, path: Path) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteValue(f"{path}: payload contains NaN/Inf")
-    return values
+        return VariableId.from_key(_header_value(header, "variable", str, path))
+    except ValueError as exc:
+        raise InvalidHeader(f"{path}: {exc}") from exc
 
 
 def _grid_header_geometry(header: dict, path: Path):
@@ -191,6 +171,83 @@ def _cached_grid(geometry: tuple, path: Path, geometries: dict | None
     return entry
 
 
+# --- stored arrays: grids, thresholds, climatologies -------------------------
+
+_DTYPES = {"f32le": np.dtype("<f4"), "f64le": np.dtype("<f8")}
+
+
+def _write_store(path: Path, magic: str, grid: GeoGrid, layers: np.ndarray,
+                 dtype: str, extra: dict) -> Path:
+    """Write ``layers`` over ``grid`` as a payload plus a sidecar holding
+    ``extra``, the magic, dtype, uniform geometry and payload CRC-32."""
+    if not grid.is_uniform():
+        raise NonUniformGrid("file format stores uniformly spaced grids only")
+    lat_step = float(grid.lat_deg[1] - grid.lat_deg[0]) if grid.n_lat > 1 else -1.0
+    lon_step = float(grid.lon_deg[1] - grid.lon_deg[0]) if grid.n_lon > 1 else 1.0
+    payload = np.ascontiguousarray(layers, dtype=_DTYPES[dtype]).tobytes()
+    header = dict(extra, magic=magic, dtype=dtype, checksum=zlib.crc32(payload),
+                  n_lat=grid.n_lat, n_lon=grid.n_lon,
+                  lat_start=float(grid.lat_deg[0]), lat_step=lat_step,
+                  lon_start=float(grid.lon_deg[0]), lon_step=lon_step)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _atomic_write_bytes(path, payload)
+    _atomic_write_bytes(_sidecar_path(path), _canonical_json(header))
+    return path
+
+
+def _read_store(path: Path, magic: str, dtype: str, day_stacks: int,
+                geometries: dict | None) -> tuple[dict, GeoGrid, np.ndarray]:
+    """Sidecar, engine-convention grid and checked payload of one store.
+
+    The payload's length and CRC-32 are checked against the sidecar, and
+    it comes back as float64 ``(layers, n_lat, n_lon)``: one layer, or
+    ``day_stacks`` stacks of a 365-day axis. It is oriented as the grid
+    is: rows flipped, then columns rolled. Finiteness is the caller's
+    check (see :func:`_build`).
+    """
+    header = _load_sidecar(path, magic)
+    if header.get("dtype") != dtype:
+        raise InvalidHeader(f"{path}: unsupported dtype {header.get('dtype')!r}")
+    geometry = _grid_header_geometry(header, path)
+    n_layers = 1
+    if day_stacks:
+        if _header_value(header, "n_days", int, path) != DAYS_PER_YEAR:
+            raise InvalidHeader(f"{path}: expected a {DAYS_PER_YEAR}-day axis")
+        n_layers = day_stacks * DAYS_PER_YEAR
+    n_lat, n_lon = geometry[:2]
+    try:
+        blob = path.read_bytes()
+    except FileNotFoundError:
+        raise InvalidHeader(f"payload missing: {path}") from None
+    except OSError as exc:
+        raise InvalidHeader(f"cannot read payload {path}: {exc}") from exc
+    n_bytes = _DTYPES[dtype].itemsize * n_layers * n_lat * n_lon
+    if len(blob) != n_bytes:
+        raise HeaderPayloadShapeMismatch(
+            f"{path}: payload is {len(blob)} bytes, header implies {n_bytes}")
+    if zlib.crc32(blob) != _header_value(header, "checksum", int, path):
+        raise ChecksumMismatch(f"{path}: CRC-32 mismatch")
+    grid, flip_rows, lon_shift = _cached_grid(geometry, path, geometries)
+    layers = np.frombuffer(blob, dtype=_DTYPES[dtype]).astype(np.float64) \
+        .reshape(n_layers, n_lat, n_lon)
+    if flip_rows:
+        layers = layers[:, ::-1]
+    if lon_shift:
+        layers = np.roll(layers, -lon_shift, axis=2)
+    return header, grid, layers
+
+
+def _build(path: Path, cls, *args):
+    """``cls(*args)`` over a read payload, with its errors typed and naming
+    ``path``. The type checks finiteness, so the payload is scanned once."""
+    try:
+        return cls(*args)
+    except NonFiniteValue as exc:
+        raise NonFiniteValue(f"{path}: payload contains NaN/Inf") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidHeader(f"{path}: {exc}") from exc
+
+
 def write_grid(field: GridField, path: str | os.PathLike) -> Path:
     """Write one field as f32le payload + JSON sidecar; returns the path.
 
@@ -199,28 +256,13 @@ def write_grid(field: GridField, path: str | os.PathLike) -> Path:
     if field.variable.derived:
         raise WxVerifyError(
             f"{field.variable.key} is derived; compute it, do not store it")
-    path = Path(path)
-    lat_step, lon_step = _uniform_steps(field.grid)
-    payload = np.ascontiguousarray(field.values, dtype="<f4").tobytes()
-    header = {
-        "magic": GRID_MAGIC,
-        "variable": field.variable.key,
-        "unit": field.variable.unit,
-        "valid_time": format_time(field.valid_time),
-        "lead_hours": field.lead_hours,
-        "n_lat": field.grid.n_lat,
-        "n_lon": field.grid.n_lon,
-        "lat_start": float(field.grid.lat_deg[0]),
-        "lat_step": lat_step,
-        "lon_start": float(field.grid.lon_deg[0]),
-        "lon_step": lon_step,
-        "dtype": "f32le",
-        "checksum": zlib.crc32(payload),
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write_bytes(path, payload)
-    _atomic_write_bytes(_sidecar_path(path), _canonical_json(header))
-    return path
+    return _write_store(Path(path), GRID_MAGIC, field.grid, field.values,
+                        "f32le", {
+                            "variable": field.variable.key,
+                            "unit": field.variable.unit,
+                            "valid_time": format_time(field.valid_time),
+                            "lead_hours": field.lead_hours,
+                        })
 
 
 def read_grid(path: str | os.PathLike, geometries: dict | None = None
@@ -232,146 +274,66 @@ def read_grid(path: str | os.PathLike, geometries: dict | None = None
     validates its own grid.
     """
     path = Path(path)
-    header = _load_sidecar(path, GRID_MAGIC)
-    if header.get("dtype") != "f32le":
-        raise InvalidHeader(f"{path}: unsupported dtype {header.get('dtype')!r}")
-    geometry = _grid_header_geometry(header, path)
-    n_lat, n_lon = geometry[:2]
-    values = _read_payload(path, header, n_lat * n_lon, "f32le")
-    grid, flip_rows, lon_shift = _cached_grid(geometry, path, geometries)
-    grid_values = values.reshape(n_lat, n_lon)
-    if flip_rows:
-        grid_values = grid_values[::-1]
-    if lon_shift:
-        grid_values = np.roll(grid_values, -lon_shift, axis=1)
-    try:
-        variable = VariableId.from_key(_header_value(header, "variable", str, path))
-    except ValueError as exc:
-        raise InvalidHeader(f"{path}: {exc}") from exc
-    valid_time = parse_time(_header_value(header, "valid_time", str, path))
-    lead_hours = _header_value(header, "lead_hours", int, path)
-    try:
-        # GridField checks finiteness; the payload is not scanned twice
-        return GridField(grid, variable, valid_time, lead_hours, grid_values)
-    except NonFiniteValue as exc:
-        raise NonFiniteValue(f"{path}: payload contains NaN/Inf") from exc
-    except ValueError as exc:
-        raise InvalidHeader(f"{path}: {exc}") from exc
-
-
-def _write_stack(path: Path, magic: str, layers: np.ndarray, dtype: str,
-                 extra: dict):
-    np_dtype = "<f4" if dtype == "f32le" else "<f8"
-    payload = np.ascontiguousarray(layers, dtype=np_dtype).tobytes()
-    header = dict(extra)
-    header.update({
-        "magic": magic,
-        "dtype": dtype,
-        "checksum": zlib.crc32(payload),
-    })
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write_bytes(path, payload)
-    _atomic_write_bytes(_sidecar_path(path), _canonical_json(header))
+    header, grid, layers = _read_store(path, GRID_MAGIC, "f32le", 0, geometries)
+    return _build(path, GridField, grid, _header_variable(header, path),
+                  parse_time(_header_value(header, "valid_time", str, path)),
+                  _header_value(header, "lead_hours", int, path), layers[0])
 
 
 def write_thresholds(thresholds: ThresholdField, grid: GeoGrid,
                      path: str | os.PathLike) -> Path:
     """Persist heat/cold thresholds with a 365-deep day axis (f32le)."""
-    path = Path(path)
     if thresholds.n_locations != grid.n_lat * grid.n_lon:
         raise ValueError("threshold location axis does not match grid size")
-    lat_step, lon_step = _uniform_steps(grid)
-    stack = np.stack([thresholds.tau_heat, thresholds.tau_cold])
-    _write_stack(path, THRESH_MAGIC, stack, "f32le", {
-        "n_days": DAYS_PER_YEAR,
-        "n_lat": grid.n_lat,
-        "n_lon": grid.n_lon,
-        "lat_start": float(grid.lat_deg[0]),
-        "lat_step": lat_step,
-        "lon_start": float(grid.lon_deg[0]),
-        "lon_step": lon_step,
-        "years": list(thresholds.years),
-        "half_window": thresholds.half_window,
-        "q_heat": thresholds.q_heat,
-        "q_cold": thresholds.q_cold,
-        "percentile_method": "linear",
-    })
-    return path
+    return _write_store(
+        Path(path), THRESH_MAGIC, grid,
+        np.stack([thresholds.tau_heat, thresholds.tau_cold]), "f32le", {
+            "n_days": DAYS_PER_YEAR,
+            "years": list(thresholds.years),
+            "half_window": thresholds.half_window,
+            "q_heat": thresholds.q_heat,
+            "q_cold": thresholds.q_cold,
+            "percentile_method": "linear",
+        })
 
 
-def read_thresholds(path: str | os.PathLike) -> tuple[ThresholdField, GeoGrid]:
+def read_thresholds(path: str | os.PathLike, geometries: dict | None = None
+                    ) -> tuple[ThresholdField, GeoGrid]:
+    """Thresholds written by :func:`write_thresholds` and their grid; the
+    location axis is the row-major flattening of that grid."""
     path = Path(path)
-    header = _load_sidecar(path, THRESH_MAGIC)
-    n_lat = _header_value(header, "n_lat", int, path)
-    n_lon = _header_value(header, "n_lon", int, path)
-    n_days = _header_value(header, "n_days", int, path)
-    if n_days != DAYS_PER_YEAR:
-        raise InvalidHeader(f"{path}: expected a {DAYS_PER_YEAR}-day axis")
-    n_loc = n_lat * n_lon
-    values = _require_finite(
-        _read_payload(path, header, 2 * n_days * n_loc, "f32le"), path)
-    stack = values.reshape(2, n_days, n_loc)
-    lat_start = _header_value(header, "lat_start", float, path)
-    lat_step = _header_value(header, "lat_step", float, path)
-    lon_start = _header_value(header, "lon_start", float, path)
-    lon_step = _header_value(header, "lon_step", float, path)
-    try:
-        grid = GeoGrid.uniform(lat_start, lat_step, n_lat, lon_start, lon_step, n_lon)
-        thresholds = ThresholdField(
-            stack[0], stack[1],
-            tuple(_header_value(header, "years", list, path)),
-            _header_value(header, "half_window", int, path),
-            _header_value(header, "q_heat", float, path),
-            _header_value(header, "q_cold", float, path))
-    except ValueError as exc:
-        raise InvalidHeader(f"{path}: {exc}") from exc
+    header, grid, layers = _read_store(path, THRESH_MAGIC, "f32le", 2,
+                                       geometries)
+    heat, cold = layers.reshape(2, DAYS_PER_YEAR, grid.n_lat * grid.n_lon)
+    thresholds = _build(path, ThresholdField, heat, cold,
+                        tuple(_header_value(header, "years", list, path)),
+                        _header_value(header, "half_window", int, path),
+                        _header_value(header, "q_heat", float, path),
+                        _header_value(header, "q_cold", float, path))
     return thresholds, grid
 
 
 def write_daily_climatology(clim: DailyMeanClimatology,
                             path: str | os.PathLike) -> Path:
     """Persist a per-calendar-day mean climatology (f64le, lossless)."""
-    path = Path(path)
-    lat_step, lon_step = _uniform_steps(clim.grid)
-    _write_stack(path, CLIM_MAGIC, clim.day_mean, "f64le", {
-        "variable": clim.variable.key,
-        "unit": clim.variable.unit,
-        "n_days": DAYS_PER_YEAR,
-        "n_lat": clim.grid.n_lat,
-        "n_lon": clim.grid.n_lon,
-        "lat_start": float(clim.grid.lat_deg[0]),
-        "lat_step": lat_step,
-        "lon_start": float(clim.grid.lon_deg[0]),
-        "lon_step": lon_step,
-        "years": list(clim.years),
-    })
-    return path
+    return _write_store(Path(path), CLIM_MAGIC, clim.grid, clim.day_mean,
+                        "f64le", {
+                            "variable": clim.variable.key,
+                            "unit": clim.variable.unit,
+                            "n_days": DAYS_PER_YEAR,
+                            "years": list(clim.years),
+                        })
 
 
-def read_daily_climatology(path: str | os.PathLike) -> DailyMeanClimatology:
+def read_daily_climatology(path: str | os.PathLike,
+                           geometries: dict | None = None
+                           ) -> DailyMeanClimatology:
+    """A climatology written by :func:`write_daily_climatology`."""
     path = Path(path)
-    header = _load_sidecar(path, CLIM_MAGIC)
-    if header.get("dtype") != "f64le":
-        raise InvalidHeader(f"{path}: unsupported dtype {header.get('dtype')!r}")
-    n_lat = _header_value(header, "n_lat", int, path)
-    n_lon = _header_value(header, "n_lon", int, path)
-    n_days = _header_value(header, "n_days", int, path)
-    if n_days != DAYS_PER_YEAR:
-        raise InvalidHeader(f"{path}: expected a {DAYS_PER_YEAR}-day axis")
-    values = _require_finite(
-        _read_payload(path, header, n_days * n_lat * n_lon, "f64le"), path)
-    lat_start = _header_value(header, "lat_start", float, path)
-    lat_step = _header_value(header, "lat_step", float, path)
-    lon_start = _header_value(header, "lon_start", float, path)
-    lon_step = _header_value(header, "lon_step", float, path)
-    try:
-        grid = GeoGrid.uniform(lat_start, lat_step, n_lat, lon_start, lon_step, n_lon)
-        variable = VariableId.from_key(_header_value(header, "variable", str, path))
-        return DailyMeanClimatology(
-            grid, variable, values.reshape(n_days, n_lat, n_lon),
-            tuple(_header_value(header, "years", list, path)))
-    except ValueError as exc:
-        raise InvalidHeader(f"{path}: {exc}") from exc
+    header, grid, layers = _read_store(path, CLIM_MAGIC, "f64le", 1, geometries)
+    return _build(path, DailyMeanClimatology, grid,
+                  _header_variable(header, path), layers,
+                  tuple(_header_value(header, "years", list, path)))
 
 
 # --- CSV interfaces ----------------------------------------------------------
@@ -573,6 +535,13 @@ class RunManifest:
         return self.path.parent
 
     @property
+    def thresholds_file(self) -> Path | None:
+        """The resolved thresholds path, or None when none is declared."""
+        if self.thresholds_path is None:
+            return None
+        return self.root / self.thresholds_path
+
+    @property
     def lead_hours(self) -> tuple[int, ...]:
         return tuple(range(0, self.max_lead_hours + 1, 6))
 
@@ -606,14 +575,16 @@ class RunManifest:
 
 
 class FieldSource:
-    """The one way a run reads the fields its manifest names.
+    """The one way a run reads the stored arrays its manifest names.
 
-    A command creates one per run. Every grid read goes through the
-    module-level :func:`read_grid` with a geometry cache held here, so a
-    :class:`GeoGrid` is built and validated once per distinct sidecar
-    geometry instead of once per file; fields that share a geometry
-    share one grid object. Safe to share between threads. Derived WS10
-    is computed from U10 and V10 here and nowhere else.
+    A command creates one per run. Every read goes through the
+    module-level readers (:func:`read_grid`, :func:`read_thresholds`,
+    :func:`read_daily_climatology`) with a geometry cache held here, so
+    a :class:`GeoGrid` is built and validated once per distinct sidecar
+    geometry instead of once per file; fields, thresholds and
+    climatologies that share a geometry share one grid object. Safe to
+    share between threads. Derived WS10 is computed from U10 and V10
+    here and nowhere else.
     """
 
     def __init__(self, manifest: RunManifest):
@@ -660,8 +631,16 @@ class FieldSource:
                     f"climatology file {path} has not been built; run "
                     f"`wxverify build-climatology --manifest "
                     f"{self.manifest.path}` first")
-            clims[variable] = read_daily_climatology(path)
+            clims[variable] = read_daily_climatology(path, self._geometries)
         return clims
+
+    def thresholds(self) -> tuple[ThresholdField, GeoGrid] | None:
+        """Stored extreme thresholds and their grid; None when the manifest
+        names no thresholds file or it has not been built."""
+        path = self.manifest.thresholds_file
+        if path is None or not path.exists():
+            return None
+        return read_thresholds(path, self._geometries)
 
 
 def manifest_sha256(path: Path) -> str:
@@ -792,9 +771,9 @@ def _check_manifest_files(manifest: RunManifest, require: Sequence[str]):
             if not p.exists():
                 raise ManifestError(f"missing climatology file: {p}")
     if "thresholds" in require:
-        if manifest.thresholds_path is None:
+        p = manifest.thresholds_file
+        if p is None:
             raise ManifestError("manifest declares no thresholds path")
-        p = manifest.root / manifest.thresholds_path
         if not p.exists():
             raise ManifestError(f"missing thresholds file: {p}")
     if "history" in require:

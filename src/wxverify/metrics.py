@@ -13,42 +13,14 @@ bit-deterministic regardless of how callers parallelize over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DegenerateAnomaly, GridMismatch
-from .grid import GridField, VariableId, latitude_weights
+from .grid import GridField, latitude_weights
 
 #: Weighted anomaly norms below this are treated as degenerate for ACC.
 ANOMALY_NORM_FLOOR = 1e-30
-
-
-class MetricKind(Enum):
-    WRMSE = "wrmse"
-    ACC = "acc"
-    BIAS = "bias"
-    ACTIVITY = "activity"
-
-
-@dataclass(frozen=True)
-class MetricValue:
-    """One scored (metric, variable, lead) triple."""
-
-    metric: MetricKind
-    variable: VariableId
-    lead_hours: int
-    value: float
-
-    def __post_init__(self):
-        v = self.value
-        if not math.isfinite(v):
-            raise ValueError(f"{self.metric.value} value must be finite")
-        if self.metric in (MetricKind.WRMSE, MetricKind.ACTIVITY) and v < 0.0:
-            raise ValueError(f"{self.metric.value} must be non-negative")
-        if self.metric is MetricKind.ACC and abs(v) > 1.0 + 1e-9:
-            raise ValueError("acc must lie in [-1, 1]")
 
 
 def weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:

@@ -171,6 +171,25 @@ class TestEvaluate:
         assert rc == 2
         assert "006.rbg" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("victim", [
+        "truth/t2m/2025070100.rbg.json", "truth/t2m/2025070100.rbg",
+        "clim/msl.rbc.json", "clim/msl.rbc"])
+    def test_directory_in_place_of_a_file_is_exit_2(self, evaluate_run,
+                                                     victim, tmp_path, capsys):
+        victim = evaluate_run / victim
+        aside = victim.with_name(victim.name + ".aside")
+        victim.rename(aside)
+        victim.mkdir()
+        try:
+            rc = run_cli("evaluate", "--manifest",
+                         evaluate_run / "manifest.json",
+                         "--out", tmp_path / "out")
+        finally:
+            victim.rmdir()
+            aside.rename(victim)
+        assert rc == 2
+        assert str(victim) in capsys.readouterr().err
+
     def test_report_flattens(self, evaluate_run, tmp_path):
         out = tmp_path / "out"
         assert run_cli("evaluate", "--manifest",
@@ -347,8 +366,7 @@ class TestExtremesReference:
         card = load_card(out)
 
         manifest = fileio.load_manifest(manifest_path)
-        thresholds, grid = fileio.read_thresholds(
-            manifest.root / manifest.thresholds_path)
+        thresholds, grid = fileio.read_thresholds(manifest.thresholds_file)
         masks = {"global": _region_mask(grid, None).reshape(-1),
                  "box": _region_mask(grid, box).reshape(-1)}
 

@@ -5,6 +5,7 @@ import sys
 import threading
 import zlib
 from datetime import timedelta
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -26,6 +27,73 @@ from wxverify.grid import GeoGrid, VariableId
 def f32_field(rng, grid, **kw):
     values = rng.standard_normal(grid.shape).astype(np.float32).astype(np.float64)
     return make_field(grid, values, **kw)
+
+
+def write_grid_store(rng, grid, path):
+    return fileio.write_grid(f32_field(rng, grid), path)
+
+
+def write_threshold_store(rng, grid, path):
+    heat = 280.0 + rng.standard_normal((DAYS_PER_YEAR, grid.n_lat * grid.n_lon))
+    return fileio.write_thresholds(
+        ThresholdField(heat, heat - 10.0, (2019, 2020), 7, 0.9, 0.1), grid, path)
+
+
+def write_climatology_store(rng, grid, path):
+    day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, *grid.shape))
+    return fileio.write_daily_climatology(
+        DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,)), path)
+
+
+class Store(NamedTuple):
+    """One stored-array format: how to write a valid file, the reader,
+    the payload dtype, the file's path in a manifest, the read through a
+    :class:`fileio.FieldSource`, and (grid, arrays) of what was read."""
+
+    write: Callable
+    read: Callable
+    dtype: str
+    path_in: Callable
+    read_via: Callable
+    contents: Callable
+
+
+STORES = {
+    "grid": Store(write_grid_store, fileio.read_grid, "<f4",
+                  lambda m: m.truth_path(VariableId.T2M, T0),
+                  lambda s: s.truth(VariableId.T2M, T0),
+                  lambda f: (f.grid, [f.values])),
+    "thresholds": Store(write_threshold_store, fileio.read_thresholds, "<f4",
+                        lambda m: m.thresholds_file,
+                        lambda s: s.thresholds(),
+                        lambda r: (r[1], [r[0].tau_heat, r[0].tau_cold])),
+    "climatology": Store(write_climatology_store, fileio.read_daily_climatology,
+                         "<f8", lambda m: m.climatology_path(VariableId.T2M),
+                         lambda s: s.climatologies()[VariableId.T2M],
+                         lambda c: (c.grid, [c.day_mean])),
+}
+
+
+def rewrite_store(path, dtype, edit_payload, **header_changes):
+    """Rewrite a store in place: ``edit_payload`` maps the payload, as a
+    (layers, n_lat, n_lon) array, to new contents; the checksum follows."""
+    sidecar = path.with_name(path.name + ".json")
+    header = json.loads(sidecar.read_text())
+    layers = np.frombuffer(path.read_bytes(), dtype=dtype).reshape(
+        -1, header["n_lat"], header["n_lon"])
+    blob = np.ascontiguousarray(edit_payload(layers.copy()),
+                                dtype=dtype).tobytes()
+    header.update(header_changes, checksum=zlib.crc32(blob))
+    path.write_bytes(blob)
+    sidecar.write_text(json.dumps(header))
+
+
+#: JSON values a fuzzed sidecar key may take.
+FUZZ_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(),
+    st.text(max_size=8), st.sampled_from(["t2m", "f32le", "f64le"]),
+    st.lists(st.integers(-5, 3000) | st.floats() | st.lists(st.integers()),
+             max_size=3))
 
 
 class TestGridRoundTrip:
@@ -137,18 +205,52 @@ class TestGridRoundTrip:
         with pytest.raises(InvalidHeader, match="n_lat"):
             fileio.read_grid(path)
 
-    @given(st.binary(min_size=0, max_size=400))
+    @pytest.mark.parametrize("store", STORES.values(), ids=STORES.keys())
+    @given(data=st.data())
     @settings(max_examples=120, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_reader_total_over_fuzzed_sidecars(self, tmp_path_factory, blob):
+    def test_reader_total_over_fuzzed_sidecars(self, tmp_path_factory, store,
+                                               data):
         tmp = tmp_path_factory.mktemp("fuzz")
-        path = tmp / "f.rbg"
-        path.write_bytes(b"\x00" * 32)
-        (tmp / "f.rbg.json").write_bytes(blob)
+        path = store.write(np.random.default_rng(0), make_grid(3, 4),
+                           tmp / "f.bin")
+        sidecar = tmp / "f.bin.json"
+        header = json.loads(sidecar.read_text())
+        mutated = data.draw(st.dictionaries(
+            st.sampled_from(sorted(header)), FUZZ_JSON_VALUES,
+            max_size=2))
+        header.update(mutated)
+        for key in data.draw(st.sets(st.sampled_from(sorted(header)),
+                                     max_size=2)):
+            del header[key]
+        sidecar.write_text(json.dumps(header))
+        blob = data.draw(st.one_of(
+            st.binary(max_size=400),  # arbitrary bytes
+            st.just(sidecar.read_bytes()),  # a parseable, mutated header
+        ))
+        sidecar.write_bytes(blob)
+        if data.draw(st.booleans()):
+            path.write_bytes(b"\x00" * 32)
         try:
-            fileio.read_grid(path)
+            store.read(path)
         except WxVerifyError:
             pass  # typed errors only; anything else fails the test
+
+
+#: Engine-convention grid, the payload edit and the header changes that
+#: store the same values in another orientation the format allows.
+REORIENTED = {
+    "south-first": (make_grid(3, 8), lambda layers: layers[:, ::-1],
+                    {"lat_start": -60.0, "lat_step": 60.0}),
+    "lon-from-minus-180": (make_grid(3, 8),
+                           lambda layers: np.roll(layers, 4, axis=2),
+                           {"lon_start": -180.0}),
+    "both": (make_grid(3, 8),
+             lambda layers: np.roll(layers[:, ::-1], 4, axis=2),
+             {"lat_start": -60.0, "lat_step": 60.0, "lon_start": -180.0}),
+    "regional-negative-lon": (GeoGrid.uniform(50.0, -10.0, 3, 300.0, 10.0, 4),
+                              lambda layers: layers, {"lon_start": -60.0}),
+}
 
 
 class TestStackStores:
@@ -173,6 +275,36 @@ class TestStackStores:
         back = fileio.read_daily_climatology(path)
         assert back.variable is VariableId.T2M
         assert np.array_equal(back.day_mean, day_mean)  # f64 payload
+
+    @pytest.mark.parametrize("store", STORES.values(), ids=STORES.keys())
+    @pytest.mark.parametrize("case", REORIENTED.values(), ids=REORIENTED.keys())
+    def test_reoriented_store_reads_as_engine_twin(self, store, case, rng,
+                                                   tmp_path):
+        grid, reorient, header_changes = case
+        engine = store.write(rng, grid, tmp_path / "engine.bin")
+        twin = tmp_path / "twin.bin"
+        for suffix in ("", ".json"):
+            (tmp_path / f"twin.bin{suffix}").write_bytes(
+                (tmp_path / f"engine.bin{suffix}").read_bytes())
+        rewrite_store(twin, store.dtype, reorient, **header_changes)
+        want_grid, want = store.contents(store.read(engine))
+        got_grid, got = store.contents(store.read(twin))
+        assert got_grid == want_grid == grid
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("store", STORES.values(), ids=STORES.keys())
+    @pytest.mark.parametrize("part", ["sidecar", "payload"])
+    def test_directory_in_place_of_a_file(self, store, part, rng, tmp_path):
+        path = store.write(rng, make_grid(2, 4), tmp_path / "f.bin")
+        victim = path if part == "payload" else \
+            path.with_name(path.name + ".json")
+        victim.unlink()
+        victim.mkdir()
+        with pytest.raises(InvalidHeader, match=f"cannot read {part}") as err:
+            store.read(path)
+        assert str(victim) in str(err.value)
 
 
 BESTTRACK = """storm_id,iso_time,lat,lon,mslp_hpa,wind_ms
@@ -336,11 +468,14 @@ def write_raw_grid(path, values, geometry, valid_time=T0, variable="t2m"):
 
 
 def grid_manifest(root, variables=("t2m",)):
-    """A manifest whose truth files are ``g/{variable}_{time}.rbg``."""
+    """A manifest whose truth files are ``g/{variable}_{time}.rbg``, with
+    climatologies ``clim/{variable}.rbc`` and thresholds ``clim/t.rbt``."""
     doc = {"variables": list(variables),
            "init_times": [fileio.format_time(T0)], "max_lead_hours": 0,
            "truth_pattern": "g/{variable}_{time}.rbg",
-           "models": {"m": "m/{variable}_{init}_{lead:03d}.rbg"}}
+           "models": {"m": "m/{variable}_{init}_{lead:03d}.rbg"},
+           "climatology": {"daily_mean_pattern": "clim/{variable}.rbc",
+                           "thresholds_path": "clim/t.rbt"}}
     path = root / "manifest.json"
     path.write_text(json.dumps(doc))
     return fileio.load_manifest(path, require=())
@@ -450,16 +585,40 @@ class TestFieldSource:
                 source.read(tmp_path / "bad.rbg")
             assert source.read(tmp_path / "good.rbg").grid.n_lat == 3
 
-    def test_nan_payload_error_names_path(self, tmp_path):
-        values = np.zeros((2, 4))
-        values[1, 2] = np.nan
-        path = write_raw_grid(tmp_path / "nan.rbg", values,
-                              (2, 4, 10.0, -5.0, 0.0, 90.0))
+    @pytest.mark.parametrize("store", STORES.values(), ids=STORES.keys())
+    def test_nan_payload_error_names_path(self, store, rng, tmp_path):
         source = fileio.FieldSource(grid_manifest(tmp_path))
-        for read in (fileio.read_grid, source.read):
+        path = store.write(rng, make_grid(2, 4),
+                           store.path_in(source.manifest))
+
+        def poison(layers):
+            layers[-1, 1, 2] = np.nan
+            return layers
+        rewrite_store(path, store.dtype, poison)
+        for read in (lambda: store.read(path),
+                     lambda: store.read_via(source)):
             with pytest.raises(NonFiniteValue) as err:
-                read(path)
+                read()
             assert str(path) in str(err.value)
+
+    def test_stores_share_the_field_grid(self, rng, tmp_path):
+        manifest = grid_manifest(tmp_path)
+        grid = make_grid(3, 8)
+        for store in STORES.values():
+            store.write(rng, grid, store.path_in(manifest))
+        for field_first in (True, False):
+            source = fileio.FieldSource(manifest)
+            if field_first:
+                truth = source.truth(VariableId.T2M, T0)
+            clim = source.climatologies()[VariableId.T2M]
+            _, threshold_grid = source.thresholds()
+            if not field_first:
+                truth = source.truth(VariableId.T2M, T0)
+            assert clim.grid is truth.grid
+            assert threshold_grid is truth.grid
+
+    def test_thresholds_absent_is_none(self, tmp_path):
+        assert fileio.FieldSource(grid_manifest(tmp_path)).thresholds() is None
 
     def test_threads_share_one_grid_object(self, rng, tmp_path):
         # more threads than cores and a short switch interval, so that
