@@ -44,8 +44,7 @@ from .errors import (ChecksumMismatch, DegenerateAnomaly,
                      UnitOutOfRange, UnknownStation, WxVerifyError)
 from .extremes import (EventKind, label_event_runs, match_counts,
                        scores_from_counts, segments_by_location)
-from .grid import (GeoGrid, GridField, VariableId, interp_to_stations,
-                   latitude_weights)
+from .grid import GeoGrid, GridField, VariableId, latitude_weights
 from .harness import (SyntheticScenario, generate_variable_series,
                       load_scenario, make_besttrack, persistence_forecast,
                       smoothed_forecast)
@@ -55,7 +54,8 @@ from .metrics import bias as metric_bias
 from .metrics import wrmse as metric_wrmse
 from .report import na, new_scorecard, write_scorecard, write_spectrum_csv
 from .spectra import ZonalSpectrum, midlatitude_spectrum
-from .stations import QcThresholds, station_climatology_from_grid
+from .stations import (QcThresholds, StationInterpolator,
+                       station_climatology_from_grid)
 
 INPUT_ERRORS = (ManifestError, InvalidHeader, ChecksumMismatch,
                 HeaderPayloadShapeMismatch, NonFiniteValue, NonMonotoneTime,
@@ -443,27 +443,21 @@ def cmd_stations(args) -> int:
         raise NoValidPairs("no station variable overlaps the manifest variables")
 
     source = fileio.FieldSource(manifest)
-    positions = table.positions()
+    interpolator = StationInterpolator(table.stations)
     reference = np.full(table.values.shape, np.nan)
     for vi, variable in enumerate(table.variables):
         if variable not in manifest.variables:
             continue
         for ti, when in enumerate(table.times):
-            truth = source.truth(variable, when)
-            reference[vi, ti] = interp_to_stations(truth, positions)
+            reference[vi, ti] = interpolator.at_stations(
+                source.truth(variable, when))
     qc_table, qc_report = stations.apply_qc(table, reference,
                                             QcThresholds.default())
 
     clims = source.climatologies()
-    station_clims = {}
-    for variable in station_vars:
-        clim = clims.get(variable)
-        if clim is not None:
-            day_fields = [clim.field_for(datetime(2001, 1, 1, tzinfo=timezone.utc)
-                                         + timedelta(days=day))
-                          for day in range(365)]
-            station_clims[variable] = station_climatology_from_grid(
-                day_fields, qc_table.stations)
+    station_clims = {variable: station_climatology_from_grid(clims[variable],
+                                                             interpolator)
+                     for variable in station_vars if variable in clims}
 
     card = new_scorecard("stations", manifest.sha256)
     rows = []
@@ -475,7 +469,8 @@ def cmd_stations(args) -> int:
                 try:
                     scores = stations.station_scores(
                         forecasts, qc_table, variable,
-                        clim=station_clims.get(variable))
+                        clim=station_clims.get(variable),
+                        interpolator=interpolator)
                     rows.append({
                         "model": model, "variable": variable.key,
                         "lead_hours": lead, "rmse": scores.rmse,

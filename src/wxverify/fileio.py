@@ -43,7 +43,8 @@ from .errors import (ChecksumMismatch, DuplicateObservation,
 from .extremes import EventSegment
 from .grid import GeoGrid, GridField, VariableId, derive_wind_speed
 from .harness import year_times
-from .stations import Station, StationTable, six_hour_times, table_from_records
+from .stations import (Station, StationTable, epoch_microseconds,
+                       six_hour_times, table_from_columns)
 
 GRID_MAGIC = "RBGRID1"
 THRESH_MAGIC = "RBTHRESH1"
@@ -228,8 +229,9 @@ def _read_store(path: Path, magic: str, dtype: str, day_stacks: int,
     if zlib.crc32(blob) != _header_value(header, "checksum", int, path):
         raise ChecksumMismatch(f"{path}: CRC-32 mismatch")
     grid, flip_rows, lon_shift = _cached_grid(geometry, path, geometries)
-    layers = np.frombuffer(blob, dtype=_DTYPES[dtype]).astype(np.float64) \
-        .reshape(n_layers, n_lat, n_lon)
+    # an f64le payload is used in place; only f32le is widened (one copy)
+    layers = np.frombuffer(blob, dtype=_DTYPES[dtype]) \
+        .astype(np.float64, copy=False).reshape(n_layers, n_lat, n_lon)
     if flip_rows:
         layers = layers[:, ::-1]
     if lon_shift:
@@ -458,52 +460,74 @@ def read_station_csvs(meta_path: str | os.PathLike, obs_path: str | os.PathLike,
                     raise InvalidHeader(f"{meta_path}:{lineno}: bad row: {exc}") from exc
     except OSError as exc:
         raise InvalidHeader(f"cannot read {meta_path}: {exc}") from exc
-    known = {s.station_id for s in stations}
-    if len(known) != len(stations):
+    index = {s.station_id: si for si, s in enumerate(stations)}
+    if len(index) != len(stations):
         raise InvalidHeader(f"{meta_path}: duplicate station ids")
 
-    records: dict[VariableId, dict[str, list[tuple[datetime, float]]]] = {}
-    seen: set[tuple[str, datetime, str]] = set()
-    t_min: datetime | None = None
-    t_max: datetime | None = None
+    # Each distinct timestamp and variable string is parsed once per read.
+    parsed_times: dict[str, tuple[datetime, int]] = {}
+    # variable -> (its key, station indexes, times in µs, values); every
+    # spelling of a variable in the file maps to its one entry
+    columns: dict[VariableId, tuple[str, list, list, list]] = {}
+    spellings: dict[str, tuple[str, list, list, list]] = {}
+    seen: set[tuple[int, int, str]] = set()
     try:
         with open(obs_path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or \
-                    [c.strip() for c in reader.fieldnames] != _STATION_OBS_COLUMNS:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or \
+                    [c.strip() for c in header] != _STATION_OBS_COLUMNS:
                 raise InvalidHeader(
                     f"{obs_path}: expected columns {','.join(_STATION_OBS_COLUMNS)}")
-            for lineno, row in enumerate(reader, start=2):
+            lineno = 1  # data rows count from 2; blank rows are skipped, uncounted
+            for row in reader:
+                if not row:
+                    continue
+                lineno += 1
+                if len(row) < 4:
+                    row += [None] * (4 - len(row))
                 try:
-                    sid = row["station_id"].strip()
-                    when = parse_time(row["iso_time"])
-                    variable = VariableId.from_key(row["variable"].strip())
-                    value = float(row["value_si"])
+                    sid = row[0].strip()
+                    parsed = parsed_times.get(row[1])
+                    if parsed is None:
+                        when = parse_time(row[1])
+                        parsed = parsed_times[row[1]] = (
+                            when, epoch_microseconds(when))
+                    column = spellings.get(row[2])
+                    if column is None:
+                        variable = VariableId.from_key(row[2].strip())
+                        column = spellings[row[2]] = columns.setdefault(
+                            variable, (variable.key, [], [], []))
+                    value = float(row[3])
                 except (TypeError, ValueError, AttributeError) as exc:
                     raise InvalidHeader(f"{obs_path}:{lineno}: bad row: {exc}") from exc
-                if sid not in known:
+                si = index.get(sid)
+                if si is None:
                     raise UnknownStation(f"{obs_path}:{lineno}: station {sid!r} "
                                          f"not in {meta_path.name}")
-                key = (sid, when, variable.key)
+                var_key, sites, times_us, values = column
+                key = (si, parsed[1], var_key)
                 if key in seen:
                     raise DuplicateObservation(
                         f"{obs_path}:{lineno}: duplicate observation "
-                        f"({sid}, {format_time(when)}, {variable.key})")
+                        f"({sid}, {format_time(parsed[0])}, {var_key})")
                 seen.add(key)
-                records.setdefault(variable, {}).setdefault(sid, []).append(
-                    (when, value))
-                t_min = when if t_min is None else min(t_min, when)
-                t_max = when if t_max is None else max(t_max, when)
+                sites.append(si)
+                times_us.append(parsed[1])
+                values.append(value)
     except OSError as exc:
         raise InvalidHeader(f"cannot read {obs_path}: {exc}") from exc
 
     if times is None:
-        if t_min is None:
+        if not parsed_times:
             times = []
         else:
-            times = six_hour_times(t_min - timedelta(minutes=15),
-                                   t_max + timedelta(minutes=15))
-    return table_from_records(stations, records, list(times))
+            stamps = [when for when, _ in parsed_times.values()]
+            times = six_hour_times(min(stamps) - timedelta(minutes=15),
+                                   max(stamps) + timedelta(minutes=15))
+    return table_from_columns(
+        stations, {variable: column[1:] for variable, column in columns.items()},
+        list(times))
 
 
 # --- run manifest ------------------------------------------------------------
@@ -656,11 +680,17 @@ def load_manifest(path: str | os.PathLike,
     The first missing file is reported by path.
     """
     path = Path(path)
-    if not path.exists():
-        raise ManifestError(f"manifest not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ManifestError(f"manifest not found: {path}") from None
+    except OSError as exc:
+        raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ManifestError(f"unparseable manifest {path}: {exc}") from exc
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise ManifestError(f"unparseable manifest {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")

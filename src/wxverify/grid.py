@@ -288,6 +288,13 @@ def _bracket_lat(grid: GeoGrid, lat: np.ndarray):
     return i_south, i_north, t
 
 
+def _blend(v00, v01, v10, v11, ty, tx):
+    """The one bilinear kernel: ``v00``/``v01`` are the southern row's
+    western/eastern corners, ``v10``/``v11`` the northern row's."""
+    return ((1.0 - ty) * ((1.0 - tx) * v00 + tx * v01)
+            + ty * ((1.0 - tx) * v10 + tx * v11))
+
+
 def regrid_bilinear(field: GridField, target: GeoGrid) -> GridField:
     """Bilinear interpolation of ``field`` onto ``target``.
 
@@ -300,17 +307,60 @@ def regrid_bilinear(field: GridField, target: GeoGrid) -> GridField:
     """
     i0, i1, ty = _bracket_lat(field.grid, target.lat_deg)
     j0, j1, tx = _bracket_lon(field.grid, target.lon_deg)
+    i0, i1, ty = i0[:, None], i1[:, None], ty[:, None]
+    j0, j1, tx = j0[None, :], j1[None, :], tx[None, :]
     v = field.values
-    ty_c = ty[:, None]
-    tx_c = tx[None, :]
-    v00 = v[i0[:, None], j0[None, :]]
-    v01 = v[i0[:, None], j1[None, :]]
-    v10 = v[i1[:, None], j0[None, :]]
-    v11 = v[i1[:, None], j1[None, :]]
-    out = ((1.0 - ty_c) * ((1.0 - tx_c) * v00 + tx_c * v01)
-           + ty_c * ((1.0 - tx_c) * v10 + tx_c * v11))
+    out = _blend(v[i0, j0], v[i0, j1], v[i1, j0], v[i1, j1], ty, tx)
     return GridField(target, field.variable, field.valid_time,
                      field.lead_hours, out)
+
+
+@dataclass(frozen=True, eq=False)
+class BilinearWeights:
+    """Bilinear interpolation from one grid to fixed (lat, lon) points.
+
+    Each point's enclosing rows (``i0`` south, ``i1`` north), columns
+    (``j0``, ``j1``) and fractions (``ty`` from the southern row, ``tx``
+    from the western column) are bracketed once, by
+    :func:`bilinear_weights`. :meth:`apply` then evaluates the kernel of
+    :func:`regrid_bilinear` on any stack of fields on ``grid``.
+    """
+
+    grid: GeoGrid
+    i0: np.ndarray
+    i1: np.ndarray
+    j0: np.ndarray
+    j1: np.ndarray
+    ty: np.ndarray
+    tx: np.ndarray
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """Values at the points of a ``(..., n_lat, n_lon)`` stack on
+        ``grid``, shaped ``(..., n_points)``."""
+        v = np.asarray(values, dtype=np.float64)
+        if v.shape[-2:] != self.grid.shape:
+            raise ValueError(f"values shape {v.shape} does not end with "
+                             f"grid shape {self.grid.shape}")
+        i0, i1, j0, j1 = self.i0, self.i1, self.j0, self.j1
+        return _blend(v[..., i0, j0], v[..., i0, j1], v[..., i1, j0],
+                      v[..., i1, j1], self.ty, self.tx)
+
+
+def bilinear_weights(grid: GeoGrid, points: Sequence[tuple[float, float]]
+                     ) -> BilinearWeights:
+    """Bracket (lat, lon) points on ``grid`` once for :class:`BilinearWeights`.
+
+    Raises :class:`TargetOutsideDomain` when a latitude (or, for a
+    non-wrapping grid, a longitude) lies outside the grid's span.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.size == 0:
+        pts = pts.reshape(0, 2)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError("stations must be a sequence of (lat, lon) pairs")
+    i0, i1, ty = _bracket_lat(grid, pts[:, 0])
+    j0, j1, tx = _bracket_lon(grid, pts[:, 1])
+    return BilinearWeights(grid, i0, i1, j0, j1, ty, tx)
 
 
 def interp_to_stations(field: GridField,
@@ -318,17 +368,10 @@ def interp_to_stations(field: GridField,
     """Bilinear values of ``field`` at (lat, lon) points.
 
     Uses the same kernel as :func:`regrid_bilinear`, evaluated pointwise.
+    To interpolate many fields on one grid, bracket the points once with
+    :func:`bilinear_weights` instead.
     """
-    pts = np.asarray(stations, dtype=np.float64)
-    if pts.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 2:
-        raise ValueError("stations must be a sequence of (lat, lon) pairs")
-    i0, i1, ty = _bracket_lat(field.grid, pts[:, 0])
-    j0, j1, tx = _bracket_lon(field.grid, pts[:, 1])
-    v = field.values
-    return ((1.0 - ty) * ((1.0 - tx) * v[i0, j0] + tx * v[i0, j1])
-            + ty * ((1.0 - tx) * v[i1, j0] + tx * v[i1, j1]))
+    return bilinear_weights(field.grid, stations).apply(field.values)
 
 
 def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:

@@ -2,13 +2,16 @@
 quality control, and station-space verification.
 
 Raw records are averaged into 6-hourly samples over a closed +-15 minute
-window. QC compares each observation against a reference value
-interpolated from gridded truth, in display units (Celsius for
+window, every (station, time) of a variable in one array pass; the mean
+of several records is exactly rounded (``math.fsum``). QC compares each
+observation against a reference value interpolated from gridded truth,
+one variable at a time over whole arrays, in display units (Celsius for
 temperatures, hPa for pressures, m/s for wind): when obs/ref exceeds the
 variable's ratio bound the observation is replaced by the reference
 value, bit-exactly. A non-positive display-unit reference leaves the
 observation untouched and is counted as a warning in the QC report
-rather than raised.
+rather than raised. Gridded fields are interpolated to the stations with
+bilinear weights bracketed once per grid (:class:`StationInterpolator`).
 """
 
 from __future__ import annotations
@@ -17,15 +20,21 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .climatology import calendar_day_index
+from .climatology import DailyMeanClimatology, calendar_day_index
 from .errors import DegenerateAnomaly, NoValidPairs
-from .grid import GridField, VariableId, interp_to_stations
+from .grid import (BilinearWeights, GeoGrid, GridField, VariableId,
+                   bilinear_weights)
 
 WINDOW_HALF_WIDTH = timedelta(minutes=15)
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+_HALF_WIDTH_US = WINDOW_HALF_WIDTH // _MICROSECOND
 
 #: Default ratio bounds r_v, applied in display units.
 DEFAULT_QC_RATIOS: Mapping[VariableId, float] = {
@@ -127,8 +136,62 @@ class StationTable:
     def time_index(self, when: datetime) -> int:
         return self.times.index(when)
 
-    def positions(self) -> list[tuple[float, float]]:
-        return [(s.lat, s.lon) for s in self.stations]
+
+def epoch_microseconds(when: datetime) -> int:
+    """Exact integer microseconds of an aware ``when`` since the Unix epoch."""
+    return (when - _EPOCH) // _MICROSECOND
+
+
+def _window_means(station: Sequence[int], when_us: Sequence[int],
+                  value: Sequence[float], n_stations: int,
+                  targets_us: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Means of raw records within +-15 min (closed) of every target.
+
+    Record ``k`` belongs to station index ``station[k]``, lies at
+    ``when_us[k]`` and carries ``value[k]``; times share one integer
+    microsecond scale with ``targets_us``. Returns ``(means, counts)``,
+    shaped (n_targets, n_stations); ``means`` is NaN where the count is 0.
+    """
+    station = np.asarray(station, dtype=np.int64)
+    when_us = np.asarray(when_us, dtype=np.int64)
+    value = np.asarray(value, dtype=np.float64)
+    targets = np.asarray(targets_us, dtype=np.int64)
+    first_us = targets - _HALF_WIDTH_US
+    last_us = targets + _HALF_WIDTH_US
+    # Rank every instant, so that one sorted int64 key orders the records
+    # by station, then time, without overflow.
+    instants = np.unique(np.concatenate([when_us, first_us, last_us]))
+    key = station * instants.size + np.searchsorted(instants, when_us)
+    order = np.argsort(key, kind="stable")
+    key, value = key[order], value[order]
+    base = np.arange(n_stations, dtype=np.int64) * instants.size
+    start = np.searchsorted(
+        key, base + np.searchsorted(instants, first_us)[:, None], side="left")
+    stop = np.searchsorted(
+        key, base + np.searchsorted(instants, last_us)[:, None], side="right")
+    counts = stop - start
+    means = np.full(counts.shape, np.nan)
+    single = counts == 1
+    # fsum([x]) / 1 is x itself, except that fsum turns -0.0 into 0.0
+    means[single] = value[start[single]] + 0.0
+    for ti, si in zip(*np.nonzero(counts > 1)):
+        means[ti, si] = _exact_mean(value[start[ti, si]:stop[ti, si]].tolist())
+    return means, counts
+
+
+def _exact_mean(window: list[float]) -> float:
+    """Exactly-rounded sum of ``window``, divided by its length.
+
+    ``math.fsum`` can overflow on an intermediate partial although the
+    exact sum is finite, depending on the order of the values; the exact
+    rational sum decides then, so that only a sum beyond the float range
+    raises OverflowError, whatever the order.
+    """
+    try:
+        total = math.fsum(window)
+    except OverflowError:
+        total = float(sum(map(Fraction, window), Fraction(0)))
+    return total / len(window)
 
 
 def window_average(records: Iterable[tuple[datetime, float]],
@@ -138,10 +201,11 @@ def window_average(records: Iterable[tuple[datetime, float]],
     Returns None when the window is empty. The exactly-rounded sum makes
     the result independent of record order.
     """
-    vals = [v for t, v in records if abs(t - target) <= WINDOW_HALF_WIDTH]
-    if not vals:
-        return None
-    return math.fsum(vals) / len(vals)
+    records = list(records)
+    means, counts = _window_means(
+        [0] * len(records), [(t - target) // _MICROSECOND for t, _ in records],
+        [v for _, v in records], 1, [0])
+    return float(means[0, 0]) if counts[0, 0] else None
 
 
 @dataclass(frozen=True)
@@ -149,6 +213,28 @@ class QcOutcome:
     value: float
     flag: QcFlag
     nonpositive_reference: bool = False
+
+
+def _ratio_qc(variable: VariableId, obs: np.ndarray, reference: np.ndarray,
+              thresholds: QcThresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Ratio test of an array of observations against their references.
+
+    Returns the masks of the observations to replace and of the
+    references that are non-positive in display units (both all False
+    for a variable without a bound). Raises ValueError when any
+    reference is not finite.
+    """
+    if not np.all(np.isfinite(reference)):
+        raise ValueError("reference value must be finite")
+    replace = np.zeros(reference.shape, dtype=bool)
+    bound = thresholds.ratios.get(variable)
+    if bound is None:
+        return replace, replace.copy()
+    ref_disp = to_display_units(variable, reference)
+    positive = ref_disp > 0.0
+    replace[positive] = (to_display_units(variable, obs[positive])
+                         / ref_disp[positive]) > bound
+    return replace, ~positive
 
 
 def qc_ratio_filter(obs: float, reference: float, variable: VariableId,
@@ -160,18 +246,12 @@ def qc_ratio_filter(obs: float, reference: float, variable: VariableId,
     the reference. Variables without a configured bound pass through
     untouched.
     """
-    if not math.isfinite(reference):
-        raise ValueError("reference value must be finite")
-    bound = thresholds.ratios.get(variable)
-    if bound is None:
-        return QcOutcome(obs, QcFlag.RAW)
-    ref_disp = to_display_units(variable, reference)
-    if ref_disp <= 0.0:
-        return QcOutcome(obs, QcFlag.RAW, nonpositive_reference=True)
-    ratio = to_display_units(variable, obs) / ref_disp
-    if ratio > bound:
+    replace, nonpositive = _ratio_qc(
+        variable, np.array([obs], dtype=np.float64),
+        np.array([reference], dtype=np.float64), thresholds)
+    if replace[0]:
         return QcOutcome(reference, QcFlag.REPLACED_BY_REFERENCE)
-    return QcOutcome(obs, QcFlag.RAW)
+    return QcOutcome(obs, QcFlag.RAW, nonpositive_reference=bool(nonpositive[0]))
 
 
 @dataclass
@@ -213,27 +293,21 @@ def apply_qc(table: StationTable, reference: np.ndarray,
     flags = table.flags.copy()
     report = QcReport()
     for vi, variable in enumerate(table.variables):
-        counts = QcVariableCounts()
-        for ti in range(len(table.times)):
-            for si in range(len(table.stations)):
-                code = flags[vi, ti, si]
-                if code == _FLAG_CODE[QcFlag.ABSENT]:
-                    counts.absent += 1
-                    continue
-                if code == _FLAG_CODE[QcFlag.REPLACED_BY_REFERENCE]:
-                    counts.replaced += 1
-                    continue
-                outcome = qc_ratio_filter(values[vi, ti, si], ref[vi, ti, si],
-                                          variable, thresholds)
-                if outcome.nonpositive_reference:
-                    counts.nonpositive_reference += 1
-                if outcome.flag is QcFlag.REPLACED_BY_REFERENCE:
-                    values[vi, ti, si] = outcome.value
-                    flags[vi, ti, si] = _FLAG_CODE[QcFlag.REPLACED_BY_REFERENCE]
-                    counts.replaced += 1
-                else:
-                    counts.raw += 1
-        report.counts[variable.key] = counts
+        absent = flags[vi] == _FLAG_CODE[QcFlag.ABSENT]
+        replaced = flags[vi] == _FLAG_CODE[QcFlag.REPLACED_BY_REFERENCE]
+        tested = ~(absent | replaced)
+        replace, nonpositive = _ratio_qc(variable, values[vi][tested],
+                                         ref[vi][tested], thresholds)
+        hit = np.zeros_like(tested)
+        hit[tested] = replace
+        values[vi][hit] = ref[vi][hit]
+        flags[vi][hit] = _FLAG_CODE[QcFlag.REPLACED_BY_REFERENCE]
+        n_replace = int(replace.sum())
+        report.counts[variable.key] = QcVariableCounts(
+            raw=int(tested.sum()) - n_replace,
+            replaced=int(replaced.sum()) + n_replace,
+            absent=int(absent.sum()),
+            nonpositive_reference=int(nonpositive.sum()))
     return StationTable(table.stations, table.times, table.variables,
                         values, flags), report
 
@@ -256,14 +330,40 @@ class StationClimatology:
         object.__setattr__(self, "day_mean", dm)
 
 
-def station_climatology_from_grid(day_mean_fields: Sequence[GridField],
-                                  stations: Sequence[Station]) -> StationClimatology:
-    """Interpolate a 365-day grid climatology to station locations."""
-    if len(day_mean_fields) != 365:
-        raise ValueError("expected one climatology field per calendar day")
-    pts = [(s.lat, s.lon) for s in stations]
-    dm = np.stack([interp_to_stations(f, pts) for f in day_mean_fields])
-    return StationClimatology(tuple(s.station_id for s in stations), dm)
+class StationInterpolator:
+    """Bilinear interpolation of gridded fields to one list of stations.
+
+    The weights are bracketed once per distinct grid and reused for
+    every field or stack on it; a field on another grid gets weights of
+    its own. Grids are told apart by value, so grids shared through one
+    :class:`~wxverify.fileio.FieldSource` cost one dict lookup.
+    """
+
+    def __init__(self, stations: Sequence[Station]):
+        self.stations = tuple(stations)
+        self._positions = [(s.lat, s.lon) for s in self.stations]
+        self._weights: dict[GeoGrid, BilinearWeights] = {}
+
+    def weights(self, grid: GeoGrid) -> BilinearWeights:
+        found = self._weights.get(grid)
+        if found is None:
+            found = self._weights.setdefault(
+                grid, bilinear_weights(grid, self._positions))
+        return found
+
+    def at_stations(self, field: GridField) -> np.ndarray:
+        """``field`` interpolated to the stations, in station order."""
+        return self.weights(field.grid).apply(field.values)
+
+
+def station_climatology_from_grid(clim: DailyMeanClimatology,
+                                  interpolator: StationInterpolator
+                                  ) -> StationClimatology:
+    """Interpolate a 365-day grid climatology to the stations, as one
+    gather over the whole day stack."""
+    day_mean = interpolator.weights(clim.grid).apply(clim.day_mean)
+    return StationClimatology(
+        tuple(s.station_id for s in interpolator.stations), day_mean)
 
 
 @dataclass(frozen=True)
@@ -276,17 +376,23 @@ class StationScores:
 
 def station_scores(forecasts: Sequence[GridField], table: StationTable,
                    variable: VariableId,
-                   clim: StationClimatology | None = None) -> StationScores:
+                   clim: StationClimatology | None = None,
+                   interpolator: StationInterpolator | None = None
+                   ) -> StationScores:
     """Unweighted RMSE / bias (and ACC when a climatology is given) over
     all (station, time) pairs with an observation present.
 
     Each forecast field is interpolated to the station locations and
     paired with the table row at its valid time; stations absent at a
     timestamp are skipped pairwise. Raises :class:`NoValidPairs` when
-    nothing pairs up.
+    nothing pairs up. Pass one ``interpolator`` for the table's stations
+    to every call of a run, so that each grid is bracketed once.
     """
     vi = table.variable_index(variable)
-    positions = table.positions()
+    if interpolator is None:
+        interpolator = StationInterpolator(table.stations)
+    elif interpolator.stations != table.stations:
+        raise ValueError("interpolator was built for other stations")
     diffs: list[np.ndarray] = []
     fc_anom: list[np.ndarray] = []
     ob_anom: list[np.ndarray] = []
@@ -298,7 +404,7 @@ def station_scores(forecasts: Sequence[GridField], table: StationTable,
         present = ~np.isnan(obs_row)
         if not present.any():
             continue
-        fc_row = interp_to_stations(fc, positions)
+        fc_row = interpolator.at_stations(fc)
         diffs.append(fc_row[present] - obs_row[present])
         if clim is not None:
             day = calendar_day_index(fc.valid_time)
@@ -338,6 +444,29 @@ def six_hour_times(start: datetime, end: datetime) -> list[datetime]:
     return out
 
 
+def table_from_columns(stations: Sequence[Station],
+                       columns: Mapping[VariableId, tuple[Sequence[int],
+                                                          Sequence[int],
+                                                          Sequence[float]]],
+                       times: Sequence[datetime]) -> StationTable:
+    """Window-average raw records onto a 6-hourly grid of target times.
+
+    ``columns`` maps variable -> (station index, time, value), one entry
+    per raw record, with each time in :func:`epoch_microseconds`.
+    Stations without a record in a window are ABSENT there.
+    """
+    variables = tuple(sorted(columns, key=lambda v: v.key))
+    targets_us = [epoch_microseconds(t) for t in times]
+    shape = (len(variables), len(times), len(stations))
+    values = np.full(shape, np.nan)
+    flags = np.full(shape, _FLAG_CODE[QcFlag.ABSENT], dtype=np.uint8)
+    for vi, variable in enumerate(variables):
+        values[vi], counts = _window_means(*columns[variable], len(stations),
+                                           targets_us)
+        flags[vi][counts > 0] = _FLAG_CODE[QcFlag.RAW]
+    return StationTable(tuple(stations), tuple(times), variables, values, flags)
+
+
 def table_from_records(stations: Sequence[Station],
                        records: Mapping[VariableId,
                                         Mapping[str, list[tuple[datetime, float]]]],
@@ -347,19 +476,15 @@ def table_from_records(stations: Sequence[Station],
     ``records`` maps variable -> station id -> raw (time, value) list.
     Stations without a valid record in a window are ABSENT there.
     """
-    variables = tuple(sorted(records, key=lambda v: v.key))
-    shape = (len(variables), len(times), len(stations))
-    values = np.full(shape, np.nan)
-    flags = np.full(shape, _FLAG_CODE[QcFlag.ABSENT], dtype=np.uint8)
-    for vi, variable in enumerate(variables):
-        per_station = records[variable]
+    columns = {}
+    for variable, per_station in records.items():
+        index: list[int] = []
+        when_us: list[int] = []
+        value: list[float] = []
         for si, st in enumerate(stations):
-            recs = per_station.get(st.station_id, [])
-            if not recs:
-                continue
-            for ti, target in enumerate(times):
-                avg = window_average(recs, target)
-                if avg is not None:
-                    values[vi, ti, si] = avg
-                    flags[vi, ti, si] = _FLAG_CODE[QcFlag.RAW]
-    return StationTable(tuple(stations), tuple(times), variables, values, flags)
+            for when, v in per_station.get(st.station_id, []):
+                index.append(si)
+                when_us.append(epoch_microseconds(when))
+                value.append(v)
+        columns[variable] = (index, when_us, value)
+    return table_from_columns(stations, columns, times)

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the engine's code paths: metrics are
 scalar loops with exactly-rounded accumulation (math.fsum), the spectrum
 is a direct O(N^2) transform, percentiles are computed from a Python
-sort, and event labeling/matching are brute-force searches. The one
+sort, event labeling/matching are brute-force searches, and station
+windowing, QC and bilinear interpolation are per-element loops. The one
 exception is the per-location event loop, which calls the engine's
 one-series labeling and matching to check the vectorized bookkeeping
 around them.
@@ -13,7 +14,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from datetime import date
+from datetime import date, timedelta
+from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
@@ -222,3 +224,129 @@ def event_counts_per_location(truth_series, fc_series, thresholds, kind,
 
 def bilinear_plane(a: float, b: float, lat: float, lon: float) -> float:
     return a * lat + b * lon
+
+
+def bilinear_point(lat_deg, lon_deg, wraps_lon: bool, values, lat: float,
+                   lon: float) -> float | None:
+    """Bilinear value at one (lat, lon) point by scanning for its cell;
+    None when the point lies outside the grid's span.
+
+    ``lat_deg`` runs north to south and ``lon_deg`` ascends in [0, 360).
+    The fraction is measured from the southern row and the western
+    column, in the engine's order of operations, so results agree
+    bitwise.
+    """
+    lats = [float(x) for x in reversed(lat_deg)]  # ascending
+    lons = [float(x) for x in lon_deg]
+    n_lat, n_lon = len(lats), len(lons)
+    if not lats[0] <= lat <= lats[-1]:
+        return None
+    if n_lat == 1:
+        south = north = 0
+        ty = 0.0
+    else:
+        k = max(j for j in range(n_lat - 1) if lats[j] <= lat)
+        ty = (lat - lats[k]) / (lats[k + 1] - lats[k])
+        south, north = n_lat - 1 - k, n_lat - 2 - k
+    x = lon % 360.0
+    if wraps_lon:
+        ext = lons + [lons[0] + 360.0]
+        if x < lons[0]:
+            x += 360.0
+        j0 = max(j for j in range(n_lon) if ext[j] <= x)
+        tx = (x - ext[j0]) / (ext[j0 + 1] - ext[j0])
+        j1 = (j0 + 1) % n_lon
+    elif not lons[0] <= x <= lons[-1]:
+        return None
+    elif n_lon == 1:
+        j0 = j1 = 0
+        tx = 0.0
+    else:
+        j0 = max(j for j in range(n_lon - 1) if lons[j] <= x)
+        tx = (x - lons[j0]) / (lons[j0 + 1] - lons[j0])
+        j1 = j0 + 1
+    v = values
+    return ((1.0 - ty) * ((1.0 - tx) * float(v[south][j0]) + tx * float(v[south][j1]))
+            + ty * ((1.0 - tx) * float(v[north][j0]) + tx * float(v[north][j1])))
+
+
+# --- station pipeline (the scalar loops the array code replaced) ---------------
+
+#: Flag codes of the station table: absent, raw, replaced by the reference.
+ABSENT, RAW, REPLACED = 0, 1, 2
+
+
+def table_from_records_loop(stations, records, times):
+    """(variables, values, flags) of a station table, averaging each
+    (variable, station, target time) window on its own.
+
+    A window is the closed +-15 min around the target; its value is the
+    exact rational sum of its values, rounded to a float, divided by n.
+    A sum beyond the float range raises OverflowError.
+    """
+    half = timedelta(minutes=15)
+    variables = tuple(sorted(records, key=lambda v: v.key))
+    shape = (len(variables), len(times), len(stations))
+    values = np.full(shape, np.nan)
+    flags = np.full(shape, ABSENT, dtype=np.uint8)
+    for vi, variable in enumerate(variables):
+        for si, station in enumerate(stations):
+            recs = records[variable].get(station.station_id, [])
+            for ti, target in enumerate(times):
+                window = [v for t, v in recs if abs(t - target) <= half]
+                if window:
+                    total = sum(map(Fraction, window), Fraction(0))
+                    values[vi, ti, si] = float(total) / len(window)
+                    flags[vi, ti, si] = RAW
+    return variables, values, flags
+
+
+def _display_units(key: str, value):
+    if key in ("t2m", "d2m", "t850"):
+        return value - 273.15
+    if key == "msl":
+        return value / 100.0
+    return value
+
+
+def apply_qc_loop(variables, values, flags, reference, ratios):
+    """Ratio QC one observation at a time: (values, flags, counts).
+
+    ``ratios`` maps variable -> bound in display units. RAW (or any
+    non-absent, non-replaced) entries are tested; an entry whose
+    display-unit ratio to its reference exceeds the bound takes the
+    reference value. Non-positive references keep the observation and
+    are counted. ``counts`` maps variable key -> raw / replaced / absent
+    / nonpositive_reference. A non-finite reference under a tested
+    entry raises ValueError, whether or not the variable has a bound.
+    """
+    values = values.copy()
+    flags = flags.copy()
+    counts = {}
+    for vi, variable in enumerate(variables):
+        c = {"raw": 0, "replaced": 0, "absent": 0, "nonpositive_reference": 0}
+        for ti in range(values.shape[1]):
+            for si in range(values.shape[2]):
+                code = flags[vi, ti, si]
+                if code == ABSENT:
+                    c["absent"] += 1
+                    continue
+                if code == REPLACED:
+                    c["replaced"] += 1
+                    continue
+                obs, ref = values[vi, ti, si], reference[vi, ti, si]
+                if not math.isfinite(ref):
+                    raise ValueError("reference value must be finite")
+                bound = ratios.get(variable)
+                ref_disp = _display_units(variable.key, ref)
+                if bound is not None and ref_disp <= 0.0:
+                    c["nonpositive_reference"] += 1
+                elif bound is not None and \
+                        _display_units(variable.key, obs) / ref_disp > bound:
+                    values[vi, ti, si] = ref
+                    flags[vi, ti, si] = REPLACED
+                    c["replaced"] += 1
+                    continue
+                c["raw"] += 1
+        counts[variable.key] = c
+    return values, flags, counts

@@ -512,6 +512,20 @@ class TestLeadLists:
         assert expected in capsys.readouterr().err
 
 
+class TestManifestPath:
+    @pytest.mark.parametrize("command", ["evaluate", "stations"])
+    def test_directory_as_manifest_is_exit_2(self, command, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.mkdir()
+        extra = (["--station-meta", tmp_path / "meta.csv",
+                  "--station-obs", tmp_path / "obs.csv"]
+                 if command == "stations" else [])
+        rc = run_cli(command, "--manifest", manifest,
+                     "--out", tmp_path / "out", *extra)
+        assert rc == 2
+        assert str(manifest) in capsys.readouterr().err
+
+
 class TestUnbuiltClimatology:
     @pytest.mark.parametrize("command", ["evaluate", "stations"])
     def test_names_file_and_next_step(self, command, tmp_path, capsys):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 import threading
+import tracemalloc
 import zlib
 from datetime import timedelta
 from typing import Callable, NamedTuple
@@ -276,6 +278,22 @@ class TestStackStores:
         assert back.variable is VariableId.T2M
         assert np.array_equal(back.day_mean, day_mean)  # f64 payload
 
+    def test_float64_store_read_without_a_copy(self, rng, tmp_path):
+        grid = make_grid(40, 60)
+        day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, *grid.shape))
+        path = fileio.write_daily_climatology(
+            DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,)),
+            tmp_path / "c.rbc")
+        payload = path.stat().st_size
+        tracemalloc.start()
+        try:
+            back = fileio.read_daily_climatology(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * payload
+        assert back.day_mean.tobytes() == day_mean.tobytes()
+
     @pytest.mark.parametrize("store", STORES.values(), ids=STORES.keys())
     @pytest.mark.parametrize("case", REORIENTED.values(), ids=REORIENTED.keys())
     def test_reoriented_store_reads_as_engine_twin(self, store, case, rng,
@@ -400,6 +418,42 @@ class TestStationCsvs:
             fileio.read_station_csvs(tmp_path / "meta.csv",
                                      tmp_path / "obs.csv")
 
+    # Each faulty row, in any order after the valid rows, with its error.
+    # The time and variable strings repeat earlier rows, so they are
+    # served from the reader's parse caches.
+    FAULTS = {
+        "bad value": ("S2,2025-07-01T00:00:00Z,ws10,warm\n", InvalidHeader,
+                      "bad row: could not convert string to float: 'warm'"),
+        "bad variable": ("S2,2025-07-01T06:00:00Z,t2 m,280.0\n", InvalidHeader,
+                         "bad row: unknown variable key 't2 m'"),
+        "bad time": ("S2,2025-07-01T00:00:00X,t2m,280.0\n", InvalidHeader,
+                     "bad timestamp '2025-07-01T00:00:00X'"),
+        "short row": ("S2,2025-07-01T00:00:00Z\n", InvalidHeader,
+                      "bad row: 'NoneType' object has no attribute 'strip'"),
+        "unknown station": ("S9,2025-07-01T00:00:00Z,t2m,280.0\n",
+                            UnknownStation, "station 'S9' not in meta.csv"),
+        "duplicate": ("S2,2025-07-01T00:00:00+00:00,t2m,301.0\n",
+                      DuplicateObservation,
+                      "duplicate observation (S2, 2025-07-01T00:00:00Z, t2m)"),
+    }
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(
+        ["bad value", "unknown station", "duplicate", "bad time"])) + [
+        ("short row", "duplicate"), ("duplicate", "bad variable"),
+        ("bad variable", "short row")], ids=" then ".join)
+    def test_first_faulty_row_in_file_order_is_reported(self, order,
+                                                        tmp_path):
+        (tmp_path / "meta.csv").write_text(STATION_META)
+        obs = tmp_path / "obs.csv"
+        obs.write_text(STATION_OBS + "".join(self.FAULTS[f][0] for f in order))
+        _, error, message = self.FAULTS[order[0]]
+        first_row = STATION_OBS.count("\n") + 1
+        if error is not InvalidHeader or message.startswith("bad row"):
+            message = f"{obs}:{first_row}: {message}"
+        with pytest.raises(error) as err:
+            fileio.read_station_csvs(tmp_path / "meta.csv", obs)
+        assert str(err.value).startswith(message)
+
 
 class TestManifest:
     def write_minimal(self, tmp_path, rng, n_inits=1, max_lead=6):
@@ -440,6 +494,13 @@ class TestManifest:
         with pytest.raises(ManifestError) as err:
             fileio.load_manifest(path)
         assert "t2m_2025070100_006.rbg" in str(err.value)
+
+    def test_directory_as_manifest(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.mkdir()
+        with pytest.raises(ManifestError, match="cannot read manifest") as err:
+            fileio.load_manifest(path)
+        assert str(path) in str(err.value)
 
     def test_malformed_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"

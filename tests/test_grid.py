@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import make_field, make_grid
 from wxverify.errors import NonFiniteValue, TargetOutsideDomain
 from wxverify.grid import (EARTH_RADIUS_KM, GeoGrid, VariableId,
-                           derive_wind_speed, haversine_km, interp_to_stations,
-                           latitude_weights, regrid_bilinear)
+                           bilinear_weights, derive_wind_speed, haversine_km,
+                           interp_to_stations, latitude_weights,
+                           regrid_bilinear)
 
 
 class TestGeoGrid:
@@ -201,6 +203,75 @@ class TestInterpToStations:
         field = make_field(grid, rng.standard_normal(grid.shape))
         with pytest.raises(TargetOutsideDomain):
             interp_to_stations(field, [(75.0, 10.0)])
+
+
+@st.composite
+def grids_points_stacks(draw):
+    """A wrapping or regional grid, points on its nodes, on its edges,
+    inside and outside its span, and a stack of fields on it."""
+    n_lat, n_lon = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    lat_top = draw(st.sampled_from([90.0, 61.25, 10.0, -30.0]))
+    lat_step = draw(st.floats(0.25, (lat_top + 90.0) / max(n_lat - 1, 1)))
+    lats = lat_top - lat_step * np.arange(n_lat)
+    if n_lon > 1 and draw(st.booleans()):
+        lon_step = 360.0 / n_lon
+        lon_start = draw(st.sampled_from([0.0, lon_step / 2]))
+    else:
+        lon_start = draw(st.sampled_from([0.0, 100.5, 350.0]))
+        lon_step = draw(st.floats(0.25, (359.0 - lon_start) / n_lon))
+    lons = lon_start + lon_step * np.arange(n_lon)
+    grid = GeoGrid(lats, lons)
+    lat_values = [float(x) for x in lats]
+    lon_values = [float(x) for x in lons] + [float(x) - 360.0 for x in lons]
+    if grid.wraps_lon:  # between the last column and the first, 360 on
+        lon_values += [0.0, 359.999, float(lons[-1]) + lon_step / 2]
+    points = draw(st.lists(st.tuples(
+        st.one_of(st.sampled_from(lat_values),
+                  st.floats(float(lats[-1]), float(lats[0]))),
+        st.one_of(st.sampled_from(lon_values),
+                  st.floats(float(lons[0]), float(lons[-1])))),
+        min_size=1, max_size=6))
+    if draw(st.booleans()):  # anywhere, often outside the span
+        points.insert(draw(st.integers(0, len(points))), draw(st.tuples(
+            st.one_of(st.sampled_from([lat_top + 1e-9, -90.0, 90.0]),
+                      st.floats(-90.0, 90.0)),
+            st.floats(-400.0, 400.0))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = 280.0 + 10.0 * rng.standard_normal((draw(st.integers(1, 3)),
+                                                n_lat, n_lon))
+    return grid, points, stack
+
+
+class TestBilinearWeights:
+    @settings(max_examples=300, deadline=None)
+    @given(grids_points_stacks())
+    def test_stack_equals_per_field_and_scalar_oracle(self, case):
+        grid, points, stack = case
+        want = [[oracles.bilinear_point(grid.lat_deg, grid.lon_deg,
+                                        grid.wraps_lon, layer, lat, lon)
+                 for lat, lon in points] for layer in stack]
+        if None in want[0]:
+            with pytest.raises(TargetOutsideDomain) as stacked:
+                bilinear_weights(grid, points)
+            with pytest.raises(TargetOutsideDomain) as single:
+                interp_to_stations(make_field(grid, stack[0]), points)
+            assert str(stacked.value) == str(single.value)
+            return
+        got = bilinear_weights(grid, points).apply(stack)
+        assert got.shape == (len(stack), len(points))
+        for k, layer in enumerate(stack):
+            per_field = interp_to_stations(make_field(grid, layer), points)
+            assert got[k].tobytes() == per_field.tobytes()
+            assert got[k].tobytes() == np.array(want[k]).tobytes()
+
+    def test_apply_rejects_values_of_another_shape(self):
+        weights = bilinear_weights(make_grid(3, 4), [(0.0, 10.0)])
+        with pytest.raises(ValueError):
+            weights.apply(np.zeros((4, 3)))
+
+    def test_no_points(self):
+        weights = bilinear_weights(make_grid(3, 4), [])
+        assert weights.apply(np.zeros((2, 3, 4))).shape == (2, 0)
 
 
 class TestHaversine:

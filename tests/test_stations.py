@@ -2,18 +2,23 @@ from __future__ import annotations
 
 import math
 from datetime import datetime, timedelta, timezone
+from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import T0, make_grid, random_field
+from wxverify.climatology import DailyMeanClimatology
 from wxverify.errors import NoValidPairs
-from wxverify.grid import VariableId
+from wxverify.grid import VariableId, interp_to_stations
 from wxverify.stations import (DEFAULT_QC_RATIOS, QcFlag, QcThresholds,
-                               Station, StationTable, apply_qc,
-                               qc_ratio_filter, six_hour_times,
-                               station_scores, table_from_records,
-                               window_average)
+                               Station, StationInterpolator, StationTable,
+                               apply_qc, qc_ratio_filter, six_hour_times,
+                               station_climatology_from_grid, station_scores,
+                               table_from_records, window_average)
 
 
 def minutes(m):
@@ -248,3 +253,205 @@ class TestTableFromRecords:
         times = six_hour_times(start, end)
         assert times[0] == datetime(2025, 7, 1, 6, tzinfo=timezone.utc)
         assert times[-1] == datetime(2025, 7, 1, 18, tzinfo=timezone.utc)
+
+
+# Record offsets from a target, in microseconds: the closed window's edges,
+# one microsecond either side of them, and points well inside and outside.
+_EDGE_US = 15 * 60 * 10**6
+RECORD_OFFSETS_US = st.one_of(
+    st.sampled_from([0, -_EDGE_US, _EDGE_US, -_EDGE_US - 1, _EDGE_US + 1,
+                     -_EDGE_US + 1, _EDGE_US - 1, -600 * 10**6, 600 * 10**6]),
+    st.integers(-7 * 3600 * 10**6, 7 * 3600 * 10**6))
+RECORD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-310, -1e-310, 1e300, -1e300, 0.1, 283.15]),
+    st.floats(allow_nan=False, allow_infinity=False, width=64))
+STATION_VARIABLES = [VariableId.T2M, VariableId.MSL, VariableId.WS10,
+                     VariableId.Z500]
+
+
+@st.composite
+def raw_records(draw):
+    """Stations, 6-hourly target times and unsorted raw records, with
+    several records per window, records exactly at +-15 min and
+    stations without records."""
+    n_stations = draw(st.integers(0, 4))
+    stations = tuple(Station(f"S{i}", 0.0, 0.0, 0.0) for i in range(n_stations))
+    times = [T0 + timedelta(hours=6 * k) for k in range(draw(st.integers(0, 3)))]
+    variables = draw(st.lists(st.sampled_from(STATION_VARIABLES), min_size=1,
+                              max_size=3, unique=True))
+    records = {}
+    for variable in variables:
+        per_station = {}
+        for station in stations + (Station("ELSEWHERE", 0.0, 0.0, 0.0),):
+            anchors = st.integers(0, max(len(times) - 1, 0))
+            recs = draw(st.lists(st.tuples(anchors, RECORD_OFFSETS_US,
+                                           RECORD_VALUES), max_size=8))
+            if recs:
+                per_station[station.station_id] = [
+                    (T0 + timedelta(hours=6 * k, microseconds=us), v)
+                    for k, us, v in recs]
+        records[variable] = per_station
+    return stations, records, times
+
+
+class TestWindowingOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(raw_records())
+    def test_table_matches_scalar_loop(self, case):
+        stations, records, times = case
+        try:
+            variables, values, flags = oracles.table_from_records_loop(
+                stations, records, times)
+        except OverflowError:  # fsum of a window overflowed
+            with pytest.raises(OverflowError):
+                table_from_records(stations, records, times)
+            return
+        table = table_from_records(stations, records, times)
+        assert table.variables == variables
+        assert table.values.tobytes() == values.tobytes()
+        assert table.flags.tobytes() == flags.tobytes()
+        for vi, variable in enumerate(variables):
+            for si, station in enumerate(stations):
+                recs = records[variable].get(station.station_id, [])
+                for ti, target in enumerate(times):
+                    got = window_average(recs, target)
+                    if flags[vi, ti, si] == oracles.ABSENT:
+                        assert got is None
+                    else:
+                        assert np.float64(got).tobytes() == \
+                            values[vi, ti, si].tobytes()
+
+    def test_finite_sum_does_not_overflow_in_any_record_order(self):
+        # math.fsum overflows on the first two of these orders, though the
+        # exact sum rounds to the largest finite float
+        values = [1e300, 1.797693124862316e+308, -9.983678732532492e+291]
+        for order in permutations(values):
+            got = window_average([(T0, v) for v in order], T0)
+            assert got == 1.7976931348623157e+308 / 3
+
+    def test_sum_beyond_float_range_raises_overflow(self):
+        with pytest.raises(OverflowError):
+            window_average([(T0, 1.7e308), (T0, 1.7e308)], T0)
+
+    def test_single_negative_zero_record_reads_as_fsum_does(self):
+        # math.fsum([-0.0]) is 0.0, so a one-record window of -0.0 is 0.0
+        stations = (Station("A", 0.0, 0.0, 0.0),)
+        table = table_from_records(stations, {VariableId.WS10: {"A": [(T0, -0.0)]}},
+                                   [T0])
+        assert not np.signbit(table.values[0, 0, 0])
+        assert math.copysign(1.0, window_average([(T0, -0.0)], T0)) == 1.0
+
+
+@st.composite
+def qc_cases(draw):
+    """A table, references and bounds covering every QC branch."""
+    variables = tuple(sorted(draw(st.lists(st.sampled_from(STATION_VARIABLES),
+                                           min_size=1, max_size=4,
+                                           unique=True)),
+                             key=lambda v: v.key))
+    n_times = draw(st.integers(1, 3))
+    n_stations = draw(st.integers(1, 4))
+    shape = (len(variables), n_times, n_stations)
+    # SI values around each variable's display-unit zero, so that
+    # references are positive, zero or negative in display units
+    centre = {VariableId.T2M: 273.15, VariableId.MSL: 0.0,
+              VariableId.WS10: 0.0, VariableId.Z500: 0.0}
+    spread = {VariableId.T2M: 60.0, VariableId.MSL: 2e5,
+              VariableId.WS10: 80.0, VariableId.Z500: 1e5}
+    values = np.empty(shape)
+    reference = np.empty(shape)
+    flags = np.empty(shape, dtype=np.uint8)
+    for vi, variable in enumerate(variables):
+        c, w = centre[variable], spread[variable]
+        n = n_times * n_stations
+        near = st.one_of(st.sampled_from([c, c + 1e-9, c - 1e-9]),
+                         st.floats(c - w, c + w))
+        values[vi] = np.reshape(draw(st.lists(near, min_size=n, max_size=n)),
+                                (n_times, n_stations))
+        reference[vi] = np.reshape(draw(st.lists(near, min_size=n, max_size=n)),
+                                   (n_times, n_stations))
+        flags[vi] = np.reshape(draw(st.lists(
+            st.sampled_from([oracles.ABSENT, oracles.RAW, oracles.RAW,
+                             oracles.REPLACED]), min_size=n, max_size=n)),
+            (n_times, n_stations))
+    values[flags == oracles.ABSENT] = np.nan
+    # references are not looked at under absent or replaced entries
+    hidden = draw(st.sampled_from([np.nan, np.inf, 1.0]))
+    reference[flags != oracles.RAW] = hidden
+    if draw(st.booleans()):  # a non-finite reference under one entry
+        where = tuple(draw(st.integers(0, d - 1)) for d in shape)
+        reference[where] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    bounds = draw(st.dictionaries(st.sampled_from(STATION_VARIABLES),
+                                  st.sampled_from([1.5, 6.0, 7.0, 9000.0]),
+                                  max_size=4))
+    table = StationTable(tuple(Station(f"S{i}", 0.0, 0.0, 0.0)
+                               for i in range(n_stations)),
+                         tuple(T0 + timedelta(hours=6 * k)
+                               for k in range(n_times)),
+                         variables, values, flags)
+    return table, reference, bounds
+
+
+class TestQcOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(qc_cases())
+    def test_apply_qc_matches_scalar_loop(self, case):
+        table, reference, bounds = case
+        try:
+            want = oracles.apply_qc_loop(table.variables, table.values,
+                                         table.flags, reference, bounds)
+        except ValueError:
+            with pytest.raises(ValueError, match="reference value must be finite"):
+                apply_qc(table, reference, QcThresholds(bounds))
+            return
+        values, flags, counts = want
+        qc, report = apply_qc(table, reference, QcThresholds(bounds))
+        assert qc.values.tobytes() == values.tobytes()
+        assert qc.flags.tobytes() == flags.tobytes()
+        assert report.as_dict() == counts
+
+    def test_nonfinite_reference_raises_for_unbounded_variable(self):
+        table = small_table({VariableId.Z500: np.array([[1.0, 2.0, 3.0],
+                                                        [4.0, 5.0, 6.0]])})
+        reference = np.ones(table.values.shape)
+        reference[0, 1, 2] = np.nan
+        with pytest.raises(ValueError):
+            apply_qc(table, reference, QcThresholds({}))
+
+
+class TestStationInterpolator:
+    def test_climatology_gather_matches_daily_interpolation(self, rng):
+        grid = make_grid(5, 8)
+        stations = (Station("A", 10.0, 20.0, 0.0),
+                    Station("B", -33.3, 351.0, 0.0),
+                    Station("C", 60.0, 0.0, 0.0))
+        day_mean = 280.0 + rng.standard_normal((365, 5, 8))
+        clim = DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))
+        got = station_climatology_from_grid(clim, StationInterpolator(stations))
+        positions = [(s.lat, s.lon) for s in stations]
+        want = np.stack([interp_to_stations(clim.field_for(
+            T0.replace(month=1, day=1) + timedelta(days=day)), positions)
+            for day in range(365)])
+        assert got.station_ids == ("A", "B", "C")
+        assert got.day_mean.tobytes() == want.tobytes()
+
+    def test_weights_once_per_grid_and_own_grid_per_field(self, rng):
+        stations = (Station("A", 10.0, 20.0, 0.0), Station("B", -5.0, 99.0, 0.0))
+        interp = StationInterpolator(stations)
+        grid = make_grid(5, 8)
+        same_shape = make_grid(5, 8, lat_top=50.0, lat_bottom=-50.0)
+        assert interp.weights(grid) is interp.weights(make_grid(5, 8))
+        assert interp.weights(same_shape) is not interp.weights(grid)
+        for g in (grid, same_shape, make_grid(7, 12), grid):
+            field = random_field(rng, g)
+            assert interp.at_stations(field).tobytes() == interp_to_stations(
+                field, [(s.lat, s.lon) for s in stations]).tobytes()
+
+    def test_scores_reject_interpolator_of_other_stations(self, rng):
+        grid = make_grid(6, 10)
+        truth = random_field(rng, grid)
+        table = small_table({VariableId.T2M: np.full((1, 3), 280.0)},
+                            times=(T0,))
+        other = StationInterpolator(table.stations[:2])
+        with pytest.raises(ValueError):
+            station_scores([truth], table, VariableId.T2M, interpolator=other)
