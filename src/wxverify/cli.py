@@ -22,6 +22,7 @@ import hashlib
 import json
 import sys
 from datetime import datetime, timedelta, timezone
+from itertools import groupby
 from pathlib import Path
 from typing import Sequence
 
@@ -30,8 +31,8 @@ import numpy as np
 from . import climatology, fileio, report, stations
 from .climatology import (DailyMeanClimatology,
                           build_daily_mean_climatology, build_thresholds,
-                          calendar_day_index, daily_means_from_fields,
-                          history_from_fields)
+                          calendar_day_index, daily_extremes_from_fields,
+                          daily_means_from_fields, history_from_extremes)
 from .cyclones import (StormTrack, TrackerConfig, TrackSource,
                        homogeneous_sample, intensity_errors, track_dpe,
                        track_storm)
@@ -206,32 +207,43 @@ def cmd_evaluate(args) -> int:
 
 # --- build-climatology -------------------------------------------------------
 
+def _check_history_grid(grid: GeoGrid | None, fields: Sequence[GridField],
+                        variable: VariableId, year: int) -> GeoGrid:
+    """The grid of one history year, which must be that of the years before."""
+    if grid is not None and fields[0].grid != grid:
+        raise ManifestError(f"{variable.key} history of {year} is on another "
+                            f"grid than the years before it")
+    return fields[0].grid
+
+
 def cmd_build_climatology(args) -> int:
     manifest = fileio.load_manifest(args.manifest, require=("history",))
     if manifest.climatology_pattern is None:
         raise ManifestError("manifest declares no climatology daily_mean_pattern")
     source = fileio.FieldSource(manifest)
-    grid = None
     for variable in manifest.variables:
         if variable.derived:
             continue
+        with_thresholds = variable is VariableId.T2M \
+            and manifest.thresholds_file is not None
+        grid = None
         per_year = []
-        t2m_by_year = {}
+        extremes = {}  # year -> (daily max, daily min)
         for year in manifest.history_years:
             fields = source.history(variable, year)
+            grid = _check_history_grid(grid, fields, variable, year)
             per_year.append(daily_means_from_fields(fields))
-            if variable is VariableId.T2M:
-                t2m_by_year[year] = fields
-            grid = fields[0].grid
+            if with_thresholds:
+                extremes[year] = daily_extremes_from_fields(fields)
+            del fields  # hold one year of history at a time
         clim = DailyMeanClimatology(grid, variable,
                                     build_daily_mean_climatology(per_year),
                                     manifest.history_years)
         path = fileio.write_daily_climatology(
             clim, manifest.climatology_path(variable))
         print(f"wrote {path}")
-        if variable is VariableId.T2M and manifest.thresholds_file is not None:
-            history = history_from_fields(t2m_by_year)
-            thresholds = build_thresholds(history)
+        if with_thresholds:
+            thresholds = build_thresholds(history_from_extremes(extremes))
             path = fileio.write_thresholds(thresholds, grid,
                                            manifest.thresholds_file)
             print(f"wrote {path}")
@@ -285,10 +297,14 @@ def cmd_extremes(args) -> int:
         thresholds_sha = hashlib.sha256(
             manifest.thresholds_file.read_bytes()).hexdigest()
     elif manifest.history_pattern and manifest.history_years:
-        t2m_by_year = {year: source.history(VariableId.T2M, year)
-                       for year in manifest.history_years}
-        thresholds = build_thresholds(history_from_fields(t2m_by_year))
-        tgrid = t2m_by_year[manifest.history_years[0]][0].grid
+        tgrid = None
+        extremes = {}
+        for year in manifest.history_years:
+            fields = source.history(VariableId.T2M, year)
+            tgrid = _check_history_grid(tgrid, fields, VariableId.T2M, year)
+            extremes[year] = daily_extremes_from_fields(fields)
+            del fields  # hold one year of history at a time
+        thresholds = build_thresholds(history_from_extremes(extremes))
     else:
         raise ManifestError(
             "extremes needs thresholds_path or a history section to build from")
@@ -441,13 +457,13 @@ def cmd_stations(args) -> int:
     station_vars = [v for v in table.variables if v in manifest.variables]
     if not station_vars:
         raise NoValidPairs("no station variable overlaps the manifest variables")
+    # QC needs a truth reference for every variable it tests
+    table = table.select(station_vars)
 
     source = fileio.FieldSource(manifest)
     interpolator = StationInterpolator(table.stations)
-    reference = np.full(table.values.shape, np.nan)
+    reference = np.empty(table.values.shape)
     for vi, variable in enumerate(table.variables):
-        if variable not in manifest.variables:
-            continue
         for ti, when in enumerate(table.times):
             reference[vi, ti] = interpolator.at_stations(
                 source.truth(variable, when))
@@ -494,15 +510,28 @@ def cmd_stations(args) -> int:
 
 def _write_truth(scenario: SyntheticScenario, out_dir: Path,
                  truth_pattern: str, keep: set[datetime] | None) -> None:
-    """Generate and write truth fields; ``keep`` restricts written times."""
+    """Generate truth and write one stack per (variable, year), streamed.
+
+    With ``keep``, each year's stack holds the contiguous 6-hourly span
+    from the year's first to its last kept time; years without a kept
+    time are not written.
+    """
+    spans: dict[int, tuple[datetime, datetime]] | None = None
+    if keep is not None:
+        spans = {}
+        for when in keep:
+            lo, hi = spans.get(when.year, (when, when))
+            spans[when.year] = (min(lo, when), max(hi, when))
     for variable in scenario.variables:
-        for field in generate_variable_series(scenario, variable):
-            if keep is not None and field.valid_time not in keep:
-                continue
-            rel = truth_pattern.format(
-                variable=variable.key,
-                time=field.valid_time.strftime("%Y%m%d%H"))
-            fileio.write_grid(field, out_dir / rel)
+        series = generate_variable_series(scenario, variable)
+        for year, fields in groupby(series, key=lambda f: f.valid_time.year):
+            if spans is not None:
+                if year not in spans:
+                    continue
+                lo, hi = spans[year]
+                fields = (f for f in fields if lo <= f.valid_time <= hi)
+            fileio.write_stack(fields, out_dir / truth_pattern.format(
+                variable=variable.key, year=year))
 
 
 def cmd_synth(args) -> int:
@@ -547,11 +576,11 @@ def cmd_synth(args) -> int:
             raise ManifestError("lagged models need --truth-span full")
         keep = {init + timedelta(hours=lead)
                 for init in init_times for lead in leads}
-    truth_pattern = "truth/{variable}/{time}.rbg"
+    truth_pattern = "truth/{variable}/{year}.rbs"
     _write_truth(scenario, out_dir, truth_pattern, keep)
 
     model_patterns = {
-        name: f"models/{name}/{{init}}/{{variable}}/{{lead:03d}}.rbg"
+        name: f"models/{name}/{{init}}/{{variable}}.rbs"
         for name in sorted(model_specs)}
     history_years = list(scenario.years[:-1]) if len(scenario.years) > 1 \
         else list(scenario.years)
@@ -598,9 +627,8 @@ def cmd_synth(args) -> int:
                                            init + timedelta(hours=lead - param))
                               .at(init + timedelta(hours=lead), lead)
                               for lead in leads]
-                for field in fields:
-                    fileio.write_grid(field, source.manifest.model_path(
-                        name, init, variable, field.lead_hours))
+                fileio.write_stack(fields, source.manifest.model_path(
+                    name, init, variable, leads[0]))
 
     if scenario.vortices:
         tracks = make_besttrack(scenario)

@@ -81,6 +81,51 @@ class DailyHistory:
         return self.daily_max.shape[2]
 
 
+def daily_extremes_from_fields(fields: Sequence[GridField]
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """(365, n_locations) daily max and min of one year of 6-hourly fields.
+
+    The location axis is the row-major flattening of the grid. Days with
+    fewer than four samples come out absent (NaN); Feb 29 is dropped.
+    """
+    grid = fields[0].grid
+    n_loc = grid.n_lat * grid.n_lon
+    dmax = np.full((DAYS_PER_YEAR, n_loc), np.nan)
+    dmin = np.full((DAYS_PER_YEAR, n_loc), np.nan)
+    counts = np.zeros(DAYS_PER_YEAR, dtype=np.intp)
+    for f in fields:
+        if f.grid != grid:
+            raise ValueError("history fields must share one grid")
+        when = f.valid_time
+        if is_leap_day(when):
+            continue
+        d = calendar_day_index(when)
+        flat = f.values.reshape(-1)
+        if counts[d] == 0:
+            dmax[d] = flat
+            dmin[d] = flat
+        else:
+            np.maximum(dmax[d], flat, out=dmax[d])
+            np.minimum(dmin[d], flat, out=dmin[d])
+        counts[d] += 1
+    incomplete = counts < len(SYNOPTIC_HOURS)
+    dmax[incomplete] = np.nan
+    dmin[incomplete] = np.nan
+    return dmax, dmin
+
+
+def history_from_extremes(extremes: Mapping[int, tuple[np.ndarray, np.ndarray]]
+                          ) -> DailyHistory:
+    """Stack per-year :func:`daily_extremes_from_fields` results, keyed by
+    year, into a history ordered by year."""
+    years = sorted(extremes)
+    if not years:
+        raise InsufficientHistory("no history years supplied")
+    return DailyHistory(tuple(years),
+                        np.stack([extremes[year][0] for year in years]),
+                        np.stack([extremes[year][1] for year in years]))
+
+
 def history_from_fields(fields_by_year: Mapping[int, Sequence[GridField]]
                         ) -> DailyHistory:
     """Build per-gridpoint daily extremes from 6-hourly fields.
@@ -88,34 +133,13 @@ def history_from_fields(fields_by_year: Mapping[int, Sequence[GridField]]
     The location axis is the row-major flattening of the grid. Days with
     fewer than four samples come out absent.
     """
-    years = sorted(fields_by_year)
-    if not years:
+    if not fields_by_year:
         raise InsufficientHistory("no history years supplied")
-    first = fields_by_year[years[0]][0]
-    n_loc = first.grid.n_lat * first.grid.n_lon
-    dmax = np.full((len(years), DAYS_PER_YEAR, n_loc), np.nan)
-    dmin = np.full((len(years), DAYS_PER_YEAR, n_loc), np.nan)
-    for yi, year in enumerate(years):
-        counts = np.zeros(DAYS_PER_YEAR, dtype=np.intp)
-        for f in fields_by_year[year]:
-            if f.grid != first.grid:
-                raise ValueError("history fields must share one grid")
-            when = f.valid_time
-            if is_leap_day(when):
-                continue
-            d = calendar_day_index(when)
-            flat = f.values.reshape(-1)
-            if counts[d] == 0:
-                dmax[yi, d] = flat
-                dmin[yi, d] = flat
-            else:
-                np.maximum(dmax[yi, d], flat, out=dmax[yi, d])
-                np.minimum(dmin[yi, d], flat, out=dmin[yi, d])
-            counts[d] += 1
-        incomplete = counts < len(SYNOPTIC_HOURS)
-        dmax[yi, incomplete] = np.nan
-        dmin[yi, incomplete] = np.nan
-    return DailyHistory(tuple(years), dmax, dmin)
+    grid = next(iter(fields_by_year.values()))[0].grid
+    if any(fields[0].grid != grid for fields in fields_by_year.values()):
+        raise ValueError("history fields must share one grid")
+    return history_from_extremes({year: daily_extremes_from_fields(fields)
+                                  for year, fields in fields_by_year.items()})
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,24 @@
 """Bit-exact readers and writers.
 
-Gridded fields, extreme thresholds and daily-mean climatologies are all
-stored the same way: a flat little-endian payload plus a JSON sidecar
-(`<path>.json`) carrying the magic, dtype, geometry and a CRC-32 of the
-payload, written and read by one codec. Uniform grids only; orientation
-is normalized to north-to-south rows and [0, 360) eastward columns on
-read. Threshold and climatology payloads carry a 365-deep day axis
-(climatology payloads are float64 so that through-disk evaluation stays
-bit-identical to in-memory evaluation).
+Gridded fields, field stacks, extreme thresholds and daily-mean
+climatologies are all stored the same way: a flat little-endian
+``(layers, n_lat, n_lon)`` payload plus a JSON sidecar (`<path>.json`)
+carrying the magic, dtype, geometry and CRC-32s of the payload, written
+and read by one codec. A field file (RBGRID1) holds one field; a stack
+(RBSTACK1) holds a 6-hourly series of one variable with one CRC-32 per
+layer, so one layer is read with a seek and checked alone. Uniform grids
+only; orientation is normalized to north-to-south rows and [0, 360)
+eastward columns on read. Threshold and climatology payloads carry a
+365-deep day axis (climatology payloads are float64 so that
+through-disk evaluation stays bit-identical to in-memory evaluation).
 
 Commands read stored arrays through one run-scoped :class:`FieldSource`,
-which resolves manifest paths and validates each grid geometry once per
-run.
+which resolves manifest paths, picks the layout from the sidecar's
+magic, parses each stack's sidecar once and validates each grid
+geometry once per run.
 
-Writers create a temp file and rename, so a file is either complete or
-absent. Serialization is canonical: rewriting what was just read
+Writers stream to a temp file and rename, so a file is either complete
+or absent. Serialization is canonical: rewriting what was just read
 produces byte-identical files. Readers are total over the typed error
 hierarchy in :mod:`wxverify.errors` - fuzzed input yields a typed error,
 never a raw parser traceback.
@@ -25,12 +29,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -43,10 +48,11 @@ from .errors import (ChecksumMismatch, DuplicateObservation,
 from .extremes import EventSegment
 from .grid import GeoGrid, GridField, VariableId, derive_wind_speed
 from .harness import year_times
-from .stations import (Station, StationTable, epoch_microseconds,
-                       six_hour_times, table_from_columns)
+from .stations import (Station, StationTable, WindowOverflow,
+                       epoch_microseconds, six_hour_times, table_from_columns)
 
 GRID_MAGIC = "RBGRID1"
+STACK_MAGIC = "RBSTACK1"
 THRESH_MAGIC = "RBTHRESH1"
 CLIM_MAGIC = "RBCLIM1"
 
@@ -64,11 +70,11 @@ def parse_time(text: str) -> datetime:
         if cleaned.endswith("Z"):
             cleaned = cleaned[:-1] + "+00:00"
         when = datetime.fromisoformat(cleaned)
-    except ValueError as exc:
+        if when.tzinfo is None:
+            when = when.replace(tzinfo=timezone.utc)
+        return when.astimezone(timezone.utc)
+    except (ValueError, OverflowError) as exc:
         raise InvalidHeader(f"bad timestamp {text!r}: {exc}") from exc
-    if when.tzinfo is None:
-        when = when.replace(tzinfo=timezone.utc)
-    return when.astimezone(timezone.utc)
 
 
 def _atomic_write_bytes(path: Path, payload: bytes):
@@ -85,7 +91,8 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
-def _load_sidecar(path: Path, magic: str) -> dict:
+def _load_sidecar(path: Path, *magics: str) -> dict:
+    """The parsed sidecar of ``path``, whose magic is one of ``magics``."""
     sidecar = _sidecar_path(path)
     try:
         header = json.loads(sidecar.read_text(encoding="utf-8"))
@@ -95,8 +102,8 @@ def _load_sidecar(path: Path, magic: str) -> dict:
         raise InvalidHeader(f"cannot read sidecar {sidecar}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidHeader(f"unparseable sidecar {sidecar}: {exc}") from exc
-    if not isinstance(header, dict) or header.get("magic") != magic:
-        raise InvalidHeader(f"{sidecar}: expected magic {magic!r}")
+    if not isinstance(header, dict) or header.get("magic") not in magics:
+        raise InvalidHeader(f"{sidecar}: expected magic {magics[0]!r}")
     return header
 
 
@@ -131,6 +138,8 @@ def _grid_header_geometry(header: dict, path: Path):
     lon_step = _header_value(header, "lon_step", float, path)
     if n_lat < 1 or n_lon < 1:
         raise InvalidHeader(f"{path}: non-positive grid shape")
+    if not all(map(math.isfinite, (lat_start, lat_step, lon_start, lon_step))):
+        raise InvalidHeader(f"{path}: non-finite grid geometry")
     return n_lat, n_lon, lat_start, lat_step, lon_start, lon_step
 
 
@@ -172,71 +181,157 @@ def _cached_grid(geometry: tuple, path: Path, geometries: dict | None
     return entry
 
 
-# --- stored arrays: grids, thresholds, climatologies -------------------------
+# --- stored arrays: grids, stacks, thresholds, climatologies -----------------
 
 _DTYPES = {"f32le": np.dtype("<f4"), "f64le": np.dtype("<f8")}
 
+#: Valid-time step between consecutive layers of an RBSTACK1 store.
+STACK_STEP = timedelta(hours=6)
 
-def _write_store(path: Path, magic: str, grid: GeoGrid, layers: np.ndarray,
-                 dtype: str, extra: dict) -> Path:
-    """Write ``layers`` over ``grid`` as a payload plus a sidecar holding
-    ``extra``, the magic, dtype, uniform geometry and payload CRC-32."""
+
+def _write_store(path: Path, magic: str, grid: GeoGrid, layers, dtype: str,
+                 extra: dict, per_layer: bool = False) -> Path:
+    """Stream ``layers`` over ``grid`` to a payload, then write a sidecar.
+
+    ``layers`` is a ``(layers, n_lat, n_lon)`` array or any iterable of
+    ``(n_lat, n_lon)`` layers; it is written one layer at a time, so a
+    generator is never held in memory whole. The sidecar holds ``extra``
+    (read after the last layer), the magic, dtype, uniform geometry and
+    the payload's CRC-32: one over the whole payload (``checksum``) or,
+    with ``per_layer``, one per layer (``checksums``, with ``n_layers``).
+    """
     if not grid.is_uniform():
         raise NonUniformGrid("file format stores uniformly spaced grids only")
     lat_step = float(grid.lat_deg[1] - grid.lat_deg[0]) if grid.n_lat > 1 else -1.0
     lon_step = float(grid.lon_deg[1] - grid.lon_deg[0]) if grid.n_lon > 1 else 1.0
-    payload = np.ascontiguousarray(layers, dtype=_DTYPES[dtype]).tobytes()
-    header = dict(extra, magic=magic, dtype=dtype, checksum=zlib.crc32(payload),
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    crc, checksums = 0, []
+    try:
+        with open(tmp, "wb") as fh:
+            for layer in layers:
+                blob = np.ascontiguousarray(layer, dtype=_DTYPES[dtype]).tobytes()
+                fh.write(blob)
+                if per_layer:
+                    checksums.append(zlib.crc32(blob))
+                else:
+                    crc = zlib.crc32(blob, crc)
+    except BaseException:
+        tmp.unlink(missing_ok=True)  # a store is either complete or absent
+        raise
+    os.replace(tmp, path)
+    header = dict(extra, magic=magic, dtype=dtype,
                   n_lat=grid.n_lat, n_lon=grid.n_lon,
                   lat_start=float(grid.lat_deg[0]), lat_step=lat_step,
                   lon_start=float(grid.lon_deg[0]), lon_step=lon_step)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _atomic_write_bytes(path, payload)
+    if per_layer:
+        header.update(n_layers=len(checksums), checksums=checksums)
+    else:
+        header["checksum"] = crc
     _atomic_write_bytes(_sidecar_path(path), _canonical_json(header))
     return path
 
 
-def _read_store(path: Path, magic: str, dtype: str, day_stacks: int,
-                geometries: dict | None) -> tuple[dict, GeoGrid, np.ndarray]:
-    """Sidecar, engine-convention grid and checked payload of one store.
+@dataclass(frozen=True)
+class _Store:
+    """A store's checked sidecar: the layout of its payload."""
 
-    The payload's length and CRC-32 are checked against the sidecar, and
-    it comes back as float64 ``(layers, n_lat, n_lon)``: one layer, or
-    ``day_stacks`` stacks of a 365-day axis. It is oriented as the grid
-    is: rows flipped, then columns rolled. Finiteness is the caller's
-    check (see :func:`_build`).
+    path: Path
+    dtype: np.dtype
+    n_layers: int
+    #: (n_lat, n_lon, lat_start, lat_step, lon_start, lon_step) as stored
+    geometry: tuple
+    #: one CRC-32 per layer (a stack), or one over the whole payload
+    checksums: tuple[int, ...]
+    #: the run's geometry cache (see :func:`_cached_grid`), or None
+    geometries: dict | None
+
+    def read(self, start: int, count: int) -> tuple[GeoGrid, np.ndarray]:
+        """The engine-convention grid, and layers ``start .. start +
+        count`` as float64 ``(count, n_lat, n_lon)`` oriented as the grid
+        is: rows flipped, then columns rolled.
+
+        The payload's length is checked against the sidecar before
+        anything is read, and the grid is built only after that, so a
+        sidecar cannot make the reader allocate more than the payload
+        holds. Only the requested layers are read, and only the CRC-32s
+        that cover them are checked; a whole-payload CRC is only ever
+        read whole. Finiteness is the caller's check (see :func:`_build`).
+        """
+        path = self.path
+        n_lat, n_lon = self.geometry[:2]
+        layer_bytes = self.dtype.itemsize * n_lat * n_lon
+        try:
+            with open(path, "rb") as fh:
+                size = os.fstat(fh.fileno()).st_size
+                n_bytes = layer_bytes * self.n_layers
+                if size != n_bytes:
+                    raise HeaderPayloadShapeMismatch(
+                        f"{path}: payload is {size} bytes, header implies "
+                        f"{n_bytes}")
+                fh.seek(start * layer_bytes)
+                blob = fh.read(count * layer_bytes)
+        except FileNotFoundError:
+            raise InvalidHeader(f"payload missing: {path}") from None
+        except OSError as exc:
+            raise InvalidHeader(f"cannot read payload {path}: {exc}") from exc
+        per_crc = self.n_layers // len(self.checksums)
+        chunk = per_crc * layer_bytes
+        view = memoryview(blob)
+        for i, k in enumerate(range(start // per_crc, (start + count) // per_crc)):
+            if zlib.crc32(view[i * chunk:(i + 1) * chunk]) != self.checksums[k]:
+                where = f" in layer {k}" if len(self.checksums) > 1 else ""
+                raise ChecksumMismatch(f"{path}: CRC-32 mismatch{where}")
+        grid, flip_rows, lon_shift = _cached_grid(self.geometry, path,
+                                                  self.geometries)
+        # an f64le payload is used in place; only f32le is widened (one copy)
+        layers = np.frombuffer(blob, dtype=self.dtype) \
+            .astype(np.float64, copy=False).reshape(count, n_lat, n_lon)
+        if flip_rows:
+            layers = layers[:, ::-1]
+        if lon_shift:
+            layers = np.roll(layers, -lon_shift, axis=2)
+        return grid, layers
+
+
+def _parse_store(path: Path, header: dict, dtype: str, n_layers: int | None,
+                 geometries: dict | None) -> _Store:
+    """Check a loaded sidecar's dtype, geometry and checksums.
+
+    ``n_layers`` is the layer count the magic implies, with one CRC-32
+    over the whole payload; None for a stack, whose sidecar gives
+    ``n_layers`` and one CRC-32 per layer.
     """
-    header = _load_sidecar(path, magic)
     if header.get("dtype") != dtype:
         raise InvalidHeader(f"{path}: unsupported dtype {header.get('dtype')!r}")
     geometry = _grid_header_geometry(header, path)
-    n_layers = 1
-    if day_stacks:
-        if _header_value(header, "n_days", int, path) != DAYS_PER_YEAR:
-            raise InvalidHeader(f"{path}: expected a {DAYS_PER_YEAR}-day axis")
-        n_layers = day_stacks * DAYS_PER_YEAR
-    n_lat, n_lon = geometry[:2]
-    try:
-        blob = path.read_bytes()
-    except FileNotFoundError:
-        raise InvalidHeader(f"payload missing: {path}") from None
-    except OSError as exc:
-        raise InvalidHeader(f"cannot read payload {path}: {exc}") from exc
-    n_bytes = _DTYPES[dtype].itemsize * n_layers * n_lat * n_lon
-    if len(blob) != n_bytes:
-        raise HeaderPayloadShapeMismatch(
-            f"{path}: payload is {len(blob)} bytes, header implies {n_bytes}")
-    if zlib.crc32(blob) != _header_value(header, "checksum", int, path):
-        raise ChecksumMismatch(f"{path}: CRC-32 mismatch")
-    grid, flip_rows, lon_shift = _cached_grid(geometry, path, geometries)
-    # an f64le payload is used in place; only f32le is widened (one copy)
-    layers = np.frombuffer(blob, dtype=_DTYPES[dtype]) \
-        .astype(np.float64, copy=False).reshape(n_layers, n_lat, n_lon)
-    if flip_rows:
-        layers = layers[:, ::-1]
-    if lon_shift:
-        layers = np.roll(layers, -lon_shift, axis=2)
-    return header, grid, layers
+    if n_layers is None:
+        n_layers = _header_value(header, "n_layers", int, path)
+        checksums = header.get("checksums")
+        if n_layers < 1 or not isinstance(checksums, list) \
+                or len(checksums) != n_layers \
+                or not all(type(c) is int for c in checksums):
+            raise InvalidHeader(f"{path}: a stack needs n_layers >= 1 and "
+                                f"one integer CRC-32 per layer")
+    else:
+        checksums = [_header_value(header, "checksum", int, path)]
+    return _Store(path, _DTYPES[dtype], n_layers, geometry, tuple(checksums),
+                  geometries)
+
+
+def _read_store(path: Path, header: dict, dtype: str, n_layers: int,
+                geometries: dict | None) -> tuple[GeoGrid, np.ndarray]:
+    """Grid and every checked, oriented layer of a whole-payload store."""
+    return _parse_store(path, header, dtype, n_layers, geometries) \
+        .read(0, n_layers)
+
+
+def _day_layers(header: dict, path: Path, stacks: int) -> int:
+    """Layer count of ``stacks`` stacked 365-day axes, checked against
+    the sidecar's ``n_days``."""
+    if _header_value(header, "n_days", int, path) != DAYS_PER_YEAR:
+        raise InvalidHeader(f"{path}: expected a {DAYS_PER_YEAR}-day axis")
+    return stacks * DAYS_PER_YEAR
 
 
 def _build(path: Path, cls, *args):
@@ -255,16 +350,20 @@ def write_grid(field: GridField, path: str | os.PathLike) -> Path:
 
     Derived variables (WS10) are never stored.
     """
-    if field.variable.derived:
-        raise WxVerifyError(
-            f"{field.variable.key} is derived; compute it, do not store it")
-    return _write_store(Path(path), GRID_MAGIC, field.grid, field.values,
+    _check_storable(field)
+    return _write_store(Path(path), GRID_MAGIC, field.grid, field.values[None],
                         "f32le", {
                             "variable": field.variable.key,
                             "unit": field.variable.unit,
                             "valid_time": format_time(field.valid_time),
                             "lead_hours": field.lead_hours,
                         })
+
+
+def _check_storable(field: GridField):
+    if field.variable.derived:
+        raise WxVerifyError(
+            f"{field.variable.key} is derived; compute it, do not store it")
 
 
 def read_grid(path: str | os.PathLike, geometries: dict | None = None
@@ -276,10 +375,127 @@ def read_grid(path: str | os.PathLike, geometries: dict | None = None
     validates its own grid.
     """
     path = Path(path)
-    header, grid, layers = _read_store(path, GRID_MAGIC, "f32le", 0, geometries)
+    return _grid_field(path, _load_sidecar(path, GRID_MAGIC), geometries)
+
+
+def _grid_field(path: Path, header: dict, geometries: dict | None
+                ) -> GridField:
+    """The field of an RBGRID1 store whose sidecar is ``header``."""
+    grid, layers = _read_store(path, header, "f32le", 1, geometries)
     return _build(path, GridField, grid, _header_variable(header, path),
                   parse_time(_header_value(header, "valid_time", str, path)),
                   _header_value(header, "lead_hours", int, path), layers[0])
+
+
+def write_stack(fields: Iterable[GridField], path: str | os.PathLike) -> Path:
+    """Write a 6-hourly series of one variable as one RBSTACK1 store.
+
+    Layer k is valid ``6 k`` hours after the first and has lead
+    ``lead_0 + k * lead_step``, where ``lead_step`` is the lead
+    difference of the first two layers: 0 for truth, 6 for a forecast.
+    Every layer shares the first layer's grid and variable; a field that
+    does not continue the series raises :class:`WxVerifyError` and leaves
+    no file behind. ``fields`` is streamed, one layer at a time, so a
+    generator of a year of fields is never held in memory whole. Derived
+    variables (WS10) are never stored.
+    """
+    path = Path(path)
+    fields = iter(fields)
+    first = next(fields, None)
+    if first is None:
+        raise WxVerifyError(f"{path}: a stack needs at least one field")
+    _check_storable(first)
+    extra = {"variable": first.variable.key, "unit": first.variable.unit,
+             "valid_time": format_time(first.valid_time),
+             "time_step_hours": STACK_STEP // timedelta(hours=1),
+             "lead_hours": first.lead_hours, "lead_step_hours": 0}
+
+    def layers():
+        yield first.values
+        for k, field in enumerate(fields, start=1):
+            if k == 1:
+                extra["lead_step_hours"] = field.lead_hours - first.lead_hours
+            if (field.grid != first.grid or field.variable is not first.variable
+                    or field.valid_time != first.valid_time + k * STACK_STEP
+                    or field.lead_hours != first.lead_hours
+                    + k * extra["lead_step_hours"]):
+                raise WxVerifyError(
+                    f"{path}: {field.variable.key} field at "
+                    f"{format_time(field.valid_time)} (lead "
+                    f"{field.lead_hours} h) does not continue the stack as "
+                    f"layer {k}")
+            yield field.values
+    return _write_store(path, STACK_MAGIC, first.grid, layers(), "f32le",
+                        extra, per_layer=True)
+
+
+@dataclass(frozen=True)
+class _Stack:
+    """A parsed RBSTACK1 sidecar: the store, its variable and layer times."""
+
+    store: _Store
+    variable: VariableId
+    first_time: datetime
+    first_lead: int
+    lead_step: int
+
+    @classmethod
+    def parse(cls, path: Path, header: dict, geometries: dict | None
+              ) -> "_Stack":
+        store = _parse_store(path, header, "f32le", None, geometries)
+        if _header_value(header, "time_step_hours", int, path) != \
+                STACK_STEP // timedelta(hours=1):
+            raise InvalidHeader(f"{path}: unsupported time_step_hours "
+                                f"{header['time_step_hours']!r}")
+        first_time = parse_time(_header_value(header, "valid_time", str, path))
+        try:
+            first_time + (store.n_layers - 1) * STACK_STEP
+        except OverflowError as exc:
+            raise InvalidHeader(f"{path}: layer times run past year 9999") \
+                from exc
+        return cls(store, _header_variable(header, path), first_time,
+                   _header_value(header, "lead_hours", int, path),
+                   _header_value(header, "lead_step_hours", int, path))
+
+    def index(self, when: datetime) -> int:
+        """The layer valid at ``when``; a time the stack does not hold
+        raises :class:`ManifestError` naming the store and the time."""
+        k, rest = divmod(when - self.first_time, STACK_STEP)
+        if rest or not 0 <= k < self.store.n_layers:
+            raise ManifestError(
+                f"{self.store.path} holds no layer valid at "
+                f"{format_time(when)}: its {self.store.n_layers} layers "
+                f"start at {format_time(self.first_time)}, every 6 h")
+        return k
+
+    def fields(self, start: int, count: int) -> list[GridField]:
+        """Layers ``start .. start + count`` as fields, in one read."""
+        path = self.store.path
+        grid, layers = self.store.read(start, count)
+        return [_build(path, GridField, grid, self.variable,
+                       self.first_time + k * STACK_STEP,
+                       self.first_lead + k * self.lead_step, layers[i])
+                for i, k in enumerate(range(start, start + count))]
+
+    def field_at(self, when: datetime, lead_hours: int | None) -> GridField:
+        """The layer valid at ``when``; with ``lead_hours``, it must carry
+        that lead."""
+        k = self.index(when)
+        lead = self.first_lead + k * self.lead_step
+        if lead_hours is not None and lead != lead_hours:
+            raise ManifestError(
+                f"{self.store.path}: the layer valid at {format_time(when)} "
+                f"has lead {lead} h, not {lead_hours} h")
+        return self.fields(k, 1)[0]
+
+
+def read_stack(path: str | os.PathLike, geometries: dict | None = None
+               ) -> list[GridField]:
+    """Every layer of a store written by :func:`write_stack`, in one read;
+    the round trip is lossless."""
+    path = Path(path)
+    stack = _Stack.parse(path, _load_sidecar(path, STACK_MAGIC), geometries)
+    return stack.fields(0, stack.store.n_layers)
 
 
 def write_thresholds(thresholds: ThresholdField, grid: GeoGrid,
@@ -304,8 +520,9 @@ def read_thresholds(path: str | os.PathLike, geometries: dict | None = None
     """Thresholds written by :func:`write_thresholds` and their grid; the
     location axis is the row-major flattening of that grid."""
     path = Path(path)
-    header, grid, layers = _read_store(path, THRESH_MAGIC, "f32le", 2,
-                                       geometries)
+    header = _load_sidecar(path, THRESH_MAGIC)
+    grid, layers = _read_store(path, header, "f32le",
+                               _day_layers(header, path, 2), geometries)
     heat, cold = layers.reshape(2, DAYS_PER_YEAR, grid.n_lat * grid.n_lon)
     thresholds = _build(path, ThresholdField, heat, cold,
                         tuple(_header_value(header, "years", list, path)),
@@ -332,7 +549,9 @@ def read_daily_climatology(path: str | os.PathLike,
                            ) -> DailyMeanClimatology:
     """A climatology written by :func:`write_daily_climatology`."""
     path = Path(path)
-    header, grid, layers = _read_store(path, CLIM_MAGIC, "f64le", 1, geometries)
+    header = _load_sidecar(path, CLIM_MAGIC)
+    grid, layers = _read_store(path, header, "f64le",
+                               _day_layers(header, path, 1), geometries)
     return _build(path, DailyMeanClimatology, grid,
                   _header_variable(header, path), layers,
                   tuple(_header_value(header, "years", list, path)))
@@ -442,24 +661,14 @@ def read_station_csvs(meta_path: str | os.PathLike, obs_path: str | os.PathLike,
     """
     meta_path, obs_path = Path(meta_path), Path(obs_path)
     stations: list[Station] = []
-    try:
-        with open(meta_path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or \
-                    [c.strip() for c in reader.fieldnames] != _STATION_META_COLUMNS:
-                raise InvalidHeader(
-                    f"{meta_path}: expected columns {','.join(_STATION_META_COLUMNS)}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    stations.append(Station(
-                        station_id=row["id"].strip(),
-                        lat=float(row["lat"]),
-                        lon=float(row["lon"]) % 360.0,
-                        elevation_m=float(row["elev_m"])))
-                except (TypeError, ValueError, AttributeError) as exc:
-                    raise InvalidHeader(f"{meta_path}:{lineno}: bad row: {exc}") from exc
-    except OSError as exc:
-        raise InvalidHeader(f"cannot read {meta_path}: {exc}") from exc
+    for lineno, row in _csv_rows(meta_path, _STATION_META_COLUMNS):
+        try:
+            stations.append(Station(station_id=row[0].strip(),
+                                    lat=float(row[1]),
+                                    lon=float(row[2]) % 360.0,
+                                    elevation_m=float(row[3])))
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise InvalidHeader(f"{meta_path}:{lineno}: bad row: {exc}") from exc
     index = {s.station_id: si for si, s in enumerate(stations)}
     if len(index) != len(stations):
         raise InvalidHeader(f"{meta_path}: duplicate station ids")
@@ -471,52 +680,38 @@ def read_station_csvs(meta_path: str | os.PathLike, obs_path: str | os.PathLike,
     columns: dict[VariableId, tuple[str, list, list, list]] = {}
     spellings: dict[str, tuple[str, list, list, list]] = {}
     seen: set[tuple[int, int, str]] = set()
-    try:
-        with open(obs_path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or \
-                    [c.strip() for c in header] != _STATION_OBS_COLUMNS:
-                raise InvalidHeader(
-                    f"{obs_path}: expected columns {','.join(_STATION_OBS_COLUMNS)}")
-            lineno = 1  # data rows count from 2; blank rows are skipped, uncounted
-            for row in reader:
-                if not row:
-                    continue
-                lineno += 1
-                if len(row) < 4:
-                    row += [None] * (4 - len(row))
-                try:
-                    sid = row[0].strip()
-                    parsed = parsed_times.get(row[1])
-                    if parsed is None:
-                        when = parse_time(row[1])
-                        parsed = parsed_times[row[1]] = (
-                            when, epoch_microseconds(when))
-                    column = spellings.get(row[2])
-                    if column is None:
-                        variable = VariableId.from_key(row[2].strip())
-                        column = spellings[row[2]] = columns.setdefault(
-                            variable, (variable.key, [], [], []))
-                    value = float(row[3])
-                except (TypeError, ValueError, AttributeError) as exc:
-                    raise InvalidHeader(f"{obs_path}:{lineno}: bad row: {exc}") from exc
-                si = index.get(sid)
-                if si is None:
-                    raise UnknownStation(f"{obs_path}:{lineno}: station {sid!r} "
-                                         f"not in {meta_path.name}")
-                var_key, sites, times_us, values = column
-                key = (si, parsed[1], var_key)
-                if key in seen:
-                    raise DuplicateObservation(
-                        f"{obs_path}:{lineno}: duplicate observation "
-                        f"({sid}, {format_time(parsed[0])}, {var_key})")
-                seen.add(key)
-                sites.append(si)
-                times_us.append(parsed[1])
-                values.append(value)
-    except OSError as exc:
-        raise InvalidHeader(f"cannot read {obs_path}: {exc}") from exc
+    for lineno, row in _csv_rows(obs_path, _STATION_OBS_COLUMNS):
+        try:
+            sid = row[0].strip()
+            parsed = parsed_times.get(row[1])
+            if parsed is None:
+                when = parse_time(row[1])
+                parsed = parsed_times[row[1]] = (when, epoch_microseconds(when))
+            column = spellings.get(row[2])
+            if column is None:
+                variable = VariableId.from_key(row[2].strip())
+                column = spellings[row[2]] = columns.setdefault(
+                    variable, (variable.key, [], [], []))
+            value = float(row[3])
+        except (TypeError, ValueError, AttributeError) as exc:
+            raise InvalidHeader(f"{obs_path}:{lineno}: bad row: {exc}") from exc
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"{obs_path}:{lineno}: non-finite value "
+                                 f"{row[3].strip()!r}")
+        si = index.get(sid)
+        if si is None:
+            raise UnknownStation(f"{obs_path}:{lineno}: station {sid!r} "
+                                 f"not in {meta_path.name}")
+        var_key, sites, times_us, values = column
+        key = (si, parsed[1], var_key)
+        if key in seen:
+            raise DuplicateObservation(
+                f"{obs_path}:{lineno}: duplicate observation "
+                f"({sid}, {format_time(parsed[0])}, {var_key})")
+        seen.add(key)
+        sites.append(si)
+        times_us.append(parsed[1])
+        values.append(value)
 
     if times is None:
         if not parsed_times:
@@ -525,9 +720,42 @@ def read_station_csvs(meta_path: str | os.PathLike, obs_path: str | os.PathLike,
             stamps = [when for when, _ in parsed_times.values()]
             times = six_hour_times(min(stamps) - timedelta(minutes=15),
                                    max(stamps) + timedelta(minutes=15))
-    return table_from_columns(
-        stations, {variable: column[1:] for variable, column in columns.items()},
-        list(times))
+    times = list(times)
+    try:
+        return table_from_columns(
+            stations,
+            {variable: column[1:] for variable, column in columns.items()},
+            times)
+    except WindowOverflow as exc:
+        raise NonFiniteValue(
+            f"{obs_path}: the mean of the records of station "
+            f"{stations[exc.station_index].station_id} within 15 min of "
+            f"{format_time(times[exc.time_index])} is beyond the float "
+            f"range") from exc
+
+
+def _csv_rows(path: Path, columns: list[str]):
+    """(line number, row) of every data row of a CSV whose header, with
+    spaces stripped, is ``columns``. Rows are read by position and padded
+    with None to the header's width; data rows count from line 2, and
+    blank rows are skipped and not counted."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [c.strip() for c in header] != columns:
+                raise InvalidHeader(
+                    f"{path}: expected columns {','.join(columns)}")
+            lineno = 1
+            for row in reader:
+                if not row:
+                    continue
+                lineno += 1
+                if len(row) < len(columns):
+                    row += [None] * (len(columns) - len(row))
+                yield lineno, row
+    except OSError as exc:
+        raise InvalidHeader(f"cannot read {path}: {exc}") from exc
 
 
 # --- run manifest ------------------------------------------------------------
@@ -536,9 +764,13 @@ def read_station_csvs(meta_path: str | os.PathLike, obs_path: str | os.PathLike,
 class RunManifest:
     """Evaluation run description: inputs, models, leads, and regions.
 
-    Patterns are formatted with ``variable`` (key string), ``time`` /
-    ``init`` (compact UTC, %Y%m%d%H), and ``lead`` (int hours), then
-    resolved against the manifest directory.
+    Patterns are formatted with ``variable`` (key string), ``time``
+    (the valid time, compact UTC %Y%m%d%H), ``year`` (of the valid
+    time), and for model patterns ``init`` (compact UTC) and ``lead``
+    (int hours), then resolved against the manifest directory. A
+    pattern may leave a key out: ``truth/{variable}/{year}.rbs`` names
+    one RBSTACK1 store per truth year, ``{time}`` one RBGRID1 file per
+    field.
     """
 
     path: Path
@@ -578,13 +810,13 @@ class RunManifest:
 
     def truth_path(self, variable: VariableId, when: datetime) -> Path:
         return self._fmt(self.truth_pattern, variable=variable.key,
-                         time=when.astimezone(timezone.utc).strftime("%Y%m%d%H"))
+                         **_valid_time_keys(when))
 
     def model_path(self, model: str, init: datetime, variable: VariableId,
                    lead_hours: int) -> Path:
         return self._fmt(self.models[model], variable=variable.key,
-                         init=init.astimezone(timezone.utc).strftime("%Y%m%d%H"),
-                         lead=lead_hours)
+                         init=_compact(init), lead=lead_hours,
+                         **_valid_time_keys(init + timedelta(hours=lead_hours)))
 
     def climatology_path(self, variable: VariableId) -> Path:
         if self.climatology_pattern is None:
@@ -595,18 +827,31 @@ class RunManifest:
         if self.history_pattern is None:
             raise ManifestError("manifest declares no history")
         return self._fmt(self.history_pattern, variable=variable.key,
-                         time=when.astimezone(timezone.utc).strftime("%Y%m%d%H"))
+                         **_valid_time_keys(when))
+
+
+def _compact(when: datetime) -> str:
+    return when.astimezone(timezone.utc).strftime("%Y%m%d%H")
+
+
+def _valid_time_keys(when: datetime) -> dict:
+    return {"time": _compact(when), "year": when.astimezone(timezone.utc).year}
 
 
 class FieldSource:
     """The one way a run reads the stored arrays its manifest names.
 
     A command creates one per run. Every read goes through the
-    module-level readers (:func:`read_grid`, :func:`read_thresholds`,
-    :func:`read_daily_climatology`) with a geometry cache held here, so
-    a :class:`GeoGrid` is built and validated once per distinct sidecar
+    module-level codec with a geometry cache held here, so a
+    :class:`GeoGrid` is built and validated once per distinct sidecar
     geometry instead of once per file; fields, thresholds and
-    climatologies that share a geometry share one grid object. Safe to
+    climatologies that share a geometry share one grid object.
+
+    A truth, model or history path may name either layout; the magic of
+    its sidecar decides. An RBGRID1 file is the one field it holds. An
+    RBSTACK1 store holds a 6-hourly series, and the layer valid at the
+    requested time is read with one seek: its sidecar is parsed once per
+    run and kept here, and only that layer's CRC-32 is checked. Safe to
     share between threads. Derived WS10 is computed from U10 and V10
     here and nowhere else.
     """
@@ -615,30 +860,60 @@ class FieldSource:
         self.manifest = manifest
         # geometry key -> (GeoGrid, flip_rows, lon_shift); see _cached_grid
         self._geometries: dict[tuple, tuple[GeoGrid, bool, int]] = {}
+        # store path -> its parsed RBSTACK1 sidecar
+        self._stacks: dict[Path, _Stack] = {}
 
     def read(self, path: str | os.PathLike) -> GridField:
         return read_grid(path, self._geometries)
 
-    def _field(self, path_of, variable: VariableId) -> GridField:
+    def _resolve(self, path: Path) -> _Stack | dict:
+        """The parsed stack at ``path``, or the sidecar of the RBGRID1
+        field there."""
+        stack = self._stacks.get(path)
+        if stack is not None:
+            return stack
+        header = _load_sidecar(path, GRID_MAGIC, STACK_MAGIC)
+        if header["magic"] == GRID_MAGIC:
+            return header
+        return self._stacks.setdefault(
+            path, _Stack.parse(path, header, self._geometries))
+
+    def _at(self, path: Path, when: datetime, lead_hours: int | None
+            ) -> GridField:
+        found = self._resolve(path)
+        if isinstance(found, _Stack):
+            return found.field_at(when, lead_hours)
+        return _grid_field(path, found, self._geometries)
+
+    def _field(self, path_of, variable: VariableId, when: datetime,
+               lead_hours: int | None) -> GridField:
         if variable.derived:
-            return derive_wind_speed(self.read(path_of(VariableId.U10)),
-                                     self.read(path_of(VariableId.V10)))
-        return self.read(path_of(variable))
+            return derive_wind_speed(
+                self._at(path_of(VariableId.U10), when, lead_hours),
+                self._at(path_of(VariableId.V10), when, lead_hours))
+        return self._at(path_of(variable), when, lead_hours)
 
     def truth(self, variable: VariableId, when: datetime) -> GridField:
         return self._field(lambda v: self.manifest.truth_path(v, when),
-                           variable)
+                           variable, when, None)
 
     def model(self, name: str, init: datetime, variable: VariableId,
               lead_hours: int) -> GridField:
         return self._field(
             lambda v: self.manifest.model_path(name, init, v, lead_hours),
-            variable)
+            variable, init + timedelta(hours=lead_hours), lead_hours)
 
     def history(self, variable: VariableId, year: int) -> list[GridField]:
-        """Every 6-hourly history field of one calendar year."""
+        """Every 6-hourly history field of one calendar year; from an
+        RBSTACK1 store in one read."""
+        times = year_times(year)
+        found = self._resolve(self.manifest.history_path(variable, times[0]))
+        if isinstance(found, _Stack):
+            start = found.index(times[0])
+            found.index(times[-1])  # the whole year is in the stack
+            return found.fields(start, len(times))
         return [self.read(self.manifest.history_path(variable, when))
-                for when in year_times(year)]
+                for when in times]
 
     def climatologies(self) -> dict[VariableId, DailyMeanClimatology]:
         """Daily-mean climatology of each stored variable; empty when the

@@ -133,6 +133,12 @@ class StationTable:
     def variable_index(self, variable: VariableId) -> int:
         return self.variables.index(variable)
 
+    def select(self, variables: Sequence[VariableId]) -> "StationTable":
+        """The table of ``variables`` only, in that order."""
+        rows = [self.variable_index(v) for v in variables]
+        return StationTable(self.stations, self.times, tuple(variables),
+                            self.values[rows], self.flags[rows])
+
     def time_index(self, when: datetime) -> int:
         return self.times.index(when)
 
@@ -140,6 +146,20 @@ class StationTable:
 def epoch_microseconds(when: datetime) -> int:
     """Exact integer microseconds of an aware ``when`` since the Unix epoch."""
     return (when - _EPOCH) // _MICROSECOND
+
+
+class WindowOverflow(OverflowError):
+    """The exact mean of one window's records is beyond the float range.
+
+    ``time_index`` and ``station_index`` locate the window among the
+    targets and stations it was averaged for.
+    """
+
+    def __init__(self, time_index: int, station_index: int):
+        super().__init__(f"window mean of station {station_index} at "
+                         f"target {time_index} is beyond the float range")
+        self.time_index = time_index
+        self.station_index = station_index
 
 
 def _window_means(station: Sequence[int], when_us: Sequence[int],
@@ -151,6 +171,8 @@ def _window_means(station: Sequence[int], when_us: Sequence[int],
     ``when_us[k]`` and carries ``value[k]``; times share one integer
     microsecond scale with ``targets_us``. Returns ``(means, counts)``,
     shaped (n_targets, n_stations); ``means`` is NaN where the count is 0.
+    A window whose exact mean is beyond the float range raises
+    :class:`WindowOverflow`.
     """
     station = np.asarray(station, dtype=np.int64)
     when_us = np.asarray(when_us, dtype=np.int64)
@@ -175,7 +197,11 @@ def _window_means(station: Sequence[int], when_us: Sequence[int],
     # fsum([x]) / 1 is x itself, except that fsum turns -0.0 into 0.0
     means[single] = value[start[single]] + 0.0
     for ti, si in zip(*np.nonzero(counts > 1)):
-        means[ti, si] = _exact_mean(value[start[ti, si]:stop[ti, si]].tolist())
+        try:
+            means[ti, si] = _exact_mean(
+                value[start[ti, si]:stop[ti, si]].tolist())
+        except OverflowError as exc:
+            raise WindowOverflow(int(ti), int(si)) from exc
     return means, counts
 
 

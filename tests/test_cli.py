@@ -159,7 +159,7 @@ class TestEvaluate:
 
     def test_missing_model_file_exit_2_names_path(self, evaluate_run, tmp_path,
                                                   capsys):
-        victim = evaluate_run / "models/perfect/2025070100/t2m/006.rbg"
+        victim = evaluate_run / "models/perfect/2025070100/t2m.rbs"
         blob = victim.read_bytes()
         victim.unlink()
         try:
@@ -169,10 +169,10 @@ class TestEvaluate:
         finally:
             victim.write_bytes(blob)
         assert rc == 2
-        assert "006.rbg" in capsys.readouterr().err
+        assert "t2m.rbs" in capsys.readouterr().err
 
     @pytest.mark.parametrize("victim", [
-        "truth/t2m/2025070100.rbg.json", "truth/t2m/2025070100.rbg",
+        "truth/t2m/2025.rbs.json", "truth/t2m/2025.rbs",
         "clim/msl.rbc.json", "clim/msl.rbc"])
     def test_directory_in_place_of_a_file_is_exit_2(self, evaluate_run,
                                                      victim, tmp_path, capsys):
@@ -189,6 +189,39 @@ class TestEvaluate:
             aside.rename(victim)
         assert rc == 2
         assert str(victim) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault, expected", [
+        ("late-start", "holds no layer valid at 2025-07-01T00:00:00Z"),
+        ("truncated", "payload is"),
+        ("flipped-byte", "CRC-32 mismatch in layer 728"),
+    ])
+    def test_broken_truth_stack_is_exit_2(self, evaluate_run, fault, expected,
+                                          tmp_path, capsys):
+        victim = evaluate_run / "truth/t2m/2025.rbs"
+        sidecar = victim.with_name(victim.name + ".json")
+        saved = {p: p.read_bytes() for p in (victim, sidecar)}
+        if fault == "late-start":  # the stack now starts on 2025-07-20
+            header = json.loads(saved[sidecar])
+            start = fileio.parse_time(header["valid_time"])
+            header["valid_time"] = fileio.format_time(start + timedelta(days=200))
+            sidecar.write_text(json.dumps(header))
+        elif fault == "truncated":
+            victim.write_bytes(saved[victim][:-4])
+        else:  # one byte of layer 728, valid at 2025-07-02T00Z
+            blob = bytearray(saved[victim])
+            blob[728 * 4 * 15 * 16] ^= 0xFF
+            victim.write_bytes(bytes(blob))
+        try:
+            rc = run_cli("evaluate", "--manifest",
+                         evaluate_run / "manifest.json",
+                         "--out", tmp_path / "out")
+        finally:
+            for path, blob in saved.items():
+                path.write_bytes(blob)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(victim) in err
+        assert expected in err
 
     def test_report_flattens(self, evaluate_run, tmp_path):
         out = tmp_path / "out"
@@ -222,6 +255,57 @@ class TestStations:
         lead0 = rows_by(card, "station_scores", model="persistence",
                         lead_hours=0)
         assert all(r["rmse"] == 0.0 for r in lead0)
+
+
+@pytest.fixture(scope="module")
+def wind_run(tmp_path_factory):
+    """A u10/v10/msl run with stations and a built climatology."""
+    root = tmp_path_factory.mktemp("windrun")
+    scenario = root / "scenario.json"
+    processes = {k: v for k, v in EVALUATE_SCENARIO["processes"].items()
+                 if k != "t2m"}
+    scenario.write_text(json.dumps(dict(EVALUATE_SCENARIO,
+                                        processes=processes)))
+    assert run_cli("synth", "--scenario", scenario, "--out", root / "run",
+                   "--inits", "2025-07-01T00:00:00Z", "--max-lead-hours", "12",
+                   "--models", "persistence,perfect", "--stations", "4") == 0
+    assert run_cli("build-climatology",
+                   "--manifest", root / "run/manifest.json") == 0
+    return root / "run"
+
+
+class TestStationInputs:
+    def run_stations(self, run, obs, out):
+        return run_cli("stations", "--manifest", run / "manifest.json",
+                       "--station-meta", run / "stations_meta.csv",
+                       "--station-obs", obs, "--out", out)
+
+    def test_unlisted_variable_is_left_out(self, wind_run, tmp_path):
+        obs = wind_run / "stations_obs.csv"
+        rows = obs.read_text().splitlines()
+        station, when = rows[1].split(",")[:2]
+        extra = tmp_path / "obs.csv"
+        extra.write_text("\n".join(rows + [f"{station},{when},t2m,290.0"])
+                         + "\n")
+        assert self.run_stations(wind_run, obs, tmp_path / "plain") == 0
+        assert self.run_stations(wind_run, extra, tmp_path / "extra") == 0
+        assert (tmp_path / "extra/scorecard.json").read_bytes() == \
+            (tmp_path / "plain/scorecard.json").read_bytes()
+
+    @pytest.mark.parametrize("values", [["nan"], ["inf"], ["-inf"],
+                                        ["1.7e308", "1.7e308"]],
+                             ids=["nan", "inf", "-inf", "window-overflow"])
+    def test_non_finite_input_is_exit_2(self, wind_run, values, tmp_path,
+                                        capsys):
+        rows = (wind_run / "stations_obs.csv").read_text().splitlines()
+        station = rows[1].split(",")[0]
+        obs = tmp_path / "obs.csv"
+        times = ["2025-07-01T05:50:00Z", "2025-07-01T06:10:00Z"]
+        obs.write_text("\n".join(rows + [
+            f"{station},{when},msl,{value}"
+            for when, value in zip(times, values)]) + "\n")
+        assert self.run_stations(wind_run, obs, tmp_path / "out") == 2
+        assert str(obs) in capsys.readouterr().err
 
 
 class TestRegions:
@@ -332,6 +416,41 @@ class TestExtremes:
         assert rc == 2
 
 
+class TestStackReads:
+    def test_evaluate_parses_each_sidecar_once(self, evaluate_run, tmp_path,
+                                               monkeypatch):
+        loads = []
+        real_load = fileio._load_sidecar
+        monkeypatch.setattr(fileio, "_load_sidecar", lambda path, *magics:
+                            loads.append(path) or real_load(path, *magics))
+        assert run_cli("evaluate", "--manifest",
+                       evaluate_run / "manifest.json",
+                       "--out", tmp_path / "out") == 0
+        assert any(path.suffix == ".rbs" for path in loads)
+        assert len(loads) == len(set(loads))
+
+    @pytest.mark.parametrize("command", ["build-climatology", "extremes"])
+    def test_each_history_year_is_one_read(self, extremes_run, command,
+                                           tmp_path, monkeypatch):
+        doc = json.loads((extremes_run / "manifest.json").read_text())
+        del doc["climatology"]["thresholds_path"]  # extremes builds them
+        manifest = extremes_run / "manifest_no_thresholds.json"
+        manifest.write_text(json.dumps(doc))
+        reads = []
+        real_read = fileio._Store.read
+        monkeypatch.setattr(fileio._Store, "read", lambda store, start, count:
+                            reads.append((store.path, start, count))
+                            or real_read(store, start, count))
+        argv = [command, "--manifest", manifest]
+        if command == "extremes":
+            argv += ["--out", tmp_path / "out", "--lead-days", "1"]
+        assert run_cli(*argv) == 0
+        history = {extremes_run / f"truth/t2m/{year}.rbs": n_times
+                   for year, n_times in ((2023, 1460), (2024, 1464))}
+        assert [read for read in reads if read[0] in history] == \
+            [(path, 0, n_times) for path, n_times in history.items()]
+
+
 @pytest.fixture(scope="module")
 def noisy_extremes_run(tmp_path_factory):
     """The extremes scenario with red noise, so that some locations have
@@ -366,33 +485,33 @@ class TestExtremesReference:
         card = load_card(out)
 
         manifest = fileio.load_manifest(manifest_path)
+        source = fileio.FieldSource(manifest)
         thresholds, grid = fileio.read_thresholds(manifest.thresholds_file)
         masks = {"global": _region_mask(grid, None).reshape(-1),
                  "box": _region_mask(grid, box).reshape(-1)}
 
-        def series(paths_per_day, kind):
+        def series(fields_per_day, kind):
             reduce = np.max if kind is EventKind.HEATWAVE else np.min
             return np.stack([
-                reduce([fileio.read_grid(p).values for p in paths], axis=0)
-                .reshape(-1) for paths in paths_per_day])
+                reduce([f.values for f in fields], axis=0).reshape(-1)
+                for fields in fields_per_day])
 
         sides_in_box = {"both": set(), "pred": set(), "truth": set()}
         for d in lead_days:
             days = [init + timedelta(days=d - 1)
                     for init in manifest.init_times]
             rows = [calendar_day_index(day) for day in days]
-            truth_paths = [[manifest.truth_path(VariableId.T2M,
-                                                day + timedelta(hours=h))
-                            for h in SYNOPTIC_HOURS] for day in days]
+            truth = [[source.truth(VariableId.T2M, day + timedelta(hours=h))
+                      for h in SYNOPTIC_HOURS] for day in days]
             for model in manifest.models:
-                fc_paths = [[manifest.model_path(model, init, VariableId.T2M,
-                                                 24 * (d - 1) + h)
+                forecast = [[source.model(model, init, VariableId.T2M,
+                                          24 * (d - 1) + h)
                              for h in SYNOPTIC_HOURS]
                             for init in manifest.init_times]
                 for kind, tau in ((EventKind.HEATWAVE, thresholds.tau_heat),
                                   (EventKind.COLDSURGE, thresholds.tau_cold)):
                     counts = oracles.event_counts_per_location(
-                        series(truth_paths, kind), series(fc_paths, kind),
+                        series(truth, kind), series(forecast, kind),
                         tau[rows, :], kind, 0.5)
                     for region, mask in masks.items():
                         expected = tuple(

@@ -41,6 +41,16 @@ def write_threshold_store(rng, grid, path):
         ThresholdField(heat, heat - 10.0, (2019, 2020), 7, 0.9, 0.1), grid, path)
 
 
+#: Valid times of the stack store's layers.
+STACK_TIMES = [T0 + k * timedelta(hours=6) for k in range(3)]
+
+
+def write_stack_store(rng, grid, path):
+    return fileio.write_stack(
+        (f32_field(rng, grid, variable=VariableId.MSL, valid_time=when)
+         for when in STACK_TIMES), path)
+
+
 def write_climatology_store(rng, grid, path):
     day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, *grid.shape))
     return fileio.write_daily_climatology(
@@ -73,19 +83,27 @@ STORES = {
                          "<f8", lambda m: m.climatology_path(VariableId.T2M),
                          lambda s: s.climatologies()[VariableId.T2M],
                          lambda c: (c.grid, [c.day_mean])),
+    "stack": Store(write_stack_store, fileio.read_stack, "<f4",
+                   lambda m: m.truth_path(VariableId.MSL, STACK_TIMES[-1]),
+                   lambda s: s.truth(VariableId.MSL, STACK_TIMES[-1]),
+                   lambda fields: (fields[0].grid, [f.values for f in fields])),
 }
 
 
 def rewrite_store(path, dtype, edit_payload, **header_changes):
     """Rewrite a store in place: ``edit_payload`` maps the payload, as a
-    (layers, n_lat, n_lon) array, to new contents; the checksum follows."""
+    (layers, n_lat, n_lon) array, to new contents; the checksums follow."""
     sidecar = path.with_name(path.name + ".json")
     header = json.loads(sidecar.read_text())
     layers = np.frombuffer(path.read_bytes(), dtype=dtype).reshape(
         -1, header["n_lat"], header["n_lon"])
-    blob = np.ascontiguousarray(edit_payload(layers.copy()),
-                                dtype=dtype).tobytes()
-    header.update(header_changes, checksum=zlib.crc32(blob))
+    edited = np.ascontiguousarray(edit_payload(layers.copy()), dtype=dtype)
+    blob = edited.tobytes()
+    if "checksums" in header:  # a stack: one CRC-32 per layer
+        header.update(header_changes, checksums=[
+            zlib.crc32(layer.tobytes()) for layer in edited])
+    else:
+        header.update(header_changes, checksum=zlib.crc32(blob))
     path.write_bytes(blob)
     sidecar.write_text(json.dumps(header))
 
@@ -418,6 +436,45 @@ class TestStationCsvs:
             fileio.read_station_csvs(tmp_path / "meta.csv",
                                      tmp_path / "obs.csv")
 
+    def test_metadata_header_with_spaces(self, tmp_path):
+        (tmp_path / "obs.csv").write_text(STATION_OBS)
+        tables = []
+        for name, header in (("plain.csv", "id,lat,lon,elev_m"),
+                             ("spaced.csv", "id, lat,lon , elev_m")):
+            (tmp_path / name).write_text(
+                STATION_META.replace("id,lat,lon,elev_m", header))
+            tables.append(fileio.read_station_csvs(tmp_path / name,
+                                                   tmp_path / "obs.csv"))
+        plain, spaced = tables
+        assert spaced.stations == plain.stations
+        assert (spaced.times, spaced.variables) == (plain.times,
+                                                    plain.variables)
+        assert spaced.values.tobytes() == plain.values.tobytes()
+        assert spaced.flags.tobytes() == plain.flags.tobytes()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", " NaN"])
+    def test_non_finite_value_names_path_and_line(self, value, tmp_path):
+        (tmp_path / "meta.csv").write_text(STATION_META)
+        obs = tmp_path / "obs.csv"
+        obs.write_text(STATION_OBS + f"S2,2025-07-01T06:00:00Z,t2m,{value}\n")
+        with pytest.raises(NonFiniteValue) as err:
+            fileio.read_station_csvs(tmp_path / "meta.csv", obs)
+        line = STATION_OBS.count("\n") + 1
+        assert str(err.value) == \
+            f"{obs}:{line}: non-finite value {value.strip()!r}"
+
+    def test_window_mean_beyond_float_range_names_station_and_time(
+            self, tmp_path):
+        (tmp_path / "meta.csv").write_text(STATION_META)
+        obs = tmp_path / "obs.csv"
+        obs.write_text(STATION_OBS + "S2,2025-07-01T05:50:00Z,msl,1.7e308\n"
+                       "S2,2025-07-01T06:10:00Z,msl,1.7e308\n")
+        with pytest.raises(NonFiniteValue) as err:
+            fileio.read_station_csvs(tmp_path / "meta.csv", obs)
+        assert str(err.value) == (
+            f"{obs}: the mean of the records of station S2 within 15 min "
+            f"of 2025-07-01T06:00:00Z is beyond the float range")
+
     # Each faulty row, in any order after the valid rows, with its error.
     # The time and variable strings repeat earlier rows, so they are
     # served from the reader's parse caches.
@@ -673,10 +730,12 @@ class TestFieldSource:
                 truth = source.truth(VariableId.T2M, T0)
             clim = source.climatologies()[VariableId.T2M]
             _, threshold_grid = source.thresholds()
+            stack_layer = STORES["stack"].read_via(source)
             if not field_first:
                 truth = source.truth(VariableId.T2M, T0)
             assert clim.grid is truth.grid
             assert threshold_grid is truth.grid
+            assert stack_layer.grid is truth.grid
 
     def test_thresholds_absent_is_none(self, tmp_path):
         assert fileio.FieldSource(grid_manifest(tmp_path)).thresholds() is None
@@ -729,3 +788,221 @@ class TestFieldSource:
             assert ws.variable is VariableId.WS10
             assert np.array_equal(ws.values, np.hypot(u.values, v.values))
             assert u.grid is v.grid is ws.grid
+
+
+def write_raw_stack(path, layers, geometry, first_time=T0, variable="t2m"):
+    """An RBSTACK1 store of truth layers, in any orientation the format
+    allows."""
+    n_lat, n_lon, lat_start, lat_step, lon_start, lon_step = geometry
+    blobs = [np.ascontiguousarray(v, dtype="<f4").tobytes() for v in layers]
+    header = {"magic": fileio.STACK_MAGIC, "variable": variable, "unit": "K",
+              "valid_time": fileio.format_time(first_time),
+              "time_step_hours": 6, "lead_hours": 0, "lead_step_hours": 0,
+              "n_layers": len(blobs),
+              "checksums": [zlib.crc32(b) for b in blobs],
+              "n_lat": n_lat, "n_lon": n_lon, "lat_start": lat_start,
+              "lat_step": lat_step, "lon_start": lon_start,
+              "lon_step": lon_step, "dtype": "f32le"}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"".join(blobs))
+    path.with_name(path.name + ".json").write_text(json.dumps(header))
+    return path
+
+
+def stack_manifest(root, max_lead=12):
+    """A manifest of stacks: truth ``s/{variable}/{year}.rbs``, models
+    ``m/{init}/{variable}.rbs`` and ``one/{variable}.rbs`` (one stack for
+    every init), and history in the truth stacks."""
+    doc = {"variables": ["t2m"], "init_times": [fileio.format_time(T0)],
+           "max_lead_hours": max_lead,
+           "truth_pattern": "s/{variable}/{year}.rbs",
+           "models": {"m": "m/{init}/{variable}.rbs",
+                      "one-run": "one/{variable}.rbs"},
+           "climatology": {"daily_mean_pattern": "clim/{variable}.rbc",
+                           "history_pattern": "s/{variable}/{year}.rbs",
+                           "history_years": [T0.year]}}
+    path = root / "manifest.json"
+    path.write_text(json.dumps(doc))
+    return fileio.load_manifest(path, require=())
+
+
+def times_from(first, n):
+    return [first + k * fileio.STACK_STEP for k in range(n)]
+
+
+class TestStacks:
+    @given(geometry=uniform_geometries(), n_layers=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_layer_k_equals_the_grid_read_of_its_field(
+            self, tmp_path_factory, geometry, n_layers, seed):
+        root = tmp_path_factory.mktemp("stack")
+        rng = np.random.default_rng(seed)
+        values = rng.standard_normal((n_layers, *geometry[:2]))
+        times = times_from(T0, n_layers)
+        source = fileio.FieldSource(stack_manifest(root))
+        stack = write_raw_stack(source.manifest.truth_path(VariableId.T2M, T0),
+                                values, geometry)
+        whole, whole_err = outcome(lambda: fileio.read_stack(stack))
+        for k, when in enumerate(times):
+            path = write_raw_grid(root / f"g{k}.rbg", values[k], geometry, when)
+            fresh, fresh_err = outcome(lambda: fileio.read_grid(path))
+            layer, layer_err = outcome(lambda: source.truth(VariableId.T2M,
+                                                            when))
+            if fresh_err is not None:
+                assert type(layer_err) is type(fresh_err)
+                assert type(whole_err) is type(fresh_err)
+                continue
+            for got in (layer, whole[k]):
+                assert got.grid == fresh.grid
+                assert got.values.tobytes() == fresh.values.tobytes()
+                assert (got.variable, got.valid_time, got.lead_hours) == \
+                    (fresh.variable, fresh.valid_time, fresh.lead_hours)
+            assert layer.grid is source.read(path).grid
+        if whole_err is None:
+            # rewriting what was read gives the same fields back, or fails
+            # as writing its first field alone does (a regional grid across
+            # 0E is not uniform in the engine convention)
+            written, err = outcome(lambda: fileio.write_stack(
+                whole, root / "again.rbs"))
+            _, grid_err = outcome(lambda: fileio.write_grid(
+                whole[0], root / "again.rbg"))
+            assert type(err) is type(grid_err)
+            if err is None:
+                again = fileio.read_stack(written)
+                assert [f.values.tobytes() for f in again] == \
+                    [f.values.tobytes() for f in whole]
+                assert again[0].grid == whole[0].grid
+
+    def test_canonical_serialization(self, rng, tmp_path):
+        fields = [f32_field(rng, make_grid(3, 4), valid_time=when, lead_hours=6 * k)
+                  for k, when in enumerate(times_from(T0, 3))]
+        first = fileio.write_stack(fields, tmp_path / "a.rbs")
+        back = fileio.read_stack(first)
+        assert [f.lead_hours for f in back] == [0, 6, 12]
+        second = fileio.write_stack(iter(back), tmp_path / "b.rbs")
+        assert first.read_bytes() == second.read_bytes()
+        assert (tmp_path / "a.rbs.json").read_bytes() == \
+            (tmp_path / "b.rbs.json").read_bytes()
+        header = json.loads((tmp_path / "a.rbs.json").read_text())
+        assert (header["n_layers"], header["lead_step_hours"],
+                header["time_step_hours"]) == (3, 6, 6)
+
+    def test_flipped_byte_fails_only_when_its_layer_is_read(self, rng,
+                                                            tmp_path):
+        manifest = stack_manifest(tmp_path)
+        times = times_from(T0, 4)
+        path = fileio.write_stack(
+            (f32_field(rng, make_grid(3, 4), valid_time=when)
+             for when in times), manifest.truth_path(VariableId.T2M, T0))
+        blob = path.read_bytes()
+        layer_bytes = len(blob) // len(times)
+        for k in range(len(times)):
+            corrupt = bytearray(blob)
+            corrupt[k * layer_bytes + 5] ^= 0xFF
+            path.write_bytes(bytes(corrupt))
+            source = fileio.FieldSource(manifest)
+            for j, when in enumerate(times):
+                if j != k:
+                    source.truth(VariableId.T2M, when)
+                    continue
+                with pytest.raises(ChecksumMismatch) as err:
+                    source.truth(VariableId.T2M, when)
+                assert str(err.value) == f"{path}: CRC-32 mismatch in layer {k}"
+            with pytest.raises(ChecksumMismatch, match=f"in layer {k}"):
+                fileio.read_stack(path)  # a whole read checks every layer
+
+    def test_time_outside_or_lead_off_the_stack_names_path_and_time(
+            self, rng, tmp_path):
+        manifest = stack_manifest(tmp_path)
+        grid = make_grid(3, 4)
+        fileio.write_stack((f32_field(rng, grid, valid_time=when)
+                            for when in times_from(T0, 3)),
+                           manifest.truth_path(VariableId.T2M, T0))
+        forecast = [f32_field(rng, grid, valid_time=when, lead_hours=6 * k)
+                    for k, when in enumerate(times_from(T0, 2))]
+        model = fileio.write_stack(
+            forecast, manifest.model_path("m", T0, VariableId.T2M, 0))
+        fileio.write_stack(
+            forecast, manifest.model_path("one-run", T0, VariableId.T2M, 0))
+        source = fileio.FieldSource(manifest)
+        path = manifest.truth_path(VariableId.T2M, T0)
+        for when in (T0 - fileio.STACK_STEP, T0 + 3 * fileio.STACK_STEP,
+                     T0 + timedelta(hours=1)):
+            with pytest.raises(ManifestError) as err:
+                source.truth(VariableId.T2M, when)
+            assert str(err.value).startswith(
+                f"{path} holds no layer valid at {fileio.format_time(when)}")
+        assert source.model("m", T0, VariableId.T2M, 6).lead_hours == 6
+        with pytest.raises(ManifestError, match=f"{model} holds no layer"):
+            source.model("m", T0, VariableId.T2M, 12)
+        # a later init resolves to the same store, whose layer valid at
+        # T0 + 6 h has lead 6, not 0
+        with pytest.raises(ManifestError, match="has lead 6 h, not 0 h"):
+            source.model("one-run", T0 + fileio.STACK_STEP, VariableId.T2M, 0)
+
+    @pytest.mark.parametrize("fault", ["time-gap", "other-grid", "lead-step",
+                                       "derived"])
+    def test_writer_rejects_a_broken_series_and_leaves_no_file(
+            self, fault, rng, tmp_path):
+        grid = make_grid(3, 4)
+        fields = [f32_field(rng, grid, valid_time=when)
+                  for when in times_from(T0, 3)]
+        if fault == "time-gap":
+            fields[2] = fields[2].at(T0 + timedelta(hours=18), 0)
+        elif fault == "other-grid":
+            fields[2] = f32_field(rng, make_grid(3, 4, lat_top=50.0),
+                                  valid_time=fields[2].valid_time)
+        elif fault == "lead-step":
+            fields[1] = fields[1].at(fields[1].valid_time, 6)
+        else:
+            fields[0] = make_field(grid, np.ones(grid.shape), VariableId.WS10)
+        path = tmp_path / "s.rbs"
+        with pytest.raises(WxVerifyError):
+            fileio.write_stack(fields, path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_history_year_is_one_read(self, rng, tmp_path, monkeypatch):
+        manifest = stack_manifest(tmp_path)
+        grid = make_grid(2, 3)
+        times = fileio.year_times(T0.year)
+        path = fileio.write_stack((f32_field(rng, grid, valid_time=when)
+                                   for when in times),
+                                  manifest.history_path(VariableId.T2M, T0))
+        reads = []
+        real_read = fileio._Store.read
+        monkeypatch.setattr(fileio._Store, "read", lambda store, start, count:
+                            reads.append((store.path, start, count))
+                            or real_read(store, start, count))
+        fields = fileio.FieldSource(manifest).history(VariableId.T2M,
+                                                      T0.year)
+        assert reads == [(path, 0, len(times))]
+        assert [f.valid_time for f in fields] == times
+        assert fields[-1].values.tobytes() == \
+            fileio.FieldSource(manifest).truth(VariableId.T2M,
+                                               times[-1]).values.tobytes()
+
+    def test_history_year_must_be_whole(self, rng, tmp_path):
+        manifest = stack_manifest(tmp_path)
+        fileio.write_stack((f32_field(rng, make_grid(2, 3), valid_time=when)
+                            for when in times_from(T0, 8)),
+                           manifest.history_path(VariableId.T2M, T0))
+        with pytest.raises(ManifestError, match="holds no layer valid at "
+                                                "2025-01-01T00:00:00Z"):
+            fileio.FieldSource(manifest).history(VariableId.T2M, T0.year)
+
+    def test_sidecar_parsed_once_per_source(self, rng, tmp_path, monkeypatch):
+        manifest = stack_manifest(tmp_path)
+        times = times_from(T0, 5)
+        fileio.write_stack((f32_field(rng, make_grid(3, 4), valid_time=when)
+                            for when in times),
+                           manifest.truth_path(VariableId.T2M, T0))
+        loads = []
+        real_load = fileio._load_sidecar
+        monkeypatch.setattr(fileio, "_load_sidecar", lambda path, *magics:
+                            loads.append(path) or real_load(path, *magics))
+        source = fileio.FieldSource(manifest)
+        for _ in range(2):
+            for when in times:
+                source.truth(VariableId.T2M, when)
+        assert loads == [manifest.truth_path(VariableId.T2M, T0)]
