@@ -156,6 +156,11 @@ def _oriented_grid(geometry: tuple, path: Path) -> tuple[GeoGrid, bool, int]:
     if n_lon > 1 and not np.all(np.diff(lons) > 0):
         lon_shift = int(np.argmin(lons))
         lons = np.roll(lons, -lon_shift)
+    if lon_step > 0 and (lon_shift == 0
+                         or abs(n_lon * lon_step - 360.0) <= 1e-6):
+        # first longitude plus k steps, whatever the stored start: the
+        # form _write_store stores, so a written grid reads back bit for bit
+        lons = lons[0] + lon_step * np.arange(n_lon)
     try:
         grid = GeoGrid(lat_start + lat_step * np.arange(n_lat), lons)
     except ValueError as exc:
@@ -189,6 +194,22 @@ _DTYPES = {"f32le": np.dtype("<f4"), "f64le": np.dtype("<f8")}
 STACK_STEP = timedelta(hours=6)
 
 
+def _stored_step(axis: np.ndarray, single: float) -> float:
+    """The step to store for a uniform grid ``axis`` (``single`` when it
+    has one point): the shortest decimal rounding of its mean step with
+    which ``axis[0] + step * k``, as the reader rebuilds it, gives the axis
+    back bit for bit; the first difference when no rounding does."""
+    if axis.size == 1:
+        return single
+    k = np.arange(axis.size)
+    mean = (axis[-1] - axis[0]) / (axis.size - 1)
+    for digits in range(1, 18):
+        step = float(f"{mean:.{digits}g}")
+        if np.array_equal(axis[0] + step * k, axis):
+            return step
+    return float(axis[1] - axis[0])
+
+
 def _write_store(path: Path, magic: str, grid: GeoGrid, layers, dtype: str,
                  extra: dict, per_layer: bool = False) -> Path:
     """Stream ``layers`` over ``grid`` to a payload, then write a sidecar.
@@ -202,8 +223,8 @@ def _write_store(path: Path, magic: str, grid: GeoGrid, layers, dtype: str,
     """
     if not grid.is_uniform():
         raise NonUniformGrid("file format stores uniformly spaced grids only")
-    lat_step = float(grid.lat_deg[1] - grid.lat_deg[0]) if grid.n_lat > 1 else -1.0
-    lon_step = float(grid.lon_deg[1] - grid.lon_deg[0]) if grid.n_lon > 1 else 1.0
+    lat_step = _stored_step(grid.lat_deg, -1.0)
+    lon_step = _stored_step(grid.lon_deg, 1.0)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     crc, checksums = 0, []
