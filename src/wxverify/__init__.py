@@ -6,48 +6,50 @@ temporal-IoU matching, minimum-pressure tropical-cyclone tracking and
 verification, and a station observation pipeline with reference-field
 quality control - plus a synthetic-data harness that makes every formula
 testable at desk scale.
+
+The names below are imported from their modules on first access, so
+importing the package (or one command of the CLI) loads only the layers
+that are used.
 """
 
 __version__ = "0.1.0"
 
-from .climatology import (DailyHistory, DailyMeanClimatology, ThresholdField,
-                          build_daily_mean_climatology, build_thresholds)
-from .cyclones import (IntensityError, StormFix, StormTrack, TrackerConfig,
-                       TrackSource, homogeneous_sample, intensity_errors,
-                       track_dpe, track_storm)
-from .errors import WxVerifyError
-from .extremes import (CategoricalScores, EventKind, EventSegment, MatchResult,
-                       label_event_runs, label_events, match_counts,
-                       match_events, scores_from_counts,
-                       segments_by_location, temporal_iou)
-from .grid import (EARTH_RADIUS_KM, GeoGrid, GridField, VariableId,
-                   derive_wind_speed, haversine_km, interp_to_stations,
-                   latitude_weights, regrid_bilinear)
-from .harness import (PlantedEpisode, SyntheticScenario, VariableProcess,
-                      VortexSpec, persistence_forecast, smoothed_forecast)
-from .metrics import acc, activity, bias, wrmse
-from .spectra import ZonalSpectrum, midlatitude_spectrum, zonal_spectrum_row
-from .stations import (QcFlag, QcThresholds, Station, StationTable,
-                       qc_ratio_filter, station_scores, window_average)
+_EXPORTS = {
+    "climatology": ("DailyHistory", "DailyMeanClimatology", "ThresholdField",
+                    "build_daily_mean_climatology", "build_thresholds"),
+    "cyclones": ("IntensityError", "StormFix", "StormTrack", "TrackerConfig",
+                 "TrackSource", "homogeneous_sample", "intensity_errors",
+                 "track_dpe", "track_storm"),
+    "errors": ("WxVerifyError",),
+    "extremes": ("CategoricalScores", "EventKind", "EventSegment",
+                 "MatchResult", "label_event_runs", "label_events",
+                 "match_counts", "match_events", "scores_from_counts",
+                 "segments_by_location", "temporal_iou"),
+    "grid": ("EARTH_RADIUS_KM", "GeoGrid", "GridField", "VariableId",
+             "derive_wind_speed", "haversine_km", "interp_to_stations",
+             "latitude_weights", "regrid_bilinear"),
+    "harness": ("PlantedEpisode", "SyntheticScenario", "VariableProcess",
+                "VortexSpec", "persistence_forecast", "smoothed_forecast"),
+    "metrics": ("acc", "activity", "bias", "wrmse"),
+    "spectra": ("ZonalSpectrum", "midlatitude_spectrum", "zonal_spectrum_row"),
+    "stations": ("QcFlag", "QcThresholds", "Station", "StationTable",
+                 "qc_ratio_filter", "station_scores", "window_average"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items()
+              for name in names}
 
-__all__ = [
-    "__version__",
-    "WxVerifyError",
-    "GeoGrid", "GridField", "VariableId", "EARTH_RADIUS_KM",
-    "latitude_weights", "regrid_bilinear", "interp_to_stations",
-    "haversine_km", "derive_wind_speed",
-    "wrmse", "acc", "bias", "activity",
-    "ZonalSpectrum", "zonal_spectrum_row", "midlatitude_spectrum",
-    "DailyHistory", "ThresholdField", "DailyMeanClimatology",
-    "build_thresholds", "build_daily_mean_climatology",
-    "EventKind", "EventSegment", "MatchResult", "CategoricalScores",
-    "label_event_runs", "label_events", "segments_by_location",
-    "temporal_iou", "match_events", "match_counts", "scores_from_counts",
-    "StormFix", "StormTrack", "TrackSource", "TrackerConfig",
-    "IntensityError", "track_storm", "homogeneous_sample", "track_dpe",
-    "intensity_errors",
-    "Station", "StationTable", "QcFlag", "QcThresholds", "window_average",
-    "qc_ratio_filter", "station_scores",
-    "SyntheticScenario", "VariableProcess", "VortexSpec", "PlantedEpisode",
-    "persistence_forecast", "smoothed_forecast",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

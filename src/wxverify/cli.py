@@ -13,29 +13,22 @@ Subcommands mirror the pipeline stages:
 Runs are deterministic: the same manifest and inputs produce
 byte-identical scorecards. Exit codes: 0 success, 2 input error,
 3 computation error (for example insufficient history).
+
+Each command imports the modules it runs inside its ``cmd_*`` function,
+so a command loads only its own layers and ``--help`` loads none of them
+(nor numpy).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
+import math
 import sys
 from datetime import datetime, timedelta, timezone
-from itertools import groupby
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
-
-from . import climatology, fileio, report, stations
-from .climatology import (DailyMeanClimatology,
-                          build_daily_mean_climatology, build_thresholds,
-                          calendar_day_index, daily_extremes_from_fields,
-                          daily_means_from_fields, history_from_extremes)
-from .cyclones import (StormTrack, TrackerConfig, TrackSource,
-                       homogeneous_sample, intensity_errors, track_dpe,
-                       track_storm)
 from .errors import (ChecksumMismatch, DegenerateAnomaly,
                      DuplicateObservation, EmptyBand, GridMismatch,
                      HeaderPayloadShapeMismatch, InsufficientHistory,
@@ -43,20 +36,14 @@ from .errors import (ChecksumMismatch, DegenerateAnomaly,
                      NonFiniteValue, NonMonotoneTime, NonUniformGrid,
                      PolarRow, SeedOutsideDomain, TargetOutsideDomain,
                      UnitOutOfRange, UnknownStation, WxVerifyError)
-from .extremes import (EventKind, label_event_runs, match_counts,
-                       scores_from_counts, segments_by_location)
-from .grid import GeoGrid, GridField, VariableId, latitude_weights
-from .harness import (SyntheticScenario, generate_variable_series,
-                      load_scenario, make_besttrack, persistence_forecast,
-                      smoothed_forecast)
-from .metrics import acc as metric_acc
-from .metrics import activity as metric_activity
-from .metrics import bias as metric_bias
-from .metrics import wrmse as metric_wrmse
-from .report import na, new_scorecard, write_scorecard, write_spectrum_csv
-from .spectra import ZonalSpectrum, midlatitude_spectrum
-from .stations import (QcThresholds, StationInterpolator,
-                       station_climatology_from_grid)
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .extremes import EventKind
+    from .fileio import FieldSource, RunManifest
+    from .grid import GeoGrid, GridField, VariableId
+    from .harness import SyntheticScenario
 
 INPUT_ERRORS = (ManifestError, InvalidHeader, ChecksumMismatch,
                 HeaderPayloadShapeMismatch, NonFiniteValue, NonMonotoneTime,
@@ -76,7 +63,7 @@ def _mean(values: Sequence[float]) -> float:
 
 
 def _parse_leads(text: str | None, default: Sequence[int], flag: str,
-                manifest: fileio.RunManifest, hours_of) -> tuple[int, ...]:
+                manifest: RunManifest, hours_of) -> tuple[int, ...]:
     """A comma-separated lead list, or ``default`` when the flag is absent.
 
     An empty list is rejected, and so is any value whose lead hours
@@ -109,7 +96,8 @@ def _lead_hours(lead: int) -> tuple[int, ...]:
 
 def _extreme_day_hours(day: int) -> tuple[int, ...]:
     """The four synoptic lead hours of extremes lead day ``day`` (1-based)."""
-    return tuple(24 * (day - 1) + h for h in climatology.SYNOPTIC_HOURS)
+    from .climatology import SYNOPTIC_HOURS
+    return tuple(24 * (day - 1) + h for h in SYNOPTIC_HOURS)
 
 
 def _cyclone_day_hours(day: int) -> tuple[int, ...]:
@@ -120,6 +108,8 @@ def _cyclone_day_hours(day: int) -> tuple[int, ...]:
 
 def _evaluate_task(source, clims, model, variable, lead):
     """Metric means over init times for one (model, variable, lead)."""
+    from . import metrics
+    from .grid import latitude_weights
     weights = None
     clim = clims.get(variable)
     per_metric: dict[str, list[float]] = {"wrmse": [], "acc": [], "bias": [],
@@ -130,13 +120,14 @@ def _evaluate_task(source, clims, model, variable, lead):
         truth = source.truth(variable, when)
         if weights is None:
             weights = latitude_weights(pred.grid)
-        per_metric["wrmse"].append(metric_wrmse(pred, truth, weights))
-        per_metric["bias"].append(metric_bias(pred, truth, weights))
+        per_metric["wrmse"].append(metrics.wrmse(pred, truth, weights))
+        per_metric["bias"].append(metrics.bias(pred, truth, weights))
         if clim is not None:
             clim_field = clim.field_for(when)
-            per_metric["acc"].append(metric_acc(pred, truth, clim_field, weights))
+            per_metric["acc"].append(
+                metrics.acc(pred, truth, clim_field, weights))
             per_metric["activity"].append(
-                metric_activity(pred, clim_field, weights))
+                metrics.activity(pred, clim_field, weights))
     rows = []
     for metric in ("wrmse", "acc", "bias", "activity"):
         values = per_metric[metric]
@@ -152,6 +143,11 @@ def _evaluate_task(source, clims, model, variable, lead):
 
 
 def cmd_evaluate(args) -> int:
+    import numpy as np
+
+    from . import fileio
+    from .report import new_scorecard, write_scorecard, write_spectrum_csv
+    from .spectra import ZonalSpectrum, midlatitude_spectrum
     manifest = fileio.load_manifest(args.manifest)
     out_dir = Path(args.out)
     leads = _parse_leads(args.leads, manifest.lead_hours, "--leads",
@@ -217,6 +213,12 @@ def _check_history_grid(grid: GeoGrid | None, fields: Sequence[GridField],
 
 
 def cmd_build_climatology(args) -> int:
+    from . import fileio
+    from .climatology import (DailyMeanClimatology,
+                              build_daily_mean_climatology, build_thresholds,
+                              daily_extremes_from_fields,
+                              daily_means_from_fields, history_from_extremes)
+    from .grid import VariableId
     manifest = fileio.load_manifest(args.manifest, require=("history",))
     if manifest.climatology_pattern is None:
         raise ManifestError("manifest declares no climatology daily_mean_pattern")
@@ -255,19 +257,25 @@ def cmd_build_climatology(args) -> int:
 def _day_extremes(fields_per_day: Sequence[Sequence[GridField]],
                   kind: EventKind) -> np.ndarray:
     """(days x locations) daily max (heat) or min (cold) of each day's fields."""
+    import numpy as np
+
+    from .extremes import EventKind
     stack = np.stack([[f.values for f in fields] for fields in fields_per_day])
     extreme = stack.max(axis=1) if kind is EventKind.HEATWAVE \
         else stack.min(axis=1)
     return extreme.reshape(len(fields_per_day), -1)
 
 
-def _truth_day_fields(source: fileio.FieldSource, day: datetime
+def _truth_day_fields(source: FieldSource, day: datetime
                       ) -> list[GridField]:
+    from .climatology import SYNOPTIC_HOURS
+    from .grid import VariableId
     return [source.truth(VariableId.T2M, day + timedelta(hours=h))
-            for h in climatology.SYNOPTIC_HOURS]
+            for h in SYNOPTIC_HOURS]
 
 
 def _region_mask(grid: GeoGrid, box) -> np.ndarray:
+    import numpy as np
     if box is None:
         return np.ones(grid.shape, dtype=bool)
     lat_min, lat_max, lon_min, lon_max = box
@@ -277,6 +285,17 @@ def _region_mask(grid: GeoGrid, box) -> np.ndarray:
 
 
 def cmd_extremes(args) -> int:
+    import hashlib
+
+    import numpy as np
+
+    from . import fileio
+    from .climatology import (build_thresholds, calendar_day_index,
+                              daily_extremes_from_fields, history_from_extremes)
+    from .extremes import (EventKind, label_event_runs, match_counts,
+                           scores_from_counts, segments_by_location)
+    from .grid import VariableId
+    from .report import na, new_scorecard, write_scorecard
     manifest = fileio.load_manifest(args.manifest)
     out_dir = Path(args.out)
     lead_days = _parse_leads(args.lead_days, DEFAULT_EXTREME_LEAD_DAYS,
@@ -375,6 +394,23 @@ def cmd_extremes(args) -> int:
 # --- cyclones ----------------------------------------------------------------
 
 def cmd_cyclones(args) -> int:
+    # checked before any file is read: a radius that is not a positive
+    # number, or a NaN cutoff, finds no storm and empties the scorecard
+    for flag, value in (("--search-radius-km", args.search_radius_km),
+                        ("--wind-radius-km", args.wind_radius_km)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ManifestError(f"{flag} must be finite and > 0, got {value}")
+    if not math.isfinite(args.mslp_cutoff_pa):
+        raise ManifestError(
+            f"--mslp-cutoff-pa must be finite, got {args.mslp_cutoff_pa}")
+
+    import hashlib
+
+    from . import fileio
+    from .cyclones import (TrackerConfig, TrackSource, homogeneous_sample,
+                           intensity_errors, track_dpe, track_storm)
+    from .grid import VariableId
+    from .report import na, new_scorecard, write_scorecard
     manifest = fileio.load_manifest(args.manifest)
     out_dir = Path(args.out)
     besttrack_path = Path(args.besttrack)
@@ -393,7 +429,7 @@ def cmd_cyclones(args) -> int:
 
     source = fileio.FieldSource(manifest)
     model_tracks: dict[str, dict] = {}
-    all_tracks: list[StormTrack] = []
+    all_tracks = []
     for model in sorted(manifest.models):
         tracks: dict = {}
         for init in manifest.init_times:
@@ -447,6 +483,12 @@ def cmd_cyclones(args) -> int:
 # --- stations ----------------------------------------------------------------
 
 def cmd_stations(args) -> int:
+    import numpy as np
+
+    from . import fileio, stations
+    from .report import na, new_scorecard, write_scorecard
+    from .stations import (QcThresholds, StationInterpolator,
+                           station_climatology_from_grid)
     manifest = fileio.load_manifest(args.manifest)
     out_dir = Path(args.out)
     valid_times = sorted({init + timedelta(hours=lead)
@@ -516,6 +558,10 @@ def _write_truth(scenario: SyntheticScenario, out_dir: Path,
     from the year's first to its last kept time; years without a kept
     time are not written.
     """
+    from itertools import groupby
+
+    from . import fileio
+    from .harness import generate_variable_series
     spans: dict[int, tuple[datetime, datetime]] | None = None
     if keep is not None:
         spans = {}
@@ -535,6 +581,9 @@ def _write_truth(scenario: SyntheticScenario, out_dir: Path,
 
 
 def cmd_synth(args) -> int:
+    from . import fileio
+    from .harness import (SyntheticScenario, load_scenario, make_besttrack,
+                          persistence_forecast, smoothed_forecast)
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
         scenario = SyntheticScenario(args.seed, scenario.grid, scenario.years,
@@ -649,8 +698,11 @@ def cmd_synth(args) -> int:
 
 
 def _write_station_csvs(scenario: SyntheticScenario,
-                        source: fileio.FieldSource, n_stations: int) -> None:
+                        source: FieldSource, n_stations: int) -> None:
     """Sample synthetic stations at grid nodes; observations equal truth."""
+    import numpy as np
+
+    from . import fileio
     out_dir = source.manifest.root
     grid = scenario.grid
     rng = np.random.default_rng(np.random.SeedSequence(
@@ -689,6 +741,7 @@ def _write_station_csvs(scenario: SyntheticScenario,
 # --- report ------------------------------------------------------------------
 
 def cmd_report(args) -> int:
+    from . import report
     path = Path(args.scorecard)
     try:
         card = json.loads(path.read_text(encoding="utf-8"))

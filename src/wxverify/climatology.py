@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,6 +30,8 @@ DAYS_PER_YEAR = 365
 
 #: Sample hours of the 6-hourly cadence.
 SYNOPTIC_HOURS = (0, 6, 12, 18)
+
+SIX_HOURS = timedelta(hours=6)
 
 _CUM_DAYS = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
 
@@ -44,6 +46,17 @@ def calendar_day_index(when: datetime) -> int:
     if is_leap_day(when):
         day = 28
     return _CUM_DAYS[month - 1] + day - 1
+
+
+def year_times(year: int) -> list[datetime]:
+    """Every 6-hourly timestamp of one calendar year."""
+    t = datetime(year, 1, 1, tzinfo=timezone.utc)
+    end = datetime(year + 1, 1, 1, tzinfo=timezone.utc)
+    out = []
+    while t < end:
+        out.append(t)
+        t += SIX_HOURS
+    return out
 
 
 @dataclass(frozen=True)
@@ -188,6 +201,26 @@ def quantile_sorted(sorted_values: np.ndarray, q: float) -> np.ndarray:
     return sorted_values[lo] + g * (sorted_values[lo + 1] - sorted_values[lo])
 
 
+def _quantile_sorted_columns(sorted_values: np.ndarray, counts: np.ndarray,
+                             q: float) -> np.ndarray:
+    """:func:`quantile_sorted` of each column's first ``counts[j]`` values.
+
+    The same arithmetic, per column: for n = counts[j], h = q * (n - 1),
+    and the result is s[lo] when g = h - lo is 0 or s[lo + 1] is past the
+    column's values, else s[lo] + g * (s[lo + 1] - s[lo]).
+    """
+    h = q * (counts - 1)
+    lo = np.floor(h).astype(np.intp)
+    g = h - lo
+    last = np.maximum(counts - 1, 0)
+    at_lo = np.take_along_axis(sorted_values, np.minimum(lo, last)[None], 0)[0]
+    at_hi = np.take_along_axis(sorted_values, np.minimum(lo + 1, last)[None],
+                               0)[0]
+    with np.errstate(invalid="ignore"):
+        between = at_lo + g * (at_hi - at_lo)
+    return np.where((g == 0.0) | (lo + 1 >= counts), at_lo, between)
+
+
 def window_indices(day: int, half_window: int) -> np.ndarray:
     """Calendar-day indices of the moving window, wrapping the year."""
     return np.arange(day - half_window, day + half_window + 1) % DAYS_PER_YEAR
@@ -224,17 +257,19 @@ def build_thresholds(history: DailyHistory, q_heat: float = 0.9,
             tau_h[day] = quantile_sorted(np.sort(pool_max, axis=0), q_heat)
             tau_c[day] = quantile_sorted(np.sort(pool_min, axis=0), q_cold)
             continue
-        for loc in range(n_loc):
-            vals_max = pool_max[:, loc]
-            vals_max = vals_max[~np.isnan(vals_max)]
-            if vals_max.size < window_len:
-                raise InsufficientHistory(
-                    f"day {day + 1}, location {loc}: pool size "
-                    f"{vals_max.size} < {window_len}")
-            vals_min = pool_min[:, loc]
-            vals_min = vals_min[~np.isnan(vals_min)]
-            tau_h[day, loc] = quantile_sorted(np.sort(vals_max), q_heat)
-            tau_c[day, loc] = quantile_sorted(np.sort(vals_min), q_cold)
+        # absent samples are NaN, which np.sort puts after every value
+        n_max = np.count_nonzero(~np.isnan(pool_max), axis=0)
+        short = np.flatnonzero(n_max < window_len)
+        if short.size:
+            loc = int(short[0])
+            raise InsufficientHistory(
+                f"day {day + 1}, location {loc}: pool size "
+                f"{n_max[loc]} < {window_len}")
+        n_min = np.count_nonzero(~np.isnan(pool_min), axis=0)
+        tau_h[day] = _quantile_sorted_columns(np.sort(pool_max, axis=0),
+                                              n_max, q_heat)
+        tau_c[day] = _quantile_sorted_columns(np.sort(pool_min, axis=0),
+                                              n_min, q_cold)
     return ThresholdField(tau_h, tau_c, history.years, half_window, q_heat, q_cold)
 
 

@@ -35,21 +35,22 @@ import zlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .climatology import DAYS_PER_YEAR, DailyMeanClimatology, ThresholdField
-from .cyclones import LEAD_STEP, TRUTH_SOURCE, StormFix, StormTrack
+from .climatology import (DAYS_PER_YEAR, DailyMeanClimatology, ThresholdField,
+                          year_times)
 from .errors import (ChecksumMismatch, DuplicateObservation,
                      HeaderPayloadShapeMismatch, InvalidHeader, ManifestError,
                      NonFiniteValue, NonMonotoneTime, NonUniformGrid,
                      UnknownStation, WxVerifyError)
-from .extremes import EventSegment
 from .grid import GeoGrid, GridField, VariableId, derive_wind_speed
-from .harness import year_times
-from .stations import (Station, StationTable, WindowOverflow,
-                       epoch_microseconds, six_hour_times, table_from_columns)
+
+if TYPE_CHECKING:
+    from .cyclones import StormTrack
+    from .extremes import EventSegment
+    from .stations import StationTable
 
 GRID_MAGIC = "RBGRID1"
 STACK_MAGIC = "RBSTACK1"
@@ -590,6 +591,7 @@ def read_besttrack(path: str | os.PathLike) -> list[StormTrack]:
     order; violations raise :class:`NonMonotoneTime`. Implausible MSLP
     raises :class:`UnitOutOfRange` (via :class:`StormFix`).
     """
+    from .cyclones import LEAD_STEP, TRUTH_SOURCE, StormFix, StormTrack
     path = Path(path)
     by_storm: dict[str, list[StormFix]] = {}
     order: list[str] = []
@@ -634,6 +636,7 @@ def read_besttrack(path: str | os.PathLike) -> list[StormTrack]:
 
 def write_tracks_csv(tracks: Sequence[StormTrack], path: str | os.PathLike) -> Path:
     """Track output CSV: best-track schema plus source and tracked flags."""
+    from .cyclones import LEAD_STEP
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["storm_id,iso_time,lat,lon,mslp_hpa,wind_ms,source,init_time,"
@@ -680,6 +683,8 @@ def read_station_csvs(meta_path: str | os.PathLike, obs_path: str | os.PathLike,
     stations raise :class:`UnknownStation`; duplicated (station, time,
     variable) rows raise :class:`DuplicateObservation`.
     """
+    from .stations import (Station, WindowOverflow, epoch_microseconds,
+                           six_hour_times, table_from_columns)
     meta_path, obs_path = Path(meta_path), Path(obs_path)
     stations: list[Station] = []
     for lineno, row in _csv_rows(meta_path, _STATION_META_COLUMNS):

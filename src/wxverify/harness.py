@@ -25,19 +25,17 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .climatology import calendar_day_index
+from .climatology import SIX_HOURS, calendar_day_index, year_times
 from .cyclones import TRUTH_SOURCE, StormFix, StormTrack
 from .errors import InvalidHeader
 from .extremes import EventKind
 from .grid import KM_PER_DEG, GeoGrid, GridField, VariableId, haversine_km_grid
-
-SIX_HOURS = timedelta(hours=6)
 
 
 @dataclass(frozen=True)
@@ -142,17 +140,6 @@ def seasonal_value(process: VariableProcess, when: datetime) -> float:
     diurnal = process.diurnal_amp * math.sin(
         2.0 * math.pi * when.hour / 24.0 - math.pi / 2.0)
     return process.base + seasonal + diurnal
-
-
-def year_times(year: int) -> list[datetime]:
-    """Every 6-hourly timestamp of one calendar year."""
-    t = datetime(year, 1, 1, tzinfo=timezone.utc)
-    end = datetime(year + 1, 1, 1, tzinfo=timezone.utc)
-    out = []
-    while t < end:
-        out.append(t)
-        t += SIX_HOURS
-    return out
 
 
 def _boxcar_smooth(noise: np.ndarray, width: int) -> np.ndarray:

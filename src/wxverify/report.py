@@ -1,48 +1,168 @@
-"""Scorecard assembly, schema validation, and CSV export.
+"""Scorecard assembly, validation, and CSV export.
 
 Scorecards are deterministic JSON documents: keys are sorted, floats are
 serialized with repr round-tripping, and no wall-clock data is included,
 so identical runs produce byte-identical files. Undefined scores are the
-literal string "n/a", never 0. The JSON Schema shipped with the package
-(`schema/scorecard.schema.json`) is enforced on every write.
+literal string "n/a", never 0.
+
+The published contract is the JSON Schema shipped with the package
+(`schema/scorecard.schema.json`). Every write enforces it through
+:func:`validate_scorecard`, a plain-Python checker over the scorecard's
+fixed row shapes - key sets, types, number versus "n/a", enums and
+minimums - with the schema's (draft-07) type rules: a bool is neither a
+number nor an integer, an integral float such as 1.0 is an integer, and
+NaN and +-Inf are numbers. It accepts and rejects exactly the cards that
+a JSON Schema validator does (the test suite checks this against
+`jsonschema`), without that dependency at run time.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cache
 from importlib import resources
+from numbers import Number
 from pathlib import Path
-from typing import Sequence
-
-import jsonschema
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import WxVerifyError
-from .spectra import ZonalSpectrum
+
+if TYPE_CHECKING:
+    from .spectra import ZonalSpectrum
 
 SCHEMA_NAME = "wxverify-scorecard/v1"
 
 
-def _load_schema() -> dict:
+@cache
+def scorecard_schema() -> dict:
+    """The published JSON Schema of a scorecard."""
     ref = resources.files("wxverify").joinpath("schema/scorecard.schema.json")
     return json.loads(ref.read_text(encoding="utf-8"))
 
 
-_SCHEMA_CACHE: dict | None = None
+# --- checker ------------------------------------------------------------------
+# A shape maps each key of an object to (check, what the value must be).
+
+def _is_number(value) -> bool:
+    return isinstance(value, Number) and not isinstance(value, bool)
 
 
-def scorecard_schema() -> dict:
-    global _SCHEMA_CACHE
-    if _SCHEMA_CACHE is None:
-        _SCHEMA_CACHE = _load_schema()
-    return _SCHEMA_CACHE
+def _integer(minimum: int) -> tuple[Callable, str]:
+    def check(value) -> bool:
+        if isinstance(value, float):
+            return value.is_integer() and value >= minimum
+        return (isinstance(value, int) and not isinstance(value, bool)
+                and value >= minimum)
+    return check, f"an integer >= {minimum}"
+
+
+def _one_of(*names: str) -> tuple[Callable, str]:
+    return (lambda value: isinstance(value, str) and value in names,
+            f"one of {list(names)}")
+
+
+_STRING = (lambda value: isinstance(value, str), "a string")
+_COUNT = _integer(0)
+_SCORE = (lambda value: _is_number(value)
+          or (isinstance(value, str) and value == "n/a"),
+          'a number or "n/a"')
+_STRING_OR_NULL = (lambda value: value is None or isinstance(value, str),
+                   "a string or null")
+_NUMBER_OR_NULL = (lambda value: value is None or _is_number(value),
+                   "a number or null")
+
+_PROVENANCE = {
+    "engine_version": _STRING,
+    "manifest_sha256": _STRING,
+    "thresholds_sha256": _STRING_OR_NULL,
+    "besttrack_sha256": _STRING_OR_NULL,
+    "gamma": _NUMBER_OR_NULL,
+}
+_ROW_SHAPES = {
+    "grid_metrics": {
+        "model": _STRING, "variable": _STRING, "lead_hours": _COUNT,
+        "metric": _one_of("wrmse", "acc", "bias", "activity"),
+        "value": _SCORE, "n_samples": _COUNT,
+    },
+    "spectra": {
+        "model": _STRING, "variable": _STRING, "lead_hours": _COUNT,
+        "csv": _STRING,
+    },
+    "event_scores": {
+        "model": _STRING, "kind": _one_of("heatwave", "coldsurge"),
+        "lead_days": _integer(1), "region": _STRING, "pod": _SCORE,
+        "far": _SCORE, "csi": _SCORE, "tp": _COUNT, "fp": _COUNT,
+        "fn": _COUNT,
+    },
+    "cyclone_scores": {
+        "model": _STRING, "lead_hours": _COUNT, "n_storms": _COUNT,
+        "dpe_km": _SCORE, "mslp_mae_hpa": _SCORE, "mslp_bias_hpa": _SCORE,
+        "wind_mae_ms": _SCORE, "wind_bias_ms": _SCORE,
+    },
+    "station_scores": {
+        "model": _STRING, "variable": _STRING, "lead_hours": _COUNT,
+        "rmse": _SCORE, "bias": _SCORE, "acc": _SCORE, "n_pairs": _COUNT,
+    },
+}
+_QC_COUNTS = {"raw": _COUNT, "replaced": _COUNT, "absent": _COUNT,
+              "nonpositive_reference": _COUNT}
+_TOP = {
+    "schema": _one_of(SCHEMA_NAME),
+    "command": _one_of("evaluate", "extremes", "cyclones", "stations"),
+}
+
+
+def _invalid(where: str, problem: str) -> WxVerifyError:
+    return WxVerifyError(f"scorecard violates schema: {where}: {problem}")
+
+
+def _check_object(obj, shape: dict, where: str, required=None):
+    """``obj`` is a dict with every key of ``required`` (default: all of
+    ``shape``), no key outside ``shape``, and valid values."""
+    if not isinstance(obj, dict):
+        raise _invalid(where, f"{obj!r} is not an object")
+    if obj.keys() != shape.keys():
+        unknown = [key for key in obj if key not in shape]
+        if unknown:
+            raise _invalid(where, f"unknown keys {sorted(map(repr, unknown))}")
+        missing = [key for key in (shape if required is None else required)
+                   if key not in obj]
+        if missing:
+            raise _invalid(where, f"missing keys {missing}")
+    for key, value in obj.items():
+        check, what = shape[key]
+        if not check(value):
+            raise _invalid(f"{where}.{key}", f"{value!r} is not {what}")
 
 
 def validate_scorecard(card: dict):
     """Raise :class:`WxVerifyError` when ``card`` violates the schema."""
-    try:
-        jsonschema.validate(card, scorecard_schema())
-    except jsonschema.ValidationError as exc:
-        raise WxVerifyError(f"scorecard violates schema: {exc.message}") from exc
+    if not isinstance(card, dict):
+        raise _invalid("scorecard", f"{card!r} is not an object")
+    for key in ("schema", "command", "provenance"):
+        if key not in card:
+            raise _invalid("scorecard", f"missing key {key!r}")
+    for key, value in card.items():
+        if key in _TOP:
+            check, what = _TOP[key]
+            if not check(value):
+                raise _invalid(key, f"{value!r} is not {what}")
+        elif key == "provenance":
+            _check_object(value, _PROVENANCE, key,
+                          required=("engine_version", "manifest_sha256"))
+        elif key in _ROW_SHAPES:
+            if not isinstance(value, list):
+                raise _invalid(key, f"{value!r} is not an array")
+            shape = _ROW_SHAPES[key]
+            for i, row in enumerate(value):
+                _check_object(row, shape, f"{key}[{i}]")
+        elif key == "qc_report":
+            if not isinstance(value, dict):
+                raise _invalid(key, f"{value!r} is not an object")
+            for variable, counts in value.items():
+                _check_object(counts, _QC_COUNTS, f"{key}[{variable!r}]")
+        else:
+            raise _invalid("scorecard", f"unknown key {key!r}")
 
 
 def na(value: float | None):

@@ -99,6 +99,38 @@ def percentile_sorted_oracle(pool, q: float) -> float:
     return s[lo] + g * (s[lo + 1] - s[lo])
 
 
+def thresholds_per_location_loop(daily_max, daily_min, q_heat: float,
+                                 q_cold: float, half_window: int):
+    """(tau_heat, tau_cold) of ``climatology.build_thresholds`` for a history
+    with absent (NaN) samples, one (day, location) at a time.
+
+    This is the engine's former per-location loop: each pool drops its
+    NaNs and goes through :func:`percentile_sorted_oracle`. A heat pool
+    smaller than the window raises InsufficientHistory with the engine's
+    message, at the first (day, location) in day-then-location order.
+    """
+    from wxverify.errors import InsufficientHistory
+
+    n_years, n_days, n_loc = daily_max.shape
+    window_len = 2 * half_window + 1
+    tau_h = np.empty((n_days, n_loc))
+    tau_c = np.empty((n_days, n_loc))
+    for day in range(n_days):
+        win = np.arange(day - half_window, day + half_window + 1) % n_days
+        for loc in range(n_loc):
+            vals_max = daily_max[:, win, loc].reshape(-1)
+            vals_max = vals_max[~np.isnan(vals_max)]
+            if vals_max.size < window_len:
+                raise InsufficientHistory(
+                    f"day {day + 1}, location {loc}: pool size "
+                    f"{vals_max.size} < {window_len}")
+            vals_min = daily_min[:, win, loc].reshape(-1)
+            vals_min = vals_min[~np.isnan(vals_min)]
+            tau_h[day, loc] = percentile_sorted_oracle(vals_max, q_heat)
+            tau_c[day, loc] = percentile_sorted_oracle(vals_min, q_cold)
+    return tau_h, tau_c
+
+
 # --- daily-extremes oracle -------------------------------------------------------
 
 def calendar_day_oracle(when) -> int:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 from datetime import timedelta
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 import oracles
+import wxverify
 from wxverify import fileio
 from wxverify.cli import _region_mask, main
 from wxverify.climatology import SYNOPTIC_HOURS, calendar_day_index
@@ -606,6 +609,23 @@ class TestCyclones:
             assert row["dpe_km"] == "n/a"
             assert row["mslp_bias_hpa"] == "n/a"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--search-radius-km", "nan"), ("--search-radius-km", "-5"),
+        ("--search-radius-km", "0"), ("--search-radius-km", "inf"),
+        ("--wind-radius-km", "-1"), ("--wind-radius-km", "nan"),
+        ("--mslp-cutoff-pa", "nan"), ("--mslp-cutoff-pa", "-inf"),
+    ])
+    def test_bad_tracker_flag_is_exit_2(self, flag, value, tmp_path, capsys):
+        # the paths do not exist: the flag is rejected before any file is read
+        rc = run_cli("cyclones", "--manifest", tmp_path / "manifest.json",
+                     "--besttrack", tmp_path / "besttrack.csv",
+                     "--out", tmp_path / "out", f"{flag}={value}")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{flag} must be finite" in err
+        assert f"got {float(value)}" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestLeadLists:
     @pytest.mark.parametrize("run, argv, expected", [
@@ -668,3 +688,66 @@ class TestUnbuiltClimatology:
         assert str(run / "clim" / "t2m.rbc") in err
         assert f"wxverify build-climatology --manifest " \
                f"{run / 'manifest.json'}" in err
+
+
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after running ``code``."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ)
+    src = str(Path(wxverify.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+class TestStartup:
+    """Each command imports only what it runs."""
+
+    def test_importing_the_cli_loads_no_layer(self):
+        loaded = modules_after("import wxverify.cli")
+        assert not loaded & {"jsonschema", "numpy", "wxverify.harness",
+                             "wxverify.cyclones", "wxverify.extremes",
+                             "wxverify.stations", "wxverify.fileio"}
+
+    def test_help_loads_neither_numpy_nor_a_layer(self):
+        loaded = modules_after(
+            "import contextlib, io, runpy, sys\n"
+            "sys.argv = ['wxverify', '--help']\n"
+            "with contextlib.suppress(SystemExit), "
+            "contextlib.redirect_stdout(io.StringIO()):\n"
+            "    runpy.run_module('wxverify.cli', run_name='__main__')")
+        assert "numpy" not in loaded
+        assert {m for m in loaded if m.startswith("wxverify.")} \
+            <= {"wxverify.cli", "wxverify.errors"}
+
+    def test_evaluate_loads_only_its_layers(self, evaluate_run, tmp_path):
+        loaded = modules_after(
+            "from wxverify.cli import main\n"
+            f"assert main(['evaluate', '--manifest', "
+            f"{str(evaluate_run / 'manifest.json')!r}, '--out', "
+            f"{str(tmp_path / 'out')!r}]) == 0")
+        assert (tmp_path / "out" / "scorecard.json").exists()
+        assert not loaded & {"jsonschema", "wxverify.harness",
+                             "wxverify.cyclones", "wxverify.extremes",
+                             "wxverify.stations"}
+
+    def test_every_exported_name_resolves(self):
+        names = [n for n in wxverify.__all__ if n != "__version__"]
+        namespace: dict = {}
+        exec(f"from wxverify import {', '.join(wxverify.__all__)}", namespace)
+        for name in names:
+            module = __import__(f"wxverify.{wxverify._MODULE_OF[name]}",
+                                fromlist=[name])
+            assert namespace[name] is getattr(module, name)
+        assert namespace["__version__"] == wxverify.__version__
+        assert set(wxverify.__all__) <= set(dir(wxverify))
+        with pytest.raises(AttributeError):
+            getattr(wxverify, "no_such_name")
+
+    def test_every_exported_name_resolves_in_a_fresh_interpreter(self):
+        loaded = modules_after(
+            f"from wxverify import {', '.join(wxverify.__all__)}")
+        assert {"wxverify.harness", "wxverify.cyclones", "wxverify.stations",
+                "wxverify.extremes"} <= loaded

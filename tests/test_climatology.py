@@ -5,6 +5,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_field, make_grid
@@ -200,6 +202,64 @@ class TestBuildThresholds:
     def test_heat_at_least_cold(self, rng):
         tf = build_thresholds(dense_history(rng, n_years=4))
         assert np.all(tf.tau_heat >= tf.tau_cold)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_years=st.integers(2, 4),
+           n_loc=st.integers(1, 5), half_window=st.integers(0, 7),
+           density=st.sampled_from([0.0, 0.0005, 0.02, 0.3, 0.7]),
+           holes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 364),
+                                    st.integers(0, 4)), max_size=3),
+           q_heat=st.sampled_from([0.9, 1.0, 0.5, 0.37]),
+           q_cold=st.sampled_from([0.1, 0.0, 0.37]),
+           min_share=st.sampled_from([1.0, 0.5]))
+    def test_absent_samples_match_per_location_loop(
+            self, seed, n_years, n_loc, half_window, density, holes, q_heat,
+            q_cold, min_share):
+        # values on a 0.25 K lattice, so pools hold ties. The daily minima
+        # are absent where the maxima are (as daily_extremes_from_fields
+        # gives), or at a random share of those places, so that the two
+        # pools of a (day, location) can differ in size.
+        rng = np.random.default_rng(seed)
+        shape = (n_years, DAYS_PER_YEAR, n_loc)
+        dmax = np.round(4.0 * (288.0 + 5.0 * rng.standard_normal(shape))) / 4
+        dmin = dmax - np.round(12.0 * np.abs(rng.standard_normal(shape))) / 4
+        absent = rng.random(shape) < density
+        for year, day, loc in holes:
+            absent[year % n_years, day, loc % n_loc] = True
+        dmax[absent] = np.nan
+        dmin[absent & (rng.random(shape) < min_share)] = np.nan
+        history = DailyHistory(tuple(range(2001, 2001 + n_years)), dmax, dmin)
+        q_cold = min(q_cold, q_heat)
+        try:
+            expected = oracles.thresholds_per_location_loop(
+                dmax, dmin, q_heat, q_cold, half_window)
+        except InsufficientHistory as exc:
+            with pytest.raises(InsufficientHistory) as raised:
+                build_thresholds(history, q_heat, q_cold, half_window)
+            assert str(raised.value) == str(exc)
+            return
+        if np.any(expected[0] < expected[1]):
+            # a cold pool larger than its heat pool can cross at q_cold = q_heat
+            with pytest.raises(ValueError, match="tau_heat must be >= tau_cold"):
+                build_thresholds(history, q_heat, q_cold, half_window)
+            return
+        tf = build_thresholds(history, q_heat, q_cold, half_window)
+        assert tf.tau_heat.tobytes() == expected[0].tobytes()
+        assert tf.tau_cold.tobytes() == expected[1].tobytes()
+
+    def test_one_absent_sample_leaves_other_pools_dense(self, rng):
+        # the masked pass is whole-array: 2,592 locations with one absent
+        # (year, day, location) entry give the dense thresholds elsewhere
+        history = dense_history(rng, n_years=2, n_loc=2592)
+        dmax = history.daily_max.copy()
+        dmin = history.daily_min.copy()
+        dmax[1, 40, 7] = dmin[1, 40, 7] = np.nan
+        holed = build_thresholds(DailyHistory(history.years, dmax, dmin))
+        dense = build_thresholds(history)
+        touched = np.zeros((DAYS_PER_YEAR, 2592), dtype=bool)
+        touched[window_indices(40, 7), 7] = True
+        assert np.array_equal(holed.tau_heat[~touched], dense.tau_heat[~touched])
+        assert np.array_equal(holed.tau_cold[~touched], dense.tau_cold[~touched])
 
     def test_pool_size_accounting(self, rng):
         # dense data: each threshold pools exactly 15 * n_years samples
