@@ -42,7 +42,7 @@ if TYPE_CHECKING:
 
     from .extremes import EventKind
     from .fileio import FieldSource, RunManifest
-    from .grid import GeoGrid, GridField, VariableId
+    from .grid import FieldBlock, GeoGrid, GridField, VariableId
     from .harness import SyntheticScenario
 
 INPUT_ERRORS = (ManifestError, InvalidHeader, ChecksumMismatch,
@@ -106,48 +106,30 @@ def _cyclone_day_hours(day: int) -> tuple[int, ...]:
 
 # --- evaluate ----------------------------------------------------------------
 
-def _evaluate_task(source, clims, model, variable, lead):
-    """Metric means over init times for one (model, variable, lead)."""
-    from . import metrics
-    from .grid import latitude_weights
-    weights = None
-    clim = clims.get(variable)
-    per_metric: dict[str, list[float]] = {"wrmse": [], "acc": [], "bias": [],
-                                          "activity": []}
-    for init in source.manifest.init_times:
-        when = init + timedelta(hours=lead)
-        pred = source.model(model, init, variable, lead)
-        truth = source.truth(variable, when)
-        if weights is None:
-            weights = latitude_weights(pred.grid)
-        per_metric["wrmse"].append(metrics.wrmse(pred, truth, weights))
-        per_metric["bias"].append(metrics.bias(pred, truth, weights))
-        if clim is not None:
-            clim_field = clim.field_for(when)
-            per_metric["acc"].append(
-                metrics.acc(pred, truth, clim_field, weights))
-            per_metric["activity"].append(
-                metrics.activity(pred, clim_field, weights))
-    rows = []
-    for metric in ("wrmse", "acc", "bias", "activity"):
-        values = per_metric[metric]
-        rows.append({
-            "model": model,
-            "variable": variable.key,
-            "lead_hours": lead,
-            "metric": metric,
-            "value": _mean(values) if values else "n/a",
-            "n_samples": len(values),
-        })
-    return rows
+_METRICS = ("wrmse", "acc", "bias", "activity")
+
+
+def _lead_runs(leads: Sequence[int], max_layers: int) -> list[list[int]]:
+    """Ascending ``leads`` cut into runs whose 6-hourly span, first to
+    last lead, holds at most ``max_layers`` layers."""
+    runs: list[list[int]] = []
+    for lead in leads:
+        if runs and (lead - runs[-1][0]) // 6 < max_layers:
+            runs[-1].append(lead)
+        else:
+            runs.append([lead])
+    return runs
 
 
 def cmd_evaluate(args) -> int:
     import numpy as np
 
     from . import fileio
+    from .grid import latitude_weights
+    from .metrics import block_scores, check_pair
     from .report import new_scorecard, write_scorecard, write_spectrum_csv
-    from .spectra import ZonalSpectrum, midlatitude_spectrum
+    from .spectra import (MIDLATITUDE_BAND, ZonalSpectrum,
+                          midlatitude_spectrum)
     manifest = fileio.load_manifest(args.manifest)
     out_dir = Path(args.out)
     leads = _parse_leads(args.leads, manifest.lead_hours, "--leads",
@@ -157,42 +139,81 @@ def cmd_evaluate(args) -> int:
         tuple(l for l in DEFAULT_SPECTRA_LEADS if l in leads),
         "--spectra-leads", manifest, _lead_hours)
     source = fileio.FieldSource(manifest)
-    clims = source.climatologies()
+    models = sorted(manifest.models)
+    valid_times = [init + timedelta(hours=lead)
+                   for init in manifest.init_times for lead in leads]
+    clims = {variable: source.climatology(variable, valid_times)
+             for variable in manifest.variables}
+
+    # Blocks run over (variable, init) outside and models inside: each
+    # truth span and each forecast stack is read once. Scores and spectra
+    # are appended per (model, variable, lead) in init order, so each mean
+    # sums the same sequence as a field-by-field loop would.
+    metric_leads, spectra_set = set(leads), set(spectra_leads)
+    scores = {(model, variable, lead): {metric: [] for metric in _METRICS}
+              for model in models for variable in manifest.variables
+              for lead in leads}
+    energies: dict[tuple, list[np.ndarray]] = {}
+
+    def add_spectra(model, variable, run, block):  # model None: the truth
+        for i, lead in enumerate(run):
+            if lead in spectra_set:
+                energies.setdefault((model, variable, lead), []).append(
+                    midlatitude_spectrum(block.field(i)).energy)
+
+    for variable in manifest.variables:
+        clim = clims[variable]
+        runs = _lead_runs(sorted(metric_leads | spectra_set),
+                          source.block_layers(variable))
+        for init in manifest.init_times:
+            for run in runs:
+                times = [init + timedelta(hours=lead) for lead in run]
+                truth = source.truth_block(variable, times)
+                rows = [i for i, lead in enumerate(run) if lead in metric_leads]
+                scored = rows if len(rows) < len(run) else slice(None)
+                clim_layers = None if clim is None or not rows \
+                    else clim.layers([times[i] for i in rows])
+                weights = latitude_weights(truth.grid)
+                for model in models:
+                    pred = source.model_block(model, init, variable, run)
+                    check_pair(pred, truth, same_time=True)
+                    if clim is not None:
+                        check_pair(pred, clim, same_time=False)
+                    if rows:
+                        block = block_scores(pred.values[scored],
+                                             truth.values[scored],
+                                             clim_layers, weights)
+                        for metric, values in block._asdict().items():
+                            if values is None:
+                                continue
+                            for i, value in zip(rows, values.tolist()):
+                                scores[model, variable, run[i]][metric] \
+                                    .append(value)
+                    add_spectra(model, variable, run, pred)
+                add_spectra(None, variable, run, truth)
 
     card = new_scorecard("evaluate", manifest.sha256)
-    card["grid_metrics"] = [row
-                            for model in sorted(manifest.models)
-                            for variable in manifest.variables
-                            for lead in leads
-                            for row in _evaluate_task(source, clims, model,
-                                                      variable, lead)]
-
-    def mean_spectrum(load_field) -> ZonalSpectrum:
-        stack = [midlatitude_spectrum(load_field(init))
-                 for init in manifest.init_times]
-        return ZonalSpectrum(stack[0].variable, stack[0].lead_hours,
-                             np.mean([s.energy for s in stack], axis=0),
-                             stack[0].band)
+    card["grid_metrics"] = [
+        {"model": model, "variable": variable.key, "lead_hours": lead,
+         "metric": metric, "value": _mean(values) if values else "n/a",
+         "n_samples": len(values)}
+        for model in models for variable in manifest.variables
+        for lead in leads
+        for metric, values in scores[(model, variable, lead)].items()]
 
     spectra_rows = []
-    for model in sorted(manifest.models):
+    for model in models + [None]:
+        name = "truth" if model is None else model
         for variable in manifest.variables:
             for lead in spectra_leads:
-                spectrum = mean_spectrum(
-                    lambda init: source.model(model, init, variable, lead))
-                rel = f"spectra/{model}_{variable.key}_{lead:03d}h.csv"
+                spectrum = ZonalSpectrum(
+                    variable, lead,
+                    np.mean(energies[(model, variable, lead)], axis=0),
+                    MIDLATITUDE_BAND)
+                rel = f"spectra/{name}_{variable.key}_{lead:03d}h.csv"
                 write_spectrum_csv(spectrum, out_dir / rel)
-                spectra_rows.append({"model": model, "variable": variable.key,
+                spectra_rows.append({"model": name, "variable": variable.key,
                                      "lead_hours": lead, "csv": rel})
-    for variable in manifest.variables:
-        for lead in spectra_leads:
-            spectrum = mean_spectrum(
-                lambda init: source.truth(variable,
-                                          init + timedelta(hours=lead)))
-            rel = f"spectra/truth_{variable.key}_{lead:03d}h.csv"
-            write_spectrum_csv(spectrum, out_dir / rel)
-            spectra_rows.append({"model": "truth", "variable": variable.key,
-                                 "lead_hours": lead, "csv": rel})
     if spectra_rows:
         card["spectra"] = spectra_rows
 
@@ -254,24 +275,25 @@ def cmd_build_climatology(args) -> int:
 
 # --- extremes ----------------------------------------------------------------
 
-def _day_extremes(fields_per_day: Sequence[Sequence[GridField]],
-                  kind: EventKind) -> np.ndarray:
-    """(days x locations) daily max (heat) or min (cold) of each day's fields."""
+def _day_extremes(day_blocks: Sequence[FieldBlock], kind: EventKind
+                  ) -> np.ndarray:
+    """(days x locations) daily max (heat) or min (cold) of each day's
+    block of fields."""
     import numpy as np
 
     from .extremes import EventKind
-    stack = np.stack([[f.values for f in fields] for fields in fields_per_day])
+    stack = np.stack([block.values for block in day_blocks])
     extreme = stack.max(axis=1) if kind is EventKind.HEATWAVE \
         else stack.min(axis=1)
-    return extreme.reshape(len(fields_per_day), -1)
+    return extreme.reshape(len(day_blocks), -1)
 
 
-def _truth_day_fields(source: FieldSource, day: datetime
-                      ) -> list[GridField]:
+def _truth_day(source: FieldSource, day: datetime) -> FieldBlock:
+    """The T2M truth of the synoptic hours of ``day``, as one block."""
     from .climatology import SYNOPTIC_HOURS
     from .grid import VariableId
-    return [source.truth(VariableId.T2M, day + timedelta(hours=h))
-            for h in SYNOPTIC_HOURS]
+    return source.truth_block(VariableId.T2M, [day + timedelta(hours=h)
+                                               for h in SYNOPTIC_HOURS])
 
 
 def _region_mask(grid: GeoGrid, box) -> np.ndarray:
@@ -348,9 +370,9 @@ def cmd_extremes(args) -> int:
         day_indices = [calendar_day_index(day) for day in days]
         tau = {EventKind.HEATWAVE: thresholds.tau_heat[day_indices, :],
                EventKind.COLDSURGE: thresholds.tau_cold[day_indices, :]}
-        truth_fields = [_truth_day_fields(source, day) for day in days]
+        truth_days = [_truth_day(source, day) for day in days]
         truth = {kind: segments_by_location(label_event_runs(
-                     _day_extremes(truth_fields, kind), tau[kind], kind), kind)
+                     _day_extremes(truth_days, kind), tau[kind], kind), kind)
                  for kind in kinds}
         fileio.write_segments_csv(
             [seg for kind in kinds for segs in truth[kind].values()
@@ -362,14 +384,14 @@ def cmd_extremes(args) -> int:
     for model in sorted(manifest.models):
         for d in lead_days:
             tau, truth = per_day[d]
-            fc_fields = [[source.model(model, init, VariableId.T2M, lead)
-                          for lead in _extreme_day_hours(d)]
-                         for init in manifest.init_times]
+            fc_days = [source.model_block(model, init, VariableId.T2M,
+                                          _extreme_day_hours(d))
+                       for init in manifest.init_times]
             fc_segments = []
             counts = {}  # kind -> per-location (tp, fp, fn) arrays
             for kind in kinds:
                 fc = segments_by_location(label_event_runs(
-                    _day_extremes(fc_fields, kind), tau[kind], kind), kind)
+                    _day_extremes(fc_days, kind), tau[kind], kind), kind)
                 fc_segments.extend(seg for segs in fc.values() for seg in segs)
                 counts[kind] = match_counts(fc, truth[kind], n_loc, gamma)
             for region, locations in region_locations:
@@ -419,7 +441,7 @@ def cmd_cyclones(args) -> int:
     lead_days = _parse_leads(args.lead_days, DEFAULT_CYCLONE_LEAD_DAYS,
                              "--lead-days", manifest, _cyclone_day_hours)
     lead_steps = [4 * d for d in lead_days]
-    n_leads = manifest.max_lead_hours // 6 + 1
+    n_leads = len(manifest.lead_hours)
     config = TrackerConfig(search_radius_km=args.search_radius_km,
                            wind_radius_km=args.wind_radius_km,
                            mslp_cutoff_pa=args.mslp_cutoff_pa)
@@ -433,16 +455,19 @@ def cmd_cyclones(args) -> int:
     for model in sorted(manifest.models):
         tracks: dict = {}
         for init in manifest.init_times:
-            for storm_id in sorted(truth_tracks):
-                seed_fix = truth_tracks[storm_id].fix_at_time(init)
-                if seed_fix is None:
-                    continue
-                msl = [source.model(model, init, VariableId.MSL, 6 * k)
-                       for k in range(n_leads)]
-                u10 = [source.model(model, init, VariableId.U10, 6 * k)
-                       for k in range(n_leads)]
-                v10 = [source.model(model, init, VariableId.V10, 6 * k)
-                       for k in range(n_leads)]
+            seeds = [(storm_id, fix) for storm_id in sorted(truth_tracks)
+                     if (fix := truth_tracks[storm_id].fix_at_time(init))
+                     is not None]
+            if not seeds:
+                continue
+            # each (model, init, variable) stack is read once for all storms
+            msl, u10, v10 = (
+                [block.field(k) for k in range(n_leads)]
+                for block in (source.model_block(model, init, variable,
+                                                 manifest.lead_hours)
+                              for variable in (VariableId.MSL, VariableId.U10,
+                                               VariableId.V10)))
+            for storm_id, seed_fix in seeds:
                 track = track_storm(msl, u10, v10, seed_fix.position,
                                     storm_id=storm_id,
                                     source=TrackSource(model),
@@ -482,11 +507,26 @@ def cmd_cyclones(args) -> int:
 
 # --- stations ----------------------------------------------------------------
 
+def _station_row(model, variable, lead, forecasts, table, clim, interpolator
+                 ) -> dict:
+    """The scorecard row of one (model, variable, lead)."""
+    from . import stations
+    from .report import na
+    row = {"model": model, "variable": variable.key, "lead_hours": lead}
+    try:
+        scores = stations.station_scores(forecasts, table, variable,
+                                         clim=clim, interpolator=interpolator)
+    except NoValidPairs:
+        return dict(row, rmse="n/a", bias="n/a", acc="n/a", n_pairs=0)
+    return dict(row, rmse=scores.rmse, bias=scores.bias, acc=na(scores.acc),
+                n_pairs=scores.n_pairs)
+
+
 def cmd_stations(args) -> int:
     import numpy as np
 
     from . import fileio, stations
-    from .report import na, new_scorecard, write_scorecard
+    from .report import new_scorecard, write_scorecard
     from .stations import (QcThresholds, StationInterpolator,
                            station_climatology_from_grid)
     manifest = fileio.load_manifest(args.manifest)
@@ -512,35 +552,29 @@ def cmd_stations(args) -> int:
     qc_table, qc_report = stations.apply_qc(table, reference,
                                             QcThresholds.default())
 
-    clims = source.climatologies()
-    station_clims = {variable: station_climatology_from_grid(clims[variable],
+    # only the calendar days of the valid times are read
+    clims = {variable: source.climatology(variable, valid_times)
+             for variable in station_vars}
+    station_clims = {variable: station_climatology_from_grid(clim,
                                                              interpolator)
-                     for variable in station_vars if variable in clims}
+                     for variable, clim in clims.items() if clim is not None}
 
     card = new_scorecard("stations", manifest.sha256)
     rows = []
+    n_inits = max(1, len(manifest.init_times))
     for model in sorted(manifest.models):
         for variable in station_vars:
-            for lead in manifest.lead_hours:
-                forecasts = [source.model(model, init, variable, lead)
-                             for init in manifest.init_times]
-                try:
-                    scores = stations.station_scores(
-                        forecasts, qc_table, variable,
-                        clim=station_clims.get(variable),
-                        interpolator=interpolator)
-                    rows.append({
-                        "model": model, "variable": variable.key,
-                        "lead_hours": lead, "rmse": scores.rmse,
-                        "bias": scores.bias, "acc": na(scores.acc),
-                        "n_pairs": scores.n_pairs,
-                    })
-                except NoValidPairs:
-                    rows.append({
-                        "model": model, "variable": variable.key,
-                        "lead_hours": lead, "rmse": "n/a", "bias": "n/a",
-                        "acc": "n/a", "n_pairs": 0,
-                    })
+            # one block per (init, run of leads); the blocks of all inits
+            # together stay within one block's byte budget
+            for run in _lead_runs(manifest.lead_hours, max(
+                    1, source.block_layers(variable) // n_inits)):
+                blocks = [source.model_block(model, init, variable, run)
+                          for init in manifest.init_times]
+                for i, lead in enumerate(run):
+                    rows.append(_station_row(
+                        model, variable, lead,
+                        [block.field(i) for block in blocks], qc_table,
+                        station_clims.get(variable), interpolator))
     card["station_scores"] = rows
     card["qc_report"] = qc_report.as_dict()
     write_scorecard(card, out_dir / "scorecard.json")

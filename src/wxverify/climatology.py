@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -273,29 +273,77 @@ def build_thresholds(history: DailyHistory, q_heat: float = 0.9,
     return ThresholdField(tau_h, tau_c, history.years, half_window, q_heat, q_cold)
 
 
+def day_span(days: Iterable[int]) -> tuple[int, int]:
+    """``(first_day, n_days)`` of the shortest run of consecutive calendar
+    days that holds every day in ``days``; a run may cross Dec 31 back to
+    day 0. A run over every day starts at day 0.
+    """
+    ordered = sorted(set(days))
+    if not ordered:
+        raise ValueError("no calendar days given")
+    # the run starts after the widest gap between neighbouring days
+    gaps = [b - a for a, b in zip(ordered, ordered[1:])]
+    gaps.append(ordered[0] + DAYS_PER_YEAR - ordered[-1])
+    widest = max(reversed(range(len(gaps))), key=gaps.__getitem__)
+    first = ordered[(widest + 1) % len(ordered)]
+    return first, (ordered[widest] - first) % DAYS_PER_YEAR + 1
+
+
+def day_rows(first_day: int, n_days: int, days) -> np.ndarray:
+    """Row of each calendar day in a run of ``n_days`` consecutive days
+    starting at ``first_day``; a day outside the run raises ValueError."""
+    rows = (np.asarray(days, dtype=np.intp) - first_day) % DAYS_PER_YEAR
+    outside = rows >= n_days
+    if np.any(outside):
+        day = int(np.asarray(days)[outside][0])
+        raise ValueError(f"calendar day {day + 1} is outside the "
+                         f"{n_days} days held from day {first_day + 1}")
+    return rows
+
+
 @dataclass(frozen=True)
 class DailyMeanClimatology:
-    """Per-calendar-day mean fields of one variable (serves ACC)."""
+    """Per-calendar-day mean fields of one variable (serves ACC).
+
+    ``day_mean`` holds a run of consecutive calendar days: row i is day
+    ``(first_day + i) % 365``, so a run may cross Dec 31. A built or
+    stored climatology holds all 365 days from day 0; a run reads only
+    the days its valid times fall on (see
+    :meth:`wxverify.fileio.FieldSource.climatology`).
+    """
 
     grid: GeoGrid
     variable: VariableId
     day_mean: np.ndarray
     years: tuple[int, ...]
+    first_day: int = 0
 
     def __post_init__(self):
         dm = np.ascontiguousarray(self.day_mean, dtype=np.float64)
-        if dm.shape != (DAYS_PER_YEAR, self.grid.n_lat, self.grid.n_lon):
-            raise ValueError("day_mean must have shape (365, n_lat, n_lon)")
+        if dm.ndim != 3 or not 1 <= dm.shape[0] <= DAYS_PER_YEAR \
+                or dm.shape[1:] != self.grid.shape:
+            raise ValueError("day_mean must have shape (n_days, n_lat, n_lon) "
+                             f"with 1 <= n_days <= {DAYS_PER_YEAR}")
+        if not (isinstance(self.first_day, int)
+                and 0 <= self.first_day < DAYS_PER_YEAR):
+            raise ValueError(f"first_day must be a calendar day index, got "
+                             f"{self.first_day!r}")
         if not np.all(np.isfinite(dm)):
             raise NonFiniteValue("day_mean must be finite")
         dm.setflags(write=False)
         object.__setattr__(self, "day_mean", dm)
         object.__setattr__(self, "years", tuple(int(y) for y in self.years))
 
+    def layers(self, times: Sequence[datetime]) -> np.ndarray:
+        """C-contiguous ``(len(times), n_lat, n_lon)`` means of the calendar
+        days of ``times``."""
+        return self.day_mean[day_rows(self.first_day, self.day_mean.shape[0],
+                                      [calendar_day_index(t) for t in times])]
+
     def field_for(self, valid_time: datetime) -> GridField:
         """The climatological field for the calendar day of ``valid_time``."""
-        d = calendar_day_index(valid_time)
-        return GridField(self.grid, self.variable, valid_time, 0, self.day_mean[d])
+        return GridField(self.grid, self.variable, valid_time, 0,
+                         self.layers([valid_time])[0])
 
 
 def build_daily_mean_climatology(per_year: Sequence[np.ndarray]) -> np.ndarray:

@@ -6,16 +6,18 @@ climatologies are all stored the same way: a flat little-endian
 carrying the magic, dtype, geometry and CRC-32s of the payload, written
 and read by one codec. A field file (RBGRID1) holds one field; a stack
 (RBSTACK1) holds a 6-hourly series of one variable with one CRC-32 per
-layer, so one layer is read with a seek and checked alone. Uniform grids
-only; orientation is normalized to north-to-south rows and [0, 360)
-eastward columns on read. Threshold and climatology payloads carry a
-365-deep day axis (climatology payloads are float64 so that
+layer, so a span of layers is read with one seek and checked alone.
+Uniform grids only; orientation is normalized to north-to-south rows and
+[0, 360) eastward columns on read. Threshold and climatology payloads
+carry a 365-deep day axis (climatology payloads are float64 so that
 through-disk evaluation stays bit-identical to in-memory evaluation).
+Climatologies carry one CRC-32 per day, so a run reads only its days.
 
 Commands read stored arrays through one run-scoped :class:`FieldSource`,
 which resolves manifest paths, picks the layout from the sidecar's
-magic, parses each stack's sidecar once and validates each grid
-geometry once per run.
+magic, parses each stack's sidecar once, validates each grid geometry
+once per run and reads blocks of layers (:class:`~wxverify.grid.FieldBlock`)
+with one read per stack.
 
 Writers stream to a temp file and rename, so a file is either complete
 or absent. Serialization is canonical: rewriting what was just read
@@ -27,6 +29,7 @@ never a raw parser traceback.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -34,18 +37,19 @@ import os
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
+from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .climatology import (DAYS_PER_YEAR, DailyMeanClimatology, ThresholdField,
-                          year_times)
-from .errors import (ChecksumMismatch, DuplicateObservation,
+                          calendar_day_index, day_span, year_times)
+from .errors import (ChecksumMismatch, DuplicateObservation, GridMismatch,
                      HeaderPayloadShapeMismatch, InvalidHeader, ManifestError,
                      NonFiniteValue, NonMonotoneTime, NonUniformGrid,
                      UnknownStation, WxVerifyError)
-from .grid import GeoGrid, GridField, VariableId, derive_wind_speed
+from .grid import FieldBlock, GeoGrid, GridField, VariableId, derive_wind_speed
 
 if TYPE_CHECKING:
     from .cyclones import StormTrack
@@ -276,13 +280,18 @@ class _Store:
         The payload's length is checked against the sidecar before
         anything is read, and the grid is built only after that, so a
         sidecar cannot make the reader allocate more than the payload
-        holds. Only the requested layers are read, and only the CRC-32s
-        that cover them are checked; a whole-payload CRC is only ever
-        read whole. Finiteness is the caller's check (see :func:`_build`).
+        holds. Every CRC-32 that covers a requested layer is checked over
+        all the layers it covers: with one CRC-32 per layer only the
+        requested layers are read, and a payload with one CRC-32 over the
+        whole of it is read whole whatever part of it is asked for.
+        Finiteness is the caller's check (see :func:`_build`).
         """
         path = self.path
         n_lat, n_lon = self.geometry[:2]
         layer_bytes = self.dtype.itemsize * n_lat * n_lon
+        per_crc = self.n_layers // len(self.checksums)
+        first_crc = start // per_crc
+        end_crc = -(-(start + count) // per_crc)
         try:
             with open(path, "rb") as fh:
                 size = os.fstat(fh.fileno()).st_size
@@ -291,23 +300,24 @@ class _Store:
                     raise HeaderPayloadShapeMismatch(
                         f"{path}: payload is {size} bytes, header implies "
                         f"{n_bytes}")
-                fh.seek(start * layer_bytes)
-                blob = fh.read(count * layer_bytes)
+                fh.seek(first_crc * per_crc * layer_bytes)
+                blob = fh.read((end_crc - first_crc) * per_crc * layer_bytes)
         except FileNotFoundError:
             raise InvalidHeader(f"payload missing: {path}") from None
         except OSError as exc:
             raise InvalidHeader(f"cannot read payload {path}: {exc}") from exc
-        per_crc = self.n_layers // len(self.checksums)
         chunk = per_crc * layer_bytes
         view = memoryview(blob)
-        for i, k in enumerate(range(start // per_crc, (start + count) // per_crc)):
+        for i, k in enumerate(range(first_crc, end_crc)):
             if zlib.crc32(view[i * chunk:(i + 1) * chunk]) != self.checksums[k]:
                 where = f" in layer {k}" if len(self.checksums) > 1 else ""
                 raise ChecksumMismatch(f"{path}: CRC-32 mismatch{where}")
         grid, flip_rows, lon_shift = _cached_grid(self.geometry, path,
                                                   self.geometries)
         # an f64le payload is used in place; only f32le is widened (one copy)
-        layers = np.frombuffer(blob, dtype=self.dtype) \
+        skip = (start - first_crc * per_crc) * layer_bytes
+        layers = np.frombuffer(blob, dtype=self.dtype,
+                               count=count * n_lat * n_lon, offset=skip) \
             .astype(np.float64, copy=False).reshape(count, n_lat, n_lon)
         if flip_rows:
             layers = layers[:, ::-1]
@@ -320,21 +330,27 @@ def _parse_store(path: Path, header: dict, dtype: str, n_layers: int | None,
                  geometries: dict | None) -> _Store:
     """Check a loaded sidecar's dtype, geometry and checksums.
 
-    ``n_layers`` is the layer count the magic implies, with one CRC-32
-    over the whole payload; None for a stack, whose sidecar gives
-    ``n_layers`` and one CRC-32 per layer.
+    ``n_layers`` is the layer count the magic implies; None for a stack,
+    whose sidecar gives ``n_layers``. A sidecar with ``checksums`` carries
+    ``n_layers`` and one CRC-32 per layer (every stack, and climatologies
+    written since they are read by the day); any other carries one
+    ``checksum`` over the whole payload.
     """
     if header.get("dtype") != dtype:
         raise InvalidHeader(f"{path}: unsupported dtype {header.get('dtype')!r}")
     geometry = _grid_header_geometry(header, path)
-    if n_layers is None:
-        n_layers = _header_value(header, "n_layers", int, path)
+    if n_layers is None or "checksums" in header:
+        stored = _header_value(header, "n_layers", int, path)
         checksums = header.get("checksums")
-        if n_layers < 1 or not isinstance(checksums, list) \
-                or len(checksums) != n_layers \
+        if stored < 1 or n_layers not in (None, stored) \
+                or not isinstance(checksums, list) \
+                or len(checksums) != stored \
                 or not all(type(c) is int for c in checksums):
-            raise InvalidHeader(f"{path}: a stack needs n_layers >= 1 and "
-                                f"one integer CRC-32 per layer")
+            raise InvalidHeader(
+                f"{path}: per-layer checksums need n_layers = "
+                f"{'>= 1' if n_layers is None else n_layers} and one "
+                f"integer CRC-32 per layer")
+        n_layers = stored
     else:
         checksums = [_header_value(header, "checksum", int, path)]
     return _Store(path, _DTYPES[dtype], n_layers, geometry, tuple(checksums),
@@ -499,16 +515,29 @@ class _Stack:
                        self.first_lead + k * self.lead_step, layers[i])
                 for i, k in enumerate(range(start, start + count))]
 
-    def field_at(self, when: datetime, lead_hours: int | None) -> GridField:
-        """The layer valid at ``when``; with ``lead_hours``, it must carry
-        that lead."""
-        k = self.index(when)
-        lead = self.first_lead + k * self.lead_step
-        if lead_hours is not None and lead != lead_hours:
-            raise ManifestError(
-                f"{self.store.path}: the layer valid at {format_time(when)} "
-                f"has lead {lead} h, not {lead_hours} h")
-        return self.fields(k, 1)[0]
+    def block(self, times: Sequence[datetime],
+              leads: Sequence[int | None]) -> FieldBlock:
+        """The layers valid at ascending ``times``, from one read of the
+        span they cover; where ``leads`` gives a lead, the layer must
+        carry it."""
+        path = self.store.path
+        ks = [self.index(when) for when in times]
+        layer_leads = tuple(self.first_lead + k * self.lead_step for k in ks)
+        for when, lead, want in zip(times, layer_leads, leads):
+            if want is not None and lead != want:
+                raise ManifestError(
+                    f"{path}: the layer valid at {format_time(when)} has "
+                    f"lead {lead} h, not {want} h")
+        lo, hi = min(ks), max(ks)
+        grid, layers = self.store.read(lo, hi - lo + 1)
+        if ks != list(range(lo, hi + 1)):
+            layers = layers[[k - lo for k in ks]]
+        values = np.ascontiguousarray(layers)
+        if not np.isfinite(values).all():
+            raise NonFiniteValue(f"{path}: payload contains NaN/Inf")
+        return FieldBlock(grid, self.variable,
+                          tuple(self.first_time + k * STACK_STEP for k in ks),
+                          layer_leads, values)
 
 
 def read_stack(path: str | os.PathLike, geometries: dict | None = None
@@ -556,27 +585,46 @@ def read_thresholds(path: str | os.PathLike, geometries: dict | None = None
 
 def write_daily_climatology(clim: DailyMeanClimatology,
                             path: str | os.PathLike) -> Path:
-    """Persist a per-calendar-day mean climatology (f64le, lossless)."""
+    """Persist a full-year per-calendar-day mean climatology (f64le,
+    lossless) with one CRC-32 per day, so that a run reads and checks
+    only the days it needs."""
+    if clim.first_day or clim.day_mean.shape[0] != DAYS_PER_YEAR:
+        raise ValueError("only a climatology of all 365 days is stored")
     return _write_store(Path(path), CLIM_MAGIC, clim.grid, clim.day_mean,
                         "f64le", {
                             "variable": clim.variable.key,
                             "unit": clim.variable.unit,
                             "n_days": DAYS_PER_YEAR,
                             "years": list(clim.years),
-                        })
+                        }, per_layer=True)
 
 
 def read_daily_climatology(path: str | os.PathLike,
-                           geometries: dict | None = None
+                           geometries: dict | None = None,
+                           times: Iterable[datetime] | None = None
                            ) -> DailyMeanClimatology:
-    """A climatology written by :func:`write_daily_climatology`."""
+    """A climatology written by :func:`write_daily_climatology`.
+
+    Without ``times`` every day is read. With them, only the shortest run
+    of consecutive calendar days that holds the day of each time (see
+    :func:`~wxverify.climatology.day_span`): one read, or two when the
+    run crosses Dec 31, each checking the CRC-32 of every day it reads.
+    A legacy sidecar with one ``checksum`` over the whole payload is read
+    whole and checked whole.
+    """
     path = Path(path)
     header = _load_sidecar(path, CLIM_MAGIC)
-    grid, layers = _read_store(path, header, "f64le",
-                               _day_layers(header, path, 1), geometries)
+    store = _parse_store(path, header, "f64le", _day_layers(header, path, 1),
+                         geometries)
+    first, n_days = (0, DAYS_PER_YEAR) if times is None \
+        else day_span(calendar_day_index(when) for when in times)
+    head = min(n_days, DAYS_PER_YEAR - first)
+    grid, layers = store.read(first, head)
+    if head < n_days:
+        layers = np.concatenate([layers, store.read(0, n_days - head)[1]])
     return _build(path, DailyMeanClimatology, grid,
                   _header_variable(header, path), layers,
-                  tuple(_header_value(header, "years", list, path)))
+                  tuple(_header_value(header, "years", list, path)), first)
 
 
 # --- CSV interfaces ----------------------------------------------------------
@@ -827,41 +875,64 @@ class RunManifest:
     def lead_hours(self) -> tuple[int, ...]:
         return tuple(range(0, self.max_lead_hours + 1, 6))
 
-    def _fmt(self, pattern: str, **kwargs) -> Path:
+    def _fmt(self, pattern: str, keys: _PatternKeys) -> Path:
         try:
-            rel = pattern.format(**kwargs)
+            rel = pattern.format_map(keys)
         except (KeyError, IndexError, ValueError) as exc:
             raise ManifestError(f"bad pattern {pattern!r}: {exc}") from exc
         return self.root / rel
 
     def truth_path(self, variable: VariableId, when: datetime) -> Path:
-        return self._fmt(self.truth_pattern, variable=variable.key,
-                         **_valid_time_keys(when))
+        return self._fmt(self.truth_pattern, _PatternKeys(variable, when))
 
     def model_path(self, model: str, init: datetime, variable: VariableId,
                    lead_hours: int) -> Path:
-        return self._fmt(self.models[model], variable=variable.key,
-                         init=_compact(init), lead=lead_hours,
-                         **_valid_time_keys(init + timedelta(hours=lead_hours)))
+        return self._fmt(self.models[model], _PatternKeys(
+            variable, init + timedelta(hours=lead_hours), init, lead_hours))
 
     def climatology_path(self, variable: VariableId) -> Path:
         if self.climatology_pattern is None:
             raise ManifestError("manifest declares no climatology")
-        return self._fmt(self.climatology_pattern, variable=variable.key)
+        return self._fmt(self.climatology_pattern, _PatternKeys(variable))
 
     def history_path(self, variable: VariableId, when: datetime) -> Path:
         if self.history_pattern is None:
             raise ManifestError("manifest declares no history")
-        return self._fmt(self.history_pattern, variable=variable.key,
-                         **_valid_time_keys(when))
+        return self._fmt(self.history_pattern, _PatternKeys(variable, when))
 
 
+@functools.lru_cache(maxsize=8192)
 def _compact(when: datetime) -> str:
     return when.astimezone(timezone.utc).strftime("%Y%m%d%H")
 
 
-def _valid_time_keys(when: datetime) -> dict:
-    return {"time": _compact(when), "year": when.astimezone(timezone.utc).year}
+class _PatternKeys(dict):
+    """The keys of one path: ``variable``, plus ``time`` and ``year`` (of
+    the valid time) and ``init`` and ``lead`` where given. A key is
+    formatted only when the pattern uses it, so a stack pattern without
+    ``{time}`` costs no timestamp formatting per layer."""
+
+    def __init__(self, variable: VariableId, when: datetime | None = None,
+                 init: datetime | None = None, lead: int | None = None):
+        super().__init__(variable=variable.key)
+        self.when, self.init, self.lead = when, init, lead
+
+    def __missing__(self, key: str):
+        if key == "time" and self.when is not None:
+            return _compact(self.when)
+        if key == "year" and self.when is not None:
+            return self.when.astimezone(timezone.utc).year
+        if key == "init" and self.init is not None:
+            return _compact(self.init)
+        if key == "lead" and self.lead is not None:
+            return self.lead
+        raise KeyError(key)
+
+
+#: Most bytes one float64 block of a run may take (see
+#: :meth:`FieldSource.block_layers`): a block of a 0.25 degree global grid
+#: (8.3 MB a layer) holds at most 8 layers, never all 41 leads of a run.
+BLOCK_BYTES = 64 * 2**20
 
 
 class FieldSource:
@@ -875,11 +946,11 @@ class FieldSource:
 
     A truth, model or history path may name either layout; the magic of
     its sidecar decides. An RBGRID1 file is the one field it holds. An
-    RBSTACK1 store holds a 6-hourly series, and the layer valid at the
-    requested time is read with one seek: its sidecar is parsed once per
-    run and kept here, and only that layer's CRC-32 is checked. Safe to
-    share between threads. Derived WS10 is computed from U10 and V10
-    here and nowhere else.
+    RBSTACK1 store holds a 6-hourly series: its sidecar is parsed once
+    per run and kept here, and a block of its layers is read with one
+    seek, checking only the CRC-32s of the layers read. Fields are
+    blocks of one layer. Safe to share between threads. Derived WS10 is
+    computed from U10 and V10 here and nowhere else.
     """
 
     def __init__(self, manifest: RunManifest):
@@ -904,30 +975,77 @@ class FieldSource:
         return self._stacks.setdefault(
             path, _Stack.parse(path, header, self._geometries))
 
-    def _at(self, path: Path, when: datetime, lead_hours: int | None
-            ) -> GridField:
-        found = self._resolve(path)
-        if isinstance(found, _Stack):
-            return found.field_at(when, lead_hours)
-        return _grid_field(path, found, self._geometries)
-
-    def _field(self, path_of, variable: VariableId, when: datetime,
-               lead_hours: int | None) -> GridField:
+    def _block(self, path_of, variable: VariableId,
+               times: Sequence[datetime], leads: Sequence[int | None]
+               ) -> FieldBlock:
+        """The layers of ``variable`` valid at ascending ``times``, each
+        from the store ``path_of(variable, time, lead)`` names: one read
+        per stack, one per RBGRID1 field."""
         if variable.derived:
             return derive_wind_speed(
-                self._at(path_of(VariableId.U10), when, lead_hours),
-                self._at(path_of(VariableId.V10), when, lead_hours))
-        return self._at(path_of(variable), when, lead_hours)
+                self._block(path_of, VariableId.U10, times, leads),
+                self._block(path_of, VariableId.V10, times, leads))
+        parts = []
+        for path, items in groupby(zip(times, leads),
+                                   key=lambda item: path_of(variable, *item)):
+            found = self._resolve(path)
+            part_times, part_leads = zip(*items)
+            if isinstance(found, _Stack):
+                parts.append(found.block(part_times, part_leads))
+                continue
+            field = _grid_field(path, found, self._geometries)
+            parts.extend(FieldBlock(field.grid, field.variable,
+                                    (field.valid_time,), (field.lead_hours,),
+                                    field.values[None]) for _ in part_times)
+        if len(parts) == 1:
+            return parts[0]
+        first = parts[0]
+        for part in parts[1:]:
+            if part.grid != first.grid:
+                raise GridMismatch("fields are on different grids")
+            if part.variable is not first.variable:
+                raise GridMismatch(f"variable mismatch: {first.variable.key} "
+                                   f"vs {part.variable.key}")
+        return FieldBlock(first.grid, first.variable,
+                          sum((part.valid_times for part in parts), ()),
+                          sum((part.lead_hours for part in parts), ()),
+                          np.concatenate([part.values for part in parts]))
+
+    def truth_block(self, variable: VariableId, times: Sequence[datetime]
+                    ) -> FieldBlock:
+        """Truth of ``variable`` at ascending ``times``; a span that
+        crosses into the next truth year reads one block of each stack."""
+        return self._block(
+            lambda v, when, _: self.manifest.truth_path(v, when),
+            variable, times, [None] * len(times))
+
+    def model_block(self, name: str, init: datetime, variable: VariableId,
+                    leads: Sequence[int]) -> FieldBlock:
+        """Forecast ``name`` from ``init`` at ascending lead hours."""
+        return self._block(
+            lambda v, when, lead: self.manifest.model_path(name, init, v, lead),
+            variable, [init + timedelta(hours=lead) for lead in leads], leads)
 
     def truth(self, variable: VariableId, when: datetime) -> GridField:
-        return self._field(lambda v: self.manifest.truth_path(v, when),
-                           variable, when, None)
+        return self.truth_block(variable, [when]).field(0)
 
     def model(self, name: str, init: datetime, variable: VariableId,
               lead_hours: int) -> GridField:
-        return self._field(
-            lambda v: self.manifest.model_path(name, init, v, lead_hours),
-            variable, init + timedelta(hours=lead_hours), lead_hours)
+        return self.model_block(name, init, variable, [lead_hours]).field(0)
+
+    def block_layers(self, variable: VariableId) -> int:
+        """How many float64 layers of ``variable`` fit in one block of
+        :data:`BLOCK_BYTES` (at least one), on the grid of its truth at
+        the first init time."""
+        if not self.manifest.init_times:
+            return 1  # a run without init times reads no block
+        if variable.derived:
+            variable = VariableId.U10
+        path = self.manifest.truth_path(variable, self.manifest.init_times[0])
+        found = self._resolve(path)
+        n_lat, n_lon = found.store.geometry[:2] if isinstance(found, _Stack) \
+            else _grid_header_geometry(found, path)[:2]
+        return max(1, BLOCK_BYTES // (8 * n_lat * n_lon))
 
     def history(self, variable: VariableId, year: int) -> list[GridField]:
         """Every 6-hourly history field of one calendar year; from an
@@ -941,23 +1059,26 @@ class FieldSource:
         return [self.read(self.manifest.history_path(variable, when))
                 for when in times]
 
-    def climatologies(self) -> dict[VariableId, DailyMeanClimatology]:
-        """Daily-mean climatology of each stored variable; empty when the
-        manifest declares none."""
-        clims: dict[VariableId, DailyMeanClimatology] = {}
-        if self.manifest.climatology_pattern is None:
-            return clims
-        for variable in self.manifest.variables:
-            if variable.derived:
-                continue
-            path = self.manifest.climatology_path(variable)
-            if not path.exists():
-                raise ManifestError(
-                    f"climatology file {path} has not been built; run "
-                    f"`wxverify build-climatology --manifest "
-                    f"{self.manifest.path}` first")
-            clims[variable] = read_daily_climatology(path, self._geometries)
-        return clims
+    def climatology(self, variable: VariableId,
+                    times: Iterable[datetime] | None = None
+                    ) -> DailyMeanClimatology | None:
+        """The daily-mean climatology of ``variable`` on the calendar days
+        of ``times`` (every day without them), read by the day (see
+        :func:`read_daily_climatology`); None for a derived variable, when
+        the manifest declares no climatology, or when ``times`` is empty."""
+        if self.manifest.climatology_pattern is None or variable.derived:
+            return None
+        path = self.manifest.climatology_path(variable)
+        if not path.exists():
+            raise ManifestError(
+                f"climatology file {path} has not been built; run "
+                f"`wxverify build-climatology --manifest "
+                f"{self.manifest.path}` first")
+        if times is not None:
+            times = list(times)
+            if not times:
+                return None  # a run without valid times uses no day
+        return read_daily_climatology(path, self._geometries, times)
 
     def thresholds(self) -> tuple[ThresholdField, GeoGrid] | None:
         """Stored extreme thresholds and their grid; None when the manifest

@@ -12,7 +12,7 @@ so everything here is safe to call from concurrent workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from enum import Enum
 from typing import Sequence
@@ -207,6 +207,11 @@ class GridField:
         object.__setattr__(self, "lead_hours", lead)
         object.__setattr__(self, "values", vals)
 
+    @property
+    def valid_times(self) -> tuple[datetime]:
+        """The valid time, as for a one-layer :class:`FieldBlock`."""
+        return (self.valid_time,)
+
     def with_values(self, values: np.ndarray) -> "GridField":
         return GridField(self.grid, self.variable, self.valid_time,
                          self.lead_hours, values)
@@ -216,15 +221,39 @@ class GridField:
         return GridField(self.grid, self.variable, valid_time, lead_hours, self.values)
 
 
-def derive_wind_speed(u10: GridField, v10: GridField) -> GridField:
-    """WS10 = sqrt(u10^2 + v10^2); computed, never stored."""
+@dataclass(frozen=True, eq=False)
+class FieldBlock:
+    """Consecutive layers of one variable on one grid, read in one pass.
+
+    ``values`` is a C-contiguous float64 (k, n_lat, n_lon) array of
+    finite values; layer i is valid at ``valid_times[i]`` with lead
+    ``lead_hours[i]``. The reader (:class:`~wxverify.fileio.FieldSource`)
+    checks all of that, so construction does not scan the values again.
+    """
+
+    grid: GeoGrid
+    variable: VariableId
+    valid_times: tuple[datetime, ...]
+    lead_hours: tuple[int, ...]
+    values: np.ndarray
+
+    def field(self, i: int) -> GridField:
+        """Layer ``i`` as a field."""
+        return GridField(self.grid, self.variable, self.valid_times[i],
+                         self.lead_hours[i], self.values[i])
+
+
+def derive_wind_speed(u10, v10):
+    """WS10 = sqrt(u10^2 + v10^2) of two :class:`GridField` or two
+    :class:`FieldBlock`; computed, never stored."""
     if u10.variable is not VariableId.U10 or v10.variable is not VariableId.V10:
         raise GridMismatch("derive_wind_speed expects (U10, V10) fields")
-    if u10.grid != v10.grid or u10.valid_time != v10.valid_time \
+    if type(u10) is not type(v10) or u10.grid != v10.grid \
+            or u10.valid_times != v10.valid_times \
             or u10.lead_hours != v10.lead_hours:
         raise GridMismatch("U10/V10 fields disagree on grid or time")
-    speed = np.hypot(u10.values, v10.values)
-    return GridField(u10.grid, VariableId.WS10, u10.valid_time, u10.lead_hours, speed)
+    return replace(u10, variable=VariableId.WS10,
+                   values=np.hypot(u10.values, v10.values))
 
 
 def latitude_weights(grid: GeoGrid) -> np.ndarray:

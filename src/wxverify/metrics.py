@@ -4,15 +4,32 @@ All four metrics reduce with the normalized-area-weight spatial mean
 
     <a>_w = (1 / (n_lat * n_lon)) * sum_ij w_i * a(i, j)
 
-where w comes from :func:`wxverify.grid.latitude_weights`. Accumulation
-is double precision with a fixed summation order, so results are
-bit-deterministic regardless of how callers parallelize over
-(variable, lead) tuples.
+where w comes from :func:`wxverify.grid.latitude_weights`.
+
+One kernel, :func:`block_scores`, scores a block of k layers at once:
+it forms the error ``pred - truth`` once for WRMSE and bias, and the
+anomalies ``pred - clim`` and ``truth - clim`` once for ACC and
+activity. Every weighted mean is ``np.mean(w * x, axis=(1, 2))`` over a
+C-contiguous ``(k, n_lat, n_lon)`` array. For such an array numpy merges
+the two reduced axes into one contiguous run of ``n_lat * n_lon``
+elements per layer and sums it exactly as it sums one contiguous
+``(n_lat, n_lon)`` layer on its own, so layer i of a block scores
+bit for bit what the layer alone scores. That is why the kernel makes
+its inputs C-contiguous first: a block stored with another axis order
+(Fortran order, or layers last) is summed in another order and can
+differ in the last bits. The kernel works through a block a few layers
+at a time (``CHUNK_BYTES``) so that its temporaries stay in cache; as
+every layer is reduced on its own, the chunk size does not change a
+bit. The public :func:`wrmse`, :func:`bias`, :func:`acc` and
+:func:`activity` are one-layer calls of the kernel, so a scorecard built
+from blocks equals one built field by field. The summation order is
+fixed, so results are bit-deterministic whatever the caller's loop
+order.
 """
 
 from __future__ import annotations
 
-import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,10 +39,79 @@ from .grid import GridField, latitude_weights
 #: Weighted anomaly norms below this are treated as degenerate for ACC.
 ANOMALY_NORM_FLOOR = 1e-30
 
+#: Bytes of one layer chunk that :func:`block_scores` works through at a
+#: time, so that its temporaries stay in cache. Results do not depend on it.
+CHUNK_BYTES = 2**17
 
-def weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
-    """<a>_w over a (n_lat, n_lon) array with per-row weights."""
-    return float(np.mean(weights[:, None] * values))
+
+class BlockScores(NamedTuple):
+    """Per-layer scores of a block; None where an input was not given."""
+
+    wrmse: np.ndarray | None
+    bias: np.ndarray | None
+    acc: np.ndarray | None
+    activity: np.ndarray | None
+
+
+def block_scores(pred: np.ndarray, truth: np.ndarray | None,
+                 clim: np.ndarray | None, weights: np.ndarray) -> BlockScores:
+    """WRMSE and bias (with ``truth``), ACC (with ``truth`` and ``clim``)
+    and activity (with ``clim``) of each layer of ``(k, n_lat, n_lon)``
+    blocks, with per-row ``weights``.
+
+    ACC is the weighted cosine similarity of the anomalies, unclipped;
+    |ACC| <= 1 emerges numerically. Raises :class:`DegenerateAnomaly`
+    when a weighted anomaly norm of any layer falls below
+    ``ANOMALY_NORM_FLOOR``.
+    """
+    pred = np.ascontiguousarray(pred, dtype=np.float64)
+    if truth is not None:
+        truth = np.ascontiguousarray(truth, dtype=np.float64)
+    if clim is not None:
+        clim = np.ascontiguousarray(clim, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)[:, None]
+    k = pred.shape[0]
+    wanted = (truth is not None, truth is not None,
+              truth is not None and clim is not None, clim is not None)
+    scores = BlockScores(*(np.empty(k) if want else None for want in wanted))
+    step = max(1, CHUNK_BYTES // max(pred[0].nbytes, 1))
+    for lo in range(0, k, step):
+        part = slice(lo, lo + step)
+        _score_chunk(pred[part], None if truth is None else truth[part],
+                     None if clim is None else clim[part], w,
+                     BlockScores(*(None if out is None else out[part]
+                                   for out in scores)))
+    return scores
+
+
+def _score_chunk(pred: np.ndarray, truth: np.ndarray | None,
+                 clim: np.ndarray | None, w: np.ndarray, out: BlockScores):
+    """:func:`block_scores` of a few layers, written into ``out``."""
+    scratch = np.empty_like(pred)
+
+    def mean(x: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
+        """<x>_w of each layer: np.mean(w * x, axis=(1, 2))."""
+        return np.mean(np.multiply(w, x, out=scratch), axis=(1, 2), out=into)
+
+    if truth is not None:
+        err = pred - truth
+        mean(err, out.bias)
+        np.sqrt(mean(np.multiply(err, err, out=err)), out=out.wrmse)
+    if clim is None:
+        return
+    ap = pred - clim
+    if truth is not None:
+        at = truth - clim
+        d1 = mean(ap * ap)
+        d2 = mean(at * at)
+        if np.any((np.sqrt(np.maximum(d1, 0.0)) < ANOMALY_NORM_FLOOR)
+                  | (np.sqrt(np.maximum(d2, 0.0)) < ANOMALY_NORM_FLOOR)):
+            raise DegenerateAnomaly("anomaly field is (near-)constant zero")
+        np.divide(mean(np.multiply(ap, at, out=at)),
+                  np.sqrt(d1) * np.sqrt(d2), out=out.acc)
+    centered = np.subtract(ap, mean(ap)[:, None, None], out=ap)
+    np.sqrt(mean(np.multiply(centered, centered, out=centered)),
+            out=out.activity)
 
 
 def _resolve_weights(field: GridField, weights) -> np.ndarray:
@@ -37,30 +123,38 @@ def _resolve_weights(field: GridField, weights) -> np.ndarray:
     return w
 
 
-def _check_pair(pred: GridField, truth: GridField, *, same_time: bool):
-    if pred.grid != truth.grid:
+def check_pair(pred, other, *, same_time: bool):
+    """Raise :class:`GridMismatch` unless two fields or blocks share a
+    grid and a variable (and, with ``same_time``, their valid times)."""
+    if pred.grid != other.grid:
         raise GridMismatch("fields are on different grids")
-    if pred.variable is not truth.variable:
+    if pred.variable is not other.variable:
         raise GridMismatch(
-            f"variable mismatch: {pred.variable.key} vs {truth.variable.key}")
-    if same_time and pred.valid_time != truth.valid_time:
-        raise GridMismatch(
-            f"valid_time mismatch: {pred.valid_time} vs {truth.valid_time}")
+            f"variable mismatch: {pred.variable.key} vs {other.variable.key}")
+    if same_time:
+        for mine, theirs in zip(pred.valid_times, other.valid_times):
+            if mine != theirs:
+                raise GridMismatch(f"valid_time mismatch: {mine} vs {theirs}")
+
+
+def _one_layer(pred: GridField, truth: GridField | None,
+               clim: GridField | None, weights) -> BlockScores:
+    return block_scores(pred.values[None],
+                        None if truth is None else truth.values[None],
+                        None if clim is None else clim.values[None],
+                        _resolve_weights(pred, weights))
 
 
 def wrmse(pred: GridField, truth: GridField, weights=None) -> float:
     """Latitude-weighted root-mean-square error."""
-    _check_pair(pred, truth, same_time=True)
-    w = _resolve_weights(pred, weights)
-    err = pred.values - truth.values
-    return math.sqrt(weighted_mean(err * err, w))
+    check_pair(pred, truth, same_time=True)
+    return float(_one_layer(pred, truth, None, weights).wrmse[0])
 
 
 def bias(pred: GridField, truth: GridField, weights=None) -> float:
     """Signed latitude-weighted mean forecast error, <pred - truth>_w."""
-    _check_pair(pred, truth, same_time=True)
-    w = _resolve_weights(pred, weights)
-    return weighted_mean(pred.values - truth.values, w)
+    check_pair(pred, truth, same_time=True)
+    return float(_one_layer(pred, truth, None, weights).bias[0])
 
 
 def acc(pred: GridField, truth: GridField, clim: GridField, weights=None) -> float:
@@ -71,25 +165,12 @@ def acc(pred: GridField, truth: GridField, clim: GridField, weights=None) -> flo
     numerically. Raises :class:`DegenerateAnomaly` when either weighted
     anomaly norm falls below ``ANOMALY_NORM_FLOOR``.
     """
-    _check_pair(pred, truth, same_time=True)
-    _check_pair(pred, clim, same_time=False)
-    w = _resolve_weights(pred, weights)
-    ap = pred.values - clim.values
-    at = truth.values - clim.values
-    d1 = weighted_mean(ap * ap, w)
-    d2 = weighted_mean(at * at, w)
-    if math.sqrt(max(d1, 0.0)) < ANOMALY_NORM_FLOOR \
-            or math.sqrt(max(d2, 0.0)) < ANOMALY_NORM_FLOOR:
-        raise DegenerateAnomaly("anomaly field is (near-)constant zero")
-    num = weighted_mean(ap * at, w)
-    return num / (math.sqrt(d1) * math.sqrt(d2))
+    check_pair(pred, truth, same_time=True)
+    check_pair(pred, clim, same_time=False)
+    return float(_one_layer(pred, truth, clim, weights).acc[0])
 
 
 def activity(pred: GridField, clim: GridField, weights=None) -> float:
     """Weighted spatial standard deviation of the predicted anomaly field."""
-    _check_pair(pred, clim, same_time=False)
-    w = _resolve_weights(pred, weights)
-    a = pred.values - clim.values
-    m = weighted_mean(a, w)
-    centered = a - m
-    return math.sqrt(weighted_mean(centered * centered, w))
+    check_pair(pred, clim, same_time=False)
+    return float(_one_layer(pred, None, clim, weights).activity[0])

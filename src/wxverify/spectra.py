@@ -25,10 +25,12 @@ from .grid import EARTH_RADIUS_KM, GridField, VariableId, cos_lat
 MIDLATITUDE_BAND = (30.0, 60.0)
 
 
-def latitude_circumference_m(lat_deg: float) -> float:
-    """C_i = 2*pi*R*cos(lat) in metres; zero at the poles."""
-    return float(2.0 * np.pi * EARTH_RADIUS_KM * 1000.0
-                 * cos_lat(np.asarray([lat_deg]))[0])
+def latitude_circumference_m(lat_deg):
+    """C_i = 2*pi*R*cos(lat) in metres, of one latitude (a float) or of
+    an array of them (an array); zero at the poles."""
+    c = 2.0 * np.pi * EARTH_RADIUS_KM * 1000.0 \
+        * cos_lat(np.asarray(lat_deg, dtype=np.float64))
+    return float(c) if np.ndim(lat_deg) == 0 else c
 
 
 @dataclass(frozen=True)
@@ -54,22 +56,31 @@ class ZonalSpectrum:
         return np.arange(self.energy.size)
 
 
+def _row_spectra(field: GridField, rows: np.ndarray) -> np.ndarray:
+    """Energy spectra of latitude ``rows``, one per row, from one
+    ``rfft`` over those rows; raises :class:`PolarRow` for a row with
+    cos(lat) <= 0 (degenerate C_i)."""
+    n_lon = field.grid.n_lon
+    c = latitude_circumference_m(field.grid.lat_deg[rows])
+    polar = np.flatnonzero(c <= 0.0)
+    if polar.size:
+        lat = float(field.grid.lat_deg[rows[polar[0]]])
+        raise PolarRow(f"latitude {lat} has non-positive circumference")
+    coeff = np.fft.rfft(field.values[rows], axis=1) / n_lon
+    s = (coeff.real ** 2 + coeff.imag ** 2) * c[:, None]
+    s[:, 1:] *= 2.0
+    return s
+
+
 def zonal_spectrum_row(field: GridField, row: int) -> np.ndarray:
     """Energy spectrum of one latitude row; length floor(n_lon/2) + 1.
 
     Raises :class:`PolarRow` when cos(lat) <= 0 (degenerate C_i).
     """
-    n_lat, n_lon = field.grid.shape
+    n_lat = field.grid.n_lat
     if not 0 <= row < n_lat:
         raise IndexError(f"row {row} outside [0, {n_lat})")
-    lat = float(field.grid.lat_deg[row])
-    c = latitude_circumference_m(lat)
-    if c <= 0.0:
-        raise PolarRow(f"latitude {lat} has non-positive circumference")
-    coeff = np.fft.rfft(field.values[row]) / n_lon
-    s = (coeff.real ** 2 + coeff.imag ** 2) * c
-    s[1:] *= 2.0
-    return s
+    return _row_spectra(field, np.array([row]))[0]
 
 
 def midlatitude_spectrum(field: GridField,
@@ -85,6 +96,6 @@ def midlatitude_spectrum(field: GridField,
     rows = np.nonzero((abs_lat > b0) & (abs_lat < b1))[0]
     if rows.size == 0:
         raise EmptyBand(f"no grid row with {b0} < |lat| < {b1}")
-    stack = np.stack([zonal_spectrum_row(field, int(r)) for r in rows])
     return ZonalSpectrum(field.variable, field.lead_hours,
-                         np.mean(stack, axis=0), (float(b0), float(b1)))
+                         np.mean(_row_spectra(field, rows), axis=0),
+                         (float(b0), float(b1)))

@@ -25,7 +25,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .climatology import DailyMeanClimatology, calendar_day_index
+from .climatology import (DailyMeanClimatology, calendar_day_index,
+                          day_rows)
 from .errors import DegenerateAnomaly, NoValidPairs
 from .grid import (BilinearWeights, GeoGrid, GridField, VariableId,
                    bilinear_weights)
@@ -340,15 +341,22 @@ def apply_qc(table: StationTable, reference: np.ndarray,
 
 @dataclass(frozen=True)
 class StationClimatology:
-    """Per-calendar-day mean per station (serves station-space ACC)."""
+    """Per-calendar-day mean per station (serves station-space ACC).
+
+    Row i of ``day_mean`` is calendar day ``(first_day + i) % 365``, as in
+    :class:`~wxverify.climatology.DailyMeanClimatology`.
+    """
 
     station_ids: tuple[str, ...]
-    day_mean: np.ndarray  # (365, n_stations)
+    day_mean: np.ndarray  # (n_days, n_stations)
+    first_day: int = 0
 
     def __post_init__(self):
         dm = np.ascontiguousarray(self.day_mean, dtype=np.float64)
-        if dm.ndim != 2 or dm.shape != (365, len(self.station_ids)):
-            raise ValueError("day_mean must have shape (365, n_stations)")
+        if dm.ndim != 2 or not 1 <= dm.shape[0] <= 365 \
+                or dm.shape[1] != len(self.station_ids):
+            raise ValueError("day_mean must have shape (n_days, n_stations) "
+                             "with 1 <= n_days <= 365")
         if not np.all(np.isfinite(dm)):
             raise ValueError("day_mean must be finite")
         dm.setflags(write=False)
@@ -385,11 +393,12 @@ class StationInterpolator:
 def station_climatology_from_grid(clim: DailyMeanClimatology,
                                   interpolator: StationInterpolator
                                   ) -> StationClimatology:
-    """Interpolate a 365-day grid climatology to the stations, as one
-    gather over the whole day stack."""
+    """Interpolate a grid climatology to the stations, as one gather over
+    every day it holds."""
     day_mean = interpolator.weights(clim.grid).apply(clim.day_mean)
     return StationClimatology(
-        tuple(s.station_id for s in interpolator.stations), day_mean)
+        tuple(s.station_id for s in interpolator.stations), day_mean,
+        clim.first_day)
 
 
 @dataclass(frozen=True)
@@ -433,8 +442,9 @@ def station_scores(forecasts: Sequence[GridField], table: StationTable,
         fc_row = interpolator.at_stations(fc)
         diffs.append(fc_row[present] - obs_row[present])
         if clim is not None:
-            day = calendar_day_index(fc.valid_time)
-            c = clim.day_mean[day][present]
+            row, = day_rows(clim.first_day, clim.day_mean.shape[0],
+                            [calendar_day_index(fc.valid_time)])
+            c = clim.day_mean[row][present]
             fc_anom.append(fc_row[present] - c)
             ob_anom.append(obs_row[present] - c)
     if not diffs:

@@ -5,6 +5,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from wxverify import fileio
 from wxverify.grid import GeoGrid, GridField, VariableId
 
 T0 = datetime(2025, 7, 1, 0, tzinfo=timezone.utc)
@@ -38,3 +39,15 @@ def random_field(rng: np.random.Generator, grid: GeoGrid,
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20250701)
+
+
+@pytest.fixture
+def store_reads(monkeypatch) -> list:
+    """(path, start, count) of every ``fileio._Store.read`` in the test:
+    how often, and which layers of, each stored payload is read."""
+    reads = []
+    real_read = fileio._Store.read
+    monkeypatch.setattr(fileio._Store, "read", lambda store, start, count:
+                        reads.append((store.path, start, count))
+                        or real_read(store, start, count))
+    return reads

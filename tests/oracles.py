@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Everything here deliberately avoids the engine's code paths: metrics are
-scalar loops with exactly-rounded accumulation (math.fsum), the spectrum
+scalar loops with exactly-rounded accumulation (math.fsum), plus the
+one-field numpy metric bodies the engine's block kernel must reproduce
+bit for bit; the spectrum
 is a direct O(N^2) transform, percentiles are computed from a Python
 sort, event labeling/matching are brute-force searches, and station
 windowing, QC and bilinear interpolation are per-element loops. The one
@@ -65,6 +67,45 @@ def activity_loop(pred, clim, weights) -> float:
     var = math.fsum(weights[i] * (pred[i][j] - clim[i][j] - mean) ** 2
                     for i in range(n_lat) for j in range(n_lon)) / cells
     return math.sqrt(var)
+
+
+# --- per-field numpy metric bodies (one field at a time) ---------------------
+#
+# The engine scored one field at a time with these bodies before it scored
+# blocks of layers; each layer of a block must score exactly what they do.
+
+def weighted_mean(values, weights) -> float:
+    """<a>_w over a (n_lat, n_lon) array with per-row weights."""
+    return float(np.mean(weights[:, None] * values))
+
+
+def wrmse_field(pred, truth, weights) -> float:
+    err = pred - truth
+    return math.sqrt(weighted_mean(err * err, weights))
+
+
+def bias_field(pred, truth, weights) -> float:
+    return weighted_mean(pred - truth, weights)
+
+
+def acc_field(pred, truth, clim, weights, floor: float = 1e-30):
+    """ACC of one field; None where an anomaly norm is below ``floor``
+    (the engine raises DegenerateAnomaly there)."""
+    ap = pred - clim
+    at = truth - clim
+    d1 = weighted_mean(ap * ap, weights)
+    d2 = weighted_mean(at * at, weights)
+    if math.sqrt(max(d1, 0.0)) < floor or math.sqrt(max(d2, 0.0)) < floor:
+        return None
+    num = weighted_mean(ap * at, weights)
+    return num / (math.sqrt(d1) * math.sqrt(d2))
+
+
+def activity_field(pred, clim, weights) -> float:
+    a = pred - clim
+    m = weighted_mean(a, weights)
+    centered = a - m
+    return math.sqrt(weighted_mean(centered * centered, weights))
 
 
 # --- spectrum oracle: direct O(N^2) DFT ---------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import zlib
 from datetime import timedelta
 from pathlib import Path
 
@@ -13,11 +14,13 @@ import pytest
 import oracles
 import wxverify
 from wxverify import fileio
-from wxverify.cli import _region_mask, main
-from wxverify.climatology import SYNOPTIC_HOURS, calendar_day_index
+from wxverify.cli import _mean, _region_mask, main
+from wxverify.climatology import (SYNOPTIC_HOURS, calendar_day_index,
+                                  day_span)
 from wxverify.extremes import EventKind
-from wxverify.grid import VariableId
+from wxverify.grid import VariableId, latitude_weights
 from wxverify.report import validate_scorecard
+from wxverify.spectra import midlatitude_spectrum
 
 EXTREMES_SCENARIO = {
     "seed": 424242,
@@ -334,6 +337,24 @@ class TestExitCodes:
         assert rc == 3
         assert "2" in capsys.readouterr().err
 
+    def test_degenerate_anomaly_is_exit_3(self, tmp_path, capsys):
+        # a constant truth equals its climatology: no anomaly to correlate
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(
+            EVALUATE_SCENARIO, processes={"t2m": {"base": 285.0}})))
+        run = tmp_path / "run"
+        assert run_cli("synth", "--scenario", scenario, "--out", run,
+                       "--inits", "2025-07-01T00:00:00Z",
+                       "--max-lead-hours", "12", "--models", "perfect") == 0
+        assert run_cli("build-climatology",
+                       "--manifest", run / "manifest.json") == 0
+        capsys.readouterr()
+        rc = run_cli("evaluate", "--manifest", run / "manifest.json",
+                     "--out", tmp_path / "out")
+        assert rc == 3
+        assert capsys.readouterr().err == \
+            "error: anomaly field is (near-)constant zero\n"
+
     @pytest.mark.parametrize("years", [["20x3"], "2023"],
                              ids=["non-integer-year", "string-not-list"])
     def test_bad_history_years_is_exit_2(self, evaluate_run, years, capsys):
@@ -432,26 +453,267 @@ class TestStackReads:
         assert any(path.suffix == ".rbs" for path in loads)
         assert len(loads) == len(set(loads))
 
+    def test_stations_read_each_forecast_once_and_the_run_days(
+            self, evaluate_run, tmp_path, monkeypatch, store_reads):
+        manifest = fileio.load_manifest(evaluate_run / "manifest.json")
+        argv = ["stations", "--manifest", manifest.path,
+                "--station-meta", evaluate_run / "stations_meta.csv",
+                "--station-obs", evaluate_run / "stations_obs.csv"]
+        full = fileio.FieldSource.climatology
+        with monkeypatch.context() as whole_year:
+            whole_year.setattr(fileio.FieldSource, "climatology",
+                               lambda source, variable, times=None:
+                               full(source, variable))
+            assert run_cli(*argv, "--out", tmp_path / "whole") == 0
+        store_reads.clear()
+        assert run_cli(*argv, "--out", tmp_path / "days") == 0
+        days = day_span(calendar_day_index(init + timedelta(hours=lead))
+                        for init in manifest.init_times
+                        for lead in manifest.lead_hours)
+        assert [r for r in store_reads if "clim" in r[0].parts] == \
+            [(manifest.climatology_path(v), *days)
+             for v in manifest.variables]
+        assert sorted(r for r in store_reads if "models" in r[0].parts) == \
+            sorted((manifest.model_path(name, init, v, 0), 0,
+                    len(manifest.lead_hours))
+                   for name in manifest.models for v in manifest.variables
+                   for init in manifest.init_times)
+        assert (tmp_path / "days/scorecard.json").read_bytes() == \
+            (tmp_path / "whole/scorecard.json").read_bytes()
+        with monkeypatch.context() as one_layer:
+            one_layer.setattr(fileio, "BLOCK_BYTES", 1)
+            assert run_cli(*argv, "--out", tmp_path / "layers") == 0
+        assert (tmp_path / "layers/scorecard.json").read_bytes() == \
+            (tmp_path / "whole/scorecard.json").read_bytes()
+
     @pytest.mark.parametrize("command", ["build-climatology", "extremes"])
     def test_each_history_year_is_one_read(self, extremes_run, command,
-                                           tmp_path, monkeypatch):
+                                           tmp_path, store_reads):
         doc = json.loads((extremes_run / "manifest.json").read_text())
         del doc["climatology"]["thresholds_path"]  # extremes builds them
         manifest = extremes_run / "manifest_no_thresholds.json"
         manifest.write_text(json.dumps(doc))
-        reads = []
-        real_read = fileio._Store.read
-        monkeypatch.setattr(fileio._Store, "read", lambda store, start, count:
-                            reads.append((store.path, start, count))
-                            or real_read(store, start, count))
         argv = [command, "--manifest", manifest]
         if command == "extremes":
             argv += ["--out", tmp_path / "out", "--lead-days", "1"]
         assert run_cli(*argv) == 0
         history = {extremes_run / f"truth/t2m/{year}.rbs": n_times
                    for year, n_times in ((2023, 1460), (2024, 1464))}
-        assert [read for read in reads if read[0] in history] == \
+        assert [read for read in store_reads if read[0] in history] == \
             [(path, 0, n_times) for path, n_times in history.items()]
+
+
+def field_by_field(manifest_path, leads, spectra_leads):
+    """The grid metric rows and mean spectra of scoring one field at a
+    time: per (model, variable, lead), each init's forecast field against
+    its truth field and climatology day with the per-field metric bodies
+    of ``oracles``, averaged over the inits in init order."""
+    manifest = fileio.load_manifest(manifest_path)
+    source = fileio.FieldSource(manifest)
+    clims = {v: source.climatology(v) for v in manifest.variables}
+    rows = []
+    for model in sorted(manifest.models):
+        for variable in manifest.variables:
+            for lead in leads:
+                per = {"wrmse": [], "acc": [], "bias": [], "activity": []}
+                for init in manifest.init_times:
+                    when = init + timedelta(hours=lead)
+                    pred = source.model(model, init, variable, lead).values
+                    truth = source.truth(variable, when)
+                    w = latitude_weights(truth.grid)
+                    per["wrmse"].append(
+                        oracles.wrmse_field(pred, truth.values, w))
+                    per["bias"].append(
+                        oracles.bias_field(pred, truth.values, w))
+                    if clims[variable] is not None:
+                        clim = clims[variable].field_for(when).values
+                        per["acc"].append(
+                            oracles.acc_field(pred, truth.values, clim, w))
+                        per["activity"].append(
+                            oracles.activity_field(pred, clim, w))
+                rows.extend({"model": model, "variable": variable.key,
+                             "lead_hours": lead, "metric": metric,
+                             "value": _mean(values) if values else "n/a",
+                             "n_samples": len(values)}
+                            for metric, values in per.items())
+    spectra = {}
+    for name in sorted(manifest.models) + ["truth"]:
+        for variable in manifest.variables:
+            for lead in spectra_leads:
+                fields = [source.truth(variable, init + timedelta(hours=lead))
+                          if name == "truth" else
+                          source.model(name, init, variable, lead)
+                          for init in manifest.init_times]
+                spectra[f"spectra/{name}_{variable.key}_{lead:03d}h.csv"] = \
+                    np.mean([midlatitude_spectrum(f).energy for f in fields],
+                            axis=0)
+    return rows, spectra
+
+
+def assert_scores_field_by_field(out, manifest_path, leads, spectra_leads):
+    card = load_card(out)
+    rows, spectra = field_by_field(manifest_path, leads, spectra_leads)
+    assert card["grid_metrics"] == rows  # floats compared exactly
+    assert [row["csv"] for row in card["spectra"]] == list(spectra)
+    for rel, energy in spectra.items():
+        lines = (out / rel).read_text().splitlines()[1:]
+        got = np.array([float(line.split(",")[1]) for line in lines])
+        assert got.tobytes() == energy.tobytes()
+
+
+def with_manifest(run, name, **changes):
+    """A copy of the run's manifest under ``name`` with ``changes``."""
+    doc = json.loads((run / "manifest.json").read_text())
+    doc.update(changes)
+    path = run / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def grid_layout(run):
+    """The run rewritten as one RBGRID1 file per field; its manifest."""
+    manifest = fileio.load_manifest(run / "manifest.json")
+    source = fileio.FieldSource(manifest)
+    models = {name: f"grid/models/{name}/{{init}}/{{variable}}_{{lead:03d}}.rbg"
+              for name in manifest.models}
+    path = with_manifest(run, "manifest_grid.json",
+                         truth_pattern="grid/truth/{variable}/{time}.rbg",
+                         models=models)
+    grid_manifest = fileio.load_manifest(path, require=())
+    for variable in manifest.variables:
+        if variable.derived:
+            continue
+        for init in manifest.init_times:
+            for lead in manifest.lead_hours:
+                when = init + timedelta(hours=lead)
+                fileio.write_grid(source.truth(variable, when),
+                                  grid_manifest.truth_path(variable, when))
+                for name in manifest.models:
+                    fileio.write_grid(
+                        source.model(name, init, variable, lead),
+                        grid_manifest.model_path(name, init, variable, lead))
+    return path
+
+
+def legacy_climatology(run):
+    """The run's climatologies with one whole-payload CRC-32 in each
+    sidecar, as written before they were read by the day; its manifest."""
+    doc = json.loads((run / "manifest.json").read_text())
+    for payload in (run / "clim").glob("*.rbc"):
+        legacy = run / "clim_legacy" / payload.name
+        legacy.parent.mkdir(exist_ok=True)
+        legacy.write_bytes(payload.read_bytes())
+        header = json.loads(payload.with_name(payload.name + ".json")
+                            .read_text())
+        del header["checksums"], header["n_layers"]
+        header["checksum"] = zlib.crc32(payload.read_bytes())
+        legacy.with_name(legacy.name + ".json").write_text(json.dumps(header))
+    clim = dict(doc["climatology"],
+                daily_mean_pattern="clim_legacy/{variable}.rbc")
+    return with_manifest(run, "manifest_legacy.json", climatology=clim)
+
+
+@pytest.fixture(scope="module")
+def new_year_run(tmp_path_factory):
+    """Inits on Dec 30 and 31 with two-day leads: each truth span crosses
+    into the next year's stack, and the climatology days run 363 -> 1."""
+    root = tmp_path_factory.mktemp("newyear")
+    scenario = root / "scenario.json"
+    processes = {k: v for k, v in EVALUATE_SCENARIO["processes"].items()
+                 if k in ("t2m", "msl")}
+    scenario.write_text(json.dumps(dict(EVALUATE_SCENARIO, years=[2025, 2026],
+                                        processes=processes)))
+    rc = run_cli("synth", "--scenario", scenario, "--out", root / "run",
+                 "--inits", "2025-12-30T00:00:00Z,2025-12-31T00:00:00Z",
+                 "--max-lead-hours", "48", "--models", "persistence,perfect")
+    assert rc == 0
+    assert run_cli("build-climatology",
+                   "--manifest", root / "run/manifest.json") == 0
+    return root / "run"
+
+
+ALL_LEADS = tuple(range(0, 49, 6))
+
+
+class TestEvaluateBlocks:
+    """``evaluate`` scores blocks of leads; every run must equal scoring
+    one field at a time, bit for bit."""
+
+    @pytest.mark.parametrize("variant", ["stacks", "rbgrid1", "ws10",
+                                         "legacy-clim", "one-layer-blocks"])
+    def test_equals_field_by_field(self, evaluate_run, variant, tmp_path,
+                                   monkeypatch):
+        manifest = evaluate_run / "manifest.json"
+        if variant == "rbgrid1":
+            manifest = grid_layout(evaluate_run)
+        elif variant == "ws10":
+            manifest = with_manifest(evaluate_run, "manifest_ws10.json",
+                                     variables=["t2m", "u10", "v10", "msl",
+                                                "ws10"])
+        elif variant == "legacy-clim":
+            manifest = legacy_climatology(evaluate_run)
+        elif variant == "one-layer-blocks":
+            monkeypatch.setattr(fileio, "BLOCK_BYTES", 1)
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--manifest", manifest, "--out", out) == 0
+        assert_scores_field_by_field(out, manifest, ALL_LEADS, (6,))
+
+    def test_spectra_leads_outside_the_metric_leads(self, evaluate_run,
+                                                    tmp_path):
+        manifest = evaluate_run / "manifest.json"
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--manifest", manifest, "--out", out,
+                       "--leads", "6,12,12", "--spectra-leads",
+                       "0,18,48") == 0
+        assert_scores_field_by_field(out, manifest, (6, 12, 12), (0, 18, 48))
+
+    def test_span_across_the_new_year(self, new_year_run, tmp_path,
+                                      store_reads):
+        manifest = new_year_run / "manifest.json"
+        out = tmp_path / "out"
+        assert run_cli("evaluate", "--manifest", manifest, "--out", out) == 0
+        reads = [(path.relative_to(new_year_run).as_posix(), start, count)
+                 for path, start, count in store_reads]
+        # the climatology is read from day 363 to Dec 31, then from day 0
+        assert [r for r in reads if r[0].startswith("clim/")] == [
+            (f"clim/{v}.rbc", start, n) for v in ("msl", "t2m")
+            for start, n in ((363, 2), (0, 2))]
+        # each init reads one block of each truth year it spans
+        truth = [r for r in reads if r[0].startswith("truth/t2m/")]
+        assert [path for path, _, _ in truth] == [
+            "truth/t2m/2025.rbs", "truth/t2m/2026.rbs"] * 2
+        assert_scores_field_by_field(out, manifest, ALL_LEADS, (6,))
+        for variant in (legacy_climatology(new_year_run),
+                        grid_layout(new_year_run)):
+            again = tmp_path / variant.stem
+            assert run_cli("evaluate", "--manifest", variant,
+                           "--out", again) == 0
+            assert load_card(again)["grid_metrics"] == \
+                load_card(out)["grid_metrics"]
+
+    def test_each_stack_payload_is_read_once(self, evaluate_run, tmp_path,
+                                             store_reads):
+        manifest = fileio.load_manifest(evaluate_run / "manifest.json")
+        assert run_cli("evaluate", "--manifest", manifest.path,
+                       "--out", tmp_path / "out") == 0
+        n_layers = len(manifest.lead_hours)
+        stored = [v for v in manifest.variables if not v.derived]
+        models = [(manifest.model_path(name, init, v, 0), 0, n_layers)
+                  for v in stored for init in manifest.init_times
+                  for name in sorted(manifest.models)]
+        assert sorted(r for r in store_reads if "models" in r[0].parts) == \
+            sorted(models)
+        # one span per (variable, init) of the year's stack, from Jan 1
+        jan = manifest.init_times[0].replace(month=1, day=1)
+        truth = [(manifest.truth_path(v, init),
+                  (init - jan) // fileio.STACK_STEP, n_layers)
+                 for v in stored for init in manifest.init_times]
+        assert [r for r in store_reads if "truth" in r[0].parts] == truth
+        days = day_span(calendar_day_index(init + timedelta(hours=lead))
+                        for init in manifest.init_times
+                        for lead in manifest.lead_hours)
+        assert [r for r in store_reads if "clim" in r[0].parts] == \
+            [(manifest.climatology_path(v), *days) for v in stored]
 
 
 @pytest.fixture(scope="module")
@@ -573,6 +835,40 @@ def cyclone_run(tmp_path_factory):
                  "--models", "perfect,smoothed:9", "--truth-span", "run")
     assert rc == 0
     return root / "run"
+
+
+class TestCycloneReads:
+    def test_each_forecast_stack_is_read_once(self, cyclone_run, tmp_path,
+                                              store_reads):
+        out = tmp_path / "out"
+        argv = ["cyclones", "--manifest", cyclone_run / "manifest.json",
+                "--besttrack", cyclone_run / "besttrack.csv"]
+        assert run_cli(*argv, "--out", out) == 0
+        blobs = {name: (out / name).read_bytes()
+                 for name in ("tracks.csv", "scorecard.json")}
+        manifest = fileio.load_manifest(cyclone_run / "manifest.json")
+        # a second storm seeded at the same init shares the reads
+        besttrack = cyclone_run / "besttrack2.csv"
+        lines = (cyclone_run / "besttrack.csv").read_text().splitlines()
+        besttrack.write_text("\n".join(
+            lines + [line.replace("SYN01", "SYN02") for line in lines[1:]])
+            + "\n")
+        for track_file, target in ((cyclone_run / "besttrack.csv", out),
+                                   (besttrack, tmp_path / "two")):
+            store_reads.clear()
+            assert run_cli("cyclones", "--manifest", manifest.path,
+                           "--besttrack", track_file, "--out", target) == 0
+            n_layers = len(manifest.lead_hours)
+            assert sorted(store_reads) == sorted(
+                (manifest.model_path(name, init, variable, 0), 0, n_layers)
+                for name in manifest.models for init in manifest.init_times
+                for variable in (VariableId.MSL, VariableId.U10,
+                                 VariableId.V10))
+        for name, blob in blobs.items():
+            assert (out / name).read_bytes() == blob
+        two = (tmp_path / "two/tracks.csv").read_text().splitlines()
+        assert [line for line in two if not line.startswith("SYN02,")] == \
+            blobs["tracks.csv"].decode().splitlines()
 
 
 class TestCyclones:

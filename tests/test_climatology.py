@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_field, make_grid
-from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
+from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory, day_span,
                                   build_daily_mean_climatology,
                                   build_thresholds, calendar_day_index,
                                   history_from_fields, window_indices)
@@ -291,3 +291,28 @@ class TestDailyMeanClimatology:
     def test_empty_history_raises(self):
         with pytest.raises(InsufficientHistory):
             build_daily_mean_climatology([])
+
+
+class TestDaySpan:
+    @given(days=st.sets(st.integers(0, DAYS_PER_YEAR - 1), min_size=1,
+                        max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_shortest_run_that_holds_every_day(self, days):
+        first, n_days = day_span(days)
+        held = {(first + i) % DAYS_PER_YEAR for i in range(n_days)}
+        assert days <= held
+        # no run of consecutive days, from any start, is shorter
+        shortest = min(max((d - start) % DAYS_PER_YEAR for d in days) + 1
+                       for start in days)
+        assert n_days == shortest
+        assert first in days and (first + n_days - 1) % DAYS_PER_YEAR in days
+
+    def test_whole_year_starts_at_day_zero(self):
+        assert day_span(range(DAYS_PER_YEAR)) == (0, DAYS_PER_YEAR)
+
+    def test_run_across_new_year(self):
+        assert day_span([363, 364, 0, 1]) == (363, 4)
+
+    def test_no_day_is_an_error(self):
+        with pytest.raises(ValueError):
+            day_span([])

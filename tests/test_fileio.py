@@ -14,8 +14,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import T0, make_field, make_grid
-from wxverify import fileio
+from wxverify import fileio, metrics
 from wxverify.climatology import (DAYS_PER_YEAR, DailyMeanClimatology,
                                   ThresholdField)
 from wxverify.errors import (ChecksumMismatch, DuplicateObservation,
@@ -23,7 +24,7 @@ from wxverify.errors import (ChecksumMismatch, DuplicateObservation,
                              ManifestError, NonFiniteValue, NonMonotoneTime,
                              NonUniformGrid, UnitOutOfRange, UnknownStation,
                              WxVerifyError)
-from wxverify.grid import GeoGrid, VariableId
+from wxverify.grid import GeoGrid, VariableId, latitude_weights
 
 
 def f32_field(rng, grid, **kw):
@@ -81,7 +82,7 @@ STORES = {
                         lambda r: (r[1], [r[0].tau_heat, r[0].tau_cold])),
     "climatology": Store(write_climatology_store, fileio.read_daily_climatology,
                          "<f8", lambda m: m.climatology_path(VariableId.T2M),
-                         lambda s: s.climatologies()[VariableId.T2M],
+                         lambda s: s.climatology(VariableId.T2M),
                          lambda c: (c.grid, [c.day_mean])),
     "stack": Store(write_stack_store, fileio.read_stack, "<f4",
                    lambda m: m.truth_path(VariableId.MSL, STACK_TIMES[-1]),
@@ -728,7 +729,7 @@ class TestFieldSource:
             source = fileio.FieldSource(manifest)
             if field_first:
                 truth = source.truth(VariableId.T2M, T0)
-            clim = source.climatologies()[VariableId.T2M]
+            clim = source.climatology(VariableId.T2M)
             _, threshold_grid = source.thresholds()
             stack_layer = STORES["stack"].read_via(source)
             if not field_first:
@@ -790,14 +791,16 @@ class TestFieldSource:
             assert u.grid is v.grid is ws.grid
 
 
-def write_raw_stack(path, layers, geometry, first_time=T0, variable="t2m"):
-    """An RBSTACK1 store of truth layers, in any orientation the format
-    allows."""
+def write_raw_stack(path, layers, geometry, first_time=T0, variable="t2m",
+                    lead_step=0):
+    """An RBSTACK1 store of layers, in any orientation the format allows:
+    truth, or with ``lead_step`` 6 a forecast from ``first_time``."""
     n_lat, n_lon, lat_start, lat_step, lon_start, lon_step = geometry
     blobs = [np.ascontiguousarray(v, dtype="<f4").tobytes() for v in layers]
     header = {"magic": fileio.STACK_MAGIC, "variable": variable, "unit": "K",
               "valid_time": fileio.format_time(first_time),
-              "time_step_hours": 6, "lead_hours": 0, "lead_step_hours": 0,
+              "time_step_hours": 6, "lead_hours": 0,
+              "lead_step_hours": lead_step,
               "n_layers": len(blobs),
               "checksums": [zlib.crc32(b) for b in blobs],
               "n_lat": n_lat, "n_lon": n_lon, "lat_start": lat_start,
@@ -962,21 +965,16 @@ class TestStacks:
             fileio.write_stack(fields, path)
         assert list(tmp_path.iterdir()) == []
 
-    def test_history_year_is_one_read(self, rng, tmp_path, monkeypatch):
+    def test_history_year_is_one_read(self, rng, tmp_path, store_reads):
         manifest = stack_manifest(tmp_path)
         grid = make_grid(2, 3)
         times = fileio.year_times(T0.year)
         path = fileio.write_stack((f32_field(rng, grid, valid_time=when)
                                    for when in times),
                                   manifest.history_path(VariableId.T2M, T0))
-        reads = []
-        real_read = fileio._Store.read
-        monkeypatch.setattr(fileio._Store, "read", lambda store, start, count:
-                            reads.append((store.path, start, count))
-                            or real_read(store, start, count))
         fields = fileio.FieldSource(manifest).history(VariableId.T2M,
                                                       T0.year)
-        assert reads == [(path, 0, len(times))]
+        assert store_reads == [(path, 0, len(times))]
         assert [f.valid_time for f in fields] == times
         assert fields[-1].values.tobytes() == \
             fileio.FieldSource(manifest).truth(VariableId.T2M,
@@ -1006,3 +1004,254 @@ class TestStacks:
             for when in times:
                 source.truth(VariableId.T2M, when)
         assert loads == [manifest.truth_path(VariableId.T2M, T0)]
+
+
+class TestBlocks:
+    @given(geometry=uniform_geometries(), n_layers=st.integers(1, 5),
+           picked=st.sets(st.integers(0, 4), min_size=1),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_equal_field_reads_and_score_as_them(
+            self, tmp_path_factory, geometry, n_layers, picked, seed):
+        root = tmp_path_factory.mktemp("block")
+        rng = np.random.default_rng(seed)
+        source = fileio.FieldSource(stack_manifest(root))
+        write_raw_stack(source.manifest.truth_path(VariableId.T2M, T0),
+                        280.0 + rng.standard_normal((n_layers, *geometry[:2])),
+                        geometry)
+        write_raw_stack(source.manifest.model_path("m", T0, VariableId.T2M, 0),
+                        280.0 + rng.standard_normal((n_layers, *geometry[:2])),
+                        geometry, lead_step=6)
+        ks = sorted(k for k in picked if k < n_layers) or [0]
+        times = [T0 + k * fileio.STACK_STEP for k in ks]
+        truth, truth_err = outcome(
+            lambda: source.truth_block(VariableId.T2M, times))
+        pred, pred_err = outcome(lambda: source.model_block(
+            "m", T0, VariableId.T2M, [6 * k for k in ks]))
+        fields = [outcome(lambda: (source.truth(VariableId.T2M, when),
+                                   source.model("m", T0, VariableId.T2M,
+                                                6 * k)))
+                  for k, when in zip(ks, times)]
+        if fields[0][1] is not None:
+            assert type(truth_err) is type(pred_err) is type(fields[0][1])
+            return
+        for block in (truth, pred):
+            assert block.values.dtype == np.float64
+            assert block.values.flags.c_contiguous
+            assert block.valid_times == tuple(times)
+        assert pred.lead_hours == tuple(6 * k for k in ks)
+        grid = truth.grid
+        clim = 280.0 + rng.standard_normal((len(ks), *grid.shape))
+        w = latitude_weights(grid) if np.any(np.abs(grid.lat_deg) < 90.0) \
+            else None
+        scores = None if w is None else \
+            metrics.block_scores(pred.values, truth.values, clim, w)
+        for i, ((tf, pf), _) in enumerate(fields):
+            assert tf.values.tobytes() == truth.values[i].tobytes()
+            assert pf.values.tobytes() == pred.values[i].tobytes()
+            assert tf.grid is pf.grid is grid
+            if scores is None:
+                continue
+            cf = make_field(grid, clim[i], valid_time=pf.valid_time)
+            assert scores.wrmse[i] == metrics.wrmse(pf, tf, w) == \
+                oracles.wrmse_field(pf.values, tf.values, w)
+            assert scores.bias[i] == metrics.bias(pf, tf, w) == \
+                oracles.bias_field(pf.values, tf.values, w)
+            assert scores.acc[i] == metrics.acc(pf, tf, cf, w) == \
+                oracles.acc_field(pf.values, tf.values, cf.values, w)
+            assert scores.activity[i] == metrics.activity(pf, cf, w) == \
+                oracles.activity_field(pf.values, cf.values, w)
+
+    def test_truth_span_across_a_year_reads_each_stack_once(
+            self, rng, tmp_path, store_reads):
+        manifest = stack_manifest(tmp_path)
+        grid = make_grid(3, 4)
+        new_year = T0.replace(year=T0.year + 1, month=1, day=1)
+        old = times_from(new_year - 3 * fileio.STACK_STEP, 3)
+        new = times_from(new_year, 4)
+        for times in (old, new):
+            fileio.write_stack((f32_field(rng, grid, valid_time=when)
+                                for when in times),
+                               manifest.truth_path(VariableId.T2M, times[0]))
+        source = fileio.FieldSource(manifest)
+        wanted = old[1:] + new[:3]
+        block = source.truth_block(VariableId.T2M, wanted)
+        assert store_reads == [
+            (manifest.truth_path(VariableId.T2M, old[0]), 1, 2),
+            (manifest.truth_path(VariableId.T2M, new[0]), 0, 3)]
+        assert block.values.flags.c_contiguous
+        assert block.valid_times == tuple(wanted)
+        for i, when in enumerate(wanted):
+            assert block.values[i].tobytes() == \
+                source.truth(VariableId.T2M, when).values.tobytes()
+
+    def test_lead_subset_is_one_read_of_its_span(self, rng, tmp_path,
+                                                 store_reads):
+        manifest = stack_manifest(tmp_path, max_lead=30)
+        fields = [f32_field(rng, make_grid(3, 4), valid_time=when,
+                            lead_hours=6 * k)
+                  for k, when in enumerate(times_from(T0, 6))]
+        path = fileio.write_stack(
+            fields, manifest.model_path("m", T0, VariableId.T2M, 0))
+        source = fileio.FieldSource(manifest)
+        block = source.model_block("m", T0, VariableId.T2M, [6, 18, 24])
+        assert store_reads == [(path, 1, 4)]
+        assert block.lead_hours == (6, 18, 24)
+        assert block.values.flags.c_contiguous
+        for i, k in enumerate((1, 3, 4)):
+            assert block.values[i].tobytes() == fields[k].values.tobytes()
+
+    def test_non_finite_layer_fails_only_when_it_is_asked_for(self, rng,
+                                                              tmp_path):
+        manifest = stack_manifest(tmp_path)
+        values = rng.standard_normal((4, 3, 4))
+        values[2, 1, 1] = np.inf
+        path = write_raw_stack(manifest.truth_path(VariableId.T2M, T0), values,
+                               (3, 4, 60.0, -60.0, 0.0, 90.0))
+        source = fileio.FieldSource(manifest)
+        times = times_from(T0, 4)
+        source.truth_block(VariableId.T2M, [times[1], times[3]])
+        with pytest.raises(NonFiniteValue,
+                           match=f"{path}: payload contains NaN/Inf"):
+            source.truth_block(VariableId.T2M, times[1:])
+
+    def test_lead_off_the_stack_is_named(self, rng, tmp_path):
+        manifest = stack_manifest(tmp_path)
+        forecast = [f32_field(rng, make_grid(3, 4), valid_time=when,
+                              lead_hours=6 * k)
+                    for k, when in enumerate(times_from(T0, 3))]
+        fileio.write_stack(
+            forecast, manifest.model_path("one-run", T0, VariableId.T2M, 0))
+        source = fileio.FieldSource(manifest)
+        with pytest.raises(ManifestError, match="has lead 6 h, not 0 h"):
+            source.model_block("one-run", T0 + fileio.STACK_STEP,
+                               VariableId.T2M, [0, 6])
+
+    @pytest.mark.parametrize("layout", ["stack", "grid"])
+    def test_wind_block_is_hypot_of_its_components(self, layout, rng,
+                                                   tmp_path):
+        times = times_from(T0, 3)
+        if layout == "stack":
+            manifest = stack_manifest(tmp_path)
+        else:
+            manifest = grid_manifest(tmp_path)
+        grid = make_grid(3, 4)
+        for variable in (VariableId.U10, VariableId.V10):
+            fields = [f32_field(rng, grid, variable=variable, valid_time=when)
+                      for when in times]
+            if layout == "stack":
+                fileio.write_stack(fields,
+                                   manifest.truth_path(variable, times[0]))
+            else:
+                for field in fields:
+                    fileio.write_grid(field, manifest.truth_path(
+                        variable, field.valid_time))
+        source = fileio.FieldSource(manifest)
+        block = source.truth_block(VariableId.WS10, times)
+        assert block.variable is VariableId.WS10
+        assert block.values.flags.c_contiguous
+        for i, when in enumerate(times):
+            u, v, ws = (source.truth(variable, when) for variable in (
+                VariableId.U10, VariableId.V10, VariableId.WS10))
+            assert ws.variable is VariableId.WS10
+            assert block.values[i].tobytes() == ws.values.tobytes() == \
+                np.hypot(u.values, v.values).tobytes()
+
+
+class TestClimatologyByDay:
+    @pytest.fixture
+    def clim_path(self, rng, tmp_path):
+        grid = make_grid(3, 4)
+        day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, *grid.shape))
+        return fileio.write_daily_climatology(
+            DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,)),
+            tmp_path / "c.rbc")
+
+    def test_sidecar_has_one_checksum_per_day(self, clim_path):
+        header = json.loads(clim_path.with_name("c.rbc.json").read_text())
+        assert "checksum" not in header
+        assert header["n_layers"] == header["n_days"] == DAYS_PER_YEAR
+        assert len(header["checksums"]) == DAYS_PER_YEAR
+
+    @pytest.mark.parametrize("days, reads", [
+        ((100, 103), [(100, 4)]),
+        ((5,), [(5, 1)]),
+        ((362, 364, 0, 2), [(362, 3), (0, 3)]),
+        ((364, 0), [(364, 1), (0, 1)]),
+    ])
+    def test_reads_only_the_days_of_its_times(self, clim_path, days, reads,
+                                              store_reads):
+        times = [T0.replace(month=1, day=1) + timedelta(days=d, hours=6)
+                 for d in days]
+        part = fileio.read_daily_climatology(clim_path, times=times)
+        assert store_reads == [(clim_path, start, n) for start, n in reads]
+        whole = fileio.read_daily_climatology(clim_path)
+        assert part.first_day == reads[0][0]
+        assert part.day_mean.shape[0] == sum(n for _, n in reads)
+        assert part.layers(times).tobytes() == whole.layers(times).tobytes()
+        for when in times:
+            assert part.field_for(when).values.tobytes() == \
+                whole.field_for(when).values.tobytes()
+        with pytest.raises(ValueError, match="outside the"):
+            part.layers([times[0] + timedelta(days=180)])
+
+    def test_flipped_byte_fails_only_when_its_day_is_read(self, clim_path):
+        blob = bytearray(clim_path.read_bytes())
+        day_bytes = len(blob) // DAYS_PER_YEAR
+        blob[10 * day_bytes + 3] ^= 0xFF
+        clim_path.write_bytes(bytes(blob))
+        jan = T0.replace(month=1, day=1)
+        fileio.read_daily_climatology(clim_path,
+                                      times=[jan + timedelta(days=20)])
+        with pytest.raises(ChecksumMismatch) as err:
+            fileio.read_daily_climatology(clim_path,
+                                          times=[jan + timedelta(days=10)])
+        assert str(err.value) == f"{clim_path}: CRC-32 mismatch in layer 10"
+
+    def test_legacy_whole_checksum_is_read_whole(self, clim_path):
+        sidecar = clim_path.with_name("c.rbc.json")
+        header = json.loads(sidecar.read_text())
+        whole = fileio.read_daily_climatology(clim_path)
+        del header["checksums"], header["n_layers"]
+        header["checksum"] = zlib.crc32(clim_path.read_bytes())
+        sidecar.write_text(json.dumps(header))
+        jan = T0.replace(month=1, day=1)
+        times = [jan + timedelta(days=d) for d in (364, 0, 1)]
+        part = fileio.read_daily_climatology(clim_path, times=times)
+        assert part.layers(times).tobytes() == whole.layers(times).tobytes()
+        # one CRC-32 covers every day: a flipped byte in day 10 fails a read
+        # of any day, a read of day 10 alone included
+        blob = bytearray(clim_path.read_bytes())
+        blob[10 * (len(blob) // DAYS_PER_YEAR) + 3] ^= 0xFF
+        clim_path.write_bytes(bytes(blob))
+        for day in (10, 200):
+            with pytest.raises(ChecksumMismatch) as err:
+                fileio.read_daily_climatology(
+                    clim_path, times=[jan + timedelta(days=day)])
+            assert str(err.value) == f"{clim_path}: CRC-32 mismatch"
+
+    def test_partial_read_of_a_whole_checksum_store_is_checked(self, rng,
+                                                               tmp_path):
+        grid = make_grid(3, 4)
+        heat = 280.0 + rng.standard_normal((DAYS_PER_YEAR, 12))
+        path = fileio.write_thresholds(
+            ThresholdField(heat, heat - 10.0, (2019, 2020), 7, 0.9, 0.1),
+            grid, tmp_path / "t.rbt")
+        header = json.loads(path.with_name("t.rbt.json").read_text())
+        store = fileio._parse_store(path, header, "f32le", 2 * DAYS_PER_YEAR,
+                                    None)
+        want = store.read(0, 2 * DAYS_PER_YEAR)[1][10:12]
+        assert store.read(10, 2)[1].tobytes() == want.tobytes()
+        blob = bytearray(path.read_bytes())
+        blob[10 * (len(blob) // (2 * DAYS_PER_YEAR)) + 1] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        for start, count in ((10, 1), (300, 5), (0, 2 * DAYS_PER_YEAR)):
+            with pytest.raises(ChecksumMismatch, match="CRC-32 mismatch$"):
+                store.read(start, count)
+
+    def test_only_a_full_year_is_written(self, tmp_path):
+        grid = make_grid(2, 3)
+        part = DailyMeanClimatology(grid, VariableId.T2M,
+                                    np.zeros((3, *grid.shape)), (2020,), 363)
+        with pytest.raises(ValueError, match="all 365 days"):
+            fileio.write_daily_climatology(part, tmp_path / "c.rbc")

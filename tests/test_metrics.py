@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_field, make_grid, random_field
+from wxverify import metrics
 from wxverify.errors import DegenerateAnomaly, GridMismatch
-from wxverify.grid import latitude_weights
-from wxverify.metrics import acc, activity, bias, wrmse
+from wxverify.grid import GeoGrid, latitude_weights
+from wxverify.metrics import acc, activity, bias, block_scores, wrmse
 
 
 @pytest.fixture
@@ -191,3 +194,93 @@ class TestIdentities:
             assert wrmse(truth, truth) == 0.0
             assert bias(truth, truth) == 0.0
             assert acc(truth, truth, clim) == pytest.approx(1.0, abs=1e-12)
+
+
+#: Memory layouts of one block of values. The kernel must score every
+#: one of them as the C-contiguous block: a reader's flipped-row view
+#: (south-first file) and rolled-column view (file starting west of 0),
+#: and blocks stored in Fortran order or with the layer axis last, which
+#: numpy would sum in another order.
+LAYOUTS = {
+    "c": lambda x: x,
+    "south-first view": lambda x: np.ascontiguousarray(x[:, ::-1])[:, ::-1],
+    "rolled view": lambda x: np.concatenate([x, x], axis=2)[:, :, :x.shape[2]],
+    "fortran": np.asfortranarray,
+    "layers last": lambda x: np.moveaxis(
+        np.ascontiguousarray(np.moveaxis(x, 0, -1)), -1, 0),
+}
+
+
+@st.composite
+def blocks(draw):
+    """(grid, pred, truth, clim) blocks of k in 1..5 layers in a drawn
+    memory layout; sometimes one layer's forecast equals its climatology,
+    so that its ACC is degenerate."""
+    n_lat, n_lon, k = (draw(st.integers(1, 9)), draw(st.integers(1, 12)),
+                       draw(st.integers(1, 5)))
+    top = draw(st.floats(-80.0, 89.0))
+    bottom = draw(st.floats(-89.0, top)) if n_lat > 1 else top
+    if n_lat > 1 and not bottom < top - 1e-6 * n_lat:
+        bottom = top - n_lat
+    lats = np.linspace(top, bottom, n_lat)
+    grid = GeoGrid(lats, np.arange(n_lon) * (360.0 / n_lon))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 150.0]))
+    pred, truth, clim = (280.0 + scale * rng.standard_normal((k, n_lat, n_lon))
+                         for _ in range(3))
+    degenerate = draw(st.none() | st.integers(0, k - 1))
+    if degenerate is not None:
+        pred[degenerate] = clim[degenerate]
+    layout = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))]
+    return grid, layout(pred), layout(truth), layout(clim), degenerate
+
+
+class TestBlockKernel:
+    @given(drawn=blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_layers_score_as_single_fields_bitwise(self, drawn):
+        grid, pred, truth, clim, degenerate = drawn
+        w = latitude_weights(grid)
+        if degenerate is None:
+            scores = block_scores(pred, truth, clim, w)
+        else:
+            with pytest.raises(DegenerateAnomaly, match="constant zero"):
+                block_scores(pred, truth, clim, w)
+            scores = block_scores(pred, truth, None, w)._replace(
+                activity=block_scores(pred, None, clim, w).activity)
+        for i in range(pred.shape[0]):
+            p, t, c = (np.ascontiguousarray(a[i]) for a in (pred, truth, clim))
+            fp, ft, fc = (make_field(grid, a) for a in (p, t, c))
+            want = oracles.wrmse_field(p, t, w)
+            assert scores.wrmse[i] == want == wrmse(fp, ft, w)
+            want = oracles.bias_field(p, t, w)
+            assert scores.bias[i] == want == bias(fp, ft, w)
+            want = oracles.activity_field(p, c, w)
+            assert scores.activity[i] == want == activity(fp, fc, w)
+            want = oracles.acc_field(p, t, c, w)
+            if want is None:
+                assert i == degenerate
+                with pytest.raises(DegenerateAnomaly):
+                    acc(fp, ft, fc, w)
+            else:
+                assert scores.acc is None or scores.acc[i] == want
+                assert acc(fp, ft, fc, w) == want
+
+    def test_chunking_does_not_change_scores(self, rng, monkeypatch):
+        grid = make_grid(7, 9)
+        w = latitude_weights(grid)
+        pred, truth, clim = (280.0 + rng.standard_normal((5, 7, 9))
+                             for _ in range(3))
+        whole = block_scores(pred, truth, clim, w)
+        monkeypatch.setattr(metrics, "CHUNK_BYTES", 1)  # one layer a chunk
+        for got, want in zip(block_scores(pred, truth, clim, w), whole):
+            assert got.tobytes() == want.tobytes()
+
+    def test_inputs_select_scores(self, rng):
+        grid = make_grid(3, 4)
+        w = latitude_weights(grid)
+        pred, other = (rng.standard_normal((2, 3, 4)) for _ in range(2))
+        assert [s is None for s in block_scores(pred, other, None, w)] == \
+            [False, False, True, True]
+        assert [s is None for s in block_scores(pred, None, other, w)] == \
+            [True, True, True, False]
