@@ -42,7 +42,7 @@ if TYPE_CHECKING:
 
     from .extremes import EventKind
     from .fileio import FieldSource, RunManifest
-    from .grid import FieldBlock, GeoGrid, GridField, VariableId
+    from .grid import FieldBlock, GeoGrid, VariableId
     from .harness import SyntheticScenario
 
 INPUT_ERRORS = (ManifestError, InvalidHeader, ChecksumMismatch,
@@ -224,13 +224,18 @@ def cmd_evaluate(args) -> int:
 
 # --- build-climatology -------------------------------------------------------
 
-def _check_history_grid(grid: GeoGrid | None, fields: Sequence[GridField],
-                        variable: VariableId, year: int) -> GeoGrid:
-    """The grid of one history year, which must be that of the years before."""
-    if grid is not None and fields[0].grid != grid:
-        raise ManifestError(f"{variable.key} history of {year} is on another "
-                            f"grid than the years before it")
-    return fields[0].grid
+def _history_years(source: FieldSource, variable: VariableId):
+    """(year, block) of each history year of ``variable``, in manifest
+    order, each on the grid of the years before it."""
+    grid = None
+    for year in source.manifest.history_years:
+        block = source.history(variable, year)
+        if grid is not None and block.grid != grid:
+            raise ManifestError(f"{variable.key} history of {year} is on "
+                                f"another grid than the years before it")
+        grid = block.grid
+        yield year, block
+        del block  # hold one year of history at a time
 
 
 def cmd_build_climatology(args) -> int:
@@ -249,21 +254,19 @@ def cmd_build_climatology(args) -> int:
             continue
         with_thresholds = variable is VariableId.T2M \
             and manifest.thresholds_file is not None
-        grid = None
         per_year = []
         extremes = {}  # year -> (daily max, daily min)
-        for year in manifest.history_years:
-            fields = source.history(variable, year)
-            grid = _check_history_grid(grid, fields, variable, year)
-            per_year.append(daily_means_from_fields(fields))
+        for year, block in _history_years(source, variable):
+            grid = block.grid
+            per_year.append(daily_means_from_fields(block))
             if with_thresholds:
-                extremes[year] = daily_extremes_from_fields(fields)
-            del fields  # hold one year of history at a time
-        clim = DailyMeanClimatology(grid, variable,
-                                    build_daily_mean_climatology(per_year),
-                                    manifest.history_years)
+                extremes[year] = daily_extremes_from_fields(block)
+            del block  # hold one year of history at a time
         path = fileio.write_daily_climatology(
-            clim, manifest.climatology_path(variable))
+            DailyMeanClimatology(grid, variable,
+                                 build_daily_mean_climatology(per_year),
+                                 manifest.history_years),
+            manifest.climatology_path(variable))
         print(f"wrote {path}")
         if with_thresholds:
             thresholds = build_thresholds(history_from_extremes(extremes))
@@ -338,13 +341,11 @@ def cmd_extremes(args) -> int:
         thresholds_sha = hashlib.sha256(
             manifest.thresholds_file.read_bytes()).hexdigest()
     elif manifest.history_pattern and manifest.history_years:
-        tgrid = None
         extremes = {}
-        for year in manifest.history_years:
-            fields = source.history(VariableId.T2M, year)
-            tgrid = _check_history_grid(tgrid, fields, VariableId.T2M, year)
-            extremes[year] = daily_extremes_from_fields(fields)
-            del fields  # hold one year of history at a time
+        for year, block in _history_years(source, VariableId.T2M):
+            tgrid = block.grid
+            extremes[year] = daily_extremes_from_fields(block)
+            del block  # hold one year of history at a time
         thresholds = build_thresholds(history_from_extremes(extremes))
     else:
         raise ManifestError(
@@ -544,11 +545,18 @@ def cmd_stations(args) -> int:
 
     source = fileio.FieldSource(manifest)
     interpolator = StationInterpolator(table.stations)
+    # the truth reference is read in blocks over runs of valid times
+    first = table.times[0]
+    hours = [(when - first) // timedelta(hours=1) for when in table.times]
     reference = np.empty(table.values.shape)
     for vi, variable in enumerate(table.variables):
-        for ti, when in enumerate(table.times):
-            reference[vi, ti] = interpolator.at_stations(
-                source.truth(variable, when))
+        start = 0
+        for run in _lead_runs(hours, source.block_layers(variable)):
+            block = source.truth_block(
+                variable, [first + timedelta(hours=h) for h in run])
+            reference[vi, start:start + len(run)] = \
+                interpolator.weights(block.grid).apply(block.values)
+            start += len(run)
     qc_table, qc_report = stations.apply_qc(table, reference,
                                             QcThresholds.default())
 
@@ -561,7 +569,7 @@ def cmd_stations(args) -> int:
 
     card = new_scorecard("stations", manifest.sha256)
     rows = []
-    n_inits = max(1, len(manifest.init_times))
+    n_inits = len(manifest.init_times)
     for model in sorted(manifest.models):
         for variable in station_vars:
             # one block per (init, run of leads); the blocks of all inits

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import InsufficientHistory, NonFiniteValue
-from .grid import GeoGrid, GridField, VariableId
+from .grid import FieldBlock, GeoGrid, GridField, VariableId
 
 DAYS_PER_YEAR = 365
 
@@ -94,37 +94,43 @@ class DailyHistory:
         return self.daily_max.shape[2]
 
 
-def daily_extremes_from_fields(fields: Sequence[GridField]
-                               ) -> tuple[np.ndarray, np.ndarray]:
-    """(365, n_locations) daily max and min of one year of 6-hourly fields.
+def _calendar_parts(block: FieldBlock) -> list[tuple[slice, np.ndarray]]:
+    """The layers of a whole history year as (calendar rows, days) pairs,
+    where ``days`` is a ``(n_days, 4, n_lat, n_lon)`` view: Jan 1 - Feb 28,
+    and the last 306 days of the year, Mar 1 - Dec 31. So Feb 29 of a
+    leap year is left out without copying the year.
 
-    The location axis is the row-major flattening of the grid. Days with
-    fewer than four samples come out absent (NaN); Feb 29 is dropped.
+    ``block`` must hold every 6-hourly time of one calendar year, in
+    order, as :meth:`~wxverify.fileio.FieldSource.history` returns it.
     """
-    grid = fields[0].grid
-    n_loc = grid.n_lat * grid.n_lon
-    dmax = np.full((DAYS_PER_YEAR, n_loc), np.nan)
-    dmin = np.full((DAYS_PER_YEAR, n_loc), np.nan)
-    counts = np.zeros(DAYS_PER_YEAR, dtype=np.intp)
-    for f in fields:
-        if f.grid != grid:
-            raise ValueError("history fields must share one grid")
-        when = f.valid_time
-        if is_leap_day(when):
-            continue
-        d = calendar_day_index(when)
-        flat = f.values.reshape(-1)
-        if counts[d] == 0:
-            dmax[d] = flat
-            dmin[d] = flat
-        else:
-            np.maximum(dmax[d], flat, out=dmax[d])
-            np.minimum(dmin[d], flat, out=dmin[d])
-        counts[d] += 1
-    incomplete = counts < len(SYNOPTIC_HOURS)
-    dmax[incomplete] = np.nan
-    dmin[incomplete] = np.nan
-    return dmax, dmin
+    year = block.valid_times[0].year
+    if block.valid_times != tuple(year_times(year)):
+        raise InsufficientHistory(
+            f"{block.variable.key} history of {year} does not hold every "
+            f"6-hourly time of the year")
+    days = block.values.reshape(-1, len(SYNOPTIC_HOURS), *block.grid.shape)
+    mar_1 = _CUM_DAYS[2]  # calendar row of Mar 1
+    return [(slice(0, mar_1), days[:mar_1]),
+            (slice(mar_1, None), days[len(days) - DAYS_PER_YEAR + mar_1:])]
+
+
+def daily_extremes_from_fields(block: FieldBlock
+                               ) -> tuple[np.ndarray, np.ndarray]:
+    """(365, n_locations) daily max and min of one history year (see
+    :func:`_calendar_parts`); Feb 29 is dropped.
+
+    The location axis is the row-major flattening of the grid. Each day
+    starts from its first synoptic hour and takes the max (min) with each
+    later hour in turn, one whole-array pass per hour.
+    """
+    dmax = np.empty((DAYS_PER_YEAR, *block.grid.shape))
+    dmin = np.empty_like(dmax)
+    for rows, days in _calendar_parts(block):
+        dmax[rows] = dmin[rows] = days[:, 0]
+        for hour in range(1, len(SYNOPTIC_HOURS)):
+            np.maximum(dmax[rows], days[:, hour], out=dmax[rows])
+            np.minimum(dmin[rows], days[:, hour], out=dmin[rows])
+    return dmax.reshape(DAYS_PER_YEAR, -1), dmin.reshape(DAYS_PER_YEAR, -1)
 
 
 def history_from_extremes(extremes: Mapping[int, tuple[np.ndarray, np.ndarray]]
@@ -137,22 +143,6 @@ def history_from_extremes(extremes: Mapping[int, tuple[np.ndarray, np.ndarray]]
     return DailyHistory(tuple(years),
                         np.stack([extremes[year][0] for year in years]),
                         np.stack([extremes[year][1] for year in years]))
-
-
-def history_from_fields(fields_by_year: Mapping[int, Sequence[GridField]]
-                        ) -> DailyHistory:
-    """Build per-gridpoint daily extremes from 6-hourly fields.
-
-    The location axis is the row-major flattening of the grid. Days with
-    fewer than four samples come out absent.
-    """
-    if not fields_by_year:
-        raise InsufficientHistory("no history years supplied")
-    grid = next(iter(fields_by_year.values()))[0].grid
-    if any(fields[0].grid != grid for fields in fields_by_year.values()):
-        raise ValueError("history fields must share one grid")
-    return history_from_extremes({year: daily_extremes_from_fields(fields)
-                                  for year, fields in fields_by_year.items()})
 
 
 @dataclass(frozen=True)
@@ -362,28 +352,16 @@ def build_daily_mean_climatology(per_year: Sequence[np.ndarray]) -> np.ndarray:
     return np.mean(stack, axis=0)
 
 
-def daily_means_from_fields(fields: Sequence[GridField]) -> np.ndarray:
-    """(365, n_lat, n_lon) daily means of one year of 6-hourly fields.
+def daily_means_from_fields(block: FieldBlock) -> np.ndarray:
+    """(365, n_lat, n_lon) daily means of one history year (see
+    :func:`_calendar_parts`); Feb 29 is dropped.
 
-    Every calendar day must carry its four synoptic samples; Feb 29 is
-    dropped.
+    Each day's sum starts from zero and adds its synoptic hours in turn,
+    one whole-array pass per hour, before the division by four.
     """
-    if not fields:
-        raise ValueError("no fields supplied")
-    grid = fields[0].grid
-    acc = np.zeros((DAYS_PER_YEAR, grid.n_lat, grid.n_lon))
-    counts = np.zeros(DAYS_PER_YEAR, dtype=np.intp)
-    for f in fields:
-        if f.grid != grid:
-            raise ValueError("fields must share one grid")
-        if is_leap_day(f.valid_time):
-            continue
-        d = calendar_day_index(f.valid_time)
-        acc[d] += f.values
-        counts[d] += 1
-    if np.any(counts != len(SYNOPTIC_HOURS)):
-        short = int(np.nonzero(counts != len(SYNOPTIC_HOURS))[0][0])
-        raise InsufficientHistory(
-            f"calendar day {short + 1} has {int(counts[short])} samples, "
-            f"expected {len(SYNOPTIC_HOURS)}")
-    return acc / len(SYNOPTIC_HOURS)
+    means = np.zeros((DAYS_PER_YEAR, *block.grid.shape))
+    for rows, days in _calendar_parts(block):
+        for hour in range(len(SYNOPTIC_HOURS)):
+            means[rows] += days[:, hour]
+    means /= len(SYNOPTIC_HOURS)
+    return means

@@ -4,20 +4,22 @@ Gridded fields, field stacks, extreme thresholds and daily-mean
 climatologies are all stored the same way: a flat little-endian
 ``(layers, n_lat, n_lon)`` payload plus a JSON sidecar (`<path>.json`)
 carrying the magic, dtype, geometry and CRC-32s of the payload, written
-and read by one codec. A field file (RBGRID1) holds one field; a stack
-(RBSTACK1) holds a 6-hourly series of one variable with one CRC-32 per
-layer, so a span of layers is read with one seek and checked alone.
-Uniform grids only; orientation is normalized to north-to-south rows and
-[0, 360) eastward columns on read. Threshold and climatology payloads
+and read by one codec. A stack (RBSTACK1) holds a 6-hourly series of one
+variable with one CRC-32 per layer, so a span of layers is read with one
+seek and checked alone. A field file (RBGRID1) reads as a stack of one
+layer, whose one CRC-32 covers the whole payload; so both layouts are
+read, and checked against the valid time and lead asked for, by the same
+code. Uniform grids only; orientation is normalized to north-to-south
+rows and [0, 360) eastward columns on read. Threshold and climatology payloads
 carry a 365-deep day axis (climatology payloads are float64 so that
 through-disk evaluation stays bit-identical to in-memory evaluation).
 Climatologies carry one CRC-32 per day, so a run reads only its days.
 
 Commands read stored arrays through one run-scoped :class:`FieldSource`,
-which resolves manifest paths, picks the layout from the sidecar's
-magic, parses each stack's sidecar once, validates each grid geometry
-once per run and reads blocks of layers (:class:`~wxverify.grid.FieldBlock`)
-with one read per stack.
+which resolves manifest paths to stacks, parses each stack's sidecar
+once, validates each grid geometry once per run and reads blocks of
+layers (:class:`~wxverify.grid.FieldBlock`) with one read per stack; a
+history year is one block.
 
 Writers stream to a temp file and rename, so a file is either complete
 or absent. Serialization is canonical: rewriting what was just read
@@ -284,7 +286,8 @@ class _Store:
         all the layers it covers: with one CRC-32 per layer only the
         requested layers are read, and a payload with one CRC-32 over the
         whole of it is read whole whatever part of it is asked for.
-        Finiteness is the caller's check (see :func:`_build`).
+        Finiteness is the caller's check (see :func:`_build` and
+        :meth:`_Stack.block`).
         """
         path = self.path
         n_lat, n_lon = self.geometry[:2]
@@ -357,13 +360,6 @@ def _parse_store(path: Path, header: dict, dtype: str, n_layers: int | None,
                   geometries)
 
 
-def _read_store(path: Path, header: dict, dtype: str, n_layers: int,
-                geometries: dict | None) -> tuple[GeoGrid, np.ndarray]:
-    """Grid and every checked, oriented layer of a whole-payload store."""
-    return _parse_store(path, header, dtype, n_layers, geometries) \
-        .read(0, n_layers)
-
-
 def _day_layers(header: dict, path: Path, stacks: int) -> int:
     """Layer count of ``stacks`` stacked 365-day axes, checked against
     the sidecar's ``n_days``."""
@@ -412,17 +408,7 @@ def read_grid(path: str | os.PathLike, geometries: dict | None = None
     reads (see :class:`FieldSource`); without it every read builds and
     validates its own grid.
     """
-    path = Path(path)
-    return _grid_field(path, _load_sidecar(path, GRID_MAGIC), geometries)
-
-
-def _grid_field(path: Path, header: dict, geometries: dict | None
-                ) -> GridField:
-    """The field of an RBGRID1 store whose sidecar is ``header``."""
-    grid, layers = _read_store(path, header, "f32le", 1, geometries)
-    return _build(path, GridField, grid, _header_variable(header, path),
-                  parse_time(_header_value(header, "valid_time", str, path)),
-                  _header_value(header, "lead_hours", int, path), layers[0])
+    return _read_whole(Path(path), GRID_MAGIC, geometries).field(0)
 
 
 def write_stack(fields: Iterable[GridField], path: str | os.PathLike) -> Path:
@@ -469,7 +455,8 @@ def write_stack(fields: Iterable[GridField], path: str | os.PathLike) -> Path:
 
 @dataclass(frozen=True)
 class _Stack:
-    """A parsed RBSTACK1 sidecar: the store, its variable and layer times."""
+    """A parsed RBSTACK1 or RBGRID1 sidecar: the store, its variable and
+    layer times. An RBGRID1 file is a stack of one layer with lead step 0."""
 
     store: _Store
     variable: VariableId
@@ -480,9 +467,12 @@ class _Stack:
     @classmethod
     def parse(cls, path: Path, header: dict, geometries: dict | None
               ) -> "_Stack":
-        store = _parse_store(path, header, "f32le", None, geometries)
-        if _header_value(header, "time_step_hours", int, path) != \
-                STACK_STEP // timedelta(hours=1):
+        one_field = header["magic"] == GRID_MAGIC
+        store = _parse_store(path, header, "f32le", 1 if one_field else None,
+                             geometries)
+        step = STACK_STEP // timedelta(hours=1)
+        if not one_field and \
+                _header_value(header, "time_step_hours", int, path) != step:
             raise InvalidHeader(f"{path}: unsupported time_step_hours "
                                 f"{header['time_step_hours']!r}")
         first_time = parse_time(_header_value(header, "valid_time", str, path))
@@ -491,9 +481,15 @@ class _Stack:
         except OverflowError as exc:
             raise InvalidHeader(f"{path}: layer times run past year 9999") \
                 from exc
+        first_lead = _header_value(header, "lead_hours", int, path)
+        lead_step = 0 if one_field \
+            else _header_value(header, "lead_step_hours", int, path)
+        last_lead = first_lead + (store.n_layers - 1) * lead_step
+        if first_lead % 6 or lead_step % 6 or min(first_lead, last_lead) < 0:
+            raise InvalidHeader(f"{path}: layer leads must be non-negative "
+                                f"multiples of 6 h")
         return cls(store, _header_variable(header, path), first_time,
-                   _header_value(header, "lead_hours", int, path),
-                   _header_value(header, "lead_step_hours", int, path))
+                   first_lead, lead_step)
 
     def index(self, when: datetime) -> int:
         """The layer valid at ``when``; a time the stack does not hold
@@ -505,15 +501,6 @@ class _Stack:
                 f"{format_time(when)}: its {self.store.n_layers} layers "
                 f"start at {format_time(self.first_time)}, every 6 h")
         return k
-
-    def fields(self, start: int, count: int) -> list[GridField]:
-        """Layers ``start .. start + count`` as fields, in one read."""
-        path = self.store.path
-        grid, layers = self.store.read(start, count)
-        return [_build(path, GridField, grid, self.variable,
-                       self.first_time + k * STACK_STEP,
-                       self.first_lead + k * self.lead_step, layers[i])
-                for i, k in enumerate(range(start, start + count))]
 
     def block(self, times: Sequence[datetime],
               leads: Sequence[int | None]) -> FieldBlock:
@@ -540,13 +527,21 @@ class _Stack:
                           layer_leads, values)
 
 
+def _read_whole(path: Path, magic: str, geometries: dict | None
+                ) -> FieldBlock:
+    """Every layer of the store at ``path``, whose sidecar carries
+    ``magic``, as one block from one read."""
+    stack = _Stack.parse(path, _load_sidecar(path, magic), geometries)
+    times = [stack.first_time + k * STACK_STEP
+             for k in range(stack.store.n_layers)]
+    return stack.block(times, [None] * len(times))
+
+
 def read_stack(path: str | os.PathLike, geometries: dict | None = None
-               ) -> list[GridField]:
-    """Every layer of a store written by :func:`write_stack`, in one read;
-    the round trip is lossless."""
-    path = Path(path)
-    stack = _Stack.parse(path, _load_sidecar(path, STACK_MAGIC), geometries)
-    return stack.fields(0, stack.store.n_layers)
+               ) -> FieldBlock:
+    """Every layer of a store written by :func:`write_stack`, as one block
+    from one read; the round trip is lossless."""
+    return _read_whole(Path(path), STACK_MAGIC, geometries)
 
 
 def write_thresholds(thresholds: ThresholdField, grid: GeoGrid,
@@ -572,8 +567,9 @@ def read_thresholds(path: str | os.PathLike, geometries: dict | None = None
     location axis is the row-major flattening of that grid."""
     path = Path(path)
     header = _load_sidecar(path, THRESH_MAGIC)
-    grid, layers = _read_store(path, header, "f32le",
-                               _day_layers(header, path, 2), geometries)
+    n_layers = _day_layers(header, path, 2)
+    grid, layers = _parse_store(path, header, "f32le", n_layers,
+                                geometries).read(0, n_layers)
     heat, cold = layers.reshape(2, DAYS_PER_YEAR, grid.n_lat * grid.n_lon)
     thresholds = _build(path, ThresholdField, heat, cold,
                         tuple(_header_value(header, "years", list, path)),
@@ -944,43 +940,41 @@ class FieldSource:
     geometry instead of once per file; fields, thresholds and
     climatologies that share a geometry share one grid object.
 
-    A truth, model or history path may name either layout; the magic of
-    its sidecar decides. An RBGRID1 file is the one field it holds. An
-    RBSTACK1 store holds a 6-hourly series: its sidecar is parsed once
-    per run and kept here, and a block of its layers is read with one
-    seek, checking only the CRC-32s of the layers read. Fields are
-    blocks of one layer. Safe to share between threads. Derived WS10 is
-    computed from U10 and V10 here and nowhere else.
+    A truth, model or history path may name an RBSTACK1 store or an
+    RBGRID1 file, which reads as a stack of one layer. A stack's sidecar
+    is parsed once per run and kept here, and a block of its layers is
+    read with one seek, checking only the CRC-32s of the layers read and
+    that each layer is valid at the time, and carries the lead, asked
+    for. Fields are blocks of one layer, and a history year is one block.
+    Safe to share between threads. Derived WS10 is computed from U10 and
+    V10 here and nowhere else.
     """
 
     def __init__(self, manifest: RunManifest):
         self.manifest = manifest
         # geometry key -> (GeoGrid, flip_rows, lon_shift); see _cached_grid
         self._geometries: dict[tuple, tuple[GeoGrid, bool, int]] = {}
-        # store path -> its parsed RBSTACK1 sidecar
+        # store path -> its parsed sidecar
         self._stacks: dict[Path, _Stack] = {}
 
     def read(self, path: str | os.PathLike) -> GridField:
         return read_grid(path, self._geometries)
 
-    def _resolve(self, path: Path) -> _Stack | dict:
-        """The parsed stack at ``path``, or the sidecar of the RBGRID1
-        field there."""
+    def _resolve(self, path: Path) -> _Stack:
+        """The parsed stack at ``path``."""
         stack = self._stacks.get(path)
-        if stack is not None:
-            return stack
-        header = _load_sidecar(path, GRID_MAGIC, STACK_MAGIC)
-        if header["magic"] == GRID_MAGIC:
-            return header
-        return self._stacks.setdefault(
-            path, _Stack.parse(path, header, self._geometries))
+        if stack is None:
+            stack = self._stacks.setdefault(path, _Stack.parse(
+                path, _load_sidecar(path, GRID_MAGIC, STACK_MAGIC),
+                self._geometries))
+        return stack
 
     def _block(self, path_of, variable: VariableId,
                times: Sequence[datetime], leads: Sequence[int | None]
                ) -> FieldBlock:
         """The layers of ``variable`` valid at ascending ``times``, each
         from the store ``path_of(variable, time, lead)`` names: one read
-        per stack, one per RBGRID1 field."""
+        per stack."""
         if variable.derived:
             return derive_wind_speed(
                 self._block(path_of, VariableId.U10, times, leads),
@@ -988,15 +982,8 @@ class FieldSource:
         parts = []
         for path, items in groupby(zip(times, leads),
                                    key=lambda item: path_of(variable, *item)):
-            found = self._resolve(path)
             part_times, part_leads = zip(*items)
-            if isinstance(found, _Stack):
-                parts.append(found.block(part_times, part_leads))
-                continue
-            field = _grid_field(path, found, self._geometries)
-            parts.extend(FieldBlock(field.grid, field.variable,
-                                    (field.valid_time,), (field.lead_hours,),
-                                    field.values[None]) for _ in part_times)
+            parts.append(self._resolve(path).block(part_times, part_leads))
         if len(parts) == 1:
             return parts[0]
         first = parts[0]
@@ -1007,8 +994,8 @@ class FieldSource:
                 raise GridMismatch(f"variable mismatch: {first.variable.key} "
                                    f"vs {part.variable.key}")
         return FieldBlock(first.grid, first.variable,
-                          sum((part.valid_times for part in parts), ()),
-                          sum((part.lead_hours for part in parts), ()),
+                          tuple(t for part in parts for t in part.valid_times),
+                          tuple(h for part in parts for h in part.lead_hours),
                           np.concatenate([part.values for part in parts]))
 
     def truth_block(self, variable: VariableId, times: Sequence[datetime]
@@ -1037,35 +1024,27 @@ class FieldSource:
         """How many float64 layers of ``variable`` fit in one block of
         :data:`BLOCK_BYTES` (at least one), on the grid of its truth at
         the first init time."""
-        if not self.manifest.init_times:
-            return 1  # a run without init times reads no block
         if variable.derived:
             variable = VariableId.U10
-        path = self.manifest.truth_path(variable, self.manifest.init_times[0])
-        found = self._resolve(path)
-        n_lat, n_lon = found.store.geometry[:2] if isinstance(found, _Stack) \
-            else _grid_header_geometry(found, path)[:2]
+        n_lat, n_lon = self._resolve(self.manifest.truth_path(
+            variable, self.manifest.init_times[0])).store.geometry[:2]
         return max(1, BLOCK_BYTES // (8 * n_lat * n_lon))
 
-    def history(self, variable: VariableId, year: int) -> list[GridField]:
-        """Every 6-hourly history field of one calendar year; from an
-        RBSTACK1 store in one read."""
+    def history(self, variable: VariableId, year: int) -> FieldBlock:
+        """Every 6-hourly history field of one calendar year, as one block:
+        one read per stack."""
         times = year_times(year)
-        found = self._resolve(self.manifest.history_path(variable, times[0]))
-        if isinstance(found, _Stack):
-            start = found.index(times[0])
-            found.index(times[-1])  # the whole year is in the stack
-            return found.fields(start, len(times))
-        return [self.read(self.manifest.history_path(variable, when))
-                for when in times]
+        return self._block(
+            lambda v, when, _: self.manifest.history_path(v, when),
+            variable, times, [None] * len(times))
 
     def climatology(self, variable: VariableId,
                     times: Iterable[datetime] | None = None
                     ) -> DailyMeanClimatology | None:
         """The daily-mean climatology of ``variable`` on the calendar days
         of ``times`` (every day without them), read by the day (see
-        :func:`read_daily_climatology`); None for a derived variable, when
-        the manifest declares no climatology, or when ``times`` is empty."""
+        :func:`read_daily_climatology`); None for a derived variable or
+        when the manifest declares no climatology."""
         if self.manifest.climatology_pattern is None or variable.derived:
             return None
         path = self.manifest.climatology_path(variable)
@@ -1074,10 +1053,6 @@ class FieldSource:
                 f"climatology file {path} has not been built; run "
                 f"`wxverify build-climatology --manifest "
                 f"{self.manifest.path}` first")
-        if times is not None:
-            times = list(times)
-            if not times:
-                return None  # a run without valid times uses no day
         return read_daily_climatology(path, self._geometries, times)
 
     def thresholds(self) -> tuple[ThresholdField, GeoGrid] | None:
@@ -1197,6 +1172,10 @@ def load_manifest(path: str | os.PathLike,
 
 def _check_manifest_files(manifest: RunManifest, require: Sequence[str]):
     plain = [v for v in manifest.variables if not v.derived]
+    if ("truth" in require or "models" in require) \
+            and not manifest.init_times:
+        raise ManifestError(f"{manifest.path}: init_times is empty; a run "
+                            f"needs at least one init time")
     if "truth" in require:
         needed = set()
         for init in manifest.init_times:

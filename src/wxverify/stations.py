@@ -30,6 +30,7 @@ from .climatology import (DailyMeanClimatology, calendar_day_index,
 from .errors import DegenerateAnomaly, NoValidPairs
 from .grid import (BilinearWeights, GeoGrid, GridField, VariableId,
                    bilinear_weights)
+from .metrics import ANOMALY_NORM_FLOOR
 
 WINDOW_HALF_WIDTH = timedelta(minutes=15)
 
@@ -458,7 +459,8 @@ def station_scores(forecasts: Sequence[GridField], table: StationTable,
         oa = np.concatenate(ob_anom)
         n1 = float(np.mean(fa * fa))
         n2 = float(np.mean(oa * oa))
-        if math.sqrt(max(n1, 0.0)) < 1e-30 or math.sqrt(max(n2, 0.0)) < 1e-30:
+        if math.sqrt(max(n1, 0.0)) < ANOMALY_NORM_FLOOR \
+                or math.sqrt(max(n2, 0.0)) < ANOMALY_NORM_FLOOR:
             raise DegenerateAnomaly("station anomaly field is (near-)constant zero")
         acc_value = float(np.mean(fa * oa)) / (math.sqrt(n1) * math.sqrt(n2))
     return StationScores(rmse, bias, acc_value, int(d.size))

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the engine's code paths: metrics are
 scalar loops with exactly-rounded accumulation (math.fsum), plus the
-one-field numpy metric bodies the engine's block kernel must reproduce
-bit for bit; the spectrum
+one-field numpy metric bodies and the field-by-field daily means and
+extremes that the engine's block kernels must reproduce bit for bit; the
+spectrum
 is a direct O(N^2) transform, percentiles are computed from a Python
 sort, event labeling/matching are brute-force searches, and station
 windowing, QC and bilinear interpolation are per-element loops. The one
@@ -183,7 +184,7 @@ def calendar_day_oracle(when) -> int:
 def daily_extremes(samples) -> tuple[np.ndarray, np.ndarray]:
     """Per-calendar-day (max, min) from a 6-hourly series of one year.
 
-    The scalar counterpart of ``climatology.history_from_fields`` for one
+    The scalar counterpart of :func:`history_from_fields` for one
     location. Returns two length-365 arrays; days with fewer than the
     four 00/06/12/18 UTC samples are absent (NaN). Feb 29 samples are
     dropped. Timestamps off the synoptic hours are rejected.
@@ -206,6 +207,76 @@ def daily_extremes(samples) -> tuple[np.ndarray, np.ndarray]:
             day_max[day] = max(values)
             day_min[day] = min(values)
     return day_max, day_min
+
+
+def daily_extremes_loop(fields) -> tuple[np.ndarray, np.ndarray]:
+    """(365, n_locations) daily max and min of 6-hourly fields, one field
+    at a time: the first sample of a day starts its max and min, each
+    later one takes ``np.maximum`` / ``np.minimum`` with them, in field
+    order. Days with fewer than four samples come out absent (NaN); Feb 29
+    is dropped. The block reduction of ``climatology`` must equal this bit
+    for bit."""
+    grid = fields[0].grid
+    n_loc = grid.n_lat * grid.n_lon
+    dmax = np.full((365, n_loc), np.nan)
+    dmin = np.full((365, n_loc), np.nan)
+    counts = np.zeros(365, dtype=np.intp)
+    for f in fields:
+        if f.grid != grid:
+            raise ValueError("history fields must share one grid")
+        when = f.valid_time
+        if (when.month, when.day) == (2, 29):
+            continue
+        d = calendar_day_oracle(when)
+        flat = f.values.reshape(-1)
+        if counts[d] == 0:
+            dmax[d] = flat
+            dmin[d] = flat
+        else:
+            np.maximum(dmax[d], flat, out=dmax[d])
+            np.minimum(dmin[d], flat, out=dmin[d])
+        counts[d] += 1
+    incomplete = counts < 4
+    dmax[incomplete] = np.nan
+    dmin[incomplete] = np.nan
+    return dmax, dmin
+
+
+def daily_means_loop(fields) -> np.ndarray:
+    """(365, n_lat, n_lon) daily means of one year of 6-hourly fields, one
+    field at a time: each day's sum starts from zero and adds its samples
+    in field order, then is divided by four. Every day must carry four
+    samples; Feb 29 is dropped."""
+    from wxverify.errors import InsufficientHistory
+    grid = fields[0].grid
+    acc = np.zeros((365, grid.n_lat, grid.n_lon))
+    counts = np.zeros(365, dtype=np.intp)
+    for f in fields:
+        if f.grid != grid:
+            raise ValueError("fields must share one grid")
+        if (f.valid_time.month, f.valid_time.day) == (2, 29):
+            continue
+        d = calendar_day_oracle(f.valid_time)
+        acc[d] += f.values
+        counts[d] += 1
+    if np.any(counts != 4):
+        short = int(np.nonzero(counts != 4)[0][0])
+        raise InsufficientHistory(
+            f"calendar day {short + 1} has {int(counts[short])} samples, "
+            f"expected 4")
+    return acc / 4
+
+
+def history_from_fields(fields_by_year):
+    """A ``DailyHistory`` of per-gridpoint daily extremes from 6-hourly
+    fields, keyed by year, by :func:`daily_extremes_loop`; days with
+    fewer than four samples come out absent."""
+    from wxverify.climatology import history_from_extremes
+    grid = next(iter(fields_by_year.values()))[0].grid
+    if any(fields[0].grid != grid for fields in fields_by_year.values()):
+        raise ValueError("history fields must share one grid")
+    return history_from_extremes({year: daily_extremes_loop(fields)
+                                  for year, fields in fields_by_year.items()})
 
 
 # --- event-labeling oracle ------------------------------------------------------

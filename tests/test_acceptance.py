@@ -28,7 +28,7 @@ from wxverify.cyclones import (TrackSource, homogeneous_sample,
                                intensity_errors, track_storm)
 from wxverify.extremes import (EventKind, EventSegment, label_events,
                                match_events, scores_from_counts)
-from wxverify.grid import (EARTH_RADIUS_KM, GeoGrid, VariableId,
+from wxverify.grid import (EARTH_RADIUS_KM, FieldBlock, GeoGrid, VariableId,
                            haversine_km, latitude_weights)
 from wxverify.harness import (SyntheticScenario, VariableProcess, VortexSpec,
                               generate_variable_series, make_besttrack,
@@ -386,7 +386,9 @@ def test_c10_end_to_end_determinism_and_closure(tmp_path, rng):
     clim = DailyMeanClimatology(
         scenario.grid, VariableId.T2M,
         build_daily_mean_climatology(
-            [daily_means_from_fields(list(t2m.values()))]),
+            [daily_means_from_fields(FieldBlock(
+                scenario.grid, VariableId.T2M, tuple(t2m), (0,) * len(t2m),
+                np.stack([f.values for f in t2m.values()])))]),
         (2025,))
     card = json.loads(blob1.decode())
     weights = latitude_weights(scenario.grid)

@@ -486,6 +486,23 @@ class TestStackReads:
         assert (tmp_path / "layers/scorecard.json").read_bytes() == \
             (tmp_path / "whole/scorecard.json").read_bytes()
 
+    def test_stations_read_the_qc_reference_as_one_block_per_stack(
+            self, evaluate_run, tmp_path, store_reads):
+        manifest = fileio.load_manifest(evaluate_run / "manifest.json")
+        assert run_cli("stations", "--manifest", manifest.path,
+                       "--station-meta", evaluate_run / "stations_meta.csv",
+                       "--station-obs", evaluate_run / "stations_obs.csv",
+                       "--out", tmp_path / "out") == 0
+        valid_times = sorted({init + timedelta(hours=lead)
+                              for init in manifest.init_times
+                              for lead in manifest.lead_hours})
+        first = valid_times[0]
+        start = (first - first.replace(month=1, day=1)) // fileio.STACK_STEP
+        assert len(valid_times) == 13  # two inits a day apart, leads to 48 h
+        assert sorted(r for r in store_reads if "truth" in r[0].parts) == \
+            sorted((manifest.truth_path(v, first), start, len(valid_times))
+                   for v in manifest.variables)
+
     @pytest.mark.parametrize("command", ["build-climatology", "extremes"])
     def test_each_history_year_is_one_read(self, extremes_run, command,
                                            tmp_path, store_reads):
@@ -714,6 +731,101 @@ class TestEvaluateBlocks:
                         for lead in manifest.lead_hours)
         assert [r for r in store_reads if "clim" in r[0].parts] == \
             [(manifest.climatology_path(v), *days) for v in stored]
+
+
+def grid_run(run, root, truth_pattern="truth/{variable}/{time}.rbg"):
+    """The T2M truth and persistence forecasts of the run's first init at
+    leads 0 and 6, one RBGRID1 file per field under ``root``; its manifest.
+    With a ``truth_pattern`` without ``{time}`` the one truth file there
+    holds the truth at the init."""
+    source = fileio.FieldSource(fileio.load_manifest(run / "manifest.json"))
+    init = source.manifest.init_times[0]
+    doc = {"variables": ["t2m"], "init_times": [fileio.format_time(init)],
+           "max_lead_hours": 6, "truth_pattern": truth_pattern,
+           "models": {"persistence":
+                      "models/persistence/{init}/{variable}_{lead:03d}.rbg"}}
+    path = root / "manifest.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc))
+    manifest = fileio.load_manifest(path, require=())
+    for lead in (6, 0):  # one truth file for every time keeps the init's
+        when = init + timedelta(hours=lead)
+        fileio.write_grid(source.truth(VariableId.T2M, when),
+                          manifest.truth_path(VariableId.T2M, when))
+        fileio.write_grid(
+            source.model("persistence", init, VariableId.T2M, lead),
+            manifest.model_path("persistence", init, VariableId.T2M, lead))
+    return manifest
+
+
+class TestGridFilesReadAsStacks:
+    """An RBGRID1 file is read as a stack of one layer, so it is checked
+    against the valid time and lead asked for, as a stack layer is."""
+
+    def test_forecast_of_another_lead_is_exit_2(self, evaluate_run, tmp_path,
+                                                capsys):
+        # the lead-6 file holds a field valid at the same time from an
+        # init 6 h earlier, at lead 12
+        manifest = grid_run(evaluate_run, tmp_path / "grid")
+        init = manifest.init_times[0]
+        path = manifest.model_path("persistence", init, VariableId.T2M, 6)
+        field = fileio.read_grid(path)
+        fileio.write_grid(field.at(field.valid_time, 12), path)
+        capsys.readouterr()
+        assert run_cli("evaluate", "--manifest", manifest.path,
+                       "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "has lead 12 h, not 6 h" in err
+
+    @pytest.mark.parametrize("command", ["evaluate", "stations"])
+    def test_one_truth_file_for_every_time_is_exit_2(
+            self, evaluate_run, command, tmp_path, capsys):
+        manifest = grid_run(evaluate_run, tmp_path / "grid",
+                            truth_pattern="truth/{variable}.rbg")
+        path = manifest.truth_path(VariableId.T2M, manifest.init_times[0])
+        extra = (["--station-meta", evaluate_run / "stations_meta.csv",
+                  "--station-obs", evaluate_run / "stations_obs.csv"]
+                 if command == "stations" else [])
+        capsys.readouterr()
+        assert run_cli(command, "--manifest", manifest.path,
+                       "--out", tmp_path / "out", *extra) == 2
+        err = capsys.readouterr().err
+        later = manifest.init_times[0] + timedelta(hours=6)
+        assert f"{path} holds no layer valid at " \
+               f"{fileio.format_time(later)}" in err
+
+
+class TestEmptyInitTimes:
+    @pytest.mark.parametrize("command", ["evaluate", "extremes", "cyclones",
+                                         "stations"])
+    def test_is_exit_2_naming_the_manifest(self, evaluate_run, command,
+                                           tmp_path, capsys):
+        manifest = with_manifest(evaluate_run, "manifest_no_inits.json",
+                                 init_times=[])
+        extra = {"cyclones": ["--besttrack", tmp_path / "besttrack.csv"],
+                 "stations": ["--station-meta",
+                              evaluate_run / "stations_meta.csv",
+                              "--station-obs",
+                              evaluate_run / "stations_obs.csv"]}
+        capsys.readouterr()
+        assert run_cli(command, "--manifest", manifest,
+                       "--out", tmp_path / "out",
+                       *extra.get(command, [])) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: init_times is empty" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_build_climatology_needs_no_init(self, evaluate_run, tmp_path):
+        doc = json.loads((evaluate_run / "manifest.json").read_text())
+        clim = dict(doc["climatology"],
+                    daily_mean_pattern="clim_no_inits/{variable}.rbc")
+        manifest = with_manifest(evaluate_run, "manifest_no_inits_clim.json",
+                                 init_times=[], climatology=clim)
+        assert run_cli("build-climatology", "--manifest", manifest) == 0
+        for payload in (evaluate_run / "clim").glob("*.rbc"):
+            assert (evaluate_run / "clim_no_inits" / payload.name) \
+                .read_bytes() == payload.read_bytes()
 
 
 @pytest.fixture(scope="module")

@@ -13,8 +13,11 @@ from conftest import make_field, make_grid
 from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory, day_span,
                                   build_daily_mean_climatology,
                                   build_thresholds, calendar_day_index,
-                                  history_from_fields, window_indices)
+                                  daily_extremes_from_fields,
+                                  daily_means_from_fields, window_indices,
+                                  year_times)
 from wxverify.errors import InsufficientHistory
+from wxverify.grid import FieldBlock, VariableId
 
 
 def six_hourly_year(year, fn):
@@ -98,7 +101,7 @@ class TestDailyExtremes:
         values = 285.0 + 5.0 * rng.standard_normal((len(times),) + grid.shape)
         fields = [make_field(grid, v, valid_time=t)
                   for t, v, k in zip(times, values, keep) if k]
-        history = history_from_fields({2024: fields})
+        history = oracles.history_from_fields({2024: fields})
         flat = values.reshape(len(times), -1)
         for loc in range(flat.shape[1]):
             samples = [(t, float(flat[i, loc]))
@@ -109,6 +112,55 @@ class TestDailyExtremes:
             assert np.array_equal(history.daily_min[0, :, loc], dmin,
                                   equal_nan=True)
         assert np.isnan(history.daily_max[0]).any()
+
+
+class TestYearBlocks:
+    """Daily means and extremes reduce a whole year in one pass per
+    synoptic hour; they must equal the field-by-field loops bit for bit."""
+
+    @given(year=st.sampled_from([2023, 2024, 2000, 2100]),
+           n_lat=st.integers(1, 3), n_lon=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1), lattice=st.booleans(),
+           zeros=st.sampled_from([0.0, 0.05]))
+    @settings(max_examples=25, deadline=None)
+    def test_block_reductions_equal_the_field_loops(self, year, n_lat, n_lon,
+                                                    seed, lattice, zeros):
+        # sums that round, or values on a 0.25 lattice so that days hold
+        # ties; with signed zeros at times, so max and min must pick the
+        # same zero
+        rng = np.random.default_rng(seed)
+        grid = make_grid(n_lat, n_lon)
+        times = year_times(year)
+        values = 285.0 + 10.0 * rng.standard_normal((len(times), n_lat, n_lon))
+        if lattice:
+            values = np.round(4.0 * values) / 4.0 - 285.0
+        signed = rng.random(values.shape) < zeros
+        values[signed] = np.where(rng.random(values.shape) < 0.5, 0.0,
+                                  -0.0)[signed]
+        # a whole year of layers, as FieldSource.history returns it
+        block = FieldBlock(grid, VariableId.T2M, tuple(times),
+                           (0,) * len(times), values)
+        fields = [block.field(i) for i in range(len(times))]
+        assert daily_means_from_fields(block).tobytes() == \
+            oracles.daily_means_loop(fields).tobytes()
+        got = daily_extremes_from_fields(block)
+        want = oracles.daily_extremes_loop(fields)
+        assert [a.shape for a in got] == [(DAYS_PER_YEAR, n_lat * n_lon)] * 2
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    @pytest.mark.parametrize("cut", ["short", "shifted"])
+    def test_block_must_hold_the_whole_year(self, cut):
+        grid = make_grid(1, 2)
+        times = year_times(2025)
+        if cut == "short":
+            times = times[:-4]
+        else:
+            times = [when + timedelta(hours=6) for when in times]
+        block = FieldBlock(grid, VariableId.T2M, tuple(times),
+                           (0,) * len(times), np.zeros((len(times), 1, 2)))
+        for reduce in (daily_means_from_fields, daily_extremes_from_fields):
+            with pytest.raises(InsufficientHistory, match="history of 2025"):
+                reduce(block)
 
 
 def dense_history(rng, n_years=12, n_loc=3, loc_mean=288.0):

@@ -24,7 +24,7 @@ from wxverify.errors import (ChecksumMismatch, DuplicateObservation,
                              ManifestError, NonFiniteValue, NonMonotoneTime,
                              NonUniformGrid, UnitOutOfRange, UnknownStation,
                              WxVerifyError)
-from wxverify.grid import GeoGrid, VariableId, latitude_weights
+from wxverify.grid import FieldBlock, GeoGrid, VariableId, latitude_weights
 
 
 def f32_field(rng, grid, **kw):
@@ -87,7 +87,7 @@ STORES = {
     "stack": Store(write_stack_store, fileio.read_stack, "<f4",
                    lambda m: m.truth_path(VariableId.MSL, STACK_TIMES[-1]),
                    lambda s: s.truth(VariableId.MSL, STACK_TIMES[-1]),
-                   lambda fields: (fields[0].grid, [f.values for f in fields])),
+                   lambda block: (block.grid, list(block.values))),
 }
 
 
@@ -856,7 +856,7 @@ class TestStacks:
                 assert type(layer_err) is type(fresh_err)
                 assert type(whole_err) is type(fresh_err)
                 continue
-            for got in (layer, whole[k]):
+            for got in (layer, whole.field(k)):
                 assert got.grid == fresh.grid
                 assert got.values.tobytes() == fresh.values.tobytes()
                 assert (got.variable, got.valid_time, got.lead_hours) == \
@@ -867,23 +867,25 @@ class TestStacks:
             # as writing its first field alone does (a regional grid across
             # 0E is not uniform in the engine convention)
             written, err = outcome(lambda: fileio.write_stack(
-                whole, root / "again.rbs"))
+                (whole.field(k) for k in range(n_layers)),
+                root / "again.rbs"))
             _, grid_err = outcome(lambda: fileio.write_grid(
-                whole[0], root / "again.rbg"))
+                whole.field(0), root / "again.rbg"))
             assert type(err) is type(grid_err)
             if err is None:
                 again = fileio.read_stack(written)
-                assert [f.values.tobytes() for f in again] == \
-                    [f.values.tobytes() for f in whole]
-                assert again[0].grid == whole[0].grid
+                assert again.values.tobytes() == whole.values.tobytes()
+                assert again.grid == whole.grid
 
     def test_canonical_serialization(self, rng, tmp_path):
         fields = [f32_field(rng, make_grid(3, 4), valid_time=when, lead_hours=6 * k)
                   for k, when in enumerate(times_from(T0, 3))]
         first = fileio.write_stack(fields, tmp_path / "a.rbs")
         back = fileio.read_stack(first)
-        assert [f.lead_hours for f in back] == [0, 6, 12]
-        second = fileio.write_stack(iter(back), tmp_path / "b.rbs")
+        assert isinstance(back, FieldBlock)
+        assert back.lead_hours == (0, 6, 12)
+        second = fileio.write_stack((back.field(k) for k in range(3)),
+                                    tmp_path / "b.rbs")
         assert first.read_bytes() == second.read_bytes()
         assert (tmp_path / "a.rbs.json").read_bytes() == \
             (tmp_path / "b.rbs.json").read_bytes()
@@ -944,6 +946,34 @@ class TestStacks:
         with pytest.raises(ManifestError, match="has lead 6 h, not 0 h"):
             source.model("one-run", T0 + fileio.STACK_STEP, VariableId.T2M, 0)
 
+    @pytest.mark.parametrize("layout, leads", [
+        ("stack", {"lead_step_hours": 3}), ("stack", {"lead_step_hours": -6}),
+        ("stack", {"lead_hours": -6, "lead_step_hours": 6}),
+        ("grid", {"lead_hours": 3}), ("grid", {"lead_hours": -6})])
+    def test_leads_off_the_6_hour_grid_are_invalid_headers(
+            self, layout, leads, rng, tmp_path):
+        manifest = stack_manifest(tmp_path) if layout == "stack" \
+            else grid_manifest(tmp_path)
+        values = rng.standard_normal((3, 3, 4))
+        geometry = (3, 4, 60.0, -60.0, 0.0, 90.0)
+        if layout == "stack":
+            path = write_raw_stack(manifest.truth_path(VariableId.T2M, T0),
+                                   values, geometry)
+        else:
+            path = write_raw_grid(manifest.truth_path(VariableId.T2M, T0),
+                                  values[0], geometry)
+        rewrite_store(path, "<f4", lambda layers: layers, **leads)
+        source = fileio.FieldSource(manifest)
+        read = fileio.read_stack if layout == "stack" else fileio.read_grid
+        n_times = 3 if layout == "stack" else 1
+        for attempt in (lambda: read(path),
+                        lambda: source.truth_block(VariableId.T2M,
+                                                   times_from(T0, n_times))):
+            with pytest.raises(InvalidHeader, match="leads must be "
+                               "non-negative multiples of 6 h") as err:
+                attempt()
+            assert str(err.value).startswith(f"{path}: ")
+
     @pytest.mark.parametrize("fault", ["time-gap", "other-grid", "lead-step",
                                        "derived"])
     def test_writer_rejects_a_broken_series_and_leaves_no_file(
@@ -972,11 +1002,12 @@ class TestStacks:
         path = fileio.write_stack((f32_field(rng, grid, valid_time=when)
                                    for when in times),
                                   manifest.history_path(VariableId.T2M, T0))
-        fields = fileio.FieldSource(manifest).history(VariableId.T2M,
-                                                      T0.year)
+        block = fileio.FieldSource(manifest).history(VariableId.T2M,
+                                                     T0.year)
+        assert isinstance(block, FieldBlock)
         assert store_reads == [(path, 0, len(times))]
-        assert [f.valid_time for f in fields] == times
-        assert fields[-1].values.tobytes() == \
+        assert block.valid_times == tuple(times)
+        assert block.values[-1].tobytes() == \
             fileio.FieldSource(manifest).truth(VariableId.T2M,
                                                times[-1]).values.tobytes()
 

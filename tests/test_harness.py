@@ -7,8 +7,9 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+import oracles
 from wxverify import fileio
-from wxverify.climatology import build_thresholds, history_from_fields
+from wxverify.climatology import build_thresholds
 from wxverify.extremes import EventKind, label_events
 from wxverify.grid import GeoGrid, VariableId
 from wxverify.harness import (PlantedEpisode, SyntheticScenario, VariableProcess,
@@ -74,10 +75,10 @@ class TestGenerator:
         fields_by_year: dict[int, list] = {y: [] for y in sc.years}
         for f in generate_variable_series(sc, VariableId.T2M):
             fields_by_year[f.valid_time.year].append(f)
-        history = history_from_fields(
+        history = oracles.history_from_fields(
             {y: fields_by_year[y] for y in (2022, 2023, 2024)})
         thresholds = build_thresholds(history)
-        eval_history = history_from_fields({2025: fields_by_year[2025]})
+        eval_history = oracles.history_from_fields({2025: fields_by_year[2025]})
         loc = 3 * sc.grid.n_lon + 5
         series = eval_history.daily_max[0, :, loc]
         segments = label_events(series, thresholds.tau_heat[:, loc],
