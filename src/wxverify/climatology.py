@@ -340,16 +340,22 @@ def build_daily_mean_climatology(per_year: Sequence[np.ndarray]) -> np.ndarray:
     """Arithmetic mean across years, per calendar day and location.
 
     Inputs are per-year arrays shaped (365, ...); all years must be
-    finite and share a shape.
+    finite and share a shape. Added in order to zeros, then divided once,
+    they give ``np.mean`` over their stack bit for bit, without the stack.
     """
     if len(per_year) == 0:
         raise InsufficientHistory("no history years supplied")
-    stack = np.stack([np.asarray(y, dtype=np.float64) for y in per_year])
-    if stack.shape[1] != DAYS_PER_YEAR:
-        raise ValueError("per-year arrays must have a leading 365-day axis")
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("daily-mean history must be finite")
-    return np.mean(stack, axis=0)
+    total = np.zeros(np.shape(per_year[0]))
+    for year in per_year:
+        year = np.asarray(year, dtype=np.float64)
+        if year.shape != total.shape or year.shape[:1] != (DAYS_PER_YEAR,):
+            raise ValueError("per-year arrays must share one shape with a "
+                             "leading 365-day axis")
+        if not np.isfinite(year).all():
+            raise ValueError("daily-mean history must be finite")
+        total += year
+    total /= len(per_year)
+    return total
 
 
 def daily_means_from_fields(block: FieldBlock) -> np.ndarray:

@@ -871,30 +871,41 @@ class RunManifest:
     def lead_hours(self) -> tuple[int, ...]:
         return tuple(range(0, self.max_lead_hours + 1, 6))
 
-    def _fmt(self, pattern: str, keys: _PatternKeys) -> Path:
+    @property
+    def valid_times(self) -> list[datetime]:
+        """The sorted, distinct valid times of every init time and lead."""
+        return sorted({init + timedelta(hours=lead)
+                       for init in self.init_times for lead in self.lead_hours})
+
+    def _fmt(self, key: str, pattern: str, keys: _PatternKeys) -> Path:
         try:
             rel = pattern.format_map(keys)
-        except (KeyError, IndexError, ValueError) as exc:
-            raise ManifestError(f"bad pattern {pattern!r}: {exc}") from exc
+        except (KeyError, IndexError, ValueError, AttributeError,
+                TypeError) as exc:
+            raise ManifestError(f"{self.path}: bad {key} pattern "
+                                f"{pattern!r}: {exc}") from exc
         return self.root / rel
 
     def truth_path(self, variable: VariableId, when: datetime) -> Path:
-        return self._fmt(self.truth_pattern, _PatternKeys(variable, when))
+        return self._fmt("truth_pattern", self.truth_pattern,
+                         _PatternKeys(variable, when))
 
     def model_path(self, model: str, init: datetime, variable: VariableId,
                    lead_hours: int) -> Path:
-        return self._fmt(self.models[model], _PatternKeys(
+        return self._fmt(f"models.{model}", self.models[model], _PatternKeys(
             variable, init + timedelta(hours=lead_hours), init, lead_hours))
 
     def climatology_path(self, variable: VariableId) -> Path:
         if self.climatology_pattern is None:
             raise ManifestError("manifest declares no climatology")
-        return self._fmt(self.climatology_pattern, _PatternKeys(variable))
+        return self._fmt("climatology.daily_mean_pattern",
+                         self.climatology_pattern, _PatternKeys(variable))
 
     def history_path(self, variable: VariableId, when: datetime) -> Path:
         if self.history_pattern is None:
             raise ManifestError("manifest declares no history")
-        return self._fmt(self.history_pattern, _PatternKeys(variable, when))
+        return self._fmt("climatology.history_pattern", self.history_pattern,
+                         _PatternKeys(variable, when))
 
 
 @functools.lru_cache(maxsize=8192)
@@ -1073,8 +1084,8 @@ def load_manifest(path: str | os.PathLike,
     """Load and validate a manifest JSON document.
 
     ``require`` names the sections whose referenced files must exist:
-    any of "truth", "models", "climatology", "thresholds", "history".
-    The first missing file is reported by path.
+    any of "truth", "models", "history". The first missing file is
+    reported by path.
     """
     path = Path(path)
     try:
@@ -1104,9 +1115,13 @@ def load_manifest(path: str | os.PathLike,
         variables = tuple(VariableId.from_key(v) for v in need("variables", list))
     except ValueError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
-    init_times = tuple(parse_time(t) for t in need("init_times", list))
+    init_times = need("init_times", list)
+    if not all(isinstance(t, str) for t in init_times):
+        raise ManifestError(f"{path}: init_times must be a list of ISO-8601 "
+                            f"time strings")
+    init_times = tuple(parse_time(t) for t in init_times)
     max_lead = doc.get("max_lead_hours", 240)  # 40 six-hour steps
-    if not isinstance(max_lead, int) or max_lead < 0 or max_lead % 6:
+    if type(max_lead) is not int or max_lead < 0 or max_lead % 6:
         raise ManifestError(f"{path}: max_lead_hours must be a non-negative "
                             f"multiple of 6")
     truth_pattern = need("truth_pattern", str)
@@ -1123,6 +1138,9 @@ def load_manifest(path: str | os.PathLike,
     clim = doc.get("climatology", {})
     if not isinstance(clim, dict):
         raise ManifestError(f"{path}: climatology section must be an object")
+    for key in ("daily_mean_pattern", "thresholds_path", "history_pattern"):
+        if clim.get(key) is not None and not isinstance(clim[key], str):
+            raise ManifestError(f"{path}: climatology {key} must be a string")
     climatology_pattern = clim.get("daily_mean_pattern")
     thresholds_path = clim.get("thresholds_path")
     history_pattern = clim.get("history_pattern")
@@ -1177,12 +1195,8 @@ def _check_manifest_files(manifest: RunManifest, require: Sequence[str]):
         raise ManifestError(f"{manifest.path}: init_times is empty; a run "
                             f"needs at least one init time")
     if "truth" in require:
-        needed = set()
-        for init in manifest.init_times:
-            for lead in manifest.lead_hours:
-                needed.add(init + timedelta(hours=lead))
         for variable in plain:
-            for when in sorted(needed):
+            for when in manifest.valid_times:
                 p = manifest.truth_path(variable, when)
                 if not p.exists():
                     raise ManifestError(f"missing truth file: {p}")
@@ -1194,19 +1208,6 @@ def _check_manifest_files(manifest: RunManifest, require: Sequence[str]):
                         p = manifest.model_path(model, init, variable, lead)
                         if not p.exists():
                             raise ManifestError(f"missing model file: {p}")
-    if "climatology" in require:
-        if manifest.climatology_pattern is None:
-            raise ManifestError("manifest declares no climatology section")
-        for variable in plain:
-            p = manifest.climatology_path(variable)
-            if not p.exists():
-                raise ManifestError(f"missing climatology file: {p}")
-    if "thresholds" in require:
-        p = manifest.thresholds_file
-        if p is None:
-            raise ManifestError("manifest declares no thresholds path")
-        if not p.exists():
-            raise ManifestError(f"missing thresholds file: {p}")
     if "history" in require:
         if manifest.history_pattern is None or not manifest.history_years:
             raise ManifestError("manifest declares no history section")

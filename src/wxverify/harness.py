@@ -17,23 +17,27 @@ standard deviation sigma; innovations are spatially smoothed white noise
 float32-representable values so that the io round-trip is bitwise
 lossless and on-disk evaluation matches in-memory evaluation exactly.
 
-Identical seeds produce bitwise-identical streams.
+Identical seeds produce bitwise-identical streams. ``write_run`` (the
+``synth`` command) writes a whole synthetic run: truth and forecast
+stacks, the manifest, the best track of any vortex and sampled stations.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from dataclasses import dataclass, field, replace
+from datetime import datetime, timedelta, timezone
+from itertools import groupby
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import fileio
 from .climatology import SIX_HOURS, calendar_day_index, year_times
 from .cyclones import TRUTH_SOURCE, StormFix, StormTrack
-from .errors import InvalidHeader
+from .errors import InvalidHeader, ManifestError
 from .extremes import EventKind
 from .grid import KM_PER_DEG, GeoGrid, GridField, VariableId, haversine_km_grid
 
@@ -379,3 +383,175 @@ def load_scenario(path: str | Path) -> SyntheticScenario:
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidHeader(f"cannot load scenario {path}: {exc}") from exc
     return scenario_from_dict(doc)
+
+
+# --- synthetic runs on disk --------------------------------------------------
+
+def _model_specs(models: str) -> dict[str, tuple[str, int]]:
+    """Model name -> (kind, parameter) of a comma list of persistence,
+    perfect, smoothed[:width] and lagged[:hours]."""
+    specs: dict[str, tuple[str, int]] = {}
+    for token in models.split(","):
+        token = token.strip()
+        if not token:
+            continue
+        if token == "persistence":
+            specs[token] = ("persistence", 0)
+        elif token == "perfect":
+            specs[token] = ("perfect", 0)
+        elif token.startswith("smoothed"):
+            width = int(token.split(":", 1)[1]) if ":" in token else 9
+            specs[f"smoothed{width}"] = ("smoothed", width)
+        elif token.startswith("lagged"):
+            lag = int(token.split(":", 1)[1]) if ":" in token else 48
+            if lag % 6:
+                raise ManifestError("lag must be a multiple of 6 hours")
+            specs[f"lagged{lag}"] = ("lagged", lag)
+        else:
+            raise ManifestError(f"unknown synthetic model {token!r}")
+    return specs
+
+
+def _write_truth(scenario: SyntheticScenario, out_dir: Path,
+                 truth_pattern: str, keep: set[datetime] | None) -> None:
+    """Generate truth and write one stack per (variable, year), streamed.
+
+    With ``keep``, each year's stack holds the contiguous 6-hourly span
+    from the year's first to its last kept time; years without a kept
+    time are not written.
+    """
+    spans: dict[int, list[datetime]] = {}  # year -> [first, last] kept
+    for when in sorted(keep or ()):
+        spans.setdefault(when.year, [when, when])[1] = when
+    for variable in scenario.variables:
+        series = generate_variable_series(scenario, variable)
+        for year, fields in groupby(series, key=lambda f: f.valid_time.year):
+            if keep is not None:
+                if year not in spans:
+                    continue
+                lo, hi = spans[year]
+                fields = (f for f in fields if lo <= f.valid_time <= hi)
+            fileio.write_stack(fields, out_dir / truth_pattern.format(
+                variable=variable.key, year=year))
+
+
+def write_run(scenario_path: str | Path, out_dir: str | Path, *,
+              seed: int | None = None, inits: str | None = None,
+              max_lead_hours: int = 240, models: str | None = None,
+              truth_span: str = "full", stations: int = 0) -> Path:
+    """Write truth, forecasts, a manifest, any best track and ``stations``
+    stations under ``out_dir``; returns the manifest path. ``inits`` and
+    ``models`` are comma lists, as the ``synth`` options are."""
+    scenario = load_scenario(scenario_path)
+    if seed is not None:
+        scenario = replace(scenario, seed=seed)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    leads = list(range(0, max_lead_hours + 1, 6))
+    init_times = [fileio.parse_time(t) for t in inits.split(",")] if inits \
+        else [datetime(scenario.years[-1], 7, 1, tzinfo=timezone.utc)]
+    model_specs = _model_specs(models or "persistence")
+
+    keep: set[datetime] | None = None
+    if truth_span == "run":
+        if any(kind == "lagged" for kind, _ in model_specs.values()):
+            raise ManifestError("lagged models need --truth-span full")
+        keep = {init + timedelta(hours=lead)
+                for init in init_times for lead in leads}
+    truth_pattern = "truth/{variable}/{year}.rbs"
+    _write_truth(scenario, out_dir, truth_pattern, keep)
+
+    model_patterns = {
+        name: f"models/{name}/{{init}}/{{variable}}.rbs"
+        for name in sorted(model_specs)}
+    history_years = list(scenario.years[:-1] or scenario.years)
+    climatology_doc = {
+        "daily_mean_pattern": "clim/{variable}.rbc",
+        "history_pattern": truth_pattern,
+        "history_years": history_years,
+    }
+    if len(history_years) >= 2:  # threshold construction needs >= 2 years
+        climatology_doc["thresholds_path"] = "clim/thresholds.rbt"
+    manifest_doc = {
+        "variables": [v.key for v in scenario.variables],
+        "init_times": [fileio.format_time(t) for t in init_times],
+        "max_lead_hours": max_lead_hours,
+        "truth_pattern": truth_pattern,
+        "models": model_patterns,
+        "climatology": climatology_doc,
+        "regions": {"global": None},
+    }
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.write_bytes(
+        (json.dumps(manifest_doc, sort_keys=True, indent=2) + "\n").encode())
+    # keep the generating process parameters next to the outputs
+    (out_dir / "scenario.json").write_bytes(Path(scenario_path).read_bytes())
+
+    # forecasts are built from the truth just written, read back through
+    # the manifest like any other run
+    source = fileio.FieldSource(fileio.load_manifest(manifest_path, require=()))
+    for name, (kind, param) in sorted(model_specs.items()):
+        for init in init_times:
+            for variable in scenario.variables:
+                if kind == "persistence":
+                    fields = persistence_forecast(source.truth(variable, init),
+                                                  leads)
+                elif kind == "smoothed":
+                    fields = smoothed_forecast(source.truth(variable, init),
+                                               leads, param)
+                else:  # perfect, or lagged: truth from `param` hours earlier
+                    fields = [source.truth(variable,
+                                           init + timedelta(hours=lead - param))
+                              .at(init + timedelta(hours=lead), lead)
+                              for lead in leads]
+                fileio.write_stack(fields, source.manifest.model_path(
+                    name, init, variable, leads[0]))
+
+    if scenario.vortices:
+        lines = ["storm_id,iso_time,lat,lon,mslp_hpa,wind_ms"]
+        for track in make_besttrack(scenario):
+            for fix in track.fixes:
+                lines.append(f"{track.storm_id},{fileio.format_time(fix.time)},"
+                             f"{fix.lat!r},{fix.lon!r},"
+                             f"{fix.min_mslp_pa / 100.0!r},{fix.max_wind_ms!r}")
+        (out_dir / "besttrack.csv").write_bytes(
+            ("\n".join(lines) + "\n").encode())
+
+    if stations:
+        _write_station_csvs(scenario, source, stations)
+    return manifest_path
+
+
+def _write_station_csvs(scenario: SyntheticScenario,
+                        source: fileio.FieldSource, n_stations: int) -> None:
+    """Sample synthetic stations at grid nodes; observations equal truth."""
+    out_dir = source.manifest.root
+    grid = scenario.grid
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=scenario.seed, spawn_key=(10_001,)))
+    flat = rng.choice(grid.n_lat * grid.n_lon, size=min(
+        n_stations, grid.n_lat * grid.n_lon), replace=False)
+    flat.sort()
+    meta_lines = ["id,lat,lon,elev_m"]
+    sites = []
+    for idx in flat:
+        i, j = divmod(int(idx), grid.n_lon)
+        sid = f"SYN{idx:05d}"
+        sites.append((sid, i, j))
+        meta_lines.append(f"{sid},{float(grid.lat_deg[i])!r},"
+                          f"{float(grid.lon_deg[j])!r},0.0")
+    (out_dir / "stations_meta.csv").write_bytes(
+        ("\n".join(meta_lines) + "\n").encode())
+
+    obs_lines = ["station_id,iso_time,variable,value_si"]
+    for variable in scenario.variables:
+        if variable.derived:
+            continue
+        for when in source.manifest.valid_times:
+            field = source.truth(variable, when)
+            for sid, i, j in sites:
+                obs_lines.append(
+                    f"{sid},{fileio.format_time(when)},{variable.key},"
+                    f"{float(field.values[i, j])!r}")
+    (out_dir / "stations_obs.csv").write_bytes(
+        ("\n".join(obs_lines) + "\n").encode())

@@ -1,0 +1,529 @@
+"""The verification commands, one function each: ``build_climatology``,
+``evaluate``, ``extremes``, ``cyclones`` and ``stations``.
+
+Each takes plain values (the manifest path, the directory for its side
+files such as spectra, segments and tracks, and its options) and returns
+its scorecard dict, to be written with
+:func:`wxverify.report.write_scorecard`; ``build_climatology`` returns
+the paths it wrote. Each imports the modules it runs inside itself, so
+``evaluate`` loads none of ``harness``, ``cyclones``, ``extremes`` or
+``stations``.
+"""
+
+from __future__ import annotations
+
+import math
+from datetime import timedelta
+from pathlib import Path
+from typing import Sequence
+
+from .errors import ManifestError, MissingFix, NoValidPairs
+
+DEFAULT_SPECTRA_LEADS = (6, 72, 120, 240)
+DEFAULT_EXTREME_LEAD_DAYS = (1, 3, 7, 10)
+DEFAULT_CYCLONE_LEAD_DAYS = (1, 3, 5)
+
+
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
+
+
+def _check_leads(values: Sequence[int] | None, default: Sequence[int],
+                 flag: str, manifest, hours_of) -> tuple[int, ...]:
+    """``values`` (``default`` when None), none empty and none with lead
+    hours ``hours_of(value)`` off the manifest's 6-hourly lead grid."""
+    values = tuple(default if values is None else values)
+    if not values:
+        raise ManifestError(f"{flag}: empty lead list")
+    on_grid = set(manifest.lead_hours)
+    for value in values:
+        hours = hours_of(value)
+        if not on_grid.issuperset(hours):
+            span = f"{hours[0]}..{hours[-1]}" if len(hours) > 1 else hours[0]
+            raise ManifestError(
+                f"{flag} value {value} ({span} h) is outside the manifest "
+                f"lead grid (0..{manifest.max_lead_hours} h, every 6 h)")
+    return values
+
+
+def _extreme_day_hours(day: int) -> tuple[int, ...]:
+    """The four synoptic lead hours of extremes lead day ``day`` (1-based)."""
+    from .climatology import SYNOPTIC_HOURS
+    return tuple(24 * (day - 1) + h for h in SYNOPTIC_HOURS)
+
+
+def _lead_runs(leads: Sequence[int], max_layers: int) -> list[list[int]]:
+    """Ascending ``leads`` cut into runs whose 6-hourly span, first to
+    last lead, holds at most ``max_layers`` layers."""
+    runs: list[list[int]] = []
+    for lead in leads:
+        if runs and (lead - runs[-1][0]) // 6 < max_layers:
+            runs[-1].append(lead)
+        else:
+            runs.append([lead])
+    return runs
+
+
+# --- evaluate ----------------------------------------------------------------
+
+_METRICS = ("wrmse", "acc", "bias", "activity")
+
+
+def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
+             spectra_leads: Sequence[int] | None = None) -> dict:
+    """Grid metrics of every (model, variable, lead in ``leads``, default
+    all), and spectra of ``spectra_leads`` (default those of 6, 72, 120
+    and 240 among ``leads``) written under ``out_dir/spectra``."""
+    import numpy as np
+
+    from . import fileio
+    from .grid import latitude_weights
+    from .metrics import block_scores, check_pair
+    from .report import new_scorecard, write_spectrum_csv
+    from .spectra import (MIDLATITUDE_BAND, ZonalSpectrum,
+                          midlatitude_spectrum)
+    manifest = fileio.load_manifest(manifest_path)
+    out_dir = Path(out_dir)
+    leads = _check_leads(leads, manifest.lead_hours, "--leads", manifest,
+                         lambda lead: (lead,))
+    spectra_leads = _check_leads(
+        spectra_leads, tuple(l for l in DEFAULT_SPECTRA_LEADS if l in leads),
+        "--spectra-leads", manifest, lambda lead: (lead,))
+    source = fileio.FieldSource(manifest)
+    models = sorted(manifest.models)
+    valid_times = [init + timedelta(hours=lead)
+                   for init in manifest.init_times for lead in leads]
+    clims = {variable: source.climatology(variable, valid_times)
+             for variable in manifest.variables}
+
+    # Blocks run over (variable, init) outside and models inside: each
+    # truth span and each forecast stack is read once. Scores and spectra
+    # are appended per (model, variable, lead) in init order, so each mean
+    # sums the same sequence as a field-by-field loop would.
+    metric_leads, spectra_set = set(leads), set(spectra_leads)
+    scores = {(model, variable, lead): {metric: [] for metric in _METRICS}
+              for model in models for variable in manifest.variables
+              for lead in leads}
+    energies: dict[tuple, list] = {}
+
+    def add_spectra(model, variable, run, block):  # model None: the truth
+        for i, lead in enumerate(run):
+            if lead in spectra_set:
+                energies.setdefault((model, variable, lead), []).append(
+                    midlatitude_spectrum(block.field(i)).energy)
+
+    for variable in manifest.variables:
+        clim = clims[variable]
+        runs = _lead_runs(sorted(metric_leads | spectra_set),
+                          source.block_layers(variable))
+        for init in manifest.init_times:
+            for run in runs:
+                times = [init + timedelta(hours=lead) for lead in run]
+                truth = source.truth_block(variable, times)
+                rows = [i for i, lead in enumerate(run) if lead in metric_leads]
+                scored = rows if len(rows) < len(run) else slice(None)
+                clim_layers = None if clim is None or not rows \
+                    else clim.layers([times[i] for i in rows])
+                weights = latitude_weights(truth.grid)
+                for model in models:
+                    pred = source.model_block(model, init, variable, run)
+                    check_pair(pred, truth, same_time=True)
+                    if clim is not None:
+                        check_pair(pred, clim, same_time=False)
+                    if rows:
+                        block = block_scores(pred.values[scored],
+                                             truth.values[scored],
+                                             clim_layers, weights)
+                        for metric, values in block._asdict().items():
+                            if values is None:
+                                continue
+                            for i, value in zip(rows, values.tolist()):
+                                scores[model, variable, run[i]][metric] \
+                                    .append(value)
+                    add_spectra(model, variable, run, pred)
+                add_spectra(None, variable, run, truth)
+
+    card = new_scorecard("evaluate", manifest.sha256)
+    card["grid_metrics"] = [
+        {"model": model, "variable": variable.key, "lead_hours": lead,
+         "metric": metric, "value": _mean(values) if values else "n/a",
+         "n_samples": len(values)}
+        for model in models for variable in manifest.variables
+        for lead in leads
+        for metric, values in scores[(model, variable, lead)].items()]
+
+    spectra_rows = []
+    for model in models + [None]:
+        name = "truth" if model is None else model
+        for variable in manifest.variables:
+            for lead in spectra_leads:
+                spectrum = ZonalSpectrum(
+                    variable, lead,
+                    np.mean(energies[(model, variable, lead)], axis=0),
+                    MIDLATITUDE_BAND)
+                rel = f"spectra/{name}_{variable.key}_{lead:03d}h.csv"
+                write_spectrum_csv(spectrum, out_dir / rel)
+                spectra_rows.append({"model": name, "variable": variable.key,
+                                     "lead_hours": lead, "csv": rel})
+    if spectra_rows:
+        card["spectra"] = spectra_rows
+    return card
+
+
+# --- build-climatology -------------------------------------------------------
+
+def _history_years(source, variable):
+    """(year, block) of each history year of ``variable``, in manifest
+    order, each on the grid of the years before it."""
+    grid = None
+    for year in source.manifest.history_years:
+        block = source.history(variable, year)
+        if grid is not None and block.grid != grid:
+            raise ManifestError(f"{variable.key} history of {year} is on "
+                                f"another grid than the years before it")
+        grid = block.grid
+        yield year, block
+        del block  # hold one year of history at a time
+
+
+def build_climatology(manifest_path) -> list[Path]:
+    """Write the daily-mean climatology of each stored variable, and the
+    T2M extreme thresholds where the manifest names a thresholds path;
+    returns the paths written, in order."""
+    from . import fileio
+    from .climatology import (DailyMeanClimatology,
+                              build_daily_mean_climatology, build_thresholds,
+                              daily_extremes_from_fields,
+                              daily_means_from_fields, history_from_extremes)
+    from .grid import VariableId
+    manifest = fileio.load_manifest(manifest_path, require=("history",))
+    if manifest.climatology_pattern is None:
+        raise ManifestError("manifest declares no climatology daily_mean_pattern")
+    source = fileio.FieldSource(manifest)
+    written = []
+    for variable in manifest.variables:
+        if variable.derived:
+            continue
+        with_thresholds = variable is VariableId.T2M \
+            and manifest.thresholds_file is not None
+        per_year = []
+        extremes = {}  # year -> (daily max, daily min)
+        for year, block in _history_years(source, variable):
+            grid = block.grid
+            per_year.append(daily_means_from_fields(block))
+            if with_thresholds:
+                extremes[year] = daily_extremes_from_fields(block)
+            del block  # hold one year of history at a time
+        written.append(fileio.write_daily_climatology(
+            DailyMeanClimatology(grid, variable,
+                                 build_daily_mean_climatology(per_year),
+                                 manifest.history_years),
+            manifest.climatology_path(variable)))
+        if with_thresholds:
+            thresholds = build_thresholds(history_from_extremes(extremes))
+            written.append(fileio.write_thresholds(
+                thresholds, grid, manifest.thresholds_file))
+    return written
+
+
+# --- extremes ----------------------------------------------------------------
+
+def _day_extremes(day_blocks, kind):
+    """(days x locations) daily max (heat) or min (cold) of each day's
+    block of fields."""
+    import numpy as np
+
+    from .extremes import EventKind
+    stack = np.stack([block.values for block in day_blocks])
+    extreme = stack.max(axis=1) if kind is EventKind.HEATWAVE \
+        else stack.min(axis=1)
+    return extreme.reshape(len(day_blocks), -1)
+
+
+def _region_mask(grid, box):
+    """Boolean (n_lat, n_lon) mask of a [lat_min, lat_max, lon_min,
+    lon_max] box; every point when ``box`` is None."""
+    import numpy as np
+    if box is None:
+        return np.ones(grid.shape, dtype=bool)
+    lat_min, lat_max, lon_min, lon_max = box
+    lat_ok = (grid.lat_deg >= lat_min) & (grid.lat_deg <= lat_max)
+    lon_ok = (grid.lon_deg >= lon_min) & (grid.lon_deg <= lon_max)
+    return lat_ok[:, None] & lon_ok[None, :]
+
+
+def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
+             gamma: float = 0.5) -> dict:
+    """Heatwave and cold-surge scores per (model, lead day, region, kind)
+    at temporal-IoU ``gamma``, with event segments under
+    ``out_dir/segments``; thresholds are read, or built from history."""
+    import hashlib
+
+    import numpy as np
+
+    from . import fileio
+    from .climatology import (SYNOPTIC_HOURS, build_thresholds,
+                              calendar_day_index, daily_extremes_from_fields,
+                              history_from_extremes)
+    from .extremes import (EventKind, label_event_runs, match_counts,
+                           scores_from_counts, segments_by_location)
+    from .grid import VariableId
+    from .report import na, new_scorecard
+    manifest = fileio.load_manifest(manifest_path)
+    out_dir = Path(out_dir)
+    lead_days = _check_leads(lead_days, DEFAULT_EXTREME_LEAD_DAYS,
+                             "--lead-days", manifest, _extreme_day_hours)
+    # checked here: match_events only runs where both sides have events
+    if not 0.0 < gamma <= 1.0:
+        raise ManifestError(f"--gamma must lie in (0, 1], got {gamma}")
+    if any(init.hour != 0 for init in manifest.init_times):
+        raise ManifestError("extremes evaluation expects 00Z init times")
+    source = fileio.FieldSource(manifest)
+
+    thresholds_sha = None
+    stored = source.thresholds()
+    if stored is not None:
+        thresholds, tgrid = stored
+        thresholds_sha = hashlib.sha256(
+            manifest.thresholds_file.read_bytes()).hexdigest()
+    elif manifest.history_pattern and manifest.history_years:
+        extremes = {}
+        for year, block in _history_years(source, VariableId.T2M):
+            tgrid = block.grid
+            extremes[year] = daily_extremes_from_fields(block)
+            del block  # hold one year of history at a time
+        thresholds = build_thresholds(history_from_extremes(extremes))
+    else:
+        raise ManifestError(
+            "extremes needs thresholds_path or a history section to build from")
+
+    first_truth = source.truth(VariableId.T2M, manifest.init_times[0])
+    if first_truth.grid != tgrid:
+        raise ManifestError("threshold grid does not match the truth grid")
+
+    card = new_scorecard("extremes", manifest.sha256,
+                         thresholds_sha256=thresholds_sha, gamma=gamma)
+    kinds = (EventKind.HEATWAVE, EventKind.COLDSURGE)
+    n_loc = tgrid.shape[0] * tgrid.shape[1]
+    region_locations = [
+        (region, np.nonzero(_region_mask(tgrid, box).reshape(-1))[0])
+        for region, box in sorted(manifest.regions.items())]
+
+    # Thresholds and truth events do not depend on the model: label the
+    # truth once per lead day. Calendar days at lead d: date(init) + (d - 1).
+    per_day = {}  # lead day -> ({kind: thresholds}, {kind: truth segments})
+    for d in lead_days:
+        days = [init + timedelta(days=d - 1) for init in manifest.init_times]
+        day_indices = [calendar_day_index(day) for day in days]
+        tau = {EventKind.HEATWAVE: thresholds.tau_heat[day_indices, :],
+               EventKind.COLDSURGE: thresholds.tau_cold[day_indices, :]}
+        truth_days = [source.truth_block(VariableId.T2M, [
+            day + timedelta(hours=h) for h in SYNOPTIC_HOURS]) for day in days]
+        truth = {kind: segments_by_location(label_event_runs(
+                     _day_extremes(truth_days, kind), tau[kind], kind), kind)
+                 for kind in kinds}
+        fileio.write_segments_csv(
+            [seg for kind in kinds for segs in truth[kind].values()
+             for seg in segs],
+            out_dir / "segments" / f"truth_day{d}.csv")
+        per_day[d] = (tau, truth)
+
+    rows = []
+    for model in sorted(manifest.models):
+        for d in lead_days:
+            tau, truth = per_day[d]
+            fc_days = [source.model_block(model, init, VariableId.T2M,
+                                          _extreme_day_hours(d))
+                       for init in manifest.init_times]
+            fc_segments = []
+            counts = {}  # kind -> per-location (tp, fp, fn) arrays
+            for kind in kinds:
+                fc = segments_by_location(label_event_runs(
+                    _day_extremes(fc_days, kind), tau[kind], kind), kind)
+                fc_segments.extend(seg for segs in fc.values() for seg in segs)
+                counts[kind] = match_counts(fc, truth[kind], n_loc, gamma)
+            for region, locations in region_locations:
+                for kind in kinds:
+                    tp, fp, fn = (int(a[locations].sum())
+                                  for a in counts[kind])
+                    scores = scores_from_counts(tp, fp, fn)
+                    rows.append({
+                        "model": model, "kind": kind.value, "lead_days": d,
+                        "region": region, "pod": na(scores.pod),
+                        "far": na(scores.far), "csi": na(scores.csi),
+                        "tp": tp, "fp": fp, "fn": fn,
+                    })
+            fileio.write_segments_csv(
+                fc_segments, out_dir / "segments" / f"{model}_day{d}.csv")
+    card["event_scores"] = rows
+    return card
+
+
+# --- cyclones ----------------------------------------------------------------
+
+def cyclones(manifest_path, out_dir, besttrack,
+             lead_days: Sequence[int] | None = None, **tracker) -> dict:
+    """Track and intensity errors against the best track on the
+    homogeneous sample, with the tracks in ``out_dir/tracks.csv``.
+    ``tracker`` holds :class:`~wxverify.cyclones.TrackerConfig` fields."""
+    # checked before any file is read: a radius that is not a positive
+    # number, or a NaN cutoff, finds no storm and empties the scorecard
+    for key, value in tracker.items():
+        radius = key.endswith("_km")
+        if not (math.isfinite(value) and (value > 0.0 or not radius)):
+            raise ManifestError(
+                f"--{key.replace('_', '-')} must be finite"
+                f"{' and > 0' if radius else ''}, got {value}")
+
+    import hashlib
+
+    from . import fileio
+    from .cyclones import (TrackerConfig, TrackSource, homogeneous_sample,
+                           intensity_errors, track_dpe, track_storm)
+    from .grid import VariableId
+    from .report import na, new_scorecard
+    manifest = fileio.load_manifest(manifest_path)
+    out_dir = Path(out_dir)
+    besttrack_path = Path(besttrack)
+    truth_tracks = {t.storm_id: t for t in fileio.read_besttrack(besttrack_path)}
+    lead_days = _check_leads(lead_days, DEFAULT_CYCLONE_LEAD_DAYS,
+                             "--lead-days", manifest, lambda day: (24 * day,))
+    lead_steps = [4 * d for d in lead_days]
+    n_leads = len(manifest.lead_hours)
+    config = TrackerConfig(**tracker)
+    for variable in (VariableId.MSL, VariableId.U10, VariableId.V10):
+        if variable not in manifest.variables:
+            raise ManifestError(f"cyclones needs {variable.key} in the manifest")
+
+    source = fileio.FieldSource(manifest)
+    model_tracks: dict[str, dict] = {}
+    all_tracks = []
+    for model in sorted(manifest.models):
+        tracks: dict = {}
+        for init in manifest.init_times:
+            seeds = [(storm_id, fix) for storm_id in sorted(truth_tracks)
+                     if (fix := truth_tracks[storm_id].fix_at_time(init))
+                     is not None]
+            if not seeds:
+                continue
+            # each (model, init, variable) stack is read once for all storms
+            msl, u10, v10 = (
+                [block.field(k) for k in range(n_leads)]
+                for block in (source.model_block(model, init, variable,
+                                                 manifest.lead_hours)
+                              for variable in (VariableId.MSL, VariableId.U10,
+                                               VariableId.V10)))
+            for storm_id, seed_fix in seeds:
+                track = track_storm(msl, u10, v10, seed_fix.position,
+                                    storm_id=storm_id,
+                                    source=TrackSource(model),
+                                    config=config)
+                tracks[(storm_id, init)] = track
+                all_tracks.append(track)
+        if not tracks:
+            raise MissingFix("no (storm, init) pair overlaps the best track")
+        model_tracks[model] = tracks
+
+    sample = homogeneous_sample(model_tracks, truth_tracks, n_leads)
+    card = new_scorecard(
+        "cyclones", manifest.sha256,
+        besttrack_sha256=hashlib.sha256(besttrack_path.read_bytes()).hexdigest())
+    rows = []
+    for model in sorted(manifest.models):
+        dpe = track_dpe(model_tracks[model], truth_tracks, sample)
+        intensity = intensity_errors(model_tracks[model], truth_tracks, sample)
+        for step in lead_steps:
+            err = intensity[step]
+            rows.append({
+                "model": model,
+                "lead_hours": 6 * step,
+                "n_storms": len(sample[step]),
+                "dpe_km": na(dpe[step]),
+                "mslp_mae_hpa": na(err.mae_mslp_hpa if err else None),
+                "mslp_bias_hpa": na(err.bias_mslp_hpa if err else None),
+                "wind_mae_ms": na(err.mae_wind_ms if err else None),
+                "wind_bias_ms": na(err.bias_wind_ms if err else None),
+            })
+    card["cyclone_scores"] = rows
+    fileio.write_tracks_csv(all_tracks, out_dir / "tracks.csv")
+    return card
+
+
+# --- stations ----------------------------------------------------------------
+
+def _station_row(model, variable, lead, forecasts, table, clim, interpolator
+                 ) -> dict:
+    """The scorecard row of one (model, variable, lead)."""
+    from .report import na
+    from .stations import station_scores
+    row = {"model": model, "variable": variable.key, "lead_hours": lead}
+    try:
+        scores = station_scores(forecasts, table, variable, clim=clim,
+                                interpolator=interpolator)
+    except NoValidPairs:
+        return dict(row, rmse="n/a", bias="n/a", acc="n/a", n_pairs=0)
+    return dict(row, rmse=scores.rmse, bias=scores.bias, acc=na(scores.acc),
+                n_pairs=scores.n_pairs)
+
+
+def stations(manifest_path, station_meta, station_obs) -> dict:
+    """Scores of each (model, variable, lead) at the stations, after QC
+    against the truth; the scorecard carries the QC report."""
+    import numpy as np
+
+    from . import fileio
+    from .report import new_scorecard
+    from .stations import (QcThresholds, StationInterpolator, apply_qc,
+                           station_climatology_from_grid)
+    manifest = fileio.load_manifest(manifest_path)
+    valid_times = manifest.valid_times
+    table = fileio.read_station_csvs(station_meta, station_obs,
+                                     times=valid_times)
+    station_vars = [v for v in table.variables if v in manifest.variables]
+    if not station_vars:
+        raise NoValidPairs("no station variable overlaps the manifest variables")
+    # QC needs a truth reference for every variable it tests
+    table = table.select(station_vars)
+
+    source = fileio.FieldSource(manifest)
+    interpolator = StationInterpolator(table.stations)
+    # the truth reference is read in blocks over runs of valid times
+    first = table.times[0]
+    hours = [(when - first) // timedelta(hours=1) for when in table.times]
+    reference = np.empty(table.values.shape)
+    for vi, variable in enumerate(table.variables):
+        start = 0
+        for run in _lead_runs(hours, source.block_layers(variable)):
+            block = source.truth_block(
+                variable, [first + timedelta(hours=h) for h in run])
+            reference[vi, start:start + len(run)] = \
+                interpolator.weights(block.grid).apply(block.values)
+            start += len(run)
+    qc_table, qc_report = apply_qc(table, reference, QcThresholds.default())
+
+    # only the calendar days of the valid times are read
+    clims = {variable: source.climatology(variable, valid_times)
+             for variable in station_vars}
+    station_clims = {variable: station_climatology_from_grid(clim,
+                                                             interpolator)
+                     for variable, clim in clims.items() if clim is not None}
+
+    card = new_scorecard("stations", manifest.sha256)
+    rows = []
+    n_inits = len(manifest.init_times)
+    for model in sorted(manifest.models):
+        for variable in station_vars:
+            # one block per (init, run of leads); the blocks of all inits
+            # together stay within one block's byte budget
+            for run in _lead_runs(manifest.lead_hours, max(
+                    1, source.block_layers(variable) // n_inits)):
+                blocks = [source.model_block(model, init, variable, run)
+                          for init in manifest.init_times]
+                for i, lead in enumerate(run):
+                    rows.append(_station_row(
+                        model, variable, lead,
+                        [block.field(i) for block in blocks], qc_table,
+                        station_clims.get(variable), interpolator))
+    card["station_scores"] = rows
+    card["qc_report"] = qc_report.as_dict()
+    return card

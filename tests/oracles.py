@@ -267,6 +267,13 @@ def daily_means_loop(fields) -> np.ndarray:
     return acc / 4
 
 
+def daily_mean_climatology_stack(per_year) -> np.ndarray:
+    """The mean across years of (365, ...) daily means, taken over one
+    stacked copy of all years."""
+    return np.mean(np.stack([np.asarray(y, dtype=np.float64)
+                             for y in per_year]), axis=0)
+
+
 def history_from_fields(fields_by_year):
     """A ``DailyHistory`` of per-gridpoint daily extremes from 6-hourly
     fields, keyed by year, by :func:`daily_extremes_loop`; days with

@@ -18,7 +18,6 @@ import oracles
 from conftest import T0, make_field, make_grid, random_field
 from wxverify import fileio
 from wxverify.cli import main as cli_main
-from wxverify.cli import _mean
 from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
                                   DailyMeanClimatology,
                                   build_daily_mean_climatology,
@@ -34,6 +33,7 @@ from wxverify.harness import (SyntheticScenario, VariableProcess, VortexSpec,
                               generate_variable_series, make_besttrack,
                               persistence_forecast, smoothed_forecast)
 from wxverify.metrics import acc, activity, bias, wrmse
+from wxverify.pipelines import _mean
 from wxverify.spectra import latitude_circumference_m, zonal_spectrum_row
 from wxverify.stations import (QcFlag, QcThresholds, Station, StationTable,
                                qc_ratio_filter, station_scores,

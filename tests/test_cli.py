@@ -14,11 +14,12 @@ import pytest
 import oracles
 import wxverify
 from wxverify import fileio
-from wxverify.cli import _mean, _region_mask, main
+from wxverify.cli import main
 from wxverify.climatology import (SYNOPTIC_HOURS, calendar_day_index,
                                   day_span)
 from wxverify.extremes import EventKind
 from wxverify.grid import VariableId, latitude_weights
+from wxverify.pipelines import _mean, _region_mask
 from wxverify.report import validate_scorecard
 from wxverify.spectra import midlatitude_spectrum
 
@@ -316,7 +317,7 @@ class TestStationInputs:
 
 class TestRegions:
     def test_region_mask_box(self):
-        from wxverify.cli import _region_mask
+        from wxverify.pipelines import _region_mask
         from conftest import make_grid
         grid = make_grid(5, 8, lat_top=40.0, lat_bottom=-40.0)
         mask = _region_mask(grid, (-5.0, 25.0, 45.0, 200.0))
@@ -826,6 +827,60 @@ class TestEmptyInitTimes:
         for payload in (evaluate_run / "clim").glob("*.rbc"):
             assert (evaluate_run / "clim_no_inits" / payload.name) \
                 .read_bytes() == payload.read_bytes()
+
+
+class TestManifestTypes:
+    """A manifest value of the wrong type, or a path pattern that cannot
+    be formatted, is exit 2 naming the manifest and the key."""
+
+    # mutation -> (section or None, key, value, the key the message names)
+    MUTATIONS = {
+        "init-not-a-string": (None, "init_times", [5], "init_times"),
+        "lead-bool": (None, "max_lead_hours", False, "max_lead_hours"),
+        "clim-pattern-int": ("climatology", "daily_mean_pattern", 5,
+                             "daily_mean_pattern"),
+        "thresholds-int": ("climatology", "thresholds_path", 5,
+                           "thresholds_path"),
+        "history-list": ("climatology", "history_pattern", ["x"],
+                         "history_pattern"),
+        "model-attribute": ("models", "perfect", "{variable.x}",
+                            "models.perfect"),
+        "truth-index": (None, "truth_pattern", "{year[0]}", "truth_pattern"),
+        "clim-attribute": ("climatology", "daily_mean_pattern",
+                           "{variable.x}", "climatology.daily_mean_pattern"),
+        "history-attribute": ("climatology", "history_pattern", "{time.x}",
+                              "climatology.history_pattern"),
+    }
+    # each command with the mutations it reads: the type checks are made
+    # at load, a pattern is checked where it is formatted
+    CASES = [(command, mutation) for command, mutations in (
+        ("evaluate", ("init-not-a-string", "lead-bool", "clim-pattern-int",
+                      "thresholds-int", "history-list", "model-attribute",
+                      "truth-index", "clim-attribute")),
+        ("extremes", ("init-not-a-string", "lead-bool", "clim-pattern-int",
+                      "thresholds-int", "history-list", "model-attribute",
+                      "truth-index")),
+        ("build-climatology", ("init-not-a-string", "lead-bool",
+                               "clim-pattern-int", "thresholds-int",
+                               "history-list", "clim-attribute",
+                               "history-attribute")),
+    ) for mutation in mutations]
+
+    @pytest.mark.parametrize("command, mutation", CASES)
+    def test_is_exit_2_naming_the_key(self, extremes_run, command, mutation,
+                                      tmp_path, capsys):
+        section, key, value, named = self.MUTATIONS[mutation]
+        doc = json.loads((extremes_run / "manifest.json").read_text())
+        (doc[section] if section else doc)[key] = value
+        manifest = extremes_run / f"manifest_{mutation}.json"
+        manifest.write_text(json.dumps(doc))
+        out = [] if command == "build-climatology" \
+            else ["--out", tmp_path / "out"]
+        capsys.readouterr()
+        assert run_cli(command, "--manifest", manifest, *out) == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err
+        assert named in err
 
 
 @pytest.fixture(scope="module")

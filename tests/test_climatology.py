@@ -344,6 +344,40 @@ class TestDailyMeanClimatology:
         with pytest.raises(InsufficientHistory):
             build_daily_mean_climatology([])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_history_raises(self, rng, bad):
+        years = [rng.standard_normal((DAYS_PER_YEAR, 2, 3)) for _ in range(3)]
+        years[2][100, 1, 2] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            build_daily_mean_climatology(years)
+
+    def test_years_of_another_shape_raise(self, rng):
+        years = [rng.standard_normal((DAYS_PER_YEAR, 2, 3)),
+                 rng.standard_normal((DAYS_PER_YEAR, 1, 3))]
+        with pytest.raises(ValueError, match="share one shape"):
+            build_daily_mean_climatology(years)
+
+    @given(n_years=st.integers(1, 8), shape=st.tuples(st.integers(1, 7),
+                                                      st.integers(1, 11)),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           zeros=st.sampled_from([0.0, 0.1]))
+    @settings(max_examples=60, deadline=None)
+    def test_running_sum_equals_the_stacked_mean(self, n_years, shape, seed,
+                                                 scale, zeros):
+        # a mean over the stack of all years, bit for bit: rounding sums
+        # and signed zeros included
+        rng = np.random.default_rng(seed)
+        years = []
+        for _ in range(n_years):
+            year = scale * rng.standard_normal((DAYS_PER_YEAR, *shape))
+            year[rng.random(year.shape) < zeros] = 0.0
+            year[rng.random(year.shape) < zeros] = -0.0
+            years.append(year)
+        want = oracles.daily_mean_climatology_stack(years)
+        got = build_daily_mean_climatology(years)
+        assert got.tobytes() == want.tobytes()
+
 
 class TestDaySpan:
     @given(days=st.sets(st.integers(0, DAYS_PER_YEAR - 1), min_size=1,
