@@ -36,6 +36,7 @@ import hashlib
 import json
 import math
 import os
+import string
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -217,31 +218,35 @@ def _stored_step(axis: np.ndarray, single: float) -> float:
     return float(axis[1] - axis[0])
 
 
-def _write_store(path: Path, magic: str, grid: GeoGrid, layers, dtype: str,
+def _write_store(path: Path, magic: str, grid: GeoGrid, chunks, dtype: str,
                  extra: dict, per_layer: bool = False) -> Path:
-    """Stream ``layers`` over ``grid`` to a payload, then write a sidecar.
+    """Stream ``chunks`` over ``grid`` to a payload, then write a sidecar.
 
-    ``layers`` is a ``(layers, n_lat, n_lon)`` array or any iterable of
-    ``(n_lat, n_lon)`` layers; it is written one layer at a time, so a
-    generator is never held in memory whole. The sidecar holds ``extra``
-    (read after the last layer), the magic, dtype, uniform geometry and
-    the payload's CRC-32: one over the whole payload (``checksum``) or,
-    with ``per_layer``, one per layer (``checksums``, with ``n_layers``).
+    ``chunks`` is any iterable of ``(k, n_lat, n_lon)`` arrays, each
+    written with one ``write``, so a generator of chunks is never held in
+    memory whole. The sidecar holds ``extra`` (read after the last chunk),
+    the magic, dtype, uniform geometry and the payload's CRC-32: one over
+    the whole payload (``checksum``) or, with ``per_layer``, one per layer
+    (``checksums``, with ``n_layers``).
     """
     if not grid.is_uniform():
         raise NonUniformGrid("file format stores uniformly spaced grids only")
     lat_step = _stored_step(grid.lat_deg, -1.0)
     lon_step = _stored_step(grid.lon_deg, 1.0)
+    layer_bytes = _DTYPES[dtype].itemsize * grid.n_lat * grid.n_lon
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     crc, checksums = 0, []
     try:
         with open(tmp, "wb") as fh:
-            for layer in layers:
-                blob = np.ascontiguousarray(layer, dtype=_DTYPES[dtype]).tobytes()
+            for chunk in chunks:
+                blob = memoryview(np.ascontiguousarray(
+                    chunk, dtype=_DTYPES[dtype])).cast("B")
                 fh.write(blob)
                 if per_layer:
-                    checksums.append(zlib.crc32(blob))
+                    checksums.extend(
+                        zlib.crc32(blob[at:at + layer_bytes])
+                        for at in range(0, len(blob), layer_bytes))
                 else:
                     crc = zlib.crc32(blob, crc)
     except BaseException:
@@ -385,8 +390,8 @@ def write_grid(field: GridField, path: str | os.PathLike) -> Path:
     Derived variables (WS10) are never stored.
     """
     _check_storable(field)
-    return _write_store(Path(path), GRID_MAGIC, field.grid, field.values[None],
-                        "f32le", {
+    return _write_store(Path(path), GRID_MAGIC, field.grid,
+                        [field.values[None]], "f32le", {
                             "variable": field.variable.key,
                             "unit": field.variable.unit,
                             "valid_time": format_time(field.valid_time),
@@ -411,46 +416,62 @@ def read_grid(path: str | os.PathLike, geometries: dict | None = None
     return _read_whole(Path(path), GRID_MAGIC, geometries).field(0)
 
 
-def write_stack(fields: Iterable[GridField], path: str | os.PathLike) -> Path:
+def write_stack(chunks: Iterable[FieldBlock | GridField],
+                path: str | os.PathLike) -> Path:
     """Write a 6-hourly series of one variable as one RBSTACK1 store.
 
-    Layer k is valid ``6 k`` hours after the first and has lead
-    ``lead_0 + k * lead_step``, where ``lead_step`` is the lead
-    difference of the first two layers: 0 for truth, 6 for a forecast.
-    Every layer shares the first layer's grid and variable; a field that
-    does not continue the series raises :class:`WxVerifyError` and leaves
-    no file behind. ``fields`` is streamed, one layer at a time, so a
-    generator of a year of fields is never held in memory whole. Derived
+    ``chunks`` yields the series in order, as blocks of consecutive
+    layers (:class:`FieldBlock`) or as fields (a layer each). Layer k is
+    valid ``6 k`` hours after the first and has lead ``lead_0 + k *
+    lead_step``, where ``lead_step`` is the lead difference of the first
+    two layers: 0 for truth, 6 for a forecast. Every layer shares the
+    first layer's grid and variable; a layer that does not continue the
+    series raises :class:`WxVerifyError` naming it and leaves no file
+    behind. ``chunks`` is streamed with one write per chunk, so a
+    generator of a year of chunks is never held in memory whole. Derived
     variables (WS10) are never stored.
     """
     path = Path(path)
-    fields = iter(fields)
-    first = next(fields, None)
+    chunks = iter(chunks)
+    first = next(chunks, None)
     if first is None:
         raise WxVerifyError(f"{path}: a stack needs at least one field")
     _check_storable(first)
-    extra = {"variable": first.variable.key, "unit": first.variable.unit,
-             "valid_time": format_time(first.valid_time),
+    grid, variable = first.grid, first.variable
+    first_time = first.valid_times[0]
+    first_lead = first.lead_hours if isinstance(first, GridField) \
+        else first.lead_hours[0]
+    extra = {"variable": variable.key, "unit": variable.unit,
+             "valid_time": format_time(first_time),
              "time_step_hours": STACK_STEP // timedelta(hours=1),
-             "lead_hours": first.lead_hours, "lead_step_hours": 0}
+             "lead_hours": first_lead, "lead_step_hours": 0}
 
-    def layers():
-        yield first.values
-        for k, field in enumerate(fields, start=1):
-            if k == 1:
-                extra["lead_step_hours"] = field.lead_hours - first.lead_hours
-            if (field.grid != first.grid or field.variable is not first.variable
-                    or field.valid_time != first.valid_time + k * STACK_STEP
-                    or field.lead_hours != first.lead_hours
-                    + k * extra["lead_step_hours"]):
-                raise WxVerifyError(
-                    f"{path}: {field.variable.key} field at "
-                    f"{format_time(field.valid_time)} (lead "
-                    f"{field.lead_hours} h) does not continue the stack as "
-                    f"layer {k}")
-            yield field.values
-    return _write_store(path, STACK_MAGIC, first.grid, layers(), "f32le",
-                        extra, per_layer=True)
+    def layers(chunk):
+        k = 0
+        while chunk is not None:
+            if isinstance(chunk, GridField):
+                leads, values = (chunk.lead_hours,), chunk.values[None]
+            else:
+                leads, values = chunk.lead_hours, chunk.values
+            same = chunk.grid == grid and chunk.variable is variable
+            for when, lead in zip(chunk.valid_times, leads):
+                if k == 1:
+                    extra["lead_step_hours"] = lead - first_lead
+                if k and (not same or when != first_time + k * STACK_STEP
+                          or lead != first_lead
+                          + k * extra["lead_step_hours"]):
+                    raise WxVerifyError(
+                        f"{path}: {chunk.variable.key} field at "
+                        f"{format_time(when)} (lead {lead} h) does not "
+                        f"continue the stack as layer {k}")
+                k += 1
+            yield values
+            chunk = next(chunks, None)
+
+    stream = layers(first)
+    del first  # a chunk is held only until the next one is written
+    return _write_store(path, STACK_MAGIC, grid, stream, "f32le", extra,
+                        per_layer=True)
 
 
 @dataclass(frozen=True)
@@ -551,7 +572,7 @@ def write_thresholds(thresholds: ThresholdField, grid: GeoGrid,
         raise ValueError("threshold location axis does not match grid size")
     return _write_store(
         Path(path), THRESH_MAGIC, grid,
-        np.stack([thresholds.tau_heat, thresholds.tau_cold]), "f32le", {
+        [np.stack([thresholds.tau_heat, thresholds.tau_cold])], "f32le", {
             "n_days": DAYS_PER_YEAR,
             "years": list(thresholds.years),
             "half_window": thresholds.half_window,
@@ -586,7 +607,7 @@ def write_daily_climatology(clim: DailyMeanClimatology,
     only the days it needs."""
     if clim.first_day or clim.day_mean.shape[0] != DAYS_PER_YEAR:
         raise ValueError("only a climatology of all 365 days is stored")
-    return _write_store(Path(path), CLIM_MAGIC, clim.grid, clim.day_mean,
+    return _write_store(Path(path), CLIM_MAGIC, clim.grid, [clim.day_mean],
                         "f64le", {
                             "variable": clim.variable.key,
                             "unit": clim.variable.unit,
@@ -936,6 +957,28 @@ class _PatternKeys(dict):
         raise KeyError(key)
 
 
+#: The path keys that may differ between the layers of one block.
+_LAYER_KEYS = ("time", "year", "lead")
+
+
+@functools.lru_cache(maxsize=64)
+def _layer_keys(pattern: str | None) -> tuple[str, ...]:
+    """The keys of :data:`_LAYER_KEYS` that ``pattern`` uses: those whose
+    values tell apart the paths of one block's layers. All of them when
+    the pattern does not parse or nests a field in a format spec, so that
+    each layer's path is formatted and a bad pattern still raises the
+    manifest's own error."""
+    try:
+        parsed = list(string.Formatter().parse(pattern))
+    except (TypeError, ValueError):
+        return _LAYER_KEYS
+    if any(spec and "{" in spec for _, _, spec, _ in parsed):
+        return _LAYER_KEYS  # a nested field in a format spec
+    names = {name.partition(".")[0].partition("[")[0]
+             for _, name, _, _ in parsed if name is not None}
+    return tuple(key for key in _LAYER_KEYS if key in names)
+
+
 #: Most bytes one float64 block of a run may take (see
 #: :meth:`FieldSource.block_layers`): a block of a 0.25 degree global grid
 #: (8.3 MB a layer) holds at most 8 layers, never all 41 leads of a run.
@@ -980,19 +1023,33 @@ class FieldSource:
                 self._geometries))
         return stack
 
-    def _block(self, path_of, variable: VariableId,
+    def _block(self, pattern: str | None, path_of, variable: VariableId,
                times: Sequence[datetime], leads: Sequence[int | None]
                ) -> FieldBlock:
         """The layers of ``variable`` valid at ascending ``times``, each
         from the store ``path_of(variable, time, lead)`` names: one read
-        per stack."""
+        per stack. ``path_of`` formats ``pattern``, so a path is formatted
+        once for each distinct value of the keys the pattern uses."""
         if variable.derived:
             return derive_wind_speed(
-                self._block(path_of, VariableId.U10, times, leads),
-                self._block(path_of, VariableId.V10, times, leads))
+                self._block(pattern, path_of, VariableId.U10, times, leads),
+                self._block(pattern, path_of, VariableId.V10, times, leads))
+        keys = _layer_keys(pattern)
+        paths: dict[tuple, Path] = {}
+
+        def path_at(item: tuple[datetime, int | None]) -> Path:
+            when, lead = item
+            key = (when if "time" in keys else None,
+                   when.astimezone(timezone.utc).year if "year" in keys
+                   else None,
+                   lead if "lead" in keys else None)
+            path = paths.get(key)
+            if path is None:
+                path = paths[key] = path_of(variable, when, lead)
+            return path
+
         parts = []
-        for path, items in groupby(zip(times, leads),
-                                   key=lambda item: path_of(variable, *item)):
+        for path, items in groupby(zip(times, leads), key=path_at):
             part_times, part_leads = zip(*items)
             parts.append(self._resolve(path).block(part_times, part_leads))
         if len(parts) == 1:
@@ -1014,6 +1071,7 @@ class FieldSource:
         """Truth of ``variable`` at ascending ``times``; a span that
         crosses into the next truth year reads one block of each stack."""
         return self._block(
+            self.manifest.truth_pattern,
             lambda v, when, _: self.manifest.truth_path(v, when),
             variable, times, [None] * len(times))
 
@@ -1021,6 +1079,7 @@ class FieldSource:
                     leads: Sequence[int]) -> FieldBlock:
         """Forecast ``name`` from ``init`` at ascending lead hours."""
         return self._block(
+            self.manifest.models.get(name),
             lambda v, when, lead: self.manifest.model_path(name, init, v, lead),
             variable, [init + timedelta(hours=lead) for lead in leads], leads)
 
@@ -1046,6 +1105,7 @@ class FieldSource:
         one read per stack."""
         times = year_times(year)
         return self._block(
+            self.manifest.history_pattern,
             lambda v, when, _: self.manifest.history_path(v, when),
             variable, times, [None] * len(times))
 

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from itertools import groupby
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -39,7 +40,8 @@ from .climatology import SIX_HOURS, calendar_day_index, year_times
 from .cyclones import TRUTH_SOURCE, StormFix, StormTrack
 from .errors import InvalidHeader, ManifestError
 from .extremes import EventKind
-from .grid import KM_PER_DEG, GeoGrid, GridField, VariableId, haversine_km_grid
+from .grid import (KM_PER_DEG, FieldBlock, GeoGrid, GridField, VariableId,
+                   haversine_km_grid)
 
 
 @dataclass(frozen=True)
@@ -146,23 +148,48 @@ def seasonal_value(process: VariableProcess, when: datetime) -> float:
     return process.base + seasonal + diurnal
 
 
-def _boxcar_smooth(noise: np.ndarray, width: int) -> np.ndarray:
-    """Separable boxcar: wrapped in longitude, clamped in latitude."""
+def _boxcar(width: int, most: int, shape: tuple[int, int]
+            ) -> Callable[[np.ndarray], None]:
+    """Separable boxcar of ``width`` that smooths each ``(n_lat, n_lon)``
+    layer of a chunk of at most ``most`` layers of ``shape`` in place:
+    wrapped in longitude, clamped in latitude. Its scratch chunks are
+    allocated once, here.
+
+    Each point adds its neighbours in the order a one-layer boxcar does:
+    longitude shifts -w/2 .. w/2, divided by ``width``, then latitude
+    shifts, divided by the rows in range. So a chunk smooths bit for bit
+    as its layers do one at a time.
+    """
     if width == 1:
-        return noise
+        return lambda noise: None
     half = width // 2
-    out = np.zeros_like(noise)
-    for s in range(-half, half + 1):
-        out += np.roll(noise, s, axis=1)
-    out /= width
-    lat_acc = np.zeros_like(out)
-    counts = np.zeros(noise.shape[0])
-    for s in range(-half, half + 1):
-        lo = max(0, -s)
-        hi = min(noise.shape[0], noise.shape[0] - s)
-        lat_acc[lo:hi] += out[lo + s:hi + s]
+    n_lat, n_lon = shape
+    # column c of padded is column (c - half) % n_lon of the layer, so
+    # columns j of shift s are padded[..., half - s + j]
+    columns = np.arange(-half, n_lon + half)
+    padded = np.empty((most, n_lat, n_lon + 2 * half))
+    summed = np.empty((most, n_lat, n_lon))
+    # latitude shift s adds row i + s to rows lo .. hi; a shift by as many
+    # rows as the grid has, or more, adds none
+    rows = [(max(0, -s), min(n_lat, n_lat - s), s)
+            for s in range(-half, half + 1) if abs(s) < n_lat]
+    counts = np.zeros(n_lat)
+    for lo, hi, _ in rows:
         counts[lo:hi] += 1
-    return lat_acc / counts[:, None]
+
+    def smooth(noise: np.ndarray) -> None:
+        k = len(noise)
+        np.take(noise, columns, axis=2, mode="wrap", out=padded[:k])
+        out = summed[:k]
+        out[...] = 0.0
+        for s in range(-half, half + 1):
+            out += padded[:k, :, half - s:half - s + n_lon]
+        out /= width
+        noise[...] = 0.0
+        for lo, hi, s in rows:
+            noise[:, lo:hi] += out[:, lo + s:hi + s]
+        noise /= counts[:, None]
+    return smooth
 
 
 def _innovation_scale(width: int) -> float:
@@ -197,50 +224,89 @@ def _vortex_wind(spec: VortexSpec, grid: GeoGrid, when: datetime):
     return u, v
 
 
-def generate_variable_series(scenario: SyntheticScenario, variable: VariableId
-                             ) -> Iterator[GridField]:
-    """Deterministic 6-hourly truth stream for one variable.
+#: Most bytes of float64 layers in one chunk of generated truth, and in
+#: one block ``synth`` reads back: 8 layers of an 81 x 121 grid, where
+#: chunks of 8 drew and smoothed fastest.
+CHUNK_BYTES = 640 * 2**10
 
-    Fields are float32-quantized; the AR state is carried across years.
+
+def _chunk_layers(grid: GeoGrid) -> int:
+    """How many float64 layers of ``grid`` fit in :data:`CHUNK_BYTES`
+    (at least one)."""
+    return max(1, CHUNK_BYTES // (8 * grid.n_lat * grid.n_lon))
+
+
+def _inject(scenario: SyntheticScenario, variable: VariableId,
+            when: datetime, values: np.ndarray) -> None:
+    """Add the vortices and planted episodes valid at ``when`` to the
+    ``(n_lat, n_lon)`` layer ``values``, in place."""
+    if variable is VariableId.MSL:
+        for spec in scenario.vortices:
+            delta = _vortex_msl_delta(spec, scenario.grid, when)
+            if delta is not None:
+                values += delta
+    if variable in (VariableId.U10, VariableId.V10):
+        for spec in scenario.vortices:
+            wind = _vortex_wind(spec, scenario.grid, when)
+            if wind is not None:
+                values += wind[0] if variable is VariableId.U10 else wind[1]
+    if variable is VariableId.T2M:
+        for ep in scenario.episodes:
+            if ep.covers(when):
+                sign = 1.0 if ep.kind is EventKind.HEATWAVE else -1.0
+                values[ep.lat_index, ep.lon_index] += sign * ep.amplitude_k
+
+
+def generate_variable_series(scenario: SyntheticScenario, variable: VariableId
+                             ) -> Iterator[FieldBlock]:
+    """Deterministic 6-hourly truth stream for one variable, in chunks.
+
+    Each chunk is a :class:`FieldBlock` of consecutive layers of one year,
+    at most :data:`CHUNK_BYTES` of them, drawn with one call to the random
+    generator and smoothed in one pass; it holds the values its layers
+    would have drawn and smoothed one at a time. Fields are
+    float32-quantized; the AR state is carried across years.
     """
     process = scenario.processes[variable]
     var_index = scenario.variables.index(variable)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=scenario.seed, spawn_key=(var_index,)))
-    shape = scenario.grid.shape
+    grid = scenario.grid
     width = process.spatial_corr_points
     scale = _innovation_scale(width)
-
-    def innovation():
-        return _boxcar_smooth(rng.standard_normal(shape), width) * scale
-
-    state = process.noise_sigma * innovation()
     rho = process.ar1
-    first = True
+    coef = math.sqrt(1.0 - rho * rho) * process.noise_sigma
+    per_chunk = _chunk_layers(grid)
+    smooth = _boxcar(width, per_chunk, grid.shape)
+    state = None  # the AR(1) noise of the layer before
+    rho_state = np.empty(grid.shape)
+    last = np.empty(grid.shape)
     for year in scenario.years:
-        for when in year_times(year):
-            if not first:
-                state = rho * state + math.sqrt(1.0 - rho * rho) \
-                    * process.noise_sigma * innovation()
-            first = False
-            values = np.full(shape, seasonal_value(process, when)) + state
-            if variable is VariableId.MSL:
-                for spec in scenario.vortices:
-                    delta = _vortex_msl_delta(spec, scenario.grid, when)
-                    if delta is not None:
-                        values += delta
-            if variable in (VariableId.U10, VariableId.V10):
-                for spec in scenario.vortices:
-                    wind = _vortex_wind(spec, scenario.grid, when)
-                    if wind is not None:
-                        values += wind[0] if variable is VariableId.U10 else wind[1]
-            if variable is VariableId.T2M:
-                for ep in scenario.episodes:
-                    if ep.covers(when):
-                        sign = 1.0 if ep.kind is EventKind.HEATWAVE else -1.0
-                        values[ep.lat_index, ep.lon_index] += sign * ep.amplitude_k
-            quantized = np.asarray(values, dtype=np.float32).astype(np.float64)
-            yield GridField(scenario.grid, variable, when, 0, quantized)
+        times = year_times(year)
+        for start in range(0, len(times), per_chunk):
+            chunk_times = tuple(times[start:start + per_chunk])
+            values = rng.standard_normal((len(chunk_times),) + grid.shape)
+            smooth(values)
+            values *= scale
+            # the series opens at sigma * innovation; every later layer is
+            # rho * (the layer before) + coef * innovation
+            first = 0
+            if state is None:
+                values[0] *= process.noise_sigma
+                state, first = values[0], 1
+            values[first:] *= coef
+            for layer in values[first:]:
+                layer += np.multiply(state, rho, out=rho_state)
+                state = layer
+            last[...] = state
+            state = last
+            values += np.array([seasonal_value(process, when)
+                                for when in chunk_times])[:, None, None]
+            for when, layer in zip(chunk_times, values):
+                _inject(scenario, variable, when, layer)
+            values[...] = values.astype(np.float32)
+            yield FieldBlock(grid, variable, chunk_times,
+                             (0,) * len(chunk_times), values)
 
 
 def make_besttrack(scenario: SyntheticScenario) -> list[StormTrack]:
@@ -389,32 +455,47 @@ def load_scenario(path: str | Path) -> SyntheticScenario:
 
 def _model_specs(models: str) -> dict[str, tuple[str, int]]:
     """Model name -> (kind, parameter) of a comma list of persistence,
-    perfect, smoothed[:width] and lagged[:hours]."""
+    perfect, smoothed[:width] and lagged[:hours]. A width must be an odd
+    integer >= 1 and a lag a non-negative multiple of 6 hours; any other
+    token raises ManifestError naming it."""
     specs: dict[str, tuple[str, int]] = {}
     for token in models.split(","):
         token = token.strip()
         if not token:
             continue
-        if token == "persistence":
-            specs[token] = ("persistence", 0)
-        elif token == "perfect":
-            specs[token] = ("perfect", 0)
-        elif token.startswith("smoothed"):
-            width = int(token.split(":", 1)[1]) if ":" in token else 9
-            specs[f"smoothed{width}"] = ("smoothed", width)
-        elif token.startswith("lagged"):
-            lag = int(token.split(":", 1)[1]) if ":" in token else 48
-            if lag % 6:
-                raise ManifestError("lag must be a multiple of 6 hours")
-            specs[f"lagged{lag}"] = ("lagged", lag)
-        else:
+        if token in ("persistence", "perfect"):
+            specs[token] = (token, 0)
+            continue
+        kind, colon, param = token.partition(":")
+        if kind not in ("smoothed", "lagged"):
             raise ManifestError(f"unknown synthetic model {token!r}")
+        try:
+            value = int(param) if colon else 9 if kind == "smoothed" else 48
+        except ValueError:
+            value = None
+        if kind == "smoothed" and (value is None or value < 1
+                                   or value % 2 == 0):
+            raise ManifestError(f"synthetic model {token!r}: the width must "
+                                f"be an odd integer >= 1")
+        if kind == "lagged" and (value is None or value < 0 or value % 6):
+            raise ManifestError(f"synthetic model {token!r}: the lag must be "
+                                f"a non-negative multiple of 6 hours")
+        specs[f"{kind}{value}"] = (kind, value)
     return specs
+
+
+def _within(chunk: FieldBlock, lo: datetime, hi: datetime) -> FieldBlock:
+    """The layers of ``chunk`` valid from ``lo`` to ``hi``."""
+    a = bisect_left(chunk.valid_times, lo)
+    b = bisect_right(chunk.valid_times, hi)
+    return FieldBlock(chunk.grid, chunk.variable, chunk.valid_times[a:b],
+                      chunk.lead_hours[a:b], chunk.values[a:b])
 
 
 def _write_truth(scenario: SyntheticScenario, out_dir: Path,
                  truth_pattern: str, keep: set[datetime] | None) -> None:
-    """Generate truth and write one stack per (variable, year), streamed.
+    """Generate truth and write one stack per (variable, year), streamed
+    a chunk of layers at a time.
 
     With ``keep``, each year's stack holds the contiguous 6-hourly span
     from the year's first to its last kept time; years without a kept
@@ -424,15 +505,44 @@ def _write_truth(scenario: SyntheticScenario, out_dir: Path,
     for when in sorted(keep or ()):
         spans.setdefault(when.year, [when, when])[1] = when
     for variable in scenario.variables:
-        series = generate_variable_series(scenario, variable)
-        for year, fields in groupby(series, key=lambda f: f.valid_time.year):
+        chunks = generate_variable_series(scenario, variable)
+        for year, year_chunks in groupby(
+                chunks, key=lambda c: c.valid_times[0].year):
             if keep is not None:
                 if year not in spans:
                     continue
                 lo, hi = spans[year]
-                fields = (f for f in fields if lo <= f.valid_time <= hi)
-            fileio.write_stack(fields, out_dir / truth_pattern.format(
+                year_chunks = (part for part in (_within(c, lo, hi)
+                                                 for c in year_chunks)
+                               if part.valid_times)
+            fileio.write_stack(year_chunks, out_dir / truth_pattern.format(
                 variable=variable.key, year=year))
+
+
+def _runs(times: Sequence[datetime], most: int) -> Iterator[list[datetime]]:
+    """Ascending ``times`` in groups, each within a span of at most
+    ``most`` 6-hourly layers: what one block read of a stack may hold."""
+    group: list[datetime] = []
+    for when in times:
+        if group and when - group[0] >= most * SIX_HOURS:
+            yield group
+            group = []
+        group.append(when)
+    if group:
+        yield group
+
+
+def _lagged_forecast(source: fileio.FieldSource, variable: VariableId,
+                     init: datetime, leads: Sequence[int], lag: int,
+                     step: int) -> Iterator[FieldBlock]:
+    """The forecast from ``init`` whose every lead is the truth ``lag``
+    hours before its valid time: one truth block per ``step`` leads."""
+    for at in range(0, len(leads), step):
+        part = leads[at:at + step]
+        truth = source.truth_block(variable, [
+            init + timedelta(hours=lead - lag) for lead in part])
+        yield replace(truth, lead_hours=tuple(part), valid_times=tuple(
+            init + timedelta(hours=lead) for lead in part))
 
 
 def write_run(scenario_path: str | Path, out_dir: str | Path, *,
@@ -441,23 +551,24 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
               truth_span: str = "full", stations: int = 0) -> Path:
     """Write truth, forecasts, a manifest, any best track and ``stations``
     stations under ``out_dir``; returns the manifest path. ``inits`` and
-    ``models`` are comma lists, as the ``synth`` options are."""
+    ``models`` are comma lists, as the ``synth`` options are. Bad options
+    raise before anything is written."""
     scenario = load_scenario(scenario_path)
     if seed is not None:
         scenario = replace(scenario, seed=seed)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     leads = list(range(0, max_lead_hours + 1, 6))
     init_times = [fileio.parse_time(t) for t in inits.split(",")] if inits \
         else [datetime(scenario.years[-1], 7, 1, tzinfo=timezone.utc)]
     model_specs = _model_specs(models or "persistence")
-
     keep: set[datetime] | None = None
     if truth_span == "run":
         if any(kind == "lagged" for kind, _ in model_specs.values()):
             raise ManifestError("lagged models need --truth-span full")
         keep = {init + timedelta(hours=lead)
                 for init in init_times for lead in leads}
+
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     truth_pattern = "truth/{variable}/{year}.rbs"
     _write_truth(scenario, out_dir, truth_pattern, keep)
 
@@ -500,10 +611,9 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
                     fields = smoothed_forecast(source.truth(variable, init),
                                                leads, param)
                 else:  # perfect, or lagged: truth from `param` hours earlier
-                    fields = [source.truth(variable,
-                                           init + timedelta(hours=lead - param))
-                              .at(init + timedelta(hours=lead), lead)
-                              for lead in leads]
+                    fields = _lagged_forecast(
+                        source, variable, init, leads, param,
+                        _chunk_layers(scenario.grid))
                 fileio.write_stack(fields, source.manifest.model_path(
                     name, init, variable, leads[0]))
 
@@ -543,15 +653,18 @@ def _write_station_csvs(scenario: SyntheticScenario,
     (out_dir / "stations_meta.csv").write_bytes(
         ("\n".join(meta_lines) + "\n").encode())
 
-    obs_lines = ["station_id,iso_time,variable,value_si"]
-    for variable in scenario.variables:
-        if variable.derived:
-            continue
-        for when in source.manifest.valid_times:
-            field = source.truth(variable, when)
-            for sid, i, j in sites:
-                obs_lines.append(
-                    f"{sid},{fileio.format_time(when)},{variable.key},"
-                    f"{float(field.values[i, j])!r}")
-    (out_dir / "stations_obs.csv").write_bytes(
-        ("\n".join(obs_lines) + "\n").encode())
+    ids, rows, cols = zip(*sites)
+    valid_times = source.manifest.valid_times
+    stamps = dict(zip(valid_times, map(fileio.format_time, valid_times)))
+    with open(out_dir / "stations_obs.csv", "wb") as fh:
+        fh.write(b"station_id,iso_time,variable,value_si\n")
+        for variable in scenario.variables:
+            if variable.derived:
+                continue
+            for times in _runs(valid_times, _chunk_layers(grid)):
+                values = source.truth_block(variable, times).values
+                fh.write("".join(
+                    f"{sid},{stamps[when]},{variable.key},{value!r}\n"
+                    for when, row in zip(times,
+                                         values[:, rows, cols].tolist())
+                    for sid, value in zip(ids, row)).encode())

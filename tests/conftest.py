@@ -51,3 +51,11 @@ def store_reads(monkeypatch) -> list:
                         reads.append((store.path, start, count))
                         or real_read(store, start, count))
     return reads
+
+
+def truth_fields(scenario, variable: VariableId):
+    """``harness.generate_variable_series`` one field at a time."""
+    from wxverify.harness import generate_variable_series
+    return (block.field(i)
+            for block in generate_variable_series(scenario, variable)
+            for i in range(len(block.valid_times)))

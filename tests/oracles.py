@@ -6,11 +6,13 @@ one-field numpy metric bodies and the field-by-field daily means and
 extremes that the engine's block kernels must reproduce bit for bit; the
 spectrum
 is a direct O(N^2) transform, percentiles are computed from a Python
-sort, event labeling/matching are brute-force searches, and station
-windowing, QC and bilinear interpolation are per-element loops. The one
-exception is the per-location event loop, which calls the engine's
-one-series labeling and matching to check the vectorized bookkeeping
-around them.
+sort, event labeling/matching are brute-force searches, station
+windowing, QC and bilinear interpolation are per-element loops, and
+synthetic truth, the forecasts that copy it and station observations are
+made one field at a time. The exceptions are the per-location event
+loop, which calls the engine's one-series labeling and matching to check
+the vectorized bookkeeping around them, and the synthetic truth oracle,
+which takes the seasonal cycle, vortices and episodes from the engine.
 """
 
 from __future__ import annotations
@@ -501,3 +503,102 @@ def apply_qc_loop(variables, values, flags, reference, ratios):
                 c["raw"] += 1
         counts[variable.key] = c
     return values, flags, counts
+
+
+# --- synthetic truth oracle -------------------------------------------------
+
+def boxcar_smooth_field(noise, width: int) -> np.ndarray:
+    """Separable boxcar of one (n_lat, n_lon) field by ``np.roll``:
+    wrapped in longitude, clamped in latitude (a row shift beyond the
+    grid adds nothing)."""
+    if width == 1:
+        return noise
+    half = width // 2
+    out = np.zeros_like(noise)
+    for s in range(-half, half + 1):
+        out += np.roll(noise, s, axis=1)
+    out /= width
+    lat_acc = np.zeros_like(out)
+    counts = np.zeros(noise.shape[0])
+    for s in range(-half, half + 1):
+        lo = max(0, -s)
+        hi = min(noise.shape[0], noise.shape[0] - s)
+        if lo < hi:
+            lat_acc[lo:hi] += out[lo + s:hi + s]
+            counts[lo:hi] += 1
+    return lat_acc / counts[:, None]
+
+
+def generate_fields(scenario, variable):
+    """The synthetic truth stream of ``harness.generate_variable_series``
+    one ``GridField`` at a time: one draw, one boxcar and one AR(1) step
+    per 6-hourly field."""
+    from wxverify.climatology import year_times
+    from wxverify.grid import GridField
+    from wxverify.harness import _inject, _innovation_scale, seasonal_value
+    process = scenario.processes[variable]
+    var_index = scenario.variables.index(variable)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=scenario.seed, spawn_key=(var_index,)))
+    shape = scenario.grid.shape
+    width = process.spatial_corr_points
+    scale = _innovation_scale(width)
+
+    def innovation():
+        return boxcar_smooth_field(rng.standard_normal(shape), width) * scale
+
+    state = process.noise_sigma * innovation()
+    rho = process.ar1
+    first = True
+    for year in scenario.years:
+        for when in year_times(year):
+            if not first:
+                state = rho * state + math.sqrt(1.0 - rho * rho) \
+                    * process.noise_sigma * innovation()
+            first = False
+            values = np.full(shape, seasonal_value(process, when)) + state
+            _inject(scenario, variable, when, values)
+            quantized = np.asarray(values, dtype=np.float32).astype(np.float64)
+            yield GridField(scenario.grid, variable, when, 0, quantized)
+
+
+def lagged_forecast_per_lead(source, variable, init, leads, lag, step=None):
+    """``harness._lagged_forecast`` one truth field per lead."""
+    from datetime import timedelta
+    return [source.truth(variable, init + timedelta(hours=lead - lag))
+            .at(init + timedelta(hours=lead), lead) for lead in leads]
+
+
+def write_station_csvs_per_field(scenario, source, n_stations: int) -> None:
+    """``harness._write_station_csvs`` one truth field and one formatted
+    line at a time."""
+    from wxverify import fileio
+    out_dir = source.manifest.root
+    grid = scenario.grid
+    rng = np.random.default_rng(np.random.SeedSequence(
+        entropy=scenario.seed, spawn_key=(10_001,)))
+    flat = rng.choice(grid.n_lat * grid.n_lon, size=min(
+        n_stations, grid.n_lat * grid.n_lon), replace=False)
+    flat.sort()
+    meta_lines = ["id,lat,lon,elev_m"]
+    sites = []
+    for idx in flat:
+        i, j = divmod(int(idx), grid.n_lon)
+        sid = f"SYN{idx:05d}"
+        sites.append((sid, i, j))
+        meta_lines.append(f"{sid},{float(grid.lat_deg[i])!r},"
+                          f"{float(grid.lon_deg[j])!r},0.0")
+    (out_dir / "stations_meta.csv").write_bytes(
+        ("\n".join(meta_lines) + "\n").encode())
+    obs_lines = ["station_id,iso_time,variable,value_si"]
+    for variable in scenario.variables:
+        if variable.derived:
+            continue
+        for when in source.manifest.valid_times:
+            field = source.truth(variable, when)
+            for sid, i, j in sites:
+                obs_lines.append(
+                    f"{sid},{fileio.format_time(when)},{variable.key},"
+                    f"{float(field.values[i, j])!r}")
+    (out_dir / "stations_obs.csv").write_bytes(
+        ("\n".join(obs_lines) + "\n").encode())

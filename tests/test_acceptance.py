@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import T0, make_field, make_grid, random_field
+from conftest import T0, make_field, make_grid, random_field, truth_fields
 from wxverify import fileio
 from wxverify.cli import main as cli_main
 from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
@@ -30,8 +30,8 @@ from wxverify.extremes import (EventKind, EventSegment, label_events,
 from wxverify.grid import (EARTH_RADIUS_KM, FieldBlock, GeoGrid, VariableId,
                            haversine_km, latitude_weights)
 from wxverify.harness import (SyntheticScenario, VariableProcess, VortexSpec,
-                              generate_variable_series, make_besttrack,
-                              persistence_forecast, smoothed_forecast)
+                              make_besttrack, persistence_forecast,
+                              smoothed_forecast)
 from wxverify.metrics import acc, activity, bias, wrmse
 from wxverify.pipelines import _mean
 from wxverify.spectra import latitude_circumference_m, zonal_spectrum_row
@@ -233,7 +233,7 @@ def _vortex_scenario():
 def _fields_at(scenario, variable, times):
     wanted = set(times)
     out = {}
-    for field in generate_variable_series(scenario, variable):
+    for field in truth_fields(scenario, variable):
         if field.valid_time in wanted:
             out[field.valid_time] = field
         if len(out) == len(wanted):
@@ -382,7 +382,7 @@ def test_c10_end_to_end_determinism_and_closure(tmp_path, rng):
     from wxverify.harness import scenario_from_dict
     scenario = scenario_from_dict(E2E_SCENARIO)
     t2m = {f.valid_time: f
-           for f in generate_variable_series(scenario, VariableId.T2M)}
+           for f in truth_fields(scenario, VariableId.T2M)}
     clim = DailyMeanClimatology(
         scenario.grid, VariableId.T2M,
         build_daily_mean_climatology(
@@ -423,7 +423,7 @@ def test_c11_skill_decay_sanity():
             seed=seed, grid=grid, years=(2025,),
             processes={VariableId.T2M: VariableProcess(
                 base=285.0, ar1=0.8, noise_sigma=1.0)})
-        stream = generate_variable_series(scenario, VariableId.T2M)
+        stream = truth_fields(scenario, VariableId.T2M)
         t0, t1, t2 = itertools.islice(stream, 3)
         fc1, fc2 = persistence_forecast(t0, [6, 12])
         e1 = wrmse(fc1, t1)

@@ -1153,6 +1153,25 @@ class TestUnbuiltClimatology:
                f"{run / 'manifest.json'}" in err
 
 
+class TestSynthModels:
+    @pytest.mark.parametrize("token", [
+        "smoothed:x", "smoothed:2.5", "smoothed:", "smoothed:4",
+        "smoothed:0", "smoothed:-3", "smoothedx", "lagged:x", "lagged:6.0",
+        "lagged:-6", "lagged:9"])
+    def test_bad_model_is_exit_2_before_anything_is_written(
+            self, token, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(EVALUATE_SCENARIO))
+        out = tmp_path / "run"
+        rc = run_cli("synth", "--scenario", scenario, "--out", out,
+                     "--inits", "2025-07-01T00:00:00Z",
+                     "--max-lead-hours", "12",
+                     "--models", f"perfect,{token}")
+        assert rc == 2
+        assert repr(token) in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+
 def modules_after(code: str) -> set[str]:
     """The modules a fresh interpreter has loaded after running ``code``."""
     script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"

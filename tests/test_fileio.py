@@ -995,6 +995,74 @@ class TestStacks:
             fileio.write_stack(fields, path)
         assert list(tmp_path.iterdir()) == []
 
+    @staticmethod
+    def chunk(fields):
+        first = fields[0]
+        return FieldBlock(first.grid, first.variable,
+                          tuple(f.valid_time for f in fields),
+                          tuple(f.lead_hours for f in fields),
+                          np.stack([f.values for f in fields]))
+
+    def test_chunks_write_what_their_fields_write(self, rng, tmp_path):
+        fields = [f32_field(rng, make_grid(3, 4), valid_time=when,
+                            lead_hours=6 * k)
+                  for k, when in enumerate(times_from(T0, 7))]
+        by_field = fileio.write_stack(fields, tmp_path / "a.rbs")
+        chunked = fileio.write_stack(
+            [self.chunk(fields[:3]), fields[3], self.chunk(fields[4:])],
+            tmp_path / "b.rbs")
+        assert by_field.read_bytes() == chunked.read_bytes()
+        assert (tmp_path / "a.rbs.json").read_bytes() == \
+            (tmp_path / "b.rbs.json").read_bytes()
+
+    @pytest.mark.parametrize("layer", [2, 3])  # inside a chunk, at its start
+    @pytest.mark.parametrize("fault", ["time-gap", "lead-step", "other-grid"])
+    def test_break_in_a_chunk_names_the_layer_and_leaves_no_file(
+            self, fault, layer, rng, tmp_path):
+        grid = make_grid(3, 4)
+        fields = [f32_field(rng, grid, valid_time=when, lead_hours=6 * k)
+                  for k, when in enumerate(times_from(T0, 6))]
+        if fault == "time-gap":
+            fields[layer] = fields[layer].at(
+                fields[layer].valid_time + fileio.STACK_STEP, 6 * layer)
+        elif fault == "lead-step":
+            fields[layer] = fields[layer].at(fields[layer].valid_time, 0)
+        else:
+            fields[layer] = f32_field(
+                rng, make_grid(3, 4, lat_top=50.0),
+                valid_time=fields[layer].valid_time, lead_hours=6 * layer)
+        chunks = [self.chunk(fields[:3]), self.chunk(fields[3:])]
+        if fault == "other-grid":  # a chunk is on one grid
+            chunks = [self.chunk(fields[:layer]), self.chunk(fields[layer:])]
+        with pytest.raises(WxVerifyError,
+                           match=f"does not continue the stack as layer "
+                                 f"{layer}$"):
+            fileio.write_stack(iter(chunks), tmp_path / "s.rbs")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_history_year_formats_one_path(self, rng, tmp_path, monkeypatch):
+        manifest = stack_manifest(tmp_path)
+        times = fileio.year_times(T0.year)
+        fileio.write_stack(
+            [self.chunk([f32_field(rng, make_grid(2, 3), valid_time=when)
+                         for when in times])],
+            manifest.history_path(VariableId.T2M, T0))
+        fileio.write_stack(
+            [f32_field(rng, make_grid(2, 3), valid_time=when, lead_hours=6 * k)
+             for k, when in enumerate(times_from(T0, 3))],
+            manifest.model_path("m", T0, VariableId.T2M, 0))
+        formatted = []
+        real_fmt = fileio.RunManifest._fmt
+        monkeypatch.setattr(fileio.RunManifest, "_fmt",
+                            lambda self, key, pattern, keys: formatted.append(
+                                key) or real_fmt(self, key, pattern, keys))
+        source = fileio.FieldSource(manifest)
+        source.history(VariableId.T2M, T0.year)
+        assert formatted == ["climatology.history_pattern"]
+        formatted.clear()
+        source.model_block("m", T0, VariableId.T2M, [0, 6, 12])
+        assert formatted == ["models.m"]
+
     def test_history_year_is_one_read(self, rng, tmp_path, store_reads):
         manifest = stack_manifest(tmp_path)
         grid = make_grid(2, 3)

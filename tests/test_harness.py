@@ -6,15 +6,17 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from wxverify import fileio
+from conftest import truth_fields
+from wxverify import fileio, harness
 from wxverify.climatology import build_thresholds
 from wxverify.extremes import EventKind, label_events
-from wxverify.grid import GeoGrid, VariableId
+from wxverify.grid import FieldBlock, GeoGrid, VariableId
 from wxverify.harness import (PlantedEpisode, SyntheticScenario, VariableProcess,
-                              VortexSpec, generate_variable_series,
-                              load_scenario, make_besttrack,
+                              VortexSpec, load_scenario, make_besttrack,
                               persistence_forecast, seasonal_value,
                               smoothed_forecast, smoothing_width, year_times)
 from wxverify.metrics import wrmse
@@ -34,32 +36,29 @@ def scenario(seed=7, years=(2025,), **t2m_kw):
 class TestGenerator:
     def test_same_seed_bitwise_identical(self):
         sc = scenario(noise_sigma=1.0, ar1=0.7)
-        a = list(itertools.islice(
-            generate_variable_series(sc, VariableId.T2M), 8))
-        b = list(itertools.islice(
-            generate_variable_series(sc, VariableId.T2M), 8))
+        a = list(itertools.islice(truth_fields(sc, VariableId.T2M), 8))
+        b = list(itertools.islice(truth_fields(sc, VariableId.T2M), 8))
         for fa, fb in zip(a, b):
             assert np.array_equal(fa.values, fb.values)
 
     def test_different_seed_differs(self):
-        a = next(iter(generate_variable_series(scenario(seed=1, noise_sigma=1.0),
-                                               VariableId.T2M)))
-        b = next(iter(generate_variable_series(scenario(seed=2, noise_sigma=1.0),
-                                               VariableId.T2M)))
+        a = next(truth_fields(scenario(seed=1, noise_sigma=1.0),
+                              VariableId.T2M))
+        b = next(truth_fields(scenario(seed=2, noise_sigma=1.0),
+                              VariableId.T2M))
         assert not np.array_equal(a.values, b.values)
 
     def test_zero_noise_equals_closed_form(self):
         sc = scenario(seasonal_amp=10.0, diurnal_amp=3.0)
         process = sc.processes[VariableId.T2M]
-        for field in itertools.islice(
-                generate_variable_series(sc, VariableId.T2M), 12):
+        for field in itertools.islice(truth_fields(sc, VariableId.T2M), 12):
             expected = np.float64(np.float32(
                 seasonal_value(process, field.valid_time)))
             np.testing.assert_array_equal(field.values, expected)
 
     def test_values_are_f32_exact(self):
         sc = scenario(noise_sigma=2.0)
-        field = next(iter(generate_variable_series(sc, VariableId.T2M)))
+        field = next(truth_fields(sc, VariableId.T2M))
         assert np.array_equal(field.values,
                               field.values.astype(np.float32).astype(np.float64))
 
@@ -73,7 +72,7 @@ class TestGenerator:
                                processes={VariableId.T2M: process},
                                episodes=(episode,))
         fields_by_year: dict[int, list] = {y: [] for y in sc.years}
-        for f in generate_variable_series(sc, VariableId.T2M):
+        for f in truth_fields(sc, VariableId.T2M):
             fields_by_year[f.valid_time.year].append(f)
         history = oracles.history_from_fields(
             {y: fields_by_year[y] for y in (2022, 2023, 2024)})
@@ -103,10 +102,137 @@ class TestGenerator:
             assert fix.min_mslp_pa == pytest.approx(98000.0)
 
 
+class TestChunkedGenerator:
+    """The chunked generator against the one-field-at-a-time oracle."""
+
+    @given(width=st.sampled_from([1, 3, 5, 7]),
+           shape=st.tuples(st.integers(1, 4), st.integers(1, 6),
+                           st.integers(1, 9)),
+           spare=st.integers(0, 2), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_boxcar_equals_per_field_rolls(self, width, shape, spare, seed):
+        noise = np.random.default_rng(seed).standard_normal(shape)
+        expected = [oracles.boxcar_smooth_field(layer.copy(), width)
+                    for layer in noise]
+        smooth = harness._boxcar(width, shape[0] + spare, shape[1:])
+        smooth(noise)
+        for got, want in zip(noise, expected):
+            assert got.tobytes() == want.tobytes()
+
+    @given(n_lat=st.integers(1, 5), n_lon=st.integers(1, 9),
+           width=st.sampled_from([1, 3, 5, 7]),
+           ar1=st.sampled_from([0.0, 0.6, 0.95]),
+           noise_sigma=st.sampled_from([0.0, 1.0, 150.0]),
+           variable=st.sampled_from([VariableId.T2M, VariableId.MSL,
+                                     VariableId.U10]),
+           years=st.sampled_from([(2025,), (2023, 2024), (2024, 2025)]),
+           inject=st.booleans(), per_chunk=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_equals_field_by_field(self, n_lat, n_lon, width, ar1,
+                                   noise_sigma, variable, years, inject,
+                                   per_chunk, seed):
+        grid = GeoGrid.uniform(40.0, -10.0, n_lat, 0.0, 360.0 / n_lon, n_lon)
+        last = years[-1]
+        sc = SyntheticScenario(
+            seed=seed, grid=grid, years=years,
+            processes={variable: VariableProcess(
+                base=285.0, seasonal_amp=6.0, diurnal_amp=2.0, ar1=ar1,
+                noise_sigma=noise_sigma, spatial_corr_points=width)},
+            # a vortex and an episode across the end of February
+            vortices=(VortexSpec("V", 30.0, 40.0, datetime(
+                last, 2, 27, tzinfo=timezone.utc), n_steps=12, u_ms=5.0),)
+            if inject else (),
+            episodes=(PlantedEpisode(EventKind.HEATWAVE, last, n_lat - 1, 0,
+                                     start_day=58, n_days=3,
+                                     amplitude_k=5.0),) if inject else ())
+        budget = per_chunk * 8 * n_lat * n_lon
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "CHUNK_BYTES", budget)
+            blocks = list(harness.generate_variable_series(sc, variable))
+        fields = list(oracles.generate_fields(sc, variable))
+        for b in blocks:
+            assert isinstance(b, FieldBlock)
+            assert b.values.shape[0] == len(b.valid_times) <= per_chunk
+            assert {t.year for t in b.valid_times} == {b.valid_times[0].year}
+        layers = [(when, lead, values) for b in blocks for when, lead, values
+                  in zip(b.valid_times, b.lead_hours, b.values)]
+        assert len(layers) == len(fields) == sum(
+            len(year_times(y)) for y in years)
+        for (when, lead, values), field in zip(layers, fields):
+            assert (when, lead) == (field.valid_time, field.lead_hours)
+            assert values.tobytes() == field.values.tobytes()
+
+
+WRITE_RUN_SCENARIO = {
+    "seed": 2024,
+    "grid": {"lat_start": 40.0, "lat_step": -10.0, "n_lat": 5,
+             "lon_start": 0.0, "lon_step": 45.0, "n_lon": 8},
+    "years": [2023, 2024],
+    "processes": {
+        "t2m": {"base": 285.0, "seasonal_amp": 8.0, "diurnal_amp": 2.0,
+                "ar1": 0.7, "noise_sigma": 1.5, "spatial_corr_points": 3},
+        "msl": {"base": 101000.0, "ar1": 0.9, "noise_sigma": 100.0,
+                "spatial_corr_points": 5},
+        "u10": {"base": 1.0, "ar1": 0.5, "noise_sigma": 2.0},
+    },
+    "vortices": [{"storm_id": "SYN01", "start_lat": 20.0, "start_lon": 90.0,
+                  "start_time": "2024-02-27T00:00:00Z", "n_steps": 16,
+                  "u_ms": -5.0}],
+    "episodes": [{"kind": "heatwave", "year": 2024, "lat_index": 2,
+                  "lon_index": 3, "start_day": 58, "n_days": 3,
+                  "amplitude_k": 9.0}],
+}
+
+
+def one_field_blocks(scenario, variable):
+    """The oracle's truth stream, one single-layer block per field."""
+    for field in oracles.generate_fields(scenario, variable):
+        yield FieldBlock(field.grid, field.variable, (field.valid_time,),
+                         (0,), field.values[None])
+
+
+def tree(root):
+    return {path.relative_to(root): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestWriteRun:
+    @pytest.mark.parametrize("truth_span, models", [
+        ("full", "perfect,smoothed:3,lagged:12,persistence"),
+        ("run", "perfect,smoothed:3,persistence")])
+    def test_equals_the_run_written_field_by_field(
+            self, truth_span, models, tmp_path, monkeypatch):
+        import json
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(WRITE_RUN_SCENARIO))
+        options = dict(inits="2024-02-28T00:00:00Z,2024-07-01T12:00:00Z",
+                       max_lead_hours=48, models=models,
+                       truth_span=truth_span, stations=6)
+        with monkeypatch.context() as patch:
+            # chunks of 7 layers: neither a year nor the 9 leads divide
+            patch.setattr(harness, "CHUNK_BYTES", 7 * 8 * 5 * 8)
+            harness.write_run(scenario, tmp_path / "chunked", **options)
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "generate_variable_series",
+                          one_field_blocks)
+            patch.setattr(harness, "_lagged_forecast",
+                          oracles.lagged_forecast_per_lead)
+            patch.setattr(harness, "_write_station_csvs",
+                          oracles.write_station_csvs_per_field)
+            harness.write_run(scenario, tmp_path / "by_field", **options)
+        chunked = tree(tmp_path / "chunked")
+        assert chunked == tree(tmp_path / "by_field")
+        names = {str(path) for path in chunked}
+        assert "stations_obs.csv" in names and "besttrack.csv" in names
+        assert ("truth/t2m/2023.rbs" in names) is (truth_span == "full")
+        assert any(name.startswith("models/smoothed3/") for name in names)
+
+
 class TestPersistence:
     def test_every_lead_is_init_bitwise(self):
         sc = scenario(noise_sigma=1.0)
-        init = next(iter(generate_variable_series(sc, VariableId.T2M)))
+        init = next(truth_fields(sc, VariableId.T2M))
         for field in persistence_forecast(init, [0, 6, 24, 240]):
             assert field.values is init.values
             assert field.valid_time == init.valid_time + timedelta(
@@ -114,7 +240,7 @@ class TestPersistence:
 
     def test_lead_zero_wrmse_zero(self):
         sc = scenario(noise_sigma=1.0)
-        init = next(iter(generate_variable_series(sc, VariableId.T2M)))
+        init = next(truth_fields(sc, VariableId.T2M))
         (fc,) = persistence_forecast(init, [0])
         assert wrmse(fc, init) == 0.0
 
@@ -123,7 +249,7 @@ class TestPersistence:
         wins = 0
         for seed in range(10):
             sc = scenario(seed=seed, noise_sigma=1.0, ar1=0.8)
-            stream = generate_variable_series(sc, VariableId.T2M)
+            stream = truth_fields(sc, VariableId.T2M)
             t0, t1, t2 = itertools.islice(stream, 3)
             fc1, fc2 = persistence_forecast(t0, [6, 12])
             e1 = wrmse(fc1, t1.at(t1.valid_time, 6))
@@ -135,7 +261,7 @@ class TestPersistence:
 class TestSmoothed:
     def test_width_one_is_persistence(self):
         sc = scenario(noise_sigma=1.0)
-        init = next(iter(generate_variable_series(sc, VariableId.T2M)))
+        init = next(truth_fields(sc, VariableId.T2M))
         (smooth,) = smoothed_forecast(init, [0], kernel_width=1)
         (persist,) = persistence_forecast(init, [0])
         assert np.array_equal(smooth.values, persist.values)
@@ -218,7 +344,7 @@ class TestScenarioJson:
 class TestPipelineClosure:
     def test_disk_round_trip_is_bitwise(self, tmp_path):
         sc = scenario(noise_sigma=1.5, ar1=0.6)
-        stream = generate_variable_series(sc, VariableId.T2M)
+        stream = truth_fields(sc, VariableId.T2M)
         fields = list(itertools.islice(stream, 6))
         for k, field in enumerate(fields):
             fileio.write_grid(field, tmp_path / f"{k}.rbg")
