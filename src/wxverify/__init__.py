@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "climatology": ("DailyHistory", "DailyMeanClimatology", "ThresholdField",
-                    "build_daily_mean_climatology", "build_thresholds"),
+                    "build_thresholds"),
     "cyclones": ("IntensityError", "StormFix", "StormTrack", "TrackerConfig",
                  "TrackSource", "homogeneous_sample", "intensity_errors",
                  "track_dpe", "track_storm"),

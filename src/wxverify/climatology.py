@@ -16,10 +16,11 @@ exactly.
 
 from __future__ import annotations
 
+import calendar
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
-from typing import Iterable, Mapping, Sequence
+from datetime import date, datetime, time, timedelta, timezone
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -94,55 +95,58 @@ class DailyHistory:
         return self.daily_max.shape[2]
 
 
-def _calendar_parts(block: FieldBlock) -> list[tuple[slice, np.ndarray]]:
-    """The layers of a whole history year as (calendar rows, days) pairs,
-    where ``days`` is a ``(n_days, 4, n_lat, n_lon)`` view: Jan 1 - Feb 28,
-    and the last 306 days of the year, Mar 1 - Dec 31. So Feb 29 of a
-    leap year is left out without copying the year.
+def _calendar_days(block: FieldBlock) -> tuple[slice, list[np.ndarray]]:
+    """The calendar rows of a block of whole days of one year, and its days
+    as ``(n_days, 4, n_lat, n_lon)`` views: those before Feb 29 and those
+    after it, so Feb 29 of a leap year is left out without a copy. The
+    rows are consecutive, and empty for a block of Feb 29 alone.
 
-    ``block`` must hold every 6-hourly time of one calendar year, in
-    order, as :meth:`~wxverify.fileio.FieldSource.history` returns it.
+    ``block`` must hold every 6-hourly time of its days, in order, from
+    00Z of the first, as :meth:`~wxverify.fileio.FieldSource.history`
+    yields them; a block that does not raises :class:`InsufficientHistory`.
     """
-    year = block.valid_times[0].year
-    if block.valid_times != tuple(year_times(year)):
+    times = block.valid_times
+    first = times[0]
+    n_days = len(times) // len(SYNOPTIC_HOURS)
+    if first.time() != time() or len(times) % len(SYNOPTIC_HOURS) \
+            or times[-1].year != first.year or times != tuple(
+                first + k * SIX_HOURS for k in range(len(times))):
         raise InsufficientHistory(
-            f"{block.variable.key} history of {year} does not hold every "
-            f"6-hourly time of the year")
-    days = block.values.reshape(-1, len(SYNOPTIC_HOURS), *block.grid.shape)
-    mar_1 = _CUM_DAYS[2]  # calendar row of Mar 1
-    return [(slice(0, mar_1), days[:mar_1]),
-            (slice(mar_1, None), days[len(days) - DAYS_PER_YEAR + mar_1:])]
+            f"{block.variable.key} history of {first.year}: the block from "
+            f"{first.isoformat()} does not hold whole days of the year")
+    days = block.values.reshape(n_days, len(SYNOPTIC_HOURS), *block.grid.shape)
+    feb_29 = (date(first.year, 2, 29) - first.date()).days \
+        if calendar.isleap(first.year) else -1
+    parts = [days[:feb_29], days[feb_29 + 1:]] if 0 <= feb_29 < n_days \
+        else [days]
+    row = calendar_day_index(first) + is_leap_day(first)
+    return slice(row, row + sum(len(part) for part in parts)), parts
 
 
 def daily_extremes_from_fields(block: FieldBlock
-                               ) -> tuple[np.ndarray, np.ndarray]:
-    """(365, n_locations) daily max and min of one history year (see
-    :func:`_calendar_parts`); Feb 29 is dropped.
+                               ) -> tuple[slice, np.ndarray, np.ndarray]:
+    """The calendar rows of a block of whole days of one year (see
+    :func:`_calendar_days`), and their ``(n_rows, n_locations)`` daily max
+    and min; Feb 29 is dropped.
 
     The location axis is the row-major flattening of the grid. Each day
     starts from its first synoptic hour and takes the max (min) with each
     later hour in turn, one whole-array pass per hour.
     """
-    dmax = np.empty((DAYS_PER_YEAR, *block.grid.shape))
+    rows, parts = _calendar_days(block)
+    n_rows, (n_lat, n_lon) = rows.stop - rows.start, block.grid.shape
+    dmax = np.empty((n_rows, n_lat, n_lon))
     dmin = np.empty_like(dmax)
-    for rows, days in _calendar_parts(block):
-        dmax[rows] = dmin[rows] = days[:, 0]
+    at = 0
+    for days in parts:
+        hi, lo = dmax[at:at + len(days)], dmin[at:at + len(days)]
+        hi[...] = lo[...] = days[:, 0]
         for hour in range(1, len(SYNOPTIC_HOURS)):
-            np.maximum(dmax[rows], days[:, hour], out=dmax[rows])
-            np.minimum(dmin[rows], days[:, hour], out=dmin[rows])
-    return dmax.reshape(DAYS_PER_YEAR, -1), dmin.reshape(DAYS_PER_YEAR, -1)
-
-
-def history_from_extremes(extremes: Mapping[int, tuple[np.ndarray, np.ndarray]]
-                          ) -> DailyHistory:
-    """Stack per-year :func:`daily_extremes_from_fields` results, keyed by
-    year, into a history ordered by year."""
-    years = sorted(extremes)
-    if not years:
-        raise InsufficientHistory("no history years supplied")
-    return DailyHistory(tuple(years),
-                        np.stack([extremes[year][0] for year in years]),
-                        np.stack([extremes[year][1] for year in years]))
+            np.maximum(hi, days[:, hour], out=hi)
+            np.minimum(lo, days[:, hour], out=lo)
+        at += len(days)
+    return (rows, dmax.reshape(n_rows, n_lat * n_lon),
+            dmin.reshape(n_rows, n_lat * n_lon))
 
 
 @dataclass(frozen=True)
@@ -336,38 +340,21 @@ class DailyMeanClimatology:
                          self.layers([valid_time])[0])
 
 
-def build_daily_mean_climatology(per_year: Sequence[np.ndarray]) -> np.ndarray:
-    """Arithmetic mean across years, per calendar day and location.
-
-    Inputs are per-year arrays shaped (365, ...); all years must be
-    finite and share a shape. Added in order to zeros, then divided once,
-    they give ``np.mean`` over their stack bit for bit, without the stack.
-    """
-    if len(per_year) == 0:
-        raise InsufficientHistory("no history years supplied")
-    total = np.zeros(np.shape(per_year[0]))
-    for year in per_year:
-        year = np.asarray(year, dtype=np.float64)
-        if year.shape != total.shape or year.shape[:1] != (DAYS_PER_YEAR,):
-            raise ValueError("per-year arrays must share one shape with a "
-                             "leading 365-day axis")
-        if not np.isfinite(year).all():
-            raise ValueError("daily-mean history must be finite")
-        total += year
-    total /= len(per_year)
-    return total
-
-
-def daily_means_from_fields(block: FieldBlock) -> np.ndarray:
-    """(365, n_lat, n_lon) daily means of one history year (see
-    :func:`_calendar_parts`); Feb 29 is dropped.
+def daily_means_from_fields(block: FieldBlock) -> tuple[slice, np.ndarray]:
+    """The calendar rows of a block of whole days of one year (see
+    :func:`_calendar_days`), and their ``(n_rows, n_lat, n_lon)`` daily
+    means; Feb 29 is dropped.
 
     Each day's sum starts from zero and adds its synoptic hours in turn,
     one whole-array pass per hour, before the division by four.
     """
-    means = np.zeros((DAYS_PER_YEAR, *block.grid.shape))
-    for rows, days in _calendar_parts(block):
+    rows, parts = _calendar_days(block)
+    means = np.zeros((rows.stop - rows.start, *block.grid.shape))
+    at = 0
+    for days in parts:
+        part = means[at:at + len(days)]
         for hour in range(len(SYNOPTIC_HOURS)):
-            means[rows] += days[:, hour]
+            part += days[:, hour]
+        at += len(days)
     means /= len(SYNOPTIC_HOURS)
-    return means
+    return rows, means

@@ -19,7 +19,8 @@ Commands read stored arrays through one run-scoped :class:`FieldSource`,
 which resolves manifest paths to stacks, parses each stack's sidecar
 once, validates each grid geometry once per run and reads blocks of
 layers (:class:`~wxverify.grid.FieldBlock`) with one read per stack; a
-history year is one block.
+history year is read as consecutive blocks of whole days, each at most
+:data:`CHUNK_BYTES` of float64 layers.
 
 Writers stream to a temp file and rename, so a file is either complete
 or absent. Serialization is canonical: rewriting what was just read
@@ -42,12 +43,13 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import groupby
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .climatology import (DAYS_PER_YEAR, DailyMeanClimatology, ThresholdField,
-                          calendar_day_index, day_span, year_times)
+from .climatology import (DAYS_PER_YEAR, SYNOPTIC_HOURS, DailyMeanClimatology,
+                          ThresholdField, calendar_day_index, day_span,
+                          year_times)
 from .errors import (ChecksumMismatch, DuplicateObservation, GridMismatch,
                      HeaderPayloadShapeMismatch, InvalidHeader, ManifestError,
                      NonFiniteValue, NonMonotoneTime, NonUniformGrid,
@@ -249,6 +251,7 @@ def _write_store(path: Path, magic: str, grid: GeoGrid, chunks, dtype: str,
                         for at in range(0, len(blob), layer_bytes))
                 else:
                     crc = zlib.crc32(blob, crc)
+                del chunk, blob  # released before the next chunk is made
     except BaseException:
         tmp.unlink(missing_ok=True)  # a store is either complete or absent
         raise
@@ -466,6 +469,7 @@ def write_stack(chunks: Iterable[FieldBlock | GridField],
                         f"continue the stack as layer {k}")
                 k += 1
             yield values
+            del values, chunk  # released before the next chunk is made
             chunk = next(chunks, None)
 
     stream = layers(first)
@@ -567,12 +571,13 @@ def read_stack(path: str | os.PathLike, geometries: dict | None = None
 
 def write_thresholds(thresholds: ThresholdField, grid: GeoGrid,
                      path: str | os.PathLike) -> Path:
-    """Persist heat/cold thresholds with a 365-deep day axis (f32le)."""
+    """Persist heat/cold thresholds with a 365-deep day axis (f32le): the
+    heat thresholds, then the cold ones, each written as it is held."""
     if thresholds.n_locations != grid.n_lat * grid.n_lon:
         raise ValueError("threshold location axis does not match grid size")
     return _write_store(
         Path(path), THRESH_MAGIC, grid,
-        [np.stack([thresholds.tau_heat, thresholds.tau_cold])], "f32le", {
+        [thresholds.tau_heat, thresholds.tau_cold], "f32le", {
             "n_days": DAYS_PER_YEAR,
             "years": list(thresholds.years),
             "half_window": thresholds.half_window,
@@ -979,6 +984,31 @@ def _layer_keys(pattern: str | None) -> tuple[str, ...]:
     return tuple(key for key in _LAYER_KEYS if key in names)
 
 
+def _path_cache(pattern: str | None, path_of):
+    """``path_of(variable, when, lead)``, the path ``pattern`` formats,
+    formatted once for each distinct variable and value of the keys the
+    pattern uses (see :func:`_layer_keys`)."""
+    keys = _layer_keys(pattern)
+    paths: dict[tuple, Path] = {}
+
+    def path_at(variable: VariableId, when: datetime, lead: int | None
+                ) -> Path:
+        key = (variable, when if "time" in keys else None,
+               when.astimezone(timezone.utc).year if "year" in keys else None,
+               lead if "lead" in keys else None)
+        path = paths.get(key)
+        if path is None:
+            path = paths[key] = path_of(variable, when, lead)
+        return path
+    return path_at
+
+
+#: Most bytes of float64 layers in one chunk: of the truth ``synth``
+#: generates and writes (see :mod:`wxverify.harness`), and of the whole
+#: days of a history year :meth:`FieldSource.history` reads. 8 layers of
+#: an 81 x 121 grid, where chunks of 8 drew and smoothed fastest.
+CHUNK_BYTES = 640 * 2**10
+
 #: Most bytes one float64 block of a run may take (see
 #: :meth:`FieldSource.block_layers`): a block of a 0.25 degree global grid
 #: (8.3 MB a layer) holds at most 8 layers, never all 41 leads of a run.
@@ -999,7 +1029,8 @@ class FieldSource:
     is parsed once per run and kept here, and a block of its layers is
     read with one seek, checking only the CRC-32s of the layers read and
     that each layer is valid at the time, and carries the lead, asked
-    for. Fields are blocks of one layer, and a history year is one block.
+    for. Fields are blocks of one layer, and a history year is a run of
+    blocks of whole days.
     Safe to share between threads. Derived WS10 is computed from U10 and
     V10 here and nowhere else.
     """
@@ -1023,33 +1054,19 @@ class FieldSource:
                 self._geometries))
         return stack
 
-    def _block(self, pattern: str | None, path_of, variable: VariableId,
+    def _block(self, path_at, variable: VariableId,
                times: Sequence[datetime], leads: Sequence[int | None]
                ) -> FieldBlock:
         """The layers of ``variable`` valid at ascending ``times``, each
-        from the store ``path_of(variable, time, lead)`` names: one read
-        per stack. ``path_of`` formats ``pattern``, so a path is formatted
-        once for each distinct value of the keys the pattern uses."""
+        from the store ``path_at(variable, time, lead)`` names (see
+        :func:`_path_cache`): one read per stack."""
         if variable.derived:
             return derive_wind_speed(
-                self._block(pattern, path_of, VariableId.U10, times, leads),
-                self._block(pattern, path_of, VariableId.V10, times, leads))
-        keys = _layer_keys(pattern)
-        paths: dict[tuple, Path] = {}
-
-        def path_at(item: tuple[datetime, int | None]) -> Path:
-            when, lead = item
-            key = (when if "time" in keys else None,
-                   when.astimezone(timezone.utc).year if "year" in keys
-                   else None,
-                   lead if "lead" in keys else None)
-            path = paths.get(key)
-            if path is None:
-                path = paths[key] = path_of(variable, when, lead)
-            return path
-
+                self._block(path_at, VariableId.U10, times, leads),
+                self._block(path_at, VariableId.V10, times, leads))
         parts = []
-        for path, items in groupby(zip(times, leads), key=path_at):
+        for path, items in groupby(zip(times, leads),
+                                   key=lambda item: path_at(variable, *item)):
             part_times, part_leads = zip(*items)
             parts.append(self._resolve(path).block(part_times, part_leads))
         if len(parts) == 1:
@@ -1071,16 +1088,17 @@ class FieldSource:
         """Truth of ``variable`` at ascending ``times``; a span that
         crosses into the next truth year reads one block of each stack."""
         return self._block(
-            self.manifest.truth_pattern,
-            lambda v, when, _: self.manifest.truth_path(v, when),
+            _path_cache(self.manifest.truth_pattern,
+                        lambda v, when, _: self.manifest.truth_path(v, when)),
             variable, times, [None] * len(times))
 
     def model_block(self, name: str, init: datetime, variable: VariableId,
                     leads: Sequence[int]) -> FieldBlock:
         """Forecast ``name`` from ``init`` at ascending lead hours."""
         return self._block(
-            self.manifest.models.get(name),
-            lambda v, when, lead: self.manifest.model_path(name, init, v, lead),
+            _path_cache(self.manifest.models.get(name),
+                        lambda v, when, lead: self.manifest.model_path(
+                            name, init, v, lead)),
             variable, [init + timedelta(hours=lead) for lead in leads], leads)
 
     def truth(self, variable: VariableId, when: datetime) -> GridField:
@@ -1100,14 +1118,26 @@ class FieldSource:
             variable, self.manifest.init_times[0])).store.geometry[:2]
         return max(1, BLOCK_BYTES // (8 * n_lat * n_lon))
 
-    def history(self, variable: VariableId, year: int) -> FieldBlock:
-        """Every 6-hourly history field of one calendar year, as one block:
-        one read per stack."""
+    def history(self, variable: VariableId, year: int
+                ) -> Iterator[FieldBlock]:
+        """Every 6-hourly history field of one calendar year, as
+        consecutive blocks of whole days from 00Z: as many days as fit in
+        :data:`CHUNK_BYTES` of float64 layers, at least one. Each block is
+        one read per stack, so every layer of the year is read, and
+        checked, once; a path is formatted once per year for each
+        distinct value of the keys its pattern uses."""
         times = year_times(year)
-        return self._block(
+        path_at = _path_cache(
             self.manifest.history_pattern,
-            lambda v, when, _: self.manifest.history_path(v, when),
-            variable, times, [None] * len(times))
+            lambda v, when, _: self.manifest.history_path(v, when))
+        stored = VariableId.U10 if variable.derived else variable
+        n_lat, n_lon = self._resolve(
+            path_at(stored, times[0], None)).store.geometry[:2]
+        day = len(SYNOPTIC_HOURS)
+        per_block = day * max(1, CHUNK_BYTES // (8 * day * n_lat * n_lon))
+        for start in range(0, len(times), per_block):
+            part = times[start:start + per_block]
+            yield self._block(path_at, variable, part, [None] * len(part))
 
     def climatology(self, variable: VariableId,
                     times: Iterable[datetime] | None = None

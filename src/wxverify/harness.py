@@ -224,16 +224,11 @@ def _vortex_wind(spec: VortexSpec, grid: GeoGrid, when: datetime):
     return u, v
 
 
-#: Most bytes of float64 layers in one chunk of generated truth, and in
-#: one block ``synth`` reads back: 8 layers of an 81 x 121 grid, where
-#: chunks of 8 drew and smoothed fastest.
-CHUNK_BYTES = 640 * 2**10
-
-
 def _chunk_layers(grid: GeoGrid) -> int:
-    """How many float64 layers of ``grid`` fit in :data:`CHUNK_BYTES`
-    (at least one)."""
-    return max(1, CHUNK_BYTES // (8 * grid.n_lat * grid.n_lon))
+    """How many float64 layers of ``grid`` fit in
+    :data:`wxverify.fileio.CHUNK_BYTES` (at least one): the layers of a
+    chunk of generated truth, and of a block ``synth`` reads back."""
+    return max(1, fileio.CHUNK_BYTES // (8 * grid.n_lat * grid.n_lon))
 
 
 def _inject(scenario: SyntheticScenario, variable: VariableId,
@@ -262,9 +257,9 @@ def generate_variable_series(scenario: SyntheticScenario, variable: VariableId
     """Deterministic 6-hourly truth stream for one variable, in chunks.
 
     Each chunk is a :class:`FieldBlock` of consecutive layers of one year,
-    at most :data:`CHUNK_BYTES` of them, drawn with one call to the random
-    generator and smoothed in one pass; it holds the values its layers
-    would have drawn and smoothed one at a time. Fields are
+    at most :data:`wxverify.fileio.CHUNK_BYTES` of them, drawn with one
+    call to the random generator and smoothed in one pass; it holds the
+    values its layers would have drawn and smoothed one at a time. Fields are
     float32-quantized; the AR state is carried across years.
     """
     process = scenario.processes[variable]
@@ -307,6 +302,7 @@ def generate_variable_series(scenario: SyntheticScenario, variable: VariableId
             values[...] = values.astype(np.float32)
             yield FieldBlock(grid, variable, chunk_times,
                              (0,) * len(chunk_times), values)
+            del values, layer  # released before the next chunk is drawn
 
 
 def make_besttrack(scenario: SyntheticScenario) -> list[StormTrack]:
@@ -556,6 +552,13 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
     scenario = load_scenario(scenario_path)
     if seed is not None:
         scenario = replace(scenario, seed=seed)
+    if max_lead_hours < 0 or max_lead_hours % 6:
+        raise ManifestError(f"--max-lead-hours must be a non-negative "
+                            f"multiple of 6, got {max_lead_hours}")
+    n_points = scenario.grid.n_lat * scenario.grid.n_lon
+    if not 0 <= stations <= n_points:
+        raise ManifestError(f"--stations must lie in 0..{n_points}, the "
+                            f"grid points, got {stations}")
     leads = list(range(0, max_lead_hours + 1, 6))
     init_times = [fileio.parse_time(t) for t in inits.split(",")] if inits \
         else [datetime(scenario.years[-1], 7, 1, tzinfo=timezone.utc)]
@@ -639,8 +642,7 @@ def _write_station_csvs(scenario: SyntheticScenario,
     grid = scenario.grid
     rng = np.random.default_rng(np.random.SeedSequence(
         entropy=scenario.seed, spawn_key=(10_001,)))
-    flat = rng.choice(grid.n_lat * grid.n_lon, size=min(
-        n_stations, grid.n_lat * grid.n_lon), replace=False)
+    flat = rng.choice(grid.n_lat * grid.n_lon, size=n_stations, replace=False)
     flat.sort()
     meta_lines = ["id,lat,lon,elev_m"]
     sites = []

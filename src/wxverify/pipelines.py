@@ -13,11 +13,12 @@ the paths it wrote. Each imports the modules it runs inside itself, so
 from __future__ import annotations
 
 import math
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Sequence
 
-from .errors import ManifestError, MissingFix, NoValidPairs
+from .errors import (InsufficientHistory, ManifestError, MissingFix,
+                     NoValidPairs)
 
 DEFAULT_SPECTRA_LEADS = (6, 72, 120, 240)
 DEFAULT_EXTREME_LEAD_DAYS = (1, 3, 7, 10)
@@ -172,29 +173,73 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
 
 # --- build-climatology -------------------------------------------------------
 
-def _history_years(source, variable):
-    """(year, block) of each history year of ``variable``, in manifest
-    order, each on the grid of the years before it."""
-    grid = None
-    for year in source.manifest.history_years:
-        block = source.history(variable, year)
-        if grid is not None and block.grid != grid:
-            raise ManifestError(f"{variable.key} history of {year} is on "
-                                f"another grid than the years before it")
-        grid = block.grid
-        yield year, block
-        del block  # hold one year of history at a time
+def _reduce_history(source, variable, means: bool, extremes: bool):
+    """Stream every history year of ``variable`` through the daily
+    reductions, a block of whole days at a time (see
+    :meth:`~wxverify.fileio.FieldSource.history`): returns its grid, the
+    mean over the years of its daily means when ``means``, and its daily
+    extremes as a :class:`~wxverify.climatology.DailyHistory` when
+    ``extremes`` (None for what is not asked for).
+
+    Memory is the 365-day accumulators and one block: each block's day
+    means are added, in year order, into one total that is divided once
+    by the number of years, and its daily max and min are written into
+    the rows of its year. Each year's blocks must cover the year once, in
+    order, and every block must be on the grid of the first.
+    """
+    import numpy as np
+
+    from .climatology import (DAYS_PER_YEAR, SIX_HOURS, DailyHistory,
+                              daily_extremes_from_fields,
+                              daily_means_from_fields)
+    years = source.manifest.history_years
+    if not years:
+        raise InsufficientHistory("no history years supplied")
+    grid = total = dmax = dmin = None
+    for y, year in enumerate(years):
+        # each block must start where the one before it ended
+        expect = datetime(year, 1, 1, tzinfo=timezone.utc)
+        end = expect.replace(year=year + 1)
+        whole = True
+        for block in source.history(variable, year):
+            if grid is None:
+                grid = block.grid
+                if means:
+                    total = np.zeros((DAYS_PER_YEAR, *grid.shape))
+                if extremes:
+                    dmax = np.empty((len(years), DAYS_PER_YEAR,
+                                     grid.n_lat * grid.n_lon))
+                    dmin = np.empty_like(dmax)
+            elif block.grid != grid:
+                raise ManifestError(f"{variable.key} history of {year} is on "
+                                    f"another grid than the history before it")
+            if block.valid_times[0] != expect:
+                whole = False
+                break
+            expect = block.valid_times[-1] + SIX_HOURS
+            if means:
+                rows, day_means = daily_means_from_fields(block)
+                total[rows] += day_means
+            if extremes:
+                rows, day_max, day_min = daily_extremes_from_fields(block)
+                dmax[y, rows], dmin[y, rows] = day_max, day_min
+            del block  # hold one block of history at a time
+        if not whole or expect != end:
+            raise InsufficientHistory(
+                f"{variable.key} history of {year} does not hold every "
+                f"6-hourly time of the year once, in order")
+    if means:
+        total /= len(years)
+    return grid, total, DailyHistory(years, dmax, dmin) if extremes else None
 
 
 def build_climatology(manifest_path) -> list[Path]:
     """Write the daily-mean climatology of each stored variable, and the
     T2M extreme thresholds where the manifest names a thresholds path;
-    returns the paths written, in order."""
+    returns the paths written, in order. Each history year is streamed
+    a block of whole days at a time (see :func:`_reduce_history`)."""
     from . import fileio
-    from .climatology import (DailyMeanClimatology,
-                              build_daily_mean_climatology, build_thresholds,
-                              daily_extremes_from_fields,
-                              daily_means_from_fields, history_from_extremes)
+    from .climatology import DailyMeanClimatology, build_thresholds
     from .grid import VariableId
     manifest = fileio.load_manifest(manifest_path, require=("history",))
     if manifest.climatology_pattern is None:
@@ -206,21 +251,15 @@ def build_climatology(manifest_path) -> list[Path]:
             continue
         with_thresholds = variable is VariableId.T2M \
             and manifest.thresholds_file is not None
-        per_year = []
-        extremes = {}  # year -> (daily max, daily min)
-        for year, block in _history_years(source, variable):
-            grid = block.grid
-            per_year.append(daily_means_from_fields(block))
-            if with_thresholds:
-                extremes[year] = daily_extremes_from_fields(block)
-            del block  # hold one year of history at a time
+        grid, mean, history = _reduce_history(source, variable, means=True,
+                                              extremes=with_thresholds)
         written.append(fileio.write_daily_climatology(
-            DailyMeanClimatology(grid, variable,
-                                 build_daily_mean_climatology(per_year),
-                                 manifest.history_years),
+            DailyMeanClimatology(grid, variable, mean, manifest.history_years),
             manifest.climatology_path(variable)))
+        del mean  # the total is not held while the thresholds are built
         if with_thresholds:
-            thresholds = build_thresholds(history_from_extremes(extremes))
+            thresholds = build_thresholds(history)
+            del history  # the daily extremes are not held while writing
             written.append(fileio.write_thresholds(
                 thresholds, grid, manifest.thresholds_file))
     return written
@@ -263,8 +302,7 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
 
     from . import fileio
     from .climatology import (SYNOPTIC_HOURS, build_thresholds,
-                              calendar_day_index, daily_extremes_from_fields,
-                              history_from_extremes)
+                              calendar_day_index)
     from .extremes import (EventKind, label_event_runs, match_counts,
                            scores_from_counts, segments_by_location)
     from .grid import VariableId
@@ -287,12 +325,10 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
         thresholds_sha = hashlib.sha256(
             manifest.thresholds_file.read_bytes()).hexdigest()
     elif manifest.history_pattern and manifest.history_years:
-        extremes = {}
-        for year, block in _history_years(source, VariableId.T2M):
-            tgrid = block.grid
-            extremes[year] = daily_extremes_from_fields(block)
-            del block  # hold one year of history at a time
-        thresholds = build_thresholds(history_from_extremes(extremes))
+        tgrid, _, history = _reduce_history(source, VariableId.T2M,
+                                            means=False, extremes=True)
+        thresholds = build_thresholds(history)
+        del history  # the daily extremes are not held while scoring
     else:
         raise ManifestError(
             "extremes needs thresholds_path or a history section to build from")

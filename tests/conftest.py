@@ -53,6 +53,18 @@ def store_reads(monkeypatch) -> list:
     return reads
 
 
+def assert_read_once_in_whole_days(reads, n_layers: int, max_layers: int):
+    """``reads``, the ``store_reads`` of one store, run through its
+    ``n_layers`` layers once and in order, each a whole number of days
+    (four layers) and at most ``max_layers`` layers."""
+    at = 0
+    for _, start, count in reads:
+        assert start == at and count % 4 == 0 and 0 < count <= max_layers, \
+            (start, count)
+        at += count
+    assert at == n_layers
+
+
 def truth_fields(scenario, variable: VariableId):
     """``harness.generate_variable_series`` one field at a time."""
     from wxverify.harness import generate_variable_series

@@ -2,11 +2,12 @@
 
 Everything here deliberately avoids the engine's code paths: metrics are
 scalar loops with exactly-rounded accumulation (math.fsum), plus the
-one-field numpy metric bodies and the field-by-field daily means and
-extremes that the engine's block kernels must reproduce bit for bit; the
-spectrum
-is a direct O(N^2) transform, percentiles are computed from a Python
-sort, event labeling/matching are brute-force searches, station
+one-field numpy metric bodies, the field-by-field daily means and
+extremes that the engine's block kernels must reproduce bit for bit, and
+the whole-year mean across years and stack of daily extremes that the
+streamed history reduction must reproduce; the spectrum is a direct
+O(N^2) transform, percentiles are computed from a Python sort, event
+labeling/matching are brute-force searches, station
 windowing, QC and bilinear interpolation are per-element loops, and
 synthetic truth, the forecasts that copy it and station observations are
 made one field at a time. The exceptions are the per-location event
@@ -276,11 +277,45 @@ def daily_mean_climatology_stack(per_year) -> np.ndarray:
                              for y in per_year]), axis=0)
 
 
+def build_daily_mean_climatology(per_year) -> np.ndarray:
+    """Arithmetic mean across years, per calendar day and location, of
+    whole-year (365, ...) daily means: added in order to zeros, then
+    divided once, which gives :func:`daily_mean_climatology_stack` bit for
+    bit without the stack. All years must be finite and share a shape.
+    The streamed reduction of ``build-climatology`` must equal this."""
+    from wxverify.errors import InsufficientHistory
+    if len(per_year) == 0:
+        raise InsufficientHistory("no history years supplied")
+    total = np.zeros(np.shape(per_year[0]))
+    for year in per_year:
+        year = np.asarray(year, dtype=np.float64)
+        if year.shape != total.shape or year.shape[:1] != (365,):
+            raise ValueError("per-year arrays must share one shape with a "
+                             "leading 365-day axis")
+        if not np.isfinite(year).all():
+            raise ValueError("daily-mean history must be finite")
+        total += year
+    total /= len(per_year)
+    return total
+
+
+def history_from_extremes(extremes):
+    """Stack per-year (365, n_locations) (daily max, daily min) pairs,
+    keyed by year, into a ``DailyHistory`` ordered by year."""
+    from wxverify.climatology import DailyHistory
+    from wxverify.errors import InsufficientHistory
+    years = sorted(extremes)
+    if not years:
+        raise InsufficientHistory("no history years supplied")
+    return DailyHistory(tuple(years),
+                        np.stack([extremes[year][0] for year in years]),
+                        np.stack([extremes[year][1] for year in years]))
+
+
 def history_from_fields(fields_by_year):
     """A ``DailyHistory`` of per-gridpoint daily extremes from 6-hourly
     fields, keyed by year, by :func:`daily_extremes_loop`; days with
     fewer than four samples come out absent."""
-    from wxverify.climatology import history_from_extremes
     grid = next(iter(fields_by_year.values()))[0].grid
     if any(fields[0].grid != grid for fields in fields_by_year.values()):
         raise ValueError("history fields must share one grid")

@@ -19,10 +19,8 @@ from conftest import T0, make_field, make_grid, random_field, truth_fields
 from wxverify import fileio
 from wxverify.cli import main as cli_main
 from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
-                                  DailyMeanClimatology,
-                                  build_daily_mean_climatology,
-                                  build_thresholds, daily_means_from_fields,
-                                  window_indices)
+                                  DailyMeanClimatology, build_thresholds,
+                                  daily_means_from_fields, window_indices)
 from wxverify.cyclones import (TrackSource, homogeneous_sample,
                                intensity_errors, track_storm)
 from wxverify.extremes import (EventKind, EventSegment, label_events,
@@ -385,10 +383,10 @@ def test_c10_end_to_end_determinism_and_closure(tmp_path, rng):
            for f in truth_fields(scenario, VariableId.T2M)}
     clim = DailyMeanClimatology(
         scenario.grid, VariableId.T2M,
-        build_daily_mean_climatology(
+        oracles.build_daily_mean_climatology(
             [daily_means_from_fields(FieldBlock(
                 scenario.grid, VariableId.T2M, tuple(t2m), (0,) * len(t2m),
-                np.stack([f.values for f in t2m.values()])))]),
+                np.stack([f.values for f in t2m.values()])))[1]]),
         (2025,))
     card = json.loads(blob1.decode())
     weights = latitude_weights(scenario.grid)

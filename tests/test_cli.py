@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tracemalloc
 import zlib
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -13,12 +15,14 @@ import pytest
 
 import oracles
 import wxverify
-from wxverify import fileio
+from conftest import assert_read_once_in_whole_days
+from wxverify import fileio, pipelines
 from wxverify.cli import main
-from wxverify.climatology import (SYNOPTIC_HOURS, calendar_day_index,
+from wxverify.climatology import (SYNOPTIC_HOURS, DailyMeanClimatology,
+                                  build_thresholds, calendar_day_index,
                                   day_span)
 from wxverify.extremes import EventKind
-from wxverify.grid import VariableId, latitude_weights
+from wxverify.grid import FieldBlock, VariableId, latitude_weights
 from wxverify.pipelines import _mean, _region_mask
 from wxverify.report import validate_scorecard
 from wxverify.spectra import midlatitude_spectrum
@@ -505,20 +509,155 @@ class TestStackReads:
                    for v in manifest.variables)
 
     @pytest.mark.parametrize("command", ["build-climatology", "extremes"])
-    def test_each_history_year_is_one_read(self, extremes_run, command,
-                                           tmp_path, store_reads):
-        doc = json.loads((extremes_run / "manifest.json").read_text())
-        del doc["climatology"]["thresholds_path"]  # extremes builds them
-        manifest = extremes_run / "manifest_no_thresholds.json"
-        manifest.write_text(json.dumps(doc))
+    def test_each_history_year_is_read_once_in_whole_days(
+            self, extremes_run, command, tmp_path, store_reads):
+        manifest = without_thresholds(extremes_run)  # extremes builds them
         argv = [command, "--manifest", manifest]
         if command == "extremes":
             argv += ["--out", tmp_path / "out", "--lead-days", "1"]
         assert run_cli(*argv) == 0
         history = {extremes_run / f"truth/t2m/{year}.rbs": n_times
                    for year, n_times in ((2023, 1460), (2024, 1464))}
-        assert [read for read in store_reads if read[0] in history] == \
-            [(path, 0, n_times) for path, n_times in history.items()]
+        # as many whole days as CHUNK_BYTES holds on the 15 x 16 grid
+        max_layers = 4 * (fileio.CHUNK_BYTES // (8 * 4 * 15 * 16))
+        assert max_layers < 1460
+        reads = [read for read in store_reads if read[0] in history]
+        assert [path for path, _, _ in reads] == sorted(
+            (path for path, _, _ in reads), key=list(history).index)
+        for path, n_times in history.items():
+            assert_read_once_in_whole_days(
+                [read for read in reads if read[0] == path], n_times,
+                max_layers)
+
+
+def without_thresholds(run):
+    """A copy of the run's manifest without a thresholds path, so that
+    ``extremes`` builds its thresholds from history."""
+    doc = json.loads((run / "manifest.json").read_text())
+    del doc["climatology"]["thresholds_path"]
+    path = run / "manifest_no_thresholds.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def whole_year_stores(run, out):
+    """The T2M climatology and thresholds of the run, from whole history
+    years by the field-by-field reductions of ``oracles``, written to
+    ``out/t2m.rbc`` and ``out/thresholds.rbt``."""
+    manifest = fileio.load_manifest(run / "manifest.json")
+    per_year, extremes = [], {}
+    for year in manifest.history_years:
+        stack = fileio.read_stack(manifest.history_path(
+            VariableId.T2M, datetime(year, 1, 1, tzinfo=timezone.utc)))
+        fields = [stack.field(i) for i in range(len(stack.valid_times))]
+        per_year.append(oracles.daily_means_loop(fields))
+        extremes[year] = oracles.daily_extremes_loop(fields)
+    fileio.write_daily_climatology(DailyMeanClimatology(
+        stack.grid, VariableId.T2M,
+        oracles.build_daily_mean_climatology(per_year),
+        manifest.history_years), out / "t2m.rbc")
+    fileio.write_thresholds(
+        build_thresholds(oracles.history_from_extremes(extremes)),
+        stack.grid, out / "thresholds.rbt")
+
+
+@pytest.fixture(scope="module")
+def history_run(tmp_path_factory):
+    """Three years of T2M on a 40 x 60 grid: two history years."""
+    root = tmp_path_factory.mktemp("histrun")
+    scenario = root / "scenario.json"
+    scenario.write_text(json.dumps({
+        "seed": 5,
+        "grid": {"lat_start": 58.5, "lat_step": -3.0, "n_lat": 40,
+                 "lon_start": 0.0, "lon_step": 6.0, "n_lon": 60},
+        "years": [2023, 2024, 2025],
+        "processes": {"t2m": {"base": 285.0, "seasonal_amp": 8.0,
+                              "ar1": 0.8, "noise_sigma": 1.5}}}))
+    assert run_cli("synth", "--scenario", scenario, "--out", root / "run",
+                   "--inits", "2025-07-01T00:00:00Z", "--max-lead-hours",
+                   "6", "--models", "perfect") == 0
+    return root / "run"
+
+
+class TestStreamedHistory:
+    """``build-climatology``, and ``extremes`` without stored thresholds,
+    stream each history year a block of whole days at a time."""
+
+    @pytest.mark.parametrize("budget", [1, None, 2**30],
+                             ids=["a-day-a-block", "default", "a-year"])
+    def test_block_size_changes_no_byte(self, extremes_run, tmp_path,
+                                        monkeypatch, budget):
+        # a leap and a common history year; with one day a block, Feb 29
+        # is a block with no calendar rows
+        want = tmp_path / "want"
+        whole_year_stores(extremes_run, want)
+        doc = json.loads((extremes_run / "manifest.json").read_text())
+        doc["climatology"].update(
+            daily_mean_pattern=str(tmp_path / "got/{variable}.rbc"),
+            thresholds_path=str(tmp_path / "got/thresholds.rbt"))
+        manifest = extremes_run / f"manifest_budget_{budget}.json"
+        manifest.write_text(json.dumps(doc))
+        if budget is not None:
+            monkeypatch.setattr(fileio, "CHUNK_BYTES", budget)
+        assert run_cli("build-climatology", "--manifest", manifest) == 0
+        for name in ("t2m.rbc", "thresholds.rbt"):
+            for suffix in ("", ".json"):
+                assert (tmp_path / "got" / (name + suffix)).read_bytes() == \
+                    (want / (name + suffix)).read_bytes(), name + suffix
+
+    @pytest.mark.parametrize("command", ["build-climatology", "extremes"])
+    @pytest.mark.parametrize("fault", ["crc-of-feb-29", "nan-in-dec-31",
+                                       "four-layers-short"])
+    def test_every_layer_of_the_year_is_checked(self, extremes_run, tmp_path,
+                                                command, fault, capsys):
+        run = tmp_path / "run"
+        for part in ("truth", "models"):
+            shutil.copytree(extremes_run / part, run / part)
+        (run / "manifest.json").write_bytes(
+            (extremes_run / "manifest.json").read_bytes())
+        manifest = without_thresholds(run)
+        layer_bytes = 4 * 15 * 16
+        if fault == "crc-of-feb-29":
+            store = run / "truth/t2m/2024.rbs"
+            payload = bytearray(store.read_bytes())
+            payload[4 * 59 * layer_bytes + 5] ^= 0x01  # Feb 29, 00Z
+            store.write_bytes(bytes(payload))
+        elif fault == "nan-in-dec-31":  # in the year's last layer
+            store = run / "truth/t2m/2023.rbs"
+            payload = bytearray(store.read_bytes())
+            payload[-layer_bytes:-layer_bytes + 4] = \
+                np.float32(np.nan).tobytes()
+            store.write_bytes(bytes(payload))
+            sidecar = store.with_name(store.name + ".json")
+            header = json.loads(sidecar.read_text())
+            header["checksums"][-1] = zlib.crc32(payload[-layer_bytes:])
+            sidecar.write_bytes(fileio._canonical_json(header))
+        else:
+            store = run / "truth/t2m/2023.rbs"
+            block = fileio.read_stack(store)
+            fileio.write_stack([FieldBlock(
+                block.grid, block.variable, block.valid_times[:-4],
+                block.lead_hours[:-4], block.values[:-4])], store)
+        argv = [command, "--manifest", manifest]
+        if command == "extremes":
+            argv += ["--out", tmp_path / "out", "--lead-days", "1"]
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert str(store) in capsys.readouterr().err
+
+    def test_memory_is_the_accumulator_and_a_block(self, history_run):
+        # the 365-day float64 total is a quarter of one year's float64
+        # block (1,460 layers); reading a year whole, with a year of daily
+        # means per history year, peaked at twice that year's bytes
+        manifest = without_thresholds(history_run)
+        accumulator_bytes = 365 * 40 * 60 * 8
+        tracemalloc.start()
+        try:
+            pipelines.build_climatology(manifest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < accumulator_bytes + 3 * fileio.CHUNK_BYTES
 
 
 def field_by_field(manifest_path, leads, spectra_leads):
@@ -1170,6 +1309,35 @@ class TestSynthModels:
         assert rc == 2
         assert repr(token) in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+
+class TestSynthOptions:
+    @pytest.mark.parametrize("option, value", [
+        ("--max-lead-hours", "-6"), ("--max-lead-hours", "10"),
+        ("--stations", "-1"), ("--stations", str(15 * 16 + 1))])
+    def test_bad_value_is_exit_2_before_anything_is_written(
+            self, option, value, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(EVALUATE_SCENARIO))
+        out = tmp_path / "run"
+        argv = {"--inits": "2025-07-01T00:00:00Z", "--max-lead-hours": "12",
+                "--models": "perfect", option: value}
+        rc = run_cli("synth", "--scenario", scenario, "--out", out,
+                     *(item for pair in argv.items() for item in pair))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert option in err and value in err
+        assert not out.exists()
+
+    def test_every_grid_point_may_be_a_station(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(EVALUATE_SCENARIO))
+        assert run_cli("synth", "--scenario", scenario, "--out",
+                       tmp_path / "run", "--inits", "2025-07-01T00:00:00Z",
+                       "--max-lead-hours", "0", "--models", "perfect",
+                       "--stations", str(15 * 16)) == 0
+        meta = (tmp_path / "run/stations_meta.csv").read_text().splitlines()
+        assert len(meta) == 1 + 15 * 16
 
 
 def modules_after(code: str) -> set[str]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from datetime import datetime, timedelta, timezone
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,13 +12,13 @@ from hypothesis import strategies as st
 import oracles
 from conftest import make_field, make_grid
 from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory, day_span,
-                                  build_daily_mean_climatology,
                                   build_thresholds, calendar_day_index,
                                   daily_extremes_from_fields,
                                   daily_means_from_fields, window_indices,
                                   year_times)
-from wxverify.errors import InsufficientHistory
+from wxverify.errors import InsufficientHistory, ManifestError
 from wxverify.grid import FieldBlock, VariableId
+from wxverify.pipelines import _reduce_history
 
 
 def six_hourly_year(year, fn):
@@ -114,17 +115,49 @@ class TestDailyExtremes:
         assert np.isnan(history.daily_max[0]).any()
 
 
+def year_block(grid, year, values):
+    """A block of every 6-hourly layer of ``year``."""
+    times = year_times(year)
+    return FieldBlock(grid, VariableId.T2M, tuple(times), (0,) * len(times),
+                      values)
+
+
+def day_blocks(block, edges):
+    """``block`` cut at the day indices ``edges`` (first and last
+    included) into consecutive blocks of whole days."""
+    return [FieldBlock(block.grid, block.variable,
+                       block.valid_times[4 * a:4 * b],
+                       block.lead_hours[4 * a:4 * b],
+                       block.values[4 * a:4 * b])
+            for a, b in zip(edges, edges[1:])]
+
+
+class StubHistory:
+    """A source whose history years are given lists of blocks, as
+    ``FieldSource.history`` would yield them."""
+
+    def __init__(self, blocks_by_year):
+        self.manifest = SimpleNamespace(history_years=tuple(blocks_by_year))
+        self.blocks_by_year = blocks_by_year
+
+    def history(self, variable, year):
+        yield from self.blocks_by_year[year]
+
+
 class TestYearBlocks:
-    """Daily means and extremes reduce a whole year in one pass per
-    synoptic hour; they must equal the field-by-field loops bit for bit."""
+    """Daily means and extremes reduce a block of whole days in one pass
+    per synoptic hour; cut anywhere at whole days, they must equal the
+    field-by-field loops over the year bit for bit."""
 
     @given(year=st.sampled_from([2023, 2024, 2000, 2100]),
            n_lat=st.integers(1, 3), n_lon=st.integers(1, 4),
            seed=st.integers(0, 2**32 - 1), lattice=st.booleans(),
-           zeros=st.sampled_from([0.0, 0.05]))
+           zeros=st.sampled_from([0.0, 0.05]),
+           cuts=st.sets(st.integers(1, 365), max_size=5))
     @settings(max_examples=25, deadline=None)
     def test_block_reductions_equal_the_field_loops(self, year, n_lat, n_lon,
-                                                    seed, lattice, zeros):
+                                                    seed, lattice, zeros,
+                                                    cuts):
         # sums that round, or values on a 0.25 lattice so that days hold
         # ties; with signed zeros at times, so max and min must pick the
         # same zero
@@ -137,30 +170,82 @@ class TestYearBlocks:
         signed = rng.random(values.shape) < zeros
         values[signed] = np.where(rng.random(values.shape) < 0.5, 0.0,
                                   -0.0)[signed]
-        # a whole year of layers, as FieldSource.history returns it
-        block = FieldBlock(grid, VariableId.T2M, tuple(times),
-                           (0,) * len(times), values)
+        # the year whole (no cuts), or in blocks of whole days as
+        # FieldSource.history yields it
+        block = year_block(grid, year, values)
+        n_days = len(times) // 4
+        edges = [0, *sorted(c for c in cuts if c < n_days), n_days]
+        means = np.full((DAYS_PER_YEAR, n_lat, n_lon), np.nan)
+        dmax = np.full((DAYS_PER_YEAR, n_lat * n_lon), np.nan)
+        dmin = dmax.copy()
+        row = 0
+        for part in day_blocks(block, edges):
+            rows, part_means = daily_means_from_fields(part)
+            assert rows.start == row  # rows follow on, Feb 29 left out
+            row = rows.stop
+            means[rows] = part_means
+            extreme_rows, dmax[rows], dmin[rows] = \
+                daily_extremes_from_fields(part)
+            assert extreme_rows == rows
+        assert row == DAYS_PER_YEAR
         fields = [block.field(i) for i in range(len(times))]
-        assert daily_means_from_fields(block).tobytes() == \
-            oracles.daily_means_loop(fields).tobytes()
-        got = daily_extremes_from_fields(block)
+        assert means.tobytes() == oracles.daily_means_loop(fields).tobytes()
         want = oracles.daily_extremes_loop(fields)
-        assert [a.shape for a in got] == [(DAYS_PER_YEAR, n_lat * n_lon)] * 2
-        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert [dmax.tobytes(), dmin.tobytes()] == [a.tobytes() for a in want]
 
-    @pytest.mark.parametrize("cut", ["short", "shifted"])
-    def test_block_must_hold_the_whole_year(self, cut):
+    def test_a_block_of_feb_29_alone_has_no_rows(self):
+        grid = make_grid(1, 2)
+        block = year_block(grid, 2024, np.ones((1464, 1, 2)))
+        mar_1 = calendar_day_index(datetime(2024, 3, 1))  # day 60 of 2024
+        (leap_day,) = day_blocks(block, [mar_1, mar_1 + 1])
+        assert leap_day.valid_times[0] == datetime(2024, 2, 29,
+                                                   tzinfo=timezone.utc)
+        rows, means = daily_means_from_fields(leap_day)
+        assert rows == slice(mar_1, mar_1) and means.shape == (0, 1, 2)
+        rows, dmax, dmin = daily_extremes_from_fields(leap_day)
+        assert rows == slice(mar_1, mar_1)
+        assert dmax.shape == dmin.shape == (0, 2)
+
+    @pytest.mark.parametrize("cut", ["six-hours", "shifted", "next-year",
+                                     "gap"])
+    def test_block_must_hold_whole_days_of_one_year(self, cut):
         grid = make_grid(1, 2)
         times = year_times(2025)
-        if cut == "short":
-            times = times[:-4]
+        if cut == "six-hours":
+            times = times[:6]
+        elif cut == "shifted":
+            times = times[1:9]
+        elif cut == "next-year":
+            times = times[-4:] + year_times(2026)[:4]
         else:
-            times = [when + timedelta(hours=6) for when in times]
+            times = times[:4] + times[8:12]
         block = FieldBlock(grid, VariableId.T2M, tuple(times),
                            (0,) * len(times), np.zeros((len(times), 1, 2)))
         for reduce in (daily_means_from_fields, daily_extremes_from_fields):
             with pytest.raises(InsufficientHistory, match="history of 2025"):
                 reduce(block)
+
+    @pytest.mark.parametrize("cut", ["short", "shifted", "gap", "overlap"])
+    def test_block_must_hold_the_whole_year(self, cut):
+        # the streamed reduction checks where it reads the year that its
+        # blocks cover the year once, in order
+        grid = make_grid(1, 2)
+        times = year_times(2025)
+        if cut == "short":
+            times = times[:-4]
+        elif cut == "shifted":
+            times = [when + timedelta(hours=6) for when in times]
+        block = FieldBlock(grid, VariableId.T2M, tuple(times),
+                           (0,) * len(times), np.zeros((len(times), 1, 2)))
+        blocks = [block]
+        if cut == "gap":  # Feb 10 is left out
+            blocks = day_blocks(block, [0, 40]) + day_blocks(block, [41, 365])
+        elif cut == "overlap":  # Feb 9 is read twice
+            blocks = day_blocks(block, [0, 40]) + day_blocks(block, [39, 365])
+        for means, extremes in ((True, False), (False, True), (True, True)):
+            with pytest.raises(InsufficientHistory, match="history of 2025"):
+                _reduce_history(StubHistory({2025: blocks}), VariableId.T2M,
+                                means, extremes)
 
 
 def dense_history(rng, n_years=12, n_loc=3, loc_mean=288.0):
@@ -321,18 +406,23 @@ class TestBuildThresholds:
 
 
 class TestDailyMeanClimatology:
+    """The whole-year reference of the mean across years
+    (``oracles.build_daily_mean_climatology``), and the streamed reduction
+    of ``build-climatology`` against it."""
+
     def test_single_year_is_identity(self, rng):
         year = rng.standard_normal((DAYS_PER_YEAR, 2, 3))
-        np.testing.assert_array_equal(build_daily_mean_climatology([year]), year)
+        np.testing.assert_array_equal(
+            oracles.build_daily_mean_climatology([year]), year)
 
     def test_two_year_midpoint(self, rng):
         year = rng.standard_normal((DAYS_PER_YEAR, 2, 3))
-        out = build_daily_mean_climatology([year, year + 2.0])
+        out = oracles.build_daily_mean_climatology([year, year + 2.0])
         np.testing.assert_allclose(out, year + 1.0, rtol=0, atol=1e-12)
 
     def test_three_year_elementwise_oracle(self, rng):
         stack = [rng.standard_normal((DAYS_PER_YEAR, 2, 2)) for _ in range(3)]
-        out = build_daily_mean_climatology(stack)
+        out = oracles.build_daily_mean_climatology(stack)
         for d in (0, 180, 364):
             for i in range(2):
                 for j in range(2):
@@ -342,20 +432,20 @@ class TestDailyMeanClimatology:
 
     def test_empty_history_raises(self):
         with pytest.raises(InsufficientHistory):
-            build_daily_mean_climatology([])
+            oracles.build_daily_mean_climatology([])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_history_raises(self, rng, bad):
         years = [rng.standard_normal((DAYS_PER_YEAR, 2, 3)) for _ in range(3)]
         years[2][100, 1, 2] = bad
         with pytest.raises(ValueError, match="must be finite"):
-            build_daily_mean_climatology(years)
+            oracles.build_daily_mean_climatology(years)
 
     def test_years_of_another_shape_raise(self, rng):
         years = [rng.standard_normal((DAYS_PER_YEAR, 2, 3)),
                  rng.standard_normal((DAYS_PER_YEAR, 1, 3))]
         with pytest.raises(ValueError, match="share one shape"):
-            build_daily_mean_climatology(years)
+            oracles.build_daily_mean_climatology(years)
 
     @given(n_years=st.integers(1, 8), shape=st.tuples(st.integers(1, 7),
                                                       st.integers(1, 11)),
@@ -375,8 +465,59 @@ class TestDailyMeanClimatology:
             year[rng.random(year.shape) < zeros] = -0.0
             years.append(year)
         want = oracles.daily_mean_climatology_stack(years)
-        got = build_daily_mean_climatology(years)
+        got = oracles.build_daily_mean_climatology(years)
         assert got.tobytes() == want.tobytes()
+
+
+    @given(n_years=st.integers(1, 4), shape=st.tuples(st.integers(1, 3),
+                                                      st.integers(1, 4)),
+           seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           zeros=st.sampled_from([0.0, 0.1]),
+           days_per_block=st.sampled_from([1, 2, 7, 85, 366]))
+    @settings(max_examples=30, deadline=None)
+    def test_streamed_reduction_equals_the_whole_year_reference(
+            self, n_years, shape, seed, scale, zeros, days_per_block):
+        # leap and common years, each in blocks of whole days: the mean and
+        # the daily extremes equal those of whole years, bit for bit
+        rng = np.random.default_rng(seed)
+        grid = make_grid(*shape)
+        years = range(2023, 2023 + n_years)
+        whole, blocks = [], {}
+        for year in years:
+            n_times = len(year_times(year))
+            values = scale * rng.standard_normal((n_times, *shape))
+            values[rng.random(values.shape) < zeros] = 0.0
+            values[rng.random(values.shape) < zeros] = -0.0
+            whole.append(year_block(grid, year, values))
+            n_days = n_times // 4
+            blocks[year] = day_blocks(
+                whole[-1], [*range(0, n_days, days_per_block), n_days])
+        got_grid, mean, history = _reduce_history(
+            StubHistory(blocks), VariableId.T2M, means=True, extremes=True)
+        assert got_grid == grid
+        want = oracles.build_daily_mean_climatology(
+            [daily_means_from_fields(block)[1] for block in whole])
+        assert mean.tobytes() == want.tobytes()
+        extremes = oracles.history_from_extremes(
+            {block.valid_times[0].year: daily_extremes_from_fields(block)[1:]
+             for block in whole})
+        assert history.years == tuple(years)
+        assert history.daily_max.tobytes() == extremes.daily_max.tobytes()
+        assert history.daily_min.tobytes() == extremes.daily_min.tobytes()
+
+    def test_streamed_reduction_needs_a_year(self):
+        with pytest.raises(InsufficientHistory, match="no history years"):
+            _reduce_history(StubHistory({}), VariableId.T2M, True, False)
+
+    def test_blocks_on_another_grid_raise(self):
+        first = year_block(make_grid(1, 2), 2023, np.zeros((1460, 1, 2)))
+        other = year_block(make_grid(1, 3), 2023, np.zeros((1460, 1, 3)))
+        blocks = day_blocks(first, [0, 100])
+        blocks += day_blocks(other, [100, 365])
+        with pytest.raises(ManifestError, match="another grid"):
+            _reduce_history(StubHistory({2023: blocks}), VariableId.T2M,
+                            True, False)
 
 
 class TestDaySpan:

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import T0, make_field, make_grid
+from conftest import T0, assert_read_once_in_whole_days, make_field, make_grid
 from wxverify import fileio, metrics
 from wxverify.climatology import (DAYS_PER_YEAR, DailyMeanClimatology,
                                   ThresholdField)
@@ -1040,6 +1040,26 @@ class TestStacks:
             fileio.write_stack(iter(chunks), tmp_path / "s.rbs")
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_stream_of_chunks_holds_one_chunk_at_a_time(self, tmp_path):
+        # each float64 chunk and its float32 copy are released before the
+        # next chunk is made: 1.5 chunks at the peak, not 2.5
+        grid, k, n_chunks = make_grid(40, 60), 32, 8
+
+        def chunks():
+            for c in range(n_chunks):
+                times = times_from(T0 + c * k * fileio.STACK_STEP, k)
+                yield FieldBlock(grid, VariableId.T2M, tuple(times), (0,) * k,
+                                 np.full((k, *grid.shape), 280.0 + c))
+        chunk_bytes = k * grid.n_lat * grid.n_lon * 8
+        tracemalloc.start()
+        try:
+            path = fileio.write_stack(chunks(), tmp_path / "s.rbs")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * chunk_bytes
+        assert path.stat().st_size == n_chunks * chunk_bytes // 2
+
     def test_history_year_formats_one_path(self, rng, tmp_path, monkeypatch):
         manifest = stack_manifest(tmp_path)
         times = fileio.year_times(T0.year)
@@ -1056,26 +1076,36 @@ class TestStacks:
         monkeypatch.setattr(fileio.RunManifest, "_fmt",
                             lambda self, key, pattern, keys: formatted.append(
                                 key) or real_fmt(self, key, pattern, keys))
+        monkeypatch.setattr(fileio, "CHUNK_BYTES", 1)  # a block a day
         source = fileio.FieldSource(manifest)
-        source.history(VariableId.T2M, T0.year)
+        assert len(list(source.history(VariableId.T2M, T0.year))) == 365
         assert formatted == ["climatology.history_pattern"]
         formatted.clear()
         source.model_block("m", T0, VariableId.T2M, [0, 6, 12])
         assert formatted == ["models.m"]
 
-    def test_history_year_is_one_read(self, rng, tmp_path, store_reads):
+    @pytest.mark.parametrize("year", [2024, 2025])
+    @pytest.mark.parametrize("days", [1, 10, 366])  # days a block may hold
+    def test_history_year_is_read_once_in_whole_days(
+            self, rng, tmp_path, store_reads, monkeypatch, year, days):
         manifest = stack_manifest(tmp_path)
         grid = make_grid(2, 3)
-        times = fileio.year_times(T0.year)
+        times = fileio.year_times(year)
         path = fileio.write_stack((f32_field(rng, grid, valid_time=when)
                                    for when in times),
-                                  manifest.history_path(VariableId.T2M, T0))
-        block = fileio.FieldSource(manifest).history(VariableId.T2M,
-                                                     T0.year)
-        assert isinstance(block, FieldBlock)
-        assert store_reads == [(path, 0, len(times))]
-        assert block.valid_times == tuple(times)
-        assert block.values[-1].tobytes() == \
+                                  manifest.history_path(VariableId.T2M,
+                                                        times[0]))
+        # a budget of ``days`` days of float64 layers, and a few bytes more
+        monkeypatch.setattr(fileio, "CHUNK_BYTES", days * 4 * 8 * 6 + 7)
+        blocks = list(fileio.FieldSource(manifest).history(VariableId.T2M,
+                                                           year))
+        assert all(isinstance(block, FieldBlock) for block in blocks)
+        assert {read[0] for read in store_reads} == {path}
+        assert_read_once_in_whole_days(store_reads, len(times), 4 * days)
+        assert [block.valid_times for block in blocks] == \
+            [tuple(times[start:start + count])
+             for _, start, count in store_reads]
+        assert blocks[-1].values[-1].tobytes() == \
             fileio.FieldSource(manifest).truth(VariableId.T2M,
                                                times[-1]).values.tobytes()
 
@@ -1086,7 +1116,8 @@ class TestStacks:
                            manifest.history_path(VariableId.T2M, T0))
         with pytest.raises(ManifestError, match="holds no layer valid at "
                                                 "2025-01-01T00:00:00Z"):
-            fileio.FieldSource(manifest).history(VariableId.T2M, T0.year)
+            list(fileio.FieldSource(manifest).history(VariableId.T2M,
+                                                      T0.year))
 
     def test_sidecar_parsed_once_per_source(self, rng, tmp_path, monkeypatch):
         manifest = stack_manifest(tmp_path)

@@ -148,7 +148,7 @@ class TestChunkedGenerator:
                                      amplitude_k=5.0),) if inject else ())
         budget = per_chunk * 8 * n_lat * n_lon
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(harness, "CHUNK_BYTES", budget)
+            patch.setattr(fileio, "CHUNK_BYTES", budget)
             blocks = list(harness.generate_variable_series(sc, variable))
         fields = list(oracles.generate_fields(sc, variable))
         for b in blocks:
@@ -211,7 +211,7 @@ class TestWriteRun:
                        truth_span=truth_span, stations=6)
         with monkeypatch.context() as patch:
             # chunks of 7 layers: neither a year nor the 9 leads divide
-            patch.setattr(harness, "CHUNK_BYTES", 7 * 8 * 5 * 8)
+            patch.setattr(fileio, "CHUNK_BYTES", 7 * 8 * 5 * 8)
             harness.write_run(scenario, tmp_path / "chunked", **options)
         with monkeypatch.context() as patch:
             patch.setattr(harness, "generate_variable_series",
