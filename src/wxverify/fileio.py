@@ -37,7 +37,9 @@ import hashlib
 import json
 import math
 import os
+import re
 import string
+import warnings
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -59,7 +61,7 @@ from .grid import FieldBlock, GeoGrid, GridField, VariableId, derive_wind_speed
 if TYPE_CHECKING:
     from .cyclones import StormTrack
     from .extremes import EventSegment
-    from .stations import StationTable
+    from .stations import Station, StationTable
 
 GRID_MAGIC = "RBGRID1"
 STACK_MAGIC = "RBSTACK1"
@@ -742,86 +744,53 @@ def write_segments_csv(segments: Sequence[EventSegment],
 
 _STATION_META_COLUMNS = ["id", "lat", "lon", "elev_m"]
 _STATION_OBS_COLUMNS = ["station_id", "iso_time", "variable", "value_si"]
+#: Starting width in bytes of each text column of the station CSVs; a
+#: column with a field that fills its width is read again at twice it,
+#: up to :data:`_MAX_TEXT_WIDTH`.
+_TEXT_WIDTHS = {"id": 16, "station_id": 16, "iso_time": 32, "variable": 8}
+#: Width of a float column read as text, to parse it field by field.
+_FLOAT_TEXT_WIDTH = 32
+#: Every row takes its column's width, so one long field would cost that
+#: much memory in every row: a text field may hold one byte less than
+#: this (so may a float field, when its column is read as text).
+_MAX_TEXT_WIDTH = 128
+# How np.loadtxt reports a row (counted from 1 without blank lines) whose
+# field count is not the dtype's (numpy >= 1.23).
+_FIELD_COUNT = re.compile(r"requires \d+ columns but (\d+) were found "
+                          r"at row (\d+)")
+_TIME_SLICE = 2**16
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def read_station_csvs(meta_path: str | os.PathLike, obs_path: str | os.PathLike,
                       times: Sequence[datetime] | None = None) -> StationTable:
     """Station metadata + raw observation CSVs -> 6-hourly station table.
 
-    Raw records are window-averaged onto the target times (derived from
-    the observation span when not given). Observations for unlisted
-    stations raise :class:`UnknownStation`; duplicated (station, time,
-    variable) rows raise :class:`DuplicateObservation`.
+    Both files are read by numpy's C parser into columns, which are
+    checked and mapped as whole arrays. Raw records are window-averaged
+    onto the target times (derived from the observation span when not
+    given). The first faulty data row of a file raises its typed error,
+    naming the path and line: a field count other than the header's, a
+    bad time, variable or value (:class:`InvalidHeader`), a non-finite
+    value (:class:`NonFiniteValue`), an unlisted station
+    (:class:`UnknownStation`), or a repeated (station, time, variable)
+    (:class:`DuplicateObservation`).
     """
-    from .stations import (Station, WindowOverflow, epoch_microseconds,
-                           six_hour_times, table_from_columns)
+    from .stations import (WindowOverflow, six_hour_times,
+                           table_from_columns)
     meta_path, obs_path = Path(meta_path), Path(obs_path)
-    stations: list[Station] = []
-    for lineno, row in _csv_rows(meta_path, _STATION_META_COLUMNS):
-        try:
-            stations.append(Station(station_id=row[0].strip(),
-                                    lat=float(row[1]),
-                                    lon=float(row[2]) % 360.0,
-                                    elevation_m=float(row[3])))
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise InvalidHeader(f"{meta_path}:{lineno}: bad row: {exc}") from exc
-    index = {s.station_id: si for si, s in enumerate(stations)}
-    if len(index) != len(stations):
-        raise InvalidHeader(f"{meta_path}: duplicate station ids")
-
-    # Each distinct timestamp and variable string is parsed once per read.
-    parsed_times: dict[str, tuple[datetime, int]] = {}
-    # variable -> (its key, station indexes, times in µs, values); every
-    # spelling of a variable in the file maps to its one entry
-    columns: dict[VariableId, tuple[str, list, list, list]] = {}
-    spellings: dict[str, tuple[str, list, list, list]] = {}
-    seen: set[tuple[int, int, str]] = set()
-    for lineno, row in _csv_rows(obs_path, _STATION_OBS_COLUMNS):
-        try:
-            sid = row[0].strip()
-            parsed = parsed_times.get(row[1])
-            if parsed is None:
-                when = parse_time(row[1])
-                parsed = parsed_times[row[1]] = (when, epoch_microseconds(when))
-            column = spellings.get(row[2])
-            if column is None:
-                variable = VariableId.from_key(row[2].strip())
-                column = spellings[row[2]] = columns.setdefault(
-                    variable, (variable.key, [], [], []))
-            value = float(row[3])
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise InvalidHeader(f"{obs_path}:{lineno}: bad row: {exc}") from exc
-        if not math.isfinite(value):
-            raise NonFiniteValue(f"{obs_path}:{lineno}: non-finite value "
-                                 f"{row[3].strip()!r}")
-        si = index.get(sid)
-        if si is None:
-            raise UnknownStation(f"{obs_path}:{lineno}: station {sid!r} "
-                                 f"not in {meta_path.name}")
-        var_key, sites, times_us, values = column
-        key = (si, parsed[1], var_key)
-        if key in seen:
-            raise DuplicateObservation(
-                f"{obs_path}:{lineno}: duplicate observation "
-                f"({sid}, {format_time(parsed[0])}, {var_key})")
-        seen.add(key)
-        sites.append(si)
-        times_us.append(parsed[1])
-        values.append(value)
-
+    stations = _read_station_meta(meta_path)
+    columns, span = _read_station_obs(obs_path, meta_path.name, stations)
     if times is None:
-        if not parsed_times:
-            times = []
-        else:
-            stamps = [when for when, _ in parsed_times.values()]
-            times = six_hour_times(min(stamps) - timedelta(minutes=15),
-                                   max(stamps) + timedelta(minutes=15))
+        times = []
+        if span is not None:
+            first, last = (_EPOCH + timedelta(microseconds=us) for us in span)
+            half = timedelta(minutes=15)
+            times = six_hour_times(first - half, last + half)
     times = list(times)
     try:
-        return table_from_columns(
-            stations,
-            {variable: column[1:] for variable, column in columns.items()},
-            times)
+        return table_from_columns(stations, columns, times)
     except WindowOverflow as exc:
         raise NonFiniteValue(
             f"{obs_path}: the mean of the records of station "
@@ -830,28 +799,338 @@ def read_station_csvs(meta_path: str | os.PathLike, obs_path: str | os.PathLike,
             f"range") from exc
 
 
-def _csv_rows(path: Path, columns: list[str]):
-    """(line number, row) of every data row of a CSV whose header, with
-    spaces stripped, is ``columns``. Rows are read by position and padded
-    with None to the header's width; data rows count from line 2, and
-    blank rows are skipped and not counted."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header] != columns:
+def _read_station_obs(path: Path, meta_name: str, stations: Sequence[Station]
+                      ) -> tuple[dict, tuple[int, int] | None]:
+    """The records of an observation CSV as variable -> (station index,
+    epoch microseconds, value), each in file order, and the first and
+    last time in epoch microseconds (None without records)."""
+    rows, cut = _csv_columns(path, _STATION_OBS_COLUMNS)
+    raw_ids, raw_times = rows["station_id"], rows["iso_time"]
+    station = _station_index(raw_ids, stations)
+    when_us, bad_time = _epoch_times(raw_times)
+    variables, var_code = _variable_codes(rows["variable"])
+    value, bad_value = _floats(rows["value_si"])
+    # the checks of one row, in the order its first failure is reported
+    checks = [bad_time, var_code < 0, bad_value,
+              ~(np.isfinite(value) | bad_value), station < 0,
+              _repeats(var_code, station, when_us)]
+    firsts = [int(np.argmax(check)) if check.any() else rows.size
+              for check in checks]
+    k = min(firsts)
+    if k < rows.size:
+        lineno = k + 2
+        kind = firsts.index(k)
+        if kind == 0:
+            parse_time(_text(raw_times[k]))  # raises its InvalidHeader
+        if kind in (1, 2):
+            try:
+                if kind == 1:
+                    VariableId.from_key(_text(rows["variable"][k]).strip())
+                float(_text(rows["value_si"][k]))
+            except ValueError as exc:
                 raise InvalidHeader(
-                    f"{path}: expected columns {','.join(columns)}")
-            lineno = 1
-            for row in reader:
-                if not row:
-                    continue
-                lineno += 1
-                if len(row) < len(columns):
-                    row += [None] * (len(columns) - len(row))
-                yield lineno, row
+                    f"{path}:{lineno}: bad row: {exc}") from exc
+        if kind == 3:
+            # the value as spelt: read the column again, as Python text
+            text = _loadtxt(path, _STATION_OBS_COLUMNS, np.dtype(object),
+                            k + 1, usecols=3)[k]
+            raise NonFiniteValue(f"{path}:{lineno}: non-finite value "
+                                 f"{_text(text.encode('latin-1')).strip()!r}")
+        sid = _text(raw_ids[k]).strip()
+        if kind == 4:
+            raise UnknownStation(f"{path}:{lineno}: station {sid!r} "
+                                 f"not in {meta_name}")
+        when = _EPOCH + timedelta(microseconds=int(when_us[k]))
+        raise DuplicateObservation(
+            f"{path}:{lineno}: duplicate observation "
+            f"({sid}, {format_time(when)}, {variables[var_code[k]].key})")
+    if cut is not None:
+        raise cut
+    columns = {}
+    for code, variable in enumerate(variables):
+        mine = var_code == code
+        columns[variable] = (station[mine], when_us[mine], value[mine])
+    if not rows.size:
+        return columns, None
+    return columns, (int(when_us.min()), int(when_us.max()))
+
+
+def _read_station_meta(path: Path) -> list[Station]:
+    """The stations of a metadata CSV, in file order; ids must be unique
+    once stripped of spaces."""
+    from .stations import Station
+    rows, cut = _csv_columns(path, _STATION_META_COLUMNS)
+    coords = [_floats(rows[name]) for name in _STATION_META_COLUMNS[1:]]
+    bad = np.zeros(rows.size, dtype=bool)
+    for _, failed in coords:
+        bad |= failed
+    if bad.any():
+        k = int(np.argmax(bad))
+        try:
+            for name in _STATION_META_COLUMNS[1:]:
+                float(_text(rows[name][k]))
+        except ValueError as exc:
+            raise InvalidHeader(f"{path}:{k + 2}: bad row: {exc}") from exc
+    if cut is not None:
+        raise cut
+    (lat, _), (lon, _), (elev, _) = coords
+    stations = [Station(_text(raw).strip(), la, lo % 360.0, el)
+                for raw, la, lo, el in zip(rows["id"].tolist(), lat.tolist(),
+                                           lon.tolist(), elev.tolist())]
+    if len({s.station_id for s in stations}) != len(stations):
+        raise InvalidHeader(f"{path}: duplicate station ids")
+    return stations
+
+
+def _csv_columns(path: Path, columns: list[str]
+                 ) -> tuple[np.ndarray, InvalidHeader | None]:
+    """The data rows of a CSV whose header, with spaces stripped, is
+    ``columns``, read by ``np.loadtxt`` into one structured array.
+
+    Fields are split as :mod:`csv` splits them: a quoted field may hold
+    commas, doubled quotes and line breaks (each read as ``\n``); blank
+    lines are skipped and not counted; the header is the first line.
+    The columns of :data:`_TEXT_WIDTHS` hold each field's bytes. The
+    others are floats as numpy parses them, or, when numpy cannot parse
+    one of them, the fields' bytes again (see :func:`_floats`). A row
+    whose field count is not the header's, or with a field of
+    :data:`_MAX_TEXT_WIDTH` bytes or more, ends the array before it; it
+    comes back as the error to raise when no earlier row is at fault.
+    """
+    widths = {name: _TEXT_WIDTHS[name] for name in columns
+              if name in _TEXT_WIDTHS}
+    cut, max_rows = None, None
+    while True:
+        dtype = np.dtype([(name, f"S{widths[name]}" if name in widths
+                           else np.float64) for name in columns])
+        try:
+            rows = _loadtxt(path, columns, dtype, max_rows)
+        except ValueError as exc:
+            match = _FIELD_COUNT.search(str(exc))
+            if match is not None:
+                found, row = map(int, match.groups())
+                cut = InvalidHeader(f"{path}:{row + 1}: expected "
+                                    f"{len(columns)} fields, got {found}")
+                max_rows = row - 1
+            elif len(widths) < len(columns):
+                # a float numpy cannot parse: parse them all as float() does
+                widths.update((name, _FLOAT_TEXT_WIDTH) for name in columns
+                              if name not in widths)
+            else:
+                raise InvalidHeader(f"{path}: {exc}") from exc
+            continue
+        # a field as wide as its column may have been cut short
+        octets = rows.view(np.uint8).reshape(rows.size, dtype.itemsize)
+        full = {name: octets[:, dtype.fields[name][1] + width - 1] != 0
+                for name, width in widths.items()}
+        full = {name: mask for name, mask in full.items() if mask.any()}
+        grow = [name for name in full if widths[name] < _MAX_TEXT_WIDTH]
+        if grow:
+            for name in grow:
+                widths[name] = min(2 * widths[name], _MAX_TEXT_WIDTH)
+            continue
+        if full:
+            k = min(int(np.argmax(mask)) for mask in full.values())
+            cut = InvalidHeader(f"{path}:{k + 2}: a field is longer than "
+                                f"{_MAX_TEXT_WIDTH - 1} bytes")
+            rows = rows[:k]
+        return rows, cut
+
+
+def _loadtxt(path: Path, columns: list[str], dtype: np.dtype,
+             max_rows: int | None, usecols: int | None = None) -> np.ndarray:
+    """The data rows of a CSV whose header, with spaces stripped, is
+    ``columns`` (at most ``max_rows``; only column ``usecols`` if given)."""
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape",
+                  newline="") as fh:
+            try:
+                header = next(csv.reader([fh.readline()]), None)
+            except csv.Error:
+                header = None
+        if header is None or [c.strip() for c in header] != columns:
+            raise InvalidHeader(f"{path}: expected columns {','.join(columns)}")
+        if max_rows == 0:
+            return np.zeros(0, dtype=dtype)
+        with warnings.catch_warnings():
+            # no data rows, or blank lines not counted in max_rows
+            warnings.simplefilter("ignore", UserWarning)
+            # numpy reads a path in chunks (a file object line by line);
+            # latin-1 hands it each byte as one character, so a text
+            # field comes back as the file's (UTF-8) bytes
+            return np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, skiprows=1, ndmin=1,
+                              max_rows=max_rows, usecols=usecols,
+                              encoding="latin-1")
     except OSError as exc:
         raise InvalidHeader(f"cannot read {path}: {exc}") from exc
+
+
+def _text(raw: bytes) -> str:
+    """A field's bytes as the text a UTF-8 reader sees; bytes that are not
+    UTF-8 survive as lone surrogates."""
+    return raw.decode("utf-8", "surrogateescape")
+
+
+def _runs(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal neighbours of a 1-D array."""
+    starts = np.flatnonzero(np.concatenate(
+        ([True], column[1:] != column[:-1]))) if column.size \
+        else np.zeros(0, dtype=np.intp)
+    return starts, np.diff(starts, append=column.size)
+
+
+def _distinct(column: np.ndarray) -> tuple[list, np.ndarray]:
+    """The distinct values of a 1-D array, and the index of each element's
+    value among them; a run of equal neighbours is compared once."""
+    starts, lengths = _runs(column)
+    values, inverse = np.unique(column[starts], return_inverse=True)
+    return values.tolist(), np.repeat(inverse.ravel(), lengths)
+
+
+def _floats(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of a float column of :func:`_csv_columns` and the mask
+    of fields that ``float()`` rejects (NaN there). A column of text is
+    parsed once per distinct spelling."""
+    if column.dtype.kind == "f":
+        return column, np.zeros(column.shape, dtype=bool)
+    spellings, inverse = _distinct(column)
+    parsed = np.full(len(spellings), np.nan)
+    bad = np.zeros(len(spellings), dtype=bool)
+    for k, raw in enumerate(spellings):
+        try:
+            parsed[k] = float(_text(raw))
+        except ValueError:
+            bad[k] = True
+    return parsed[inverse], bad[inverse]
+
+
+def _station_index(raw_ids: np.ndarray, stations: Sequence[Station]
+                   ) -> np.ndarray:
+    """Index among ``stations`` of each raw id once stripped of spaces;
+    -1 for an id not listed."""
+    if not stations:
+        return np.full(raw_ids.shape, -1, dtype=np.intp)
+    keys = np.array([s.station_id.encode("utf-8", "surrogateescape")
+                     for s in stations], dtype=np.bytes_)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    raw_ids = np.ascontiguousarray(raw_ids)  # a column of the rows: strided
+    pos = np.minimum(np.searchsorted(keys, raw_ids), keys.size - 1)
+    hit = keys[pos] == raw_ids
+    index = np.where(hit, order[pos], -1)
+    # ids with spaces around them, or not listed: one lookup per spelling
+    miss = np.flatnonzero(~hit)
+    if miss.size:
+        listed = {s.station_id: si for si, s in enumerate(stations)}
+        spellings, inverse = _distinct(raw_ids[miss])
+        index[miss] = np.array([listed.get(_text(raw).strip(), -1)
+                                for raw in spellings], dtype=np.intp)[inverse]
+    return index
+
+
+def _epoch_times(raw_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch microseconds of each time field and the mask of fields that
+    :func:`parse_time` rejects (0 there).
+
+    A run of equal fields is parsed once. ``YYYY-MM-DDTHH:MM:SSZ`` is
+    read as fixed width from the bytes; any other spelling goes through
+    :func:`parse_time` once.
+    """
+    starts, lengths = _runs(raw_times)
+    heads = raw_times[starts]
+    when_us = np.zeros(heads.size, dtype=np.int64)
+    canonical = np.zeros(heads.size, dtype=bool)
+    # in slices, so that the arithmetic's temporaries stay small
+    for first in range(0, heads.size, _TIME_SLICE):
+        part = slice(first, first + _TIME_SLICE)
+        when_us[part], canonical[part] = _iso_z_times(heads[part])
+    bad = np.zeros(heads.size, dtype=bool)
+    other = np.flatnonzero(~canonical)
+    if other.size:
+        from .stations import epoch_microseconds
+        spellings, inverse = _distinct(heads[other])
+        parsed = np.zeros(len(spellings), dtype=np.int64)
+        failed = np.zeros(len(spellings), dtype=bool)
+        for k, raw in enumerate(spellings):
+            try:
+                parsed[k] = epoch_microseconds(parse_time(_text(raw)))
+            except InvalidHeader:
+                failed[k] = True
+        when_us[other] = parsed[inverse]
+        bad[other] = failed[inverse]
+    return np.repeat(when_us, lengths), np.repeat(bad, lengths)
+
+
+def _iso_z_times(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch microseconds of the byte strings spelt exactly
+    ``YYYY-MM-DDTHH:MM:SSZ`` with a valid date and time, and their mask."""
+    n, width = fields.size, fields.dtype.itemsize
+    ok = np.full(n, width >= 20)
+    if not ok.any():
+        return np.zeros(n, dtype=np.int64), ok
+    octets = np.ascontiguousarray(fields).view(np.uint8).reshape(n, width)
+    if width > 20:
+        ok &= octets[:, 20] == 0
+    for place, mark in zip((4, 7, 10, 13, 16, 19), b"--T::Z"):
+        ok &= octets[:, place] == mark
+    numbers = []
+    for first, last in ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19)):
+        number = np.zeros(n, dtype=np.int64)
+        for place in range(first, last):
+            digit = octets[:, place] - np.uint8(ord("0"))
+            ok &= digit < 10
+            number = number * 10 + digit
+        numbers.append(number)
+    year, month, day, hour, minute, second = numbers
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) \
+        & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60)
+    # days since 1970-01-01 of the proleptic Gregorian date (H. Hinnant's
+    # days_from_civil), counting years from March 1
+    y = year - (month <= 2)
+    era = y // 400
+    yoe = y - era * 400
+    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
+    seconds = ((days * 24 + hour) * 60 + minute) * 60 + second
+    return np.where(ok, seconds * 1_000_000, 0), ok
+
+
+def _variable_codes(raw_variables: np.ndarray
+                    ) -> tuple[list[VariableId], np.ndarray]:
+    """The variables of a column and each field's index among them; -1
+    for a field that is no variable key once stripped of spaces."""
+    spellings, inverse = _distinct(raw_variables)
+    variables: list[VariableId] = []
+    codes = []
+    for raw in spellings:
+        try:
+            variable = VariableId.from_key(_text(raw).strip())
+        except ValueError:
+            codes.append(-1)
+            continue
+        if variable not in variables:
+            variables.append(variable)
+        codes.append(variables.index(variable))
+    return variables, np.array(codes, dtype=np.intp)[inverse]
+
+
+def _repeats(var_code: np.ndarray, station: np.ndarray,
+             when_us: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose (variable, station, time) an earlier row
+    already has."""
+    if not when_us.size:
+        return np.zeros(0, dtype=bool)
+    _, rank = _distinct(when_us)
+    key = ((var_code + 1) * (int(station.max()) + 2) + station + 1) \
+        * (int(rank.max()) + 1) + rank
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    repeat = np.zeros(key.size, dtype=bool)
+    repeat[order[1:][key[1:] == key[:-1]]] = True
+    return repeat
 
 
 # --- run manifest ------------------------------------------------------------
@@ -1148,13 +1427,9 @@ class FieldSource:
         when the manifest declares no climatology."""
         if self.manifest.climatology_pattern is None or variable.derived:
             return None
-        path = self.manifest.climatology_path(variable)
-        if not path.exists():
-            raise ManifestError(
-                f"climatology file {path} has not been built; run "
-                f"`wxverify build-climatology --manifest "
-                f"{self.manifest.path}` first")
-        return read_daily_climatology(path, self._geometries, times)
+        return read_daily_climatology(_built_climatology(self.manifest,
+                                                         variable),
+                                      self._geometries, times)
 
     def thresholds(self) -> tuple[ThresholdField, GeoGrid] | None:
         """Stored extreme thresholds and their grid; None when the manifest
@@ -1174,8 +1449,9 @@ def load_manifest(path: str | os.PathLike,
     """Load and validate a manifest JSON document.
 
     ``require`` names the sections whose referenced files must exist:
-    any of "truth", "models", "history". The first missing file is
-    reported by path.
+    any of "truth", "models", "history", "climatology" (the built
+    climatology of every stored variable, when the manifest declares
+    one). The first missing file is reported by path.
     """
     path = Path(path)
     try:
@@ -1278,6 +1554,17 @@ def load_manifest(path: str | os.PathLike,
     return manifest
 
 
+def _built_climatology(manifest: RunManifest, variable: VariableId) -> Path:
+    """The climatology file of a stored ``variable``; ManifestError when
+    it has not been built."""
+    path = manifest.climatology_path(variable)
+    if not path.exists():
+        raise ManifestError(
+            f"climatology file {path} has not been built; run "
+            f"`wxverify build-climatology --manifest {manifest.path}` first")
+    return path
+
+
 def _check_manifest_files(manifest: RunManifest, require: Sequence[str]):
     plain = [v for v in manifest.variables if not v.derived]
     if ("truth" in require or "models" in require) \
@@ -1308,3 +1595,6 @@ def _check_manifest_files(manifest: RunManifest, require: Sequence[str]):
             p = manifest.history_path(variable, first)
             if not p.exists():
                 raise ManifestError(f"missing history file: {p}")
+    if "climatology" in require and manifest.climatology_pattern is not None:
+        for variable in plain:
+            _built_climatology(manifest, variable)

@@ -487,16 +487,12 @@ def cyclones(manifest_path, out_dir, besttrack,
 
 # --- stations ----------------------------------------------------------------
 
-def _station_row(model, variable, lead, forecasts, table, clim, interpolator
-                 ) -> dict:
-    """The scorecard row of one (model, variable, lead)."""
+def _station_row(model, variable, lead, scores) -> dict:
+    """The scorecard row of one (model, variable, lead); ``scores`` None
+    when nothing paired up."""
     from .report import na
-    from .stations import station_scores
     row = {"model": model, "variable": variable.key, "lead_hours": lead}
-    try:
-        scores = station_scores(forecasts, table, variable, clim=clim,
-                                interpolator=interpolator)
-    except NoValidPairs:
+    if scores is None:
         return dict(row, rmse="n/a", bias="n/a", acc="n/a", n_pairs=0)
     return dict(row, rmse=scores.rmse, bias=scores.bias, acc=na(scores.acc),
                 n_pairs=scores.n_pairs)
@@ -510,8 +506,10 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
     from . import fileio
     from .report import new_scorecard
     from .stations import (QcThresholds, StationInterpolator, apply_qc,
-                           station_climatology_from_grid)
-    manifest = fileio.load_manifest(manifest_path)
+                           station_climatology_from_grid, station_scores)
+    # every climatology is checked before the station CSVs are parsed
+    manifest = fileio.load_manifest(
+        manifest_path, require=("truth", "models", "climatology"))
     valid_times = manifest.valid_times
     table = fileio.read_station_csvs(station_meta, station_obs,
                                      times=valid_times)
@@ -555,11 +553,11 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
                     1, source.block_layers(variable) // n_inits)):
                 blocks = [source.model_block(model, init, variable, run)
                           for init in manifest.init_times]
-                for i, lead in enumerate(run):
-                    rows.append(_station_row(
-                        model, variable, lead,
-                        [block.field(i) for block in blocks], qc_table,
-                        station_clims.get(variable), interpolator))
+                scores = station_scores(blocks, qc_table, variable,
+                                        clim=station_clims.get(variable),
+                                        interpolator=interpolator)
+                rows.extend(_station_row(model, variable, lead, score)
+                            for lead, score in zip(run, scores))
     card["station_scores"] = rows
     card["qc_report"] = qc_report.as_dict()
     return card

@@ -27,8 +27,8 @@ import numpy as np
 
 from .climatology import (DailyMeanClimatology, calendar_day_index,
                           day_rows)
-from .errors import DegenerateAnomaly, NoValidPairs
-from .grid import (BilinearWeights, GeoGrid, GridField, VariableId,
+from .errors import DegenerateAnomaly
+from .grid import (BilinearWeights, FieldBlock, GeoGrid, VariableId,
                    bilinear_weights)
 from .metrics import ANOMALY_NORM_FLOOR
 
@@ -366,11 +366,11 @@ class StationClimatology:
 
 
 class StationInterpolator:
-    """Bilinear interpolation of gridded fields to one list of stations.
+    """Bilinear interpolation of gridded stacks to one list of stations.
 
     The weights are bracketed once per distinct grid and reused for
-    every field or stack on it; a field on another grid gets weights of
-    its own. Grids are told apart by value, so grids shared through one
+    every stack on it; a stack on another grid gets weights of its own.
+    Grids are told apart by value, so grids shared through one
     :class:`~wxverify.fileio.FieldSource` cost one dict lookup.
     """
 
@@ -385,10 +385,6 @@ class StationInterpolator:
             found = self._weights.setdefault(
                 grid, bilinear_weights(grid, self._positions))
         return found
-
-    def at_stations(self, field: GridField) -> np.ndarray:
-        """``field`` interpolated to the stations, in station order."""
-        return self.weights(field.grid).apply(field.values)
 
 
 def station_climatology_from_grid(clim: DailyMeanClimatology,
@@ -410,60 +406,69 @@ class StationScores:
     n_pairs: int
 
 
-def station_scores(forecasts: Sequence[GridField], table: StationTable,
+def station_scores(blocks: Sequence[FieldBlock], table: StationTable,
                    variable: VariableId,
                    clim: StationClimatology | None = None,
                    interpolator: StationInterpolator | None = None
-                   ) -> StationScores:
-    """Unweighted RMSE / bias (and ACC when a climatology is given) over
-    all (station, time) pairs with an observation present.
+                   ) -> list[StationScores | None]:
+    """Unweighted RMSE / bias (and ACC when a climatology is given) of each
+    lead of ``blocks``, over all (init, station) pairs with an observation
+    present; None for a lead where nothing pairs up.
 
-    Each forecast field is interpolated to the station locations and
-    paired with the table row at its valid time; stations absent at a
-    timestamp are skipped pairwise. Raises :class:`NoValidPairs` when
-    nothing pairs up. Pass one ``interpolator`` for the table's stations
-    to every call of a run, so that each grid is bracketed once.
+    ``blocks`` holds one forecast block per init, all over the same run
+    of leads. Each block is interpolated to the stations in one pass,
+    and each layer paired with the table row at its valid time; stations
+    absent at a timestamp are skipped pairwise. The pairs of a lead are
+    taken init by init, in station order. Pass one ``interpolator`` for
+    the table's stations to every call of a run, so that each grid is
+    bracketed once.
     """
     vi = table.variable_index(variable)
     if interpolator is None:
         interpolator = StationInterpolator(table.stations)
     elif interpolator.stations != table.stations:
         raise ValueError("interpolator was built for other stations")
-    diffs: list[np.ndarray] = []
-    fc_anom: list[np.ndarray] = []
-    ob_anom: list[np.ndarray] = []
-    for fc in forecasts:
-        if fc.variable is not variable:
-            raise ValueError(f"forecast variable {fc.variable.key} != {variable.key}")
-        ti = table.time_index(fc.valid_time)
-        obs_row = table.values[vi, ti]
-        present = ~np.isnan(obs_row)
-        if not present.any():
-            continue
-        fc_row = interpolator.at_stations(fc)
-        diffs.append(fc_row[present] - obs_row[present])
-        if clim is not None:
-            row, = day_rows(clim.first_day, clim.day_mean.shape[0],
-                            [calendar_day_index(fc.valid_time)])
-            c = clim.day_mean[row][present]
-            fc_anom.append(fc_row[present] - c)
-            ob_anom.append(obs_row[present] - c)
-    if not diffs:
-        raise NoValidPairs(f"no paired (station, time) samples for {variable.key}")
-    d = np.concatenate(diffs)
-    rmse = math.sqrt(float(np.mean(d * d)))
-    bias = float(np.mean(d))
-    acc_value: float | None = None
+    for block in blocks:
+        if block.variable is not variable:
+            raise ValueError(f"forecast variable {block.variable.key} "
+                             f"!= {variable.key}")
+    if not blocks:
+        return []
+    # (init, lead, station)
+    fc = np.stack([interpolator.weights(block.grid).apply(block.values)
+                   for block in blocks])
+    valid_times = [when for block in blocks for when in block.valid_times]
+    obs = table.values[vi][[table.time_index(when) for when in valid_times]
+                           ].reshape(fc.shape)
+    present = ~np.isnan(obs)
     if clim is not None:
-        fa = np.concatenate(fc_anom)
-        oa = np.concatenate(ob_anom)
-        n1 = float(np.mean(fa * fa))
-        n2 = float(np.mean(oa * oa))
-        if math.sqrt(max(n1, 0.0)) < ANOMALY_NORM_FLOOR \
-                or math.sqrt(max(n2, 0.0)) < ANOMALY_NORM_FLOOR:
-            raise DegenerateAnomaly("station anomaly field is (near-)constant zero")
-        acc_value = float(np.mean(fa * oa)) / (math.sqrt(n1) * math.sqrt(n2))
-    return StationScores(rmse, bias, acc_value, int(d.size))
+        rows = day_rows(clim.first_day, clim.day_mean.shape[0],
+                        [calendar_day_index(when) for when in valid_times])
+        day_mean = clim.day_mean[rows].reshape(fc.shape)
+    scores: list[StationScores | None] = []
+    for i in range(fc.shape[1]):
+        paired = present[:, i]
+        f, o = fc[:, i][paired], obs[:, i][paired]
+        if not f.size:
+            scores.append(None)
+            continue
+        d = f - o
+        rmse = math.sqrt(float(np.mean(d * d)))
+        bias = float(np.mean(d))
+        acc_value: float | None = None
+        if clim is not None:
+            c = day_mean[:, i][paired]
+            fa, oa = f - c, o - c
+            n1 = float(np.mean(fa * fa))
+            n2 = float(np.mean(oa * oa))
+            if math.sqrt(max(n1, 0.0)) < ANOMALY_NORM_FLOOR \
+                    or math.sqrt(max(n2, 0.0)) < ANOMALY_NORM_FLOOR:
+                raise DegenerateAnomaly(
+                    "station anomaly field is (near-)constant zero")
+            acc_value = float(np.mean(fa * oa)) / (math.sqrt(n1)
+                                                   * math.sqrt(n2))
+        scores.append(StationScores(rmse, bias, acc_value, int(d.size)))
+    return scores
 
 
 def six_hour_times(start: datetime, end: datetime) -> list[datetime]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wxverify import fileio
-from wxverify.grid import GeoGrid, GridField, VariableId
+from wxverify.grid import FieldBlock, GeoGrid, GridField, VariableId
 
 T0 = datetime(2025, 7, 1, 0, tzinfo=timezone.utc)
 
@@ -34,6 +34,15 @@ def random_field(rng: np.random.Generator, grid: GeoGrid,
                  lead_hours: int = 0) -> GridField:
     values = loc + scale * rng.standard_normal(grid.shape)
     return make_field(grid, values, variable, valid_time, lead_hours)
+
+
+def field_block(*fields: GridField) -> FieldBlock:
+    """The fields, one variable on one grid, as the layers of a block."""
+    first = fields[0]
+    return FieldBlock(first.grid, first.variable,
+                      tuple(f.valid_time for f in fields),
+                      tuple(f.lead_hours for f in fields),
+                      np.stack([f.values for f in fields]))
 
 
 @pytest.fixture

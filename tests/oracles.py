@@ -8,17 +8,22 @@ the whole-year mean across years and stack of daily extremes that the
 streamed history reduction must reproduce; the spectrum is a direct
 O(N^2) transform, percentiles are computed from a Python sort, event
 labeling/matching are brute-force searches, station
-windowing, QC and bilinear interpolation are per-element loops, and
-synthetic truth, the forecasts that copy it and station observations are
-made one field at a time. The exceptions are the per-location event
+windowing, QC and bilinear interpolation are per-element loops, the
+station CSVs are read one row at a time, station scores pair one field
+at a time, and synthetic truth, the forecasts that copy it and station
+observations are made one field at a time. The exceptions are the per-location event
 loop, which calls the engine's one-series labeling and matching to check
-the vectorized bookkeeping around them, and the synthetic truth oracle,
-which takes the seasonal cycle, vortices and episodes from the engine.
+the vectorized bookkeeping around them, the synthetic truth oracle,
+which takes the seasonal cycle, vortices and episodes from the engine,
+the station row reader, which parses times and window-averages with the
+engine's functions, and the per-field station scores, which interpolate
+with the engine's bilinear weights.
 """
 
 from __future__ import annotations
 
 import cmath
+import csv
 import math
 from datetime import date, timedelta
 from fractions import Fraction
@@ -637,3 +642,153 @@ def write_station_csvs_per_field(scenario, source, n_stations: int) -> None:
                     f"{float(field.values[i, j])!r}")
     (out_dir / "stations_obs.csv").write_bytes(
         ("\n".join(obs_lines) + "\n").encode())
+
+
+# --- station CSV reader (the row-by-row reader the columnar one replaced) ----
+
+#: The station CSV columns that hold text, not numbers.
+STATION_TEXT_COLUMNS = ("id", "station_id", "iso_time", "variable")
+
+
+def station_csv_rows(path, columns):
+    """(line number, row) of every data row of a CSV whose header, with
+    spaces stripped, is ``columns``. Data rows count from line 2; blank
+    rows are skipped and not counted; a row with another field count
+    than the header, or with a station id, time or variable of 128 UTF-8
+    bytes or more, raises InvalidHeader."""
+    from wxverify.errors import InvalidHeader
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None or [c.strip() for c in header] != columns:
+                raise InvalidHeader(
+                    f"{path}: expected columns {','.join(columns)}")
+            lineno = 1
+            for row in reader:
+                if not row:
+                    continue
+                lineno += 1
+                if len(row) != len(columns):
+                    raise InvalidHeader(f"{path}:{lineno}: expected "
+                                        f"{len(columns)} fields, got {len(row)}")
+                if any(len(field.encode()) >= 128 for name, field
+                       in zip(columns, row) if name in STATION_TEXT_COLUMNS):
+                    raise InvalidHeader(f"{path}:{lineno}: a field is longer "
+                                        f"than 127 bytes")
+                yield lineno, row
+    except OSError as exc:
+        raise InvalidHeader(f"cannot read {path}: {exc}") from exc
+
+
+def read_station_csvs_rows(meta_path, obs_path, times=None):
+    """``fileio.read_station_csvs`` one CSV row at a time: each row is
+    parsed and checked in turn, and the first faulty one raises. The
+    window averaging is the engine's ``table_from_columns``."""
+    from pathlib import Path
+
+    from wxverify.errors import (DuplicateObservation, InvalidHeader,
+                                 NonFiniteValue, UnknownStation)
+    from wxverify.fileio import format_time, parse_time
+    from wxverify.grid import VariableId
+    from wxverify.stations import (Station, WindowOverflow,
+                                   epoch_microseconds, six_hour_times,
+                                   table_from_columns)
+    meta_path, obs_path = Path(meta_path), Path(obs_path)
+    stations = []
+    for lineno, row in station_csv_rows(meta_path,
+                                        ["id", "lat", "lon", "elev_m"]):
+        try:
+            stations.append(Station(station_id=row[0].strip(),
+                                    lat=float(row[1]),
+                                    lon=float(row[2]) % 360.0,
+                                    elevation_m=float(row[3])))
+        except ValueError as exc:
+            raise InvalidHeader(f"{meta_path}:{lineno}: bad row: {exc}") from exc
+    index = {s.station_id: si for si, s in enumerate(stations)}
+    if len(index) != len(stations):
+        raise InvalidHeader(f"{meta_path}: duplicate station ids")
+
+    stamps = []
+    columns = {}  # variable -> (station indexes, times in µs, values)
+    seen = set()
+    for lineno, row in station_csv_rows(
+            obs_path, ["station_id", "iso_time", "variable", "value_si"]):
+        sid = row[0].strip()
+        when = parse_time(row[1])
+        try:
+            variable = VariableId.from_key(row[2].strip())
+            value = float(row[3])
+        except ValueError as exc:
+            raise InvalidHeader(f"{obs_path}:{lineno}: bad row: {exc}") from exc
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"{obs_path}:{lineno}: non-finite value "
+                                 f"{row[3].strip()!r}")
+        si = index.get(sid)
+        if si is None:
+            raise UnknownStation(f"{obs_path}:{lineno}: station {sid!r} "
+                                 f"not in {meta_path.name}")
+        key = (si, epoch_microseconds(when), variable)
+        if key in seen:
+            raise DuplicateObservation(
+                f"{obs_path}:{lineno}: duplicate observation "
+                f"({sid}, {format_time(when)}, {variable.key})")
+        seen.add(key)
+        stamps.append(when)
+        sites, when_us, values = columns.setdefault(variable, ([], [], []))
+        sites.append(si)
+        when_us.append(key[1])
+        values.append(value)
+
+    if times is None:
+        times = [] if not stamps else six_hour_times(
+            min(stamps) - timedelta(minutes=15),
+            max(stamps) + timedelta(minutes=15))
+    times = list(times)
+    try:
+        return table_from_columns(stations, columns, times)
+    except WindowOverflow as exc:
+        raise NonFiniteValue(
+            f"{obs_path}: the mean of the records of station "
+            f"{stations[exc.station_index].station_id} within 15 min of "
+            f"{format_time(times[exc.time_index])} is beyond the float "
+            f"range") from exc
+
+
+def station_scores_per_field(fields, table, variable, clim=None):
+    """``stations.station_scores`` of one lead, its forecast fields (one
+    per init) interpolated and paired one field at a time:
+    ``(rmse, bias, acc, n_pairs)``, or None when nothing pairs up."""
+    from wxverify.climatology import calendar_day_index, day_rows
+    from wxverify.errors import DegenerateAnomaly
+    from wxverify.grid import bilinear_weights
+    from wxverify.metrics import ANOMALY_NORM_FLOOR
+    vi = table.variable_index(variable)
+    positions = [(s.lat, s.lon) for s in table.stations]
+    diffs, fc_anom, ob_anom = [], [], []
+    for fc in fields:
+        obs_row = table.values[vi, table.time_index(fc.valid_time)]
+        present = ~np.isnan(obs_row)
+        if not present.any():
+            continue
+        fc_row = bilinear_weights(fc.grid, positions).apply(fc.values)
+        diffs.append(fc_row[present] - obs_row[present])
+        if clim is not None:
+            row, = day_rows(clim.first_day, clim.day_mean.shape[0],
+                            [calendar_day_index(fc.valid_time)])
+            c = clim.day_mean[row][present]
+            fc_anom.append(fc_row[present] - c)
+            ob_anom.append(obs_row[present] - c)
+    if not diffs:
+        return None
+    d = np.concatenate(diffs)
+    acc = None
+    if clim is not None:
+        fa, oa = np.concatenate(fc_anom), np.concatenate(ob_anom)
+        n1, n2 = float(np.mean(fa * fa)), float(np.mean(oa * oa))
+        if math.sqrt(max(n1, 0.0)) < ANOMALY_NORM_FLOOR \
+                or math.sqrt(max(n2, 0.0)) < ANOMALY_NORM_FLOOR:
+            raise DegenerateAnomaly("station anomaly field is (near-)constant zero")
+        acc = float(np.mean(fa * oa)) / (math.sqrt(n1) * math.sqrt(n2))
+    return (math.sqrt(float(np.mean(d * d))), float(np.mean(d)), acc,
+            int(d.size))

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import T0, make_field, make_grid, random_field, truth_fields
+from conftest import (T0, field_block, make_field, make_grid, random_field,
+                      truth_fields)
 from wxverify import fileio
 from wxverify.cli import main as cli_main
 from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
@@ -324,7 +325,7 @@ def test_c09_station_pipeline(rng):
     obs = np.array([[[truth.values[i, j] for i, j in nodes]]])
     table = StationTable(stations, (T0,), (VariableId.T2M,), obs,
                          np.ones(obs.shape, dtype=np.uint8))
-    scores = station_scores([pred], table, VariableId.T2M)
+    scores, = station_scores([field_block(pred)], table, VariableId.T2M)
     rows = np.array([i for i, _ in nodes])
     cols = np.array([j for _, j in nodes])
     err = pred.values[rows, cols] - truth.values[rows, cols]

@@ -318,6 +318,28 @@ class TestStationInputs:
         assert self.run_stations(wind_run, obs, tmp_path / "out") == 2
         assert str(obs) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variable", ["msl", "u10"])
+    def test_missing_climatology_is_reported_before_the_csvs_are_read(
+            self, wind_run, variable, tmp_path, capsys):
+        # the observations carry msl only; every stored manifest variable
+        # needs its climatology, and the unreadable CSV is never parsed
+        run = tmp_path / "run"
+        shutil.copytree(wind_run, run)
+        rows = (run / "stations_obs.csv").read_text().splitlines()
+        (run / "stations_obs.csv").write_text("\n".join(
+            [rows[0]] + [r for r in rows[1:] if ",msl," in r]) + "\n")
+        assert self.run_stations(run, run / "stations_obs.csv",
+                                 tmp_path / "ok") == 0
+        (run / "clim" / f"{variable}.rbc").unlink()
+        garbage = tmp_path / "garbage.csv"
+        garbage.write_text("not,a,station,file\n")
+        capsys.readouterr()
+        assert self.run_stations(run, garbage, tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"error: climatology file {run / 'clim' / variable}.rbc has not "
+            f"been built; run `wxverify build-climatology --manifest "
+            f"{run / 'manifest.json'}` first\n")
+
 
 class TestRegions:
     def test_region_mask_box(self):

@@ -3,10 +3,12 @@ from __future__ import annotations
 import itertools
 import json
 import sys
+import tempfile
 import threading
 import tracemalloc
 import zlib
 from datetime import timedelta
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -453,7 +455,9 @@ class TestStationCsvs:
         assert spaced.values.tobytes() == plain.values.tobytes()
         assert spaced.flags.tobytes() == plain.flags.tobytes()
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", " NaN"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", " NaN",
+                                       pytest.param("inf" + " " * 200,
+                                                    id="inf-past-width-cap")])
     def test_non_finite_value_names_path_and_line(self, value, tmp_path):
         (tmp_path / "meta.csv").write_text(STATION_META)
         obs = tmp_path / "obs.csv"
@@ -487,7 +491,9 @@ class TestStationCsvs:
         "bad time": ("S2,2025-07-01T00:00:00X,t2m,280.0\n", InvalidHeader,
                      "bad timestamp '2025-07-01T00:00:00X'"),
         "short row": ("S2,2025-07-01T00:00:00Z\n", InvalidHeader,
-                      "bad row: 'NoneType' object has no attribute 'strip'"),
+                      "expected 4 fields, got 2"),
+        "long row": ("S2,2025-07-01T12:00:00Z,msl,101131.0,junk\n",
+                     InvalidHeader, "expected 4 fields, got 5"),
         "unknown station": ("S9,2025-07-01T00:00:00Z,t2m,280.0\n",
                             UnknownStation, "station 'S9' not in meta.csv"),
         "duplicate": ("S2,2025-07-01T00:00:00+00:00,t2m,301.0\n",
@@ -498,7 +504,8 @@ class TestStationCsvs:
     @pytest.mark.parametrize("order", list(itertools.permutations(
         ["bad value", "unknown station", "duplicate", "bad time"])) + [
         ("short row", "duplicate"), ("duplicate", "bad variable"),
-        ("bad variable", "short row")], ids=" then ".join)
+        ("bad variable", "short row"), ("long row", "unknown station"),
+        ("bad value", "long row")], ids=" then ".join)
     def test_first_faulty_row_in_file_order_is_reported(self, order,
                                                         tmp_path):
         (tmp_path / "meta.csv").write_text(STATION_META)
@@ -506,11 +513,180 @@ class TestStationCsvs:
         obs.write_text(STATION_OBS + "".join(self.FAULTS[f][0] for f in order))
         _, error, message = self.FAULTS[order[0]]
         first_row = STATION_OBS.count("\n") + 1
-        if error is not InvalidHeader or message.startswith("bad row"):
+        if error is not InvalidHeader or \
+                not message.startswith("bad timestamp"):
             message = f"{obs}:{first_row}: {message}"
         with pytest.raises(error) as err:
             fileio.read_station_csvs(tmp_path / "meta.csv", obs)
         assert str(err.value).startswith(message)
+
+    def test_metadata_row_with_wrong_field_count(self, tmp_path):
+        (tmp_path / "obs.csv").write_text(STATION_OBS)
+        for row, found in (("S3,1.0,2.0\n", 3), ("S3,1.0,2.0,3.0,4.0\n", 5)):
+            (tmp_path / "meta.csv").write_text(STATION_META + row)
+            with pytest.raises(InvalidHeader) as err:
+                fileio.read_station_csvs(tmp_path / "meta.csv",
+                                         tmp_path / "obs.csv")
+            assert str(err.value) == (f"{tmp_path / 'meta.csv'}:4: expected "
+                                      f"4 fields, got {found}")
+
+    def test_fields_wider_than_their_column_are_read_whole(self, tmp_path):
+        # a 40-byte id and a 32-byte time spelling outgrow the starting
+        # column widths and are read again at a wider one
+        long_id = "STATION-" + "X" * 32
+        (tmp_path / "meta.csv").write_text(
+            STATION_META + f"{long_id},0.0,0.0,0.0\n")
+        (tmp_path / "obs.csv").write_text(
+            STATION_OBS + f"{long_id},2025-07-01T06:05:00.000000+00:00,"
+                          f"t2m,281.5\n")
+        table = fileio.read_station_csvs(tmp_path / "meta.csv",
+                                         tmp_path / "obs.csv")
+        t2m = table.variable_index(VariableId.T2M)
+        assert table.stations[2].station_id == long_id
+        assert table.values[t2m, 1, 2] == 281.5
+
+    def test_field_of_128_bytes_or_more_is_an_input_error(self, tmp_path):
+        # every row takes its column's width in memory, so the width is
+        # capped; rows before the long field are still checked first
+        (tmp_path / "meta.csv").write_text(STATION_META)
+        obs = tmp_path / "obs.csv"
+        obs.write_text(STATION_OBS + "S1," + "T" * 200 + ",t2m,1.0\n")
+        with pytest.raises(InvalidHeader) as err:
+            fileio.read_station_csvs(tmp_path / "meta.csv", obs)
+        assert str(err.value) == (f"{obs}:6: a field is longer than 127 "
+                                  f"bytes")
+        obs.write_text(STATION_OBS + "S9,2025-07-01T00:00:00Z,t2m,1.0\n"
+                       + "S1," + "T" * 200 + ",t2m,1.0\n")
+        with pytest.raises(UnknownStation):
+            fileio.read_station_csvs(tmp_path / "meta.csv", obs)
+
+    def test_values_that_only_python_parses(self, tmp_path):
+        # float() takes digit separators and Unicode digits, numpy's
+        # parser does not: the column is parsed once per spelling instead
+        (tmp_path / "meta.csv").write_text(STATION_META)
+        (tmp_path / "obs.csv").write_text(
+            STATION_OBS + "S2,2025-07-01T06:00:00Z,t2m,2_81.5\n"
+                          "S2,2025-07-01T12:00:00Z,t2m,٢٨٠\n",
+            encoding="utf-8")
+        table = fileio.read_station_csvs(tmp_path / "meta.csv",
+                                         tmp_path / "obs.csv")
+        t2m = table.variable_index(VariableId.T2M)
+        assert table.values[t2m, 1:3, 1].tolist() == [281.5, 280.0]
+
+
+# Random station CSVs for the columnar reader against the row reader in
+# tests/oracles.py. Each row has at most one odd or faulty part, drawn
+# rarely enough that many files read as a table.
+
+def _field(draw, text: str) -> str:
+    """``text`` as one CSV field: bare, quoted, or with spaces around."""
+    style = draw(st.sampled_from(["bare", "bare", "bare", "quoted", "spaced",
+                                  "quoted-spaced"]))
+    if style == "quoted":
+        return '"' + text.replace('"', '""') + '"'
+    if style == "spaced":
+        return f" {text} "
+    if style == "quoted-spaced":
+        return '"' + text.replace('"', '""') + '" '
+    return text
+
+
+def _row(draw, fields: list[str], odd: str | None, n_text: int) -> str:
+    """A CSV row of ``fields``, the first ``n_text`` of them text."""
+    if odd == "short":
+        fields = fields[:draw(st.integers(1, len(fields) - 1))]
+    elif odd == "long":
+        fields = fields + ["junk"]
+    elif odd == "wide":  # a text field at or past the column width cap
+        k = draw(st.integers(0, n_text - 1))
+        fields = fields[:k] + [fields[k] + " " * draw(st.sampled_from(
+            [127 - len(fields[k].encode()), 200]))] + fields[k + 1:]
+    elif odd == "blank":
+        return ""
+    return ",".join(_field(draw, f) for f in fields)
+
+
+def _csv(draw, header: str, rows: list[str]) -> bytes:
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return (newline.join([header] + rows) + newline).encode("utf-8")
+
+
+def _odd(draw, *kinds: str) -> str | None:
+    return draw(st.sampled_from([None] * 4 * len(kinds) + list(kinds)))
+
+
+@st.composite
+def station_csv_pairs(draw):
+    ids = ["S1", "S2", "S3"]
+    meta_rows = []
+    for sid in ids + draw(st.sampled_from([[]] * 6 + [["S1"]])):
+        odd = _odd(draw, "short", "long", "wide", "blank", "lat")
+        lat = "north" if odd == "lat" else repr(draw(st.floats(-60.0, 60.0)))
+        meta_rows.append(_row(draw, [sid, lat, repr(draw(st.floats(
+            -180.0, 360.0))), "0.0"], odd, 1))
+    meta_header = draw(st.sampled_from(["id,lat,lon,elev_m"] * 4
+                                       + ["id, lat,lon , elev_m"] * 4
+                                       + ["id,lat,lon"]))
+    base = [T0 + timedelta(hours=h, minutes=m)
+            for h in range(0, 24, 6) for m in (-15, -10, 0, 5, 15, 20)]
+    obs_rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        odd = _odd(draw, "short", "long", "wide", "blank", "repeat", "id",
+                   "time", "variable", "value")
+        if obs_rows and odd == "repeat":
+            obs_rows.append(draw(st.sampled_from(obs_rows)))
+            continue
+        when = draw(st.sampled_from(base))
+        fields = [draw(st.sampled_from(ids)), fileio.format_time(when),
+                  draw(st.sampled_from(["t2m", "msl", "ws10"])),
+                  repr(draw(st.floats(200.0, 110000.0)))]
+        if odd == "id":
+            fields[0] = draw(st.sampled_from(["S9", "S 1", "s1"]))
+        elif odd == "time":
+            fields[1] = draw(st.sampled_from([
+                when.strftime("%Y-%m-%dT%H:%M:%S+00:00"),
+                (when + timedelta(hours=1)).strftime(
+                    "%Y-%m-%dT%H:%M:%S+01:00"),
+                when.strftime("%Y-%m-%d %H:%M:%SZ"),
+                when.strftime("%Y-%m-%dT%H:%M:%SX"),
+                "2025-02-30T00:00:00Z", "2025-07-01T24:00:00Z"]))
+        elif odd == "variable":
+            fields[2] = draw(st.sampled_from(["t2 m", "T2M", "sst"]))
+        elif odd == "value":
+            fields[3] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN",
+                                              "1e400", "warm", "", "2_81.5",
+                                              "0x1p8"]))
+        obs_rows.append(_row(draw, fields, odd, 3))
+    obs_header = draw(st.sampled_from(
+        ["station_id,iso_time,variable,value_si"] * 4
+        + [" station_id,iso_time , variable,value_si", "station_id,time"]))
+    times = draw(st.sampled_from([None, [T0 + timedelta(hours=6 * k)
+                                         for k in range(4)]]))
+    return (_csv(draw, meta_header, meta_rows),
+            _csv(draw, obs_header, obs_rows), times)
+
+
+def _read_outcome(read, meta, obs, times):
+    """The table read, bit for bit, or the type and message it raised."""
+    try:
+        table = read(meta, obs, times)
+    except WxVerifyError as exc:
+        return type(exc), str(exc)
+    return (table.stations, table.times, table.variables,
+            table.values.tobytes(), table.flags.tobytes())
+
+
+@settings(max_examples=150, deadline=None)
+@given(station_csv_pairs())
+def test_columnar_station_reader_matches_row_reader(files):
+    meta_bytes, obs_bytes, times = files
+    with tempfile.TemporaryDirectory() as tmp:
+        meta, obs = Path(tmp) / "meta.csv", Path(tmp) / "obs.csv"
+        meta.write_bytes(meta_bytes)
+        obs.write_bytes(obs_bytes)
+        want = _read_outcome(oracles.read_station_csvs_rows, meta, obs, times)
+        got = _read_outcome(fileio.read_station_csvs, meta, obs, times)
+    assert got == want
 
 
 class TestManifest:
@@ -1385,3 +1561,21 @@ class TestClimatologyByDay:
                                     np.zeros((3, *grid.shape)), (2020,), 363)
         with pytest.raises(ValueError, match="all 365 days"):
             fileio.write_daily_climatology(part, tmp_path / "c.rbc")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+                 st.integers(0, 25), st.integers(0, 61), st.integers(0, 61)))
+def test_fixed_width_times_match_parse_time(fields):
+    # every YYYY-MM-DDTHH:MM:SSZ-shaped spelling, valid date or not, reads
+    # as the row reader's parse_time reads it
+    stamp = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}Z".format(*fields)
+    with tempfile.TemporaryDirectory() as tmp:
+        meta, obs = Path(tmp) / "meta.csv", Path(tmp) / "obs.csv"
+        meta.write_text(STATION_META)
+        obs.write_text(f"station_id,iso_time,variable,value_si\n"
+                       f"S1,{stamp},t2m,280.0\nS1,{stamp},t2m,281.0\n")
+        times = [T0]
+        want = _read_outcome(oracles.read_station_csvs_rows, meta, obs, times)
+        got = _read_outcome(fileio.read_station_csvs, meta, obs, times)
+    assert got == want

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import T0, make_grid, random_field
-from wxverify.climatology import DailyMeanClimatology
-from wxverify.errors import NoValidPairs
-from wxverify.grid import VariableId, interp_to_stations
+from conftest import T0, field_block, make_grid, random_field
+from wxverify.climatology import DailyMeanClimatology, calendar_day_index
+from wxverify.grid import FieldBlock, VariableId, interp_to_stations
 from wxverify.stations import (DEFAULT_QC_RATIOS, QcFlag, QcThresholds,
-                               Station, StationInterpolator, StationTable,
+                               Station, StationClimatology,
+                               StationInterpolator, StationTable,
                                apply_qc, qc_ratio_filter, six_hour_times,
                                station_climatology_from_grid, station_scores,
                                table_from_records, window_average)
@@ -164,21 +164,21 @@ class TestStationScores:
 
     def test_perfect_forecast_zero_scores(self, rng):
         grid, truth, table, _ = self.grid_and_table(rng)
-        scores = station_scores([truth], table, VariableId.T2M)
+        scores, = station_scores([field_block(truth)], table, VariableId.T2M)
         assert scores.rmse == 0.0 and scores.bias == 0.0
         assert scores.n_pairs == 5
 
     def test_uniform_offset(self, rng):
         grid, truth, table, _ = self.grid_and_table(rng)
         pred = truth.with_values(truth.values + 1.0)
-        scores = station_scores([pred], table, VariableId.T2M)
+        scores, = station_scores([field_block(pred)], table, VariableId.T2M)
         assert scores.rmse == pytest.approx(1.0, rel=1e-12)
         assert scores.bias == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_pairwise_loop_oracle(self, rng):
         grid, truth, table, idx = self.grid_and_table(rng)
         pred = random_field(rng, grid)
-        scores = station_scores([pred], table, VariableId.T2M)
+        scores, = station_scores([field_block(pred)], table, VariableId.T2M)
         diffs = [pred.values[i, j] - truth.values[i, j] for i, j in idx]
         rmse = math.sqrt(math.fsum(d * d for d in diffs) / len(diffs))
         bias = math.fsum(diffs) / len(diffs)
@@ -190,7 +190,7 @@ class TestStationScores:
         # restricted to those nodes
         grid, truth, table, idx = self.grid_and_table(rng)
         pred = random_field(rng, grid)
-        scores = station_scores([pred], table, VariableId.T2M)
+        scores, = station_scores([field_block(pred)], table, VariableId.T2M)
         rows = np.array([i for i, _ in idx])
         cols = np.array([j for _, j in idx])
         err = pred.values[rows, cols] - truth.values[rows, cols]
@@ -205,7 +205,8 @@ class TestStationScores:
         flags[0, 0, 2] = 0
         table2 = StationTable(table.stations, table.times, table.variables,
                               values, flags)
-        scores = station_scores([truth], table2, VariableId.T2M)
+        scores, = station_scores([field_block(truth)], table2,
+                                 VariableId.T2M)
         assert scores.n_pairs == 4
 
     def test_acc_with_station_climatology(self, rng):
@@ -214,10 +215,12 @@ class TestStationScores:
         day_mean = np.full((365, 5), 280.0)
         clim = StationClimatology(tuple(s.station_id for s in table.stations),
                                   day_mean)
-        scores = station_scores([truth], table, VariableId.T2M, clim=clim)
+        scores, = station_scores([field_block(truth)], table, VariableId.T2M,
+                                 clim=clim)
         assert scores.acc == pytest.approx(1.0, abs=1e-12)
         flipped = truth.with_values(2.0 * 280.0 - truth.values)
-        scores = station_scores([flipped], table, VariableId.T2M, clim=clim)
+        scores, = station_scores([field_block(flipped)], table,
+                                 VariableId.T2M, clim=clim)
         assert scores.acc == pytest.approx(-1.0, abs=1e-12)
 
     def test_no_valid_pairs(self, rng):
@@ -226,8 +229,54 @@ class TestStationScores:
         flags = np.zeros(table.flags.shape, dtype=np.uint8)
         empty = StationTable(table.stations, table.times, table.variables,
                              values, flags)
-        with pytest.raises(NoValidPairs):
-            station_scores([truth], empty, VariableId.T2M)
+        assert station_scores([field_block(truth)], empty,
+                              VariableId.T2M) == [None]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_inits=st.integers(1, 3),
+           n_leads=st.integers(1, 4), n_stations=st.integers(1, 6),
+           absent=st.sampled_from([0.0, 0.3, 1.0]),
+           with_clim=st.booleans())
+    def test_blocks_score_as_the_per_field_loop(self, seed, n_inits, n_leads,
+                                                n_stations, absent,
+                                                with_clim):
+        rng = np.random.default_rng(seed)
+        grid = make_grid(5, 8)
+        stations = tuple(Station(f"S{k}", float(lat), float(lon), 0.0)
+                         for k, (lat, lon) in enumerate(zip(
+                             rng.uniform(-60.0, 60.0, n_stations),
+                             rng.uniform(0.0, 360.0, n_stations))))
+        times = tuple(T0 + timedelta(hours=6 * k)
+                      for k in range(n_inits + n_leads))
+        values = 280.0 + 5.0 * rng.standard_normal(
+            (1, len(times), n_stations))
+        values[rng.uniform(size=values.shape) < absent] = np.nan
+        values[0, rng.integers(len(times))] = np.nan  # one all-absent time
+        table = StationTable(stations, times, (VariableId.T2M,), values,
+                             np.where(np.isnan(values), 0, 1))
+        blocks = [FieldBlock(grid, VariableId.T2M, times[i:i + n_leads],
+                             tuple(6 * j for j in range(n_leads)),
+                             280.0 + 5.0 * rng.standard_normal(
+                                 (n_leads,) + grid.shape))
+                  for i in range(n_inits)]
+        clim = None
+        if with_clim:
+            first_day = calendar_day_index(T0) - int(rng.integers(0, 3))
+            clim = StationClimatology(
+                tuple(s.station_id for s in stations),
+                280.0 + rng.standard_normal((5, n_stations)), first_day)
+        got = station_scores(blocks, table, VariableId.T2M, clim=clim)
+
+        def bits(scores):
+            return None if scores is None else tuple(
+                v.hex() if isinstance(v, float) else v for v in scores)
+
+        assert [bits(None if s is None else (s.rmse, s.bias, s.acc, s.n_pairs))
+                for s in got] == [
+            bits(oracles.station_scores_per_field(
+                [block.field(j) for block in blocks], table, VariableId.T2M,
+                clim)) for j in range(n_leads)]
+        assert (absent < 1.0) or got == [None] * n_leads
 
 
 class TestTableFromRecords:
@@ -444,7 +493,8 @@ class TestStationInterpolator:
         assert interp.weights(same_shape) is not interp.weights(grid)
         for g in (grid, same_shape, make_grid(7, 12), grid):
             field = random_field(rng, g)
-            assert interp.at_stations(field).tobytes() == interp_to_stations(
+            got = interp.weights(field.grid).apply(field.values)
+            assert got.tobytes() == interp_to_stations(
                 field, [(s.lat, s.lon) for s in stations]).tobytes()
 
     def test_scores_reject_interpolator_of_other_stations(self, rng):
@@ -454,4 +504,5 @@ class TestStationInterpolator:
                             times=(T0,))
         other = StationInterpolator(table.stations[:2])
         with pytest.raises(ValueError):
-            station_scores([truth], table, VariableId.T2M, interpolator=other)
+            station_scores([field_block(truth)], table, VariableId.T2M,
+                           interpolator=other)
