@@ -748,18 +748,13 @@ _STATION_OBS_COLUMNS = ["station_id", "iso_time", "variable", "value_si"]
 #: column with a field that fills its width is read again at twice it,
 #: up to :data:`_MAX_TEXT_WIDTH`.
 _TEXT_WIDTHS = {"id": 16, "station_id": 16, "iso_time": 32, "variable": 8}
-#: Width of a float column read as text, to parse it field by field.
-_FLOAT_TEXT_WIDTH = 32
 #: Every row takes its column's width, so one long field would cost that
-#: much memory in every row: a text field may hold one byte less than
-#: this (so may a float field, when its column is read as text).
+#: much memory in every row: a text field may hold one byte less than this.
 _MAX_TEXT_WIDTH = 128
 # How np.loadtxt reports a row (counted from 1 without blank lines) whose
 # field count is not the dtype's (numpy >= 1.23).
 _FIELD_COUNT = re.compile(r"requires \d+ columns but (\d+) were found "
                           r"at row (\d+)")
-_TIME_SLICE = 2**16
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
@@ -805,6 +800,7 @@ def _read_station_obs(path: Path, meta_name: str, stations: Sequence[Station]
     epoch microseconds, value), each in file order, and the first and
     last time in epoch microseconds (None without records)."""
     rows, cut = _csv_columns(path, _STATION_OBS_COLUMNS)
+    n_rows = len(rows["station_id"])
     raw_ids, raw_times = rows["station_id"], rows["iso_time"]
     station = _station_index(raw_ids, stations)
     when_us, bad_time = _epoch_times(raw_times)
@@ -814,10 +810,10 @@ def _read_station_obs(path: Path, meta_name: str, stations: Sequence[Station]
     checks = [bad_time, var_code < 0, bad_value,
               ~(np.isfinite(value) | bad_value), station < 0,
               _repeats(var_code, station, when_us)]
-    firsts = [int(np.argmax(check)) if check.any() else rows.size
+    firsts = [int(np.argmax(check)) if check.any() else n_rows
               for check in checks]
     k = min(firsts)
-    if k < rows.size:
+    if k < n_rows:
         lineno = k + 2
         kind = firsts.index(k)
         if kind == 0:
@@ -835,7 +831,7 @@ def _read_station_obs(path: Path, meta_name: str, stations: Sequence[Station]
             text = _loadtxt(path, _STATION_OBS_COLUMNS, np.dtype(object),
                             k + 1, usecols=3)[k]
             raise NonFiniteValue(f"{path}:{lineno}: non-finite value "
-                                 f"{_text(text.encode('latin-1')).strip()!r}")
+                                 f"{_text(text).strip()!r}")
         sid = _text(raw_ids[k]).strip()
         if kind == 4:
             raise UnknownStation(f"{path}:{lineno}: station {sid!r} "
@@ -850,7 +846,7 @@ def _read_station_obs(path: Path, meta_name: str, stations: Sequence[Station]
     for code, variable in enumerate(variables):
         mine = var_code == code
         columns[variable] = (station[mine], when_us[mine], value[mine])
-    if not rows.size:
+    if not n_rows:
         return columns, None
     return columns, (int(when_us.min()), int(when_us.max()))
 
@@ -861,7 +857,7 @@ def _read_station_meta(path: Path) -> list[Station]:
     from .stations import Station
     rows, cut = _csv_columns(path, _STATION_META_COLUMNS)
     coords = [_floats(rows[name]) for name in _STATION_META_COLUMNS[1:]]
-    bad = np.zeros(rows.size, dtype=bool)
+    bad = np.zeros(len(rows["id"]), dtype=bool)
     for _, failed in coords:
         bad |= failed
     if bad.any():
@@ -883,26 +879,31 @@ def _read_station_meta(path: Path) -> list[Station]:
 
 
 def _csv_columns(path: Path, columns: list[str]
-                 ) -> tuple[np.ndarray, InvalidHeader | None]:
+                 ) -> tuple[dict[str, np.ndarray], InvalidHeader | None]:
     """The data rows of a CSV whose header, with spaces stripped, is
-    ``columns``, read by ``np.loadtxt`` into one structured array.
+    ``columns``, read by ``np.loadtxt`` into one array per column.
 
     Fields are split as :mod:`csv` splits them: a quoted field may hold
     commas, doubled quotes and line breaks (each read as ``\n``); blank
     lines are skipped and not counted; the header is the first line.
     The columns of :data:`_TEXT_WIDTHS` hold each field's bytes. The
     others are floats as numpy parses them, or, when numpy cannot parse
-    one of them, the fields' bytes again (see :func:`_floats`). A row
-    whose field count is not the header's, or with a field of
-    :data:`_MAX_TEXT_WIDTH` bytes or more, ends the array before it; it
+    one of them, each field as Python text (see :func:`_floats`). A row
+    whose field count is not the header's, or with a text field of
+    :data:`_MAX_TEXT_WIDTH` bytes or more, ends the arrays before it; it
     comes back as the error to raise when no earlier row is at fault.
     """
     widths = {name: _TEXT_WIDTHS[name] for name in columns
               if name in _TEXT_WIDTHS}
+    # a float numpy cannot parse: read the float columns again on their
+    # own as Python text, each field at its own length (S1 keeps their
+    # place, so that the field count is still checked)
+    floats_as_text = False
     cut, max_rows = None, None
     while True:
         dtype = np.dtype([(name, f"S{widths[name]}" if name in widths
-                           else np.float64) for name in columns])
+                           else "S1" if floats_as_text else np.float64)
+                          for name in columns])
         try:
             rows = _loadtxt(path, columns, dtype, max_rows)
         except ValueError as exc:
@@ -912,10 +913,8 @@ def _csv_columns(path: Path, columns: list[str]
                 cut = InvalidHeader(f"{path}:{row + 1}: expected "
                                     f"{len(columns)} fields, got {found}")
                 max_rows = row - 1
-            elif len(widths) < len(columns):
-                # a float numpy cannot parse: parse them all as float() does
-                widths.update((name, _FLOAT_TEXT_WIDTH) for name in columns
-                              if name not in widths)
+            elif not floats_as_text:
+                floats_as_text = True
             else:
                 raise InvalidHeader(f"{path}: {exc}") from exc
             continue
@@ -934,7 +933,13 @@ def _csv_columns(path: Path, columns: list[str]
             cut = InvalidHeader(f"{path}:{k + 2}: a field is longer than "
                                 f"{_MAX_TEXT_WIDTH - 1} bytes")
             rows = rows[:k]
-        return rows, cut
+        found = {name: rows[name] for name in columns}
+        if floats_as_text:
+            for place, name in enumerate(columns):
+                if name not in widths:
+                    found[name] = _loadtxt(path, columns, np.dtype(object),
+                                           rows.size, usecols=place)
+        return found, cut
 
 
 def _loadtxt(path: Path, columns: list[str], dtype: np.dtype,
@@ -966,9 +971,12 @@ def _loadtxt(path: Path, columns: list[str], dtype: np.dtype,
         raise InvalidHeader(f"cannot read {path}: {exc}") from exc
 
 
-def _text(raw: bytes) -> str:
-    """A field's bytes as the text a UTF-8 reader sees; bytes that are not
+def _text(raw: bytes | str) -> str:
+    """A field's bytes (or Python text as ``np.loadtxt`` reads it, one
+    character a byte) as the text a UTF-8 reader sees; bytes that are not
     UTF-8 survive as lone surrogates."""
+    if isinstance(raw, str):
+        raw = raw.encode("latin-1")
     return raw.decode("utf-8", "surrogateescape")
 
 
@@ -990,8 +998,8 @@ def _distinct(column: np.ndarray) -> tuple[list, np.ndarray]:
 
 def _floats(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The values of a float column of :func:`_csv_columns` and the mask
-    of fields that ``float()`` rejects (NaN there). A column of text is
-    parsed once per distinct spelling."""
+    of fields that ``float()`` rejects (NaN there). A column of Python
+    text is parsed once per distinct spelling."""
     if column.dtype.kind == "f":
         return column, np.zeros(column.shape, dtype=bool)
     spellings, inverse = _distinct(column)
@@ -1031,71 +1039,18 @@ def _station_index(raw_ids: np.ndarray, stations: Sequence[Station]
 
 def _epoch_times(raw_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Epoch microseconds of each time field and the mask of fields that
-    :func:`parse_time` rejects (0 there).
-
-    A run of equal fields is parsed once. ``YYYY-MM-DDTHH:MM:SSZ`` is
-    read as fixed width from the bytes; any other spelling goes through
-    :func:`parse_time` once.
-    """
-    starts, lengths = _runs(raw_times)
-    heads = raw_times[starts]
-    when_us = np.zeros(heads.size, dtype=np.int64)
-    canonical = np.zeros(heads.size, dtype=bool)
-    # in slices, so that the arithmetic's temporaries stay small
-    for first in range(0, heads.size, _TIME_SLICE):
-        part = slice(first, first + _TIME_SLICE)
-        when_us[part], canonical[part] = _iso_z_times(heads[part])
-    bad = np.zeros(heads.size, dtype=bool)
-    other = np.flatnonzero(~canonical)
-    if other.size:
-        from .stations import epoch_microseconds
-        spellings, inverse = _distinct(heads[other])
-        parsed = np.zeros(len(spellings), dtype=np.int64)
-        failed = np.zeros(len(spellings), dtype=bool)
-        for k, raw in enumerate(spellings):
-            try:
-                parsed[k] = epoch_microseconds(parse_time(_text(raw)))
-            except InvalidHeader:
-                failed[k] = True
-        when_us[other] = parsed[inverse]
-        bad[other] = failed[inverse]
-    return np.repeat(when_us, lengths), np.repeat(bad, lengths)
-
-
-def _iso_z_times(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch microseconds of the byte strings spelt exactly
-    ``YYYY-MM-DDTHH:MM:SSZ`` with a valid date and time, and their mask."""
-    n, width = fields.size, fields.dtype.itemsize
-    ok = np.full(n, width >= 20)
-    if not ok.any():
-        return np.zeros(n, dtype=np.int64), ok
-    octets = np.ascontiguousarray(fields).view(np.uint8).reshape(n, width)
-    if width > 20:
-        ok &= octets[:, 20] == 0
-    for place, mark in zip((4, 7, 10, 13, 16, 19), b"--T::Z"):
-        ok &= octets[:, place] == mark
-    numbers = []
-    for first, last in ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19)):
-        number = np.zeros(n, dtype=np.int64)
-        for place in range(first, last):
-            digit = octets[:, place] - np.uint8(ord("0"))
-            ok &= digit < 10
-            number = number * 10 + digit
-        numbers.append(number)
-    year, month, day, hour, minute, second = numbers
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _MONTH_DAYS[np.clip(month, 0, 12)] + (leap & (month == 2))
-    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) \
-        & (day <= month_days) & (hour < 24) & (minute < 60) & (second < 60)
-    # days since 1970-01-01 of the proleptic Gregorian date (H. Hinnant's
-    # days_from_civil), counting years from March 1
-    y = year - (month <= 2)
-    era = y // 400
-    yoe = y - era * 400
-    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = era * 146097 + yoe * 365 + yoe // 4 - yoe // 100 + doy - 719468
-    seconds = ((days * 24 + hour) * 60 + minute) * 60 + second
-    return np.where(ok, seconds * 1_000_000, 0), ok
+    :func:`parse_time` rejects (0 there); each distinct spelling is
+    parsed once."""
+    from .stations import epoch_microseconds
+    spellings, inverse = _distinct(raw_times)
+    parsed = np.zeros(len(spellings), dtype=np.int64)
+    failed = np.zeros(len(spellings), dtype=bool)
+    for k, raw in enumerate(spellings):
+        try:
+            parsed[k] = epoch_microseconds(parse_time(_text(raw)))
+        except InvalidHeader:
+            failed[k] = True
+    return parsed[inverse], failed[inverse]
 
 
 def _variable_codes(raw_variables: np.ndarray

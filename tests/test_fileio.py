@@ -573,6 +573,21 @@ class TestStationCsvs:
         t2m = table.variable_index(VariableId.T2M)
         assert table.values[t2m, 1:3, 1].tolist() == [281.5, 280.0]
 
+    def test_padded_value_reads_whatever_other_rows_hold(self, tmp_path):
+        # the width cap is on text columns only: a value padded past it
+        # reads as itself whether numpy parses the column or, for the
+        # digit separator of another row, float() does
+        (tmp_path / "meta.csv").write_text(STATION_META)
+        padded = "S2,2025-07-01T06:00:00Z,t2m,281.5" + " " * 200 + "\n"
+        for other in ("280.0", "2_80.0"):
+            (tmp_path / "obs.csv").write_text(
+                STATION_OBS + padded
+                + f"S2,2025-07-01T12:00:00Z,t2m,{other}\n")
+            table = fileio.read_station_csvs(tmp_path / "meta.csv",
+                                             tmp_path / "obs.csv")
+            t2m = table.variable_index(VariableId.T2M)
+            assert table.values[t2m, 1:3, 1].tolist() == [281.5, 280.0]
+
 
 # Random station CSVs for the columnar reader against the row reader in
 # tests/oracles.py. Each row has at most one odd or faulty part, drawn
@@ -591,14 +606,14 @@ def _field(draw, text: str) -> str:
     return text
 
 
-def _row(draw, fields: list[str], odd: str | None, n_text: int) -> str:
-    """A CSV row of ``fields``, the first ``n_text`` of them text."""
+def _row(draw, fields: list[str], odd: str | None) -> str:
+    """A CSV row of ``fields``."""
     if odd == "short":
         fields = fields[:draw(st.integers(1, len(fields) - 1))]
     elif odd == "long":
         fields = fields + ["junk"]
-    elif odd == "wide":  # a text field at or past the column width cap
-        k = draw(st.integers(0, n_text - 1))
+    elif odd == "wide":  # a field padded to a text column's width cap or past
+        k = draw(st.integers(0, len(fields) - 1))
         fields = fields[:k] + [fields[k] + " " * draw(st.sampled_from(
             [127 - len(fields[k].encode()), 200]))] + fields[k + 1:]
     elif odd == "blank":
@@ -623,12 +638,16 @@ def station_csv_pairs(draw):
         odd = _odd(draw, "short", "long", "wide", "blank", "lat")
         lat = "north" if odd == "lat" else repr(draw(st.floats(-60.0, 60.0)))
         meta_rows.append(_row(draw, [sid, lat, repr(draw(st.floats(
-            -180.0, 360.0))), "0.0"], odd, 1))
+            -180.0, 360.0))), "0.0"], odd))
     meta_header = draw(st.sampled_from(["id,lat,lon,elev_m"] * 4
                                        + ["id, lat,lon , elev_m"] * 4
                                        + ["id,lat,lon"]))
     base = [T0 + timedelta(hours=h, minutes=m)
             for h in range(0, 24, 6) for m in (-15, -10, 0, 5, 15, 20)]
+    # float() takes a digit separator and numpy's parser does not, so in
+    # such a file the value column is read as Python text: a value padded
+    # past a text column's width cap must still read as itself
+    separators = draw(st.sampled_from([False, False, False, True]))
     obs_rows = []
     for _ in range(draw(st.integers(0, 10))):
         odd = _odd(draw, "short", "long", "wide", "blank", "repeat", "id",
@@ -640,6 +659,9 @@ def station_csv_pairs(draw):
         fields = [draw(st.sampled_from(ids)), fileio.format_time(when),
                   draw(st.sampled_from(["t2m", "msl", "ws10"])),
                   repr(draw(st.floats(200.0, 110000.0)))]
+        if separators:
+            fields[3] = (fields[3][0] + "_" + fields[3][1:]
+                         + " " * draw(st.sampled_from([0, 0, 200])))
         if odd == "id":
             fields[0] = draw(st.sampled_from(["S9", "S 1", "s1"]))
         elif odd == "time":
@@ -656,7 +678,7 @@ def station_csv_pairs(draw):
             fields[3] = draw(st.sampled_from(["nan", "inf", "-inf", "NaN",
                                               "1e400", "warm", "", "2_81.5",
                                               "0x1p8"]))
-        obs_rows.append(_row(draw, fields, odd, 3))
+        obs_rows.append(_row(draw, fields, odd))
     obs_header = draw(st.sampled_from(
         ["station_id,iso_time,variable,value_si"] * 4
         + [" station_id,iso_time , variable,value_si", "station_id,time"]))
@@ -1561,21 +1583,3 @@ class TestClimatologyByDay:
                                     np.zeros((3, *grid.shape)), (2020,), 363)
         with pytest.raises(ValueError, match="all 365 days"):
             fileio.write_daily_climatology(part, tmp_path / "c.rbc")
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.tuples(st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
-                 st.integers(0, 25), st.integers(0, 61), st.integers(0, 61)))
-def test_fixed_width_times_match_parse_time(fields):
-    # every YYYY-MM-DDTHH:MM:SSZ-shaped spelling, valid date or not, reads
-    # as the row reader's parse_time reads it
-    stamp = "{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}Z".format(*fields)
-    with tempfile.TemporaryDirectory() as tmp:
-        meta, obs = Path(tmp) / "meta.csv", Path(tmp) / "obs.csv"
-        meta.write_text(STATION_META)
-        obs.write_text(f"station_id,iso_time,variable,value_si\n"
-                       f"S1,{stamp},t2m,280.0\nS1,{stamp},t2m,281.0\n")
-        times = [T0]
-        want = _read_outcome(oracles.read_station_csvs_rows, meta, obs, times)
-        got = _read_outcome(fileio.read_station_csvs, meta, obs, times)
-    assert got == want
