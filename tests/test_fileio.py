@@ -562,31 +562,18 @@ class TestStationCsvs:
 
     def test_values_that_only_python_parses(self, tmp_path):
         # float() takes digit separators and Unicode digits, numpy's
-        # parser does not: the column is parsed once per spelling instead
+        # parser does not: the column is parsed once per spelling instead,
+        # each field read whole (a value has no width cap)
         (tmp_path / "meta.csv").write_text(STATION_META)
         (tmp_path / "obs.csv").write_text(
             STATION_OBS + "S2,2025-07-01T06:00:00Z,t2m,2_81.5\n"
-                          "S2,2025-07-01T12:00:00Z,t2m,٢٨٠\n",
-            encoding="utf-8")
+                          "S2,2025-07-01T12:00:00Z,t2m,٢٨٠\n"
+                          "S2,2025-07-01T18:00:00Z,t2m,282.5" + " " * 200
+            + "\n", encoding="utf-8")
         table = fileio.read_station_csvs(tmp_path / "meta.csv",
                                          tmp_path / "obs.csv")
         t2m = table.variable_index(VariableId.T2M)
-        assert table.values[t2m, 1:3, 1].tolist() == [281.5, 280.0]
-
-    def test_padded_value_reads_whatever_other_rows_hold(self, tmp_path):
-        # the width cap is on text columns only: a value padded past it
-        # reads as itself whether numpy parses the column or, for the
-        # digit separator of another row, float() does
-        (tmp_path / "meta.csv").write_text(STATION_META)
-        padded = "S2,2025-07-01T06:00:00Z,t2m,281.5" + " " * 200 + "\n"
-        for other in ("280.0", "2_80.0"):
-            (tmp_path / "obs.csv").write_text(
-                STATION_OBS + padded
-                + f"S2,2025-07-01T12:00:00Z,t2m,{other}\n")
-            table = fileio.read_station_csvs(tmp_path / "meta.csv",
-                                             tmp_path / "obs.csv")
-            t2m = table.variable_index(VariableId.T2M)
-            assert table.values[t2m, 1:3, 1].tolist() == [281.5, 280.0]
+        assert table.values[t2m, 1:4, 1].tolist() == [281.5, 280.0, 282.5]
 
 
 # Random station CSVs for the columnar reader against the row reader in
