@@ -60,12 +60,22 @@ def year_times(year: int) -> list[datetime]:
     return out
 
 
+def _float32_or_64(values) -> np.ndarray:
+    """``values`` as a C-contiguous float32 array if they are float32,
+    else as a float64 one."""
+    values = np.asarray(values)
+    return np.ascontiguousarray(
+        values, np.float32 if values.dtype == np.float32 else np.float64)
+
+
 @dataclass(frozen=True)
 class DailyHistory:
     """Dense multi-year daily extremes on a flat location axis.
 
     ``daily_max`` and ``daily_min`` have shape (n_years, 365,
-    n_locations); NaN marks an absent (year, day, location) entry.
+    n_locations); NaN marks an absent (year, day, location) entry. A
+    float32 array is kept as float32 (the daily extremes of float32
+    stores are exact in it); any other is converted to float64.
     """
 
     years: tuple[int, ...]
@@ -73,8 +83,7 @@ class DailyHistory:
     daily_min: np.ndarray
 
     def __post_init__(self):
-        dmax = np.ascontiguousarray(self.daily_max, dtype=np.float64)
-        dmin = np.ascontiguousarray(self.daily_min, dtype=np.float64)
+        dmax, dmin = _float32_or_64(self.daily_max), _float32_or_64(self.daily_min)
         if dmax.ndim != 3 or dmax.shape != dmin.shape:
             raise ValueError("daily_max/daily_min must share shape (years, 365, loc)")
         if dmax.shape[0] != len(self.years) or dmax.shape[1] != DAYS_PER_YEAR:
@@ -129,13 +138,14 @@ def daily_extremes_from_fields(block: FieldBlock
     :func:`_calendar_days`), and their ``(n_rows, n_locations)`` daily max
     and min; Feb 29 is dropped.
 
-    The location axis is the row-major flattening of the grid. Each day
-    starts from its first synoptic hour and takes the max (min) with each
-    later hour in turn, one whole-array pass per hour.
+    The location axis is the row-major flattening of the grid, and the
+    extremes keep the dtype of the block. Each day starts from its first
+    synoptic hour and takes the max (min) with each later hour in turn,
+    one whole-array pass per hour.
     """
     rows, parts = _calendar_days(block)
     n_rows, (n_lat, n_lon) = rows.stop - rows.start, block.grid.shape
-    dmax = np.empty((n_rows, n_lat, n_lon))
+    dmax = np.empty((n_rows, n_lat, n_lon), dtype=block.values.dtype)
     dmin = np.empty_like(dmax)
     at = 0
     for days in parts:
@@ -184,40 +194,128 @@ class ThresholdField:
         return self.tau_heat.shape[1]
 
 
-def quantile_sorted(sorted_values: np.ndarray, q: float) -> np.ndarray:
-    """Linear-interpolation quantile along axis 0 of pre-sorted data."""
-    n = sorted_values.shape[0]
-    h = q * (n - 1)
-    lo = int(math.floor(h))
-    g = h - lo
-    if g == 0.0 or lo + 1 >= n:
-        return sorted_values[min(lo, n - 1)]
-    return sorted_values[lo] + g * (sorted_values[lo + 1] - sorted_values[lo])
+#: Most bytes of one array of ordered lists that :func:`build_thresholds`
+#: holds for a chunk of locations; it holds a few such arrays at once.
+LIST_CHUNK_BYTES = 2**20
 
 
-def _quantile_sorted_columns(sorted_values: np.ndarray, counts: np.ndarray,
-                             q: float) -> np.ndarray:
-    """:func:`quantile_sorted` of each column's first ``counts[j]`` values.
+def _sort_bitonic_runs(runs: np.ndarray, width: int) -> np.ndarray:
+    """``runs`` with each run of ``width`` (a power of two) entries along
+    axis 0 in descending order, where each run is bitonic (it rises then
+    falls, or falls then rises). Batcher's bitonic merger: log2(width)
+    rounds of elementwise max and min over pairs of entries, which may
+    overwrite ``runs``."""
+    runs = np.ascontiguousarray(runs)  # so that each reshape is a view
+    n, rest = runs.shape[0], runs.shape[1:]
+    spare = np.empty_like(runs)
+    half = width // 2
+    while half:
+        pairs = runs.reshape(n // (2 * half), 2, half, *rest)
+        into = spare.reshape(pairs.shape)
+        np.maximum(pairs[:, 0], pairs[:, 1], out=into[:, 0])
+        np.minimum(pairs[:, 0], pairs[:, 1], out=into[:, 1])
+        runs, spare = spare, runs
+        half //= 2
+    return runs
 
-    The same arithmetic, per column: for n = counts[j], h = q * (n - 1),
-    and the result is s[lo] when g = h - lo is 0 or s[lo + 1] is past the
-    column's values, else s[lo] + g * (s[lo + 1] - s[lo]).
+
+def _sorted_descending(values: np.ndarray) -> np.ndarray:
+    """``values`` sorted in descending order along axis 0, whose length is
+    a power of two: sorted runs of 1, 2, 4, ... entries are merged in
+    pairs, each pair the first run followed by the second reversed."""
+    n, rest = values.shape[0], values.shape[1:]
+    width = 1
+    while width < n:
+        runs = values.reshape(n // (2 * width), 2, width, *rest)
+        values = np.concatenate([runs[:, 0], runs[:, 1, ::-1]], axis=1)
+        values = _sort_bitonic_runs(values.reshape(n, *rest), 2 * width)
+        width *= 2
+    return values
+
+
+def _merge_largest(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ``k`` largest entries, descending, of two lists of ``k`` (a
+    power of two) entries each sorted descending along axis 0: the
+    larger of ``a[i]`` and ``b[k - 1 - i]`` are those ``k``, in a bitonic
+    run."""
+    return _sort_bitonic_runs(np.maximum(a, b[::-1]), len(a))
+
+
+def _largest_in_windows(values: np.ndarray, k: int, window_len: int
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """The pool size and the ``k`` largest values, descending, of the
+    pool of each of 365 windows of ``window_len`` consecutive days.
+
+    ``values`` is ``(n_years, n_days, n_loc)``, where ``n_days`` is a
+    multiple of ``window_len`` and at least 364 + ``window_len``; NaN
+    marks an absent value, which is not counted and ranks below every
+    value. ``k`` is a power of two; a pool of fewer values is padded with
+    -inf. Window i holds days i .. i + window_len - 1; returns the
+    ``(365, n_loc)`` pool sizes and ``(k, 365, n_loc)`` values.
+
+    The van Herk / Gil-Werman scheme: within each block of
+    ``window_len`` days, the largest values of every prefix and every
+    suffix of the block; a window is then the suffix of its block from
+    its first day merged with the prefix of the next block to its last.
     """
-    h = q * (counts - 1)
+    n_years, n_days, n_loc = values.shape
+    present = ~np.isnan(values)
+    in_days = np.zeros((n_days + 1, n_loc), dtype=np.intp)
+    np.cumsum(np.count_nonzero(present, axis=0), axis=0, out=in_days[1:])
+    counts = in_days[window_len:][:DAYS_PER_YEAR] - in_days[:DAYS_PER_YEAR]
+    # each day's values over the years, descending, padded with -inf
+    per_day = np.full((1 << (n_years - 1).bit_length(), n_days, n_loc),
+                      -np.inf, dtype=values.dtype)
+    np.copyto(per_day[:n_years], values, where=present)
+    per_day = _sorted_descending(per_day)[:k]
+    if len(per_day) < k:
+        per_day = np.concatenate([per_day, np.full(
+            (k - len(per_day), n_days, n_loc), -np.inf, dtype=values.dtype)])
+    blocks = per_day.reshape(k, n_days // window_len, window_len, n_loc)
+    prefix = np.empty_like(blocks)
+    suffix = np.empty_like(blocks)
+    prefix[:, :, 0] = blocks[:, :, 0]
+    suffix[:, :, -1] = blocks[:, :, -1]
+    for day in range(1, window_len):
+        prefix[:, :, day] = _merge_largest(prefix[:, :, day - 1],
+                                           blocks[:, :, day])
+    for day in range(window_len - 2, 0, -1):
+        suffix[:, :, day] = _merge_largest(blocks[:, :, day],
+                                           suffix[:, :, day + 1])
+    # a window that starts a block is that block's whole prefix
+    suffix[:, :, 0] = -np.inf
+    prefix = prefix.reshape(per_day.shape)
+    suffix = suffix.reshape(per_day.shape)
+    return counts, _merge_largest(suffix[:, :DAYS_PER_YEAR],
+                                  prefix[:, window_len - 1:][:, :DAYS_PER_YEAR])
+
+
+def _pool_quantiles(largest: np.ndarray, counts: np.ndarray, q: float,
+                    negated: bool) -> np.ndarray:
+    """The ``q`` quantile of each pool of ``counts`` values (see the
+    module docstring), in float64, from its largest values, descending;
+    when ``negated``, from the largest of its values negated (its
+    smallest). For n = counts[j], h = q * (n - 1) and lo = floor(h), the
+    result is s[lo] when g = h - lo is 0 or s[lo + 1] is past the pool,
+    else s[lo] + g * (s[lo + 1] - s[lo]), s being the pool sorted
+    ascending; the terms are computed once per pool size."""
+    n = np.arange(counts.max() + 1)
+    h = q * (n - 1)
     lo = np.floor(h).astype(np.intp)
     g = h - lo
-    last = np.maximum(counts - 1, 0)
-    at_lo = np.take_along_axis(sorted_values, np.minimum(lo, last)[None], 0)[0]
-    at_hi = np.take_along_axis(sorted_values, np.minimum(lo + 1, last)[None],
-                               0)[0]
+    exact = ((g == 0.0) | (lo + 1 >= n))[counts]
+    # s[lo] and s[lo + 1] of each pool, by their rank in ``largest``
+    ranks = (lo, lo + 1) if negated else (n - 1 - lo, n - 2 - lo)
+    k, size = len(largest), counts.size
+    cells = np.arange(size).reshape(counts.shape)
+    s_lo, s_hi = (largest.reshape(-1)[np.clip(rank, 0, k - 1)[counts] * size
+                                      + cells].astype(np.float64)
+                  for rank in ranks)
+    if negated:
+        s_lo, s_hi = -s_lo, -s_hi
     with np.errstate(invalid="ignore"):
-        between = at_lo + g * (at_hi - at_lo)
-    return np.where((g == 0.0) | (lo + 1 >= counts), at_lo, between)
-
-
-def window_indices(day: int, half_window: int) -> np.ndarray:
-    """Calendar-day indices of the moving window, wrapping the year."""
-    return np.arange(day - half_window, day + half_window + 1) % DAYS_PER_YEAR
+        between = s_lo + g[counts] * (s_hi - s_lo)
+    return np.where(exact, s_lo, between)
 
 
 def build_thresholds(history: DailyHistory, q_heat: float = 0.9,
@@ -229,6 +327,13 @@ def build_thresholds(history: DailyHistory, q_heat: float = 0.9,
     centered on the day. Absent days shrink the pool; a pool smaller
     than the window length raises :class:`InsufficientHistory`, as does
     a history of fewer than two years.
+
+    No pool is sorted: a quantile needs two order statistics, s[lo] and
+    s[lo + 1], which lie among the n - lo largest values of a pool of n
+    (heat) or its lo + 2 smallest (cold). Those are found for every
+    window exactly, by elementwise max and min (see
+    :func:`_largest_in_windows`), a chunk of locations at a time, so the
+    thresholds equal those of sorting each pool bit for bit.
     """
     if len(history.years) < 2:
         raise InsufficientHistory(
@@ -238,32 +343,39 @@ def build_thresholds(history: DailyHistory, q_heat: float = 0.9,
     if half_window < 0:
         raise ValueError("half_window must be non-negative")
     window_len = 2 * half_window + 1
+    n_pool = len(history.years) * window_len
     n_loc = history.n_locations
+    # the calendar from the first window's first day, wrapping the year,
+    # in whole blocks of window_len days; window i starts on day i
+    n_days = window_len * -(-(DAYS_PER_YEAR + window_len - 1) // window_len)
+    days = np.arange(-half_window, n_days - half_window) % DAYS_PER_YEAR
     tau_h = np.empty((DAYS_PER_YEAR, n_loc))
     tau_c = np.empty((DAYS_PER_YEAR, n_loc))
-    dense = not (np.any(np.isnan(history.daily_max))
-                 or np.any(np.isnan(history.daily_min)))
-    for day in range(DAYS_PER_YEAR):
-        win = window_indices(day, half_window)
-        pool_max = history.daily_max[:, win, :].reshape(-1, n_loc)
-        pool_min = history.daily_min[:, win, :].reshape(-1, n_loc)
-        if dense:
-            tau_h[day] = quantile_sorted(np.sort(pool_max, axis=0), q_heat)
-            tau_c[day] = quantile_sorted(np.sort(pool_min, axis=0), q_cold)
-            continue
-        # absent samples are NaN, which np.sort puts after every value
-        n_max = np.count_nonzero(~np.isnan(pool_max), axis=0)
-        short = np.flatnonzero(n_max < window_len)
-        if short.size:
-            loc = int(short[0])
-            raise InsufficientHistory(
-                f"day {day + 1}, location {loc}: pool size "
-                f"{n_max[loc]} < {window_len}")
-        n_min = np.count_nonzero(~np.isnan(pool_min), axis=0)
-        tau_h[day] = _quantile_sorted_columns(np.sort(pool_max, axis=0),
-                                              n_max, q_heat)
-        tau_c[day] = _quantile_sorted_columns(np.sort(pool_min, axis=0),
-                                              n_min, q_cold)
+    # a smaller pool needs no more of its values than a full one
+    lo_heat = math.floor(q_heat * (n_pool - 1))
+    lo_cold = math.floor(q_cold * (n_pool - 1))
+    for extremes, q, tau, negated, needed in (
+            (history.daily_max, q_heat, tau_h, False, n_pool - lo_heat),
+            (history.daily_min, q_cold, tau_c, True,
+             min(lo_cold + 2, n_pool))):
+        k = 1 << (needed - 1).bit_length()
+        step = max(1, LIST_CHUNK_BYTES // (k * n_days * extremes.itemsize))
+        short = []
+        for start in range(0, n_loc, step):
+            values = extremes[:, days, start:start + step]
+            if negated:
+                np.negative(values, out=values)
+            counts, largest = _largest_in_windows(values, k, window_len)
+            if not negated and counts.min() < window_len:
+                # the first (day, location) in day-then-location order
+                day, loc = np.argwhere(counts < window_len)[0]
+                short.append((day, start + loc, counts[day, loc]))
+            tau[:, start:start + step] = _pool_quantiles(largest, counts, q,
+                                                         negated)
+        if short:
+            day, loc, size = min(short)
+            raise InsufficientHistory(f"day {day + 1}, location {loc}: pool "
+                                      f"size {size} < {window_len}")
     return ThresholdField(tau_h, tau_c, history.years, half_window, q_heat, q_cold)
 
 

@@ -20,7 +20,8 @@ which resolves manifest paths to stacks, parses each stack's sidecar
 once, validates each grid geometry once per run and reads blocks of
 layers (:class:`~wxverify.grid.FieldBlock`) with one read per stack; a
 history year is read as consecutive blocks of whole days, each at most
-:data:`CHUNK_BYTES` of float64 layers.
+:data:`CHUNK_BYTES` of float64 layers, and holds the float32 values as
+stored.
 
 Writers stream to a temp file and rename, so a file is either complete
 or absent. Serialization is canonical: rewriting what was just read
@@ -286,8 +287,8 @@ class _Store:
 
     def read(self, start: int, count: int) -> tuple[GeoGrid, np.ndarray]:
         """The engine-convention grid, and layers ``start .. start +
-        count`` as float64 ``(count, n_lat, n_lon)`` oriented as the grid
-        is: rows flipped, then columns rolled.
+        count`` in the stored dtype, ``(count, n_lat, n_lon)`` oriented as
+        the grid is: rows flipped, then columns rolled.
 
         The payload's length is checked against the sidecar before
         anything is read, and the grid is built only after that, so a
@@ -327,11 +328,10 @@ class _Store:
                 raise ChecksumMismatch(f"{path}: CRC-32 mismatch{where}")
         grid, flip_rows, lon_shift = _cached_grid(self.geometry, path,
                                                   self.geometries)
-        # an f64le payload is used in place; only f32le is widened (one copy)
         skip = (start - first_crc * per_crc) * layer_bytes
         layers = np.frombuffer(blob, dtype=self.dtype,
                                count=count * n_lat * n_lon, offset=skip) \
-            .astype(np.float64, copy=False).reshape(count, n_lat, n_lon)
+            .reshape(count, n_lat, n_lon)
         if flip_rows:
             layers = layers[:, ::-1]
         if lon_shift:
@@ -529,11 +529,12 @@ class _Stack:
                 f"start at {format_time(self.first_time)}, every 6 h")
         return k
 
-    def block(self, times: Sequence[datetime],
-              leads: Sequence[int | None]) -> FieldBlock:
+    def block(self, times: Sequence[datetime], leads: Sequence[int | None],
+              widen: bool = True) -> FieldBlock:
         """The layers valid at ascending ``times``, from one read of the
         span they cover; where ``leads`` gives a lead, the layer must
-        carry it."""
+        carry it. They are float64, or float32 as stored when not
+        ``widen``."""
         path = self.store.path
         ks = [self.index(when) for when in times]
         layer_leads = tuple(self.first_lead + k * self.lead_step for k in ks)
@@ -546,7 +547,8 @@ class _Stack:
         grid, layers = self.store.read(lo, hi - lo + 1)
         if ks != list(range(lo, hi + 1)):
             layers = layers[[k - lo for k in ks]]
-        values = np.ascontiguousarray(layers)
+        # widened to float64 in the one copy that makes them contiguous
+        values = np.ascontiguousarray(layers, np.float64 if widen else None)
         if not np.isfinite(values).all():
             raise NonFiniteValue(f"{path}: payload contains NaN/Inf")
         return FieldBlock(grid, self.variable,
@@ -698,6 +700,9 @@ def read_besttrack(path: str | os.PathLike) -> list[StormTrack]:
                 fixes.append(fix)
     except OSError as exc:
         raise InvalidHeader(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidHeader(f"{path}: not UTF-8 text: {exc.reason} "
+                            f"(byte 0x{exc.object[exc.start]:02x})") from exc
     tracks = []
     for storm_id in order:
         fixes = by_storm[storm_id]
@@ -817,7 +822,10 @@ def _read_station_obs(path: Path, meta_name: str, stations: Sequence[Station]
         lineno = k + 2
         kind = firsts.index(k)
         if kind == 0:
-            parse_time(_text(raw_times[k]))  # raises its InvalidHeader
+            try:
+                parse_time(_text(raw_times[k]))
+            except InvalidHeader as exc:
+                raise InvalidHeader(f"{path}:{lineno}: {exc}") from exc
         if kind in (1, 2):
             try:
                 if kind == 1:
@@ -1289,11 +1297,13 @@ class FieldSource:
         return stack
 
     def _block(self, path_at, variable: VariableId,
-               times: Sequence[datetime], leads: Sequence[int | None]
-               ) -> FieldBlock:
+               times: Sequence[datetime], leads: Sequence[int | None],
+               widen: bool = True) -> FieldBlock:
         """The layers of ``variable`` valid at ascending ``times``, each
         from the store ``path_at(variable, time, lead)`` names (see
-        :func:`_path_cache`): one read per stack."""
+        :func:`_path_cache`): one read per stack. Stored layers are
+        float32 when not ``widen``; a derived variable is computed from
+        float64 layers."""
         if variable.derived:
             return derive_wind_speed(
                 self._block(path_at, VariableId.U10, times, leads),
@@ -1302,7 +1312,8 @@ class FieldSource:
         for path, items in groupby(zip(times, leads),
                                    key=lambda item: path_at(variable, *item)):
             part_times, part_leads = zip(*items)
-            parts.append(self._resolve(path).block(part_times, part_leads))
+            parts.append(self._resolve(path).block(part_times, part_leads,
+                                                   widen))
         if len(parts) == 1:
             return parts[0]
         first = parts[0]
@@ -1356,10 +1367,11 @@ class FieldSource:
                 ) -> Iterator[FieldBlock]:
         """Every 6-hourly history field of one calendar year, as
         consecutive blocks of whole days from 00Z: as many days as fit in
-        :data:`CHUNK_BYTES` of float64 layers, at least one. Each block is
-        one read per stack, so every layer of the year is read, and
-        checked, once; a path is formatted once per year for each
-        distinct value of the keys its pattern uses."""
+        :data:`CHUNK_BYTES` of float64 layers, at least one. A stored
+        variable's blocks hold the float32 values of its stores, not
+        widened. Each block is one read per stack, so every layer of the
+        year is read, and checked, once; a path is formatted once per
+        year for each distinct value of the keys its pattern uses."""
         times = year_times(year)
         path_at = _path_cache(
             self.manifest.history_pattern,
@@ -1371,7 +1383,8 @@ class FieldSource:
         per_block = day * max(1, CHUNK_BYTES // (8 * day * n_lat * n_lon))
         for start in range(0, len(times), per_block):
             part = times[start:start + per_block]
-            yield self._block(path_at, variable, part, [None] * len(part))
+            yield self._block(path_at, variable, part, [None] * len(part),
+                              widen=False)
 
     def climatology(self, variable: VariableId,
                     times: Iterable[datetime] | None = None

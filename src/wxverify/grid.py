@@ -226,7 +226,9 @@ class FieldBlock:
     """Consecutive layers of one variable on one grid, read in one pass.
 
     ``values`` is a C-contiguous float64 (k, n_lat, n_lon) array of
-    finite values; layer i is valid at ``valid_times[i]`` with lead
+    finite values (float32 as stored for a block of history, see
+    :meth:`~wxverify.fileio.FieldSource.history`); layer i is valid at
+    ``valid_times[i]`` with lead
     ``lead_hours[i]``. The reader (:class:`~wxverify.fileio.FieldSource`)
     checks all of that, so construction does not scan the values again.
     """

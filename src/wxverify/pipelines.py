@@ -182,9 +182,10 @@ def _reduce_history(source, variable, means: bool, extremes: bool):
     ``extremes`` (None for what is not asked for).
 
     Memory is the 365-day accumulators and one block: each block's day
-    means are added, in year order, into one total that is divided once
-    by the number of years, and its daily max and min are written into
-    the rows of its year. Each year's blocks must cover the year once, in
+    means are added, in year order, into one float64 total that is
+    divided once by the number of years, and its daily max and min are
+    written into the rows of its year, in the dtype of the blocks (the
+    float32 of the stores). Each year's blocks must cover the year once, in
     order, and every block must be on the grid of the first.
     """
     import numpy as np
@@ -208,7 +209,8 @@ def _reduce_history(source, variable, means: bool, extremes: bool):
                     total = np.zeros((DAYS_PER_YEAR, *grid.shape))
                 if extremes:
                     dmax = np.empty((len(years), DAYS_PER_YEAR,
-                                     grid.n_lat * grid.n_lon))
+                                     grid.n_lat * grid.n_lon),
+                                    dtype=block.values.dtype)
                     dmin = np.empty_like(dmax)
             elif block.grid != grid:
                 raise ManifestError(f"{variable.key} history of {year} is on "

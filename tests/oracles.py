@@ -6,7 +6,8 @@ one-field numpy metric bodies, the field-by-field daily means and
 extremes that the engine's block kernels must reproduce bit for bit, and
 the whole-year mean across years and stack of daily extremes that the
 streamed history reduction must reproduce; the spectrum is a direct
-O(N^2) transform, percentiles are computed from a Python sort, event
+O(N^2) transform, percentiles are computed from a Python sort (and
+thresholds from the engine's former numpy sort per calendar day), event
 labeling/matching are brute-force searches, station
 windowing, QC and bilinear interpolation are per-element loops, the
 station CSVs are read one row at a time, station scores pair one field
@@ -178,6 +179,88 @@ def thresholds_per_location_loop(daily_max, daily_min, q_heat: float,
             vals_min = vals_min[~np.isnan(vals_min)]
             tau_h[day, loc] = percentile_sorted_oracle(vals_max, q_heat)
             tau_c[day, loc] = percentile_sorted_oracle(vals_min, q_cold)
+    return tau_h, tau_c
+
+
+def window_indices(day: int, half_window: int) -> np.ndarray:
+    """Calendar-day indices of the moving window, wrapping the 365-day
+    year."""
+    return np.arange(day - half_window, day + half_window + 1) % 365
+
+
+def quantile_sorted(sorted_values: np.ndarray, q: float) -> np.ndarray:
+    """Linear-interpolation quantile along axis 0 of pre-sorted data."""
+    n = sorted_values.shape[0]
+    h = q * (n - 1)
+    lo = int(math.floor(h))
+    g = h - lo
+    if g == 0.0 or lo + 1 >= n:
+        return sorted_values[min(lo, n - 1)]
+    return sorted_values[lo] + g * (sorted_values[lo + 1] - sorted_values[lo])
+
+
+def quantile_sorted_columns(sorted_values: np.ndarray, counts: np.ndarray,
+                            q: float) -> np.ndarray:
+    """:func:`quantile_sorted` of each column's first ``counts[j]`` values.
+
+    The same arithmetic, per column: for n = counts[j], h = q * (n - 1),
+    and the result is s[lo] when g = h - lo is 0 or s[lo + 1] is past the
+    column's values, else s[lo] + g * (s[lo + 1] - s[lo]).
+    """
+    h = q * (counts - 1)
+    lo = np.floor(h).astype(np.intp)
+    g = h - lo
+    last = np.maximum(counts - 1, 0)
+    at_lo = np.take_along_axis(sorted_values, np.minimum(lo, last)[None], 0)[0]
+    at_hi = np.take_along_axis(sorted_values, np.minimum(lo + 1, last)[None],
+                               0)[0]
+    with np.errstate(invalid="ignore"):
+        between = at_lo + g * (at_hi - at_lo)
+    return np.where((g == 0.0) | (lo + 1 >= counts), at_lo, between)
+
+
+def thresholds_per_day_sort(history, q_heat: float = 0.9, q_cold: float = 0.1,
+                            half_window: int = 7):
+    """(tau_heat, tau_cold) of ``climatology.build_thresholds``, one sort
+    per calendar day: the engine's former kernel.
+
+    Each day pools the window's daily extremes of every year as float64
+    (NaN where absent), sorts the pool of every location at once and
+    interpolates between its order statistics; a heat pool smaller than
+    the window raises InsufficientHistory with the engine's message, at
+    the first (day, location) in day-then-location order.
+    """
+    from wxverify.climatology import DAYS_PER_YEAR
+    from wxverify.errors import InsufficientHistory
+
+    daily_max = history.daily_max.astype(np.float64)
+    daily_min = history.daily_min.astype(np.float64)
+    window_len = 2 * half_window + 1
+    n_loc = history.n_locations
+    tau_h = np.empty((DAYS_PER_YEAR, n_loc))
+    tau_c = np.empty((DAYS_PER_YEAR, n_loc))
+    dense = not (np.any(np.isnan(daily_max)) or np.any(np.isnan(daily_min)))
+    for day in range(DAYS_PER_YEAR):
+        win = window_indices(day, half_window)
+        pool_max = daily_max[:, win, :].reshape(-1, n_loc)
+        pool_min = daily_min[:, win, :].reshape(-1, n_loc)
+        if dense:
+            tau_h[day] = quantile_sorted(np.sort(pool_max, axis=0), q_heat)
+            tau_c[day] = quantile_sorted(np.sort(pool_min, axis=0), q_cold)
+            continue
+        # absent samples are NaN, which np.sort puts after every value
+        n_max = np.count_nonzero(~np.isnan(pool_max), axis=0)
+        short = np.flatnonzero(n_max < window_len)
+        if short.size:
+            loc = int(short[0])
+            raise InsufficientHistory(
+                f"day {day + 1}, location {loc}: pool size "
+                f"{n_max[loc]} < {window_len}")
+        n_min = np.count_nonzero(~np.isnan(pool_min), axis=0)
+        tau_h[day] = quantile_sorted_columns(np.sort(pool_max, axis=0),
+                                             n_max, q_heat)
+        tau_c[day] = quantile_sorted_columns(np.sort(pool_min, axis=0),
+                                             n_min, q_cold)
     return tau_h, tau_c
 
 
@@ -715,7 +798,10 @@ def read_station_csvs_rows(meta_path, obs_path, times=None):
     for lineno, row in station_csv_rows(
             obs_path, ["station_id", "iso_time", "variable", "value_si"]):
         sid = row[0].strip()
-        when = parse_time(row[1])
+        try:
+            when = parse_time(row[1])
+        except InvalidHeader as exc:
+            raise InvalidHeader(f"{obs_path}:{lineno}: {exc}") from exc
         try:
             variable = VariableId.from_key(row[2].strip())
             value = float(row[3])

@@ -21,7 +21,7 @@ from wxverify import fileio
 from wxverify.cli import main as cli_main
 from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
                                   DailyMeanClimatology, build_thresholds,
-                                  daily_means_from_fields, window_indices)
+                                  daily_means_from_fields)
 from wxverify.cyclones import (TrackSource, homogeneous_sample,
                                intensity_errors, track_storm)
 from wxverify.extremes import (EventKind, EventSegment, label_events,
@@ -129,7 +129,7 @@ def test_c04_percentile_threshold_oracle(rng):
     wrap_probes = sum(1 for d, _ in probes if d < 7 or d > 357)
     assert wrap_probes >= 12
     for day, loc in probes:
-        win = window_indices(day, 7)
+        win = oracles.window_indices(day, 7)
         pool_max = history.daily_max[:, win, loc].ravel()
         pool_min = history.daily_min[:, win, loc].ravel()
         assert thresholds.tau_heat[day, loc] == \

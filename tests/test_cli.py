@@ -20,7 +20,7 @@ from wxverify import fileio, pipelines
 from wxverify.cli import main
 from wxverify.climatology import (SYNOPTIC_HOURS, DailyMeanClimatology,
                                   build_thresholds, calendar_day_index,
-                                  day_span)
+                                  daily_extremes_from_fields, day_span)
 from wxverify.extremes import EventKind
 from wxverify.grid import FieldBlock, VariableId, latitude_weights
 from wxverify.pipelines import _mean, _region_mask
@@ -681,6 +681,26 @@ class TestStreamedHistory:
             tracemalloc.stop()
         assert peak < accumulator_bytes + 3 * fileio.CHUNK_BYTES
 
+    def test_history_extremes_are_the_float32_of_the_stores(self,
+                                                            history_run):
+        # the daily max and min of float32 layers are float32 values: held
+        # as float32, they equal those of the layers widened to float64
+        manifest = fileio.load_manifest(history_run / "manifest.json")
+        _, _, history = pipelines._reduce_history(
+            fileio.FieldSource(manifest), VariableId.T2M, means=False,
+            extremes=True)
+        assert history.daily_max.dtype == history.daily_min.dtype \
+            == np.float32
+        for y, year in enumerate(manifest.history_years):
+            block = fileio.read_stack(manifest.history_path(
+                VariableId.T2M, datetime(year, 1, 1, tzinfo=timezone.utc)))
+            assert block.values.dtype == np.float64
+            _, day_max, day_min = daily_extremes_from_fields(block)
+            assert history.daily_max[y].astype(np.float64).tobytes() == \
+                day_max.tobytes()
+            assert history.daily_min[y].astype(np.float64).tobytes() == \
+                day_min.tobytes()
+
 
 def field_by_field(manifest_path, leads, spectra_leads):
     """The grid metric rows and mean spectra of scoring one field at a
@@ -1232,6 +1252,24 @@ class TestCyclones:
             assert row["n_storms"] == 0
             assert row["dpe_km"] == "n/a"
             assert row["mslp_bias_hpa"] == "n/a"
+
+    @pytest.mark.parametrize("at", ["header", "storm id"])
+    def test_besttrack_that_is_not_utf8_is_exit_2(self, cyclone_run, tmp_path,
+                                                  capsys, at):
+        header, first, *rest = (cyclone_run / "besttrack.csv").read_bytes() \
+            .splitlines(keepends=True)
+        if at == "header":
+            header = b"\xff" + header
+        else:
+            first = first.replace(b"SYN01", b"SYN\xff1", 1)
+        besttrack = tmp_path / "besttrack.csv"
+        besttrack.write_bytes(b"".join([header, first, *rest]))
+        rc = run_cli("cyclones", "--manifest", cyclone_run / "manifest.json",
+                     "--besttrack", besttrack, "--out", tmp_path / "out",
+                     "--lead-days", "1")
+        assert rc == 2
+        assert f"{besttrack}: not UTF-8 text: invalid start byte " \
+               f"(byte 0xff)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--search-radius-km", "nan"), ("--search-radius-km", "-5"),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from types import SimpleNamespace
 
@@ -11,11 +12,11 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_field, make_grid
+from wxverify import climatology
 from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory, day_span,
                                   build_thresholds, calendar_day_index,
                                   daily_extremes_from_fields,
-                                  daily_means_from_fields, window_indices,
-                                  year_times)
+                                  daily_means_from_fields, year_times)
 from wxverify.errors import InsufficientHistory, ManifestError
 from wxverify.grid import FieldBlock, VariableId
 from wxverify.pipelines import _reduce_history
@@ -270,7 +271,7 @@ class TestBuildThresholds:
         window = 2 * half + 1
         dmax = np.zeros((n_years, DAYS_PER_YEAR, 1))
         day = 100
-        win = window_indices(day, half)
+        win = oracles.window_indices(day, half)
         ramp = iter(range(1, n_years * window + 1))
         for y in range(n_years):
             for c in win:
@@ -289,7 +290,7 @@ class TestBuildThresholds:
                   for _ in range(120)]
         probes += [(0, 0), (364, 1), (3, 2), (361, 0)]  # force year wrap
         for day, loc in probes:
-            win = window_indices(day, 7)
+            win = oracles.window_indices(day, 7)
             pool_max = history.daily_max[:, win, loc].ravel()
             pool_min = history.daily_min[:, win, loc].ravel()
             assert tf.tau_heat[day, loc] == \
@@ -341,21 +342,25 @@ class TestBuildThresholds:
         assert np.all(tf.tau_heat >= tf.tau_cold)
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), n_years=st.integers(2, 4),
-           n_loc=st.integers(1, 5), half_window=st.integers(0, 7),
+    @given(seed=st.integers(0, 2**32 - 1), n_years=st.integers(2, 12),
+           n_loc=st.integers(1, 7), half_window=st.integers(0, 7),
            density=st.sampled_from([0.0, 0.0005, 0.02, 0.3, 0.7]),
-           holes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 364),
-                                    st.integers(0, 4)), max_size=3),
+           holes=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 364),
+                                    st.integers(0, 6)), max_size=3),
            q_heat=st.sampled_from([0.9, 1.0, 0.5, 0.37]),
            q_cold=st.sampled_from([0.1, 0.0, 0.37]),
-           min_share=st.sampled_from([1.0, 0.5]))
+           min_share=st.sampled_from([1.0, 0.5]),
+           dtype=st.sampled_from([np.float64, np.float32]),
+           chunk_bytes=st.sampled_from([None, 1, 2**14, 2**16]))
     def test_absent_samples_match_per_location_loop(
             self, seed, n_years, n_loc, half_window, density, holes, q_heat,
-            q_cold, min_share):
-        # values on a 0.25 K lattice, so pools hold ties. The daily minima
-        # are absent where the maxima are (as daily_extremes_from_fields
-        # gives), or at a random share of those places, so that the two
-        # pools of a (day, location) can differ in size.
+            q_cold, min_share, dtype, chunk_bytes):
+        # values on a 0.25 K lattice, so pools hold ties, and exact in
+        # float32. The daily minima are absent where the maxima are (as
+        # daily_extremes_from_fields gives), or at a random share of those
+        # places, so that the two pools of a (day, location) can differ in
+        # size. A chunk of 1 byte holds one location, of 2**14 and 2**16
+        # bytes a few, so the locations run over several chunks.
         rng = np.random.default_rng(seed)
         shape = (n_years, DAYS_PER_YEAR, n_loc)
         dmax = np.round(4.0 * (288.0 + 5.0 * rng.standard_normal(shape))) / 4
@@ -365,28 +370,70 @@ class TestBuildThresholds:
             absent[year % n_years, day, loc % n_loc] = True
         dmax[absent] = np.nan
         dmin[absent & (rng.random(shape) < min_share)] = np.nan
-        history = DailyHistory(tuple(range(2001, 2001 + n_years)), dmax, dmin)
+        history = DailyHistory(tuple(range(2001, 2001 + n_years)),
+                               dmax.astype(dtype), dmin.astype(dtype))
+        assert history.daily_max.dtype == history.daily_min.dtype == dtype
         q_cold = min(q_cold, q_heat)
-        try:
-            expected = oracles.thresholds_per_location_loop(
-                dmax, dmin, q_heat, q_cold, half_window)
-        except InsufficientHistory as exc:
-            with pytest.raises(InsufficientHistory) as raised:
-                build_thresholds(history, q_heat, q_cold, half_window)
-            assert str(raised.value) == str(exc)
-            return
-        if np.any(expected[0] < expected[1]):
-            # a cold pool larger than its heat pool can cross at q_cold = q_heat
-            with pytest.raises(ValueError, match="tau_heat must be >= tau_cold"):
-                build_thresholds(history, q_heat, q_cold, half_window)
-            return
-        tf = build_thresholds(history, q_heat, q_cold, half_window)
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk_bytes is not None:
+                patch.setattr(climatology, "LIST_CHUNK_BYTES", chunk_bytes)
+            try:
+                expected = oracles.thresholds_per_location_loop(
+                    dmax, dmin, q_heat, q_cold, half_window)
+            except InsufficientHistory as exc:
+                with pytest.raises(InsufficientHistory) as raised:
+                    build_thresholds(history, q_heat, q_cold, half_window)
+                assert str(raised.value) == str(exc)
+                return
+            if np.any(expected[0] < expected[1]):
+                # a cold pool larger than its heat pool can cross at
+                # q_cold = q_heat
+                with pytest.raises(ValueError,
+                                   match="tau_heat must be >= tau_cold"):
+                    build_thresholds(history, q_heat, q_cold, half_window)
+                return
+            tf = build_thresholds(history, q_heat, q_cold, half_window)
         assert tf.tau_heat.tobytes() == expected[0].tobytes()
         assert tf.tau_cold.tobytes() == expected[1].tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_dense_history_matches_the_per_day_sort(self, rng, dtype):
+        # the coarse grid's 2,592 locations over two years: many location
+        # chunks, the last one partial, against one sort per calendar day
+        dmax = np.round(4.0 * (288.0 + 5.0 * rng.standard_normal(
+            (2, DAYS_PER_YEAR, 2592)))) / 4
+        dmin = dmax - np.round(12.0 * np.abs(rng.standard_normal(
+            dmax.shape))) / 4
+        history = DailyHistory((2023, 2024), dmax.astype(dtype),
+                               dmin.astype(dtype))
+        assert history.daily_max.dtype == dtype
+        tau_heat, tau_cold = oracles.thresholds_per_day_sort(history)
+        tf = build_thresholds(history)
+        assert tf.tau_heat.tobytes() == tau_heat.tobytes()
+        assert tf.tau_cold.tobytes() == tau_cold.tobytes()
+
+    def test_memory_is_the_thresholds_and_a_chunk_of_locations(self, rng):
+        # the two float64 (365, 2592) results and a few list arrays of a
+        # chunk of locations, 1 MiB each (LIST_CHUNK_BYTES); the lists of
+        # every location at once take 16 MB each, 136 MiB in all
+        dmax = (288.0 + rng.standard_normal((2, DAYS_PER_YEAR, 2592))) \
+            .astype(np.float32)
+        history = DailyHistory((2023, 2024), dmax, dmax - np.float32(5.0))
+        tau_bytes = 2 * DAYS_PER_YEAR * 2592 * 8
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            thresholds = build_thresholds(history)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert thresholds.n_locations == 2592
+        assert peak - before < tau_bytes + 12 * 2**20
+
     def test_one_absent_sample_leaves_other_pools_dense(self, rng):
-        # the masked pass is whole-array: 2,592 locations with one absent
-        # (year, day, location) entry give the dense thresholds elsewhere
+        # one kernel for dense and holed pools: 2,592 locations with one
+        # absent (year, day, location) entry give the dense thresholds
+        # everywhere but in the windows that hold it
         history = dense_history(rng, n_years=2, n_loc=2592)
         dmax = history.daily_max.copy()
         dmin = history.daily_min.copy()
@@ -394,14 +441,14 @@ class TestBuildThresholds:
         holed = build_thresholds(DailyHistory(history.years, dmax, dmin))
         dense = build_thresholds(history)
         touched = np.zeros((DAYS_PER_YEAR, 2592), dtype=bool)
-        touched[window_indices(40, 7), 7] = True
+        touched[oracles.window_indices(40, 7), 7] = True
         assert np.array_equal(holed.tau_heat[~touched], dense.tau_heat[~touched])
         assert np.array_equal(holed.tau_cold[~touched], dense.tau_cold[~touched])
 
     def test_pool_size_accounting(self, rng):
         # dense data: each threshold pools exactly 15 * n_years samples
         history = dense_history(rng, n_years=5, n_loc=1)
-        win = window_indices(17, 7)
+        win = oracles.window_indices(17, 7)
         assert history.daily_max[:, win, 0].size == 15 * 5
 
 
