@@ -83,7 +83,8 @@ class DailyHistory:
     daily_min: np.ndarray
 
     def __post_init__(self):
-        dmax, dmin = _float32_or_64(self.daily_max), _float32_or_64(self.daily_min)
+        dmax = _float32_or_64(self.daily_max)
+        dmin = _float32_or_64(self.daily_min)
         if dmax.ndim != 3 or dmax.shape != dmin.shape:
             raise ValueError("daily_max/daily_min must share shape (years, 365, loc)")
         if dmax.shape[0] != len(self.years) or dmax.shape[1] != DAYS_PER_YEAR:
@@ -286,8 +287,8 @@ def _largest_in_windows(values: np.ndarray, k: int, window_len: int
     suffix[:, :, 0] = -np.inf
     prefix = prefix.reshape(per_day.shape)
     suffix = suffix.reshape(per_day.shape)
-    return counts, _merge_largest(suffix[:, :DAYS_PER_YEAR],
-                                  prefix[:, window_len - 1:][:, :DAYS_PER_YEAR])
+    last_days = prefix[:, window_len - 1:window_len - 1 + DAYS_PER_YEAR]
+    return counts, _merge_largest(suffix[:, :DAYS_PER_YEAR], last_days)
 
 
 def _pool_quantiles(largest: np.ndarray, counts: np.ndarray, q: float,
