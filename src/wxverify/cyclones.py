@@ -68,10 +68,6 @@ class TrackSource:
     name: str
     init_source: str | None = None
 
-    @property
-    def is_truth(self) -> bool:
-        return self.name == "truth"
-
 
 TRUTH_SOURCE = TrackSource("truth")
 

@@ -663,14 +663,15 @@ def read_besttrack(path: str | os.PathLike) -> list[StormTrack]:
 
     Rows of one storm must already be in strictly increasing 6-hour
     order; violations raise :class:`NonMonotoneTime`. Implausible MSLP
-    raises :class:`UnitOutOfRange` (via :class:`StormFix`).
+    raises :class:`UnitOutOfRange` (via :class:`StormFix`). A UTF-8
+    byte-order mark before the header is skipped.
     """
     from .cyclones import LEAD_STEP, TRUTH_SOURCE, StormFix, StormTrack
     path = Path(path)
     by_storm: dict[str, list[StormFix]] = {}
     order: list[str] = []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None or \
                     [c.strip() for c in reader.fieldnames] != _BESTTRACK_COLUMNS:
@@ -953,9 +954,10 @@ def _csv_columns(path: Path, columns: list[str]
 def _loadtxt(path: Path, columns: list[str], dtype: np.dtype,
              max_rows: int | None, usecols: int | None = None) -> np.ndarray:
     """The data rows of a CSV whose header, with spaces stripped, is
-    ``columns`` (at most ``max_rows``; only column ``usecols`` if given)."""
+    ``columns`` (at most ``max_rows``; only column ``usecols`` if given).
+    A UTF-8 byte-order mark before the header is skipped."""
     try:
-        with open(path, encoding="utf-8", errors="surrogateescape",
+        with open(path, encoding="utf-8-sig", errors="surrogateescape",
                   newline="") as fh:
             try:
                 header = next(csv.reader([fh.readline()]), None)

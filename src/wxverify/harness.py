@@ -27,6 +27,9 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left, bisect_right
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from itertools import groupby
@@ -252,6 +255,37 @@ def _inject(scenario: SyntheticScenario, variable: VariableId,
                 values[ep.lat_index, ep.lon_index] += sign * ep.amplitude_k
 
 
+#: How many chunks of noise the helper thread of
+#: :func:`generate_variable_series` may have drawn beyond the one in use.
+DRAWN_AHEAD = 2
+
+
+def _drawn_ahead(rng: np.random.Generator, shapes: Sequence[tuple[int, ...]]
+                 ) -> Iterator[np.ndarray]:
+    """``rng.standard_normal(shape)`` for each of ``shapes`` in turn, drawn
+    on one private helper thread at most :data:`DRAWN_AHEAD` draws ahead
+    of the caller. numpy releases the interpreter lock while it draws, so
+    the draws overlap the caller's work on the chunk before.
+
+    Only the helper touches ``rng``, and it draws in order, so the values
+    are those of the same calls made in line. An exception raised by a
+    draw is raised here, at that draw. However this generator ends
+    (exhausted, closed or raising), it cancels the draws not yet started,
+    drops those not handed out, and joins the helper before it returns.
+    """
+    helper = ThreadPoolExecutor(max_workers=1)
+    try:
+        drawing: deque = deque()  # futures of the draws not yet handed out
+        for shape in shapes:
+            drawing.append(helper.submit(rng.standard_normal, shape))
+            if len(drawing) > DRAWN_AHEAD:
+                yield drawing.popleft().result()
+        while drawing:
+            yield drawing.popleft().result()
+    finally:
+        helper.shutdown(wait=True, cancel_futures=True)
+
+
 def generate_variable_series(scenario: SyntheticScenario, variable: VariableId
                              ) -> Iterator[FieldBlock]:
     """Deterministic 6-hourly truth stream for one variable, in chunks.
@@ -261,6 +295,10 @@ def generate_variable_series(scenario: SyntheticScenario, variable: VariableId
     call to the random generator and smoothed in one pass; it holds the
     values its layers would have drawn and smoothed one at a time. Fields are
     float32-quantized; the AR state is carried across years.
+
+    The draws run on a helper thread (:func:`_drawn_ahead`), at most
+    :data:`DRAWN_AHEAD` chunks ahead; everything else runs on the caller's
+    thread. Closing the stream, or an error in it, joins the helper.
     """
     process = scenario.processes[variable]
     var_index = scenario.variables.index(variable)
@@ -273,14 +311,15 @@ def generate_variable_series(scenario: SyntheticScenario, variable: VariableId
     coef = math.sqrt(1.0 - rho * rho) * process.noise_sigma
     per_chunk = _chunk_layers(grid)
     smooth = _boxcar(width, per_chunk, grid.shape)
+    chunks = [tuple(times[start:start + per_chunk])
+              for times in map(year_times, scenario.years)
+              for start in range(0, len(times), per_chunk)]
     state = None  # the AR(1) noise of the layer before
     rho_state = np.empty(grid.shape)
     last = np.empty(grid.shape)
-    for year in scenario.years:
-        times = year_times(year)
-        for start in range(0, len(times), per_chunk):
-            chunk_times = tuple(times[start:start + per_chunk])
-            values = rng.standard_normal((len(chunk_times),) + grid.shape)
+    with closing(_drawn_ahead(rng, [(len(chunk_times),) + grid.shape
+                                    for chunk_times in chunks])) as draws:
+        for chunk_times, values in zip(chunks, draws):
             smooth(values)
             values *= scale
             # the series opens at sigma * innovation; every later layer is
@@ -302,7 +341,7 @@ def generate_variable_series(scenario: SyntheticScenario, variable: VariableId
             values[...] = values.astype(np.float32)
             yield FieldBlock(grid, variable, chunk_times,
                              (0,) * len(chunk_times), values)
-            del values, layer  # released before the next chunk is drawn
+            del values, layer  # released before the next chunk is taken
 
 
 def make_besttrack(scenario: SyntheticScenario) -> list[StormTrack]:
@@ -501,18 +540,19 @@ def _write_truth(scenario: SyntheticScenario, out_dir: Path,
     for when in sorted(keep or ()):
         spans.setdefault(when.year, [when, when])[1] = when
     for variable in scenario.variables:
-        chunks = generate_variable_series(scenario, variable)
-        for year, year_chunks in groupby(
-                chunks, key=lambda c: c.valid_times[0].year):
-            if keep is not None:
-                if year not in spans:
-                    continue
-                lo, hi = spans[year]
-                year_chunks = (part for part in (_within(c, lo, hi)
-                                                 for c in year_chunks)
-                               if part.valid_times)
-            fileio.write_stack(year_chunks, out_dir / truth_pattern.format(
-                variable=variable.key, year=year))
+        # closed, and its helper thread joined, even if a write raises
+        with closing(generate_variable_series(scenario, variable)) as chunks:
+            for year, year_chunks in groupby(
+                    chunks, key=lambda c: c.valid_times[0].year):
+                if keep is not None:
+                    if year not in spans:
+                        continue
+                    lo, hi = spans[year]
+                    year_chunks = (part for part in (_within(c, lo, hi)
+                                                     for c in year_chunks)
+                                   if part.valid_times)
+                fileio.write_stack(year_chunks, out_dir / truth_pattern.format(
+                    variable=variable.key, year=year))
 
 
 def _runs(times: Sequence[datetime], most: int) -> Iterator[list[datetime]]:

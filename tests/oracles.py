@@ -738,10 +738,11 @@ def station_csv_rows(path, columns):
     spaces stripped, is ``columns``. Data rows count from line 2; blank
     rows are skipped and not counted; a row with another field count
     than the header, or with a station id, time or variable of 128 UTF-8
-    bytes or more, raises InvalidHeader."""
+    bytes or more, raises InvalidHeader. A UTF-8 byte-order mark before
+    the header is skipped."""
     from wxverify.errors import InvalidHeader
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or [c.strip() for c in header] != columns:

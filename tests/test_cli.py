@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
@@ -301,6 +302,20 @@ class TestStationInputs:
         assert self.run_stations(wind_run, obs, tmp_path / "plain") == 0
         assert self.run_stations(wind_run, extra, tmp_path / "extra") == 0
         assert (tmp_path / "extra/scorecard.json").read_bytes() == \
+            (tmp_path / "plain/scorecard.json").read_bytes()
+
+    @pytest.mark.parametrize("marked", ["stations_meta.csv",
+                                        "stations_obs.csv"])
+    def test_byte_order_mark_is_skipped(self, wind_run, marked, tmp_path):
+        # spreadsheet programs start a UTF-8 CSV with the mark EF BB BF
+        run = tmp_path / "run"
+        shutil.copytree(wind_run, run)
+        (run / marked).write_bytes(b"\xef\xbb\xbf" + (run / marked).read_bytes())
+        assert self.run_stations(wind_run, wind_run / "stations_obs.csv",
+                                 tmp_path / "plain") == 0
+        assert self.run_stations(run, run / "stations_obs.csv",
+                                 tmp_path / "marked") == 0
+        assert (tmp_path / "marked/scorecard.json").read_bytes() == \
             (tmp_path / "plain/scorecard.json").read_bytes()
 
     @pytest.mark.parametrize("values", [["nan"], ["inf"], ["-inf"],
@@ -1252,6 +1267,25 @@ class TestCyclones:
             assert row["n_storms"] == 0
             assert row["dpe_km"] == "n/a"
             assert row["mslp_bias_hpa"] == "n/a"
+
+    def test_besttrack_byte_order_mark_is_skipped(self, cyclone_run,
+                                                  tmp_path):
+        besttrack = tmp_path / "besttrack.csv"
+        besttrack.write_bytes(b"\xef\xbb\xbf"
+                              + (cyclone_run / "besttrack.csv").read_bytes())
+        for track_file, out in ((cyclone_run / "besttrack.csv", "plain"),
+                                (besttrack, "marked")):
+            assert run_cli("cyclones", "--manifest",
+                           cyclone_run / "manifest.json", "--besttrack",
+                           track_file, "--out", tmp_path / out) == 0
+        assert (tmp_path / "marked/tracks.csv").read_bytes() == \
+            (tmp_path / "plain/tracks.csv").read_bytes()
+        # the scorecards differ only in the digest of the file read
+        cards = [load_card(tmp_path / out) for out in ("plain", "marked")]
+        digests = [card["provenance"].pop("besttrack_sha256")
+                   for card in cards]
+        assert digests[1] == hashlib.sha256(besttrack.read_bytes()).hexdigest()
+        assert cards[0] == cards[1]
 
     @pytest.mark.parametrize("at", ["header", "storm id"])
     def test_besttrack_that_is_not_utf8_is_exit_2(self, cyclone_run, tmp_path,

@@ -607,7 +607,9 @@ def _row(draw, fields: list[str], odd: str | None) -> str:
 
 def _csv(draw, header: str, rows: list[str]) -> bytes:
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return (newline.join([header] + rows) + newline).encode("utf-8")
+    # a UTF-8 byte-order mark, as spreadsheet programs write it
+    mark = draw(st.sampled_from(["", "", "", "\ufeff"]))
+    return (mark + newline.join([header] + rows) + newline).encode("utf-8")
 
 
 def _odd(draw, *kinds: str) -> str | None:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import threading
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -227,6 +229,93 @@ class TestWriteRun:
         assert "stations_obs.csv" in names and "besttrack.csv" in names
         assert ("truth/t2m/2023.rbs" in names) is (truth_span == "full")
         assert any(name.startswith("models/smoothed3/") for name in names)
+
+
+class DrawFailed(Exception):
+    """Raised by a patched draw or write of the truth generator."""
+
+
+class RecordedDraws:
+    """A ``Generator`` whose ``standard_normal`` calls are counted, with
+    the thread of each, and whose call number ``fail_at`` raises."""
+
+    def __init__(self, rng, fail_at=None):
+        self.rng, self.fail_at = rng, fail_at
+        self.threads = []
+
+    def standard_normal(self, shape):
+        self.threads.append(threading.current_thread())
+        if len(self.threads) == self.fail_at:
+            raise DrawFailed(f"draw {self.fail_at}")
+        return self.rng.standard_normal(shape)
+
+
+def record_draws(patch, fail_at=None):
+    """Patch ``np.random.default_rng`` to hand out :class:`RecordedDraws`;
+    returns the list they are appended to."""
+    made = []
+    default_rng = np.random.default_rng
+
+    def recorded(*args, **kwargs):
+        made.append(RecordedDraws(default_rng(*args, **kwargs), fail_at))
+        return made[-1]
+    patch.setattr(np.random, "default_rng", recorded)
+    return made
+
+
+class TestDrawAhead:
+    """The truth generator draws its noise on a helper thread, and no
+    thread outlives it, however it ends."""
+
+    def test_closed_after_the_first_chunk(self, monkeypatch):
+        before = threading.active_count()
+        sc = scenario(noise_sigma=1.5, ar1=0.6, spatial_corr_points=3)
+        # 10 layers a chunk: 146 chunks in the year
+        monkeypatch.setattr(fileio, "CHUNK_BYTES", 10 * 8 * 7 * 12)
+        draws = record_draws(monkeypatch)
+        chunks = harness.generate_variable_series(sc, VariableId.T2M)
+        first = next(chunks)
+        assert first.values.shape == (10, 7, 12)
+        chunks.close()
+        assert threading.active_count() == before
+        # one helper thread drew, never more than DRAWN_AHEAD chunks ahead
+        [rng] = draws
+        assert 1 <= len(rng.threads) <= 1 + harness.DRAWN_AHEAD
+        assert len(set(rng.threads)) == 1
+        assert rng.threads[0] is not threading.current_thread()
+
+    def test_draw_that_raises_surfaces_in_the_consumer(self, monkeypatch):
+        before = threading.active_count()
+        sc = scenario(noise_sigma=1.5, ar1=0.6)
+        monkeypatch.setattr(fileio, "CHUNK_BYTES", 10 * 8 * 7 * 12)
+        record_draws(monkeypatch, fail_at=4)
+        chunks = harness.generate_variable_series(sc, VariableId.T2M)
+        taken = []
+        with pytest.raises(DrawFailed, match="draw 4") as raised:
+            for chunk in chunks:
+                taken.append(chunk)
+        assert raised.type is DrawFailed and len(taken) == 3
+        assert threading.active_count() == before
+
+    def test_write_run_that_raises_partway_through_a_year(
+            self, tmp_path, monkeypatch):
+        before = threading.active_count()
+        scenario_path = tmp_path / "scenario.json"
+        scenario_path.write_text(json.dumps(WRITE_RUN_SCENARIO))
+        # chunks of 7 layers; the first stack fails at its third chunk
+        monkeypatch.setattr(fileio, "CHUNK_BYTES", 7 * 8 * 5 * 8)
+
+        def write_stack(blocks, path):
+            for k, _ in enumerate(blocks):
+                if k == 2:
+                    raise DrawFailed(f"writing {path.name}")
+        monkeypatch.setattr(fileio, "write_stack", write_stack)
+        # the traceback, held in `raised`, keeps write_run's frames alive:
+        # the helper must have been joined without waiting for them to go
+        with pytest.raises(DrawFailed, match="writing 2023.rbs") as raised:
+            harness.write_run(scenario_path, tmp_path / "run")
+        assert raised.type is DrawFailed
+        assert threading.active_count() == before
 
 
 class TestPersistence:
