@@ -22,18 +22,16 @@ _EXPORTS = {
                  "track_dpe", "track_storm"),
     "errors": ("WxVerifyError",),
     "extremes": ("CategoricalScores", "EventKind", "EventSegment",
-                 "MatchResult", "label_event_runs", "label_events",
-                 "match_counts", "match_events", "scores_from_counts",
-                 "segments_by_location", "temporal_iou"),
+                 "MatchResult", "label_event_runs", "match_counts",
+                 "match_events", "scores_from_counts", "segments_by_location",
+                 "temporal_iou"),
     "grid": ("EARTH_RADIUS_KM", "GeoGrid", "GridField", "VariableId",
-             "derive_wind_speed", "haversine_km", "interp_to_stations",
-             "latitude_weights", "regrid_bilinear"),
+             "derive_wind_speed", "haversine_km", "latitude_weights"),
     "harness": ("PlantedEpisode", "SyntheticScenario", "VariableProcess",
                 "VortexSpec", "persistence_forecast", "smoothed_forecast"),
-    "metrics": ("acc", "activity", "bias", "wrmse"),
-    "spectra": ("ZonalSpectrum", "midlatitude_spectrum", "zonal_spectrum_row"),
+    "spectra": ("ZonalSpectrum", "midlatitude_spectrum"),
     "stations": ("QcFlag", "QcThresholds", "Station", "StationTable",
-                 "qc_ratio_filter", "station_scores", "window_average"),
+                 "station_scores"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

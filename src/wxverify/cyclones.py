@@ -104,10 +104,6 @@ class StormTrack:
                     f"fix {k} at {fix.time} breaks the 6-hour cadence from "
                     f"{self.init_time}")
 
-    @property
-    def n_leads(self) -> int:
-        return len(self.tracked_mask)
-
     def fix_at_lead(self, lead_step: int) -> StormFix | None:
         if 0 <= lead_step < len(self.fixes):
             return self.fixes[lead_step]

@@ -81,18 +81,6 @@ def label_event_runs(values: np.ndarray, thresholds: np.ndarray,
             first_day + stop[keep] - 1)
 
 
-def label_events(values: np.ndarray, thresholds: np.ndarray, kind: EventKind,
-                 location: str = "", first_day: int = 1) -> list[EventSegment]:
-    """Event segments of one daily series; see :func:`label_event_runs`."""
-    v = np.asarray(values, dtype=np.float64)
-    t = np.asarray(thresholds, dtype=np.float64)
-    if v.shape != t.shape or v.ndim != 1:
-        raise ValueError("values and thresholds must be aligned 1-D arrays")
-    _, starts, ends = label_event_runs(v[:, None], t[:, None], kind, first_day)
-    return [EventSegment(location, kind, start, end)
-            for start, end in zip(starts.tolist(), ends.tolist())]
-
-
 def segments_by_location(runs: tuple[np.ndarray, np.ndarray, np.ndarray],
                          kind: EventKind) -> dict[int, list[EventSegment]]:
     """Group the runs of :func:`label_event_runs` into segments.

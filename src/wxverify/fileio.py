@@ -410,17 +410,6 @@ def _check_storable(field: GridField):
             f"{field.variable.key} is derived; compute it, do not store it")
 
 
-def read_grid(path: str | os.PathLike, geometries: dict | None = None
-              ) -> GridField:
-    """Read a field written by :func:`write_grid`; round-trip is lossless.
-
-    ``geometries`` is an optional cache of validated grids shared across
-    reads (see :class:`FieldSource`); without it every read builds and
-    validates its own grid.
-    """
-    return _read_whole(Path(path), GRID_MAGIC, geometries).field(0)
-
-
 def write_stack(chunks: Iterable[FieldBlock | GridField],
                 path: str | os.PathLike) -> Path:
     """Write a 6-hourly series of one variable as one RBSTACK1 store.
@@ -554,23 +543,6 @@ class _Stack:
         return FieldBlock(grid, self.variable,
                           tuple(self.first_time + k * STACK_STEP for k in ks),
                           layer_leads, values)
-
-
-def _read_whole(path: Path, magic: str, geometries: dict | None
-                ) -> FieldBlock:
-    """Every layer of the store at ``path``, whose sidecar carries
-    ``magic``, as one block from one read."""
-    stack = _Stack.parse(path, _load_sidecar(path, magic), geometries)
-    times = [stack.first_time + k * STACK_STEP
-             for k in range(stack.store.n_layers)]
-    return stack.block(times, [None] * len(times))
-
-
-def read_stack(path: str | os.PathLike, geometries: dict | None = None
-               ) -> FieldBlock:
-    """Every layer of a store written by :func:`write_stack`, as one block
-    from one read; the round trip is lossless."""
-    return _read_whole(Path(path), STACK_MAGIC, geometries)
 
 
 def write_thresholds(thresholds: ThresholdField, grid: GeoGrid,
@@ -1286,9 +1258,6 @@ class FieldSource:
         # store path -> its parsed sidecar
         self._stacks: dict[Path, _Stack] = {}
 
-    def read(self, path: str | os.PathLike) -> GridField:
-        return read_grid(path, self._geometries)
-
     def _resolve(self, path: Path) -> _Stack:
         """The parsed stack at ``path``."""
         stack = self._stacks.get(path)
@@ -1350,10 +1319,6 @@ class FieldSource:
 
     def truth(self, variable: VariableId, when: datetime) -> GridField:
         return self.truth_block(variable, [when]).field(0)
-
-    def model(self, name: str, init: datetime, variable: VariableId,
-              lead_hours: int) -> GridField:
-        return self.model_block(name, init, variable, [lead_hours]).field(0)
 
     def block_layers(self, variable: VariableId) -> int:
         """How many float64 layers of ``variable`` fit in one block of
@@ -1447,15 +1412,29 @@ def load_manifest(path: str | os.PathLike,
             raise ManifestError(f"{path}: key {key!r} has wrong type")
         return value
 
+    def distinct(key, values, entries):
+        """``values``, parsed from the list ``entries`` under ``key``; an
+        entry that repeats an earlier one raises ManifestError."""
+        seen = set()
+        for value, entry in zip(values, entries):
+            if value in seen:
+                raise ManifestError(
+                    f"{path}: {key} lists {entry!r} more than once")
+            seen.add(value)
+        return values
+
+    variable_keys = need("variables", list)
     try:
-        variables = tuple(VariableId.from_key(v) for v in need("variables", list))
+        variables = tuple(VariableId.from_key(v) for v in variable_keys)
     except ValueError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
+    variables = distinct("variables", variables, variable_keys)
     init_times = need("init_times", list)
     if not all(isinstance(t, str) for t in init_times):
         raise ManifestError(f"{path}: init_times must be a list of ISO-8601 "
                             f"time strings")
-    init_times = tuple(parse_time(t) for t in init_times)
+    init_times = distinct("init_times",
+                          tuple(parse_time(t) for t in init_times), init_times)
     max_lead = doc.get("max_lead_hours", 240)  # 40 six-hour steps
     if type(max_lead) is not int or max_lead < 0 or max_lead % 6:
         raise ManifestError(f"{path}: max_lead_hours must be a non-negative "
@@ -1486,7 +1465,8 @@ def load_manifest(path: str | os.PathLike,
             for y in history_years):
         raise ManifestError(f"{path}: climatology history_years must be a "
                             f"list of integer years")
-    history_years = tuple(history_years)
+    history_years = distinct("climatology history_years",
+                             tuple(history_years), history_years)
 
     regions_doc = doc.get("regions", {"global": None})
     regions: dict[str, tuple[float, float, float, float] | None] = {}

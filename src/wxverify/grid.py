@@ -1,9 +1,10 @@
 """Spherical lat-lon grid geometry.
 
-Grid descriptors, normalized latitude area weights, bilinear regridding
-and grid-to-station interpolation (sharing one kernel), and great-circle
-distance. Grids are oriented north-to-south in rows and 0..360 eastward
-in columns; readers normalize foreign orientations at ingestion.
+Grid descriptors, normalized latitude area weights, bilinear
+interpolation to fixed points (bracketed once, applied to any stack of
+fields), and great-circle distance. Grids are oriented north-to-south in
+rows and 0..360 eastward in columns; readers normalize foreign
+orientations at ingestion.
 
 All types are immutable after construction and every operation is pure,
 so everything here is safe to call from concurrent workers.
@@ -212,10 +213,6 @@ class GridField:
         """The valid time, as for a one-layer :class:`FieldBlock`."""
         return (self.valid_time,)
 
-    def with_values(self, values: np.ndarray) -> "GridField":
-        return GridField(self.grid, self.variable, self.valid_time,
-                         self.lead_hours, values)
-
     def at(self, valid_time: datetime, lead_hours: int) -> "GridField":
         """Same values stamped with a different valid time and lead."""
         return GridField(self.grid, self.variable, valid_time, lead_hours, self.values)
@@ -319,33 +316,6 @@ def _bracket_lat(grid: GeoGrid, lat: np.ndarray):
     return i_south, i_north, t
 
 
-def _blend(v00, v01, v10, v11, ty, tx):
-    """The one bilinear kernel: ``v00``/``v01`` are the southern row's
-    western/eastern corners, ``v10``/``v11`` the northern row's."""
-    return ((1.0 - ty) * ((1.0 - tx) * v00 + tx * v01)
-            + ty * ((1.0 - tx) * v10 + tx * v11))
-
-
-def regrid_bilinear(field: GridField, target: GeoGrid) -> GridField:
-    """Bilinear interpolation of ``field`` onto ``target``.
-
-    Exactly reproduces source values at coincident nodes; each output
-    value is a convex combination of the four enclosing source values.
-    Longitude wraps when the source covers the full circle.
-
-    Raises :class:`TargetOutsideDomain` when a target latitude (or, for
-    non-wrapping sources, longitude) lies outside the source span.
-    """
-    i0, i1, ty = _bracket_lat(field.grid, target.lat_deg)
-    j0, j1, tx = _bracket_lon(field.grid, target.lon_deg)
-    i0, i1, ty = i0[:, None], i1[:, None], ty[:, None]
-    j0, j1, tx = j0[None, :], j1[None, :], tx[None, :]
-    v = field.values
-    out = _blend(v[i0, j0], v[i0, j1], v[i1, j0], v[i1, j1], ty, tx)
-    return GridField(target, field.variable, field.valid_time,
-                     field.lead_hours, out)
-
-
 @dataclass(frozen=True, eq=False)
 class BilinearWeights:
     """Bilinear interpolation from one grid to fixed (lat, lon) points.
@@ -353,8 +323,10 @@ class BilinearWeights:
     Each point's enclosing rows (``i0`` south, ``i1`` north), columns
     (``j0``, ``j1``) and fractions (``ty`` from the southern row, ``tx``
     from the western column) are bracketed once, by
-    :func:`bilinear_weights`. :meth:`apply` then evaluates the kernel of
-    :func:`regrid_bilinear` on any stack of fields on ``grid``.
+    :func:`bilinear_weights`. :meth:`apply` then evaluates the bilinear
+    kernel on any stack of fields on ``grid``. Each value is a convex
+    combination of its four enclosing grid values and reproduces a grid
+    value exactly at a node; longitude wraps on a full-circle grid.
     """
 
     grid: GeoGrid
@@ -372,9 +344,11 @@ class BilinearWeights:
         if v.shape[-2:] != self.grid.shape:
             raise ValueError(f"values shape {v.shape} does not end with "
                              f"grid shape {self.grid.shape}")
-        i0, i1, j0, j1 = self.i0, self.i1, self.j0, self.j1
-        return _blend(v[..., i0, j0], v[..., i0, j1], v[..., i1, j0],
-                      v[..., i1, j1], self.ty, self.tx)
+        i0, i1, j0, j1, ty, tx = (self.i0, self.i1, self.j0, self.j1,
+                                  self.ty, self.tx)
+        south = (1.0 - tx) * v[..., i0, j0] + tx * v[..., i0, j1]
+        north = (1.0 - tx) * v[..., i1, j0] + tx * v[..., i1, j1]
+        return (1.0 - ty) * south + ty * north
 
 
 def bilinear_weights(grid: GeoGrid, points: Sequence[tuple[float, float]]
@@ -392,17 +366,6 @@ def bilinear_weights(grid: GeoGrid, points: Sequence[tuple[float, float]]
     i0, i1, ty = _bracket_lat(grid, pts[:, 0])
     j0, j1, tx = _bracket_lon(grid, pts[:, 1])
     return BilinearWeights(grid, i0, i1, j0, j1, ty, tx)
-
-
-def interp_to_stations(field: GridField,
-                       stations: Sequence[tuple[float, float]]) -> np.ndarray:
-    """Bilinear values of ``field`` at (lat, lon) points.
-
-    Uses the same kernel as :func:`regrid_bilinear`, evaluated pointwise.
-    To interpolate many fields on one grid, bracket the points once with
-    :func:`bilinear_weights` instead.
-    """
-    return bilinear_weights(field.grid, stations).apply(field.values)
 
 
 def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:

@@ -30,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from itertools import groupby
 from pathlib import Path
@@ -135,6 +135,9 @@ class SyntheticScenario:
         object.__setattr__(self, "episodes", tuple(self.episodes))
         if not self.years:
             raise ValueError("scenario needs at least one year")
+        for k, year in enumerate(self.years):
+            if year in self.years[:k]:
+                raise ValueError(f"scenario years list {year} more than once")
 
     @property
     def variables(self) -> tuple[VariableId, ...]:
@@ -602,6 +605,10 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
     leads = list(range(0, max_lead_hours + 1, 6))
     init_times = [fileio.parse_time(t) for t in inits.split(",")] if inits \
         else [datetime(scenario.years[-1], 7, 1, tzinfo=timezone.utc)]
+    for k, init in enumerate(init_times):
+        if init in init_times[:k]:
+            raise ManifestError(f"--inits lists {fileio.format_time(init)} "
+                                f"more than once")
     model_specs = _model_specs(models or "persistence")
     keep: set[datetime] | None = None
     if truth_span == "run":

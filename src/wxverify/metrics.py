@@ -1,6 +1,7 @@
 """Latitude-weighted deterministic skill metrics.
 
-All four metrics reduce with the normalized-area-weight spatial mean
+All four metrics (WRMSE, bias, ACC and activity) reduce with the
+normalized-area-weight spatial mean
 
     <a>_w = (1 / (n_lat * n_lon)) * sum_ij w_i * a(i, j)
 
@@ -20,11 +21,8 @@ its inputs C-contiguous first: a block stored with another axis order
 differ in the last bits. The kernel works through a block a few layers
 at a time (``CHUNK_BYTES``) so that its temporaries stay in cache; as
 every layer is reduced on its own, the chunk size does not change a
-bit. The public :func:`wrmse`, :func:`bias`, :func:`acc` and
-:func:`activity` are one-layer calls of the kernel, so a scorecard built
-from blocks equals one built field by field. The summation order is
-fixed, so results are bit-deterministic whatever the caller's loop
-order.
+bit. The summation order is fixed, so results are bit-deterministic
+whatever the caller's loop order.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateAnomaly, GridMismatch
-from .grid import GridField, latitude_weights
 
 #: Weighted anomaly norms below this are treated as degenerate for ACC.
 ANOMALY_NORM_FLOOR = 1e-30
@@ -114,15 +111,6 @@ def _score_chunk(pred: np.ndarray, truth: np.ndarray | None,
             out=out.activity)
 
 
-def _resolve_weights(field: GridField, weights) -> np.ndarray:
-    if weights is None:
-        return latitude_weights(field.grid)
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (field.grid.n_lat,):
-        raise ValueError(f"weights shape {w.shape} != (n_lat,) = ({field.grid.n_lat},)")
-    return w
-
-
 def check_pair(pred, other, *, same_time: bool):
     """Raise :class:`GridMismatch` unless two fields or blocks share a
     grid and a variable (and, with ``same_time``, their valid times)."""
@@ -135,42 +123,3 @@ def check_pair(pred, other, *, same_time: bool):
         for mine, theirs in zip(pred.valid_times, other.valid_times):
             if mine != theirs:
                 raise GridMismatch(f"valid_time mismatch: {mine} vs {theirs}")
-
-
-def _one_layer(pred: GridField, truth: GridField | None,
-               clim: GridField | None, weights) -> BlockScores:
-    return block_scores(pred.values[None],
-                        None if truth is None else truth.values[None],
-                        None if clim is None else clim.values[None],
-                        _resolve_weights(pred, weights))
-
-
-def wrmse(pred: GridField, truth: GridField, weights=None) -> float:
-    """Latitude-weighted root-mean-square error."""
-    check_pair(pred, truth, same_time=True)
-    return float(_one_layer(pred, truth, None, weights).wrmse[0])
-
-
-def bias(pred: GridField, truth: GridField, weights=None) -> float:
-    """Signed latitude-weighted mean forecast error, <pred - truth>_w."""
-    check_pair(pred, truth, same_time=True)
-    return float(_one_layer(pred, truth, None, weights).bias[0])
-
-
-def acc(pred: GridField, truth: GridField, clim: GridField, weights=None) -> float:
-    """Anomaly correlation coefficient against a climatological mean.
-
-    Weighted cosine similarity of the anomaly fields (pred - clim) and
-    (truth - clim). No clipping is applied; |ACC| <= 1 emerges
-    numerically. Raises :class:`DegenerateAnomaly` when either weighted
-    anomaly norm falls below ``ANOMALY_NORM_FLOOR``.
-    """
-    check_pair(pred, truth, same_time=True)
-    check_pair(pred, clim, same_time=False)
-    return float(_one_layer(pred, truth, clim, weights).acc[0])
-
-
-def activity(pred: GridField, clim: GridField, weights=None) -> float:
-    """Weighted spatial standard deviation of the predicted anomaly field."""
-    check_pair(pred, clim, same_time=False)
-    return float(_one_layer(pred, None, clim, weights).activity[0])

@@ -31,13 +31,16 @@ def _mean(values: Sequence[float]) -> float:
 
 def _check_leads(values: Sequence[int] | None, default: Sequence[int],
                  flag: str, manifest, hours_of) -> tuple[int, ...]:
-    """``values`` (``default`` when None), none empty and none with lead
-    hours ``hours_of(value)`` off the manifest's 6-hourly lead grid."""
+    """``values`` (``default`` when None), not empty, none repeated and
+    none with lead hours ``hours_of(value)`` off the manifest's 6-hourly
+    lead grid."""
     values = tuple(default if values is None else values)
     if not values:
         raise ManifestError(f"{flag}: empty lead list")
     on_grid = set(manifest.lead_hours)
-    for value in values:
+    for k, value in enumerate(values):
+        if value in values[:k]:
+            raise ManifestError(f"{flag} lists {value} more than once")
         hours = hours_of(value)
         if not on_grid.issuperset(hours):
             span = f"{hours[0]}..{hours[-1]}" if len(hours) > 1 else hours[0]

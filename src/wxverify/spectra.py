@@ -72,17 +72,6 @@ def _row_spectra(field: GridField, rows: np.ndarray) -> np.ndarray:
     return s
 
 
-def zonal_spectrum_row(field: GridField, row: int) -> np.ndarray:
-    """Energy spectrum of one latitude row; length floor(n_lon/2) + 1.
-
-    Raises :class:`PolarRow` when cos(lat) <= 0 (degenerate C_i).
-    """
-    n_lat = field.grid.n_lat
-    if not 0 <= row < n_lat:
-        raise IndexError(f"row {row} outside [0, {n_lat})")
-    return _row_spectra(field, np.array([row]))[0]
-
-
 def midlatitude_spectrum(field: GridField,
                          band: tuple[float, float] = MIDLATITUDE_BAND) -> ZonalSpectrum:
     """Unweighted mean of per-row spectra over rows with b0 < |lat| < b1.

@@ -2,8 +2,9 @@
 quality control, and station-space verification.
 
 Raw records are averaged into 6-hourly samples over a closed +-15 minute
-window, every (station, time) of a variable in one array pass; the mean
-of several records is exactly rounded (``math.fsum``). QC compares each
+window, every (station, time) of a variable in one array pass
+(:func:`table_from_columns`); the mean of several records is exactly
+rounded (``math.fsum``). QC (:func:`apply_qc`) compares each
 observation against a reference value interpolated from gridded truth,
 one variable at a time over whole arrays, in display units (Celsius for
 temperatures, hPa for pressures, m/s for wind): when obs/ref exceeds the
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -222,27 +223,6 @@ def _exact_mean(window: list[float]) -> float:
     return total / len(window)
 
 
-def window_average(records: Iterable[tuple[datetime, float]],
-                   target: datetime) -> float | None:
-    """Mean of records within +-15 min of ``target`` (closed bounds).
-
-    Returns None when the window is empty. The exactly-rounded sum makes
-    the result independent of record order.
-    """
-    records = list(records)
-    means, counts = _window_means(
-        [0] * len(records), [(t - target) // _MICROSECOND for t, _ in records],
-        [v for _, v in records], 1, [0])
-    return float(means[0, 0]) if counts[0, 0] else None
-
-
-@dataclass(frozen=True)
-class QcOutcome:
-    value: float
-    flag: QcFlag
-    nonpositive_reference: bool = False
-
-
 def _ratio_qc(variable: VariableId, obs: np.ndarray, reference: np.ndarray,
               thresholds: QcThresholds) -> tuple[np.ndarray, np.ndarray]:
     """Ratio test of an array of observations against their references.
@@ -263,23 +243,6 @@ def _ratio_qc(variable: VariableId, obs: np.ndarray, reference: np.ndarray,
     replace[positive] = (to_display_units(variable, obs[positive])
                          / ref_disp[positive]) > bound
     return replace, ~positive
-
-
-def qc_ratio_filter(obs: float, reference: float, variable: VariableId,
-                    thresholds: QcThresholds) -> QcOutcome:
-    """Ratio test of one observation against its reference value.
-
-    Both values are SI; the ratio is taken in display units. An
-    observation whose ratio exceeds the variable's bound is replaced by
-    the reference. Variables without a configured bound pass through
-    untouched.
-    """
-    replace, nonpositive = _ratio_qc(
-        variable, np.array([obs], dtype=np.float64),
-        np.array([reference], dtype=np.float64), thresholds)
-    if replace[0]:
-        return QcOutcome(reference, QcFlag.REPLACED_BY_REFERENCE)
-    return QcOutcome(obs, QcFlag.RAW, nonpositive_reference=bool(nonpositive[0]))
 
 
 @dataclass
@@ -508,26 +471,3 @@ def table_from_columns(stations: Sequence[Station],
                                            targets_us)
         flags[vi][counts > 0] = _FLAG_CODE[QcFlag.RAW]
     return StationTable(tuple(stations), tuple(times), variables, values, flags)
-
-
-def table_from_records(stations: Sequence[Station],
-                       records: Mapping[VariableId,
-                                        Mapping[str, list[tuple[datetime, float]]]],
-                       times: Sequence[datetime]) -> StationTable:
-    """Window-average raw records onto a 6-hourly grid of target times.
-
-    ``records`` maps variable -> station id -> raw (time, value) list.
-    Stations without a valid record in a window are ABSENT there.
-    """
-    columns = {}
-    for variable, per_station in records.items():
-        index: list[int] = []
-        when_us: list[int] = []
-        value: list[float] = []
-        for si, st in enumerate(stations):
-            for when, v in per_station.get(st.station_id, []):
-                index.append(si)
-                when_us.append(epoch_microseconds(when))
-                value.append(v)
-        columns[variable] = (index, when_us, value)
-    return table_from_columns(stations, columns, times)

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wxverify import fileio
-from wxverify.grid import FieldBlock, GeoGrid, GridField, VariableId
+from wxverify.grid import (FieldBlock, GeoGrid, GridField, VariableId,
+                           latitude_weights)
+from wxverify.metrics import BlockScores, block_scores
 
 T0 = datetime(2025, 7, 1, 0, tzinfo=timezone.utc)
 
@@ -43,6 +46,28 @@ def field_block(*fields: GridField) -> FieldBlock:
                       tuple(f.valid_time for f in fields),
                       tuple(f.lead_hours for f in fields),
                       np.stack([f.values for f in fields]))
+
+
+def layer_scores(pred: GridField, truth: GridField | None = None,
+                 clim: GridField | None = None, weights=None) -> BlockScores:
+    """``metrics.block_scores`` of the one-layer blocks of these fields,
+    as floats (None where not scored); latitude weights by default."""
+    if weights is None:
+        weights = latitude_weights(pred.grid)
+    scores = block_scores(*(None if f is None else f.values[None]
+                            for f in (pred, truth, clim)), weights)
+    return BlockScores(*(None if s is None else float(s[0]) for s in scores))
+
+
+def read_store(path, geometries: dict | None = None) -> FieldBlock:
+    """Every layer of the RBGRID1 or RBSTACK1 store at ``path``, read as a
+    run reads a span of it (``fileio._Stack.block``)."""
+    path = Path(path)
+    stack = fileio._Stack.parse(path, fileio._load_sidecar(
+        path, fileio.GRID_MAGIC, fileio.STACK_MAGIC), geometries)
+    times = [stack.first_time + k * fileio.STACK_STEP
+             for k in range(stack.store.n_layers)]
+    return stack.block(times, [None] * len(times))
 
 
 @pytest.fixture

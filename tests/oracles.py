@@ -13,8 +13,8 @@ windowing, QC and bilinear interpolation are per-element loops, the
 station CSVs are read one row at a time, station scores pair one field
 at a time, and synthetic truth, the forecasts that copy it and station
 observations are made one field at a time. The exceptions are the per-location event
-loop, which calls the engine's one-series labeling and matching to check
-the vectorized bookkeeping around them, the synthetic truth oracle,
+loop, which calls the engine's matching to check the vectorized
+bookkeeping around it, the synthetic truth oracle,
 which takes the seasonal cycle, vortices and episodes from the engine,
 the station row reader, which parses times and window-averages with the
 engine's functions, and the per-field station scores, which interpolate
@@ -479,19 +479,24 @@ def event_counts_per_location(truth_series, fc_series, thresholds, kind,
                               gamma: float) -> list[tuple[int, int, int]]:
     """(tp, fp, fn) for each column of (days x locations) daily extremes.
 
-    The scalar reference for the vectorized extremes command: one
-    label_events call per location and series, and one match_events
-    call per location, whether or not either side has events.
+    The scalar reference for the vectorized extremes command: each
+    location's series is labeled by the all-windows search, and one
+    match_events call per location matches them, whether or not either
+    side has events. Comparisons are strict and NaN never exceeds.
     """
-    from wxverify.extremes import label_events, match_events
+    from wxverify.extremes import EventKind, EventSegment, match_events
+
+    def segments(series, loc):
+        mask = [v > t if kind is EventKind.HEATWAVE else v < t
+                for v, t in zip(series[:, loc].tolist(),
+                                thresholds[:, loc].tolist())]
+        return [EventSegment(str(loc), kind, start + 1, end + 1)
+                for start, end in label_events_bruteforce(mask)]
 
     counts = []
     for loc in range(truth_series.shape[1]):
-        truth = label_events(truth_series[:, loc], thresholds[:, loc], kind,
-                             str(loc))
-        pred = label_events(fc_series[:, loc], thresholds[:, loc], kind,
-                            str(loc))
-        m = match_events(pred, truth, gamma)
+        m = match_events(segments(fc_series, loc), segments(truth_series, loc),
+                         gamma)
         counts.append((m.tp, m.fp, m.fn))
     return counts
 
@@ -554,7 +559,8 @@ ABSENT, RAW, REPLACED = 0, 1, 2
 
 def table_from_records_loop(stations, records, times):
     """(variables, values, flags) of a station table, averaging each
-    (variable, station, target time) window on its own.
+    (variable, station, target time) window on its own. ``records`` maps
+    each variable to raw (station index, time, value) records.
 
     A window is the closed +-15 min around the target; its value is the
     exact rational sum of its values, rounded to a float, divided by n.
@@ -566,10 +572,10 @@ def table_from_records_loop(stations, records, times):
     values = np.full(shape, np.nan)
     flags = np.full(shape, ABSENT, dtype=np.uint8)
     for vi, variable in enumerate(variables):
-        for si, station in enumerate(stations):
-            recs = records[variable].get(station.station_id, [])
+        for si in range(len(stations)):
             for ti, target in enumerate(times):
-                window = [v for t, v in recs if abs(t - target) <= half]
+                window = [v for s, t, v in records[variable]
+                          if s == si and abs(t - target) <= half]
                 if window:
                     total = sum(map(Fraction, window), Fraction(0))
                     values[vi, ti, si] = float(total) / len(window)

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import (T0, field_block, make_field, make_grid, random_field,
-                      truth_fields)
+from conftest import (T0, field_block, layer_scores, make_field, make_grid,
+                      random_field, truth_fields)
 from wxverify import fileio
 from wxverify.cli import main as cli_main
 from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
@@ -24,19 +24,18 @@ from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
                                   daily_means_from_fields)
 from wxverify.cyclones import (TrackSource, homogeneous_sample,
                                intensity_errors, track_storm)
-from wxverify.extremes import (EventKind, EventSegment, label_events,
+from wxverify.extremes import (EventKind, EventSegment, label_event_runs,
                                match_events, scores_from_counts)
 from wxverify.grid import (EARTH_RADIUS_KM, FieldBlock, GeoGrid, VariableId,
                            haversine_km, latitude_weights)
 from wxverify.harness import (SyntheticScenario, VariableProcess, VortexSpec,
                               make_besttrack, persistence_forecast,
                               smoothed_forecast)
-from wxverify.metrics import acc, activity, bias, wrmse
 from wxverify.pipelines import _mean
-from wxverify.spectra import latitude_circumference_m, zonal_spectrum_row
-from wxverify.stations import (QcFlag, QcThresholds, Station, StationTable,
-                               qc_ratio_filter, station_scores,
-                               window_average)
+from wxverify.spectra import latitude_circumference_m, midlatitude_spectrum
+from wxverify.stations import (QcThresholds, Station, StationTable, apply_qc,
+                               epoch_microseconds, station_scores,
+                               table_from_columns)
 
 
 def ok(criterion: int, message: str):
@@ -56,14 +55,15 @@ def test_c01_metric_oracle_suite(rng):
         pred = random_field(rng, grid)
         truth = random_field(rng, grid)
         clim = random_field(rng, grid)
-        assert wrmse(pred, truth, w) == pytest.approx(
+        scores = layer_scores(pred, truth, clim, weights=w)
+        assert scores.wrmse == pytest.approx(
             oracles.wrmse_loop(pred.values, truth.values, w), rel=1e-12)
-        assert bias(pred, truth, w) == pytest.approx(
+        assert scores.bias == pytest.approx(
             oracles.bias_loop(pred.values, truth.values, w), rel=1e-12)
-        assert acc(pred, truth, clim, w) == pytest.approx(
+        assert scores.acc == pytest.approx(
             oracles.acc_loop(pred.values, truth.values, clim.values, w),
             rel=1e-12)
-        assert activity(pred, clim, w) == pytest.approx(
+        assert scores.activity == pytest.approx(
             oracles.activity_loop(pred.values, clim.values, w), rel=1e-12)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"oracle suite took {elapsed:.2f}s"
@@ -102,13 +102,13 @@ def test_c03_spectrum_analytic_and_parseval(rng):
         j = np.arange(n_lon)
         field = make_field(grid, (amp * np.cos(2 * np.pi * 3 * j / n_lon)
                                   ).reshape(1, n_lon))
-        s = zonal_spectrum_row(field, 0)
+        s = midlatitude_spectrum(field).energy
         assert s[3] == pytest.approx(c45 * amp * amp / 2.0, rel=1e-10)
     for n_lon in (15, 45, 127):
         grid = GeoGrid(np.array([45.0]), np.arange(n_lon) * (360.0 / n_lon))
         values = 3.0 + rng.standard_normal(n_lon)
         field = make_field(grid, values.reshape(1, n_lon))
-        s = zonal_spectrum_row(field, 0)
+        s = midlatitude_spectrum(field).energy
         assert float(s.sum()) / c45 == pytest.approx(
             oracles.mean_square_loop(values), rel=1e-10)
     ok(3, "cosine peak S_3 = C*A^2/2 at N in {15,64,144}; Parseval on "
@@ -156,7 +156,7 @@ def _segment_configs(n_days: int, max_segments: int):
 
 
 def test_c05_event_labeling_and_matching_exhaustive(rng):
-    """label_events agrees with the all-windows oracle on all 4096
+    """label_event_runs agrees with the all-windows oracle on all 4096
     length-12 masks; match_events agrees with exhaustive matching on a
     complete <= 3-segment enumeration in 13 days plus 20000 sampled
     <= 4-segment configurations in 20 days."""
@@ -164,8 +164,9 @@ def test_c05_event_labeling_and_matching_exhaustive(rng):
     for code in range(4096):
         mask = [(code >> b) & 1 for b in range(12)]
         values = np.where(np.asarray(mask, dtype=bool), 1.0, -1.0)
-        got = [(s.start_day - 1, s.end_day - 1)
-               for s in label_events(values, thresholds, EventKind.HEATWAVE)]
+        _, starts, ends = label_event_runs(
+            values[:, None], thresholds[:, None], EventKind.HEATWAVE)
+        got = [(s - 1, e - 1) for s, e in zip(starts.tolist(), ends.tolist())]
         assert got == oracles.label_events_bruteforce(mask), mask
 
     def run_pair(pred_cfg, truth_cfg):
@@ -303,17 +304,29 @@ def test_c09_station_pipeline(rng):
     wind outlier idempotently; node-coincident station scores equal the
     restricted unweighted grid metric within 1e-12."""
     t = T0
-    assert window_average([(t + timedelta(minutes=15), 7.0)], t) == 7.0
-    assert window_average([(t - timedelta(minutes=15), 7.0)], t) == 7.0
-    assert window_average([(t + timedelta(minutes=20), 7.0)], t) is None
+    # one record per station, 15 min after, 15 min before and 20 min
+    # after the target time
+    offsets = [timedelta(minutes=m) for m in (15, -15, 20)]
+    windows = table_from_columns(
+        [Station(f"W{k}", 0.0, 0.0, 0.0) for k in range(3)],
+        {VariableId.WS10: ([0, 1, 2], [epoch_microseconds(t + dt)
+                                       for dt in offsets], [7.0] * 3)}, [t])
+    assert windows.values[0, 0, 0] == 7.0
+    assert windows.values[0, 0, 1] == 7.0
+    assert windows.flags[0, 0, 2] == oracles.ABSENT
 
-    outcome = qc_ratio_filter(100.0, 10.0, VariableId.WS10,
-                              QcThresholds.default())
-    assert outcome.flag is QcFlag.REPLACED_BY_REFERENCE
-    assert outcome.value == 10.0
-    again = qc_ratio_filter(outcome.value, 10.0, VariableId.WS10,
-                            QcThresholds.default())
-    assert again.flag is QcFlag.RAW and again.value == 10.0
+    def one_observation(value):
+        return StationTable((Station("S", 0.0, 0.0, 0.0),), (t,),
+                            (VariableId.WS10,), [[[value]]], [[[oracles.RAW]]])
+
+    outcome, _ = apply_qc(one_observation(100.0), [[[10.0]]],
+                          QcThresholds.default())
+    assert outcome.flags[0, 0, 0] == oracles.REPLACED
+    assert outcome.values[0, 0, 0] == 10.0
+    again, _ = apply_qc(one_observation(outcome.values[0, 0, 0]), [[[10.0]]],
+                        QcThresholds.default())
+    assert again.flags[0, 0, 0] == oracles.RAW \
+        and again.values[0, 0, 0] == 10.0
 
     grid = make_grid(6, 10)
     truth = random_field(rng, grid)
@@ -399,9 +412,10 @@ def test_c10_end_to_end_determinism_and_closure(tmp_path, rng):
             when = init + timedelta(hours=lead)
             truth_field = t2m[when]
             pred = t2m[init].at(when, lead)  # persistence, in memory
-            per_init_wrmse.append(wrmse(pred, truth_field, weights))
-            per_init_acc.append(acc(pred, truth_field,
-                                    clim.field_for(when), weights))
+            scores = layer_scores(pred, truth_field, clim.field_for(when),
+                                  weights=weights)
+            per_init_wrmse.append(scores.wrmse)
+            per_init_acc.append(scores.acc)
         rows = [r for r in card["grid_metrics"]
                 if r["model"] == "persistence" and r["variable"] == "t2m"
                 and r["lead_hours"] == lead]
@@ -425,8 +439,8 @@ def test_c11_skill_decay_sanity():
         stream = truth_fields(scenario, VariableId.T2M)
         t0, t1, t2 = itertools.islice(stream, 3)
         fc1, fc2 = persistence_forecast(t0, [6, 12])
-        e1 = wrmse(fc1, t1)
-        e2 = wrmse(fc2, t2)
+        e1 = layer_scores(fc1, t1).wrmse
+        e2 = layer_scores(fc2, t2).wrmse
         wins += e2 >= e1
     assert wins >= 48, f"monotone decay on only {wins}/50 seeds"
     ok(11, f"WRMSE(12h) >= WRMSE(6h) on {wins}/50 seeds (>= 48 required)")

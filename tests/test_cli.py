@@ -16,7 +16,7 @@ import pytest
 
 import oracles
 import wxverify
-from conftest import assert_read_once_in_whole_days
+from conftest import assert_read_once_in_whole_days, read_store
 from wxverify import fileio, pipelines
 from wxverify.cli import main
 from wxverify.climatology import (SYNOPTIC_HOURS, DailyMeanClimatology,
@@ -584,7 +584,7 @@ def whole_year_stores(run, out):
     manifest = fileio.load_manifest(run / "manifest.json")
     per_year, extremes = [], {}
     for year in manifest.history_years:
-        stack = fileio.read_stack(manifest.history_path(
+        stack = read_store(manifest.history_path(
             VariableId.T2M, datetime(year, 1, 1, tzinfo=timezone.utc)))
         fields = [stack.field(i) for i in range(len(stack.valid_times))]
         per_year.append(oracles.daily_means_loop(fields))
@@ -671,7 +671,7 @@ class TestStreamedHistory:
             sidecar.write_bytes(fileio._canonical_json(header))
         else:
             store = run / "truth/t2m/2023.rbs"
-            block = fileio.read_stack(store)
+            block = read_store(store)
             fileio.write_stack([FieldBlock(
                 block.grid, block.variable, block.valid_times[:-4],
                 block.lead_hours[:-4], block.values[:-4])], store)
@@ -707,7 +707,7 @@ class TestStreamedHistory:
         assert history.daily_max.dtype == history.daily_min.dtype \
             == np.float32
         for y, year in enumerate(manifest.history_years):
-            block = fileio.read_stack(manifest.history_path(
+            block = read_store(manifest.history_path(
                 VariableId.T2M, datetime(year, 1, 1, tzinfo=timezone.utc)))
             assert block.values.dtype == np.float64
             _, day_max, day_min = daily_extremes_from_fields(block)
@@ -732,7 +732,8 @@ def field_by_field(manifest_path, leads, spectra_leads):
                 per = {"wrmse": [], "acc": [], "bias": [], "activity": []}
                 for init in manifest.init_times:
                     when = init + timedelta(hours=lead)
-                    pred = source.model(model, init, variable, lead).values
+                    pred = source.model_block(model, init, variable,
+                                              [lead]).values[0]
                     truth = source.truth(variable, when)
                     w = latitude_weights(truth.grid)
                     per["wrmse"].append(
@@ -756,7 +757,8 @@ def field_by_field(manifest_path, leads, spectra_leads):
             for lead in spectra_leads:
                 fields = [source.truth(variable, init + timedelta(hours=lead))
                           if name == "truth" else
-                          source.model(name, init, variable, lead)
+                          source.model_block(name, init, variable,
+                                             [lead]).field(0)
                           for init in manifest.init_times]
                 spectra[f"spectra/{name}_{variable.key}_{lead:03d}h.csv"] = \
                     np.mean([midlatitude_spectrum(f).energy for f in fields],
@@ -804,7 +806,8 @@ def grid_layout(run):
                                   grid_manifest.truth_path(variable, when))
                 for name in manifest.models:
                     fileio.write_grid(
-                        source.model(name, init, variable, lead),
+                        source.model_block(name, init, variable,
+                                           [lead]).field(0),
                         grid_manifest.model_path(name, init, variable, lead))
     return path
 
@@ -877,9 +880,9 @@ class TestEvaluateBlocks:
         manifest = evaluate_run / "manifest.json"
         out = tmp_path / "out"
         assert run_cli("evaluate", "--manifest", manifest, "--out", out,
-                       "--leads", "6,12,12", "--spectra-leads",
+                       "--leads", "6,12", "--spectra-leads",
                        "0,18,48") == 0
-        assert_scores_field_by_field(out, manifest, (6, 12, 12), (0, 18, 48))
+        assert_scores_field_by_field(out, manifest, (6, 12), (0, 18, 48))
 
     def test_span_across_the_new_year(self, new_year_run, tmp_path,
                                       store_reads):
@@ -950,7 +953,8 @@ def grid_run(run, root, truth_pattern="truth/{variable}/{time}.rbg"):
         fileio.write_grid(source.truth(VariableId.T2M, when),
                           manifest.truth_path(VariableId.T2M, when))
         fileio.write_grid(
-            source.model("persistence", init, VariableId.T2M, lead),
+            source.model_block("persistence", init, VariableId.T2M,
+                               [lead]).field(0),
             manifest.model_path("persistence", init, VariableId.T2M, lead))
     return manifest
 
@@ -966,7 +970,7 @@ class TestGridFilesReadAsStacks:
         manifest = grid_run(evaluate_run, tmp_path / "grid")
         init = manifest.init_times[0]
         path = manifest.model_path("persistence", init, VariableId.T2M, 6)
-        field = fileio.read_grid(path)
+        field = read_store(path).field(0)
         fileio.write_grid(field.at(field.valid_time, 12), path)
         capsys.readouterr()
         assert run_cli("evaluate", "--manifest", manifest.path,
@@ -1079,6 +1083,38 @@ class TestManifestTypes:
         assert named in err
 
 
+class TestManifestRepeats:
+    """A manifest list that names an entry twice is exit 2 naming the
+    manifest and the key, for every command that loads the manifest."""
+
+    # key -> (section or None, the key the message names)
+    KEYS = {"init_times": (None, "init_times"),
+            "variables": (None, "variables"),
+            "history_years": ("climatology", "climatology history_years")}
+
+    @pytest.mark.parametrize("key", KEYS)
+    @pytest.mark.parametrize("command",
+                             ["build-climatology", "evaluate", "extremes"])
+    def test_is_exit_2_naming_the_key(self, extremes_run, command, key,
+                                      tmp_path, capsys):
+        section, named = self.KEYS[key]
+        doc = json.loads((extremes_run / "manifest.json").read_text())
+        owner = doc[section] if section else doc
+        owner[key] = owner[key] + owner[key][:1]
+        if command == "extremes":  # thresholds from the history
+            del doc["climatology"]["thresholds_path"]
+        manifest = extremes_run / f"manifest_repeated_{key}.json"
+        manifest.write_text(json.dumps(doc))
+        out = [] if command == "build-climatology" \
+            else ["--out", tmp_path / "out"]
+        capsys.readouterr()
+        assert run_cli(command, "--manifest", manifest, *out) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: {named} lists {owner[key][0]!r} more than " \
+               f"once" in err
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture(scope="module")
 def noisy_extremes_run(tmp_path_factory):
     """The extremes scenario with red noise, so that some locations have
@@ -1132,8 +1168,8 @@ class TestExtremesReference:
             truth = [[source.truth(VariableId.T2M, day + timedelta(hours=h))
                       for h in SYNOPTIC_HOURS] for day in days]
             for model in manifest.models:
-                forecast = [[source.model(model, init, VariableId.T2M,
-                                          24 * (d - 1) + h)
+                forecast = [[source.model_block(model, init, VariableId.T2M,
+                                                [24 * (d - 1) + h]).field(0)
                              for h in SYNOPTIC_HOURS]
                             for init in manifest.init_times]
                 for kind, tau in ((EventKind.HEATWAVE, thresholds.tau_heat),
@@ -1335,8 +1371,15 @@ class TestLeadLists:
          "--spectra-leads value 7 (7 h)"),
         ("cyclone_run", ["cyclones", "--lead-days=-1", "--besttrack", None],
          "--lead-days value -1 (-24 h)"),
+        ("evaluate_run", ["evaluate", "--leads", "6,12,6"],
+         "--leads lists 6 more than once"),
+        ("evaluate_run", ["evaluate", "--spectra-leads", "6,6"],
+         "--spectra-leads lists 6 more than once"),
+        ("extremes_run", ["extremes", "--lead-days", "1,1"],
+         "--lead-days lists 1 more than once"),
     ], ids=["extremes-empty", "extremes-day-0", "evaluate-empty",
-            "spectra-off-grid", "cyclones-negative"])
+            "spectra-off-grid", "cyclones-negative", "leads-repeated",
+            "spectra-leads-repeated", "lead-days-repeated"])
     def test_bad_lead_list_is_exit_2(self, request, run, argv, expected,
                                      tmp_path, capsys):
         data = request.getfixturevalue(run)
@@ -1345,6 +1388,7 @@ class TestLeadLists:
                      "--out", tmp_path / "out")
         assert rc == 2
         assert expected in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestManifestPath:
@@ -1423,6 +1467,25 @@ class TestSynthOptions:
         assert option in err and value in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("years, inits, expected", [
+        ([2025], "2025-07-01T00:00:00Z,2025-07-02T00:00:00Z,"
+         "2025-07-01T00:00:00+00:00",
+         "--inits lists 2025-07-01T00:00:00Z more than once"),
+        ([2024, 2025, 2024], "2025-07-01T00:00:00Z",
+         "scenario years list 2024 more than once"),
+    ], ids=["init", "scenario-year"])
+    def test_repeated_entry_is_exit_2_before_anything_is_written(
+            self, years, inits, expected, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(EVALUATE_SCENARIO, years=years)))
+        out = tmp_path / "run"
+        rc = run_cli("synth", "--scenario", scenario, "--out", out,
+                     "--inits", inits, "--max-lead-hours", "12",
+                     "--models", "perfect")
+        assert rc == 2
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
     def test_every_grid_point_may_be_a_station(self, tmp_path):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(EVALUATE_SCENARIO))
@@ -1495,3 +1558,66 @@ class TestStartup:
             f"from wxverify import {', '.join(wxverify.__all__)}")
         assert {"wxverify.harness", "wxverify.cyclones", "wxverify.stations",
                 "wxverify.extremes"} <= loaded
+
+
+class TestSourceTree:
+    """``src/wxverify`` holds what the commands run."""
+
+    #: Public names that nothing else in ``src`` refers to, and why each
+    #: stays.
+    UNREFERENCED = {
+        # the benchmark's layer tracer wraps it by name
+        "climatology.DailyMeanClimatology.field_for",
+        # the only writer of RBGRID1 files, which manifests may still name
+        "fileio.write_grid",
+        # the published scorecard contract
+        "report.scorecard_schema",
+        # the console-script entry point
+        "cli.main",
+    }
+
+    def test_every_public_name_is_referenced_elsewhere_in_src(self):
+        import ast
+        src = Path(wxverify.__file__).parent
+        trees = [ast.parse(path.read_text(encoding="utf-8"))
+                 for path in sorted(src.glob("*.py"))]
+        public = {}  # "module.name" or "module.Class.method" -> def node
+        for path, tree in zip(sorted(src.glob("*.py")), trees):
+            for node in tree.body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                        or node.name.startswith("_"):
+                    continue
+                public[f"{path.stem}.{node.name}"] = node
+                if isinstance(node, ast.ClassDef):
+                    public.update(
+                        (f"{path.stem}.{node.name}.{item.name}", item)
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
+        assert self.UNREFERENCED <= set(public)
+        # A module-level name is used as a bare name or as an attribute of
+        # a module (``fileio.read_grid``); a method as any attribute, as
+        # the type of the object is not known here.
+        modules = {path.stem for path in src.glob("*.py")}
+        uses: dict[tuple[str, bool], list] = {}  # (name, is method) -> nodes
+        for tree in trees:
+            for node in ast.walk(tree):
+                if not isinstance(getattr(node, "ctx", None), ast.Load):
+                    continue
+                if isinstance(node, ast.Name):
+                    uses.setdefault((node.id, False), []).append(node)
+                elif isinstance(node, ast.Attribute):
+                    uses.setdefault((node.attr, True), []).append(node)
+                    if getattr(node.value, "id", None) in modules:
+                        uses.setdefault((node.attr, False), []).append(node)
+
+        def used_outside(name: str, definition) -> bool:
+            inside = {id(node) for node in ast.walk(definition)}
+            method = name.count(".") == 2
+            return any(id(node) not in inside
+                       for node in uses.get((definition.name, method), []))
+
+        unused = sorted(name for name, definition in public.items()
+                        if name not in self.UNREFERENCED
+                        and not used_outside(name, definition))
+        assert unused == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -146,7 +147,7 @@ class TestTracker:
         msl, u10, v10 = vortex_field_set(grid, centers)
         # fill the depression from lead 2 onward
         for k in (2, 3, 4):
-            msl[k] = msl[k].with_values(np.full(grid.shape, 101500.0))
+            msl[k] = replace(msl[k], values=np.full(grid.shape, 101500.0))
         track = track_storm(msl, u10, v10, centers[0], storm_id="S",
                             source=TrackSource("m"))
         assert track.tracked_mask == (True, True, False, False, False)

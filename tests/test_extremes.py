@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import oracles
 from wxverify.extremes import (EventKind, EventSegment, label_event_runs,
-                               label_events, match_events, scores_from_counts,
-                               temporal_iou)
+                               match_events, scores_from_counts,
+                               segments_by_location, temporal_iou)
 
 
 def seg(start, end, kind=EventKind.HEATWAVE, loc="x"):
@@ -38,11 +38,19 @@ class TestEventSegment:
         assert seg(5, 7).n_days == 3
 
 
+def series_events(values, thresholds, kind):
+    """Segments of one daily series, labeled and grouped as the extremes
+    command labels and groups a column of locations."""
+    runs = label_event_runs(np.asarray(values)[:, None],
+                            np.asarray(thresholds)[:, None], kind)
+    return segments_by_location(runs, kind).get(0, [])
+
+
 class TestLabelEvents:
     def mask_events(self, mask, kind=EventKind.HEATWAVE):
         values = np.where(np.asarray(mask, dtype=bool), 1.0, -1.0)
         thresholds = np.zeros(len(mask))
-        return label_events(values, thresholds, kind)
+        return series_events(values, thresholds, kind)
 
     def test_single_run(self):
         segments = self.mask_events([0, 0, 1, 1, 1, 0, 0])
@@ -59,15 +67,15 @@ class TestLabelEvents:
     def test_cold_uses_strict_less_than(self):
         values = np.array([0.0, -1.0, -1.0, -1.0, 0.0])
         thresholds = np.zeros(5)
-        segments = label_events(values, thresholds, EventKind.COLDSURGE)
+        segments = series_events(values, thresholds, EventKind.COLDSURGE)
         assert [(s.start_day, s.end_day) for s in segments] == [(2, 4)]
         # equality is not exceedance on either side
-        assert label_events(np.zeros(5), np.zeros(5), EventKind.HEATWAVE) == []
-        assert label_events(np.zeros(5), np.zeros(5), EventKind.COLDSURGE) == []
+        for kind in EventKind:
+            assert series_events(np.zeros(5), np.zeros(5), kind) == []
 
     def test_nan_breaks_runs(self):
         values = np.array([1.0, 1.0, np.nan, 1.0, 1.0, 1.0])
-        segments = label_events(values, np.zeros(6), EventKind.HEATWAVE)
+        segments = series_events(values, np.zeros(6), EventKind.HEATWAVE)
         assert [(s.start_day, s.end_day) for s in segments] == [(4, 6)]
 
     def test_all_masks_of_length_12_match_bruteforce(self):
@@ -76,8 +84,8 @@ class TestLabelEvents:
             mask = [(code >> b) & 1 for b in range(12)]
             values = np.where(np.asarray(mask, dtype=bool), 1.0, -1.0)
             got = [(s.start_day - 1, s.end_day - 1)
-                   for s in label_events(values, thresholds,
-                                         EventKind.HEATWAVE)]
+                   for s in series_events(values, thresholds,
+                                          EventKind.HEATWAVE)]
             assert got == oracles.label_events_bruteforce(mask), mask
 
 

@@ -17,7 +17,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import T0, assert_read_once_in_whole_days, make_field, make_grid
+from conftest import (T0, assert_read_once_in_whole_days, layer_scores,
+                      make_field, make_grid, read_store)
 from wxverify import fileio, metrics
 from wxverify.climatology import (DAYS_PER_YEAR, DailyMeanClimatology,
                                   ThresholdField)
@@ -74,10 +75,10 @@ class Store(NamedTuple):
 
 
 STORES = {
-    "grid": Store(write_grid_store, fileio.read_grid, "<f4",
+    "grid": Store(write_grid_store, read_store, "<f4",
                   lambda m: m.truth_path(VariableId.T2M, T0),
                   lambda s: s.truth(VariableId.T2M, T0),
-                  lambda f: (f.grid, [f.values])),
+                  lambda block: (block.grid, list(block.values))),
     "thresholds": Store(write_threshold_store, fileio.read_thresholds, "<f4",
                         lambda m: m.thresholds_file,
                         lambda s: s.thresholds(),
@@ -86,7 +87,7 @@ STORES = {
                          "<f8", lambda m: m.climatology_path(VariableId.T2M),
                          lambda s: s.climatology(VariableId.T2M),
                          lambda c: (c.grid, [c.day_mean])),
-    "stack": Store(write_stack_store, fileio.read_stack, "<f4",
+    "stack": Store(write_stack_store, read_store, "<f4",
                    lambda m: m.truth_path(VariableId.MSL, STACK_TIMES[-1]),
                    lambda s: s.truth(VariableId.MSL, STACK_TIMES[-1]),
                    lambda block: (block.grid, list(block.values))),
@@ -124,7 +125,7 @@ class TestGridRoundTrip:
         grid = GeoGrid.uniform(50.0, -2.5, 9, 10.0, 5.0, 12)
         field = f32_field(rng, grid, variable=VariableId.MSL, lead_hours=12)
         path = fileio.write_grid(field, tmp_path / "f.rbg")
-        back = fileio.read_grid(path)
+        back = read_store(path).field(0)
         assert back.grid == field.grid
         assert back.variable is field.variable
         assert back.valid_time == field.valid_time
@@ -135,7 +136,7 @@ class TestGridRoundTrip:
         grid = make_grid(4, 8)
         field = f32_field(rng, grid)
         p1 = fileio.write_grid(field, tmp_path / "a.rbg")
-        back = fileio.read_grid(p1)
+        back = read_store(p1).field(0)
         p2 = fileio.write_grid(back, tmp_path / "b.rbg")
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "a.rbg.json").read_bytes() == \
@@ -147,7 +148,7 @@ class TestGridRoundTrip:
         blob = path.read_bytes()
         path.write_bytes(blob[:-4])
         with pytest.raises(HeaderPayloadShapeMismatch):
-            fileio.read_grid(path)
+            read_store(path)
 
     def test_corrupt_byte_fails_checksum(self, rng, tmp_path):
         field = f32_field(rng, make_grid(4, 8))
@@ -159,7 +160,7 @@ class TestGridRoundTrip:
         header = json.loads((tmp_path / "f.rbg.json").read_text())
         assert zlib.crc32(bytes(blob)) != header["checksum"]
         with pytest.raises(ChecksumMismatch):
-            fileio.read_grid(path)
+            read_store(path)
 
     def test_nan_payload_rejected(self, rng, tmp_path):
         field = f32_field(rng, make_grid(2, 4))
@@ -172,7 +173,7 @@ class TestGridRoundTrip:
         path.write_bytes(blob)
         (tmp_path / "f.rbg.json").write_text(json.dumps(header))
         with pytest.raises(NonFiniteValue):
-            fileio.read_grid(path)
+            read_store(path)
 
     def test_derived_variable_not_storable(self, rng, tmp_path):
         grid = make_grid(2, 4)
@@ -199,7 +200,7 @@ class TestGridRoundTrip:
         header["checksum"] = zlib.crc32(blob)
         path.write_bytes(blob)
         (tmp_path / "f.rbg.json").write_text(json.dumps(header))
-        back = fileio.read_grid(path)
+        back = read_store(path).field(0)
         assert back.grid == field.grid
         assert np.array_equal(back.values, field.values)
 
@@ -215,7 +216,7 @@ class TestGridRoundTrip:
         header["checksum"] = zlib.crc32(blob)
         path.write_bytes(blob)
         (tmp_path / "f.rbg.json").write_text(json.dumps(header))
-        back = fileio.read_grid(path)
+        back = read_store(path).field(0)
         assert back.grid == field.grid
         assert np.array_equal(back.values, field.values)
 
@@ -226,7 +227,7 @@ class TestGridRoundTrip:
         sidecar.write_text(sidecar.read_text().replace(
             '"n_lat": 2', '"n_lat": Infinity'))
         with pytest.raises(InvalidHeader, match="n_lat"):
-            fileio.read_grid(path)
+            read_store(path)
 
     @pytest.mark.parametrize("store", STORES.values(), ids=STORES.keys())
     @given(data=st.data())
@@ -850,7 +851,7 @@ class TestFieldSource:
             path = write_raw_grid(
                 source.manifest.truth_path(VariableId.T2M, when),
                 rng.standard_normal(geometry[:2]), geometry, when)
-            fresh, fresh_err = outcome(lambda: fileio.read_grid(path))
+            fresh, fresh_err = outcome(lambda: read_store(path).field(0))
             cached, cached_err = outcome(
                 lambda: source.truth(VariableId.T2M, when))
             if fresh_err is not None:
@@ -885,8 +886,9 @@ class TestFieldSource:
         write_raw_grid(tmp_path / "good.rbg", np.zeros((3, 4)), good)
         for _ in range(3):
             with pytest.raises(InvalidHeader, match="bad.rbg"):
-                source.read(tmp_path / "bad.rbg")
-            assert source.read(tmp_path / "good.rbg").grid.n_lat == 3
+                read_store(tmp_path / "bad.rbg", source._geometries)
+            assert read_store(tmp_path / "good.rbg",
+                              source._geometries).grid.n_lat == 3
 
     @pytest.mark.parametrize("store", STORES.values(), ids=STORES.keys())
     def test_nan_payload_error_names_path(self, store, rng, tmp_path):
@@ -938,7 +940,8 @@ class TestFieldSource:
 
         def read(source):
             barrier.wait()
-            grids.extend(source.read(p).grid for p in paths)
+            grids.extend(read_store(p, source._geometries).grid
+                         for p in paths)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -967,7 +970,7 @@ class TestFieldSource:
             fileio.write_grid(field, manifest.model_path("m", T0, variable, 0))
         source = fileio.FieldSource(manifest)
         for read in (lambda v: source.truth(v, T0),
-                     lambda v: source.model("m", T0, v, 0)):
+                     lambda v: source.model_block("m", T0, v, [0]).field(0)):
             u, v, ws = (read(var) for var in (VariableId.U10, VariableId.V10,
                                               VariableId.WS10))
             assert ws.variable is VariableId.WS10
@@ -1030,10 +1033,10 @@ class TestStacks:
         source = fileio.FieldSource(stack_manifest(root))
         stack = write_raw_stack(source.manifest.truth_path(VariableId.T2M, T0),
                                 values, geometry)
-        whole, whole_err = outcome(lambda: fileio.read_stack(stack))
+        whole, whole_err = outcome(lambda: read_store(stack))
         for k, when in enumerate(times):
             path = write_raw_grid(root / f"g{k}.rbg", values[k], geometry, when)
-            fresh, fresh_err = outcome(lambda: fileio.read_grid(path))
+            fresh, fresh_err = outcome(lambda: read_store(path).field(0))
             layer, layer_err = outcome(lambda: source.truth(VariableId.T2M,
                                                             when))
             if fresh_err is not None:
@@ -1045,7 +1048,7 @@ class TestStacks:
                 assert got.values.tobytes() == fresh.values.tobytes()
                 assert (got.variable, got.valid_time, got.lead_hours) == \
                     (fresh.variable, fresh.valid_time, fresh.lead_hours)
-            assert layer.grid is source.read(path).grid
+            assert layer.grid is read_store(path, source._geometries).grid
         if whole_err is None:
             # rewriting what was read gives the same fields back, or fails
             # as writing its first field alone does (a regional grid across
@@ -1057,7 +1060,7 @@ class TestStacks:
                 whole.field(0), root / "again.rbg"))
             assert type(err) is type(grid_err)
             if err is None:
-                again = fileio.read_stack(written)
+                again = read_store(written)
                 assert again.values.tobytes() == whole.values.tobytes()
                 assert again.grid == whole.grid
 
@@ -1065,7 +1068,7 @@ class TestStacks:
         fields = [f32_field(rng, make_grid(3, 4), valid_time=when, lead_hours=6 * k)
                   for k, when in enumerate(times_from(T0, 3))]
         first = fileio.write_stack(fields, tmp_path / "a.rbs")
-        back = fileio.read_stack(first)
+        back = read_store(first)
         assert isinstance(back, FieldBlock)
         assert back.lead_hours == (0, 6, 12)
         second = fileio.write_stack((back.field(k) for k in range(3)),
@@ -1099,7 +1102,7 @@ class TestStacks:
                     source.truth(VariableId.T2M, when)
                 assert str(err.value) == f"{path}: CRC-32 mismatch in layer {k}"
             with pytest.raises(ChecksumMismatch, match=f"in layer {k}"):
-                fileio.read_stack(path)  # a whole read checks every layer
+                read_store(path)  # a whole read checks every layer
 
     def test_time_outside_or_lead_off_the_stack_names_path_and_time(
             self, rng, tmp_path):
@@ -1122,13 +1125,15 @@ class TestStacks:
                 source.truth(VariableId.T2M, when)
             assert str(err.value).startswith(
                 f"{path} holds no layer valid at {fileio.format_time(when)}")
-        assert source.model("m", T0, VariableId.T2M, 6).lead_hours == 6
+        assert source.model_block("m", T0, VariableId.T2M,
+                                  [6]).lead_hours == (6,)
         with pytest.raises(ManifestError, match=f"{model} holds no layer"):
-            source.model("m", T0, VariableId.T2M, 12)
+            source.model_block("m", T0, VariableId.T2M, [12])
         # a later init resolves to the same store, whose layer valid at
         # T0 + 6 h has lead 6, not 0
         with pytest.raises(ManifestError, match="has lead 6 h, not 0 h"):
-            source.model("one-run", T0 + fileio.STACK_STEP, VariableId.T2M, 0)
+            source.model_block("one-run", T0 + fileio.STACK_STEP,
+                               VariableId.T2M, [0])
 
     @pytest.mark.parametrize("layout, leads", [
         ("stack", {"lead_step_hours": 3}), ("stack", {"lead_step_hours": -6}),
@@ -1148,9 +1153,8 @@ class TestStacks:
                                   values[0], geometry)
         rewrite_store(path, "<f4", lambda layers: layers, **leads)
         source = fileio.FieldSource(manifest)
-        read = fileio.read_stack if layout == "stack" else fileio.read_grid
         n_times = 3 if layout == "stack" else 1
-        for attempt in (lambda: read(path),
+        for attempt in (lambda: read_store(path),
                         lambda: source.truth_block(VariableId.T2M,
                                                    times_from(T0, n_times))):
             with pytest.raises(InvalidHeader, match="leads must be "
@@ -1345,8 +1349,8 @@ class TestBlocks:
         pred, pred_err = outcome(lambda: source.model_block(
             "m", T0, VariableId.T2M, [6 * k for k in ks]))
         fields = [outcome(lambda: (source.truth(VariableId.T2M, when),
-                                   source.model("m", T0, VariableId.T2M,
-                                                6 * k)))
+                                   source.model_block("m", T0, VariableId.T2M,
+                                                      [6 * k]).field(0)))
                   for k, when in zip(ks, times)]
         if fields[0][1] is not None:
             assert type(truth_err) is type(pred_err) is type(fields[0][1])
@@ -1369,13 +1373,14 @@ class TestBlocks:
             if scores is None:
                 continue
             cf = make_field(grid, clim[i], valid_time=pf.valid_time)
-            assert scores.wrmse[i] == metrics.wrmse(pf, tf, w) == \
+            alone = layer_scores(pf, tf, cf, weights=w)
+            assert scores.wrmse[i] == alone.wrmse == \
                 oracles.wrmse_field(pf.values, tf.values, w)
-            assert scores.bias[i] == metrics.bias(pf, tf, w) == \
+            assert scores.bias[i] == alone.bias == \
                 oracles.bias_field(pf.values, tf.values, w)
-            assert scores.acc[i] == metrics.acc(pf, tf, cf, w) == \
+            assert scores.acc[i] == alone.acc == \
                 oracles.acc_field(pf.values, tf.values, cf.values, w)
-            assert scores.activity[i] == metrics.activity(pf, cf, w) == \
+            assert scores.activity[i] == alone.activity == \
                 oracles.activity_field(pf.values, cf.values, w)
 
     def test_truth_span_across_a_year_reads_each_stack_once(

@@ -12,8 +12,7 @@ from conftest import make_field, make_grid
 from wxverify.errors import NonFiniteValue, TargetOutsideDomain
 from wxverify.grid import (EARTH_RADIUS_KM, GeoGrid, VariableId,
                            bilinear_weights, derive_wind_speed, haversine_km,
-                           interp_to_stations, latitude_weights,
-                           regrid_bilinear)
+                           latitude_weights)
 
 
 class TestGeoGrid:
@@ -108,19 +107,26 @@ class TestLatitudeWeights:
         assert np.all(w >= 0.0)
 
 
+def nodes(grid: GeoGrid) -> list[tuple[float, float]]:
+    """Every node of ``grid`` as a (lat, lon) point, row by row."""
+    return [(float(la), float(lo)) for la in grid.lat_deg
+            for lo in grid.lon_deg]
+
+
 class TestRegridBilinear:
+    """Bilinear weights to every node of another grid."""
+
     def test_identity_target_is_bitwise_equal(self, rng):
         grid = make_grid(7, 12)
-        field = make_field(grid, rng.standard_normal(grid.shape))
-        out = regrid_bilinear(field, grid)
-        assert np.array_equal(out.values, field.values)
+        values = rng.standard_normal(grid.shape)
+        out = bilinear_weights(grid, nodes(grid)).apply(values)
+        assert np.array_equal(out, values.reshape(-1))
 
     def test_constant_field_stays_constant(self):
         src = make_grid(9, 16)
         dst = make_grid(5, 10, lat_top=40.0, lat_bottom=-40.0)
-        field = make_field(src, np.full(src.shape, 7.25))
-        out = regrid_bilinear(field, dst)
-        np.testing.assert_allclose(out.values, 7.25, rtol=1e-14)
+        out = bilinear_weights(src, nodes(dst)).apply(np.full(src.shape, 7.25))
+        np.testing.assert_allclose(out, 7.25, rtol=1e-14)
 
     def test_planar_field_reproduced(self):
         # bilinear interpolation is exact on functions linear in each axis
@@ -128,58 +134,58 @@ class TestRegridBilinear:
                       np.arange(72) * 5.0)
         a, b = 0.7, 0.013
         values = a * src.lat_deg[:, None] + b * src.lon_deg[None, :]
-        field = make_field(src, values)
         dst = GeoGrid(np.linspace(55.3, -54.7, 23), np.linspace(3.1, 350.0, 31))
-        out = regrid_bilinear(field, dst)
+        out = bilinear_weights(src, nodes(dst)).apply(values)
+        out = out.reshape(dst.shape)
         expected = a * dst.lat_deg[:, None] + b * dst.lon_deg[None, :]
         # stay off the wrap seam: the plane is discontinuous at lon 355->0
         interior = dst.lon_deg <= 355.0
-        np.testing.assert_allclose(out.values[:, interior],
+        np.testing.assert_allclose(out[:, interior],
                                    expected[:, interior], atol=1e-9)
 
     def test_output_within_corner_bounds(self, rng):
         src = make_grid(6, 9)
         dst = make_grid(11, 17, lat_top=55.0, lat_bottom=-55.0)
-        field = make_field(src, rng.standard_normal(src.shape))
-        out = regrid_bilinear(field, dst)
-        assert out.values.min() >= field.values.min() - 1e-12
-        assert out.values.max() <= field.values.max() + 1e-12
+        values = rng.standard_normal(src.shape)
+        out = bilinear_weights(src, nodes(dst)).apply(values)
+        assert out.min() >= values.min() - 1e-12
+        assert out.max() <= values.max() + 1e-12
 
     def test_target_latitude_outside_raises(self, rng):
         src = make_grid(4, 8, lat_top=30.0, lat_bottom=-30.0)
         dst = make_grid(4, 8, lat_top=50.0, lat_bottom=-50.0)
-        field = make_field(src, rng.standard_normal(src.shape))
         with pytest.raises(TargetOutsideDomain):
-            regrid_bilinear(field, dst)
+            bilinear_weights(src, nodes(dst))
 
     def test_wrap_cell_interpolates_across_seam(self):
         src = make_grid(3, 4)  # lons 0, 90, 180, 270
         values = np.tile([0.0, 1.0, 2.0, 1.0], (3, 1))
-        field = make_field(src, values)
         dst = GeoGrid(src.lat_deg, np.array([315.0]))
-        out = regrid_bilinear(field, dst)
-        np.testing.assert_allclose(out.values[:, 0], 0.5, atol=1e-12)
+        out = bilinear_weights(src, nodes(dst)).apply(values)
+        np.testing.assert_allclose(out, 0.5, atol=1e-12)
 
     def test_regrid_idempotent_on_own_grid(self, rng):
         grid = make_grid(5, 8)
-        field = make_field(grid, rng.standard_normal(grid.shape))
-        once = regrid_bilinear(field, grid)
-        twice = regrid_bilinear(once, grid)
-        assert np.array_equal(once.values, twice.values)
+        weights = bilinear_weights(grid, nodes(grid))
+        once = weights.apply(rng.standard_normal(grid.shape))
+        twice = weights.apply(once.reshape(grid.shape))
+        assert np.array_equal(once, twice)
 
 
 class TestInterpToStations:
+    """Bilinear weights to scattered (lat, lon) points."""
+
     def test_station_on_node_gets_node_value(self, rng):
         grid = make_grid(5, 8)
         field = make_field(grid, rng.standard_normal(grid.shape))
         pts = [(float(grid.lat_deg[2]), float(grid.lon_deg[3]))]
-        out = interp_to_stations(field, pts)
+        out = bilinear_weights(grid, pts).apply(field.values)
         assert out[0] == field.values[2, 3]
 
     def test_cell_center_is_corner_mean(self):
         grid = GeoGrid(np.array([10.0, 0.0]), np.array([0.0, 10.0]))
         field = make_field(grid, np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = interp_to_stations(field, [(5.0, 5.0)])
+        out = bilinear_weights(grid, [(5.0, 5.0)]).apply(field.values)
         assert out[0] == pytest.approx(2.5, abs=1e-14)
 
     def test_constant_field_constant_everywhere(self, rng):
@@ -187,22 +193,19 @@ class TestInterpToStations:
         field = make_field(grid, np.full(grid.shape, 3.5))
         pts = [(float(la), float(lo)) for la, lo in
                zip(rng.uniform(-59, 59, 20), rng.uniform(0, 359.9, 20))]
-        np.testing.assert_allclose(interp_to_stations(field, pts), 3.5,
-                                   rtol=1e-14)
+        np.testing.assert_allclose(
+            bilinear_weights(grid, pts).apply(field.values), 3.5, rtol=1e-14)
 
     def test_all_nodes_reproduced(self, rng):
         grid = make_grid(4, 6)
         field = make_field(grid, rng.standard_normal(grid.shape))
-        pts = [(float(la), float(lo)) for la in grid.lat_deg
-               for lo in grid.lon_deg]
-        out = interp_to_stations(field, pts)
+        out = bilinear_weights(grid, nodes(grid)).apply(field.values)
         np.testing.assert_array_equal(out, field.values.reshape(-1))
 
     def test_station_outside_latitude_span(self, rng):
         grid = make_grid(4, 8)
-        field = make_field(grid, rng.standard_normal(grid.shape))
         with pytest.raises(TargetOutsideDomain):
-            interp_to_stations(field, [(75.0, 10.0)])
+            bilinear_weights(grid, [(75.0, 10.0)])
 
 
 @st.composite
@@ -251,16 +254,14 @@ class TestBilinearWeights:
                                         grid.wraps_lon, layer, lat, lon)
                  for lat, lon in points] for layer in stack]
         if None in want[0]:
-            with pytest.raises(TargetOutsideDomain) as stacked:
+            with pytest.raises(TargetOutsideDomain):
                 bilinear_weights(grid, points)
-            with pytest.raises(TargetOutsideDomain) as single:
-                interp_to_stations(make_field(grid, stack[0]), points)
-            assert str(stacked.value) == str(single.value)
             return
-        got = bilinear_weights(grid, points).apply(stack)
+        weights = bilinear_weights(grid, points)
+        got = weights.apply(stack)
         assert got.shape == (len(stack), len(points))
         for k, layer in enumerate(stack):
-            per_field = interp_to_stations(make_field(grid, layer), points)
+            per_field = weights.apply(layer)
             assert got[k].tobytes() == per_field.tobytes()
             assert got[k].tobytes() == np.array(want[k]).tobytes()
 

@@ -12,17 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import truth_fields
+from conftest import layer_scores, read_store, truth_fields
 from wxverify import fileio, harness
 from wxverify.climatology import build_thresholds
-from wxverify.extremes import EventKind, label_events
+from wxverify.extremes import (EventKind, label_event_runs,
+                               segments_by_location)
 from wxverify.grid import FieldBlock, GeoGrid, VariableId
 from wxverify.harness import (PlantedEpisode, SyntheticScenario, VariableProcess,
                               VortexSpec, load_scenario, make_besttrack,
                               persistence_forecast, seasonal_value,
                               smoothed_forecast, smoothing_width, year_times)
-from wxverify.metrics import wrmse
-from wxverify.spectra import zonal_spectrum_row
+from wxverify.spectra import midlatitude_spectrum
 
 
 def small_grid():
@@ -81,10 +81,10 @@ class TestGenerator:
         thresholds = build_thresholds(history)
         eval_history = oracles.history_from_fields({2025: fields_by_year[2025]})
         loc = 3 * sc.grid.n_lon + 5
-        series = eval_history.daily_max[0, :, loc]
-        segments = label_events(series, thresholds.tau_heat[:, loc],
-                                EventKind.HEATWAVE, str(loc))
-        spans = [(s.start_day, s.end_day) for s in segments]
+        runs = label_event_runs(eval_history.daily_max[0], thresholds.tau_heat,
+                                EventKind.HEATWAVE)
+        spans = [(s.start_day, s.end_day) for s in
+                 segments_by_location(runs, EventKind.HEATWAVE).get(loc, [])]
         assert (200, 204) in spans
 
     def test_besttrack_matches_center_oracle(self):
@@ -331,7 +331,7 @@ class TestPersistence:
         sc = scenario(noise_sigma=1.0)
         init = next(truth_fields(sc, VariableId.T2M))
         (fc,) = persistence_forecast(init, [0])
-        assert wrmse(fc, init) == 0.0
+        assert layer_scores(fc, init).wrmse == 0.0
 
     def test_wrmse_grows_with_lead_for_ar1_truth(self):
         # per-seed check; the 50-seed statistical version runs in acceptance
@@ -341,8 +341,8 @@ class TestPersistence:
             stream = truth_fields(sc, VariableId.T2M)
             t0, t1, t2 = itertools.islice(stream, 3)
             fc1, fc2 = persistence_forecast(t0, [6, 12])
-            e1 = wrmse(fc1, t1.at(t1.valid_time, 6))
-            e2 = wrmse(fc2, t2.at(t2.valid_time, 12))
+            e1 = layer_scores(fc1, t1.at(t1.valid_time, 6)).wrmse
+            e2 = layer_scores(fc2, t2.at(t2.valid_time, 12)).wrmse
             wins += e2 >= e1
         assert wins >= 9
 
@@ -372,8 +372,9 @@ class TestSmoothed:
         init = make_field(grid, values)
         width = 5
         (fc,) = smoothed_forecast(init, [12], kernel_width=width)  # width 5
-        s_init = zonal_spectrum_row(init, 1)
-        s_fc = zonal_spectrum_row(fc, 1)
+        row_1 = (43.0, 45.0)  # the band of the middle row, at 44 N
+        s_init = midlatitude_spectrum(init, row_1).energy
+        s_fc = midlatitude_spectrum(fc, row_1).energy
         transfer = (math.sin(width * math.pi * k / n)
                     / (width * math.sin(math.pi * k / n))) ** 2
         assert s_fc[k] / s_init[k] == pytest.approx(transfer, rel=1e-5)
@@ -437,9 +438,11 @@ class TestPipelineClosure:
         fields = list(itertools.islice(stream, 6))
         for k, field in enumerate(fields):
             fileio.write_grid(field, tmp_path / f"{k}.rbg")
-        back = [fileio.read_grid(tmp_path / f"{k}.rbg") for k in range(6)]
+        back = [read_store(tmp_path / f"{k}.rbg").field(0) for k in range(6)]
         for a, b in zip(fields, back):
             assert np.array_equal(a.values, b.values)
         # metric computed from disk fields equals the in-memory value bitwise
-        assert wrmse(back[1], back[0].at(back[1].valid_time, 6)) == \
-            wrmse(fields[1], fields[0].at(fields[1].valid_time, 6))
+        from_disk = layer_scores(back[1], back[0].at(back[1].valid_time, 6))
+        in_memory = layer_scores(fields[1],
+                                 fields[0].at(fields[1].valid_time, 6))
+        assert from_disk.wrmse == in_memory.wrmse

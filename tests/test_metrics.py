@@ -1,16 +1,18 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_field, make_grid, random_field
+from conftest import layer_scores, make_field, make_grid, random_field
 from wxverify import metrics
 from wxverify.errors import DegenerateAnomaly, GridMismatch
 from wxverify.grid import GeoGrid, latitude_weights
-from wxverify.metrics import acc, activity, bias, block_scores, wrmse
+from wxverify.metrics import block_scores, check_pair
 
 
 @pytest.fixture
@@ -21,25 +23,27 @@ def grid():
 class TestWrmse:
     def test_zero_for_identical_fields(self, rng, grid):
         f = random_field(rng, grid)
-        assert wrmse(f, f) == 0.0
+        assert layer_scores(f, f).wrmse == 0.0
 
     def test_constant_offset_passes_through(self, rng, grid):
         truth = random_field(rng, grid)
-        pred = truth.with_values(truth.values + 1.5)
-        assert wrmse(pred, truth) == pytest.approx(1.5, rel=1e-14)
+        pred = replace(truth, values=truth.values + 1.5)
+        assert layer_scores(pred, truth).wrmse == pytest.approx(1.5,
+                                                                rel=1e-14)
 
     def test_matches_scalar_loop_oracle(self, rng, grid):
         pred = random_field(rng, grid)
         truth = random_field(rng, grid)
         w = latitude_weights(grid)
         expected = oracles.wrmse_loop(pred.values, truth.values, w)
-        assert wrmse(pred, truth, w) == pytest.approx(expected, rel=1e-12)
+        assert layer_scores(pred, truth, weights=w).wrmse == pytest.approx(
+            expected, rel=1e-12)
 
     def test_grid_mismatch(self, rng):
         pred = random_field(rng, make_grid(4, 8))
         truth = random_field(rng, make_grid(4, 16))
         with pytest.raises(GridMismatch):
-            wrmse(pred, truth)
+            check_pair(pred, truth, same_time=True)
 
     def test_valid_time_mismatch(self, rng, grid):
         from datetime import datetime, timezone
@@ -47,39 +51,43 @@ class TestWrmse:
         truth = random_field(rng, grid,
                              valid_time=datetime(2025, 7, 2, tzinfo=timezone.utc))
         with pytest.raises(GridMismatch):
-            wrmse(pred, truth)
+            check_pair(pred, truth, same_time=True)
+        check_pair(pred, truth, same_time=False)  # a climatology's pairing
 
 
 class TestBias:
     def test_constant_offset(self, rng, grid):
         truth = random_field(rng, grid)
-        pred = truth.with_values(truth.values + 2.5)
-        assert bias(pred, truth) == pytest.approx(2.5, rel=1e-14)
+        pred = replace(truth, values=truth.values + 2.5)
+        assert layer_scores(pred, truth).bias == pytest.approx(2.5, rel=1e-14)
 
     def test_zero_for_identical(self, rng, grid):
         f = random_field(rng, grid)
-        assert bias(f, f) == 0.0
+        assert layer_scores(f, f).bias == 0.0
 
     def test_matches_scalar_loop_oracle(self, rng, grid):
         pred = random_field(rng, grid)
         truth = random_field(rng, grid)
         w = latitude_weights(grid)
         expected = oracles.bias_loop(pred.values, truth.values, w)
-        assert bias(pred, truth, w) == pytest.approx(expected, rel=1e-12)
+        assert layer_scores(pred, truth, weights=w).bias == pytest.approx(
+            expected, rel=1e-12)
 
 
 class TestAcc:
     def test_self_correlation_is_one(self, rng, grid):
         truth = random_field(rng, grid)
         clim = random_field(rng, grid)
-        assert acc(truth, truth, clim) == pytest.approx(1.0, abs=1e-12)
+        assert layer_scores(truth, truth, clim).acc == pytest.approx(
+            1.0, abs=1e-12)
 
     def test_antiparallel_anomalies(self, rng, grid):
         clim = random_field(rng, grid)
         anom = rng.standard_normal(grid.shape)
-        pred = clim.with_values(clim.values + anom)
-        truth = clim.with_values(clim.values - anom)
-        assert acc(pred, truth, clim) == pytest.approx(-1.0, abs=1e-12)
+        pred = replace(clim, values=clim.values + anom)
+        truth = replace(clim, values=clim.values - anom)
+        assert layer_scores(pred, truth, clim).acc == pytest.approx(
+            -1.0, abs=1e-12)
 
     def test_matches_scalar_loop_oracle(self, rng, grid):
         pred = random_field(rng, grid)
@@ -87,22 +95,24 @@ class TestAcc:
         clim = random_field(rng, grid)
         w = latitude_weights(grid)
         expected = oracles.acc_loop(pred.values, truth.values, clim.values, w)
-        assert acc(pred, truth, clim, w) == pytest.approx(expected, rel=1e-12)
+        assert layer_scores(pred, truth, clim, weights=w).acc == \
+            pytest.approx(expected, rel=1e-12)
 
     def test_degenerate_anomaly(self, rng, grid):
         clim = random_field(rng, grid)
         truth = random_field(rng, grid)
         with pytest.raises(DegenerateAnomaly):
-            acc(clim, truth, clim)  # pred anomaly identically zero
+            layer_scores(clim, truth, clim)  # pred anomaly identically zero
 
     def test_scale_invariance_of_anomalies(self, rng, grid):
         clim = random_field(rng, grid)
         ap = rng.standard_normal(grid.shape)
         at = rng.standard_normal(grid.shape)
-        a1 = acc(clim.with_values(clim.values + ap),
-                 clim.with_values(clim.values + at), clim)
-        a2 = acc(clim.with_values(clim.values + 37.5 * ap),
-                 clim.with_values(clim.values + 37.5 * at), clim)
+        a1 = layer_scores(replace(clim, values=clim.values + ap),
+                          replace(clim, values=clim.values + at), clim).acc
+        a2 = layer_scores(replace(clim, values=clim.values + 37.5 * ap),
+                          replace(clim, values=clim.values + 37.5 * at),
+                          clim).acc
         assert a1 == pytest.approx(a2, rel=1e-12)
 
     def test_bounded_by_one(self, rng, grid):
@@ -110,33 +120,33 @@ class TestAcc:
             pred = random_field(rng, grid)
             truth = random_field(rng, grid)
             clim = random_field(rng, grid)
-            assert abs(acc(pred, truth, clim)) <= 1.0 + 1e-12
+            assert abs(layer_scores(pred, truth, clim).acc) <= 1.0 + 1e-12
 
 
 class TestActivity:
     def test_zero_when_pred_equals_clim(self, rng, grid):
         clim = random_field(rng, grid)
-        assert activity(clim, clim) == 0.0
+        assert layer_scores(clim, clim=clim).activity == 0.0
 
     def test_zero_for_constant_anomaly(self, rng, grid):
         clim = random_field(rng, grid)
-        pred = clim.with_values(clim.values + 4.0)
-        assert activity(pred, clim) == pytest.approx(0.0, abs=1e-12)
+        pred = replace(clim, values=clim.values + 4.0)
+        assert layer_scores(pred, clim=clim).activity == pytest.approx(
+            0.0, abs=1e-12)
 
     def test_matches_scalar_loop_oracle(self, rng, grid):
         pred = random_field(rng, grid)
         clim = random_field(rng, grid)
         w = latitude_weights(grid)
         expected = oracles.activity_loop(pred.values, clim.values, w)
-        assert activity(pred, clim, w) == pytest.approx(expected, rel=1e-12)
+        assert layer_scores(pred, clim=clim, weights=w).activity == \
+            pytest.approx(expected, rel=1e-12)
 
 
 class TestFullResolution:
     def test_oracle_tolerance_holds_at_quarter_degree(self, rng):
         # 721x1440: pairwise numpy accumulation vs exactly-rounded fsum
         # loops must still agree to 1e-12 relative
-        from wxverify.grid import GeoGrid
-        import oracles
         grid = GeoGrid.regular_global(0.25)
         w = latitude_weights(grid)
         base = 280.0 + 8.0 * rng.standard_normal(grid.shape)
@@ -145,55 +155,58 @@ class TestFullResolution:
         pred = make_field(grid, base + 0.6 * shared
                           + 0.4 * rng.standard_normal(grid.shape) + 0.8)
         clim = make_field(grid, base - shared)
-        assert wrmse(pred, truth, w) == pytest.approx(
+        scores = layer_scores(pred, truth, clim, weights=w)
+        assert scores.wrmse == pytest.approx(
             oracles.wrmse_loop(pred.values, truth.values, w), rel=1e-12)
-        assert bias(pred, truth, w) == pytest.approx(
+        assert scores.bias == pytest.approx(
             oracles.bias_loop(pred.values, truth.values, w), rel=1e-12)
-        assert acc(pred, truth, clim, w) == pytest.approx(
+        assert scores.acc == pytest.approx(
             oracles.acc_loop(pred.values, truth.values, clim.values, w),
             rel=1e-12)
-        assert activity(pred, clim, w) == pytest.approx(
+        assert scores.activity == pytest.approx(
             oracles.activity_loop(pred.values, clim.values, w), rel=1e-12)
 
 
 class TestIdentities:
     def test_bias_variance_decomposition(self, rng):
-        # wrmse^2 = bias^2 + weighted variance of the error field
+        # wrmse^2 = bias^2 + weighted variance of the error field, which is
+        # the activity of the forecast about the truth
         for _ in range(20):
             grid = make_grid(int(rng.integers(3, 12)), int(rng.integers(4, 20)))
             pred = random_field(rng, grid)
             truth = random_field(rng, grid)
             w = latitude_weights(grid)
-            b = bias(pred, truth, w)
-            err_var = activity(pred, truth, w) ** 2
-            assert wrmse(pred, truth, w) ** 2 == pytest.approx(
-                b * b + err_var, rel=1e-10)
+            scores = layer_scores(pred, truth, weights=w)
+            err_var = layer_scores(pred, clim=truth, weights=w).activity ** 2
+            assert scores.wrmse ** 2 == pytest.approx(
+                scores.bias ** 2 + err_var, rel=1e-10)
 
     def test_equatorial_single_row_reduces_to_unweighted(self, rng):
         grid = make_grid(1, 24, lat_top=0.0, lat_bottom=0.0)
         pred = random_field(rng, grid)
         truth = random_field(rng, grid)
         clim = random_field(rng, grid)
+        scores = layer_scores(pred, truth, clim)
         err = pred.values - truth.values
-        assert wrmse(pred, truth) == pytest.approx(
+        assert scores.wrmse == pytest.approx(
             float(np.sqrt(np.mean(err ** 2))), rel=1e-14)
-        assert bias(pred, truth) == pytest.approx(float(np.mean(err)), rel=1e-12)
+        assert scores.bias == pytest.approx(float(np.mean(err)), rel=1e-12)
         ap = (pred.values - clim.values).ravel()
         at = (truth.values - clim.values).ravel()
         textbook_acc = float(np.mean(ap * at)
                              / np.sqrt(np.mean(ap ** 2) * np.mean(at ** 2)))
-        assert acc(pred, truth, clim) == pytest.approx(textbook_acc, rel=1e-12)
-        assert activity(pred, clim) == pytest.approx(
-            float(np.std(ap)), rel=1e-12)
+        assert scores.acc == pytest.approx(textbook_acc, rel=1e-12)
+        assert scores.activity == pytest.approx(float(np.std(ap)), rel=1e-12)
 
     def test_perfect_forecast_all_metrics(self, rng):
         for _ in range(10):
             grid = make_grid(int(rng.integers(2, 10)), int(rng.integers(4, 16)))
             truth = random_field(rng, grid)
             clim = random_field(rng, grid)
-            assert wrmse(truth, truth) == 0.0
-            assert bias(truth, truth) == 0.0
-            assert acc(truth, truth, clim) == pytest.approx(1.0, abs=1e-12)
+            scores = layer_scores(truth, truth, clim)
+            assert scores.wrmse == 0.0
+            assert scores.bias == 0.0
+            assert scores.acc == pytest.approx(1.0, abs=1e-12)
 
 
 #: Memory layouts of one block of values. The kernel must score every
@@ -251,20 +264,22 @@ class TestBlockKernel:
         for i in range(pred.shape[0]):
             p, t, c = (np.ascontiguousarray(a[i]) for a in (pred, truth, clim))
             fp, ft, fc = (make_field(grid, a) for a in (p, t, c))
+            alone = layer_scores(fp, ft, weights=w)._replace(
+                activity=layer_scores(fp, clim=fc, weights=w).activity)
             want = oracles.wrmse_field(p, t, w)
-            assert scores.wrmse[i] == want == wrmse(fp, ft, w)
+            assert scores.wrmse[i] == want == alone.wrmse
             want = oracles.bias_field(p, t, w)
-            assert scores.bias[i] == want == bias(fp, ft, w)
+            assert scores.bias[i] == want == alone.bias
             want = oracles.activity_field(p, c, w)
-            assert scores.activity[i] == want == activity(fp, fc, w)
+            assert scores.activity[i] == want == alone.activity
             want = oracles.acc_field(p, t, c, w)
             if want is None:
                 assert i == degenerate
                 with pytest.raises(DegenerateAnomaly):
-                    acc(fp, ft, fc, w)
+                    layer_scores(fp, ft, fc, weights=w)
             else:
                 assert scores.acc is None or scores.acc[i] == want
-                assert acc(fp, ft, fc, w) == want
+                assert layer_scores(fp, ft, fc, weights=w).acc == want
 
     def test_chunking_does_not_change_scores(self, rng, monkeypatch):
         grid = make_grid(7, 9)

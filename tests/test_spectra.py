@@ -7,8 +7,7 @@ import oracles
 from conftest import make_field, make_grid
 from wxverify.errors import EmptyBand, PolarRow
 from wxverify.grid import GeoGrid
-from wxverify.spectra import (latitude_circumference_m, midlatitude_spectrum,
-                              zonal_spectrum_row)
+from wxverify.spectra import latitude_circumference_m, midlatitude_spectrum
 
 
 def row_field(row_values, lat=45.0):
@@ -18,11 +17,17 @@ def row_field(row_values, lat=45.0):
     return make_field(grid, np.asarray(row_values, dtype=float).reshape(1, n))
 
 
+def row_spectrum(row_values, lat=45.0):
+    """Energy spectrum of one zonal circle at ``lat``: the band spectrum of
+    a one-row grid, in a band around ``lat``."""
+    band = (abs(lat) - 1.0, abs(lat) + 1.0)
+    return midlatitude_spectrum(row_field(row_values, lat), band).energy
+
+
 class TestZonalSpectrumRow:
     def test_constant_row_is_dc_only(self):
         c = 2.75
-        field = row_field(np.full(16, c))
-        s = zonal_spectrum_row(field, 0)
+        s = row_spectrum(np.full(16, c))
         c_i = latitude_circumference_m(45.0)
         assert s[0] == pytest.approx(c_i * c * c, rel=1e-12)
         np.testing.assert_allclose(s[1:], 0.0, atol=1e-9 * c_i * c * c)
@@ -31,8 +36,7 @@ class TestZonalSpectrumRow:
     def test_pure_cosine_concentrates_at_its_wavenumber(self, n_lon):
         amp = 3.0
         j = np.arange(n_lon)
-        field = row_field(amp * np.cos(2 * np.pi * 3 * j / n_lon))
-        s = zonal_spectrum_row(field, 0)
+        s = row_spectrum(amp * np.cos(2 * np.pi * 3 * j / n_lon))
         c_i = latitude_circumference_m(45.0)
         # |F_3| = amp/2, so S_3 = 2 * C_i * amp^2 / 4
         assert s[3] == pytest.approx(c_i * amp * amp / 2.0, rel=1e-10)
@@ -41,16 +45,14 @@ class TestZonalSpectrumRow:
 
     def test_matches_direct_dft_oracle(self, rng):
         values = rng.standard_normal(31)
-        field = row_field(values)
-        s = zonal_spectrum_row(field, 0)
+        s = row_spectrum(values)
         expected = oracles.zonal_spectrum_direct(values,
                                                  latitude_circumference_m(45.0))
         np.testing.assert_allclose(s, expected, rtol=1e-10, atol=1e-12)
 
     def test_parseval_odd_row(self, rng):
         values = 5.0 + rng.standard_normal(45)
-        field = row_field(values)
-        s = zonal_spectrum_row(field, 0)
+        s = row_spectrum(values)
         c_i = latitude_circumference_m(45.0)
         assert s.sum() / c_i == pytest.approx(
             oracles.mean_square_loop(values), rel=1e-10)
@@ -59,18 +61,17 @@ class TestZonalSpectrumRow:
         grid = GeoGrid(np.array([90.0, 0.0]), np.arange(8) * 45.0)
         field = make_field(grid, rng.standard_normal((2, 8)))
         with pytest.raises(PolarRow):
-            zonal_spectrum_row(field, 0)
-        zonal_spectrum_row(field, 1)  # equator row is fine
+            midlatitude_spectrum(field, (89.0, 91.0))
+        midlatitude_spectrum(field, (-1.0, 1.0))  # equator row is fine
 
     def test_energy_nonnegative(self, rng):
         for _ in range(20):
-            field = row_field(rng.standard_normal(24))
-            assert np.all(zonal_spectrum_row(field, 0) >= 0.0)
+            assert np.all(row_spectrum(rng.standard_normal(24)) >= 0.0)
 
     def test_shift_invariance(self, rng):
         values = rng.standard_normal(36)
-        s0 = zonal_spectrum_row(row_field(values), 0)
-        s1 = zonal_spectrum_row(row_field(np.roll(values, 7)), 0)
+        s0 = row_spectrum(values)
+        s1 = row_spectrum(np.roll(values, 7))
         np.testing.assert_allclose(s1, s0, rtol=1e-12, atol=1e-20)
 
     def test_energy_linearity_for_disjoint_harmonics(self):
@@ -78,15 +79,14 @@ class TestZonalSpectrumRow:
         j = np.arange(n)
         h2 = 1.7 * np.sin(2 * np.pi * 2 * j / n)
         h5 = 0.9 * np.cos(2 * np.pi * 5 * j / n)
-        s_sum = zonal_spectrum_row(row_field(h2 + h5), 0)
-        s2 = zonal_spectrum_row(row_field(h2), 0)
-        s5 = zonal_spectrum_row(row_field(h5), 0)
+        s_sum = row_spectrum(h2 + h5)
+        s2 = row_spectrum(h2)
+        s5 = row_spectrum(h5)
         np.testing.assert_allclose(s_sum, s2 + s5, rtol=1e-10, atol=1e-8)
 
     def test_length_is_half_plus_one(self, rng):
         for n in (8, 9, 24, 25):
-            field = row_field(rng.standard_normal(n))
-            assert zonal_spectrum_row(field, 0).size == n // 2 + 1
+            assert row_spectrum(rng.standard_normal(n)).size == n // 2 + 1
 
 
 class TestMidlatitudeSpectrum:
@@ -109,7 +109,7 @@ class TestMidlatitudeSpectrum:
         field = make_field(grid, rng.standard_normal((2, 16)))
         spec = midlatitude_spectrum(field)
         np.testing.assert_array_equal(spec.energy,
-                                      zonal_spectrum_row(field, 0))
+                                      row_spectrum(field.values[0]))
 
     def test_band_bounds_are_strict(self, rng):
         grid = GeoGrid(np.array([60.0, 30.0]), np.arange(8) * 45.0)
@@ -124,8 +124,8 @@ class TestMidlatitudeSpectrum:
         south = 3.0 * np.cos(2 * np.pi * 5 * j / 32)
         field = make_field(grid, np.stack([north, south]))
         spec = midlatitude_spectrum(field)
-        s_n = zonal_spectrum_row(field, 0)
-        s_s = zonal_spectrum_row(field, 1)
+        s_n = row_spectrum(north)
+        s_s = row_spectrum(south, lat=-45.0)
         np.testing.assert_allclose(spec.energy, (s_n + s_s) / 2.0, rtol=1e-12)
         assert spec.energy[2] == pytest.approx(s_n[2] / 2.0, rel=1e-10)
         assert spec.energy[5] == pytest.approx(s_s[5] / 2.0, rel=1e-10)
@@ -137,6 +137,6 @@ class TestMidlatitudeSpectrum:
         inside = np.abs(grid.lat_deg)
         rows = np.nonzero((inside > 30.0) & (inside < 60.0))[0]
         assert rows.size >= 4  # both hemispheres represented
-        manual = np.mean([zonal_spectrum_row(field, int(r)) for r in rows],
-                         axis=0)
+        manual = np.mean([row_spectrum(field.values[r], grid.lat_deg[r])
+                          for r in rows], axis=0)
         np.testing.assert_allclose(spec.energy, manual, rtol=1e-15)
