@@ -49,10 +49,23 @@ def calendar_day_index(when: datetime) -> int:
     return _CUM_DAYS[month - 1] + day - 1
 
 
-def year_times(year: int) -> list[datetime]:
-    """Every 6-hourly timestamp of one calendar year."""
-    t = datetime(year, 1, 1, tzinfo=timezone.utc)
-    end = datetime(year + 1, 1, 1, tzinfo=timezone.utc)
+def _day_start(year: int, day: int) -> datetime:
+    """00Z of calendar day ``day`` (0 .. 365) of ``year``: day 365 is Jan 1
+    of the next year, and in a leap year every day from Mar 1 (day 59)
+    starts a day later than its index."""
+    leap = calendar.isleap(year) and day >= _CUM_DAYS[2]
+    return datetime(year, 1, 1, tzinfo=timezone.utc) \
+        + timedelta(days=day + leap)
+
+
+def year_times(year: int, days: range = range(DAYS_PER_YEAR)
+               ) -> list[datetime]:
+    """Every 6-hourly timestamp of the calendar days ``days`` (consecutive,
+    of the 365-day calendar) of one year, by default the whole year. Feb
+    29 of a leap year belongs with Feb 28, its calendar day, so the times
+    of consecutive runs of days cover the year once."""
+    t = _day_start(year, days.start)
+    end = _day_start(year, days.stop)
     out = []
     while t < end:
         out.append(t)
@@ -103,6 +116,18 @@ class DailyHistory:
     @property
     def n_locations(self) -> int:
         return self.daily_max.shape[2]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.daily_max.dtype
+
+    def chunk(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(n_years, 365, stop - start)`` daily max and min of
+        locations ``start .. stop``: the interface
+        :func:`build_thresholds` reads a history through (see also
+        :class:`wxverify.fileio.SpilledHistory`)."""
+        return (self.daily_max[:, :, start:stop],
+                self.daily_min[:, :, start:stop])
 
 
 def _calendar_days(block: FieldBlock) -> tuple[slice, list[np.ndarray]]:
@@ -198,6 +223,36 @@ class ThresholdField:
 #: Most bytes of one array of ordered lists that :func:`build_thresholds`
 #: holds for a chunk of locations; it holds a few such arrays at once.
 LIST_CHUNK_BYTES = 2**20
+
+
+def _window_days(half_window: int) -> int:
+    """Length of the calendar :func:`build_thresholds` runs its windows
+    over: from the first window's first day, wrapping the year, in whole
+    blocks of ``2 * half_window + 1`` days."""
+    window_len = 2 * half_window + 1
+    return window_len * -(-(DAYS_PER_YEAR + window_len - 1) // window_len)
+
+
+def _list_lengths(n_pool: int, q_heat: float, q_cold: float
+                  ) -> tuple[int, int]:
+    """How many values each window keeps for the heat and the cold
+    thresholds of pools of ``n_pool`` values: the power of two at or above
+    the count of largest (smallest) values a full pool's quantile needs,
+    since a smaller pool needs no more of its values than a full one."""
+    needed = (n_pool - math.floor(q_heat * (n_pool - 1)),
+              min(math.floor(q_cold * (n_pool - 1)) + 2, n_pool))
+    return tuple(1 << (n - 1).bit_length() for n in needed)
+
+
+def threshold_chunk(n_years: int, itemsize: int, q_heat: float = 0.9,
+                    q_cold: float = 0.1, half_window: int = 7) -> int:
+    """How many locations :func:`build_thresholds` takes at a time from a
+    history of ``n_years`` years of ``itemsize``-byte daily extremes: as
+    many as keep each array of its ordered lists within
+    :data:`LIST_CHUNK_BYTES`, at least one."""
+    k = max(_list_lengths(n_years * (2 * half_window + 1), q_heat, q_cold))
+    return max(1, LIST_CHUNK_BYTES // (k * _window_days(half_window)
+                                       * itemsize))
 
 
 def _sort_bitonic_runs(runs: np.ndarray, width: int) -> np.ndarray:
@@ -333,8 +388,12 @@ def build_thresholds(history: DailyHistory, q_heat: float = 0.9,
     s[lo + 1], which lie among the n - lo largest values of a pool of n
     (heat) or its lo + 2 smallest (cold). Those are found for every
     window exactly, by elementwise max and min (see
-    :func:`_largest_in_windows`), a chunk of locations at a time, so the
-    thresholds equal those of sorting each pool bit for bit.
+    :func:`_largest_in_windows`), a chunk of :func:`threshold_chunk`
+    locations at a time, so the thresholds equal those of sorting each
+    pool bit for bit. ``history`` is read a chunk at a time too, through
+    its ``chunk(start, stop)``: a :class:`DailyHistory` in memory, or the
+    daily extremes a build spilled to disk
+    (:class:`wxverify.fileio.SpilledHistory`).
     """
     if len(history.years) < 2:
         raise InsufficientHistory(
@@ -344,26 +403,25 @@ def build_thresholds(history: DailyHistory, q_heat: float = 0.9,
     if half_window < 0:
         raise ValueError("half_window must be non-negative")
     window_len = 2 * half_window + 1
-    n_pool = len(history.years) * window_len
     n_loc = history.n_locations
-    # the calendar from the first window's first day, wrapping the year,
-    # in whole blocks of window_len days; window i starts on day i
-    n_days = window_len * -(-(DAYS_PER_YEAR + window_len - 1) // window_len)
+    # window i starts on calendar day i - half_window, so it is days i ..
+    # i + window_len - 1 of this run of days
+    n_days = _window_days(half_window)
     days = np.arange(-half_window, n_days - half_window) % DAYS_PER_YEAR
     tau_h = np.empty((DAYS_PER_YEAR, n_loc))
     tau_c = np.empty((DAYS_PER_YEAR, n_loc))
-    # a smaller pool needs no more of its values than a full one
-    lo_heat = math.floor(q_heat * (n_pool - 1))
-    lo_cold = math.floor(q_cold * (n_pool - 1))
-    for extremes, q, tau, negated, needed in (
-            (history.daily_max, q_heat, tau_h, False, n_pool - lo_heat),
-            (history.daily_min, q_cold, tau_c, True,
-             min(lo_cold + 2, n_pool))):
-        k = 1 << (needed - 1).bit_length()
-        step = max(1, LIST_CHUNK_BYTES // (k * n_days * extremes.itemsize))
-        short = []
-        for start in range(0, n_loc, step):
-            values = extremes[:, days, start:start + step]
+    k_heat, k_cold = _list_lengths(len(history.years) * window_len, q_heat,
+                                   q_cold)
+    step = threshold_chunk(len(history.years), history.dtype.itemsize,
+                           q_heat, q_cold, half_window)
+    short = []
+    for start in range(0, n_loc, step):
+        stop = min(start + step, n_loc)
+        daily_max, daily_min = history.chunk(start, stop)
+        for extremes, q, k, tau, negated in (
+                (daily_max, q_heat, k_heat, tau_h, False),
+                (daily_min, q_cold, k_cold, tau_c, True)):
+            values = extremes[:, days]
             if negated:
                 np.negative(values, out=values)
             counts, largest = _largest_in_windows(values, k, window_len)
@@ -371,12 +429,11 @@ def build_thresholds(history: DailyHistory, q_heat: float = 0.9,
                 # the first (day, location) in day-then-location order
                 day, loc = np.argwhere(counts < window_len)[0]
                 short.append((day, start + loc, counts[day, loc]))
-            tau[:, start:start + step] = _pool_quantiles(largest, counts, q,
-                                                         negated)
-        if short:
-            day, loc, size = min(short)
-            raise InsufficientHistory(f"day {day + 1}, location {loc}: pool "
-                                      f"size {size} < {window_len}")
+            tau[:, start:stop] = _pool_quantiles(largest, counts, q, negated)
+    if short:
+        day, loc, size = min(short)
+        raise InsufficientHistory(f"day {day + 1}, location {loc}: pool "
+                                  f"size {size} < {window_len}")
     return ThresholdField(tau_h, tau_c, history.years, half_window, q_heat, q_cold)
 
 

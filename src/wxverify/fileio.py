@@ -19,9 +19,10 @@ Commands read stored arrays through one run-scoped :class:`FieldSource`,
 which resolves manifest paths to stacks, parses each stack's sidecar
 once, validates each grid geometry once per run and reads blocks of
 layers (:class:`~wxverify.grid.FieldBlock`) with one read per stack; a
-history year is read as consecutive blocks of whole days, each at most
-:data:`CHUNK_BYTES` of float64 layers, and holds the float32 values as
-stored.
+history is read in blocks of whole calendar days of one year, each at
+most :data:`CHUNK_BYTES` of the float32 layers as stored (one day at
+least), and the daily extremes a build reduces it to are spilled to a
+scratch file (:class:`SpilledHistory`).
 
 Writers stream to a temp file and rename, so a file is either complete
 or absent. Serialization is canonical: rewriting what was just read
@@ -35,24 +36,26 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import string
+import tempfile
 import warnings
 import zlib
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from itertools import groupby
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .climatology import (DAYS_PER_YEAR, SYNOPTIC_HOURS, DailyMeanClimatology,
                           ThresholdField, calendar_day_index, day_span,
-                          year_times)
+                          threshold_chunk, year_times)
 from .errors import (ChecksumMismatch, DuplicateObservation, GridMismatch,
                      HeaderPayloadShapeMismatch, InvalidHeader, ManifestError,
                      NonFiniteValue, NonMonotoneTime, NonUniformGrid,
@@ -548,12 +551,16 @@ class _Stack:
 def write_thresholds(thresholds: ThresholdField, grid: GeoGrid,
                      path: str | os.PathLike) -> Path:
     """Persist heat/cold thresholds with a 365-deep day axis (f32le): the
-    heat thresholds, then the cold ones, each written as it is held."""
+    heat thresholds, then the cold ones, converted and written as many
+    days at a time as :data:`CHUNK_BYTES` of them holds."""
     if thresholds.n_locations != grid.n_lat * grid.n_lon:
         raise ValueError("threshold location axis does not match grid size")
+    days = max(1, CHUNK_BYTES // (8 * thresholds.n_locations))
     return _write_store(
         Path(path), THRESH_MAGIC, grid,
-        [thresholds.tau_heat, thresholds.tau_cold], "f32le", {
+        (tau[day:day + days]
+         for tau in (thresholds.tau_heat, thresholds.tau_cold)
+         for day in range(0, DAYS_PER_YEAR, days)), "f32le", {
             "n_days": DAYS_PER_YEAR,
             "years": list(thresholds.years),
             "half_window": thresholds.half_window,
@@ -581,20 +588,47 @@ def read_thresholds(path: str | os.PathLike, geometries: dict | None = None
     return thresholds, grid
 
 
-def write_daily_climatology(clim: DailyMeanClimatology,
+def write_daily_climatology(parts: Iterable[DailyMeanClimatology],
                             path: str | os.PathLike) -> Path:
     """Persist a full-year per-calendar-day mean climatology (f64le,
     lossless) with one CRC-32 per day, so that a run reads and checks
-    only the days it needs."""
-    if clim.first_day or clim.day_mean.shape[0] != DAYS_PER_YEAR:
+    only the days it needs.
+
+    ``parts`` are consecutive runs of days from day 0 that together hold
+    all 365, on one grid, of one variable and over the same years (one
+    part of all 365 days, or the blocks of a build); each is written as
+    it comes, so a generator of parts is never held whole. Parts that do
+    not hold the year so raise ValueError and leave no file behind.
+    """
+    parts = iter(parts)
+    first = next(parts, None)
+    if first is None or first.first_day:
         raise ValueError("only a climatology of all 365 days is stored")
-    return _write_store(Path(path), CLIM_MAGIC, clim.grid, [clim.day_mean],
-                        "f64le", {
-                            "variable": clim.variable.key,
-                            "unit": clim.variable.unit,
-                            "n_days": DAYS_PER_YEAR,
-                            "years": list(clim.years),
-                        }, per_layer=True)
+    grid, variable, years = first.grid, first.variable, first.years
+
+    def day_means(part):
+        at = 0
+        while part is not None:
+            if part.first_day != at or part.grid != grid \
+                    or part.variable is not variable or part.years != years:
+                raise ValueError(
+                    "only a climatology of all 365 days is stored, in runs "
+                    "of days that follow on, of one grid, variable and years")
+            at += part.day_mean.shape[0]
+            yield part.day_mean
+            del part  # released before the next part is made
+            part = next(parts, None)
+        if at != DAYS_PER_YEAR:
+            raise ValueError("only a climatology of all 365 days is stored")
+
+    stream = day_means(first)
+    del first  # a part is held only until the next one is written
+    return _write_store(Path(path), CLIM_MAGIC, grid, stream, "f64le", {
+        "variable": variable.key,
+        "unit": variable.unit,
+        "n_days": DAYS_PER_YEAR,
+        "years": list(years),
+    }, per_layer=True)
 
 
 def read_daily_climatology(path: str | os.PathLike,
@@ -1219,10 +1253,11 @@ def _path_cache(pattern: str | None, path_of):
     return path_at
 
 
-#: Most bytes of float64 layers in one chunk: of the truth ``synth``
-#: generates and writes (see :mod:`wxverify.harness`), and of the whole
-#: days of a history year :meth:`FieldSource.history` reads. 8 layers of
-#: an 81 x 121 grid, where chunks of 8 drew and smoothed fastest.
+#: Most bytes of float64 layers in one chunk of the truth ``synth``
+#: generates and writes (see :mod:`wxverify.harness`): 8 layers of an
+#: 81 x 121 grid, where chunks of 8 drew and smoothed fastest. Also the
+#: most bytes of stored float32 layers in one block of whole days of
+#: history that :meth:`FieldSource.history` reads.
 CHUNK_BYTES = 640 * 2**10
 
 #: Most bytes one float64 block of a run may take (see
@@ -1257,6 +1292,11 @@ class FieldSource:
         self._geometries: dict[tuple, tuple[GeoGrid, bool, int]] = {}
         # store path -> its parsed sidecar
         self._stacks: dict[Path, _Stack] = {}
+        # history paths, formatted once per run for each distinct value
+        # of the keys the pattern uses (one per year of a yearly store)
+        self._history_path = _path_cache(
+            manifest.history_pattern,
+            lambda v, when, _: manifest.history_path(v, when))
 
     def _resolve(self, path: Path) -> _Stack:
         """The parsed stack at ``path``."""
@@ -1330,28 +1370,31 @@ class FieldSource:
             variable, self.manifest.init_times[0])).store.geometry[:2]
         return max(1, BLOCK_BYTES // (8 * n_lat * n_lon))
 
-    def history(self, variable: VariableId, year: int
-                ) -> Iterator[FieldBlock]:
-        """Every 6-hourly history field of one calendar year, as
-        consecutive blocks of whole days from 00Z: as many days as fit in
-        :data:`CHUNK_BYTES` of float64 layers, at least one. A stored
-        variable's blocks hold the float32 values of its stores, not
-        widened. Each block is one read per stack, so every layer of the
-        year is read, and checked, once; a path is formatted once per
-        year for each distinct value of the keys its pattern uses."""
-        times = year_times(year)
-        path_at = _path_cache(
-            self.manifest.history_pattern,
-            lambda v, when, _: self.manifest.history_path(v, when))
-        stored = VariableId.U10 if variable.derived else variable
-        n_lat, n_lon = self._resolve(
-            path_at(stored, times[0], None)).store.geometry[:2]
-        day = len(SYNOPTIC_HOURS)
-        per_block = day * max(1, CHUNK_BYTES // (8 * day * n_lat * n_lon))
-        for start in range(0, len(times), per_block):
-            part = times[start:start + per_block]
-            yield self._block(path_at, variable, part, [None] * len(part),
-                              widen=False)
+    def history_days(self, variable: VariableId) -> int:
+        """How many whole days of ``variable``'s stored (float32) layers
+        fit in :data:`CHUNK_BYTES`, at least one, on the grid of its first
+        history year: the calendar days of a block of :meth:`history`."""
+        if variable.derived:
+            variable = VariableId.U10
+        first = datetime(self.manifest.history_years[0], 1, 1,
+                         tzinfo=timezone.utc)
+        store = self._resolve(self._history_path(variable, first, None)).store
+        n_lat, n_lon = store.geometry[:2]
+        day = len(SYNOPTIC_HOURS) * store.dtype.itemsize * n_lat * n_lon
+        return max(1, CHUNK_BYTES // day)
+
+    def history(self, variable: VariableId, year: int, days: range
+                ) -> FieldBlock:
+        """The history fields of ``variable`` on the calendar days
+        ``days`` of ``year``: every 6-hourly time from 00Z of the first
+        day, Feb 29 of a leap year with Feb 28 (see
+        :func:`~wxverify.climatology.year_times`), so the blocks of
+        consecutive runs of days read every layer of the year once. One
+        read per stack; a stored variable's block holds the float32
+        values of its stores, not widened."""
+        times = year_times(year, days)
+        return self._block(self._history_path, variable, times,
+                           [None] * len(times), widen=False)
 
     def climatology(self, variable: VariableId,
                     times: Iterable[datetime] | None = None
@@ -1375,8 +1418,112 @@ class FieldSource:
         return read_thresholds(path, self._geometries)
 
 
-def manifest_sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+class SpilledHistory:
+    """The daily max and min of a run's history years, spilled to disk as
+    a build reduces them (:meth:`write`), and read back by
+    :func:`~wxverify.climatology.build_thresholds` a chunk of locations
+    at a time (:meth:`chunk`, as a
+    :class:`~wxverify.climatology.DailyHistory` is).
+
+    The scratch file is a ``tempfile.TemporaryFile`` in ``directory``,
+    which has no name to leave behind; it is made at the first write and
+    closed when the ``with`` block is left. It holds one chunk of
+    locations after another, the last padded to the length of the
+    others, and each chunk is laid out ``(n_years, 365, 2, step)``: each
+    day's max, then its min. So a chunk is one read, and the file takes
+    about ``n_years * 2 * 365 * n_locations`` values of disk. A chunk is
+    as many of the threshold kernel's chunks of locations
+    (:func:`~wxverify.climatology.threshold_chunk`) as make each write of
+    a block of days to it at least ``io.DEFAULT_BUFFER_SIZE`` bytes: one
+    kernel chunk at a time on a coarse grid, more where a block holds few
+    days of many locations, so that the writes do not shrink to a few
+    hundred bytes each.
+    """
+
+    def __init__(self, directory: str | os.PathLike, years: Sequence[int]):
+        self.directory = Path(directory)
+        self.years = tuple(years)
+        self._file = None
+        self._held = None  # (chunk index, its slab) of the last read
+
+    def __enter__(self) -> "SpilledHistory":
+        return self
+
+    def __exit__(self, *exc_info):
+        self._held = None
+        if self._file is not None:
+            self._file.close()
+
+    def _offset(self, chunk: int, y: int, row: int) -> int:
+        """Byte offset of calendar row ``row`` of year ``y`` in a chunk."""
+        return (((chunk * len(self.years) + y) * DAYS_PER_YEAR + row)
+                * 2 * self.step * self.dtype.itemsize)
+
+    def write(self, y: int, rows: slice, day_max: np.ndarray,
+              day_min: np.ndarray):
+        """Spill the ``(n_rows, n_locations)`` daily max and min of the
+        calendar rows ``rows`` of history year ``y`` (an index into
+        ``years``), in their dtype: one write per chunk of locations. The
+        first write lays the file out."""
+        n_rows = rows.stop - rows.start
+        if self._file is None:
+            self.n_locations = day_max.shape[1]
+            self.dtype = day_max.dtype
+            kernel = threshold_chunk(len(self.years), self.dtype.itemsize)
+            piece = max(1, n_rows) * 2 * kernel * self.dtype.itemsize
+            self.step = min(self.n_locations,
+                            kernel * -(-io.DEFAULT_BUFFER_SIZE // piece))
+            self._n_chunks = -(-self.n_locations // self.step)
+        width = self._n_chunks * self.step
+        padded = np.zeros((n_rows, 2, width), self.dtype)
+        padded[:, 0, :self.n_locations] = day_max
+        padded[:, 1, :self.n_locations] = day_min
+        by_chunk = np.ascontiguousarray(padded.reshape(
+            n_rows, 2, self._n_chunks, self.step).transpose(2, 0, 1, 3))
+        try:
+            if self._file is None:
+                self.directory.mkdir(parents=True, exist_ok=True)
+                self._file = tempfile.TemporaryFile(dir=self.directory)
+            fd = self._file.fileno()
+            for chunk, values in enumerate(by_chunk):
+                if os.pwrite(fd, values, self._offset(chunk, y, rows.start)) \
+                        != values.nbytes:
+                    raise OSError("short write")
+        except OSError as exc:
+            size = 2 * DAYS_PER_YEAR * len(self.years) * width \
+                * self.dtype.itemsize
+            raise WxVerifyError(
+                f"{self.directory}: cannot spill the daily extremes of the "
+                f"history ({size} bytes) there: {exc}") from exc
+
+    def chunk(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ``(n_years, 365, stop - start)`` daily max and min of
+        locations ``start .. stop``: one read for each chunk of the file
+        they fall in. The last chunk read is kept, so the kernel chunks
+        of one chunk of the file take one read between them."""
+        parts = []
+        for chunk in range(start // self.step, (stop - 1) // self.step + 1):
+            if self._held is None or self._held[0] != chunk:
+                slab = np.empty((len(self.years), DAYS_PER_YEAR, 2,
+                                 self.step), self.dtype)
+                self._file.seek(self._offset(chunk, 0, 0))
+                if self._file.readinto(slab) != slab.nbytes:
+                    raise WxVerifyError(f"{self.directory}: the spilled daily "
+                                        f"extremes of the history are short")
+                self._held = chunk, slab
+            at = chunk * self.step
+            parts.append(self._held[1][..., max(start - at, 0):stop - at])
+        slab = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        return slab[:, :, 0], slab[:, :, 1]
+
+
+def file_sha256(path: Path) -> str:
+    """The SHA-256 of the file at ``path``, read 1 MiB at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for piece in iter(functools.partial(fh.read, 2**20), b""):
+            digest.update(piece)
+    return digest.hexdigest()
 
 
 def load_manifest(path: str | os.PathLike,
@@ -1498,7 +1645,7 @@ def load_manifest(path: str | os.PathLike,
         history_years=history_years,
         history_pattern=history_pattern,
         regions=regions,
-        sha256=manifest_sha256(path),
+        sha256=file_sha256(path),
     )
     _check_manifest_files(manifest, require)
     return manifest

@@ -176,75 +176,92 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
 
 # --- build-climatology -------------------------------------------------------
 
-def _reduce_history(source, variable, means: bool, extremes: bool):
-    """Stream every history year of ``variable`` through the daily
-    reductions, a block of whole days at a time (see
-    :meth:`~wxverify.fileio.FieldSource.history`): returns its grid, the
-    mean over the years of its daily means when ``means``, and its daily
-    extremes as a :class:`~wxverify.climatology.DailyHistory` when
-    ``extremes`` (None for what is not asked for).
+def _reduce_history(source, variable, clim_path=None, spill=None):
+    """Stream the history years of ``variable`` through the daily
+    reductions, a block of whole calendar days at a time across the
+    years (see :meth:`~wxverify.fileio.FieldSource.history`), and return
+    its grid. With ``clim_path`` the mean over the years of its daily
+    means is written there, a block of days at a time; with ``spill`` (a
+    :class:`~wxverify.fileio.SpilledHistory`) its daily extremes are
+    spilled there, in the dtype of the blocks (the float32 of the
+    stores).
 
-    Memory is the 365-day accumulators and one block: each block's day
-    means are added, in year order, into one float64 total that is
-    divided once by the number of years, and its daily max and min are
-    written into the rows of its year, in the dtype of the blocks (the
-    float32 of the stores). Each year's blocks must cover the year once, in
-    order, and every block must be on the grid of the first.
+    Memory is one block of one year and the float64 total of the block's
+    days: each block's day means are added, in year order, into the
+    total, which is divided once by the number of years and written
+    before the next block of days is read. Each year's blocks must cover
+    the year once, in order, and every block must be on the grid of the
+    first.
     """
     import numpy as np
 
-    from .climatology import (DAYS_PER_YEAR, SIX_HOURS, DailyHistory,
+    from . import fileio
+    from .climatology import (DAYS_PER_YEAR, SIX_HOURS, DailyMeanClimatology,
                               daily_extremes_from_fields,
                               daily_means_from_fields)
     years = source.manifest.history_years
     if not years:
         raise InsufficientHistory("no history years supplied")
-    grid = total = dmax = dmin = None
-    for y, year in enumerate(years):
-        # each block must start where the one before it ended
-        expect = datetime(year, 1, 1, tzinfo=timezone.utc)
-        end = expect.replace(year=year + 1)
-        whole = True
-        for block in source.history(variable, year):
-            if grid is None:
-                grid = block.grid
-                if means:
-                    total = np.zeros((DAYS_PER_YEAR, *grid.shape))
-                if extremes:
-                    dmax = np.empty((len(years), DAYS_PER_YEAR,
-                                     grid.n_lat * grid.n_lon),
-                                    dtype=block.values.dtype)
-                    dmin = np.empty_like(dmax)
-            elif block.grid != grid:
-                raise ManifestError(f"{variable.key} history of {year} is on "
-                                    f"another grid than the history before it")
-            if block.valid_times[0] != expect:
-                whole = False
-                break
-            expect = block.valid_times[-1] + SIX_HOURS
-            if means:
-                rows, day_means = daily_means_from_fields(block)
-                total[rows] += day_means
-            if extremes:
-                rows, day_max, day_min = daily_extremes_from_fields(block)
-                dmax[y, rows], dmin[y, rows] = day_max, day_min
-            del block  # hold one block of history at a time
-        if not whole or expect != end:
-            raise InsufficientHistory(
-                f"{variable.key} history of {year} does not hold every "
-                f"6-hourly time of the year once, in order")
-    if means:
-        total /= len(years)
-    return grid, total, DailyHistory(years, dmax, dmin) if extremes else None
+    grid = None
+
+    def not_whole(year):
+        return InsufficientHistory(
+            f"{variable.key} history of {year} does not hold every 6-hourly "
+            f"time of the year once, in order")
+
+    def day_means():
+        nonlocal grid
+        per_block = source.history_days(variable)
+        # where the next block of each year must start
+        expect = [datetime(year, 1, 1, tzinfo=timezone.utc) for year in years]
+        for first in range(0, DAYS_PER_YEAR, per_block):
+            days = range(first, min(first + per_block, DAYS_PER_YEAR))
+            for y, year in enumerate(years):
+                block = source.history(variable, year, days)
+                if grid is None:
+                    grid = block.grid
+                elif block.grid != grid:
+                    raise ManifestError(
+                        f"{variable.key} history of {year} is on another "
+                        f"grid than the history before it")
+                if block.valid_times[0] != expect[y]:
+                    raise not_whole(year)
+                expect[y] = block.valid_times[-1] + SIX_HOURS
+                if clim_path is not None:
+                    rows, means = daily_means_from_fields(block)
+                    if y == 0:
+                        total = np.zeros((len(days), *grid.shape))
+                    total[rows.start - first:rows.stop - first] += means
+                if spill is not None:
+                    spill.write(y, *daily_extremes_from_fields(block))
+                del block  # hold one block of history at a time
+            if clim_path is not None:
+                total /= len(years)
+                yield DailyMeanClimatology(grid, variable, total, years, first)
+                del total  # written before the next block's is made
+        for year, end in zip(years, expect):
+            if end != datetime(year + 1, 1, 1, tzinfo=timezone.utc):
+                raise not_whole(year)
+
+    if clim_path is None:
+        for _ in day_means():
+            pass
+    else:
+        fileio.write_daily_climatology(day_means(), clim_path)
+    return grid
 
 
 def build_climatology(manifest_path) -> list[Path]:
     """Write the daily-mean climatology of each stored variable, and the
     T2M extreme thresholds where the manifest names a thresholds path;
-    returns the paths written, in order. Each history year is streamed
-    a block of whole days at a time (see :func:`_reduce_history`)."""
+    returns the paths written, in order. The history is streamed a block
+    of whole days at a time (see :func:`_reduce_history`), and the daily
+    extremes for the thresholds are spilled to a scratch file next to
+    the thresholds file."""
+    from contextlib import nullcontext
+
     from . import fileio
-    from .climatology import DailyMeanClimatology, build_thresholds
+    from .climatology import build_thresholds
     from .grid import VariableId
     manifest = fileio.load_manifest(manifest_path, require=("history",))
     if manifest.climatology_pattern is None:
@@ -256,15 +273,15 @@ def build_climatology(manifest_path) -> list[Path]:
             continue
         with_thresholds = variable is VariableId.T2M \
             and manifest.thresholds_file is not None
-        grid, mean, history = _reduce_history(source, variable, means=True,
-                                              extremes=with_thresholds)
-        written.append(fileio.write_daily_climatology(
-            DailyMeanClimatology(grid, variable, mean, manifest.history_years),
-            manifest.climatology_path(variable)))
-        del mean  # the total is not held while the thresholds are built
+        clim_path = manifest.climatology_path(variable)
+        with fileio.SpilledHistory(
+                manifest.thresholds_file.parent, manifest.history_years) \
+                if with_thresholds else nullcontext() as spill:
+            grid = _reduce_history(source, variable, clim_path, spill)
+            written.append(clim_path)
+            if with_thresholds:
+                thresholds = build_thresholds(spill)
         if with_thresholds:
-            thresholds = build_thresholds(history)
-            del history  # the daily extremes are not held while writing
             written.append(fileio.write_thresholds(
                 thresholds, grid, manifest.thresholds_file))
     return written
@@ -301,8 +318,6 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
     """Heatwave and cold-surge scores per (model, lead day, region, kind)
     at temporal-IoU ``gamma``, with event segments under
     ``out_dir/segments``; thresholds are read, or built from history."""
-    import hashlib
-
     import numpy as np
 
     from . import fileio
@@ -327,13 +342,12 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
     stored = source.thresholds()
     if stored is not None:
         thresholds, tgrid = stored
-        thresholds_sha = hashlib.sha256(
-            manifest.thresholds_file.read_bytes()).hexdigest()
+        thresholds_sha = fileio.file_sha256(manifest.thresholds_file)
     elif manifest.history_pattern and manifest.history_years:
-        tgrid, _, history = _reduce_history(source, VariableId.T2M,
-                                            means=False, extremes=True)
-        thresholds = build_thresholds(history)
-        del history  # the daily extremes are not held while scoring
+        # the daily extremes are spilled next to the outputs
+        with fileio.SpilledHistory(out_dir, manifest.history_years) as history:
+            tgrid = _reduce_history(source, VariableId.T2M, spill=history)
+            thresholds = build_thresholds(history)
     else:
         raise ManifestError(
             "extremes needs thresholds_path or a history section to build from")
@@ -416,8 +430,6 @@ def cyclones(manifest_path, out_dir, besttrack,
                 f"--{key.replace('_', '-')} must be finite"
                 f"{' and > 0' if radius else ''}, got {value}")
 
-    import hashlib
-
     from . import fileio
     from .cyclones import (TrackerConfig, TrackSource, homogeneous_sample,
                            intensity_errors, track_dpe, track_storm)
@@ -468,7 +480,7 @@ def cyclones(manifest_path, out_dir, besttrack,
     sample = homogeneous_sample(model_tracks, truth_tracks, n_leads)
     card = new_scorecard(
         "cyclones", manifest.sha256,
-        besttrack_sha256=hashlib.sha256(besttrack_path.read_bytes()).hexdigest())
+        besttrack_sha256=fileio.file_sha256(besttrack_path))
     rows = []
     for model in sorted(manifest.models):
         dpe = track_dpe(model_tracks[model], truth_tracks, sample)

@@ -240,8 +240,10 @@ def _ratio_qc(variable: VariableId, obs: np.ndarray, reference: np.ndarray,
         return replace, replace.copy()
     ref_disp = to_display_units(variable, reference)
     positive = ref_disp > 0.0
-    replace[positive] = (to_display_units(variable, obs[positive])
-                         / ref_disp[positive]) > bound
+    # a ratio past the float limit is inf, which exceeds every bound
+    with np.errstate(over="ignore"):
+        replace[positive] = (to_display_units(variable, obs[positive])
+                             / ref_disp[positive]) > bound
     return replace, ~positive
 
 

@@ -5,7 +5,8 @@ scalar loops with exactly-rounded accumulation (math.fsum), plus the
 one-field numpy metric bodies, the field-by-field daily means and
 extremes that the engine's block kernels must reproduce bit for bit, and
 the whole-year mean across years and stack of daily extremes that the
-streamed history reduction must reproduce; the spectrum is a direct
+streamed history reduction must reproduce (and that reduction as it ran
+one history year at a time); the spectrum is a direct
 O(N^2) transform, percentiles are computed from a Python sort (and
 thresholds from the engine's former numpy sort per calendar day), event
 labeling/matching are brute-force searches, station
@@ -398,6 +399,70 @@ def history_from_extremes(extremes):
     return DailyHistory(tuple(years),
                         np.stack([extremes[year][0] for year in years]),
                         np.stack([extremes[year][1] for year in years]))
+
+
+def reduce_history_by_year(source, variable, means: bool, extremes: bool):
+    """The history reduction one year at a time, as
+    ``pipelines._reduce_history`` ran before it worked a block of days
+    across the years: returns the grid, the mean over the years of the
+    daily means when ``means`` (one 365-day float64 total, added in year
+    order and divided once by the number of years), and the daily
+    extremes as a ``DailyHistory`` when ``extremes`` (None for what is
+    not asked for).
+
+    Each year is read through ``source`` (``history_days`` and
+    ``history``, as on a ``FieldSource``) in its blocks of days, in
+    order; its blocks must cover the year once, in order, and every block
+    must be on the grid of the first, with the engine's errors.
+    """
+    from datetime import datetime, timezone
+
+    from wxverify.climatology import (DAYS_PER_YEAR, SIX_HOURS, DailyHistory,
+                                      daily_extremes_from_fields,
+                                      daily_means_from_fields)
+    from wxverify.errors import InsufficientHistory, ManifestError
+    years = source.manifest.history_years
+    if not years:
+        raise InsufficientHistory("no history years supplied")
+    per_block = source.history_days(variable)
+    grid = total = dmax = dmin = None
+    for y, year in enumerate(years):
+        # each block must start where the one before it ended
+        expect = datetime(year, 1, 1, tzinfo=timezone.utc)
+        end = expect.replace(year=year + 1)
+        whole = True
+        for first in range(0, DAYS_PER_YEAR, per_block):
+            block = source.history(variable, year, range(
+                first, min(first + per_block, DAYS_PER_YEAR)))
+            if grid is None:
+                grid = block.grid
+                if means:
+                    total = np.zeros((DAYS_PER_YEAR, *grid.shape))
+                if extremes:
+                    dmax = np.empty((len(years), DAYS_PER_YEAR,
+                                     grid.n_lat * grid.n_lon),
+                                    dtype=block.values.dtype)
+                    dmin = np.empty_like(dmax)
+            elif block.grid != grid:
+                raise ManifestError(f"{variable.key} history of {year} is on "
+                                    f"another grid than the history before it")
+            if block.valid_times[0] != expect:
+                whole = False
+                break
+            expect = block.valid_times[-1] + SIX_HOURS
+            if means:
+                rows, day_means = daily_means_from_fields(block)
+                total[rows] += day_means
+            if extremes:
+                rows, day_max, day_min = daily_extremes_from_fields(block)
+                dmax[y, rows], dmin[y, rows] = day_max, day_min
+        if not whole or expect != end:
+            raise InsufficientHistory(
+                f"{variable.key} history of {year} does not hold every "
+                f"6-hourly time of the year once, in order")
+    if means:
+        total /= len(years)
+    return grid, total, DailyHistory(years, dmax, dmin) if extremes else None
 
 
 def history_from_fields(fields_by_year):

@@ -21,7 +21,9 @@ from wxverify import fileio, pipelines
 from wxverify.cli import main
 from wxverify.climatology import (SYNOPTIC_HOURS, DailyMeanClimatology,
                                   build_thresholds, calendar_day_index,
-                                  daily_extremes_from_fields, day_span)
+                                  daily_extremes_from_fields, day_span,
+                                  year_times)
+from wxverify.errors import ChecksumMismatch
 from wxverify.extremes import EventKind
 from wxverify.grid import FieldBlock, VariableId, latitude_weights
 from wxverify.pipelines import _mean, _region_mask
@@ -553,18 +555,26 @@ class TestStackReads:
         if command == "extremes":
             argv += ["--out", tmp_path / "out", "--lead-days", "1"]
         assert run_cli(*argv) == 0
-        history = {extremes_run / f"truth/t2m/{year}.rbs": n_times
-                   for year, n_times in ((2023, 1460), (2024, 1464))}
-        # as many whole days as CHUNK_BYTES holds on the 15 x 16 grid
-        max_layers = 4 * (fileio.CHUNK_BYTES // (8 * 4 * 15 * 16))
-        assert max_layers < 1460
-        reads = [read for read in store_reads if read[0] in history]
-        assert [path for path, _, _ in reads] == sorted(
-            (path for path, _, _ in reads), key=list(history).index)
-        for path, n_times in history.items():
+        history = {year: extremes_run / f"truth/t2m/{year}.rbs"
+                   for year in (2023, 2024)}
+        # as many whole days as CHUNK_BYTES of float32 layers holds on the
+        # 15 x 16 grid, read a block of days at a time across the years
+        days = fileio.CHUNK_BYTES // (4 * 4 * 15 * 16)
+        assert days < 365
+        want = []
+        for first in range(0, 365, days):
+            for year, path in history.items():
+                times = year_times(year, range(first, min(first + days, 365)))
+                start = times[0] - datetime(year, 1, 1, tzinfo=timezone.utc)
+                want.append((path, start // fileio.STACK_STEP, len(times)))
+        reads = [read for read in store_reads
+                 if read[0] in history.values()]
+        assert reads == want
+        for year, path in history.items():
+            # in 2024, the block of Feb 28 holds Feb 29 too
             assert_read_once_in_whole_days(
-                [read for read in reads if read[0] == path], n_times,
-                max_layers)
+                [read for read in reads if read[0] == path],
+                len(year_times(year)), 4 * (days + 1))
 
 
 def without_thresholds(run):
@@ -589,10 +599,10 @@ def whole_year_stores(run, out):
         fields = [stack.field(i) for i in range(len(stack.valid_times))]
         per_year.append(oracles.daily_means_loop(fields))
         extremes[year] = oracles.daily_extremes_loop(fields)
-    fileio.write_daily_climatology(DailyMeanClimatology(
+    fileio.write_daily_climatology([DailyMeanClimatology(
         stack.grid, VariableId.T2M,
         oracles.build_daily_mean_climatology(per_year),
-        manifest.history_years), out / "t2m.rbc")
+        manifest.history_years)], out / "t2m.rbc")
     fileio.write_thresholds(
         build_thresholds(oracles.history_from_extremes(extremes)),
         stack.grid, out / "thresholds.rbt")
@@ -683,37 +693,76 @@ class TestStreamedHistory:
         assert str(store) in capsys.readouterr().err
 
     def test_memory_is_the_accumulator_and_a_block(self, history_run):
-        # the 365-day float64 total is a quarter of one year's float64
-        # block (1,460 layers); reading a year whole, with a year of daily
-        # means per history year, peaked at twice that year's bytes
+        # a block of days of one year and the float64 total of its days:
+        # the 365-day float64 total (7 MB on this 40 x 60 grid) is not
+        # held, and neither is a year of float64 layers (28 MB)
         manifest = without_thresholds(history_run)
-        accumulator_bytes = 365 * 40 * 60 * 8
         tracemalloc.start()
         try:
             pipelines.build_climatology(manifest)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < accumulator_bytes + 3 * fileio.CHUNK_BYTES
+        assert peak < 3 * fileio.CHUNK_BYTES
+
+    @pytest.mark.parametrize("command", ["build-climatology", "extremes"])
+    def test_a_failed_read_leaves_no_file(self, extremes_run, tmp_path,
+                                          monkeypatch, command, capsys):
+        # the reader fails on the fifth block of history, while the
+        # climatology is half written and the daily extremes half spilled:
+        # no file is left in the output directory, the scratch file of
+        # the extremes included
+        out = tmp_path / "out"
+        doc = json.loads((extremes_run / "manifest.json").read_text())
+        if command == "build-climatology":
+            doc["climatology"].update(
+                daily_mean_pattern=str(out / "{variable}.rbc"),
+                thresholds_path=str(out / "thresholds.rbt"))
+        else:
+            del doc["climatology"]["thresholds_path"]
+        manifest = extremes_run / f"manifest_failing_{command}.json"
+        manifest.write_text(json.dumps(doc))
+        real_history = fileio.FieldSource.history
+        spills = []
+        real_write = fileio.SpilledHistory.write
+
+        def history(source, variable, year, days):
+            if len(spills) == 4:
+                raise ChecksumMismatch(f"{year}: CRC-32 mismatch (injected)")
+            return real_history(source, variable, year, days)
+
+        monkeypatch.setattr(fileio.FieldSource, "history", history)
+        monkeypatch.setattr(fileio.SpilledHistory, "write", lambda spill, *a:
+                            spills.append(spill) or real_write(spill, *a))
+        argv = [command, "--manifest", manifest]
+        if command == "extremes":
+            argv += ["--out", out, "--lead-days", "1"]
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        assert "CRC-32 mismatch (injected)" in capsys.readouterr().err
+        assert len(spills) == 4 and spills[0]._file.closed
+        assert [path for path in out.rglob("*") if path.is_file()] == []
 
     def test_history_extremes_are_the_float32_of_the_stores(self,
-                                                            history_run):
+                                                            history_run,
+                                                            tmp_path):
         # the daily max and min of float32 layers are float32 values: held
         # as float32, they equal those of the layers widened to float64
         manifest = fileio.load_manifest(history_run / "manifest.json")
-        _, _, history = pipelines._reduce_history(
-            fileio.FieldSource(manifest), VariableId.T2M, means=False,
-            extremes=True)
-        assert history.daily_max.dtype == history.daily_min.dtype \
-            == np.float32
+        with fileio.SpilledHistory(tmp_path,
+                                   manifest.history_years) as history:
+            grid = pipelines._reduce_history(fileio.FieldSource(manifest),
+                                             VariableId.T2M, spill=history)
+            daily_max, daily_min = history.chunk(0, grid.n_lat * grid.n_lon)
+        assert daily_max.dtype == daily_min.dtype == np.float32
         for y, year in enumerate(manifest.history_years):
             block = read_store(manifest.history_path(
                 VariableId.T2M, datetime(year, 1, 1, tzinfo=timezone.utc)))
             assert block.values.dtype == np.float64
             _, day_max, day_min = daily_extremes_from_fields(block)
-            assert history.daily_max[y].astype(np.float64).tobytes() == \
+            assert daily_max[y].astype(np.float64).tobytes() == \
                 day_max.tobytes()
-            assert history.daily_min[y].astype(np.float64).tobytes() == \
+            assert daily_min[y].astype(np.float64).tobytes() == \
                 day_min.tobytes()
 
 

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import math
+import tempfile
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,12 +14,12 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_field, make_grid
-from wxverify import climatology
+from wxverify import climatology, fileio
 from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory, day_span,
                                   build_thresholds, calendar_day_index,
                                   daily_extremes_from_fields,
                                   daily_means_from_fields, year_times)
-from wxverify.errors import InsufficientHistory, ManifestError
+from wxverify.errors import InsufficientHistory, ManifestError, WxVerifyError
 from wxverify.grid import FieldBlock, VariableId
 from wxverify.pipelines import _reduce_history
 
@@ -134,15 +136,72 @@ def day_blocks(block, edges):
 
 
 class StubHistory:
-    """A source whose history years are given lists of blocks, as
-    ``FieldSource.history`` would yield them."""
+    """A source whose history years are given as blocks of their layers.
+    Like ``FieldSource.history``, it reads the calendar days asked for at
+    the layers where the times of those days would be, in blocks of
+    ``days_per_block`` days; whatever times those layers hold, so a year
+    whose layers are short, shifted or out of order gives blocks that do
+    not hold their days. Days past a year's last layer raise
+    ``ManifestError``, as a store that does not hold them does."""
 
-    def __init__(self, blocks_by_year):
+    def __init__(self, blocks_by_year, days_per_block=7):
         self.manifest = SimpleNamespace(history_years=tuple(blocks_by_year))
         self.blocks_by_year = blocks_by_year
+        self.days_per_block = days_per_block
 
-    def history(self, variable, year):
-        yield from self.blocks_by_year[year]
+    def history_days(self, variable):
+        return self.days_per_block
+
+    def history(self, variable, year, days):
+        block = self.blocks_by_year[year]
+        start, stop = (len(year_times(year, range(day)))
+                       for day in (days.start, days.stop))
+        if start >= len(block.valid_times):
+            raise ManifestError(f"no history layer of {year} from calendar "
+                                f"day {days.start}")
+        return FieldBlock(block.grid, block.variable,
+                          block.valid_times[start:stop],
+                          block.lead_hours[start:stop],
+                          block.values[start:stop])
+
+
+class GeneratedHistory:
+    """A source whose float32 history layers are made as they are read,
+    so that only the reduction's own memory is traced."""
+
+    def __init__(self, years, grid, days_per_block=7):
+        self.manifest = SimpleNamespace(history_years=tuple(years))
+        self.grid = grid
+        self.days_per_block = days_per_block
+
+    def history_days(self, variable):
+        return self.days_per_block
+
+    def history(self, variable, year, days):
+        times = year_times(year, days)
+        values = np.full((len(times), *self.grid.shape), year % 7,
+                         dtype=np.float32)
+        values += (np.arange(len(times)) % 13)[:, None, None]
+        return FieldBlock(self.grid, variable, tuple(times),
+                          (0,) * len(times), values)
+
+
+def reduce_streamed(source, means=True, extremes=True):
+    """``pipelines._reduce_history`` of T2M from ``source`` into a scratch
+    directory: its grid, the mean read back from the climatology it wrote
+    (None without ``means``) and the spilled daily max and min of every
+    location (None without ``extremes``)."""
+    with tempfile.TemporaryDirectory() as scratch:
+        clim_path = Path(scratch) / "c.rbc" if means else None
+        with fileio.SpilledHistory(scratch,
+                                   source.manifest.history_years) as spill:
+            grid = _reduce_history(source, VariableId.T2M, clim_path,
+                                   spill if extremes else None)
+            mean = fileio.read_daily_climatology(clim_path).day_mean \
+                if means else None
+            spilled = spill.chunk(0, grid.n_lat * grid.n_lon) \
+                if extremes else None
+    return grid, mean, spilled
 
 
 class TestYearBlocks:
@@ -228,25 +287,24 @@ class TestYearBlocks:
 
     @pytest.mark.parametrize("cut", ["short", "shifted", "gap", "overlap"])
     def test_block_must_hold_the_whole_year(self, cut):
-        # the streamed reduction checks where it reads the year that its
-        # blocks cover the year once, in order
+        # the streamed reduction checks where it reads each block of days
+        # that its year's blocks cover the year once, in order
         grid = make_grid(1, 2)
         times = year_times(2025)
         if cut == "short":
             times = times[:-4]
         elif cut == "shifted":
             times = [when + timedelta(hours=6) for when in times]
+        elif cut == "gap":  # Feb 10 is left out
+            times = times[:4 * 40] + times[4 * 41:]
+        else:  # Feb 9 is read twice
+            times = times[:4 * 40] + times[4 * 39:]
         block = FieldBlock(grid, VariableId.T2M, tuple(times),
                            (0,) * len(times), np.zeros((len(times), 1, 2)))
-        blocks = [block]
-        if cut == "gap":  # Feb 10 is left out
-            blocks = day_blocks(block, [0, 40]) + day_blocks(block, [41, 365])
-        elif cut == "overlap":  # Feb 9 is read twice
-            blocks = day_blocks(block, [0, 40]) + day_blocks(block, [39, 365])
         for means, extremes in ((True, False), (False, True), (True, True)):
             with pytest.raises(InsufficientHistory, match="history of 2025"):
-                _reduce_history(StubHistory({2025: blocks}), VariableId.T2M,
-                                means, extremes)
+                reduce_streamed(StubHistory({2025: block}, 5), means,
+                                extremes)
 
 
 def dense_history(rng, n_years=12, n_loc=3, loc_mean=288.0):
@@ -530,41 +588,120 @@ class TestDailyMeanClimatology:
         rng = np.random.default_rng(seed)
         grid = make_grid(*shape)
         years = range(2023, 2023 + n_years)
-        whole, blocks = [], {}
+        whole = {}
         for year in years:
             n_times = len(year_times(year))
             values = scale * rng.standard_normal((n_times, *shape))
             values[rng.random(values.shape) < zeros] = 0.0
             values[rng.random(values.shape) < zeros] = -0.0
-            whole.append(year_block(grid, year, values))
-            n_days = n_times // 4
-            blocks[year] = day_blocks(
-                whole[-1], [*range(0, n_days, days_per_block), n_days])
-        got_grid, mean, history = _reduce_history(
-            StubHistory(blocks), VariableId.T2M, means=True, extremes=True)
+            whole[year] = year_block(grid, year, values)
+        got_grid, mean, (dmax, dmin) = reduce_streamed(
+            StubHistory(whole, days_per_block))
         assert got_grid == grid
         want = oracles.build_daily_mean_climatology(
-            [daily_means_from_fields(block)[1] for block in whole])
+            [daily_means_from_fields(block)[1] for block in whole.values()])
         assert mean.tobytes() == want.tobytes()
         extremes = oracles.history_from_extremes(
-            {block.valid_times[0].year: daily_extremes_from_fields(block)[1:]
-             for block in whole})
-        assert history.years == tuple(years)
-        assert history.daily_max.tobytes() == extremes.daily_max.tobytes()
-        assert history.daily_min.tobytes() == extremes.daily_min.tobytes()
+            {year: daily_extremes_from_fields(block)[1:]
+             for year, block in whole.items()})
+        assert dmax.tobytes() == extremes.daily_max.tobytes()
+        assert dmin.tobytes() == extremes.daily_min.tobytes()
+
+    @given(first_year=st.sampled_from([1999, 2000, 2023, 2096, 2099]),
+           n_years=st.integers(2, 12), n_lat=st.integers(1, 2),
+           n_lon=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           days_per_block=st.sampled_from([2, 5, 59, 60, 365]),
+           fault=st.sampled_from([None, "short", "misordered", "grid"]),
+           data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_block_of_days_across_years_equals_the_year_by_year_reference(
+            self, first_year, n_years, n_lat, n_lon, seed, days_per_block,
+            fault, data):
+        # float32 layers as stored, signed zeros included, over runs of
+        # leap and common years (2100 is common); one year may be short of
+        # its last layers, hold two layers swapped or lie on another grid,
+        # and then both raise the same error
+        rng = np.random.default_rng(seed)
+        years = range(first_year, first_year + n_years)
+        grid = make_grid(n_lat, n_lon)
+        blocks = {}
+        for year in years:
+            n_times = len(year_times(year))
+            values = (285.0 + 10.0 * rng.standard_normal(
+                (n_times, n_lat, n_lon))).astype(np.float32)
+            values[rng.random(values.shape) < 0.05] = -0.0
+            blocks[year] = year_block(grid, year, values)
+        if fault is not None:
+            year = data.draw(st.sampled_from(years), label="faulty year")
+            block = blocks[year]
+            times, values = list(block.valid_times), block.values
+            if fault == "short":
+                cut = data.draw(st.integers(1, 8), label="layers short")
+                times, values = times[:-cut], values[:-cut]
+            elif fault == "misordered":
+                i = data.draw(st.integers(0, len(times) - 2), label="i")
+                j = data.draw(st.integers(i + 1, len(times) - 1), label="j")
+                times[i], times[j] = times[j], times[i]
+                values = values.copy()
+                values[[i, j]] = values[[j, i]]
+            else:
+                grid = make_grid(n_lat, n_lon + 1)
+                values = np.zeros((len(times), n_lat, n_lon + 1), np.float32)
+            blocks[year] = FieldBlock(grid, VariableId.T2M, tuple(times),
+                                      (0,) * len(times), values)
+        source = StubHistory(blocks, days_per_block)
+        try:
+            want_grid, want_mean, want = oracles.reduce_history_by_year(
+                source, VariableId.T2M, means=True, extremes=True)
+        except WxVerifyError as exc:
+            assert fault is not None
+            with pytest.raises(WxVerifyError) as raised:
+                reduce_streamed(source)
+            assert type(raised.value) is type(exc)
+            assert str(raised.value) == str(exc)
+            return
+        assert fault is None
+        got_grid, mean, (dmax, dmin) = reduce_streamed(source)
+        assert got_grid == want_grid
+        assert mean.tobytes() == want_mean.tobytes()
+        assert dmax.dtype == dmin.dtype == np.float32
+        assert dmax.tobytes() == want.daily_max.tobytes()
+        assert dmin.tobytes() == want.daily_min.tobytes()
 
     def test_streamed_reduction_needs_a_year(self):
         with pytest.raises(InsufficientHistory, match="no history years"):
-            _reduce_history(StubHistory({}), VariableId.T2M, True, False)
+            _reduce_history(StubHistory({}), VariableId.T2M)
 
     def test_blocks_on_another_grid_raise(self):
         first = year_block(make_grid(1, 2), 2023, np.zeros((1460, 1, 2)))
-        other = year_block(make_grid(1, 3), 2023, np.zeros((1460, 1, 3)))
-        blocks = day_blocks(first, [0, 100])
-        blocks += day_blocks(other, [100, 365])
-        with pytest.raises(ManifestError, match="another grid"):
-            _reduce_history(StubHistory({2023: blocks}), VariableId.T2M,
-                            True, False)
+        other = year_block(make_grid(1, 3), 2024, np.zeros((1464, 1, 3)))
+        with pytest.raises(ManifestError, match="2024 is on another grid"):
+            reduce_streamed(StubHistory({2023: first, 2024: other}), True,
+                            False)
+
+    def test_memory_does_not_grow_with_the_years(self):
+        # one block of days of one year, the float64 total of those days
+        # and a block of spilled extremes, whatever the number of years
+        # (0.55 MB here): the year-by-year reduction held a 365-day total
+        # and a (years, 365, locations) pair of float32 extremes, and
+        # peaked at 11 MB at 2 years and 51 MB at 12 on this grid
+        grid = make_grid(30, 40)
+        peaks = {}
+        for n_years in (2, 12):
+            years = range(2001, 2001 + n_years)
+            with tempfile.TemporaryDirectory() as scratch:
+                tracemalloc.start()
+                try:
+                    with fileio.SpilledHistory(scratch, years) as spill:
+                        _reduce_history(GeneratedHistory(years, grid),
+                                        VariableId.T2M,
+                                        Path(scratch) / "c.rbc", spill)
+                    _, peaks[n_years] = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+        block_bytes = 4 * 7 * 30 * 40 * 4
+        assert peaks[2] < 8 * block_bytes
+        assert peaks[12] < peaks[2] + 2**14
 
 
 class TestDaySpan:

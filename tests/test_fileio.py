@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import itertools
 import json
 import sys
@@ -20,8 +22,9 @@ import oracles
 from conftest import (T0, assert_read_once_in_whole_days, layer_scores,
                       make_field, make_grid, read_store)
 from wxverify import fileio, metrics
-from wxverify.climatology import (DAYS_PER_YEAR, DailyMeanClimatology,
-                                  ThresholdField)
+from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
+                                  DailyMeanClimatology, ThresholdField,
+                                  build_thresholds, threshold_chunk)
 from wxverify.errors import (ChecksumMismatch, DuplicateObservation,
                              HeaderPayloadShapeMismatch, InvalidHeader,
                              ManifestError, NonFiniteValue, NonMonotoneTime,
@@ -58,7 +61,7 @@ def write_stack_store(rng, grid, path):
 def write_climatology_store(rng, grid, path):
     day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, *grid.shape))
     return fileio.write_daily_climatology(
-        DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,)), path)
+        [DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))], path)
 
 
 class Store(NamedTuple):
@@ -295,7 +298,7 @@ class TestStackStores:
         grid = make_grid(3, 4)
         day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, 3, 4))
         clim = DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))
-        path = fileio.write_daily_climatology(clim, tmp_path / "c.rbc")
+        path = fileio.write_daily_climatology([clim], tmp_path / "c.rbc")
         back = fileio.read_daily_climatology(path)
         assert back.variable is VariableId.T2M
         assert np.array_equal(back.day_mean, day_mean)  # f64 payload
@@ -304,7 +307,7 @@ class TestStackStores:
         grid = make_grid(40, 60)
         day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, *grid.shape))
         path = fileio.write_daily_climatology(
-            DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,)),
+            [DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))],
             tmp_path / "c.rbc")
         payload = path.stat().st_size
         tracemalloc.start()
@@ -999,7 +1002,7 @@ def write_raw_stack(path, layers, geometry, first_time=T0, variable="t2m",
     return path
 
 
-def stack_manifest(root, max_lead=12):
+def stack_manifest(root, max_lead=12, history_years=(T0.year,)):
     """A manifest of stacks: truth ``s/{variable}/{year}.rbs``, models
     ``m/{init}/{variable}.rbs`` and ``one/{variable}.rbs`` (one stack for
     every init), and history in the truth stacks."""
@@ -1010,7 +1013,7 @@ def stack_manifest(root, max_lead=12):
                       "one-run": "one/{variable}.rbs"},
            "climatology": {"daily_mean_pattern": "clim/{variable}.rbc",
                            "history_pattern": "s/{variable}/{year}.rbs",
-                           "history_years": [T0.year]}}
+                           "history_years": list(history_years)}}
     path = root / "manifest.json"
     path.write_text(json.dumps(doc))
     return fileio.load_manifest(path, require=())
@@ -1266,7 +1269,9 @@ class TestStacks:
                                 key) or real_fmt(self, key, pattern, keys))
         monkeypatch.setattr(fileio, "CHUNK_BYTES", 1)  # a block a day
         source = fileio.FieldSource(manifest)
-        assert len(list(source.history(VariableId.T2M, T0.year))) == 365
+        assert source.history_days(VariableId.T2M) == 1
+        for day in range(DAYS_PER_YEAR):
+            source.history(VariableId.T2M, T0.year, range(day, day + 1))
         assert formatted == ["climatology.history_pattern"]
         formatted.clear()
         source.model_block("m", T0, VariableId.T2M, [0, 6, 12])
@@ -1276,23 +1281,33 @@ class TestStacks:
     @pytest.mark.parametrize("days", [1, 10, 366])  # days a block may hold
     def test_history_year_is_read_once_in_whole_days(
             self, rng, tmp_path, store_reads, monkeypatch, year, days):
-        manifest = stack_manifest(tmp_path)
+        manifest = stack_manifest(tmp_path, history_years=[year])
         grid = make_grid(2, 3)
         times = fileio.year_times(year)
         path = fileio.write_stack((f32_field(rng, grid, valid_time=when)
                                    for when in times),
                                   manifest.history_path(VariableId.T2M,
                                                         times[0]))
-        # a budget of ``days`` days of float64 layers, and a few bytes more
-        monkeypatch.setattr(fileio, "CHUNK_BYTES", days * 4 * 8 * 6 + 7)
-        blocks = list(fileio.FieldSource(manifest).history(VariableId.T2M,
-                                                           year))
+        # a budget of ``days`` days of float32 layers, and a few bytes more
+        monkeypatch.setattr(fileio, "CHUNK_BYTES", days * 4 * 4 * 6 + 7)
+        source = fileio.FieldSource(manifest)
+        assert source.history_days(VariableId.T2M) == days
+        blocks = [source.history(VariableId.T2M, year,
+                                 range(first, min(first + days,
+                                                  DAYS_PER_YEAR)))
+                  for first in range(0, DAYS_PER_YEAR, days)]
         assert all(isinstance(block, FieldBlock) for block in blocks)
         assert {read[0] for read in store_reads} == {path}
-        assert_read_once_in_whole_days(store_reads, len(times), 4 * days)
+        # in a leap year, the block of Feb 28 holds Feb 29 too
+        assert_read_once_in_whole_days(store_reads, len(times), 4 * days
+                                       + 4 * (len(times) > 1460))
         assert [block.valid_times for block in blocks] == \
             [tuple(times[start:start + count])
              for _, start, count in store_reads]
+        assert [len(block.valid_times) for block in blocks] == \
+            [4 * (min(first + days, DAYS_PER_YEAR) - first
+                  + (len(times) > 1460 and first <= 58 < first + days))
+             for first in range(0, DAYS_PER_YEAR, days)]
         # the stored float32 values, not widened
         assert all(block.values.dtype == np.float32 for block in blocks)
         assert blocks[-1].values[-1].astype(np.float64).tobytes() == \
@@ -1306,8 +1321,8 @@ class TestStacks:
                            manifest.history_path(VariableId.T2M, T0))
         with pytest.raises(ManifestError, match="holds no layer valid at "
                                                 "2025-01-01T00:00:00Z"):
-            list(fileio.FieldSource(manifest).history(VariableId.T2M,
-                                                      T0.year))
+            fileio.FieldSource(manifest).history(VariableId.T2M, T0.year,
+                                                 range(DAYS_PER_YEAR))
 
     def test_sidecar_parsed_once_per_source(self, rng, tmp_path, monkeypatch):
         manifest = stack_manifest(tmp_path)
@@ -1485,7 +1500,7 @@ class TestClimatologyByDay:
         grid = make_grid(3, 4)
         day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, *grid.shape))
         return fileio.write_daily_climatology(
-            DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,)),
+            [DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))],
             tmp_path / "c.rbc")
 
     def test_sidecar_has_one_checksum_per_day(self, clim_path):
@@ -1575,4 +1590,134 @@ class TestClimatologyByDay:
         part = DailyMeanClimatology(grid, VariableId.T2M,
                                     np.zeros((3, *grid.shape)), (2020,), 363)
         with pytest.raises(ValueError, match="all 365 days"):
-            fileio.write_daily_climatology(part, tmp_path / "c.rbc")
+            fileio.write_daily_climatology([part], tmp_path / "c.rbc")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("parts", ["days", "gap", "short", "long",
+                                       "variable", "grid", "years"])
+    def test_a_year_of_parts_is_the_year_whole(self, rng, tmp_path, parts):
+        # parts of days that follow on from day 0 write the bytes of the
+        # year whole; parts that do not hold the year once, on one grid,
+        # of one variable and years, raise and leave no file behind
+        grid = make_grid(2, 3)
+        day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, *grid.shape))
+        whole = fileio.write_daily_climatology(
+            [DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))],
+            tmp_path / "whole/c.rbc")
+        edges = [0, 1, 59, 60, 200, DAYS_PER_YEAR]
+        pieces = [(grid, VariableId.T2M, day_mean[a:b], (2020,), a)
+                  for a, b in zip(edges, edges[1:])]
+        if parts == "gap":
+            del pieces[2]
+        elif parts == "short":
+            del pieces[-1]
+        elif parts == "long":
+            pieces.append(pieces[-1])
+        elif parts == "variable":
+            pieces[3] = (grid, VariableId.MSL, *pieces[3][2:])
+        elif parts == "grid":
+            pieces[3] = (make_grid(2, 3, lat_top=50.0), *pieces[3][1:])
+        elif parts == "years":
+            pieces[3] = (*pieces[3][:3], (2021,), pieces[3][4])
+        got = tmp_path / "got/c.rbc"
+        streamed = (DailyMeanClimatology(*piece) for piece in pieces)
+        if parts != "days":
+            with pytest.raises(ValueError, match="all 365 days"):
+                fileio.write_daily_climatology(streamed, got)
+            assert list(got.parent.iterdir()) == []
+            return
+        fileio.write_daily_climatology(streamed, got)
+        for suffix in ("", ".json"):
+            assert Path(f"{got}{suffix}").read_bytes() == \
+                Path(f"{whole}{suffix}").read_bytes()
+
+
+class TestSpilledHistory:
+    """The daily extremes of a history, spilled to an anonymous scratch
+    file a block of calendar rows at a time and read back a chunk of
+    locations at a time."""
+
+    @given(n_years=st.integers(2, 12), n_loc=st.integers(1, 400),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           cuts=st.sets(st.integers(1, DAYS_PER_YEAR - 1), max_size=4),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_reads_back_what_was_written(self, n_years, n_loc, dtype, cuts,
+                                         seed, data):
+        # any split into blocks of rows, and any range of locations: the
+        # extremes of a DailyHistory, and the same thresholds
+        rng = np.random.default_rng(seed)
+        years = tuple(range(2001, 2001 + n_years))
+        dmax = (288.0 + 5.0 * rng.standard_normal(
+            (n_years, DAYS_PER_YEAR, n_loc))).astype(dtype)
+        dmin = dmax - np.abs(rng.standard_normal(dmax.shape)).astype(dtype)
+        history = DailyHistory(years, dmax, dmin)
+        edges = [0, *sorted(cuts), DAYS_PER_YEAR]
+        start = data.draw(st.integers(0, n_loc - 1), label="start")
+        stop = data.draw(st.integers(start + 1, n_loc), label="stop")
+        with tempfile.TemporaryDirectory() as scratch, \
+                fileio.SpilledHistory(scratch, years) as spill:
+            for a, b in zip(edges, edges[1:]):
+                for y in range(n_years):
+                    spill.write(y, slice(a, b), dmax[y, a:b], dmin[y, a:b])
+            assert list(Path(scratch).iterdir()) == []  # it has no name
+            assert spill.n_locations == n_loc and spill.dtype == dtype
+            for got, want in zip(spill.chunk(start, stop),
+                                 history.chunk(start, stop)):
+                assert got.dtype == dtype
+                assert got.tobytes() == want.tobytes()
+            spilled, held = build_thresholds(spill), build_thresholds(history)
+        assert spilled.tau_heat.tobytes() == held.tau_heat.tobytes()
+        assert spilled.tau_cold.tobytes() == held.tau_cold.tobytes()
+
+    @pytest.mark.parametrize("days", [365, 5, 1])  # days a write holds
+    def test_a_chunk_of_locations_is_one_read(self, tmp_path, monkeypatch,
+                                              days):
+        # the coarse grid: a year a write, one kernel chunk of locations
+        # a chunk of the file, the last one partial; a few days a write,
+        # as many kernel chunks a chunk of the file as make each write at
+        # least io.DEFAULT_BUFFER_SIZE bytes. Read a kernel chunk at a
+        # time, as build_thresholds reads it, each chunk of the file is
+        # one read
+        n_loc = 2592
+        dmax = np.arange(DAYS_PER_YEAR * n_loc, dtype=np.float32).reshape(
+            DAYS_PER_YEAR, n_loc)
+        kernel = threshold_chunk(2, 4)
+        with fileio.SpilledHistory(tmp_path, (2023, 2024)) as spill:
+            for first in range(0, DAYS_PER_YEAR, days):
+                rows = slice(first, min(first + days, DAYS_PER_YEAR))
+                for y in range(2):
+                    spill.write(y, rows, dmax[rows] + y, dmax[rows] - y)
+            reads = []
+            real_readinto = spill._file.readinto
+            monkeypatch.setattr(spill._file, "readinto", lambda buffer:
+                                reads.append(buffer.nbytes)
+                                or real_readinto(buffer))
+            assert spill.step % kernel == 0
+            assert min(days, 365) * 2 * spill.step * 4 \
+                >= io.DEFAULT_BUFFER_SIZE
+            assert spill.step == kernel or \
+                min(days, 365) * 2 * (spill.step - kernel) * 4 \
+                < io.DEFAULT_BUFFER_SIZE
+            for start in range(0, n_loc, kernel):
+                stop = min(start + kernel, n_loc)
+                daily_max, daily_min = spill.chunk(start, stop)
+                assert np.array_equal(daily_max[1], dmax[:, start:stop] + 1)
+                assert np.array_equal(daily_min[1], dmax[:, start:stop] - 1)
+        assert len(reads) == -(-n_loc // spill.step)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_directory_it_cannot_write_is_an_input_error(self, tmp_path):
+        (tmp_path / "taken").write_text("a file where the directory goes")
+        day = np.zeros((1, 3), np.float32)
+        with fileio.SpilledHistory(tmp_path / "taken", (2023, 2024)) as spill:
+            with pytest.raises(WxVerifyError, match="taken: cannot spill"):
+                spill.write(0, slice(0, 1), day, day)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2**20, 2**20 + 1, 3 * 2**20 - 5])
+def test_file_sha256_is_the_digest_of_the_whole_file(tmp_path, size):
+    path = tmp_path / "f.bin"
+    path.write_bytes(np.random.default_rng(size).bytes(size))
+    assert fileio.file_sha256(path) == \
+        hashlib.sha256(path.read_bytes()).hexdigest()

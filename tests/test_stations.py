@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from itertools import permutations
@@ -107,6 +108,16 @@ class TestQcRatioFilter:
     def test_equal_values_kept(self):
         _, flag, _ = qc_one(5.0, 5.0, VariableId.WS10)
         assert flag == oracles.RAW
+
+    def test_ratio_past_the_float_limit_is_replaced_without_a_warning(self):
+        # 1.7e308 C over a 0.5 C reference overflows to inf, which exceeds
+        # the bound: the observation is replaced, and nothing is printed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, flag, counts = qc_one(1.7e308, 273.65, VariableId.T2M)
+        assert flag == oracles.REPLACED
+        assert value == 273.65
+        assert counts.replaced == 1
 
     def test_nonpositive_reference_passthrough(self):
         # -5 C reference: ratio undefined, observation kept with a warning
