@@ -190,7 +190,9 @@ class ThresholdField:
     """Heat / cold thresholds per (calendar day, location).
 
     Arrays have shape (365, n_locations); tau_heat >= tau_cold holds
-    everywhere and every entry is finite.
+    everywhere and every entry is finite. As in :class:`DailyHistory`, a
+    float32 array (thresholds read from a store) is kept as float32, and
+    any other (thresholds built in memory) is converted to float64.
     """
 
     tau_heat: np.ndarray
@@ -201,8 +203,8 @@ class ThresholdField:
     q_cold: float
 
     def __post_init__(self):
-        th = np.ascontiguousarray(self.tau_heat, dtype=np.float64)
-        tc = np.ascontiguousarray(self.tau_cold, dtype=np.float64)
+        th = _float32_or_64(self.tau_heat)
+        tc = _float32_or_64(self.tau_cold)
         if th.shape != tc.shape or th.ndim != 2 or th.shape[0] != DAYS_PER_YEAR:
             raise ValueError("thresholds must have shape (365, n_locations)")
         if not (np.all(np.isfinite(th)) and np.all(np.isfinite(tc))):

@@ -1,6 +1,7 @@
 """Minimum-pressure cyclone tracking and track/intensity verification.
 
-The tracker walks a forecast sequence at 6-hour cadence: at each lead
+The tracker walks a forecast's MSL, U10 and V10 blocks (see
+:class:`~wxverify.grid.FieldBlock`) at 6-hour cadence: at each lead
 the storm center is the grid point of minimum mean sea-level pressure
 within a great-circle search radius of the previous center (of the seed
 at the first step). Tracking terminates, permanently, when no point in
@@ -24,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import MissingFix, SeedOutsideDomain, UnitOutOfRange
-from .grid import GridField, haversine_km, haversine_km_grid
+from .grid import FieldBlock, haversine_km, haversine_km_grid
 
 #: Plausibility band for minimum sea-level pressure, Pa (exclusive).
 MSLP_BAND_PA = (85000.0, 105000.0)
@@ -138,25 +139,28 @@ def _argmin_with_ties(values: np.ndarray, candidates: np.ndarray) -> tuple[int, 
     return flat // values.shape[1], flat % values.shape[1]
 
 
-def track_storm(msl_fields: Sequence[GridField], u10_fields: Sequence[GridField],
-                v10_fields: Sequence[GridField], seed: tuple[float, float],
-                *, storm_id: str, source: TrackSource,
+def track_storm(msl: FieldBlock, u10: FieldBlock, v10: FieldBlock,
+                seed: tuple[float, float], *, storm_id: str,
+                source: TrackSource,
                 config: TrackerConfig = TrackerConfig()) -> StormTrack:
-    """Track one storm through a forecast sequence.
+    """Track one storm through a forecast's MSL, U10 and V10 blocks.
 
-    ``msl_fields``/``u10_fields``/``v10_fields`` are aligned per lead
-    (0, 6, 12, ... hours) on a shared grid. The seed is the best-track
-    position at init time; a seed outside the grid raises
+    The MSL block holds leads 0, 6, 12, ... hours and the U10 and V10
+    blocks the same valid times and leads, on one grid, or ValueError is
+    raised. Each step widens the MSL layer it searches, so the cutoff is
+    compared in float64, and takes the wind speed in float64. The seed is
+    the best-track position at init time; a seed outside the grid raises
     :class:`SeedOutsideDomain`.
     """
-    if not (len(msl_fields) == len(u10_fields) == len(v10_fields) > 0):
-        raise ValueError("field sequences must be non-empty and aligned")
-    grid = msl_fields[0].grid
-    for k, (p, u, v) in enumerate(zip(msl_fields, u10_fields, v10_fields)):
-        if p.grid != grid or u.grid != grid or v.grid != grid:
-            raise ValueError("tracker fields must share one grid")
-        if p.lead_hours != 6 * k:
-            raise ValueError(f"MSL field {k} has lead {p.lead_hours}, expected {6 * k}")
+    grid, leads = msl.grid, msl.lead_hours
+    if not leads or leads != tuple(range(0, 6 * len(leads), 6)):
+        raise ValueError(f"MSL leads are {leads}, expected 0, 6, 12, ... h")
+    if u10.grid != grid or v10.grid != grid:
+        raise ValueError("tracker fields must share one grid")
+    for wind in (u10, v10):
+        if (wind.valid_times, wind.lead_hours) != (msl.valid_times, leads):
+            raise ValueError(f"{wind.variable.key} valid times or leads "
+                             f"differ from MSL's")
 
     seed_lat, seed_lon = float(seed[0]), float(seed[1]) % 360.0
     if not (grid.lat_deg[-1] <= seed_lat <= grid.lat_deg[0]):
@@ -164,32 +168,25 @@ def track_storm(msl_fields: Sequence[GridField], u10_fields: Sequence[GridField]
     if not grid.wraps_lon and not (grid.lon_deg[0] <= seed_lon <= grid.lon_deg[-1]):
         raise SeedOutsideDomain(f"seed longitude {seed_lon} outside grid")
 
-    init_time = msl_fields[0].valid_time
     fixes: list[StormFix] = []
-    mask: list[bool] = []
     center = (seed_lat, seed_lon)
-    lost = False
-    for k, msl in enumerate(msl_fields):
-        if lost:
-            mask.append(False)
-            continue
+    for k in range(len(leads)):
+        pressure = msl.values[k].astype(np.float64, copy=False)
         dist = haversine_km_grid(center[0], center[1], grid)
-        in_search = dist <= config.search_radius_km
-        below = in_search & (msl.values < config.mslp_cutoff_pa)
+        below = (dist <= config.search_radius_km) \
+            & (pressure < config.mslp_cutoff_pa)
         if not below.any():
-            lost = True
-            mask.append(False)
-            continue
-        i, j = _argmin_with_ties(msl.values, below)
+            break  # the loss is terminal
+        i, j = _argmin_with_ties(pressure, below)
         center = (float(grid.lat_deg[i]), float(grid.lon_deg[j]))
-        wind_speed = np.hypot(u10_fields[k].values, v10_fields[k].values)
+        wind_speed = np.hypot(u10.values[k], v10.values[k], dtype=np.float64)
         near_center = haversine_km_grid(center[0], center[1], grid) \
             <= config.wind_radius_km
         max_wind = float(wind_speed[near_center].max())
-        fixes.append(StormFix(msl.valid_time, center[0], center[1],
-                              float(msl.values[i, j]), max_wind))
-        mask.append(True)
-    return StormTrack(storm_id, source, init_time, tuple(fixes), tuple(mask))
+        fixes.append(StormFix(msl.valid_times[k], center[0], center[1],
+                              float(pressure[i, j]), max_wind))
+    return StormTrack(storm_id, source, msl.valid_times[0], tuple(fixes),
+                      tuple(k < len(fixes) for k in range(len(leads))))
 
 
 TrackKey = tuple[str, datetime]  # (storm id, forecast init time)

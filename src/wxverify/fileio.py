@@ -18,11 +18,13 @@ Climatologies carry one CRC-32 per day, so a run reads only its days.
 Commands read stored arrays through one run-scoped :class:`FieldSource`,
 which resolves manifest paths to stacks, parses each stack's sidecar
 once, validates each grid geometry once per run and reads blocks of
-layers (:class:`~wxverify.grid.FieldBlock`) with one read per stack; a
-history is read in blocks of whole calendar days of one year, each at
-most :data:`CHUNK_BYTES` of the float32 layers as stored (one day at
-least), and the daily extremes a build reduces it to are spilled to a
-scratch file (:class:`SpilledHistory`).
+layers (:class:`~wxverify.grid.FieldBlock`) with one read per stack. A
+block holds the float32 values as stored; the kernels that compute in
+float64 widen the chunk or layer they work on. A history is read in
+blocks of whole calendar days of one year, each at most
+:data:`CHUNK_BYTES` of the stored layers (one day at least), and the
+daily extremes a build reduces it to are spilled to a scratch file
+(:class:`SpilledHistory`).
 
 Writers stream to a temp file and rename, so a file is either complete
 or absent. Serialization is canonical: rewriting what was just read
@@ -521,12 +523,11 @@ class _Stack:
                 f"start at {format_time(self.first_time)}, every 6 h")
         return k
 
-    def block(self, times: Sequence[datetime], leads: Sequence[int | None],
-              widen: bool = True) -> FieldBlock:
+    def block(self, times: Sequence[datetime], leads: Sequence[int | None]
+              ) -> FieldBlock:
         """The layers valid at ascending ``times``, from one read of the
-        span they cover; where ``leads`` gives a lead, the layer must
-        carry it. They are float64, or float32 as stored when not
-        ``widen``."""
+        span they cover, as the float32 values stored; where ``leads``
+        gives a lead, the layer must carry it."""
         path = self.store.path
         ks = [self.index(when) for when in times]
         layer_leads = tuple(self.first_lead + k * self.lead_step for k in ks)
@@ -539,8 +540,8 @@ class _Stack:
         grid, layers = self.store.read(lo, hi - lo + 1)
         if ks != list(range(lo, hi + 1)):
             layers = layers[[k - lo for k in ks]]
-        # widened to float64 in the one copy that makes them contiguous
-        values = np.ascontiguousarray(layers, np.float64 if widen else None)
+        # no copy unless the payload was reoriented or layers were picked
+        values = np.ascontiguousarray(layers)
         if not np.isfinite(values).all():
             raise NonFiniteValue(f"{path}: payload contains NaN/Inf")
         return FieldBlock(grid, self.variable,
@@ -1260,9 +1261,11 @@ def _path_cache(pattern: str | None, path_of):
 #: history that :meth:`FieldSource.history` reads.
 CHUNK_BYTES = 640 * 2**10
 
-#: Most bytes one float64 block of a run may take (see
-#: :meth:`FieldSource.block_layers`): a block of a 0.25 degree global grid
-#: (8.3 MB a layer) holds at most 8 layers, never all 41 leads of a run.
+#: Most bytes one block of a run may take (see
+#: :meth:`FieldSource.block_layers`), counted at 8 bytes a point: the
+#: widest block a run builds is a derived float64 WS10 block. A block of
+#: a 0.25 degree global grid (8.3 MB a float64 layer) holds at most 8
+#: layers, never all 41 leads of a run.
 BLOCK_BYTES = 64 * 2**20
 
 
@@ -1308,13 +1311,13 @@ class FieldSource:
         return stack
 
     def _block(self, path_at, variable: VariableId,
-               times: Sequence[datetime], leads: Sequence[int | None],
-               widen: bool = True) -> FieldBlock:
+               times: Sequence[datetime], leads: Sequence[int | None]
+               ) -> FieldBlock:
         """The layers of ``variable`` valid at ascending ``times``, each
         from the store ``path_at(variable, time, lead)`` names (see
-        :func:`_path_cache`): one read per stack. Stored layers are
-        float32 when not ``widen``; a derived variable is computed from
-        float64 layers."""
+        :func:`_path_cache`): one read per stack. A stored variable's
+        block holds the float32 values stored; a derived one is computed
+        in float64 (see :func:`~wxverify.grid.derive_wind_speed`)."""
         if variable.derived:
             return derive_wind_speed(
                 self._block(path_at, VariableId.U10, times, leads),
@@ -1323,8 +1326,7 @@ class FieldSource:
         for path, items in groupby(zip(times, leads),
                                    key=lambda item: path_at(variable, *item)):
             part_times, part_leads = zip(*items)
-            parts.append(self._resolve(path).block(part_times, part_leads,
-                                                   widen))
+            parts.append(self._resolve(path).block(part_times, part_leads))
         if len(parts) == 1:
             return parts[0]
         first = parts[0]
@@ -1361,9 +1363,9 @@ class FieldSource:
         return self.truth_block(variable, [when]).field(0)
 
     def block_layers(self, variable: VariableId) -> int:
-        """How many float64 layers of ``variable`` fit in one block of
-        :data:`BLOCK_BYTES` (at least one), on the grid of its truth at
-        the first init time."""
+        """How many layers of ``variable``, at 8 bytes a point, fit in
+        one block of :data:`BLOCK_BYTES` (at least one), on the grid of
+        its truth at the first init time."""
         if variable.derived:
             variable = VariableId.U10
         n_lat, n_lon = self._resolve(self.manifest.truth_path(
@@ -1390,11 +1392,10 @@ class FieldSource:
         day, Feb 29 of a leap year with Feb 28 (see
         :func:`~wxverify.climatology.year_times`), so the blocks of
         consecutive runs of days read every layer of the year once. One
-        read per stack; a stored variable's block holds the float32
-        values of its stores, not widened."""
+        read per stack."""
         times = year_times(year, days)
         return self._block(self._history_path, variable, times,
-                           [None] * len(times), widen=False)
+                           [None] * len(times))
 
     def climatology(self, variable: VariableId,
                     times: Iterable[datetime] | None = None

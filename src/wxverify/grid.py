@@ -222,12 +222,13 @@ class GridField:
 class FieldBlock:
     """Consecutive layers of one variable on one grid, read in one pass.
 
-    ``values`` is a C-contiguous float64 (k, n_lat, n_lon) array of
-    finite values (float32 as stored for a block of history, see
-    :meth:`~wxverify.fileio.FieldSource.history`); layer i is valid at
-    ``valid_times[i]`` with lead
-    ``lead_hours[i]``. The reader (:class:`~wxverify.fileio.FieldSource`)
-    checks all of that, so construction does not scan the values again.
+    ``values`` is a C-contiguous (k, n_lat, n_lon) array of finite
+    values: the float32 values as stored, or float64 for a derived WS10
+    block (:func:`derive_wind_speed`). Layer i is valid at
+    ``valid_times[i]`` with lead ``lead_hours[i]``. The reader
+    (:class:`~wxverify.fileio.FieldSource`) checks all of that, so
+    construction does not scan the values again. Kernels that compute in
+    float64 widen the chunk or layer they use.
     """
 
     grid: GeoGrid
@@ -244,7 +245,7 @@ class FieldBlock:
 
 def derive_wind_speed(u10, v10):
     """WS10 = sqrt(u10^2 + v10^2) of two :class:`GridField` or two
-    :class:`FieldBlock`; computed, never stored."""
+    :class:`FieldBlock`, in float64; computed, never stored."""
     if u10.variable is not VariableId.U10 or v10.variable is not VariableId.V10:
         raise GridMismatch("derive_wind_speed expects (U10, V10) fields")
     if type(u10) is not type(v10) or u10.grid != v10.grid \
@@ -252,7 +253,7 @@ def derive_wind_speed(u10, v10):
             or u10.lead_hours != v10.lead_hours:
         raise GridMismatch("U10/V10 fields disagree on grid or time")
     return replace(u10, variable=VariableId.WS10,
-                   values=np.hypot(u10.values, v10.values))
+                   values=np.hypot(u10.values, v10.values, dtype=np.float64))
 
 
 def latitude_weights(grid: GeoGrid) -> np.ndarray:
@@ -339,8 +340,9 @@ class BilinearWeights:
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """Values at the points of a ``(..., n_lat, n_lon)`` stack on
-        ``grid``, shaped ``(..., n_points)``."""
-        v = np.asarray(values, dtype=np.float64)
+        ``grid``, shaped ``(..., n_points)``, in float64: only the
+        gathered corner values are widened, not the stack."""
+        v = np.asarray(values)
         if v.shape[-2:] != self.grid.shape:
             raise ValueError(f"values shape {v.shape} does not end with "
                              f"grid shape {self.grid.shape}")

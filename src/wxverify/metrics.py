@@ -15,14 +15,15 @@ C-contiguous ``(k, n_lat, n_lon)`` array. For such an array numpy merges
 the two reduced axes into one contiguous run of ``n_lat * n_lon``
 elements per layer and sums it exactly as it sums one contiguous
 ``(n_lat, n_lon)`` layer on its own, so layer i of a block scores
-bit for bit what the layer alone scores. That is why the kernel makes
-its inputs C-contiguous first: a block stored with another axis order
-(Fortran order, or layers last) is summed in another order and can
-differ in the last bits. The kernel works through a block a few layers
-at a time (``CHUNK_BYTES``) so that its temporaries stay in cache; as
-every layer is reduced on its own, the chunk size does not change a
-bit. The summation order is fixed, so results are bit-deterministic
-whatever the caller's loop order.
+bit for bit what the layer alone scores. The kernel works through a
+block a few layers at a time (``CHUNK_BYTES``) so that its temporaries
+stay in cache, and makes each chunk a C-contiguous float64 copy as it
+takes it: blocks hold the float32 values as stored (widening them is
+exact), and a block stored with another axis order (Fortran order, or
+layers last) is summed in another order and can differ in the last
+bits. As every layer is reduced on its own, the chunk size does not
+change a bit. The summation order is fixed, so results are
+bit-deterministic whatever the caller's loop order.
 """
 
 from __future__ import annotations
@@ -61,21 +62,18 @@ def block_scores(pred: np.ndarray, truth: np.ndarray | None,
     when a weighted anomaly norm of any layer falls below
     ``ANOMALY_NORM_FLOOR``.
     """
-    pred = np.ascontiguousarray(pred, dtype=np.float64)
-    if truth is not None:
-        truth = np.ascontiguousarray(truth, dtype=np.float64)
-    if clim is not None:
-        clim = np.ascontiguousarray(clim, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)[:, None]
     k = pred.shape[0]
     wanted = (truth is not None, truth is not None,
               truth is not None and clim is not None, clim is not None)
     scores = BlockScores(*(np.empty(k) if want else None for want in wanted))
-    step = max(1, CHUNK_BYTES // max(pred[0].nbytes, 1))
+    # chunks are counted in float64 layers, the dtype the kernel works in
+    step = max(1, CHUNK_BYTES // max(8 * pred[0].size, 1))
     for lo in range(0, k, step):
         part = slice(lo, lo + step)
-        _score_chunk(pred[part], None if truth is None else truth[part],
-                     None if clim is None else clim[part], w,
+        _score_chunk(*(None if x is None
+                       else np.ascontiguousarray(x[part], np.float64)
+                       for x in (pred, truth, clim)), w,
                      BlockScores(*(None if out is None else out[part]
                                    for out in scores)))
     return scores

@@ -461,11 +461,9 @@ def cyclones(manifest_path, out_dir, besttrack,
                 continue
             # each (model, init, variable) stack is read once for all storms
             msl, u10, v10 = (
-                [block.field(k) for k in range(n_leads)]
-                for block in (source.model_block(model, init, variable,
-                                                 manifest.lead_hours)
-                              for variable in (VariableId.MSL, VariableId.U10,
-                                               VariableId.V10)))
+                source.model_block(model, init, variable, manifest.lead_hours)
+                for variable in (VariableId.MSL, VariableId.U10,
+                                 VariableId.V10))
             for storm_id, seed_fix in seeds:
                 track = track_storm(msl, u10, v10, seed_fix.position,
                                     storm_id=storm_id,
@@ -473,6 +471,7 @@ def cyclones(manifest_path, out_dir, besttrack,
                                     config=config)
                 tracks[(storm_id, init)] = track
                 all_tracks.append(track)
+            del msl, u10, v10  # released before the next blocks are read
         if not tracks:
             raise MissingFix("no (storm, init) pair overlaps the best track")
         model_tracks[model] = tracks

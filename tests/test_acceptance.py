@@ -255,7 +255,8 @@ def test_c07_tracker_acceptance():
            for k, f in enumerate(_fields_at(scenario, VariableId.V10, times))]
     (truth_track,) = make_besttrack(scenario)
 
-    track = track_storm(msl, u10, v10, truth_track.fixes[0].position,
+    track = track_storm(field_block(*msl), field_block(*u10),
+                        field_block(*v10), truth_track.fixes[0].position,
                         storm_id="SYN01", source=TrackSource("analysis"))
     assert all(track.tracked_mask), "storm lost before 120 h"
     for k, fix in enumerate(track.fixes):
@@ -270,7 +271,8 @@ def test_c07_tracker_acceptance():
                   for k in range(21)]
     smoothed_v = [smoothed_forecast(v10[0], [6 * k], kernel_width=9)[0]
                   for k in range(21)]
-    model = track_storm(smoothed_msl, smoothed_u, smoothed_v,
+    model = track_storm(field_block(*smoothed_msl), field_block(*smoothed_u),
+                        field_block(*smoothed_v),
                         truth_track.fixes[0].position, storm_id="SYN01",
                         source=TrackSource("smoothed9"))
     assert all(model.tracked_mask)

@@ -758,8 +758,10 @@ class TestStreamedHistory:
         for y, year in enumerate(manifest.history_years):
             block = read_store(manifest.history_path(
                 VariableId.T2M, datetime(year, 1, 1, tzinfo=timezone.utc)))
-            assert block.values.dtype == np.float64
-            _, day_max, day_min = daily_extremes_from_fields(block)
+            assert block.values.dtype == np.float32
+            _, day_max, day_min = daily_extremes_from_fields(FieldBlock(
+                block.grid, block.variable, block.valid_times,
+                block.lead_hours, block.values.astype(np.float64)))
             assert daily_max[y].astype(np.float64).tobytes() == \
                 day_max.tobytes()
             assert daily_min[y].astype(np.float64).tobytes() == \

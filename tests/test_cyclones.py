@@ -7,7 +7,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from conftest import T0, make_field
+from conftest import T0, field_block, make_field
 from wxverify.errors import MissingFix, SeedOutsideDomain, UnitOutOfRange
 from wxverify.grid import (EARTH_RADIUS_KM, GeoGrid, VariableId, haversine_km,
                            haversine_km_grid)
@@ -47,6 +47,12 @@ def vortex_field_set(grid, centers, depth=3000.0, efold=300.0, base=101000.0,
         v10.append(make_field(grid, np.zeros(grid.shape), VariableId.V10,
                               when, 6 * k))
     return msl, u10, v10
+
+
+def blocks(*per_variable):
+    """Each variable's fields, one per lead, as the block ``track_storm``
+    takes."""
+    return [field_block(*fields) for fields in per_variable]
 
 
 def fix(k, lat=20.0, lon=150.0, mslp=98000.0, wind=40.0):
@@ -98,8 +104,8 @@ class TestTracker:
         grid = regional_grid()
         centers = [(20.05, 150.07)] * 9
         msl, u10, v10 = vortex_field_set(grid, centers)
-        track = track_storm(msl, u10, v10, centers[0], storm_id="SYN",
-                            source=TrackSource("persistence"))
+        track = track_storm(*blocks(msl, u10, v10), centers[0],
+                            storm_id="SYN", source=TrackSource("persistence"))
         assert all(track.tracked_mask)
         spacing_km = 0.25 * 111.2 * math.sqrt(2)  # grid half-diagonal x2
         for k, storm_fix in enumerate(track.fixes):
@@ -111,8 +117,8 @@ class TestTracker:
         grid = regional_grid()
         centers = analytic_centers(20.05, 150.07, -5.0, 0.0, 20)
         msl, u10, v10 = vortex_field_set(grid, centers)
-        track = track_storm(msl, u10, v10, centers[0], storm_id="SYN",
-                            source=TrackSource("persistence"))
+        track = track_storm(*blocks(msl, u10, v10), centers[0],
+                            storm_id="SYN", source=TrackSource("persistence"))
         assert all(track.tracked_mask)
         for k, storm_fix in enumerate(track.fixes):
             assert haversine_km(storm_fix.position, centers[k]) < 28.0
@@ -121,8 +127,8 @@ class TestTracker:
         grid = regional_grid()
         centers = [(20.0, 150.0)] * 3
         msl, u10, v10 = vortex_field_set(grid, centers, wind_peak=35.0)
-        track = track_storm(msl, u10, v10, centers[0], storm_id="SYN",
-                            source=TrackSource("m"))
+        track = track_storm(*blocks(msl, u10, v10), centers[0],
+                            storm_id="SYN", source=TrackSource("m"))
         # peak tangential wind is wind_peak at r = efold (250 km ring is
         # inside the wind radius)
         assert track.fixes[0].max_wind_ms == pytest.approx(35.0, rel=0.05)
@@ -136,7 +142,7 @@ class TestTracker:
                             T0 + k * SIX_H, 6 * k) for k in range(4)]
         zeros_v = [make_field(grid, np.zeros(grid.shape), VariableId.V10,
                               T0 + k * SIX_H, 6 * k) for k in range(4)]
-        track = track_storm(flat, zeros, zeros_v, (20.0, 150.0),
+        track = track_storm(*blocks(flat, zeros, zeros_v), (20.0, 150.0),
                             storm_id="S", source=TrackSource("m"))
         assert track.tracked_mask == (False, False, False, False)
         assert track.fixes == ()
@@ -148,8 +154,8 @@ class TestTracker:
         # fill the depression from lead 2 onward
         for k in (2, 3, 4):
             msl[k] = replace(msl[k], values=np.full(grid.shape, 101500.0))
-        track = track_storm(msl, u10, v10, centers[0], storm_id="S",
-                            source=TrackSource("m"))
+        track = track_storm(*blocks(msl, u10, v10), centers[0],
+                            storm_id="S", source=TrackSource("m"))
         assert track.tracked_mask == (True, True, False, False, False)
 
     def test_seed_outside_domain(self):
@@ -157,8 +163,8 @@ class TestTracker:
         centers = [(20.0, 150.0)] * 2
         msl, u10, v10 = vortex_field_set(grid, centers)
         with pytest.raises(SeedOutsideDomain):
-            track_storm(msl, u10, v10, (50.0, 150.0), storm_id="S",
-                        source=TrackSource("m"))
+            track_storm(*blocks(msl, u10, v10), (50.0, 150.0),
+                        storm_id="S", source=TrackSource("m"))
 
     def test_tie_break_north_then_west(self):
         grid = regional_grid()
@@ -170,20 +176,54 @@ class TestTracker:
         zero = [make_field(grid, np.zeros(grid.shape), VariableId.U10, when, 0)]
         zero_v = [make_field(grid, np.zeros(grid.shape), VariableId.V10, when, 0)]
         seed = (float(grid.lat_deg[50]), float(grid.lon_deg[70]))
-        track = track_storm(msl, zero, zero_v, seed, storm_id="S",
+        track = track_storm(*blocks(msl, zero, zero_v), seed, storm_id="S",
                             source=TrackSource("m"),
                             config=TrackerConfig(search_radius_km=2000.0))
         assert track.fixes[0].lat == float(grid.lat_deg[40])
         assert track.fixes[0].lon == float(grid.lon_deg[80])
 
+    @pytest.mark.parametrize("wind", ["u10", "v10"])
+    @pytest.mark.parametrize("shift", ["valid_times", "lead_hours"])
+    def test_winds_must_line_up_with_msl(self, wind, shift):
+        grid = regional_grid()
+        centers = [(20.0, 150.0)] * 3
+        msl, u10, v10 = blocks(*vortex_field_set(grid, centers))
+        winds = {"u10": u10, "v10": v10}
+        # six hours later than MSL's, in valid times or in leads
+        winds[wind] = replace(winds[wind], **{shift: tuple(
+            value + (SIX_H if shift == "valid_times" else 6)
+            for value in getattr(winds[wind], shift))})
+        with pytest.raises(ValueError, match=f"{wind} valid times or leads "
+                                             f"differ from MSL's"):
+            track_storm(msl, winds["u10"], winds["v10"], centers[0],
+                        storm_id="S", source=TrackSource("m"))
+
+    def test_blocks_must_share_one_grid(self):
+        centers = [(20.0, 150.0)] * 2
+        msl, u10, v10 = blocks(*vortex_field_set(regional_grid(), centers))
+        other = GeoGrid.uniform(35.0, -0.5, 61, 120.0, 0.5, 81)
+        with pytest.raises(ValueError, match="share one grid"):
+            track_storm(msl, replace(u10, grid=other), v10, centers[0],
+                        storm_id="S", source=TrackSource("m"))
+
+    def test_msl_leads_must_run_from_zero_every_6_h(self):
+        centers = [(20.0, 150.0)] * 3
+        msl, u10, v10 = blocks(*vortex_field_set(regional_grid(), centers))
+        leads = (0, 6, 18)
+        with pytest.raises(ValueError, match="expected 0, 6, 12"):
+            track_storm(replace(msl, lead_hours=leads),
+                        replace(u10, lead_hours=leads),
+                        replace(v10, lead_hours=leads), centers[0],
+                        storm_id="S", source=TrackSource("m"))
+
     def test_determinism(self):
         grid = regional_grid()
         centers = analytic_centers(20.05, 150.07, -5.0, 2.0, 8)
         msl, u10, v10 = vortex_field_set(grid, centers)
-        t1 = track_storm(msl, u10, v10, centers[0], storm_id="S",
-                         source=TrackSource("m"))
-        t2 = track_storm(msl, u10, v10, centers[0], storm_id="S",
-                         source=TrackSource("m"))
+        t1 = track_storm(*blocks(msl, u10, v10), centers[0],
+                         storm_id="S", source=TrackSource("m"))
+        t2 = track_storm(*blocks(msl, u10, v10), centers[0],
+                         storm_id="S", source=TrackSource("m"))
         assert t1 == t2
 
 

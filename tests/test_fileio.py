@@ -294,6 +294,25 @@ class TestStackStores:
         np.testing.assert_array_equal(
             back.tau_heat, heat.astype(np.float32).astype(np.float64))
 
+    def test_thresholds_are_read_as_stored_within_their_payload(self, rng,
+                                                                tmp_path):
+        grid = make_grid(30, 40)
+        heat = 280.0 + rng.standard_normal((DAYS_PER_YEAR, 1200))
+        path = fileio.write_thresholds(
+            ThresholdField(heat, heat - 10.0, (2019, 2020), 7, 0.9, 0.1),
+            grid, tmp_path / "t.rbt")
+        payload = path.stat().st_size
+        tracemalloc.start()
+        try:
+            back, _ = fileio.read_thresholds(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the float32 payload is held once, not widened beside it
+        assert peak < 1.25 * payload
+        assert back.tau_heat.dtype == back.tau_cold.dtype == np.float32
+        assert back.tau_heat.tobytes() == heat.astype(np.float32).tobytes()
+
     def test_climatology_round_trip_is_lossless(self, rng, tmp_path):
         grid = make_grid(3, 4)
         day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, 3, 4))
@@ -1371,7 +1390,7 @@ class TestBlocks:
             assert type(truth_err) is type(pred_err) is type(fields[0][1])
             return
         for block in (truth, pred):
-            assert block.values.dtype == np.float64
+            assert block.values.dtype == np.float32
             assert block.values.flags.c_contiguous
             assert block.valid_times == tuple(times)
         assert pred.lead_hours == tuple(6 * k for k in ks)
@@ -1382,8 +1401,10 @@ class TestBlocks:
         scores = None if w is None else \
             metrics.block_scores(pred.values, truth.values, clim, w)
         for i, ((tf, pf), _) in enumerate(fields):
-            assert tf.values.tobytes() == truth.values[i].tobytes()
-            assert pf.values.tobytes() == pred.values[i].tobytes()
+            assert tf.values.tobytes() == \
+                truth.values[i].astype(np.float64).tobytes()
+            assert pf.values.tobytes() == \
+                pred.values[i].astype(np.float64).tobytes()
             assert tf.grid is pf.grid is grid
             if scores is None:
                 continue
@@ -1415,10 +1436,11 @@ class TestBlocks:
         assert store_reads == [
             (manifest.truth_path(VariableId.T2M, old[0]), 1, 2),
             (manifest.truth_path(VariableId.T2M, new[0]), 0, 3)]
+        assert block.values.dtype == np.float32
         assert block.values.flags.c_contiguous
         assert block.valid_times == tuple(wanted)
         for i, when in enumerate(wanted):
-            assert block.values[i].tobytes() == \
+            assert block.values[i].astype(np.float64).tobytes() == \
                 source.truth(VariableId.T2M, when).values.tobytes()
 
     def test_lead_subset_is_one_read_of_its_span(self, rng, tmp_path,
@@ -1433,9 +1455,11 @@ class TestBlocks:
         block = source.model_block("m", T0, VariableId.T2M, [6, 18, 24])
         assert store_reads == [(path, 1, 4)]
         assert block.lead_hours == (6, 18, 24)
+        assert block.values.dtype == np.float32
         assert block.values.flags.c_contiguous
         for i, k in enumerate((1, 3, 4)):
-            assert block.values[i].tobytes() == fields[k].values.tobytes()
+            assert block.values[i].astype(np.float64).tobytes() == \
+                fields[k].values.tobytes()
 
     def test_non_finite_layer_fails_only_when_it_is_asked_for(self, rng,
                                                               tmp_path):
