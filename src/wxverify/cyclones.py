@@ -6,7 +6,8 @@ the storm center is the grid point of minimum mean sea-level pressure
 within a great-circle search radius of the previous center (of the seed
 at the first step). Tracking terminates, permanently, when no point in
 the search disc is below the pressure cutoff. Maximum 10-m wind is taken
-within a second radius of the center.
+within a second radius of the center. Each disc is searched only inside
+the lat/lon index box that holds it, never over the whole grid.
 
 Verification follows the homogeneous-sample convention: per-lead scores
 average only over the (storm, init) units successfully tracked by every
@@ -18,6 +19,7 @@ under-intensified storm).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Mapping, Sequence
@@ -25,7 +27,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import MissingFix, SeedOutsideDomain, UnitOutOfRange
-from .grid import FieldBlock, haversine_km, haversine_km_grid
+from .grid import (EARTH_RADIUS_KM, FieldBlock, GeoGrid, haversine_km,
+                   haversine_km_grid)
 
 #: Plausibility band for minimum sea-level pressure, Pa (exclusive).
 MSLP_BAND_PA = (85000.0, 105000.0)
@@ -128,15 +131,29 @@ class TrackerConfig:
     mslp_cutoff_pa: float = 100500.0
 
 
-def _argmin_with_ties(values: np.ndarray, candidates: np.ndarray) -> tuple[int, int]:
-    """Row/col of the minimum among masked candidates.
+def _index_box(grid: GeoGrid, lat0: float, lon0: float, radius_km: float,
+               steps: tuple[float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns, each in ascending grid order, of the lat/lon index
+    box that holds every node within ``radius_km`` of (lat0, lon0).
 
-    Equal minima break toward the northernmost (smallest row) then
-    westernmost (smallest column) grid point.
+    A node of the disc lies within r/R of lat0 in latitude and, unless
+    the disc reaches a pole, within asin(sin(r/R) / cos(lat0)) of lon0 in
+    longitude; both bounds are widened by one grid step (``steps``, of
+    latitude and longitude) for rounding. Every column is taken when the
+    widened rows reach a pole. Longitude offsets are folded into [0, 180],
+    so on a wrapping grid a box across 0/360 degrees holds the columns of
+    both ends, still in ascending order.
     """
-    masked = np.where(candidates, values, np.inf)
-    flat = int(np.argmin(masked))  # C order: smallest row, then column
-    return flat // values.shape[1], flat % values.shape[1]
+    lat_step, lon_step = steps
+    angle = radius_km / EARTH_RADIUS_KM
+    reach = math.degrees(angle) + lat_step
+    rows = np.flatnonzero(np.abs(grid.lat_deg - lat0) <= reach)
+    if abs(lat0) + reach >= 90.0:
+        return rows, np.arange(grid.n_lon)
+    half = math.degrees(math.asin(min(
+        1.0, math.sin(angle) / math.cos(math.radians(lat0))))) + lon_step
+    offset = (grid.lon_deg - lon0) % 360.0
+    return rows, np.flatnonzero(np.minimum(offset, 360.0 - offset) <= half)
 
 
 def track_storm(msl: FieldBlock, u10: FieldBlock, v10: FieldBlock,
@@ -147,10 +164,12 @@ def track_storm(msl: FieldBlock, u10: FieldBlock, v10: FieldBlock,
 
     The MSL block holds leads 0, 6, 12, ... hours and the U10 and V10
     blocks the same valid times and leads, on one grid, or ValueError is
-    raised. Each step widens the MSL layer it searches, so the cutoff is
-    compared in float64, and takes the wind speed in float64. The seed is
-    the best-track position at init time; a seed outside the grid raises
-    :class:`SeedOutsideDomain`.
+    raised. Each step searches only the index box that holds the search
+    disc (see :func:`_index_box`), and takes the maximum wind only in the
+    box that holds the wind disc: distances, MSL (widened, so the cutoff
+    is compared in float64) and wind speed (in float64) are computed for
+    the box's nodes alone. The seed is the best-track position at init
+    time; a seed outside the grid raises :class:`SeedOutsideDomain`.
     """
     grid, leads = msl.grid, msl.lead_hours
     if not leads or leads != tuple(range(0, 6 * len(leads), 6)):
@@ -168,23 +187,35 @@ def track_storm(msl: FieldBlock, u10: FieldBlock, v10: FieldBlock,
     if not grid.wraps_lon and not (grid.lon_deg[0] <= seed_lon <= grid.lon_deg[-1]):
         raise SeedOutsideDomain(f"seed longitude {seed_lon} outside grid")
 
+    steps = tuple(float(np.abs(np.diff(axis)).max(initial=0.0))
+                  for axis in (grid.lat_deg, grid.lon_deg))
     fixes: list[StormFix] = []
     center = (seed_lat, seed_lon)
     for k in range(len(leads)):
-        pressure = msl.values[k].astype(np.float64, copy=False)
-        dist = haversine_km_grid(center[0], center[1], grid)
-        below = (dist <= config.search_radius_km) \
+        rows, cols = _index_box(grid, *center, config.search_radius_km, steps)
+        pressure = msl.values[k][np.ix_(rows, cols)].astype(np.float64)
+        below = (haversine_km_grid(*center, grid, rows, cols)
+                 <= config.search_radius_km) \
             & (pressure < config.mslp_cutoff_pa)
         if not below.any():
             break  # the loss is terminal
-        i, j = _argmin_with_ties(pressure, below)
+        # The box's rows and columns ascend in grid order, so the first
+        # minimum in C order is the whole grid's: equal minima break toward
+        # the smallest row (northernmost), then the smallest column, even
+        # across the seam (of 358 and 2 degrees E, 2 degrees E).
+        flat = int(np.argmin(np.where(below, pressure, np.inf)))
+        bi, bj = divmod(flat, cols.size)
+        i, j = int(rows[bi]), int(cols[bj])
         center = (float(grid.lat_deg[i]), float(grid.lon_deg[j]))
-        wind_speed = np.hypot(u10.values[k], v10.values[k], dtype=np.float64)
-        near_center = haversine_km_grid(center[0], center[1], grid) \
+        rows, cols = _index_box(grid, *center, config.wind_radius_km, steps)
+        box = np.ix_(rows, cols)
+        wind_speed = np.hypot(u10.values[k][box], v10.values[k][box],
+                              dtype=np.float64)
+        near_center = haversine_km_grid(*center, grid, rows, cols) \
             <= config.wind_radius_km
         max_wind = float(wind_speed[near_center].max())
         fixes.append(StormFix(msl.valid_times[k], center[0], center[1],
-                              float(pressure[i, j]), max_wind))
+                              float(pressure[bi, bj]), max_wind))
     return StormTrack(storm_id, source, msl.valid_times[0], tuple(fixes),
                       tuple(k < len(fixes) for k in range(len(leads))))
 

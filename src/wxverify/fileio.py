@@ -1669,20 +1669,34 @@ def _check_manifest_files(manifest: RunManifest, require: Sequence[str]):
             and not manifest.init_times:
         raise ManifestError(f"{manifest.path}: init_times is empty; a run "
                             f"needs at least one init time")
+    # paths are formatted once for each distinct value of the keys their
+    # pattern uses, and each distinct path is checked once, in the order
+    # of the layers that name it
+    checked: set[Path] = set()
+
+    def check(kind: str, path: Path):
+        if path not in checked:
+            if not path.exists():
+                raise ManifestError(f"missing {kind} file: {path}")
+            checked.add(path)
+
     if "truth" in require:
+        truth_at = _path_cache(manifest.truth_pattern,
+                               lambda v, when, _: manifest.truth_path(v, when))
         for variable in plain:
             for when in manifest.valid_times:
-                p = manifest.truth_path(variable, when)
-                if not p.exists():
-                    raise ManifestError(f"missing truth file: {p}")
+                check("truth", truth_at(variable, when, None))
     if "models" in require:
         for model in manifest.models:
             for init in manifest.init_times:
+                model_at = _path_cache(
+                    manifest.models[model],
+                    lambda v, when, lead: manifest.model_path(
+                        model, init, v, lead))
                 for variable in plain:
                     for lead in manifest.lead_hours:
-                        p = manifest.model_path(model, init, variable, lead)
-                        if not p.exists():
-                            raise ManifestError(f"missing model file: {p}")
+                        check("model", model_at(
+                            variable, init + timedelta(hours=lead), lead))
     if "history" in require:
         if manifest.history_pattern is None or not manifest.history_years:
             raise ManifestError("manifest declares no history section")

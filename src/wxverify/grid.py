@@ -394,11 +394,19 @@ def haversine_km(a: tuple[float, float], b: tuple[float, float]) -> float:
     return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
 
 
-def haversine_km_grid(lat0: float, lon0: float, grid: GeoGrid) -> np.ndarray:
-    """Distances in km from one point to every node of ``grid`` (vectorized)."""
+def haversine_km_grid(lat0: float, lon0: float, grid: GeoGrid,
+                      rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """Distances in km from one point to the nodes of ``grid`` (vectorized),
+    or only to those of ``rows`` by ``cols`` (each a slice or index array).
+
+    The latitude and longitude terms are computed over the whole axes and
+    selected before they are combined, so each node's distance has the
+    same bits whatever the selection.
+    """
     dlat = np.deg2rad(grid.lat_deg - lat0)
     dlon = np.deg2rad((grid.lon_deg - lon0) % 360.0)
-    h = (np.sin(dlat / 2.0) ** 2)[:, None] \
-        + (math.cos(math.radians(lat0)) * np.cos(np.deg2rad(grid.lat_deg)))[:, None] \
-        * (np.sin(dlon / 2.0) ** 2)[None, :]
+    lat_term = np.sin(dlat / 2.0) ** 2
+    cos_term = math.cos(math.radians(lat0)) * np.cos(np.deg2rad(grid.lat_deg))
+    lon_term = np.sin(dlon / 2.0) ** 2
+    h = lat_term[rows, None] + cos_term[rows, None] * lon_term[None, cols]
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.minimum(1.0, np.sqrt(h)))

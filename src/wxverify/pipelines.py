@@ -114,7 +114,7 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
         for i, lead in enumerate(run):
             if lead in spectra_set:
                 energies.setdefault((model, variable, lead), []).append(
-                    midlatitude_spectrum(block.field(i)).energy)
+                    midlatitude_spectrum(block, i).energy)
 
     for variable in manifest.variables:
         clim = clims[variable]

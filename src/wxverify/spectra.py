@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBand, PolarRow
-from .grid import EARTH_RADIUS_KM, GridField, VariableId, cos_lat
+from .grid import EARTH_RADIUS_KM, FieldBlock, VariableId, cos_lat
 
 #: Mid-latitude band bounds (strict inequalities on |lat|), degrees.
 MIDLATITUDE_BAND = (30.0, 60.0)
@@ -56,35 +56,39 @@ class ZonalSpectrum:
         return np.arange(self.energy.size)
 
 
-def _row_spectra(field: GridField, rows: np.ndarray) -> np.ndarray:
-    """Energy spectra of latitude ``rows``, one per row, from one
-    ``rfft`` over those rows; raises :class:`PolarRow` for a row with
-    cos(lat) <= 0 (degenerate C_i)."""
-    n_lon = field.grid.n_lon
-    c = latitude_circumference_m(field.grid.lat_deg[rows])
+def _row_spectra(lat_deg: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Energy spectra of the float64 latitude rows ``values`` at
+    latitudes ``lat_deg``, one per row, from one ``rfft`` over the rows;
+    raises :class:`PolarRow` for a row with cos(lat) <= 0 (degenerate
+    C_i)."""
+    c = latitude_circumference_m(lat_deg)
     polar = np.flatnonzero(c <= 0.0)
     if polar.size:
-        lat = float(field.grid.lat_deg[rows[polar[0]]])
-        raise PolarRow(f"latitude {lat} has non-positive circumference")
-    coeff = np.fft.rfft(field.values[rows], axis=1) / n_lon
+        raise PolarRow(f"latitude {float(lat_deg[polar[0]])} has "
+                       f"non-positive circumference")
+    coeff = np.fft.rfft(values, axis=1) / values.shape[1]
     s = (coeff.real ** 2 + coeff.imag ** 2) * c[:, None]
     s[:, 1:] *= 2.0
     return s
 
 
-def midlatitude_spectrum(field: GridField,
+def midlatitude_spectrum(block: FieldBlock, i: int,
                          band: tuple[float, float] = MIDLATITUDE_BAND) -> ZonalSpectrum:
-    """Unweighted mean of per-row spectra over rows with b0 < |lat| < b1.
+    """Unweighted mean of per-row spectra of layer ``i`` of ``block`` over
+    rows with b0 < |lat| < b1.
 
-    Both hemispheres contribute; rows are averaged in grid (north-to-
-    south) order, so the reduction is deterministic. Raises
-    :class:`EmptyBand` when no row qualifies.
+    Only the band's rows are widened to float64. Both hemispheres
+    contribute; rows are averaged in grid (north-to-south) order, so the
+    reduction is deterministic. Raises :class:`EmptyBand` when no row
+    qualifies.
     """
     b0, b1 = band
-    abs_lat = np.abs(field.grid.lat_deg)
+    lat = block.grid.lat_deg
+    abs_lat = np.abs(lat)
     rows = np.nonzero((abs_lat > b0) & (abs_lat < b1))[0]
     if rows.size == 0:
         raise EmptyBand(f"no grid row with {b0} < |lat| < {b1}")
-    return ZonalSpectrum(field.variable, field.lead_hours,
-                         np.mean(_row_spectra(field, rows), axis=0),
+    values = block.values[i, rows].astype(np.float64, copy=False)
+    return ZonalSpectrum(block.variable, block.lead_hours[i],
+                         np.mean(_row_spectra(lat[rows], values), axis=0),
                          (float(b0), float(b1)))

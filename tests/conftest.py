@@ -48,6 +48,14 @@ def field_block(*fields: GridField) -> FieldBlock:
                       np.stack([f.values for f in fields]))
 
 
+def layer_block(grid: GeoGrid, values, variable: VariableId = VariableId.T2M
+                ) -> FieldBlock:
+    """``values``, one float64 (n_lat, n_lon) layer, as a block at T0,
+    lead 0."""
+    return FieldBlock(grid, variable, (T0,), (0,),
+                      np.asarray(values, dtype=np.float64)[None])
+
+
 def layer_scores(pred: GridField, truth: GridField | None = None,
                  clim: GridField | None = None, weights=None) -> BlockScores:
     """``metrics.block_scores`` of the one-layer blocks of these fields,

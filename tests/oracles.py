@@ -18,8 +18,10 @@ loop, which calls the engine's matching to check the vectorized
 bookkeeping around it, the synthetic truth oracle,
 which takes the seasonal cycle, vortices and episodes from the engine,
 the station row reader, which parses times and window-averages with the
-engine's functions, and the per-field station scores, which interpolate
-with the engine's bilinear weights.
+engine's functions, the per-field station scores, which interpolate
+with the engine's bilinear weights, and the full-grid cyclone tracker,
+which measures distances with the engine's ``haversine_km_grid`` over
+the whole grid.
 """
 
 from __future__ import annotations
@@ -614,6 +616,48 @@ def bilinear_point(lat_deg, lon_deg, wraps_lon: bool, values, lat: float,
     v = values
     return ((1.0 - ty) * ((1.0 - tx) * float(v[south][j0]) + tx * float(v[south][j1]))
             + ty * ((1.0 - tx) * float(v[north][j0]) + tx * float(v[north][j1])))
+
+
+# --- cyclone tracker: the full-grid search the windowed one replaced ---------
+
+def _argmin_with_ties(values: np.ndarray, candidates: np.ndarray) -> tuple[int, int]:
+    """Row/col of the minimum among masked candidates.
+
+    Equal minima break toward the northernmost (smallest row) then
+    westernmost (smallest column) grid point.
+    """
+    masked = np.where(candidates, values, np.inf)
+    flat = int(np.argmin(masked))  # C order: smallest row, then column
+    return flat // values.shape[1], flat % values.shape[1]
+
+
+def track_storm_full_grid(msl, u10, v10, seed, *, storm_id, source, config):
+    """The tracker as it searched the whole grid at every step: distances
+    to every node, the whole MSL layer widened and masked, and the wind
+    speed of the whole layer. Takes blocks that ``track_storm`` accepts
+    and a seed inside the grid."""
+    from wxverify.cyclones import StormFix, StormTrack
+    from wxverify.grid import haversine_km_grid
+    grid, leads = msl.grid, msl.lead_hours
+    fixes = []
+    center = (float(seed[0]), float(seed[1]) % 360.0)
+    for k in range(len(leads)):
+        pressure = msl.values[k].astype(np.float64, copy=False)
+        dist = haversine_km_grid(center[0], center[1], grid)
+        below = (dist <= config.search_radius_km) \
+            & (pressure < config.mslp_cutoff_pa)
+        if not below.any():
+            break  # the loss is terminal
+        i, j = _argmin_with_ties(pressure, below)
+        center = (float(grid.lat_deg[i]), float(grid.lon_deg[j]))
+        wind_speed = np.hypot(u10.values[k], v10.values[k], dtype=np.float64)
+        near_center = haversine_km_grid(center[0], center[1], grid) \
+            <= config.wind_radius_km
+        max_wind = float(wind_speed[near_center].max())
+        fixes.append(StormFix(msl.valid_times[k], center[0], center[1],
+                              float(pressure[i, j]), max_wind))
+    return StormTrack(storm_id, source, msl.valid_times[0], tuple(fixes),
+                      tuple(k < len(fixes) for k in range(len(leads))))
 
 
 # --- station pipeline (the scalar loops the array code replaced) ---------------

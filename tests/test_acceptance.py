@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import (T0, field_block, layer_scores, make_field, make_grid,
+from conftest import (T0, field_block, layer_block, layer_scores, make_grid,
                       random_field, truth_fields)
 from wxverify import fileio
 from wxverify.cli import main as cli_main
@@ -100,15 +100,15 @@ def test_c03_spectrum_analytic_and_parseval(rng):
         amp = float(rng.uniform(0.5, 5.0))
         grid = GeoGrid(np.array([45.0]), np.arange(n_lon) * (360.0 / n_lon))
         j = np.arange(n_lon)
-        field = make_field(grid, (amp * np.cos(2 * np.pi * 3 * j / n_lon)
-                                  ).reshape(1, n_lon))
-        s = midlatitude_spectrum(field).energy
+        block = layer_block(grid, (amp * np.cos(2 * np.pi * 3 * j / n_lon)
+                                   ).reshape(1, n_lon))
+        s = midlatitude_spectrum(block, 0).energy
         assert s[3] == pytest.approx(c45 * amp * amp / 2.0, rel=1e-10)
     for n_lon in (15, 45, 127):
         grid = GeoGrid(np.array([45.0]), np.arange(n_lon) * (360.0 / n_lon))
         values = 3.0 + rng.standard_normal(n_lon)
-        field = make_field(grid, values.reshape(1, n_lon))
-        s = midlatitude_spectrum(field).energy
+        block = layer_block(grid, values.reshape(1, n_lon))
+        s = midlatitude_spectrum(block, 0).energy
         assert float(s.sum()) / c45 == pytest.approx(
             oracles.mean_square_loop(values), rel=1e-10)
     ok(3, "cosine peak S_3 = C*A^2/2 at N in {15,64,144}; Parseval on "

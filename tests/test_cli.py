@@ -806,14 +806,14 @@ def field_by_field(manifest_path, leads, spectra_leads):
     for name in sorted(manifest.models) + ["truth"]:
         for variable in manifest.variables:
             for lead in spectra_leads:
-                fields = [source.truth(variable, init + timedelta(hours=lead))
+                blocks = [source.truth_block(
+                              variable, [init + timedelta(hours=lead)])
                           if name == "truth" else
-                          source.model_block(name, init, variable,
-                                             [lead]).field(0)
+                          source.model_block(name, init, variable, [lead])
                           for init in manifest.init_times]
                 spectra[f"spectra/{name}_{variable.key}_{lead:03d}h.csv"] = \
-                    np.mean([midlatitude_spectrum(f).energy for f in fields],
-                            axis=0)
+                    np.mean([midlatitude_spectrum(b, 0).energy
+                             for b in blocks], axis=0)
     return rows, spectra
 
 

@@ -6,11 +6,14 @@ from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import T0, field_block, make_field
 from wxverify.errors import MissingFix, SeedOutsideDomain, UnitOutOfRange
-from wxverify.grid import (EARTH_RADIUS_KM, GeoGrid, VariableId, haversine_km,
-                           haversine_km_grid)
+from wxverify.grid import (EARTH_RADIUS_KM, FieldBlock, GeoGrid, VariableId,
+                           haversine_km, haversine_km_grid)
 from wxverify.cyclones import (TRUTH_SOURCE, StormFix, StormTrack,
                                TrackerConfig, TrackSource, homogeneous_sample,
                                intensity_errors, track_dpe, track_storm)
@@ -225,6 +228,167 @@ class TestTracker:
         t2 = track_storm(*blocks(msl, u10, v10), centers[0],
                          storm_id="S", source=TrackSource("m"))
         assert t1 == t2
+
+
+CUTOFF = 100500.0
+DEEP = np.float32(CUTOFF - 900.0)
+#: Background MSL around the cutoff, so the discs also hold shallow
+#: candidates and nodes of one value tie for the minimum.
+BACKGROUND = np.array([CUTOFF + 300.0, CUTOFF + 100.0, CUTOFF - 200.0,
+                       CUTOFF - 400.0], dtype=np.float32)
+
+
+def tracker_case(wrap, n_lat, n_lon, lats, lon_span, n_leads, start, move,
+                 twin, lost_at, search_km, wind_km, noise):
+    """A grid, the blocks and seed of one tracking problem, and a config.
+
+    ``lats`` are the first and last latitude; on a wrapping grid the
+    columns cover the circle from a fraction ``lon_span[0] / 360`` of a
+    step east of 0 degrees, otherwise they span ``lon_span``. A minimum
+    DEEP moves from node ``start`` by ``move`` (rows, columns) a step,
+    wrapping in longitude on a wrapping grid, and an equal minimum sits
+    ``twin`` nodes away from it (None: no twin). From step ``lost_at``
+    every node is above the cutoff.
+    """
+    if wrap:
+        lons = (np.arange(n_lon) + lon_span[0] / 360.0) * (360.0 / n_lon)
+    else:
+        lons = np.linspace(lon_span[0], lon_span[1], n_lon)
+    grid = GeoGrid(np.linspace(lats[0], lats[1], n_lat), lons)
+    rng = np.random.default_rng(noise)
+    msl = rng.choice(BACKGROUND, (n_leads, n_lat, n_lon),
+                     p=[0.4, 0.3, 0.2, 0.1])
+
+    def node(i, j):
+        i = min(max(i, 0), n_lat - 1)
+        return (i, j % n_lon) if wrap else (i, min(max(j, 0), n_lon - 1))
+
+    for k in range(n_leads):
+        i, j = node(start[0] + k * move[0], start[1] + k * move[1])
+        msl[k, i, j] = DEEP
+        if twin is not None:
+            msl[(k, *node(i + twin[0], j + twin[1]))] = DEEP
+    if lost_at is not None:
+        msl[lost_at:] = BACKGROUND[0]
+    winds = (np.float32(15.0) * rng.standard_normal((2, *msl.shape),
+                                                    dtype=np.float32))
+    times = tuple(T0 + k * SIX_H for k in range(n_leads))
+    leads = tuple(6 * k for k in range(n_leads))
+    msl, u10, v10 = (FieldBlock(grid, variable, times, leads, values)
+                     for variable, values in ((VariableId.MSL, msl),
+                                              (VariableId.U10, winds[0]),
+                                              (VariableId.V10, winds[1])))
+    seed = (float(grid.lat_deg[start[0]]), float(grid.lon_deg[start[1]]))
+    return (grid, (msl, u10, v10), seed,
+            TrackerConfig(search_km, wind_km, CUTOFF))
+
+
+def both_trackers(blocks, seed, config):
+    """The windowed track and the full-grid oracle's."""
+    kw = dict(storm_id="S", source=TrackSource("m"), config=config)
+    return (track_storm(*blocks, seed, **kw),
+            oracles.track_storm_full_grid(*blocks, seed, **kw))
+
+
+def assert_same_track(got, want):
+    assert got.tracked_mask == want.tracked_mask
+    for mine, theirs in zip(got.fixes, want.fixes, strict=True):
+        assert repr(mine) == repr(theirs)
+    assert got == want
+
+
+@st.composite
+def tracker_cases(draw):
+    wrap = draw(st.booleans())
+    n_lat, n_lon = draw(st.integers(2, 24)), draw(st.integers(2, 40))
+    top = draw(st.sampled_from([90.0, 80.0, 45.0, 10.0]))
+    lats = (top, draw(st.sampled_from([-90.0, -60.0, top - 30.0])))
+    first = draw(st.floats(0.0, 300.0))
+    lon_span = (first, draw(st.floats(first + 1.0, 359.5)))
+    n_leads = draw(st.integers(1, 8))
+
+    def radius():  # one in five beyond half the circumference
+        return draw(st.sampled_from([25000.0, 30000.0])
+                    if draw(st.integers(0, 4)) == 0
+                    else st.floats(50.0, 4000.0))
+
+    return dict(
+        wrap=wrap, n_lat=n_lat, n_lon=n_lon, lats=lats, lon_span=lon_span,
+        n_leads=n_leads,
+        start=(draw(st.integers(0, n_lat - 1)),
+               draw(st.integers(0, n_lon - 1))),
+        move=(draw(st.integers(-1, 1)), draw(st.integers(-2, 2))),
+        twin=draw(st.none() | st.tuples(st.integers(-2, 2),
+                                        st.integers(-n_lon + 1, n_lon - 1))),
+        lost_at=draw(st.none() | st.integers(1, n_leads)),
+        search_km=radius(), wind_km=radius(),
+        noise=draw(st.integers(0, 2**32 - 1)))
+
+
+#: 2 degree global grid: row 0 is the north pole, column 0 is 0 degrees.
+GLOBAL_2DEG = dict(wrap=True, n_lat=91, n_lon=180, lats=(90.0, -90.0),
+                   lon_span=(0.0, 0.0), noise=7)
+CASES = {
+    # moves west 2 columns a step from 4 degrees E: 0/360 is crossed
+    # between the second and the third fix
+    "storm_crosses_0_360": dict(
+        GLOBAL_2DEG, n_leads=6, start=(35, 2), move=(0, -2), twin=None,
+        lost_at=None, search_km=450.0, wind_km=250.0),
+    # equal minima at 358 and 2 degrees E, on either side of the seam:
+    # the smaller column, 2 degrees E, is the fix
+    "tie_split_across_the_seam": dict(
+        GLOBAL_2DEG, n_leads=3, start=(35, 179), move=(0, 0), twin=(0, 2),
+        lost_at=None, search_km=450.0, wind_km=250.0),
+    # 86 N: the 1000 km search disc covers the pole, and the minimum at
+    # 86 N on the opposite meridian lies across it
+    "disc_reaches_a_pole": dict(
+        GLOBAL_2DEG, n_leads=3, start=(2, 10), move=(0, 90), twin=None,
+        lost_at=None, search_km=1000.0, wind_km=800.0),
+    "lost_mid_track": dict(
+        GLOBAL_2DEG, n_leads=6, start=(35, 2), move=(0, -2), twin=None,
+        lost_at=3, search_km=450.0, wind_km=250.0),
+    # radii beyond half the circumference hold the whole grid: of the two
+    # equal minima the northern one is the fix, however far away
+    "radius_larger_than_the_grid": dict(
+        wrap=False, n_lat=9, n_lon=11, lats=(40.0, 0.0),
+        lon_span=(100.0, 150.0), noise=3, n_leads=3, start=(4, 5),
+        move=(1, 2), twin=(-3, -5), lost_at=None, search_km=30000.0,
+        wind_km=25000.0),
+}
+
+
+class TestWindowedTracker:
+    """The tracker searches the index box around each fix, and finds what
+    the full-grid search (``oracles.track_storm_full_grid``) finds."""
+
+    @given(case=tracker_cases())
+    @settings(max_examples=200, deadline=None)
+    @example(case=dict(CASES["storm_crosses_0_360"], search_km=2000.0))
+    @example(case=dict(CASES["tie_split_across_the_seam"], start=(35, 0),
+                       twin=(0, -1)))
+    def test_matches_the_full_grid_search(self, case):
+        _, blocks, seed, config = tracker_case(**case)
+        assert_same_track(*both_trackers(blocks, seed, config))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_named_case_matches_the_full_grid_search(self, name):
+        grid, blocks, seed, config = tracker_case(**CASES[name])
+        got, want = both_trackers(blocks, seed, config)
+        assert_same_track(got, want)
+        lons = [f.lon for f in got.fixes]
+        if name == "storm_crosses_0_360":
+            assert lons == [4.0, 0.0, 356.0, 352.0, 348.0, 344.0]
+        elif name == "tie_split_across_the_seam":
+            assert lons == [2.0, 2.0, 2.0]
+        elif name == "disc_reaches_a_pole":
+            assert [(f.lat, f.lon) for f in got.fixes] == [
+                (86.0, 20.0), (86.0, 200.0), (86.0, 20.0)]
+        elif name == "lost_mid_track":
+            assert got.tracked_mask == (True,) * 3 + (False,) * 3
+        else:
+            assert [(f.lat, f.lon) for f in got.fixes] == [
+                (float(grid.lat_deg[1 + k]), float(grid.lon_deg[2 * k]))
+                for k in range(3)]
 
 
 class TestHomogeneousSample:

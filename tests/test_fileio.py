@@ -760,6 +760,60 @@ class TestManifest:
             fileio.load_manifest(path)
         assert "t2m_2025070100_006.rbg" in str(err.value)
 
+    @pytest.fixture
+    def exists_calls(self, monkeypatch) -> list:
+        """The paths ``Path.exists`` is asked about, in order."""
+        calls, exists = [], Path.exists
+
+        def counted(path, *args, **kwargs):
+            calls.append(path)
+            return exists(path, *args, **kwargs)
+        monkeypatch.setattr(Path, "exists", counted)
+        return calls
+
+    def test_each_distinct_file_is_checked_once(self, tmp_path, exists_calls):
+        inits = [T0, T0 + timedelta(days=1)]
+        doc = {"variables": ["t2m", "msl"],
+               "init_times": [fileio.format_time(t) for t in inits],
+               "max_lead_hours": 48,
+               "truth_pattern": "s/{variable}/{year}.rbs",
+               "models": {"m": "m/{init}/{variable}.rbs",
+                          "one-run": "one/{variable}.rbs"}}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        files = [tmp_path / rel for rel in (
+            "s/t2m/2025.rbs", "s/msl/2025.rbs",
+            "m/2025070100/t2m.rbs", "m/2025070100/msl.rbs",
+            "m/2025070200/t2m.rbs", "m/2025070200/msl.rbs",
+            "one/t2m.rbs", "one/msl.rbs")]
+        for file in files:
+            file.parent.mkdir(parents=True, exist_ok=True)
+            file.touch()
+        fileio.load_manifest(path)
+        # at one check per (variable, valid time) and per (model, init,
+        # variable, lead) this took 2 * 13 + 2 * 2 * 2 * 9 = 98 calls
+        assert exists_calls == files
+
+        exists_calls.clear()
+        files[4].unlink()
+        with pytest.raises(ManifestError) as err:
+            fileio.load_manifest(path)
+        assert str(err.value) == f"missing model file: {files[4]}"
+        assert exists_calls == files[:5]
+
+    def test_first_missing_file_in_layer_order_is_named(self, tmp_path, rng,
+                                                        exists_calls):
+        path = self.write_minimal(tmp_path, rng, n_inits=2, max_lead=12)
+        for rel in ("t2m_2025070200_006.rbg", "t2m_2025070100_012.rbg"):
+            (tmp_path / "m" / rel).unlink()
+        with pytest.raises(ManifestError) as err:
+            fileio.load_manifest(path)
+        first = tmp_path / "m" / "t2m_2025070100_012.rbg"
+        assert str(err.value) == f"missing model file: {first}"
+        # the 6 distinct truth times, then the first init's leads; each once
+        assert len(exists_calls) == len(set(exists_calls)) == 6 + 3
+        assert exists_calls[-1] == first
+
     def test_directory_as_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.mkdir()

@@ -110,9 +110,8 @@ class TestFloat32Blocks:
                   derive_wind_speed(widened(u10), widened(v10)).values)
         for block in (u10, speed):
             for i in range(n_layers):
-                same_bits(midlatitude_spectrum(block.field(i)).energy,
-                          midlatitude_spectrum(widened(block).field(i))
-                          .energy)
+                same_bits(midlatitude_spectrum(block, i).energy,
+                          midlatitude_spectrum(widened(block), i).energy)
 
     @given(grid=grids, n_days=st.integers(1, 8),
            kind=st.sampled_from(list(EventKind)), seed=SEEDS)

@@ -12,7 +12,7 @@ from conftest import make_field, make_grid
 from wxverify.errors import NonFiniteValue, TargetOutsideDomain
 from wxverify.grid import (EARTH_RADIUS_KM, GeoGrid, VariableId,
                            bilinear_weights, derive_wind_speed, haversine_km,
-                           latitude_weights)
+                           haversine_km_grid, latitude_weights)
 
 
 class TestGeoGrid:
@@ -308,3 +308,50 @@ class TestHaversine:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             haversine_km((float("nan"), 0.0), (0.0, 0.0))
+
+
+@st.composite
+def box_selections(draw, n_lat: int, n_lon: int):
+    """Rows as a slice or ascending indices, and columns as a slice, a
+    range that wraps across the last column to the first, or ascending
+    indices."""
+    top = draw(st.integers(0, n_lat - 1))
+    bottom = draw(st.integers(top, n_lat - 1))
+    rows = draw(st.sampled_from([
+        slice(top, bottom + 1), np.arange(top, bottom + 1),
+        np.unique([top, bottom, (top + bottom) // 2])]))
+    left = draw(st.integers(0, n_lon - 1))
+    width = draw(st.integers(1, n_lon))
+    wrapped = np.arange(left, left + width) % n_lon
+    cols = draw(st.sampled_from([
+        slice(left, min(left + width, n_lon)),
+        np.sort(wrapped),  # two ranges across the seam, in grid order
+        np.unique(draw(st.lists(st.integers(0, n_lon - 1), min_size=1,
+                                max_size=12)))]))
+    return rows, cols
+
+
+class TestHaversineGrid:
+    @given(data=st.data(),
+           resolution=st.sampled_from([0.25, 2.0, 7.5]),
+           lat0=st.one_of(st.floats(-90.0, 90.0),
+                          st.sampled_from([90.0, -90.0, 89.9, -89.75])),
+           lon0=st.floats(-180.0, 359.999))
+    @settings(max_examples=60, deadline=None)
+    def test_selected_nodes_have_the_bits_of_the_whole_grid(
+            self, data, resolution, lat0, lon0):
+        grid = GeoGrid.regular_global(resolution)
+        rows, cols = data.draw(box_selections(grid.n_lat, grid.n_lon))
+        full = haversine_km_grid(lat0, lon0, grid)
+        got = haversine_km_grid(lat0, lon0, grid, rows, cols)
+        want = full[rows][:, cols]
+        assert got.shape == want.shape
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    def test_whole_grid_by_default(self):
+        grid = make_grid(7, 12)
+        d = haversine_km_grid(10.0, 350.0, grid)
+        assert d.shape == grid.shape
+        i, j = 3, 5
+        assert d[i, j] == pytest.approx(haversine_km(
+            (10.0, 350.0), (grid.lat_deg[i], grid.lon_deg[j])), rel=1e-12)

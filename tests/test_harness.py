@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import layer_scores, read_store, truth_fields
+from conftest import field_block, layer_scores, read_store, truth_fields
 from wxverify import fileio, harness
 from wxverify.climatology import build_thresholds
 from wxverify.extremes import (EventKind, label_event_runs,
@@ -373,8 +373,8 @@ class TestSmoothed:
         width = 5
         (fc,) = smoothed_forecast(init, [12], kernel_width=width)  # width 5
         row_1 = (43.0, 45.0)  # the band of the middle row, at 44 N
-        s_init = midlatitude_spectrum(init, row_1).energy
-        s_fc = midlatitude_spectrum(fc, row_1).energy
+        s_init = midlatitude_spectrum(field_block(init), 0, row_1).energy
+        s_fc = midlatitude_spectrum(field_block(fc), 0, row_1).energy
         transfer = (math.sin(width * math.pi * k / n)
                     / (width * math.sin(math.pi * k / n))) ** 2
         assert s_fc[k] / s_init[k] == pytest.approx(transfer, rel=1e-5)

@@ -4,24 +4,24 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import make_field, make_grid
+from conftest import layer_block, make_grid
 from wxverify.errors import EmptyBand, PolarRow
 from wxverify.grid import GeoGrid
 from wxverify.spectra import latitude_circumference_m, midlatitude_spectrum
 
 
-def row_field(row_values, lat=45.0):
+def row_block(row_values, lat=45.0):
     """Single-row grid holding one zonal circle of data."""
     n = len(row_values)
     grid = GeoGrid(np.array([lat]), np.arange(n) * (360.0 / n))
-    return make_field(grid, np.asarray(row_values, dtype=float).reshape(1, n))
+    return layer_block(grid, np.reshape(row_values, (1, n)))
 
 
 def row_spectrum(row_values, lat=45.0):
     """Energy spectrum of one zonal circle at ``lat``: the band spectrum of
     a one-row grid, in a band around ``lat``."""
     band = (abs(lat) - 1.0, abs(lat) + 1.0)
-    return midlatitude_spectrum(row_field(row_values, lat), band).energy
+    return midlatitude_spectrum(row_block(row_values, lat), 0, band).energy
 
 
 class TestZonalSpectrumRow:
@@ -59,10 +59,10 @@ class TestZonalSpectrumRow:
 
     def test_polar_row_rejected(self, rng):
         grid = GeoGrid(np.array([90.0, 0.0]), np.arange(8) * 45.0)
-        field = make_field(grid, rng.standard_normal((2, 8)))
-        with pytest.raises(PolarRow):
-            midlatitude_spectrum(field, (89.0, 91.0))
-        midlatitude_spectrum(field, (-1.0, 1.0))  # equator row is fine
+        block = layer_block(grid, rng.standard_normal((2, 8)))
+        with pytest.raises(PolarRow, match="latitude 90.0 "):
+            midlatitude_spectrum(block, 0, (89.0, 91.0))
+        midlatitude_spectrum(block, 0, (-1.0, 1.0))  # equator row is fine
 
     def test_energy_nonnegative(self, rng):
         for _ in range(20):
@@ -93,8 +93,8 @@ class TestMidlatitudeSpectrum:
     def test_lat_constant_rows_dc_only(self):
         grid = make_grid(7, 12, lat_top=62.0, lat_bottom=-62.0)
         per_row = 200.0 + 10.0 * np.arange(7)
-        field = make_field(grid, np.tile(per_row[:, None], (1, 12)))
-        spec = midlatitude_spectrum(field)
+        spec = midlatitude_spectrum(
+            layer_block(grid, np.tile(per_row[:, None], (1, 12))), 0)
         inside = np.abs(grid.lat_deg)
         rows = np.nonzero((inside > 30.0) & (inside < 60.0))[0]
         expected_dc = np.mean([
@@ -106,24 +106,23 @@ class TestMidlatitudeSpectrum:
 
     def test_single_qualifying_row(self, rng):
         grid = GeoGrid(np.array([45.0, 10.0]), np.arange(16) * 22.5)
-        field = make_field(grid, rng.standard_normal((2, 16)))
-        spec = midlatitude_spectrum(field)
-        np.testing.assert_array_equal(spec.energy,
-                                      row_spectrum(field.values[0]))
+        values = rng.standard_normal((2, 16))
+        spec = midlatitude_spectrum(layer_block(grid, values), 0)
+        np.testing.assert_array_equal(spec.energy, row_spectrum(values[0]))
 
     def test_band_bounds_are_strict(self, rng):
         grid = GeoGrid(np.array([60.0, 30.0]), np.arange(8) * 45.0)
-        field = make_field(grid, rng.standard_normal((2, 8)))
+        block = layer_block(grid, rng.standard_normal((2, 8)))
         with pytest.raises(EmptyBand):
-            midlatitude_spectrum(field)
+            midlatitude_spectrum(block, 0)
 
     def test_two_rows_average(self, rng):
         grid = GeoGrid(np.array([45.0, -45.0]), np.arange(32) * 11.25)
         j = np.arange(32)
         north = 2.0 * np.cos(2 * np.pi * 2 * j / 32)
         south = 3.0 * np.cos(2 * np.pi * 5 * j / 32)
-        field = make_field(grid, np.stack([north, south]))
-        spec = midlatitude_spectrum(field)
+        spec = midlatitude_spectrum(
+            layer_block(grid, np.stack([north, south])), 0)
         s_n = row_spectrum(north)
         s_s = row_spectrum(south, lat=-45.0)
         np.testing.assert_allclose(spec.energy, (s_n + s_s) / 2.0, rtol=1e-12)
@@ -132,11 +131,11 @@ class TestMidlatitudeSpectrum:
 
     def test_hemispheres_both_contribute(self, rng):
         grid = make_grid(13, 16, lat_top=66.0, lat_bottom=-66.0)
-        field = make_field(grid, rng.standard_normal((13, 16)))
-        spec = midlatitude_spectrum(field)
+        values = rng.standard_normal((13, 16))
+        spec = midlatitude_spectrum(layer_block(grid, values), 0)
         inside = np.abs(grid.lat_deg)
         rows = np.nonzero((inside > 30.0) & (inside < 60.0))[0]
         assert rows.size >= 4  # both hemispheres represented
-        manual = np.mean([row_spectrum(field.values[r], grid.lat_deg[r])
+        manual = np.mean([row_spectrum(values[r], grid.lat_deg[r])
                           for r in rows], axis=0)
         np.testing.assert_allclose(spec.energy, manual, rtol=1e-15)
