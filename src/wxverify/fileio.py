@@ -15,10 +15,13 @@ carry a 365-deep day axis (climatology payloads are float64 so that
 through-disk evaluation stays bit-identical to in-memory evaluation).
 Climatologies carry one CRC-32 per day, so a run reads only its days.
 
-Commands read stored arrays through one run-scoped :class:`FieldSource`,
-which resolves manifest paths to stacks, parses each stack's sidecar
-once, validates each grid geometry once per run and reads blocks of
-layers (:class:`~wxverify.grid.FieldBlock`) with one read per stack. A
+A :class:`RunManifest` formats each distinct path its patterns name
+once, and keeps it: its load check, every read of a :class:`FieldSource`
+and ``synth`` share that one cache. Commands read stored arrays through
+one run-scoped :class:`FieldSource`, which resolves manifest paths to
+stacks, parses each stack's sidecar once, validates each grid geometry
+once per run and reads blocks of layers
+(:class:`~wxverify.grid.FieldBlock`) with one read per stack. A
 block holds the float32 values as stored; the kernels that compute in
 float64 widen the chunk or layer they work on. A history is read in
 blocks of whole calendar days of one year, each at most
@@ -82,7 +85,10 @@ def format_time(when: datetime) -> str:
 
 
 def parse_time(text: str) -> datetime:
-    """Parse ISO-8601 UTC timestamps ('Z' or explicit offset)."""
+    """Parse an ISO-8601 timestamp to UTC: 'Z', an explicit offset, or
+    none, which means UTC."""
+    if not isinstance(text, str):
+        raise InvalidHeader(f"bad timestamp {text!r}: not a string")
     try:
         cleaned = text.strip()
         if cleaned.endswith("Z"):
@@ -1107,6 +1113,28 @@ def _repeats(var_code: np.ndarray, station: np.ndarray,
 
 # --- run manifest ------------------------------------------------------------
 
+#: The keys a manifest pattern may use.
+_KEYS = ("variable", "time", "year", "init", "lead")
+
+
+@functools.lru_cache(maxsize=64)
+def _pattern_keys(pattern: str | None) -> tuple[bool, ...]:
+    """For each key of :data:`_KEYS`, whether ``pattern`` uses it: the
+    keys whose values tell its paths apart. All of them when the pattern
+    does not parse or nests a field in a format spec, so that each
+    distinct set of values is formatted and a bad pattern still raises
+    the manifest's own error."""
+    try:
+        parsed = list(string.Formatter().parse(pattern))
+    except (TypeError, ValueError):
+        return (True,) * len(_KEYS)
+    if any(spec and "{" in spec for _, _, spec, _ in parsed):
+        return (True,) * len(_KEYS)  # a nested field in a format spec
+    names = {name.partition(".")[0].partition("[")[0]
+             for _, name, _, _ in parsed if name is not None}
+    return tuple(key in names for key in _KEYS)
+
+
 @dataclass(frozen=True)
 class RunManifest:
     """Evaluation run description: inputs, models, leads, and regions.
@@ -1118,6 +1146,10 @@ class RunManifest:
     pattern may leave a key out: ``truth/{variable}/{year}.rbs`` names
     one RBSTACK1 store per truth year, ``{time}`` one RBGRID1 file per
     field.
+
+    Every path is resolved by :meth:`_paths`, which formats each distinct
+    path once per manifest and keeps it here, so the load check, every
+    read of a :class:`FieldSource` and ``synth`` share one cache.
     """
 
     path: Path
@@ -1144,19 +1176,63 @@ class RunManifest:
             return None
         return self.root / self.thresholds_path
 
-    @property
+    @functools.cached_property
     def lead_hours(self) -> tuple[int, ...]:
         return tuple(range(0, self.max_lead_hours + 1, 6))
 
-    @property
-    def valid_times(self) -> list[datetime]:
+    @functools.cached_property
+    def valid_times(self) -> tuple[datetime, ...]:
         """The sorted, distinct valid times of every init time and lead."""
-        return sorted({init + timedelta(hours=lead)
-                       for init in self.init_times for lead in self.lead_hours})
+        return tuple(sorted({init + timedelta(hours=lead)
+                             for init in self.init_times
+                             for lead in self.lead_hours}))
 
-    def _fmt(self, key: str, pattern: str, keys: _PatternKeys) -> Path:
+    @functools.cached_property
+    def _formatted(self) -> dict[tuple, Path]:
+        """(pattern, values of the keys it uses) -> its path; see
+        :meth:`_paths`."""
+        return {}
+
+    def _paths(self, key: str, pattern: str | None, variable: VariableId,
+               times: Sequence[datetime | None], leads: Sequence[int | None],
+               init: datetime | None = None) -> list[Path]:
+        """The paths the manifest's ``key``, ``pattern``, names for
+        ``variable`` valid at each of ``times``, from ``init`` at each of
+        ``leads``: the one resolver of the manifest's patterns. A path is
+        formatted once for each distinct value of the keys the pattern
+        uses (see :func:`_pattern_keys`) and kept on the manifest."""
+        uses_variable, uses_time, uses_year, uses_init, uses_lead = \
+            _pattern_keys(pattern)
+        formatted = self._formatted
+        var = variable if uses_variable else None
+        ini = init if uses_init else None
+        paths = []
+        for when, lead in zip(times, leads):
+            at = (pattern, var, ini, when if uses_time else None,
+                  when.astimezone(timezone.utc).year
+                  if uses_year and when is not None else None,
+                  lead if uses_lead else None)
+            path = formatted.get(at)
+            if path is None:
+                values = {"variable": variable.key}
+                if when is not None:
+                    utc = when.astimezone(timezone.utc)
+                    values.update(time=utc.strftime("%Y%m%d%H"),
+                                  year=utc.year)
+                if init is not None:
+                    values["init"] = init.astimezone(timezone.utc).strftime(
+                        "%Y%m%d%H")
+                if lead is not None:
+                    values["lead"] = lead
+                # threads that race here format the same path; one is kept
+                path = formatted.setdefault(at, self._fmt(key, pattern,
+                                                          values))
+            paths.append(path)
+        return paths
+
+    def _fmt(self, key: str, pattern: str, values: dict) -> Path:
         try:
-            rel = pattern.format_map(keys)
+            rel = pattern.format_map(values)
         except (KeyError, IndexError, ValueError, AttributeError,
                 TypeError) as exc:
             raise ManifestError(f"{self.path}: bad {key} pattern "
@@ -1164,94 +1240,27 @@ class RunManifest:
         return self.root / rel
 
     def truth_path(self, variable: VariableId, when: datetime) -> Path:
-        return self._fmt("truth_pattern", self.truth_pattern,
-                         _PatternKeys(variable, when))
+        return self._paths("truth_pattern", self.truth_pattern, variable,
+                           [when], [None])[0]
 
     def model_path(self, model: str, init: datetime, variable: VariableId,
                    lead_hours: int) -> Path:
-        return self._fmt(f"models.{model}", self.models[model], _PatternKeys(
-            variable, init + timedelta(hours=lead_hours), init, lead_hours))
+        return self._paths(f"models.{model}", self.models[model], variable,
+                           [init + timedelta(hours=lead_hours)], [lead_hours],
+                           init)[0]
 
     def climatology_path(self, variable: VariableId) -> Path:
         if self.climatology_pattern is None:
             raise ManifestError("manifest declares no climatology")
-        return self._fmt("climatology.daily_mean_pattern",
-                         self.climatology_pattern, _PatternKeys(variable))
+        return self._paths("climatology.daily_mean_pattern",
+                           self.climatology_pattern, variable, [None],
+                           [None])[0]
 
     def history_path(self, variable: VariableId, when: datetime) -> Path:
         if self.history_pattern is None:
             raise ManifestError("manifest declares no history")
-        return self._fmt("climatology.history_pattern", self.history_pattern,
-                         _PatternKeys(variable, when))
-
-
-@functools.lru_cache(maxsize=8192)
-def _compact(when: datetime) -> str:
-    return when.astimezone(timezone.utc).strftime("%Y%m%d%H")
-
-
-class _PatternKeys(dict):
-    """The keys of one path: ``variable``, plus ``time`` and ``year`` (of
-    the valid time) and ``init`` and ``lead`` where given. A key is
-    formatted only when the pattern uses it, so a stack pattern without
-    ``{time}`` costs no timestamp formatting per layer."""
-
-    def __init__(self, variable: VariableId, when: datetime | None = None,
-                 init: datetime | None = None, lead: int | None = None):
-        super().__init__(variable=variable.key)
-        self.when, self.init, self.lead = when, init, lead
-
-    def __missing__(self, key: str):
-        if key == "time" and self.when is not None:
-            return _compact(self.when)
-        if key == "year" and self.when is not None:
-            return self.when.astimezone(timezone.utc).year
-        if key == "init" and self.init is not None:
-            return _compact(self.init)
-        if key == "lead" and self.lead is not None:
-            return self.lead
-        raise KeyError(key)
-
-
-#: The path keys that may differ between the layers of one block.
-_LAYER_KEYS = ("time", "year", "lead")
-
-
-@functools.lru_cache(maxsize=64)
-def _layer_keys(pattern: str | None) -> tuple[str, ...]:
-    """The keys of :data:`_LAYER_KEYS` that ``pattern`` uses: those whose
-    values tell apart the paths of one block's layers. All of them when
-    the pattern does not parse or nests a field in a format spec, so that
-    each layer's path is formatted and a bad pattern still raises the
-    manifest's own error."""
-    try:
-        parsed = list(string.Formatter().parse(pattern))
-    except (TypeError, ValueError):
-        return _LAYER_KEYS
-    if any(spec and "{" in spec for _, _, spec, _ in parsed):
-        return _LAYER_KEYS  # a nested field in a format spec
-    names = {name.partition(".")[0].partition("[")[0]
-             for _, name, _, _ in parsed if name is not None}
-    return tuple(key for key in _LAYER_KEYS if key in names)
-
-
-def _path_cache(pattern: str | None, path_of):
-    """``path_of(variable, when, lead)``, the path ``pattern`` formats,
-    formatted once for each distinct variable and value of the keys the
-    pattern uses (see :func:`_layer_keys`)."""
-    keys = _layer_keys(pattern)
-    paths: dict[tuple, Path] = {}
-
-    def path_at(variable: VariableId, when: datetime, lead: int | None
-                ) -> Path:
-        key = (variable, when if "time" in keys else None,
-               when.astimezone(timezone.utc).year if "year" in keys else None,
-               lead if "lead" in keys else None)
-        path = paths.get(key)
-        if path is None:
-            path = paths[key] = path_of(variable, when, lead)
-        return path
-    return path_at
+        return self._paths("climatology.history_pattern",
+                           self.history_pattern, variable, [when], [None])[0]
 
 
 #: Most bytes of float64 layers in one chunk of the truth ``synth``
@@ -1295,11 +1304,6 @@ class FieldSource:
         self._geometries: dict[tuple, tuple[GeoGrid, bool, int]] = {}
         # store path -> its parsed sidecar
         self._stacks: dict[Path, _Stack] = {}
-        # history paths, formatted once per run for each distinct value
-        # of the keys the pattern uses (one per year of a yearly store)
-        self._history_path = _path_cache(
-            manifest.history_pattern,
-            lambda v, when, _: manifest.history_path(v, when))
 
     def _resolve(self, path: Path) -> _Stack:
         """The parsed stack at ``path``."""
@@ -1310,23 +1314,26 @@ class FieldSource:
                 self._geometries))
         return stack
 
-    def _block(self, path_at, variable: VariableId,
-               times: Sequence[datetime], leads: Sequence[int | None]
-               ) -> FieldBlock:
+    def _block(self, variable: VariableId, times: Sequence[datetime],
+               leads: Sequence[int | None], key: str, pattern: str | None,
+               init: datetime | None = None) -> FieldBlock:
         """The layers of ``variable`` valid at ascending ``times``, each
-        from the store ``path_at(variable, time, lead)`` names (see
-        :func:`_path_cache`): one read per stack. A stored variable's
-        block holds the float32 values stored; a derived one is computed
-        in float64 (see :func:`~wxverify.grid.derive_wind_speed`)."""
+        from the store the manifest's ``key``, ``pattern``, names for its
+        time, ``init`` and lead (see :meth:`RunManifest._paths`): one read
+        per stack. A stored variable's block holds the float32 values
+        stored; a derived one is computed in float64 (see
+        :func:`~wxverify.grid.derive_wind_speed`)."""
         if variable.derived:
             return derive_wind_speed(
-                self._block(path_at, VariableId.U10, times, leads),
-                self._block(path_at, VariableId.V10, times, leads))
-        parts = []
-        for path, items in groupby(zip(times, leads),
-                                   key=lambda item: path_at(variable, *item)):
-            part_times, part_leads = zip(*items)
-            parts.append(self._resolve(path).block(part_times, part_leads))
+                self._block(VariableId.U10, times, leads, key, pattern, init),
+                self._block(VariableId.V10, times, leads, key, pattern, init))
+        parts, start = [], 0
+        for path, run in groupby(self.manifest._paths(key, pattern, variable,
+                                                      times, leads, init)):
+            stop = start + sum(1 for _ in run)
+            parts.append(self._resolve(path).block(times[start:stop],
+                                                   leads[start:stop]))
+            start = stop
         if len(parts) == 1:
             return parts[0]
         first = parts[0]
@@ -1345,19 +1352,16 @@ class FieldSource:
                     ) -> FieldBlock:
         """Truth of ``variable`` at ascending ``times``; a span that
         crosses into the next truth year reads one block of each stack."""
-        return self._block(
-            _path_cache(self.manifest.truth_pattern,
-                        lambda v, when, _: self.manifest.truth_path(v, when)),
-            variable, times, [None] * len(times))
+        return self._block(variable, times, [None] * len(times),
+                           "truth_pattern", self.manifest.truth_pattern)
 
     def model_block(self, name: str, init: datetime, variable: VariableId,
                     leads: Sequence[int]) -> FieldBlock:
         """Forecast ``name`` from ``init`` at ascending lead hours."""
-        return self._block(
-            _path_cache(self.manifest.models.get(name),
-                        lambda v, when, lead: self.manifest.model_path(
-                            name, init, v, lead)),
-            variable, [init + timedelta(hours=lead) for lead in leads], leads)
+        return self._block(variable,
+                           [init + timedelta(hours=lead) for lead in leads],
+                           leads, f"models.{name}", self.manifest.models[name],
+                           init)
 
     def truth(self, variable: VariableId, when: datetime) -> GridField:
         return self.truth_block(variable, [when]).field(0)
@@ -1380,7 +1384,8 @@ class FieldSource:
             variable = VariableId.U10
         first = datetime(self.manifest.history_years[0], 1, 1,
                          tzinfo=timezone.utc)
-        store = self._resolve(self._history_path(variable, first, None)).store
+        store = self._resolve(self.manifest.history_path(variable,
+                                                         first)).store
         n_lat, n_lon = store.geometry[:2]
         day = len(SYNOPTIC_HOURS) * store.dtype.itemsize * n_lat * n_lon
         return max(1, CHUNK_BYTES // day)
@@ -1394,8 +1399,9 @@ class FieldSource:
         consecutive runs of days read every layer of the year once. One
         read per stack."""
         times = year_times(year, days)
-        return self._block(self._history_path, variable, times,
-                           [None] * len(times))
+        return self._block(variable, times, [None] * len(times),
+                           "climatology.history_pattern",
+                           self.manifest.history_pattern)
 
     def climatology(self, variable: VariableId,
                     times: Iterable[datetime] | None = None
@@ -1669,9 +1675,8 @@ def _check_manifest_files(manifest: RunManifest, require: Sequence[str]):
             and not manifest.init_times:
         raise ManifestError(f"{manifest.path}: init_times is empty; a run "
                             f"needs at least one init time")
-    # paths are formatted once for each distinct value of the keys their
-    # pattern uses, and each distinct path is checked once, in the order
-    # of the layers that name it
+    # each distinct path is checked once, in the order of the layers that
+    # name it
     checked: set[Path] = set()
 
     def check(kind: str, path: Path):
@@ -1680,23 +1685,21 @@ def _check_manifest_files(manifest: RunManifest, require: Sequence[str]):
                 raise ManifestError(f"missing {kind} file: {path}")
             checked.add(path)
 
+    times, leads = manifest.valid_times, manifest.lead_hours
     if "truth" in require:
-        truth_at = _path_cache(manifest.truth_pattern,
-                               lambda v, when, _: manifest.truth_path(v, when))
         for variable in plain:
-            for when in manifest.valid_times:
-                check("truth", truth_at(variable, when, None))
+            for path in manifest._paths("truth_pattern", manifest.truth_pattern,
+                                        variable, times, [None] * len(times)):
+                check("truth", path)
     if "models" in require:
-        for model in manifest.models:
+        for model, pattern in manifest.models.items():
             for init in manifest.init_times:
-                model_at = _path_cache(
-                    manifest.models[model],
-                    lambda v, when, lead: manifest.model_path(
-                        model, init, v, lead))
                 for variable in plain:
-                    for lead in manifest.lead_hours:
-                        check("model", model_at(
-                            variable, init + timedelta(hours=lead), lead))
+                    for path in manifest._paths(
+                            f"models.{model}", pattern, variable,
+                            [init + timedelta(hours=lead) for lead in leads],
+                            leads, init):
+                        check("model", path)
     if "history" in require:
         if manifest.history_pattern is None or not manifest.history_years:
             raise ManifestError("manifest declares no history section")

@@ -152,6 +152,9 @@ class GeoGrid:
     @classmethod
     def regular_global(cls, resolution_deg: float = 0.25) -> "GeoGrid":
         """Global grid from 90N to 90S; 0.25 deg gives the 721x1440 layout."""
+        if not resolution_deg > 0:
+            raise ValueError(f"resolution_deg must be positive, got "
+                             f"{resolution_deg!r}")
         n_lat = round(180.0 / resolution_deg) + 1
         n_lon = round(360.0 / resolution_deg)
         return cls.uniform(90.0, -resolution_deg, n_lat, 0.0, resolution_deg, n_lon)

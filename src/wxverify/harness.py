@@ -31,7 +31,7 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, replace
-from datetime import datetime, timedelta, timezone
+from datetime import MAXYEAR, MINYEAR, datetime, timedelta, timezone
 from itertools import groupby
 from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
@@ -133,9 +133,14 @@ class SyntheticScenario:
         object.__setattr__(self, "processes", dict(self.processes))
         object.__setattr__(self, "vortices", tuple(self.vortices))
         object.__setattr__(self, "episodes", tuple(self.episodes))
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.years:
             raise ValueError("scenario needs at least one year")
         for k, year in enumerate(self.years):
+            if not MINYEAR <= year <= MAXYEAR:
+                raise ValueError(f"scenario year {year} is not in "
+                                 f"{MINYEAR}..{MAXYEAR}")
             if year in self.years[:k]:
                 raise ValueError(f"scenario years list {year} more than once")
 
@@ -450,8 +455,7 @@ def scenario_from_dict(doc: dict) -> SyntheticScenario:
                 storm_id=str(v["storm_id"]),
                 start_lat=float(v["start_lat"]),
                 start_lon=float(v["start_lon"]) % 360.0,
-                start_time=datetime.fromisoformat(
-                    v["start_time"].replace("Z", "+00:00")),
+                start_time=fileio.parse_time(v["start_time"]),
                 n_steps=int(v["n_steps"]),
                 depth_pa=float(v.get("depth_pa", 3000.0)),
                 efold_km=float(v.get("efold_km", 300.0)),
@@ -476,7 +480,7 @@ def scenario_from_dict(doc: dict) -> SyntheticScenario:
             processes=processes,
             vortices=vortices,
             episodes=episodes)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InvalidHeader(f"bad scenario document: {exc}") from exc
 
 
@@ -486,7 +490,10 @@ def load_scenario(path: str | Path) -> SyntheticScenario:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidHeader(f"cannot load scenario {path}: {exc}") from exc
-    return scenario_from_dict(doc)
+    try:
+        return scenario_from_dict(doc)
+    except InvalidHeader as exc:
+        raise InvalidHeader(f"{path}: {exc}") from exc
 
 
 # --- synthetic runs on disk --------------------------------------------------
@@ -530,10 +537,10 @@ def _within(chunk: FieldBlock, lo: datetime, hi: datetime) -> FieldBlock:
                       chunk.lead_hours[a:b], chunk.values[a:b])
 
 
-def _write_truth(scenario: SyntheticScenario, out_dir: Path,
-                 truth_pattern: str, keep: set[datetime] | None) -> None:
-    """Generate truth and write one stack per (variable, year), streamed
-    a chunk of layers at a time.
+def _write_truth(scenario: SyntheticScenario, manifest: fileio.RunManifest,
+                 keep: set[datetime] | None) -> None:
+    """Generate truth and write one stack per (variable, year) at the
+    manifest's truth path, streamed a chunk of layers at a time.
 
     With ``keep``, each year's stack holds the contiguous 6-hourly span
     from the year's first to its last kept time; years without a kept
@@ -554,8 +561,8 @@ def _write_truth(scenario: SyntheticScenario, out_dir: Path,
                     year_chunks = (part for part in (_within(c, lo, hi)
                                                      for c in year_chunks)
                                    if part.valid_times)
-                fileio.write_stack(year_chunks, out_dir / truth_pattern.format(
-                    variable=variable.key, year=year))
+                fileio.write_stack(year_chunks, manifest.truth_path(
+                    variable, datetime(year, 1, 1, tzinfo=timezone.utc)))
 
 
 def _runs(times: Sequence[datetime], most: int) -> Iterator[list[datetime]]:
@@ -588,12 +595,15 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
               seed: int | None = None, inits: str | None = None,
               max_lead_hours: int = 240, models: str | None = None,
               truth_span: str = "full", stations: int = 0) -> Path:
-    """Write truth, forecasts, a manifest, any best track and ``stations``
-    stations under ``out_dir``; returns the manifest path. ``inits`` and
-    ``models`` are comma lists, as the ``synth`` options are. Bad options
-    raise before anything is written."""
+    """Write a manifest, then truth and forecasts at the paths it names,
+    any best track and ``stations`` stations under ``out_dir``; returns
+    the manifest path. ``inits`` and ``models`` are comma lists, as the
+    ``synth`` options are. A bad scenario or option raises before
+    anything is written."""
     scenario = load_scenario(scenario_path)
     if seed is not None:
+        if seed < 0:
+            raise ManifestError(f"--seed must be non-negative, got {seed}")
         scenario = replace(scenario, seed=seed)
     if max_lead_hours < 0 or max_lead_hours % 6:
         raise ManifestError(f"--max-lead-hours must be a non-negative "
@@ -620,8 +630,6 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     truth_pattern = "truth/{variable}/{year}.rbs"
-    _write_truth(scenario, out_dir, truth_pattern, keep)
-
     model_patterns = {
         name: f"models/{name}/{{init}}/{{variable}}.rbs"
         for name in sorted(model_specs)}
@@ -648,9 +656,10 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
     # keep the generating process parameters next to the outputs
     (out_dir / "scenario.json").write_bytes(Path(scenario_path).read_bytes())
 
-    # forecasts are built from the truth just written, read back through
-    # the manifest like any other run
+    # truth is written at the manifest's paths, and forecasts are built
+    # from it, read back through the manifest like any other run
     source = fileio.FieldSource(fileio.load_manifest(manifest_path, require=()))
+    _write_truth(scenario, source.manifest, keep)
     for name, (kind, param) in sorted(model_specs.items()):
         for init in init_times:
             for variable in scenario.variables:

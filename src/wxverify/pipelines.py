@@ -13,7 +13,7 @@ the paths it wrote. Each imports the modules it runs inside itself, so
 from __future__ import annotations
 
 import math
-from datetime import datetime, timedelta, timezone
+from datetime import timedelta
 from pathlib import Path
 from typing import Sequence
 
@@ -189,14 +189,13 @@ def _reduce_history(source, variable, clim_path=None, spill=None):
     Memory is one block of one year and the float64 total of the block's
     days: each block's day means are added, in year order, into the
     total, which is divided once by the number of years and written
-    before the next block of days is read. Each year's blocks must cover
-    the year once, in order, and every block must be on the grid of the
-    first.
+    before the next block of days is read. Every block must be on the
+    grid of the first.
     """
     import numpy as np
 
     from . import fileio
-    from .climatology import (DAYS_PER_YEAR, SIX_HOURS, DailyMeanClimatology,
+    from .climatology import (DAYS_PER_YEAR, DailyMeanClimatology,
                               daily_extremes_from_fields,
                               daily_means_from_fields)
     years = source.manifest.history_years
@@ -204,16 +203,9 @@ def _reduce_history(source, variable, clim_path=None, spill=None):
         raise InsufficientHistory("no history years supplied")
     grid = None
 
-    def not_whole(year):
-        return InsufficientHistory(
-            f"{variable.key} history of {year} does not hold every 6-hourly "
-            f"time of the year once, in order")
-
     def day_means():
         nonlocal grid
         per_block = source.history_days(variable)
-        # where the next block of each year must start
-        expect = [datetime(year, 1, 1, tzinfo=timezone.utc) for year in years]
         for first in range(0, DAYS_PER_YEAR, per_block):
             days = range(first, min(first + per_block, DAYS_PER_YEAR))
             for y, year in enumerate(years):
@@ -224,9 +216,6 @@ def _reduce_history(source, variable, clim_path=None, spill=None):
                     raise ManifestError(
                         f"{variable.key} history of {year} is on another "
                         f"grid than the history before it")
-                if block.valid_times[0] != expect[y]:
-                    raise not_whole(year)
-                expect[y] = block.valid_times[-1] + SIX_HOURS
                 if clim_path is not None:
                     rows, means = daily_means_from_fields(block)
                     if y == 0:
@@ -239,9 +228,6 @@ def _reduce_history(source, variable, clim_path=None, spill=None):
                 total /= len(years)
                 yield DailyMeanClimatology(grid, variable, total, years, first)
                 del total  # written before the next block's is made
-        for year, end in zip(years, expect):
-            if end != datetime(year + 1, 1, 1, tzinfo=timezone.utc):
-                raise not_whole(year)
 
     if clim_path is None:
         for _ in day_means():

@@ -197,57 +197,47 @@ def dump_scorecard(card: dict) -> bytes:
     return (json.dumps(card, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
-def write_scorecard(card: dict, path: str | Path) -> Path:
+def _write_atomic(path: str | Path, payload: bytes) -> Path:
+    """Write ``payload`` to ``path`` through a temp file and a rename, so
+    the file is either complete or absent; returns the path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    blob = dump_scorecard(card)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
+    tmp.write_bytes(payload)
     tmp.replace(path)
     return path
+
+
+def _csv(lines: list[str]) -> bytes:
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def write_scorecard(card: dict, path: str | Path) -> Path:
+    return _write_atomic(path, dump_scorecard(card))
 
 
 def write_spectrum_csv(spectrum: ZonalSpectrum, path: str | Path) -> Path:
     """Spectrum export: one (wavenumber, energy) row per line."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["k,energy"]
     for k, energy in zip(spectrum.wavenumbers, spectrum.energy):
         lines.append(f"{int(k)},{float(energy)!r}")
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-    tmp.replace(path)
-    return path
+    return _write_atomic(path, _csv(lines))
 
 
 def flatten_scorecard_csv(card: dict, out_dir: str | Path) -> list[Path]:
-    """Write one CSV per populated scorecard section; returns the paths."""
+    """Write one CSV per populated row section but spectra, its columns
+    in the order of the section's row shape; returns the paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    sections = {
-        "grid_metrics": ["model", "variable", "lead_hours", "metric", "value",
-                         "n_samples"],
-        "event_scores": ["model", "kind", "lead_days", "region", "pod", "far",
-                         "csi", "tp", "fp", "fn"],
-        "cyclone_scores": ["model", "lead_hours", "n_storms", "dpe_km",
-                           "mslp_mae_hpa", "mslp_bias_hpa", "wind_mae_ms",
-                           "wind_bias_ms"],
-        "station_scores": ["model", "variable", "lead_hours", "rmse", "bias",
-                           "acc", "n_pairs"],
-    }
-    for section, columns in sections.items():
+    for section, shape in _ROW_SHAPES.items():
         rows: Sequence[dict] = card.get(section, [])
-        if not rows:
+        if section == "spectra" or not rows:
             continue
-        lines = [",".join(columns)]
+        lines = [",".join(shape)]
         for row in rows:
-            cells = []
-            for col in columns:
-                value = row[col]
-                cells.append(repr(value) if isinstance(value, float) else str(value))
-            lines.append(",".join(cells))
-        path = out_dir / f"{section}.csv"
-        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
-        written.append(path)
+            lines.append(",".join(
+                repr(row[col]) if isinstance(row[col], float)
+                else str(row[col]) for col in shape))
+        written.append(_write_atomic(out_dir / f"{section}.csv", _csv(lines)))
     return written

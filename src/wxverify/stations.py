@@ -55,7 +55,6 @@ class QcFlag(Enum):
 
 
 _FLAG_CODE = {QcFlag.ABSENT: 0, QcFlag.RAW: 1, QcFlag.REPLACED_BY_REFERENCE: 2}
-_CODE_FLAG = {v: k for k, v in _FLAG_CODE.items()}
 
 
 def to_display_units(variable: VariableId, value: float) -> float:

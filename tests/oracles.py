@@ -413,13 +413,11 @@ def reduce_history_by_year(source, variable, means: bool, extremes: bool):
     not asked for).
 
     Each year is read through ``source`` (``history_days`` and
-    ``history``, as on a ``FieldSource``) in its blocks of days, in
-    order; its blocks must cover the year once, in order, and every block
-    must be on the grid of the first, with the engine's errors.
+    ``history``, as on a ``FieldSource``, which reads every layer of the
+    days asked for or raises) in its blocks of days, in order; every
+    block must be on the grid of the first, with the engine's errors.
     """
-    from datetime import datetime, timezone
-
-    from wxverify.climatology import (DAYS_PER_YEAR, SIX_HOURS, DailyHistory,
+    from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
                                       daily_extremes_from_fields,
                                       daily_means_from_fields)
     from wxverify.errors import InsufficientHistory, ManifestError
@@ -429,10 +427,6 @@ def reduce_history_by_year(source, variable, means: bool, extremes: bool):
     per_block = source.history_days(variable)
     grid = total = dmax = dmin = None
     for y, year in enumerate(years):
-        # each block must start where the one before it ended
-        expect = datetime(year, 1, 1, tzinfo=timezone.utc)
-        end = expect.replace(year=year + 1)
-        whole = True
         for first in range(0, DAYS_PER_YEAR, per_block):
             block = source.history(variable, year, range(
                 first, min(first + per_block, DAYS_PER_YEAR)))
@@ -448,20 +442,12 @@ def reduce_history_by_year(source, variable, means: bool, extremes: bool):
             elif block.grid != grid:
                 raise ManifestError(f"{variable.key} history of {year} is on "
                                     f"another grid than the history before it")
-            if block.valid_times[0] != expect:
-                whole = False
-                break
-            expect = block.valid_times[-1] + SIX_HOURS
             if means:
                 rows, day_means = daily_means_from_fields(block)
                 total[rows] += day_means
             if extremes:
                 rows, day_max, day_min = daily_extremes_from_fields(block)
                 dmax[y, rows], dmin[y, rows] = day_max, day_min
-        if not whole or expect != end:
-            raise InsufficientHistory(
-                f"{variable.key} history of {year} does not hold every "
-                f"6-hourly time of the year once, in order")
     if means:
         total /= len(years)
     return grid, total, DailyHistory(years, dmax, dmin) if extremes else None

@@ -692,6 +692,30 @@ class TestStreamedHistory:
         assert run_cli(*argv) == 2
         assert str(store) in capsys.readouterr().err
 
+    def test_history_stack_without_its_last_layer_is_exit_2(
+            self, extremes_run, tmp_path, capsys):
+        victim = extremes_run / "truth/t2m/2023.rbs"
+        sidecar = victim.with_name(victim.name + ".json")
+        saved = {path: path.read_bytes() for path in (victim, sidecar)}
+        doc = json.loads((extremes_run / "manifest.json").read_text())
+        doc["climatology"].update(
+            daily_mean_pattern=str(tmp_path / "out/{variable}.rbc"),
+            thresholds_path=str(tmp_path / "out/thresholds.rbt"))
+        manifest = with_manifest(extremes_run, "manifest_short.json", **doc)
+        block = read_store(victim)
+        fileio.write_stack([FieldBlock(
+            block.grid, block.variable, block.valid_times[:-1],
+            block.lead_hours[:-1], block.values[:-1])], victim)
+        capsys.readouterr()
+        try:
+            rc = run_cli("build-climatology", "--manifest", manifest)
+        finally:
+            for path, blob in saved.items():
+                path.write_bytes(blob)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{victim} holds no layer valid at 2023-12-31T18:00:00Z" in err
+
     def test_memory_is_the_accumulator_and_a_block(self, history_run):
         # a block of days of one year and the float64 total of its days:
         # the 365-day float64 total (7 MB on this 40 x 60 grid) is not
@@ -1046,6 +1070,66 @@ class TestGridFilesReadAsStacks:
         later = manifest.init_times[0] + timedelta(hours=6)
         assert f"{path} holds no layer valid at " \
                f"{fileio.format_time(later)}" in err
+
+
+def command_files(out: Path) -> dict:
+    """Every file under ``out`` by relative path, the scorecard parsed and
+    without the digest of its manifest."""
+    files = {path.relative_to(out).as_posix(): path.read_bytes()
+             for path in sorted(out.rglob("*")) if path.is_file()}
+    if "scorecard.json" in files:
+        card = json.loads(files.pop("scorecard.json"))
+        del card["provenance"]["manifest_sha256"]
+        files["scorecard.json"] = card
+    return files
+
+
+class TestManifestPaths:
+    """A command formats each distinct manifest path once, for its load
+    check and all its reads together, and one RBGRID1 file per field
+    scores as the stacks do."""
+
+    @pytest.mark.parametrize("command", ["build-climatology", "evaluate",
+                                         "extremes", "cyclones", "stations"])
+    def test_each_distinct_path_is_formatted_once(self, request, command,
+                                                  tmp_path, monkeypatch):
+        run = request.getfixturevalue(
+            {"extremes": "extremes_run", "cyclones": "cyclone_run"}.get(
+                command, "evaluate_run"))
+        formatted = []
+        real_fmt = fileio.RunManifest._fmt
+        monkeypatch.setattr(
+            fileio.RunManifest, "_fmt", lambda self, key, pattern, values:
+            formatted.append(real_fmt(self, key, pattern, values))
+            or formatted[-1])
+        outputs = []
+        for layout in ("stacks", "rbgrid1"):
+            manifest = run / "manifest.json" if layout == "stacks" \
+                else grid_layout(run)
+            out = tmp_path / layout
+            argv = [command, "--manifest", manifest]
+            if command == "build-climatology":  # written under ``out``
+                doc = json.loads(manifest.read_text())
+                doc["climatology"].update(
+                    daily_mean_pattern=str(out / "{variable}.rbc"))
+                manifest = with_manifest(run, f"manifest_{layout}_out.json",
+                                         **doc)
+                argv[-1] = manifest
+            else:
+                argv += ["--out", out]
+            if command == "extremes":
+                argv += ["--lead-days", "1,2"]
+            if command == "cyclones":
+                argv += ["--besttrack", run / "besttrack.csv"]
+            if command == "stations":
+                argv += ["--station-meta", run / "stations_meta.csv",
+                         "--station-obs", run / "stations_obs.csv"]
+            formatted.clear()
+            assert run_cli(*argv) == 0
+            assert formatted
+            assert len(formatted) == len(set(formatted)), layout
+            outputs.append(command_files(out))
+        assert outputs[0] == outputs[1]
 
 
 class TestEmptyInitTimes:
@@ -1537,6 +1621,30 @@ class TestSynthOptions:
         assert expected in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("change, argv, named", [
+        ({"processes": []}, [], "scenario"),
+        ({"vortices": [dict(CYCLONE_SCENARIO["vortices"][0],
+                            start_time=20250701)]}, [], "scenario"),
+        ({"years": [0]}, [], "scenario"),
+        ({"years": [10000]}, [], "scenario"),
+        ({"grid": {"resolution_deg": 0}}, [], "scenario"),
+        ({"seed": -1}, [], "scenario"),
+        ({}, ["--seed", "-1"], "--seed"),
+    ], ids=["processes-list", "vortex-time-number", "year-0", "year-10000",
+            "resolution-0", "negative-seed", "negative-seed-flag"])
+    def test_bad_input_is_exit_2_before_anything_is_written(
+            self, change, argv, named, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(EVALUATE_SCENARIO, **change)))
+        out = tmp_path / "run"
+        rc = run_cli("synth", "--scenario", scenario, "--out", out,
+                     "--inits", "2025-07-01T00:00:00Z",
+                     "--max-lead-hours", "12", "--models", "perfect", *argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert (str(scenario) if named == "scenario" else named) in err
+        assert not out.exists()
+
     def test_every_grid_point_may_be_a_station(self, tmp_path):
         scenario = tmp_path / "scenario.json"
         scenario.write_text(json.dumps(EVALUATE_SCENARIO))
@@ -1625,35 +1733,69 @@ class TestSourceTree:
         "report.scorecard_schema",
         # the console-script entry point
         "cli.main",
+        # named in src only by annotations; tests and oracles build
+        # in-memory histories
+        "climatology.DailyHistory",
     }
 
-    def test_every_public_name_is_referenced_elsewhere_in_src(self):
+    @staticmethod
+    def definitions_and_uses():
+        """The public and the private module-level definitions of ``src``
+        ("module.name" or "module.Class.method" -> its node), and a
+        predicate: whether a definition's name is used outside it, where
+        a use inside an annotation does not count. A module-level name is
+        used as a bare name or as an attribute of a module
+        (``fileio.read_grid``); a method as any attribute, as the type of
+        the object is not known here."""
         import ast
         src = Path(wxverify.__file__).parent
+        paths = sorted(src.glob("*.py"))
         trees = [ast.parse(path.read_text(encoding="utf-8"))
-                 for path in sorted(src.glob("*.py"))]
-        public = {}  # "module.name" or "module.Class.method" -> def node
-        for path, tree in zip(sorted(src.glob("*.py")), trees):
+                 for path in paths]
+        public, private = {}, {}
+        for path, tree in zip(paths, trees):
             for node in tree.body:
-                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names = [node.name]
+                else:  # an assignment counts when its name is private
+                    names = [target.id
+                             for target in getattr(node, "targets", [])
+                             if isinstance(target, ast.Name)
+                             and target.id.startswith("_")]
+                for name in names:
+                    if not name.startswith("__"):
+                        kind = private if name.startswith("_") else public
+                        kind[f"{path.stem}.{name}"] = node
+                if not isinstance(node, ast.ClassDef) \
                         or node.name.startswith("_"):
                     continue
-                public[f"{path.stem}.{node.name}"] = node
-                if isinstance(node, ast.ClassDef):
-                    public.update(
-                        (f"{path.stem}.{node.name}.{item.name}", item)
-                        for item in node.body
-                        if isinstance(item, ast.FunctionDef)
-                        and not item.name.startswith("_"))
-        assert self.UNREFERENCED <= set(public)
-        # A module-level name is used as a bare name or as an attribute of
-        # a module (``fileio.read_grid``); a method as any attribute, as
-        # the type of the object is not known here.
-        modules = {path.stem for path in src.glob("*.py")}
+                public.update(
+                    (f"{path.stem}.{node.name}.{item.name}", item)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_"))
+        annotations = set()
+        for tree in trees:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    args = node.args
+                    notes = [arg.annotation for arg in (
+                        *args.posonlyargs, *args.args, *args.kwonlyargs,
+                        args.vararg, args.kwarg) if arg is not None]
+                    notes.append(node.returns)
+                elif isinstance(node, ast.AnnAssign):
+                    notes = [node.annotation]
+                else:
+                    continue
+                annotations.update(id(inner) for note in notes
+                                   if note is not None
+                                   for inner in ast.walk(note))
+        modules = {path.stem for path in paths}
         uses: dict[tuple[str, bool], list] = {}  # (name, is method) -> nodes
         for tree in trees:
             for node in ast.walk(tree):
-                if not isinstance(getattr(node, "ctx", None), ast.Load):
+                if not isinstance(getattr(node, "ctx", None), ast.Load) \
+                        or id(node) in annotations:
                     continue
                 if isinstance(node, ast.Name):
                     uses.setdefault((node.id, False), []).append(node)
@@ -1666,9 +1808,21 @@ class TestSourceTree:
             inside = {id(node) for node in ast.walk(definition)}
             method = name.count(".") == 2
             return any(id(node) not in inside
-                       for node in uses.get((definition.name, method), []))
+                       for node in uses.get((name.rsplit(".", 1)[1], method),
+                                            []))
+        return public, private, used_outside
 
+    def test_every_public_name_is_referenced_elsewhere_in_src(self):
+        public, _, used_outside = self.definitions_and_uses()
+        assert self.UNREFERENCED <= set(public)
         unused = sorted(name for name, definition in public.items()
                         if name not in self.UNREFERENCED
                         and not used_outside(name, definition))
+        assert unused == []
+
+    def test_every_private_module_name_is_referenced_in_src(self):
+        _, private, used_outside = self.definitions_and_uses()
+        assert "fileio._atomic_write_bytes" in private
+        unused = sorted(name for name, definition in private.items()
+                        if not used_outside(name, definition))
         assert unused == []

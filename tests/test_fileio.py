@@ -814,6 +814,38 @@ class TestManifest:
         assert len(exists_calls) == len(set(exists_calls)) == 6 + 3
         assert exists_calls[-1] == first
 
+    @pytest.mark.parametrize("section, require, key", [
+        ("truth_pattern", "truth", "truth_pattern"),
+        ("models", "models", "models.m"),
+        ("daily_mean_pattern", "climatology",
+         "climatology.daily_mean_pattern"),
+        ("history_pattern", "history", "climatology.history_pattern")])
+    @pytest.mark.parametrize("pattern, why", [
+        ("{foo}", "'foo'"), ("x/{0}", "Format string contains positional"),
+        ("{variable.x}", "'str' object has no attribute 'x'"),
+        ("{variable", "expected '}' before end of string")])
+    def test_bad_pattern_is_named_with_its_key(self, tmp_path, section,
+                                               require, key, pattern, why):
+        doc = {"variables": ["t2m"], "init_times": [fileio.format_time(T0)],
+               "max_lead_hours": 6, "truth_pattern": "t/{variable}.rbs",
+               "models": {"m": "m/{variable}.rbs"},
+               "climatology": {"daily_mean_pattern": "c/{variable}.rbc",
+                               "history_pattern": "t/{variable}.rbs",
+                               "history_years": [T0.year]}}
+        if section == "models":
+            doc["models"] = {"m": pattern}
+        elif section == "truth_pattern":
+            doc["truth_pattern"] = pattern
+        else:
+            doc["climatology"][section] = pattern
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError) as err:
+            fileio.load_manifest(path, require=(require,))
+        assert str(err.value).startswith(
+            f"{path}: bad {key} pattern {pattern!r}: ")
+        assert why in str(err.value)
+
     def test_directory_as_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.mkdir()
@@ -1341,7 +1373,9 @@ class TestStacks:
                             lambda self, key, pattern, keys: formatted.append(
                                 key) or real_fmt(self, key, pattern, keys))
         monkeypatch.setattr(fileio, "CHUNK_BYTES", 1)  # a block a day
-        source = fileio.FieldSource(manifest)
+        # a manifest loaded afresh has formatted no path yet
+        source = fileio.FieldSource(fileio.load_manifest(manifest.path,
+                                                         require=()))
         assert source.history_days(VariableId.T2M) == 1
         for day in range(DAYS_PER_YEAR):
             source.history(VariableId.T2M, T0.year, range(day, day + 1))

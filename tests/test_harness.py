@@ -20,8 +20,9 @@ from wxverify.extremes import (EventKind, label_event_runs,
 from wxverify.grid import FieldBlock, GeoGrid, VariableId
 from wxverify.harness import (PlantedEpisode, SyntheticScenario, VariableProcess,
                               VortexSpec, load_scenario, make_besttrack,
-                              persistence_forecast, seasonal_value,
-                              smoothed_forecast, smoothing_width, year_times)
+                              persistence_forecast, scenario_from_dict,
+                              seasonal_value, smoothed_forecast,
+                              smoothing_width, year_times)
 from wxverify.spectra import midlatitude_spectrum
 
 
@@ -425,6 +426,19 @@ class TestScenarioJson:
         assert sc.years == (2024, 2025)
         assert sc.grid.n_lat == 7
         assert sc.episodes[0].kind is EventKind.HEATWAVE
+
+    @pytest.mark.parametrize("start_time", ["2025-07-01T00:00:00",
+                                            "2025-07-01T02:00:00+02:00"])
+    def test_vortex_time_without_zone_is_utc(self, start_time):
+        # as in manifests; an explicit offset names the same instant
+        doc = {"seed": 1, "grid": {"resolution_deg": 30.0}, "years": [2025],
+               "processes": {"msl": {"base": 101000.0}},
+               "vortices": [{"storm_id": "S", "start_lat": 20.0,
+                             "start_lon": 150.0, "start_time": start_time,
+                             "n_steps": 4}]}
+        (vortex,) = scenario_from_dict(doc).vortices
+        assert vortex.start_time == datetime(2025, 7, 1, tzinfo=timezone.utc)
+        assert vortex.start_time.tzinfo is timezone.utc
 
     def test_year_times_counts(self):
         assert len(year_times(2025)) == 365 * 4
