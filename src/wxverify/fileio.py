@@ -12,8 +12,10 @@ read, and checked against the valid time and lead asked for, by the same
 code. Uniform grids only; orientation is normalized to north-to-south
 rows and [0, 360) eastward columns on read. Threshold and climatology payloads
 carry a 365-deep day axis (climatology payloads are float64 so that
-through-disk evaluation stays bit-identical to in-memory evaluation).
-Climatologies carry one CRC-32 per day, so a run reads only its days.
+through-disk evaluation stays bit-identical to in-memory evaluation),
+with one CRC-32 per day layer, so a run reads only its days. Thresholds
+are written a chunk of locations at a time as they are built
+(:func:`write_thresholds`).
 
 A :class:`RunManifest` formats each distinct path its patterns name
 once, and keeps it: its load check, every read of a :class:`FieldSource`
@@ -59,8 +61,8 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from .climatology import (DAYS_PER_YEAR, SYNOPTIC_HOURS, DailyMeanClimatology,
-                          ThresholdField, calendar_day_index, day_span,
-                          threshold_chunk, year_times)
+                          ThresholdBuild, ThresholdField, calendar_day_index,
+                          day_span, threshold_chunk, year_times)
 from .errors import (ChecksumMismatch, DuplicateObservation, GridMismatch,
                      HeaderPayloadShapeMismatch, InvalidHeader, ManifestError,
                      NonFiniteValue, NonMonotoneTime, NonUniformGrid,
@@ -234,6 +236,18 @@ def _stored_step(axis: np.ndarray, single: float) -> float:
     return float(axis[1] - axis[0])
 
 
+def _geometry(grid: GeoGrid) -> dict:
+    """The sidecar keys of a uniform ``grid``; any other raises
+    :class:`NonUniformGrid`."""
+    if not grid.is_uniform():
+        raise NonUniformGrid("file format stores uniformly spaced grids only")
+    return dict(n_lat=grid.n_lat, n_lon=grid.n_lon,
+                lat_start=float(grid.lat_deg[0]),
+                lat_step=_stored_step(grid.lat_deg, -1.0),
+                lon_start=float(grid.lon_deg[0]),
+                lon_step=_stored_step(grid.lon_deg, 1.0))
+
+
 def _write_store(path: Path, magic: str, grid: GeoGrid, chunks, dtype: str,
                  extra: dict, per_layer: bool = False) -> Path:
     """Stream ``chunks`` over ``grid`` to a payload, then write a sidecar.
@@ -245,10 +259,7 @@ def _write_store(path: Path, magic: str, grid: GeoGrid, chunks, dtype: str,
     the whole payload (``checksum``) or, with ``per_layer``, one per layer
     (``checksums``, with ``n_layers``).
     """
-    if not grid.is_uniform():
-        raise NonUniformGrid("file format stores uniformly spaced grids only")
-    lat_step = _stored_step(grid.lat_deg, -1.0)
-    lon_step = _stored_step(grid.lon_deg, 1.0)
+    geometry = _geometry(grid)
     layer_bytes = _DTYPES[dtype].itemsize * grid.n_lat * grid.n_lon
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
@@ -269,15 +280,18 @@ def _write_store(path: Path, magic: str, grid: GeoGrid, chunks, dtype: str,
     except BaseException:
         tmp.unlink(missing_ok=True)  # a store is either complete or absent
         raise
-    os.replace(tmp, path)
-    header = dict(extra, magic=magic, dtype=dtype,
-                  n_lat=grid.n_lat, n_lon=grid.n_lon,
-                  lat_start=float(grid.lat_deg[0]), lat_step=lat_step,
-                  lon_start=float(grid.lon_deg[0]), lon_step=lon_step)
     if per_layer:
-        header.update(n_layers=len(checksums), checksums=checksums)
+        crcs = dict(n_layers=len(checksums), checksums=checksums)
     else:
-        header["checksum"] = crc
+        crcs = dict(checksum=crc)
+    return _finish_store(tmp, path, dict(extra, magic=magic, dtype=dtype,
+                                         **geometry, **crcs))
+
+
+def _finish_store(tmp: Path, path: Path, header: dict) -> Path:
+    """Move the complete payload ``tmp`` to ``path`` and write its
+    sidecar."""
+    os.replace(tmp, path)
     _atomic_write_bytes(_sidecar_path(path), _canonical_json(header))
     return path
 
@@ -555,43 +569,132 @@ class _Stack:
                           layer_leads, values)
 
 
-def write_thresholds(thresholds: ThresholdField, grid: GeoGrid,
-                     path: str | os.PathLike) -> Path:
+#: Bytes of each write of a threshold payload: the columns of one day
+#: layer that a group of locations holds (see :func:`write_thresholds`).
+#: The group holds 730 such rows, so this trades the writer's memory
+#: (2.9 MiB at a page a row) against the count of writes (one a row).
+THRESHOLD_WRITE_BYTES = 4096
+
+
+def write_thresholds(thresholds: ThresholdField | ThresholdBuild,
+                     grid: GeoGrid, path: str | os.PathLike) -> Path:
     """Persist heat/cold thresholds with a 365-deep day axis (f32le): the
-    heat thresholds, then the cold ones, converted and written as many
-    days at a time as :data:`CHUNK_BYTES` of them holds."""
-    if thresholds.n_locations != grid.n_lat * grid.n_lon:
+    heat thresholds of each calendar day, then the cold ones, with one
+    CRC-32 per day layer, so that a run reads only its days.
+
+    ``thresholds`` is a :class:`ThresholdField` of all 365 days, or a
+    :class:`ThresholdBuild`, whose chunks of locations are computed as
+    they are written. The float32 thresholds of the chunks fill a group
+    of :data:`THRESHOLD_WRITE_BYTES` worth of locations; each full group
+    goes to its columns of every layer of a preallocated temporary
+    payload, one ``os.pwrite`` a layer, so a write holds one group and
+    never a whole layer of the year. The CRC-32 of each layer runs over
+    its groups in location order. The payload is renamed into place once
+    complete; a build that fails leaves no file behind.
+    """
+    path = Path(path)
+    n_loc = grid.n_lat * grid.n_lon
+    if thresholds.n_locations != n_loc:
         raise ValueError("threshold location axis does not match grid size")
-    days = max(1, CHUNK_BYTES // (8 * thresholds.n_locations))
-    return _write_store(
-        Path(path), THRESH_MAGIC, grid,
-        (tau[day:day + days]
-         for tau in (thresholds.tau_heat, thresholds.tau_cold)
-         for day in range(0, DAYS_PER_YEAR, days)), "f32le", {
-            "n_days": DAYS_PER_YEAR,
-            "years": list(thresholds.years),
-            "half_window": thresholds.half_window,
-            "q_heat": thresholds.q_heat,
-            "q_cold": thresholds.q_cold,
-            "percentile_method": "linear",
-        })
+    geometry = _geometry(grid)
+    dtype = _DTYPES["f32le"]
+    width = min(n_loc, max(1, THRESHOLD_WRITE_BYTES // dtype.itemsize))
+    group = np.empty((2, DAYS_PER_YEAR, width), dtype)
+    layers = group.reshape(2 * DAYS_PER_YEAR, width)
+    checksums = [0] * len(layers)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+
+    def write_group(fd: int, first: int, count: int):
+        for k, layer in enumerate(layers[:, :count]):
+            checksums[k] = zlib.crc32(layer, checksums[k])
+            if os.pwrite(fd, layer, (k * n_loc + first) * dtype.itemsize) \
+                    != layer.nbytes:
+                raise OSError(f"{tmp}: short write")
+
+    try:
+        with open(tmp, "wb") as fh:
+            fd = fh.fileno()
+            os.ftruncate(fd, len(layers) * n_loc * dtype.itemsize)
+            held = 0  # locations in the group, which starts at done - held
+            done = 0
+            # chunks follow on from location 0 to the last
+            for start, stop, heat, cold in thresholds.chunks():
+                while done < stop:
+                    take = min(stop - done, width - held)
+                    cols = slice(done - start, done - start + take)
+                    group[0, :, held:held + take] = heat[:, cols]
+                    group[1, :, held:held + take] = cold[:, cols]
+                    held += take
+                    done += take
+                    if held == width or done == n_loc:
+                        write_group(fd, done - held, held)
+                        held = 0
+    except BaseException:
+        tmp.unlink(missing_ok=True)  # a store is either complete or absent
+        raise
+    return _finish_store(tmp, path, dict(
+        magic=THRESH_MAGIC, dtype="f32le", **geometry,
+        n_layers=len(checksums), checksums=checksums,
+        n_days=DAYS_PER_YEAR,
+        years=list(thresholds.years),
+        half_window=thresholds.half_window,
+        q_heat=thresholds.q_heat,
+        q_cold=thresholds.q_cold,
+        percentile_method="linear"))
 
 
-def read_thresholds(path: str | os.PathLike, geometries: dict | None = None
+def _read_days(store: _Store, first: int, n_days: int
+               ) -> tuple[GeoGrid, list[np.ndarray]]:
+    """The grid, and the ``(n_days, n_lat, n_lon)`` layers of the run of
+    ``n_days`` calendar days from ``first`` (see
+    :func:`~wxverify.climatology.day_span`) of each 365-day axis that
+    ``store`` stacks: one read of each axis's run, or two when the run
+    crosses Dec 31, each checking the CRC-32 of every day it reads. All
+    365 days, and any days of a legacy store with one ``checksum`` over
+    the whole payload, are one read of the whole payload."""
+    n_axes = store.n_layers // DAYS_PER_YEAR
+    if n_days == DAYS_PER_YEAR or len(store.checksums) == 1:
+        grid, layers = store.read(0, store.n_layers)
+        axes = layers.reshape(n_axes, DAYS_PER_YEAR, *layers.shape[1:])
+        if n_days < DAYS_PER_YEAR:
+            axes = axes[:, (first + np.arange(n_days)) % DAYS_PER_YEAR]
+        return grid, list(axes)
+    head = min(n_days, DAYS_PER_YEAR - first)
+    out = []
+    for axis in range(0, store.n_layers, DAYS_PER_YEAR):
+        grid, layers = store.read(axis + first, head)
+        if head < n_days:
+            layers = np.concatenate([layers,
+                                     store.read(axis, n_days - head)[1]])
+        out.append(layers)
+    return grid, out
+
+
+def read_thresholds(path: str | os.PathLike, geometries: dict | None = None,
+                    days: Iterable[int] | None = None
                     ) -> tuple[ThresholdField, GeoGrid]:
     """Thresholds written by :func:`write_thresholds` and their grid; the
-    location axis is the row-major flattening of that grid."""
+    location axis is the row-major flattening of that grid.
+
+    Without ``days`` every calendar day is read. With them, only the
+    shortest run of consecutive calendar days that holds them (see
+    :func:`_read_days`), and finiteness and heat >= cold are checked on
+    the days read.
+    """
     path = Path(path)
     header = _load_sidecar(path, THRESH_MAGIC)
-    n_layers = _day_layers(header, path, 2)
-    grid, layers = _parse_store(path, header, "f32le", n_layers,
-                                geometries).read(0, n_layers)
-    heat, cold = layers.reshape(2, DAYS_PER_YEAR, grid.n_lat * grid.n_lon)
-    thresholds = _build(path, ThresholdField, heat, cold,
+    store = _parse_store(path, header, "f32le", _day_layers(header, path, 2),
+                         geometries)
+    first, n_days = (0, DAYS_PER_YEAR) if days is None else day_span(days)
+    grid, (heat, cold) = _read_days(store, first, n_days)
+    n_loc = grid.n_lat * grid.n_lon
+    thresholds = _build(path, ThresholdField, heat.reshape(n_days, n_loc),
+                        cold.reshape(n_days, n_loc),
                         tuple(_header_value(header, "years", list, path)),
                         _header_value(header, "half_window", int, path),
                         _header_value(header, "q_heat", float, path),
-                        _header_value(header, "q_cold", float, path))
+                        _header_value(header, "q_cold", float, path), first)
     return thresholds, grid
 
 
@@ -657,10 +760,7 @@ def read_daily_climatology(path: str | os.PathLike,
                          geometries)
     first, n_days = (0, DAYS_PER_YEAR) if times is None \
         else day_span(calendar_day_index(when) for when in times)
-    head = min(n_days, DAYS_PER_YEAR - first)
-    grid, layers = store.read(first, head)
-    if head < n_days:
-        layers = np.concatenate([layers, store.read(0, n_days - head)[1]])
+    grid, (layers,) = _read_days(store, first, n_days)
     return _build(path, DailyMeanClimatology, grid,
                   _header_variable(header, path), layers,
                   tuple(_header_value(header, "years", list, path)), first)
@@ -1416,19 +1516,22 @@ class FieldSource:
                                                          variable),
                                       self._geometries, times)
 
-    def thresholds(self) -> tuple[ThresholdField, GeoGrid] | None:
-        """Stored extreme thresholds and their grid; None when the manifest
-        names no thresholds file or it has not been built."""
+    def thresholds(self, days: Iterable[int] | None = None
+                   ) -> tuple[ThresholdField, GeoGrid] | None:
+        """Stored extreme thresholds of the calendar ``days`` (every day
+        without them; see :func:`read_thresholds`) and their grid; None
+        when the manifest names no thresholds file or it has not been
+        built."""
         path = self.manifest.thresholds_file
         if path is None or not path.exists():
             return None
-        return read_thresholds(path, self._geometries)
+        return read_thresholds(path, self._geometries, days)
 
 
 class SpilledHistory:
     """The daily max and min of a run's history years, spilled to disk as
     a build reduces them (:meth:`write`), and read back by
-    :func:`~wxverify.climatology.build_thresholds` a chunk of locations
+    :class:`~wxverify.climatology.ThresholdBuild` a chunk of locations
     at a time (:meth:`chunk`, as a
     :class:`~wxverify.climatology.DailyHistory` is).
 
@@ -1451,13 +1554,14 @@ class SpilledHistory:
         self.directory = Path(directory)
         self.years = tuple(years)
         self._file = None
-        self._held = None  # (chunk index, its slab) of the last read
+        self._slab = None  # the buffer of the last chunk of the file read
+        self._held = None  # and that chunk's index
 
     def __enter__(self) -> "SpilledHistory":
         return self
 
     def __exit__(self, *exc_info):
-        self._held = None
+        self._slab = self._held = None
         if self._file is not None:
             self._file.close()
 
@@ -1506,20 +1610,25 @@ class SpilledHistory:
     def chunk(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
         """The ``(n_years, 365, stop - start)`` daily max and min of
         locations ``start .. stop``: one read for each chunk of the file
-        they fall in. The last chunk read is kept, so the kernel chunks
-        of one chunk of the file take one read between them."""
+        they fall in, into one buffer kept from call to call. The last
+        chunk read is kept, so the kernel chunks of one chunk of the file
+        take one read between them; locations of one chunk of the file
+        are views of the buffer, which hold until the next call."""
+        chunks = range(start // self.step, (stop - 1) // self.step + 1)
         parts = []
-        for chunk in range(start // self.step, (stop - 1) // self.step + 1):
-            if self._held is None or self._held[0] != chunk:
-                slab = np.empty((len(self.years), DAYS_PER_YEAR, 2,
-                                 self.step), self.dtype)
+        for chunk in chunks:
+            if self._held != chunk:
+                if self._slab is None:
+                    self._slab = np.empty((len(self.years), DAYS_PER_YEAR, 2,
+                                           self.step), self.dtype)
                 self._file.seek(self._offset(chunk, 0, 0))
-                if self._file.readinto(slab) != slab.nbytes:
+                if self._file.readinto(self._slab) != self._slab.nbytes:
                     raise WxVerifyError(f"{self.directory}: the spilled daily "
                                         f"extremes of the history are short")
-                self._held = chunk, slab
+                self._held = chunk
             at = chunk * self.step
-            parts.append(self._held[1][..., max(start - at, 0):stop - at])
+            part = self._slab[..., max(start - at, 0):stop - at]
+            parts.append(part if len(chunks) == 1 else part.copy())
         slab = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
         return slab[:, :, 0], slab[:, :, 1]
 

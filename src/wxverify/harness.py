@@ -430,9 +430,36 @@ def smoothed_forecast(init: GridField, leads: Sequence[int],
 
 # --- scenario JSON -----------------------------------------------------------
 
+#: The JSON name of each type a parsed document holds.
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string",
+               int: "a number", float: "a number", bool: "a boolean",
+               type(None): "null"}
+
+
+def _typed(value, kind: type, name: str):
+    """``value``, which must be a JSON object (``kind`` dict) or array
+    (list); a value of another type raises :class:`InvalidHeader` naming
+    it as ``name``."""
+    if not isinstance(value, kind):
+        raise InvalidHeader(
+            f"bad scenario document: {name} must be {_JSON_TYPES[kind]}, "
+            f"not {_JSON_TYPES.get(type(value), type(value).__name__)}")
+    return value
+
+
+def _objects(doc: dict, key: str) -> list[dict]:
+    """The objects of the array ``doc[key]``, none when it is absent."""
+    return [_typed(entry, dict, f"{key}[{i}]") for i, entry in
+            enumerate(_typed(doc.get(key, []), list, key))]
+
+
 def scenario_from_dict(doc: dict) -> SyntheticScenario:
+    """A scenario from its parsed JSON document. A missing key, a section
+    of the wrong JSON type or a bad value raises :class:`InvalidHeader`
+    naming it."""
+    _typed(doc, dict, "the document")
     try:
-        grid_doc = doc["grid"]
+        grid_doc = _typed(doc["grid"], dict, "grid")
         if "resolution_deg" in grid_doc:
             grid = GeoGrid.regular_global(float(grid_doc["resolution_deg"]))
         else:
@@ -441,7 +468,8 @@ def scenario_from_dict(doc: dict) -> SyntheticScenario:
                 int(grid_doc["n_lat"]), float(grid_doc["lon_start"]),
                 float(grid_doc["lon_step"]), int(grid_doc["n_lon"]))
         processes = {}
-        for key, p in doc["processes"].items():
+        for key, p in _typed(doc["processes"], dict, "processes").items():
+            p = _typed(p, dict, f"processes.{key}")
             processes[VariableId.from_key(key)] = VariableProcess(
                 base=float(p["base"]),
                 seasonal_amp=float(p.get("seasonal_amp", 0.0)),
@@ -462,7 +490,7 @@ def scenario_from_dict(doc: dict) -> SyntheticScenario:
                 u_ms=float(v.get("u_ms", 0.0)),
                 v_ms=float(v.get("v_ms", 0.0)),
                 max_wind_ms=float(v.get("max_wind_ms", 40.0)))
-            for v in doc.get("vortices", []))
+            for v in _objects(doc, "vortices"))
         episodes = tuple(
             PlantedEpisode(
                 kind=EventKind(e["kind"]),
@@ -472,11 +500,11 @@ def scenario_from_dict(doc: dict) -> SyntheticScenario:
                 start_day=int(e["start_day"]),
                 n_days=int(e["n_days"]),
                 amplitude_k=float(e["amplitude_k"]))
-            for e in doc.get("episodes", []))
+            for e in _objects(doc, "episodes"))
         return SyntheticScenario(
             seed=int(doc["seed"]),
             grid=grid,
-            years=tuple(int(y) for y in doc["years"]),
+            years=tuple(int(y) for y in _typed(doc["years"], list, "years")),
             processes=processes,
             vortices=vortices,
             episodes=episodes)

@@ -241,13 +241,15 @@ def build_climatology(manifest_path) -> list[Path]:
     """Write the daily-mean climatology of each stored variable, and the
     T2M extreme thresholds where the manifest names a thresholds path;
     returns the paths written, in order. The history is streamed a block
-    of whole days at a time (see :func:`_reduce_history`), and the daily
+    of whole days at a time (see :func:`_reduce_history`), the daily
     extremes for the thresholds are spilled to a scratch file next to
-    the thresholds file."""
+    the thresholds file, and the thresholds are written a chunk of
+    locations at a time as they are computed from it (see
+    :func:`~wxverify.fileio.write_thresholds`)."""
     from contextlib import nullcontext
 
     from . import fileio
-    from .climatology import build_thresholds
+    from .climatology import ThresholdBuild
     from .grid import VariableId
     manifest = fileio.load_manifest(manifest_path, require=("history",))
     if manifest.climatology_pattern is None:
@@ -266,10 +268,8 @@ def build_climatology(manifest_path) -> list[Path]:
             grid = _reduce_history(source, variable, clim_path, spill)
             written.append(clim_path)
             if with_thresholds:
-                thresholds = build_thresholds(spill)
-        if with_thresholds:
-            written.append(fileio.write_thresholds(
-                thresholds, grid, manifest.thresholds_file))
+                written.append(fileio.write_thresholds(
+                    ThresholdBuild(spill), grid, manifest.thresholds_file))
     return written
 
 
@@ -324,8 +324,14 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
         raise ManifestError("extremes evaluation expects 00Z init times")
     source = fileio.FieldSource(manifest)
 
+    # the calendar days at lead d: date(init) + (d - 1); only their run of
+    # days is read from the thresholds, or kept of those built
+    days_of = {d: [init + timedelta(days=d - 1) for init in manifest.init_times]
+               for d in lead_days}
+    calendar_days = [calendar_day_index(day) for days in days_of.values()
+                     for day in days]
     thresholds_sha = None
-    stored = source.thresholds()
+    stored = source.thresholds(calendar_days)
     if stored is not None:
         thresholds, tgrid = stored
         thresholds_sha = fileio.file_sha256(manifest.thresholds_file)
@@ -333,14 +339,10 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
         # the daily extremes are spilled next to the outputs
         with fileio.SpilledHistory(out_dir, manifest.history_years) as history:
             tgrid = _reduce_history(source, VariableId.T2M, spill=history)
-            thresholds = build_thresholds(history)
+            thresholds = build_thresholds(history, days=calendar_days)
     else:
         raise ManifestError(
             "extremes needs thresholds_path or a history section to build from")
-
-    first_truth = source.truth(VariableId.T2M, manifest.init_times[0])
-    if first_truth.grid != tgrid:
-        raise ManifestError("threshold grid does not match the truth grid")
 
     card = new_scorecard("extremes", manifest.sha256,
                          thresholds_sha256=thresholds_sha, gamma=gamma)
@@ -351,15 +353,16 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
         for region, box in sorted(manifest.regions.items())]
 
     # Thresholds and truth events do not depend on the model: label the
-    # truth once per lead day. Calendar days at lead d: date(init) + (d - 1).
+    # truth once per lead day
     per_day = {}  # lead day -> ({kind: thresholds}, {kind: truth segments})
-    for d in lead_days:
-        days = [init + timedelta(days=d - 1) for init in manifest.init_times]
-        day_indices = [calendar_day_index(day) for day in days]
-        tau = {EventKind.HEATWAVE: thresholds.tau_heat[day_indices, :],
-               EventKind.COLDSURGE: thresholds.tau_cold[day_indices, :]}
+    for d, days in days_of.items():
         truth_days = [source.truth_block(VariableId.T2M, [
             day + timedelta(hours=h) for h in SYNOPTIC_HOURS]) for day in days]
+        if any(block.grid != tgrid for block in truth_days):
+            raise ManifestError("threshold grid does not match the truth grid")
+        rows = thresholds.rows([calendar_day_index(day) for day in days])
+        tau = {EventKind.HEATWAVE: thresholds.tau_heat[rows],
+               EventKind.COLDSURGE: thresholds.tau_cold[rows]}
         truth = {kind: segments_by_location(label_event_runs(
                      _day_extremes(truth_days, kind), tau[kind], kind), kind)
                  for kind in kinds}

@@ -484,6 +484,115 @@ class TestExtremes:
         assert rc == 2
 
 
+def thresholds_copy(run, tmp_path):
+    """A copy of the run's thresholds file and sidecar in ``tmp_path``,
+    and a manifest of the run that names it."""
+    doc = json.loads((run / "manifest.json").read_text())
+    source = run / doc["climatology"]["thresholds_path"]
+    path = tmp_path / "thresholds.rbt"
+    for suffix in ("", ".json"):
+        Path(f"{path}{suffix}").write_bytes(
+            Path(f"{source}{suffix}").read_bytes())
+    clim = dict(doc["climatology"], thresholds_path=str(path))
+    return path, with_manifest(run, f"manifest_{tmp_path.name}.json",
+                               climatology=clim)
+
+
+class TestThresholdsByDay:
+    """``extremes`` reads only the run of calendar days its lead days fall
+    on from the thresholds, each day layer checked by its own CRC-32."""
+
+    @staticmethod
+    def span(manifest_path, lead_days):
+        manifest = fileio.load_manifest(manifest_path)
+        return day_span(calendar_day_index(init + timedelta(days=d - 1))
+                        for init in manifest.init_times for d in lead_days)
+
+    def test_reads_only_the_days_of_its_lead_days(self, extremes_run,
+                                                  tmp_path, monkeypatch,
+                                                  store_reads):
+        manifest = extremes_run / "manifest.json"
+        path = fileio.load_manifest(manifest).thresholds_file
+        argv = ["extremes", "--manifest", manifest, "--lead-days", "1,3"]
+        assert run_cli(*argv, "--out", tmp_path / "days") == 0
+        first, n_days = self.span(manifest, (1, 3))
+        assert (first, n_days) == (197, 10)  # Jul 17 .. 26
+        assert [read for read in store_reads if read[0] == path] == \
+            [(path, first, n_days), (path, 365 + first, n_days)]
+        full = fileio.FieldSource.thresholds
+        monkeypatch.setattr(fileio.FieldSource, "thresholds",
+                            lambda source, days=None: full(source))
+        assert run_cli(*argv, "--out", tmp_path / "whole") == 0
+        whole = sorted((tmp_path / "whole").rglob("*"))
+        assert [p.relative_to(tmp_path / "whole") for p in whole] == \
+            [p.relative_to(tmp_path / "days")
+             for p in sorted((tmp_path / "days").rglob("*"))]
+        for p in whole:
+            if p.is_file():
+                assert p.read_bytes() == (
+                    tmp_path / "days" / p.relative_to(tmp_path / "whole")
+                ).read_bytes()
+
+    @pytest.mark.parametrize("layer, inside", [
+        (197, True), (365 + 206, True), (196, False), (365 + 207, False)])
+    def test_a_corrupt_layer_fails_only_inside_the_span(
+            self, extremes_run, tmp_path, capsys, layer, inside):
+        path, manifest = thresholds_copy(extremes_run, tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[layer * (len(blob) // 730) + 7] ^= 0x10
+        path.write_bytes(bytes(blob))
+        capsys.readouterr()
+        rc = run_cli("extremes", "--manifest", manifest, "--out",
+                     tmp_path / "out", "--lead-days", "1,3")
+        err = capsys.readouterr().err
+        if not inside:
+            assert rc == 0
+            return
+        assert rc == 2
+        assert f"{path}: CRC-32 mismatch in layer {layer}" in err
+
+    def test_thresholds_on_another_grid_are_exit_2(self, extremes_run,
+                                                   tmp_path, capsys):
+        # the same number of locations, shifted by half a grid step: the
+        # truth blocks of the lead days are on another grid
+        path, manifest = thresholds_copy(extremes_run, tmp_path)
+        sidecar = path.with_name(path.name + ".json")
+        header = json.loads(sidecar.read_text())
+        header["lat_start"] -= 6.0
+        sidecar.write_text(json.dumps(header))
+        capsys.readouterr()
+        assert run_cli("extremes", "--manifest", manifest, "--out",
+                       tmp_path / "out", "--lead-days", "1") == 2
+        assert "threshold grid does not match the truth grid" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_a_legacy_whole_checksum_file_is_read_whole(self, extremes_run,
+                                                        tmp_path,
+                                                        store_reads):
+        # thresholds written before they were read by the day: one CRC-32
+        # over the whole payload; the same payload scores the same
+        path, manifest = thresholds_copy(extremes_run, tmp_path)
+        sidecar = path.with_name(path.name + ".json")
+        header = json.loads(sidecar.read_text())
+        del header["checksums"], header["n_layers"]
+        header["checksum"] = zlib.crc32(path.read_bytes())
+        sidecar.write_text(json.dumps(header))
+        for out, doc in (("legacy", manifest),
+                         ("days", extremes_run / "manifest.json")):
+            assert run_cli("extremes", "--manifest", doc, "--out",
+                           tmp_path / out, "--lead-days", "1,3") == 0
+        assert [read for read in store_reads if read[0] == path] == \
+            [(path, 0, 730)]
+        legacy, days = (load_card(tmp_path / out) for out in ("legacy", "days"))
+        assert legacy["event_scores"] == days["event_scores"]
+        assert legacy["provenance"]["thresholds_sha256"] == \
+            days["provenance"]["thresholds_sha256"]
+        for csv_path in (tmp_path / "days/segments").iterdir():
+            assert csv_path.read_bytes() == \
+                (tmp_path / "legacy/segments" / csv_path.name).read_bytes()
+
+
 class TestStackReads:
     def test_evaluate_parses_each_sidecar_once(self, evaluate_run, tmp_path,
                                                monkeypatch):
@@ -1644,6 +1753,39 @@ class TestSynthOptions:
         err = capsys.readouterr().err
         assert (str(scenario) if named == "scenario" else named) in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"processes": []}, "processes must be an object, not an array"),
+        ({"grid": []}, "grid must be an object, not an array"),
+        ({"processes": {"t2m": 285.0}},
+         "processes.t2m must be an object, not a number"),
+        ({"years": 2025}, "years must be an array, not a number"),
+        ({"vortices": {}}, "vortices must be an array, not an object"),
+        ({"episodes": [None]}, "episodes[0] must be an object, not null"),
+    ], ids=["processes-list", "grid-list", "process-number", "years-number",
+            "vortices-object", "episode-null"])
+    def test_section_of_the_wrong_type_names_its_key(self, change, message,
+                                                     tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(EVALUATE_SCENARIO, **change)))
+        rc = run_cli("synth", "--scenario", scenario, "--out", tmp_path / "run",
+                     "--inits", "2025-07-01T00:00:00Z",
+                     "--max-lead-hours", "12", "--models", "perfect")
+        assert rc == 2
+        assert f"{scenario}: bad scenario document: {message}" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_a_document_that_is_not_an_object_is_exit_2(self, tmp_path,
+                                                        capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text("[]")
+        rc = run_cli("synth", "--scenario", scenario, "--out", tmp_path / "run",
+                     "--inits", "2025-07-01T00:00:00Z",
+                     "--max-lead-hours", "12", "--models", "perfect")
+        assert rc == 2
+        assert "the document must be an object, not an array" in \
+            capsys.readouterr().err
 
     def test_every_grid_point_may_be_a_station(self, tmp_path):
         scenario = tmp_path / "scenario.json"

@@ -21,12 +21,14 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (T0, assert_read_once_in_whole_days, layer_scores,
                       make_field, make_grid, read_store)
-from wxverify import fileio, metrics
+from wxverify import climatology, fileio, metrics
 from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
-                                  DailyMeanClimatology, ThresholdField,
-                                  build_thresholds, threshold_chunk)
+                                  DailyMeanClimatology, ThresholdBuild,
+                                  ThresholdField, build_thresholds,
+                                  threshold_chunk)
 from wxverify.errors import (ChecksumMismatch, DuplicateObservation,
-                             HeaderPayloadShapeMismatch, InvalidHeader,
+                             HeaderPayloadShapeMismatch, InsufficientHistory,
+                             InvalidHeader,
                              ManifestError, NonFiniteValue, NonMonotoneTime,
                              NonUniformGrid, UnitOutOfRange, UnknownStation,
                              WxVerifyError)
@@ -62,6 +64,19 @@ def write_climatology_store(rng, grid, path):
     day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, *grid.shape))
     return fileio.write_daily_climatology(
         [DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))], path)
+
+
+def with_whole_checksum(path) -> dict:
+    """Rewrite the sidecar of the store at ``path`` as written before its
+    payload was read by the layer: one CRC-32 over the whole payload
+    (``checksum``) in place of ``checksums`` and ``n_layers``; returns
+    the new header."""
+    sidecar = path.with_name(path.name + ".json")
+    header = json.loads(sidecar.read_text())
+    del header["checksums"], header["n_layers"]
+    header["checksum"] = zlib.crc32(path.read_bytes())
+    sidecar.write_text(json.dumps(header))
+    return header
 
 
 class Store(NamedTuple):
@@ -1657,12 +1672,8 @@ class TestClimatologyByDay:
         assert str(err.value) == f"{clim_path}: CRC-32 mismatch in layer 10"
 
     def test_legacy_whole_checksum_is_read_whole(self, clim_path):
-        sidecar = clim_path.with_name("c.rbc.json")
-        header = json.loads(sidecar.read_text())
         whole = fileio.read_daily_climatology(clim_path)
-        del header["checksums"], header["n_layers"]
-        header["checksum"] = zlib.crc32(clim_path.read_bytes())
-        sidecar.write_text(json.dumps(header))
+        with_whole_checksum(clim_path)
         jan = T0.replace(month=1, day=1)
         times = [jan + timedelta(days=d) for d in (364, 0, 1)]
         part = fileio.read_daily_climatology(clim_path, times=times)
@@ -1685,7 +1696,7 @@ class TestClimatologyByDay:
         path = fileio.write_thresholds(
             ThresholdField(heat, heat - 10.0, (2019, 2020), 7, 0.9, 0.1),
             grid, tmp_path / "t.rbt")
-        header = json.loads(path.with_name("t.rbt.json").read_text())
+        header = with_whole_checksum(path)
         store = fileio._parse_store(path, header, "f32le", 2 * DAYS_PER_YEAR,
                                     None)
         want = store.read(0, 2 * DAYS_PER_YEAR)[1][10:12]
@@ -1742,6 +1753,163 @@ class TestClimatologyByDay:
         for suffix in ("", ".json"):
             assert Path(f"{got}{suffix}").read_bytes() == \
                 Path(f"{whole}{suffix}").read_bytes()
+
+
+def lattice_history(rng, n_years: int, n_loc: int) -> DailyHistory:
+    """Daily extremes on a 0.25 K lattice (pools hold ties), as float32
+    as a build spills them."""
+    shape = (n_years, DAYS_PER_YEAR, n_loc)
+    dmax = np.round(4.0 * (288.0 + 5.0 * rng.standard_normal(shape))) / 4
+    dmin = dmax - np.round(12.0 * np.abs(rng.standard_normal(shape))) / 4
+    return DailyHistory(tuple(range(2001, 2001 + n_years)),
+                        dmax.astype(np.float32), dmin.astype(np.float32))
+
+
+def locations_a_chunk(monkeypatch, n_years: int, n: int):
+    """Patch the threshold kernel to take ``n`` locations of a history of
+    ``n_years`` float32 years a chunk."""
+    k = max(climatology._list_lengths(n_years * 15, 0.9, 0.1))
+    monkeypatch.setattr(climatology, "LIST_CHUNK_BYTES",
+                        n * k * climatology._window_days(7) * 4)
+    assert threshold_chunk(n_years, 4) == n
+
+
+class TestStreamedThresholds:
+    """Thresholds written a chunk of locations at a time as the kernel
+    computes them, with one CRC-32 per day layer, and read by the day."""
+
+    @pytest.mark.parametrize("write_bytes", [4, 12, None],
+                             ids=["a-location-a-write", "3-locations",
+                                  "default"])
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_equal_the_kernel_in_memory(self, rng, tmp_path, monkeypatch,
+                                        chunk, write_bytes):
+        # 36 locations: 7-location chunks end in a partial one, and
+        # groups of 3 locations split chunks of 2 and 7
+        grid = make_grid(4, 9)
+        history = lattice_history(rng, 3, 36)
+        locations_a_chunk(monkeypatch, 3, chunk)
+        if write_bytes is not None:
+            monkeypatch.setattr(fileio, "THRESHOLD_WRITE_BYTES", write_bytes)
+        held = build_thresholds(history)
+        path = fileio.write_thresholds(ThresholdBuild(history), grid,
+                                       tmp_path / "t.rbt")
+        layers = np.concatenate([held.tau_heat, held.tau_cold]).astype("<f4")
+        assert path.read_bytes() == layers.tobytes()
+        header = json.loads(path.with_name("t.rbt.json").read_text())
+        assert "checksum" not in header
+        assert header["n_layers"] == 2 * DAYS_PER_YEAR
+        assert header["checksums"] == [zlib.crc32(layer.tobytes())
+                                       for layer in layers]
+        whole = fileio.write_thresholds(held, grid, tmp_path / "whole.rbt")
+        assert whole.with_name("whole.rbt.json").read_bytes() == \
+            path.with_name("t.rbt.json").read_bytes()
+        back, back_grid = fileio.read_thresholds(path)
+        assert back_grid == grid and back.first_day == 0
+        assert back.tau_heat.tobytes() == layers[:DAYS_PER_YEAR].tobytes()
+        assert back.tau_cold.tobytes() == layers[DAYS_PER_YEAR:].tobytes()
+
+    def test_a_write_holds_a_group_of_locations(self, rng, tmp_path,
+                                                monkeypatch):
+        # 2,592 locations, 10 a kernel chunk, 256 a group: the write holds
+        # the group (0.75 MB) and a chunk's workspace, never a float32
+        # (365, 2592) array of thresholds (3.8 MB)
+        grid = make_grid(36, 72)
+        history = lattice_history(rng, 2, 2592)
+        locations_a_chunk(monkeypatch, 2, 10)
+        monkeypatch.setattr(fileio, "THRESHOLD_WRITE_BYTES", 1024)
+        group = 2 * DAYS_PER_YEAR * 256 * 4
+        one_array = DAYS_PER_YEAR * 2592 * 4
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            path = fileio.write_thresholds(ThresholdBuild(history), grid,
+                                           tmp_path / "t.rbt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert group + 2**20 < one_array
+        assert peak - before < group + 2**20
+        assert path.stat().st_size == 2 * one_array
+
+    def test_a_failed_build_leaves_no_file(self, rng, tmp_path, monkeypatch):
+        # a pool too small is found after the last chunk, when every other
+        # chunk has been written to the temporary payload
+        history = lattice_history(rng, 2, 12)
+        daily_max = history.daily_max.copy()
+        daily_max[:, 30:51, 11] = np.nan
+        locations_a_chunk(monkeypatch, 2, 5)
+        with pytest.raises(InsufficientHistory, match="location 11"):
+            fileio.write_thresholds(
+                ThresholdBuild(DailyHistory(history.years, daily_max,
+                                            history.daily_min)),
+                make_grid(3, 4), tmp_path / "t.rbt")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.fixture
+    def threshold_path(self, rng, tmp_path):
+        return write_threshold_store(rng, make_grid(3, 4), tmp_path / "t.rbt")
+
+    @pytest.mark.parametrize("days, reads", [
+        ((100, 103), [(100, 4), (465, 4)]),
+        ((5,), [(5, 1), (370, 1)]),
+        ((362, 364, 0, 2), [(362, 3), (0, 3), (727, 3), (365, 3)]),
+    ])
+    def test_reads_only_the_days_asked_for(self, threshold_path, days, reads,
+                                           store_reads):
+        part, _ = fileio.read_thresholds(threshold_path, days=days)
+        assert store_reads == [(threshold_path, start, n)
+                               for start, n in reads]
+        whole, _ = fileio.read_thresholds(threshold_path)
+        assert part.first_day == reads[0][0]
+        assert part.tau_heat.shape == (sum(n for _, n in reads) // 2, 12)
+        rows = part.rows(days)
+        assert part.tau_heat[rows].tobytes() == \
+            whole.tau_heat[list(days)].tobytes()
+        assert part.tau_cold[rows].tobytes() == \
+            whole.tau_cold[list(days)].tobytes()
+        with pytest.raises(ValueError, match="outside the"):
+            part.rows([(days[0] + 180) % DAYS_PER_YEAR])
+
+    @pytest.mark.parametrize("layer, inside", [
+        (101, True), (DAYS_PER_YEAR + 103, True), (99, False),
+        (DAYS_PER_YEAR + 104, False)])
+    def test_each_day_read_is_checked(self, threshold_path, layer, inside):
+        # a flipped byte, and NaN under a matching CRC-32, fail a read of
+        # days 100 .. 103 only in a layer of those days
+        blob = bytearray(threshold_path.read_bytes())
+        layer_bytes = len(blob) // (2 * DAYS_PER_YEAR)
+        blob[layer * layer_bytes + 5] ^= 0xFF
+        threshold_path.write_bytes(bytes(blob))
+        days = (100, 103)
+        if not inside:
+            fileio.read_thresholds(threshold_path, days=days)
+            return
+        with pytest.raises(ChecksumMismatch) as err:
+            fileio.read_thresholds(threshold_path, days=days)
+        assert str(err.value) == \
+            f"{threshold_path}: CRC-32 mismatch in layer {layer}"
+
+        def poison(layers):
+            layers[layer, 1, 2] = np.nan
+            return layers
+        rewrite_store(threshold_path, "<f4", poison)
+        with pytest.raises(NonFiniteValue, match=str(threshold_path)):
+            fileio.read_thresholds(threshold_path, days=days)
+
+    def test_legacy_whole_checksum_is_read_whole(self, threshold_path,
+                                                 store_reads):
+        whole, _ = fileio.read_thresholds(threshold_path)
+        with_whole_checksum(threshold_path)
+        store_reads.clear()
+        days = (364, 0, 1)
+        part, _ = fileio.read_thresholds(threshold_path, days=days)
+        assert store_reads == [(threshold_path, 0, 2 * DAYS_PER_YEAR)]
+        assert part.first_day == 364
+        assert part.tau_heat.tobytes() == \
+            whole.tau_heat[list(days)].tobytes()
+        assert part.tau_cold.tobytes() == \
+            whole.tau_cold[list(days)].tobytes()
 
 
 class TestSpilledHistory:
