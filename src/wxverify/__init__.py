@@ -25,10 +25,10 @@ _EXPORTS = {
                  "MatchResult", "label_event_runs", "match_counts",
                  "match_events", "scores_from_counts", "segments_by_location",
                  "temporal_iou"),
-    "grid": ("EARTH_RADIUS_KM", "GeoGrid", "GridField", "VariableId",
+    "grid": ("EARTH_RADIUS_KM", "FieldBlock", "GeoGrid", "VariableId",
              "derive_wind_speed", "haversine_km", "latitude_weights"),
     "harness": ("PlantedEpisode", "SyntheticScenario", "VariableProcess",
-                "VortexSpec", "persistence_forecast", "smoothed_forecast"),
+                "VortexSpec", "smoothed_forecast"),
     "spectra": ("ZonalSpectrum", "midlatitude_spectrum"),
     "stations": ("QcFlag", "QcThresholds", "Station", "StationTable",
                  "station_scores"),

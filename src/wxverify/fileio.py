@@ -67,7 +67,7 @@ from .errors import (ChecksumMismatch, DuplicateObservation, GridMismatch,
                      HeaderPayloadShapeMismatch, InvalidHeader, ManifestError,
                      NonFiniteValue, NonMonotoneTime, NonUniformGrid,
                      UnknownStation, WxVerifyError)
-from .grid import FieldBlock, GeoGrid, GridField, VariableId, derive_wind_speed
+from .grid import FieldBlock, GeoGrid, VariableId, derive_wind_speed
 
 if TYPE_CHECKING:
     from .cyclones import StormTrack
@@ -249,41 +249,35 @@ def _geometry(grid: GeoGrid) -> dict:
 
 
 def _write_store(path: Path, magic: str, grid: GeoGrid, chunks, dtype: str,
-                 extra: dict, per_layer: bool = False) -> Path:
+                 extra: dict) -> Path:
     """Stream ``chunks`` over ``grid`` to a payload, then write a sidecar.
 
     ``chunks`` is any iterable of ``(k, n_lat, n_lon)`` arrays, each
     written with one ``write``, so a generator of chunks is never held in
     memory whole. The sidecar holds ``extra`` (read after the last chunk),
-    the magic, dtype, uniform geometry and the payload's CRC-32: one over
-    the whole payload (``checksum``) or, with ``per_layer``, one per layer
-    (``checksums``, with ``n_layers``).
+    the magic, dtype, uniform geometry and one CRC-32 per layer
+    (``checksums``, with ``n_layers``); an RBGRID1 sidecar holds its one
+    layer's as ``checksum``.
     """
     geometry = _geometry(grid)
     layer_bytes = _DTYPES[dtype].itemsize * grid.n_lat * grid.n_lon
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    crc, checksums = 0, []
+    checksums = []
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 blob = memoryview(np.ascontiguousarray(
                     chunk, dtype=_DTYPES[dtype])).cast("B")
                 fh.write(blob)
-                if per_layer:
-                    checksums.extend(
-                        zlib.crc32(blob[at:at + layer_bytes])
-                        for at in range(0, len(blob), layer_bytes))
-                else:
-                    crc = zlib.crc32(blob, crc)
+                checksums.extend(zlib.crc32(blob[at:at + layer_bytes])
+                                 for at in range(0, len(blob), layer_bytes))
                 del chunk, blob  # released before the next chunk is made
     except BaseException:
         tmp.unlink(missing_ok=True)  # a store is either complete or absent
         raise
-    if per_layer:
-        crcs = dict(n_layers=len(checksums), checksums=checksums)
-    else:
-        crcs = dict(checksum=crc)
+    crcs = dict(checksum=checksums[0]) if magic == GRID_MAGIC \
+        else dict(n_layers=len(checksums), checksums=checksums)
     return _finish_store(tmp, path, dict(extra, magic=magic, dtype=dtype,
                                          **geometry, **crcs))
 
@@ -305,7 +299,7 @@ class _Store:
     n_layers: int
     #: (n_lat, n_lon, lat_start, lat_step, lon_start, lon_step) as stored
     geometry: tuple
-    #: one CRC-32 per layer (a stack), or one over the whole payload
+    #: one CRC-32 per layer
     checksums: tuple[int, ...]
     #: the run's geometry cache (see :func:`_cached_grid`), or None
     geometries: dict | None
@@ -318,19 +312,13 @@ class _Store:
         The payload's length is checked against the sidecar before
         anything is read, and the grid is built only after that, so a
         sidecar cannot make the reader allocate more than the payload
-        holds. Every CRC-32 that covers a requested layer is checked over
-        all the layers it covers: with one CRC-32 per layer only the
-        requested layers are read, and a payload with one CRC-32 over the
-        whole of it is read whole whatever part of it is asked for.
-        Finiteness is the caller's check (see :func:`_build` and
-        :meth:`_Stack.block`).
+        holds. Only the requested layers are read, and the CRC-32 of each
+        is checked. Finiteness is the caller's check (see :func:`_build`
+        and :meth:`_Stack.block`).
         """
         path = self.path
         n_lat, n_lon = self.geometry[:2]
         layer_bytes = self.dtype.itemsize * n_lat * n_lon
-        per_crc = self.n_layers // len(self.checksums)
-        first_crc = start // per_crc
-        end_crc = -(-(start + count) // per_crc)
         try:
             with open(path, "rb") as fh:
                 size = os.fstat(fh.fileno()).st_size
@@ -339,23 +327,21 @@ class _Store:
                     raise HeaderPayloadShapeMismatch(
                         f"{path}: payload is {size} bytes, header implies "
                         f"{n_bytes}")
-                fh.seek(first_crc * per_crc * layer_bytes)
-                blob = fh.read((end_crc - first_crc) * per_crc * layer_bytes)
+                fh.seek(start * layer_bytes)
+                blob = fh.read(count * layer_bytes)
         except FileNotFoundError:
             raise InvalidHeader(f"payload missing: {path}") from None
         except OSError as exc:
             raise InvalidHeader(f"cannot read payload {path}: {exc}") from exc
-        chunk = per_crc * layer_bytes
         view = memoryview(blob)
-        for i, k in enumerate(range(first_crc, end_crc)):
-            if zlib.crc32(view[i * chunk:(i + 1) * chunk]) != self.checksums[k]:
-                where = f" in layer {k}" if len(self.checksums) > 1 else ""
+        for i, k in enumerate(range(start, start + count)):
+            if zlib.crc32(view[i * layer_bytes:(i + 1) * layer_bytes]) \
+                    != self.checksums[k]:
+                where = f" in layer {k}" if self.n_layers > 1 else ""
                 raise ChecksumMismatch(f"{path}: CRC-32 mismatch{where}")
         grid, flip_rows, lon_shift = _cached_grid(self.geometry, path,
                                                   self.geometries)
-        skip = (start - first_crc * per_crc) * layer_bytes
-        layers = np.frombuffer(blob, dtype=self.dtype,
-                               count=count * n_lat * n_lon, offset=skip) \
+        layers = np.frombuffer(blob, dtype=self.dtype) \
             .reshape(count, n_lat, n_lon)
         if flip_rows:
             layers = layers[:, ::-1]
@@ -369,15 +355,22 @@ def _parse_store(path: Path, header: dict, dtype: str, n_layers: int | None,
     """Check a loaded sidecar's dtype, geometry and checksums.
 
     ``n_layers`` is the layer count the magic implies; None for a stack,
-    whose sidecar gives ``n_layers``. A sidecar with ``checksums`` carries
-    ``n_layers`` and one CRC-32 per layer (every stack, and climatologies
-    written since they are read by the day); any other carries one
-    ``checksum`` over the whole payload.
+    whose sidecar gives ``n_layers``. A sidecar carries ``n_layers`` and
+    one CRC-32 per layer (``checksums``); an RBGRID1 field's may carry
+    its one layer's as ``checksum`` instead. A climatology or threshold
+    sidecar with one ``checksum`` over its whole payload is a layout no
+    longer read: ``build-climatology`` rewrites it.
     """
     if header.get("dtype") != dtype:
         raise InvalidHeader(f"{path}: unsupported dtype {header.get('dtype')!r}")
     geometry = _grid_header_geometry(header, path)
-    if n_layers is None or "checksums" in header:
+    if n_layers == 1 and "checksums" not in header:  # an RBGRID1 field
+        checksums = [_header_value(header, "checksum", int, path)]
+    elif n_layers and "checksum" in header and "checksums" not in header:
+        raise InvalidHeader(
+            f"{path}: one checksum over the whole payload is no longer "
+            f"read; rerun build-climatology to rewrite it")
+    else:
         stored = _header_value(header, "n_layers", int, path)
         checksums = header.get("checksums")
         if stored < 1 or n_layers not in (None, stored) \
@@ -389,8 +382,6 @@ def _parse_store(path: Path, header: dict, dtype: str, n_layers: int | None,
                 f"{'>= 1' if n_layers is None else n_layers} and one "
                 f"integer CRC-32 per layer")
         n_layers = stored
-    else:
-        checksums = [_header_value(header, "checksum", int, path)]
     return _Store(path, _DTYPES[dtype], n_layers, geometry, tuple(checksums),
                   geometries)
 
@@ -414,41 +405,47 @@ def _build(path: Path, cls, *args):
         raise InvalidHeader(f"{path}: {exc}") from exc
 
 
-def write_grid(field: GridField, path: str | os.PathLike) -> Path:
-    """Write one field as f32le payload + JSON sidecar; returns the path.
+def write_grid(block: FieldBlock, path: str | os.PathLike) -> Path:
+    """Write a block of one layer as an RBGRID1 f32le payload + JSON
+    sidecar; returns the path. A block of any other layer count raises
+    :class:`WxVerifyError` naming ``path``, and writes nothing.
 
     Derived variables (WS10) are never stored.
     """
-    _check_storable(field)
-    return _write_store(Path(path), GRID_MAGIC, field.grid,
-                        [field.values[None]], "f32le", {
-                            "variable": field.variable.key,
-                            "unit": field.variable.unit,
-                            "valid_time": format_time(field.valid_time),
-                            "lead_hours": field.lead_hours,
+    path = Path(path)
+    if len(block.valid_times) != 1:
+        raise WxVerifyError(f"{path}: a field file holds one layer, not "
+                            f"{len(block.valid_times)}")
+    _check_storable(block)
+    return _write_store(path, GRID_MAGIC, block.grid, [block.values],
+                        "f32le", {
+                            "variable": block.variable.key,
+                            "unit": block.variable.unit,
+                            "valid_time": format_time(block.valid_times[0]),
+                            "lead_hours": block.lead_hours[0],
                         })
 
 
-def _check_storable(field: GridField):
-    if field.variable.derived:
+def _check_storable(block: FieldBlock):
+    if block.variable.derived:
         raise WxVerifyError(
-            f"{field.variable.key} is derived; compute it, do not store it")
+            f"{block.variable.key} is derived; compute it, do not store it")
 
 
-def write_stack(chunks: Iterable[FieldBlock | GridField],
-                path: str | os.PathLike) -> Path:
+def write_stack(chunks: Iterable[FieldBlock], path: str | os.PathLike
+                ) -> Path:
     """Write a 6-hourly series of one variable as one RBSTACK1 store.
 
     ``chunks`` yields the series in order, as blocks of consecutive
-    layers (:class:`FieldBlock`) or as fields (a layer each). Layer k is
-    valid ``6 k`` hours after the first and has lead ``lead_0 + k *
-    lead_step``, where ``lead_step`` is the lead difference of the first
-    two layers: 0 for truth, 6 for a forecast. Every layer shares the
-    first layer's grid and variable; a layer that does not continue the
-    series raises :class:`WxVerifyError` naming it and leaves no file
-    behind. ``chunks`` is streamed with one write per chunk, so a
-    generator of a year of chunks is never held in memory whole. Derived
-    variables (WS10) are never stored.
+    layers (:class:`FieldBlock`). Layer k is valid ``6 k`` hours after
+    the first and has lead ``lead_0 + k * lead_step``, where
+    ``lead_step`` is the lead difference of the first two layers: 0 for
+    truth, 6 for a forecast. Every layer shares the first layer's grid
+    and variable; a layer that does not continue the series raises
+    :class:`WxVerifyError` naming it and leaves no file behind.
+    ``chunks`` is streamed with one write per chunk, so a generator of a
+    year of chunks is never held in memory whole. Derived variables
+    (WS10) are never stored.
     """
     path = Path(path)
     chunks = iter(chunks)
@@ -458,8 +455,7 @@ def write_stack(chunks: Iterable[FieldBlock | GridField],
     _check_storable(first)
     grid, variable = first.grid, first.variable
     first_time = first.valid_times[0]
-    first_lead = first.lead_hours if isinstance(first, GridField) \
-        else first.lead_hours[0]
+    first_lead = first.lead_hours[0]
     extra = {"variable": variable.key, "unit": variable.unit,
              "valid_time": format_time(first_time),
              "time_step_hours": STACK_STEP // timedelta(hours=1),
@@ -468,12 +464,9 @@ def write_stack(chunks: Iterable[FieldBlock | GridField],
     def layers(chunk):
         k = 0
         while chunk is not None:
-            if isinstance(chunk, GridField):
-                leads, values = (chunk.lead_hours,), chunk.values[None]
-            else:
-                leads, values = chunk.lead_hours, chunk.values
+            values = chunk.values
             same = chunk.grid == grid and chunk.variable is variable
-            for when, lead in zip(chunk.valid_times, leads):
+            for when, lead in zip(chunk.valid_times, chunk.lead_hours):
                 if k == 1:
                     extra["lead_step_hours"] = lead - first_lead
                 if k and (not same or when != first_time + k * STACK_STEP
@@ -490,8 +483,7 @@ def write_stack(chunks: Iterable[FieldBlock | GridField],
 
     stream = layers(first)
     del first  # a chunk is held only until the next one is written
-    return _write_store(path, STACK_MAGIC, grid, stream, "f32le", extra,
-                        per_layer=True)
+    return _write_store(path, STACK_MAGIC, grid, stream, "f32le", extra)
 
 
 @dataclass(frozen=True)
@@ -651,15 +643,11 @@ def _read_days(store: _Store, first: int, n_days: int
     :func:`~wxverify.climatology.day_span`) of each 365-day axis that
     ``store`` stacks: one read of each axis's run, or two when the run
     crosses Dec 31, each checking the CRC-32 of every day it reads. All
-    365 days, and any days of a legacy store with one ``checksum`` over
-    the whole payload, are one read of the whole payload."""
-    n_axes = store.n_layers // DAYS_PER_YEAR
-    if n_days == DAYS_PER_YEAR or len(store.checksums) == 1:
+    365 days are one read of the whole payload."""
+    if n_days == DAYS_PER_YEAR:
         grid, layers = store.read(0, store.n_layers)
-        axes = layers.reshape(n_axes, DAYS_PER_YEAR, *layers.shape[1:])
-        if n_days < DAYS_PER_YEAR:
-            axes = axes[:, (first + np.arange(n_days)) % DAYS_PER_YEAR]
-        return grid, list(axes)
+        return grid, list(layers.reshape(-1, DAYS_PER_YEAR,
+                                         *layers.shape[1:]))
     head = min(n_days, DAYS_PER_YEAR - first)
     out = []
     for axis in range(0, store.n_layers, DAYS_PER_YEAR):
@@ -738,7 +726,7 @@ def write_daily_climatology(parts: Iterable[DailyMeanClimatology],
         "unit": variable.unit,
         "n_days": DAYS_PER_YEAR,
         "years": list(years),
-    }, per_layer=True)
+    })
 
 
 def read_daily_climatology(path: str | os.PathLike,
@@ -751,8 +739,6 @@ def read_daily_climatology(path: str | os.PathLike,
     of consecutive calendar days that holds the day of each time (see
     :func:`~wxverify.climatology.day_span`): one read, or two when the
     run crosses Dec 31, each checking the CRC-32 of every day it reads.
-    A legacy sidecar with one ``checksum`` over the whole payload is read
-    whole and checked whole.
     """
     path = Path(path)
     header = _load_sidecar(path, CLIM_MAGIC)
@@ -1462,9 +1448,6 @@ class FieldSource:
                            [init + timedelta(hours=lead) for lead in leads],
                            leads, f"models.{name}", self.manifest.models[name],
                            init)
-
-    def truth(self, variable: VariableId, when: datetime) -> GridField:
-        return self.truth_block(variable, [when]).field(0)
 
     def block_layers(self, variable: VariableId) -> int:
         """How many layers of ``variable``, at 8 bytes a point, fit in

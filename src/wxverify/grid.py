@@ -177,6 +177,7 @@ class GeoGrid:
                 f"wraps_lon={self.wraps_lon})")
 
 
+# kept only as field_for's return type: bench/layer_trace.py wraps both
 @dataclass(frozen=True, eq=False)
 class GridField:
     """A single-variable, single-valid-time 2-D field on a :class:`GeoGrid`.
@@ -211,27 +212,21 @@ class GridField:
         object.__setattr__(self, "lead_hours", lead)
         object.__setattr__(self, "values", vals)
 
-    @property
-    def valid_times(self) -> tuple[datetime]:
-        """The valid time, as for a one-layer :class:`FieldBlock`."""
-        return (self.valid_time,)
-
-    def at(self, valid_time: datetime, lead_hours: int) -> "GridField":
-        """Same values stamped with a different valid time and lead."""
-        return GridField(self.grid, self.variable, valid_time, lead_hours, self.values)
-
 
 @dataclass(frozen=True, eq=False)
 class FieldBlock:
-    """Consecutive layers of one variable on one grid, read in one pass.
+    """Layers of one variable on one grid, each with its valid time and
+    lead: what is read, generated, scored and written.
 
     ``values`` is a C-contiguous (k, n_lat, n_lon) array of finite
-    values: the float32 values as stored, or float64 for a derived WS10
-    block (:func:`derive_wind_speed`). Layer i is valid at
-    ``valid_times[i]`` with lead ``lead_hours[i]``. The reader
-    (:class:`~wxverify.fileio.FieldSource`) checks all of that, so
-    construction does not scan the values again. Kernels that compute in
-    float64 widen the chunk or layer they use.
+    values: float32 as stored and as the synthetic forecasts make them,
+    float64 holding float32-exact values in generated truth, or float64
+    for a derived WS10 block (:func:`derive_wind_speed`). Layer i is
+    valid at ``valid_times[i]`` with lead ``lead_hours[i]``. The reader
+    (:class:`~wxverify.fileio.FieldSource`) and the generator
+    (:mod:`wxverify.harness`) make them so, and construction does not
+    scan the values again. Kernels that compute in float64 widen the
+    chunk or layer they use.
     """
 
     grid: GeoGrid
@@ -240,21 +235,15 @@ class FieldBlock:
     lead_hours: tuple[int, ...]
     values: np.ndarray
 
-    def field(self, i: int) -> GridField:
-        """Layer ``i`` as a field."""
-        return GridField(self.grid, self.variable, self.valid_times[i],
-                         self.lead_hours[i], self.values[i])
 
-
-def derive_wind_speed(u10, v10):
-    """WS10 = sqrt(u10^2 + v10^2) of two :class:`GridField` or two
-    :class:`FieldBlock`, in float64; computed, never stored."""
+def derive_wind_speed(u10: FieldBlock, v10: FieldBlock) -> FieldBlock:
+    """WS10 = sqrt(u10^2 + v10^2) of a U10 and a V10 block, in float64;
+    computed, never stored."""
     if u10.variable is not VariableId.U10 or v10.variable is not VariableId.V10:
-        raise GridMismatch("derive_wind_speed expects (U10, V10) fields")
-    if type(u10) is not type(v10) or u10.grid != v10.grid \
-            or u10.valid_times != v10.valid_times \
+        raise GridMismatch("derive_wind_speed expects (U10, V10) blocks")
+    if u10.grid != v10.grid or u10.valid_times != v10.valid_times \
             or u10.lead_hours != v10.lead_hours:
-        raise GridMismatch("U10/V10 fields disagree on grid or time")
+        raise GridMismatch("U10/V10 blocks disagree on grid or time")
     return replace(u10, variable=VariableId.WS10,
                    values=np.hypot(u10.values, v10.values, dtype=np.float64))
 

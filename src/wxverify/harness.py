@@ -43,8 +43,7 @@ from .climatology import SIX_HOURS, calendar_day_index, year_times
 from .cyclones import TRUTH_SOURCE, StormFix, StormTrack
 from .errors import InvalidHeader, ManifestError
 from .extremes import EventKind
-from .grid import (KM_PER_DEG, FieldBlock, GeoGrid, GridField, VariableId,
-                   haversine_km_grid)
+from .grid import KM_PER_DEG, FieldBlock, GeoGrid, VariableId, haversine_km_grid
 
 
 @dataclass(frozen=True)
@@ -238,7 +237,8 @@ def _vortex_wind(spec: VortexSpec, grid: GeoGrid, when: datetime):
 def _chunk_layers(grid: GeoGrid) -> int:
     """How many float64 layers of ``grid`` fit in
     :data:`wxverify.fileio.CHUNK_BYTES` (at least one): the layers of a
-    chunk of generated truth, and of a block ``synth`` reads back."""
+    chunk of generated truth, of a forecast block and of a block ``synth``
+    reads back."""
     return max(1, fileio.CHUNK_BYTES // (8 * grid.n_lat * grid.n_lon))
 
 
@@ -377,16 +377,6 @@ def make_besttrack(scenario: SyntheticScenario) -> list[StormTrack]:
     return tracks
 
 
-def persistence_forecast(init: GridField, leads: Sequence[int]) -> list[GridField]:
-    """The identity baseline: every lead repeats the init field."""
-    out = []
-    for lead in leads:
-        if lead % 6:
-            raise ValueError("leads must be multiples of 6 hours")
-        out.append(init.at(init.valid_time + timedelta(hours=int(lead)), int(lead)))
-    return out
-
-
 def _zonal_boxcar(values: np.ndarray, width: int) -> np.ndarray:
     if width == 1:
         return values
@@ -402,30 +392,35 @@ def smoothing_width(kernel_width: int, lead_hours: int) -> int:
     return min(kernel_width, 2 * (lead_hours // 6) + 1)
 
 
-def smoothed_forecast(init: GridField, leads: Sequence[int],
-                      kernel_width: int) -> list[GridField]:
-    """Persistence with lead-growing zonal smoothing.
+def smoothed_forecast(init: FieldBlock, leads: Sequence[int],
+                      kernel_width: int) -> Iterator[FieldBlock]:
+    """Persistence with lead-growing zonal smoothing, from the one-layer
+    block ``init``: float32 blocks of at most :func:`_chunk_layers` leads.
 
     Mimics the spatial-smoothing signature of squared-error-trained
     models: high-wavenumber energy is attenuated by the boxcar transfer
     function and depressions lose depth, so tracked storms come out
-    under-intensified. Width 1 degenerates to persistence.
+    under-intensified. Width 1 is persistence: every lead repeats the
+    init layer. The layer is widened to float64 once, smoothed in
+    float64 and rounded to float32 per lead.
     """
     if kernel_width < 1 or kernel_width % 2 == 0:
         raise ValueError("kernel_width must be odd and >= 1")
-    out = []
-    for lead in leads:
-        if lead % 6:
+    if len(init.valid_times) != 1:
+        raise ValueError("the init must be a block of one layer")
+    layer = init.values[0].astype(np.float64)
+    step = _chunk_layers(init.grid)
+    for at in range(0, len(leads), step):
+        part = [int(lead) for lead in leads[at:at + step]]
+        if any(lead % 6 for lead in part):
             raise ValueError("leads must be multiples of 6 hours")
-        width = smoothing_width(kernel_width, int(lead))
-        when = init.valid_time + timedelta(hours=int(lead))
-        if width == 1:
-            out.append(init.at(when, int(lead)))
-            continue
-        smoothed = _zonal_boxcar(init.values, width)
-        quantized = np.asarray(smoothed, dtype=np.float32).astype(np.float64)
-        out.append(GridField(init.grid, init.variable, when, int(lead), quantized))
-    return out
+        values = np.empty((len(part), *init.grid.shape), np.float32)
+        for k, lead in enumerate(part):
+            values[k] = _zonal_boxcar(layer,
+                                      smoothing_width(kernel_width, lead))
+        yield FieldBlock(init.grid, init.variable, tuple(
+            init.valid_times[0] + timedelta(hours=lead) for lead in part),
+            tuple(part), values)
 
 
 # --- scenario JSON -----------------------------------------------------------
@@ -528,16 +523,17 @@ def load_scenario(path: str | Path) -> SyntheticScenario:
 
 def _model_specs(models: str) -> dict[str, tuple[str, int]]:
     """Model name -> (kind, parameter) of a comma list of persistence,
-    perfect, smoothed[:width] and lagged[:hours]. A width must be an odd
-    integer >= 1 and a lag a non-negative multiple of 6 hours; any other
-    token raises ManifestError naming it."""
+    perfect, smoothed[:width] and lagged[:hours]: the boxcar width
+    (persistence is width 1) or the lag (perfect is lag 0). A width must
+    be an odd integer >= 1 and a lag a non-negative multiple of 6 hours;
+    any other token raises ManifestError naming it."""
     specs: dict[str, tuple[str, int]] = {}
     for token in models.split(","):
         token = token.strip()
         if not token:
             continue
         if token in ("persistence", "perfect"):
-            specs[token] = (token, 0)
+            specs[token] = (token, int(token == "persistence"))
             continue
         kind, colon, param = token.partition(":")
         if kind not in ("smoothed", "lagged"):
@@ -691,17 +687,14 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
     for name, (kind, param) in sorted(model_specs.items()):
         for init in init_times:
             for variable in scenario.variables:
-                if kind == "persistence":
-                    fields = persistence_forecast(source.truth(variable, init),
-                                                  leads)
-                elif kind == "smoothed":
-                    fields = smoothed_forecast(source.truth(variable, init),
-                                               leads, param)
+                if kind in ("persistence", "smoothed"):  # from the init
+                    blocks = smoothed_forecast(
+                        source.truth_block(variable, [init]), leads, param)
                 else:  # perfect, or lagged: truth from `param` hours earlier
-                    fields = _lagged_forecast(
+                    blocks = _lagged_forecast(
                         source, variable, init, leads, param,
                         _chunk_layers(scenario.grid))
-                fileio.write_stack(fields, source.manifest.model_path(
+                fileio.write_stack(blocks, source.manifest.model_path(
                     name, init, variable, leads[0]))
 
     if scenario.vortices:

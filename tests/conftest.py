@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -7,8 +8,7 @@ import numpy as np
 import pytest
 
 from wxverify import fileio
-from wxverify.grid import (FieldBlock, GeoGrid, GridField, VariableId,
-                           latitude_weights)
+from wxverify.grid import FieldBlock, GeoGrid, VariableId, latitude_weights
 from wxverify.metrics import BlockScores, block_scores
 
 T0 = datetime(2025, 7, 1, 0, tzinfo=timezone.utc)
@@ -26,44 +26,49 @@ def make_grid(n_lat: int, n_lon: int, lat_top: float = 60.0,
 
 
 def make_field(grid: GeoGrid, values, variable: VariableId = VariableId.T2M,
-               valid_time: datetime = T0, lead_hours: int = 0) -> GridField:
-    return GridField(grid, variable, valid_time, lead_hours,
-                     np.asarray(values, dtype=np.float64))
+               valid_time: datetime = T0, lead_hours: int = 0) -> FieldBlock:
+    """``values``, one float64 (n_lat, n_lon) layer, as a one-layer block."""
+    return FieldBlock(grid, variable, (valid_time,), (lead_hours,),
+                      np.asarray(values, dtype=np.float64)[None])
 
 
 def random_field(rng: np.random.Generator, grid: GeoGrid,
                  variable: VariableId = VariableId.T2M, loc: float = 280.0,
                  scale: float = 10.0, valid_time: datetime = T0,
-                 lead_hours: int = 0) -> GridField:
+                 lead_hours: int = 0) -> FieldBlock:
     values = loc + scale * rng.standard_normal(grid.shape)
     return make_field(grid, values, variable, valid_time, lead_hours)
 
 
-def field_block(*fields: GridField) -> FieldBlock:
-    """The fields, one variable on one grid, as the layers of a block."""
-    first = fields[0]
+def field_block(*blocks: FieldBlock) -> FieldBlock:
+    """The blocks, one variable on one grid, concatenated into one."""
+    first = blocks[0]
     return FieldBlock(first.grid, first.variable,
-                      tuple(f.valid_time for f in fields),
-                      tuple(f.lead_hours for f in fields),
-                      np.stack([f.values for f in fields]))
+                      tuple(t for b in blocks for t in b.valid_times),
+                      tuple(h for b in blocks for h in b.lead_hours),
+                      np.concatenate([b.values for b in blocks]))
 
 
-def layer_block(grid: GeoGrid, values, variable: VariableId = VariableId.T2M
-                ) -> FieldBlock:
-    """``values``, one float64 (n_lat, n_lon) layer, as a block at T0,
-    lead 0."""
-    return FieldBlock(grid, variable, (T0,), (0,),
-                      np.asarray(values, dtype=np.float64)[None])
+def layer_of(block: FieldBlock, i: int) -> FieldBlock:
+    """Layer ``i`` of ``block`` as a block of one layer."""
+    return FieldBlock(block.grid, block.variable, block.valid_times[i:i + 1],
+                      block.lead_hours[i:i + 1], block.values[i:i + 1])
 
 
-def layer_scores(pred: GridField, truth: GridField | None = None,
-                 clim: GridField | None = None, weights=None) -> BlockScores:
-    """``metrics.block_scores`` of the one-layer blocks of these fields,
-    as floats (None where not scored); latitude weights by default."""
+def stamped(block: FieldBlock, valid_time: datetime, lead_hours: int
+            ) -> FieldBlock:
+    """The one-layer ``block`` valid at ``valid_time`` with ``lead_hours``."""
+    return replace(block, valid_times=(valid_time,), lead_hours=(lead_hours,))
+
+
+def layer_scores(pred: FieldBlock, truth: FieldBlock | None = None,
+                 clim: FieldBlock | None = None, weights=None) -> BlockScores:
+    """``metrics.block_scores`` of these one-layer blocks, as floats (None
+    where not scored); latitude weights by default."""
     if weights is None:
         weights = latitude_weights(pred.grid)
-    scores = block_scores(*(None if f is None else f.values[None]
-                            for f in (pred, truth, clim)), weights)
+    scores = block_scores(*(None if b is None else b.values
+                            for b in (pred, truth, clim)), weights)
     return BlockScores(*(None if s is None else float(s[0]) for s in scores))
 
 
@@ -108,8 +113,8 @@ def assert_read_once_in_whole_days(reads, n_layers: int, max_layers: int):
 
 
 def truth_fields(scenario, variable: VariableId):
-    """``harness.generate_variable_series`` one field at a time."""
+    """``harness.generate_variable_series`` one layer at a time."""
     from wxverify.harness import generate_variable_series
-    return (block.field(i)
+    return (layer_of(block, i)
             for block in generate_variable_series(scenario, variable)
             for i in range(len(block.valid_times)))

@@ -318,7 +318,7 @@ def daily_extremes_loop(fields) -> tuple[np.ndarray, np.ndarray]:
     for f in fields:
         if f.grid != grid:
             raise ValueError("history fields must share one grid")
-        when = f.valid_time
+        (when,) = f.valid_times
         if (when.month, when.day) == (2, 29):
             continue
         d = calendar_day_oracle(when)
@@ -348,10 +348,11 @@ def daily_means_loop(fields) -> np.ndarray:
     for f in fields:
         if f.grid != grid:
             raise ValueError("fields must share one grid")
-        if (f.valid_time.month, f.valid_time.day) == (2, 29):
+        (when,) = f.valid_times
+        if (when.month, when.day) == (2, 29):
             continue
-        d = calendar_day_oracle(f.valid_time)
-        acc[d] += f.values
+        d = calendar_day_oracle(when)
+        acc[d] += f.values[0]
         counts[d] += 1
     if np.any(counts != 4):
         short = int(np.nonzero(counts != 4)[0][0])
@@ -755,10 +756,10 @@ def boxcar_smooth_field(noise, width: int) -> np.ndarray:
 
 def generate_fields(scenario, variable):
     """The synthetic truth stream of ``harness.generate_variable_series``
-    one ``GridField`` at a time: one draw, one boxcar and one AR(1) step
-    per 6-hourly field."""
+    one layer at a time, as one-layer blocks: one draw, one boxcar and one
+    AR(1) step per 6-hourly field."""
     from wxverify.climatology import year_times
-    from wxverify.grid import GridField
+    from wxverify.grid import FieldBlock
     from wxverify.harness import _inject, _innovation_scale, seasonal_value
     process = scenario.processes[variable]
     var_index = scenario.variables.index(variable)
@@ -783,14 +784,40 @@ def generate_fields(scenario, variable):
             values = np.full(shape, seasonal_value(process, when)) + state
             _inject(scenario, variable, when, values)
             quantized = np.asarray(values, dtype=np.float32).astype(np.float64)
-            yield GridField(scenario.grid, variable, when, 0, quantized)
+            yield FieldBlock(scenario.grid, variable, (when,), (0,),
+                             quantized[None])
 
 
 def lagged_forecast_per_lead(source, variable, init, leads, lag, step=None):
-    """``harness._lagged_forecast`` one truth field per lead."""
+    """``harness._lagged_forecast`` one truth layer per lead."""
+    from dataclasses import replace
     from datetime import timedelta
-    return [source.truth(variable, init + timedelta(hours=lead - lag))
-            .at(init + timedelta(hours=lead), lead) for lead in leads]
+    return [replace(source.truth_block(
+        variable, [init + timedelta(hours=lead - lag)]),
+        valid_times=(init + timedelta(hours=lead),), lead_hours=(lead,))
+        for lead in leads]
+
+
+def smoothed_forecast_per_lead(init, leads, kernel_width):
+    """``harness.smoothed_forecast`` one lead at a time, on arrays: the
+    float64 init layer's zonal running mean over ``min(kernel_width, 2 *
+    lead / 6 + 1)`` columns (wrapping in longitude, added from shift
+    -w/2 to w/2, then divided by w), or the layer itself at width 1,
+    rounded to float32 as a one-layer block."""
+    from datetime import timedelta
+    from wxverify.grid import FieldBlock
+    layer = init.values[0].astype(np.float64)
+    for lead in leads:
+        width = min(kernel_width, 2 * (lead // 6) + 1)
+        values = layer
+        if width > 1:
+            values = np.zeros_like(layer)
+            for s in range(-(width // 2), width // 2 + 1):
+                values += np.roll(layer, s, axis=1)
+            values = values / width
+        yield FieldBlock(init.grid, init.variable,
+                         (init.valid_times[0] + timedelta(hours=lead),),
+                         (lead,), values.astype(np.float32)[None])
 
 
 def write_station_csvs_per_field(scenario, source, n_stations: int) -> None:
@@ -819,11 +846,11 @@ def write_station_csvs_per_field(scenario, source, n_stations: int) -> None:
         if variable.derived:
             continue
         for when in source.manifest.valid_times:
-            field = source.truth(variable, when)
+            (values,) = source.truth_block(variable, [when]).values
             for sid, i, j in sites:
                 obs_lines.append(
                     f"{sid},{fileio.format_time(when)},{variable.key},"
-                    f"{float(field.values[i, j])!r}")
+                    f"{float(values[i, j])!r}")
     (out_dir / "stations_obs.csv").write_bytes(
         ("\n".join(obs_lines) + "\n").encode())
 
@@ -955,15 +982,16 @@ def station_scores_per_field(fields, table, variable, clim=None):
     positions = [(s.lat, s.lon) for s in table.stations]
     diffs, fc_anom, ob_anom = [], [], []
     for fc in fields:
-        obs_row = table.values[vi, table.time_index(fc.valid_time)]
+        (when,) = fc.valid_times
+        obs_row = table.values[vi, table.time_index(when)]
         present = ~np.isnan(obs_row)
         if not present.any():
             continue
-        fc_row = bilinear_weights(fc.grid, positions).apply(fc.values)
+        fc_row = bilinear_weights(fc.grid, positions).apply(fc.values[0])
         diffs.append(fc_row[present] - obs_row[present])
         if clim is not None:
             row, = day_rows(clim.first_day, clim.day_mean.shape[0],
-                            [calendar_day_index(fc.valid_time)])
+                            [calendar_day_index(when)])
             c = clim.day_mean[row][present]
             fc_anom.append(fc_row[present] - c)
             ob_anom.append(obs_row[present] - c)

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import (T0, field_block, layer_block, layer_scores, make_grid,
-                      random_field, truth_fields)
+from conftest import (T0, field_block, layer_of, layer_scores, make_field,
+                      make_grid, random_field, stamped, truth_fields)
 from wxverify import fileio
 from wxverify.cli import main as cli_main
 from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
@@ -26,11 +26,10 @@ from wxverify.cyclones import (TrackSource, homogeneous_sample,
                                intensity_errors, track_storm)
 from wxverify.extremes import (EventKind, EventSegment, label_event_runs,
                                match_events, scores_from_counts)
-from wxverify.grid import (EARTH_RADIUS_KM, FieldBlock, GeoGrid, VariableId,
-                           haversine_km, latitude_weights)
+from wxverify.grid import (EARTH_RADIUS_KM, GeoGrid, VariableId, haversine_km,
+                           latitude_weights)
 from wxverify.harness import (SyntheticScenario, VariableProcess, VortexSpec,
-                              make_besttrack, persistence_forecast,
-                              smoothed_forecast)
+                              make_besttrack, smoothed_forecast)
 from wxverify.pipelines import _mean
 from wxverify.spectra import latitude_circumference_m, midlatitude_spectrum
 from wxverify.stations import (QcThresholds, Station, StationTable, apply_qc,
@@ -57,14 +56,14 @@ def test_c01_metric_oracle_suite(rng):
         clim = random_field(rng, grid)
         scores = layer_scores(pred, truth, clim, weights=w)
         assert scores.wrmse == pytest.approx(
-            oracles.wrmse_loop(pred.values, truth.values, w), rel=1e-12)
+            oracles.wrmse_loop(pred.values[0], truth.values[0], w), rel=1e-12)
         assert scores.bias == pytest.approx(
-            oracles.bias_loop(pred.values, truth.values, w), rel=1e-12)
+            oracles.bias_loop(pred.values[0], truth.values[0], w), rel=1e-12)
         assert scores.acc == pytest.approx(
-            oracles.acc_loop(pred.values, truth.values, clim.values, w),
+            oracles.acc_loop(pred.values[0], truth.values[0], clim.values[0], w),
             rel=1e-12)
         assert scores.activity == pytest.approx(
-            oracles.activity_loop(pred.values, clim.values, w), rel=1e-12)
+            oracles.activity_loop(pred.values[0], clim.values[0], w), rel=1e-12)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"oracle suite took {elapsed:.2f}s"
     ok(1, f"200 random grids, 4 metrics vs fsum loops at 1e-12 "
@@ -100,14 +99,14 @@ def test_c03_spectrum_analytic_and_parseval(rng):
         amp = float(rng.uniform(0.5, 5.0))
         grid = GeoGrid(np.array([45.0]), np.arange(n_lon) * (360.0 / n_lon))
         j = np.arange(n_lon)
-        block = layer_block(grid, (amp * np.cos(2 * np.pi * 3 * j / n_lon)
+        block = make_field(grid, (amp * np.cos(2 * np.pi * 3 * j / n_lon)
                                    ).reshape(1, n_lon))
         s = midlatitude_spectrum(block, 0).energy
         assert s[3] == pytest.approx(c45 * amp * amp / 2.0, rel=1e-10)
     for n_lon in (15, 45, 127):
         grid = GeoGrid(np.array([45.0]), np.arange(n_lon) * (360.0 / n_lon))
         values = 3.0 + rng.standard_normal(n_lon)
-        block = layer_block(grid, values.reshape(1, n_lon))
+        block = make_field(grid, values.reshape(1, n_lon))
         s = midlatitude_spectrum(block, 0).energy
         assert float(s.sum()) / c45 == pytest.approx(
             oracles.mean_square_loop(values), rel=1e-10)
@@ -234,8 +233,8 @@ def _fields_at(scenario, variable, times):
     wanted = set(times)
     out = {}
     for field in truth_fields(scenario, variable):
-        if field.valid_time in wanted:
-            out[field.valid_time] = field
+        if field.valid_times[0] in wanted:
+            out[field.valid_times[0]] = field
         if len(out) == len(wanted):
             break
     return [out[t] for t in times]
@@ -247,12 +246,9 @@ def test_c07_tracker_acceptance():
     positive MSLP bias at every lead."""
     scenario, vortex = _vortex_scenario()
     times = [vortex.start_time + k * timedelta(hours=6) for k in range(21)]
-    msl = [f.at(f.valid_time, 6 * k)
-           for k, f in enumerate(_fields_at(scenario, VariableId.MSL, times))]
-    u10 = [f.at(f.valid_time, 6 * k)
-           for k, f in enumerate(_fields_at(scenario, VariableId.U10, times))]
-    v10 = [f.at(f.valid_time, 6 * k)
-           for k, f in enumerate(_fields_at(scenario, VariableId.V10, times))]
+    msl, u10, v10 = ([stamped(f, f.valid_times[0], 6 * k)
+                      for k, f in enumerate(_fields_at(scenario, v, times))]
+                     for v in (VariableId.MSL, VariableId.U10, VariableId.V10))
     (truth_track,) = make_besttrack(scenario)
 
     track = track_storm(field_block(*msl), field_block(*u10),
@@ -265,14 +261,10 @@ def test_c07_tracker_acceptance():
         assert center_error_km < 28.0
         assert abs(fix.min_mslp_pa - truth_track.fixes[k].min_mslp_pa) < 50.0
 
-    smoothed_msl = [smoothed_forecast(msl[0], [6 * k], kernel_width=9)[0]
-                    for k in range(21)]
-    smoothed_u = [smoothed_forecast(u10[0], [6 * k], kernel_width=9)[0]
-                  for k in range(21)]
-    smoothed_v = [smoothed_forecast(v10[0], [6 * k], kernel_width=9)[0]
-                  for k in range(21)]
-    model = track_storm(field_block(*smoothed_msl), field_block(*smoothed_u),
-                        field_block(*smoothed_v),
+    leads = [6 * k for k in range(21)]
+    model = track_storm(*(field_block(*smoothed_forecast(
+                            init[0], leads, kernel_width=9))
+                          for init in (msl, u10, v10)),
                         truth_track.fixes[0].position, storm_id="SYN01",
                         source=TrackSource("smoothed9"))
     assert all(model.tracked_mask)
@@ -337,13 +329,13 @@ def test_c09_station_pipeline(rng):
     stations = tuple(Station(f"S{k}", float(grid.lat_deg[i]),
                              float(grid.lon_deg[j]), 0.0)
                      for k, (i, j) in enumerate(nodes))
-    obs = np.array([[[truth.values[i, j] for i, j in nodes]]])
+    obs = np.array([[[truth.values[0, i, j] for i, j in nodes]]])
     table = StationTable(stations, (T0,), (VariableId.T2M,), obs,
                          np.ones(obs.shape, dtype=np.uint8))
-    scores, = station_scores([field_block(pred)], table, VariableId.T2M)
+    scores, = station_scores([pred], table, VariableId.T2M)
     rows = np.array([i for i, _ in nodes])
     cols = np.array([j for _, j in nodes])
-    err = pred.values[rows, cols] - truth.values[rows, cols]
+    err = pred.values[0, rows, cols] - truth.values[0, rows, cols]
     assert scores.rmse == pytest.approx(float(np.sqrt(np.mean(err ** 2))),
                                         rel=1e-12)
     assert scores.bias == pytest.approx(float(np.mean(err)), rel=1e-12)
@@ -395,14 +387,12 @@ def test_c10_end_to_end_determinism_and_closure(tmp_path, rng):
     # cell of the scorecard from the in-memory stream
     from wxverify.harness import scenario_from_dict
     scenario = scenario_from_dict(E2E_SCENARIO)
-    t2m = {f.valid_time: f
+    t2m = {f.valid_times[0]: f
            for f in truth_fields(scenario, VariableId.T2M)}
     clim = DailyMeanClimatology(
         scenario.grid, VariableId.T2M,
         oracles.build_daily_mean_climatology(
-            [daily_means_from_fields(FieldBlock(
-                scenario.grid, VariableId.T2M, tuple(t2m), (0,) * len(t2m),
-                np.stack([f.values for f in t2m.values()])))[1]]),
+            [daily_means_from_fields(field_block(*t2m.values()))[1]]),
         (2025,))
     card = json.loads(blob1.decode())
     weights = latitude_weights(scenario.grid)
@@ -412,10 +402,9 @@ def test_c10_end_to_end_determinism_and_closure(tmp_path, rng):
         per_init_acc = []
         for init in init_times:
             when = init + timedelta(hours=lead)
-            truth_field = t2m[when]
-            pred = t2m[init].at(when, lead)  # persistence, in memory
-            scores = layer_scores(pred, truth_field, clim.field_for(when),
-                                  weights=weights)
+            pred = t2m[init]  # persistence, in memory
+            scores = layer_scores(pred, t2m[when], make_field(
+                scenario.grid, clim.layers([when])[0]), weights=weights)
             per_init_wrmse.append(scores.wrmse)
             per_init_acc.append(scores.acc)
         rows = [r for r in card["grid_metrics"]
@@ -440,9 +429,9 @@ def test_c11_skill_decay_sanity():
                 base=285.0, ar1=0.8, noise_sigma=1.0)})
         stream = truth_fields(scenario, VariableId.T2M)
         t0, t1, t2 = itertools.islice(stream, 3)
-        fc1, fc2 = persistence_forecast(t0, [6, 12])
-        e1 = layer_scores(fc1, t1).wrmse
-        e2 = layer_scores(fc2, t2).wrmse
+        (fc,) = smoothed_forecast(t0, [6, 12], kernel_width=1)  # persistence
+        e1 = layer_scores(layer_of(fc, 0), t1).wrmse
+        e2 = layer_scores(layer_of(fc, 1), t2).wrmse
         wins += e2 >= e1
     assert wins >= 48, f"monotone decay on only {wins}/50 seeds"
     ok(11, f"WRMSE(12h) >= WRMSE(6h) on {wins}/50 seeds (>= 48 required)")

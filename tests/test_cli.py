@@ -16,7 +16,9 @@ import pytest
 
 import oracles
 import wxverify
-from conftest import assert_read_once_in_whole_days, read_store
+from conftest import (assert_read_once_in_whole_days, layer_of, read_store,
+                      stamped)
+from test_fileio import with_whole_checksum
 from wxverify import fileio, pipelines
 from wxverify.cli import main
 from wxverify.climatology import (SYNOPTIC_HOURS, DailyMeanClimatology,
@@ -399,6 +401,35 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             "error: anomaly field is (near-)constant zero\n"
 
+    @pytest.mark.parametrize("magic", ["RBCLIM1", "RBTHRESH1"])
+    def test_a_whole_payload_checksum_is_exit_2(self, extremes_run, magic,
+                                                tmp_path, capsys):
+        # climatologies and thresholds as written before they were read by
+        # the day, with one CRC-32 over the whole payload
+        if magic == "RBTHRESH1":
+            path, manifest = thresholds_copy(extremes_run, tmp_path)
+            command = "extremes"
+        else:
+            path = tmp_path / "t2m.rbc"
+            for suffix in ("", ".json"):
+                shutil.copyfile(f"{extremes_run / 'clim/t2m.rbc'}{suffix}",
+                                f"{path}{suffix}")
+            doc = json.loads((extremes_run / "manifest.json").read_text())
+            manifest = with_manifest(
+                extremes_run, f"manifest_{tmp_path.name}.json",
+                climatology=dict(doc["climatology"], daily_mean_pattern=str(
+                    tmp_path / "{variable}.rbc")))
+            command = "evaluate"
+        with_whole_checksum(path)
+        capsys.readouterr()
+        extra = ["--lead-days", "1,3"] if command == "extremes" else []
+        assert run_cli(command, "--manifest", manifest,
+                       "--out", tmp_path / "out", *extra) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: one checksum over the whole payload is no "
+            f"longer read; rerun build-climatology to rewrite it\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("years", [["20x3"], "2023"],
                              ids=["non-integer-year", "string-not-list"])
     def test_bad_history_years_is_exit_2(self, evaluate_run, years, capsys):
@@ -567,32 +598,6 @@ class TestThresholdsByDay:
             capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_a_legacy_whole_checksum_file_is_read_whole(self, extremes_run,
-                                                        tmp_path,
-                                                        store_reads):
-        # thresholds written before they were read by the day: one CRC-32
-        # over the whole payload; the same payload scores the same
-        path, manifest = thresholds_copy(extremes_run, tmp_path)
-        sidecar = path.with_name(path.name + ".json")
-        header = json.loads(sidecar.read_text())
-        del header["checksums"], header["n_layers"]
-        header["checksum"] = zlib.crc32(path.read_bytes())
-        sidecar.write_text(json.dumps(header))
-        for out, doc in (("legacy", manifest),
-                         ("days", extremes_run / "manifest.json")):
-            assert run_cli("extremes", "--manifest", doc, "--out",
-                           tmp_path / out, "--lead-days", "1,3") == 0
-        assert [read for read in store_reads if read[0] == path] == \
-            [(path, 0, 730)]
-        legacy, days = (load_card(tmp_path / out) for out in ("legacy", "days"))
-        assert legacy["event_scores"] == days["event_scores"]
-        assert legacy["provenance"]["thresholds_sha256"] == \
-            days["provenance"]["thresholds_sha256"]
-        for csv_path in (tmp_path / "days/segments").iterdir():
-            assert csv_path.read_bytes() == \
-                (tmp_path / "legacy/segments" / csv_path.name).read_bytes()
-
-
 class TestStackReads:
     def test_evaluate_parses_each_sidecar_once(self, evaluate_run, tmp_path,
                                                monkeypatch):
@@ -705,7 +710,7 @@ def whole_year_stores(run, out):
     for year in manifest.history_years:
         stack = read_store(manifest.history_path(
             VariableId.T2M, datetime(year, 1, 1, tzinfo=timezone.utc)))
-        fields = [stack.field(i) for i in range(len(stack.valid_times))]
+        fields = [layer_of(stack, i) for i in range(len(stack.valid_times))]
         per_year.append(oracles.daily_means_loop(fields))
         extremes[year] = oracles.daily_extremes_loop(fields)
     fileio.write_daily_climatology([DailyMeanClimatology(
@@ -918,16 +923,15 @@ def field_by_field(manifest_path, leads, spectra_leads):
                     when = init + timedelta(hours=lead)
                     pred = source.model_block(model, init, variable,
                                               [lead]).values[0]
-                    truth = source.truth(variable, when)
+                    truth = source.truth_block(variable, [when])
                     w = latitude_weights(truth.grid)
-                    per["wrmse"].append(
-                        oracles.wrmse_field(pred, truth.values, w))
-                    per["bias"].append(
-                        oracles.bias_field(pred, truth.values, w))
+                    t = truth.values[0].astype(np.float64)
+                    per["wrmse"].append(oracles.wrmse_field(pred, t, w))
+                    per["bias"].append(oracles.bias_field(pred, t, w))
                     if clims[variable] is not None:
-                        clim = clims[variable].field_for(when).values
+                        clim = clims[variable].layers([when])[0]
                         per["acc"].append(
-                            oracles.acc_field(pred, truth.values, clim, w))
+                            oracles.acc_field(pred, t, clim, w))
                         per["activity"].append(
                             oracles.activity_field(pred, clim, w))
                 rows.extend({"model": model, "variable": variable.key,
@@ -986,32 +990,13 @@ def grid_layout(run):
         for init in manifest.init_times:
             for lead in manifest.lead_hours:
                 when = init + timedelta(hours=lead)
-                fileio.write_grid(source.truth(variable, when),
+                fileio.write_grid(source.truth_block(variable, [when]),
                                   grid_manifest.truth_path(variable, when))
                 for name in manifest.models:
                     fileio.write_grid(
-                        source.model_block(name, init, variable,
-                                           [lead]).field(0),
+                        source.model_block(name, init, variable, [lead]),
                         grid_manifest.model_path(name, init, variable, lead))
     return path
-
-
-def legacy_climatology(run):
-    """The run's climatologies with one whole-payload CRC-32 in each
-    sidecar, as written before they were read by the day; its manifest."""
-    doc = json.loads((run / "manifest.json").read_text())
-    for payload in (run / "clim").glob("*.rbc"):
-        legacy = run / "clim_legacy" / payload.name
-        legacy.parent.mkdir(exist_ok=True)
-        legacy.write_bytes(payload.read_bytes())
-        header = json.loads(payload.with_name(payload.name + ".json")
-                            .read_text())
-        del header["checksums"], header["n_layers"]
-        header["checksum"] = zlib.crc32(payload.read_bytes())
-        legacy.with_name(legacy.name + ".json").write_text(json.dumps(header))
-    clim = dict(doc["climatology"],
-                daily_mean_pattern="clim_legacy/{variable}.rbc")
-    return with_manifest(run, "manifest_legacy.json", climatology=clim)
 
 
 @pytest.fixture(scope="module")
@@ -1041,7 +1026,7 @@ class TestEvaluateBlocks:
     one field at a time, bit for bit."""
 
     @pytest.mark.parametrize("variant", ["stacks", "rbgrid1", "ws10",
-                                         "legacy-clim", "one-layer-blocks"])
+                                         "one-layer-blocks"])
     def test_equals_field_by_field(self, evaluate_run, variant, tmp_path,
                                    monkeypatch):
         manifest = evaluate_run / "manifest.json"
@@ -1051,8 +1036,6 @@ class TestEvaluateBlocks:
             manifest = with_manifest(evaluate_run, "manifest_ws10.json",
                                      variables=["t2m", "u10", "v10", "msl",
                                                 "ws10"])
-        elif variant == "legacy-clim":
-            manifest = legacy_climatology(evaluate_run)
         elif variant == "one-layer-blocks":
             monkeypatch.setattr(fileio, "BLOCK_BYTES", 1)
         out = tmp_path / "out"
@@ -1084,13 +1067,11 @@ class TestEvaluateBlocks:
         assert [path for path, _, _ in truth] == [
             "truth/t2m/2025.rbs", "truth/t2m/2026.rbs"] * 2
         assert_scores_field_by_field(out, manifest, ALL_LEADS, (6,))
-        for variant in (legacy_climatology(new_year_run),
-                        grid_layout(new_year_run)):
-            again = tmp_path / variant.stem
-            assert run_cli("evaluate", "--manifest", variant,
-                           "--out", again) == 0
-            assert load_card(again)["grid_metrics"] == \
-                load_card(out)["grid_metrics"]
+        again = tmp_path / "grid"
+        assert run_cli("evaluate", "--manifest", grid_layout(new_year_run),
+                       "--out", again) == 0
+        assert load_card(again)["grid_metrics"] == \
+            load_card(out)["grid_metrics"]
 
     def test_each_stack_payload_is_read_once(self, evaluate_run, tmp_path,
                                              store_reads):
@@ -1134,11 +1115,10 @@ def grid_run(run, root, truth_pattern="truth/{variable}/{time}.rbg"):
     manifest = fileio.load_manifest(path, require=())
     for lead in (6, 0):  # one truth file for every time keeps the init's
         when = init + timedelta(hours=lead)
-        fileio.write_grid(source.truth(VariableId.T2M, when),
+        fileio.write_grid(source.truth_block(VariableId.T2M, [when]),
                           manifest.truth_path(VariableId.T2M, when))
         fileio.write_grid(
-            source.model_block("persistence", init, VariableId.T2M,
-                               [lead]).field(0),
+            source.model_block("persistence", init, VariableId.T2M, [lead]),
             manifest.model_path("persistence", init, VariableId.T2M, lead))
     return manifest
 
@@ -1154,8 +1134,8 @@ class TestGridFilesReadAsStacks:
         manifest = grid_run(evaluate_run, tmp_path / "grid")
         init = manifest.init_times[0]
         path = manifest.model_path("persistence", init, VariableId.T2M, 6)
-        field = read_store(path).field(0)
-        fileio.write_grid(field.at(field.valid_time, 12), path)
+        field = read_store(path)
+        fileio.write_grid(stamped(field, field.valid_times[0], 12), path)
         capsys.readouterr()
         assert run_cli("evaluate", "--manifest", manifest.path,
                        "--out", tmp_path / "out") == 2
@@ -1409,11 +1389,12 @@ class TestExtremesReference:
             days = [init + timedelta(days=d - 1)
                     for init in manifest.init_times]
             rows = [calendar_day_index(day) for day in days]
-            truth = [[source.truth(VariableId.T2M, day + timedelta(hours=h))
+            truth = [[source.truth_block(VariableId.T2M,
+                                         [day + timedelta(hours=h)])
                       for h in SYNOPTIC_HOURS] for day in days]
             for model in manifest.models:
                 forecast = [[source.model_block(model, init, VariableId.T2M,
-                                                [24 * (d - 1) + h]).field(0)
+                                                [24 * (d - 1) + h])
                              for h in SYNOPTIC_HOURS]
                             for init in manifest.init_times]
                 for kind, tau in ((EventKind.HEATWAVE, thresholds.tau_heat),

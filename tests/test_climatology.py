@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_field, make_grid
+from conftest import layer_of, make_field, make_grid
 from wxverify import climatology, fileio
 from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory, day_span,
                                   build_thresholds, calendar_day_index,
@@ -248,7 +248,7 @@ class TestYearBlocks:
                 daily_extremes_from_fields(part)
             assert extreme_rows == rows
         assert row == DAYS_PER_YEAR
-        fields = [block.field(i) for i in range(len(times))]
+        fields = [layer_of(block, i) for i in range(len(times))]
         assert means.tobytes() == oracles.daily_means_loop(fields).tobytes()
         want = oracles.daily_extremes_loop(fields)
         assert [dmax.tobytes(), dmin.tobytes()] == [a.tobytes() for a in want]

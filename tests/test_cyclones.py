@@ -156,7 +156,8 @@ class TestTracker:
         msl, u10, v10 = vortex_field_set(grid, centers)
         # fill the depression from lead 2 onward
         for k in (2, 3, 4):
-            msl[k] = replace(msl[k], values=np.full(grid.shape, 101500.0))
+            msl[k] = replace(msl[k], values=np.full((1, *grid.shape),
+                                                    101500.0))
         track = track_storm(*blocks(msl, u10, v10), centers[0],
                             storm_id="S", source=TrackSource("m"))
         assert track.tracked_mask == (True, True, False, False, False)

@@ -19,8 +19,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (T0, assert_read_once_in_whole_days, layer_scores,
-                      make_field, make_grid, read_store)
+from conftest import (T0, assert_read_once_in_whole_days, field_block,
+                      layer_of, layer_scores, make_field, make_grid,
+                      read_store, stamped)
 from wxverify import climatology, fileio, metrics
 from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
                                   DailyMeanClimatology, ThresholdBuild,
@@ -95,7 +96,7 @@ class Store(NamedTuple):
 STORES = {
     "grid": Store(write_grid_store, read_store, "<f4",
                   lambda m: m.truth_path(VariableId.T2M, T0),
-                  lambda s: s.truth(VariableId.T2M, T0),
+                  lambda s: s.truth_block(VariableId.T2M, [T0]),
                   lambda block: (block.grid, list(block.values))),
     "thresholds": Store(write_threshold_store, fileio.read_thresholds, "<f4",
                         lambda m: m.thresholds_file,
@@ -107,7 +108,7 @@ STORES = {
                          lambda c: (c.grid, [c.day_mean])),
     "stack": Store(write_stack_store, read_store, "<f4",
                    lambda m: m.truth_path(VariableId.MSL, STACK_TIMES[-1]),
-                   lambda s: s.truth(VariableId.MSL, STACK_TIMES[-1]),
+                   lambda s: s.truth_block(VariableId.MSL, [STACK_TIMES[-1]]),
                    lambda block: (block.grid, list(block.values))),
 }
 
@@ -143,10 +144,10 @@ class TestGridRoundTrip:
         grid = GeoGrid.uniform(50.0, -2.5, 9, 10.0, 5.0, 12)
         field = f32_field(rng, grid, variable=VariableId.MSL, lead_hours=12)
         path = fileio.write_grid(field, tmp_path / "f.rbg")
-        back = read_store(path).field(0)
+        back = read_store(path)
         assert back.grid == field.grid
         assert back.variable is field.variable
-        assert back.valid_time == field.valid_time
+        assert back.valid_times == field.valid_times
         assert back.lead_hours == field.lead_hours
         assert np.array_equal(back.values, field.values)
 
@@ -154,7 +155,7 @@ class TestGridRoundTrip:
         grid = make_grid(4, 8)
         field = f32_field(rng, grid)
         p1 = fileio.write_grid(field, tmp_path / "a.rbg")
-        back = read_store(p1).field(0)
+        back = read_store(p1)
         p2 = fileio.write_grid(back, tmp_path / "b.rbg")
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "a.rbg.json").read_bytes() == \
@@ -199,6 +200,18 @@ class TestGridRoundTrip:
         with pytest.raises(WxVerifyError):
             fileio.write_grid(ws, tmp_path / "ws.rbg")
 
+    @pytest.mark.parametrize("n_layers", [0, 2])
+    def test_a_block_of_other_than_one_layer_is_not_written(self, n_layers,
+                                                            tmp_path):
+        grid = make_grid(2, 4)
+        block = FieldBlock(grid, VariableId.T2M, tuple(times_from(T0, n_layers)),
+                           (0,) * n_layers, np.zeros((n_layers, *grid.shape)))
+        path = tmp_path / "f.rbg"
+        with pytest.raises(WxVerifyError) as err:
+            fileio.write_grid(block, path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_non_uniform_grid_rejected(self, rng, tmp_path):
         grid = GeoGrid(np.array([10.0, 5.0, -3.0]), np.array([0.0, 120.0, 240.0]))
         field = make_field(grid, np.zeros(grid.shape))
@@ -218,7 +231,7 @@ class TestGridRoundTrip:
         header["checksum"] = zlib.crc32(blob)
         path.write_bytes(blob)
         (tmp_path / "f.rbg.json").write_text(json.dumps(header))
-        back = read_store(path).field(0)
+        back = read_store(path)
         assert back.grid == field.grid
         assert np.array_equal(back.values, field.values)
 
@@ -234,7 +247,7 @@ class TestGridRoundTrip:
         header["checksum"] = zlib.crc32(blob)
         path.write_bytes(blob)
         (tmp_path / "f.rbg.json").write_text(json.dumps(header))
-        back = read_store(path).field(0)
+        back = read_store(path)
         assert back.grid == field.grid
         assert np.array_equal(back.values, field.values)
 
@@ -755,7 +768,7 @@ class TestManifest:
                 fileio.write_grid(field, tmp_path / "truth" /
                                   f"t2m_{when.strftime('%Y%m%d%H')}.rbg")
                 fileio.write_grid(
-                    field.at(when, lead),
+                    stamped(field, when, lead),
                     tmp_path / "m" /
                     f"t2m_{init.strftime('%Y%m%d%H')}_{lead:03d}.rbg")
         return path
@@ -974,9 +987,9 @@ class TestFieldSource:
             path = write_raw_grid(
                 source.manifest.truth_path(VariableId.T2M, when),
                 rng.standard_normal(geometry[:2]), geometry, when)
-            fresh, fresh_err = outcome(lambda: read_store(path).field(0))
+            fresh, fresh_err = outcome(lambda: read_store(path))
             cached, cached_err = outcome(
-                lambda: source.truth(VariableId.T2M, when))
+                lambda: source.truth_block(VariableId.T2M, [when]))
             if fresh_err is not None:
                 assert type(cached_err) is type(fresh_err)
                 assert str(cached_err) == str(fresh_err)
@@ -984,8 +997,8 @@ class TestFieldSource:
             assert cached_err is None
             assert cached.grid == fresh.grid
             assert cached.values.tobytes() == fresh.values.tobytes()
-            assert (cached.variable, cached.valid_time, cached.lead_hours) == \
-                (fresh.variable, fresh.valid_time, fresh.lead_hours)
+            assert (cached.variable, cached.valid_times, cached.lead_hours) == \
+                (fresh.variable, fresh.valid_times, fresh.lead_hours)
             first = shared.setdefault(geometry_key(geometry), cached.grid)
             assert first is cached.grid
             assert not any(grid is cached.grid
@@ -1037,12 +1050,12 @@ class TestFieldSource:
         for field_first in (True, False):
             source = fileio.FieldSource(manifest)
             if field_first:
-                truth = source.truth(VariableId.T2M, T0)
+                truth = source.truth_block(VariableId.T2M, [T0])
             clim = source.climatology(VariableId.T2M)
             _, threshold_grid = source.thresholds()
             stack_layer = STORES["stack"].read_via(source)
             if not field_first:
-                truth = source.truth(VariableId.T2M, T0)
+                truth = source.truth_block(VariableId.T2M, [T0])
             assert clim.grid is truth.grid
             assert threshold_grid is truth.grid
             assert stack_layer.grid is truth.grid
@@ -1092,12 +1105,13 @@ class TestFieldSource:
             fileio.write_grid(field, manifest.truth_path(variable, T0))
             fileio.write_grid(field, manifest.model_path("m", T0, variable, 0))
         source = fileio.FieldSource(manifest)
-        for read in (lambda v: source.truth(v, T0),
-                     lambda v: source.model_block("m", T0, v, [0]).field(0)):
+        for read in (lambda v: source.truth_block(v, [T0]),
+                     lambda v: source.model_block("m", T0, v, [0])):
             u, v, ws = (read(var) for var in (VariableId.U10, VariableId.V10,
                                               VariableId.WS10))
             assert ws.variable is VariableId.WS10
-            assert np.array_equal(ws.values, np.hypot(u.values, v.values))
+            assert np.array_equal(ws.values, np.hypot(u.values, v.values,
+                                                      dtype=np.float64))
             assert u.grid is v.grid is ws.grid
 
 
@@ -1159,28 +1173,28 @@ class TestStacks:
         whole, whole_err = outcome(lambda: read_store(stack))
         for k, when in enumerate(times):
             path = write_raw_grid(root / f"g{k}.rbg", values[k], geometry, when)
-            fresh, fresh_err = outcome(lambda: read_store(path).field(0))
-            layer, layer_err = outcome(lambda: source.truth(VariableId.T2M,
-                                                            when))
+            fresh, fresh_err = outcome(lambda: read_store(path))
+            layer, layer_err = outcome(
+                lambda: source.truth_block(VariableId.T2M, [when]))
             if fresh_err is not None:
                 assert type(layer_err) is type(fresh_err)
                 assert type(whole_err) is type(fresh_err)
                 continue
-            for got in (layer, whole.field(k)):
+            for got in (layer, layer_of(whole, k)):
                 assert got.grid == fresh.grid
                 assert got.values.tobytes() == fresh.values.tobytes()
-                assert (got.variable, got.valid_time, got.lead_hours) == \
-                    (fresh.variable, fresh.valid_time, fresh.lead_hours)
+                assert (got.variable, got.valid_times, got.lead_hours) == \
+                    (fresh.variable, fresh.valid_times, fresh.lead_hours)
             assert layer.grid is read_store(path, source._geometries).grid
         if whole_err is None:
             # rewriting what was read gives the same fields back, or fails
             # as writing its first field alone does (a regional grid across
             # 0E is not uniform in the engine convention)
             written, err = outcome(lambda: fileio.write_stack(
-                (whole.field(k) for k in range(n_layers)),
+                (layer_of(whole, k) for k in range(n_layers)),
                 root / "again.rbs"))
             _, grid_err = outcome(lambda: fileio.write_grid(
-                whole.field(0), root / "again.rbg"))
+                layer_of(whole, 0), root / "again.rbg"))
             assert type(err) is type(grid_err)
             if err is None:
                 again = read_store(written)
@@ -1194,7 +1208,7 @@ class TestStacks:
         back = read_store(first)
         assert isinstance(back, FieldBlock)
         assert back.lead_hours == (0, 6, 12)
-        second = fileio.write_stack((back.field(k) for k in range(3)),
+        second = fileio.write_stack((layer_of(back, k) for k in range(3)),
                                     tmp_path / "b.rbs")
         assert first.read_bytes() == second.read_bytes()
         assert (tmp_path / "a.rbs.json").read_bytes() == \
@@ -1219,10 +1233,10 @@ class TestStacks:
             source = fileio.FieldSource(manifest)
             for j, when in enumerate(times):
                 if j != k:
-                    source.truth(VariableId.T2M, when)
+                    source.truth_block(VariableId.T2M, [when])
                     continue
                 with pytest.raises(ChecksumMismatch) as err:
-                    source.truth(VariableId.T2M, when)
+                    source.truth_block(VariableId.T2M, [when])
                 assert str(err.value) == f"{path}: CRC-32 mismatch in layer {k}"
             with pytest.raises(ChecksumMismatch, match=f"in layer {k}"):
                 read_store(path)  # a whole read checks every layer
@@ -1245,7 +1259,7 @@ class TestStacks:
         for when in (T0 - fileio.STACK_STEP, T0 + 3 * fileio.STACK_STEP,
                      T0 + timedelta(hours=1)):
             with pytest.raises(ManifestError) as err:
-                source.truth(VariableId.T2M, when)
+                source.truth_block(VariableId.T2M, [when])
             assert str(err.value).startswith(
                 f"{path} holds no layer valid at {fileio.format_time(when)}")
         assert source.model_block("m", T0, VariableId.T2M,
@@ -1293,12 +1307,12 @@ class TestStacks:
         fields = [f32_field(rng, grid, valid_time=when)
                   for when in times_from(T0, 3)]
         if fault == "time-gap":
-            fields[2] = fields[2].at(T0 + timedelta(hours=18), 0)
+            fields[2] = stamped(fields[2], T0 + timedelta(hours=18), 0)
         elif fault == "other-grid":
             fields[2] = f32_field(rng, make_grid(3, 4, lat_top=50.0),
-                                  valid_time=fields[2].valid_time)
+                                  valid_time=fields[2].valid_times[0])
         elif fault == "lead-step":
-            fields[1] = fields[1].at(fields[1].valid_time, 6)
+            fields[1] = stamped(fields[1], fields[1].valid_times[0], 6)
         else:
             fields[0] = make_field(grid, np.ones(grid.shape), VariableId.WS10)
         path = tmp_path / "s.rbs"
@@ -1306,21 +1320,13 @@ class TestStacks:
             fileio.write_stack(fields, path)
         assert list(tmp_path.iterdir()) == []
 
-    @staticmethod
-    def chunk(fields):
-        first = fields[0]
-        return FieldBlock(first.grid, first.variable,
-                          tuple(f.valid_time for f in fields),
-                          tuple(f.lead_hours for f in fields),
-                          np.stack([f.values for f in fields]))
-
     def test_chunks_write_what_their_fields_write(self, rng, tmp_path):
         fields = [f32_field(rng, make_grid(3, 4), valid_time=when,
                             lead_hours=6 * k)
                   for k, when in enumerate(times_from(T0, 7))]
         by_field = fileio.write_stack(fields, tmp_path / "a.rbs")
         chunked = fileio.write_stack(
-            [self.chunk(fields[:3]), fields[3], self.chunk(fields[4:])],
+            [field_block(*fields[:3]), fields[3], field_block(*fields[4:])],
             tmp_path / "b.rbs")
         assert by_field.read_bytes() == chunked.read_bytes()
         assert (tmp_path / "a.rbs.json").read_bytes() == \
@@ -1334,17 +1340,19 @@ class TestStacks:
         fields = [f32_field(rng, grid, valid_time=when, lead_hours=6 * k)
                   for k, when in enumerate(times_from(T0, 6))]
         if fault == "time-gap":
-            fields[layer] = fields[layer].at(
-                fields[layer].valid_time + fileio.STACK_STEP, 6 * layer)
+            fields[layer] = stamped(
+                fields[layer], fields[layer].valid_times[0] + fileio.STACK_STEP,
+                6 * layer)
         elif fault == "lead-step":
-            fields[layer] = fields[layer].at(fields[layer].valid_time, 0)
+            fields[layer] = stamped(fields[layer],
+                                    fields[layer].valid_times[0], 0)
         else:
             fields[layer] = f32_field(
                 rng, make_grid(3, 4, lat_top=50.0),
-                valid_time=fields[layer].valid_time, lead_hours=6 * layer)
-        chunks = [self.chunk(fields[:3]), self.chunk(fields[3:])]
+                valid_time=fields[layer].valid_times[0], lead_hours=6 * layer)
+        chunks = [field_block(*fields[:3]), field_block(*fields[3:])]
         if fault == "other-grid":  # a chunk is on one grid
-            chunks = [self.chunk(fields[:layer]), self.chunk(fields[layer:])]
+            chunks = [field_block(*fields[:layer]), field_block(*fields[layer:])]
         with pytest.raises(WxVerifyError,
                            match=f"does not continue the stack as layer "
                                  f"{layer}$"):
@@ -1375,8 +1383,8 @@ class TestStacks:
         manifest = stack_manifest(tmp_path)
         times = fileio.year_times(T0.year)
         fileio.write_stack(
-            [self.chunk([f32_field(rng, make_grid(2, 3), valid_time=when)
-                         for when in times])],
+            [field_block(*[f32_field(rng, make_grid(2, 3), valid_time=when)
+                           for when in times])],
             manifest.history_path(VariableId.T2M, T0))
         fileio.write_stack(
             [f32_field(rng, make_grid(2, 3), valid_time=when, lead_hours=6 * k)
@@ -1432,9 +1440,9 @@ class TestStacks:
              for first in range(0, DAYS_PER_YEAR, days)]
         # the stored float32 values, not widened
         assert all(block.values.dtype == np.float32 for block in blocks)
-        assert blocks[-1].values[-1].astype(np.float64).tobytes() == \
-            fileio.FieldSource(manifest).truth(VariableId.T2M,
-                                               times[-1]).values.tobytes()
+        assert blocks[-1].values[-1:].tobytes() == \
+            fileio.FieldSource(manifest).truth_block(VariableId.T2M,
+                                                     [times[-1]]).values.tobytes()
 
     def test_history_year_must_be_whole(self, rng, tmp_path):
         manifest = stack_manifest(tmp_path)
@@ -1459,7 +1467,7 @@ class TestStacks:
         source = fileio.FieldSource(manifest)
         for _ in range(2):
             for when in times:
-                source.truth(VariableId.T2M, when)
+                source.truth_block(VariableId.T2M, [when])
         assert loads == [manifest.truth_path(VariableId.T2M, T0)]
 
 
@@ -1485,9 +1493,9 @@ class TestBlocks:
             lambda: source.truth_block(VariableId.T2M, times))
         pred, pred_err = outcome(lambda: source.model_block(
             "m", T0, VariableId.T2M, [6 * k for k in ks]))
-        fields = [outcome(lambda: (source.truth(VariableId.T2M, when),
+        fields = [outcome(lambda: (source.truth_block(VariableId.T2M, [when]),
                                    source.model_block("m", T0, VariableId.T2M,
-                                                      [6 * k]).field(0)))
+                                                      [6 * k])))
                   for k, when in zip(ks, times)]
         if fields[0][1] is not None:
             assert type(truth_err) is type(pred_err) is type(fields[0][1])
@@ -1504,23 +1512,21 @@ class TestBlocks:
         scores = None if w is None else \
             metrics.block_scores(pred.values, truth.values, clim, w)
         for i, ((tf, pf), _) in enumerate(fields):
-            assert tf.values.tobytes() == \
-                truth.values[i].astype(np.float64).tobytes()
-            assert pf.values.tobytes() == \
-                pred.values[i].astype(np.float64).tobytes()
+            assert tf.values.tobytes() == truth.values[i].tobytes()
+            assert pf.values.tobytes() == pred.values[i].tobytes()
             assert tf.grid is pf.grid is grid
             if scores is None:
                 continue
-            cf = make_field(grid, clim[i], valid_time=pf.valid_time)
+            cf = make_field(grid, clim[i], valid_time=pf.valid_times[0])
             alone = layer_scores(pf, tf, cf, weights=w)
+            p, t = (f.values[0].astype(np.float64) for f in (pf, tf))
             assert scores.wrmse[i] == alone.wrmse == \
-                oracles.wrmse_field(pf.values, tf.values, w)
-            assert scores.bias[i] == alone.bias == \
-                oracles.bias_field(pf.values, tf.values, w)
+                oracles.wrmse_field(p, t, w)
+            assert scores.bias[i] == alone.bias == oracles.bias_field(p, t, w)
             assert scores.acc[i] == alone.acc == \
-                oracles.acc_field(pf.values, tf.values, cf.values, w)
+                oracles.acc_field(p, t, clim[i], w)
             assert scores.activity[i] == alone.activity == \
-                oracles.activity_field(pf.values, cf.values, w)
+                oracles.activity_field(p, clim[i], w)
 
     def test_truth_span_across_a_year_reads_each_stack_once(
             self, rng, tmp_path, store_reads):
@@ -1543,8 +1549,8 @@ class TestBlocks:
         assert block.values.flags.c_contiguous
         assert block.valid_times == tuple(wanted)
         for i, when in enumerate(wanted):
-            assert block.values[i].astype(np.float64).tobytes() == \
-                source.truth(VariableId.T2M, when).values.tobytes()
+            assert block.values[i].tobytes() == \
+                source.truth_block(VariableId.T2M, [when]).values.tobytes()
 
     def test_lead_subset_is_one_read_of_its_span(self, rng, tmp_path,
                                                  store_reads):
@@ -1608,17 +1614,17 @@ class TestBlocks:
             else:
                 for field in fields:
                     fileio.write_grid(field, manifest.truth_path(
-                        variable, field.valid_time))
+                        variable, field.valid_times[0]))
         source = fileio.FieldSource(manifest)
         block = source.truth_block(VariableId.WS10, times)
         assert block.variable is VariableId.WS10
         assert block.values.flags.c_contiguous
         for i, when in enumerate(times):
-            u, v, ws = (source.truth(variable, when) for variable in (
+            u, v, ws = (source.truth_block(variable, [when]) for variable in (
                 VariableId.U10, VariableId.V10, VariableId.WS10))
             assert ws.variable is VariableId.WS10
             assert block.values[i].tobytes() == ws.values.tobytes() == \
-                np.hypot(u.values, v.values).tobytes()
+                np.hypot(u.values, v.values, dtype=np.float64).tobytes()
 
 
 class TestClimatologyByDay:
@@ -1653,8 +1659,8 @@ class TestClimatologyByDay:
         assert part.day_mean.shape[0] == sum(n for _, n in reads)
         assert part.layers(times).tobytes() == whole.layers(times).tobytes()
         for when in times:
-            assert part.field_for(when).values.tobytes() == \
-                whole.field_for(when).values.tobytes()
+            assert part.layers([when])[0].tobytes() == \
+                whole.layers([when])[0].tobytes()
         with pytest.raises(ValueError, match="outside the"):
             part.layers([times[0] + timedelta(days=180)])
 
@@ -1670,43 +1676,6 @@ class TestClimatologyByDay:
             fileio.read_daily_climatology(clim_path,
                                           times=[jan + timedelta(days=10)])
         assert str(err.value) == f"{clim_path}: CRC-32 mismatch in layer 10"
-
-    def test_legacy_whole_checksum_is_read_whole(self, clim_path):
-        whole = fileio.read_daily_climatology(clim_path)
-        with_whole_checksum(clim_path)
-        jan = T0.replace(month=1, day=1)
-        times = [jan + timedelta(days=d) for d in (364, 0, 1)]
-        part = fileio.read_daily_climatology(clim_path, times=times)
-        assert part.layers(times).tobytes() == whole.layers(times).tobytes()
-        # one CRC-32 covers every day: a flipped byte in day 10 fails a read
-        # of any day, a read of day 10 alone included
-        blob = bytearray(clim_path.read_bytes())
-        blob[10 * (len(blob) // DAYS_PER_YEAR) + 3] ^= 0xFF
-        clim_path.write_bytes(bytes(blob))
-        for day in (10, 200):
-            with pytest.raises(ChecksumMismatch) as err:
-                fileio.read_daily_climatology(
-                    clim_path, times=[jan + timedelta(days=day)])
-            assert str(err.value) == f"{clim_path}: CRC-32 mismatch"
-
-    def test_partial_read_of_a_whole_checksum_store_is_checked(self, rng,
-                                                               tmp_path):
-        grid = make_grid(3, 4)
-        heat = 280.0 + rng.standard_normal((DAYS_PER_YEAR, 12))
-        path = fileio.write_thresholds(
-            ThresholdField(heat, heat - 10.0, (2019, 2020), 7, 0.9, 0.1),
-            grid, tmp_path / "t.rbt")
-        header = with_whole_checksum(path)
-        store = fileio._parse_store(path, header, "f32le", 2 * DAYS_PER_YEAR,
-                                    None)
-        want = store.read(0, 2 * DAYS_PER_YEAR)[1][10:12]
-        assert store.read(10, 2)[1].tobytes() == want.tobytes()
-        blob = bytearray(path.read_bytes())
-        blob[10 * (len(blob) // (2 * DAYS_PER_YEAR)) + 1] ^= 0xFF
-        path.write_bytes(bytes(blob))
-        for start, count in ((10, 1), (300, 5), (0, 2 * DAYS_PER_YEAR)):
-            with pytest.raises(ChecksumMismatch, match="CRC-32 mismatch$"):
-                store.read(start, count)
 
     def test_only_a_full_year_is_written(self, tmp_path):
         grid = make_grid(2, 3)
@@ -1896,21 +1865,6 @@ class TestStreamedThresholds:
         rewrite_store(threshold_path, "<f4", poison)
         with pytest.raises(NonFiniteValue, match=str(threshold_path)):
             fileio.read_thresholds(threshold_path, days=days)
-
-    def test_legacy_whole_checksum_is_read_whole(self, threshold_path,
-                                                 store_reads):
-        whole, _ = fileio.read_thresholds(threshold_path)
-        with_whole_checksum(threshold_path)
-        store_reads.clear()
-        days = (364, 0, 1)
-        part, _ = fileio.read_thresholds(threshold_path, days=days)
-        assert store_reads == [(threshold_path, 0, 2 * DAYS_PER_YEAR)]
-        assert part.first_day == 364
-        assert part.tau_heat.tobytes() == \
-            whole.tau_heat[list(days)].tobytes()
-        assert part.tau_cold.tobytes() == \
-            whole.tau_cold[list(days)].tobytes()
-
 
 class TestSpilledHistory:
     """The daily extremes of a history, spilled to an anonymous scratch

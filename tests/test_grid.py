@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_field, make_grid
+from conftest import T0, make_field, make_grid
 from wxverify.errors import NonFiniteValue, TargetOutsideDomain
-from wxverify.grid import (EARTH_RADIUS_KM, GeoGrid, VariableId,
+from wxverify.grid import (EARTH_RADIUS_KM, GeoGrid, GridField, VariableId,
                            bilinear_weights, derive_wind_speed, haversine_km,
                            haversine_km_grid, latitude_weights)
 
@@ -48,15 +48,16 @@ class TestGridField:
         values = np.zeros(grid.shape)
         values[0, 0] = np.nan
         with pytest.raises(NonFiniteValue):
-            make_field(grid, values)
+            GridField(grid, VariableId.T2M, T0, 0, values)
 
     def test_rejects_bad_lead(self):
         grid = make_grid(2, 4)
         with pytest.raises(ValueError):
-            make_field(grid, np.zeros(grid.shape), lead_hours=7)
+            GridField(grid, VariableId.T2M, T0, 7, np.zeros(grid.shape))
 
     def test_values_read_only(self):
-        field = make_field(make_grid(2, 4), np.zeros((2, 4)))
+        field = GridField(make_grid(2, 4), VariableId.T2M, T0, 0,
+                          np.zeros((2, 4)))
         with pytest.raises(ValueError):
             field.values[0, 0] = 1.0
 
@@ -177,30 +178,30 @@ class TestInterpToStations:
 
     def test_station_on_node_gets_node_value(self, rng):
         grid = make_grid(5, 8)
-        field = make_field(grid, rng.standard_normal(grid.shape))
+        values = rng.standard_normal(grid.shape)
         pts = [(float(grid.lat_deg[2]), float(grid.lon_deg[3]))]
-        out = bilinear_weights(grid, pts).apply(field.values)
-        assert out[0] == field.values[2, 3]
+        out = bilinear_weights(grid, pts).apply(values)
+        assert out[0] == values[2, 3]
 
     def test_cell_center_is_corner_mean(self):
         grid = GeoGrid(np.array([10.0, 0.0]), np.array([0.0, 10.0]))
-        field = make_field(grid, np.array([[1.0, 2.0], [3.0, 4.0]]))
-        out = bilinear_weights(grid, [(5.0, 5.0)]).apply(field.values)
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        out = bilinear_weights(grid, [(5.0, 5.0)]).apply(values)
         assert out[0] == pytest.approx(2.5, abs=1e-14)
 
     def test_constant_field_constant_everywhere(self, rng):
         grid = make_grid(5, 8)
-        field = make_field(grid, np.full(grid.shape, 3.5))
+        values = np.full(grid.shape, 3.5)
         pts = [(float(la), float(lo)) for la, lo in
                zip(rng.uniform(-59, 59, 20), rng.uniform(0, 359.9, 20))]
         np.testing.assert_allclose(
-            bilinear_weights(grid, pts).apply(field.values), 3.5, rtol=1e-14)
+            bilinear_weights(grid, pts).apply(values), 3.5, rtol=1e-14)
 
     def test_all_nodes_reproduced(self, rng):
         grid = make_grid(4, 6)
-        field = make_field(grid, rng.standard_normal(grid.shape))
-        out = bilinear_weights(grid, nodes(grid)).apply(field.values)
-        np.testing.assert_array_equal(out, field.values.reshape(-1))
+        values = rng.standard_normal(grid.shape)
+        out = bilinear_weights(grid, nodes(grid)).apply(values)
+        np.testing.assert_array_equal(out, values.reshape(-1))
 
     def test_station_outside_latitude_span(self, rng):
         grid = make_grid(4, 8)

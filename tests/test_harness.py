@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import field_block, layer_scores, read_store, truth_fields
+from conftest import (field_block, layer_of, layer_scores, make_field, read_store,
+                      truth_fields)
 from wxverify import fileio, harness
 from wxverify.climatology import build_thresholds
 from wxverify.extremes import (EventKind, label_event_runs,
@@ -20,9 +21,8 @@ from wxverify.extremes import (EventKind, label_event_runs,
 from wxverify.grid import FieldBlock, GeoGrid, VariableId
 from wxverify.harness import (PlantedEpisode, SyntheticScenario, VariableProcess,
                               VortexSpec, load_scenario, make_besttrack,
-                              persistence_forecast, scenario_from_dict,
-                              seasonal_value, smoothed_forecast,
-                              smoothing_width, year_times)
+                              scenario_from_dict, seasonal_value,
+                              smoothed_forecast, smoothing_width, year_times)
 from wxverify.spectra import midlatitude_spectrum
 
 
@@ -56,7 +56,7 @@ class TestGenerator:
         process = sc.processes[VariableId.T2M]
         for field in itertools.islice(truth_fields(sc, VariableId.T2M), 12):
             expected = np.float64(np.float32(
-                seasonal_value(process, field.valid_time)))
+                seasonal_value(process, field.valid_times[0])))
             np.testing.assert_array_equal(field.values, expected)
 
     def test_values_are_f32_exact(self):
@@ -76,7 +76,7 @@ class TestGenerator:
                                episodes=(episode,))
         fields_by_year: dict[int, list] = {y: [] for y in sc.years}
         for f in truth_fields(sc, VariableId.T2M):
-            fields_by_year[f.valid_time.year].append(f)
+            fields_by_year[f.valid_times[0].year].append(f)
         history = oracles.history_from_fields(
             {y: fields_by_year[y] for y in (2022, 2023, 2024)})
         thresholds = build_thresholds(history)
@@ -163,8 +163,8 @@ class TestChunkedGenerator:
         assert len(layers) == len(fields) == sum(
             len(year_times(y)) for y in years)
         for (when, lead, values), field in zip(layers, fields):
-            assert (when, lead) == (field.valid_time, field.lead_hours)
-            assert values.tobytes() == field.values.tobytes()
+            assert (when, lead) == (field.valid_times[0], field.lead_hours[0])
+            assert values.tobytes() == field.values[0].tobytes()
 
 
 WRITE_RUN_SCENARIO = {
@@ -188,13 +188,6 @@ WRITE_RUN_SCENARIO = {
 }
 
 
-def one_field_blocks(scenario, variable):
-    """The oracle's truth stream, one single-layer block per field."""
-    for field in oracles.generate_fields(scenario, variable):
-        yield FieldBlock(field.grid, field.variable, (field.valid_time,),
-                         (0,), field.values[None])
-
-
 def tree(root):
     return {path.relative_to(root): path.read_bytes()
             for path in sorted(root.rglob("*")) if path.is_file()}
@@ -202,8 +195,8 @@ def tree(root):
 
 class TestWriteRun:
     @pytest.mark.parametrize("truth_span, models", [
-        ("full", "perfect,smoothed:3,lagged:12,persistence"),
-        ("run", "perfect,smoothed:3,persistence")])
+        ("full", "perfect,smoothed:3,lagged:12,persistence,smoothed:1"),
+        ("run", "perfect,smoothed:3,persistence,smoothed:1")])
     def test_equals_the_run_written_field_by_field(
             self, truth_span, models, tmp_path, monkeypatch):
         import json
@@ -218,9 +211,11 @@ class TestWriteRun:
             harness.write_run(scenario, tmp_path / "chunked", **options)
         with monkeypatch.context() as patch:
             patch.setattr(harness, "generate_variable_series",
-                          one_field_blocks)
+                          oracles.generate_fields)
             patch.setattr(harness, "_lagged_forecast",
                           oracles.lagged_forecast_per_lead)
+            patch.setattr(harness, "smoothed_forecast",
+                          oracles.smoothed_forecast_per_lead)
             patch.setattr(harness, "_write_station_csvs",
                           oracles.write_station_csvs_per_field)
             harness.write_run(scenario, tmp_path / "by_field", **options)
@@ -230,6 +225,10 @@ class TestWriteRun:
         assert "stations_obs.csv" in names and "besttrack.csv" in names
         assert ("truth/t2m/2023.rbs" in names) is (truth_span == "full")
         assert any(name.startswith("models/smoothed3/") for name in names)
+        # persistence is the smoothed forecast of width 1, byte for byte
+        persistence = tree(tmp_path / "chunked" / "models" / "persistence")
+        assert persistence and persistence == tree(
+            tmp_path / "chunked" / "models" / "smoothed1")
 
 
 class DrawFailed(Exception):
@@ -320,18 +319,23 @@ class TestDrawAhead:
 
 
 class TestPersistence:
+    """Persistence is the smoothed forecast of width 1."""
+
     def test_every_lead_is_init_bitwise(self):
         sc = scenario(noise_sigma=1.0)
         init = next(truth_fields(sc, VariableId.T2M))
-        for field in persistence_forecast(init, [0, 6, 24, 240]):
-            assert field.values is init.values
-            assert field.valid_time == init.valid_time + timedelta(
-                hours=field.lead_hours)
+        leads = [0, 6, 24, 240]
+        fc = field_block(*smoothed_forecast(init, leads, kernel_width=1))
+        assert fc.lead_hours == tuple(leads)
+        for lead, when, values in zip(leads, fc.valid_times, fc.values):
+            assert values.astype(np.float64).tobytes() == \
+                init.values[0].tobytes()
+            assert when == init.valid_times[0] + timedelta(hours=lead)
 
     def test_lead_zero_wrmse_zero(self):
         sc = scenario(noise_sigma=1.0)
         init = next(truth_fields(sc, VariableId.T2M))
-        (fc,) = persistence_forecast(init, [0])
+        (fc,) = smoothed_forecast(init, [0], kernel_width=1)
         assert layer_scores(fc, init).wrmse == 0.0
 
     def test_wrmse_grows_with_lead_for_ar1_truth(self):
@@ -341,9 +345,9 @@ class TestPersistence:
             sc = scenario(seed=seed, noise_sigma=1.0, ar1=0.8)
             stream = truth_fields(sc, VariableId.T2M)
             t0, t1, t2 = itertools.islice(stream, 3)
-            fc1, fc2 = persistence_forecast(t0, [6, 12])
-            e1 = layer_scores(fc1, t1.at(t1.valid_time, 6)).wrmse
-            e2 = layer_scores(fc2, t2.at(t2.valid_time, 12)).wrmse
+            (fc,) = smoothed_forecast(t0, [6, 12], kernel_width=1)
+            e1 = layer_scores(layer_of(fc, 0), t1).wrmse
+            e2 = layer_scores(layer_of(fc, 1), t2).wrmse
             wins += e2 >= e1
         assert wins >= 9
 
@@ -352,9 +356,24 @@ class TestSmoothed:
     def test_width_one_is_persistence(self):
         sc = scenario(noise_sigma=1.0)
         init = next(truth_fields(sc, VariableId.T2M))
-        (smooth,) = smoothed_forecast(init, [0], kernel_width=1)
-        (persist,) = persistence_forecast(init, [0])
-        assert np.array_equal(smooth.values, persist.values)
+        (smooth,) = smoothed_forecast(init, [0, 6, 60], kernel_width=1)
+        (wide,) = smoothed_forecast(init, [0, 6, 60], kernel_width=9)
+        for values in (*smooth.values, wide.values[0]):
+            assert np.array_equal(values, init.values[0])
+        assert not np.array_equal(wide.values[1], init.values[0])
+
+    def test_blocks_hold_at_most_a_chunk_of_leads(self, monkeypatch):
+        grid = small_grid()
+        init = make_field(grid, np.arange(84.0).reshape(grid.shape))
+        leads = list(range(0, 241, 6))
+        monkeypatch.setattr(fileio, "CHUNK_BYTES", 7 * 8 * grid.n_lat
+                            * grid.n_lon)
+        blocks = list(smoothed_forecast(init, leads, kernel_width=9))
+        assert [len(b.lead_hours) for b in blocks] == [7] * 5 + [6]
+        assert all(b.values.dtype == np.float32 for b in blocks)
+        assert field_block(*blocks).values.tobytes() == b"".join(
+            b.values.tobytes() for b in oracles.smoothed_forecast_per_lead(
+                init, leads, 9))
 
     def test_width_grows_with_lead_and_caps(self):
         assert smoothing_width(9, 0) == 1
@@ -369,27 +388,26 @@ class TestSmoothed:
         amp, k = 4.0, 3
         row = amp * np.cos(2 * np.pi * k * j / n)
         values = np.tile(row, (3, 1)).astype(np.float32).astype(np.float64)
-        from conftest import make_field
         init = make_field(grid, values)
         width = 5
         (fc,) = smoothed_forecast(init, [12], kernel_width=width)  # width 5
         row_1 = (43.0, 45.0)  # the band of the middle row, at 44 N
-        s_init = midlatitude_spectrum(field_block(init), 0, row_1).energy
-        s_fc = midlatitude_spectrum(field_block(fc), 0, row_1).energy
+        s_init = midlatitude_spectrum(init, 0, row_1).energy
+        s_fc = midlatitude_spectrum(fc, 0, row_1).energy
         transfer = (math.sin(width * math.pi * k / n)
                     / (width * math.sin(math.pi * k / n))) ** 2
         assert s_fc[k] / s_init[k] == pytest.approx(transfer, rel=1e-5)
 
     def test_smoothing_never_raises_zonal_variance(self, rng):
         grid = small_grid()
-        from conftest import make_field
         values = rng.standard_normal(grid.shape).astype(np.float32)
         init = make_field(grid, values.astype(np.float64))
         for lead in (6, 12, 24):
             (fc,) = smoothed_forecast(init, [lead], kernel_width=7)
+            smoothed = fc.values[0].astype(np.float64)
             for i in range(grid.n_lat):
-                var_before = np.var(init.values[i])
-                var_after = np.var(fc.values[i])
+                var_before = np.var(init.values[0, i])
+                var_after = np.var(smoothed[i])
                 assert var_after <= var_before * (1.0 + 1e-9)
 
     def test_smoothed_vortex_is_shallower(self):
@@ -398,7 +416,6 @@ class TestSmoothed:
         d_lon = (grid.lon_deg - 150.05)[None, :]
         dist_deg = np.hypot(d_lat, d_lon * math.cos(math.radians(20.0)))
         depression = 101000.0 - 3000.0 * np.exp(-((dist_deg * 111.2 / 300.0) ** 2))
-        from conftest import make_field
         init = make_field(grid, depression.astype(np.float32).astype(np.float64),
                           VariableId.MSL)
         (fc,) = smoothed_forecast(init, [24], kernel_width=9)
@@ -452,11 +469,10 @@ class TestPipelineClosure:
         fields = list(itertools.islice(stream, 6))
         for k, field in enumerate(fields):
             fileio.write_grid(field, tmp_path / f"{k}.rbg")
-        back = [read_store(tmp_path / f"{k}.rbg").field(0) for k in range(6)]
+        back = [read_store(tmp_path / f"{k}.rbg") for k in range(6)]
         for a, b in zip(fields, back):
             assert np.array_equal(a.values, b.values)
         # metric computed from disk fields equals the in-memory value bitwise
-        from_disk = layer_scores(back[1], back[0].at(back[1].valid_time, 6))
-        in_memory = layer_scores(fields[1],
-                                 fields[0].at(fields[1].valid_time, 6))
+        from_disk = layer_scores(back[1], back[0])
+        in_memory = layer_scores(fields[1], fields[0])
         assert from_disk.wrmse == in_memory.wrmse

@@ -35,7 +35,7 @@ class TestWrmse:
         pred = random_field(rng, grid)
         truth = random_field(rng, grid)
         w = latitude_weights(grid)
-        expected = oracles.wrmse_loop(pred.values, truth.values, w)
+        expected = oracles.wrmse_loop(pred.values[0], truth.values[0], w)
         assert layer_scores(pred, truth, weights=w).wrmse == pytest.approx(
             expected, rel=1e-12)
 
@@ -69,7 +69,7 @@ class TestBias:
         pred = random_field(rng, grid)
         truth = random_field(rng, grid)
         w = latitude_weights(grid)
-        expected = oracles.bias_loop(pred.values, truth.values, w)
+        expected = oracles.bias_loop(pred.values[0], truth.values[0], w)
         assert layer_scores(pred, truth, weights=w).bias == pytest.approx(
             expected, rel=1e-12)
 
@@ -94,7 +94,7 @@ class TestAcc:
         truth = random_field(rng, grid)
         clim = random_field(rng, grid)
         w = latitude_weights(grid)
-        expected = oracles.acc_loop(pred.values, truth.values, clim.values, w)
+        expected = oracles.acc_loop(pred.values[0], truth.values[0], clim.values[0], w)
         assert layer_scores(pred, truth, clim, weights=w).acc == \
             pytest.approx(expected, rel=1e-12)
 
@@ -138,7 +138,7 @@ class TestActivity:
         pred = random_field(rng, grid)
         clim = random_field(rng, grid)
         w = latitude_weights(grid)
-        expected = oracles.activity_loop(pred.values, clim.values, w)
+        expected = oracles.activity_loop(pred.values[0], clim.values[0], w)
         assert layer_scores(pred, clim=clim, weights=w).activity == \
             pytest.approx(expected, rel=1e-12)
 
@@ -157,14 +157,14 @@ class TestFullResolution:
         clim = make_field(grid, base - shared)
         scores = layer_scores(pred, truth, clim, weights=w)
         assert scores.wrmse == pytest.approx(
-            oracles.wrmse_loop(pred.values, truth.values, w), rel=1e-12)
+            oracles.wrmse_loop(pred.values[0], truth.values[0], w), rel=1e-12)
         assert scores.bias == pytest.approx(
-            oracles.bias_loop(pred.values, truth.values, w), rel=1e-12)
+            oracles.bias_loop(pred.values[0], truth.values[0], w), rel=1e-12)
         assert scores.acc == pytest.approx(
-            oracles.acc_loop(pred.values, truth.values, clim.values, w),
+            oracles.acc_loop(pred.values[0], truth.values[0], clim.values[0], w),
             rel=1e-12)
         assert scores.activity == pytest.approx(
-            oracles.activity_loop(pred.values, clim.values, w), rel=1e-12)
+            oracles.activity_loop(pred.values[0], clim.values[0], w), rel=1e-12)
 
 
 class TestIdentities:

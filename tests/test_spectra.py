@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import layer_block, make_grid
+from conftest import make_field, make_grid
 from wxverify.errors import EmptyBand, PolarRow
 from wxverify.grid import GeoGrid
 from wxverify.spectra import latitude_circumference_m, midlatitude_spectrum
@@ -14,7 +14,7 @@ def row_block(row_values, lat=45.0):
     """Single-row grid holding one zonal circle of data."""
     n = len(row_values)
     grid = GeoGrid(np.array([lat]), np.arange(n) * (360.0 / n))
-    return layer_block(grid, np.reshape(row_values, (1, n)))
+    return make_field(grid, np.reshape(row_values, (1, n)))
 
 
 def row_spectrum(row_values, lat=45.0):
@@ -59,7 +59,7 @@ class TestZonalSpectrumRow:
 
     def test_polar_row_rejected(self, rng):
         grid = GeoGrid(np.array([90.0, 0.0]), np.arange(8) * 45.0)
-        block = layer_block(grid, rng.standard_normal((2, 8)))
+        block = make_field(grid, rng.standard_normal((2, 8)))
         with pytest.raises(PolarRow, match="latitude 90.0 "):
             midlatitude_spectrum(block, 0, (89.0, 91.0))
         midlatitude_spectrum(block, 0, (-1.0, 1.0))  # equator row is fine
@@ -94,7 +94,7 @@ class TestMidlatitudeSpectrum:
         grid = make_grid(7, 12, lat_top=62.0, lat_bottom=-62.0)
         per_row = 200.0 + 10.0 * np.arange(7)
         spec = midlatitude_spectrum(
-            layer_block(grid, np.tile(per_row[:, None], (1, 12))), 0)
+            make_field(grid, np.tile(per_row[:, None], (1, 12))), 0)
         inside = np.abs(grid.lat_deg)
         rows = np.nonzero((inside > 30.0) & (inside < 60.0))[0]
         expected_dc = np.mean([
@@ -107,12 +107,12 @@ class TestMidlatitudeSpectrum:
     def test_single_qualifying_row(self, rng):
         grid = GeoGrid(np.array([45.0, 10.0]), np.arange(16) * 22.5)
         values = rng.standard_normal((2, 16))
-        spec = midlatitude_spectrum(layer_block(grid, values), 0)
+        spec = midlatitude_spectrum(make_field(grid, values), 0)
         np.testing.assert_array_equal(spec.energy, row_spectrum(values[0]))
 
     def test_band_bounds_are_strict(self, rng):
         grid = GeoGrid(np.array([60.0, 30.0]), np.arange(8) * 45.0)
-        block = layer_block(grid, rng.standard_normal((2, 8)))
+        block = make_field(grid, rng.standard_normal((2, 8)))
         with pytest.raises(EmptyBand):
             midlatitude_spectrum(block, 0)
 
@@ -122,7 +122,7 @@ class TestMidlatitudeSpectrum:
         north = 2.0 * np.cos(2 * np.pi * 2 * j / 32)
         south = 3.0 * np.cos(2 * np.pi * 5 * j / 32)
         spec = midlatitude_spectrum(
-            layer_block(grid, np.stack([north, south])), 0)
+            make_field(grid, np.stack([north, south])), 0)
         s_n = row_spectrum(north)
         s_s = row_spectrum(south, lat=-45.0)
         np.testing.assert_allclose(spec.energy, (s_n + s_s) / 2.0, rtol=1e-12)
@@ -132,7 +132,7 @@ class TestMidlatitudeSpectrum:
     def test_hemispheres_both_contribute(self, rng):
         grid = make_grid(13, 16, lat_top=66.0, lat_bottom=-66.0)
         values = rng.standard_normal((13, 16))
-        spec = midlatitude_spectrum(layer_block(grid, values), 0)
+        spec = midlatitude_spectrum(make_field(grid, values), 0)
         inside = np.abs(grid.lat_deg)
         rows = np.nonzero((inside > 30.0) & (inside < 60.0))[0]
         assert rows.size >= 4  # both hemispheres represented

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import T0, field_block, make_grid, random_field
+from conftest import T0, layer_of, make_grid, random_field
 from wxverify.climatology import DailyMeanClimatology, calendar_day_index
 from wxverify.grid import FieldBlock, VariableId, bilinear_weights
 from wxverify.stations import (DEFAULT_QC_RATIOS, QcThresholds, Station,
@@ -197,7 +197,7 @@ class TestStationScores:
         stations = tuple(
             Station(f"S{k}", float(grid.lat_deg[i]), float(grid.lon_deg[j]),
                     0.0) for k, (i, j) in enumerate(idx))
-        obs = np.array([[truth.values[i, j] for i, j in idx]])
+        obs = np.array([[truth.values[0, i, j] for i, j in idx]])
         table = StationTable(stations, (T0,), (VariableId.T2M,),
                              obs[None, :, :],
                              np.ones((1, 1, n_stations), dtype=np.uint8))
@@ -205,22 +205,23 @@ class TestStationScores:
 
     def test_perfect_forecast_zero_scores(self, rng):
         grid, truth, table, _ = self.grid_and_table(rng)
-        scores, = station_scores([field_block(truth)], table, VariableId.T2M)
+        scores, = station_scores([truth], table, VariableId.T2M)
         assert scores.rmse == 0.0 and scores.bias == 0.0
         assert scores.n_pairs == 5
 
     def test_uniform_offset(self, rng):
         grid, truth, table, _ = self.grid_and_table(rng)
         pred = replace(truth, values=truth.values + 1.0)
-        scores, = station_scores([field_block(pred)], table, VariableId.T2M)
+        scores, = station_scores([pred], table, VariableId.T2M)
         assert scores.rmse == pytest.approx(1.0, rel=1e-12)
         assert scores.bias == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_pairwise_loop_oracle(self, rng):
         grid, truth, table, idx = self.grid_and_table(rng)
         pred = random_field(rng, grid)
-        scores, = station_scores([field_block(pred)], table, VariableId.T2M)
-        diffs = [pred.values[i, j] - truth.values[i, j] for i, j in idx]
+        scores, = station_scores([pred], table, VariableId.T2M)
+        diffs = [pred.values[0, i, j] - truth.values[0, i, j]
+                 for i, j in idx]
         rmse = math.sqrt(math.fsum(d * d for d in diffs) / len(diffs))
         bias = math.fsum(diffs) / len(diffs)
         assert scores.rmse == pytest.approx(rmse, rel=1e-12)
@@ -231,10 +232,10 @@ class TestStationScores:
         # restricted to those nodes
         grid, truth, table, idx = self.grid_and_table(rng)
         pred = random_field(rng, grid)
-        scores, = station_scores([field_block(pred)], table, VariableId.T2M)
+        scores, = station_scores([pred], table, VariableId.T2M)
         rows = np.array([i for i, _ in idx])
         cols = np.array([j for _, j in idx])
-        err = pred.values[rows, cols] - truth.values[rows, cols]
+        err = pred.values[0, rows, cols] - truth.values[0, rows, cols]
         assert scores.rmse == pytest.approx(
             float(np.sqrt(np.mean(err ** 2))), rel=1e-12)
 
@@ -246,7 +247,7 @@ class TestStationScores:
         flags[0, 0, 2] = 0
         table2 = StationTable(table.stations, table.times, table.variables,
                               values, flags)
-        scores, = station_scores([field_block(truth)], table2,
+        scores, = station_scores([truth], table2,
                                  VariableId.T2M)
         assert scores.n_pairs == 4
 
@@ -256,11 +257,11 @@ class TestStationScores:
         day_mean = np.full((365, 5), 280.0)
         clim = StationClimatology(tuple(s.station_id for s in table.stations),
                                   day_mean)
-        scores, = station_scores([field_block(truth)], table, VariableId.T2M,
+        scores, = station_scores([truth], table, VariableId.T2M,
                                  clim=clim)
         assert scores.acc == pytest.approx(1.0, abs=1e-12)
         flipped = replace(truth, values=2.0 * 280.0 - truth.values)
-        scores, = station_scores([field_block(flipped)], table,
+        scores, = station_scores([flipped], table,
                                  VariableId.T2M, clim=clim)
         assert scores.acc == pytest.approx(-1.0, abs=1e-12)
 
@@ -270,7 +271,7 @@ class TestStationScores:
         flags = np.zeros(table.flags.shape, dtype=np.uint8)
         empty = StationTable(table.stations, table.times, table.variables,
                              values, flags)
-        assert station_scores([field_block(truth)], empty,
+        assert station_scores([truth], empty,
                               VariableId.T2M) == [None]
 
     @settings(max_examples=40, deadline=None)
@@ -315,7 +316,7 @@ class TestStationScores:
         assert [bits(None if s is None else (s.rmse, s.bias, s.acc, s.n_pairs))
                 for s in got] == [
             bits(oracles.station_scores_per_field(
-                [block.field(j) for block in blocks], table, VariableId.T2M,
+                [layer_of(block, j) for block in blocks], table, VariableId.T2M,
                 clim)) for j in range(n_leads)]
         assert (absent < 1.0) or got == [None] * n_leads
 
@@ -521,8 +522,8 @@ class TestStationInterpolator:
         got = station_climatology_from_grid(clim, StationInterpolator(stations))
         positions = [(s.lat, s.lon) for s in stations]
         weights = bilinear_weights(grid, positions)
-        want = np.stack([weights.apply(clim.field_for(
-            T0.replace(month=1, day=1) + timedelta(days=day)).values)
+        want = np.stack([weights.apply(clim.layers(
+            [T0.replace(month=1, day=1) + timedelta(days=day)])[0])
             for day in range(365)])
         assert got.station_ids == ("A", "B", "C")
         assert got.day_mean.tobytes() == want.tobytes()
@@ -548,5 +549,5 @@ class TestStationInterpolator:
                             times=(T0,))
         other = StationInterpolator(table.stations[:2])
         with pytest.raises(ValueError):
-            station_scores([field_block(truth)], table, VariableId.T2M,
+            station_scores([truth], table, VariableId.T2M,
                            interpolator=other)
