@@ -15,8 +15,8 @@ that are used.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "climatology": ("DailyHistory", "DailyMeanClimatology", "ThresholdBuild",
-                    "ThresholdField", "build_thresholds"),
+    "climatology": ("DailyMeanClimatology", "ThresholdBuild",
+                    "ThresholdField"),
     "cyclones": ("IntensityError", "StormFix", "StormTrack", "TrackerConfig",
                  "TrackSource", "homogeneous_sample", "intensity_errors",
                  "track_dpe", "track_storm"),

@@ -20,12 +20,15 @@ import calendar
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, time, timedelta, timezone
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .errors import InsufficientHistory, NonFiniteValue
 from .grid import FieldBlock, GeoGrid, GridField, VariableId
+
+if TYPE_CHECKING:
+    from .fileio import SpilledHistory
 
 DAYS_PER_YEAR = 365
 
@@ -79,55 +82,6 @@ def _float32_or_64(values) -> np.ndarray:
     values = np.asarray(values)
     return np.ascontiguousarray(
         values, np.float32 if values.dtype == np.float32 else np.float64)
-
-
-@dataclass(frozen=True)
-class DailyHistory:
-    """Dense multi-year daily extremes on a flat location axis.
-
-    ``daily_max`` and ``daily_min`` have shape (n_years, 365,
-    n_locations); NaN marks an absent (year, day, location) entry. A
-    float32 array is kept as float32 (the daily extremes of float32
-    stores are exact in it); any other is converted to float64.
-    """
-
-    years: tuple[int, ...]
-    daily_max: np.ndarray
-    daily_min: np.ndarray
-
-    def __post_init__(self):
-        dmax = _float32_or_64(self.daily_max)
-        dmin = _float32_or_64(self.daily_min)
-        if dmax.ndim != 3 or dmax.shape != dmin.shape:
-            raise ValueError("daily_max/daily_min must share shape (years, 365, loc)")
-        if dmax.shape[0] != len(self.years) or dmax.shape[1] != DAYS_PER_YEAR:
-            raise ValueError("history shape disagrees with years / calendar length")
-        if len(set(self.years)) != len(self.years):
-            raise ValueError("history years must be distinct")
-        with np.errstate(invalid="ignore"):
-            if np.any(dmax < dmin):
-                raise ValueError("daily_max must be >= daily_min")
-        dmax.setflags(write=False)
-        dmin.setflags(write=False)
-        object.__setattr__(self, "years", tuple(int(y) for y in self.years))
-        object.__setattr__(self, "daily_max", dmax)
-        object.__setattr__(self, "daily_min", dmin)
-
-    @property
-    def n_locations(self) -> int:
-        return self.daily_max.shape[2]
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.daily_max.dtype
-
-    def chunk(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(n_years, 365, stop - start)`` daily max and min of
-        locations ``start .. stop``: the interface
-        :class:`ThresholdBuild` reads a history through (see also
-        :class:`wxverify.fileio.SpilledHistory`)."""
-        return (self.daily_max[:, :, start:stop],
-                self.daily_min[:, :, start:stop])
 
 
 def _calendar_days(block: FieldBlock) -> tuple[slice, list[np.ndarray]]:
@@ -210,12 +164,12 @@ class ThresholdField:
 
     Arrays have shape (n_days, n_locations) and hold a run of consecutive
     calendar days: row i is day ``(first_day + i) % 365``, as in
-    :class:`DailyMeanClimatology`. Built thresholds hold all 365 days from
-    day 0; a run reads only the days it scores (see
+    :class:`DailyMeanClimatology`. A run reads only the days it scores
+    from the thresholds ``build-climatology`` stored (see
     :func:`wxverify.fileio.read_thresholds`). tau_heat >= tau_cold holds
-    everywhere and every entry is finite. As in :class:`DailyHistory`, a
-    float32 array (thresholds read from a store) is kept as float32, and
-    any other (thresholds built in memory) is converted to float64.
+    everywhere and every entry is finite. A float32 array (thresholds
+    read from a store) is kept as float32, and any other is converted to
+    float64.
     """
 
     tau_heat: np.ndarray
@@ -247,14 +201,6 @@ class ThresholdField:
         """Row of each calendar day in ``days``; a day not held raises
         ValueError (see :func:`day_rows`)."""
         return day_rows(self.first_day, self.tau_heat.shape[0], days)
-
-    def chunks(self):
-        """The thresholds as one chunk of every location, as
-        :meth:`ThresholdBuild.chunks` yields them; only thresholds of all
-        365 days, from day 0, are stored."""
-        if self.first_day or self.tau_heat.shape[0] != DAYS_PER_YEAR:
-            raise ValueError("only thresholds of all 365 days are stored")
-        yield 0, self.n_locations, self.tau_heat, self.tau_cold
 
 
 #: Most bytes of one array of ordered lists that :class:`ThresholdBuild`
@@ -496,15 +442,13 @@ class ThresholdBuild:
     :func:`_largest_in_windows`), a chunk of :func:`threshold_chunk`
     locations at a time, so the thresholds equal those of sorting each
     pool bit for bit. ``history`` is read a chunk at a time too, through
-    its ``chunk(start, stop)``: a :class:`DailyHistory` in memory, or the
-    daily extremes a build spilled to disk
-    (:class:`wxverify.fileio.SpilledHistory`). The thresholds of a chunk
-    go to their consumer, :func:`build_thresholds` in memory or
-    :func:`wxverify.fileio.write_thresholds` to disk, before the next
+    its ``chunk(start, stop)``: the daily extremes a build spilled to
+    disk (:class:`wxverify.fileio.SpilledHistory`). The thresholds of a
+    chunk go to :func:`wxverify.fileio.write_thresholds` before the next
     chunk is computed, so neither end holds more than it keeps.
     """
 
-    def __init__(self, history: DailyHistory, q_heat: float = 0.9,
+    def __init__(self, history: SpilledHistory, q_heat: float = 0.9,
                  q_cold: float = 0.1, half_window: int = 7):
         if len(history.years) < 2:
             raise InsufficientHistory(
@@ -584,25 +528,6 @@ class ThresholdBuild:
                                       f"size {size} < {window_len}")
         if failed:
             raise failed
-
-
-def build_thresholds(history: DailyHistory, q_heat: float = 0.9,
-                     q_cold: float = 0.1, half_window: int = 7,
-                     days: Iterable[int] | None = None) -> ThresholdField:
-    """The thresholds of ``history`` (see :class:`ThresholdBuild`), in
-    memory: of every calendar day, or with ``days`` only of the shortest
-    run of consecutive days that holds them (see :func:`day_span`)."""
-    build = ThresholdBuild(history, q_heat, q_cold, half_window)
-    first, n_days = (0, DAYS_PER_YEAR) if days is None else day_span(days)
-    rows = (first + np.arange(n_days)) % DAYS_PER_YEAR
-    tau_h = np.empty((n_days, history.n_locations))
-    tau_c = np.empty_like(tau_h)
-    whole = n_days == DAYS_PER_YEAR  # and first is day 0
-    for start, stop, heat, cold in build.chunks():
-        tau_h[:, start:stop] = heat if whole else heat[rows]
-        tau_c[:, start:stop] = cold if whole else cold[rows]
-    return ThresholdField(tau_h, tau_c, history.years, half_window, q_heat,
-                          q_cold, first)
 
 
 def day_span(days: Iterable[int]) -> tuple[int, int]:

@@ -568,21 +568,21 @@ class _Stack:
 THRESHOLD_WRITE_BYTES = 4096
 
 
-def write_thresholds(thresholds: ThresholdField | ThresholdBuild,
-                     grid: GeoGrid, path: str | os.PathLike) -> Path:
+def write_thresholds(thresholds: ThresholdBuild, grid: GeoGrid,
+                     path: str | os.PathLike) -> Path:
     """Persist heat/cold thresholds with a 365-deep day axis (f32le): the
     heat thresholds of each calendar day, then the cold ones, with one
     CRC-32 per day layer, so that a run reads only its days.
 
-    ``thresholds`` is a :class:`ThresholdField` of all 365 days, or a
-    :class:`ThresholdBuild`, whose chunks of locations are computed as
-    they are written. The float32 thresholds of the chunks fill a group
-    of :data:`THRESHOLD_WRITE_BYTES` worth of locations; each full group
-    goes to its columns of every layer of a preallocated temporary
-    payload, one ``os.pwrite`` a layer, so a write holds one group and
-    never a whole layer of the year. The CRC-32 of each layer runs over
-    its groups in location order. The payload is renamed into place once
-    complete; a build that fails leaves no file behind.
+    ``thresholds`` is a :class:`ThresholdBuild`, whose chunks of
+    locations are computed as they are written (or any object with its
+    ``chunks()`` and header fields). The float32 thresholds of the chunks
+    fill a group of :data:`THRESHOLD_WRITE_BYTES` worth of locations;
+    each full group goes to its columns of every layer of a preallocated
+    temporary payload, one ``os.pwrite`` a layer, so a write holds one
+    group and never a whole layer of the year. The CRC-32 of each layer
+    runs over its groups in location order. The payload is renamed into
+    place once complete; a build that fails leaves no file behind.
     """
     path = Path(path)
     n_loc = grid.n_lat * grid.n_lon
@@ -1364,6 +1364,21 @@ CHUNK_BYTES = 640 * 2**10
 BLOCK_BYTES = 64 * 2**20
 
 
+def layer_runs(hours: Sequence[int], max_layers: int) -> list[list[int]]:
+    """Ascending ``hours`` (lead hours, or hours past a first valid time)
+    cut into runs whose 6-hourly span, first to last, holds at most
+    ``max_layers`` layers: a run ends before the first value 6 x
+    ``max_layers`` hours past its own first. Each run is one block read of
+    a stack (see :meth:`FieldSource.block_layers`)."""
+    runs: list[list[int]] = []
+    for hour in hours:
+        if runs and (hour - runs[-1][0]) // 6 < max_layers:
+            runs[-1].append(hour)
+        else:
+            runs.append([hour])
+    return runs
+
+
 class FieldSource:
     """The one way a run reads the stored arrays its manifest names.
 
@@ -1495,28 +1510,27 @@ class FieldSource:
         when the manifest declares no climatology."""
         if self.manifest.climatology_pattern is None or variable.derived:
             return None
-        return read_daily_climatology(_built_climatology(self.manifest,
-                                                         variable),
-                                      self._geometries, times)
+        return read_daily_climatology(
+            _built(self.manifest, "climatology",
+                   self.manifest.climatology_path(variable),
+                   "daily_mean_pattern"), self._geometries, times)
 
     def thresholds(self, days: Iterable[int] | None = None
-                   ) -> tuple[ThresholdField, GeoGrid] | None:
-        """Stored extreme thresholds of the calendar ``days`` (every day
-        without them; see :func:`read_thresholds`) and their grid; None
-        when the manifest names no thresholds file or it has not been
-        built."""
-        path = self.manifest.thresholds_file
-        if path is None or not path.exists():
-            return None
-        return read_thresholds(path, self._geometries, days)
+                   ) -> tuple[ThresholdField, GeoGrid]:
+        """The extreme thresholds ``build-climatology`` stored, of the
+        calendar ``days`` (every day without them; see
+        :func:`read_thresholds`), and their grid; ManifestError when the
+        manifest names no thresholds file or it has not been built."""
+        return read_thresholds(
+            _built(self.manifest, "thresholds", self.manifest.thresholds_file,
+                   "thresholds_path"), self._geometries, days)
 
 
 class SpilledHistory:
     """The daily max and min of a run's history years, spilled to disk as
     a build reduces them (:meth:`write`), and read back by
     :class:`~wxverify.climatology.ThresholdBuild` a chunk of locations
-    at a time (:meth:`chunk`, as a
-    :class:`~wxverify.climatology.DailyHistory` is).
+    at a time (:meth:`chunk`).
 
     The scratch file is a ``tempfile.TemporaryFile`` in ``directory``,
     which has no name to leave behind; it is made at the first write and
@@ -1632,7 +1646,8 @@ def load_manifest(path: str | os.PathLike,
     ``require`` names the sections whose referenced files must exist:
     any of "truth", "models", "history", "climatology" (the built
     climatology of every stored variable, when the manifest declares
-    one). The first missing file is reported by path.
+    one) and "thresholds" (the built thresholds, which the manifest must
+    declare). The first missing file is reported by path.
     """
     path = Path(path)
     try:
@@ -1750,13 +1765,17 @@ def load_manifest(path: str | os.PathLike,
     return manifest
 
 
-def _built_climatology(manifest: RunManifest, variable: VariableId) -> Path:
-    """The climatology file of a stored ``variable``; ManifestError when
-    it has not been built."""
-    path = manifest.climatology_path(variable)
+def _built(manifest: RunManifest, kind: str, path: Path | None, key: str
+           ) -> Path:
+    """``path``, the ``kind`` file that ``build-climatology`` writes where
+    the manifest's climatology ``key`` says; ManifestError when the
+    manifest declares no such path or the file has not been built."""
+    if path is None:
+        raise ManifestError(
+            f"{manifest.path}: manifest declares no climatology {key}")
     if not path.exists():
         raise ManifestError(
-            f"climatology file {path} has not been built; run "
+            f"{kind} file {path} has not been built; run "
             f"`wxverify build-climatology --manifest {manifest.path}` first")
     return path
 
@@ -1804,4 +1823,8 @@ def _check_manifest_files(manifest: RunManifest, require: Sequence[str]):
                 raise ManifestError(f"missing history file: {p}")
     if "climatology" in require and manifest.climatology_pattern is not None:
         for variable in plain:
-            _built_climatology(manifest, variable)
+            _built(manifest, "climatology", manifest.climatology_path(variable),
+                   "daily_mean_pattern")
+    if "thresholds" in require:
+        _built(manifest, "thresholds", manifest.thresholds_file,
+               "thresholds_path")

@@ -402,13 +402,15 @@ def smoothed_forecast(init: FieldBlock, leads: Sequence[int],
     function and depressions lose depth, so tracked storms come out
     under-intensified. Width 1 is persistence: every lead repeats the
     init layer. The layer is widened to float64 once, smoothed in
-    float64 and rounded to float32 per lead.
+    float64 and rounded to float32; the width does not fall as the lead
+    grows, so over ascending ``leads`` each width is smoothed once.
     """
     if kernel_width < 1 or kernel_width % 2 == 0:
         raise ValueError("kernel_width must be odd and >= 1")
     if len(init.valid_times) != 1:
         raise ValueError("the init must be a block of one layer")
     layer = init.values[0].astype(np.float64)
+    width, smoothed = 0, None  # the last width smoothed, and its layer
     step = _chunk_layers(init.grid)
     for at in range(0, len(leads), step):
         part = [int(lead) for lead in leads[at:at + step]]
@@ -416,8 +418,10 @@ def smoothed_forecast(init: FieldBlock, leads: Sequence[int],
             raise ValueError("leads must be multiples of 6 hours")
         values = np.empty((len(part), *init.grid.shape), np.float32)
         for k, lead in enumerate(part):
-            values[k] = _zonal_boxcar(layer,
-                                      smoothing_width(kernel_width, lead))
+            if (at_lead := smoothing_width(kernel_width, lead)) != width:
+                width = at_lead
+                smoothed = _zonal_boxcar(layer, width).astype(np.float32)
+            values[k] = smoothed
         yield FieldBlock(init.grid, init.variable, tuple(
             init.valid_times[0] + timedelta(hours=lead) for lead in part),
             tuple(part), values)
@@ -589,19 +593,6 @@ def _write_truth(scenario: SyntheticScenario, manifest: fileio.RunManifest,
                     variable, datetime(year, 1, 1, tzinfo=timezone.utc)))
 
 
-def _runs(times: Sequence[datetime], most: int) -> Iterator[list[datetime]]:
-    """Ascending ``times`` in groups, each within a span of at most
-    ``most`` 6-hourly layers: what one block read of a stack may hold."""
-    group: list[datetime] = []
-    for when in times:
-        if group and when - group[0] >= most * SIX_HOURS:
-            yield group
-            group = []
-        group.append(when)
-    if group:
-        yield group
-
-
 def _lagged_forecast(source: fileio.FieldSource, variable: VariableId,
                      init: datetime, leads: Sequence[int], lag: int,
                      step: int) -> Iterator[FieldBlock]:
@@ -735,12 +726,15 @@ def _write_station_csvs(scenario: SyntheticScenario,
     ids, rows, cols = zip(*sites)
     valid_times = source.manifest.valid_times
     stamps = dict(zip(valid_times, map(fileio.format_time, valid_times)))
+    first = valid_times[0]
+    hours = [(when - first) // timedelta(hours=1) for when in valid_times]
     with open(out_dir / "stations_obs.csv", "wb") as fh:
         fh.write(b"station_id,iso_time,variable,value_si\n")
         for variable in scenario.variables:
             if variable.derived:
                 continue
-            for times in _runs(valid_times, _chunk_layers(grid)):
+            for run in fileio.layer_runs(hours, _chunk_layers(grid)):
+                times = [first + timedelta(hours=h) for h in run]
                 values = source.truth_block(variable, times).values
                 fh.write("".join(
                     f"{sid},{stamps[when]},{variable.key},{value!r}\n"

@@ -56,18 +56,6 @@ def _extreme_day_hours(day: int) -> tuple[int, ...]:
     return tuple(24 * (day - 1) + h for h in SYNOPTIC_HOURS)
 
 
-def _lead_runs(leads: Sequence[int], max_layers: int) -> list[list[int]]:
-    """Ascending ``leads`` cut into runs whose 6-hourly span, first to
-    last lead, holds at most ``max_layers`` layers."""
-    runs: list[list[int]] = []
-    for lead in leads:
-        if runs and (lead - runs[-1][0]) // 6 < max_layers:
-            runs[-1].append(lead)
-        else:
-            runs.append([lead])
-    return runs
-
-
 # --- evaluate ----------------------------------------------------------------
 
 _METRICS = ("wrmse", "acc", "bias", "activity")
@@ -118,8 +106,8 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
 
     for variable in manifest.variables:
         clim = clims[variable]
-        runs = _lead_runs(sorted(metric_leads | spectra_set),
-                          source.block_layers(variable))
+        runs = fileio.layer_runs(sorted(metric_leads | spectra_set),
+                                 source.block_layers(variable))
         for init in manifest.init_times:
             for run in runs:
                 times = [init + timedelta(hours=lead) for lead in run]
@@ -176,12 +164,12 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
 
 # --- build-climatology -------------------------------------------------------
 
-def _reduce_history(source, variable, clim_path=None, spill=None):
+def _reduce_history(source, variable, clim_path, spill=None):
     """Stream the history years of ``variable`` through the daily
     reductions, a block of whole calendar days at a time across the
     years (see :meth:`~wxverify.fileio.FieldSource.history`), and return
-    its grid. With ``clim_path`` the mean over the years of its daily
-    means is written there, a block of days at a time; with ``spill`` (a
+    its grid. The mean over the years of its daily means is written to
+    ``clim_path``, a block of days at a time; with ``spill`` (a
     :class:`~wxverify.fileio.SpilledHistory`) its daily extremes are
     spilled there, in the dtype of the blocks (the float32 of the
     stores).
@@ -216,24 +204,18 @@ def _reduce_history(source, variable, clim_path=None, spill=None):
                     raise ManifestError(
                         f"{variable.key} history of {year} is on another "
                         f"grid than the history before it")
-                if clim_path is not None:
-                    rows, means = daily_means_from_fields(block)
-                    if y == 0:
-                        total = np.zeros((len(days), *grid.shape))
-                    total[rows.start - first:rows.stop - first] += means
+                rows, means = daily_means_from_fields(block)
+                if y == 0:
+                    total = np.zeros((len(days), *grid.shape))
+                total[rows.start - first:rows.stop - first] += means
                 if spill is not None:
                     spill.write(y, *daily_extremes_from_fields(block))
                 del block  # hold one block of history at a time
-            if clim_path is not None:
-                total /= len(years)
-                yield DailyMeanClimatology(grid, variable, total, years, first)
-                del total  # written before the next block's is made
+            total /= len(years)
+            yield DailyMeanClimatology(grid, variable, total, years, first)
+            del total  # written before the next block's is made
 
-    if clim_path is None:
-        for _ in day_means():
-            pass
-    else:
-        fileio.write_daily_climatology(day_means(), clim_path)
+    fileio.write_daily_climatology(day_means(), clim_path)
     return grid
 
 
@@ -303,17 +285,18 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
              gamma: float = 0.5) -> dict:
     """Heatwave and cold-surge scores per (model, lead day, region, kind)
     at temporal-IoU ``gamma``, with event segments under
-    ``out_dir/segments``; thresholds are read, or built from history."""
+    ``out_dir/segments``, against the thresholds ``build-climatology``
+    stored."""
     import numpy as np
 
     from . import fileio
-    from .climatology import (SYNOPTIC_HOURS, build_thresholds,
-                              calendar_day_index)
+    from .climatology import SYNOPTIC_HOURS, calendar_day_index
     from .extremes import (EventKind, label_event_runs, match_counts,
                            scores_from_counts, segments_by_location)
     from .grid import VariableId
     from .report import na, new_scorecard
-    manifest = fileio.load_manifest(manifest_path)
+    manifest = fileio.load_manifest(
+        manifest_path, require=("truth", "models", "thresholds"))
     out_dir = Path(out_dir)
     lead_days = _check_leads(lead_days, DEFAULT_EXTREME_LEAD_DAYS,
                              "--lead-days", manifest, _extreme_day_hours)
@@ -325,27 +308,16 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
     source = fileio.FieldSource(manifest)
 
     # the calendar days at lead d: date(init) + (d - 1); only their run of
-    # days is read from the thresholds, or kept of those built
+    # days is read from the thresholds
     days_of = {d: [init + timedelta(days=d - 1) for init in manifest.init_times]
                for d in lead_days}
-    calendar_days = [calendar_day_index(day) for days in days_of.values()
-                     for day in days]
-    thresholds_sha = None
-    stored = source.thresholds(calendar_days)
-    if stored is not None:
-        thresholds, tgrid = stored
-        thresholds_sha = fileio.file_sha256(manifest.thresholds_file)
-    elif manifest.history_pattern and manifest.history_years:
-        # the daily extremes are spilled next to the outputs
-        with fileio.SpilledHistory(out_dir, manifest.history_years) as history:
-            tgrid = _reduce_history(source, VariableId.T2M, spill=history)
-            thresholds = build_thresholds(history, days=calendar_days)
-    else:
-        raise ManifestError(
-            "extremes needs thresholds_path or a history section to build from")
+    thresholds, tgrid = source.thresholds(
+        calendar_day_index(day) for days in days_of.values() for day in days)
 
-    card = new_scorecard("extremes", manifest.sha256,
-                         thresholds_sha256=thresholds_sha, gamma=gamma)
+    card = new_scorecard(
+        "extremes", manifest.sha256,
+        thresholds_sha256=fileio.file_sha256(manifest.thresholds_file),
+        gamma=gamma)
     kinds = (EventKind.HEATWAVE, EventKind.COLDSURGE)
     n_loc = tgrid.shape[0] * tgrid.shape[1]
     region_locations = [
@@ -532,7 +504,7 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
     reference = np.empty(table.values.shape)
     for vi, variable in enumerate(table.variables):
         start = 0
-        for run in _lead_runs(hours, source.block_layers(variable)):
+        for run in fileio.layer_runs(hours, source.block_layers(variable)):
             block = source.truth_block(
                 variable, [first + timedelta(hours=h) for h in run])
             reference[vi, start:start + len(run)] = \
@@ -554,7 +526,7 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
         for variable in station_vars:
             # one block per (init, run of leads); the blocks of all inits
             # together stay within one block's byte budget
-            for run in _lead_runs(manifest.lead_hours, max(
+            for run in fileio.layer_runs(manifest.lead_hours, max(
                     1, source.block_layers(variable) // n_inits)):
                 blocks = [source.model_block(model, init, variable, run)
                           for init in manifest.init_times]

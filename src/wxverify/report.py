@@ -179,7 +179,7 @@ def new_scorecard(command: str, manifest_sha256: str, *,
         "engine_version": __version__,
         "manifest_sha256": manifest_sha256,
     }
-    if thresholds_sha256 is not None or command == "extremes":
+    if thresholds_sha256 is not None:
         provenance["thresholds_sha256"] = thresholds_sha256
     if besttrack_sha256 is not None or command == "cyclones":
         provenance["besttrack_sha256"] = besttrack_sha256

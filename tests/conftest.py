@@ -3,6 +3,7 @@ from __future__ import annotations
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,6 +24,20 @@ def make_grid(n_lat: int, n_lon: int, lat_top: float = 60.0,
     else:
         lons = np.linspace(10.0, 80.0, n_lon)
     return GeoGrid(lats, lons)
+
+
+def as_build(thresholds):
+    """A ``ThresholdField`` of all 365 days as ``fileio.write_thresholds``
+    takes thresholds: its header fields, and ``chunks()`` that yields one
+    chunk of every location, as a ``ThresholdBuild`` yields its chunks."""
+    assert thresholds.first_day == 0 and len(thresholds.tau_heat) == 365
+    n = thresholds.n_locations
+    return SimpleNamespace(
+        n_locations=n, years=thresholds.years,
+        half_window=thresholds.half_window, q_heat=thresholds.q_heat,
+        q_cold=thresholds.q_cold,
+        chunks=lambda: iter([(0, n, thresholds.tau_heat,
+                              thresholds.tau_cold)]))
 
 
 def make_field(grid: GeoGrid, values, variable: VariableId = VariableId.T2M,

@@ -155,7 +155,7 @@ def percentile_sorted_oracle(pool, q: float) -> float:
 
 def thresholds_per_location_loop(daily_max, daily_min, q_heat: float,
                                  q_cold: float, half_window: int):
-    """(tau_heat, tau_cold) of ``climatology.build_thresholds`` for a history
+    """(tau_heat, tau_cold) of :func:`build_thresholds` for a history
     with absent (NaN) samples, one (day, location) at a time.
 
     This is the engine's former per-location loop: each pool drops its
@@ -224,7 +224,7 @@ def quantile_sorted_columns(sorted_values: np.ndarray, counts: np.ndarray,
 
 def thresholds_per_day_sort(history, q_heat: float = 0.9, q_cold: float = 0.1,
                             half_window: int = 7):
-    """(tau_heat, tau_cold) of ``climatology.build_thresholds``, one sort
+    """(tau_heat, tau_cold) of :func:`build_thresholds`, one sort
     per calendar day: the engine's former kernel.
 
     Each day pools the window's daily extremes of every year as float64
@@ -391,10 +391,74 @@ def build_daily_mean_climatology(per_year) -> np.ndarray:
     return total
 
 
+class DailyHistory:
+    """Dense multi-year daily extremes on a flat location axis, in memory:
+    the history a :class:`wxverify.climatology.ThresholdBuild` reads
+    through ``chunk(start, stop)``, as it reads the extremes a build
+    spilled (``fileio.SpilledHistory``).
+
+    ``daily_max`` and ``daily_min`` have shape (n_years, 365,
+    n_locations); NaN marks an absent (year, day, location) entry. A
+    float32 array is kept as float32 (the daily extremes of float32
+    stores are exact in it); any other is converted to float64.
+    """
+
+    def __init__(self, years, daily_max, daily_min):
+        def held(values):
+            values = np.asarray(values)
+            values = np.ascontiguousarray(
+                values, np.float32 if values.dtype == np.float32
+                else np.float64)
+            values.setflags(write=False)
+            return values
+        dmax, dmin = held(daily_max), held(daily_min)
+        if dmax.ndim != 3 or dmax.shape != dmin.shape:
+            raise ValueError("daily_max/daily_min must share shape (years, 365, loc)")
+        if dmax.shape[0] != len(years) or dmax.shape[1] != 365:
+            raise ValueError("history shape disagrees with years / calendar length")
+        if len(set(years)) != len(years):
+            raise ValueError("history years must be distinct")
+        with np.errstate(invalid="ignore"):
+            if np.any(dmax < dmin):
+                raise ValueError("daily_max must be >= daily_min")
+        self.years = tuple(int(y) for y in years)
+        self.daily_max, self.daily_min = dmax, dmin
+
+    @property
+    def n_locations(self) -> int:
+        return self.daily_max.shape[2]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.daily_max.dtype
+
+    def chunk(self, start: int, stop: int):
+        """The ``(n_years, 365, stop - start)`` daily max and min of
+        locations ``start .. stop``."""
+        return (self.daily_max[:, :, start:stop],
+                self.daily_min[:, :, start:stop])
+
+
+def build_thresholds(history, q_heat: float = 0.9, q_cold: float = 0.1,
+                     half_window: int = 7):
+    """The ``ThresholdField`` of every calendar day of ``history`` (a
+    :class:`DailyHistory` or a ``fileio.SpilledHistory``): the chunks of
+    the engine's ``ThresholdBuild`` collected in memory, in float64, as
+    ``build-climatology`` writes them to disk in float32."""
+    from wxverify.climatology import ThresholdBuild, ThresholdField
+    build = ThresholdBuild(history, q_heat, q_cold, half_window)
+    tau_h = np.empty((365, history.n_locations))
+    tau_c = np.empty_like(tau_h)
+    for start, stop, heat, cold in build.chunks():
+        tau_h[:, start:stop] = heat
+        tau_c[:, start:stop] = cold
+    return ThresholdField(tau_h, tau_c, history.years, half_window, q_heat,
+                          q_cold)
+
+
 def history_from_extremes(extremes):
     """Stack per-year (365, n_locations) (daily max, daily min) pairs,
-    keyed by year, into a ``DailyHistory`` ordered by year."""
-    from wxverify.climatology import DailyHistory
+    keyed by year, into a :class:`DailyHistory` ordered by year."""
     from wxverify.errors import InsufficientHistory
     years = sorted(extremes)
     if not years:
@@ -418,7 +482,7 @@ def reduce_history_by_year(source, variable, means: bool, extremes: bool):
     days asked for or raises) in its blocks of days, in order; every
     block must be on the grid of the first, with the engine's errors.
     """
-    from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
+    from wxverify.climatology import (DAYS_PER_YEAR,
                                       daily_extremes_from_fields,
                                       daily_means_from_fields)
     from wxverify.errors import InsufficientHistory, ManifestError

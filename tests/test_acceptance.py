@@ -19,8 +19,8 @@ from conftest import (T0, field_block, layer_of, layer_scores, make_field,
                       make_grid, random_field, stamped, truth_fields)
 from wxverify import fileio
 from wxverify.cli import main as cli_main
-from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
-                                  DailyMeanClimatology, build_thresholds,
+from oracles import DailyHistory, build_thresholds
+from wxverify.climatology import (DAYS_PER_YEAR, DailyMeanClimatology,
                                   daily_means_from_fields)
 from wxverify.cyclones import (TrackSource, homogeneous_sample,
                                intensity_errors, track_storm)

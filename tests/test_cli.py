@@ -22,7 +22,7 @@ from test_fileio import with_whole_checksum
 from wxverify import fileio, pipelines
 from wxverify.cli import main
 from wxverify.climatology import (SYNOPTIC_HOURS, DailyMeanClimatology,
-                                  build_thresholds, calendar_day_index,
+                                  ThresholdBuild, calendar_day_index,
                                   daily_extremes_from_fields, day_span,
                                   year_times)
 from wxverify.errors import ChecksumMismatch
@@ -376,10 +376,17 @@ class TestRegions:
 class TestExitCodes:
     def test_insufficient_history_is_exit_3(self, evaluate_run, tmp_path,
                                             capsys):
-        # single-year manifest: thresholds can neither be loaded nor built
-        # from fewer than two history years
-        rc = run_cli("extremes", "--manifest", evaluate_run / "manifest.json",
-                     "--out", tmp_path / "out", "--lead-days", "1")
+        # single-year manifest with a thresholds path: thresholds cannot
+        # be built from fewer than two history years
+        doc = json.loads((evaluate_run / "manifest.json").read_text())
+        manifest = with_manifest(
+            evaluate_run, f"manifest_{tmp_path.name}.json",
+            climatology=dict(
+                doc["climatology"],
+                daily_mean_pattern=str(tmp_path / "clim/{variable}.rbc"),
+                thresholds_path=str(tmp_path / "clim/thresholds.rbt")))
+        assert len(doc["climatology"]["history_years"]) == 1
+        rc = run_cli("build-climatology", "--manifest", manifest)
         assert rc == 3
         assert "2" in capsys.readouterr().err
 
@@ -478,6 +485,38 @@ class TestExtremes:
         lines = seg_csv.read_text().splitlines()
         assert lines[0] == "location,kind,start_day,end_day"
         assert len(lines) > 1  # planted events present
+
+    def test_names_the_digest_of_its_thresholds_file(self, extremes_run,
+                                                     tmp_path):
+        path, manifest = thresholds_copy(extremes_run, tmp_path)
+        assert run_cli("extremes", "--manifest", manifest, "--out",
+                       tmp_path / "out", "--lead-days", "1") == 0
+        assert load_card(tmp_path / "out")["provenance"][
+            "thresholds_sha256"] == fileio.file_sha256(path)
+
+    def test_thresholds_not_built_are_exit_2(self, extremes_run, tmp_path,
+                                             capsys):
+        path, manifest = thresholds_copy(extremes_run, tmp_path)
+        for suffix in ("", ".json"):
+            Path(f"{path}{suffix}").unlink()
+        capsys.readouterr()
+        assert run_cli("extremes", "--manifest", manifest, "--out",
+                       tmp_path / "out", "--lead-days", "1") == 2
+        assert capsys.readouterr().err == (
+            f"error: thresholds file {path} has not been built; run "
+            f"`wxverify build-climatology --manifest {manifest}` first\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_a_manifest_without_thresholds_is_exit_2(self, extremes_run,
+                                                     tmp_path, capsys):
+        manifest = without_thresholds(extremes_run)
+        capsys.readouterr()
+        assert run_cli("extremes", "--manifest", manifest, "--out",
+                       tmp_path / "out", "--lead-days", "1") == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: manifest declares no climatology "
+            f"thresholds_path\n")
+        assert not (tmp_path / "out").exists()
 
     def test_two_day_lag_misses_three_day_events(self, extremes_run, tmp_path):
         out = tmp_path / "out"
@@ -661,14 +700,11 @@ class TestStackReads:
             sorted((manifest.truth_path(v, first), start, len(valid_times))
                    for v in manifest.variables)
 
-    @pytest.mark.parametrize("command", ["build-climatology", "extremes"])
+    @pytest.mark.parametrize("command", ["build-climatology"])
     def test_each_history_year_is_read_once_in_whole_days(
             self, extremes_run, command, tmp_path, store_reads):
-        manifest = without_thresholds(extremes_run)  # extremes builds them
-        argv = [command, "--manifest", manifest]
-        if command == "extremes":
-            argv += ["--out", tmp_path / "out", "--lead-days", "1"]
-        assert run_cli(*argv) == 0
+        manifest = without_thresholds(extremes_run)
+        assert run_cli(command, "--manifest", manifest) == 0
         history = {year: extremes_run / f"truth/t2m/{year}.rbs"
                    for year in (2023, 2024)}
         # as many whole days as CHUNK_BYTES of float32 layers holds on the
@@ -692,8 +728,7 @@ class TestStackReads:
 
 
 def without_thresholds(run):
-    """A copy of the run's manifest without a thresholds path, so that
-    ``extremes`` builds its thresholds from history."""
+    """A copy of the run's manifest without a thresholds path."""
     doc = json.loads((run / "manifest.json").read_text())
     del doc["climatology"]["thresholds_path"]
     path = run / "manifest_no_thresholds.json"
@@ -718,7 +753,7 @@ def whole_year_stores(run, out):
         oracles.build_daily_mean_climatology(per_year),
         manifest.history_years)], out / "t2m.rbc")
     fileio.write_thresholds(
-        build_thresholds(oracles.history_from_extremes(extremes)),
+        ThresholdBuild(oracles.history_from_extremes(extremes)),
         stack.grid, out / "thresholds.rbt")
 
 
@@ -741,8 +776,8 @@ def history_run(tmp_path_factory):
 
 
 class TestStreamedHistory:
-    """``build-climatology``, and ``extremes`` without stored thresholds,
-    stream each history year a block of whole days at a time."""
+    """``build-climatology`` streams each history year a block of whole
+    days at a time."""
 
     @pytest.mark.parametrize("budget", [1, None, 2**30],
                              ids=["a-day-a-block", "default", "a-year"])
@@ -766,7 +801,7 @@ class TestStreamedHistory:
                 assert (tmp_path / "got" / (name + suffix)).read_bytes() == \
                     (want / (name + suffix)).read_bytes(), name + suffix
 
-    @pytest.mark.parametrize("command", ["build-climatology", "extremes"])
+    @pytest.mark.parametrize("command", ["build-climatology"])
     @pytest.mark.parametrize("fault", ["crc-of-feb-29", "nan-in-dec-31",
                                        "four-layers-short"])
     def test_every_layer_of_the_year_is_checked(self, extremes_run, tmp_path,
@@ -799,11 +834,8 @@ class TestStreamedHistory:
             fileio.write_stack([FieldBlock(
                 block.grid, block.variable, block.valid_times[:-4],
                 block.lead_hours[:-4], block.values[:-4])], store)
-        argv = [command, "--manifest", manifest]
-        if command == "extremes":
-            argv += ["--out", tmp_path / "out", "--lead-days", "1"]
         capsys.readouterr()
-        assert run_cli(*argv) == 2
+        assert run_cli(command, "--manifest", manifest) == 2
         assert str(store) in capsys.readouterr().err
 
     def test_history_stack_without_its_last_layer_is_exit_2(
@@ -843,7 +875,7 @@ class TestStreamedHistory:
             tracemalloc.stop()
         assert peak < 3 * fileio.CHUNK_BYTES
 
-    @pytest.mark.parametrize("command", ["build-climatology", "extremes"])
+    @pytest.mark.parametrize("command", ["build-climatology"])
     def test_a_failed_read_leaves_no_file(self, extremes_run, tmp_path,
                                           monkeypatch, command, capsys):
         # the reader fails on the fifth block of history, while the
@@ -852,12 +884,9 @@ class TestStreamedHistory:
         # the extremes included
         out = tmp_path / "out"
         doc = json.loads((extremes_run / "manifest.json").read_text())
-        if command == "build-climatology":
-            doc["climatology"].update(
-                daily_mean_pattern=str(out / "{variable}.rbc"),
-                thresholds_path=str(out / "thresholds.rbt"))
-        else:
-            del doc["climatology"]["thresholds_path"]
+        doc["climatology"].update(
+            daily_mean_pattern=str(out / "{variable}.rbc"),
+            thresholds_path=str(out / "thresholds.rbt"))
         manifest = extremes_run / f"manifest_failing_{command}.json"
         manifest.write_text(json.dumps(doc))
         real_history = fileio.FieldSource.history
@@ -872,11 +901,8 @@ class TestStreamedHistory:
         monkeypatch.setattr(fileio.FieldSource, "history", history)
         monkeypatch.setattr(fileio.SpilledHistory, "write", lambda spill, *a:
                             spills.append(spill) or real_write(spill, *a))
-        argv = [command, "--manifest", manifest]
-        if command == "extremes":
-            argv += ["--out", out, "--lead-days", "1"]
         capsys.readouterr()
-        assert run_cli(*argv) == 2
+        assert run_cli(command, "--manifest", manifest) == 2
         assert "CRC-32 mismatch (injected)" in capsys.readouterr().err
         assert len(spills) == 4 and spills[0]._file.closed
         assert [path for path in out.rglob("*") if path.is_file()] == []
@@ -890,7 +916,8 @@ class TestStreamedHistory:
         with fileio.SpilledHistory(tmp_path,
                                    manifest.history_years) as history:
             grid = pipelines._reduce_history(fileio.FieldSource(manifest),
-                                             VariableId.T2M, spill=history)
+                                             VariableId.T2M,
+                                             tmp_path / "t2m.rbc", history)
             daily_max, daily_min = history.chunk(0, grid.n_lat * grid.n_lon)
         assert daily_max.dtype == daily_min.dtype == np.float32
         for y, year in enumerate(manifest.history_years):
@@ -1325,8 +1352,6 @@ class TestManifestRepeats:
         doc = json.loads((extremes_run / "manifest.json").read_text())
         owner = doc[section] if section else doc
         owner[key] = owner[key] + owner[key][:1]
-        if command == "extremes":  # thresholds from the history
-            del doc["climatology"]["thresholds_path"]
         manifest = extremes_run / f"manifest_repeated_{key}.json"
         manifest.write_text(json.dumps(doc))
         out = [] if command == "build-climatology" \
@@ -1437,6 +1462,8 @@ class TestExtremesEmptyYear:
                      "--inits", "2025-07-01T00:00:00Z", "--max-lead-hours",
                      "24", "--models", "perfect")
         assert rc == 0
+        assert run_cli("build-climatology",
+                       "--manifest", tmp_path / "run/manifest.json") == 0
         out = tmp_path / "out"
         rc = run_cli("extremes", "--manifest", tmp_path / "run/manifest.json",
                      "--out", out, "--lead-days", "1")
@@ -1856,9 +1883,6 @@ class TestSourceTree:
         "report.scorecard_schema",
         # the console-script entry point
         "cli.main",
-        # named in src only by annotations; tests and oracles build
-        # in-memory histories
-        "climatology.DailyHistory",
     }
 
     @staticmethod

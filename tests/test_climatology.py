@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import layer_of, make_field, make_grid
+from oracles import DailyHistory, build_thresholds
 from wxverify import climatology, fileio
-from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory, day_span,
-                                  build_thresholds, calendar_day_index,
+from wxverify.climatology import (DAYS_PER_YEAR, calendar_day_index,
                                   daily_extremes_from_fields,
-                                  daily_means_from_fields, year_times)
+                                  daily_means_from_fields, day_span,
+                                  year_times)
 from wxverify.errors import InsufficientHistory, ManifestError, WxVerifyError
 from wxverify.grid import FieldBlock, VariableId
 from wxverify.pipelines import _reduce_history
@@ -186,19 +187,18 @@ class GeneratedHistory:
                           (0,) * len(times), values)
 
 
-def reduce_streamed(source, means=True, extremes=True):
+def reduce_streamed(source, extremes=True):
     """``pipelines._reduce_history`` of T2M from ``source`` into a scratch
     directory: its grid, the mean read back from the climatology it wrote
-    (None without ``means``) and the spilled daily max and min of every
-    location (None without ``extremes``)."""
+    and the spilled daily max and min of every location (None without
+    ``extremes``)."""
     with tempfile.TemporaryDirectory() as scratch:
-        clim_path = Path(scratch) / "c.rbc" if means else None
+        clim_path = Path(scratch) / "c.rbc"
         with fileio.SpilledHistory(scratch,
                                    source.manifest.history_years) as spill:
             grid = _reduce_history(source, VariableId.T2M, clim_path,
                                    spill if extremes else None)
-            mean = fileio.read_daily_climatology(clim_path).day_mean \
-                if means else None
+            mean = fileio.read_daily_climatology(clim_path).day_mean
             spilled = spill.chunk(0, grid.n_lat * grid.n_lon) \
                 if extremes else None
     return grid, mean, spilled
@@ -295,10 +295,9 @@ class TestYearBlocks:
         times = [when + timedelta(hours=6) for when in year_times(2025)]
         block = FieldBlock(grid, VariableId.T2M, tuple(times),
                            (0,) * len(times), np.zeros((len(times), 1, 2)))
-        for means, extremes in ((True, False), (False, True), (True, True)):
+        for extremes in (False, True):
             with pytest.raises(InsufficientHistory, match="history of 2025"):
-                reduce_streamed(StubHistory({2025: block}, 5), means,
-                                extremes)
+                reduce_streamed(StubHistory({2025: block}, 5), extremes)
 
 
 def dense_history(rng, n_years=12, n_loc=3, loc_mean=288.0):
@@ -664,14 +663,14 @@ class TestDailyMeanClimatology:
 
     def test_streamed_reduction_needs_a_year(self):
         with pytest.raises(InsufficientHistory, match="no history years"):
-            _reduce_history(StubHistory({}), VariableId.T2M)
+            _reduce_history(StubHistory({}), VariableId.T2M, Path("c.rbc"))
 
     def test_blocks_on_another_grid_raise(self):
         first = year_block(make_grid(1, 2), 2023, np.zeros((1460, 1, 2)))
         other = year_block(make_grid(1, 3), 2024, np.zeros((1464, 1, 3)))
         with pytest.raises(ManifestError, match="2024 is on another grid"):
-            reduce_streamed(StubHistory({2023: first, 2024: other}), True,
-                            False)
+            reduce_streamed(StubHistory({2023: first, 2024: other}),
+                            extremes=False)
 
     def test_memory_does_not_grow_with_the_years(self):
         # one block of days of one year, the float64 total of those days

@@ -19,13 +19,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (T0, assert_read_once_in_whole_days, field_block,
-                      layer_of, layer_scores, make_field, make_grid,
-                      read_store, stamped)
+from conftest import (T0, as_build, assert_read_once_in_whole_days,
+                      field_block, layer_of, layer_scores, make_field,
+                      make_grid, read_store, stamped)
 from wxverify import climatology, fileio, metrics
-from wxverify.climatology import (DAYS_PER_YEAR, DailyHistory,
-                                  DailyMeanClimatology, ThresholdBuild,
-                                  ThresholdField, build_thresholds,
+from oracles import DailyHistory, build_thresholds
+from wxverify.climatology import (DAYS_PER_YEAR, DailyMeanClimatology,
+                                  ThresholdBuild, ThresholdField,
                                   threshold_chunk)
 from wxverify.errors import (ChecksumMismatch, DuplicateObservation,
                              HeaderPayloadShapeMismatch, InsufficientHistory,
@@ -47,8 +47,8 @@ def write_grid_store(rng, grid, path):
 
 def write_threshold_store(rng, grid, path):
     heat = 280.0 + rng.standard_normal((DAYS_PER_YEAR, grid.n_lat * grid.n_lon))
-    return fileio.write_thresholds(
-        ThresholdField(heat, heat - 10.0, (2019, 2020), 7, 0.9, 0.1), grid, path)
+    return fileio.write_thresholds(as_build(
+        ThresholdField(heat, heat - 10.0, (2019, 2020), 7, 0.9, 0.1)), grid, path)
 
 
 #: Valid times of the stack store's layers.
@@ -314,7 +314,7 @@ class TestStackStores:
         heat = 280.0 + rng.standard_normal((DAYS_PER_YEAR, 12))
         cold = heat - 10.0
         tf = ThresholdField(heat, cold, (2019, 2020), 7, 0.9, 0.1)
-        path = fileio.write_thresholds(tf, grid, tmp_path / "t.rbt")
+        path = fileio.write_thresholds(as_build(tf), grid, tmp_path / "t.rbt")
         back, back_grid = fileio.read_thresholds(path)
         assert back_grid == grid
         assert back.years == (2019, 2020)
@@ -326,8 +326,8 @@ class TestStackStores:
                                                                 tmp_path):
         grid = make_grid(30, 40)
         heat = 280.0 + rng.standard_normal((DAYS_PER_YEAR, 1200))
-        path = fileio.write_thresholds(
-            ThresholdField(heat, heat - 10.0, (2019, 2020), 7, 0.9, 0.1),
+        path = fileio.write_thresholds(as_build(
+            ThresholdField(heat, heat - 10.0, (2019, 2020), 7, 0.9, 0.1)),
             grid, tmp_path / "t.rbt")
         payload = path.stat().st_size
         tracemalloc.start()
@@ -1060,8 +1060,24 @@ class TestFieldSource:
             assert threshold_grid is truth.grid
             assert stack_layer.grid is truth.grid
 
-    def test_thresholds_absent_is_none(self, tmp_path):
-        assert fileio.FieldSource(grid_manifest(tmp_path)).thresholds() is None
+    def test_thresholds_absent_are_an_input_error(self, tmp_path):
+        # a read never builds or skips the thresholds: a file not built,
+        # or no thresholds path, is ManifestError naming what to do
+        source = fileio.FieldSource(grid_manifest(tmp_path))
+        with pytest.raises(ManifestError) as err:
+            source.thresholds()
+        assert str(err.value) == (
+            f"thresholds file {tmp_path / 'clim/t.rbt'} has not been built; "
+            f"run `wxverify build-climatology --manifest "
+            f"{tmp_path / 'manifest.json'}` first")
+        doc = json.loads((tmp_path / "manifest.json").read_text())
+        del doc["climatology"]["thresholds_path"]
+        (tmp_path / "manifest.json").write_text(json.dumps(doc))
+        source = fileio.FieldSource(fileio.load_manifest(
+            tmp_path / "manifest.json", require=()))
+        with pytest.raises(ManifestError, match="declares no climatology "
+                                                "thresholds_path"):
+            source.thresholds()
 
     def test_threads_share_one_grid_object(self, rng, tmp_path):
         # more threads than cores and a short switch interval, so that
@@ -1770,7 +1786,8 @@ class TestStreamedThresholds:
         assert header["n_layers"] == 2 * DAYS_PER_YEAR
         assert header["checksums"] == [zlib.crc32(layer.tobytes())
                                        for layer in layers]
-        whole = fileio.write_thresholds(held, grid, tmp_path / "whole.rbt")
+        whole = fileio.write_thresholds(as_build(held), grid,
+                                        tmp_path / "whole.rbt")
         assert whole.with_name("whole.rbt.json").read_bytes() == \
             path.with_name("t.rbt.json").read_bytes()
         back, back_grid = fileio.read_thresholds(path)
@@ -1947,6 +1964,19 @@ class TestSpilledHistory:
         with fileio.SpilledHistory(tmp_path / "taken", (2023, 2024)) as spill:
             with pytest.raises(WxVerifyError, match="taken: cannot spill"):
                 spill.write(0, slice(0, 1), day, day)
+
+
+@given(hours=st.sets(st.integers(0, 400)), max_layers=st.integers(1, 12))
+def test_layer_runs_start_a_run_past_the_span_of_its_first(hours,
+                                                          max_layers):
+    # any hours, on the 6-hourly grid or not: the runs cut the hours in
+    # order, each spans fewer than 6 * max_layers hours, and a run starts
+    # only where the hour would not fit in the run before
+    hours = sorted(hours)
+    runs = fileio.layer_runs(hours, max_layers)
+    assert [h for run in runs for h in run] == hours
+    assert all(run[-1] - run[0] < 6 * max_layers for run in runs)
+    assert all(b[0] - a[0] >= 6 * max_layers for a, b in zip(runs, runs[1:]))
 
 
 @pytest.mark.parametrize("size", [0, 1, 2**20, 2**20 + 1, 3 * 2**20 - 5])

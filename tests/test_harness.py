@@ -15,7 +15,6 @@ import oracles
 from conftest import (field_block, layer_of, layer_scores, make_field, read_store,
                       truth_fields)
 from wxverify import fileio, harness
-from wxverify.climatology import build_thresholds
 from wxverify.extremes import (EventKind, label_event_runs,
                                segments_by_location)
 from wxverify.grid import FieldBlock, GeoGrid, VariableId
@@ -79,7 +78,7 @@ class TestGenerator:
             fields_by_year[f.valid_times[0].year].append(f)
         history = oracles.history_from_fields(
             {y: fields_by_year[y] for y in (2022, 2023, 2024)})
-        thresholds = build_thresholds(history)
+        thresholds = oracles.build_thresholds(history)
         eval_history = oracles.history_from_fields({2025: fields_by_year[2025]})
         loc = 3 * sc.grid.n_lon + 5
         runs = label_event_runs(eval_history.daily_max[0], thresholds.tau_heat,
@@ -371,6 +370,24 @@ class TestSmoothed:
         blocks = list(smoothed_forecast(init, leads, kernel_width=9))
         assert [len(b.lead_hours) for b in blocks] == [7] * 5 + [6]
         assert all(b.values.dtype == np.float32 for b in blocks)
+        assert field_block(*blocks).values.tobytes() == b"".join(
+            b.values.tobytes() for b in oracles.smoothed_forecast_per_lead(
+                init, leads, 9))
+
+    def test_each_width_is_smoothed_once(self, rng, monkeypatch):
+        # smoothed:9 to 240 h in blocks of 7 leads: widths 1, 3, 5 and 7,
+        # then 9 for the other 37 leads, across blocks, one boxcar each
+        grid = small_grid()
+        init = make_field(grid, rng.standard_normal(grid.shape))
+        leads = list(range(0, 241, 6))
+        monkeypatch.setattr(fileio, "CHUNK_BYTES", 7 * 8 * grid.n_lat
+                            * grid.n_lon)
+        widths = []
+        boxcar = harness._zonal_boxcar
+        monkeypatch.setattr(harness, "_zonal_boxcar", lambda values, width:
+                            widths.append(width) or boxcar(values, width))
+        blocks = list(smoothed_forecast(init, leads, kernel_width=9))
+        assert widths == [1, 3, 5, 7, 9]
         assert field_block(*blocks).values.tobytes() == b"".join(
             b.values.tobytes() for b in oracles.smoothed_forecast_per_lead(
                 init, leads, 9))
