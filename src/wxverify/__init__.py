@@ -18,8 +18,8 @@ _EXPORTS = {
     "climatology": ("DailyMeanClimatology", "ThresholdBuild",
                     "ThresholdField"),
     "cyclones": ("IntensityError", "StormFix", "StormTrack", "TrackerConfig",
-                 "TrackSource", "homogeneous_sample", "intensity_errors",
-                 "track_dpe", "track_storm"),
+                 "homogeneous_sample", "intensity_errors", "track_dpe",
+                 "track_storm"),
     "errors": ("WxVerifyError",),
     "extremes": ("CategoricalScores", "EventKind", "EventSegment",
                  "MatchResult", "label_event_runs", "match_counts",

@@ -112,16 +112,25 @@ def _calendar_days(block: FieldBlock) -> tuple[slice, list[np.ndarray]]:
     return slice(row, row + sum(len(part) for part in parts)), parts
 
 
+def day_extremes(days: np.ndarray, dmax: np.ndarray, dmin: np.ndarray):
+    """Write the max and min over axis 1, the synoptic hours, of ``days``,
+    an ``(n_days, n_hours, ...)`` array, into ``dmax`` and ``dmin``: each
+    day starts from its first hour and takes the max (min) with each
+    later hour in turn, one whole-array pass per hour."""
+    dmax[...] = dmin[...] = days[:, 0]
+    for hour in range(1, days.shape[1]):
+        np.maximum(dmax, days[:, hour], out=dmax)
+        np.minimum(dmin, days[:, hour], out=dmin)
+
+
 def daily_extremes_from_fields(block: FieldBlock
                                ) -> tuple[slice, np.ndarray, np.ndarray]:
     """The calendar rows of a block of whole days of one year (see
     :func:`_calendar_days`), and their ``(n_rows, n_locations)`` daily max
-    and min; Feb 29 is dropped.
+    and min (:func:`day_extremes`); Feb 29 is dropped.
 
     The location axis is the row-major flattening of the grid, and the
-    extremes keep the dtype of the block. Each day starts from its first
-    synoptic hour and takes the max (min) with each later hour in turn,
-    one whole-array pass per hour.
+    extremes keep the dtype of the block.
     """
     rows, parts = _calendar_days(block)
     n_rows, (n_lat, n_lon) = rows.stop - rows.start, block.grid.shape
@@ -129,11 +138,7 @@ def daily_extremes_from_fields(block: FieldBlock
     dmin = np.empty_like(dmax)
     at = 0
     for days in parts:
-        hi, lo = dmax[at:at + len(days)], dmin[at:at + len(days)]
-        hi[...] = lo[...] = days[:, 0]
-        for hour in range(1, len(SYNOPTIC_HOURS)):
-            np.maximum(hi, days[:, hour], out=hi)
-            np.minimum(lo, days[:, hour], out=lo)
+        day_extremes(days, dmax[at:at + len(days)], dmin[at:at + len(days)])
         at += len(days)
     return (rows, dmax.reshape(n_rows, n_lat * n_lon),
             dmin.reshape(n_rows, n_lat * n_lon))
@@ -442,10 +447,12 @@ class ThresholdBuild:
     :func:`_largest_in_windows`), a chunk of :func:`threshold_chunk`
     locations at a time, so the thresholds equal those of sorting each
     pool bit for bit. ``history`` is read a chunk at a time too, through
-    its ``chunk(start, stop)``: the daily extremes a build spilled to
-    disk (:class:`wxverify.fileio.SpilledHistory`). The thresholds of a
-    chunk go to :func:`wxverify.fileio.write_thresholds` before the next
-    chunk is computed, so neither end holds more than it keeps.
+    its ``chunks()``: the daily extremes a build spilled to disk
+    (:class:`wxverify.fileio.SpilledHistory`), whose chunks of the file
+    the kernel cuts into its own. Every location is computed on its own,
+    so the thresholds do not depend on either chunking. The thresholds
+    of a chunk go to :func:`wxverify.fileio.write_thresholds` before the
+    next chunk is computed, so neither end holds more than it keeps.
     """
 
     def __init__(self, history: SpilledHistory, q_heat: float = 0.9,
@@ -481,7 +488,6 @@ class ThresholdBuild:
         when no pool was small)."""
         history, half_window = self.history, self.half_window
         window_len = 2 * half_window + 1
-        n_loc = history.n_locations
         # window i starts on calendar day i - half_window, so it is days
         # i .. i + window_len - 1 of this run of days
         n_days = _window_days(half_window)
@@ -492,9 +498,13 @@ class ThresholdBuild:
                                self.q_heat, self.q_cold, half_window)
         scratch = _Scratch()
         short, failed = [], None
-        for start in range(0, n_loc, step):
-            stop = min(start + step, n_loc)
-            daily_max, daily_min = history.chunk(start, stop)
+        # kernel chunks of step locations, cut inside each chunk of the file
+        pieces = ((first + lo, file_max[..., lo:lo + step],
+                   file_min[..., lo:lo + step])
+                  for first, file_max, file_min in history.chunks()
+                  for lo in range(0, file_max.shape[-1], step))
+        for start, daily_max, daily_min in pieces:
+            stop = start + daily_max.shape[-1]
             taus = []
             for extremes, q, k, negated in (
                     (daily_max, self.q_heat, k_heat, False),

@@ -65,20 +65,14 @@ class StormFix:
         return (self.lat, self.lon)
 
 
-@dataclass(frozen=True)
-class TrackSource:
-    """Where a track came from: best-track truth or a named model run."""
-
-    name: str
-    init_source: str | None = None
-
-
-TRUTH_SOURCE = TrackSource("truth")
+#: The source name of best-track truth.
+TRUTH_SOURCE = "truth"
 
 
 @dataclass(frozen=True)
 class StormTrack:
-    """Time-ordered fixes for one storm from one source.
+    """Time-ordered fixes for one storm from one source: ``truth``
+    (:data:`TRUTH_SOURCE`) or a model's name.
 
     ``tracked_mask[k]`` says whether a fix exists at lead step k (6-hour
     steps from ``init_time``). Fixes are contiguous from lead 0: once
@@ -86,7 +80,7 @@ class StormTrack:
     """
 
     storm_id: str
-    source: TrackSource
+    source: str
     init_time: datetime
     fixes: tuple[StormFix, ...]
     tracked_mask: tuple[bool, ...]
@@ -158,7 +152,7 @@ def _index_box(grid: GeoGrid, lat0: float, lon0: float, radius_km: float,
 
 def track_storm(msl: FieldBlock, u10: FieldBlock, v10: FieldBlock,
                 seed: tuple[float, float], *, storm_id: str,
-                source: TrackSource,
+                source: str,
                 config: TrackerConfig = TrackerConfig()) -> StormTrack:
     """Track one storm through a forecast's MSL, U10 and V10 blocks.
 

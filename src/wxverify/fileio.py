@@ -194,15 +194,14 @@ def _oriented_grid(geometry: tuple, path: Path) -> tuple[GeoGrid, bool, int]:
     return grid, flip_rows, lon_shift
 
 
-def _cached_grid(geometry: tuple, path: Path, geometries: dict | None
+def _cached_grid(geometry: tuple, path: Path, geometries: dict
                  ) -> tuple[GeoGrid, bool, int]:
-    """:func:`_oriented_grid`, built and validated once per geometry key.
+    """:func:`_oriented_grid`, built and validated once per geometry key
+    of the cache ``geometries``.
 
     Floats are keyed on their exact bits, so ``-0.0`` and ``0.0`` never
     share an entry. A geometry that fails validation is never cached.
     """
-    if geometries is None:
-        return _oriented_grid(geometry, path)
     n_lat, n_lon, *starts_and_steps = geometry
     key = (n_lat, n_lon, *(x.hex() for x in starts_and_steps))
     entry = geometries.get(key)
@@ -301,8 +300,8 @@ class _Store:
     geometry: tuple
     #: one CRC-32 per layer
     checksums: tuple[int, ...]
-    #: the run's geometry cache (see :func:`_cached_grid`), or None
-    geometries: dict | None
+    #: the run's geometry cache (see :func:`_cached_grid`)
+    geometries: dict
 
     def read(self, start: int, count: int) -> tuple[GeoGrid, np.ndarray]:
         """The engine-convention grid, and layers ``start .. start +
@@ -351,7 +350,7 @@ class _Store:
 
 
 def _parse_store(path: Path, header: dict, dtype: str, n_layers: int | None,
-                 geometries: dict | None) -> _Store:
+                 geometries: dict) -> _Store:
     """Check a loaded sidecar's dtype, geometry and checksums.
 
     ``n_layers`` is the layer count the magic implies; None for a stack,
@@ -498,8 +497,7 @@ class _Stack:
     lead_step: int
 
     @classmethod
-    def parse(cls, path: Path, header: dict, geometries: dict | None
-              ) -> "_Stack":
+    def parse(cls, path: Path, header: dict, geometries: dict) -> "_Stack":
         one_field = header["magic"] == GRID_MAGIC
         store = _parse_store(path, header, "f32le", 1 if one_field else None,
                              geometries)
@@ -642,12 +640,7 @@ def _read_days(store: _Store, first: int, n_days: int
     ``n_days`` calendar days from ``first`` (see
     :func:`~wxverify.climatology.day_span`) of each 365-day axis that
     ``store`` stacks: one read of each axis's run, or two when the run
-    crosses Dec 31, each checking the CRC-32 of every day it reads. All
-    365 days are one read of the whole payload."""
-    if n_days == DAYS_PER_YEAR:
-        grid, layers = store.read(0, store.n_layers)
-        return grid, list(layers.reshape(-1, DAYS_PER_YEAR,
-                                         *layers.shape[1:]))
+    crosses Dec 31, each checking the CRC-32 of every day it reads."""
     head = min(n_days, DAYS_PER_YEAR - first)
     out = []
     for axis in range(0, store.n_layers, DAYS_PER_YEAR):
@@ -659,22 +652,22 @@ def _read_days(store: _Store, first: int, n_days: int
     return grid, out
 
 
-def read_thresholds(path: str | os.PathLike, geometries: dict | None = None,
-                    days: Iterable[int] | None = None
-                    ) -> tuple[ThresholdField, GeoGrid]:
-    """Thresholds written by :func:`write_thresholds` and their grid; the
-    location axis is the row-major flattening of that grid.
+def read_thresholds(path: str | os.PathLike, geometries: dict,
+                    days: Iterable[int]) -> tuple[ThresholdField, GeoGrid]:
+    """Thresholds written by :func:`write_thresholds` of the calendar
+    ``days``, and their grid, built through the geometry cache
+    ``geometries`` (see :func:`_cached_grid`); the location axis is the
+    row-major flattening of that grid.
 
-    Without ``days`` every calendar day is read. With them, only the
-    shortest run of consecutive calendar days that holds them (see
-    :func:`_read_days`), and finiteness and heat >= cold are checked on
-    the days read.
+    Only the shortest run of consecutive calendar days that holds
+    ``days`` is read (see :func:`_read_days`), and finiteness and heat >=
+    cold are checked on the days read.
     """
     path = Path(path)
     header = _load_sidecar(path, THRESH_MAGIC)
     store = _parse_store(path, header, "f32le", _day_layers(header, path, 2),
                          geometries)
-    first, n_days = (0, DAYS_PER_YEAR) if days is None else day_span(days)
+    first, n_days = day_span(days)
     grid, (heat, cold) = _read_days(store, first, n_days)
     n_loc = grid.n_lat * grid.n_lon
     thresholds = _build(path, ThresholdField, heat.reshape(n_days, n_loc),
@@ -729,14 +722,12 @@ def write_daily_climatology(parts: Iterable[DailyMeanClimatology],
     })
 
 
-def read_daily_climatology(path: str | os.PathLike,
-                           geometries: dict | None = None,
-                           times: Iterable[datetime] | None = None
-                           ) -> DailyMeanClimatology:
-    """A climatology written by :func:`write_daily_climatology`.
-
-    Without ``times`` every day is read. With them, only the shortest run
-    of consecutive calendar days that holds the day of each time (see
+def read_daily_climatology(path: str | os.PathLike, geometries: dict,
+                           times: Iterable[datetime]) -> DailyMeanClimatology:
+    """A climatology written by :func:`write_daily_climatology`, on a grid
+    built through the geometry cache ``geometries`` (see
+    :func:`_cached_grid`), of the shortest run of consecutive calendar
+    days that holds the day of each of ``times`` (see
     :func:`~wxverify.climatology.day_span`): one read, or two when the
     run crosses Dec 31, each checking the CRC-32 of every day it reads.
     """
@@ -744,8 +735,7 @@ def read_daily_climatology(path: str | os.PathLike,
     header = _load_sidecar(path, CLIM_MAGIC)
     store = _parse_store(path, header, "f64le", _day_layers(header, path, 1),
                          geometries)
-    first, n_days = (0, DAYS_PER_YEAR) if times is None \
-        else day_span(calendar_day_index(when) for when in times)
+    first, n_days = day_span(calendar_day_index(when) for when in times)
     grid, (layers,) = _read_days(store, first, n_days)
     return _build(path, DailyMeanClimatology, grid,
                   _header_variable(header, path), layers,
@@ -819,19 +809,18 @@ def write_tracks_csv(tracks: Sequence[StormTrack], path: str | os.PathLike) -> P
     lines = ["storm_id,iso_time,lat,lon,mslp_hpa,wind_ms,source,init_time,"
              "lead_hours,tracked"]
     for track in tracks:
-        source = track.source.name if track.source.init_source is None \
-            else f"{track.source.name}:{track.source.init_source}"
+        tail = f"{track.source},{format_time(track.init_time)}"
         for k, flag in enumerate(track.tracked_mask):
             fix = track.fix_at_lead(k)
             when = track.init_time + k * LEAD_STEP
             if fix is None:
                 lines.append(f"{track.storm_id},{format_time(when)},,,,,"
-                             f"{source},{format_time(track.init_time)},{6 * k},0")
+                             f"{tail},{6 * k},0")
             else:
                 lines.append(
                     f"{track.storm_id},{format_time(fix.time)},{fix.lat!r},"
                     f"{fix.lon!r},{fix.min_mslp_pa / 100.0!r},{fix.max_wind_ms!r},"
-                    f"{source},{format_time(track.init_time)},{6 * k},1")
+                    f"{tail},{6 * k},1")
     _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return path
 
@@ -1501,13 +1490,12 @@ class FieldSource:
                            "climatology.history_pattern",
                            self.manifest.history_pattern)
 
-    def climatology(self, variable: VariableId,
-                    times: Iterable[datetime] | None = None
+    def climatology(self, variable: VariableId, times: Iterable[datetime]
                     ) -> DailyMeanClimatology | None:
         """The daily-mean climatology of ``variable`` on the calendar days
-        of ``times`` (every day without them), read by the day (see
-        :func:`read_daily_climatology`); None for a derived variable or
-        when the manifest declares no climatology."""
+        of ``times``, read by the day (see :func:`read_daily_climatology`);
+        None for a derived variable or when the manifest declares no
+        climatology."""
         if self.manifest.climatology_pattern is None or variable.derived:
             return None
         return read_daily_climatology(
@@ -1515,12 +1503,12 @@ class FieldSource:
                    self.manifest.climatology_path(variable),
                    "daily_mean_pattern"), self._geometries, times)
 
-    def thresholds(self, days: Iterable[int] | None = None
+    def thresholds(self, days: Iterable[int]
                    ) -> tuple[ThresholdField, GeoGrid]:
         """The extreme thresholds ``build-climatology`` stored, of the
-        calendar ``days`` (every day without them; see
-        :func:`read_thresholds`), and their grid; ManifestError when the
-        manifest names no thresholds file or it has not been built."""
+        calendar ``days`` (see :func:`read_thresholds`), and their grid;
+        ManifestError when the manifest names no thresholds file or it has
+        not been built."""
         return read_thresholds(
             _built(self.manifest, "thresholds", self.manifest.thresholds_file,
                    "thresholds_path"), self._geometries, days)
@@ -1530,7 +1518,7 @@ class SpilledHistory:
     """The daily max and min of a run's history years, spilled to disk as
     a build reduces them (:meth:`write`), and read back by
     :class:`~wxverify.climatology.ThresholdBuild` a chunk of locations
-    at a time (:meth:`chunk`).
+    at a time (:meth:`chunks`).
 
     The scratch file is a ``tempfile.TemporaryFile`` in ``directory``,
     which has no name to leave behind; it is made at the first write and
@@ -1539,26 +1527,24 @@ class SpilledHistory:
     others, and each chunk is laid out ``(n_years, 365, 2, step)``: each
     day's max, then its min. So a chunk is one read, and the file takes
     about ``n_years * 2 * 365 * n_locations`` values of disk. A chunk is
-    as many of the threshold kernel's chunks of locations
+    as many of the default threshold kernel's chunks of locations
     (:func:`~wxverify.climatology.threshold_chunk`) as make each write of
     a block of days to it at least ``io.DEFAULT_BUFFER_SIZE`` bytes: one
     kernel chunk at a time on a coarse grid, more where a block holds few
     days of many locations, so that the writes do not shrink to a few
-    hundred bytes each.
+    hundred bytes each. The kernel cuts its own chunks inside each chunk
+    of the file, so the two sizes need not divide.
     """
 
     def __init__(self, directory: str | os.PathLike, years: Sequence[int]):
         self.directory = Path(directory)
         self.years = tuple(years)
         self._file = None
-        self._slab = None  # the buffer of the last chunk of the file read
-        self._held = None  # and that chunk's index
 
     def __enter__(self) -> "SpilledHistory":
         return self
 
     def __exit__(self, *exc_info):
-        self._slab = self._held = None
         if self._file is not None:
             self._file.close()
 
@@ -1604,30 +1590,22 @@ class SpilledHistory:
                 f"{self.directory}: cannot spill the daily extremes of the "
                 f"history ({size} bytes) there: {exc}") from exc
 
-    def chunk(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-        """The ``(n_years, 365, stop - start)`` daily max and min of
-        locations ``start .. stop``: one read for each chunk of the file
-        they fall in, into one buffer kept from call to call. The last
-        chunk read is kept, so the kernel chunks of one chunk of the file
-        take one read between them; locations of one chunk of the file
-        are views of the buffer, which hold until the next call."""
-        chunks = range(start // self.step, (stop - 1) // self.step + 1)
-        parts = []
-        for chunk in chunks:
-            if self._held != chunk:
-                if self._slab is None:
-                    self._slab = np.empty((len(self.years), DAYS_PER_YEAR, 2,
-                                           self.step), self.dtype)
-                self._file.seek(self._offset(chunk, 0, 0))
-                if self._file.readinto(self._slab) != self._slab.nbytes:
-                    raise WxVerifyError(f"{self.directory}: the spilled daily "
-                                        f"extremes of the history are short")
-                self._held = chunk
-            at = chunk * self.step
-            part = self._slab[..., max(start - at, 0):stop - at]
-            parts.append(part if len(chunks) == 1 else part.copy())
-        slab = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-        return slab[:, :, 0], slab[:, :, 1]
+    def chunks(self):
+        """Yield ``(start, daily_max, daily_min)`` for each chunk of the
+        file in order: the ``(n_years, 365, n)`` daily max and min of
+        locations ``start .. start + n``, from one read into one buffer,
+        which the next chunk reuses, so they hold only until the next is
+        asked for."""
+        slab = np.empty((len(self.years), DAYS_PER_YEAR, 2, self.step),
+                        self.dtype)
+        for chunk in range(self._n_chunks):
+            self._file.seek(self._offset(chunk, 0, 0))
+            if self._file.readinto(slab) != slab.nbytes:
+                raise WxVerifyError(f"{self.directory}: the spilled daily "
+                                    f"extremes of the history are short")
+            start = chunk * self.step
+            held = slab[..., :min(self.step, self.n_locations - start)]
+            yield start, held[:, :, 0], held[:, :, 1]
 
 
 def file_sha256(path: Path) -> str:
@@ -1704,12 +1682,9 @@ def load_manifest(path: str | os.PathLike,
     models_doc = need("models", dict)
     models = {}
     for name, spec in sorted(models_doc.items()):
-        if isinstance(spec, str):
-            models[name] = spec
-        elif isinstance(spec, dict) and isinstance(spec.get("pattern"), str):
-            models[name] = spec["pattern"]
-        else:
+        if not isinstance(spec, str):
             raise ManifestError(f"{path}: model {name!r} needs a path pattern")
+        models[name] = spec
 
     clim = doc.get("climatology", {})
     if not isinstance(clim, dict):
@@ -1734,16 +1709,16 @@ def load_manifest(path: str | os.PathLike,
     if not isinstance(regions_doc, dict):
         raise ManifestError(f"{path}: regions must be an object")
     for name, box in regions_doc.items():
-        if box is None:
-            regions[name] = None
-        else:
-            try:
-                lat_min, lat_max, lon_min, lon_max = (float(x) for x in box)
-            except (TypeError, ValueError) as exc:
-                raise ManifestError(
-                    f"{path}: region {name!r} needs [lat_min, lat_max, "
-                    f"lon_min, lon_max]") from exc
-            regions[name] = (lat_min, lat_max, lon_min, lon_max)
+        if box is not None and not (
+                isinstance(box, list) and len(box) == 4
+                and all(type(x) in (int, float) and math.isfinite(x)
+                        for x in box)
+                and box[0] <= box[1] and box[2] <= box[3]):
+            raise ManifestError(
+                f"{path}: regions.{name} must be null or [lat_min, lat_max, "
+                f"lon_min, lon_max], finite numbers with lat_min <= lat_max "
+                f"and lon_min <= lon_max")
+        regions[name] = None if box is None else tuple(map(float, box))
     if not regions:
         regions = {"global": None}
 

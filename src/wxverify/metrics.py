@@ -10,7 +10,10 @@ where w comes from :func:`wxverify.grid.latitude_weights`.
 One kernel, :func:`block_scores`, scores a block of k layers at once:
 it forms the error ``pred - truth`` once for WRMSE and bias, and the
 anomalies ``pred - clim`` and ``truth - clim`` once for ACC and
-activity. Every weighted mean is ``np.mean(w * x, axis=(1, 2))`` over a
+activity. ACC is one function, :func:`acc`, which station ACC
+(:func:`wxverify.stations.station_scores`) calls with an unweighted
+mean, so both share one formula and one degenerate-anomaly floor. Every
+weighted mean is ``np.mean(w * x, axis=(1, 2))`` over a
 C-contiguous ``(k, n_lat, n_lon)`` array. For such an array numpy merges
 the two reduced axes into one contiguous run of ``n_lat * n_lon``
 elements per layer and sums it exactly as it sums one contiguous
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import DegenerateAnomaly, GridMismatch
 
-#: Weighted anomaly norms below this are treated as degenerate for ACC.
+#: Anomaly norms below this are treated as degenerate by :func:`acc`.
 ANOMALY_NORM_FLOOR = 1e-30
 
 #: Bytes of one layer chunk that :func:`block_scores` works through at a
@@ -43,30 +46,25 @@ CHUNK_BYTES = 2**17
 
 
 class BlockScores(NamedTuple):
-    """Per-layer scores of a block; None where an input was not given."""
+    """Per-layer scores of a block; ``acc`` and ``activity`` None without
+    a climatology."""
 
-    wrmse: np.ndarray | None
-    bias: np.ndarray | None
+    wrmse: np.ndarray
+    bias: np.ndarray
     acc: np.ndarray | None
     activity: np.ndarray | None
 
 
-def block_scores(pred: np.ndarray, truth: np.ndarray | None,
+def block_scores(pred: np.ndarray, truth: np.ndarray,
                  clim: np.ndarray | None, weights: np.ndarray) -> BlockScores:
-    """WRMSE and bias (with ``truth``), ACC (with ``truth`` and ``clim``)
-    and activity (with ``clim``) of each layer of ``(k, n_lat, n_lon)``
-    blocks, with per-row ``weights``.
-
-    ACC is the weighted cosine similarity of the anomalies, unclipped;
-    |ACC| <= 1 emerges numerically. Raises :class:`DegenerateAnomaly`
-    when a weighted anomaly norm of any layer falls below
-    ``ANOMALY_NORM_FLOOR``.
-    """
+    """WRMSE and bias, and with ``clim`` ACC and activity, of each layer of
+    ``(k, n_lat, n_lon)`` blocks, with per-row ``weights``. ACC is
+    :func:`acc` of the layer's anomalies."""
     w = np.asarray(weights, dtype=np.float64)[:, None]
     k = pred.shape[0]
-    wanted = (truth is not None, truth is not None,
-              truth is not None and clim is not None, clim is not None)
-    scores = BlockScores(*(np.empty(k) if want else None for want in wanted))
+    scores = BlockScores(np.empty(k), np.empty(k),
+                         *((None, None) if clim is None
+                           else (np.empty(k), np.empty(k))))
     # chunks are counted in float64 layers, the dtype the kernel works in
     step = max(1, CHUNK_BYTES // max(8 * pred[0].size, 1))
     for lo in range(0, k, step):
@@ -79,7 +77,22 @@ def block_scores(pred: np.ndarray, truth: np.ndarray | None,
     return scores
 
 
-def _score_chunk(pred: np.ndarray, truth: np.ndarray | None,
+def acc(ap: np.ndarray, at: np.ndarray, mean) -> np.ndarray:
+    """Anomaly correlation of forecast anomalies ``ap`` and truth anomalies
+    ``at``, reduced by ``mean``: ``mean(ap at) / (sqrt(mean(ap ap))
+    sqrt(mean(at at)))``, the cosine similarity, unclipped (|ACC| <= 1
+    emerges numerically). Raises :class:`DegenerateAnomaly` when either
+    norm ``sqrt(mean(a a))`` falls below ``ANOMALY_NORM_FLOOR`` for any
+    reduced value. ``at`` is overwritten."""
+    d1 = mean(ap * ap)
+    d2 = mean(at * at)
+    if np.any((np.sqrt(np.maximum(d1, 0.0)) < ANOMALY_NORM_FLOOR)
+              | (np.sqrt(np.maximum(d2, 0.0)) < ANOMALY_NORM_FLOOR)):
+        raise DegenerateAnomaly("anomaly field is (near-)constant zero")
+    return mean(np.multiply(ap, at, out=at)) / (np.sqrt(d1) * np.sqrt(d2))
+
+
+def _score_chunk(pred: np.ndarray, truth: np.ndarray,
                  clim: np.ndarray | None, w: np.ndarray, out: BlockScores):
     """:func:`block_scores` of a few layers, written into ``out``."""
     scratch = np.empty_like(pred)
@@ -88,22 +101,13 @@ def _score_chunk(pred: np.ndarray, truth: np.ndarray | None,
         """<x>_w of each layer: np.mean(w * x, axis=(1, 2))."""
         return np.mean(np.multiply(w, x, out=scratch), axis=(1, 2), out=into)
 
-    if truth is not None:
-        err = pred - truth
-        mean(err, out.bias)
-        np.sqrt(mean(np.multiply(err, err, out=err)), out=out.wrmse)
+    err = pred - truth
+    mean(err, out.bias)
+    np.sqrt(mean(np.multiply(err, err, out=err)), out=out.wrmse)
     if clim is None:
         return
     ap = pred - clim
-    if truth is not None:
-        at = truth - clim
-        d1 = mean(ap * ap)
-        d2 = mean(at * at)
-        if np.any((np.sqrt(np.maximum(d1, 0.0)) < ANOMALY_NORM_FLOOR)
-                  | (np.sqrt(np.maximum(d2, 0.0)) < ANOMALY_NORM_FLOOR)):
-            raise DegenerateAnomaly("anomaly field is (near-)constant zero")
-        np.divide(mean(np.multiply(ap, at, out=at)),
-                  np.sqrt(d1) * np.sqrt(d2), out=out.acc)
+    out.acc[...] = acc(ap, truth - clim, mean)
     centered = np.subtract(ap, mean(ap)[:, None, None], out=ap)
     np.sqrt(mean(np.multiply(centered, centered, out=centered)),
             out=out.activity)

@@ -257,27 +257,33 @@ def build_climatology(manifest_path) -> list[Path]:
 
 # --- extremes ----------------------------------------------------------------
 
-def _day_extremes(day_blocks, kind):
-    """(days x locations) daily max (heat) or min (cold) of each day's
-    block of fields."""
+def _day_extremes(day_blocks) -> dict:
+    """Event kind -> (days x locations) daily max (heat) or min (cold) of
+    each day's block of fields, both from one stack of the blocks."""
     import numpy as np
 
+    from .climatology import day_extremes
     from .extremes import EventKind
     stack = np.stack([block.values for block in day_blocks])
-    extreme = stack.max(axis=1) if kind is EventKind.HEATWAVE \
-        else stack.min(axis=1)
-    return extreme.reshape(len(day_blocks), -1)
+    dmax = np.empty((len(stack), *stack.shape[2:]), stack.dtype)
+    dmin = np.empty_like(dmax)
+    day_extremes(stack, dmax, dmin)
+    return {EventKind.HEATWAVE: dmax.reshape(len(stack), -1),
+            EventKind.COLDSURGE: dmin.reshape(len(stack), -1)}
 
 
 def _region_mask(grid, box):
     """Boolean (n_lat, n_lon) mask of a [lat_min, lat_max, lon_min,
-    lon_max] box; every point when ``box`` is None."""
+    lon_max] box; every point when ``box`` is None. Longitudes wrap: the
+    box runs east from lon_min for lon_max - lon_min degrees, so [-30, 60]
+    holds 330-360 and 0-60 degrees E, and a box 360 degrees or wider holds
+    every longitude."""
     import numpy as np
     if box is None:
         return np.ones(grid.shape, dtype=bool)
     lat_min, lat_max, lon_min, lon_max = box
     lat_ok = (grid.lat_deg >= lat_min) & (grid.lat_deg <= lat_max)
-    lon_ok = (grid.lon_deg >= lon_min) & (grid.lon_deg <= lon_max)
+    lon_ok = (grid.lon_deg - lon_min) % 360.0 <= lon_max - lon_min
     return lat_ok[:, None] & lon_ok[None, :]
 
 
@@ -335,8 +341,9 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
         rows = thresholds.rows([calendar_day_index(day) for day in days])
         tau = {EventKind.HEATWAVE: thresholds.tau_heat[rows],
                EventKind.COLDSURGE: thresholds.tau_cold[rows]}
+        truth_extremes = _day_extremes(truth_days)
         truth = {kind: segments_by_location(label_event_runs(
-                     _day_extremes(truth_days, kind), tau[kind], kind), kind)
+                     truth_extremes[kind], tau[kind], kind), kind)
                  for kind in kinds}
         fileio.write_segments_csv(
             [seg for kind in kinds for segs in truth[kind].values()
@@ -351,11 +358,12 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
             fc_days = [source.model_block(model, init, VariableId.T2M,
                                           _extreme_day_hours(d))
                        for init in manifest.init_times]
+            fc_extremes = _day_extremes(fc_days)
             fc_segments = []
             counts = {}  # kind -> per-location (tp, fp, fn) arrays
             for kind in kinds:
                 fc = segments_by_location(label_event_runs(
-                    _day_extremes(fc_days, kind), tau[kind], kind), kind)
+                    fc_extremes[kind], tau[kind], kind), kind)
                 fc_segments.extend(seg for segs in fc.values() for seg in segs)
                 counts[kind] = match_counts(fc, truth[kind], n_loc, gamma)
             for region, locations in region_locations:
@@ -392,7 +400,7 @@ def cyclones(manifest_path, out_dir, besttrack,
                 f"{' and > 0' if radius else ''}, got {value}")
 
     from . import fileio
-    from .cyclones import (TrackerConfig, TrackSource, homogeneous_sample,
+    from .cyclones import (TrackerConfig, homogeneous_sample,
                            intensity_errors, track_dpe, track_storm)
     from .grid import VariableId
     from .report import na, new_scorecard
@@ -427,8 +435,7 @@ def cyclones(manifest_path, out_dir, besttrack,
                                  VariableId.V10))
             for storm_id, seed_fix in seeds:
                 track = track_storm(msl, u10, v10, seed_fix.position,
-                                    storm_id=storm_id,
-                                    source=TrackSource(model),
+                                    storm_id=storm_id, source=model,
                                     config=config)
                 tracks[(storm_id, init)] = track
                 all_tracks.append(track)
@@ -483,7 +490,7 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
     from . import fileio
     from .report import new_scorecard
     from .stations import (QcThresholds, StationInterpolator, apply_qc,
-                           station_climatology_from_grid, station_scores)
+                           station_scores)
     # every climatology is checked before the station CSVs are parsed
     manifest = fileio.load_manifest(
         manifest_path, require=("truth", "models", "climatology"))
@@ -515,9 +522,6 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
     # only the calendar days of the valid times are read
     clims = {variable: source.climatology(variable, valid_times)
              for variable in station_vars}
-    station_clims = {variable: station_climatology_from_grid(clim,
-                                                             interpolator)
-                     for variable, clim in clims.items() if clim is not None}
 
     card = new_scorecard("stations", manifest.sha256)
     rows = []
@@ -531,8 +535,7 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
                 blocks = [source.model_block(model, init, variable, run)
                           for init in manifest.init_times]
                 scores = station_scores(blocks, qc_table, variable,
-                                        clim=station_clims.get(variable),
-                                        interpolator=interpolator)
+                                        clims[variable], interpolator)
                 rows.extend(_station_row(model, variable, lead, score)
                             for lead, score in zip(run, scores))
     card["station_scores"] = rows

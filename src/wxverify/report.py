@@ -181,7 +181,7 @@ def new_scorecard(command: str, manifest_sha256: str, *,
     }
     if thresholds_sha256 is not None:
         provenance["thresholds_sha256"] = thresholds_sha256
-    if besttrack_sha256 is not None or command == "cyclones":
+    if besttrack_sha256 is not None:
         provenance["besttrack_sha256"] = besttrack_sha256
     if gamma is not None:
         provenance["gamma"] = gamma

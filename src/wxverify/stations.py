@@ -28,10 +28,9 @@ import numpy as np
 
 from .climatology import (DailyMeanClimatology, calendar_day_index,
                           day_rows)
-from .errors import DegenerateAnomaly
 from .grid import (BilinearWeights, FieldBlock, GeoGrid, VariableId,
                    bilinear_weights)
-from .metrics import ANOMALY_NORM_FLOOR
+from .metrics import acc
 
 WINDOW_HALF_WIDTH = timedelta(minutes=15)
 
@@ -304,31 +303,6 @@ def apply_qc(table: StationTable, reference: np.ndarray,
                         values, flags), report
 
 
-@dataclass(frozen=True)
-class StationClimatology:
-    """Per-calendar-day mean per station (serves station-space ACC).
-
-    Row i of ``day_mean`` is calendar day ``(first_day + i) % 365``, as in
-    :class:`~wxverify.climatology.DailyMeanClimatology`.
-    """
-
-    station_ids: tuple[str, ...]
-    day_mean: np.ndarray  # (n_days, n_stations)
-    first_day: int = 0
-
-    def __post_init__(self):
-        dm = np.ascontiguousarray(self.day_mean, dtype=np.float64)
-        if dm.ndim != 2 or not 1 <= dm.shape[0] <= 365 \
-                or dm.shape[1] != len(self.station_ids):
-            raise ValueError("day_mean must have shape (n_days, n_stations) "
-                             "with 1 <= n_days <= 365")
-        if not np.all(np.isfinite(dm)):
-            raise ValueError("day_mean must be finite")
-        dm.setflags(write=False)
-        object.__setattr__(self, "station_ids", tuple(self.station_ids))
-        object.__setattr__(self, "day_mean", dm)
-
-
 class StationInterpolator:
     """Bilinear interpolation of gridded stacks to one list of stations.
 
@@ -351,17 +325,6 @@ class StationInterpolator:
         return found
 
 
-def station_climatology_from_grid(clim: DailyMeanClimatology,
-                                  interpolator: StationInterpolator
-                                  ) -> StationClimatology:
-    """Interpolate a grid climatology to the stations, as one gather over
-    every day it holds."""
-    day_mean = interpolator.weights(clim.grid).apply(clim.day_mean)
-    return StationClimatology(
-        tuple(s.station_id for s in interpolator.stations), day_mean,
-        clim.first_day)
-
-
 @dataclass(frozen=True)
 class StationScores:
     rmse: float
@@ -371,9 +334,8 @@ class StationScores:
 
 
 def station_scores(blocks: Sequence[FieldBlock], table: StationTable,
-                   variable: VariableId,
-                   clim: StationClimatology | None = None,
-                   interpolator: StationInterpolator | None = None
+                   variable: VariableId, clim: DailyMeanClimatology | None,
+                   interpolator: StationInterpolator
                    ) -> list[StationScores | None]:
     """Unweighted RMSE / bias (and ACC when a climatology is given) of each
     lead of ``blocks``, over all (init, station) pairs with an observation
@@ -383,14 +345,14 @@ def station_scores(blocks: Sequence[FieldBlock], table: StationTable,
     of leads. Each block is interpolated to the stations in one pass,
     and each layer paired with the table row at its valid time; stations
     absent at a timestamp are skipped pairwise. The pairs of a lead are
-    taken init by init, in station order. Pass one ``interpolator`` for
-    the table's stations to every call of a run, so that each grid is
-    bracketed once.
+    taken init by init, in station order. ``interpolator`` is built for
+    the table's stations; pass one to every call of a run, so that each
+    grid is bracketed once. ``clim``, the grid climatology, is
+    interpolated to the stations over every day it holds, and ACC is
+    :func:`~wxverify.metrics.acc` of the station anomalies.
     """
     vi = table.variable_index(variable)
-    if interpolator is None:
-        interpolator = StationInterpolator(table.stations)
-    elif interpolator.stations != table.stations:
+    if interpolator.stations != table.stations:
         raise ValueError("interpolator was built for other stations")
     for block in blocks:
         if block.variable is not variable:
@@ -408,7 +370,8 @@ def station_scores(blocks: Sequence[FieldBlock], table: StationTable,
     if clim is not None:
         rows = day_rows(clim.first_day, clim.day_mean.shape[0],
                         [calendar_day_index(when) for when in valid_times])
-        day_mean = clim.day_mean[rows].reshape(fc.shape)
+        day_mean = interpolator.weights(clim.grid).apply(
+            clim.day_mean)[rows].reshape(fc.shape)
     scores: list[StationScores | None] = []
     for i in range(fc.shape[1]):
         paired = present[:, i]
@@ -422,15 +385,7 @@ def station_scores(blocks: Sequence[FieldBlock], table: StationTable,
         acc_value: float | None = None
         if clim is not None:
             c = day_mean[:, i][paired]
-            fa, oa = f - c, o - c
-            n1 = float(np.mean(fa * fa))
-            n2 = float(np.mean(oa * oa))
-            if math.sqrt(max(n1, 0.0)) < ANOMALY_NORM_FLOOR \
-                    or math.sqrt(max(n2, 0.0)) < ANOMALY_NORM_FLOOR:
-                raise DegenerateAnomaly(
-                    "station anomaly field is (near-)constant zero")
-            acc_value = float(np.mean(fa * oa)) / (math.sqrt(n1)
-                                                   * math.sqrt(n2))
+            acc_value = float(acc(f - c, o - c, np.mean))
         scores.append(StationScores(rmse, bias, acc_value, int(d.size)))
     return scores
 

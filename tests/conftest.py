@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -13,6 +13,12 @@ from wxverify.grid import FieldBlock, GeoGrid, VariableId, latitude_weights
 from wxverify.metrics import BlockScores, block_scores
 
 T0 = datetime(2025, 7, 1, 0, tzinfo=timezone.utc)
+
+#: Every calendar day, and a valid time on each: thresholds read for
+#: these days, or a climatology read at these times, hold all 365 days.
+CALENDAR_DAYS = range(365)
+CALENDAR_TIMES = tuple(datetime(2025, 1, 1, tzinfo=timezone.utc)
+                       + timedelta(days=day) for day in CALENDAR_DAYS)
 
 
 def make_grid(n_lat: int, n_lon: int, lat_top: float = 60.0,
@@ -76,23 +82,33 @@ def stamped(block: FieldBlock, valid_time: datetime, lead_hours: int
     return replace(block, valid_times=(valid_time,), lead_hours=(lead_hours,))
 
 
-def layer_scores(pred: FieldBlock, truth: FieldBlock | None = None,
+def layer_scores(pred: FieldBlock, truth: FieldBlock,
                  clim: FieldBlock | None = None, weights=None) -> BlockScores:
     """``metrics.block_scores`` of these one-layer blocks, as floats (None
     where not scored); latitude weights by default."""
     if weights is None:
         weights = latitude_weights(pred.grid)
-    scores = block_scores(*(None if b is None else b.values
-                            for b in (pred, truth, clim)), weights)
+    scores = block_scores(pred.values, truth.values,
+                          None if clim is None else clim.values, weights)
     return BlockScores(*(None if s is None else float(s[0]) for s in scores))
+
+
+def spilled_extremes(spill) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(n_years, 365, n_locations)`` daily max and min that a
+    ``fileio.SpilledHistory`` holds, gathered from its chunks."""
+    parts = [(daily_max.copy(), daily_min.copy())
+             for _, daily_max, daily_min in spill.chunks()]
+    return tuple(np.concatenate(side, axis=-1) for side in zip(*parts))
 
 
 def read_store(path, geometries: dict | None = None) -> FieldBlock:
     """Every layer of the RBGRID1 or RBSTACK1 store at ``path``, read as a
-    run reads a span of it (``fileio._Stack.block``)."""
+    run reads a span of it (``fileio._Stack.block``), through the geometry
+    cache ``geometries`` (a cache of its own by default)."""
     path = Path(path)
     stack = fileio._Stack.parse(path, fileio._load_sidecar(
-        path, fileio.GRID_MAGIC, fileio.STACK_MAGIC), geometries)
+        path, fileio.GRID_MAGIC, fileio.STACK_MAGIC),
+        {} if geometries is None else geometries)
     times = [stack.first_time + k * fileio.STACK_STEP
              for k in range(stack.store.n_layers)]
     return stack.block(times, [None] * len(times))

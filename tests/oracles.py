@@ -394,8 +394,8 @@ def build_daily_mean_climatology(per_year) -> np.ndarray:
 class DailyHistory:
     """Dense multi-year daily extremes on a flat location axis, in memory:
     the history a :class:`wxverify.climatology.ThresholdBuild` reads
-    through ``chunk(start, stop)``, as it reads the extremes a build
-    spilled (``fileio.SpilledHistory``).
+    through ``chunks()``, as it reads the extremes a build spilled
+    (``fileio.SpilledHistory``), here as one chunk of every location.
 
     ``daily_max`` and ``daily_min`` have shape (n_years, 365,
     n_locations); NaN marks an absent (year, day, location) entry. A
@@ -432,11 +432,10 @@ class DailyHistory:
     def dtype(self) -> np.dtype:
         return self.daily_max.dtype
 
-    def chunk(self, start: int, stop: int):
-        """The ``(n_years, 365, stop - start)`` daily max and min of
-        locations ``start .. stop``."""
-        return (self.daily_max[:, :, start:stop],
-                self.daily_min[:, :, start:stop])
+    def chunks(self):
+        """Yield ``(0, daily_max, daily_min)``: the ``(n_years, 365,
+        n_locations)`` daily max and min of every location."""
+        yield 0, self.daily_max, self.daily_min
 
 
 def build_thresholds(history, q_heat: float = 0.9, q_cold: float = 0.1,
@@ -1036,9 +1035,9 @@ def read_station_csvs_rows(meta_path, obs_path, times=None):
 
 def station_scores_per_field(fields, table, variable, clim=None):
     """``stations.station_scores`` of one lead, its forecast fields (one
-    per init) interpolated and paired one field at a time:
-    ``(rmse, bias, acc, n_pairs)``, or None when nothing pairs up."""
-    from wxverify.climatology import calendar_day_index, day_rows
+    per init) and the grid climatology ``clim`` of their days
+    interpolated and paired one field at a time: ``(rmse, bias, acc,
+    n_pairs)``, or None when nothing pairs up."""
     from wxverify.errors import DegenerateAnomaly
     from wxverify.grid import bilinear_weights
     from wxverify.metrics import ANOMALY_NORM_FLOOR
@@ -1054,9 +1053,8 @@ def station_scores_per_field(fields, table, variable, clim=None):
         fc_row = bilinear_weights(fc.grid, positions).apply(fc.values[0])
         diffs.append(fc_row[present] - obs_row[present])
         if clim is not None:
-            row, = day_rows(clim.first_day, clim.day_mean.shape[0],
-                            [calendar_day_index(when)])
-            c = clim.day_mean[row][present]
+            c = bilinear_weights(clim.grid, positions).apply(
+                clim.layers([when])[0])[present]
             fc_anom.append(fc_row[present] - c)
             ob_anom.append(obs_row[present] - c)
     if not diffs:
@@ -1068,7 +1066,7 @@ def station_scores_per_field(fields, table, variable, clim=None):
         n1, n2 = float(np.mean(fa * fa)), float(np.mean(oa * oa))
         if math.sqrt(max(n1, 0.0)) < ANOMALY_NORM_FLOOR \
                 or math.sqrt(max(n2, 0.0)) < ANOMALY_NORM_FLOOR:
-            raise DegenerateAnomaly("station anomaly field is (near-)constant zero")
+            raise DegenerateAnomaly("anomaly field is (near-)constant zero")
         acc = float(np.mean(fa * oa)) / (math.sqrt(n1) * math.sqrt(n2))
     return (math.sqrt(float(np.mean(d * d))), float(np.mean(d)), acc,
             int(d.size))

@@ -22,8 +22,8 @@ from wxverify.cli import main as cli_main
 from oracles import DailyHistory, build_thresholds
 from wxverify.climatology import (DAYS_PER_YEAR, DailyMeanClimatology,
                                   daily_means_from_fields)
-from wxverify.cyclones import (TrackSource, homogeneous_sample,
-                               intensity_errors, track_storm)
+from wxverify.cyclones import (homogeneous_sample, intensity_errors,
+                               track_storm)
 from wxverify.extremes import (EventKind, EventSegment, label_event_runs,
                                match_events, scores_from_counts)
 from wxverify.grid import (EARTH_RADIUS_KM, GeoGrid, VariableId, haversine_km,
@@ -32,9 +32,9 @@ from wxverify.harness import (SyntheticScenario, VariableProcess, VortexSpec,
                               make_besttrack, smoothed_forecast)
 from wxverify.pipelines import _mean
 from wxverify.spectra import latitude_circumference_m, midlatitude_spectrum
-from wxverify.stations import (QcThresholds, Station, StationTable, apply_qc,
-                               epoch_microseconds, station_scores,
-                               table_from_columns)
+from wxverify.stations import (QcThresholds, Station, StationInterpolator,
+                               StationTable, apply_qc, epoch_microseconds,
+                               station_scores, table_from_columns)
 
 
 def ok(criterion: int, message: str):
@@ -253,7 +253,7 @@ def test_c07_tracker_acceptance():
 
     track = track_storm(field_block(*msl), field_block(*u10),
                         field_block(*v10), truth_track.fixes[0].position,
-                        storm_id="SYN01", source=TrackSource("analysis"))
+                        storm_id="SYN01", source="analysis")
     assert all(track.tracked_mask), "storm lost before 120 h"
     for k, fix in enumerate(track.fixes):
         center_error_km = haversine_km(fix.position,
@@ -266,7 +266,7 @@ def test_c07_tracker_acceptance():
                             init[0], leads, kernel_width=9))
                           for init in (msl, u10, v10)),
                         truth_track.fixes[0].position, storm_id="SYN01",
-                        source=TrackSource("smoothed9"))
+                        source="smoothed9")
     assert all(model.tracked_mask)
     tracks = {("SYN01", vortex.start_time): model}
     sample = homogeneous_sample({"smoothed9": tracks},
@@ -332,7 +332,8 @@ def test_c09_station_pipeline(rng):
     obs = np.array([[[truth.values[0, i, j] for i, j in nodes]]])
     table = StationTable(stations, (T0,), (VariableId.T2M,), obs,
                          np.ones(obs.shape, dtype=np.uint8))
-    scores, = station_scores([pred], table, VariableId.T2M)
+    scores, = station_scores([pred], table, VariableId.T2M, None,
+                             StationInterpolator(table.stations))
     rows = np.array([i for i, _ in nodes])
     cols = np.array([j for _, j in nodes])
     err = pred.values[0, rows, cols] - truth.values[0, rows, cols]

@@ -16,8 +16,9 @@ import pytest
 
 import oracles
 import wxverify
-from conftest import (assert_read_once_in_whole_days, layer_of, read_store,
-                      stamped)
+from conftest import (CALENDAR_DAYS, CALENDAR_TIMES,
+                      assert_read_once_in_whole_days, layer_of, read_store,
+                      spilled_extremes, stamped)
 from test_fileio import with_whole_checksum
 from wxverify import fileio, pipelines
 from wxverify.cli import main
@@ -27,7 +28,7 @@ from wxverify.climatology import (SYNOPTIC_HOURS, DailyMeanClimatology,
                                   year_times)
 from wxverify.errors import ChecksumMismatch
 from wxverify.extremes import EventKind
-from wxverify.grid import FieldBlock, VariableId, latitude_weights
+from wxverify.grid import FieldBlock, GeoGrid, VariableId, latitude_weights
 from wxverify.pipelines import _mean, _region_mask
 from wxverify.report import validate_scorecard
 from wxverify.spectra import midlatitude_spectrum
@@ -372,6 +373,65 @@ class TestRegions:
         assert all(45.0 <= grid.lon_deg[c] <= 200.0 for c in lon_cols)
         assert _region_mask(grid, None).all()
 
+    def test_a_box_across_0_degrees_holds_both_sides(self):
+        grid = GeoGrid.regular_global(5.0)
+        mask = _region_mask(grid, (-30.0, 60.0, -20.0, 20.0))
+        lons = grid.lon_deg[mask.any(axis=0)]
+        assert lons.tolist() == [0.0, 5.0, 10.0, 15.0, 20.0,
+                                 340.0, 345.0, 350.0, 355.0]
+        lats = grid.lat_deg[mask.any(axis=1)]
+        assert lats.min() == -30.0 and lats.max() == 60.0
+        assert (mask == np.outer(mask.any(axis=1), mask.any(axis=0))).all()
+
+    @pytest.mark.parametrize("lon_min, lon_max", [(0.0, 360.0),
+                                                  (-180.0, 180.0),
+                                                  (-200.0, 400.0)])
+    def test_a_box_360_degrees_wide_holds_every_longitude(self, lon_min,
+                                                          lon_max):
+        grid = GeoGrid.regular_global(5.0)
+        mask = _region_mask(grid, (-90.0, 90.0, lon_min, lon_max))
+        assert mask.all()
+
+    @pytest.mark.parametrize("box", [(-30.0, 40.0, 0.0, 200.0),
+                                     (-5.0, 25.0, 45.0, 200.0),
+                                     (0.0, 0.0, 22.5, 22.5),
+                                     (-90.0, 90.0, 100.0, 359.9)])
+    def test_a_box_within_0_to_360_selects_as_a_plain_range(self, box):
+        # lon_min <= lon <= lon_max, as before longitudes wrapped
+        lat_min, lat_max, lon_min, lon_max = box
+        for grid in (GeoGrid.regular_global(5.0),
+                     GeoGrid.uniform(84.0, -12.0, 15, 0.0, 22.5, 16)):
+            lat_ok = (grid.lat_deg >= lat_min) & (grid.lat_deg <= lat_max)
+            lon_ok = (grid.lon_deg >= lon_min) & (grid.lon_deg <= lon_max)
+            assert (_region_mask(grid, box)
+                    == np.outer(lat_ok, lon_ok)).all()
+
+    BAD_BOXES = {
+        "lat-reversed": [20.0, -20.0, 0.0, 10.0],
+        "lon-reversed": [-20.0, 20.0, 10.0, 0.0],
+        "nan": [-20.0, 20.0, float("nan"), 10.0],
+        "inf": [-20.0, float("inf"), 0.0, 10.0],
+        "three-numbers": [-20.0, 20.0, 0.0],
+        "strings": ["-20", "20", "0", "10"],
+        "bool": [-20.0, 20.0, False, 10.0],
+        "object": {"lat_min": -20.0},
+        "number": 5,
+    }
+
+    @pytest.mark.parametrize("box", BAD_BOXES.values(), ids=BAD_BOXES.keys())
+    def test_a_bad_box_is_exit_2_naming_it(self, extremes_run, box,
+                                           tmp_path, capsys):
+        doc = json.loads((extremes_run / "manifest.json").read_text())
+        doc["regions"] = {"global": None, "tropics": box}
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps(doc))  # NaN and Infinity as spelt
+        capsys.readouterr()
+        assert run_cli("extremes", "--manifest", manifest,
+                       "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: regions.tropics must be null or" in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestExitCodes:
     def test_insufficient_history_is_exit_3(self, evaluate_run, tmp_path,
@@ -591,7 +651,7 @@ class TestThresholdsByDay:
             [(path, first, n_days), (path, 365 + first, n_days)]
         full = fileio.FieldSource.thresholds
         monkeypatch.setattr(fileio.FieldSource, "thresholds",
-                            lambda source, days=None: full(source))
+                            lambda source, days: full(source, CALENDAR_DAYS))
         assert run_cli(*argv, "--out", tmp_path / "whole") == 0
         whole = sorted((tmp_path / "whole").rglob("*"))
         assert [p.relative_to(tmp_path / "whole") for p in whole] == \
@@ -659,8 +719,8 @@ class TestStackReads:
         full = fileio.FieldSource.climatology
         with monkeypatch.context() as whole_year:
             whole_year.setattr(fileio.FieldSource, "climatology",
-                               lambda source, variable, times=None:
-                               full(source, variable))
+                               lambda source, variable, times:
+                               full(source, variable, CALENDAR_TIMES))
             assert run_cli(*argv, "--out", tmp_path / "whole") == 0
         store_reads.clear()
         assert run_cli(*argv, "--out", tmp_path / "days") == 0
@@ -915,10 +975,10 @@ class TestStreamedHistory:
         manifest = fileio.load_manifest(history_run / "manifest.json")
         with fileio.SpilledHistory(tmp_path,
                                    manifest.history_years) as history:
-            grid = pipelines._reduce_history(fileio.FieldSource(manifest),
-                                             VariableId.T2M,
-                                             tmp_path / "t2m.rbc", history)
-            daily_max, daily_min = history.chunk(0, grid.n_lat * grid.n_lon)
+            pipelines._reduce_history(fileio.FieldSource(manifest),
+                                      VariableId.T2M, tmp_path / "t2m.rbc",
+                                      history)
+            daily_max, daily_min = spilled_extremes(history)
         assert daily_max.dtype == daily_min.dtype == np.float32
         for y, year in enumerate(manifest.history_years):
             block = read_store(manifest.history_path(
@@ -940,7 +1000,8 @@ def field_by_field(manifest_path, leads, spectra_leads):
     of ``oracles``, averaged over the inits in init order."""
     manifest = fileio.load_manifest(manifest_path)
     source = fileio.FieldSource(manifest)
-    clims = {v: source.climatology(v) for v in manifest.variables}
+    clims = {v: source.climatology(v, CALENDAR_TIMES)
+             for v in manifest.variables}
     rows = []
     for model in sorted(manifest.models):
         for variable in manifest.variables:
@@ -1399,7 +1460,8 @@ class TestExtremesReference:
 
         manifest = fileio.load_manifest(manifest_path)
         source = fileio.FieldSource(manifest)
-        thresholds, grid = fileio.read_thresholds(manifest.thresholds_file)
+        thresholds, grid = fileio.read_thresholds(manifest.thresholds_file,
+                                                  {}, CALENDAR_DAYS)
         masks = {"global": _region_mask(grid, None).reshape(-1),
                  "box": _region_mask(grid, box).reshape(-1)}
 
@@ -1445,6 +1507,32 @@ class TestExtremesReference:
         # locations with events on one side only
         assert len(sides_in_box["both"]) >= 2
         assert sides_in_box["pred"] and sides_in_box["truth"]
+
+    def test_a_box_across_0_degrees_counts_both_halves(self,
+                                                       noisy_extremes_run,
+                                                       tmp_path):
+        # [-100, 100] degrees E holds [260, 360) and [0, 100]: its counts
+        # are the sums of those two boxes', and the western half has
+        # events, so a box that dropped it would count less
+        doc = json.loads((noisy_extremes_run / "manifest.json").read_text())
+        doc["regions"] = {"across": [-90.0, 90.0, -100.0, 100.0],
+                          "west": [-90.0, 90.0, 260.0, 359.0],
+                          "east": [-90.0, 90.0, 0.0, 100.0]}
+        manifest_path = noisy_extremes_run / "manifest_across.json"
+        manifest_path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli("extremes", "--manifest", manifest_path, "--out", out,
+                       "--lead-days", "1,3") == 0
+        card = load_card(out)
+        west_events = 0
+        for row in rows_by(card, "event_scores", region="across"):
+            key = {k: row[k] for k in ("model", "kind", "lead_days")}
+            (west,) = rows_by(card, "event_scores", region="west", **key)
+            (east,) = rows_by(card, "event_scores", region="east", **key)
+            for count in ("tp", "fp", "fn"):
+                assert row[count] == west[count] + east[count]
+            west_events += west["tp"] + west["fp"] + west["fn"]
+        assert west_events > 0
 
 
 class TestExtremesEmptyYear:

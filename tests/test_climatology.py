@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import layer_of, make_field, make_grid
+from conftest import (CALENDAR_TIMES, layer_of, make_field, make_grid,
+                      spilled_extremes)
 from oracles import DailyHistory, build_thresholds
 from wxverify import climatology, fileio
 from wxverify.climatology import (DAYS_PER_YEAR, calendar_day_index,
@@ -198,9 +199,9 @@ def reduce_streamed(source, extremes=True):
                                    source.manifest.history_years) as spill:
             grid = _reduce_history(source, VariableId.T2M, clim_path,
                                    spill if extremes else None)
-            mean = fileio.read_daily_climatology(clim_path).day_mean
-            spilled = spill.chunk(0, grid.n_lat * grid.n_lon) \
-                if extremes else None
+            mean = fileio.read_daily_climatology(clim_path, {},
+                                                 CALENDAR_TIMES).day_mean
+            spilled = spilled_extremes(spill) if extremes else None
     return grid, mean, spilled
 
 

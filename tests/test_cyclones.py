@@ -15,7 +15,7 @@ from wxverify.errors import MissingFix, SeedOutsideDomain, UnitOutOfRange
 from wxverify.grid import (EARTH_RADIUS_KM, FieldBlock, GeoGrid, VariableId,
                            haversine_km, haversine_km_grid)
 from wxverify.cyclones import (TRUTH_SOURCE, StormFix, StormTrack,
-                               TrackerConfig, TrackSource, homogeneous_sample,
+                               TrackerConfig, homogeneous_sample,
                                intensity_errors, track_dpe, track_storm)
 
 SIX_H = timedelta(hours=6)
@@ -71,7 +71,7 @@ def truth_track(storm_id, n_fixes, **kw):
 def model_track(storm_id, model, n_tracked, n_leads, **kw):
     fixes = tuple(fix(k, **kw) for k in range(n_tracked))
     mask = tuple(k < n_tracked for k in range(n_leads))
-    return StormTrack(storm_id, TrackSource(model), T0, fixes, mask)
+    return StormTrack(storm_id, model, T0, fixes, mask)
 
 
 class TestStormFix:
@@ -108,7 +108,7 @@ class TestTracker:
         centers = [(20.05, 150.07)] * 9
         msl, u10, v10 = vortex_field_set(grid, centers)
         track = track_storm(*blocks(msl, u10, v10), centers[0],
-                            storm_id="SYN", source=TrackSource("persistence"))
+                            storm_id="SYN", source="persistence")
         assert all(track.tracked_mask)
         spacing_km = 0.25 * 111.2 * math.sqrt(2)  # grid half-diagonal x2
         for k, storm_fix in enumerate(track.fixes):
@@ -121,7 +121,7 @@ class TestTracker:
         centers = analytic_centers(20.05, 150.07, -5.0, 0.0, 20)
         msl, u10, v10 = vortex_field_set(grid, centers)
         track = track_storm(*blocks(msl, u10, v10), centers[0],
-                            storm_id="SYN", source=TrackSource("persistence"))
+                            storm_id="SYN", source="persistence")
         assert all(track.tracked_mask)
         for k, storm_fix in enumerate(track.fixes):
             assert haversine_km(storm_fix.position, centers[k]) < 28.0
@@ -131,7 +131,7 @@ class TestTracker:
         centers = [(20.0, 150.0)] * 3
         msl, u10, v10 = vortex_field_set(grid, centers, wind_peak=35.0)
         track = track_storm(*blocks(msl, u10, v10), centers[0],
-                            storm_id="SYN", source=TrackSource("m"))
+                            storm_id="SYN", source="m")
         # peak tangential wind is wind_peak at r = efold (250 km ring is
         # inside the wind radius)
         assert track.fixes[0].max_wind_ms == pytest.approx(35.0, rel=0.05)
@@ -146,7 +146,7 @@ class TestTracker:
         zeros_v = [make_field(grid, np.zeros(grid.shape), VariableId.V10,
                               T0 + k * SIX_H, 6 * k) for k in range(4)]
         track = track_storm(*blocks(flat, zeros, zeros_v), (20.0, 150.0),
-                            storm_id="S", source=TrackSource("m"))
+                            storm_id="S", source="m")
         assert track.tracked_mask == (False, False, False, False)
         assert track.fixes == ()
 
@@ -159,7 +159,7 @@ class TestTracker:
             msl[k] = replace(msl[k], values=np.full((1, *grid.shape),
                                                     101500.0))
         track = track_storm(*blocks(msl, u10, v10), centers[0],
-                            storm_id="S", source=TrackSource("m"))
+                            storm_id="S", source="m")
         assert track.tracked_mask == (True, True, False, False, False)
 
     def test_seed_outside_domain(self):
@@ -168,7 +168,7 @@ class TestTracker:
         msl, u10, v10 = vortex_field_set(grid, centers)
         with pytest.raises(SeedOutsideDomain):
             track_storm(*blocks(msl, u10, v10), (50.0, 150.0),
-                        storm_id="S", source=TrackSource("m"))
+                        storm_id="S", source="m")
 
     def test_tie_break_north_then_west(self):
         grid = regional_grid()
@@ -181,7 +181,7 @@ class TestTracker:
         zero_v = [make_field(grid, np.zeros(grid.shape), VariableId.V10, when, 0)]
         seed = (float(grid.lat_deg[50]), float(grid.lon_deg[70]))
         track = track_storm(*blocks(msl, zero, zero_v), seed, storm_id="S",
-                            source=TrackSource("m"),
+                            source="m",
                             config=TrackerConfig(search_radius_km=2000.0))
         assert track.fixes[0].lat == float(grid.lat_deg[40])
         assert track.fixes[0].lon == float(grid.lon_deg[80])
@@ -200,7 +200,7 @@ class TestTracker:
         with pytest.raises(ValueError, match=f"{wind} valid times or leads "
                                              f"differ from MSL's"):
             track_storm(msl, winds["u10"], winds["v10"], centers[0],
-                        storm_id="S", source=TrackSource("m"))
+                        storm_id="S", source="m")
 
     def test_blocks_must_share_one_grid(self):
         centers = [(20.0, 150.0)] * 2
@@ -208,7 +208,7 @@ class TestTracker:
         other = GeoGrid.uniform(35.0, -0.5, 61, 120.0, 0.5, 81)
         with pytest.raises(ValueError, match="share one grid"):
             track_storm(msl, replace(u10, grid=other), v10, centers[0],
-                        storm_id="S", source=TrackSource("m"))
+                        storm_id="S", source="m")
 
     def test_msl_leads_must_run_from_zero_every_6_h(self):
         centers = [(20.0, 150.0)] * 3
@@ -218,16 +218,16 @@ class TestTracker:
             track_storm(replace(msl, lead_hours=leads),
                         replace(u10, lead_hours=leads),
                         replace(v10, lead_hours=leads), centers[0],
-                        storm_id="S", source=TrackSource("m"))
+                        storm_id="S", source="m")
 
     def test_determinism(self):
         grid = regional_grid()
         centers = analytic_centers(20.05, 150.07, -5.0, 2.0, 8)
         msl, u10, v10 = vortex_field_set(grid, centers)
         t1 = track_storm(*blocks(msl, u10, v10), centers[0],
-                         storm_id="S", source=TrackSource("m"))
+                         storm_id="S", source="m")
         t2 = track_storm(*blocks(msl, u10, v10), centers[0],
-                         storm_id="S", source=TrackSource("m"))
+                         storm_id="S", source="m")
         assert t1 == t2
 
 
@@ -286,7 +286,7 @@ def tracker_case(wrap, n_lat, n_lon, lats, lon_span, n_leads, start, move,
 
 def both_trackers(blocks, seed, config):
     """The windowed track and the full-grid oracle's."""
-    kw = dict(storm_id="S", source=TrackSource("m"), config=config)
+    kw = dict(storm_id="S", source="m", config=config)
     return (track_storm(*blocks, seed, **kw),
             oracles.track_storm_full_grid(*blocks, seed, **kw))
 

@@ -10,6 +10,7 @@ import threading
 import tracemalloc
 import zlib
 from datetime import timedelta
+from unittest import mock
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -19,9 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (T0, as_build, assert_read_once_in_whole_days,
-                      field_block, layer_of, layer_scores, make_field,
-                      make_grid, read_store, stamped)
+from conftest import (CALENDAR_DAYS, CALENDAR_TIMES, T0, as_build,
+                      assert_read_once_in_whole_days, field_block, layer_of,
+                      layer_scores, make_field, make_grid, read_store,
+                      stamped)
 from wxverify import climatology, fileio, metrics
 from oracles import DailyHistory, build_thresholds
 from wxverify.climatology import (DAYS_PER_YEAR, DailyMeanClimatology,
@@ -98,13 +100,17 @@ STORES = {
                   lambda m: m.truth_path(VariableId.T2M, T0),
                   lambda s: s.truth_block(VariableId.T2M, [T0]),
                   lambda block: (block.grid, list(block.values))),
-    "thresholds": Store(write_threshold_store, fileio.read_thresholds, "<f4",
-                        lambda m: m.thresholds_file,
-                        lambda s: s.thresholds(),
+    "thresholds": Store(write_threshold_store, lambda path:
+                        fileio.read_thresholds(path, {}, CALENDAR_DAYS),
+                        "<f4", lambda m: m.thresholds_file,
+                        lambda s: s.thresholds(CALENDAR_DAYS),
                         lambda r: (r[1], [r[0].tau_heat, r[0].tau_cold])),
-    "climatology": Store(write_climatology_store, fileio.read_daily_climatology,
+    "climatology": Store(write_climatology_store, lambda path:
+                         fileio.read_daily_climatology(path, {},
+                                                       CALENDAR_TIMES),
                          "<f8", lambda m: m.climatology_path(VariableId.T2M),
-                         lambda s: s.climatology(VariableId.T2M),
+                         lambda s: s.climatology(VariableId.T2M,
+                                                 CALENDAR_TIMES),
                          lambda c: (c.grid, [c.day_mean])),
     "stack": Store(write_stack_store, read_store, "<f4",
                    lambda m: m.truth_path(VariableId.MSL, STACK_TIMES[-1]),
@@ -315,7 +321,7 @@ class TestStackStores:
         cold = heat - 10.0
         tf = ThresholdField(heat, cold, (2019, 2020), 7, 0.9, 0.1)
         path = fileio.write_thresholds(as_build(tf), grid, tmp_path / "t.rbt")
-        back, back_grid = fileio.read_thresholds(path)
+        back, back_grid = fileio.read_thresholds(path, {}, CALENDAR_DAYS)
         assert back_grid == grid
         assert back.years == (2019, 2020)
         assert back.half_window == 7
@@ -332,7 +338,7 @@ class TestStackStores:
         payload = path.stat().st_size
         tracemalloc.start()
         try:
-            back, _ = fileio.read_thresholds(path)
+            back, _ = fileio.read_thresholds(path, {}, CALENDAR_DAYS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -346,7 +352,7 @@ class TestStackStores:
         day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, 3, 4))
         clim = DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))
         path = fileio.write_daily_climatology([clim], tmp_path / "c.rbc")
-        back = fileio.read_daily_climatology(path)
+        back = fileio.read_daily_climatology(path, {}, CALENDAR_TIMES)
         assert back.variable is VariableId.T2M
         assert np.array_equal(back.day_mean, day_mean)  # f64 payload
 
@@ -359,7 +365,7 @@ class TestStackStores:
         payload = path.stat().st_size
         tracemalloc.start()
         try:
-            back = fileio.read_daily_climatology(path)
+            back = fileio.read_daily_climatology(path, {}, CALENDAR_TIMES)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1051,8 +1057,8 @@ class TestFieldSource:
             source = fileio.FieldSource(manifest)
             if field_first:
                 truth = source.truth_block(VariableId.T2M, [T0])
-            clim = source.climatology(VariableId.T2M)
-            _, threshold_grid = source.thresholds()
+            clim = source.climatology(VariableId.T2M, CALENDAR_TIMES)
+            _, threshold_grid = source.thresholds(CALENDAR_DAYS)
             stack_layer = STORES["stack"].read_via(source)
             if not field_first:
                 truth = source.truth_block(VariableId.T2M, [T0])
@@ -1065,7 +1071,7 @@ class TestFieldSource:
         # or no thresholds path, is ManifestError naming what to do
         source = fileio.FieldSource(grid_manifest(tmp_path))
         with pytest.raises(ManifestError) as err:
-            source.thresholds()
+            source.thresholds(CALENDAR_DAYS)
         assert str(err.value) == (
             f"thresholds file {tmp_path / 'clim/t.rbt'} has not been built; "
             f"run `wxverify build-climatology --manifest "
@@ -1077,7 +1083,7 @@ class TestFieldSource:
             tmp_path / "manifest.json", require=()))
         with pytest.raises(ManifestError, match="declares no climatology "
                                                 "thresholds_path"):
-            source.thresholds()
+            source.thresholds(CALENDAR_DAYS)
 
     def test_threads_share_one_grid_object(self, rng, tmp_path):
         # more threads than cores and a short switch interval, so that
@@ -1668,9 +1674,9 @@ class TestClimatologyByDay:
                                               store_reads):
         times = [T0.replace(month=1, day=1) + timedelta(days=d, hours=6)
                  for d in days]
-        part = fileio.read_daily_climatology(clim_path, times=times)
+        part = fileio.read_daily_climatology(clim_path, {}, times)
         assert store_reads == [(clim_path, start, n) for start, n in reads]
-        whole = fileio.read_daily_climatology(clim_path)
+        whole = fileio.read_daily_climatology(clim_path, {}, CALENDAR_TIMES)
         assert part.first_day == reads[0][0]
         assert part.day_mean.shape[0] == sum(n for _, n in reads)
         assert part.layers(times).tobytes() == whole.layers(times).tobytes()
@@ -1686,11 +1692,11 @@ class TestClimatologyByDay:
         blob[10 * day_bytes + 3] ^= 0xFF
         clim_path.write_bytes(bytes(blob))
         jan = T0.replace(month=1, day=1)
-        fileio.read_daily_climatology(clim_path,
-                                      times=[jan + timedelta(days=20)])
+        fileio.read_daily_climatology(clim_path, {},
+                                      [jan + timedelta(days=20)])
         with pytest.raises(ChecksumMismatch) as err:
-            fileio.read_daily_climatology(clim_path,
-                                          times=[jan + timedelta(days=10)])
+            fileio.read_daily_climatology(clim_path, {},
+                                          [jan + timedelta(days=10)])
         assert str(err.value) == f"{clim_path}: CRC-32 mismatch in layer 10"
 
     def test_only_a_full_year_is_written(self, tmp_path):
@@ -1790,7 +1796,7 @@ class TestStreamedThresholds:
                                         tmp_path / "whole.rbt")
         assert whole.with_name("whole.rbt.json").read_bytes() == \
             path.with_name("t.rbt.json").read_bytes()
-        back, back_grid = fileio.read_thresholds(path)
+        back, back_grid = fileio.read_thresholds(path, {}, CALENDAR_DAYS)
         assert back_grid == grid and back.first_day == 0
         assert back.tau_heat.tobytes() == layers[:DAYS_PER_YEAR].tobytes()
         assert back.tau_cold.tobytes() == layers[DAYS_PER_YEAR:].tobytes()
@@ -1843,10 +1849,10 @@ class TestStreamedThresholds:
     ])
     def test_reads_only_the_days_asked_for(self, threshold_path, days, reads,
                                            store_reads):
-        part, _ = fileio.read_thresholds(threshold_path, days=days)
+        part, _ = fileio.read_thresholds(threshold_path, {}, days)
         assert store_reads == [(threshold_path, start, n)
                                for start, n in reads]
-        whole, _ = fileio.read_thresholds(threshold_path)
+        whole, _ = fileio.read_thresholds(threshold_path, {}, CALENDAR_DAYS)
         assert part.first_day == reads[0][0]
         assert part.tau_heat.shape == (sum(n for _, n in reads) // 2, 12)
         rows = part.rows(days)
@@ -1869,10 +1875,10 @@ class TestStreamedThresholds:
         threshold_path.write_bytes(bytes(blob))
         days = (100, 103)
         if not inside:
-            fileio.read_thresholds(threshold_path, days=days)
+            fileio.read_thresholds(threshold_path, {}, days)
             return
         with pytest.raises(ChecksumMismatch) as err:
-            fileio.read_thresholds(threshold_path, days=days)
+            fileio.read_thresholds(threshold_path, {}, days)
         assert str(err.value) == \
             f"{threshold_path}: CRC-32 mismatch in layer {layer}"
 
@@ -1881,7 +1887,7 @@ class TestStreamedThresholds:
             return layers
         rewrite_store(threshold_path, "<f4", poison)
         with pytest.raises(NonFiniteValue, match=str(threshold_path)):
-            fileio.read_thresholds(threshold_path, days=days)
+            fileio.read_thresholds(threshold_path, {}, days)
 
 class TestSpilledHistory:
     """The daily extremes of a history, spilled to an anonymous scratch
@@ -1891,12 +1897,12 @@ class TestSpilledHistory:
     @given(n_years=st.integers(2, 12), n_loc=st.integers(1, 400),
            dtype=st.sampled_from([np.float32, np.float64]),
            cuts=st.sets(st.integers(1, DAYS_PER_YEAR - 1), max_size=4),
-           seed=st.integers(0, 2**32 - 1), data=st.data())
+           seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_reads_back_what_was_written(self, n_years, n_loc, dtype, cuts,
-                                         seed, data):
-        # any split into blocks of rows, and any range of locations: the
-        # extremes of a DailyHistory, and the same thresholds
+                                         seed):
+        # any split into blocks of rows: the chunks of the file, in order,
+        # hold the extremes of a DailyHistory, and give the same thresholds
         rng = np.random.default_rng(seed)
         years = tuple(range(2001, 2001 + n_years))
         dmax = (288.0 + 5.0 * rng.standard_normal(
@@ -1904,8 +1910,6 @@ class TestSpilledHistory:
         dmin = dmax - np.abs(rng.standard_normal(dmax.shape)).astype(dtype)
         history = DailyHistory(years, dmax, dmin)
         edges = [0, *sorted(cuts), DAYS_PER_YEAR]
-        start = data.draw(st.integers(0, n_loc - 1), label="start")
-        stop = data.draw(st.integers(start + 1, n_loc), label="stop")
         with tempfile.TemporaryDirectory() as scratch, \
                 fileio.SpilledHistory(scratch, years) as spill:
             for a, b in zip(edges, edges[1:]):
@@ -1913,9 +1917,16 @@ class TestSpilledHistory:
                     spill.write(y, slice(a, b), dmax[y, a:b], dmin[y, a:b])
             assert list(Path(scratch).iterdir()) == []  # it has no name
             assert spill.n_locations == n_loc and spill.dtype == dtype
-            for got, want in zip(spill.chunk(start, stop),
-                                 history.chunk(start, stop)):
-                assert got.dtype == dtype
+            read = [np.empty_like(dmax), np.empty_like(dmin)]
+            at = 0
+            for first, *extremes in spill.chunks():
+                assert first == at
+                at += extremes[0].shape[-1]
+                for into, got in zip(read, extremes):
+                    assert got.dtype == dtype
+                    into[..., first:at] = got
+            assert at == n_loc
+            for got, want in zip(read, (dmax, dmin)):
                 assert got.tobytes() == want.tobytes()
             spilled, held = build_thresholds(spill), build_thresholds(history)
         assert spilled.tau_heat.tobytes() == held.tau_heat.tobytes()
@@ -1950,13 +1961,51 @@ class TestSpilledHistory:
             assert spill.step == kernel or \
                 min(days, 365) * 2 * (spill.step - kernel) * 4 \
                 < io.DEFAULT_BUFFER_SIZE
-            for start in range(0, n_loc, kernel):
-                stop = min(start + kernel, n_loc)
-                daily_max, daily_min = spill.chunk(start, stop)
+            for start, daily_max, daily_min in spill.chunks():
+                stop = start + daily_max.shape[-1]
                 assert np.array_equal(daily_max[1], dmax[:, start:stop] + 1)
                 assert np.array_equal(daily_min[1], dmax[:, start:stop] - 1)
         assert len(reads) == -(-n_loc // spill.step)
         assert list(tmp_path.iterdir()) == []
+
+    @given(params=st.sampled_from([(0.9, 0.1, 3), (0.75, 0.25, 2),
+                                   (0.9, 0.1, 1)]),
+           days=st.sampled_from([365, 30]), n_loc=st.integers(40, 90),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_thresholds_do_not_depend_on_the_chunks(self, params, days,
+                                                    n_loc, seed):
+        # a q or half_window other than the defaults the file's chunks
+        # are sized by: kernel chunks of 5 or 10 locations cut inside
+        # chunks of the file of 4 or 36, and straddle no boundary of them.
+        # The thresholds are those of the whole history at once, and of
+        # sorting each pool, bit for bit
+        q_heat, q_cold, half_window = params
+        rng = np.random.default_rng(seed)
+        years = (2023, 2024)
+        dmax = np.round(4.0 * (288.0 + 5.0 * rng.standard_normal(
+            (2, DAYS_PER_YEAR, n_loc)))).astype(np.float32) / 4
+        dmin = dmax - np.round(8.0 * np.abs(rng.standard_normal(
+            dmax.shape))).astype(np.float32) / 4
+        history = DailyHistory(years, dmax, dmin)
+        held = build_thresholds(history, q_heat, q_cold, half_window)
+        with mock.patch.object(climatology, "LIST_CHUNK_BYTES", 30000), \
+                tempfile.TemporaryDirectory() as scratch, \
+                fileio.SpilledHistory(scratch, years) as spill:
+            for first in range(0, DAYS_PER_YEAR, days):
+                rows = slice(first, min(first + days, DAYS_PER_YEAR))
+                for y in range(2):
+                    spill.write(y, rows, dmax[y, rows], dmin[y, rows])
+            kernel = climatology.threshold_chunk(2, 4, q_heat, q_cold,
+                                                 half_window)
+            assert spill.step % kernel and spill.step < n_loc
+            spilled = build_thresholds(spill, q_heat, q_cold, half_window)
+        tau_heat, tau_cold = oracles.thresholds_per_day_sort(
+            history, q_heat, q_cold, half_window)
+        assert spilled.tau_heat.tobytes() == held.tau_heat.tobytes() \
+            == tau_heat.tobytes()
+        assert spilled.tau_cold.tobytes() == held.tau_cold.tobytes() \
+            == tau_cold.tobytes()
 
     def test_a_directory_it_cannot_write_is_an_input_error(self, tmp_path):
         (tmp_path / "taken").write_text("a file where the directory goes")

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import T0, make_grid
 from wxverify import metrics
-from wxverify.cyclones import TrackerConfig, TrackSource, track_storm
+from wxverify.cyclones import TrackerConfig, track_storm
 from wxverify.extremes import EventKind, label_event_runs
 from wxverify.grid import (FieldBlock, GeoGrid, VariableId, bilinear_weights,
                            derive_wind_speed, latitude_weights)
@@ -55,14 +55,14 @@ grids = st.builds(make_grid, st.integers(2, 9), st.integers(2, 12),
 
 class TestFloat32Blocks:
     @given(grid=grids, n_layers=st.integers(1, 6),
-           chunk_layers=st.integers(1, 3), with_truth=st.booleans(),
-           with_clim=st.booleans(), seed=SEEDS)
+           chunk_layers=st.integers(1, 3), with_clim=st.booleans(),
+           seed=SEEDS)
     @settings(max_examples=40, deadline=None)
     def test_block_scores_across_chunks(self, grid, n_layers, chunk_layers,
-                                        with_truth, with_clim, seed):
+                                        with_clim, seed):
         rng = np.random.default_rng(seed)
         pred = stored_block(rng, grid, n_layers)
-        truth = stored_block(rng, grid, n_layers) if with_truth else None
+        truth = stored_block(rng, grid, n_layers)
         # climatologies are float64 as stored
         clim = 280.0 + 5.0 * rng.standard_normal((n_layers, *grid.shape)) \
             if with_clim else None
@@ -71,11 +71,9 @@ class TestFloat32Blocks:
             # chunks of ``chunk_layers`` float64 layers split the block
             patch.setattr(metrics, "CHUNK_BYTES",
                           chunk_layers * 8 * grid.n_lat * grid.n_lon)
-            got = metrics.block_scores(
-                pred.values, None if truth is None else truth.values, clim, w)
-            want = metrics.block_scores(
-                widened(pred).values,
-                None if truth is None else widened(truth).values, clim, w)
+            got = metrics.block_scores(pred.values, truth.values, clim, w)
+            want = metrics.block_scores(widened(pred).values,
+                                        widened(truth).values, clim, w)
         for mine, theirs in zip(got, want):
             assert (mine is None) == (theirs is None)
             if mine is not None:
@@ -125,12 +123,12 @@ class TestFloat32Blocks:
         tau = (280.0 + rng.choice([-2.0, 0.0, 2.0],
                                   (n_days, grid.n_lat * grid.n_lon))
                ).astype(np.float32)
-        extremes = _day_extremes(days, kind)
+        extremes = _day_extremes(days)[kind]
         assert extremes.dtype == np.float32
         got = label_event_runs(extremes, tau, kind)
-        want = label_event_runs(_day_extremes([widened(b) for b in days],
-                                              kind),
-                                tau.astype(np.float64), kind)
+        widened_extremes = _day_extremes([widened(b) for b in days])[kind]
+        want = label_event_runs(widened_extremes, tau.astype(np.float64),
+                                kind)
         for mine, theirs in zip(got, want):
             assert mine.tobytes() == theirs.tobytes()
 
@@ -164,7 +162,7 @@ class TestFloat32Blocks:
                    float(grid.lon_deg[n_lon // 2]))
         config = TrackerConfig(mslp_cutoff_pa=cutoff)
         got, want = (track_storm(*blocks, seed_at, storm_id="S",
-                                 source=TrackSource("m"), config=config)
+                                 source="m", config=config)
                      for blocks in ((msl, u10, v10),
                                     map(widened, (msl, u10, v10))))
         assert repr(got) == repr(want)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,16 @@ from wxverify.metrics import block_scores, check_pair
 @pytest.fixture
 def grid():
     return make_grid(4, 8)
+
+
+@contextmanager
+def no_anomaly_floor():
+    """Score a zero anomaly's activity: ``block_scores`` computes ACC
+    whenever it is given a climatology, and the floor would raise; ACC of
+    a zero anomaly is then NaN, unchecked."""
+    with mock.patch.object(metrics, "ANOMALY_NORM_FLOOR", 0.0), \
+            np.errstate(invalid="ignore"):
+        yield
 
 
 class TestWrmse:
@@ -126,20 +138,24 @@ class TestAcc:
 class TestActivity:
     def test_zero_when_pred_equals_clim(self, rng, grid):
         clim = random_field(rng, grid)
-        assert layer_scores(clim, clim=clim).activity == 0.0
+        truth = random_field(rng, grid)
+        with no_anomaly_floor():
+            assert layer_scores(clim, truth, clim).activity == 0.0
 
     def test_zero_for_constant_anomaly(self, rng, grid):
         clim = random_field(rng, grid)
+        truth = random_field(rng, grid)
         pred = replace(clim, values=clim.values + 4.0)
-        assert layer_scores(pred, clim=clim).activity == pytest.approx(
+        assert layer_scores(pred, truth, clim).activity == pytest.approx(
             0.0, abs=1e-12)
 
     def test_matches_scalar_loop_oracle(self, rng, grid):
         pred = random_field(rng, grid)
+        truth = random_field(rng, grid)
         clim = random_field(rng, grid)
         w = latitude_weights(grid)
         expected = oracles.activity_loop(pred.values[0], clim.values[0], w)
-        assert layer_scores(pred, clim=clim, weights=w).activity == \
+        assert layer_scores(pred, truth, clim, weights=w).activity == \
             pytest.approx(expected, rel=1e-12)
 
 
@@ -177,7 +193,8 @@ class TestIdentities:
             truth = random_field(rng, grid)
             w = latitude_weights(grid)
             scores = layer_scores(pred, truth, weights=w)
-            err_var = layer_scores(pred, clim=truth, weights=w).activity ** 2
+            err_var = layer_scores(pred, pred, truth,
+                                   weights=w).activity ** 2
             assert scores.wrmse ** 2 == pytest.approx(
                 scores.bias ** 2 + err_var, rel=1e-10)
 
@@ -259,13 +276,13 @@ class TestBlockKernel:
         else:
             with pytest.raises(DegenerateAnomaly, match="constant zero"):
                 block_scores(pred, truth, clim, w)
-            scores = block_scores(pred, truth, None, w)._replace(
-                activity=block_scores(pred, None, clim, w).activity)
+            with no_anomaly_floor():
+                scores = block_scores(pred, truth, clim, w)
         for i in range(pred.shape[0]):
             p, t, c = (np.ascontiguousarray(a[i]) for a in (pred, truth, clim))
             fp, ft, fc = (make_field(grid, a) for a in (p, t, c))
-            alone = layer_scores(fp, ft, weights=w)._replace(
-                activity=layer_scores(fp, clim=fc, weights=w).activity)
+            with no_anomaly_floor():
+                alone = layer_scores(fp, ft, fc, weights=w)
             want = oracles.wrmse_field(p, t, w)
             assert scores.wrmse[i] == want == alone.wrmse
             want = oracles.bias_field(p, t, w)
@@ -278,7 +295,7 @@ class TestBlockKernel:
                 with pytest.raises(DegenerateAnomaly):
                     layer_scores(fp, ft, fc, weights=w)
             else:
-                assert scores.acc is None or scores.acc[i] == want
+                assert scores.acc[i] == want
                 assert layer_scores(fp, ft, fc, weights=w).acc == want
 
     def test_chunking_does_not_change_scores(self, rng, monkeypatch):
@@ -294,8 +311,8 @@ class TestBlockKernel:
     def test_inputs_select_scores(self, rng):
         grid = make_grid(3, 4)
         w = latitude_weights(grid)
-        pred, other = (rng.standard_normal((2, 3, 4)) for _ in range(2))
+        pred, other, clim = (rng.standard_normal((2, 3, 4)) for _ in range(3))
         assert [s is None for s in block_scores(pred, other, None, w)] == \
             [False, False, True, True]
-        assert [s is None for s in block_scores(pred, None, other, w)] == \
-            [True, True, True, False]
+        assert [s is None for s in block_scores(pred, other, clim, w)] == \
+            [False, False, False, False]

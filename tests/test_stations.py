@@ -16,9 +16,8 @@ from conftest import T0, layer_of, make_grid, random_field
 from wxverify.climatology import DailyMeanClimatology, calendar_day_index
 from wxverify.grid import FieldBlock, VariableId, bilinear_weights
 from wxverify.stations import (DEFAULT_QC_RATIOS, QcThresholds, Station,
-                               StationClimatology, StationInterpolator,
-                               StationTable, apply_qc, epoch_microseconds,
-                               six_hour_times, station_climatology_from_grid,
+                               StationInterpolator, StationTable, apply_qc,
+                               epoch_microseconds, six_hour_times,
                                station_scores, table_from_columns)
 
 
@@ -189,6 +188,13 @@ class TestApplyQc:
         assert rep.counts["z500"].replaced == 0
 
 
+def t2m_scores(blocks, table, clim=None):
+    """``station_scores`` of T2M, with a climatology or without, through an
+    interpolator built for the table's stations."""
+    return station_scores(blocks, table, VariableId.T2M, clim,
+                          StationInterpolator(table.stations))
+
+
 class TestStationScores:
     def grid_and_table(self, rng, n_stations=5):
         grid = make_grid(6, 10)
@@ -205,21 +211,21 @@ class TestStationScores:
 
     def test_perfect_forecast_zero_scores(self, rng):
         grid, truth, table, _ = self.grid_and_table(rng)
-        scores, = station_scores([truth], table, VariableId.T2M)
+        scores, = t2m_scores([truth], table)
         assert scores.rmse == 0.0 and scores.bias == 0.0
         assert scores.n_pairs == 5
 
     def test_uniform_offset(self, rng):
         grid, truth, table, _ = self.grid_and_table(rng)
         pred = replace(truth, values=truth.values + 1.0)
-        scores, = station_scores([pred], table, VariableId.T2M)
+        scores, = t2m_scores([pred], table)
         assert scores.rmse == pytest.approx(1.0, rel=1e-12)
         assert scores.bias == pytest.approx(1.0, rel=1e-12)
 
     def test_matches_pairwise_loop_oracle(self, rng):
         grid, truth, table, idx = self.grid_and_table(rng)
         pred = random_field(rng, grid)
-        scores, = station_scores([pred], table, VariableId.T2M)
+        scores, = t2m_scores([pred], table)
         diffs = [pred.values[0, i, j] - truth.values[0, i, j]
                  for i, j in idx]
         rmse = math.sqrt(math.fsum(d * d for d in diffs) / len(diffs))
@@ -232,7 +238,7 @@ class TestStationScores:
         # restricted to those nodes
         grid, truth, table, idx = self.grid_and_table(rng)
         pred = random_field(rng, grid)
-        scores, = station_scores([pred], table, VariableId.T2M)
+        scores, = t2m_scores([pred], table)
         rows = np.array([i for i, _ in idx])
         cols = np.array([j for _, j in idx])
         err = pred.values[0, rows, cols] - truth.values[0, rows, cols]
@@ -247,22 +253,17 @@ class TestStationScores:
         flags[0, 0, 2] = 0
         table2 = StationTable(table.stations, table.times, table.variables,
                               values, flags)
-        scores, = station_scores([truth], table2,
-                                 VariableId.T2M)
+        scores, = t2m_scores([truth], table2)
         assert scores.n_pairs == 4
 
     def test_acc_with_station_climatology(self, rng):
-        from wxverify.stations import StationClimatology
         grid, truth, table, _ = self.grid_and_table(rng)
-        day_mean = np.full((365, 5), 280.0)
-        clim = StationClimatology(tuple(s.station_id for s in table.stations),
-                                  day_mean)
-        scores, = station_scores([truth], table, VariableId.T2M,
-                                 clim=clim)
+        day_mean = np.full((365, *grid.shape), 280.0)
+        clim = DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))
+        scores, = t2m_scores([truth], table, clim)
         assert scores.acc == pytest.approx(1.0, abs=1e-12)
         flipped = replace(truth, values=2.0 * 280.0 - truth.values)
-        scores, = station_scores([flipped], table,
-                                 VariableId.T2M, clim=clim)
+        scores, = t2m_scores([flipped], table, clim)
         assert scores.acc == pytest.approx(-1.0, abs=1e-12)
 
     def test_no_valid_pairs(self, rng):
@@ -271,8 +272,7 @@ class TestStationScores:
         flags = np.zeros(table.flags.shape, dtype=np.uint8)
         empty = StationTable(table.stations, table.times, table.variables,
                              values, flags)
-        assert station_scores([truth], empty,
-                              VariableId.T2M) == [None]
+        assert t2m_scores([truth], empty) == [None]
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_inits=st.integers(1, 3),
@@ -304,10 +304,11 @@ class TestStationScores:
         clim = None
         if with_clim:
             first_day = calendar_day_index(T0) - int(rng.integers(0, 3))
-            clim = StationClimatology(
-                tuple(s.station_id for s in stations),
-                280.0 + rng.standard_normal((5, n_stations)), first_day)
-        got = station_scores(blocks, table, VariableId.T2M, clim=clim)
+            clim = DailyMeanClimatology(
+                grid, VariableId.T2M,
+                280.0 + rng.standard_normal((5, *grid.shape)), (2020,),
+                first_day)
+        got = t2m_scores(blocks, table, clim)
 
         def bits(scores):
             return None if scores is None else tuple(
@@ -519,14 +520,17 @@ class TestStationInterpolator:
                     Station("C", 60.0, 0.0, 0.0))
         day_mean = 280.0 + rng.standard_normal((365, 5, 8))
         clim = DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))
-        got = station_climatology_from_grid(clim, StationInterpolator(stations))
+        # the gather station_scores makes of a climatology's days
+        interpolator = StationInterpolator(stations)
+        got = interpolator.weights(clim.grid).apply(clim.day_mean)
         positions = [(s.lat, s.lon) for s in stations]
         weights = bilinear_weights(grid, positions)
         want = np.stack([weights.apply(clim.layers(
             [T0.replace(month=1, day=1) + timedelta(days=day)])[0])
             for day in range(365)])
-        assert got.station_ids == ("A", "B", "C")
-        assert got.day_mean.tobytes() == want.tobytes()
+        assert tuple(s.station_id for s in interpolator.stations) \
+            == ("A", "B", "C")
+        assert got.tobytes() == want.tobytes()
 
     def test_weights_once_per_grid_and_own_grid_per_field(self, rng):
         stations = (Station("A", 10.0, 20.0, 0.0), Station("B", -5.0, 99.0, 0.0))
@@ -549,5 +553,4 @@ class TestStationInterpolator:
                             times=(T0,))
         other = StationInterpolator(table.stations[:2])
         with pytest.raises(ValueError):
-            station_scores([truth], table, VariableId.T2M,
-                           interpolator=other)
+            station_scores([truth], table, VariableId.T2M, None, other)
