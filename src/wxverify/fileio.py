@@ -31,8 +31,9 @@ blocks of whole calendar days of one year, each at most
 daily extremes a build reduces it to are spilled to a scratch file
 (:class:`SpilledHistory`).
 
-Writers stream to a temp file and rename, so a file is either complete
-or absent. Serialization is canonical: rewriting what was just read
+Writers stream to a temp file and rename it into place
+(:func:`wxverify.report.publishing`), so a file is either complete or
+absent. Serialization is canonical: rewriting what was just read
 produces byte-identical files. Readers are total over the typed error
 hierarchy in :mod:`wxverify.errors` - fuzzed input yields a typed error,
 never a raw parser traceback.
@@ -68,6 +69,7 @@ from .errors import (ChecksumMismatch, DuplicateObservation, GridMismatch,
                      NonFiniteValue, NonMonotoneTime, NonUniformGrid,
                      UnknownStation, WxVerifyError)
 from .grid import FieldBlock, GeoGrid, VariableId, derive_wind_speed
+from .report import canonical_json, publish, publishing, text_lines
 
 if TYPE_CHECKING:
     from .cyclones import StormTrack
@@ -101,16 +103,6 @@ def parse_time(text: str) -> datetime:
         return when.astimezone(timezone.utc)
     except (ValueError, OverflowError) as exc:
         raise InvalidHeader(f"bad timestamp {text!r}: {exc}") from exc
-
-
-def _atomic_write_bytes(path: Path, payload: bytes):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    os.replace(tmp, path)
-
-
-def _canonical_json(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
 
 
 def _sidecar_path(path: Path) -> Path:
@@ -249,7 +241,8 @@ def _geometry(grid: GeoGrid) -> dict:
 
 def _write_store(path: Path, magic: str, grid: GeoGrid, chunks, dtype: str,
                  extra: dict) -> Path:
-    """Stream ``chunks`` over ``grid`` to a payload, then write a sidecar.
+    """Stream ``chunks`` over ``grid`` to a payload, then publish a
+    sidecar.
 
     ``chunks`` is any iterable of ``(k, n_lat, n_lon)`` arrays, each
     written with one ``write``, so a generator of chunks is never held in
@@ -260,32 +253,19 @@ def _write_store(path: Path, magic: str, grid: GeoGrid, chunks, dtype: str,
     """
     geometry = _geometry(grid)
     layer_bytes = _DTYPES[dtype].itemsize * grid.n_lat * grid.n_lon
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
     checksums = []
-    try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                blob = memoryview(np.ascontiguousarray(
-                    chunk, dtype=_DTYPES[dtype])).cast("B")
-                fh.write(blob)
-                checksums.extend(zlib.crc32(blob[at:at + layer_bytes])
-                                 for at in range(0, len(blob), layer_bytes))
-                del chunk, blob  # released before the next chunk is made
-    except BaseException:
-        tmp.unlink(missing_ok=True)  # a store is either complete or absent
-        raise
+    with publishing(path) as tmp, open(tmp, "wb") as fh:
+        for chunk in chunks:
+            blob = memoryview(np.ascontiguousarray(
+                chunk, dtype=_DTYPES[dtype])).cast("B")
+            fh.write(blob)
+            checksums.extend(zlib.crc32(blob[at:at + layer_bytes])
+                             for at in range(0, len(blob), layer_bytes))
+            del chunk, blob  # released before the next chunk is made
     crcs = dict(checksum=checksums[0]) if magic == GRID_MAGIC \
         else dict(n_layers=len(checksums), checksums=checksums)
-    return _finish_store(tmp, path, dict(extra, magic=magic, dtype=dtype,
-                                         **geometry, **crcs))
-
-
-def _finish_store(tmp: Path, path: Path, header: dict) -> Path:
-    """Move the complete payload ``tmp`` to ``path`` and write its
-    sidecar."""
-    os.replace(tmp, path)
-    _atomic_write_bytes(_sidecar_path(path), _canonical_json(header))
+    publish(_sidecar_path(path), canonical_json(
+        dict(extra, magic=magic, dtype=dtype, **geometry, **crcs)))
     return path
 
 
@@ -592,38 +572,32 @@ def write_thresholds(thresholds: ThresholdBuild, grid: GeoGrid,
     group = np.empty((2, DAYS_PER_YEAR, width), dtype)
     layers = group.reshape(2 * DAYS_PER_YEAR, width)
     checksums = [0] * len(layers)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
 
     def write_group(fd: int, first: int, count: int):
         for k, layer in enumerate(layers[:, :count]):
             checksums[k] = zlib.crc32(layer, checksums[k])
             if os.pwrite(fd, layer, (k * n_loc + first) * dtype.itemsize) \
                     != layer.nbytes:
-                raise OSError(f"{tmp}: short write")
+                raise OSError("short write")
 
-    try:
-        with open(tmp, "wb") as fh:
-            fd = fh.fileno()
-            os.ftruncate(fd, len(layers) * n_loc * dtype.itemsize)
-            held = 0  # locations in the group, which starts at done - held
-            done = 0
-            # chunks follow on from location 0 to the last
-            for start, stop, heat, cold in thresholds.chunks():
-                while done < stop:
-                    take = min(stop - done, width - held)
-                    cols = slice(done - start, done - start + take)
-                    group[0, :, held:held + take] = heat[:, cols]
-                    group[1, :, held:held + take] = cold[:, cols]
-                    held += take
-                    done += take
-                    if held == width or done == n_loc:
-                        write_group(fd, done - held, held)
-                        held = 0
-    except BaseException:
-        tmp.unlink(missing_ok=True)  # a store is either complete or absent
-        raise
-    return _finish_store(tmp, path, dict(
+    with publishing(path) as tmp, open(tmp, "wb") as fh:
+        fd = fh.fileno()
+        os.ftruncate(fd, len(layers) * n_loc * dtype.itemsize)
+        held = 0  # locations in the group, which starts at done - held
+        done = 0
+        # chunks follow on from location 0 to the last
+        for start, stop, heat, cold in thresholds.chunks():
+            while done < stop:
+                take = min(stop - done, width - held)
+                cols = slice(done - start, done - start + take)
+                group[0, :, held:held + take] = heat[:, cols]
+                group[1, :, held:held + take] = cold[:, cols]
+                held += take
+                done += take
+                if held == width or done == n_loc:
+                    write_group(fd, done - held, held)
+                    held = 0
+    publish(_sidecar_path(path), canonical_json(dict(
         magic=THRESH_MAGIC, dtype="f32le", **geometry,
         n_layers=len(checksums), checksums=checksums,
         n_days=DAYS_PER_YEAR,
@@ -631,7 +605,8 @@ def write_thresholds(thresholds: ThresholdBuild, grid: GeoGrid,
         half_window=thresholds.half_window,
         q_heat=thresholds.q_heat,
         q_cold=thresholds.q_cold,
-        percentile_method="linear"))
+        percentile_method="linear")))
+    return path
 
 
 def _read_days(store: _Store, first: int, n_days: int
@@ -804,8 +779,6 @@ def read_besttrack(path: str | os.PathLike) -> list[StormTrack]:
 def write_tracks_csv(tracks: Sequence[StormTrack], path: str | os.PathLike) -> Path:
     """Track output CSV: best-track schema plus source and tracked flags."""
     from .cyclones import LEAD_STEP
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["storm_id,iso_time,lat,lon,mslp_hpa,wind_ms,source,init_time,"
              "lead_hours,tracked"]
     for track in tracks:
@@ -821,19 +794,15 @@ def write_tracks_csv(tracks: Sequence[StormTrack], path: str | os.PathLike) -> P
                     f"{track.storm_id},{format_time(fix.time)},{fix.lat!r},"
                     f"{fix.lon!r},{fix.min_mslp_pa / 100.0!r},{fix.max_wind_ms!r},"
                     f"{tail},{6 * k},1")
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
-    return path
+    return publish(path, text_lines(lines))
 
 
 def write_segments_csv(segments: Sequence[EventSegment],
                        path: str | os.PathLike) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = ["location,kind,start_day,end_day"]
     for seg in segments:
         lines.append(f"{seg.location},{seg.kind.value},{seg.start_day},{seg.end_day}")
-    _atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
-    return path
+    return publish(path, text_lines(lines))
 
 
 _STATION_META_COLUMNS = ["id", "lat", "lon", "elev_m"]
@@ -853,30 +822,23 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 
 
 def read_station_csvs(meta_path: str | os.PathLike, obs_path: str | os.PathLike,
-                      times: Sequence[datetime] | None = None) -> StationTable:
-    """Station metadata + raw observation CSVs -> 6-hourly station table.
+                      times: Sequence[datetime]) -> StationTable:
+    """Station metadata + raw observation CSVs -> 6-hourly station table
+    at ``times`` (the run's valid times, on 00/06/12/18 UTC).
 
     Both files are read by numpy's C parser into columns, which are
     checked and mapped as whole arrays. Raw records are window-averaged
-    onto the target times (derived from the observation span when not
-    given). The first faulty data row of a file raises its typed error,
-    naming the path and line: a field count other than the header's, a
-    bad time, variable or value (:class:`InvalidHeader`), a non-finite
-    value (:class:`NonFiniteValue`), an unlisted station
-    (:class:`UnknownStation`), or a repeated (station, time, variable)
-    (:class:`DuplicateObservation`).
+    onto ``times``. The first faulty data row of a file raises its typed
+    error, naming the path and line: a field count other than the
+    header's, a bad time, variable or value (:class:`InvalidHeader`), a
+    non-finite value or station coordinate (:class:`NonFiniteValue`), an
+    unlisted station (:class:`UnknownStation`), or a repeated (station,
+    time, variable) (:class:`DuplicateObservation`).
     """
-    from .stations import (WindowOverflow, six_hour_times,
-                           table_from_columns)
+    from .stations import WindowOverflow, table_from_columns
     meta_path, obs_path = Path(meta_path), Path(obs_path)
     stations = _read_station_meta(meta_path)
-    columns, span = _read_station_obs(obs_path, meta_path.name, stations)
-    if times is None:
-        times = []
-        if span is not None:
-            first, last = (_EPOCH + timedelta(microseconds=us) for us in span)
-            half = timedelta(minutes=15)
-            times = six_hour_times(first - half, last + half)
+    columns = _read_station_obs(obs_path, meta_path.name, stations)
     times = list(times)
     try:
         return table_from_columns(stations, columns, times)
@@ -889,10 +851,9 @@ def read_station_csvs(meta_path: str | os.PathLike, obs_path: str | os.PathLike,
 
 
 def _read_station_obs(path: Path, meta_name: str, stations: Sequence[Station]
-                      ) -> tuple[dict, tuple[int, int] | None]:
+                      ) -> dict:
     """The records of an observation CSV as variable -> (station index,
-    epoch microseconds, value), each in file order, and the first and
-    last time in epoch microseconds (None without records)."""
+    epoch microseconds, value), each in file order."""
     rows, cut = _csv_columns(path, _STATION_OBS_COLUMNS)
     n_rows = len(rows["station_id"])
     raw_ids, raw_times = rows["station_id"], rows["iso_time"]
@@ -943,30 +904,35 @@ def _read_station_obs(path: Path, meta_name: str, stations: Sequence[Station]
     for code, variable in enumerate(variables):
         mine = var_code == code
         columns[variable] = (station[mine], when_us[mine], value[mine])
-    if not n_rows:
-        return columns, None
-    return columns, (int(when_us.min()), int(when_us.max()))
+    return columns
 
 
 def _read_station_meta(path: Path) -> list[Station]:
     """The stations of a metadata CSV, in file order; ids must be unique
-    once stripped of spaces."""
+    once stripped of spaces, and coordinates finite."""
     from .stations import Station
     rows, cut = _csv_columns(path, _STATION_META_COLUMNS)
     coords = [_floats(rows[name]) for name in _STATION_META_COLUMNS[1:]]
-    bad = np.zeros(len(rows["id"]), dtype=bool)
-    for _, failed in coords:
-        bad |= failed
+    (lat, _), (lon, _), (elev, _) = coords
+    failed = np.logical_or.reduce([bad for _, bad in coords])
+    bad = failed | ~np.isfinite(lat) | ~np.isfinite(lon)
     if bad.any():
         k = int(np.argmax(bad))
-        try:
-            for name in _STATION_META_COLUMNS[1:]:
-                float(_text(rows[name][k]))
-        except ValueError as exc:
-            raise InvalidHeader(f"{path}:{k + 2}: bad row: {exc}") from exc
+        if failed[k]:
+            try:
+                for name in _STATION_META_COLUMNS[1:]:
+                    float(_text(rows[name][k]))
+            except ValueError as exc:
+                raise InvalidHeader(f"{path}:{k + 2}: bad row: {exc}") from exc
+        place = 1 if not math.isfinite(lat[k]) else 2
+        # the coordinate as spelt: read the column again, as Python text
+        text = _loadtxt(path, _STATION_META_COLUMNS, np.dtype(object), k + 1,
+                        usecols=place)[k]
+        raise NonFiniteValue(f"{path}:{k + 2}: non-finite "
+                             f"{_STATION_META_COLUMNS[place]} "
+                             f"{_text(text).strip()!r}")
     if cut is not None:
         raise cut
-    (lat, _), (lon, _), (elev, _) = coords
     stations = [Station(_text(raw).strip(), la, lo % 360.0, el)
                 for raw, la, lo, el in zip(rows["id"].tolist(), lat.tolist(),
                                            lon.tolist(), elev.tolist())]

@@ -44,6 +44,7 @@ from .cyclones import TRUTH_SOURCE, StormFix, StormTrack
 from .errors import InvalidHeader, ManifestError
 from .extremes import EventKind
 from .grid import KM_PER_DEG, FieldBlock, GeoGrid, VariableId, haversine_km_grid
+from .report import canonical_json, publish, publishing, text_lines
 
 
 @dataclass(frozen=True)
@@ -643,7 +644,6 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
                 for init in init_times for lead in leads}
 
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     truth_pattern = "truth/{variable}/{year}.rbs"
     model_patterns = {
         name: f"models/{name}/{{init}}/{{variable}}.rbs"
@@ -665,11 +665,10 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
         "climatology": climatology_doc,
         "regions": {"global": None},
     }
-    manifest_path = out_dir / "manifest.json"
-    manifest_path.write_bytes(
-        (json.dumps(manifest_doc, sort_keys=True, indent=2) + "\n").encode())
+    manifest_path = publish(out_dir / "manifest.json",
+                            canonical_json(manifest_doc))
     # keep the generating process parameters next to the outputs
-    (out_dir / "scenario.json").write_bytes(Path(scenario_path).read_bytes())
+    publish(out_dir / "scenario.json", Path(scenario_path).read_bytes())
 
     # truth is written at the manifest's paths, and forecasts are built
     # from it, read back through the manifest like any other run
@@ -695,8 +694,7 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
                 lines.append(f"{track.storm_id},{fileio.format_time(fix.time)},"
                              f"{fix.lat!r},{fix.lon!r},"
                              f"{fix.min_mslp_pa / 100.0!r},{fix.max_wind_ms!r}")
-        (out_dir / "besttrack.csv").write_bytes(
-            ("\n".join(lines) + "\n").encode())
+        publish(out_dir / "besttrack.csv", text_lines(lines))
 
     if stations:
         _write_station_csvs(scenario, source, stations)
@@ -720,15 +718,15 @@ def _write_station_csvs(scenario: SyntheticScenario,
         sites.append((sid, i, j))
         meta_lines.append(f"{sid},{float(grid.lat_deg[i])!r},"
                           f"{float(grid.lon_deg[j])!r},0.0")
-    (out_dir / "stations_meta.csv").write_bytes(
-        ("\n".join(meta_lines) + "\n").encode())
+    publish(out_dir / "stations_meta.csv", text_lines(meta_lines))
 
     ids, rows, cols = zip(*sites)
     valid_times = source.manifest.valid_times
     stamps = dict(zip(valid_times, map(fileio.format_time, valid_times)))
     first = valid_times[0]
     hours = [(when - first) // timedelta(hours=1) for when in valid_times]
-    with open(out_dir / "stations_obs.csv", "wb") as fh:
+    with publishing(out_dir / "stations_obs.csv") as tmp, \
+            open(tmp, "wb") as fh:
         fh.write(b"station_id,iso_time,variable,value_si\n")
         for variable in scenario.variables:
             if variable.derived:

@@ -494,6 +494,13 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
     # every climatology is checked before the station CSVs are parsed
     manifest = fileio.load_manifest(
         manifest_path, require=("truth", "models", "climatology"))
+    # the station table is 6-hourly, at the run's valid times
+    for init in manifest.init_times:
+        if init.hour % 6 or init.minute or init.second or init.microsecond:
+            raise ManifestError(
+                f"{manifest.path}: init_times: stations evaluation expects "
+                f"init times at 00/06/12/18 UTC, got "
+                f"{fileio.format_time(init)}")
     valid_times = manifest.valid_times
     table = fileio.read_station_csvs(station_meta, station_obs,
                                      times=valid_times)

@@ -14,16 +14,25 @@ number nor an integer, an integral float such as 1.0 is an integer, and
 NaN and +-Inf are numbers. It accepts and rejects exactly the cards that
 a JSON Schema validator does (the test suite checks this against
 `jsonschema`), without that dependency at run time.
+
+Every file the package writes - stores and their sidecars, CSVs,
+scorecards and ``synth``'s run files - is published through
+:func:`publishing`: written to a temp file beside it and renamed into
+place, so a file is either complete or absent, and a path that cannot be
+written is an input error naming it. This module loads no numpy, so
+``wxverify report`` runs without it.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager, suppress
 from functools import cache
 from importlib import resources
 from numbers import Number
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .errors import WxVerifyError
 
@@ -31,6 +40,47 @@ if TYPE_CHECKING:
     from .spectra import ZonalSpectrum
 
 SCHEMA_NAME = "wxverify-scorecard/v1"
+
+
+# --- publishing files --------------------------------------------------------
+
+@contextmanager
+def publishing(path: str | os.PathLike) -> Iterator[Path]:
+    """Yield the temp path ``<path>.tmp`` to write the file at ``path``
+    into, after making its parent directories; rename it onto ``path``
+    when the block ends, and remove it if the block raises. An OSError
+    on the way becomes a :class:`WxVerifyError` naming ``path``."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with suppress(OSError):  # no temp file, or no directory to hold one
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise WxVerifyError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
+def publish(path: str | os.PathLike, payload: bytes) -> Path:
+    """Write ``payload`` to ``path`` through :func:`publishing`; returns
+    the path."""
+    with publishing(path) as tmp:
+        tmp.write_bytes(payload)
+    return Path(path)
+
+
+def canonical_json(obj) -> bytes:
+    """``obj`` as JSON with sorted keys, indented by 2, and a final
+    newline: equal documents give equal bytes."""
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode("utf-8")
+
+
+def text_lines(lines: Sequence[str]) -> bytes:
+    """``lines`` as UTF-8 text, each ended by a newline."""
+    return ("\n".join(lines) + "\n").encode("utf-8")
 
 
 @cache
@@ -194,26 +244,11 @@ def new_scorecard(command: str, manifest_sha256: str, *,
 
 def dump_scorecard(card: dict) -> bytes:
     validate_scorecard(card)
-    return (json.dumps(card, sort_keys=True, indent=2) + "\n").encode("utf-8")
-
-
-def _write_atomic(path: str | Path, payload: bytes) -> Path:
-    """Write ``payload`` to ``path`` through a temp file and a rename, so
-    the file is either complete or absent; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    tmp.replace(path)
-    return path
-
-
-def _csv(lines: list[str]) -> bytes:
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return canonical_json(card)
 
 
 def write_scorecard(card: dict, path: str | Path) -> Path:
-    return _write_atomic(path, dump_scorecard(card))
+    return publish(path, dump_scorecard(card))
 
 
 def write_spectrum_csv(spectrum: ZonalSpectrum, path: str | Path) -> Path:
@@ -221,14 +256,13 @@ def write_spectrum_csv(spectrum: ZonalSpectrum, path: str | Path) -> Path:
     lines = ["k,energy"]
     for k, energy in zip(spectrum.wavenumbers, spectrum.energy):
         lines.append(f"{int(k)},{float(energy)!r}")
-    return _write_atomic(path, _csv(lines))
+    return publish(path, text_lines(lines))
 
 
 def flatten_scorecard_csv(card: dict, out_dir: str | Path) -> list[Path]:
     """Write one CSV per populated row section but spectra, its columns
     in the order of the section's row shape; returns the paths."""
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for section, shape in _ROW_SHAPES.items():
         rows: Sequence[dict] = card.get(section, [])
@@ -239,5 +273,5 @@ def flatten_scorecard_csv(card: dict, out_dir: str | Path) -> list[Path]:
             lines.append(",".join(
                 repr(row[col]) if isinstance(row[col], float)
                 else str(row[col]) for col in shape))
-        written.append(_write_atomic(out_dir / f"{section}.csv", _csv(lines)))
+        written.append(publish(out_dir / f"{section}.csv", text_lines(lines)))
     return written

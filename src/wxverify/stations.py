@@ -266,8 +266,7 @@ class QcReport:
 
 
 def apply_qc(table: StationTable, reference: np.ndarray,
-             thresholds: QcThresholds | None = None
-             ) -> tuple[StationTable, QcReport]:
+             thresholds: QcThresholds) -> tuple[StationTable, QcReport]:
     """Ratio-QC every RAW observation against reference values.
 
     ``reference`` must be shaped like ``table.values`` and finite
@@ -275,8 +274,6 @@ def apply_qc(table: StationTable, reference: np.ndarray,
     REPLACED_BY_REFERENCE are left alone (they equal their reference, so
     retesting is a no-op), which makes QC idempotent.
     """
-    if thresholds is None:
-        thresholds = QcThresholds.default()
     ref = np.asarray(reference, dtype=np.float64)
     if ref.shape != table.values.shape:
         raise ValueError("reference array must match table shape")
@@ -388,22 +385,6 @@ def station_scores(blocks: Sequence[FieldBlock], table: StationTable,
             acc_value = float(acc(f - c, o - c, np.mean))
         scores.append(StationScores(rmse, bias, acc_value, int(d.size)))
     return scores
-
-
-def six_hour_times(start: datetime, end: datetime) -> list[datetime]:
-    """All 00/06/12/18 UTC timestamps covering [start, end]."""
-    start = start.astimezone(timezone.utc)
-    end = end.astimezone(timezone.utc)
-    first = start.replace(minute=0, second=0, microsecond=0)
-    first -= timedelta(hours=first.hour % 6)
-    if first < start:
-        first += timedelta(hours=6)
-    out = []
-    t = first
-    while t <= end:
-        out.append(t)
-        t += timedelta(hours=6)
-    return out
 
 
 def table_from_columns(stations: Sequence[Station],

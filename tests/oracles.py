@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-from datetime import date, timedelta
+from datetime import date, timedelta, timezone
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -956,7 +956,23 @@ def station_csv_rows(path, columns):
         raise InvalidHeader(f"cannot read {path}: {exc}") from exc
 
 
-def read_station_csvs_rows(meta_path, obs_path, times=None):
+def six_hour_times(start, end):
+    """All 00/06/12/18 UTC timestamps covering [start, end]."""
+    start = start.astimezone(timezone.utc)
+    end = end.astimezone(timezone.utc)
+    first = start.replace(minute=0, second=0, microsecond=0)
+    first -= timedelta(hours=first.hour % 6)
+    if first < start:
+        first += timedelta(hours=6)
+    out = []
+    t = first
+    while t <= end:
+        out.append(t)
+        t += timedelta(hours=6)
+    return out
+
+
+def read_station_csvs_rows(meta_path, obs_path, times):
     """``fileio.read_station_csvs`` one CSV row at a time: each row is
     parsed and checked in turn, and the first faulty one raises. The
     window averaging is the engine's ``table_from_columns``."""
@@ -967,8 +983,7 @@ def read_station_csvs_rows(meta_path, obs_path, times=None):
     from wxverify.fileio import format_time, parse_time
     from wxverify.grid import VariableId
     from wxverify.stations import (Station, WindowOverflow,
-                                   epoch_microseconds, six_hour_times,
-                                   table_from_columns)
+                                   epoch_microseconds, table_from_columns)
     meta_path, obs_path = Path(meta_path), Path(obs_path)
     stations = []
     for lineno, row in station_csv_rows(meta_path,
@@ -980,11 +995,14 @@ def read_station_csvs_rows(meta_path, obs_path, times=None):
                                     elevation_m=float(row[3])))
         except ValueError as exc:
             raise InvalidHeader(f"{meta_path}:{lineno}: bad row: {exc}") from exc
+        for name, text in (("lat", row[1]), ("lon", row[2])):
+            if not math.isfinite(float(text)):
+                raise NonFiniteValue(f"{meta_path}:{lineno}: non-finite "
+                                     f"{name} {text.strip()!r}")
     index = {s.station_id: si for si, s in enumerate(stations)}
     if len(index) != len(stations):
         raise InvalidHeader(f"{meta_path}: duplicate station ids")
 
-    stamps = []
     columns = {}  # variable -> (station indexes, times in µs, values)
     seen = set()
     for lineno, row in station_csv_rows(
@@ -1012,16 +1030,11 @@ def read_station_csvs_rows(meta_path, obs_path, times=None):
                 f"{obs_path}:{lineno}: duplicate observation "
                 f"({sid}, {format_time(when)}, {variable.key})")
         seen.add(key)
-        stamps.append(when)
         sites, when_us, values = columns.setdefault(variable, ([], [], []))
         sites.append(si)
         when_us.append(key[1])
         values.append(value)
 
-    if times is None:
-        times = [] if not stamps else six_hour_times(
-            min(stamps) - timedelta(minutes=15),
-            max(stamps) + timedelta(minutes=15))
     times = list(times)
     try:
         return table_from_columns(stations, columns, times)

@@ -30,7 +30,8 @@ from wxverify.errors import ChecksumMismatch
 from wxverify.extremes import EventKind
 from wxverify.grid import FieldBlock, GeoGrid, VariableId, latitude_weights
 from wxverify.pipelines import _mean, _region_mask
-from wxverify.report import validate_scorecard
+from wxverify.report import (canonical_json, new_scorecard,
+                             validate_scorecard)
 from wxverify.spectra import midlatitude_spectrum
 
 EXTREMES_SCENARIO = {
@@ -89,6 +90,13 @@ def load_card(out_dir: Path) -> dict:
     card = json.loads((out_dir / "scorecard.json").read_text())
     validate_scorecard(card)
     return card
+
+
+def grid_metrics_card() -> dict:
+    """A valid evaluate scorecard of one grid_metrics row."""
+    return dict(new_scorecard("evaluate", "0" * 64), grid_metrics=[{
+        "model": "m", "variable": "t2m", "lead_hours": 6, "metric": "wrmse",
+        "value": 1.25, "n_samples": 3}])
 
 
 def rows_by(card, section, **filters):
@@ -338,6 +346,44 @@ class TestStationInputs:
         assert self.run_stations(wind_run, obs, tmp_path / "out") == 2
         assert str(obs) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, value", [("lat", "nan"), ("lon", "inf")])
+    def test_non_finite_station_coordinate_is_exit_2(
+            self, wind_run, column, value, tmp_path, capsys):
+        rows = (wind_run / "stations_meta.csv").read_text().splitlines()
+        fields = rows[1].split(",")
+        fields[1 if column == "lat" else 2] = value
+        meta = tmp_path / "meta.csv"
+        meta.write_text("\n".join([rows[0], ",".join(fields), *rows[2:]])
+                        + "\n")
+        assert run_cli("stations", "--manifest", wind_run / "manifest.json",
+                       "--station-meta", meta, "--station-obs",
+                       wind_run / "stations_obs.csv",
+                       "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == \
+            f"error: {meta}:2: non-finite {column} {value!r}\n"
+
+    def test_init_off_the_synoptic_hours_is_reported_before_the_csvs_are_read(
+            self, wind_run, tmp_path, capsys):
+        # the run's model stacks stand in for a 03 UTC init; the
+        # unreadable CSV is never parsed
+        run = tmp_path / "run"
+        shutil.copytree(wind_run, run)
+        doc = json.loads((run / "manifest.json").read_text())
+        doc["init_times"] = ["2025-07-01T03:00:00Z"]
+        (run / "manifest.json").write_text(json.dumps(doc))
+        for model in ("persistence", "perfect"):
+            (run / "models" / model / "2025070100").rename(
+                run / "models" / model / "2025070103")
+        garbage = tmp_path / "garbage.csv"
+        garbage.write_text("not,a,station,file\n")
+        assert run_cli("stations", "--manifest", run / "manifest.json",
+                       "--station-meta", garbage, "--station-obs", garbage,
+                       "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"error: {run / 'manifest.json'}: init_times: stations evaluation "
+            f"expects init times at 00/06/12/18 UTC, got "
+            f"2025-07-01T03:00:00Z\n")
+
     @pytest.mark.parametrize("variable", ["msl", "u10"])
     def test_missing_climatology_is_reported_before_the_csvs_are_read(
             self, wind_run, variable, tmp_path, capsys):
@@ -507,6 +553,70 @@ class TestExitCodes:
         rc = run_cli("build-climatology", "--manifest", path)
         assert rc == 2
         assert "history_years" in capsys.readouterr().err
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is exit 2 naming it, and
+    leaves no temp file: an output directory that is a file, or a file to
+    write that is a directory."""
+
+    def command(self, name, request, tmp_path):
+        """The argv of ``name``, the output directory it writes into and
+        the first file it writes there."""
+        if name == "synth":
+            scenario = tmp_path / "scenario.json"
+            scenario.write_text(json.dumps(EVALUATE_SCENARIO))
+            out = tmp_path / "run"
+            return (["synth", "--scenario", scenario, "--out", out], out,
+                    "manifest.json")
+        if name == "build-climatology":
+            run = tmp_path / "run"
+            shutil.copytree(request.getfixturevalue("evaluate_run"), run)
+            shutil.rmtree(run / "clim")
+            manifest = fileio.load_manifest(run / "manifest.json", require=())
+            first = next(v for v in manifest.variables if not v.derived)
+            return (["build-climatology", "--manifest", run / "manifest.json"],
+                    run / "clim", manifest.climatology_path(first).name)
+        out = tmp_path / "out"
+        if name == "report":
+            card = tmp_path / "scorecard.json"
+            card.write_text(json.dumps(grid_metrics_card()))
+            return (["report", "--scorecard", card, "--out", out], out,
+                    "grid_metrics.csv")
+        run = request.getfixturevalue({"evaluate": "evaluate_run",
+                                       "stations": "evaluate_run",
+                                       "extremes": "extremes_run",
+                                       "cyclones": "cyclone_run"}[name])
+        argv = [name, "--manifest", run / "manifest.json", "--out", out]
+        if name == "extremes":
+            argv += ["--lead-days", "1,3"]
+        elif name == "cyclones":
+            argv += ["--besttrack", run / "besttrack.csv"]
+        elif name == "stations":
+            argv += ["--station-meta", run / "stations_meta.csv",
+                     "--station-obs", run / "stations_obs.csv"]
+        return argv, out, "scorecard.json"
+
+    @pytest.mark.parametrize("name", ["synth", "build-climatology",
+                                      "evaluate", "extremes", "cyclones",
+                                      "stations", "report"])
+    @pytest.mark.parametrize("case", ["directory-is-a-file",
+                                      "file-is-a-directory"])
+    def test_is_exit_2_naming_the_path(self, name, case, request, tmp_path,
+                                       capsys):
+        argv, out, first = self.command(name, request, tmp_path)
+        if case == "directory-is-a-file":
+            out.write_text("")
+            named = f"error: cannot write {out}{os.sep}"
+        else:
+            (out / first).mkdir(parents=True)
+            named = f"error: cannot write {out / first}: "
+        capsys.readouterr()
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(named), err
+        assert err.count("\n") == 1
+        assert list(tmp_path.rglob("*.tmp")) == []
 
 
 @pytest.fixture(scope="module")
@@ -887,7 +997,7 @@ class TestStreamedHistory:
             sidecar = store.with_name(store.name + ".json")
             header = json.loads(sidecar.read_text())
             header["checksums"][-1] = zlib.crc32(payload[-layer_bytes:])
-            sidecar.write_bytes(fileio._canonical_json(header))
+            sidecar.write_bytes(canonical_json(header))
         else:
             store = run / "truth/t2m/2023.rbs"
             block = read_store(store)
@@ -1937,6 +2047,20 @@ class TestStartup:
                              "wxverify.cyclones", "wxverify.extremes",
                              "wxverify.stations"}
 
+    def test_report_loads_no_numpy(self, tmp_path):
+        # every file is published through report, which fileio imports:
+        # report itself must stay free of numpy and of the layers
+        card = tmp_path / "scorecard.json"
+        card.write_text(json.dumps(grid_metrics_card()))
+        loaded = modules_after(
+            "from wxverify.cli import main\n"
+            f"assert main(['report', '--scorecard', {str(card)!r}, "
+            f"'--out', {str(tmp_path / 'csv')!r}]) == 0")
+        assert (tmp_path / "csv" / "grid_metrics.csv").exists()
+        assert "numpy" not in loaded
+        assert {m for m in loaded if m.startswith("wxverify.")} \
+            <= {"wxverify.cli", "wxverify.errors", "wxverify.report"}
+
     def test_every_exported_name_resolves(self):
         names = [n for n in wxverify.__all__ if n != "__version__"]
         namespace: dict = {}
@@ -2057,7 +2181,7 @@ class TestSourceTree:
 
     def test_every_private_module_name_is_referenced_in_src(self):
         _, private, used_outside = self.definitions_and_uses()
-        assert "fileio._atomic_write_bytes" in private
+        assert "fileio._sidecar_path" in private
         unused = sorted(name for name, definition in private.items()
                         if not used_outside(name, definition))
         assert unused == []

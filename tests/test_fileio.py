@@ -466,6 +466,7 @@ S1,2025-07-01T00:10:00Z,t2m,289.5
 S2,2025-07-01T00:00:00Z,t2m,300.0
 S1,2025-07-01T06:00:00Z,ws10,4.0
 """
+STATION_TIMES = [T0 + timedelta(hours=6 * k) for k in range(4)]
 
 
 class TestStationCsvs:
@@ -473,7 +474,7 @@ class TestStationCsvs:
         (tmp_path / "meta.csv").write_text(STATION_META)
         (tmp_path / "obs.csv").write_text(STATION_OBS)
         table = fileio.read_station_csvs(tmp_path / "meta.csv",
-                                         tmp_path / "obs.csv")
+                                         tmp_path / "obs.csv", STATION_TIMES)
         assert len(table.stations) == 2
         assert table.variables == (VariableId.T2M, VariableId.WS10)
         t2m = table.variable_index(VariableId.T2M)
@@ -486,7 +487,7 @@ class TestStationCsvs:
             STATION_OBS + "S9,2025-07-01T00:00:00Z,t2m,280.0\n")
         with pytest.raises(UnknownStation):
             fileio.read_station_csvs(tmp_path / "meta.csv",
-                                     tmp_path / "obs.csv")
+                                     tmp_path / "obs.csv", STATION_TIMES)
 
     def test_duplicate_observation(self, tmp_path):
         (tmp_path / "meta.csv").write_text(STATION_META)
@@ -494,7 +495,7 @@ class TestStationCsvs:
             STATION_OBS + "S1,2025-07-01T00:05:00Z,t2m,288.5\n")
         with pytest.raises(DuplicateObservation):
             fileio.read_station_csvs(tmp_path / "meta.csv",
-                                     tmp_path / "obs.csv")
+                                     tmp_path / "obs.csv", STATION_TIMES)
 
     def test_metadata_header_with_spaces(self, tmp_path):
         (tmp_path / "obs.csv").write_text(STATION_OBS)
@@ -503,8 +504,8 @@ class TestStationCsvs:
                              ("spaced.csv", "id, lat,lon , elev_m")):
             (tmp_path / name).write_text(
                 STATION_META.replace("id,lat,lon,elev_m", header))
-            tables.append(fileio.read_station_csvs(tmp_path / name,
-                                                   tmp_path / "obs.csv"))
+            tables.append(fileio.read_station_csvs(
+                tmp_path / name, tmp_path / "obs.csv", STATION_TIMES))
         plain, spaced = tables
         assert spaced.stations == plain.stations
         assert (spaced.times, spaced.variables) == (plain.times,
@@ -520,7 +521,7 @@ class TestStationCsvs:
         obs = tmp_path / "obs.csv"
         obs.write_text(STATION_OBS + f"S2,2025-07-01T06:00:00Z,t2m,{value}\n")
         with pytest.raises(NonFiniteValue) as err:
-            fileio.read_station_csvs(tmp_path / "meta.csv", obs)
+            fileio.read_station_csvs(tmp_path / "meta.csv", obs, STATION_TIMES)
         line = STATION_OBS.count("\n") + 1
         assert str(err.value) == \
             f"{obs}:{line}: non-finite value {value.strip()!r}"
@@ -532,7 +533,7 @@ class TestStationCsvs:
         obs.write_text(STATION_OBS + "S2,2025-07-01T05:50:00Z,msl,1.7e308\n"
                        "S2,2025-07-01T06:10:00Z,msl,1.7e308\n")
         with pytest.raises(NonFiniteValue) as err:
-            fileio.read_station_csvs(tmp_path / "meta.csv", obs)
+            fileio.read_station_csvs(tmp_path / "meta.csv", obs, STATION_TIMES)
         assert str(err.value) == (
             f"{obs}: the mean of the records of station S2 within 15 min "
             f"of 2025-07-01T06:00:00Z is beyond the float range")
@@ -571,7 +572,7 @@ class TestStationCsvs:
         _, error, message = self.FAULTS[order[0]]
         first_row = STATION_OBS.count("\n") + 1
         with pytest.raises(error) as err:
-            fileio.read_station_csvs(tmp_path / "meta.csv", obs)
+            fileio.read_station_csvs(tmp_path / "meta.csv", obs, STATION_TIMES)
         assert str(err.value).startswith(f"{obs}:{first_row}: {message}")
 
     def test_metadata_row_with_wrong_field_count(self, tmp_path):
@@ -580,7 +581,7 @@ class TestStationCsvs:
             (tmp_path / "meta.csv").write_text(STATION_META + row)
             with pytest.raises(InvalidHeader) as err:
                 fileio.read_station_csvs(tmp_path / "meta.csv",
-                                         tmp_path / "obs.csv")
+                                         tmp_path / "obs.csv", STATION_TIMES)
             assert str(err.value) == (f"{tmp_path / 'meta.csv'}:4: expected "
                                       f"4 fields, got {found}")
 
@@ -594,7 +595,7 @@ class TestStationCsvs:
             STATION_OBS + f"{long_id},2025-07-01T06:05:00.000000+00:00,"
                           f"t2m,281.5\n")
         table = fileio.read_station_csvs(tmp_path / "meta.csv",
-                                         tmp_path / "obs.csv")
+                                         tmp_path / "obs.csv", STATION_TIMES)
         t2m = table.variable_index(VariableId.T2M)
         assert table.stations[2].station_id == long_id
         assert table.values[t2m, 1, 2] == 281.5
@@ -606,13 +607,13 @@ class TestStationCsvs:
         obs = tmp_path / "obs.csv"
         obs.write_text(STATION_OBS + "S1," + "T" * 200 + ",t2m,1.0\n")
         with pytest.raises(InvalidHeader) as err:
-            fileio.read_station_csvs(tmp_path / "meta.csv", obs)
+            fileio.read_station_csvs(tmp_path / "meta.csv", obs, STATION_TIMES)
         assert str(err.value) == (f"{obs}:6: a field is longer than 127 "
                                   f"bytes")
         obs.write_text(STATION_OBS + "S9,2025-07-01T00:00:00Z,t2m,1.0\n"
                        + "S1," + "T" * 200 + ",t2m,1.0\n")
         with pytest.raises(UnknownStation):
-            fileio.read_station_csvs(tmp_path / "meta.csv", obs)
+            fileio.read_station_csvs(tmp_path / "meta.csv", obs, STATION_TIMES)
 
     def test_values_that_only_python_parses(self, tmp_path):
         # float() takes digit separators and Unicode digits, numpy's
@@ -625,7 +626,7 @@ class TestStationCsvs:
                           "S2,2025-07-01T18:00:00Z,t2m,282.5" + " " * 200
             + "\n", encoding="utf-8")
         table = fileio.read_station_csvs(tmp_path / "meta.csv",
-                                         tmp_path / "obs.csv")
+                                         tmp_path / "obs.csv", STATION_TIMES)
         t2m = table.variable_index(VariableId.T2M)
         assert table.values[t2m, 1:4, 1].tolist() == [281.5, 280.0, 282.5]
 
@@ -678,10 +679,12 @@ def station_csv_pairs(draw):
     ids = ["S1", "S2", "S3"]
     meta_rows = []
     for sid in ids + draw(st.sampled_from([[]] * 6 + [["S1"]])):
-        odd = _odd(draw, "short", "long", "wide", "blank", "lat")
-        lat = "north" if odd == "lat" else repr(draw(st.floats(-60.0, 60.0)))
-        meta_rows.append(_row(draw, [sid, lat, repr(draw(st.floats(
-            -180.0, 360.0))), "0.0"], odd))
+        odd = _odd(draw, "short", "long", "wide", "blank", "lat", "lon")
+        lat = draw(st.sampled_from(["north", "nan", "-inf"])) \
+            if odd == "lat" else repr(draw(st.floats(-60.0, 60.0)))
+        lon = draw(st.sampled_from(["NaN", "1e400"])) \
+            if odd == "lon" else repr(draw(st.floats(-180.0, 360.0)))
+        meta_rows.append(_row(draw, [sid, lat, lon, "0.0"], odd))
     meta_header = draw(st.sampled_from(["id,lat,lon,elev_m"] * 4
                                        + ["id, lat,lon , elev_m"] * 4
                                        + ["id,lat,lon"]))
@@ -725,8 +728,9 @@ def station_csv_pairs(draw):
     obs_header = draw(st.sampled_from(
         ["station_id,iso_time,variable,value_si"] * 4
         + [" station_id,iso_time , variable,value_si", "station_id,time"]))
-    times = draw(st.sampled_from([None, [T0 + timedelta(hours=6 * k)
-                                         for k in range(4)]]))
+    times = draw(st.sampled_from([
+        STATION_TIMES, oracles.six_hour_times(T0 - timedelta(hours=6),
+                                              T0 + timedelta(hours=24))]))
     return (_csv(draw, meta_header, meta_rows),
             _csv(draw, obs_header, obs_rows), times)
 

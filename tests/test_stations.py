@@ -17,8 +17,8 @@ from wxverify.climatology import DailyMeanClimatology, calendar_day_index
 from wxverify.grid import FieldBlock, VariableId, bilinear_weights
 from wxverify.stations import (DEFAULT_QC_RATIOS, QcThresholds, Station,
                                StationInterpolator, StationTable, apply_qc,
-                               epoch_microseconds, six_hour_times,
-                               station_scores, table_from_columns)
+                               epoch_microseconds, station_scores,
+                               table_from_columns)
 
 
 def minutes(m):
@@ -81,7 +81,7 @@ def qc_one(obs, reference, variable):
     the default bounds: (value, flag code, counts of the variable)."""
     table = StationTable((Station("S", 0.0, 0.0, 0.0),), (T0,), (variable,),
                          [[[obs]]], [[[oracles.RAW]]])
-    qc, report = apply_qc(table, [[[reference]]])
+    qc, report = apply_qc(table, [[[reference]]], QcThresholds.default())
     return (float(qc.values[0, 0, 0]), int(qc.flags[0, 0, 0]),
             report.counts[variable.key])
 
@@ -145,7 +145,7 @@ class TestApplyQc:
         vals = np.array([[[5.0, 80.0, np.nan], [4.0, 6.0, 5.0]]])
         table = small_table({VariableId.WS10: vals[0]})
         ref = np.full(table.values.shape, 10.0)
-        qc, rep = apply_qc(table, ref)
+        qc, rep = apply_qc(table, ref, QcThresholds.default())
         assert qc.values[0, 0, 1] == 10.0
         counts = rep.counts["ws10"]
         assert counts.replaced == 1
@@ -156,7 +156,7 @@ class TestApplyQc:
         vals = np.array([[[99.0], [98.0]]])
         table = small_table({VariableId.WS10: vals[0]}, n_stations=1)
         ref = np.full(table.values.shape, 0.1230000000000001)
-        qc, _ = apply_qc(table, ref)
+        qc, _ = apply_qc(table, ref, QcThresholds.default())
         assert qc.values[0, 0, 0] == 0.1230000000000001
 
     def test_idempotent(self, rng):
@@ -164,8 +164,8 @@ class TestApplyQc:
         vals[0, 1, 2] = np.nan
         table = small_table({VariableId.WS10: vals[0]})
         ref = np.abs(rng.uniform(1.0, 5.0, table.values.shape))
-        once, rep1 = apply_qc(table, ref)
-        twice, rep2 = apply_qc(once, ref)
+        once, rep1 = apply_qc(table, ref, QcThresholds.default())
+        twice, rep2 = apply_qc(once, ref, QcThresholds.default())
         np.testing.assert_array_equal(once.values, twice.values)
         np.testing.assert_array_equal(once.flags, twice.flags)
 
@@ -183,7 +183,7 @@ class TestApplyQc:
         vals = rng.uniform(200.0, 90000.0, (1, 2, 3))
         table = small_table({VariableId.Z500: vals[0]})
         ref = np.full(table.values.shape, 1.0)
-        qc, rep = apply_qc(table, ref)
+        qc, rep = apply_qc(table, ref, QcThresholds.default())
         np.testing.assert_array_equal(qc.values, table.values)
         assert rep.counts["z500"].replaced == 0
 
@@ -342,7 +342,7 @@ class TestTableFromRecords:
     def test_six_hour_times_cover_span(self):
         start = datetime(2025, 7, 1, 2, 11, tzinfo=timezone.utc)
         end = datetime(2025, 7, 1, 19, 0, tzinfo=timezone.utc)
-        times = six_hour_times(start, end)
+        times = oracles.six_hour_times(start, end)
         assert times[0] == datetime(2025, 7, 1, 6, tzinfo=timezone.utc)
         assert times[-1] == datetime(2025, 7, 1, 18, tzinfo=timezone.utc)
 
