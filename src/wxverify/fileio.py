@@ -67,7 +67,7 @@ from .climatology import (DAYS_PER_YEAR, SYNOPTIC_HOURS, DailyMeanClimatology,
 from .errors import (ChecksumMismatch, DuplicateObservation, GridMismatch,
                      HeaderPayloadShapeMismatch, InvalidHeader, ManifestError,
                      NonFiniteValue, NonMonotoneTime, NonUniformGrid,
-                     UnknownStation, WxVerifyError)
+                     UnitOutOfRange, UnknownStation, WxVerifyError)
 from .grid import FieldBlock, GeoGrid, VariableId, derive_wind_speed
 from .report import canonical_json, publish, publishing, text_lines
 
@@ -517,9 +517,17 @@ class _Stack:
               ) -> FieldBlock:
         """The layers valid at ascending ``times``, from one read of the
         span they cover, as the float32 values stored; where ``leads``
-        gives a lead, the layer must carry it."""
+        gives a lead, the layer must carry it. A 6-hourly run of times
+        the stack holds is placed by the divmod of its first time."""
         path = self.store.path
-        ks = [self.index(when) for when in times]
+        first = self.index(times[0])
+        ks = range(first, first + len(times))
+        valid_times = tuple(self.first_time + k * STACK_STEP for k in ks)
+        if ks[-1] >= self.store.n_layers or valid_times != tuple(times):
+            # any other times: one divmod each, which names the first time
+            # the stack does not hold
+            ks = [self.index(when) for when in times]
+            valid_times = tuple(self.first_time + k * STACK_STEP for k in ks)
         layer_leads = tuple(self.first_lead + k * self.lead_step for k in ks)
         for when, lead, want in zip(times, layer_leads, leads):
             if want is not None and lead != want:
@@ -528,15 +536,14 @@ class _Stack:
                     f"lead {lead} h, not {want} h")
         lo, hi = min(ks), max(ks)
         grid, layers = self.store.read(lo, hi - lo + 1)
-        if ks != list(range(lo, hi + 1)):
+        if list(ks) != list(range(lo, hi + 1)):
             layers = layers[[k - lo for k in ks]]
         # no copy unless the payload was reoriented or layers were picked
         values = np.ascontiguousarray(layers)
         if not np.isfinite(values).all():
             raise NonFiniteValue(f"{path}: payload contains NaN/Inf")
-        return FieldBlock(grid, self.variable,
-                          tuple(self.first_time + k * STACK_STEP for k in ks),
-                          layer_leads, values)
+        return FieldBlock(grid, self.variable, valid_times, layer_leads,
+                          values)
 
 
 #: Bytes of each write of a threshold payload: the columns of one day
@@ -909,13 +916,15 @@ def _read_station_obs(path: Path, meta_name: str, stations: Sequence[Station]
 
 def _read_station_meta(path: Path) -> list[Station]:
     """The stations of a metadata CSV, in file order; ids must be unique
-    once stripped of spaces, and coordinates finite."""
+    once stripped of spaces, coordinates finite and latitudes within
+    +-90 degrees."""
     from .stations import Station
     rows, cut = _csv_columns(path, _STATION_META_COLUMNS)
     coords = [_floats(rows[name]) for name in _STATION_META_COLUMNS[1:]]
     (lat, _), (lon, _), (elev, _) = coords
     failed = np.logical_or.reduce([bad for _, bad in coords])
-    bad = failed | ~np.isfinite(lat) | ~np.isfinite(lon)
+    finite = np.isfinite(lat) & np.isfinite(lon)
+    bad = failed | ~finite | (np.abs(lat) > 90.0)
     if bad.any():
         k = int(np.argmax(bad))
         if failed[k]:
@@ -924,13 +933,16 @@ def _read_station_meta(path: Path) -> list[Station]:
                     float(_text(rows[name][k]))
             except ValueError as exc:
                 raise InvalidHeader(f"{path}:{k + 2}: bad row: {exc}") from exc
-        place = 1 if not math.isfinite(lat[k]) else 2
+        # the column at fault: lat, unless lon alone is non-finite
+        place = 2 if math.isfinite(lat[k]) and not finite[k] else 1
         # the coordinate as spelt: read the column again, as Python text
-        text = _loadtxt(path, _STATION_META_COLUMNS, np.dtype(object), k + 1,
-                        usecols=place)[k]
-        raise NonFiniteValue(f"{path}:{k + 2}: non-finite "
-                             f"{_STATION_META_COLUMNS[place]} "
-                             f"{_text(text).strip()!r}")
+        text = _text(_loadtxt(path, _STATION_META_COLUMNS, np.dtype(object),
+                              k + 1, usecols=place)[k]).strip()
+        if not finite[k]:
+            raise NonFiniteValue(f"{path}:{k + 2}: non-finite "
+                                 f"{_STATION_META_COLUMNS[place]} {text!r}")
+        raise UnitOutOfRange(f"{path}:{k + 2}: lat {text!r} is outside "
+                             f"[-90, 90] degrees")
     if cut is not None:
         raise cut
     stations = [Station(_text(raw).strip(), la, lo % 360.0, el)

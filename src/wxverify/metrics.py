@@ -19,14 +19,19 @@ the two reduced axes into one contiguous run of ``n_lat * n_lon``
 elements per layer and sums it exactly as it sums one contiguous
 ``(n_lat, n_lon)`` layer on its own, so layer i of a block scores
 bit for bit what the layer alone scores. The kernel works through a
-block a few layers at a time (``CHUNK_BYTES``) so that its temporaries
-stay in cache, and makes each chunk a C-contiguous float64 copy as it
-takes it: blocks hold the float32 values as stored (widening them is
-exact), and a block stored with another axis order (Fortran order, or
-layers last) is summed in another order and can differ in the last
-bits. As every layer is reduced on its own, the chunk size does not
-change a bit. The summation order is fixed, so results are
-bit-deterministic whatever the caller's loop order.
+block a few layers at a time (``CHUNK_BYTES``), in float64 buffers made
+once per call, so that its temporaries stay in cache and are not faulted
+in again for every chunk. It forms the error and the anomalies straight
+into those buffers from the blocks as stored, ``np.subtract(x, y,
+out=buf, dtype=np.float64)``: blocks hold the float32 values as stored,
+and widening them inside the ufunc is exact, so the buffers hold what
+subtracting widened copies would. The climatology is the run's held
+day means; each chunk copies its layers' days into a buffer of its own
+(``np.take``). As the buffers are C-contiguous, a block stored with
+another axis order (Fortran order, or layers last) sums as a
+C-contiguous one does, and as every layer is reduced on its own, the
+chunk size does not change a bit. The summation order is fixed, so
+results are bit-deterministic whatever the caller's loop order.
 """
 
 from __future__ import annotations
@@ -40,9 +45,10 @@ from .errors import DegenerateAnomaly, GridMismatch
 #: Anomaly norms below this are treated as degenerate by :func:`acc`.
 ANOMALY_NORM_FLOOR = 1e-30
 
-#: Bytes of one layer chunk that :func:`block_scores` works through at a
-#: time, so that its temporaries stay in cache. Results do not depend on it.
-CHUNK_BYTES = 2**17
+#: Bytes of one float64 chunk of layers that :func:`block_scores` works
+#: through at a time, so that its temporaries stay in cache. Results do not
+#: depend on it.
+CHUNK_BYTES = 2**19
 
 
 class BlockScores(NamedTuple):
@@ -56,24 +62,31 @@ class BlockScores(NamedTuple):
 
 
 def block_scores(pred: np.ndarray, truth: np.ndarray,
-                 clim: np.ndarray | None, weights: np.ndarray) -> BlockScores:
+                 clim: tuple[np.ndarray, np.ndarray] | None,
+                 weights: np.ndarray) -> BlockScores:
     """WRMSE and bias, and with ``clim`` ACC and activity, of each layer of
-    ``(k, n_lat, n_lon)`` blocks, with per-row ``weights``. ACC is
-    :func:`acc` of the layer's anomalies."""
+    ``(k, n_lat, n_lon)`` blocks, with per-row ``weights``. ``clim`` is
+    ``(day_mean, rows)``: float64 ``(n_days, n_lat, n_lon)`` day means and
+    the row of each layer's day among them, as
+    :func:`~wxverify.climatology.day_rows` gives it (rows are not checked
+    again). ACC is :func:`acc` of the layer's anomalies."""
     w = np.asarray(weights, dtype=np.float64)[:, None]
     k = pred.shape[0]
     scores = BlockScores(np.empty(k), np.empty(k),
                          *((None, None) if clim is None
                            else (np.empty(k), np.empty(k))))
     # chunks are counted in float64 layers, the dtype the kernel works in
-    step = max(1, CHUNK_BYTES // max(8 * pred[0].size, 1))
+    step = max(1, min(k, CHUNK_BYTES // max(8 * pred[0].size, 1)))
+    # the error, then the chunk's days and truth anomalies; the forecast
+    # anomalies; and the weighted values each mean sums
+    buffers = np.empty((3, step, *pred.shape[1:]))
     for lo in range(0, k, step):
-        part = slice(lo, lo + step)
-        _score_chunk(*(None if x is None
-                       else np.ascontiguousarray(x[part], np.float64)
-                       for x in (pred, truth, clim)), w,
+        part = slice(lo, min(lo + step, k))
+        _score_chunk(pred[part], truth[part],
+                     None if clim is None else (clim[0], clim[1][part]), w,
                      BlockScores(*(None if out is None else out[part]
-                                   for out in scores)))
+                                   for out in scores)),
+                     *buffers[:, :part.stop - lo])
     return scores
 
 
@@ -93,21 +106,27 @@ def acc(ap: np.ndarray, at: np.ndarray, mean) -> np.ndarray:
 
 
 def _score_chunk(pred: np.ndarray, truth: np.ndarray,
-                 clim: np.ndarray | None, w: np.ndarray, out: BlockScores):
-    """:func:`block_scores` of a few layers, written into ``out``."""
-    scratch = np.empty_like(pred)
+                 clim: tuple[np.ndarray, np.ndarray] | None, w: np.ndarray,
+                 out: BlockScores, first: np.ndarray, second: np.ndarray,
+                 scratch: np.ndarray):
+    """:func:`block_scores` of a few layers, written into ``out``, in the
+    float64 buffers ``first``, ``second`` and ``scratch`` of their shape."""
 
     def mean(x: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
         """<x>_w of each layer: np.mean(w * x, axis=(1, 2))."""
         return np.mean(np.multiply(w, x, out=scratch), axis=(1, 2), out=into)
 
-    err = pred - truth
+    err = np.subtract(pred, truth, out=first, dtype=np.float64)
     mean(err, out.bias)
     np.sqrt(mean(np.multiply(err, err, out=err)), out=out.wrmse)
     if clim is None:
         return
-    ap = pred - clim
-    out.acc[...] = acc(ap, truth - clim, mean)
+    day_mean, rows = clim
+    # the rows are checked, so mode="clip" writes into the buffer unbuffered
+    days = np.take(day_mean, rows, axis=0, out=first, mode="clip")
+    ap = np.subtract(pred, days, out=second, dtype=np.float64)
+    out.acc[...] = acc(ap, np.subtract(truth, days, out=days,
+                                       dtype=np.float64), mean)
     centered = np.subtract(ap, mean(ap)[:, None, None], out=ap)
     np.sqrt(mean(np.multiply(centered, centered, out=centered)),
             out=out.activity)

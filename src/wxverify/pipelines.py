@@ -69,6 +69,7 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
     import numpy as np
 
     from . import fileio
+    from .climatology import calendar_day_index, day_rows
     from .grid import latitude_weights
     from .metrics import block_scores, check_pair
     from .report import new_scorecard, write_spectrum_csv
@@ -85,13 +86,12 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
     models = sorted(manifest.models)
     valid_times = [init + timedelta(hours=lead)
                    for init in manifest.init_times for lead in leads]
-    clims = {variable: source.climatology(variable, valid_times)
-             for variable in manifest.variables}
 
     # Blocks run over (variable, init) outside and models inside: each
-    # truth span and each forecast stack is read once. Scores and spectra
-    # are appended per (model, variable, lead) in init order, so each mean
-    # sums the same sequence as a field-by-field loop would.
+    # truth span and each forecast stack is read once, and one variable's
+    # climatology days are held at a time. Scores and spectra are appended
+    # per (model, variable, lead) in init order, so each mean sums the
+    # same sequence as a field-by-field loop would.
     metric_leads, spectra_set = set(leads), set(spectra_leads)
     scores = {(model, variable, lead): {metric: [] for metric in _METRICS}
               for model in models for variable in manifest.variables
@@ -105,7 +105,7 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
                     midlatitude_spectrum(block, i).energy)
 
     for variable in manifest.variables:
-        clim = clims[variable]
+        clim = source.climatology(variable, valid_times)
         runs = fileio.layer_runs(sorted(metric_leads | spectra_set),
                                  source.block_layers(variable))
         for init in manifest.init_times:
@@ -114,8 +114,9 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
                 truth = source.truth_block(variable, times)
                 rows = [i for i, lead in enumerate(run) if lead in metric_leads]
                 scored = rows if len(rows) < len(run) else slice(None)
-                clim_layers = None if clim is None or not rows \
-                    else clim.layers([times[i] for i in rows])
+                clim_rows = None if clim is None else (clim.day_mean, day_rows(
+                    clim.first_day, len(clim.day_mean),
+                    [calendar_day_index(times[i]) for i in rows]))
                 weights = latitude_weights(truth.grid)
                 for model in models:
                     pred = source.model_block(model, init, variable, run)
@@ -125,7 +126,7 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
                     if rows:
                         block = block_scores(pred.values[scored],
                                              truth.values[scored],
-                                             clim_layers, weights)
+                                             clim_rows, weights)
                         for metric, values in block._asdict().items():
                             if values is None:
                                 continue
@@ -134,6 +135,8 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
                                     .append(value)
                     add_spectra(model, variable, run, pred)
                 add_spectra(None, variable, run, truth)
+        # released before the next variable's days are read
+        del clim, clim_rows
 
     card = new_scorecard("evaluate", manifest.sha256)
     card["grid_metrics"] = [
@@ -526,25 +529,32 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
             start += len(run)
     qc_table, qc_report = apply_qc(table, reference, QcThresholds.default())
 
-    # only the calendar days of the valid times are read
-    clims = {variable: source.climatology(variable, valid_times)
-             for variable in station_vars}
-
-    card = new_scorecard("stations", manifest.sha256)
-    rows = []
+    models = sorted(manifest.models)
     n_inits = len(manifest.init_times)
-    for model in sorted(manifest.models):
-        for variable in station_vars:
+    scored = {}  # (model, variable) -> its rows, one a lead
+    for variable in station_vars:
+        # only the calendar days of the valid times are read, and only
+        # their values at the stations are kept
+        clim = source.climatology(variable, valid_times)
+        if clim is not None:
+            clim = (clim.first_day,
+                    interpolator.weights(clim.grid).apply(clim.day_mean))
+        for model in models:
             # one block per (init, run of leads); the blocks of all inits
             # together stay within one block's byte budget
+            scored[model, variable] = rows = []
             for run in fileio.layer_runs(manifest.lead_hours, max(
                     1, source.block_layers(variable) // n_inits)):
                 blocks = [source.model_block(model, init, variable, run)
                           for init in manifest.init_times]
-                scores = station_scores(blocks, qc_table, variable,
-                                        clims[variable], interpolator)
+                scores = station_scores(blocks, qc_table, variable, clim,
+                                        interpolator)
                 rows.extend(_station_row(model, variable, lead, score)
                             for lead, score in zip(run, scores))
-    card["station_scores"] = rows
+
+    card = new_scorecard("stations", manifest.sha256)
+    card["station_scores"] = [row for model in models
+                              for variable in station_vars
+                              for row in scored[model, variable]]
     card["qc_report"] = qc_report.as_dict()
     return card

@@ -26,8 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .climatology import (DailyMeanClimatology, calendar_day_index,
-                          day_rows)
+from .climatology import calendar_day_index, day_rows
 from .grid import (BilinearWeights, FieldBlock, GeoGrid, VariableId,
                    bilinear_weights)
 from .metrics import acc
@@ -331,7 +330,7 @@ class StationScores:
 
 
 def station_scores(blocks: Sequence[FieldBlock], table: StationTable,
-                   variable: VariableId, clim: DailyMeanClimatology | None,
+                   variable: VariableId, clim: tuple[int, np.ndarray] | None,
                    interpolator: StationInterpolator
                    ) -> list[StationScores | None]:
     """Unweighted RMSE / bias (and ACC when a climatology is given) of each
@@ -344,9 +343,12 @@ def station_scores(blocks: Sequence[FieldBlock], table: StationTable,
     absent at a timestamp are skipped pairwise. The pairs of a lead are
     taken init by init, in station order. ``interpolator`` is built for
     the table's stations; pass one to every call of a run, so that each
-    grid is bracketed once. ``clim``, the grid climatology, is
-    interpolated to the stations over every day it holds, and ACC is
-    :func:`~wxverify.metrics.acc` of the station anomalies.
+    grid is bracketed once. ``clim`` is ``(first_day, day_mean)``: a
+    :class:`~wxverify.climatology.DailyMeanClimatology`'s run of days
+    from ``first_day``, interpolated once to the table's stations
+    (``interpolator.weights(clim.grid).apply(clim.day_mean)``, shaped
+    ``(n_days, n_stations)``). ACC is :func:`~wxverify.metrics.acc` of
+    the station anomalies.
     """
     vi = table.variable_index(variable)
     if interpolator.stations != table.stations:
@@ -365,10 +367,11 @@ def station_scores(blocks: Sequence[FieldBlock], table: StationTable,
                            ].reshape(fc.shape)
     present = ~np.isnan(obs)
     if clim is not None:
-        rows = day_rows(clim.first_day, clim.day_mean.shape[0],
-                        [calendar_day_index(when) for when in valid_times])
-        day_mean = interpolator.weights(clim.grid).apply(
-            clim.day_mean)[rows].reshape(fc.shape)
+        first_day, day_mean = clim
+        day_mean = day_mean[day_rows(
+            first_day, len(day_mean),
+            [calendar_day_index(when) for when in valid_times])
+        ].reshape(fc.shape)
     scores: list[StationScores | None] = []
     for i in range(fc.shape[1]):
         paired = present[:, i]

@@ -82,6 +82,12 @@ def stamped(block: FieldBlock, valid_time: datetime, lead_hours: int
     return replace(block, valid_times=(valid_time,), lead_hours=(lead_hours,))
 
 
+def one_day_a_layer(clim: np.ndarray | None):
+    """``clim``, float64 ``(k, n_lat, n_lon)`` layers, as the ``(day_mean,
+    rows)`` that ``metrics.block_scores`` takes: layer i on day row i."""
+    return None if clim is None else (clim, np.arange(len(clim)))
+
+
 def layer_scores(pred: FieldBlock, truth: FieldBlock,
                  clim: FieldBlock | None = None, weights=None) -> BlockScores:
     """``metrics.block_scores`` of these one-layer blocks, as floats (None
@@ -89,7 +95,8 @@ def layer_scores(pred: FieldBlock, truth: FieldBlock,
     if weights is None:
         weights = latitude_weights(pred.grid)
     scores = block_scores(pred.values, truth.values,
-                          None if clim is None else clim.values, weights)
+                          one_day_a_layer(None if clim is None
+                                          else clim.values), weights)
     return BlockScores(*(None if s is None else float(s[0]) for s in scores))
 
 

@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the engine's code paths: metrics are
 scalar loops with exactly-rounded accumulation (math.fsum), plus the
-one-field numpy metric bodies, the field-by-field daily means and
+one-field numpy metric bodies, the block kernel scoring a gathered
+float64 climatology block, the field-by-field daily means and
 extremes that the engine's block kernels must reproduce bit for bit, and
 the whole-year mean across years and stack of daily extremes that the
 streamed history reduction must reproduce (and that reduction as it ran
@@ -119,6 +120,28 @@ def activity_field(pred, clim, weights) -> float:
     m = weighted_mean(a, weights)
     centered = a - m
     return math.sqrt(weighted_mean(centered * centered, weights))
+
+
+def block_scores_gathered(pred, truth, day_mean, rows, weights):
+    """``(wrmse, bias, acc, activity)`` of each layer of a block, scored
+    as the block kernel did before it took the held climatology days:
+    the float64 climatology block ``day_mean[rows]`` gathered, the
+    blocks copied to C-contiguous float64, and each weighted mean
+    ``np.mean(w * x, axis=(1, 2))`` over whole blocks. No anomaly floor:
+    a degenerate layer's ACC is whatever the division gives."""
+    pred, truth, clim = (np.ascontiguousarray(x, np.float64)
+                         for x in (pred, truth, day_mean[rows]))
+    w = np.asarray(weights, dtype=np.float64)[:, None]
+
+    def mean(x):
+        return np.mean(w * x, axis=(1, 2))
+
+    err = pred - truth
+    ap, at = pred - clim, truth - clim
+    acc = mean(ap * at) / (np.sqrt(mean(ap * ap)) * np.sqrt(mean(at * at)))
+    centered = ap - mean(ap)[:, None, None]
+    return (np.sqrt(mean(err * err)), mean(err), acc,
+            np.sqrt(mean(centered * centered)))
 
 
 # --- spectrum oracle: direct O(N^2) DFT ---------------------------------------
@@ -979,7 +1002,8 @@ def read_station_csvs_rows(meta_path, obs_path, times):
     from pathlib import Path
 
     from wxverify.errors import (DuplicateObservation, InvalidHeader,
-                                 NonFiniteValue, UnknownStation)
+                                 NonFiniteValue, UnitOutOfRange,
+                                 UnknownStation)
     from wxverify.fileio import format_time, parse_time
     from wxverify.grid import VariableId
     from wxverify.stations import (Station, WindowOverflow,
@@ -999,6 +1023,10 @@ def read_station_csvs_rows(meta_path, obs_path, times):
             if not math.isfinite(float(text)):
                 raise NonFiniteValue(f"{meta_path}:{lineno}: non-finite "
                                      f"{name} {text.strip()!r}")
+        if abs(stations[-1].lat) > 90.0:
+            raise UnitOutOfRange(f"{meta_path}:{lineno}: lat "
+                                 f"{row[1].strip()!r} is outside [-90, 90] "
+                                 f"degrees")
     index = {s.station_id: si for si, s in enumerate(stations)}
     if len(index) != len(stations):
         raise InvalidHeader(f"{meta_path}: duplicate station ids")

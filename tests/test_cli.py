@@ -362,6 +362,24 @@ class TestStationInputs:
         assert capsys.readouterr().err == \
             f"error: {meta}:2: non-finite {column} {value!r}\n"
 
+    @pytest.mark.parametrize("value", ["95.0", "-90.5", " 1e3"])
+    def test_latitude_beyond_90_degrees_is_exit_2(self, wind_run, value,
+                                                  tmp_path, capsys):
+        rows = (wind_run / "stations_meta.csv").read_text().splitlines()
+        fields = rows[2].split(",")
+        fields[1] = value
+        meta = tmp_path / "meta.csv"
+        meta.write_text("\n".join([rows[0], rows[1], ",".join(fields),
+                                   *rows[3:]]) + "\n")
+        assert run_cli("stations", "--manifest", wind_run / "manifest.json",
+                       "--station-meta", meta, "--station-obs",
+                       wind_run / "stations_obs.csv",
+                       "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == \
+            f"error: {meta}:3: lat {value.strip()!r} is outside [-90, 90] " \
+            f"degrees\n"
+        assert not (tmp_path / "out").exists()
+
     def test_init_off_the_synoptic_hours_is_reported_before_the_csvs_are_read(
             self, wind_run, tmp_path, capsys):
         # the run's model stacks stand in for a 03 UTC init; the
@@ -925,6 +943,77 @@ def whole_year_stores(run, out):
     fileio.write_thresholds(
         ThresholdBuild(oracles.history_from_extremes(extremes)),
         stack.grid, out / "thresholds.rbt")
+
+
+@pytest.fixture(scope="module")
+def half_year_run(tmp_path_factory):
+    """t2m, u10, v10 and msl on a 30 x 48 grid with stations, and inits on
+    Jan 15 and Jul 15: each variable's climatology days run from Jan 15
+    to Jul 15."""
+    root = tmp_path_factory.mktemp("halfyear")
+    scenario = root / "scenario.json"
+    scenario.write_text(json.dumps(dict(EVALUATE_SCENARIO, grid={
+        "lat_start": 87.0, "lat_step": -6.0, "n_lat": 30,
+        "lon_start": 0.0, "lon_step": 7.5, "n_lon": 48})))
+    assert run_cli("synth", "--scenario", scenario, "--out", root / "run",
+                   "--inits", "2025-01-15T00:00:00Z,2025-07-15T00:00:00Z",
+                   "--max-lead-hours", "12", "--models", "persistence,perfect",
+                   "--stations", "6") == 0
+    assert run_cli("build-climatology",
+                   "--manifest", root / "run/manifest.json") == 0
+    return root / "run"
+
+
+#: Bytes of one variable's climatology days in ``half_year_run``: 182
+#: float64 days of its 30 x 48 grid.
+HALF_YEAR_DAYS_BYTES = 182 * 30 * 48 * 8
+
+
+class TestClimatologyMemory:
+    """``evaluate`` and ``stations`` hold one variable's climatology days
+    at a time."""
+
+    def test_evaluate_of_four_variables_peaks_as_of_one(self, half_year_run,
+                                                        tmp_path):
+        manifest = half_year_run / "manifest.json"
+        one = with_manifest(half_year_run, "manifest_t2m.json",
+                            variables=["t2m"])
+        pipelines.evaluate(manifest, tmp_path / "warm")  # imports, caches
+        peaks = []
+        for name, path in (("one", one), ("four", manifest)):
+            tracemalloc.start()
+            try:
+                pipelines.evaluate(path, tmp_path / name)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the run of one variable holds its days; each further variable's
+        # days replace the last's
+        assert peaks[0] > HALF_YEAR_DAYS_BYTES
+        assert peaks[1] - peaks[0] < HALF_YEAR_DAYS_BYTES
+
+    def test_stations_holds_no_other_variables_gridded_days(
+            self, half_year_run, monkeypatch):
+        # the memory held as each variable's climatology is read stays
+        # within a tenth of one variable's days of that at the first read:
+        # no earlier variable's gridded days are held
+        read = fileio.FieldSource.climatology
+        held = []
+
+        def climatology(source, variable, times):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return read(source, variable, times)
+
+        monkeypatch.setattr(fileio.FieldSource, "climatology", climatology)
+        tracemalloc.start()
+        try:
+            pipelines.stations(half_year_run / "manifest.json",
+                               half_year_run / "stations_meta.csv",
+                               half_year_run / "stations_obs.csv")
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 4
+        assert max(held) - held[0] < HALF_YEAR_DAYS_BYTES / 10, held
 
 
 @pytest.fixture(scope="module")

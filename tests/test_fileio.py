@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (CALENDAR_DAYS, CALENDAR_TIMES, T0, as_build,
                       assert_read_once_in_whole_days, field_block, layer_of,
-                      layer_scores, make_field, make_grid, read_store,
-                      stamped)
+                      layer_scores, make_field, make_grid, one_day_a_layer,
+                      read_store, stamped)
 from wxverify import climatology, fileio, metrics
 from oracles import DailyHistory, build_thresholds
 from wxverify.climatology import (DAYS_PER_YEAR, DailyMeanClimatology,
@@ -680,7 +680,8 @@ def station_csv_pairs(draw):
     meta_rows = []
     for sid in ids + draw(st.sampled_from([[]] * 6 + [["S1"]])):
         odd = _odd(draw, "short", "long", "wide", "blank", "lat", "lon")
-        lat = draw(st.sampled_from(["north", "nan", "-inf"])) \
+        lat = draw(st.sampled_from(["north", "nan", "-inf", "95.0", "-90.5",
+                                    "90"])) \
             if odd == "lat" else repr(draw(st.floats(-60.0, 60.0)))
         lon = draw(st.sampled_from(["NaN", "1e400"])) \
             if odd == "lon" else repr(draw(st.floats(-180.0, 360.0)))
@@ -1536,7 +1537,8 @@ class TestBlocks:
         w = latitude_weights(grid) if np.any(np.abs(grid.lat_deg) < 90.0) \
             else None
         scores = None if w is None else \
-            metrics.block_scores(pred.values, truth.values, clim, w)
+            metrics.block_scores(pred.values, truth.values,
+                                 one_day_a_layer(clim), w)
         for i, ((tf, pf), _) in enumerate(fields):
             assert tf.values.tobytes() == truth.values[i].tobytes()
             assert pf.values.tobytes() == pred.values[i].tobytes()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import T0, make_grid
+from conftest import T0, make_grid, one_day_a_layer
 from wxverify import metrics
 from wxverify.cyclones import TrackerConfig, track_storm
 from wxverify.extremes import EventKind, label_event_runs
@@ -56,13 +56,15 @@ grids = st.builds(make_grid, st.integers(2, 9), st.integers(2, 12),
 class TestFloat32Blocks:
     @given(grid=grids, n_layers=st.integers(1, 6),
            chunk_layers=st.integers(1, 3), with_clim=st.booleans(),
-           seed=SEEDS)
+           loc=st.sampled_from([0.0, 280.0]), seed=SEEDS)
     @settings(max_examples=40, deadline=None)
     def test_block_scores_across_chunks(self, grid, n_layers, chunk_layers,
-                                        with_clim, seed):
+                                        with_clim, loc, seed):
         rng = np.random.default_rng(seed)
-        pred = stored_block(rng, grid, n_layers)
-        truth = stored_block(rng, grid, n_layers)
+        # about 0, the float32 difference of two float32 values is inexact
+        # (about 280 it is exact), so a kernel that does not widen differs
+        pred = stored_block(rng, grid, n_layers, loc=loc)
+        truth = stored_block(rng, grid, n_layers, loc=loc)
         # climatologies are float64 as stored
         clim = 280.0 + 5.0 * rng.standard_normal((n_layers, *grid.shape)) \
             if with_clim else None
@@ -71,9 +73,11 @@ class TestFloat32Blocks:
             # chunks of ``chunk_layers`` float64 layers split the block
             patch.setattr(metrics, "CHUNK_BYTES",
                           chunk_layers * 8 * grid.n_lat * grid.n_lon)
-            got = metrics.block_scores(pred.values, truth.values, clim, w)
+            got = metrics.block_scores(pred.values, truth.values,
+                                       one_day_a_layer(clim), w)
             want = metrics.block_scores(widened(pred).values,
-                                        widened(truth).values, clim, w)
+                                        widened(truth).values,
+                                        one_day_a_layer(clim), w)
         for mine, theirs in zip(got, want):
             assert (mine is None) == (theirs is None)
             if mine is not None:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from unittest import mock
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import layer_scores, make_field, make_grid, random_field
-from wxverify import metrics
+from conftest import (layer_scores, make_field, make_grid,
+                      one_day_a_layer, random_field)
+from wxverify import climatology, metrics
 from wxverify.errors import DegenerateAnomaly, GridMismatch
 from wxverify.grid import GeoGrid, latitude_weights
 from wxverify.metrics import block_scores, check_pair
@@ -272,12 +274,12 @@ class TestBlockKernel:
         grid, pred, truth, clim, degenerate = drawn
         w = latitude_weights(grid)
         if degenerate is None:
-            scores = block_scores(pred, truth, clim, w)
+            scores = block_scores(pred, truth, one_day_a_layer(clim), w)
         else:
             with pytest.raises(DegenerateAnomaly, match="constant zero"):
-                block_scores(pred, truth, clim, w)
+                block_scores(pred, truth, one_day_a_layer(clim), w)
             with no_anomaly_floor():
-                scores = block_scores(pred, truth, clim, w)
+                scores = block_scores(pred, truth, one_day_a_layer(clim), w)
         for i in range(pred.shape[0]):
             p, t, c = (np.ascontiguousarray(a[i]) for a in (pred, truth, clim))
             fp, ft, fc = (make_field(grid, a) for a in (p, t, c))
@@ -298,14 +300,72 @@ class TestBlockKernel:
                 assert scores.acc[i] == want
                 assert layer_scores(fp, ft, fc, weights=w).acc == want
 
+    @given(k=st.integers(1, 9), data=st.data(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_gathered_float64_oracle(self, k, data, seed):
+        grid = make_grid(data.draw(st.integers(2, 7)),
+                         data.draw(st.integers(2, 9)))
+        rng = np.random.default_rng(seed)
+        # float32 blocks as stored, float64 day means as a climatology
+        # holds them; values about 0 make the float32 difference of two
+        # float32 values inexact, unlike two values within a factor of 2
+        loc = data.draw(st.sampled_from([0.0, 280.0]))
+        pred, truth = (
+            (loc + 5.0 * rng.standard_normal((k, *grid.shape)))
+            .astype(np.float32) for _ in range(2))
+        n_days = data.draw(st.integers(1, 6))
+        day_mean = loc + 3.0 * rng.standard_normal((n_days, *grid.shape))
+        # a run of days that may cross Dec 31, and each layer's day in it,
+        # in order and with repeats, as consecutive valid times fall
+        first_day = data.draw(st.sampled_from([0, 180, 361, 362, 363, 364]))
+        offsets = sorted(data.draw(st.lists(st.integers(0, n_days - 1),
+                                            min_size=k, max_size=k)))
+        rows = climatology.day_rows(
+            first_day, n_days, [(first_day + i) % 365 for i in offsets])
+        assert rows.tolist() == offsets
+        w = latitude_weights(grid)
+        want = oracles.block_scores_gathered(pred, truth, day_mean, rows, w)
+        with pytest.MonkeyPatch.context() as patch:
+            # chunks of 1 .. k float64 layers
+            patch.setattr(metrics, "CHUNK_BYTES",
+                          data.draw(st.integers(1, k)) * 8 * grid.n_lat
+                          * grid.n_lon)
+            got = block_scores(pred, truth, (day_mean, rows), w)
+        for mine, theirs in zip(got, want):
+            assert mine.dtype == theirs.dtype == np.float64
+            assert mine.tobytes() == theirs.tobytes()
+
+    def test_memory_is_the_chunk_buffers(self, rng, monkeypatch):
+        # 64 layers scored 2 at a time against 5 held days:
+        # the kernel holds its three chunk buffers and one product at a
+        # time, never a 64-layer float64 copy of a block or of the gathered
+        # days (32 chunks). A chunk (240 kB) outweighs the buffers numpy
+        # casts float32 inputs in (8,192 float64 values each)
+        grid = make_grid(100, 150)
+        monkeypatch.setattr(metrics, "CHUNK_BYTES", 2 * 8 * 100 * 150)
+        pred, truth = ((280.0 + rng.standard_normal((64, 100, 150)))
+                       .astype(np.float32) for _ in range(2))
+        day_mean = 280.0 + rng.standard_normal((5, 100, 150))
+        rows = np.repeat(np.arange(4), 16)
+        w = latitude_weights(grid)
+        tracemalloc.start()
+        try:
+            block_scores(pred, truth, (day_mean, rows), w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * metrics.CHUNK_BYTES
+
     def test_chunking_does_not_change_scores(self, rng, monkeypatch):
         grid = make_grid(7, 9)
         w = latitude_weights(grid)
         pred, truth, clim = (280.0 + rng.standard_normal((5, 7, 9))
                              for _ in range(3))
-        whole = block_scores(pred, truth, clim, w)
+        whole = block_scores(pred, truth, one_day_a_layer(clim), w)
         monkeypatch.setattr(metrics, "CHUNK_BYTES", 1)  # one layer a chunk
-        for got, want in zip(block_scores(pred, truth, clim, w), whole):
+        for got, want in zip(
+                block_scores(pred, truth, one_day_a_layer(clim), w), whole):
             assert got.tobytes() == want.tobytes()
 
     def test_inputs_select_scores(self, rng):
@@ -314,5 +374,6 @@ class TestBlockKernel:
         pred, other, clim = (rng.standard_normal((2, 3, 4)) for _ in range(3))
         assert [s is None for s in block_scores(pred, other, None, w)] == \
             [False, False, True, True]
-        assert [s is None for s in block_scores(pred, other, clim, w)] == \
+        assert [s is None for s in block_scores(
+            pred, other, one_day_a_layer(clim), w)] == \
             [False, False, False, False]

@@ -189,10 +189,15 @@ class TestApplyQc:
 
 
 def t2m_scores(blocks, table, clim=None):
-    """``station_scores`` of T2M, with a climatology or without, through an
-    interpolator built for the table's stations."""
-    return station_scores(blocks, table, VariableId.T2M, clim,
-                          StationInterpolator(table.stations))
+    """``station_scores`` of T2M, with a grid climatology or without,
+    through an interpolator built for the table's stations; the
+    climatology's days are interpolated to the stations as
+    ``pipelines.stations`` does."""
+    interpolator = StationInterpolator(table.stations)
+    if clim is not None:
+        clim = (clim.first_day,
+                interpolator.weights(clim.grid).apply(clim.day_mean))
+    return station_scores(blocks, table, VariableId.T2M, clim, interpolator)
 
 
 class TestStationScores:
@@ -520,7 +525,7 @@ class TestStationInterpolator:
                     Station("C", 60.0, 0.0, 0.0))
         day_mean = 280.0 + rng.standard_normal((365, 5, 8))
         clim = DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))
-        # the gather station_scores makes of a climatology's days
+        # the interpolation pipelines.stations makes of a climatology's days
         interpolator = StationInterpolator(stations)
         got = interpolator.weights(clim.grid).apply(clim.day_mean)
         positions = [(s.lat, s.lon) for s in stations]
