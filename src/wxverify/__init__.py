@@ -17,9 +17,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "climatology": ("DailyMeanClimatology", "ThresholdBuild",
                     "ThresholdField"),
-    "cyclones": ("IntensityError", "StormFix", "StormTrack", "TrackerConfig",
-                 "homogeneous_sample", "intensity_errors", "track_dpe",
-                 "track_storm"),
+    "cyclones": ("IntensityError", "StormFix", "StormTrack", "StormTracker",
+                 "TrackerConfig", "homogeneous_sample", "intensity_errors",
+                 "track_dpe", "track_storm"),
     "errors": ("WxVerifyError",),
     "extremes": ("CategoricalScores", "EventKind", "EventSegment",
                  "MatchResult", "label_event_runs", "match_counts",

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import InsufficientHistory, NonFiniteValue
-from .grid import FieldBlock, GeoGrid, GridField, VariableId
+from .grid import FieldBlock, GeoGrid, GridField, VariableId, all_finite
 
 if TYPE_CHECKING:
     from .fileio import SpilledHistory
@@ -157,7 +157,7 @@ def _check_first_day(first_day, n_days: int):
 
 def _check_thresholds(tau_heat: np.ndarray, tau_cold: np.ndarray):
     """Thresholds must be finite, and heat at or above cold."""
-    if not (np.all(np.isfinite(tau_heat)) and np.all(np.isfinite(tau_cold))):
+    if not (all_finite(tau_heat) and all_finite(tau_cold)):
         raise NonFiniteValue("thresholds must be finite")
     if np.any(tau_heat < tau_cold):
         raise ValueError("tau_heat must be >= tau_cold everywhere")
@@ -590,7 +590,7 @@ class DailyMeanClimatology:
         if dm.ndim != 3 or dm.shape[1:] != self.grid.shape:
             raise ValueError("day_mean must have shape (n_days, n_lat, n_lon)")
         _check_first_day(self.first_day, dm.shape[0])
-        if not np.all(np.isfinite(dm)):
+        if not all_finite(dm):
             raise NonFiniteValue("day_mean must be finite")
         dm.setflags(write=False)
         object.__setattr__(self, "day_mean", dm)

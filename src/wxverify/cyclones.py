@@ -1,7 +1,9 @@
 """Minimum-pressure cyclone tracking and track/intensity verification.
 
 The tracker walks a forecast's MSL, U10 and V10 blocks (see
-:class:`~wxverify.grid.FieldBlock`) at 6-hour cadence: at each lead
+:class:`~wxverify.grid.FieldBlock`) at 6-hour cadence, every storm of
+one init together and one run of leads at a time
+(:class:`StormTracker`): at each lead
 the storm center is the grid point of minimum mean sea-level pressure
 within a great-circle search radius of the previous center (of the seed
 at the first step). Tracking terminates, permanently, when no point in
@@ -150,68 +152,137 @@ def _index_box(grid: GeoGrid, lat0: float, lon0: float, radius_km: float,
     return rows, np.flatnonzero(np.minimum(offset, 360.0 - offset) <= half)
 
 
+class _Storm:
+    """One storm's tracker state, carried from one run of leads to the
+    next: its centre, its fixes and whether it is lost."""
+
+    def __init__(self, storm_id: str, center: tuple[float, float]):
+        self.storm_id = storm_id
+        self.center = center
+        self.fixes: list[StormFix] = []
+        self.lost = False
+
+    def advance(self, msl: FieldBlock, u10: FieldBlock, v10: FieldBlock,
+                steps: tuple[float, float], config: TrackerConfig):
+        """Track through each layer of one run until the storm is lost."""
+        if self.lost:
+            return
+        grid = msl.grid
+        for k, when in enumerate(msl.valid_times):
+            rows, cols = _index_box(grid, *self.center,
+                                    config.search_radius_km, steps)
+            pressure = msl.values[k][np.ix_(rows, cols)].astype(np.float64)
+            below = (haversine_km_grid(*self.center, grid, rows, cols)
+                     <= config.search_radius_km) \
+                & (pressure < config.mslp_cutoff_pa)
+            if not below.any():
+                self.lost = True  # the loss is terminal
+                return
+            # The box's rows and columns ascend in grid order, so the first
+            # minimum in C order is the whole grid's: equal minima break
+            # toward the smallest row (northernmost), then the smallest
+            # column, even across the seam (of 358 and 2 degrees E, 2
+            # degrees E).
+            flat = int(np.argmin(np.where(below, pressure, np.inf)))
+            bi, bj = divmod(flat, cols.size)
+            i, j = int(rows[bi]), int(cols[bj])
+            self.center = (float(grid.lat_deg[i]), float(grid.lon_deg[j]))
+            rows, cols = _index_box(grid, *self.center,
+                                    config.wind_radius_km, steps)
+            box = np.ix_(rows, cols)
+            wind_speed = np.hypot(u10.values[k][box], v10.values[k][box],
+                                  dtype=np.float64)
+            near_center = haversine_km_grid(*self.center, grid, rows, cols) \
+                <= config.wind_radius_km
+            max_wind = float(wind_speed[near_center].max())
+            self.fixes.append(StormFix(when, *self.center,
+                                       float(pressure[bi, bj]), max_wind))
+
+
+class StormTracker:
+    """The storms seeded at one forecast init, tracked together through
+    its MSL, U10 and V10 blocks one run of leads at a time.
+
+    Each :meth:`advance` takes the next run: blocks whose leads continue
+    6-hourly from the last run's (from 0 h at the first), with the U10
+    and V10 blocks on the valid times and leads of MSL's and every block
+    on the grid of the first, or ValueError is raised. Every storm
+    carries its centre, its fixes and whether it is lost from one run to
+    the next, so the tracks do not depend on how the leads are cut into
+    runs, and a caller holds one run of blocks at a time. Each step
+    searches only the index box that holds the search disc (see
+    :func:`_index_box`), and takes the maximum wind only in the box that
+    holds the wind disc: distances, MSL (widened, so the cutoff is
+    compared in float64) and wind speed (in float64) are computed for the
+    box's nodes alone. Seeds are best-track positions at init time; the
+    first run raises :class:`SeedOutsideDomain` for the first seed
+    outside its grid.
+    """
+
+    def __init__(self, seeds: Sequence[tuple[str, tuple[float, float]]], *,
+                 source: str, config: TrackerConfig = TrackerConfig()):
+        self.source = source
+        self.config = config
+        self._storms = [_Storm(storm_id, (float(lat), float(lon) % 360.0))
+                        for storm_id, (lat, lon) in seeds]
+        self._grid: GeoGrid | None = None
+        self._steps = (0.0, 0.0)
+        self._times: list[datetime] = []  # valid times of the leads so far
+
+    def advance(self, msl: FieldBlock, u10: FieldBlock, v10: FieldBlock
+                ) -> None:
+        """Track every storm through the next run of leads."""
+        grid, leads = msl.grid, msl.lead_hours
+        first = 6 * len(self._times)
+        if not leads or leads != tuple(range(first, first + 6 * len(leads),
+                                             6)):
+            raise ValueError(f"MSL leads are {leads}, expected {first}, "
+                             f"{first + 6}, {first + 12}, ... h")
+        if u10.grid != grid or v10.grid != grid \
+                or (self._grid is not None and grid != self._grid):
+            raise ValueError("tracker fields must share one grid")
+        for wind in (u10, v10):
+            if (wind.valid_times, wind.lead_hours) != (msl.valid_times, leads):
+                raise ValueError(f"{wind.variable.key} valid times or leads "
+                                 f"differ from MSL's")
+        if self._grid is None:
+            for storm in self._storms:
+                lat, lon = storm.center
+                if not (grid.lat_deg[-1] <= lat <= grid.lat_deg[0]):
+                    raise SeedOutsideDomain(f"seed latitude {lat} outside grid")
+                if not grid.wraps_lon and \
+                        not (grid.lon_deg[0] <= lon <= grid.lon_deg[-1]):
+                    raise SeedOutsideDomain(
+                        f"seed longitude {lon} outside grid")
+            self._grid = grid
+            self._steps = tuple(float(np.abs(np.diff(axis)).max(initial=0.0))
+                                for axis in (grid.lat_deg, grid.lon_deg))
+        for storm in self._storms:
+            storm.advance(msl, u10, v10, self._steps, self.config)
+        self._times.extend(msl.valid_times)
+
+    def tracks(self) -> list[StormTrack]:
+        """Each storm's track over the leads advanced so far, in seed
+        order."""
+        if not self._times:
+            raise ValueError("no run of leads has been tracked")
+        n_leads = len(self._times)
+        return [StormTrack(storm.storm_id, self.source, self._times[0],
+                           tuple(storm.fixes),
+                           tuple(k < len(storm.fixes) for k in range(n_leads)))
+                for storm in self._storms]
+
+
 def track_storm(msl: FieldBlock, u10: FieldBlock, v10: FieldBlock,
                 seed: tuple[float, float], *, storm_id: str,
                 source: str,
                 config: TrackerConfig = TrackerConfig()) -> StormTrack:
-    """Track one storm through a forecast's MSL, U10 and V10 blocks.
-
-    The MSL block holds leads 0, 6, 12, ... hours and the U10 and V10
-    blocks the same valid times and leads, on one grid, or ValueError is
-    raised. Each step searches only the index box that holds the search
-    disc (see :func:`_index_box`), and takes the maximum wind only in the
-    box that holds the wind disc: distances, MSL (widened, so the cutoff
-    is compared in float64) and wind speed (in float64) are computed for
-    the box's nodes alone. The seed is the best-track position at init
-    time; a seed outside the grid raises :class:`SeedOutsideDomain`.
-    """
-    grid, leads = msl.grid, msl.lead_hours
-    if not leads or leads != tuple(range(0, 6 * len(leads), 6)):
-        raise ValueError(f"MSL leads are {leads}, expected 0, 6, 12, ... h")
-    if u10.grid != grid or v10.grid != grid:
-        raise ValueError("tracker fields must share one grid")
-    for wind in (u10, v10):
-        if (wind.valid_times, wind.lead_hours) != (msl.valid_times, leads):
-            raise ValueError(f"{wind.variable.key} valid times or leads "
-                             f"differ from MSL's")
-
-    seed_lat, seed_lon = float(seed[0]), float(seed[1]) % 360.0
-    if not (grid.lat_deg[-1] <= seed_lat <= grid.lat_deg[0]):
-        raise SeedOutsideDomain(f"seed latitude {seed_lat} outside grid")
-    if not grid.wraps_lon and not (grid.lon_deg[0] <= seed_lon <= grid.lon_deg[-1]):
-        raise SeedOutsideDomain(f"seed longitude {seed_lon} outside grid")
-
-    steps = tuple(float(np.abs(np.diff(axis)).max(initial=0.0))
-                  for axis in (grid.lat_deg, grid.lon_deg))
-    fixes: list[StormFix] = []
-    center = (seed_lat, seed_lon)
-    for k in range(len(leads)):
-        rows, cols = _index_box(grid, *center, config.search_radius_km, steps)
-        pressure = msl.values[k][np.ix_(rows, cols)].astype(np.float64)
-        below = (haversine_km_grid(*center, grid, rows, cols)
-                 <= config.search_radius_km) \
-            & (pressure < config.mslp_cutoff_pa)
-        if not below.any():
-            break  # the loss is terminal
-        # The box's rows and columns ascend in grid order, so the first
-        # minimum in C order is the whole grid's: equal minima break toward
-        # the smallest row (northernmost), then the smallest column, even
-        # across the seam (of 358 and 2 degrees E, 2 degrees E).
-        flat = int(np.argmin(np.where(below, pressure, np.inf)))
-        bi, bj = divmod(flat, cols.size)
-        i, j = int(rows[bi]), int(cols[bj])
-        center = (float(grid.lat_deg[i]), float(grid.lon_deg[j]))
-        rows, cols = _index_box(grid, *center, config.wind_radius_km, steps)
-        box = np.ix_(rows, cols)
-        wind_speed = np.hypot(u10.values[k][box], v10.values[k][box],
-                              dtype=np.float64)
-        near_center = haversine_km_grid(*center, grid, rows, cols) \
-            <= config.wind_radius_km
-        max_wind = float(wind_speed[near_center].max())
-        fixes.append(StormFix(msl.valid_times[k], center[0], center[1],
-                              float(pressure[bi, bj]), max_wind))
-    return StormTrack(storm_id, source, msl.valid_times[0], tuple(fixes),
-                      tuple(k < len(fixes) for k in range(len(leads))))
+    """Track one storm through a forecast's MSL, U10 and V10 blocks of
+    leads 0, 6, 12, ... hours: the one-run, one-storm case of
+    :class:`StormTracker`."""
+    tracker = StormTracker([(storm_id, seed)], source=source, config=config)
+    tracker.advance(msl, u10, v10)
+    return tracker.tracks()[0]
 
 
 TrackKey = tuple[str, datetime]  # (storm id, forecast init time)

@@ -19,7 +19,12 @@ class GridMismatch(WxVerifyError):
 
 
 class TargetOutsideDomain(WxVerifyError):
-    """Interpolation target lies outside the source grid span."""
+    """Interpolation target lies outside the source grid span; ``point``
+    is the index of the first such target, where known."""
+
+    def __init__(self, message: str, point: int | None = None):
+        super().__init__(message)
+        self.point = point
 
 
 class DegenerateAnomaly(WxVerifyError):

@@ -68,7 +68,8 @@ from .errors import (ChecksumMismatch, DuplicateObservation, GridMismatch,
                      HeaderPayloadShapeMismatch, InvalidHeader, ManifestError,
                      NonFiniteValue, NonMonotoneTime, NonUniformGrid,
                      UnitOutOfRange, UnknownStation, WxVerifyError)
-from .grid import FieldBlock, GeoGrid, VariableId, derive_wind_speed
+from .grid import (FieldBlock, GeoGrid, VariableId, all_finite,
+                   derive_wind_speed)
 from .report import canonical_json, publish, publishing, text_lines
 
 if TYPE_CHECKING:
@@ -540,7 +541,7 @@ class _Stack:
             layers = layers[[k - lo for k in ks]]
         # no copy unless the payload was reoriented or layers were picked
         values = np.ascontiguousarray(layers)
-        if not np.isfinite(values).all():
+        if not all_finite(values):
             raise NonFiniteValue(f"{path}: payload contains NaN/Inf")
         return FieldBlock(grid, self.variable, valid_times, layer_leads,
                           values)

@@ -63,6 +63,14 @@ class VariableId(Enum):
         raise ValueError(f"unknown variable key {key!r}")
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """``np.isfinite(values).all()`` without its bool array the size of
+    ``values``: NaN propagates through both reductions and an infinity
+    is the min or the max. True for an empty array."""
+    return values.size == 0 or bool(np.isfinite(values.min())
+                                    and np.isfinite(values.max()))
+
+
 def normalize_lon(lon):
     """Map longitudes given in [-180, 180) (or any real) into [0, 360)."""
     return np.asarray(lon, dtype=np.float64) % 360.0
@@ -261,52 +269,49 @@ def latitude_weights(grid: GeoGrid) -> np.ndarray:
     return grid.n_lat * c / total
 
 
-def _bracket(ascending: np.ndarray, x: np.ndarray, axis_name: str):
-    """Cell index and fractional position of each x along an ascending axis."""
-    lo, hi = ascending[0], ascending[-1]
-    bad = (x < lo) | (x > hi)
-    if np.any(bad):
-        worst = float(np.asarray(x)[bad].flat[0])
-        raise TargetOutsideDomain(
-            f"{axis_name} {worst} outside source span [{lo}, {hi}]")
+def _bracket(ascending: np.ndarray, x: np.ndarray):
+    """Cell index and fractional position of each x along an ascending
+    axis, and the mask of the x outside the axis's span (whose cells are
+    clipped to the nearest)."""
+    outside = (x < ascending[0]) | (x > ascending[-1])
     n = ascending.size
     if n == 1:
         z = np.zeros_like(x, dtype=np.intp)
-        return z, np.zeros_like(x, dtype=np.float64)
+        return z, np.zeros_like(x, dtype=np.float64), outside
     j = np.clip(np.searchsorted(ascending, x, side="right") - 1, 0, n - 2)
     t = (x - ascending[j]) / (ascending[j + 1] - ascending[j])
-    return j, t
+    return j, t, outside
 
 
 def _bracket_lon(grid: GeoGrid, lon: np.ndarray):
-    """Longitude cell indices (j0, j1) and fraction, honoring the wrap."""
-    lon = normalize_lon(lon)
+    """Longitude cell indices (j0, j1), fraction and outside mask (never
+    set on a wrapping grid), honoring the wrap."""
     lons = grid.lon_deg
     n = lons.size
     if not grid.wraps_lon:
-        j0, t = _bracket(lons, lon, "longitude")
+        j0, t, outside = _bracket(lons, lon)
         j1 = np.minimum(j0 + 1, n - 1)
-        return j0, j1, t
+        return j0, j1, t, outside
     ext = np.append(lons, lons[0] + 360.0)
     x = np.where(lon < lons[0], lon + 360.0, lon)
     j0 = np.clip(np.searchsorted(ext, x, side="right") - 1, 0, n - 1)
     t = (x - ext[j0]) / (ext[j0 + 1] - ext[j0])
     j1 = (j0 + 1) % n
-    return j0, j1, t
+    return j0, j1, t, np.zeros(lon.shape, dtype=bool)
 
 
 def _bracket_lat(grid: GeoGrid, lat: np.ndarray):
-    """Row indices (i0, i1) and fraction for north-to-south row ordering."""
-    asc = grid.lat_deg[::-1]
-    k, t = _bracket(asc, lat, "latitude")
+    """Row indices (i0, i1), fraction and outside mask for north-to-south
+    row ordering."""
+    k, t, outside = _bracket(grid.lat_deg[::-1], lat)
     n = grid.n_lat
     if n == 1:
-        return k, k, t
+        return k, k, t, outside
     # ascending cell [k, k+1] maps to descending rows (n-1-k, n-2-k);
     # keep the fraction measured from the southern row.
     i_south = n - 1 - k
     i_north = n - 2 - k
-    return i_south, i_north, t
+    return i_south, i_north, t, outside
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,15 +355,27 @@ def bilinear_weights(grid: GeoGrid, points: Sequence[tuple[float, float]]
     """Bracket (lat, lon) points on ``grid`` once for :class:`BilinearWeights`.
 
     Raises :class:`TargetOutsideDomain` when a latitude (or, for a
-    non-wrapping grid, a longitude) lies outside the grid's span.
+    non-wrapping grid, a longitude) lies outside the grid's span, naming
+    the first such point's coordinate; its ``point`` is that point's
+    index.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.size == 0:
         pts = pts.reshape(0, 2)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError("stations must be a sequence of (lat, lon) pairs")
-    i0, i1, ty = _bracket_lat(grid, pts[:, 0])
-    j0, j1, tx = _bracket_lon(grid, pts[:, 1])
+    lat, lon = pts[:, 0], normalize_lon(pts[:, 1])
+    i0, i1, ty, lat_outside = _bracket_lat(grid, lat)
+    j0, j1, tx, lon_outside = _bracket_lon(grid, lon)
+    outside = lat_outside | lon_outside
+    if outside.any():
+        k = int(np.argmax(outside))
+        if lat_outside[k]:
+            axis, value, span = "latitude", lat[k], grid.lat_deg[::-1]
+        else:
+            axis, value, span = "longitude", lon[k], grid.lon_deg
+        raise TargetOutsideDomain(f"{axis} {float(value)} outside source "
+                                  f"span [{span[0]}, {span[-1]}]", k)
     return BilinearWeights(grid, i0, i1, j0, j1, ty, tx)
 
 

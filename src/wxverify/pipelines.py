@@ -88,10 +88,11 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
                    for init in manifest.init_times for lead in leads]
 
     # Blocks run over (variable, init) outside and models inside: each
-    # truth span and each forecast stack is read once, and one variable's
-    # climatology days are held at a time. Scores and spectra are appended
-    # per (model, variable, lead) in init order, so each mean sums the
-    # same sequence as a field-by-field loop would.
+    # truth span and each forecast stack is read once, and one block per
+    # role is held at a time: the truth, one model's forecast and one
+    # variable's climatology days. Scores and spectra are appended per
+    # (model, variable, lead) in init order, so each mean sums the same
+    # sequence as a field-by-field loop would.
     metric_leads, spectra_set = set(leads), set(spectra_leads)
     scores = {(model, variable, lead): {metric: [] for metric in _METRICS}
               for model in models for variable in manifest.variables
@@ -134,7 +135,9 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
                                 scores[model, variable, run[i]][metric] \
                                     .append(value)
                     add_spectra(model, variable, run, pred)
+                    del pred  # released before the next model's is read
                 add_spectra(None, variable, run, truth)
+                del truth  # released before the next run's is read
         # released before the next variable's days are read
         del clim, clim_rows
 
@@ -262,17 +265,18 @@ def build_climatology(manifest_path) -> list[Path]:
 
 def _day_extremes(day_blocks) -> dict:
     """Event kind -> (days x locations) daily max (heat) or min (cold) of
-    each day's block of fields, both from one stack of the blocks."""
+    each day's block of fields, taken from the blocks where they lie."""
     import numpy as np
 
     from .climatology import day_extremes
     from .extremes import EventKind
-    stack = np.stack([block.values for block in day_blocks])
-    dmax = np.empty((len(stack), *stack.shape[2:]), stack.dtype)
+    first = day_blocks[0].values
+    dmax = np.empty((len(day_blocks), *first.shape[1:]), first.dtype)
     dmin = np.empty_like(dmax)
-    day_extremes(stack, dmax, dmin)
-    return {EventKind.HEATWAVE: dmax.reshape(len(stack), -1),
-            EventKind.COLDSURGE: dmin.reshape(len(stack), -1)}
+    for i, block in enumerate(day_blocks):
+        day_extremes(block.values[None], dmax[i:i + 1], dmin[i:i + 1])
+    return {EventKind.HEATWAVE: dmax.reshape(len(day_blocks), -1),
+            EventKind.COLDSURGE: dmin.reshape(len(day_blocks), -1)}
 
 
 def _region_mask(grid, box):
@@ -345,6 +349,7 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
         tau = {EventKind.HEATWAVE: thresholds.tau_heat[rows],
                EventKind.COLDSURGE: thresholds.tau_cold[rows]}
         truth_extremes = _day_extremes(truth_days)
+        del truth_days  # released before the next day's are read
         truth = {kind: segments_by_location(label_event_runs(
                      truth_extremes[kind], tau[kind], kind), kind)
                  for kind in kinds}
@@ -362,6 +367,7 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
                                           _extreme_day_hours(d))
                        for init in manifest.init_times]
             fc_extremes = _day_extremes(fc_days)
+            del fc_days  # released before the next day's are read
             fc_segments = []
             counts = {}  # kind -> per-location (tp, fp, fn) arrays
             for kind in kinds:
@@ -403,8 +409,8 @@ def cyclones(manifest_path, out_dir, besttrack,
                 f"{' and > 0' if radius else ''}, got {value}")
 
     from . import fileio
-    from .cyclones import (TrackerConfig, homogeneous_sample,
-                           intensity_errors, track_dpe, track_storm)
+    from .cyclones import (StormTracker, TrackerConfig, homogeneous_sample,
+                           intensity_errors, track_dpe)
     from .grid import VariableId
     from .report import na, new_scorecard
     manifest = fileio.load_manifest(manifest_path)
@@ -416,11 +422,16 @@ def cyclones(manifest_path, out_dir, besttrack,
     lead_steps = [4 * d for d in lead_days]
     n_leads = len(manifest.lead_hours)
     config = TrackerConfig(**tracker)
-    for variable in (VariableId.MSL, VariableId.U10, VariableId.V10):
+    variables = (VariableId.MSL, VariableId.U10, VariableId.V10)
+    for variable in variables:
         if variable not in manifest.variables:
             raise ManifestError(f"cyclones needs {variable.key} in the manifest")
 
     source = fileio.FieldSource(manifest)
+    # every variable's stack is read over the same runs of leads, each
+    # within every variable's block
+    runs = fileio.layer_runs(manifest.lead_hours, min(
+        source.block_layers(variable) for variable in variables))
     model_tracks: dict[str, dict] = {}
     all_tracks = []
     for model in sorted(manifest.models):
@@ -431,18 +442,19 @@ def cyclones(manifest_path, out_dir, besttrack,
                      is not None]
             if not seeds:
                 continue
-            # each (model, init, variable) stack is read once for all storms
-            msl, u10, v10 = (
-                source.model_block(model, init, variable, manifest.lead_hours)
-                for variable in (VariableId.MSL, VariableId.U10,
-                                 VariableId.V10))
-            for storm_id, seed_fix in seeds:
-                track = track_storm(msl, u10, v10, seed_fix.position,
-                                    storm_id=storm_id, source=model,
-                                    config=config)
-                tracks[(storm_id, init)] = track
+            # each (model, init, variable) stack is read once for all
+            # storms, a run of leads at a time
+            tracker = StormTracker(
+                [(storm_id, fix.position) for storm_id, fix in seeds],
+                source=model, config=config)
+            for run in runs:
+                msl, u10, v10 = (source.model_block(model, init, variable, run)
+                                 for variable in variables)
+                tracker.advance(msl, u10, v10)
+                del msl, u10, v10  # released before the next run's are read
+            for track in tracker.tracks():
+                tracks[(track.storm_id, init)] = track
                 all_tracks.append(track)
-            del msl, u10, v10  # released before the next blocks are read
         if not tracks:
             raise MissingFix("no (storm, init) pair overlaps the best track")
         model_tracks[model] = tracks
@@ -514,7 +526,7 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
     table = table.select(station_vars)
 
     source = fileio.FieldSource(manifest)
-    interpolator = StationInterpolator(table.stations)
+    interpolator = StationInterpolator(table.stations, station_meta)
     # the truth reference is read in blocks over runs of valid times
     first = table.times[0]
     hours = [(when - first) // timedelta(hours=1) for when in table.times]
@@ -527,6 +539,7 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
             reference[vi, start:start + len(run)] = \
                 interpolator.weights(block.grid).apply(block.values)
             start += len(run)
+            del block  # released before the next run's is read
     qc_table, qc_report = apply_qc(table, reference, QcThresholds.default())
 
     models = sorted(manifest.models)
@@ -549,6 +562,7 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
                           for init in manifest.init_times]
                 scores = station_scores(blocks, qc_table, variable, clim,
                                         interpolator)
+                del blocks  # released before the next run's are read
                 rows.extend(_station_row(model, variable, lead, score)
                             for lead, score in zip(run, scores))
 

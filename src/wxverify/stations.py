@@ -27,8 +27,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .climatology import calendar_day_index, day_rows
+from .errors import TargetOutsideDomain
 from .grid import (BilinearWeights, FieldBlock, GeoGrid, VariableId,
-                   bilinear_weights)
+                   all_finite, bilinear_weights)
 from .metrics import acc
 
 WINDOW_HALF_WIDTH = timedelta(minutes=15)
@@ -229,7 +230,7 @@ def _ratio_qc(variable: VariableId, obs: np.ndarray, reference: np.ndarray,
     for a variable without a bound). Raises ValueError when any
     reference is not finite.
     """
-    if not np.all(np.isfinite(reference)):
+    if not all_finite(reference):
         raise ValueError("reference value must be finite")
     replace = np.zeros(reference.shape, dtype=bool)
     bound = thresholds.ratios.get(variable)
@@ -306,18 +307,35 @@ class StationInterpolator:
     every stack on it; a stack on another grid gets weights of its own.
     Grids are told apart by value, so grids shared through one
     :class:`~wxverify.fileio.FieldSource` cost one dict lookup.
+    ``meta_path``, the metadata file the stations were read from, is
+    named in the error of a station outside a grid.
     """
 
-    def __init__(self, stations: Sequence[Station]):
+    def __init__(self, stations: Sequence[Station], meta_path=None):
         self.stations = tuple(stations)
+        self.meta_path = meta_path
         self._positions = [(s.lat, s.lon) for s in self.stations]
         self._weights: dict[GeoGrid, BilinearWeights] = {}
 
     def weights(self, grid: GeoGrid) -> BilinearWeights:
+        """The weights of the stations on ``grid``; a station outside its
+        span raises :class:`TargetOutsideDomain` naming the first such
+        station, its coordinates and the span."""
         found = self._weights.get(grid)
         if found is None:
-            found = self._weights.setdefault(
-                grid, bilinear_weights(grid, self._positions))
+            try:
+                found = bilinear_weights(grid, self._positions)
+            except TargetOutsideDomain as exc:
+                station = self.stations[exc.point]
+                lon_span = "every longitude" if grid.wraps_lon else \
+                    f"longitude [{grid.lon_deg[0]}, {grid.lon_deg[-1]}]"
+                where = "" if self.meta_path is None else f"{self.meta_path}: "
+                raise TargetOutsideDomain(
+                    f"{where}station {station.station_id} at lat "
+                    f"{station.lat}, lon {station.lon} is outside the "
+                    f"grid's span: latitude [{grid.lat_deg[-1]}, "
+                    f"{grid.lat_deg[0]}], {lon_span}", exc.point) from exc
+            found = self._weights.setdefault(grid, found)
         return found
 
 

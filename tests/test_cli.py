@@ -380,6 +380,31 @@ class TestStationInputs:
             f"degrees\n"
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("lat", ["86.5", "-84.25"])
+    def test_station_outside_the_grid_span_is_named(self, wind_run, lat,
+                                                    tmp_path, capsys):
+        # the grid spans 84 S to 84 N: the stations of rows 3 and 4 lie
+        # within +-90 degrees but outside it, and the first is named
+        rows = (wind_run / "stations_meta.csv").read_text().splitlines()
+        edited = []
+        for row, new_lat in ((rows[2], lat), (rows[3], "-89.0")):
+            fields = row.split(",")
+            fields[1] = new_lat
+            edited.append(",".join(fields))
+        meta = tmp_path / "meta.csv"
+        meta.write_text("\n".join([rows[0], rows[1], *edited, *rows[4:]])
+                        + "\n")
+        station, _, lon = rows[2].split(",")[:3]
+        assert run_cli("stations", "--manifest", wind_run / "manifest.json",
+                       "--station-meta", meta, "--station-obs",
+                       wind_run / "stations_obs.csv",
+                       "--out", tmp_path / "out") == 3
+        assert capsys.readouterr().err == (
+            f"error: {meta}: station {station} at lat {float(lat)}, lon "
+            f"{float(lon)} is outside the grid's span: latitude [-84.0, "
+            f"84.0], every longitude\n")
+        assert not (tmp_path / "out").exists()
+
     def test_init_off_the_synoptic_hours_is_reported_before_the_csvs_are_read(
             self, wind_run, tmp_path, capsys):
         # the run's model stacks stand in for a 03 UTC init; the
@@ -1014,6 +1039,178 @@ class TestClimatologyMemory:
             tracemalloc.stop()
         assert len(held) == 4
         assert max(held) - held[0] < HALF_YEAR_DAYS_BYTES / 10, held
+
+
+@pytest.fixture(scope="module")
+def block_run(tmp_path_factory):
+    """t2m on a 60 x 120 grid with 6 stations, a built climatology, inits
+    on Jul 1 and Jul 2, leads to 24 h and three models."""
+    root = tmp_path_factory.mktemp("blockrun")
+    scenario = root / "scenario.json"
+    scenario.write_text(json.dumps(dict(
+        EVALUATE_SCENARIO,
+        processes={"t2m": EVALUATE_SCENARIO["processes"]["t2m"]},
+        grid={"lat_start": 88.5, "lat_step": -3.0, "n_lat": 60,
+              "lon_start": 0.0, "lon_step": 3.0, "n_lon": 120})))
+    assert run_cli("synth", "--scenario", scenario, "--out", root / "run",
+                   "--inits", "2025-07-01T00:00:00Z,2025-07-02T00:00:00Z",
+                   "--max-lead-hours", "24",
+                   "--models", "persistence,perfect,smoothed:3",
+                   "--stations", "6") == 0
+    assert run_cli("build-climatology",
+                   "--manifest", root / "run/manifest.json") == 0
+    return root / "run"
+
+
+#: Bytes of one float32 layer of ``block_run``'s grid.
+BLOCK_RUN_LAYER = 60 * 120 * 4
+
+
+def trace_reads(monkeypatch, *names):
+    """Record ``(name, traced bytes held as the read starts, bytes of the
+    values it returns)`` for each call of the ``FieldSource`` reads
+    ``names``, into the returned list."""
+    log = []
+
+    def traced(name, read):
+        def call(source, *args):
+            held = tracemalloc.get_traced_memory()[0]
+            got = read(source, *args)
+            values = getattr(got, "values", getattr(got, "day_mean", None))
+            log.append((name, held, 0 if values is None else values.nbytes))
+            return got
+        return call
+
+    for name in names:
+        monkeypatch.setattr(fileio.FieldSource, name, traced(
+            name, getattr(fileio.FieldSource, name)))
+    return log
+
+
+def traced_run(call):
+    """``call()`` under tracemalloc, after an untraced warm-up call."""
+    call()  # imports, caches
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockMemory:
+    """Each scoring command holds at most one block per role: the truth,
+    one forecast and the held climatology days. A slack of a float32
+    layer or two covers the sidecars parsed and the scores kept along
+    the run."""
+
+    def test_evaluate_holds_one_forecast_and_one_truth(self, block_run,
+                                                       monkeypatch, tmp_path):
+        log = trace_reads(monkeypatch, "climatology", "truth_block",
+                          "model_block")
+        traced_run(lambda: (log.clear(), pipelines.evaluate(
+            block_run / "manifest.json", tmp_path / "out")))
+        (_, before_days, days), (_, first, _) = log[:2]
+        assert [name for name, *_ in log] == [
+            "climatology", *(["truth_block"] + ["model_block"] * 3) * 2]
+        assert first - before_days >= days  # the days are held
+        truth = 0
+        for name, held, nbytes in log[1:]:
+            if name == "truth_block":
+                # no earlier truth or forecast block is held
+                assert held - first <= BLOCK_RUN_LAYER
+                truth = nbytes
+            else:
+                # the truth block and the days, and no earlier forecast
+                assert held - first <= truth + BLOCK_RUN_LAYER
+        assert truth == 5 * BLOCK_RUN_LAYER
+
+    def test_stations_holds_one_run_of_forecasts_and_no_truth(
+            self, block_run, monkeypatch):
+        # three layers a block: QC reads the truth of the 9 valid times in
+        # runs of 3, and scoring the forecasts of both inits a lead at a
+        # time
+        monkeypatch.setattr(fileio, "BLOCK_BYTES", 2 * 3 * BLOCK_RUN_LAYER)
+        log = trace_reads(monkeypatch, "truth_block", "climatology",
+                          "model_block")
+        traced_run(lambda: (log.clear(), pipelines.stations(
+            block_run / "manifest.json", block_run / "stations_meta.csv",
+            block_run / "stations_obs.csv")))
+        names = [name for name, *_ in log]
+        assert names == ["truth_block"] * 3 + ["climatology"] \
+            + ["model_block"] * 30
+        first = log[0][1]
+        reads = log[4:]
+        # two layers of slack: the rows kept grow by about 1 kB a run,
+        # and the truth blocks QC reads hold 3 layers
+        slack = 2 * BLOCK_RUN_LAYER
+        for k in range(0, len(reads), 2):  # one run: the blocks of 2 inits
+            (_, held, nbytes), (_, next_held, _) = reads[k:k + 2]
+            # no truth block, no earlier run's forecasts
+            assert held - first <= slack, k
+            # the run's first block
+            assert next_held - first <= nbytes + slack, k
+
+
+@pytest.fixture(scope="module")
+def fine_cyclone_run(tmp_path_factory):
+    """``cyclone_run`` on a 0.25 degree grid: 121 x 161 points, 21 leads."""
+    root = tmp_path_factory.mktemp("finetcrun")
+    scenario = root / "scenario.json"
+    scenario.write_text(json.dumps(dict(CYCLONE_SCENARIO, grid={
+        "lat_start": 35.0, "lat_step": -0.25, "n_lat": 121,
+        "lon_start": 120.0, "lon_step": 0.25, "n_lon": 161})))
+    assert run_cli("synth", "--scenario", scenario, "--out", root / "run",
+                   "--inits", "2025-07-01T00:00:00Z", "--max-lead-hours",
+                   "120", "--models", "perfect,smoothed:9",
+                   "--truth-span", "run") == 0
+    return root / "run"
+
+
+class TestCycloneMemory:
+    @pytest.mark.parametrize("run_layers", [1, 2, 3])
+    def test_tracking_holds_one_run_per_variable(
+            self, fine_cyclone_run, monkeypatch, tmp_path, run_layers):
+        # from the first forecast read to the homogeneous sample, the peak
+        # is one run of each variable's layers, with two layers of slack
+        # for the tracker's search boxes, the sidecars and the tracks
+        layer = 121 * 161 * 4
+        monkeypatch.setattr(fileio, "BLOCK_BYTES", run_layers * 2 * layer)
+        from wxverify import cyclones
+        read, sample = fileio.FieldSource.model_block, \
+            cyclones.homogeneous_sample
+        start, peaks = [], []
+
+        def model_block(source, *args):
+            if not start:
+                tracemalloc.reset_peak()
+                start.append(tracemalloc.get_traced_memory()[0])
+            return read(source, *args)
+
+        def homogeneous_sample(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return sample(*args)
+
+        monkeypatch.setattr(fileio.FieldSource, "model_block", model_block)
+        monkeypatch.setattr(cyclones, "homogeneous_sample",
+                            homogeneous_sample)
+        outs = []
+
+        def run():
+            start.clear()
+            out = tmp_path / f"out{len(outs)}"
+            outs.append((out, pipelines.cyclones(
+                fine_cyclone_run / "manifest.json", out,
+                fine_cyclone_run / "besttrack.csv")))
+
+        traced_run(run)
+        assert peaks[-1] - start[0] <= (3 * run_layers + 2) * layer
+        monkeypatch.setattr(fileio, "BLOCK_BYTES", 2**30)
+        run()  # every lead in one run
+        (runs, card), (whole, whole_card) = outs[1:]
+        assert card == whole_card
+        assert all(row["n_storms"] == 1 for row in card["cyclone_scores"])
+        assert (runs / "tracks.csv").read_bytes() == \
+            (whole / "tracks.csv").read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -2184,6 +2381,8 @@ class TestSourceTree:
         "report.scorecard_schema",
         # the console-script entry point
         "cli.main",
+        # the library's one-storm, one-run case of cyclones.StormTracker
+        "cyclones.track_storm",
     }
 
     @staticmethod

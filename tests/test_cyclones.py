@@ -15,7 +15,7 @@ from wxverify.errors import MissingFix, SeedOutsideDomain, UnitOutOfRange
 from wxverify.grid import (EARTH_RADIUS_KM, FieldBlock, GeoGrid, VariableId,
                            haversine_km, haversine_km_grid)
 from wxverify.cyclones import (TRUTH_SOURCE, StormFix, StormTrack,
-                               TrackerConfig, homogeneous_sample,
+                               StormTracker, TrackerConfig, homogeneous_sample,
                                intensity_errors, track_dpe, track_storm)
 
 SIX_H = timedelta(hours=6)
@@ -390,6 +390,108 @@ class TestWindowedTracker:
             assert [(f.lat, f.lon) for f in got.fixes] == [
                 (float(grid.lat_deg[1 + k]), float(grid.lon_deg[2 * k]))
                 for k in range(3)]
+
+
+def in_runs(block, run_layers):
+    """``block`` cut into blocks of ``run_layers`` consecutive leads (the
+    last may hold fewer), as a pipeline reads a stack."""
+    return [replace(block, valid_times=block.valid_times[a:a + run_layers],
+                    lead_hours=block.lead_hours[a:a + run_layers],
+                    values=block.values[a:a + run_layers])
+            for a in range(0, len(block.lead_hours), run_layers)]
+
+
+def track_in_runs(blocks, seeds, config, run_layers):
+    """The tracks of ``seeds``, (storm id, position) pairs, advanced
+    together through ``blocks`` a run of ``run_layers`` leads at a time."""
+    tracker = StormTracker(seeds, source="m", config=config)
+    for run in zip(*(in_runs(block, run_layers) for block in blocks),
+                   strict=True):
+        tracker.advance(*run)
+    return tracker.tracks()
+
+
+def assert_each_storm_as_full_grid(blocks, seeds, config, run_layers):
+    got = track_in_runs(blocks, seeds, config, run_layers)
+    assert [track.storm_id for track in got] == [s for s, _ in seeds]
+    for (storm_id, seed), track in zip(seeds, got, strict=True):
+        assert_same_track(track, oracles.track_storm_full_grid(
+            *blocks, seed, storm_id=storm_id, source="m", config=config))
+
+
+class TestRunByRunTracker:
+    """Storms of one init advance together a run of leads at a time, and
+    each track is the full-grid search's over all leads at once."""
+
+    @given(case=tracker_cases(), run_layers=st.integers(1, 3),
+           others=st.lists(st.tuples(st.integers(0, 2**16),
+                                     st.integers(0, 2**16)), max_size=3))
+    @settings(max_examples=150, deadline=None)
+    @example(case=CASES["lost_mid_track"], run_layers=2, others=[(35, 90)])
+    def test_matches_the_full_grid_search(self, case, run_layers, others):
+        # the case's storm and storms seeded at other nodes, which track
+        # the minima near them or are lost
+        grid, blocks, seed, config = tracker_case(**case)
+        seeds = [("S", seed)] + [
+            (f"X{n}", (float(grid.lat_deg[i % grid.n_lat]),
+                       float(grid.lon_deg[j % grid.n_lon])))
+            for n, (i, j) in enumerate(others)]
+        assert_each_storm_as_full_grid(blocks, seeds, config, run_layers)
+
+    @pytest.mark.parametrize("run_layers", [1, 2, 3])
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_named_case_in_runs(self, name, run_layers):
+        _, blocks, seed, config = tracker_case(**CASES[name])
+        got, = track_in_runs(blocks, [("S", seed)], config, run_layers)
+        assert_same_track(got, track_storm(*blocks, seed, storm_id="S",
+                                           source="m", config=config))
+
+    def test_lost_mid_run_stays_lost(self):
+        # S is lost at lead step 3, the middle of the second run of 2
+        # leads, and stays lost when its minimum comes back at its last
+        # fix in the third run; T, seeded on a minimum far from S's that
+        # stays, is tracked through every lead
+        grid, (msl, u10, v10), seed, config = tracker_case(
+            **CASES["lost_mid_track"])
+        values = msl.values.copy()
+        values[:, 80, 100] = DEEP
+        values[4:, 35, 178] = DEEP
+        blocks = (replace(msl, values=values), u10, v10)
+        at = (float(grid.lat_deg[80]), float(grid.lon_deg[100]))
+        seeds = [("S", seed), ("T", at)]
+        lost, kept = track_in_runs(blocks, seeds, config, 2)
+        assert lost.tracked_mask == (True,) * 3 + (False,) * 3
+        assert [f.position for f in kept.fixes] == [at] * 6
+        assert_each_storm_as_full_grid(blocks, seeds, config, 2)
+
+    def test_runs_must_continue_the_leads(self):
+        centers = [(20.0, 150.0)] * 4
+        msl, u10, v10 = blocks(*vortex_field_set(regional_grid(), centers))
+        runs = list(zip(*(in_runs(b, 2) for b in (msl, u10, v10))))
+        tracker = StormTracker([("S", centers[0])], source="m")
+        tracker.advance(*runs[0])
+        with pytest.raises(ValueError, match=r"MSL leads are \(0, 6\), "
+                                             r"expected 12, 18, 24, \.\.\. h"):
+            tracker.advance(*runs[0])
+        other = GeoGrid.uniform(35.0, -0.5, 61, 120.0, 0.5, 81)
+        with pytest.raises(ValueError, match="share one grid"):
+            tracker.advance(*(replace(b, grid=other) for b in runs[1]))
+        tracker.advance(*runs[1])
+        track, = tracker.tracks()
+        assert track == track_storm(msl, u10, v10, centers[0], storm_id="S",
+                                    source="m")
+
+    def test_tracks_need_a_run(self):
+        with pytest.raises(ValueError, match="no run of leads"):
+            StormTracker([("S", (20.0, 150.0))], source="m").tracks()
+
+    def test_first_seed_outside_the_grid_is_named(self):
+        centers = [(20.0, 150.0)] * 2
+        fields = blocks(*vortex_field_set(regional_grid(), centers))
+        tracker = StormTracker([("S", centers[0]), ("T", (50.0, 150.0)),
+                                ("U", (20.0, 100.0))], source="m")
+        with pytest.raises(SeedOutsideDomain, match="seed latitude 50.0"):
+            tracker.advance(*fields)
 
 
 class TestHomogeneousSample:

@@ -11,8 +11,46 @@ import oracles
 from conftest import T0, make_field, make_grid
 from wxverify.errors import NonFiniteValue, TargetOutsideDomain
 from wxverify.grid import (EARTH_RADIUS_KM, GeoGrid, GridField, VariableId,
-                           bilinear_weights, derive_wind_speed, haversine_km,
-                           haversine_km_grid, latitude_weights)
+                           all_finite, bilinear_weights, derive_wind_speed,
+                           haversine_km, haversine_km_grid, latitude_weights)
+
+
+@st.composite
+def odd_float_arrays(draw):
+    """float32 or float64 arrays of 0-3 dimensions, empty ones included,
+    of ordinary values and of NaN, infinities and the largest finite
+    values of the dtype at random places."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = tuple(draw(st.lists(st.integers(0, 5), max_size=3)))
+    info = np.finfo(dtype)
+    special = st.sampled_from([np.nan, -np.nan, np.inf, -np.inf, info.max,
+                               -info.max, info.tiny, 0.0, -0.0])
+    ordinary = st.floats(-1e6, 1e6, width=32 if dtype is np.float32 else 64)
+    values = draw(st.lists(st.one_of(ordinary, special),
+                           min_size=math.prod(shape),
+                           max_size=math.prod(shape)))
+    array = np.array(values, dtype=dtype).reshape(shape)
+    if array.ndim > 1 and draw(st.booleans()):
+        array = array.T  # not C-contiguous
+    return array
+
+
+class TestAllFinite:
+    @settings(max_examples=400, deadline=None)
+    @given(odd_float_arrays())
+    def test_matches_isfinite_all(self, values):
+        assert all_finite(values) is bool(np.isfinite(values).all())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("odd, want", [
+        (np.nan, False), (np.inf, False), (-np.inf, False),
+        ("max", True), (None, True)])
+    def test_one_odd_value_in_a_block(self, dtype, odd, want):
+        values = np.full((3, 4, 5), 280.0, dtype=dtype)
+        if odd is not None:
+            values[2, 3, 1] = np.finfo(dtype).max if odd == "max" else odd
+        assert all_finite(values) is want
+        assert all_finite(values[:0]) is True
 
 
 class TestGeoGrid:
@@ -255,8 +293,10 @@ class TestBilinearWeights:
                                         grid.wraps_lon, layer, lat, lon)
                  for lat, lon in points] for layer in stack]
         if None in want[0]:
-            with pytest.raises(TargetOutsideDomain):
+            with pytest.raises(TargetOutsideDomain) as raised:
                 bilinear_weights(grid, points)
+            # the first point outside the span, in point order
+            assert raised.value.point == want[0].index(None)
             return
         weights = bilinear_weights(grid, points)
         got = weights.apply(stack)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 import oracles
 from conftest import T0, layer_of, make_grid, random_field
 from wxverify.climatology import DailyMeanClimatology, calendar_day_index
-from wxverify.grid import FieldBlock, VariableId, bilinear_weights
+from wxverify.errors import TargetOutsideDomain
+from wxverify.grid import FieldBlock, GeoGrid, VariableId, bilinear_weights
 from wxverify.stations import (DEFAULT_QC_RATIOS, QcThresholds, Station,
                                StationInterpolator, StationTable, apply_qc,
                                epoch_microseconds, station_scores,
@@ -550,6 +551,24 @@ class TestStationInterpolator:
             fresh = bilinear_weights(field.grid,
                                      [(s.lat, s.lon) for s in stations])
             assert got.tobytes() == fresh.apply(field.values).tobytes()
+
+    @pytest.mark.parametrize("meta_path, where", [
+        (None, ""), ("meta.csv", "meta.csv: ")])
+    def test_station_outside_a_regional_grid_is_named(self, meta_path,
+                                                      where):
+        # 35 N to 5 N, 120 E to 160 E: B lies east of the span, C south of
+        # it; B comes first
+        grid = GeoGrid.uniform(35.0, -5.0, 7, 120.0, 5.0, 9)
+        stations = (Station("A", 20.0, 140.0, 0.0),
+                    Station("B", 20.0, 161.5, 0.0),
+                    Station("C", -1.0, 140.0, 0.0))
+        interpolator = StationInterpolator(stations, meta_path)
+        with pytest.raises(TargetOutsideDomain) as raised:
+            interpolator.weights(grid)
+        assert str(raised.value) == (
+            f"{where}station B at lat 20.0, lon 161.5 is outside the grid's "
+            f"span: latitude [5.0, 35.0], longitude [120.0, 160.0]")
+        assert interpolator.weights(make_grid(7, 9)) is not None
 
     def test_scores_reject_interpolator_of_other_stations(self, rng):
         grid = make_grid(6, 10)
