@@ -21,10 +21,8 @@ _EXPORTS = {
                  "TrackerConfig", "homogeneous_sample", "intensity_errors",
                  "track_dpe", "track_storm"),
     "errors": ("WxVerifyError",),
-    "extremes": ("CategoricalScores", "EventKind", "EventSegment",
-                 "MatchResult", "label_event_runs", "match_counts",
-                 "match_events", "scores_from_counts", "segments_by_location",
-                 "temporal_iou"),
+    "extremes": ("CategoricalScores", "EventKind", "label_event_runs",
+                 "match_counts", "scores_from_counts"),
     "grid": ("EARTH_RADIUS_KM", "FieldBlock", "GeoGrid", "VariableId",
              "derive_wind_speed", "haversine_km", "latitude_weights"),
     "harness": ("PlantedEpisode", "SyntheticScenario", "VariableProcess",

@@ -5,16 +5,15 @@ An event is a maximal run of at least three consecutive exceedance days
 at one location: daily max strictly above tau_heat for heatwaves, daily
 min strictly below tau_cold for cold surges. Predicted and observed
 events match one-to-one when their day-count IoU reaches gamma
-(default 0.5); matching maximizes the number of matched pairs, with
-higher-IoU pairs preferred among maximum matchings. Unmatched
-predictions are false positives, unmatched truths false negatives.
+(default 0.5); matching maximizes the number of matched pairs, and
+only the counts are kept. Unmatched predictions are false positives,
+unmatched truths false negatives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -25,29 +24,6 @@ MIN_EVENT_DAYS = 3
 class EventKind(Enum):
     HEATWAVE = "heatwave"
     COLDSURGE = "coldsurge"
-
-
-@dataclass(frozen=True)
-class EventSegment:
-    """One contiguous extreme-temperature run at one location.
-
-    ``start_day`` and ``end_day`` are inclusive calendar indices.
-    """
-
-    location: str
-    kind: EventKind
-    start_day: int
-    end_day: int
-
-    def __post_init__(self):
-        if self.end_day - self.start_day + 1 < MIN_EVENT_DAYS:
-            raise ValueError(
-                f"segment [{self.start_day}, {self.end_day}] shorter than "
-                f"{MIN_EVENT_DAYS} days")
-
-    @property
-    def n_days(self) -> int:
-        return self.end_day - self.start_day + 1
 
 
 def label_event_runs(values: np.ndarray, thresholds: np.ndarray,
@@ -81,146 +57,61 @@ def label_event_runs(values: np.ndarray, thresholds: np.ndarray,
             first_day + stop[keep] - 1)
 
 
-def segments_by_location(runs: tuple[np.ndarray, np.ndarray, np.ndarray],
-                         kind: EventKind) -> dict[int, list[EventSegment]]:
-    """Group the runs of :func:`label_event_runs` into segments.
-
-    Keys are location indices in ascending order; each segment's
-    ``location`` is the index as a decimal string.
-    """
-    grouped: dict[int, list[EventSegment]] = {}
-    for loc, start, end in zip(*(a.tolist() for a in runs)):
-        grouped.setdefault(loc, []).append(
-            EventSegment(str(loc), kind, start, end))
-    return grouped
-
-
-def temporal_iou(a: EventSegment, b: EventSegment) -> float:
-    """Day-count intersection over union of two segments; 0 when disjoint."""
-    if a.location != b.location:
-        raise ValueError("IoU requires segments at the same location")
-    if a.kind is not b.kind:
-        raise ValueError("IoU requires segments of the same kind")
-    inter = min(a.end_day, b.end_day) - max(a.start_day, b.start_day) + 1
-    if inter <= 0:
-        return 0.0
-    union = a.n_days + b.n_days - inter
-    return inter / union
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Outcome of matching predicted against observed segments."""
-
-    tp: int
-    fp: int
-    fn: int
-    pairs: tuple[tuple[EventSegment, EventSegment, float], ...]
-    gamma: float
-
-    def __post_init__(self):
-        if min(self.tp, self.fp, self.fn) < 0:
-            raise ValueError("counts must be non-negative")
-        if len(self.pairs) != self.tp:
-            raise ValueError("pair list length must equal tp")
-        preds = [id(p) for p, _, _ in self.pairs]
-        truths = [id(t) for _, t, _ in self.pairs]
-        if len(set(preds)) != len(preds) or len(set(truths)) != len(truths):
-            raise ValueError("each segment may appear in at most one pair")
-        if any(iou < self.gamma for _, _, iou in self.pairs):
-            raise ValueError("every pair must satisfy IoU >= gamma")
-
-
-def _validate_side(segments: Sequence[EventSegment], side: str):
-    for prev, cur in zip(segments, segments[1:]):
-        if cur.start_day <= prev.end_day:
-            raise ValueError(f"{side} segments must be sorted and disjoint")
-        if cur.location != prev.location or cur.kind is not prev.kind:
-            raise ValueError(f"{side} segments must share location and kind")
-
-
-def match_events(pred: Sequence[EventSegment], truth: Sequence[EventSegment],
-                 gamma: float = 0.5) -> MatchResult:
-    """One-to-one matching of predicted to observed segments.
-
-    Admissible pairs have IoU >= gamma. The matching has maximum
-    cardinality (so true-positive counts agree with an exhaustive
-    search); candidate pairs are considered in descending IoU order with
-    ties broken by earlier truth start, then earlier prediction start,
-    which makes the result deterministic. tp + fn = len(truth) and
-    tp + fp = len(pred).
-    """
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0, 1]")
-    _validate_side(pred, "predicted")
-    _validate_side(truth, "truth")
-
-    candidates = []  # (iou, pred index, truth index)
-    for pi, p in enumerate(pred):
-        for ti, t in enumerate(truth):
-            iou = temporal_iou(p, t)
-            if iou >= gamma:
-                candidates.append((iou, pi, ti))
-    candidates.sort(key=lambda c: (-c[0], truth[c[2]].start_day,
-                                   pred[c[1]].start_day))
-
-    adjacency: dict[int, list[int]] = {}
-    for iou, pi, ti in candidates:
-        adjacency.setdefault(pi, []).append(ti)
-
-    match_of_pred: dict[int, int] = {}
-    match_of_truth: dict[int, int] = {}
-    for iou, pi, ti in candidates:
-        if pi not in match_of_pred and ti not in match_of_truth:
-            match_of_pred[pi] = ti
-            match_of_truth[ti] = pi
-
-    def augment(pi: int, visited: set[int]) -> bool:
-        for ti in adjacency.get(pi, ()):
-            if ti in visited:
-                continue
-            visited.add(ti)
-            if ti not in match_of_truth or augment(match_of_truth[ti], visited):
-                match_of_pred[pi] = ti
-                match_of_truth[ti] = pi
-                return True
-        return False
-
-    for pi in range(len(pred)):
-        if pi not in match_of_pred:
-            augment(pi, set())
-
-    iou_of = {(pi, ti): iou for iou, pi, ti in candidates}
-    pairs = tuple(sorted(
-        ((pred[pi], truth[ti], iou_of[(pi, ti)])
-         for pi, ti in match_of_pred.items()),
-        key=lambda pair: pair[1].start_day))
-    tp = len(pairs)
-    return MatchResult(tp, len(pred) - tp, len(truth) - tp, pairs, gamma)
-
-
-def match_counts(pred: Mapping[int, Sequence[EventSegment]],
-                 truth: Mapping[int, Sequence[EventSegment]],
+def match_counts(pred_runs: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 truth_runs: tuple[np.ndarray, np.ndarray, np.ndarray],
                  n_locations: int, gamma: float = 0.5
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-location (tp, fp, fn) int arrays over ``n_locations``.
 
-    ``pred`` and ``truth`` map a location index to its segments, as
-    :func:`segments_by_location` returns them. :func:`match_events` runs
-    only where both sides have segments, in ascending location order;
-    elsewhere tp = 0, fp = #pred and fn = #truth.
+    ``pred_runs`` and ``truth_runs`` are ``(location, start_day,
+    end_day)`` arrays as :func:`label_event_runs` returns them: ordered by
+    location and then by start day, and disjoint at each location. tp
+    counts the pairs of a maximum one-to-one matching of same-location
+    runs with day-count IoU >= gamma; fp and fn count the unmatched
+    forecast and truth runs.
+
+    Admissible pairs are accepted greedily in the order of the earlier
+    of their two end days, which gives a maximum matching: runs on one
+    side are disjoint, so of the runs that still have a free partner,
+    the one that ends first has only one (a second would lie wholly
+    before the first and end earlier still), and matching a run to its
+    only partner keeps some maximum matching within reach.
     """
-    tp = np.zeros(n_locations, dtype=np.int64)
-    fp = np.zeros(n_locations, dtype=np.int64)
-    fn = np.zeros(n_locations, dtype=np.int64)
-    for loc, segments in pred.items():
-        fp[loc] = len(segments)
-    for loc, segments in truth.items():
-        fn[loc] = len(segments)
-    for loc in sorted(pred.keys() & truth.keys()):
-        m = match_events(pred[loc], truth[loc], gamma)
-        tp[loc], fp[loc], fn[loc] = m.tp, m.fp, m.fn
-    return tp, fp, fn
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError("gamma must lie in (0, 1]")
+    p_loc, p_start, p_end = (np.asarray(a, dtype=np.int64) for a in pred_runs)
+    t_loc, t_start, t_end = (np.asarray(a, dtype=np.int64) for a in truth_runs)
+    fp = np.bincount(p_loc, minlength=n_locations)
+    fn = np.bincount(t_loc, minlength=n_locations)
+    # span exceeds every day difference, so location * span + day orders
+    # runs by location and then by day
+    span = (max(p_end.max(initial=0), t_end.max(initial=0))
+            - min(p_start.min(initial=0), t_start.min(initial=0)) + 1)
+    p_base, t_base = p_loc * span, t_loc * span
+    # the truth runs that overlap a forecast run are contiguous: from the
+    # first that ends on or after its start to the last that starts on or
+    # before its end
+    lo = np.searchsorted(t_base + t_end, p_base + p_start, side="left")
+    hi = np.searchsorted(t_base + t_start, p_base + p_end, side="right")
+    n_pairs = np.maximum(hi - lo, 0)
+    # candidate pairs (pi, ti): each forecast run with truth runs lo, lo + 1,
+    # ... of its range
+    pi = np.repeat(np.arange(len(p_loc)), n_pairs)
+    first_pair = np.cumsum(n_pairs) - n_pairs
+    ti = np.arange(n_pairs.sum()) + np.repeat(lo - first_pair, n_pairs)
+    end = np.minimum(p_end[pi], t_end[ti])
+    inter = end - np.maximum(p_start[pi], t_start[ti]) + 1
+    union = (p_end - p_start)[pi] + (t_end - t_start)[ti] + 2 - inter
+    admissible = inter / union >= gamma
+    order = np.argsort(end[admissible])
+    taken_p, taken_t = set(), set()
+    for i, j in zip(pi[admissible][order].tolist(),
+                    ti[admissible][order].tolist()):
+        if i not in taken_p and j not in taken_t:
+            taken_p.add(i)
+            taken_t.add(j)
+    tp = np.bincount(p_loc[list(taken_p)], minlength=n_locations)
+    return tp, fp - tp, fn - tp
 
 
 @dataclass(frozen=True)

@@ -74,7 +74,7 @@ from .report import canonical_json, publish, publishing, text_lines
 
 if TYPE_CHECKING:
     from .cyclones import StormTrack
-    from .extremes import EventSegment
+    from .extremes import EventKind
     from .stations import Station, StationTable
 
 GRID_MAGIC = "RBGRID1"
@@ -805,11 +805,16 @@ def write_tracks_csv(tracks: Sequence[StormTrack], path: str | os.PathLike) -> P
     return publish(path, text_lines(lines))
 
 
-def write_segments_csv(segments: Sequence[EventSegment],
-                       path: str | os.PathLike) -> Path:
+def write_segments_csv(
+        runs: Sequence[tuple[EventKind, tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]]],
+        path: str | os.PathLike) -> Path:
+    """One ``location,kind,start_day,end_day`` line per run of each
+    ``(kind, (location, start_day, end_day))`` entry, in the given order."""
     lines = ["location,kind,start_day,end_day"]
-    for seg in segments:
-        lines.append(f"{seg.location},{seg.kind.value},{seg.start_day},{seg.end_day}")
+    for kind, (location, start, end) in runs:
+        lines.extend(f"{loc},{kind.value},{first},{last}" for loc, first, last
+                     in zip(location.tolist(), start.tolist(), end.tolist()))
     return publish(path, text_lines(lines))
 
 

@@ -305,7 +305,7 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
     from . import fileio
     from .climatology import SYNOPTIC_HOURS, calendar_day_index
     from .extremes import (EventKind, label_event_runs, match_counts,
-                           scores_from_counts, segments_by_location)
+                           scores_from_counts)
     from .grid import VariableId
     from .report import na, new_scorecard
     manifest = fileio.load_manifest(
@@ -313,11 +313,14 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
     out_dir = Path(out_dir)
     lead_days = _check_leads(lead_days, DEFAULT_EXTREME_LEAD_DAYS,
                              "--lead-days", manifest, _extreme_day_hours)
-    # checked here: match_events only runs where both sides have events
+    # checked before any field is read
     if not 0.0 < gamma <= 1.0:
         raise ManifestError(f"--gamma must lie in (0, 1], got {gamma}")
-    if any(init.hour != 0 for init in manifest.init_times):
-        raise ManifestError("extremes evaluation expects 00Z init times")
+    for init in manifest.init_times:
+        if init.hour or init.minute or init.second or init.microsecond:
+            raise ManifestError(
+                f"{manifest.path}: init_times: extremes evaluation expects "
+                f"00Z init times, got {fileio.format_time(init)}")
     source = fileio.FieldSource(manifest)
 
     # the calendar days at lead d: date(init) + (d - 1); only their run of
@@ -339,7 +342,7 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
 
     # Thresholds and truth events do not depend on the model: label the
     # truth once per lead day
-    per_day = {}  # lead day -> ({kind: thresholds}, {kind: truth segments})
+    per_day = {}  # lead day -> ({kind: thresholds}, {kind: truth runs})
     for d, days in days_of.items():
         truth_days = [source.truth_block(VariableId.T2M, [
             day + timedelta(hours=h) for h in SYNOPTIC_HOURS]) for day in days]
@@ -350,13 +353,10 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
                EventKind.COLDSURGE: thresholds.tau_cold[rows]}
         truth_extremes = _day_extremes(truth_days)
         del truth_days  # released before the next day's are read
-        truth = {kind: segments_by_location(label_event_runs(
-                     truth_extremes[kind], tau[kind], kind), kind)
+        truth = {kind: label_event_runs(truth_extremes[kind], tau[kind], kind)
                  for kind in kinds}
-        fileio.write_segments_csv(
-            [seg for kind in kinds for segs in truth[kind].values()
-             for seg in segs],
-            out_dir / "segments" / f"truth_day{d}.csv")
+        fileio.write_segments_csv([(kind, truth[kind]) for kind in kinds],
+                                  out_dir / "segments" / f"truth_day{d}.csv")
         per_day[d] = (tau, truth)
 
     rows = []
@@ -368,13 +368,11 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
                        for init in manifest.init_times]
             fc_extremes = _day_extremes(fc_days)
             del fc_days  # released before the next day's are read
-            fc_segments = []
-            counts = {}  # kind -> per-location (tp, fp, fn) arrays
-            for kind in kinds:
-                fc = segments_by_location(label_event_runs(
-                    fc_extremes[kind], tau[kind], kind), kind)
-                fc_segments.extend(seg for segs in fc.values() for seg in segs)
-                counts[kind] = match_counts(fc, truth[kind], n_loc, gamma)
+            fc = {kind: label_event_runs(fc_extremes[kind], tau[kind], kind)
+                  for kind in kinds}
+            # kind -> per-location (tp, fp, fn) arrays
+            counts = {kind: match_counts(fc[kind], truth[kind], n_loc, gamma)
+                      for kind in kinds}
             for region, locations in region_locations:
                 for kind in kinds:
                     tp, fp, fn = (int(a[locations].sum())
@@ -387,7 +385,8 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
                         "tp": tp, "fp": fp, "fn": fn,
                     })
             fileio.write_segments_csv(
-                fc_segments, out_dir / "segments" / f"{model}_day{d}.csv")
+                [(kind, fc[kind]) for kind in kinds],
+                out_dir / "segments" / f"{model}_day{d}.csv")
     card["event_scores"] = rows
     return card
 
@@ -425,7 +424,10 @@ def cyclones(manifest_path, out_dir, besttrack,
     variables = (VariableId.MSL, VariableId.U10, VariableId.V10)
     for variable in variables:
         if variable not in manifest.variables:
-            raise ManifestError(f"cyclones needs {variable.key} in the manifest")
+            raise ManifestError(
+                f"{manifest.path}: variables: cyclones needs "
+                f"{', '.join(v.key for v in variables)}; {variable.key} is "
+                f"not listed")
 
     source = fileio.FieldSource(manifest)
     # every variable's stack is read over the same runs of leads, each

@@ -10,13 +10,13 @@ streamed history reduction must reproduce (and that reduction as it ran
 one history year at a time); the spectrum is a direct
 O(N^2) transform, percentiles are computed from a Python sort (and
 thresholds from the engine's former numpy sort per calendar day), event
-labeling/matching are brute-force searches, station
+labeling/matching are brute-force searches (and matching also the
+engine's former per-location segment objects and bipartite search), station
 windowing, QC and bilinear interpolation are per-element loops, the
 station CSVs are read one row at a time, station scores pair one field
 at a time, and synthetic truth, the forecasts that copy it and station
-observations are made one field at a time. The exceptions are the per-location event
-loop, which calls the engine's matching to check the vectorized
-bookkeeping around it, the synthetic truth oracle,
+observations are made one field at a time. The exceptions are the
+synthetic truth oracle,
 which takes the seasonal cycle, vortices and episodes from the engine,
 the station row reader, which parses times and window-averages with the
 engine's functions, the per-field station scores, which interpolate
@@ -32,9 +32,13 @@ import csv
 import math
 from datetime import date, timedelta, timezone
 from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import Sequence
 
 import numpy as np
+
+from wxverify.extremes import MIN_EVENT_DAYS, EventKind
 
 
 # --- weighted-metric oracles (scalar loops, fsum accumulation) ---------------
@@ -577,6 +581,147 @@ def label_events_bruteforce(mask) -> list[tuple[int, int]]:
 
 # --- matching oracle -------------------------------------------------------------
 
+@dataclass(frozen=True)
+class EventSegment:
+    """One contiguous extreme-temperature run at one location.
+
+    ``start_day`` and ``end_day`` are inclusive calendar indices.
+    """
+
+    location: str
+    kind: EventKind
+    start_day: int
+    end_day: int
+
+    def __post_init__(self):
+        if self.end_day - self.start_day + 1 < MIN_EVENT_DAYS:
+            raise ValueError(
+                f"segment [{self.start_day}, {self.end_day}] shorter than "
+                f"{MIN_EVENT_DAYS} days")
+
+    @property
+    def n_days(self) -> int:
+        return self.end_day - self.start_day + 1
+
+
+def segments_by_location(runs: tuple[np.ndarray, np.ndarray, np.ndarray],
+                         kind: EventKind) -> dict[int, list[EventSegment]]:
+    """Group the runs of :func:`label_event_runs` into segments.
+
+    Keys are location indices in ascending order; each segment's
+    ``location`` is the index as a decimal string.
+    """
+    grouped: dict[int, list[EventSegment]] = {}
+    for loc, start, end in zip(*(a.tolist() for a in runs)):
+        grouped.setdefault(loc, []).append(
+            EventSegment(str(loc), kind, start, end))
+    return grouped
+
+
+def temporal_iou(a: EventSegment, b: EventSegment) -> float:
+    """Day-count intersection over union of two segments; 0 when disjoint."""
+    if a.location != b.location:
+        raise ValueError("IoU requires segments at the same location")
+    if a.kind is not b.kind:
+        raise ValueError("IoU requires segments of the same kind")
+    inter = min(a.end_day, b.end_day) - max(a.start_day, b.start_day) + 1
+    if inter <= 0:
+        return 0.0
+    union = a.n_days + b.n_days - inter
+    return inter / union
+
+
+@dataclass(frozen=True)
+class MatchResult:
+    """Outcome of matching predicted against observed segments."""
+
+    tp: int
+    fp: int
+    fn: int
+    pairs: tuple[tuple[EventSegment, EventSegment, float], ...]
+    gamma: float
+
+    def __post_init__(self):
+        if min(self.tp, self.fp, self.fn) < 0:
+            raise ValueError("counts must be non-negative")
+        if len(self.pairs) != self.tp:
+            raise ValueError("pair list length must equal tp")
+        preds = [id(p) for p, _, _ in self.pairs]
+        truths = [id(t) for _, t, _ in self.pairs]
+        if len(set(preds)) != len(preds) or len(set(truths)) != len(truths):
+            raise ValueError("each segment may appear in at most one pair")
+        if any(iou < self.gamma for _, _, iou in self.pairs):
+            raise ValueError("every pair must satisfy IoU >= gamma")
+
+
+def _validate_side(segments: Sequence[EventSegment], side: str):
+    for prev, cur in zip(segments, segments[1:]):
+        if cur.start_day <= prev.end_day:
+            raise ValueError(f"{side} segments must be sorted and disjoint")
+        if cur.location != prev.location or cur.kind is not prev.kind:
+            raise ValueError(f"{side} segments must share location and kind")
+
+
+def match_events(pred: Sequence[EventSegment], truth: Sequence[EventSegment],
+                 gamma: float = 0.5) -> MatchResult:
+    """One-to-one matching of predicted to observed segments.
+
+    Admissible pairs have IoU >= gamma. The matching has maximum
+    cardinality (so true-positive counts agree with an exhaustive
+    search); candidate pairs are considered in descending IoU order with
+    ties broken by earlier truth start, then earlier prediction start,
+    which makes the result deterministic. tp + fn = len(truth) and
+    tp + fp = len(pred).
+    """
+    if not 0.0 < gamma <= 1.0:
+        raise ValueError("gamma must lie in (0, 1]")
+    _validate_side(pred, "predicted")
+    _validate_side(truth, "truth")
+
+    candidates = []  # (iou, pred index, truth index)
+    for pi, p in enumerate(pred):
+        for ti, t in enumerate(truth):
+            iou = temporal_iou(p, t)
+            if iou >= gamma:
+                candidates.append((iou, pi, ti))
+    candidates.sort(key=lambda c: (-c[0], truth[c[2]].start_day,
+                                   pred[c[1]].start_day))
+
+    adjacency: dict[int, list[int]] = {}
+    for iou, pi, ti in candidates:
+        adjacency.setdefault(pi, []).append(ti)
+
+    match_of_pred: dict[int, int] = {}
+    match_of_truth: dict[int, int] = {}
+    for iou, pi, ti in candidates:
+        if pi not in match_of_pred and ti not in match_of_truth:
+            match_of_pred[pi] = ti
+            match_of_truth[ti] = pi
+
+    def augment(pi: int, visited: set[int]) -> bool:
+        for ti in adjacency.get(pi, ()):
+            if ti in visited:
+                continue
+            visited.add(ti)
+            if ti not in match_of_truth or augment(match_of_truth[ti], visited):
+                match_of_pred[pi] = ti
+                match_of_truth[ti] = pi
+                return True
+        return False
+
+    for pi in range(len(pred)):
+        if pi not in match_of_pred:
+            augment(pi, set())
+
+    iou_of = {(pi, ti): iou for iou, pi, ti in candidates}
+    pairs = tuple(sorted(
+        ((pred[pi], truth[ti], iou_of[(pi, ti)])
+         for pi, ti in match_of_pred.items()),
+        key=lambda pair: pair[1].start_day))
+    tp = len(pairs)
+    return MatchResult(tp, len(pred) - tp, len(truth) - tp, pairs, gamma)
+
+
 def segment_iou(a: tuple[int, int], b: tuple[int, int]) -> float:
     inter = min(a[1], b[1]) - max(a[0], b[0]) + 1
     if inter <= 0:
@@ -624,8 +769,6 @@ def event_counts_per_location(truth_series, fc_series, thresholds, kind,
     match_events call per location matches them, whether or not either
     side has events. Comparisons are strict and NaN never exceeds.
     """
-    from wxverify.extremes import EventKind, EventSegment, match_events
-
     def segments(series, loc):
         mask = [v > t if kind is EventKind.HEATWAVE else v < t
                 for v, t in zip(series[:, loc].tolist(),

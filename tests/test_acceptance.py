@@ -19,13 +19,13 @@ from conftest import (T0, field_block, layer_of, layer_scores, make_field,
                       make_grid, random_field, stamped, truth_fields)
 from wxverify import fileio
 from wxverify.cli import main as cli_main
-from oracles import DailyHistory, build_thresholds
+from oracles import (DailyHistory, EventSegment, build_thresholds,
+                     match_events)
 from wxverify.climatology import (DAYS_PER_YEAR, DailyMeanClimatology,
                                   daily_means_from_fields)
 from wxverify.cyclones import (homogeneous_sample, intensity_errors,
                                track_storm)
-from wxverify.extremes import (EventKind, EventSegment, label_event_runs,
-                               match_events, scores_from_counts)
+from wxverify.extremes import EventKind, label_event_runs, scores_from_counts
 from wxverify.grid import (EARTH_RADIUS_KM, GeoGrid, VariableId, haversine_km,
                            latitude_weights)
 from wxverify.harness import (SyntheticScenario, VariableProcess, VortexSpec,

@@ -766,6 +766,24 @@ class TestExtremes:
                      "--out", tmp_path / "out", "--lead-days", "10")
         assert rc == 2
 
+    def test_init_off_00z_is_exit_2_naming_it(self, extremes_run, tmp_path,
+                                              capsys):
+        # every init reads the stacks of the first, so that the load check
+        # passes; the first init off 00Z is named
+        doc = json.loads((extremes_run / "manifest.json").read_text())
+        models = {name: pattern.replace("{init}", "2025071700")
+                  for name, pattern in doc["models"].items()}
+        manifest = with_manifest(
+            extremes_run, "manifest_12z.json", models=models,
+            init_times=["2025-07-17T00:00:00Z", "2025-07-18T12:00:00Z",
+                        "2025-07-19T06:00:00Z"])
+        assert run_cli("extremes", "--manifest", manifest, "--out",
+                       tmp_path / "out", "--lead-days", "1") == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: init_times: extremes evaluation expects 00Z "
+            f"init times, got 2025-07-18T12:00:00Z\n")
+        assert not (tmp_path / "out").exists()
+
 
 def thresholds_copy(run, tmp_path):
     """A copy of the run's thresholds file and sidecar in ``tmp_path``,
@@ -1841,8 +1859,9 @@ def noisy_extremes_run(tmp_path_factory):
 
 
 class TestExtremesReference:
+    @pytest.mark.parametrize("gamma", [0.5, 0.2])
     def test_region_counts_match_per_location_loop(self, noisy_extremes_run,
-                                                   tmp_path):
+                                                   gamma, tmp_path):
         doc = json.loads((noisy_extremes_run / "manifest.json").read_text())
         box = [-30.0, 40.0, 0.0, 200.0]  # both heat episodes, not the cold one
         doc["regions"] = {"global": None, "box": box}
@@ -1851,8 +1870,10 @@ class TestExtremesReference:
         lead_days = (1, 3)
         out = tmp_path / "out"
         assert run_cli("extremes", "--manifest", manifest_path, "--out", out,
-                       "--lead-days", ",".join(map(str, lead_days))) == 0
+                       "--lead-days", ",".join(map(str, lead_days)),
+                       "--gamma", str(gamma)) == 0
         card = load_card(out)
+        assert card["provenance"]["gamma"] == gamma
 
         manifest = fileio.load_manifest(manifest_path)
         source = fileio.FieldSource(manifest)
@@ -1884,7 +1905,7 @@ class TestExtremesReference:
                                   (EventKind.COLDSURGE, thresholds.tau_cold)):
                     counts = oracles.event_counts_per_location(
                         series(truth, kind), series(forecast, kind),
-                        tau[rows, :], kind, 0.5)
+                        tau[rows, :], kind, gamma)
                     for region, mask in masks.items():
                         expected = tuple(
                             sum(c[i] for c, inside in zip(counts, mask)
@@ -2076,6 +2097,18 @@ class TestCyclones:
         assert rc == 2
         assert f"{besttrack}: not UTF-8 text: invalid start byte " \
                f"(byte 0xff)" in capsys.readouterr().err
+
+    def test_a_manifest_without_msl_is_exit_2_naming_it(self, cyclone_run,
+                                                        tmp_path, capsys):
+        manifest = with_manifest(cyclone_run, "manifest_wind.json",
+                                 variables=["u10", "v10"])
+        assert run_cli("cyclones", "--manifest", manifest,
+                       "--besttrack", cyclone_run / "besttrack.csv",
+                       "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: variables: cyclones needs msl, u10, v10; "
+            f"msl is not listed\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("flag, value", [
         ("--search-radius-km", "nan"), ("--search-radius-km", "-5"),

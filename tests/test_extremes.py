@@ -2,17 +2,32 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from wxverify.extremes import (EventKind, EventSegment, label_event_runs,
-                               match_events, scores_from_counts,
-                               segments_by_location, temporal_iou)
+from oracles import (EventSegment, match_events, segments_by_location,
+                     temporal_iou)
+from wxverify.extremes import (EventKind, label_event_runs, match_counts,
+                               scores_from_counts)
 
 
 def seg(start, end, kind=EventKind.HEATWAVE, loc="x"):
     return EventSegment(loc, kind, start, end)
+
+
+def as_runs(triples):
+    """(location, start_day, end_day) int arrays of (loc, start, end)
+    triples, as label_event_runs returns them."""
+    return tuple(np.array(triples, dtype=np.int64).reshape(-1, 3).T)
+
+
+def array_counts(pred, truth, gamma):
+    """match_counts of the segments of one location."""
+    pred_runs, truth_runs = (as_runs([(0, s.start_day, s.end_day)
+                                      for s in side]) for side in (pred, truth))
+    counts = match_counts(pred_runs, truth_runs, 1, gamma)
+    return tuple(int(a[0]) for a in counts)
 
 
 def enumerate_configs(n_days: int, max_segments: int):
@@ -170,6 +185,7 @@ class TestMatchEvents:
         pred = [seg(1, 3), seg(4, 13)]
         m = match_events(pred, truth, gamma=0.3)
         assert (m.tp, m.fp, m.fn) == (2, 0, 0)
+        assert array_counts(pred, truth, 0.3) == (2, 0, 0)
 
     def test_empty_sides(self):
         m = match_events([], [])
@@ -206,22 +222,76 @@ class TestMatchEvents:
     @pytest.mark.parametrize("gamma", [0.5, 0.3])
     def test_exhaustive_agreement_range_12(self, gamma):
         """(tp, fp, fn) equals exhaustive optimal matching on a complete
-        enumeration of <= 3 disjoint segments per side in 12 days."""
+        enumeration of <= 3 disjoint segments per side in 12 days, for
+        the segment matching and for the array matching, which takes
+        each (pred, truth) pair of the enumeration as one location."""
         configs = enumerate_configs(12, 3)
         assert len(configs) == 189
-        for pred_cfg in configs:
+        cases = [(p, t) for p in configs for t in configs]
+        tp, fp, fn = match_counts(
+            *(as_runs([(loc, s, e) for loc, case in enumerate(cases)
+                       for s, e in case[side]]) for side in (0, 1)),
+            len(cases), gamma)
+        for loc, (pred_cfg, truth_cfg) in enumerate(cases):
             pred = [seg(s, e) for s, e in pred_cfg]
-            for truth_cfg in configs:
-                truth = [seg(s, e) for s, e in truth_cfg]
-                m = match_events(pred, truth, gamma=gamma)
-                expected = oracles.match_exhaustive(pred_cfg, truth_cfg, gamma)
-                assert (m.tp, m.fp, m.fn) == expected, (pred_cfg, truth_cfg)
+            truth = [seg(s, e) for s, e in truth_cfg]
+            m = match_events(pred, truth, gamma=gamma)
+            expected = oracles.match_exhaustive(pred_cfg, truth_cfg, gamma)
+            assert (m.tp, m.fp, m.fn) == expected, (pred_cfg, truth_cfg)
+            assert (tp[loc], fp[loc], fn[loc]) == expected, (pred_cfg,
+                                                             truth_cfg)
 
     def test_duplicated_truth_as_prediction_is_perfect(self, rng):
         truth = [seg(2, 5), seg(9, 12), seg(20, 24)]
         m = match_events(list(truth), truth)
         scores = scores_from_counts(m.tp, m.fp, m.fn)
         assert scores.pod == 1.0 and scores.far == 0.0
+
+
+@st.composite
+def run_sets(draw):
+    """(n_locations, pred, truth): each side a list of (loc, start, end)
+    runs of 3-12 days ordered by location and start, with at least one
+    day between two runs at a location, as labeling leaves them. Some
+    locations have runs on one side or none."""
+    n_locations = draw(st.integers(1, 5))
+    first_day = draw(st.integers(-400, 400))
+    sides = []
+    for _ in range(2):
+        runs = []
+        for loc in range(n_locations):
+            end = first_day - 2
+            for gap, length in draw(st.lists(
+                    st.tuples(st.integers(1, 5), st.integers(3, 12)),
+                    max_size=4)):
+                start = end + gap + 1
+                end = start + length - 1
+                runs.append((loc, start, end))
+        sides.append(runs)
+    return n_locations, sides[0], sides[1]
+
+
+class TestMatchCounts:
+    @settings(max_examples=300, deadline=None)
+    # one location's last day touches the next one's first in the keys
+    # of a span one day short
+    @example(case=(2, [(1, 0, 9)], [(0, 0, 9)]), gamma=0.5)
+    @given(case=run_sets(),
+           gamma=st.one_of(st.sampled_from([1 / 3, 0.5, 1.0]),
+                           st.floats(0.0, 1.0, exclude_min=True)))
+    def test_agrees_with_the_segment_matching(self, case, gamma):
+        n_locations, pred_runs, truth_runs = case
+        counts = match_counts(as_runs(pred_runs), as_runs(truth_runs),
+                              n_locations, gamma)
+        for loc in range(n_locations):
+            pred, truth = ([(s, e) for at, s, e in runs if at == loc]
+                           for runs in (pred_runs, truth_runs))
+            m = match_events([seg(s, e) for s, e in pred],
+                             [seg(s, e) for s, e in truth], gamma)
+            assert tuple(int(a[loc]) for a in counts) == (m.tp, m.fp, m.fn)
+            if len(pred) <= 3 and len(truth) <= 3:
+                assert (m.tp, m.fp, m.fn) == \
+                    oracles.match_exhaustive(pred, truth, gamma)
 
 
 class TestCategoricalScores:

@@ -15,8 +15,7 @@ import oracles
 from conftest import (field_block, layer_of, layer_scores, make_field, read_store,
                       truth_fields)
 from wxverify import fileio, harness
-from wxverify.extremes import (EventKind, label_event_runs,
-                               segments_by_location)
+from wxverify.extremes import EventKind, label_event_runs
 from wxverify.grid import FieldBlock, GeoGrid, VariableId
 from wxverify.harness import (PlantedEpisode, SyntheticScenario, VariableProcess,
                               VortexSpec, load_scenario, make_besttrack,
@@ -83,8 +82,8 @@ class TestGenerator:
         loc = 3 * sc.grid.n_lon + 5
         runs = label_event_runs(eval_history.daily_max[0], thresholds.tau_heat,
                                 EventKind.HEATWAVE)
-        spans = [(s.start_day, s.end_day) for s in
-                 segments_by_location(runs, EventKind.HEATWAVE).get(loc, [])]
+        segments = oracles.segments_by_location(runs, EventKind.HEATWAVE)
+        spans = [(s.start_day, s.end_day) for s in segments.get(loc, [])]
         assert (200, 204) in spans
 
     def test_besttrack_matches_center_oracle(self):
