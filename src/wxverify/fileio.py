@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import io
 import json
 import math
@@ -110,11 +109,13 @@ def _sidecar_path(path: Path) -> Path:
     return path.with_name(path.name + ".json")
 
 
-def _load_sidecar(path: Path, *magics: str) -> dict:
-    """The parsed sidecar of ``path``, whose magic is one of ``magics``."""
+def _load_sidecar(path: Path, *magics: str) -> tuple[dict, bytes]:
+    """The parsed sidecar of ``path``, whose magic is one of ``magics``,
+    and the bytes it was parsed from."""
     sidecar = _sidecar_path(path)
     try:
-        header = json.loads(sidecar.read_text(encoding="utf-8"))
+        raw = sidecar.read_bytes()
+        header = json.loads(raw.decode("utf-8"))
     except FileNotFoundError:
         raise InvalidHeader(f"sidecar missing: {sidecar}") from None
     except OSError as exc:
@@ -123,7 +124,7 @@ def _load_sidecar(path: Path, *magics: str) -> dict:
         raise InvalidHeader(f"unparseable sidecar {sidecar}: {exc}") from exc
     if not isinstance(header, dict) or header.get("magic") not in magics:
         raise InvalidHeader(f"{sidecar}: expected magic {magics[0]!r}")
-    return header
+    return header, raw
 
 
 def _header_value(header: dict, key: str, kind, path: Path):
@@ -636,18 +637,22 @@ def _read_days(store: _Store, first: int, n_days: int
 
 
 def read_thresholds(path: str | os.PathLike, geometries: dict,
-                    days: Iterable[int]) -> tuple[ThresholdField, GeoGrid]:
+                    days: Iterable[int]
+                    ) -> tuple[ThresholdField, GeoGrid, str]:
     """Thresholds written by :func:`write_thresholds` of the calendar
-    ``days``, and their grid, built through the geometry cache
-    ``geometries`` (see :func:`_cached_grid`); the location axis is the
-    row-major flattening of that grid.
+    ``days``, their grid, built through the geometry cache ``geometries``
+    (see :func:`_cached_grid`), and the hex SHA-256 of the sidecar read;
+    the location axis is the row-major flattening of that grid.
 
     Only the shortest run of consecutive calendar days that holds
     ``days`` is read (see :func:`_read_days`), and finiteness and heat >=
-    cold are checked on the days read.
+    cold are checked on the days read. The sidecar holds the build's
+    parameters and the CRC-32 of every day layer, and every day read is
+    checked against its CRC-32, so its digest vouches for the thresholds
+    that are read without reading the whole payload.
     """
     path = Path(path)
-    header = _load_sidecar(path, THRESH_MAGIC)
+    header, raw = _load_sidecar(path, THRESH_MAGIC)
     store = _parse_store(path, header, "f32le", _day_layers(header, path, 2),
                          geometries)
     first, n_days = day_span(days)
@@ -659,7 +664,7 @@ def read_thresholds(path: str | os.PathLike, geometries: dict,
                         _header_value(header, "half_window", int, path),
                         _header_value(header, "q_heat", float, path),
                         _header_value(header, "q_cold", float, path), first)
-    return thresholds, grid
+    return thresholds, grid, sha256(raw).hexdigest()
 
 
 def write_daily_climatology(parts: Iterable[DailyMeanClimatology],
@@ -715,7 +720,7 @@ def read_daily_climatology(path: str | os.PathLike, geometries: dict,
     run crosses Dec 31, each checking the CRC-32 of every day it reads.
     """
     path = Path(path)
-    header = _load_sidecar(path, CLIM_MAGIC)
+    header, _ = _load_sidecar(path, CLIM_MAGIC)
     store = _parse_store(path, header, "f64le", _day_layers(header, path, 1),
                          geometries)
     first, n_days = day_span(calendar_day_index(when) for when in times)
@@ -730,8 +735,9 @@ def read_daily_climatology(path: str | os.PathLike, geometries: dict,
 _BESTTRACK_COLUMNS = ["storm_id", "iso_time", "lat", "lon", "mslp_hpa", "wind_ms"]
 
 
-def read_besttrack(path: str | os.PathLike) -> list[StormTrack]:
-    """Best-track CSV -> truth tracks, grouped by storm and time-validated.
+def read_besttrack(path: str | os.PathLike) -> tuple[list[StormTrack], str]:
+    """Best-track CSV -> truth tracks, grouped by storm and time-validated,
+    and the hex SHA-256 of the bytes parsed, which are read once.
 
     Rows of one storm must already be in strictly increasing 6-hour
     order; violations raise :class:`NonMonotoneTime`. Implausible MSLP
@@ -740,48 +746,49 @@ def read_besttrack(path: str | os.PathLike) -> list[StormTrack]:
     """
     from .cyclones import LEAD_STEP, TRUTH_SOURCE, StormFix, StormTrack
     path = Path(path)
-    by_storm: dict[str, list[StormFix]] = {}
-    order: list[str] = []
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or \
-                    [c.strip() for c in reader.fieldnames] != _BESTTRACK_COLUMNS:
-                raise InvalidHeader(
-                    f"{path}: expected columns {','.join(_BESTTRACK_COLUMNS)}")
-            for lineno, row in enumerate(reader, start=2):
-                try:
-                    storm_id = row["storm_id"].strip()
-                    fix = StormFix(
-                        time=parse_time(row["iso_time"]),
-                        lat=float(row["lat"]),
-                        lon=float(row["lon"]) % 360.0,
-                        min_mslp_pa=float(row["mslp_hpa"]) * 100.0,
-                        max_wind_ms=float(row["wind_ms"]),
-                    )
-                except (TypeError, ValueError, AttributeError, KeyError) as exc:
-                    raise InvalidHeader(f"{path}:{lineno}: bad row: {exc}") from exc
-                if storm_id not in by_storm:
-                    by_storm[storm_id] = []
-                    order.append(storm_id)
-                fixes = by_storm[storm_id]
-                if fixes and fix.time != fixes[-1].time + LEAD_STEP:
-                    raise NonMonotoneTime(
-                        f"{path}:{lineno}: storm {storm_id} fix at "
-                        f"{format_time(fix.time)} breaks the strictly "
-                        f"increasing 6-hour cadence")
-                fixes.append(fix)
+        raw = path.read_bytes()
+        text = raw.decode("utf-8-sig")
     except OSError as exc:
         raise InvalidHeader(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidHeader(f"{path}: not UTF-8 text: {exc.reason} "
                             f"(byte 0x{exc.object[exc.start]:02x})") from exc
+    by_storm: dict[str, list[StormFix]] = {}
+    order: list[str] = []
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None or \
+            [c.strip() for c in reader.fieldnames] != _BESTTRACK_COLUMNS:
+        raise InvalidHeader(
+            f"{path}: expected columns {','.join(_BESTTRACK_COLUMNS)}")
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            storm_id = row["storm_id"].strip()
+            fix = StormFix(
+                time=parse_time(row["iso_time"]),
+                lat=float(row["lat"]),
+                lon=float(row["lon"]) % 360.0,
+                min_mslp_pa=float(row["mslp_hpa"]) * 100.0,
+                max_wind_ms=float(row["wind_ms"]),
+            )
+        except (TypeError, ValueError, AttributeError, KeyError) as exc:
+            raise InvalidHeader(f"{path}:{lineno}: bad row: {exc}") from exc
+        if storm_id not in by_storm:
+            by_storm[storm_id] = []
+            order.append(storm_id)
+        fixes = by_storm[storm_id]
+        if fixes and fix.time != fixes[-1].time + LEAD_STEP:
+            raise NonMonotoneTime(
+                f"{path}:{lineno}: storm {storm_id} fix at "
+                f"{format_time(fix.time)} breaks the strictly "
+                f"increasing 6-hour cadence")
+        fixes.append(fix)
     tracks = []
     for storm_id in order:
         fixes = by_storm[storm_id]
         tracks.append(StormTrack(storm_id, TRUTH_SOURCE, fixes[0].time,
                                  tuple(fixes), tuple([True] * len(fixes))))
-    return tracks
+    return tracks, sha256(raw).hexdigest()
 
 
 def write_tracks_csv(tracks: Sequence[StormTrack], path: str | os.PathLike) -> Path:
@@ -1384,7 +1391,7 @@ class FieldSource:
         stack = self._stacks.get(path)
         if stack is None:
             stack = self._stacks.setdefault(path, _Stack.parse(
-                path, _load_sidecar(path, GRID_MAGIC, STACK_MAGIC),
+                path, _load_sidecar(path, GRID_MAGIC, STACK_MAGIC)[0],
                 self._geometries))
         return stack
 
@@ -1488,11 +1495,11 @@ class FieldSource:
                    "daily_mean_pattern"), self._geometries, times)
 
     def thresholds(self, days: Iterable[int]
-                   ) -> tuple[ThresholdField, GeoGrid]:
+                   ) -> tuple[ThresholdField, GeoGrid, str]:
         """The extreme thresholds ``build-climatology`` stored, of the
-        calendar ``days`` (see :func:`read_thresholds`), and their grid;
-        ManifestError when the manifest names no thresholds file or it has
-        not been built."""
+        calendar ``days``, their grid and the digest of their sidecar (see
+        :func:`read_thresholds`); ManifestError when the manifest names no
+        thresholds file or it has not been built."""
         return read_thresholds(
             _built(self.manifest, "thresholds", self.manifest.thresholds_file,
                    "thresholds_path"), self._geometries, days)
@@ -1592,13 +1599,28 @@ class SpilledHistory:
             yield start, held[:, :, 0], held[:, :, 1]
 
 
-def file_sha256(path: Path) -> str:
-    """The SHA-256 of the file at ``path``, read 1 MiB at a time."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for piece in iter(functools.partial(fh.read, 2**20), b""):
-            digest.update(piece)
-    return digest.hexdigest()
+@functools.cache
+def _sha256_type():
+    """The SHA-256 constructor of :func:`sha256`."""
+    for name in ("_sha2", "_sha256"):  # Python 3.12+, then 3.10 and 3.11
+        try:
+            return __import__(name).sha256
+        except ImportError:
+            pass
+    import hashlib  # maps OpenSSL
+    return hashlib.sha256
+
+
+def sha256(data: bytes = b""):
+    """A SHA-256 hash object over ``data``: the interpreter's built-in one,
+    as :mod:`random` takes its SHA-512, so that no scoring command maps
+    the OpenSSL library that importing :mod:`hashlib` maps (about 3.5 MiB
+    of resident memory on Linux); :mod:`hashlib`'s only when the
+    interpreter has none. The digests are the same. The built-in is
+    several times slower on large inputs, so every digest a command takes
+    covers a few KB: the manifest, the thresholds sidecar, the best
+    track."""
+    return _sha256_type()(data)
 
 
 def load_manifest(path: str | os.PathLike,
@@ -1612,17 +1634,16 @@ def load_manifest(path: str | os.PathLike,
     declare). The first missing file is reported by path.
     """
     path = Path(path)
+    # one read: the digest is of the bytes parsed
     try:
-        text = path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
     except FileNotFoundError:
         raise ManifestError(f"manifest not found: {path}") from None
     except OSError as exc:
         raise ManifestError(f"cannot read manifest {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ManifestError(f"unparseable manifest {path}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"unparseable manifest {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: manifest must be a JSON object")
@@ -1718,7 +1739,7 @@ def load_manifest(path: str | os.PathLike,
         history_years=history_years,
         history_pattern=history_pattern,
         regions=regions,
-        sha256=file_sha256(path),
+        sha256=sha256(raw).hexdigest(),
     )
     _check_manifest_files(manifest, require)
     return manifest

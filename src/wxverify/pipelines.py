@@ -327,13 +327,11 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
     # days is read from the thresholds
     days_of = {d: [init + timedelta(days=d - 1) for init in manifest.init_times]
                for d in lead_days}
-    thresholds, tgrid = source.thresholds(
+    thresholds, tgrid, thresholds_sha256 = source.thresholds(
         calendar_day_index(day) for days in days_of.values() for day in days)
 
-    card = new_scorecard(
-        "extremes", manifest.sha256,
-        thresholds_sha256=fileio.file_sha256(manifest.thresholds_file),
-        gamma=gamma)
+    card = new_scorecard("extremes", manifest.sha256,
+                         thresholds_sha256=thresholds_sha256, gamma=gamma)
     kinds = (EventKind.HEATWAVE, EventKind.COLDSURGE)
     n_loc = tgrid.shape[0] * tgrid.shape[1]
     region_locations = [
@@ -414,8 +412,8 @@ def cyclones(manifest_path, out_dir, besttrack,
     from .report import na, new_scorecard
     manifest = fileio.load_manifest(manifest_path)
     out_dir = Path(out_dir)
-    besttrack_path = Path(besttrack)
-    truth_tracks = {t.storm_id: t for t in fileio.read_besttrack(besttrack_path)}
+    truth, besttrack_sha256 = fileio.read_besttrack(besttrack)
+    truth_tracks = {t.storm_id: t for t in truth}
     lead_days = _check_leads(lead_days, DEFAULT_CYCLONE_LEAD_DAYS,
                              "--lead-days", manifest, lambda day: (24 * day,))
     lead_steps = [4 * d for d in lead_days]
@@ -462,9 +460,8 @@ def cyclones(manifest_path, out_dir, besttrack,
         model_tracks[model] = tracks
 
     sample = homogeneous_sample(model_tracks, truth_tracks, n_leads)
-    card = new_scorecard(
-        "cyclones", manifest.sha256,
-        besttrack_sha256=fileio.file_sha256(besttrack_path))
+    card = new_scorecard("cyclones", manifest.sha256,
+                         besttrack_sha256=besttrack_sha256)
     rows = []
     for model in sorted(manifest.models):
         dpe = track_dpe(model_tracks[model], truth_tracks, sample)

@@ -114,7 +114,7 @@ def read_store(path, geometries: dict | None = None) -> FieldBlock:
     cache ``geometries`` (a cache of its own by default)."""
     path = Path(path)
     stack = fileio._Stack.parse(path, fileio._load_sidecar(
-        path, fileio.GRID_MAGIC, fileio.STACK_MAGIC),
+        path, fileio.GRID_MAGIC, fileio.STACK_MAGIC)[0],
         {} if geometries is None else geometries)
     times = [stack.first_time + k * fileio.STACK_STEP
              for k in range(stack.store.n_layers)]

@@ -701,11 +701,39 @@ class TestExtremes:
 
     def test_names_the_digest_of_its_thresholds_file(self, extremes_run,
                                                      tmp_path):
+        # the digest of the sidecar, which holds the CRC-32 of every day
+        # layer that a run reads
         path, manifest = thresholds_copy(extremes_run, tmp_path)
         assert run_cli("extremes", "--manifest", manifest, "--out",
                        tmp_path / "out", "--lead-days", "1") == 0
+        sidecar = path.with_name(path.name + ".json")
         assert load_card(tmp_path / "out")["provenance"][
-            "thresholds_sha256"] == fileio.file_sha256(path)
+            "thresholds_sha256"] == \
+            hashlib.sha256(sidecar.read_bytes()).hexdigest()
+
+    def test_a_rebuilt_sidecar_changes_the_digest(self, extremes_run,
+                                                  tmp_path):
+        doc = json.loads((extremes_run / "manifest.json").read_text())
+        clim = doc["climatology"]
+        assert clim["history_years"] == [2023, 2024]
+        path = tmp_path / "thresholds.rbt"
+        manifest = with_manifest(
+            extremes_run, f"manifest_{tmp_path.name}.json",
+            climatology=dict(clim, history_years=[2023, 2024, 2025],
+                             thresholds_path=str(path),
+                             daily_mean_pattern=str(
+                                 tmp_path / "{variable}.rbc")))
+        assert run_cli("build-climatology", "--manifest", manifest) == 0
+        digests = []
+        for run_manifest, out in ((extremes_run / "manifest.json", "built"),
+                                  (manifest, "rebuilt")):
+            assert run_cli("extremes", "--manifest", run_manifest, "--out",
+                           tmp_path / out, "--lead-days", "1") == 0
+            digests.append(load_card(tmp_path / out)["provenance"][
+                "thresholds_sha256"])
+        sidecar = path.with_name(path.name + ".json")
+        assert digests[1] == hashlib.sha256(sidecar.read_bytes()).hexdigest()
+        assert digests[0] != digests[1]
 
     def test_thresholds_not_built_are_exit_2(self, extremes_run, tmp_path,
                                              capsys):
@@ -839,6 +867,8 @@ class TestThresholdsByDay:
     def test_a_corrupt_layer_fails_only_inside_the_span(
             self, extremes_run, tmp_path, capsys, layer, inside):
         path, manifest = thresholds_copy(extremes_run, tmp_path)
+        assert run_cli("extremes", "--manifest", manifest, "--out",
+                       tmp_path / "clean", "--lead-days", "1,3") == 0
         blob = bytearray(path.read_bytes())
         blob[layer * (len(blob) // 730) + 7] ^= 0x10
         path.write_bytes(bytes(blob))
@@ -847,7 +877,10 @@ class TestThresholdsByDay:
                      tmp_path / "out", "--lead-days", "1,3")
         err = capsys.readouterr().err
         if not inside:
+            # a day the run does not read is neither read nor hashed
             assert rc == 0
+            assert load_card(tmp_path / "out") == \
+                load_card(tmp_path / "clean")
             return
         assert rc == 2
         assert f"{path}: CRC-32 mismatch in layer {layer}" in err
@@ -1877,8 +1910,8 @@ class TestExtremesReference:
 
         manifest = fileio.load_manifest(manifest_path)
         source = fileio.FieldSource(manifest)
-        thresholds, grid = fileio.read_thresholds(manifest.thresholds_file,
-                                                  {}, CALENDAR_DAYS)
+        thresholds, grid, _ = fileio.read_thresholds(
+            manifest.thresholds_file, {}, CALENDAR_DAYS)
         masks = {"global": _region_mask(grid, None).reshape(-1),
                  "box": _region_mask(grid, box).reshape(-1)}
 
@@ -2323,16 +2356,42 @@ class TestSynthOptions:
         assert len(meta) == 1 + 15 * 16
 
 
-def modules_after(code: str) -> set[str]:
-    """The modules a fresh interpreter has loaded after running ``code``."""
-    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+def run_fresh(code: str) -> str:
+    """The standard output of a fresh interpreter that runs ``code``."""
     env = dict(os.environ)
     src = str(Path(wxverify.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, check=True)
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def modules_after(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after running ``code``."""
+    script = code + "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    return set(json.loads(run_fresh(script).splitlines()[-1]))
+
+
+#: A run that every scoring command scores: t2m over two history years
+#: for the thresholds, a vortex for the cyclone tracker, rows of 30-60 N
+#: for the spectra, and noise for the station QC
+EVERY_COMMAND_SCENARIO = {
+    "seed": 5,
+    "grid": {"lat_start": 40.0, "lat_step": -2.0, "n_lat": 16,
+             "lon_start": 130.0, "lon_step": 2.0, "n_lon": 21},
+    "years": [2023, 2024, 2025],
+    "processes": {
+        "t2m": {"base": 285.0, "seasonal_amp": 8.0, "ar1": 0.8,
+                "noise_sigma": 1.5},
+        "msl": {"base": 101000.0, "ar1": 0.9, "noise_sigma": 50.0},
+        "u10": {"base": 0.0, "ar1": 0.7, "noise_sigma": 1.0},
+        "v10": {"base": 0.0, "ar1": 0.7, "noise_sigma": 1.0},
+    },
+    "vortices": [{"storm_id": "SYN01", "start_lat": 20.05,
+                  "start_lon": 150.07, "start_time": "2025-07-01T00:00:00Z",
+                  "n_steps": 12, "depth_pa": 3000.0, "efold_km": 300.0,
+                  "u_ms": -5.0, "v_ms": 0.0, "max_wind_ms": 40.0}],
+}
 
 
 class TestStartup:
@@ -2379,6 +2438,60 @@ class TestStartup:
         assert "numpy" not in loaded
         assert {m for m in loaded if m.startswith("wxverify.")} \
             <= {"wxverify.cli", "wxverify.errors", "wxverify.report"}
+
+    def test_no_scoring_command_loads_openssl(self, tmp_path):
+        # every digest comes from the interpreter's built-in SHA-256, as
+        # hashlib maps OpenSSL. synth runs here, not in the fresh
+        # interpreter: numpy.random imports secrets, and so hashlib
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(EVERY_COMMAND_SCENARIO))
+        run = tmp_path / "run"
+        assert run_cli("synth", "--scenario", scenario, "--out", run,
+                       "--inits", "2025-07-01T00:00:00Z,2025-07-02T00:00:00Z",
+                       "--max-lead-hours", "48",
+                       "--models", "persistence,perfect",
+                       "--stations", "5") == 0
+        manifest = str(run / "manifest.json")
+        commands = [
+            ["build-climatology", "--manifest", manifest],
+            ["evaluate", "--manifest", manifest, "--out", f"{tmp_path}/ev"],
+            ["extremes", "--manifest", manifest, "--out", f"{tmp_path}/ex",
+             "--lead-days", "1"],
+            ["cyclones", "--manifest", manifest, "--out", f"{tmp_path}/cy",
+             "--besttrack", str(run / "besttrack.csv"), "--lead-days", "1"],
+            ["stations", "--manifest", manifest, "--out", f"{tmp_path}/st",
+             "--station-meta", str(run / "stations_meta.csv"),
+             "--station-obs", str(run / "stations_obs.csv")],
+            ["report", "--scorecard", f"{tmp_path}/ev/scorecard.json",
+             "--out", f"{tmp_path}/csv"],
+        ]
+        loaded = modules_after(
+            "import contextlib, io\n"
+            "from wxverify.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    for argv in {commands!r}:\n"
+            "        assert main(argv) == 0, argv")
+        for out in ("ev", "ex", "cy", "st"):
+            load_card(tmp_path / out)
+        assert "_hashlib" not in loaded and "hashlib" not in loaded
+
+    def test_digests_fall_back_to_hashlib_without_a_builtin(self):
+        expected = [hashlib.sha256(data).hexdigest()
+                    for data in (b"", b"abc", bytes(range(256)) * 4097)]
+        code = (
+            "import sys\n"
+            "from wxverify import fileio\n"
+            "for data in (b'', b'abc', bytes(range(256)) * 4097):\n"
+            "    print(fileio.sha256(data).hexdigest())\n"
+            "print('_hashlib' in sys.modules)")
+        # the built-in one, then hashlib's with the built-ins blocked
+        for blocked, openssl in (([], "False"), (["_sha2", "_sha256"], "True")):
+            block = "".join(f"sys.modules[{name!r}] = None\n"
+                            for name in blocked)
+            *digests, loaded = run_fresh(
+                f"import sys\n{block}{code}").split()
+            assert digests == expected
+            assert loaded == openssl
 
     def test_every_exported_name_resolves(self):
         names = [n for n in wxverify.__all__ if n != "__version__"]

@@ -321,7 +321,10 @@ class TestStackStores:
         cold = heat - 10.0
         tf = ThresholdField(heat, cold, (2019, 2020), 7, 0.9, 0.1)
         path = fileio.write_thresholds(as_build(tf), grid, tmp_path / "t.rbt")
-        back, back_grid = fileio.read_thresholds(path, {}, CALENDAR_DAYS)
+        back, back_grid, digest = fileio.read_thresholds(path, {},
+                                                         CALENDAR_DAYS)
+        assert digest == hashlib.sha256(
+            path.with_name("t.rbt.json").read_bytes()).hexdigest()
         assert back_grid == grid
         assert back.years == (2019, 2020)
         assert back.half_window == 7
@@ -338,7 +341,7 @@ class TestStackStores:
         payload = path.stat().st_size
         tracemalloc.start()
         try:
-            back, _ = fileio.read_thresholds(path, {}, CALENDAR_DAYS)
+            back, _, _ = fileio.read_thresholds(path, {}, CALENDAR_DAYS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -416,7 +419,7 @@ class TestBestTrack:
     def test_two_storms_grouped(self, tmp_path):
         path = tmp_path / "bt.csv"
         path.write_text(BESTTRACK)
-        tracks = fileio.read_besttrack(path)
+        tracks, _ = fileio.read_besttrack(path)
         assert [t.storm_id for t in tracks] == ["ALPHA", "BETA"]
         assert len(tracks[0].fixes) == 2
         assert len(tracks[1].fixes) == 3
@@ -441,7 +444,7 @@ class TestBestTrack:
         deep = BESTTRACK.replace("985.0,35.0", "870.0,35.0")
         path = tmp_path / "bt.csv"
         path.write_text(deep)
-        tracks = fileio.read_besttrack(path)  # 870 hPa accepted
+        tracks, _ = fileio.read_besttrack(path)  # 870 hPa accepted
         assert tracks[0].fixes[0].min_mslp_pa == 87000.0
         impossible = BESTTRACK.replace("985.0,35.0", "600.0,35.0")
         path.write_text(impossible)
@@ -789,7 +792,7 @@ class TestManifest:
         manifest = fileio.load_manifest(path)
         assert manifest.lead_hours == (0, 6)
         assert manifest.truth_path(VariableId.T2M, T0).exists()
-        assert len(manifest.sha256) == 64
+        assert manifest.sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_missing_model_file_named(self, tmp_path, rng):
         path = self.write_minimal(tmp_path, rng)
@@ -891,6 +894,21 @@ class TestManifest:
         with pytest.raises(ManifestError, match="cannot read manifest") as err:
             fileio.load_manifest(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("raw, message", [
+        (None, "manifest not found: {path}"),
+        (b"\xff{}", "unparseable manifest {path}: 'utf-8' codec can't decode "
+                    "byte 0xff in position 0: invalid start byte"),
+        (b"{not json", "unparseable manifest {path}: Expecting property name "
+                       "enclosed in double quotes: line 1 column 2 (char 1)"),
+    ], ids=["missing", "not-utf8", "not-json"])
+    def test_unreadable_manifest_is_named(self, tmp_path, raw, message):
+        path = tmp_path / "manifest.json"
+        if raw is not None:
+            path.write_bytes(raw)
+        with pytest.raises(ManifestError) as err:
+            fileio.load_manifest(path)
+        assert str(err.value) == message.format(path=path)
 
     def test_malformed_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"
@@ -1063,7 +1081,7 @@ class TestFieldSource:
             if field_first:
                 truth = source.truth_block(VariableId.T2M, [T0])
             clim = source.climatology(VariableId.T2M, CALENDAR_TIMES)
-            _, threshold_grid = source.thresholds(CALENDAR_DAYS)
+            _, threshold_grid, _ = source.thresholds(CALENDAR_DAYS)
             stack_layer = STORES["stack"].read_via(source)
             if not field_first:
                 truth = source.truth_block(VariableId.T2M, [T0])
@@ -1802,7 +1820,7 @@ class TestStreamedThresholds:
                                         tmp_path / "whole.rbt")
         assert whole.with_name("whole.rbt.json").read_bytes() == \
             path.with_name("t.rbt.json").read_bytes()
-        back, back_grid = fileio.read_thresholds(path, {}, CALENDAR_DAYS)
+        back, back_grid, _ = fileio.read_thresholds(path, {}, CALENDAR_DAYS)
         assert back_grid == grid and back.first_day == 0
         assert back.tau_heat.tobytes() == layers[:DAYS_PER_YEAR].tobytes()
         assert back.tau_cold.tobytes() == layers[DAYS_PER_YEAR:].tobytes()
@@ -1855,10 +1873,10 @@ class TestStreamedThresholds:
     ])
     def test_reads_only_the_days_asked_for(self, threshold_path, days, reads,
                                            store_reads):
-        part, _ = fileio.read_thresholds(threshold_path, {}, days)
+        part, _, _ = fileio.read_thresholds(threshold_path, {}, days)
         assert store_reads == [(threshold_path, start, n)
                                for start, n in reads]
-        whole, _ = fileio.read_thresholds(threshold_path, {}, CALENDAR_DAYS)
+        whole, _, _ = fileio.read_thresholds(threshold_path, {}, CALENDAR_DAYS)
         assert part.first_day == reads[0][0]
         assert part.tau_heat.shape == (sum(n for _, n in reads) // 2, 12)
         rows = part.rows(days)
@@ -2036,7 +2054,8 @@ def test_layer_runs_start_a_run_past_the_span_of_its_first(hours,
 
 @pytest.mark.parametrize("size", [0, 1, 2**20, 2**20 + 1, 3 * 2**20 - 5])
 def test_file_sha256_is_the_digest_of_the_whole_file(tmp_path, size):
+    # the built-in SHA-256 gives hashlib's digest of a file's bytes
     path = tmp_path / "f.bin"
     path.write_bytes(np.random.default_rng(size).bytes(size))
-    assert fileio.file_sha256(path) == \
+    assert fileio.sha256(path.read_bytes()).hexdigest() == \
         hashlib.sha256(path.read_bytes()).hexdigest()
