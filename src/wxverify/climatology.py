@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import InsufficientHistory, NonFiniteValue
-from .grid import FieldBlock, GeoGrid, GridField, VariableId, all_finite
+from .grid import (SIX_HOURS, FieldBlock, GeoGrid, GridField, VariableId,
+                   all_finite)
 
 if TYPE_CHECKING:
     from .fileio import SpilledHistory
@@ -34,8 +35,6 @@ DAYS_PER_YEAR = 365
 
 #: Sample hours of the 6-hourly cadence.
 SYNOPTIC_HOURS = (0, 6, 12, 18)
-
-SIX_HOURS = timedelta(hours=6)
 
 _CUM_DAYS = (0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334)
 

@@ -23,19 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import MissingFix, SeedOutsideDomain, UnitOutOfRange
-from .grid import (EARTH_RADIUS_KM, FieldBlock, GeoGrid, haversine_km,
-                   haversine_km_grid)
+from .grid import (EARTH_RADIUS_KM, SIX_HOURS, FieldBlock, GeoGrid,
+                   haversine_km, haversine_km_grid)
 
 #: Plausibility band for minimum sea-level pressure, Pa (exclusive).
 MSLP_BAND_PA = (85000.0, 105000.0)
-
-LEAD_STEP = timedelta(hours=6)
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,7 @@ class StormTrack:
         if not all(self.tracked_mask[:n_fixes]):
             raise ValueError("tracked leads must be a contiguous prefix")
         for k, fix in enumerate(self.fixes):
-            if fix.time != self.init_time + k * LEAD_STEP:
+            if fix.time != self.init_time + k * SIX_HOURS:
                 raise ValueError(
                     f"fix {k} at {fix.time} breaks the 6-hour cadence from "
                     f"{self.init_time}")
@@ -111,7 +109,7 @@ class StormTrack:
 
     def fix_at_time(self, when: datetime) -> StormFix | None:
         delta = when - self.init_time
-        steps, rem = divmod(delta, LEAD_STEP)
+        steps, rem = divmod(delta, SIX_HOURS)
         if rem or steps < 0:
             return None
         return self.fix_at_lead(int(steps))
@@ -313,7 +311,7 @@ def homogeneous_sample(model_tracks: Mapping[str, Mapping[TrackKey, StormTrack]]
                        for m in models):
                 continue
             truth = truth_tracks.get(storm_id)
-            if truth is None or truth.fix_at_time(init + lead * LEAD_STEP) is None:
+            if truth is None or truth.fix_at_time(init + lead * SIX_HOURS) is None:
                 continue
             members.add(key)
         sample.append(frozenset(members))
@@ -331,7 +329,7 @@ def _paired_fixes(tracks: Mapping[TrackKey, StormTrack],
             raise MissingFix(f"model fix absent: storm {storm_id}, "
                              f"init {init.isoformat()}, lead step {lead}")
         truth = truth_tracks.get(storm_id)
-        truth_fix = truth.fix_at_time(init + lead * LEAD_STEP) if truth else None
+        truth_fix = truth.fix_at_time(init + lead * SIX_HOURS) if truth else None
         if truth_fix is None:
             raise MissingFix(f"truth fix absent: storm {storm_id}, "
                              f"init {init.isoformat()}, lead step {lead}")

@@ -21,9 +21,11 @@ A :class:`RunManifest` formats each distinct path its patterns name
 once, and keeps it: its load check, every read of a :class:`FieldSource`
 and ``synth`` share that one cache. Commands read stored arrays through
 one run-scoped :class:`FieldSource`, which resolves manifest paths to
-stacks, parses each stack's sidecar once, validates each grid geometry
-once per run and reads blocks of layers
-(:class:`~wxverify.grid.FieldBlock`) with one read per stack. A
+stacks, parses each stack's sidecar once and reads blocks of layers
+(:class:`~wxverify.grid.FieldBlock`) with one read per stack. Every
+store, whatever reads it, builds and validates its grid through one
+memo (:func:`_oriented_grid`), so a grid is built once per distinct
+sidecar geometry, not once per file. A
 block holds the float32 values as stored; the kernels that compute in
 float64 widen the chunk or layer they work on. A history is read in
 blocks of whole calendar days of one year, each at most
@@ -53,7 +55,7 @@ import tempfile
 import warnings
 import zlib
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import MAXYEAR, MINYEAR, datetime, timedelta, timezone
 from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -67,7 +69,7 @@ from .errors import (ChecksumMismatch, DuplicateObservation, GridMismatch,
                      HeaderPayloadShapeMismatch, InvalidHeader, ManifestError,
                      NonFiniteValue, NonMonotoneTime, NonUniformGrid,
                      UnitOutOfRange, UnknownStation, WxVerifyError)
-from .grid import (FieldBlock, GeoGrid, VariableId, all_finite,
+from .grid import (SIX_HOURS, FieldBlock, GeoGrid, VariableId, all_finite,
                    derive_wind_speed)
 from .report import canonical_json, publish, publishing, text_lines
 
@@ -149,7 +151,10 @@ def _header_variable(header: dict, path: Path) -> VariableId:
         raise InvalidHeader(f"{path}: {exc}") from exc
 
 
-def _grid_header_geometry(header: dict, path: Path):
+def _grid_header_geometry(header: dict, path: Path) -> tuple:
+    """The sidecar's ``(n_lat, n_lon, lat_start, lat_step, lon_start,
+    lon_step)``, its floats as :meth:`float.hex`: the key of
+    :func:`_oriented_grid`."""
     n_lat = _header_value(header, "n_lat", int, path)
     n_lon = _header_value(header, "n_lon", int, path)
     lat_start = _header_value(header, "lat_start", float, path)
@@ -158,15 +163,25 @@ def _grid_header_geometry(header: dict, path: Path):
     lon_step = _header_value(header, "lon_step", float, path)
     if n_lat < 1 or n_lon < 1:
         raise InvalidHeader(f"{path}: non-positive grid shape")
-    if not all(map(math.isfinite, (lat_start, lat_step, lon_start, lon_step))):
+    floats = (lat_start, lat_step, lon_start, lon_step)
+    if not all(map(math.isfinite, floats)):
         raise InvalidHeader(f"{path}: non-finite grid geometry")
-    return n_lat, n_lon, lat_start, lat_step, lon_start, lon_step
+    return (n_lat, n_lon, *(x.hex() for x in floats))
 
 
-def _oriented_grid(geometry: tuple, path: Path) -> tuple[GeoGrid, bool, int]:
-    """Engine-convention grid of a sidecar geometry, plus how to orient
-    the payload onto it: flip the rows, then roll the columns left."""
-    n_lat, n_lon, lat_start, lat_step, lon_start, lon_step = geometry
+@functools.lru_cache(maxsize=64)
+def _oriented_grid(geometry: tuple) -> tuple[GeoGrid, bool, int]:
+    """Engine-convention grid of a sidecar geometry
+    (:func:`_grid_header_geometry`), plus how to orient the payload onto
+    it: flip the rows, then roll the columns left.
+
+    The memo keys the geometry's floats on their exact bits, as
+    :meth:`float.hex` gives them, so ``-0.0`` and ``0.0`` never share an
+    entry. A geometry that fails validation raises ValueError and is
+    never cached.
+    """
+    n_lat, n_lon, *floats = geometry
+    lat_start, lat_step, lon_start, lon_step = map(float.fromhex, floats)
     flip_rows = lat_step > 0  # south-to-north file
     if flip_rows:
         lat_start = lat_start + lat_step * (n_lat - 1)
@@ -181,36 +196,13 @@ def _oriented_grid(geometry: tuple, path: Path) -> tuple[GeoGrid, bool, int]:
         # first longitude plus k steps, whatever the stored start: the
         # form _write_store stores, so a written grid reads back bit for bit
         lons = lons[0] + lon_step * np.arange(n_lon)
-    try:
-        grid = GeoGrid(lat_start + lat_step * np.arange(n_lat), lons)
-    except ValueError as exc:
-        raise InvalidHeader(f"{path}: {exc}") from exc
+    grid = GeoGrid(lat_start + lat_step * np.arange(n_lat), lons)
     return grid, flip_rows, lon_shift
-
-
-def _cached_grid(geometry: tuple, path: Path, geometries: dict
-                 ) -> tuple[GeoGrid, bool, int]:
-    """:func:`_oriented_grid`, built and validated once per geometry key
-    of the cache ``geometries``.
-
-    Floats are keyed on their exact bits, so ``-0.0`` and ``0.0`` never
-    share an entry. A geometry that fails validation is never cached.
-    """
-    n_lat, n_lon, *starts_and_steps = geometry
-    key = (n_lat, n_lon, *(x.hex() for x in starts_and_steps))
-    entry = geometries.get(key)
-    if entry is None:
-        # concurrent readers that both missed end up sharing one entry
-        entry = geometries.setdefault(key, _oriented_grid(geometry, path))
-    return entry
 
 
 # --- stored arrays: grids, stacks, thresholds, climatologies -----------------
 
 _DTYPES = {"f32le": np.dtype("<f4"), "f64le": np.dtype("<f8")}
-
-#: Valid-time step between consecutive layers of an RBSTACK1 store.
-STACK_STEP = timedelta(hours=6)
 
 
 def _stored_step(axis: np.ndarray, single: float) -> float:
@@ -278,12 +270,10 @@ class _Store:
     path: Path
     dtype: np.dtype
     n_layers: int
-    #: (n_lat, n_lon, lat_start, lat_step, lon_start, lon_step) as stored
+    #: the sidecar's geometry (see :func:`_grid_header_geometry`)
     geometry: tuple
     #: one CRC-32 per layer
     checksums: tuple[int, ...]
-    #: the run's geometry cache (see :func:`_cached_grid`)
-    geometries: dict
 
     def read(self, start: int, count: int) -> tuple[GeoGrid, np.ndarray]:
         """The engine-convention grid, and layers ``start .. start +
@@ -293,8 +283,9 @@ class _Store:
         The payload's length is checked against the sidecar before
         anything is read, and the grid is built only after that, so a
         sidecar cannot make the reader allocate more than the payload
-        holds. Only the requested layers are read, and the CRC-32 of each
-        is checked. Finiteness is the caller's check (see :func:`_build`
+        holds; it is built through the memo :func:`_oriented_grid`. Only
+        the requested layers are read, and the CRC-32 of each is checked.
+        Finiteness is the caller's check (see :func:`_build`
         and :meth:`_Stack.block`).
         """
         path = self.path
@@ -320,8 +311,10 @@ class _Store:
                     != self.checksums[k]:
                 where = f" in layer {k}" if self.n_layers > 1 else ""
                 raise ChecksumMismatch(f"{path}: CRC-32 mismatch{where}")
-        grid, flip_rows, lon_shift = _cached_grid(self.geometry, path,
-                                                  self.geometries)
+        try:
+            grid, flip_rows, lon_shift = _oriented_grid(self.geometry)
+        except ValueError as exc:
+            raise InvalidHeader(f"{path}: {exc}") from exc
         layers = np.frombuffer(blob, dtype=self.dtype) \
             .reshape(count, n_lat, n_lon)
         if flip_rows:
@@ -331,8 +324,8 @@ class _Store:
         return grid, layers
 
 
-def _parse_store(path: Path, header: dict, dtype: str, n_layers: int | None,
-                 geometries: dict) -> _Store:
+def _parse_store(path: Path, header: dict, dtype: str, n_layers: int | None
+                 ) -> _Store:
     """Check a loaded sidecar's dtype, geometry and checksums.
 
     ``n_layers`` is the layer count the magic implies; None for a stack,
@@ -363,8 +356,7 @@ def _parse_store(path: Path, header: dict, dtype: str, n_layers: int | None,
                 f"{'>= 1' if n_layers is None else n_layers} and one "
                 f"integer CRC-32 per layer")
         n_layers = stored
-    return _Store(path, _DTYPES[dtype], n_layers, geometry, tuple(checksums),
-                  geometries)
+    return _Store(path, _DTYPES[dtype], n_layers, geometry, tuple(checksums))
 
 
 def _day_layers(header: dict, path: Path, stacks: int) -> int:
@@ -439,7 +431,7 @@ def write_stack(chunks: Iterable[FieldBlock], path: str | os.PathLike
     first_lead = first.lead_hours[0]
     extra = {"variable": variable.key, "unit": variable.unit,
              "valid_time": format_time(first_time),
-             "time_step_hours": STACK_STEP // timedelta(hours=1),
+             "time_step_hours": SIX_HOURS // timedelta(hours=1),
              "lead_hours": first_lead, "lead_step_hours": 0}
 
     def layers(chunk):
@@ -450,7 +442,7 @@ def write_stack(chunks: Iterable[FieldBlock], path: str | os.PathLike
             for when, lead in zip(chunk.valid_times, chunk.lead_hours):
                 if k == 1:
                     extra["lead_step_hours"] = lead - first_lead
-                if k and (not same or when != first_time + k * STACK_STEP
+                if k and (not same or when != first_time + k * SIX_HOURS
                           or lead != first_lead
                           + k * extra["lead_step_hours"]):
                     raise WxVerifyError(
@@ -479,18 +471,17 @@ class _Stack:
     lead_step: int
 
     @classmethod
-    def parse(cls, path: Path, header: dict, geometries: dict) -> "_Stack":
+    def parse(cls, path: Path, header: dict) -> "_Stack":
         one_field = header["magic"] == GRID_MAGIC
-        store = _parse_store(path, header, "f32le", 1 if one_field else None,
-                             geometries)
-        step = STACK_STEP // timedelta(hours=1)
+        store = _parse_store(path, header, "f32le", 1 if one_field else None)
+        step = SIX_HOURS // timedelta(hours=1)
         if not one_field and \
                 _header_value(header, "time_step_hours", int, path) != step:
             raise InvalidHeader(f"{path}: unsupported time_step_hours "
                                 f"{header['time_step_hours']!r}")
         first_time = parse_time(_header_value(header, "valid_time", str, path))
         try:
-            first_time + (store.n_layers - 1) * STACK_STEP
+            first_time + (store.n_layers - 1) * SIX_HOURS
         except OverflowError as exc:
             raise InvalidHeader(f"{path}: layer times run past year 9999") \
                 from exc
@@ -507,7 +498,7 @@ class _Stack:
     def index(self, when: datetime) -> int:
         """The layer valid at ``when``; a time the stack does not hold
         raises :class:`ManifestError` naming the store and the time."""
-        k, rest = divmod(when - self.first_time, STACK_STEP)
+        k, rest = divmod(when - self.first_time, SIX_HOURS)
         if rest or not 0 <= k < self.store.n_layers:
             raise ManifestError(
                 f"{self.store.path} holds no layer valid at "
@@ -524,12 +515,12 @@ class _Stack:
         path = self.store.path
         first = self.index(times[0])
         ks = range(first, first + len(times))
-        valid_times = tuple(self.first_time + k * STACK_STEP for k in ks)
+        valid_times = tuple(self.first_time + k * SIX_HOURS for k in ks)
         if ks[-1] >= self.store.n_layers or valid_times != tuple(times):
             # any other times: one divmod each, which names the first time
             # the stack does not hold
             ks = [self.index(when) for when in times]
-            valid_times = tuple(self.first_time + k * STACK_STEP for k in ks)
+            valid_times = tuple(self.first_time + k * SIX_HOURS for k in ks)
         layer_leads = tuple(self.first_lead + k * self.lead_step for k in ks)
         for when, lead, want in zip(times, layer_leads, leads):
             if want is not None and lead != want:
@@ -636,13 +627,12 @@ def _read_days(store: _Store, first: int, n_days: int
     return grid, out
 
 
-def read_thresholds(path: str | os.PathLike, geometries: dict,
-                    days: Iterable[int]
+def read_thresholds(path: str | os.PathLike, days: Iterable[int]
                     ) -> tuple[ThresholdField, GeoGrid, str]:
     """Thresholds written by :func:`write_thresholds` of the calendar
-    ``days``, their grid, built through the geometry cache ``geometries``
-    (see :func:`_cached_grid`), and the hex SHA-256 of the sidecar read;
-    the location axis is the row-major flattening of that grid.
+    ``days``, their grid, built through the memo :func:`_oriented_grid`,
+    and the hex SHA-256 of the sidecar read; the location axis is the
+    row-major flattening of that grid.
 
     Only the shortest run of consecutive calendar days that holds
     ``days`` is read (see :func:`_read_days`), and finiteness and heat >=
@@ -653,8 +643,7 @@ def read_thresholds(path: str | os.PathLike, geometries: dict,
     """
     path = Path(path)
     header, raw = _load_sidecar(path, THRESH_MAGIC)
-    store = _parse_store(path, header, "f32le", _day_layers(header, path, 2),
-                         geometries)
+    store = _parse_store(path, header, "f32le", _day_layers(header, path, 2))
     first, n_days = day_span(days)
     grid, (heat, cold) = _read_days(store, first, n_days)
     n_loc = grid.n_lat * grid.n_lon
@@ -710,19 +699,17 @@ def write_daily_climatology(parts: Iterable[DailyMeanClimatology],
     })
 
 
-def read_daily_climatology(path: str | os.PathLike, geometries: dict,
+def read_daily_climatology(path: str | os.PathLike,
                            times: Iterable[datetime]) -> DailyMeanClimatology:
     """A climatology written by :func:`write_daily_climatology`, on a grid
-    built through the geometry cache ``geometries`` (see
-    :func:`_cached_grid`), of the shortest run of consecutive calendar
-    days that holds the day of each of ``times`` (see
+    built through the memo :func:`_oriented_grid`, of the shortest run of
+    consecutive calendar days that holds the day of each of ``times`` (see
     :func:`~wxverify.climatology.day_span`): one read, or two when the
     run crosses Dec 31, each checking the CRC-32 of every day it reads.
     """
     path = Path(path)
     header, _ = _load_sidecar(path, CLIM_MAGIC)
-    store = _parse_store(path, header, "f64le", _day_layers(header, path, 1),
-                         geometries)
+    store = _parse_store(path, header, "f64le", _day_layers(header, path, 1))
     first, n_days = day_span(calendar_day_index(when) for when in times)
     grid, (layers,) = _read_days(store, first, n_days)
     return _build(path, DailyMeanClimatology, grid,
@@ -744,7 +731,7 @@ def read_besttrack(path: str | os.PathLike) -> tuple[list[StormTrack], str]:
     raises :class:`UnitOutOfRange` (via :class:`StormFix`). A UTF-8
     byte-order mark before the header is skipped.
     """
-    from .cyclones import LEAD_STEP, TRUTH_SOURCE, StormFix, StormTrack
+    from .cyclones import TRUTH_SOURCE, StormFix, StormTrack
     path = Path(path)
     try:
         raw = path.read_bytes()
@@ -755,7 +742,6 @@ def read_besttrack(path: str | os.PathLike) -> tuple[list[StormTrack], str]:
         raise InvalidHeader(f"{path}: not UTF-8 text: {exc.reason} "
                             f"(byte 0x{exc.object[exc.start]:02x})") from exc
     by_storm: dict[str, list[StormFix]] = {}
-    order: list[str] = []
     reader = csv.DictReader(io.StringIO(text, newline=""))
     if reader.fieldnames is None or \
             [c.strip() for c in reader.fieldnames] != _BESTTRACK_COLUMNS:
@@ -773,34 +759,28 @@ def read_besttrack(path: str | os.PathLike) -> tuple[list[StormTrack], str]:
             )
         except (TypeError, ValueError, AttributeError, KeyError) as exc:
             raise InvalidHeader(f"{path}:{lineno}: bad row: {exc}") from exc
-        if storm_id not in by_storm:
-            by_storm[storm_id] = []
-            order.append(storm_id)
-        fixes = by_storm[storm_id]
-        if fixes and fix.time != fixes[-1].time + LEAD_STEP:
+        fixes = by_storm.setdefault(storm_id, [])
+        if fixes and fix.time != fixes[-1].time + SIX_HOURS:
             raise NonMonotoneTime(
                 f"{path}:{lineno}: storm {storm_id} fix at "
                 f"{format_time(fix.time)} breaks the strictly "
                 f"increasing 6-hour cadence")
         fixes.append(fix)
-    tracks = []
-    for storm_id in order:
-        fixes = by_storm[storm_id]
-        tracks.append(StormTrack(storm_id, TRUTH_SOURCE, fixes[0].time,
-                                 tuple(fixes), tuple([True] * len(fixes))))
+    tracks = [StormTrack(storm_id, TRUTH_SOURCE, fixes[0].time, tuple(fixes),
+                         tuple([True] * len(fixes)))
+              for storm_id, fixes in by_storm.items()]
     return tracks, sha256(raw).hexdigest()
 
 
 def write_tracks_csv(tracks: Sequence[StormTrack], path: str | os.PathLike) -> Path:
     """Track output CSV: best-track schema plus source and tracked flags."""
-    from .cyclones import LEAD_STEP
     lines = ["storm_id,iso_time,lat,lon,mslp_hpa,wind_ms,source,init_time,"
              "lead_hours,tracked"]
     for track in tracks:
         tail = f"{track.source},{format_time(track.init_time)}"
         for k, flag in enumerate(track.tracked_mask):
             fix = track.fix_at_lead(k)
-            when = track.init_time + k * LEAD_STEP
+            when = track.init_time + k * SIX_HOURS
             if fix is None:
                 lines.append(f"{track.storm_id},{format_time(when)},,,,,"
                              f"{tail},{6 * k},0")
@@ -1290,9 +1270,7 @@ class RunManifest:
                         "%Y%m%d%H")
                 if lead is not None:
                     values["lead"] = lead
-                # threads that race here format the same path; one is kept
-                path = formatted.setdefault(at, self._fmt(key, pattern,
-                                                          values))
+                path = formatted[at] = self._fmt(key, pattern, values)
             paths.append(path)
         return paths
 
@@ -1363,10 +1341,11 @@ class FieldSource:
     """The one way a run reads the stored arrays its manifest names.
 
     A command creates one per run. Every read goes through the
-    module-level codec with a geometry cache held here, so a
-    :class:`GeoGrid` is built and validated once per distinct sidecar
-    geometry instead of once per file; fields, thresholds and
-    climatologies that share a geometry share one grid object.
+    module-level codec, whose grids come from one memo
+    (:func:`_oriented_grid`), so a :class:`GeoGrid` is built and
+    validated once per distinct sidecar geometry instead of once per
+    file; fields, thresholds and climatologies that share a geometry
+    share one grid object.
 
     A truth, model or history path may name an RBSTACK1 store or an
     RBGRID1 file, which reads as a stack of one layer. A stack's sidecar
@@ -1374,15 +1353,12 @@ class FieldSource:
     read with one seek, checking only the CRC-32s of the layers read and
     that each layer is valid at the time, and carries the lead, asked
     for. Fields are blocks of one layer, and a history year is a run of
-    blocks of whole days.
-    Safe to share between threads. Derived WS10 is computed from U10 and
-    V10 here and nowhere else.
+    blocks of whole days. Derived WS10 is computed from U10 and V10 here
+    and nowhere else.
     """
 
     def __init__(self, manifest: RunManifest):
         self.manifest = manifest
-        # geometry key -> (GeoGrid, flip_rows, lon_shift); see _cached_grid
-        self._geometries: dict[tuple, tuple[GeoGrid, bool, int]] = {}
         # store path -> its parsed sidecar
         self._stacks: dict[Path, _Stack] = {}
 
@@ -1390,9 +1366,8 @@ class FieldSource:
         """The parsed stack at ``path``."""
         stack = self._stacks.get(path)
         if stack is None:
-            stack = self._stacks.setdefault(path, _Stack.parse(
-                path, _load_sidecar(path, GRID_MAGIC, STACK_MAGIC)[0],
-                self._geometries))
+            stack = self._stacks[path] = _Stack.parse(
+                path, _load_sidecar(path, GRID_MAGIC, STACK_MAGIC)[0])
         return stack
 
     def _block(self, variable: VariableId, times: Sequence[datetime],
@@ -1492,7 +1467,7 @@ class FieldSource:
         return read_daily_climatology(
             _built(self.manifest, "climatology",
                    self.manifest.climatology_path(variable),
-                   "daily_mean_pattern"), self._geometries, times)
+                   "daily_mean_pattern"), times)
 
     def thresholds(self, days: Iterable[int]
                    ) -> tuple[ThresholdField, GeoGrid, str]:
@@ -1502,7 +1477,7 @@ class FieldSource:
         thresholds file or it has not been built."""
         return read_thresholds(
             _built(self.manifest, "thresholds", self.manifest.thresholds_file,
-                   "thresholds_path"), self._geometries, days)
+                   "thresholds_path"), days)
 
 
 class SpilledHistory:
@@ -1683,6 +1658,14 @@ def load_manifest(path: str | os.PathLike,
     if type(max_lead) is not int or max_lead < 0 or max_lead % 6:
         raise ManifestError(f"{path}: max_lead_hours must be a non-negative "
                             f"multiple of 6")
+    for init in init_times:
+        try:
+            init + timedelta(hours=max_lead)
+        except OverflowError:
+            raise ManifestError(
+                f"{path}: init_times entry {format_time(init)} plus "
+                f"max_lead_hours {max_lead} runs past year {MAXYEAR}") \
+                from None
     truth_pattern = need("truth_pattern", str)
     models_doc = need("models", dict)
     models = {}
@@ -1708,6 +1691,12 @@ def load_manifest(path: str | os.PathLike,
                             f"list of integer years")
     history_years = distinct("climatology history_years",
                              tuple(history_years), history_years)
+    for year in history_years:
+        # a year's 6-hourly times run up to 00Z Jan 1 of the next year
+        if not MINYEAR <= year < MAXYEAR:
+            raise ManifestError(
+                f"{path}: climatology history_years lists {year}; a history "
+                f"year must lie in {MINYEAR}..{MAXYEAR - 1}")
 
     regions_doc = doc.get("regions", {"global": None})
     regions: dict[str, tuple[float, float, float, float] | None] = {}

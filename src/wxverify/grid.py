@@ -6,15 +6,14 @@ fields), and great-circle distance. Grids are oriented north-to-south in
 rows and 0..360 eastward in columns; readers normalize foreign
 orientations at ingestion.
 
-All types are immutable after construction and every operation is pure,
-so everything here is safe to call from concurrent workers.
+All types are immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from enum import Enum
 from typing import Sequence
 
@@ -27,6 +26,10 @@ EARTH_RADIUS_KM = 6371.0
 
 #: Kilometres per degree of a great circle (pi * R / 180).
 KM_PER_DEG = EARTH_RADIUS_KM * math.pi / 180.0
+
+#: The step of the 6-hourly cadence: between the valid times of
+#: consecutive layers of a series or stack, and between consecutive leads.
+SIX_HOURS = timedelta(hours=6)
 
 
 class VariableId(Enum):
@@ -170,7 +173,7 @@ class GeoGrid:
     def __eq__(self, other) -> bool:
         if not isinstance(other, GeoGrid):
             return NotImplemented
-        if self is other:  # fields read through one FieldSource share grids
+        if self is other:  # fields read on one sidecar geometry share grids
             return True
         return (np.array_equal(self.lat_deg, other.lat_deg)
                 and np.array_equal(self.lon_deg, other.lon_deg))

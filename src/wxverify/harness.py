@@ -39,11 +39,12 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import fileio
-from .climatology import SIX_HOURS, calendar_day_index, year_times
+from .climatology import calendar_day_index, year_times
 from .cyclones import TRUTH_SOURCE, StormFix, StormTrack
 from .errors import InvalidHeader, ManifestError
 from .extremes import EventKind
-from .grid import KM_PER_DEG, FieldBlock, GeoGrid, VariableId, haversine_km_grid
+from .grid import (KM_PER_DEG, SIX_HOURS, FieldBlock, GeoGrid, VariableId,
+                   haversine_km_grid)
 from .report import canonical_json, publish, publishing, text_lines
 
 

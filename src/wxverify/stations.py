@@ -305,8 +305,9 @@ class StationInterpolator:
 
     The weights are bracketed once per distinct grid and reused for
     every stack on it; a stack on another grid gets weights of its own.
-    Grids are told apart by value, so grids shared through one
-    :class:`~wxverify.fileio.FieldSource` cost one dict lookup.
+    Grids are told apart by value, so the grids that stores of one
+    geometry share (see :class:`~wxverify.fileio.FieldSource`) cost one
+    dict lookup.
     ``meta_path``, the metadata file the stations were read from, is
     named in the error of a station outside a grid.
     """
@@ -335,7 +336,7 @@ class StationInterpolator:
                     f"{station.lat}, lon {station.lon} is outside the "
                     f"grid's span: latitude [{grid.lat_deg[-1]}, "
                     f"{grid.lat_deg[0]}], {lon_span}", exc.point) from exc
-            found = self._weights.setdefault(grid, found)
+            self._weights[grid] = found
         return found
 
 

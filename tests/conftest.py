@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from wxverify import fileio
-from wxverify.grid import FieldBlock, GeoGrid, VariableId, latitude_weights
+from wxverify.grid import (SIX_HOURS, FieldBlock, GeoGrid, VariableId,
+                          latitude_weights)
 from wxverify.metrics import BlockScores, block_scores
 
 T0 = datetime(2025, 7, 1, 0, tzinfo=timezone.utc)
@@ -108,15 +109,13 @@ def spilled_extremes(spill) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.concatenate(side, axis=-1) for side in zip(*parts))
 
 
-def read_store(path, geometries: dict | None = None) -> FieldBlock:
+def read_store(path) -> FieldBlock:
     """Every layer of the RBGRID1 or RBSTACK1 store at ``path``, read as a
-    run reads a span of it (``fileio._Stack.block``), through the geometry
-    cache ``geometries`` (a cache of its own by default)."""
+    run reads a span of it (``fileio._Stack.block``)."""
     path = Path(path)
     stack = fileio._Stack.parse(path, fileio._load_sidecar(
-        path, fileio.GRID_MAGIC, fileio.STACK_MAGIC)[0],
-        {} if geometries is None else geometries)
-    times = [stack.first_time + k * fileio.STACK_STEP
+        path, fileio.GRID_MAGIC, fileio.STACK_MAGIC)[0])
+    times = [stack.first_time + k * SIX_HOURS
              for k in range(stack.store.n_layers)]
     return stack.block(times, [None] * len(times))
 

@@ -28,7 +28,8 @@ from wxverify.climatology import (SYNOPTIC_HOURS, DailyMeanClimatology,
                                   year_times)
 from wxverify.errors import ChecksumMismatch
 from wxverify.extremes import EventKind
-from wxverify.grid import FieldBlock, GeoGrid, VariableId, latitude_weights
+from wxverify.grid import (SIX_HOURS, FieldBlock, GeoGrid, VariableId,
+                          latitude_weights)
 from wxverify.pipelines import _mean, _region_mask
 from wxverify.report import (canonical_json, new_scorecard,
                              validate_scorecard)
@@ -597,6 +598,35 @@ class TestExitCodes:
         assert rc == 2
         assert "history_years" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("years", [[0, 2025], [-5, 2025], [2025, 10000],
+                                       [9999]])
+    def test_history_year_beyond_the_calendar_is_exit_2(
+            self, evaluate_run, years, tmp_path, capsys):
+        doc = json.loads((evaluate_run / "manifest.json").read_text())
+        doc["climatology"]["history_years"] = years
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("build-climatology", "--manifest", path) == 2
+        bad = next(year for year in years if not 1 <= year <= 9998)
+        assert capsys.readouterr().err == (
+            f"error: {path}: climatology history_years lists {bad}; a "
+            f"history year must lie in 1..9998\n")
+
+    @pytest.mark.parametrize("command", ["evaluate", "extremes", "stations"])
+    def test_init_time_beyond_the_calendar_is_exit_2(
+            self, evaluate_run, command, tmp_path, capsys):
+        path = with_manifest(evaluate_run, "manifest_year_9999.json",
+                             init_times=["9999-12-31T00:00:00Z"])
+        stations = ["--station-meta", evaluate_run / "stations_meta.csv",
+                    "--station-obs", evaluate_run / "stations_obs.csv"] \
+            if command == "stations" else []
+        assert run_cli(command, "--manifest", path, *stations,
+                       "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: init_times entry 9999-12-31T00:00:00Z plus "
+            f"max_lead_hours 48 runs past year 9999\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestUnwritableOutput:
     """An output path that cannot be written is exit 2 naming it, and
@@ -958,7 +988,7 @@ class TestStackReads:
                               for init in manifest.init_times
                               for lead in manifest.lead_hours})
         first = valid_times[0]
-        start = (first - first.replace(month=1, day=1)) // fileio.STACK_STEP
+        start = (first - first.replace(month=1, day=1)) // SIX_HOURS
         assert len(valid_times) == 13  # two inits a day apart, leads to 48 h
         assert sorted(r for r in store_reads if "truth" in r[0].parts) == \
             sorted((manifest.truth_path(v, first), start, len(valid_times))
@@ -980,7 +1010,7 @@ class TestStackReads:
             for year, path in history.items():
                 times = year_times(year, range(first, min(first + days, 365)))
                 start = times[0] - datetime(year, 1, 1, tzinfo=timezone.utc)
-                want.append((path, start // fileio.STACK_STEP, len(times)))
+                want.append((path, start // SIX_HOURS, len(times)))
         reads = [read for read in store_reads
                  if read[0] in history.values()]
         assert reads == want
@@ -1623,7 +1653,7 @@ class TestEvaluateBlocks:
         # one span per (variable, init) of the year's stack, from Jan 1
         jan = manifest.init_times[0].replace(month=1, day=1)
         truth = [(manifest.truth_path(v, init),
-                  (init - jan) // fileio.STACK_STEP, n_layers)
+                  (init - jan) // SIX_HOURS, n_layers)
                  for v in stored for init in manifest.init_times]
         assert [r for r in store_reads if "truth" in r[0].parts] == truth
         days = day_span(calendar_day_index(init + timedelta(hours=lead))
@@ -1631,6 +1661,29 @@ class TestEvaluateBlocks:
                         for lead in manifest.lead_hours)
         assert [r for r in store_reads if "clim" in r[0].parts] == \
             [(manifest.climatology_path(v), *days) for v in stored]
+
+    def test_field_files_build_one_grid_per_geometry(
+            self, evaluate_run, tmp_path, store_reads, monkeypatch):
+        # one RBGRID1 file per field: the grid is built once per distinct
+        # sidecar geometry, not once per file read
+        manifest = grid_layout(evaluate_run)
+        builds = []
+        real = fileio.GeoGrid
+        monkeypatch.setattr(fileio, "GeoGrid",
+                            lambda *axes: builds.append(axes) or real(*axes))
+        fileio._oriented_grid.cache_clear()
+        store_reads.clear()
+        assert run_cli("evaluate", "--manifest", manifest,
+                       "--out", tmp_path / "out") == 0
+        geometries = set()
+        for path, _, _ in store_reads:
+            header, _ = fileio._load_sidecar(path, fileio.GRID_MAGIC,
+                                             fileio.CLIM_MAGIC)
+            geometries.add(fileio._grid_header_geometry(header, path))
+        assert len({path for path, _, _ in store_reads}) > 100
+        assert len(builds) == len(geometries) == 1
+        memo = fileio._oriented_grid.cache_info()
+        assert memo.misses == 1 and memo.hits == len(store_reads) - 1
 
 
 def grid_run(run, root, truth_pattern="truth/{variable}/{time}.rbg"):
@@ -1911,7 +1964,7 @@ class TestExtremesReference:
         manifest = fileio.load_manifest(manifest_path)
         source = fileio.FieldSource(manifest)
         thresholds, grid, _ = fileio.read_thresholds(
-            manifest.thresholds_file, {}, CALENDAR_DAYS)
+            manifest.thresholds_file, CALENDAR_DAYS)
         masks = {"global": _region_mask(grid, None).reshape(-1),
                  "box": _region_mask(grid, box).reshape(-1)}
 

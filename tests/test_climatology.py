@@ -199,7 +199,7 @@ def reduce_streamed(source, extremes=True):
                                    source.manifest.history_years) as spill:
             grid = _reduce_history(source, VariableId.T2M, clim_path,
                                    spill if extremes else None)
-            mean = fileio.read_daily_climatology(clim_path, {},
+            mean = fileio.read_daily_climatology(clim_path,
                                                  CALENDAR_TIMES).day_mean
             spilled = spilled_extremes(spill) if extremes else None
     return grid, mean, spilled

@@ -12,13 +12,11 @@ from hypothesis import strategies as st
 import oracles
 from conftest import T0, field_block, make_field
 from wxverify.errors import MissingFix, SeedOutsideDomain, UnitOutOfRange
-from wxverify.grid import (EARTH_RADIUS_KM, FieldBlock, GeoGrid, VariableId,
-                           haversine_km, haversine_km_grid)
+from wxverify.grid import (EARTH_RADIUS_KM, SIX_HOURS, FieldBlock, GeoGrid,
+                           VariableId, haversine_km, haversine_km_grid)
 from wxverify.cyclones import (TRUTH_SOURCE, StormFix, StormTrack,
                                StormTracker, TrackerConfig, homogeneous_sample,
                                intensity_errors, track_dpe, track_storm)
-
-SIX_H = timedelta(hours=6)
 
 
 def regional_grid():
@@ -41,7 +39,7 @@ def vortex_field_set(grid, centers, depth=3000.0, efold=300.0, base=101000.0,
                      wind_peak=35.0):
     msl, u10, v10 = [], [], []
     for k, (lat0, lon0) in enumerate(centers):
-        when = T0 + k * SIX_H
+        when = T0 + k * SIX_HOURS
         d = haversine_km_grid(lat0, lon0, grid)
         msl.append(make_field(grid, base - depth * np.exp(-((d / efold) ** 2)),
                               VariableId.MSL, when, 6 * k))
@@ -59,7 +57,7 @@ def blocks(*per_variable):
 
 
 def fix(k, lat=20.0, lon=150.0, mslp=98000.0, wind=40.0):
-    return StormFix(T0 + k * SIX_H, lat, lon, mslp, wind)
+    return StormFix(T0 + k * SIX_HOURS, lat, lon, mslp, wind)
 
 
 def truth_track(storm_id, n_fixes, **kw):
@@ -98,7 +96,7 @@ class TestStormTrack:
         track = truth_track("S", 3)
         assert track.fix_at_lead(2) is not None
         assert track.fix_at_lead(3) is None
-        assert track.fix_at_time(T0 + 2 * SIX_H) == track.fixes[2]
+        assert track.fix_at_time(T0 + 2 * SIX_HOURS) == track.fixes[2]
         assert track.fix_at_time(T0 + timedelta(hours=3)) is None
 
 
@@ -139,12 +137,12 @@ class TestTracker:
     def test_no_depression_never_tracks(self):
         grid = regional_grid()
         flat = [make_field(grid, np.full(grid.shape, 101500.0),
-                           VariableId.MSL, T0 + k * SIX_H, 6 * k)
+                           VariableId.MSL, T0 + k * SIX_HOURS, 6 * k)
                 for k in range(4)]
         zeros = [make_field(grid, np.zeros(grid.shape), VariableId.U10,
-                            T0 + k * SIX_H, 6 * k) for k in range(4)]
+                            T0 + k * SIX_HOURS, 6 * k) for k in range(4)]
         zeros_v = [make_field(grid, np.zeros(grid.shape), VariableId.V10,
-                              T0 + k * SIX_H, 6 * k) for k in range(4)]
+                              T0 + k * SIX_HOURS, 6 * k) for k in range(4)]
         track = track_storm(*blocks(flat, zeros, zeros_v), (20.0, 150.0),
                             storm_id="S", source="m")
         assert track.tracked_mask == (False, False, False, False)
@@ -195,7 +193,7 @@ class TestTracker:
         winds = {"u10": u10, "v10": v10}
         # six hours later than MSL's, in valid times or in leads
         winds[wind] = replace(winds[wind], **{shift: tuple(
-            value + (SIX_H if shift == "valid_times" else 6)
+            value + (SIX_HOURS if shift == "valid_times" else 6)
             for value in getattr(winds[wind], shift))})
         with pytest.raises(ValueError, match=f"{wind} valid times or leads "
                                              f"differ from MSL's"):
@@ -273,7 +271,7 @@ def tracker_case(wrap, n_lat, n_lon, lats, lon_span, n_leads, start, move,
         msl[lost_at:] = BACKGROUND[0]
     winds = (np.float32(15.0) * rng.standard_normal((2, *msl.shape),
                                                     dtype=np.float32))
-    times = tuple(T0 + k * SIX_H for k in range(n_leads))
+    times = tuple(T0 + k * SIX_HOURS for k in range(n_leads))
     leads = tuple(6 * k for k in range(n_leads))
     msl, u10, v10 = (FieldBlock(grid, variable, times, leads, values)
                      for variable, values in ((VariableId.MSL, msl),

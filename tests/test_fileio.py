@@ -4,9 +4,7 @@ import hashlib
 import io
 import itertools
 import json
-import sys
 import tempfile
-import threading
 import tracemalloc
 import zlib
 from datetime import timedelta
@@ -35,7 +33,8 @@ from wxverify.errors import (ChecksumMismatch, DuplicateObservation,
                              ManifestError, NonFiniteValue, NonMonotoneTime,
                              NonUniformGrid, UnitOutOfRange, UnknownStation,
                              WxVerifyError)
-from wxverify.grid import FieldBlock, GeoGrid, VariableId, latitude_weights
+from wxverify.grid import (SIX_HOURS, FieldBlock, GeoGrid, VariableId,
+                          latitude_weights)
 
 
 def f32_field(rng, grid, **kw):
@@ -54,7 +53,7 @@ def write_threshold_store(rng, grid, path):
 
 
 #: Valid times of the stack store's layers.
-STACK_TIMES = [T0 + k * timedelta(hours=6) for k in range(3)]
+STACK_TIMES = [T0 + k * SIX_HOURS for k in range(3)]
 
 
 def write_stack_store(rng, grid, path):
@@ -101,13 +100,12 @@ STORES = {
                   lambda s: s.truth_block(VariableId.T2M, [T0]),
                   lambda block: (block.grid, list(block.values))),
     "thresholds": Store(write_threshold_store, lambda path:
-                        fileio.read_thresholds(path, {}, CALENDAR_DAYS),
+                        fileio.read_thresholds(path, CALENDAR_DAYS),
                         "<f4", lambda m: m.thresholds_file,
                         lambda s: s.thresholds(CALENDAR_DAYS),
                         lambda r: (r[1], [r[0].tau_heat, r[0].tau_cold])),
     "climatology": Store(write_climatology_store, lambda path:
-                         fileio.read_daily_climatology(path, {},
-                                                       CALENDAR_TIMES),
+                         fileio.read_daily_climatology(path, CALENDAR_TIMES),
                          "<f8", lambda m: m.climatology_path(VariableId.T2M),
                          lambda s: s.climatology(VariableId.T2M,
                                                  CALENDAR_TIMES),
@@ -321,8 +319,7 @@ class TestStackStores:
         cold = heat - 10.0
         tf = ThresholdField(heat, cold, (2019, 2020), 7, 0.9, 0.1)
         path = fileio.write_thresholds(as_build(tf), grid, tmp_path / "t.rbt")
-        back, back_grid, digest = fileio.read_thresholds(path, {},
-                                                         CALENDAR_DAYS)
+        back, back_grid, digest = fileio.read_thresholds(path, CALENDAR_DAYS)
         assert digest == hashlib.sha256(
             path.with_name("t.rbt.json").read_bytes()).hexdigest()
         assert back_grid == grid
@@ -341,7 +338,7 @@ class TestStackStores:
         payload = path.stat().st_size
         tracemalloc.start()
         try:
-            back, _, _ = fileio.read_thresholds(path, {}, CALENDAR_DAYS)
+            back, _, _ = fileio.read_thresholds(path, CALENDAR_DAYS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -355,7 +352,7 @@ class TestStackStores:
         day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, 3, 4))
         clim = DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))
         path = fileio.write_daily_climatology([clim], tmp_path / "c.rbc")
-        back = fileio.read_daily_climatology(path, {}, CALENDAR_TIMES)
+        back = fileio.read_daily_climatology(path, CALENDAR_TIMES)
         assert back.variable is VariableId.T2M
         assert np.array_equal(back.day_mean, day_mean)  # f64 payload
 
@@ -368,7 +365,7 @@ class TestStackStores:
         payload = path.stat().st_size
         tracemalloc.start()
         try:
-            back = fileio.read_daily_climatology(path, {}, CALENDAR_TIMES)
+            back = fileio.read_daily_climatology(path, CALENDAR_TIMES)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -888,6 +885,54 @@ class TestManifest:
             f"{path}: bad {key} pattern {pattern!r}: ")
         assert why in str(err.value)
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("history_years", [0, 2023], "climatology history_years lists 0; a "
+                                     "history year must lie in 1..9998"),
+        ("history_years", [-5, 2023], "climatology history_years lists -5; "
+                                      "a history year must lie in 1..9998"),
+        ("history_years", [2023, 10000], "climatology history_years lists "
+                                         "10000; a history year must lie in "
+                                         "1..9998"),
+        # its Dec 31 runs to 00Z Jan 1 of year 10000
+        ("history_years", [9999], "climatology history_years lists 9999; a "
+                                  "history year must lie in 1..9998"),
+        ("init_times", ["9999-12-31T18:00:00Z"],
+         "init_times entry 9999-12-31T18:00:00Z plus max_lead_hours 6 runs "
+         "past year 9999"),
+        ("init_times", ["2025-07-01T00:00:00Z", "9999-12-31T23:00:00+01:00"],
+         "init_times entry 9999-12-31T22:00:00Z plus max_lead_hours 6 runs "
+         "past year 9999")])
+    def test_times_beyond_the_calendar_are_named(self, tmp_path, key, value,
+                                                 message):
+        doc = {"variables": ["t2m"], "init_times": [fileio.format_time(T0)],
+               "max_lead_hours": 6, "truth_pattern": "t/{variable}.rbs",
+               "models": {"m": "m/{variable}.rbs"},
+               "climatology": {"history_pattern": "t/{variable}.rbs",
+                               "history_years": [T0.year]}}
+        if key == "init_times":
+            doc["init_times"] = value
+        else:
+            doc["climatology"][key] = value
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ManifestError) as err:
+            fileio.load_manifest(path, require=())
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_times_at_the_calendar_edges_load(self, tmp_path):
+        doc = {"variables": ["t2m"], "max_lead_hours": 6,
+               "init_times": ["0001-01-01T00:00:00Z", "9999-12-31T12:00:00Z"],
+               "truth_pattern": "t/{variable}.rbs",
+               "models": {"m": "m/{variable}.rbs"},
+               "climatology": {"history_pattern": "t/{variable}.rbs",
+                               "history_years": [1, 9998]}}
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(doc))
+        manifest = fileio.load_manifest(path, require=())
+        assert manifest.valid_times[-1].year == 9999
+        assert [climatology.year_times(year)[-1].year
+                for year in manifest.history_years] == [1, 9998]
+
     def test_directory_as_manifest(self, tmp_path):
         path = tmp_path / "manifest.json"
         path.mkdir()
@@ -1005,6 +1050,7 @@ class TestFieldSource:
     @settings(max_examples=60, deadline=None)
     def test_cached_reads_match_fresh_reads(self, tmp_path_factory,
                                             drawn, order, seed):
+        # a fresh read builds its grid with the uncached builder
         geometries = drawn + [t for g in drawn for t in twins(g)]
         root = tmp_path_factory.mktemp("geo")
         rng = np.random.default_rng(seed)
@@ -1012,11 +1058,14 @@ class TestFieldSource:
         shared = {}  # geometry key -> first grid object read for it
         for k, g in enumerate(order):
             geometry = geometries[g % len(geometries)]
-            when = T0 + k * timedelta(hours=6)
+            when = T0 + k * SIX_HOURS
             path = write_raw_grid(
                 source.manifest.truth_path(VariableId.T2M, when),
                 rng.standard_normal(geometry[:2]), geometry, when)
-            fresh, fresh_err = outcome(lambda: read_store(path))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(fileio, "_oriented_grid",
+                              fileio._oriented_grid.__wrapped__)
+                fresh, fresh_err = outcome(lambda: read_store(path))
             cached, cached_err = outcome(
                 lambda: source.truth_block(VariableId.T2M, [when]))
             if fresh_err is not None:
@@ -1024,6 +1073,7 @@ class TestFieldSource:
                 assert str(cached_err) == str(fresh_err)
                 continue
             assert cached_err is None
+            assert cached.grid is not fresh.grid
             assert cached.grid == fresh.grid
             assert cached.values.tobytes() == fresh.values.tobytes()
             assert (cached.variable, cached.valid_times, cached.lead_hours) == \
@@ -1043,17 +1093,18 @@ class TestFieldSource:
                      out.with_name(out.name + ".json").read_bytes()))
             assert writes[0] == writes[1]
 
-    def test_bad_geometry_raises_on_every_read(self, rng, tmp_path):
-        source = fileio.FieldSource(grid_manifest(tmp_path))
+    def test_bad_geometry_raises_on_every_read(self, tmp_path):
         bad = (3, 4, 95.0, -5.0, 0.0, 90.0)  # first row north of the pole
         good = (3, 4, 85.0, -5.0, 0.0, 90.0)
         write_raw_grid(tmp_path / "bad.rbg", np.zeros((3, 4)), bad)
         write_raw_grid(tmp_path / "good.rbg", np.zeros((3, 4)), good)
+        grids = []
         for _ in range(3):
             with pytest.raises(InvalidHeader, match="bad.rbg"):
-                read_store(tmp_path / "bad.rbg", source._geometries)
-            assert read_store(tmp_path / "good.rbg",
-                              source._geometries).grid.n_lat == 3
+                read_store(tmp_path / "bad.rbg")
+            grids.append(read_store(tmp_path / "good.rbg").grid)
+        assert grids[0].n_lat == 3
+        assert all(grid is grids[0] for grid in grids)
 
     @pytest.mark.parametrize("store", STORES.values(), ids=STORES.keys())
     def test_nan_payload_error_names_path(self, store, rng, tmp_path):
@@ -1107,40 +1158,6 @@ class TestFieldSource:
         with pytest.raises(ManifestError, match="declares no climatology "
                                                 "thresholds_path"):
             source.thresholds(CALENDAR_DAYS)
-
-    def test_threads_share_one_grid_object(self, rng, tmp_path):
-        # more threads than cores and a short switch interval, so that
-        # concurrent misses on one geometry are likely
-        geometry = (4, 8, 60.0, -10.0, 0.0, 45.0)
-        paths = [write_raw_grid(tmp_path / f"f{k}.rbg",
-                                rng.standard_normal((4, 8)), geometry)
-                 for k in range(4)]
-        n_threads = 6
-        barrier = threading.Barrier(n_threads, timeout=30)
-        grids = []
-
-        def read(source):
-            barrier.wait()
-            grids.extend(read_store(p, source._geometries).grid
-                         for p in paths)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                source = fileio.FieldSource(grid_manifest(tmp_path))
-                grids.clear()
-                threads = [threading.Thread(target=read, args=(source,))
-                           for _ in range(n_threads)]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join(timeout=30)
-                assert not any(t.is_alive() for t in threads)
-                assert len(grids) == n_threads * len(paths)
-                assert all(grid is grids[0] for grid in grids)
-        finally:
-            sys.setswitchinterval(interval)
 
     def test_resolves_manifest_paths_and_derives_wind(self, rng, tmp_path):
         manifest = grid_manifest(tmp_path, ("u10", "v10", "ws10"))
@@ -1199,7 +1216,7 @@ def stack_manifest(root, max_lead=12, history_years=(T0.year,)):
 
 
 def times_from(first, n):
-    return [first + k * fileio.STACK_STEP for k in range(n)]
+    return [first + k * SIX_HOURS for k in range(n)]
 
 
 class TestStacks:
@@ -1230,7 +1247,7 @@ class TestStacks:
                 assert got.values.tobytes() == fresh.values.tobytes()
                 assert (got.variable, got.valid_times, got.lead_hours) == \
                     (fresh.variable, fresh.valid_times, fresh.lead_hours)
-            assert layer.grid is read_store(path, source._geometries).grid
+            assert layer.grid is read_store(path).grid
         if whole_err is None:
             # rewriting what was read gives the same fields back, or fails
             # as writing its first field alone does (a regional grid across
@@ -1301,7 +1318,7 @@ class TestStacks:
             forecast, manifest.model_path("one-run", T0, VariableId.T2M, 0))
         source = fileio.FieldSource(manifest)
         path = manifest.truth_path(VariableId.T2M, T0)
-        for when in (T0 - fileio.STACK_STEP, T0 + 3 * fileio.STACK_STEP,
+        for when in (T0 - SIX_HOURS, T0 + 3 * SIX_HOURS,
                      T0 + timedelta(hours=1)):
             with pytest.raises(ManifestError) as err:
                 source.truth_block(VariableId.T2M, [when])
@@ -1314,7 +1331,7 @@ class TestStacks:
         # a later init resolves to the same store, whose layer valid at
         # T0 + 6 h has lead 6, not 0
         with pytest.raises(ManifestError, match="has lead 6 h, not 0 h"):
-            source.model_block("one-run", T0 + fileio.STACK_STEP,
+            source.model_block("one-run", T0 + SIX_HOURS,
                                VariableId.T2M, [0])
 
     @pytest.mark.parametrize("layout, leads", [
@@ -1386,7 +1403,7 @@ class TestStacks:
                   for k, when in enumerate(times_from(T0, 6))]
         if fault == "time-gap":
             fields[layer] = stamped(
-                fields[layer], fields[layer].valid_times[0] + fileio.STACK_STEP,
+                fields[layer], fields[layer].valid_times[0] + SIX_HOURS,
                 6 * layer)
         elif fault == "lead-step":
             fields[layer] = stamped(fields[layer],
@@ -1411,7 +1428,7 @@ class TestStacks:
 
         def chunks():
             for c in range(n_chunks):
-                times = times_from(T0 + c * k * fileio.STACK_STEP, k)
+                times = times_from(T0 + c * k * SIX_HOURS, k)
                 yield FieldBlock(grid, VariableId.T2M, tuple(times), (0,) * k,
                                  np.full((k, *grid.shape), 280.0 + c))
         chunk_bytes = k * grid.n_lat * grid.n_lon * 8
@@ -1533,7 +1550,7 @@ class TestBlocks:
                         280.0 + rng.standard_normal((n_layers, *geometry[:2])),
                         geometry, lead_step=6)
         ks = sorted(k for k in picked if k < n_layers) or [0]
-        times = [T0 + k * fileio.STACK_STEP for k in ks]
+        times = [T0 + k * SIX_HOURS for k in ks]
         truth, truth_err = outcome(
             lambda: source.truth_block(VariableId.T2M, times))
         pred, pred_err = outcome(lambda: source.model_block(
@@ -1579,7 +1596,7 @@ class TestBlocks:
         manifest = stack_manifest(tmp_path)
         grid = make_grid(3, 4)
         new_year = T0.replace(year=T0.year + 1, month=1, day=1)
-        old = times_from(new_year - 3 * fileio.STACK_STEP, 3)
+        old = times_from(new_year - 3 * SIX_HOURS, 3)
         new = times_from(new_year, 4)
         for times in (old, new):
             fileio.write_stack((f32_field(rng, grid, valid_time=when)
@@ -1639,7 +1656,7 @@ class TestBlocks:
             forecast, manifest.model_path("one-run", T0, VariableId.T2M, 0))
         source = fileio.FieldSource(manifest)
         with pytest.raises(ManifestError, match="has lead 6 h, not 0 h"):
-            source.model_block("one-run", T0 + fileio.STACK_STEP,
+            source.model_block("one-run", T0 + SIX_HOURS,
                                VariableId.T2M, [0, 6])
 
     @pytest.mark.parametrize("layout", ["stack", "grid"])
@@ -1698,9 +1715,9 @@ class TestClimatologyByDay:
                                               store_reads):
         times = [T0.replace(month=1, day=1) + timedelta(days=d, hours=6)
                  for d in days]
-        part = fileio.read_daily_climatology(clim_path, {}, times)
+        part = fileio.read_daily_climatology(clim_path, times)
         assert store_reads == [(clim_path, start, n) for start, n in reads]
-        whole = fileio.read_daily_climatology(clim_path, {}, CALENDAR_TIMES)
+        whole = fileio.read_daily_climatology(clim_path, CALENDAR_TIMES)
         assert part.first_day == reads[0][0]
         assert part.day_mean.shape[0] == sum(n for _, n in reads)
         assert part.layers(times).tobytes() == whole.layers(times).tobytes()
@@ -1716,10 +1733,9 @@ class TestClimatologyByDay:
         blob[10 * day_bytes + 3] ^= 0xFF
         clim_path.write_bytes(bytes(blob))
         jan = T0.replace(month=1, day=1)
-        fileio.read_daily_climatology(clim_path, {},
-                                      [jan + timedelta(days=20)])
+        fileio.read_daily_climatology(clim_path, [jan + timedelta(days=20)])
         with pytest.raises(ChecksumMismatch) as err:
-            fileio.read_daily_climatology(clim_path, {},
+            fileio.read_daily_climatology(clim_path,
                                           [jan + timedelta(days=10)])
         assert str(err.value) == f"{clim_path}: CRC-32 mismatch in layer 10"
 
@@ -1820,7 +1836,7 @@ class TestStreamedThresholds:
                                         tmp_path / "whole.rbt")
         assert whole.with_name("whole.rbt.json").read_bytes() == \
             path.with_name("t.rbt.json").read_bytes()
-        back, back_grid, _ = fileio.read_thresholds(path, {}, CALENDAR_DAYS)
+        back, back_grid, _ = fileio.read_thresholds(path, CALENDAR_DAYS)
         assert back_grid == grid and back.first_day == 0
         assert back.tau_heat.tobytes() == layers[:DAYS_PER_YEAR].tobytes()
         assert back.tau_cold.tobytes() == layers[DAYS_PER_YEAR:].tobytes()
@@ -1873,10 +1889,10 @@ class TestStreamedThresholds:
     ])
     def test_reads_only_the_days_asked_for(self, threshold_path, days, reads,
                                            store_reads):
-        part, _, _ = fileio.read_thresholds(threshold_path, {}, days)
+        part, _, _ = fileio.read_thresholds(threshold_path, days)
         assert store_reads == [(threshold_path, start, n)
                                for start, n in reads]
-        whole, _, _ = fileio.read_thresholds(threshold_path, {}, CALENDAR_DAYS)
+        whole, _, _ = fileio.read_thresholds(threshold_path, CALENDAR_DAYS)
         assert part.first_day == reads[0][0]
         assert part.tau_heat.shape == (sum(n for _, n in reads) // 2, 12)
         rows = part.rows(days)
@@ -1899,10 +1915,10 @@ class TestStreamedThresholds:
         threshold_path.write_bytes(bytes(blob))
         days = (100, 103)
         if not inside:
-            fileio.read_thresholds(threshold_path, {}, days)
+            fileio.read_thresholds(threshold_path, days)
             return
         with pytest.raises(ChecksumMismatch) as err:
-            fileio.read_thresholds(threshold_path, {}, days)
+            fileio.read_thresholds(threshold_path, days)
         assert str(err.value) == \
             f"{threshold_path}: CRC-32 mismatch in layer {layer}"
 
@@ -1911,7 +1927,7 @@ class TestStreamedThresholds:
             return layers
         rewrite_store(threshold_path, "<f4", poison)
         with pytest.raises(NonFiniteValue, match=str(threshold_path)):
-            fileio.read_thresholds(threshold_path, {}, days)
+            fileio.read_thresholds(threshold_path, days)
 
 class TestSpilledHistory:
     """The daily extremes of a history, spilled to an anonymous scratch
