@@ -21,8 +21,12 @@ A :class:`RunManifest` formats each distinct path its patterns name
 once, and keeps it: its load check, every read of a :class:`FieldSource`
 and ``synth`` share that one cache. Commands read stored arrays through
 one run-scoped :class:`FieldSource`, which resolves manifest paths to
-stacks, parses each stack's sidecar once and reads blocks of layers
-(:class:`~wxverify.grid.FieldBlock`) with one read per stack. Every
+stacks, parses each stack's and each climatology's sidecar once and
+reads blocks of layers (:class:`~wxverify.grid.FieldBlock`) with one
+read per stack. A block of a scoring command holds at most one chunk of
+the scoring kernel, :data:`wxverify.metrics.CHUNK_BYTES` counted at 8
+bytes a point (:meth:`FieldSource.block_layers`), and so do the
+climatology days read next to it. Every
 store, whatever reads it, builds and validates its grid through one
 memo (:func:`_oriented_grid`), so a grid is built once per distinct
 sidecar geometry, not once per file. A
@@ -62,6 +66,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
+from . import metrics
 from .climatology import (DAYS_PER_YEAR, SYNOPTIC_HOURS, DailyMeanClimatology,
                           ThresholdBuild, ThresholdField, calendar_day_index,
                           day_span, threshold_chunk, year_times)
@@ -615,14 +620,19 @@ def _read_days(store: _Store, first: int, n_days: int
     ``n_days`` calendar days from ``first`` (see
     :func:`~wxverify.climatology.day_span`) of each 365-day axis that
     ``store`` stacks: one read of each axis's run, or two when the run
-    crosses Dec 31, each checking the CRC-32 of every day it reads."""
+    crosses Dec 31, each checking the CRC-32 of every day it reads. The
+    two parts of a run across Dec 31 are copied into one array of the
+    run as each is read, so the read holds the run and one part."""
     head = min(n_days, DAYS_PER_YEAR - first)
     out = []
     for axis in range(0, store.n_layers, DAYS_PER_YEAR):
         grid, layers = store.read(axis + first, head)
         if head < n_days:
-            layers = np.concatenate([layers,
-                                     store.read(axis, n_days - head)[1]])
+            run = np.empty((n_days, *layers.shape[1:]), store.dtype)
+            run[:head] = layers
+            del layers  # released before the second part is read
+            run[head:] = store.read(axis, n_days - head)[1]
+            layers = run
         out.append(layers)
     return grid, out
 
@@ -699,22 +709,41 @@ def write_daily_climatology(parts: Iterable[DailyMeanClimatology],
     })
 
 
+@dataclass(frozen=True)
+class _Climatology:
+    """A parsed RBCLIM1 sidecar: the store, its variable and years."""
+
+    store: _Store
+    variable: VariableId
+    years: tuple
+
+    @classmethod
+    def parse(cls, path: Path) -> "_Climatology":
+        header, _ = _load_sidecar(path, CLIM_MAGIC)
+        return cls(_parse_store(path, header, "f64le",
+                                _day_layers(header, path, 1)),
+                   _header_variable(header, path),
+                   tuple(_header_value(header, "years", list, path)))
+
+    def days(self, days: Iterable[int]) -> DailyMeanClimatology:
+        """The shortest run of consecutive calendar days that holds
+        ``days`` (see :func:`~wxverify.climatology.day_span`), on a grid
+        built through the memo :func:`_oriented_grid`: one read, or two
+        when the run crosses Dec 31 (see :func:`_read_days`)."""
+        first, n_days = day_span(days)
+        grid, (layers,) = _read_days(self.store, first, n_days)
+        return _build(self.store.path, DailyMeanClimatology, grid,
+                      self.variable, layers, self.years, first)
+
+
 def read_daily_climatology(path: str | os.PathLike,
                            times: Iterable[datetime]) -> DailyMeanClimatology:
-    """A climatology written by :func:`write_daily_climatology`, on a grid
-    built through the memo :func:`_oriented_grid`, of the shortest run of
-    consecutive calendar days that holds the day of each of ``times`` (see
-    :func:`~wxverify.climatology.day_span`): one read, or two when the
-    run crosses Dec 31, each checking the CRC-32 of every day it reads.
-    """
-    path = Path(path)
-    header, _ = _load_sidecar(path, CLIM_MAGIC)
-    store = _parse_store(path, header, "f64le", _day_layers(header, path, 1))
-    first, n_days = day_span(calendar_day_index(when) for when in times)
-    grid, (layers,) = _read_days(store, first, n_days)
-    return _build(path, DailyMeanClimatology, grid,
-                  _header_variable(header, path), layers,
-                  tuple(_header_value(header, "years", list, path)), first)
+    """A climatology written by :func:`write_daily_climatology`, of the
+    shortest run of consecutive calendar days that holds the day of each
+    of ``times``, each day read checked against its CRC-32 (see
+    :meth:`_Climatology.days`)."""
+    return _Climatology.parse(Path(path)).days(
+        calendar_day_index(when) for when in times)
 
 
 # --- CSV interfaces ----------------------------------------------------------
@@ -1314,13 +1343,6 @@ class RunManifest:
 #: history that :meth:`FieldSource.history` reads.
 CHUNK_BYTES = 640 * 2**10
 
-#: Most bytes one block of a run may take (see
-#: :meth:`FieldSource.block_layers`), counted at 8 bytes a point: the
-#: widest block a run builds is a derived float64 WS10 block. A block of
-#: a 0.25 degree global grid (8.3 MB a float64 layer) holds at most 8
-#: layers, never all 41 leads of a run.
-BLOCK_BYTES = 64 * 2**20
-
 
 def layer_runs(hours: Sequence[int], max_layers: int) -> list[list[int]]:
     """Ascending ``hours`` (lead hours, or hours past a first valid time)
@@ -1348,19 +1370,21 @@ class FieldSource:
     share one grid object.
 
     A truth, model or history path may name an RBSTACK1 store or an
-    RBGRID1 file, which reads as a stack of one layer. A stack's sidecar
-    is parsed once per run and kept here, and a block of its layers is
-    read with one seek, checking only the CRC-32s of the layers read and
-    that each layer is valid at the time, and carries the lead, asked
-    for. Fields are blocks of one layer, and a history year is a run of
-    blocks of whole days. Derived WS10 is computed from U10 and V10 here
-    and nowhere else.
+    RBGRID1 file, which reads as a stack of one layer. A stack's sidecar,
+    and a climatology's, is parsed once per run and kept here, and a
+    block of its layers (or days) is read with one seek, checking only
+    the CRC-32s of the layers read and that each layer is valid at the
+    time, and carries the lead, asked for. Fields are blocks of one
+    layer, and a history year is a run of blocks of whole days. Derived
+    WS10 is computed from U10 and V10 here and nowhere else.
     """
 
     def __init__(self, manifest: RunManifest):
         self.manifest = manifest
         # store path -> its parsed sidecar
         self._stacks: dict[Path, _Stack] = {}
+        # variable -> its climatology's parsed sidecar
+        self._climatologies: dict[VariableId, _Climatology] = {}
 
     def _resolve(self, path: Path) -> _Stack:
         """The parsed stack at ``path``."""
@@ -1421,13 +1445,17 @@ class FieldSource:
 
     def block_layers(self, variable: VariableId) -> int:
         """How many layers of ``variable``, at 8 bytes a point, fit in
-        one block of :data:`BLOCK_BYTES` (at least one), on the grid of
-        its truth at the first init time."""
+        one chunk of the scoring kernel (at least one), on the grid of its
+        truth at the first init time: the most layers, or climatology
+        days, a block of a scoring command holds. The chunk is
+        :data:`wxverify.metrics.CHUNK_BYTES`; 8 bytes a point is the
+        widest block a run builds (a derived float64 WS10 block, or the
+        float64 climatology days)."""
         if variable.derived:
             variable = VariableId.U10
         n_lat, n_lon = self._resolve(self.manifest.truth_path(
             variable, self.manifest.init_times[0])).store.geometry[:2]
-        return max(1, BLOCK_BYTES // (8 * n_lat * n_lon))
+        return max(1, metrics.CHUNK_BYTES // (8 * n_lat * n_lon))
 
     def history_days(self, variable: VariableId) -> int:
         """How many whole days of ``variable``'s stored (float32) layers
@@ -1456,18 +1484,22 @@ class FieldSource:
                            "climatology.history_pattern",
                            self.manifest.history_pattern)
 
-    def climatology(self, variable: VariableId, times: Iterable[datetime]
+    def climatology(self, variable: VariableId, days: Iterable[int]
                     ) -> DailyMeanClimatology | None:
-        """The daily-mean climatology of ``variable`` on the calendar days
-        of ``times``, read by the day (see :func:`read_daily_climatology`);
-        None for a derived variable or when the manifest declares no
-        climatology."""
+        """The daily-mean climatology of ``variable`` on the shortest run
+        of consecutive calendar days that holds ``days``, read by the day
+        (see :meth:`_Climatology.days`); None for a derived variable or
+        when the manifest declares no climatology. Each variable's sidecar
+        is parsed once per run and kept here, as a stack's is."""
         if self.manifest.climatology_pattern is None or variable.derived:
             return None
-        return read_daily_climatology(
-            _built(self.manifest, "climatology",
-                   self.manifest.climatology_path(variable),
-                   "daily_mean_pattern"), times)
+        clim = self._climatologies.get(variable)
+        if clim is None:
+            clim = self._climatologies[variable] = _Climatology.parse(_built(
+                self.manifest, "climatology",
+                self.manifest.climatology_path(variable),
+                "daily_mean_pattern"))
+        return clim.days(days)
 
     def thresholds(self, days: Iterable[int]
                    ) -> tuple[ThresholdField, GeoGrid, str]:
@@ -1652,8 +1684,11 @@ def load_manifest(path: str | os.PathLike,
     if not all(isinstance(t, str) for t in init_times):
         raise ManifestError(f"{path}: init_times must be a list of ISO-8601 "
                             f"time strings")
-    init_times = distinct("init_times",
-                          tuple(parse_time(t) for t in init_times), init_times)
+    try:
+        parsed = tuple(parse_time(t) for t in init_times)
+    except InvalidHeader as exc:
+        raise ManifestError(f"{path}: init_times: {exc}") from exc
+    init_times = distinct("init_times", parsed, init_times)
     max_lead = doc.get("max_lead_hours", 240)  # 40 six-hour steps
     if type(max_lead) is not int or max_lead < 0 or max_lead % 6:
         raise ManifestError(f"{path}: max_lead_hours must be a non-negative "

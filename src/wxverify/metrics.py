@@ -25,12 +25,15 @@ in again for every chunk. It forms the error and the anomalies straight
 into those buffers from the blocks as stored, ``np.subtract(x, y,
 out=buf, dtype=np.float64)``: blocks hold the float32 values as stored,
 and widening them inside the ufunc is exact, so the buffers hold what
-subtracting widened copies would. The climatology is the run's held
-day means; each chunk copies its layers' days into a buffer of its own
-(``np.take``). As the buffers are C-contiguous, a block stored with
-another axis order (Fortran order, or layers last) sums as a
-C-contiguous one does, and as every layer is reduced on its own, the
-chunk size does not change a bit. The summation order is fixed, so
+subtracting widened copies would. The climatology is the day means of
+the block's calendar days, read next to its truth block; each chunk
+copies its layers' days into a buffer of its own (``np.take``). A
+scoring command reads blocks of at most one chunk (see
+:meth:`wxverify.fileio.FieldSource.block_layers`), so the kernel
+usually works a block in one pass. As the buffers are C-contiguous, a
+block stored with another axis order (Fortran order, or layers last)
+sums as a C-contiguous one does, and as every layer is reduced on its
+own, the chunk size does not change a bit. The summation order is fixed, so
 results are bit-deterministic whatever the caller's loop order.
 """
 
@@ -46,7 +49,10 @@ from .errors import DegenerateAnomaly, GridMismatch
 ANOMALY_NORM_FLOOR = 1e-30
 
 #: Bytes of one float64 chunk of layers that :func:`block_scores` works
-#: through at a time, so that its temporaries stay in cache. Results do not
+#: through at a time, so that its temporaries stay in cache. Also the
+#: most bytes, counted at 8 a point, of each block and each run of
+#: climatology days a scoring command reads and holds (see
+#: :meth:`wxverify.fileio.FieldSource.block_layers`). Results do not
 #: depend on it.
 CHUNK_BYTES = 2**19
 

@@ -84,15 +84,14 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
         "--spectra-leads", manifest, lambda lead: (lead,))
     source = fileio.FieldSource(manifest)
     models = sorted(manifest.models)
-    valid_times = [init + timedelta(hours=lead)
-                   for init in manifest.init_times for lead in leads]
 
     # Blocks run over (variable, init) outside and models inside: each
     # truth span and each forecast stack is read once, and one block per
-    # role is held at a time: the truth, one model's forecast and one
-    # variable's climatology days. Scores and spectra are appended per
-    # (model, variable, lead) in init order, so each mean sums the same
-    # sequence as a field-by-field loop would.
+    # role is held at a time: the truth, one model's forecast and the
+    # climatology days of the truth block's metric leads, each at most a
+    # chunk of the kernel (see FieldSource.block_layers). Scores and
+    # spectra are appended per (model, variable, lead) in init order, so
+    # each mean sums the same sequence as a field-by-field loop would.
     metric_leads, spectra_set = set(leads), set(spectra_leads)
     scores = {(model, variable, lead): {metric: [] for metric in _METRICS}
               for model in models for variable in manifest.variables
@@ -106,18 +105,18 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
                     midlatitude_spectrum(block, i).energy)
 
     for variable in manifest.variables:
-        clim = source.climatology(variable, valid_times)
         runs = fileio.layer_runs(sorted(metric_leads | spectra_set),
                                  source.block_layers(variable))
         for init in manifest.init_times:
             for run in runs:
                 times = [init + timedelta(hours=lead) for lead in run]
-                truth = source.truth_block(variable, times)
                 rows = [i for i, lead in enumerate(run) if lead in metric_leads]
+                days = [calendar_day_index(times[i]) for i in rows]
+                clim = source.climatology(variable, days) if rows else None
+                truth = source.truth_block(variable, times)
                 scored = rows if len(rows) < len(run) else slice(None)
                 clim_rows = None if clim is None else (clim.day_mean, day_rows(
-                    clim.first_day, len(clim.day_mean),
-                    [calendar_day_index(times[i]) for i in rows]))
+                    clim.first_day, len(clim.day_mean), days))
                 weights = latitude_weights(truth.grid)
                 for model in models:
                     pred = source.model_block(model, init, variable, run)
@@ -137,9 +136,8 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
                     add_spectra(model, variable, run, pred)
                     del pred  # released before the next model's is read
                 add_spectra(None, variable, run, truth)
-                del truth  # released before the next run's is read
-        # released before the next variable's days are read
-        del clim, clim_rows
+                # released before the next run's are read
+                del truth, clim, clim_rows
 
     card = new_scorecard("evaluate", manifest.sha256)
     card["grid_metrics"] = [
@@ -496,12 +494,40 @@ def _station_row(model, variable, lead, scores) -> dict:
                 n_pairs=scores.n_pairs)
 
 
+def _station_climatology(source, variable, days, interpolator):
+    """``(first_day, values)``: the climatology of ``variable`` on the
+    shortest run of consecutive calendar days that holds ``days``,
+    interpolated to ``interpolator``'s stations, ``(n_days, n_stations)``;
+    None without a climatology. The days are read and interpolated a
+    block of :meth:`~wxverify.fileio.FieldSource.block_layers` days at a
+    time into one array, so one block of gridded days is held; as the
+    interpolation is elementwise, the values have the bits of
+    interpolating the whole run at once."""
+    import numpy as np
+
+    from .climatology import DAYS_PER_YEAR, day_span
+    first, n_days = day_span(days)
+    values = np.empty((n_days, len(interpolator.stations)))
+    step = source.block_layers(variable)
+    for lo in range(0, n_days, step):
+        part = source.climatology(variable, [
+            (first + d) % DAYS_PER_YEAR
+            for d in range(lo, min(lo + step, n_days))])
+        if part is None:
+            return None
+        values[lo:lo + len(part.day_mean)] = \
+            interpolator.weights(part.grid).apply(part.day_mean)
+        del part  # released before the next block of days is read
+    return first, values
+
+
 def stations(manifest_path, station_meta, station_obs) -> dict:
     """Scores of each (model, variable, lead) at the stations, after QC
     against the truth; the scorecard carries the QC report."""
     import numpy as np
 
     from . import fileio
+    from .climatology import calendar_day_index
     from .report import new_scorecard
     from .stations import (QcThresholds, StationInterpolator, apply_qc,
                            station_scores)
@@ -543,14 +569,12 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
 
     models = sorted(manifest.models)
     n_inits = len(manifest.init_times)
+    days = [calendar_day_index(when) for when in valid_times]
     scored = {}  # (model, variable) -> its rows, one a lead
     for variable in station_vars:
         # only the calendar days of the valid times are read, and only
         # their values at the stations are kept
-        clim = source.climatology(variable, valid_times)
-        if clim is not None:
-            clim = (clim.first_day,
-                    interpolator.weights(clim.grid).apply(clim.day_mean))
+        clim = _station_climatology(source, variable, days, interpolator)
         for model in models:
             # one block per (init, run of leads); the blocks of all inits
             # together stay within one block's byte budget

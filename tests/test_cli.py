@@ -20,7 +20,7 @@ from conftest import (CALENDAR_DAYS, CALENDAR_TIMES,
                       assert_read_once_in_whole_days, layer_of, read_store,
                       spilled_extremes, stamped)
 from test_fileio import with_whole_checksum
-from wxverify import fileio, pipelines
+from wxverify import fileio, metrics, pipelines
 from wxverify.cli import main
 from wxverify.climatology import (SYNOPTIC_HOURS, DailyMeanClimatology,
                                   ThresholdBuild, calendar_day_index,
@@ -950,17 +950,21 @@ class TestStackReads:
         argv = ["stations", "--manifest", manifest.path,
                 "--station-meta", evaluate_run / "stations_meta.csv",
                 "--station-obs", evaluate_run / "stations_obs.csv"]
-        full = fileio.FieldSource.climatology
+        full = pipelines._station_climatology
         with monkeypatch.context() as whole_year:
-            whole_year.setattr(fileio.FieldSource, "climatology",
-                               lambda source, variable, times:
-                               full(source, variable, CALENDAR_TIMES))
+            whole_year.setattr(pipelines, "_station_climatology",
+                               lambda source, variable, days, interpolator:
+                               full(source, variable, CALENDAR_DAYS,
+                                    interpolator))
             assert run_cli(*argv, "--out", tmp_path / "whole") == 0
         store_reads.clear()
         assert run_cli(*argv, "--out", tmp_path / "days") == 0
         days = day_span(calendar_day_index(init + timedelta(hours=lead))
                         for init in manifest.init_times
                         for lead in manifest.lead_hours)
+        # a chunk holds every day of the run on this grid: one read of
+        # each variable's days
+        assert days[1] <= metrics.CHUNK_BYTES // (8 * 15 * 16)
         assert [r for r in store_reads if "clim" in r[0].parts] == \
             [(manifest.climatology_path(v), *days)
              for v in manifest.variables]
@@ -972,7 +976,7 @@ class TestStackReads:
         assert (tmp_path / "days/scorecard.json").read_bytes() == \
             (tmp_path / "whole/scorecard.json").read_bytes()
         with monkeypatch.context() as one_layer:
-            one_layer.setattr(fileio, "BLOCK_BYTES", 1)
+            one_layer.setattr(metrics, "CHUNK_BYTES", 1)
             assert run_cli(*argv, "--out", tmp_path / "layers") == 0
         assert (tmp_path / "layers/scorecard.json").read_bytes() == \
             (tmp_path / "whole/scorecard.json").read_bytes()
@@ -1076,8 +1080,8 @@ HALF_YEAR_DAYS_BYTES = 182 * 30 * 48 * 8
 
 
 class TestClimatologyMemory:
-    """``evaluate`` and ``stations`` hold one variable's climatology days
-    at a time."""
+    """``evaluate`` holds the climatology days of one block at a time, and
+    ``stations`` one chunk of one variable's gridded days."""
 
     def test_evaluate_of_four_variables_peaks_as_of_one(self, half_year_run,
                                                         tmp_path):
@@ -1093,10 +1097,40 @@ class TestClimatologyMemory:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        # the run of one variable holds its days; each further variable's
-        # days replace the last's
-        assert peaks[0] > HALF_YEAR_DAYS_BYTES
+        # the run of one variable holds no more than a few of its days;
+        # each further variable's days replace the last's
+        assert peaks[0] < HALF_YEAR_DAYS_BYTES / 4
         assert peaks[1] - peaks[0] < HALF_YEAR_DAYS_BYTES
+
+    def test_evaluate_days_held_grow_with_neither_inits_nor_spread(
+            self, half_year_run, tmp_path, monkeypatch):
+        # one init, or two half a year apart: each block's days are read
+        # next to its truth (the one day of leads 0 to 12 h) and released
+        # with it, so the peak does not hold the 182 days (2.1 MB) between
+        # the inits
+        day = HALF_YEAR_DAYS_BYTES // 182
+        manifests = [with_manifest(half_year_run, f"manifest_{name}.json",
+                                   init_times=inits)
+                     for name, inits in (
+                         ("jan", ["2025-01-15T00:00:00Z"]),
+                         ("jul", ["2025-07-15T00:00:00Z"]),
+                         ("janjul", ["2025-01-15T00:00:00Z",
+                                     "2025-07-15T00:00:00Z"]))]
+        log = trace_reads(monkeypatch, "climatology")
+        peaks = []
+        for manifest in manifests:
+            pipelines.evaluate(manifest, tmp_path / "warm")  # imports, caches
+            log.clear()
+            tracemalloc.start()
+            try:
+                pipelines.evaluate(manifest, tmp_path / "out")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            # the one day of each (variable, init) block, four variables
+            n_inits = len(fileio.load_manifest(manifest).init_times)
+            assert [nbytes for *_, nbytes in log] == [day] * 4 * n_inits
+        assert max(peaks) - min(peaks) < 4 * day, peaks
 
     def test_stations_holds_no_other_variables_gridded_days(
             self, half_year_run, monkeypatch):
@@ -1104,11 +1138,11 @@ class TestClimatologyMemory:
         # within a tenth of one variable's days of that at the first read:
         # no earlier variable's gridded days are held
         read = fileio.FieldSource.climatology
-        held = []
+        held = {}  # variable -> memory held as its first days are read
 
-        def climatology(source, variable, times):
-            held.append(tracemalloc.get_traced_memory()[0])
-            return read(source, variable, times)
+        def climatology(source, variable, days):
+            held.setdefault(variable, tracemalloc.get_traced_memory()[0])
+            return read(source, variable, days)
 
         monkeypatch.setattr(fileio.FieldSource, "climatology", climatology)
         tracemalloc.start()
@@ -1119,7 +1153,38 @@ class TestClimatologyMemory:
         finally:
             tracemalloc.stop()
         assert len(held) == 4
-        assert max(held) - held[0] < HALF_YEAR_DAYS_BYTES / 10, held
+        assert max(held.values()) - held[VariableId.T2M] \
+            < HALF_YEAR_DAYS_BYTES / 10, held
+
+    @pytest.mark.parametrize("chunk", [1, 2**30],
+                             ids=["a-day-a-chunk", "one-chunk"])
+    def test_stations_climatology_chunkings_change_no_byte(
+            self, half_year_run, tmp_path, monkeypatch, store_reads, chunk):
+        # each variable's 182 days are read and interpolated to the
+        # stations a chunk of days at a time, each day once and in order:
+        # by default 45 days of the 30 x 48 grid a chunk
+        manifest = fileio.load_manifest(half_year_run / "manifest.json")
+        first, n_days = day_span(
+            calendar_day_index(when) for when in manifest.valid_times)
+        assert (first, n_days) == (14, 182)
+        cards = []
+        for budget in (metrics.CHUNK_BYTES, chunk):
+            store_reads.clear()
+            monkeypatch.setattr(metrics, "CHUNK_BYTES", budget)
+            out = tmp_path / f"out{len(cards)}"
+            assert run_cli("stations", "--manifest", manifest.path,
+                           "--station-meta",
+                           half_year_run / "stations_meta.csv",
+                           "--station-obs", half_year_run / "stations_obs.csv",
+                           "--out", out) == 0
+            per_chunk = max(1, budget // (8 * 30 * 48))
+            for v in manifest.variables:
+                assert [(start, count) for path, start, count in store_reads
+                        if path == manifest.climatology_path(v)] == [
+                    (first + lo, min(per_chunk, n_days - lo))
+                    for lo in range(0, n_days, per_chunk)]
+            cards.append((out / "scorecard.json").read_bytes())
+        assert cards[1] == cards[0]
 
 
 @pytest.fixture(scope="module")
@@ -1190,27 +1255,28 @@ class TestBlockMemory:
                           "model_block")
         traced_run(lambda: (log.clear(), pipelines.evaluate(
             block_run / "manifest.json", tmp_path / "out")))
-        (_, before_days, days), (_, first, _) = log[:2]
+        # one block of each init: its days, its truth and three forecasts
         assert [name for name, *_ in log] == [
-            "climatology", *(["truth_block"] + ["model_block"] * 3) * 2]
-        assert first - before_days >= days  # the days are held
-        truth = 0
-        for name, held, nbytes in log[1:]:
-            if name == "truth_block":
-                # no earlier truth or forecast block is held
-                assert held - first <= BLOCK_RUN_LAYER
-                truth = nbytes
-            else:
+            "climatology", "truth_block", *["model_block"] * 3] * 2
+        start = log[0][1]
+        for k in (0, 5):
+            (_, before_days, days), (_, first, truth), *forecasts = \
+                log[k:k + 5]
+            # no earlier block's days, truth or forecast is held
+            assert before_days - start <= BLOCK_RUN_LAYER
+            assert first - before_days >= days  # the days are held
+            for _, held, _ in forecasts:
                 # the truth block and the days, and no earlier forecast
                 assert held - first <= truth + BLOCK_RUN_LAYER
-        assert truth == 5 * BLOCK_RUN_LAYER
+            assert truth == 5 * BLOCK_RUN_LAYER
+            assert days == 2 * 2 * BLOCK_RUN_LAYER  # two float64 days
 
     def test_stations_holds_one_run_of_forecasts_and_no_truth(
             self, block_run, monkeypatch):
         # three layers a block: QC reads the truth of the 9 valid times in
         # runs of 3, and scoring the forecasts of both inits a lead at a
         # time
-        monkeypatch.setattr(fileio, "BLOCK_BYTES", 2 * 3 * BLOCK_RUN_LAYER)
+        monkeypatch.setattr(metrics, "CHUNK_BYTES", 2 * 3 * BLOCK_RUN_LAYER)
         log = trace_reads(monkeypatch, "truth_block", "climatology",
                           "model_block")
         traced_run(lambda: (log.clear(), pipelines.stations(
@@ -1255,7 +1321,7 @@ class TestCycloneMemory:
         # is one run of each variable's layers, with two layers of slack
         # for the tracker's search boxes, the sidecars and the tracks
         layer = 121 * 161 * 4
-        monkeypatch.setattr(fileio, "BLOCK_BYTES", run_layers * 2 * layer)
+        monkeypatch.setattr(metrics, "CHUNK_BYTES", run_layers * 2 * layer)
         from wxverify import cyclones
         read, sample = fileio.FieldSource.model_block, \
             cyclones.homogeneous_sample
@@ -1285,7 +1351,7 @@ class TestCycloneMemory:
 
         traced_run(run)
         assert peaks[-1] - start[0] <= (3 * run_layers + 2) * layer
-        monkeypatch.setattr(fileio, "BLOCK_BYTES", 2**30)
+        monkeypatch.setattr(metrics, "CHUNK_BYTES", 2**30)
         run()  # every lead in one run
         (runs, card), (whole, whole_card) = outs[1:]
         assert card == whole_card
@@ -1477,7 +1543,7 @@ def field_by_field(manifest_path, leads, spectra_leads):
     of ``oracles``, averaged over the inits in init order."""
     manifest = fileio.load_manifest(manifest_path)
     source = fileio.FieldSource(manifest)
-    clims = {v: source.climatology(v, CALENDAR_TIMES)
+    clims = {v: source.climatology(v, CALENDAR_DAYS)
              for v in manifest.variables}
     rows = []
     for model in sorted(manifest.models):
@@ -1602,7 +1668,7 @@ class TestEvaluateBlocks:
                                      variables=["t2m", "u10", "v10", "msl",
                                                 "ws10"])
         elif variant == "one-layer-blocks":
-            monkeypatch.setattr(fileio, "BLOCK_BYTES", 1)
+            monkeypatch.setattr(metrics, "CHUNK_BYTES", 1)
         out = tmp_path / "out"
         assert run_cli("evaluate", "--manifest", manifest, "--out", out) == 0
         assert_scores_field_by_field(out, manifest, ALL_LEADS, (6,))
@@ -1623,10 +1689,11 @@ class TestEvaluateBlocks:
         assert run_cli("evaluate", "--manifest", manifest, "--out", out) == 0
         reads = [(path.relative_to(new_year_run).as_posix(), start, count)
                  for path, start, count in store_reads]
-        # the climatology is read from day 363 to Dec 31, then from day 0
+        # each init's block reads its climatology days from day 363 or
+        # 364 to Dec 31, then from day 0
         assert [r for r in reads if r[0].startswith("clim/")] == [
             (f"clim/{v}.rbc", start, n) for v in ("msl", "t2m")
-            for start, n in ((363, 2), (0, 2))]
+            for start, n in ((363, 2), (0, 1), (364, 1), (0, 2))]
         # each init reads one block of each truth year it spans
         truth = [r for r in reads if r[0].startswith("truth/t2m/")]
         assert [path for path, _, _ in truth] == [
@@ -1656,11 +1723,13 @@ class TestEvaluateBlocks:
                   (init - jan) // SIX_HOURS, n_layers)
                  for v in stored for init in manifest.init_times]
         assert [r for r in store_reads if "truth" in r[0].parts] == truth
-        days = day_span(calendar_day_index(init + timedelta(hours=lead))
-                        for init in manifest.init_times
-                        for lead in manifest.lead_hours)
-        assert [r for r in store_reads if "clim" in r[0].parts] == \
-            [(manifest.climatology_path(v), *days) for v in stored]
+        # the climatology days of each (variable, init) block, next to its
+        # truth: each day a block needs is read once
+        assert [r for r in store_reads if "clim" in r[0].parts] == [
+            (manifest.climatology_path(v),
+             *day_span(calendar_day_index(init + timedelta(hours=lead))
+                       for lead in manifest.lead_hours))
+            for v in stored for init in manifest.init_times]
 
     def test_field_files_build_one_grid_per_geometry(
             self, evaluate_run, tmp_path, store_reads, monkeypatch):
@@ -2100,12 +2169,22 @@ class TestCycloneReads:
             store_reads.clear()
             assert run_cli("cyclones", "--manifest", manifest.path,
                            "--besttrack", track_file, "--out", target) == 0
+            # each stack's 21 layers are read once, in order, in runs of
+            # as many as a chunk holds of the 61 x 81 grid
             n_layers = len(manifest.lead_hours)
-            assert sorted(store_reads) == sorted(
-                (manifest.model_path(name, init, variable, 0), 0, n_layers)
-                for name in manifest.models for init in manifest.init_times
-                for variable in (VariableId.MSL, VariableId.U10,
-                                 VariableId.V10))
+            run_layers = metrics.CHUNK_BYTES // (8 * 61 * 81)
+            assert 1 < run_layers < n_layers
+            runs = [(start, min(run_layers, n_layers - start))
+                    for start in range(0, n_layers, run_layers)]
+            stacks = {manifest.model_path(name, init, variable, 0)
+                      for name in manifest.models
+                      for init in manifest.init_times
+                      for variable in (VariableId.MSL, VariableId.U10,
+                                       VariableId.V10)}
+            assert {path for path, _, _ in store_reads} == stacks
+            for stack in stacks:
+                assert [(start, count) for path, start, count in store_reads
+                        if path == stack] == runs
         for name, blob in blobs.items():
             assert (out / name).read_bytes() == blob
         two = (tmp_path / "two/tracks.csv").read_text().splitlines()
@@ -2574,6 +2653,9 @@ class TestSourceTree:
     UNREFERENCED = {
         # the benchmark's layer tracer wraps it by name
         "climatology.DailyMeanClimatology.field_for",
+        # the library's reader of one climatology file, which the tracer
+        # wraps by name; a run reads through FieldSource.climatology
+        "fileio.read_daily_climatology",
         # the only writer of RBGRID1 files, which manifests may still name
         "fileio.write_grid",
         # the published scorecard contract

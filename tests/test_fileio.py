@@ -108,7 +108,7 @@ STORES = {
                          fileio.read_daily_climatology(path, CALENDAR_TIMES),
                          "<f8", lambda m: m.climatology_path(VariableId.T2M),
                          lambda s: s.climatology(VariableId.T2M,
-                                                 CALENDAR_TIMES),
+                                                 CALENDAR_DAYS),
                          lambda c: (c.grid, [c.day_mean])),
     "stack": Store(write_stack_store, read_store, "<f4",
                    lambda m: m.truth_path(VariableId.MSL, STACK_TIMES[-1]),
@@ -901,7 +901,14 @@ class TestManifest:
          "past year 9999"),
         ("init_times", ["2025-07-01T00:00:00Z", "9999-12-31T23:00:00+01:00"],
          "init_times entry 9999-12-31T22:00:00Z plus max_lead_hours 6 runs "
-         "past year 9999")])
+         "past year 9999"),
+        # a timestamp that does not parse is named with its key
+        ("init_times", ["2025-13-01T00:00:00Z"],
+         "init_times: bad timestamp '2025-13-01T00:00:00Z': month must be "
+         "in 1..12"),
+        ("init_times", ["2025-07-01T00:00:00Z", "2025-07-01T24:00:00Z"],
+         "init_times: bad timestamp '2025-07-01T24:00:00Z': hour must be "
+         "in 0..23")])
     def test_times_beyond_the_calendar_are_named(self, tmp_path, key, value,
                                                  message):
         doc = {"variables": ["t2m"], "init_times": [fileio.format_time(T0)],
@@ -1131,7 +1138,7 @@ class TestFieldSource:
             source = fileio.FieldSource(manifest)
             if field_first:
                 truth = source.truth_block(VariableId.T2M, [T0])
-            clim = source.climatology(VariableId.T2M, CALENDAR_TIMES)
+            clim = source.climatology(VariableId.T2M, CALENDAR_DAYS)
             _, threshold_grid, _ = source.thresholds(CALENDAR_DAYS)
             stack_layer = STORES["stack"].read_via(source)
             if not field_first:
@@ -1726,6 +1733,27 @@ class TestClimatologyByDay:
                 whole.layers([when])[0].tobytes()
         with pytest.raises(ValueError, match="outside the"):
             part.layers([times[0] + timedelta(days=180)])
+
+    def test_a_run_across_dec_31_holds_the_run_and_one_part(self, rng,
+                                                            tmp_path):
+        # days 355 to Dec 31, then days 0 to 9, of a 40 x 50 grid: the read
+        # holds the run and one of its two parts of 10 days, not the two
+        # parts and the run joined from them (40 days)
+        path = write_climatology_store(rng, make_grid(40, 50),
+                                       tmp_path / "c.rbc")
+        day = 8 * 40 * 50
+        jan = T0.replace(month=1, day=1)
+        times = [jan + timedelta(days=d) for d in (*range(355, 365),
+                                                    *range(10))]
+        fileio.read_daily_climatology(path, times)  # imports, caches
+        tracemalloc.start()
+        try:
+            clim = fileio.read_daily_climatology(path, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (clim.first_day, clim.day_mean.shape[0]) == (355, 20)
+        assert 30 * day <= peak < 34 * day
 
     def test_flipped_byte_fails_only_when_its_day_is_read(self, clim_path):
         blob = bytearray(clim_path.read_bytes())
