@@ -30,13 +30,13 @@ from typing import Sequence
 
 from .errors import (DegenerateAnomaly, EmptyBand, GridMismatch,
                      InsufficientHistory, InvalidHeader, ManifestError,
-                     MissingFix, NoValidPairs, PolarRow, SeedOutsideDomain,
+                     MissingFix, NoValidPairs, SeedOutsideDomain,
                      TargetOutsideDomain, WxVerifyError)
 
 #: Exit 3; every other WxVerifyError is an input error, exit 2.
 COMPUTE_ERRORS = (InsufficientHistory, NoValidPairs, DegenerateAnomaly,
-                  EmptyBand, PolarRow, MissingFix, GridMismatch,
-                  TargetOutsideDomain, SeedOutsideDomain)
+                  EmptyBand, MissingFix, GridMismatch, TargetOutsideDomain,
+                  SeedOutsideDomain)
 
 
 def _ints(text: str | None, flag: str) -> tuple[int, ...] | None:

@@ -33,10 +33,6 @@ class DegenerateAnomaly(WxVerifyError):
 
 # --- spectra ----------------------------------------------------------------
 
-class PolarRow(WxVerifyError):
-    """Latitude circle has non-positive circumference (polar row)."""
-
-
 class EmptyBand(WxVerifyError):
     """No grid row falls inside the requested latitude band."""
 

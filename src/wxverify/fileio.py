@@ -23,17 +23,17 @@ and ``synth`` share that one cache. Commands read stored arrays through
 one run-scoped :class:`FieldSource`, which resolves manifest paths to
 stacks, parses each stack's and each climatology's sidecar once and
 reads blocks of layers (:class:`~wxverify.grid.FieldBlock`) with one
-read per stack. A block of a scoring command holds at most one chunk of
-the scoring kernel, :data:`wxverify.metrics.CHUNK_BYTES` counted at 8
-bytes a point (:meth:`FieldSource.block_layers`), and so do the
-climatology days read next to it. Every
+read per stack. A block of a scoring command holds at most one chunk,
+:data:`wxverify.metrics.CHUNK_BYTES` counted at 8 bytes a point
+(:meth:`FieldSource.block_layers`), and so do the climatology days read
+next to it. Every
 store, whatever reads it, builds and validates its grid through one
 memo (:func:`_oriented_grid`), so a grid is built once per distinct
 sidecar geometry, not once per file. A
 block holds the float32 values as stored; the kernels that compute in
-float64 widen the chunk or layer they work on. A history is read in
-blocks of whole calendar days of one year, each at most
-:data:`CHUNK_BYTES` of the stored layers (one day at least), and the
+float64 widen the block or layer they work on. A history is read in
+blocks of whole calendar days of one year, each at most one chunk of
+the stored layers (one day at least), and the
 daily extremes a build reduces it to are spilled to a scratch file
 (:class:`SpilledHistory`).
 
@@ -1336,14 +1336,6 @@ class RunManifest:
                            self.history_pattern, variable, [when], [None])[0]
 
 
-#: Most bytes of float64 layers in one chunk of the truth ``synth``
-#: generates and writes (see :mod:`wxverify.harness`): 8 layers of an
-#: 81 x 121 grid, where chunks of 8 drew and smoothed fastest. Also the
-#: most bytes of stored float32 layers in one block of whole days of
-#: history that :meth:`FieldSource.history` reads.
-CHUNK_BYTES = 640 * 2**10
-
-
 def layer_runs(hours: Sequence[int], max_layers: int) -> list[list[int]]:
     """Ascending ``hours`` (lead hours, or hours past a first valid time)
     cut into runs whose 6-hourly span, first to last, holds at most
@@ -1375,8 +1367,10 @@ class FieldSource:
     block of its layers (or days) is read with one seek, checking only
     the CRC-32s of the layers read and that each layer is valid at the
     time, and carries the lead, asked for. Fields are blocks of one
-    layer, and a history year is a run of blocks of whole days. Derived
-    WS10 is computed from U10 and V10 here and nowhere else.
+    layer, and a history year is a run of blocks of whole days. A block
+    a command reads holds at most one chunk (:meth:`block_layers`,
+    :meth:`history_days`). Derived WS10 is computed from U10 and V10
+    here and nowhere else.
     """
 
     def __init__(self, manifest: RunManifest):
@@ -1445,22 +1439,22 @@ class FieldSource:
 
     def block_layers(self, variable: VariableId) -> int:
         """How many layers of ``variable``, at 8 bytes a point, fit in
-        one chunk of the scoring kernel (at least one), on the grid of its
-        truth at the first init time: the most layers, or climatology
-        days, a block of a scoring command holds. The chunk is
-        :data:`wxverify.metrics.CHUNK_BYTES`; 8 bytes a point is the
+        one chunk (:func:`wxverify.metrics.chunk_count`), on the grid of
+        its truth at the first init time: the most layers, or climatology
+        days, a block of a scoring command holds. 8 bytes a point is the
         widest block a run builds (a derived float64 WS10 block, or the
         float64 climatology days)."""
         if variable.derived:
             variable = VariableId.U10
         n_lat, n_lon = self._resolve(self.manifest.truth_path(
             variable, self.manifest.init_times[0])).store.geometry[:2]
-        return max(1, metrics.CHUNK_BYTES // (8 * n_lat * n_lon))
+        return metrics.chunk_count(8 * n_lat * n_lon)
 
     def history_days(self, variable: VariableId) -> int:
-        """How many whole days of ``variable``'s stored (float32) layers
-        fit in :data:`CHUNK_BYTES`, at least one, on the grid of its first
-        history year: the calendar days of a block of :meth:`history`."""
+        """How many whole days of ``variable``'s stored layers fit in one
+        chunk (:func:`wxverify.metrics.chunk_count`), on the grid of its
+        first history year: the calendar days of a block of
+        :meth:`history`."""
         if variable.derived:
             variable = VariableId.U10
         first = datetime(self.manifest.history_years[0], 1, 1,
@@ -1468,8 +1462,8 @@ class FieldSource:
         store = self._resolve(self.manifest.history_path(variable,
                                                          first)).store
         n_lat, n_lon = store.geometry[:2]
-        day = len(SYNOPTIC_HOURS) * store.dtype.itemsize * n_lat * n_lon
-        return max(1, CHUNK_BYTES // day)
+        return metrics.chunk_count(
+            len(SYNOPTIC_HOURS) * store.dtype.itemsize * n_lat * n_lon)
 
     def history(self, variable: VariableId, year: int, days: range
                 ) -> FieldBlock:

@@ -17,7 +17,9 @@ standard deviation sigma; innovations are spatially smoothed white noise
 float32-representable values so that the io round-trip is bitwise
 lossless and on-disk evaluation matches in-memory evaluation exactly.
 
-Identical seeds produce bitwise-identical streams. ``write_run`` (the
+Identical seeds produce bitwise-identical streams. Truth is generated,
+and forecasts are written, a chunk at a time: as many float64 layers as
+:func:`wxverify.metrics.chunk_count` allows. ``write_run`` (the
 ``synth`` command) writes a whole synthetic run: truth and forecast
 stacks, the manifest, the best track of any vortex and sampled stations.
 """
@@ -38,7 +40,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import fileio
+from . import fileio, metrics
 from .climatology import calendar_day_index, year_times
 from .cyclones import TRUTH_SOURCE, StormFix, StormTrack
 from .errors import InvalidHeader, ManifestError
@@ -236,14 +238,6 @@ def _vortex_wind(spec: VortexSpec, grid: GeoGrid, when: datetime):
     return u, v
 
 
-def _chunk_layers(grid: GeoGrid) -> int:
-    """How many float64 layers of ``grid`` fit in
-    :data:`wxverify.fileio.CHUNK_BYTES` (at least one): the layers of a
-    chunk of generated truth, of a forecast block and of a block ``synth``
-    reads back."""
-    return max(1, fileio.CHUNK_BYTES // (8 * grid.n_lat * grid.n_lon))
-
-
 def _inject(scenario: SyntheticScenario, variable: VariableId,
             when: datetime, values: np.ndarray) -> None:
     """Add the vortices and planted episodes valid at ``when`` to the
@@ -301,7 +295,8 @@ def generate_variable_series(scenario: SyntheticScenario, variable: VariableId
     """Deterministic 6-hourly truth stream for one variable, in chunks.
 
     Each chunk is a :class:`FieldBlock` of consecutive layers of one year,
-    at most :data:`wxverify.fileio.CHUNK_BYTES` of them, drawn with one
+    as many float64 layers as one chunk holds
+    (:func:`wxverify.metrics.chunk_count`), drawn with one
     call to the random generator and smoothed in one pass; it holds the
     values its layers would have drawn and smoothed one at a time. Fields are
     float32-quantized; the AR state is carried across years.
@@ -319,7 +314,7 @@ def generate_variable_series(scenario: SyntheticScenario, variable: VariableId
     scale = _innovation_scale(width)
     rho = process.ar1
     coef = math.sqrt(1.0 - rho * rho) * process.noise_sigma
-    per_chunk = _chunk_layers(grid)
+    per_chunk = metrics.chunk_count(8 * grid.n_lat * grid.n_lon)
     smooth = _boxcar(width, per_chunk, grid.shape)
     chunks = [tuple(times[start:start + per_chunk])
               for times in map(year_times, scenario.years)
@@ -397,7 +392,8 @@ def smoothing_width(kernel_width: int, lead_hours: int) -> int:
 def smoothed_forecast(init: FieldBlock, leads: Sequence[int],
                       kernel_width: int) -> Iterator[FieldBlock]:
     """Persistence with lead-growing zonal smoothing, from the one-layer
-    block ``init``: float32 blocks of at most :func:`_chunk_layers` leads.
+    block ``init``: float32 blocks of as many leads as one chunk holds
+    at 8 bytes a point (:func:`wxverify.metrics.chunk_count`).
 
     Mimics the spatial-smoothing signature of squared-error-trained
     models: high-wavenumber energy is attenuated by the boxcar transfer
@@ -413,7 +409,7 @@ def smoothed_forecast(init: FieldBlock, leads: Sequence[int],
         raise ValueError("the init must be a block of one layer")
     layer = init.values[0].astype(np.float64)
     width, smoothed = 0, None  # the last width smoothed, and its layer
-    step = _chunk_layers(init.grid)
+    step = metrics.chunk_count(8 * init.grid.n_lat * init.grid.n_lon)
     for at in range(0, len(leads), step):
         part = [int(lead) for lead in leads[at:at + step]]
         if any(lead % 6 for lead in part):
@@ -684,7 +680,7 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
                 else:  # perfect, or lagged: truth from `param` hours earlier
                     blocks = _lagged_forecast(
                         source, variable, init, leads, param,
-                        _chunk_layers(scenario.grid))
+                        source.block_layers(variable))
                 fileio.write_stack(blocks, source.manifest.model_path(
                     name, init, variable, leads[0]))
 
@@ -732,7 +728,8 @@ def _write_station_csvs(scenario: SyntheticScenario,
         for variable in scenario.variables:
             if variable.derived:
                 continue
-            for run in fileio.layer_runs(hours, _chunk_layers(grid)):
+            for run in fileio.layer_runs(hours,
+                                         source.block_layers(variable)):
                 times = [first + timedelta(hours=h) for h in run]
                 values = source.truth_block(variable, times).values
                 fh.write("".join(

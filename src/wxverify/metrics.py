@@ -18,23 +18,26 @@ C-contiguous ``(k, n_lat, n_lon)`` array. For such an array numpy merges
 the two reduced axes into one contiguous run of ``n_lat * n_lon``
 elements per layer and sums it exactly as it sums one contiguous
 ``(n_lat, n_lon)`` layer on its own, so layer i of a block scores
-bit for bit what the layer alone scores. The kernel works through a
-block a few layers at a time (``CHUNK_BYTES``), in float64 buffers made
-once per call, so that its temporaries stay in cache and are not faulted
-in again for every chunk. It forms the error and the anomalies straight
-into those buffers from the blocks as stored, ``np.subtract(x, y,
-out=buf, dtype=np.float64)``: blocks hold the float32 values as stored,
-and widening them inside the ufunc is exact, so the buffers hold what
-subtracting widened copies would. The climatology is the day means of
-the block's calendar days, read next to its truth block; each chunk
-copies its layers' days into a buffer of its own (``np.take``). A
-scoring command reads blocks of at most one chunk (see
-:meth:`wxverify.fileio.FieldSource.block_layers`), so the kernel
-usually works a block in one pass. As the buffers are C-contiguous, a
-block stored with another axis order (Fortran order, or layers last)
-sums as a C-contiguous one does, and as every layer is reduced on its
-own, the chunk size does not change a bit. The summation order is fixed, so
-results are bit-deterministic whatever the caller's loop order.
+bit for bit what the layer alone scores. The kernel scores a block in
+one pass, in three float64 buffers of its shape made once per call. It
+forms the error and the anomalies straight into those buffers from the
+blocks as stored, ``np.subtract(x, y, out=buf, dtype=np.float64)``:
+blocks hold the float32 values as stored, and widening them inside the
+ufunc is exact, so the buffers hold what subtracting widened copies
+would. The climatology is the day means of the block's calendar days,
+read next to its truth block, copied into a buffer by each layer's row
+(``np.take``). As the buffers are C-contiguous, a block stored with
+another axis order (Fortran order, or layers last) sums as a
+C-contiguous one does. The summation order is fixed, so results are
+bit-deterministic whatever the caller's loop order.
+
+Every block a command holds is bounded by one budget,
+:data:`CHUNK_BYTES`, turned into a count of layers, days or leads by
+one rule, :func:`chunk_count`: a scoring command's blocks and
+climatology days (:meth:`wxverify.fileio.FieldSource.block_layers`),
+its station-space forecasts, the history blocks of ``build-climatology``
+(:meth:`~wxverify.fileio.FieldSource.history_days`) and the chunks of
+truth ``synth`` generates.
 """
 
 from __future__ import annotations
@@ -48,13 +51,18 @@ from .errors import DegenerateAnomaly, GridMismatch
 #: Anomaly norms below this are treated as degenerate by :func:`acc`.
 ANOMALY_NORM_FLOOR = 1e-30
 
-#: Bytes of one float64 chunk of layers that :func:`block_scores` works
-#: through at a time, so that its temporaries stay in cache. Also the
-#: most bytes, counted at 8 a point, of each block and each run of
-#: climatology days a scoring command reads and holds (see
-#: :meth:`wxverify.fileio.FieldSource.block_layers`). Results do not
-#: depend on it.
+#: The one bound on the bytes of a block a command holds: a scoring
+#: block or run of climatology days counted at 8 bytes a point, a
+#: station-space run of forecasts, a block of history days as stored and
+#: a chunk of generated float64 truth. 512 KiB, where an 81 x 121 slice
+#: takes 6 layers. Outputs do not depend on it.
 CHUNK_BYTES = 2**19
+
+
+def chunk_count(unit_bytes: int) -> int:
+    """How many units of ``unit_bytes`` bytes fit in :data:`CHUNK_BYTES`,
+    at least one."""
+    return max(1, CHUNK_BYTES // unit_bytes)
 
 
 class BlockScores(NamedTuple):
@@ -77,23 +85,29 @@ def block_scores(pred: np.ndarray, truth: np.ndarray,
     :func:`~wxverify.climatology.day_rows` gives it (rows are not checked
     again). ACC is :func:`acc` of the layer's anomalies."""
     w = np.asarray(weights, dtype=np.float64)[:, None]
-    k = pred.shape[0]
-    scores = BlockScores(np.empty(k), np.empty(k),
-                         *((None, None) if clim is None
-                           else (np.empty(k), np.empty(k))))
-    # chunks are counted in float64 layers, the dtype the kernel works in
-    step = max(1, min(k, CHUNK_BYTES // max(8 * pred[0].size, 1)))
-    # the error, then the chunk's days and truth anomalies; the forecast
+    # the error, then the days and truth anomalies; the forecast
     # anomalies; and the weighted values each mean sums
-    buffers = np.empty((3, step, *pred.shape[1:]))
-    for lo in range(0, k, step):
-        part = slice(lo, min(lo + step, k))
-        _score_chunk(pred[part], truth[part],
-                     None if clim is None else (clim[0], clim[1][part]), w,
-                     BlockScores(*(None if out is None else out[part]
-                                   for out in scores)),
-                     *buffers[:, :part.stop - lo])
-    return scores
+    first, second, scratch = np.empty((3, *pred.shape))
+
+    def mean(x: np.ndarray) -> np.ndarray:
+        """<x>_w of each layer: np.mean(w * x, axis=(1, 2))."""
+        return np.mean(np.multiply(w, x, out=scratch), axis=(1, 2))
+
+    err = np.subtract(pred, truth, out=first, dtype=np.float64)
+    bias = mean(err)
+    wrmse = np.sqrt(mean(np.multiply(err, err, out=err)))
+    if clim is None:
+        return BlockScores(wrmse, bias, None, None)
+    day_mean, rows = clim
+    # the rows are checked, so mode="clip" writes into the buffer unbuffered
+    days = np.take(day_mean, rows, axis=0, out=first, mode="clip")
+    ap = np.subtract(pred, days, out=second, dtype=np.float64)
+    anomaly_acc = acc(ap, np.subtract(truth, days, out=days,
+                                      dtype=np.float64), mean)
+    centered = np.subtract(ap, mean(ap)[:, None, None], out=ap)
+    return BlockScores(wrmse, bias, anomaly_acc,
+                       np.sqrt(mean(np.multiply(centered, centered,
+                                                out=centered))))
 
 
 def acc(ap: np.ndarray, at: np.ndarray, mean) -> np.ndarray:
@@ -109,33 +123,6 @@ def acc(ap: np.ndarray, at: np.ndarray, mean) -> np.ndarray:
               | (np.sqrt(np.maximum(d2, 0.0)) < ANOMALY_NORM_FLOOR)):
         raise DegenerateAnomaly("anomaly field is (near-)constant zero")
     return mean(np.multiply(ap, at, out=at)) / (np.sqrt(d1) * np.sqrt(d2))
-
-
-def _score_chunk(pred: np.ndarray, truth: np.ndarray,
-                 clim: tuple[np.ndarray, np.ndarray] | None, w: np.ndarray,
-                 out: BlockScores, first: np.ndarray, second: np.ndarray,
-                 scratch: np.ndarray):
-    """:func:`block_scores` of a few layers, written into ``out``, in the
-    float64 buffers ``first``, ``second`` and ``scratch`` of their shape."""
-
-    def mean(x: np.ndarray, into: np.ndarray | None = None) -> np.ndarray:
-        """<x>_w of each layer: np.mean(w * x, axis=(1, 2))."""
-        return np.mean(np.multiply(w, x, out=scratch), axis=(1, 2), out=into)
-
-    err = np.subtract(pred, truth, out=first, dtype=np.float64)
-    mean(err, out.bias)
-    np.sqrt(mean(np.multiply(err, err, out=err)), out=out.wrmse)
-    if clim is None:
-        return
-    day_mean, rows = clim
-    # the rows are checked, so mode="clip" writes into the buffer unbuffered
-    days = np.take(day_mean, rows, axis=0, out=first, mode="clip")
-    ap = np.subtract(pred, days, out=second, dtype=np.float64)
-    out.acc[...] = acc(ap, np.subtract(truth, days, out=days,
-                                       dtype=np.float64), mean)
-    centered = np.subtract(ap, mean(ap)[:, None, None], out=ap)
-    np.sqrt(mean(np.multiply(centered, centered, out=centered)),
-            out=out.activity)
 
 
 def check_pair(pred, other, *, same_time: bool):

@@ -17,8 +17,8 @@ from datetime import timedelta
 from pathlib import Path
 from typing import Sequence
 
-from .errors import (InsufficientHistory, ManifestError, MissingFix,
-                     NoValidPairs)
+from .errors import (GridMismatch, InsufficientHistory, ManifestError,
+                     MissingFix, NoValidPairs)
 
 DEFAULT_SPECTRA_LEADS = (6, 72, 120, 240)
 DEFAULT_EXTREME_LEAD_DAYS = (1, 3, 7, 10)
@@ -88,8 +88,8 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
     # Blocks run over (variable, init) outside and models inside: each
     # truth span and each forecast stack is read once, and one block per
     # role is held at a time: the truth, one model's forecast and the
-    # climatology days of the truth block's metric leads, each at most a
-    # chunk of the kernel (see FieldSource.block_layers). Scores and
+    # climatology days of the truth block's metric leads, each at most
+    # one chunk (see FieldSource.block_layers). Scores and
     # spectra are appended per (model, variable, lead) in init order, so
     # each mean sums the same sequence as a field-by-field loop would.
     metric_leads, spectra_set = set(leads), set(spectra_leads)
@@ -526,7 +526,7 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
     against the truth; the scorecard carries the QC report."""
     import numpy as np
 
-    from . import fileio
+    from . import fileio, metrics
     from .climatology import calendar_day_index
     from .report import new_scorecard
     from .stations import (QcThresholds, StationInterpolator, apply_qc,
@@ -568,24 +568,35 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
     qc_table, qc_report = apply_qc(table, reference, QcThresholds.default())
 
     models = sorted(manifest.models)
-    n_inits = len(manifest.init_times)
+    inits = manifest.init_times
     days = [calendar_day_index(when) for when in valid_times]
     scored = {}  # (model, variable) -> its rows, one a lead
     for variable in station_vars:
         # only the calendar days of the valid times are read, and only
         # their values at the stations are kept
         clim = _station_climatology(source, variable, days, interpolator)
+        # a run of leads is one block of each init's stack, and its
+        # forecasts of all inits at the stations take at most one chunk
+        runs = fileio.layer_runs(manifest.lead_hours, min(
+            source.block_layers(variable),
+            metrics.chunk_count(8 * len(inits) * len(table.stations))))
         for model in models:
-            # one block per (init, run of leads); the blocks of all inits
-            # together stay within one block's byte budget
             scored[model, variable] = rows = []
-            for run in fileio.layer_runs(manifest.lead_hours, max(
-                    1, source.block_layers(variable) // n_inits)):
-                blocks = [source.model_block(model, init, variable, run)
-                          for init in manifest.init_times]
-                scores = station_scores(blocks, qc_table, variable, clim,
-                                        interpolator)
-                del blocks  # released before the next run's are read
+            for run in runs:
+                fc = np.empty((len(inits), len(run), len(table.stations)))
+                for k, init in enumerate(inits):
+                    block = source.model_block(model, init, variable, run)
+                    if block.variable is not variable:
+                        raise GridMismatch(f"variable mismatch: "
+                                           f"{block.variable.key} vs "
+                                           f"{variable.key}")
+                    fc[k] = interpolator.weights(block.grid).apply(
+                        block.values)
+                    del block  # released before the next init's is read
+                scores = station_scores(
+                    fc, [init + timedelta(hours=lead)
+                         for init in inits for lead in run],
+                    qc_table, variable, clim)
                 rows.extend(_station_row(model, variable, lead, score)
                             for lead, score in zip(run, scores))
 

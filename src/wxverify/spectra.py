@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyBand, PolarRow
+from .errors import EmptyBand
 from .grid import EARTH_RADIUS_KM, FieldBlock, VariableId, cos_lat
 
 #: Mid-latitude band bounds (strict inequalities on |lat|), degrees.
@@ -58,31 +58,25 @@ class ZonalSpectrum:
 
 def _row_spectra(lat_deg: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Energy spectra of the float64 latitude rows ``values`` at
-    latitudes ``lat_deg``, one per row, from one ``rfft`` over the rows;
-    raises :class:`PolarRow` for a row with cos(lat) <= 0 (degenerate
-    C_i)."""
+    latitudes ``lat_deg``, one per row, from one ``rfft`` over the
+    rows."""
     c = latitude_circumference_m(lat_deg)
-    polar = np.flatnonzero(c <= 0.0)
-    if polar.size:
-        raise PolarRow(f"latitude {float(lat_deg[polar[0]])} has "
-                       f"non-positive circumference")
     coeff = np.fft.rfft(values, axis=1) / values.shape[1]
     s = (coeff.real ** 2 + coeff.imag ** 2) * c[:, None]
     s[:, 1:] *= 2.0
     return s
 
 
-def midlatitude_spectrum(block: FieldBlock, i: int,
-                         band: tuple[float, float] = MIDLATITUDE_BAND) -> ZonalSpectrum:
+def midlatitude_spectrum(block: FieldBlock, i: int) -> ZonalSpectrum:
     """Unweighted mean of per-row spectra of layer ``i`` of ``block`` over
-    rows with b0 < |lat| < b1.
+    rows with b0 < |lat| < b1, the :data:`MIDLATITUDE_BAND`.
 
     Only the band's rows are widened to float64. Both hemispheres
     contribute; rows are averaged in grid (north-to-south) order, so the
     reduction is deterministic. Raises :class:`EmptyBand` when no row
     qualifies.
     """
-    b0, b1 = band
+    b0, b1 = MIDLATITUDE_BAND
     lat = block.grid.lat_deg
     abs_lat = np.abs(lat)
     rows = np.nonzero((abs_lat > b0) & (abs_lat < b1))[0]

@@ -28,8 +28,8 @@ import numpy as np
 
 from .climatology import calendar_day_index, day_rows
 from .errors import TargetOutsideDomain
-from .grid import (BilinearWeights, FieldBlock, GeoGrid, VariableId,
-                   all_finite, bilinear_weights)
+from .grid import (BilinearWeights, GeoGrid, VariableId, all_finite,
+                   bilinear_weights)
 from .metrics import acc
 
 WINDOW_HALF_WIDTH = timedelta(minutes=15)
@@ -130,6 +130,8 @@ class StationTable:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "flags", flg)
+        object.__setattr__(self, "_time_rows",
+                           {t: k for k, t in enumerate(norm_times)})
 
     def variable_index(self, variable: VariableId) -> int:
         return self.variables.index(variable)
@@ -141,7 +143,7 @@ class StationTable:
                             self.values[rows], self.flags[rows])
 
     def time_index(self, when: datetime) -> int:
-        return self.times.index(when)
+        return self._time_rows[when]
 
 
 def epoch_microseconds(when: datetime) -> int:
@@ -348,42 +350,29 @@ class StationScores:
     n_pairs: int
 
 
-def station_scores(blocks: Sequence[FieldBlock], table: StationTable,
-                   variable: VariableId, clim: tuple[int, np.ndarray] | None,
-                   interpolator: StationInterpolator
+def station_scores(fc: np.ndarray, valid_times: Sequence[datetime],
+                   table: StationTable, variable: VariableId,
+                   clim: tuple[int, np.ndarray] | None
                    ) -> list[StationScores | None]:
     """Unweighted RMSE / bias (and ACC when a climatology is given) of each
-    lead of ``blocks``, over all (init, station) pairs with an observation
-    present; None for a lead where nothing pairs up.
+    lead of the forecasts ``fc``, over all (init, station) pairs with an
+    observation present; None for a lead where nothing pairs up.
 
-    ``blocks`` holds one forecast block per init, all over the same run
-    of leads. Each block is interpolated to the stations in one pass,
-    and each layer paired with the table row at its valid time; stations
-    absent at a timestamp are skipped pairwise. The pairs of a lead are
-    taken init by init, in station order. ``interpolator`` is built for
-    the table's stations; pass one to every call of a run, so that each
-    grid is bracketed once. ``clim`` is ``(first_day, day_mean)``: a
+    ``fc`` holds each init's forecasts over one run of leads at the
+    table's stations, ``(n_inits, n_leads, n_stations)``, and
+    ``valid_times`` the valid time of each (init, lead), init by init.
+    Each forecast is paired with the table row at its valid time;
+    stations absent at a timestamp are skipped pairwise. The pairs of a
+    lead are taken init by init, in station order. ``clim`` is
+    ``(first_day, day_mean)``: a
     :class:`~wxverify.climatology.DailyMeanClimatology`'s run of days
     from ``first_day``, interpolated once to the table's stations
     (``interpolator.weights(clim.grid).apply(clim.day_mean)``, shaped
     ``(n_days, n_stations)``). ACC is :func:`~wxverify.metrics.acc` of
     the station anomalies.
     """
-    vi = table.variable_index(variable)
-    if interpolator.stations != table.stations:
-        raise ValueError("interpolator was built for other stations")
-    for block in blocks:
-        if block.variable is not variable:
-            raise ValueError(f"forecast variable {block.variable.key} "
-                             f"!= {variable.key}")
-    if not blocks:
-        return []
-    # (init, lead, station)
-    fc = np.stack([interpolator.weights(block.grid).apply(block.values)
-                   for block in blocks])
-    valid_times = [when for block in blocks for when in block.valid_times]
-    obs = table.values[vi][[table.time_index(when) for when in valid_times]
-                           ].reshape(fc.shape)
+    obs = table.values[table.variable_index(variable)][
+        [table.time_index(when) for when in valid_times]].reshape(fc.shape)
     present = ~np.isnan(obs)
     if clim is not None:
         first_day, day_mean = clim

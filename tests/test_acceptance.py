@@ -332,8 +332,9 @@ def test_c09_station_pipeline(rng):
     obs = np.array([[[truth.values[0, i, j] for i, j in nodes]]])
     table = StationTable(stations, (T0,), (VariableId.T2M,), obs,
                          np.ones(obs.shape, dtype=np.uint8))
-    scores, = station_scores([pred], table, VariableId.T2M, None,
-                             StationInterpolator(table.stations))
+    fc = StationInterpolator(table.stations).weights(grid).apply(pred.values)
+    scores, = station_scores(fc[None], pred.valid_times, table,
+                             VariableId.T2M, None)
     rows = np.array([i for i, _ in nodes])
     cols = np.array([j for _, j in nodes])
     err = pred.values[0, rows, cols] - truth.values[0, rows, cols]

@@ -406,6 +406,21 @@ class TestStationInputs:
             f"84.0], every longitude\n")
         assert not (tmp_path / "out").exists()
 
+    def test_forecast_of_another_variable_is_exit_3(self, wind_run, tmp_path,
+                                                    capsys):
+        # the perfect model's msl store holds its u10 forecast
+        run = tmp_path / "run"
+        shutil.copytree(wind_run, run)
+        stacks = run / "models" / "perfect" / "2025070100"
+        for suffix in ("", ".json"):
+            shutil.copyfile(stacks / f"u10.rbs{suffix}",
+                            stacks / f"msl.rbs{suffix}")
+        assert self.run_stations(run, run / "stations_obs.csv",
+                                 tmp_path / "out") == 3
+        assert capsys.readouterr().err == \
+            "error: variable mismatch: u10 vs msl\n"
+        assert not (tmp_path / "out").exists()
+
     def test_init_off_the_synoptic_hours_is_reported_before_the_csvs_are_read(
             self, wind_run, tmp_path, capsys):
         # the run's model stacks stand in for a 03 UTC init; the
@@ -1007,7 +1022,7 @@ class TestStackReads:
                    for year in (2023, 2024)}
         # as many whole days as CHUNK_BYTES of float32 layers holds on the
         # 15 x 16 grid, read a block of days at a time across the years
-        days = fileio.CHUNK_BYTES // (4 * 4 * 15 * 16)
+        days = metrics.CHUNK_BYTES // (4 * 4 * 15 * 16)
         assert days < 365
         want = []
         for first in range(0, 365, days):
@@ -1208,6 +1223,27 @@ def block_run(tmp_path_factory):
     return root / "run"
 
 
+@pytest.fixture(scope="module")
+def many_inits_run(tmp_path_factory):
+    """``block_run`` with 8 daily inits from Jul 1 and two models."""
+    root = tmp_path_factory.mktemp("manyinits")
+    scenario = root / "scenario.json"
+    scenario.write_text(json.dumps(dict(
+        EVALUATE_SCENARIO,
+        processes={"t2m": EVALUATE_SCENARIO["processes"]["t2m"]},
+        grid={"lat_start": 88.5, "lat_step": -3.0, "n_lat": 60,
+              "lon_start": 0.0, "lon_step": 3.0, "n_lon": 120})))
+    assert run_cli("synth", "--scenario", scenario, "--out", root / "run",
+                   "--inits", ",".join(f"2025-07-0{day}T00:00:00Z"
+                                       for day in range(1, 9)),
+                   "--max-lead-hours", "24",
+                   "--models", "persistence,smoothed:3",
+                   "--stations", "6") == 0
+    assert run_cli("build-climatology",
+                   "--manifest", root / "run/manifest.json") == 0
+    return root / "run"
+
+
 #: Bytes of one float32 layer of ``block_run``'s grid.
 BLOCK_RUN_LAYER = 60 * 120 * 4
 
@@ -1271,11 +1307,11 @@ class TestBlockMemory:
             assert truth == 5 * BLOCK_RUN_LAYER
             assert days == 2 * 2 * BLOCK_RUN_LAYER  # two float64 days
 
-    def test_stations_holds_one_run_of_forecasts_and_no_truth(
+    def test_stations_holds_one_forecast_block_and_no_truth(
             self, block_run, monkeypatch):
         # three layers a block: QC reads the truth of the 9 valid times in
-        # runs of 3, and scoring the forecasts of both inits a lead at a
-        # time
+        # runs of 3, and scoring each init's forecasts in runs of 3 leads
+        # and 2
         monkeypatch.setattr(metrics, "CHUNK_BYTES", 2 * 3 * BLOCK_RUN_LAYER)
         log = trace_reads(monkeypatch, "truth_block", "climatology",
                           "model_block")
@@ -1284,18 +1320,52 @@ class TestBlockMemory:
             block_run / "stations_obs.csv")))
         names = [name for name, *_ in log]
         assert names == ["truth_block"] * 3 + ["climatology"] \
-            + ["model_block"] * 30
+            + ["model_block"] * 12
         first = log[0][1]
-        reads = log[4:]
         # two layers of slack: the rows kept grow by about 1 kB a run,
         # and the truth blocks QC reads hold 3 layers
-        slack = 2 * BLOCK_RUN_LAYER
-        for k in range(0, len(reads), 2):  # one run: the blocks of 2 inits
-            (_, held, nbytes), (_, next_held, _) = reads[k:k + 2]
-            # no truth block, no earlier run's forecasts
-            assert held - first <= slack, k
-            # the run's first block
-            assert next_held - first <= nbytes + slack, k
+        for k, (_, held, nbytes) in enumerate(log[4:]):
+            # no truth block, no earlier forecast block
+            assert held - first <= 2 * BLOCK_RUN_LAYER, k
+            assert nbytes == (3 if k % 4 < 2 else 2) * BLOCK_RUN_LAYER, k
+
+    def test_stations_of_more_inits_than_a_chunk_has_layers(
+            self, many_inits_run, monkeypatch):
+        # 8 inits and 4 float64 layers a chunk: each init's forecast is
+        # read in runs of 4 leads and 1, and each block is interpolated to
+        # the stations and released before the next is read, so the
+        # gridded forecasts held do not grow with the inits
+        monkeypatch.setattr(metrics, "CHUNK_BYTES", 2 * 4 * BLOCK_RUN_LAYER)
+        log = trace_reads(monkeypatch, "model_block")
+        traced_run(lambda: (log.clear(), pipelines.stations(
+            many_inits_run / "manifest.json",
+            many_inits_run / "stations_meta.csv",
+            many_inits_run / "stations_obs.csv")))
+        first = log[0][1]
+        for k, (_, held, _) in enumerate(log):
+            # a layer of slack for the rows kept: no earlier block is held
+            assert held - first <= BLOCK_RUN_LAYER, k
+        # two models, each over two runs of the 8 inits
+        assert [nbytes for *_, nbytes in log] == 2 * (
+            [4 * BLOCK_RUN_LAYER] * 8 + [BLOCK_RUN_LAYER] * 8)
+
+    def test_stations_chunkings_change_no_byte(self, many_inits_run,
+                                               monkeypatch, tmp_path):
+        # 4 layers a chunk, one layer, the default and every lead at once
+        cards = []
+        for budget in (2 * 4 * BLOCK_RUN_LAYER, 2 * BLOCK_RUN_LAYER,
+                       metrics.CHUNK_BYTES, 2**30):
+            monkeypatch.setattr(metrics, "CHUNK_BYTES", budget)
+            out = tmp_path / f"out{len(cards)}"
+            assert run_cli("stations", "--manifest",
+                           many_inits_run / "manifest.json",
+                           "--station-meta",
+                           many_inits_run / "stations_meta.csv",
+                           "--station-obs",
+                           many_inits_run / "stations_obs.csv",
+                           "--out", out) == 0
+            cards.append((out / "scorecard.json").read_bytes())
+        assert cards[1:] == cards[:1] * 3
 
 
 @pytest.fixture(scope="module")
@@ -1397,7 +1467,7 @@ class TestStreamedHistory:
         manifest = extremes_run / f"manifest_budget_{budget}.json"
         manifest.write_text(json.dumps(doc))
         if budget is not None:
-            monkeypatch.setattr(fileio, "CHUNK_BYTES", budget)
+            monkeypatch.setattr(metrics, "CHUNK_BYTES", budget)
         assert run_cli("build-climatology", "--manifest", manifest) == 0
         for name in ("t2m.rbc", "thresholds.rbt"):
             for suffix in ("", ".json"):
@@ -1476,7 +1546,7 @@ class TestStreamedHistory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * fileio.CHUNK_BYTES
+        assert peak < 3 * metrics.CHUNK_BYTES
 
     @pytest.mark.parametrize("command", ["build-climatology"])
     def test_a_failed_read_leaves_no_file(self, extremes_run, tmp_path,

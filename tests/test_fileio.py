@@ -1464,7 +1464,7 @@ class TestStacks:
         monkeypatch.setattr(fileio.RunManifest, "_fmt",
                             lambda self, key, pattern, keys: formatted.append(
                                 key) or real_fmt(self, key, pattern, keys))
-        monkeypatch.setattr(fileio, "CHUNK_BYTES", 1)  # a block a day
+        monkeypatch.setattr(metrics, "CHUNK_BYTES", 1)  # a block a day
         # a manifest loaded afresh has formatted no path yet
         source = fileio.FieldSource(fileio.load_manifest(manifest.path,
                                                          require=()))
@@ -1488,7 +1488,7 @@ class TestStacks:
                                   manifest.history_path(VariableId.T2M,
                                                         times[0]))
         # a budget of ``days`` days of float32 layers, and a few bytes more
-        monkeypatch.setattr(fileio, "CHUNK_BYTES", days * 4 * 4 * 6 + 7)
+        monkeypatch.setattr(metrics, "CHUNK_BYTES", days * 4 * 4 * 6 + 7)
         source = fileio.FieldSource(manifest)
         assert source.history_days(VariableId.T2M) == days
         blocks = [source.history(VariableId.T2M, year,

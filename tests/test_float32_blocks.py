@@ -8,7 +8,6 @@ from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -54,12 +53,10 @@ grids = st.builds(make_grid, st.integers(2, 9), st.integers(2, 12),
 
 
 class TestFloat32Blocks:
-    @given(grid=grids, n_layers=st.integers(1, 6),
-           chunk_layers=st.integers(1, 3), with_clim=st.booleans(),
+    @given(grid=grids, n_layers=st.integers(1, 6), with_clim=st.booleans(),
            loc=st.sampled_from([0.0, 280.0]), seed=SEEDS)
     @settings(max_examples=40, deadline=None)
-    def test_block_scores_across_chunks(self, grid, n_layers, chunk_layers,
-                                        with_clim, loc, seed):
+    def test_block_scores(self, grid, n_layers, with_clim, loc, seed):
         rng = np.random.default_rng(seed)
         # about 0, the float32 difference of two float32 values is inexact
         # (about 280 it is exact), so a kernel that does not widen differs
@@ -69,15 +66,11 @@ class TestFloat32Blocks:
         clim = 280.0 + 5.0 * rng.standard_normal((n_layers, *grid.shape)) \
             if with_clim else None
         w = latitude_weights(grid)
-        with pytest.MonkeyPatch.context() as patch:
-            # chunks of ``chunk_layers`` float64 layers split the block
-            patch.setattr(metrics, "CHUNK_BYTES",
-                          chunk_layers * 8 * grid.n_lat * grid.n_lon)
-            got = metrics.block_scores(pred.values, truth.values,
-                                       one_day_a_layer(clim), w)
-            want = metrics.block_scores(widened(pred).values,
-                                        widened(truth).values,
-                                        one_day_a_layer(clim), w)
+        got = metrics.block_scores(pred.values, truth.values,
+                                   one_day_a_layer(clim), w)
+        want = metrics.block_scores(widened(pred).values,
+                                    widened(truth).values,
+                                    one_day_a_layer(clim), w)
         for mine, theirs in zip(got, want):
             assert (mine is None) == (theirs is None)
             if mine is not None:

@@ -326,28 +326,22 @@ class TestBlockKernel:
         assert rows.tolist() == offsets
         w = latitude_weights(grid)
         want = oracles.block_scores_gathered(pred, truth, day_mean, rows, w)
-        with pytest.MonkeyPatch.context() as patch:
-            # chunks of 1 .. k float64 layers
-            patch.setattr(metrics, "CHUNK_BYTES",
-                          data.draw(st.integers(1, k)) * 8 * grid.n_lat
-                          * grid.n_lon)
-            got = block_scores(pred, truth, (day_mean, rows), w)
+        got = block_scores(pred, truth, (day_mean, rows), w)
         for mine, theirs in zip(got, want):
             assert mine.dtype == theirs.dtype == np.float64
             assert mine.tobytes() == theirs.tobytes()
 
-    def test_memory_is_the_chunk_buffers(self, rng, monkeypatch):
-        # 64 layers scored 2 at a time against 5 held days:
-        # the kernel holds its three chunk buffers and one product at a
-        # time, never a 64-layer float64 copy of a block or of the gathered
-        # days (32 chunks). A chunk (240 kB) outweighs the buffers numpy
+    def test_memory_is_three_buffers_and_a_product(self, rng):
+        # 16 float32 layers against 5 held days: the kernel holds its three
+        # float64 buffers of the block and one product at a time, never a
+        # float64 copy of a block or of the gathered days (a fifth and a
+        # sixth). A float64 block (1.9 MB) outweighs the buffers numpy
         # casts float32 inputs in (8,192 float64 values each)
         grid = make_grid(100, 150)
-        monkeypatch.setattr(metrics, "CHUNK_BYTES", 2 * 8 * 100 * 150)
-        pred, truth = ((280.0 + rng.standard_normal((64, 100, 150)))
+        pred, truth = ((280.0 + rng.standard_normal((16, 100, 150)))
                        .astype(np.float32) for _ in range(2))
         day_mean = 280.0 + rng.standard_normal((5, 100, 150))
-        rows = np.repeat(np.arange(4), 16)
+        rows = np.repeat(np.arange(4), 4)
         w = latitude_weights(grid)
         tracemalloc.start()
         try:
@@ -355,18 +349,7 @@ class TestBlockKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 5 * metrics.CHUNK_BYTES
-
-    def test_chunking_does_not_change_scores(self, rng, monkeypatch):
-        grid = make_grid(7, 9)
-        w = latitude_weights(grid)
-        pred, truth, clim = (280.0 + rng.standard_normal((5, 7, 9))
-                             for _ in range(3))
-        whole = block_scores(pred, truth, one_day_a_layer(clim), w)
-        monkeypatch.setattr(metrics, "CHUNK_BYTES", 1)  # one layer a chunk
-        for got, want in zip(
-                block_scores(pred, truth, one_day_a_layer(clim), w), whole):
-            assert got.tobytes() == want.tobytes()
+        assert peak < 5 * 8 * pred.size
 
     def test_inputs_select_scores(self, rng):
         grid = make_grid(3, 4)

@@ -190,15 +190,19 @@ class TestApplyQc:
 
 
 def t2m_scores(blocks, table, clim=None):
-    """``station_scores`` of T2M, with a grid climatology or without,
-    through an interpolator built for the table's stations; the
-    climatology's days are interpolated to the stations as
+    """``station_scores`` of T2M of forecast ``blocks``, one per init over
+    one run of leads, with a grid climatology or without: the blocks and
+    the climatology's days are interpolated to the table's stations as
     ``pipelines.stations`` does."""
     interpolator = StationInterpolator(table.stations)
     if clim is not None:
         clim = (clim.first_day,
                 interpolator.weights(clim.grid).apply(clim.day_mean))
-    return station_scores(blocks, table, VariableId.T2M, clim, interpolator)
+    fc = np.stack([interpolator.weights(block.grid).apply(block.values)
+                   for block in blocks])
+    return station_scores(fc, [when for block in blocks
+                               for when in block.valid_times],
+                          table, VariableId.T2M, clim)
 
 
 class TestStationScores:
@@ -570,11 +574,3 @@ class TestStationInterpolator:
             f"span: latitude [5.0, 35.0], longitude [120.0, 160.0]")
         assert interpolator.weights(make_grid(7, 9)) is not None
 
-    def test_scores_reject_interpolator_of_other_stations(self, rng):
-        grid = make_grid(6, 10)
-        truth = random_field(rng, grid)
-        table = small_table({VariableId.T2M: np.full((1, 3), 280.0)},
-                            times=(T0,))
-        other = StationInterpolator(table.stations[:2])
-        with pytest.raises(ValueError):
-            station_scores([truth], table, VariableId.T2M, None, other)
