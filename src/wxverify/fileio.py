@@ -21,8 +21,9 @@ A :class:`RunManifest` formats each distinct path its patterns name
 once, and keeps it: its load check, every read of a :class:`FieldSource`
 and ``synth`` share that one cache. Commands read stored arrays through
 one run-scoped :class:`FieldSource`, which resolves manifest paths to
-stacks, parses each stack's and each climatology's sidecar once and
-reads blocks of layers (:class:`~wxverify.grid.FieldBlock`) with one
+stores, parses each store's sidecar once, checks at every read that
+the store holds the variable it is read for and reads blocks of
+layers (:class:`~wxverify.grid.FieldBlock`) with one
 read per stack. A block of a scoring command holds at most one chunk,
 :data:`wxverify.metrics.CHUNK_BYTES` counted at 8 bytes a point
 (:meth:`FieldSource.block_layers`), and so do the climatology days read
@@ -469,6 +470,7 @@ class _Stack:
     """A parsed RBSTACK1 or RBGRID1 sidecar: the store, its variable and
     layer times. An RBGRID1 file is a stack of one layer with lead step 0."""
 
+    magics = (GRID_MAGIC, STACK_MAGIC)  # of the sidecars parse takes
     store: _Store
     variable: VariableId
     first_time: datetime
@@ -713,13 +715,13 @@ def write_daily_climatology(parts: Iterable[DailyMeanClimatology],
 class _Climatology:
     """A parsed RBCLIM1 sidecar: the store, its variable and years."""
 
+    magics = (CLIM_MAGIC,)  # of the sidecars parse takes
     store: _Store
     variable: VariableId
     years: tuple
 
     @classmethod
-    def parse(cls, path: Path) -> "_Climatology":
-        header, _ = _load_sidecar(path, CLIM_MAGIC)
+    def parse(cls, path: Path, header: dict) -> "_Climatology":
         return cls(_parse_store(path, header, "f64le",
                                 _day_layers(header, path, 1)),
                    _header_variable(header, path),
@@ -742,7 +744,8 @@ def read_daily_climatology(path: str | os.PathLike,
     shortest run of consecutive calendar days that holds the day of each
     of ``times``, each day read checked against its CRC-32 (see
     :meth:`_Climatology.days`)."""
-    return _Climatology.parse(Path(path)).days(
+    path = Path(path)
+    return _Climatology.parse(path, _load_sidecar(path, CLIM_MAGIC)[0]).days(
         calendar_day_index(when) for when in times)
 
 
@@ -1324,14 +1327,15 @@ class RunManifest:
 
     def climatology_path(self, variable: VariableId) -> Path:
         if self.climatology_pattern is None:
-            raise ManifestError("manifest declares no climatology")
+            raise ManifestError(
+                f"{self.path}: manifest declares no climatology")
         return self._paths("climatology.daily_mean_pattern",
                            self.climatology_pattern, variable, [None],
                            [None])[0]
 
     def history_path(self, variable: VariableId, when: datetime) -> Path:
         if self.history_pattern is None:
-            raise ManifestError("manifest declares no history")
+            raise ManifestError(f"{self.path}: manifest declares no history")
         return self._paths("climatology.history_pattern",
                            self.history_pattern, variable, [when], [None])[0]
 
@@ -1362,31 +1366,35 @@ class FieldSource:
     share one grid object.
 
     A truth, model or history path may name an RBSTACK1 store or an
-    RBGRID1 file, which reads as a stack of one layer. A stack's sidecar,
-    and a climatology's, is parsed once per run and kept here, and a
-    block of its layers (or days) is read with one seek, checking only
-    the CRC-32s of the layers read and that each layer is valid at the
-    time, and carries the lead, asked for. Fields are blocks of one
-    layer, and a history year is a run of blocks of whole days. A block
-    a command reads holds at most one chunk (:meth:`block_layers`,
-    :meth:`history_days`). Derived WS10 is computed from U10 and V10
-    here and nowhere else.
+    RBGRID1 file, which reads as a stack of one layer. Every store, a
+    stack or a climatology, is opened by :meth:`_open`, which parses its
+    sidecar once per run and rejects a store of another variable than
+    the one read, whatever the command and role. A block of its layers
+    (or days) is read with one seek, checking only the CRC-32s of the
+    layers read and that each layer is valid at the time, and carries
+    the lead, asked for. Fields are blocks of one layer, and a history
+    year is a run of blocks of whole days. A block a command reads holds
+    at most one chunk (:meth:`block_layers`, :meth:`history_days`).
+    Derived WS10 is computed from U10 and V10 here and nowhere else.
     """
 
     def __init__(self, manifest: RunManifest):
         self.manifest = manifest
-        # store path -> its parsed sidecar
-        self._stacks: dict[Path, _Stack] = {}
-        # variable -> its climatology's parsed sidecar
-        self._climatologies: dict[VariableId, _Climatology] = {}
+        # store path -> its parsed sidecar, a _Stack or a _Climatology
+        self._opened: dict[Path, _Stack | _Climatology] = {}
 
-    def _resolve(self, path: Path) -> _Stack:
-        """The parsed stack at ``path``."""
-        stack = self._stacks.get(path)
-        if stack is None:
-            stack = self._stacks[path] = _Stack.parse(
-                path, _load_sidecar(path, GRID_MAGIC, STACK_MAGIC)[0])
-        return stack
+    def _open(self, path: Path, variable: VariableId, kind=_Stack):
+        """The parsed sidecar of the ``kind`` store (:class:`_Stack` or
+        :class:`_Climatology`) at ``path``; :class:`GridMismatch` naming
+        it unless it holds ``variable``."""
+        opened = self._opened.get(path)
+        if not isinstance(opened, kind):
+            opened = self._opened[path] = kind.parse(
+                path, _load_sidecar(path, *kind.magics)[0])
+        if opened.variable is not variable:
+            raise GridMismatch(f"variable mismatch: {path} holds "
+                               f"{opened.variable.key}, not {variable.key}")
+        return opened
 
     def _block(self, variable: VariableId, times: Sequence[datetime],
                leads: Sequence[int | None], key: str, pattern: str | None,
@@ -1405,19 +1413,15 @@ class FieldSource:
         for path, run in groupby(self.manifest._paths(key, pattern, variable,
                                                       times, leads, init)):
             stop = start + sum(1 for _ in run)
-            parts.append(self._resolve(path).block(times[start:stop],
-                                                   leads[start:stop]))
+            parts.append(self._open(path, variable).block(times[start:stop],
+                                                          leads[start:stop]))
             start = stop
         if len(parts) == 1:
             return parts[0]
         first = parts[0]
-        for part in parts[1:]:
-            if part.grid != first.grid:
-                raise GridMismatch("fields are on different grids")
-            if part.variable is not first.variable:
-                raise GridMismatch(f"variable mismatch: {first.variable.key} "
-                                   f"vs {part.variable.key}")
-        return FieldBlock(first.grid, first.variable,
+        if any(part.grid != first.grid for part in parts[1:]):
+            raise GridMismatch("fields are on different grids")
+        return FieldBlock(first.grid, variable,
                           tuple(t for part in parts for t in part.valid_times),
                           tuple(h for part in parts for h in part.lead_hours),
                           np.concatenate([part.values for part in parts]))
@@ -1446,8 +1450,9 @@ class FieldSource:
         float64 climatology days)."""
         if variable.derived:
             variable = VariableId.U10
-        n_lat, n_lon = self._resolve(self.manifest.truth_path(
-            variable, self.manifest.init_times[0])).store.geometry[:2]
+        truth = self._open(self.manifest.truth_path(
+            variable, self.manifest.init_times[0]), variable)
+        n_lat, n_lon = truth.store.geometry[:2]
         return metrics.chunk_count(8 * n_lat * n_lon)
 
     def history_days(self, variable: VariableId) -> int:
@@ -1459,8 +1464,8 @@ class FieldSource:
             variable = VariableId.U10
         first = datetime(self.manifest.history_years[0], 1, 1,
                          tzinfo=timezone.utc)
-        store = self._resolve(self.manifest.history_path(variable,
-                                                         first)).store
+        store = self._open(self.manifest.history_path(variable, first),
+                           variable).store
         n_lat, n_lon = store.geometry[:2]
         return metrics.chunk_count(
             len(SYNOPTIC_HOURS) * store.dtype.itemsize * n_lat * n_lon)
@@ -1483,17 +1488,14 @@ class FieldSource:
         """The daily-mean climatology of ``variable`` on the shortest run
         of consecutive calendar days that holds ``days``, read by the day
         (see :meth:`_Climatology.days`); None for a derived variable or
-        when the manifest declares no climatology. Each variable's sidecar
-        is parsed once per run and kept here, as a stack's is."""
+        when the manifest declares no climatology. The store is opened
+        as a stack is (:meth:`_open`)."""
         if self.manifest.climatology_pattern is None or variable.derived:
             return None
-        clim = self._climatologies.get(variable)
-        if clim is None:
-            clim = self._climatologies[variable] = _Climatology.parse(_built(
-                self.manifest, "climatology",
-                self.manifest.climatology_path(variable),
-                "daily_mean_pattern"))
-        return clim.days(days)
+        return self._open(_built(self.manifest, "climatology",
+                                 self.manifest.climatology_path(variable),
+                                 "daily_mean_pattern"),
+                          variable, _Climatology).days(days)
 
     def thresholds(self, days: Iterable[int]
                    ) -> tuple[ThresholdField, GeoGrid, str]:
@@ -1811,7 +1813,8 @@ def _check_manifest_files(manifest: RunManifest, require: Sequence[str]):
                         check("model", path)
     if "history" in require:
         if manifest.history_pattern is None or not manifest.history_years:
-            raise ManifestError("manifest declares no history section")
+            raise ManifestError(
+                f"{manifest.path}: manifest declares no history section")
         # Existence of the full 6-hourly history is checked lazily by the
         # consumer; probing every file here would dominate load time.
         first = datetime(manifest.history_years[0], 1, 1, tzinfo=timezone.utc)

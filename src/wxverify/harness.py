@@ -162,26 +162,44 @@ def seasonal_value(process: VariableProcess, when: datetime) -> float:
     return process.base + seasonal + diurnal
 
 
+def _zonal_boxcar(values: np.ndarray, width: int,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """The boxcar of ``width`` along the last axis of ``values``, wrapped:
+    longitude shifts -w/2 .. w/2 added in that order to zeros, then
+    divided once by ``width``, into ``out`` (new float64 when None).
+    Width 1 returns ``values`` itself."""
+    if width == 1:
+        return values
+    half = width // 2
+    n_lon = values.shape[-1]
+    # column c of padded is column (c - half) % n_lon of values, so
+    # columns j of shift s are padded[..., half - s + j]
+    padded = np.take(values, np.arange(-half, n_lon + half), axis=-1,
+                     mode="wrap")
+    out = np.empty(values.shape) if out is None else out
+    out[...] = 0.0
+    for s in range(-half, half + 1):
+        out += padded[..., half - s:half - s + n_lon]
+    out /= width
+    return out
+
+
 def _boxcar(width: int, most: int, shape: tuple[int, int]
             ) -> Callable[[np.ndarray], None]:
     """Separable boxcar of ``width`` that smooths each ``(n_lat, n_lon)``
     layer of a chunk of at most ``most`` layers of ``shape`` in place:
-    wrapped in longitude, clamped in latitude. Its scratch chunks are
-    allocated once, here.
+    wrapped in longitude, clamped in latitude. Its buffer of longitude
+    sums is allocated once, here.
 
     Each point adds its neighbours in the order a one-layer boxcar does:
-    longitude shifts -w/2 .. w/2, divided by ``width``, then latitude
-    shifts, divided by the rows in range. So a chunk smooths bit for bit
-    as its layers do one at a time.
+    the longitude pass (:func:`_zonal_boxcar`), then latitude shifts,
+    divided by the rows in range. So a chunk smooths bit for bit as its
+    layers do one at a time.
     """
     if width == 1:
         return lambda noise: None
     half = width // 2
     n_lat, n_lon = shape
-    # column c of padded is column (c - half) % n_lon of the layer, so
-    # columns j of shift s are padded[..., half - s + j]
-    columns = np.arange(-half, n_lon + half)
-    padded = np.empty((most, n_lat, n_lon + 2 * half))
     summed = np.empty((most, n_lat, n_lon))
     # latitude shift s adds row i + s to rows lo .. hi; a shift by as many
     # rows as the grid has, or more, adds none
@@ -193,12 +211,7 @@ def _boxcar(width: int, most: int, shape: tuple[int, int]
 
     def smooth(noise: np.ndarray) -> None:
         k = len(noise)
-        np.take(noise, columns, axis=2, mode="wrap", out=padded[:k])
-        out = summed[:k]
-        out[...] = 0.0
-        for s in range(-half, half + 1):
-            out += padded[:k, :, half - s:half - s + n_lon]
-        out /= width
+        out = _zonal_boxcar(noise, width, summed[:k])
         noise[...] = 0.0
         for lo, hi, s in rows:
             noise[:, lo:hi] += out[:, lo + s:hi + s]
@@ -372,16 +385,6 @@ def make_besttrack(scenario: SyntheticScenario) -> list[StormTrack]:
         tracks.append(StormTrack(spec.storm_id, TRUTH_SOURCE, spec.start_time,
                                  tuple(fixes), tuple([True] * len(fixes))))
     return tracks
-
-
-def _zonal_boxcar(values: np.ndarray, width: int) -> np.ndarray:
-    if width == 1:
-        return values
-    half = width // 2
-    out = np.zeros_like(values)
-    for s in range(-half, half + 1):
-        out += np.roll(values, s, axis=1)
-    return out / width
 
 
 def smoothing_width(kernel_width: int, lead_hours: int) -> int:

@@ -29,7 +29,11 @@ read next to its truth block, copied into a buffer by each layer's row
 (``np.take``). As the buffers are C-contiguous, a block stored with
 another axis order (Fortran order, or layers last) sums as a
 C-contiguous one does. The summation order is fixed, so results are
-bit-deterministic whatever the caller's loop order.
+bit-deterministic whatever the caller's loop order. The kernel takes
+arrays and checks none of their pairing: that a store holds the
+variable it is read for is checked where it is opened
+(:class:`wxverify.fileio.FieldSource`), and that blocks share a grid by
+the command that pairs them.
 
 Every block a command holds is bounded by one budget,
 :data:`CHUNK_BYTES`, turned into a count of layers, days or leads by
@@ -46,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateAnomaly, GridMismatch
+from .errors import DegenerateAnomaly
 
 #: Anomaly norms below this are treated as degenerate by :func:`acc`.
 ANOMALY_NORM_FLOOR = 1e-30
@@ -123,17 +127,3 @@ def acc(ap: np.ndarray, at: np.ndarray, mean) -> np.ndarray:
               | (np.sqrt(np.maximum(d2, 0.0)) < ANOMALY_NORM_FLOOR)):
         raise DegenerateAnomaly("anomaly field is (near-)constant zero")
     return mean(np.multiply(ap, at, out=at)) / (np.sqrt(d1) * np.sqrt(d2))
-
-
-def check_pair(pred, other, *, same_time: bool):
-    """Raise :class:`GridMismatch` unless two fields or blocks share a
-    grid and a variable (and, with ``same_time``, their valid times)."""
-    if pred.grid != other.grid:
-        raise GridMismatch("fields are on different grids")
-    if pred.variable is not other.variable:
-        raise GridMismatch(
-            f"variable mismatch: {pred.variable.key} vs {other.variable.key}")
-    if same_time:
-        for mine, theirs in zip(pred.valid_times, other.valid_times):
-            if mine != theirs:
-                raise GridMismatch(f"valid_time mismatch: {mine} vs {theirs}")

@@ -71,7 +71,7 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
     from . import fileio
     from .climatology import calendar_day_index, day_rows
     from .grid import latitude_weights
-    from .metrics import block_scores, check_pair
+    from .metrics import block_scores
     from .report import new_scorecard, write_spectrum_csv
     from .spectra import (MIDLATITUDE_BAND, ZonalSpectrum,
                           midlatitude_spectrum)
@@ -117,12 +117,13 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
                 scored = rows if len(rows) < len(run) else slice(None)
                 clim_rows = None if clim is None else (clim.day_mean, day_rows(
                     clim.first_day, len(clim.day_mean), days))
+                if clim is not None and clim.grid != truth.grid:
+                    raise GridMismatch("fields are on different grids")
                 weights = latitude_weights(truth.grid)
                 for model in models:
                     pred = source.model_block(model, init, variable, run)
-                    check_pair(pred, truth, same_time=True)
-                    if clim is not None:
-                        check_pair(pred, clim, same_time=False)
+                    if pred.grid != truth.grid:
+                        raise GridMismatch("fields are on different grids")
                     if rows:
                         block = block_scores(pred.values[scored],
                                              truth.values[scored],
@@ -239,7 +240,8 @@ def build_climatology(manifest_path) -> list[Path]:
     from .grid import VariableId
     manifest = fileio.load_manifest(manifest_path, require=("history",))
     if manifest.climatology_pattern is None:
-        raise ManifestError("manifest declares no climatology daily_mean_pattern")
+        raise ManifestError(f"{manifest.path}: manifest declares no "
+                            f"climatology daily_mean_pattern")
     source = fileio.FieldSource(manifest)
     written = []
     for variable in manifest.variables:
@@ -342,8 +344,12 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
     for d, days in days_of.items():
         truth_days = [source.truth_block(VariableId.T2M, [
             day + timedelta(hours=h) for h in SYNOPTIC_HOURS]) for day in days]
-        if any(block.grid != tgrid for block in truth_days):
-            raise ManifestError("threshold grid does not match the truth grid")
+        for day, block in zip(days, truth_days):
+            if block.grid != tgrid:
+                truth_path = manifest.truth_path(VariableId.T2M, day)
+                raise ManifestError(
+                    f"{manifest.thresholds_file}: threshold grid does not "
+                    f"match the truth grid of {truth_path}")
         rows = thresholds.rows([calendar_day_index(day) for day in days])
         tau = {EventKind.HEATWAVE: thresholds.tau_heat[rows],
                EventKind.COLDSURGE: thresholds.tau_cold[rows]}
@@ -586,10 +592,6 @@ def stations(manifest_path, station_meta, station_obs) -> dict:
                 fc = np.empty((len(inits), len(run), len(table.stations)))
                 for k, init in enumerate(inits):
                     block = source.model_block(model, init, variable, run)
-                    if block.variable is not variable:
-                        raise GridMismatch(f"variable mismatch: "
-                                           f"{block.variable.key} vs "
-                                           f"{variable.key}")
                     fc[k] = interpolator.weights(block.grid).apply(
                         block.values)
                     del block  # released before the next init's is read

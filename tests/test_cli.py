@@ -26,7 +26,7 @@ from wxverify.climatology import (SYNOPTIC_HOURS, DailyMeanClimatology,
                                   ThresholdBuild, calendar_day_index,
                                   daily_extremes_from_fields, day_span,
                                   year_times)
-from wxverify.errors import ChecksumMismatch
+from wxverify.errors import ChecksumMismatch, ManifestError
 from wxverify.extremes import EventKind
 from wxverify.grid import (SIX_HOURS, FieldBlock, GeoGrid, VariableId,
                           latitude_weights)
@@ -417,8 +417,9 @@ class TestStationInputs:
                             stacks / f"msl.rbs{suffix}")
         assert self.run_stations(run, run / "stations_obs.csv",
                                  tmp_path / "out") == 3
-        assert capsys.readouterr().err == \
-            "error: variable mismatch: u10 vs msl\n"
+        assert capsys.readouterr().err == (
+            f"error: variable mismatch: {stacks / 'msl.rbs'} holds u10, not "
+            f"msl\n")
         assert not (tmp_path / "out").exists()
 
     def test_init_off_the_synoptic_hours_is_reported_before_the_csvs_are_read(
@@ -942,8 +943,12 @@ class TestThresholdsByDay:
         capsys.readouterr()
         assert run_cli("extremes", "--manifest", manifest, "--out",
                        tmp_path / "out", "--lead-days", "1") == 2
-        assert "threshold grid does not match the truth grid" in \
-            capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "threshold grid does not match the truth grid" in err
+        # the file of each side is named: the first truth store read
+        assert err == (f"error: {path}: threshold grid does not match the "
+                       f"truth grid of {extremes_run / 'truth/t2m/2025.rbs'}"
+                       f"\n")
         assert not (tmp_path / "out").exists()
 
 class TestStackReads:
@@ -1888,6 +1893,120 @@ class TestGridFilesReadAsStacks:
                f"{fileio.format_time(later)}" in err
 
 
+@pytest.fixture(scope="module")
+def two_variable_run(tmp_path_factory):
+    """The extremes scenario with msl next to t2m: two history years,
+    so thresholds are built."""
+    root = tmp_path_factory.mktemp("twovar")
+    scenario = root / "scenario.json"
+    processes = dict(EXTREMES_SCENARIO["processes"],
+                     msl=EVALUATE_SCENARIO["processes"]["msl"])
+    scenario.write_text(json.dumps(dict(EXTREMES_SCENARIO,
+                                        processes=processes)))
+    assert run_cli("synth", "--scenario", scenario, "--out", root / "run",
+                   "--inits", "2025-07-18T00:00:00Z", "--max-lead-hours", "24",
+                   "--models", "perfect") == 0
+    assert run_cli("build-climatology",
+                   "--manifest", root / "run/manifest.json") == 0
+    return root / "run"
+
+
+def command_argv(command, run, out):
+    """The arguments of ``command`` on the run, writing to ``out``."""
+    extra = {"evaluate": ["--out", out],
+             "stations": ["--station-meta", run / "stations_meta.csv",
+                          "--station-obs", run / "stations_obs.csv",
+                          "--out", out],
+             "extremes": ["--lead-days", "1", "--out", out],
+             "cyclones": ["--besttrack", run / "besttrack.csv", "--out", out],
+             "build-climatology": []}[command]
+    return [command, "--manifest", run / "manifest.json", *extra]
+
+
+class TestStoreVariables:
+    """Every store a command reads is opened for the variable it is read
+    as, whatever the command and the role: a store that holds another
+    variable is exit 3 naming it, and no scorecard or climatology is
+    written."""
+
+    @pytest.mark.parametrize("run_name, command, copied, replaced", [
+        ("evaluate_run", "evaluate", "truth/t2m/2025.rbs",
+         "truth/msl/2025.rbs"),
+        ("evaluate_run", "evaluate", "models/perfect/2025070100/t2m.rbs",
+         "models/perfect/2025070100/msl.rbs"),
+        ("evaluate_run", "evaluate", "clim/t2m.rbc", "clim/msl.rbc"),
+        ("wind_run", "stations", "truth/u10/2025.rbs", "truth/msl/2025.rbs"),
+        ("wind_run", "stations", "models/perfect/2025070100/u10.rbs",
+         "models/perfect/2025070100/msl.rbs"),
+        ("wind_run", "stations", "clim/u10.rbc", "clim/msl.rbc"),
+        ("two_variable_run", "extremes", "truth/msl/2025.rbs",
+         "truth/t2m/2025.rbs"),
+        ("two_variable_run", "extremes", "models/perfect/2025071800/msl.rbs",
+         "models/perfect/2025071800/t2m.rbs"),
+        ("cyclone_run", "cyclones", "models/perfect/2025070100/u10.rbs",
+         "models/perfect/2025070100/msl.rbs"),
+        # msl is built first: its second history year holds t2m
+        ("two_variable_run", "build-climatology", "truth/t2m/2024.rbs",
+         "truth/msl/2024.rbs"),
+    ], ids=["evaluate-truth", "evaluate-model", "evaluate-climatology",
+            "stations-truth", "stations-model", "stations-climatology",
+            "extremes-truth", "extremes-model", "cyclones-model-msl",
+            "build-climatology-history"])
+    def test_a_store_of_another_variable_is_exit_3_naming_it(
+            self, request, run_name, command, copied, replaced, tmp_path,
+            capsys):
+        run = tmp_path / "run"
+        shutil.copytree(request.getfixturevalue(run_name), run)
+        for suffix in ("", ".json"):
+            shutil.copyfile(run / f"{copied}{suffix}",
+                            run / f"{replaced}{suffix}")
+        if command == "build-climatology":
+            shutil.rmtree(run / "clim")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli(*command_argv(command, run, out)) == 3
+        # a truth store's variable names its directory, any other's its file
+        held, asked = (Path(rel).parent.name if rel.startswith("truth/")
+                       else Path(rel).stem for rel in (copied, replaced))
+        assert capsys.readouterr().err == (
+            f"error: variable mismatch: {run / replaced} holds {held}, not "
+            f"{asked}\n")
+        assert not (out / "scorecard.json").exists()
+        if command == "build-climatology":
+            assert not (run / "clim").exists()
+
+
+class TestFieldGrids:
+    """A forecast, or a part of a truth span, on another grid than the
+    truth is exit 3 in ``evaluate``, and no scorecard is written."""
+
+    @staticmethod
+    def shift_columns(store: Path):
+        """Move the store's grid half a column east: the same shape on
+        another grid."""
+        sidecar = store.with_name(store.name + ".json")
+        header = json.loads(sidecar.read_text())
+        header["lon_start"] += header["lon_step"] / 2
+        sidecar.write_text(json.dumps(header))
+
+    @pytest.mark.parametrize("run_name, store", [
+        ("evaluate_run", "models/persistence/2025070200/t2m.rbs"),
+        # the spans of both inits cross into the 2026 stack
+        ("new_year_run", "truth/t2m/2026.rbs"),
+    ], ids=["model", "truth-span"])
+    def test_is_exit_3(self, request, run_name, store, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(request.getfixturevalue(run_name), run)
+        self.shift_columns(run / store)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run_cli("evaluate", "--manifest", run / "manifest.json",
+                       "--out", out) == 3
+        assert capsys.readouterr().err == \
+            "error: fields are on different grids\n"
+        assert not (out / "scorecard.json").exists()
+
+
 def command_files(out: Path) -> dict:
     """Every file under ``out`` by relative path, the scorecard parsed and
     without the digest of its manifest."""
@@ -1978,6 +2097,43 @@ class TestEmptyInitTimes:
         for payload in (evaluate_run / "clim").glob("*.rbc"):
             assert (evaluate_run / "clim_no_inits" / payload.name) \
                 .read_bytes() == payload.read_bytes()
+
+
+class TestUndeclaredSections:
+    """A manifest that lacks a climatology or history section a command or
+    a path needs is exit 2 naming the manifest."""
+
+    @pytest.mark.parametrize("drop, path, message", [
+        ("history_pattern", None, "manifest declares no history section"),
+        ("daily_mean_pattern", None,
+         "manifest declares no climatology daily_mean_pattern"),
+        ("daily_mean_pattern",
+         lambda manifest: manifest.climatology_path(VariableId.T2M),
+         "manifest declares no climatology"),
+        ("history_pattern",
+         lambda manifest: manifest.history_path(VariableId.T2M,
+                                                manifest.init_times[0]),
+         "manifest declares no history"),
+    ], ids=["build-climatology-history", "build-climatology-climatology",
+            "climatology_path", "history_path"])
+    def test_is_exit_2_naming_the_manifest(self, evaluate_run, drop, path,
+                                           message, tmp_path, capsys):
+        # path None: build-climatology runs on the manifest
+        run = tmp_path / "run"
+        shutil.copytree(evaluate_run, run)
+        doc = json.loads((run / "manifest.json").read_text())
+        del doc["climatology"][drop]
+        manifest = with_manifest(run, "manifest.json",
+                                 climatology=doc["climatology"])
+        capsys.readouterr()
+        if path is None:
+            assert run_cli("build-climatology", "--manifest", manifest) == 2
+            err = capsys.readouterr().err
+        else:
+            with pytest.raises(ManifestError) as exc:
+                path(fileio.load_manifest(manifest, require=()))
+            err = f"error: {exc.value}\n"
+        assert err == f"error: {manifest}: {message}\n"
 
 
 class TestManifestTypes:
@@ -2809,6 +2965,28 @@ class TestSourceTree:
                        for node in uses.get((name.rsplit(".", 1)[1], method),
                                             []))
         return public, private, used_outside
+
+    def test_one_place_decides_what_a_store_holds(self):
+        """Whether a store holds the variable asked for is decided where
+        ``FieldSource`` opens it, for every command and role: ``src``
+        raises the variable mismatch in one place."""
+        import ast
+        places = []
+
+        def visit(node, where):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                where = f"{where}.{node.name}"
+            if isinstance(node, ast.Raise) and any(
+                    isinstance(part, ast.Constant)
+                    and "variable mismatch" in str(part.value)
+                    for part in ast.walk(node)):
+                places.append(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        for path in sorted(Path(wxverify.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        assert places == ["fileio.FieldSource._open"]
 
     def test_every_public_name_is_referenced_elsewhere_in_src(self):
         public, _, used_outside = self.definitions_and_uses()

@@ -14,9 +14,9 @@ import oracles
 from conftest import (layer_scores, make_field, make_grid,
                       one_day_a_layer, random_field)
 from wxverify import climatology, metrics
-from wxverify.errors import DegenerateAnomaly, GridMismatch
+from wxverify.errors import DegenerateAnomaly
 from wxverify.grid import GeoGrid, latitude_weights
-from wxverify.metrics import block_scores, check_pair
+from wxverify.metrics import block_scores
 
 
 @pytest.fixture
@@ -52,21 +52,6 @@ class TestWrmse:
         expected = oracles.wrmse_loop(pred.values[0], truth.values[0], w)
         assert layer_scores(pred, truth, weights=w).wrmse == pytest.approx(
             expected, rel=1e-12)
-
-    def test_grid_mismatch(self, rng):
-        pred = random_field(rng, make_grid(4, 8))
-        truth = random_field(rng, make_grid(4, 16))
-        with pytest.raises(GridMismatch):
-            check_pair(pred, truth, same_time=True)
-
-    def test_valid_time_mismatch(self, rng, grid):
-        from datetime import datetime, timezone
-        pred = random_field(rng, grid)
-        truth = random_field(rng, grid,
-                             valid_time=datetime(2025, 7, 2, tzinfo=timezone.utc))
-        with pytest.raises(GridMismatch):
-            check_pair(pred, truth, same_time=True)
-        check_pair(pred, truth, same_time=False)  # a climatology's pairing
 
 
 class TestBias:
