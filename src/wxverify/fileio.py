@@ -21,22 +21,20 @@ A :class:`RunManifest` formats each distinct path its patterns name
 once, and keeps it: its load check, every read of a :class:`FieldSource`
 and ``synth`` share that one cache. Commands read stored arrays through
 one run-scoped :class:`FieldSource`, which resolves manifest paths to
-stores, parses each store's sidecar once, checks at every read that
-the store holds the variable it is read for and reads blocks of
-layers (:class:`~wxverify.grid.FieldBlock`) with one
-read per stack. A block of a scoring command holds at most one chunk,
-:data:`wxverify.metrics.CHUNK_BYTES` counted at 8 bytes a point
+stores, parses each store's sidecar once, checks at every read that the
+store holds the variable it is read for and is on the grid it is paired
+with, and reads blocks of layers (:class:`~wxverify.grid.FieldBlock`)
+with one read per stack. A block of a scoring command holds at most one
+chunk, :data:`wxverify.metrics.CHUNK_BYTES` counted at 8 bytes a point
 (:meth:`FieldSource.block_layers`), and so do the climatology days read
-next to it. Every
-store, whatever reads it, builds and validates its grid through one
-memo (:func:`_oriented_grid`), so a grid is built once per distinct
-sidecar geometry, not once per file. A
-block holds the float32 values as stored; the kernels that compute in
-float64 widen the block or layer they work on. A history is read in
-blocks of whole calendar days of one year, each at most one chunk of
-the stored layers (one day at least), and the
-daily extremes a build reduces it to are spilled to a scratch file
-(:class:`SpilledHistory`).
+next to it. Every store, whatever reads it, builds and validates its
+grid through one memo (:func:`_oriented_grid`), so a grid is built once
+per distinct sidecar geometry, not once per file. A block holds the
+float32 values as stored; the kernels that compute in float64 widen the
+block or layer they work on. A history is read in blocks of whole
+calendar days of one year, each at most one chunk of the stored layers
+(one day at least), and the daily extremes a build reduces it to are
+spilled to a scratch file (:class:`SpilledHistory`).
 
 Writers stream to a temp file and rename it into place
 (:func:`wxverify.report.publishing`), so a file is either complete or
@@ -281,18 +279,24 @@ class _Store:
     #: one CRC-32 per layer
     checksums: tuple[int, ...]
 
+    def oriented(self) -> tuple[GeoGrid, bool, int]:
+        """:func:`_oriented_grid` of the geometry, errors naming the store."""
+        try:
+            return _oriented_grid(self.geometry)
+        except ValueError as exc:
+            raise InvalidHeader(f"{self.path}: {exc}") from exc
+
     def read(self, start: int, count: int) -> tuple[GeoGrid, np.ndarray]:
         """The engine-convention grid, and layers ``start .. start +
         count`` in the stored dtype, ``(count, n_lat, n_lon)`` oriented as
         the grid is: rows flipped, then columns rolled.
 
         The payload's length is checked against the sidecar before
-        anything is read, and the grid is built only after that, so a
-        sidecar cannot make the reader allocate more than the payload
-        holds; it is built through the memo :func:`_oriented_grid`. Only
-        the requested layers are read, and the CRC-32 of each is checked.
-        Finiteness is the caller's check (see :func:`_build`
-        and :meth:`_Stack.block`).
+        anything is read, and the grid is built (:meth:`oriented`) only
+        after that, so a sidecar cannot make the reader allocate more
+        than the payload holds. Only the requested layers are read, and
+        the CRC-32 of each is checked. Finiteness is the caller's check
+        (see :func:`_build` and :meth:`_Stack.block`).
         """
         path = self.path
         n_lat, n_lon = self.geometry[:2]
@@ -317,10 +321,7 @@ class _Store:
                     != self.checksums[k]:
                 where = f" in layer {k}" if self.n_layers > 1 else ""
                 raise ChecksumMismatch(f"{path}: CRC-32 mismatch{where}")
-        try:
-            grid, flip_rows, lon_shift = _oriented_grid(self.geometry)
-        except ValueError as exc:
-            raise InvalidHeader(f"{path}: {exc}") from exc
+        grid, flip_rows, lon_shift = self.oriented()
         layers = np.frombuffer(blob, dtype=self.dtype) \
             .reshape(count, n_lat, n_lon)
         if flip_rows:
@@ -1369,7 +1370,8 @@ class FieldSource:
     RBGRID1 file, which reads as a stack of one layer. Every store, a
     stack or a climatology, is opened by :meth:`_open`, which parses its
     sidecar once per run and rejects a store of another variable than
-    the one read, whatever the command and role. A block of its layers
+    the one read, or on another grid than the ``grid`` a read is paired
+    with, whatever the command and role. A block of its layers
     (or days) is read with one seek, checking only the CRC-32s of the
     layers read and that each layer is valid at the time, and carries
     the lead, asked for. Fields are blocks of one layer, and a history
@@ -1383,10 +1385,13 @@ class FieldSource:
         # store path -> its parsed sidecar, a _Stack or a _Climatology
         self._opened: dict[Path, _Stack | _Climatology] = {}
 
-    def _open(self, path: Path, variable: VariableId, kind=_Stack):
+    def _open(self, path: Path, variable: VariableId,
+              grid: GeoGrid | None = None, kind=_Stack):
         """The parsed sidecar of the ``kind`` store (:class:`_Stack` or
         :class:`_Climatology`) at ``path``; :class:`GridMismatch` naming
-        it unless it holds ``variable``."""
+        it unless it holds ``variable`` and, given ``grid``, is on it. Its
+        grid is built only on the shape of ``grid``, one a read has built,
+        so a sidecar cannot make the check allocate more than a read."""
         opened = self._opened.get(path)
         if not isinstance(opened, kind):
             opened = self._opened[path] = kind.parse(
@@ -1394,52 +1399,59 @@ class FieldSource:
         if opened.variable is not variable:
             raise GridMismatch(f"variable mismatch: {path} holds "
                                f"{opened.variable.key}, not {variable.key}")
-        return opened
+        if grid is None:
+            return opened
+        n_lat, n_lon = opened.store.geometry[:2]
+        if (n_lat, n_lon) != grid.shape:
+            held = f"a {n_lat} x {n_lon} grid"
+        elif (held := opened.store.oriented()[0]) == grid:
+            return opened
+        raise GridMismatch(f"grid mismatch: {path} is on {held}, not {grid}")
 
     def _block(self, variable: VariableId, times: Sequence[datetime],
                leads: Sequence[int | None], key: str, pattern: str | None,
-               init: datetime | None = None) -> FieldBlock:
+               grid: GeoGrid | None = None, init: datetime | None = None
+               ) -> FieldBlock:
         """The layers of ``variable`` valid at ascending ``times``, each
         from the store the manifest's ``key``, ``pattern``, names for its
-        time, ``init`` and lead (see :meth:`RunManifest._paths`): one read
-        per stack. A stored variable's block holds the float32 values
-        stored; a derived one is computed in float64 (see
-        :func:`~wxverify.grid.derive_wind_speed`)."""
+        time, ``init`` and lead (see :meth:`RunManifest._paths`), each
+        on ``grid``, or else on the first's: one read per stack. A stored
+        variable's block holds the float32 values stored; a derived one
+        is computed in float64 (:func:`~wxverify.grid.derive_wind_speed`)."""
         if variable.derived:
-            return derive_wind_speed(
-                self._block(VariableId.U10, times, leads, key, pattern, init),
-                self._block(VariableId.V10, times, leads, key, pattern, init))
+            u10 = self._block(VariableId.U10, times, leads, key, pattern,
+                              grid, init)
+            return derive_wind_speed(u10, self._block(
+                VariableId.V10, times, leads, key, pattern, u10.grid, init))
         parts, start = [], 0
         for path, run in groupby(self.manifest._paths(key, pattern, variable,
                                                       times, leads, init)):
             stop = start + sum(1 for _ in run)
-            parts.append(self._open(path, variable).block(times[start:stop],
-                                                          leads[start:stop]))
-            start = stop
+            parts.append(self._open(path, variable, grid).block(
+                times[start:stop], leads[start:stop]))
+            grid, start = parts[0].grid, stop
         if len(parts) == 1:
             return parts[0]
-        first = parts[0]
-        if any(part.grid != first.grid for part in parts[1:]):
-            raise GridMismatch("fields are on different grids")
-        return FieldBlock(first.grid, variable,
+        return FieldBlock(grid, variable,
                           tuple(t for part in parts for t in part.valid_times),
                           tuple(h for part in parts for h in part.lead_hours),
                           np.concatenate([part.values for part in parts]))
 
-    def truth_block(self, variable: VariableId, times: Sequence[datetime]
-                    ) -> FieldBlock:
+    def truth_block(self, variable: VariableId, times: Sequence[datetime],
+                    grid: GeoGrid | None = None) -> FieldBlock:
         """Truth of ``variable`` at ascending ``times``; a span that
         crosses into the next truth year reads one block of each stack."""
         return self._block(variable, times, [None] * len(times),
-                           "truth_pattern", self.manifest.truth_pattern)
+                           "truth_pattern", self.manifest.truth_pattern, grid)
 
     def model_block(self, name: str, init: datetime, variable: VariableId,
-                    leads: Sequence[int]) -> FieldBlock:
+                    leads: Sequence[int], grid: GeoGrid | None = None
+                    ) -> FieldBlock:
         """Forecast ``name`` from ``init`` at ascending lead hours."""
         return self._block(variable,
                            [init + timedelta(hours=lead) for lead in leads],
                            leads, f"models.{name}", self.manifest.models[name],
-                           init)
+                           grid, init)
 
     def block_layers(self, variable: VariableId) -> int:
         """How many layers of ``variable``, at 8 bytes a point, fit in
@@ -1470,8 +1482,8 @@ class FieldSource:
         return metrics.chunk_count(
             len(SYNOPTIC_HOURS) * store.dtype.itemsize * n_lat * n_lon)
 
-    def history(self, variable: VariableId, year: int, days: range
-                ) -> FieldBlock:
+    def history(self, variable: VariableId, year: int, days: range,
+                grid: GeoGrid | None = None) -> FieldBlock:
         """The history fields of ``variable`` on the calendar days
         ``days`` of ``year``: every 6-hourly time from 00Z of the first
         day, Feb 29 of a leap year with Feb 28 (see
@@ -1481,9 +1493,10 @@ class FieldSource:
         times = year_times(year, days)
         return self._block(variable, times, [None] * len(times),
                            "climatology.history_pattern",
-                           self.manifest.history_pattern)
+                           self.manifest.history_pattern, grid)
 
-    def climatology(self, variable: VariableId, days: Iterable[int]
+    def climatology(self, variable: VariableId, days: Iterable[int],
+                    grid: GeoGrid | None = None
                     ) -> DailyMeanClimatology | None:
         """The daily-mean climatology of ``variable`` on the shortest run
         of consecutive calendar days that holds ``days``, read by the day
@@ -1495,7 +1508,7 @@ class FieldSource:
         return self._open(_built(self.manifest, "climatology",
                                  self.manifest.climatology_path(variable),
                                  "daily_mean_pattern"),
-                          variable, _Climatology).days(days)
+                          variable, grid, _Climatology).days(days)
 
     def thresholds(self, days: Iterable[int]
                    ) -> tuple[ThresholdField, GeoGrid, str]:

@@ -31,9 +31,8 @@ another axis order (Fortran order, or layers last) sums as a
 C-contiguous one does. The summation order is fixed, so results are
 bit-deterministic whatever the caller's loop order. The kernel takes
 arrays and checks none of their pairing: that a store holds the
-variable it is read for is checked where it is opened
-(:class:`wxverify.fileio.FieldSource`), and that blocks share a grid by
-the command that pairs them.
+variable it is read for and is on the grid it is paired with is checked
+where it is opened (:class:`wxverify.fileio.FieldSource`).
 
 Every block a command holds is bounded by one budget,
 :data:`CHUNK_BYTES`, turned into a count of layers, days or leads by

@@ -17,8 +17,8 @@ from datetime import timedelta
 from pathlib import Path
 from typing import Sequence
 
-from .errors import (GridMismatch, InsufficientHistory, ManifestError,
-                     MissingFix, NoValidPairs)
+from .errors import (InsufficientHistory, ManifestError, MissingFix,
+                     NoValidPairs, UnitOutOfRange)
 
 DEFAULT_SPECTRA_LEADS = (6, 72, 120, 240)
 DEFAULT_EXTREME_LEAD_DAYS = (1, 3, 7, 10)
@@ -73,8 +73,7 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
     from .grid import latitude_weights
     from .metrics import block_scores
     from .report import new_scorecard, write_spectrum_csv
-    from .spectra import (MIDLATITUDE_BAND, ZonalSpectrum,
-                          midlatitude_spectrum)
+    from .spectra import ZonalSpectrum, midlatitude_spectrum
     manifest = fileio.load_manifest(manifest_path)
     out_dir = Path(out_dir)
     leads = _check_leads(leads, manifest.lead_hours, "--leads", manifest,
@@ -112,18 +111,16 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
                 times = [init + timedelta(hours=lead) for lead in run]
                 rows = [i for i, lead in enumerate(run) if lead in metric_leads]
                 days = [calendar_day_index(times[i]) for i in rows]
-                clim = source.climatology(variable, days) if rows else None
                 truth = source.truth_block(variable, times)
+                clim = source.climatology(variable, days, grid=truth.grid) \
+                    if rows else None
                 scored = rows if len(rows) < len(run) else slice(None)
                 clim_rows = None if clim is None else (clim.day_mean, day_rows(
                     clim.first_day, len(clim.day_mean), days))
-                if clim is not None and clim.grid != truth.grid:
-                    raise GridMismatch("fields are on different grids")
                 weights = latitude_weights(truth.grid)
                 for model in models:
-                    pred = source.model_block(model, init, variable, run)
-                    if pred.grid != truth.grid:
-                        raise GridMismatch("fields are on different grids")
+                    pred = source.model_block(model, init, variable, run,
+                                              grid=truth.grid)
                     if rows:
                         block = block_scores(pred.values[scored],
                                              truth.values[scored],
@@ -155,9 +152,7 @@ def evaluate(manifest_path, out_dir, leads: Sequence[int] | None = None,
         for variable in manifest.variables:
             for lead in spectra_leads:
                 spectrum = ZonalSpectrum(
-                    variable, lead,
-                    np.mean(energies[(model, variable, lead)], axis=0),
-                    MIDLATITUDE_BAND)
+                    np.mean(energies[(model, variable, lead)], axis=0))
                 rel = f"spectra/{name}_{variable.key}_{lead:03d}h.csv"
                 write_spectrum_csv(spectrum, out_dir / rel)
                 spectra_rows.append({"model": name, "variable": variable.key,
@@ -182,7 +177,7 @@ def _reduce_history(source, variable, clim_path, spill=None):
     Memory is one block of one year and the float64 total of the block's
     days: each block's day means are added, in year order, into the
     total, which is divided once by the number of years and written
-    before the next block of days is read. Every block must be on the
+    before the next block of days is read. Every block is read on the
     grid of the first.
     """
     import numpy as np
@@ -202,13 +197,8 @@ def _reduce_history(source, variable, clim_path, spill=None):
         for first in range(0, DAYS_PER_YEAR, per_block):
             days = range(first, min(first + per_block, DAYS_PER_YEAR))
             for y, year in enumerate(years):
-                block = source.history(variable, year, days)
-                if grid is None:
-                    grid = block.grid
-                elif block.grid != grid:
-                    raise ManifestError(
-                        f"{variable.key} history of {year} is on another "
-                        f"grid than the history before it")
+                block = source.history(variable, year, days, grid=grid)
+                grid = block.grid
                 rows, means = daily_means_from_fields(block)
                 if y == 0:
                     total = np.zeros((len(days), *grid.shape))
@@ -263,20 +253,21 @@ def build_climatology(manifest_path) -> list[Path]:
 
 # --- extremes ----------------------------------------------------------------
 
-def _day_extremes(day_blocks) -> dict:
+def _day_extremes(day_blocks, n_days: int) -> dict:
     """Event kind -> (days x locations) daily max (heat) or min (cold) of
-    each day's block of fields, taken from the blocks where they lie."""
+    the ``n_days`` day blocks ``day_blocks`` yields, each as it comes."""
     import numpy as np
 
     from .climatology import day_extremes
     from .extremes import EventKind
-    first = day_blocks[0].values
-    dmax = np.empty((len(day_blocks), *first.shape[1:]), first.dtype)
-    dmin = np.empty_like(dmax)
     for i, block in enumerate(day_blocks):
+        if i == 0:
+            dmax = np.empty((n_days, *block.grid.shape), block.values.dtype)
+            dmin = np.empty_like(dmax)
         day_extremes(block.values[None], dmax[i:i + 1], dmin[i:i + 1])
-    return {EventKind.HEATWAVE: dmax.reshape(len(day_blocks), -1),
-            EventKind.COLDSURGE: dmin.reshape(len(day_blocks), -1)}
+        del block  # released before the next day's is read
+    return {EventKind.HEATWAVE: dmax.reshape(n_days, -1),
+            EventKind.COLDSURGE: dmin.reshape(n_days, -1)}
 
 
 def _region_mask(grid, box):
@@ -339,22 +330,15 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
         for region, box in sorted(manifest.regions.items())]
 
     # Thresholds and truth events do not depend on the model: label the
-    # truth once per lead day
+    # truth once per lead day. Every block is read on the thresholds' grid
     per_day = {}  # lead day -> ({kind: thresholds}, {kind: truth runs})
     for d, days in days_of.items():
-        truth_days = [source.truth_block(VariableId.T2M, [
-            day + timedelta(hours=h) for h in SYNOPTIC_HOURS]) for day in days]
-        for day, block in zip(days, truth_days):
-            if block.grid != tgrid:
-                truth_path = manifest.truth_path(VariableId.T2M, day)
-                raise ManifestError(
-                    f"{manifest.thresholds_file}: threshold grid does not "
-                    f"match the truth grid of {truth_path}")
         rows = thresholds.rows([calendar_day_index(day) for day in days])
         tau = {EventKind.HEATWAVE: thresholds.tau_heat[rows],
                EventKind.COLDSURGE: thresholds.tau_cold[rows]}
-        truth_extremes = _day_extremes(truth_days)
-        del truth_days  # released before the next day's are read
+        truth_extremes = _day_extremes((source.truth_block(VariableId.T2M, [
+            day + timedelta(hours=h) for h in SYNOPTIC_HOURS], grid=tgrid)
+            for day in days), len(days))
         truth = {kind: label_event_runs(truth_extremes[kind], tau[kind], kind)
                  for kind in kinds}
         fileio.write_segments_csv([(kind, truth[kind]) for kind in kinds],
@@ -365,11 +349,9 @@ def extremes(manifest_path, out_dir, lead_days: Sequence[int] | None = None,
     for model in sorted(manifest.models):
         for d in lead_days:
             tau, truth = per_day[d]
-            fc_days = [source.model_block(model, init, VariableId.T2M,
-                                          _extreme_day_hours(d))
-                       for init in manifest.init_times]
-            fc_extremes = _day_extremes(fc_days)
-            del fc_days  # released before the next day's are read
+            fc_extremes = _day_extremes((source.model_block(
+                model, init, VariableId.T2M, _extreme_day_hours(d), grid=tgrid)
+                for init in manifest.init_times), len(manifest.init_times))
             fc = {kind: label_event_runs(fc_extremes[kind], tau[kind], kind)
                   for kind in kinds}
             # kind -> per-location (tp, fp, fn) arrays
@@ -452,9 +434,19 @@ def cyclones(manifest_path, out_dir, besttrack,
                 [(storm_id, fix.position) for storm_id, fix in seeds],
                 source=model, config=config)
             for run in runs:
-                msl, u10, v10 = (source.model_block(model, init, variable, run)
-                                 for variable in variables)
-                tracker.advance(msl, u10, v10)
+                msl = source.model_block(model, init, VariableId.MSL, run)
+                u10, v10 = (source.model_block(model, init, variable, run,
+                                               grid=msl.grid)
+                            for variable in variables[1:])
+                try:
+                    tracker.advance(msl, u10, v10)
+                except UnitOutOfRange as exc:
+                    stores = sorted({str(manifest.model_path(
+                        model, init, msl.variable, lead)) for lead in run})
+                    raise UnitOutOfRange(
+                        f"{', '.join(stores)}: model {model} from "
+                        f"{fileio.format_time(init)}: {exc}; check that the "
+                        f"store holds msl in Pa") from exc
                 del msl, u10, v10  # released before the next run's are read
             for track in tracker.tracks():
                 tracks[(track.storm_id, init)] = track

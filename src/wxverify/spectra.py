@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyBand
-from .grid import EARTH_RADIUS_KM, FieldBlock, VariableId, cos_lat
+from .grid import EARTH_RADIUS_KM, FieldBlock, cos_lat
 
 #: Mid-latitude band bounds (strict inequalities on |lat|), degrees.
 MIDLATITUDE_BAND = (30.0, 60.0)
@@ -35,12 +35,9 @@ def latitude_circumference_m(lat_deg):
 
 @dataclass(frozen=True)
 class ZonalSpectrum:
-    """Band-averaged zonal energy spectrum for one (variable, lead)."""
+    """Band-averaged zonal energy spectrum."""
 
-    variable: VariableId
-    lead_hours: int
     energy: np.ndarray
-    band: tuple[float, float]
 
     def __post_init__(self):
         e = np.ascontiguousarray(self.energy, dtype=np.float64)
@@ -83,6 +80,4 @@ def midlatitude_spectrum(block: FieldBlock, i: int) -> ZonalSpectrum:
     if rows.size == 0:
         raise EmptyBand(f"no grid row with {b0} < |lat| < {b1}")
     values = block.values[i, rows].astype(np.float64, copy=False)
-    return ZonalSpectrum(block.variable, block.lead_hours[i],
-                         np.mean(_row_spectra(lat[rows], values), axis=0),
-                         (float(b0), float(b1)))
+    return ZonalSpectrum(np.mean(_row_spectra(lat[rows], values), axis=0))

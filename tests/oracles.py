@@ -505,13 +505,13 @@ def reduce_history_by_year(source, variable, means: bool, extremes: bool):
 
     Each year is read through ``source`` (``history_days`` and
     ``history``, as on a ``FieldSource``, which reads every layer of the
-    days asked for or raises) in its blocks of days, in order; every
-    block must be on the grid of the first, with the engine's errors.
+    days asked for, on the grid asked for, or raises) in its blocks of
+    days, in order, each on the grid of the first.
     """
     from wxverify.climatology import (DAYS_PER_YEAR,
                                       daily_extremes_from_fields,
                                       daily_means_from_fields)
-    from wxverify.errors import InsufficientHistory, ManifestError
+    from wxverify.errors import InsufficientHistory
     years = source.manifest.history_years
     if not years:
         raise InsufficientHistory("no history years supplied")
@@ -520,7 +520,7 @@ def reduce_history_by_year(source, variable, means: bool, extremes: bool):
     for y, year in enumerate(years):
         for first in range(0, DAYS_PER_YEAR, per_block):
             block = source.history(variable, year, range(
-                first, min(first + per_block, DAYS_PER_YEAR)))
+                first, min(first + per_block, DAYS_PER_YEAR)), grid=grid)
             if grid is None:
                 grid = block.grid
                 if means:
@@ -530,9 +530,6 @@ def reduce_history_by_year(source, variable, means: bool, extremes: bool):
                                      grid.n_lat * grid.n_lon),
                                     dtype=block.values.dtype)
                     dmin = np.empty_like(dmax)
-            elif block.grid != grid:
-                raise ManifestError(f"{variable.key} history of {year} is on "
-                                    f"another grid than the history before it")
             if means:
                 rows, day_means = daily_means_from_fields(block)
                 total[rows] += day_means

@@ -931,7 +931,7 @@ class TestThresholdsByDay:
         assert rc == 2
         assert f"{path}: CRC-32 mismatch in layer {layer}" in err
 
-    def test_thresholds_on_another_grid_are_exit_2(self, extremes_run,
+    def test_thresholds_on_another_grid_are_exit_3(self, extremes_run,
                                                    tmp_path, capsys):
         # the same number of locations, shifted by half a grid step: the
         # truth blocks of the lead days are on another grid
@@ -942,13 +942,12 @@ class TestThresholdsByDay:
         sidecar.write_text(json.dumps(header))
         capsys.readouterr()
         assert run_cli("extremes", "--manifest", manifest, "--out",
-                       tmp_path / "out", "--lead-days", "1") == 2
-        err = capsys.readouterr().err
-        assert "threshold grid does not match the truth grid" in err
-        # the file of each side is named: the first truth store read
-        assert err == (f"error: {path}: threshold grid does not match the "
-                       f"truth grid of {extremes_run / 'truth/t2m/2025.rbs'}"
-                       f"\n")
+                       tmp_path / "out", "--lead-days", "1") == 3
+        # the first truth store, read on the thresholds' grid, is named
+        truth = extremes_run / "truth/t2m/2025.rbs"
+        assert capsys.readouterr().err == (
+            f"error: grid mismatch: {truth} is on {sidecar_grid(truth)}, "
+            f"not {sidecar_grid(path)}\n")
         assert not (tmp_path / "out").exists()
 
 class TestStackReads:
@@ -1252,6 +1251,9 @@ def many_inits_run(tmp_path_factory):
 #: Bytes of one float32 layer of ``block_run``'s grid.
 BLOCK_RUN_LAYER = 60 * 120 * 4
 
+#: Bytes of one float32 layer of ``extremes_run``'s grid.
+EXTREMES_LAYER = 15 * 16 * 4
+
 
 def trace_reads(monkeypatch, *names):
     """Record ``(name, traced bytes held as the read starts, bytes of the
@@ -1260,9 +1262,9 @@ def trace_reads(monkeypatch, *names):
     log = []
 
     def traced(name, read):
-        def call(source, *args):
+        def call(source, *args, **kwargs):
             held = tracemalloc.get_traced_memory()[0]
-            got = read(source, *args)
+            got = read(source, *args, **kwargs)
             values = getattr(got, "values", getattr(got, "day_mean", None))
             log.append((name, held, 0 if values is None else values.nbytes))
             return got
@@ -1296,21 +1298,43 @@ class TestBlockMemory:
                           "model_block")
         traced_run(lambda: (log.clear(), pipelines.evaluate(
             block_run / "manifest.json", tmp_path / "out")))
-        # one block of each init: its days, its truth and three forecasts
+        # one block of each init: its truth, then its days and three
+        # forecasts, both read on the truth's grid
         assert [name for name, *_ in log] == [
-            "climatology", "truth_block", *["model_block"] * 3] * 2
+            "truth_block", "climatology", *["model_block"] * 3] * 2
         start = log[0][1]
         for k in (0, 5):
-            (_, before_days, days), (_, first, truth), *forecasts = \
+            (_, first, truth), (_, before_days, days), *forecasts = \
                 log[k:k + 5]
             # no earlier block's days, truth or forecast is held
-            assert before_days - start <= BLOCK_RUN_LAYER
-            assert first - before_days >= days  # the days are held
+            assert first - start <= BLOCK_RUN_LAYER
+            assert before_days - first >= truth  # the truth is held
             for _, held, _ in forecasts:
                 # the truth block and the days, and no earlier forecast
-                assert held - first <= truth + BLOCK_RUN_LAYER
+                assert held - first <= truth + days + BLOCK_RUN_LAYER
             assert truth == 5 * BLOCK_RUN_LAYER
             assert days == 2 * 2 * BLOCK_RUN_LAYER  # two float64 days
+
+    def test_extremes_holds_one_block_of_a_lead_day(self, extremes_run,
+                                                   monkeypatch, tmp_path):
+        # 8 daily inits: each 4-layer block of a lead day is reduced into
+        # the day's extremes and released before the next block is read
+        log = trace_reads(monkeypatch, "truth_block", "model_block")
+        traced_run(lambda: (log.clear(), pipelines.extremes(
+            extremes_run / "manifest.json", tmp_path / "out", [1, 3])))
+        # the truth of days 1 and 3, then each model's forecasts of both
+        assert [name for name, *_ in log] == \
+            ["truth_block"] * 16 + ["model_block"] * 32
+        block = 4 * EXTREMES_LAYER
+        assert all(nbytes == block for *_, nbytes in log)
+        # the reads of a lead day whose stores have all been opened: from
+        # the second read on, the day's extremes are allocated, and each
+        # read starts with less than a layer more held than the last (the
+        # log's own entries), so no earlier block is held
+        for first in (0, 8, 24, 40):
+            held = [held for _, held, _ in log[first:first + 8]]
+            for k in range(2, 8):
+                assert held[k] - held[k - 1] < EXTREMES_LAYER, (first, k)
 
     def test_stations_holds_one_forecast_block_and_no_truth(
             self, block_run, monkeypatch):
@@ -1402,11 +1426,11 @@ class TestCycloneMemory:
             cyclones.homogeneous_sample
         start, peaks = [], []
 
-        def model_block(source, *args):
+        def model_block(source, *args, **kwargs):
             if not start:
                 tracemalloc.reset_peak()
                 start.append(tracemalloc.get_traced_memory()[0])
-            return read(source, *args)
+            return read(source, *args, **kwargs)
 
         def homogeneous_sample(*args):
             peaks.append(tracemalloc.get_traced_memory()[1])
@@ -1571,10 +1595,10 @@ class TestStreamedHistory:
         spills = []
         real_write = fileio.SpilledHistory.write
 
-        def history(source, variable, year, days):
+        def history(source, variable, year, days, grid=None):
             if len(spills) == 4:
                 raise ChecksumMismatch(f"{year}: CRC-32 mismatch (injected)")
-            return real_history(source, variable, year, days)
+            return real_history(source, variable, year, days, grid)
 
         monkeypatch.setattr(fileio.FieldSource, "history", history)
         monkeypatch.setattr(fileio.SpilledHistory, "write", lambda spill, *a:
@@ -1815,6 +1839,10 @@ class TestEvaluateBlocks:
         real = fileio.GeoGrid
         monkeypatch.setattr(fileio, "GeoGrid",
                             lambda *axes: builds.append(axes) or real(*axes))
+        lookups = []
+        oriented = fileio._Store.oriented
+        monkeypatch.setattr(fileio._Store, "oriented", lambda store:
+                            lookups.append(store.path) or oriented(store))
         fileio._oriented_grid.cache_clear()
         store_reads.clear()
         assert run_cli("evaluate", "--manifest", manifest,
@@ -1826,8 +1854,11 @@ class TestEvaluateBlocks:
             geometries.add(fileio._grid_header_geometry(header, path))
         assert len({path for path, _, _ in store_reads}) > 100
         assert len(builds) == len(geometries) == 1
+        # the memo is looked up at each store read, and at each check of a
+        # store paired with a grid
+        assert len(lookups) > len(store_reads)
         memo = fileio._oriented_grid.cache_info()
-        assert memo.misses == 1 and memo.hits == len(store_reads) - 1
+        assert memo.misses == 1 and memo.hits == len(lookups) - 1
 
 
 def grid_run(run, root, truth_pattern="truth/{variable}/{time}.rbg"):
@@ -1976,9 +2007,18 @@ class TestStoreVariables:
             assert not (run / "clim").exists()
 
 
+def sidecar_grid(store: Path) -> GeoGrid:
+    """The grid of the geometry in ``store``'s sidecar."""
+    header = json.loads(store.with_name(store.name + ".json").read_text())
+    return fileio._oriented_grid(
+        fileio._grid_header_geometry(header, store))[0]
+
+
 class TestFieldGrids:
-    """A forecast, or a part of a truth span, on another grid than the
-    truth is exit 3 in ``evaluate``, and no scorecard is written."""
+    """Each store a command pairs with another is read on that one's
+    grid: a store on another grid is exit 3 naming it and showing both
+    grids, and no scorecard (or climatology) is written. ``stations``
+    reads each store on its own grid."""
 
     @staticmethod
     def shift_columns(store: Path):
@@ -1989,22 +2029,71 @@ class TestFieldGrids:
         header["lon_start"] += header["lon_step"] / 2
         sidecar.write_text(json.dumps(header))
 
-    @pytest.mark.parametrize("run_name, store", [
-        ("evaluate_run", "models/persistence/2025070200/t2m.rbs"),
+    @pytest.mark.parametrize("run_name, command, store", [
+        ("evaluate_run", "evaluate", "models/persistence/2025070200/t2m.rbs"),
+        ("evaluate_run", "evaluate", "clim/t2m.rbc"),
         # the spans of both inits cross into the 2026 stack
-        ("new_year_run", "truth/t2m/2026.rbs"),
-    ], ids=["model", "truth-span"])
-    def test_is_exit_3(self, request, run_name, store, tmp_path, capsys):
+        ("new_year_run", "evaluate", "truth/t2m/2026.rbs"),
+        ("extremes_run", "extremes", "truth/t2m/2025.rbs"),
+        ("extremes_run", "extremes", "models/lagged48/2025071800/t2m.rbs"),
+        ("extremes_run", "build-climatology", "truth/t2m/2024.rbs"),
+        ("cyclone_run", "cyclones", "models/smoothed9/2025070100/u10.rbs"),
+        ("cyclone_run", "cyclones", "models/perfect/2025070100/v10.rbs"),
+    ], ids=["evaluate-model", "evaluate-climatology", "evaluate-truth-span",
+            "extremes-truth", "extremes-model", "build-climatology-history",
+            "cyclones-u10", "cyclones-v10"])
+    def test_is_exit_3_naming_the_store(self, request, run_name, command,
+                                        store, tmp_path, capsys):
         run = tmp_path / "run"
         shutil.copytree(request.getfixturevalue(run_name), run)
+        if command == "build-climatology":
+            shutil.rmtree(run / "clim")
+        paired = sidecar_grid(run / store)
         self.shift_columns(run / store)
         out = tmp_path / "out"
         capsys.readouterr()
-        assert run_cli("evaluate", "--manifest", run / "manifest.json",
-                       "--out", out) == 3
-        assert capsys.readouterr().err == \
-            "error: fields are on different grids\n"
+        assert run_cli(*command_argv(command, run, out)) == 3
+        assert capsys.readouterr().err == (
+            f"error: grid mismatch: {run / store} is on "
+            f"{sidecar_grid(run / store)}, not {paired}\n")
         assert not (out / "scorecard.json").exists()
+        if command == "build-climatology":
+            assert not (run / "clim/t2m.rbc").exists()
+
+    def test_a_store_of_another_shape_is_named_before_its_grid_is_built(
+            self, evaluate_run, tmp_path, capsys):
+        # a sidecar of a trillion rows: the check compares shapes first, so
+        # neither its grid nor its payload is read
+        run = tmp_path / "run"
+        shutil.copytree(evaluate_run, run)
+        store = run / "models/perfect/2025070100/t2m.rbs"
+        paired = sidecar_grid(store)
+        sidecar = store.with_name(store.name + ".json")
+        header = json.loads(sidecar.read_text())
+        header["n_lat"] = 10**12
+        sidecar.write_text(json.dumps(header))
+        capsys.readouterr()
+        assert run_cli(*command_argv("evaluate", run, tmp_path / "out")) == 3
+        assert capsys.readouterr().err == (
+            f"error: grid mismatch: {store} is on a {10**12} x "
+            f"{paired.n_lon} grid, not {paired}\n")
+
+    def test_stations_reads_each_model_on_its_own_grid(self, evaluate_run,
+                                                       tmp_path):
+        # the forecasts are interpolated to the stations from their own
+        # grid, so a model half a column east is scored, and differently
+        run = tmp_path / "run"
+        shutil.copytree(evaluate_run, run)
+        cards = []
+        for out in (tmp_path / "aligned", tmp_path / "shifted"):
+            assert run_cli(*command_argv("stations", run, out)) == 0
+            cards.append(load_card(out)["station_scores"])
+            self.shift_columns(run / "models/perfect/2025070100/t2m.rbs")
+        aligned, shifted = ([row for row in card if row["model"] == "perfect"
+                             and row["variable"] == "t2m"] for card in cards)
+        assert all(row["n_pairs"] > 0 for row in shifted)
+        assert [row["rmse"] for row in shifted] != \
+            [row["rmse"] for row in aligned]
 
 
 def command_files(out: Path) -> dict:
@@ -2501,6 +2590,27 @@ class TestCyclones:
             f"msl is not listed\n")
         assert not (tmp_path / "out").exists()
 
+    def test_msl_in_hpa_is_exit_2_naming_the_store(self, cyclone_run,
+                                                   tmp_path, capsys):
+        # a store of the right variable in the wrong unit: the tracker's
+        # first fix is outside the plausibility band
+        run = tmp_path / "run"
+        shutil.copytree(cyclone_run, run)
+        store = run / "models/perfect/2025070100/msl.rbs"
+        block = read_store(store)
+        fileio.write_stack([FieldBlock(
+            block.grid, block.variable, block.valid_times, block.lead_hours,
+            block.values / np.float32(100.0))], store)
+        capsys.readouterr()
+        assert run_cli(*command_argv("cyclones", run, tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {store}: model perfect from "
+                              f"2025-07-01T00:00:00Z: MSLP 9"), err
+        assert err.endswith(" Pa outside plausibility band (85000.0, "
+                            "105000.0); check that the store holds msl in "
+                            "Pa\n"), err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flag, value", [
         ("--search-radius-km", "nan"), ("--search-radius-km", "-5"),
         ("--search-radius-km", "0"), ("--search-radius-km", "inf"),
@@ -2987,6 +3097,51 @@ class TestSourceTree:
         for path in sorted(Path(wxverify.__file__).parent.glob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
         assert places == ["fileio.FieldSource._open"]
+
+    #: The functions that check the grids of blocks they are handed, not
+    #: of a store a run reads, and why each keeps its check.
+    BLOCK_GRID_CHECKS = {
+        # library entry points, which callers outside a run may hand
+        # blocks of any grid
+        "grid.derive_wind_speed",
+        "cyclones.StormTracker.advance",
+        # a writer, of the parts of one climatology it is handed
+        "fileio.write_daily_climatology.day_means",
+    }
+
+    def test_one_place_decides_which_grid_a_store_is_on(self):
+        """Whether a store may be paired with the grid of another is
+        decided where ``FieldSource`` opens it, for every command and
+        role: ``pipelines`` compares no ``.grid``, and ``src`` raises
+        ``GridMismatch``, or raises on a comparison of a ``.grid``, in
+        that one place and in the checks of handed blocks alone."""
+        import ast
+
+        def compares_grid(node) -> bool:
+            return any(isinstance(part, ast.Compare) and any(
+                isinstance(side, ast.Attribute) and side.attr == "grid"
+                for side in (part.left, *part.comparators))
+                for part in ast.walk(node))
+
+        places = set()
+
+        def visit(node, where):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                where = f"{where}.{node.name}"
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                    and getattr(node.exc.func, "id", None) == "GridMismatch" \
+                    or isinstance(node, ast.If) and compares_grid(node.test) \
+                    and any(isinstance(inner, ast.Raise)
+                            for inner in ast.walk(node)):
+                places.add(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        for path in sorted(Path(wxverify.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            assert path.stem != "pipelines" or not compares_grid(tree)
+            visit(tree, path.stem)
+        assert places == {"fileio.FieldSource._open", *self.BLOCK_GRID_CHECKS}
 
     def test_every_public_name_is_referenced_elsewhere_in_src(self):
         public, _, used_outside = self.definitions_and_uses()

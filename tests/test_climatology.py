@@ -21,7 +21,8 @@ from wxverify.climatology import (DAYS_PER_YEAR, calendar_day_index,
                                   daily_extremes_from_fields,
                                   daily_means_from_fields, day_span,
                                   year_times)
-from wxverify.errors import InsufficientHistory, ManifestError, WxVerifyError
+from wxverify.errors import (GridMismatch, InsufficientHistory,
+                             ManifestError, WxVerifyError)
 from wxverify.grid import FieldBlock, VariableId
 from wxverify.pipelines import _reduce_history
 
@@ -144,7 +145,9 @@ class StubHistory:
     ``days_per_block`` days; whatever times those layers hold, so a year
     whose layers are short, shifted or out of order gives blocks that do
     not hold their days. Days past a year's last layer raise
-    ``ManifestError``, as a store that does not hold them does."""
+    ``ManifestError``, as a store that does not hold them does, and a
+    year on another grid than the one asked for raises ``GridMismatch``,
+    as a store on it does."""
 
     def __init__(self, blocks_by_year, days_per_block=7):
         self.manifest = SimpleNamespace(history_years=tuple(blocks_by_year))
@@ -154,8 +157,11 @@ class StubHistory:
     def history_days(self, variable):
         return self.days_per_block
 
-    def history(self, variable, year, days):
+    def history(self, variable, year, days, grid=None):
         block = self.blocks_by_year[year]
+        if grid is not None and block.grid != grid:
+            raise GridMismatch(f"grid mismatch: history of {year} is on "
+                               f"{block.grid}, not {grid}")
         start, stop = (len(year_times(year, range(day)))
                        for day in (days.start, days.stop))
         if stop > len(block.valid_times):
@@ -179,7 +185,7 @@ class GeneratedHistory:
     def history_days(self, variable):
         return self.days_per_block
 
-    def history(self, variable, year, days):
+    def history(self, variable, year, days, grid=None):
         times = year_times(year, days)
         values = np.full((len(times), *self.grid.shape), year % 7,
                          dtype=np.float32)
@@ -667,9 +673,11 @@ class TestDailyMeanClimatology:
             _reduce_history(StubHistory({}), VariableId.T2M, Path("c.rbc"))
 
     def test_blocks_on_another_grid_raise(self):
+        # every later block is read on the first block's grid, so the
+        # reader raises
         first = year_block(make_grid(1, 2), 2023, np.zeros((1460, 1, 2)))
         other = year_block(make_grid(1, 3), 2024, np.zeros((1464, 1, 3)))
-        with pytest.raises(ManifestError, match="2024 is on another grid"):
+        with pytest.raises(GridMismatch, match="history of 2024 is on"):
             reduce_streamed(StubHistory({2023: first, 2024: other}),
                             extremes=False)
 

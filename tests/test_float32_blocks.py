@@ -120,10 +120,11 @@ class TestFloat32Blocks:
         tau = (280.0 + rng.choice([-2.0, 0.0, 2.0],
                                   (n_days, grid.n_lat * grid.n_lon))
                ).astype(np.float32)
-        extremes = _day_extremes(days)[kind]
+        extremes = _day_extremes(days, n_days)[kind]
         assert extremes.dtype == np.float32
         got = label_event_runs(extremes, tau, kind)
-        widened_extremes = _day_extremes([widened(b) for b in days])[kind]
+        widened_extremes = _day_extremes([widened(b) for b in days],
+                                         n_days)[kind]
         want = label_event_runs(widened_extremes, tau.astype(np.float64),
                                 kind)
         for mine, theirs in zip(got, want):

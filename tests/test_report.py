@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from wxverify.errors import WxVerifyError
-from wxverify.grid import VariableId
 from wxverify.report import (dump_scorecard, flatten_scorecard_csv, na,
                              new_scorecard, validate_scorecard,
                              write_spectrum_csv)
@@ -49,8 +48,7 @@ class TestSchema:
 
 class TestCsvExports:
     def test_spectrum_csv(self, tmp_path):
-        spectrum = ZonalSpectrum(VariableId.T2M, 6,
-                                 np.array([4.0, 2.0, 1.0]), (30.0, 60.0))
+        spectrum = ZonalSpectrum(np.array([4.0, 2.0, 1.0]))
         path = write_spectrum_csv(spectrum, tmp_path / "s.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "k,energy"
