@@ -15,8 +15,7 @@ that are used.
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "climatology": ("DailyMeanClimatology", "ThresholdBuild",
-                    "ThresholdField"),
+    "climatology": ("DailyMeanClimatology", "ThresholdField"),
     "cyclones": ("IntensityError", "StormFix", "StormTrack", "StormTracker",
                  "TrackerConfig", "homogeneous_sample", "intensity_errors",
                  "track_dpe", "track_storm"),
@@ -30,6 +29,7 @@ _EXPORTS = {
     "spectra": ("ZonalSpectrum", "midlatitude_spectrum"),
     "stations": ("QcFlag", "QcThresholds", "Station", "StationTable",
                  "station_scores"),
+    "thresholds": ("ThresholdBuild",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

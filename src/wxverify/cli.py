@@ -8,12 +8,20 @@
   stations           station-space scores with QC report
   report             flatten a scorecard JSON into CSV tables
 
-Each verification command is one function of :mod:`wxverify.pipelines`
-that returns its scorecard, and ``synth`` is
-:func:`wxverify.harness.write_run`. This module parses the arguments,
-writes the scorecard and prints one ``wrote`` line per file written. It
-imports a command's modules only after parsing, so ``--help`` loads no
-layer (nor numpy).
+Each verification command is the one function of its own module,
+``wxverify.pipeline_<command>``, that returns its scorecard, and
+``synth`` is :func:`wxverify.harness.write_run`. This module parses the
+arguments, writes the scorecard and prints one ``wrote`` line per file
+written. It imports a command's module only after parsing, and that
+module imports only what the command runs, so ``--help`` loads no layer
+(nor numpy) and no command compiles another's code.
+
+When :func:`main` is the process's entry point (``argv`` None, as for
+``python -m wxverify.cli`` and the ``wxverify`` script), it freezes the
+garbage collector once the outputs are written (:func:`gc.freeze`), so
+that interpreter exit does not walk the heap the imports left; a call
+with an argument list, as a library or test makes, leaves the collector
+as it is.
 
 Runs are deterministic: the same manifest and inputs produce
 byte-identical scorecards. Exit codes: 0 success, 2 input error,
@@ -23,6 +31,7 @@ byte-identical scorecards. Exit codes: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -71,26 +80,27 @@ def _run(args: argparse.Namespace) -> list[Path]:
                           max_lead_hours=args.max_lead_hours,
                           models=args.models, truth_span=args.truth_span,
                           stations=args.stations)]
-    from . import pipelines
     if args.command == "build-climatology":
-        return pipelines.build_climatology(args.manifest)
+        from .pipeline_climatology import build_climatology
+        return build_climatology(args.manifest)
     if args.command == "evaluate":
-        card = pipelines.evaluate(args.manifest, args.out,
-                                  _ints(args.leads, "--leads"),
-                                  _ints(args.spectra_leads, "--spectra-leads"))
+        from .pipeline_evaluate import evaluate
+        card = evaluate(args.manifest, args.out, _ints(args.leads, "--leads"),
+                        _ints(args.spectra_leads, "--spectra-leads"))
     elif args.command == "extremes":
-        card = pipelines.extremes(args.manifest, args.out,
-                                  _ints(args.lead_days, "--lead-days"),
-                                  args.gamma)
+        from .pipeline_extremes import extremes
+        card = extremes(args.manifest, args.out,
+                        _ints(args.lead_days, "--lead-days"), args.gamma)
     elif args.command == "cyclones":
-        card = pipelines.cyclones(args.manifest, args.out, args.besttrack,
-                                  _ints(args.lead_days, "--lead-days"),
-                                  search_radius_km=args.search_radius_km,
-                                  wind_radius_km=args.wind_radius_km,
-                                  mslp_cutoff_pa=args.mslp_cutoff_pa)
+        from .pipeline_cyclones import cyclones
+        card = cyclones(args.manifest, args.out, args.besttrack,
+                        _ints(args.lead_days, "--lead-days"),
+                        search_radius_km=args.search_radius_km,
+                        wind_radius_km=args.wind_radius_km,
+                        mslp_cutoff_pa=args.mslp_cutoff_pa)
     else:
-        card = pipelines.stations(args.manifest, args.station_meta,
-                                  args.station_obs)
+        from .pipeline_stations import stations
+        card = stations(args.manifest, args.station_meta, args.station_obs)
     from .report import write_scorecard
     return [write_scorecard(card, Path(args.out) / "scorecard.json")]
 
@@ -165,6 +175,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     for path in written:
         print(f"wrote {path}")
+    if argv is None:
+        # the process ends here: its final collections would only walk
+        # the objects the imports left behind
+        gc.freeze()
     return 0
 
 

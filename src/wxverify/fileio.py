@@ -1,21 +1,21 @@
-"""Bit-exact readers and writers.
+"""Bit-exact store readers, the run manifest, and the one field source
+every command reads through.
 
 Gridded fields, field stacks, extreme thresholds and daily-mean
 climatologies are all stored the same way: a flat little-endian
 ``(layers, n_lat, n_lon)`` payload plus a JSON sidecar (`<path>.json`)
-carrying the magic, dtype, geometry and CRC-32s of the payload, written
-and read by one codec. A stack (RBSTACK1) holds a 6-hourly series of one
-variable with one CRC-32 per layer, so a span of layers is read with one
-seek and checked alone. A field file (RBGRID1) reads as a stack of one
-layer, whose one CRC-32 covers the whole payload; so both layouts are
-read, and checked against the valid time and lead asked for, by the same
-code. Uniform grids only; orientation is normalized to north-to-south
-rows and [0, 360) eastward columns on read. Threshold and climatology payloads
-carry a 365-deep day axis (climatology payloads are float64 so that
+carrying the magic, dtype, geometry and CRC-32s of the payload, read by
+one codec here and written by :mod:`wxverify.writers`. A stack
+(RBSTACK1) holds a 6-hourly series of one variable with one CRC-32 per
+layer, so a span of layers is read with one seek and checked alone. A
+field file (RBGRID1) reads as a stack of one layer, whose one CRC-32
+covers the whole payload; so both layouts are read, and checked against
+the valid time and lead asked for, by the same code. Uniform grids
+only; orientation is normalized to north-to-south rows and [0, 360)
+eastward columns on read. Threshold and climatology payloads carry a
+365-deep day axis (climatology payloads are float64 so that
 through-disk evaluation stays bit-identical to in-memory evaluation),
-with one CRC-32 per day layer, so a run reads only its days. Thresholds
-are written a chunk of locations at a time as they are built
-(:func:`write_thresholds`).
+with one CRC-32 per day layer, so a run reads only its days.
 
 A :class:`RunManifest` formats each distinct path its patterns name
 once, and keeps it: its load check, every read of a :class:`FieldSource`
@@ -33,54 +33,42 @@ per distinct sidecar geometry, not once per file. A block holds the
 float32 values as stored; the kernels that compute in float64 widen the
 block or layer they work on. A history is read in blocks of whole
 calendar days of one year, each at most one chunk of the stored layers
-(one day at least), and the daily extremes a build reduces it to are
-spilled to a scratch file (:class:`SpilledHistory`).
+(one day at least).
 
-Writers stream to a temp file and rename it into place
-(:func:`wxverify.report.publishing`), so a file is either complete or
-absent. Serialization is canonical: rewriting what was just read
-produces byte-identical files. Readers are total over the typed error
-hierarchy in :mod:`wxverify.errors` - fuzzed input yields a typed error,
-never a raw parser traceback.
+This module is what every scoring command loads of the file layer. The
+store writers (:mod:`wxverify.writers`), the station CSV reader
+(:mod:`wxverify.stationio`) and the event commands' CSV files
+(:mod:`wxverify.eventio`) live apart, so that a command compiles only
+the code it runs. Readers are total over the typed error hierarchy in
+:mod:`wxverify.errors` - fuzzed input yields a typed error, never a raw
+parser traceback.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import json
 import math
 import os
-import re
 import string
-import tempfile
-import warnings
 import zlib
 from dataclasses import dataclass
 from datetime import MAXYEAR, MINYEAR, datetime, timedelta, timezone
 from itertools import groupby
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import metrics
 from .climatology import (DAYS_PER_YEAR, SYNOPTIC_HOURS, DailyMeanClimatology,
-                          ThresholdBuild, ThresholdField, calendar_day_index,
-                          day_span, threshold_chunk, year_times)
-from .errors import (ChecksumMismatch, DuplicateObservation, GridMismatch,
+                          ThresholdField, calendar_day_index, day_span,
+                          year_times)
+from .errors import (ChecksumMismatch, GridMismatch,
                      HeaderPayloadShapeMismatch, InvalidHeader, ManifestError,
-                     NonFiniteValue, NonMonotoneTime, NonUniformGrid,
-                     UnitOutOfRange, UnknownStation, WxVerifyError)
+                     NonFiniteValue)
 from .grid import (SIX_HOURS, FieldBlock, GeoGrid, VariableId, all_finite,
                    derive_wind_speed)
-from .report import canonical_json, publish, publishing, text_lines
-
-if TYPE_CHECKING:
-    from .cyclones import StormTrack
-    from .extremes import EventKind
-    from .stations import Station, StationTable
 
 GRID_MAGIC = "RBGRID1"
 STACK_MAGIC = "RBSTACK1"
@@ -198,7 +186,7 @@ def _oriented_grid(geometry: tuple) -> tuple[GeoGrid, bool, int]:
     if lon_step > 0 and (lon_shift == 0
                          or abs(n_lon * lon_step - 360.0) <= 1e-6):
         # first longitude plus k steps, whatever the stored start: the
-        # form _write_store stores, so a written grid reads back bit for bit
+        # form a writer stores, so a written grid reads back bit for bit
         lons = lons[0] + lon_step * np.arange(n_lon)
     grid = GeoGrid(lat_start + lat_step * np.arange(n_lat), lons)
     return grid, flip_rows, lon_shift
@@ -207,64 +195,6 @@ def _oriented_grid(geometry: tuple) -> tuple[GeoGrid, bool, int]:
 # --- stored arrays: grids, stacks, thresholds, climatologies -----------------
 
 _DTYPES = {"f32le": np.dtype("<f4"), "f64le": np.dtype("<f8")}
-
-
-def _stored_step(axis: np.ndarray, single: float) -> float:
-    """The step to store for a uniform grid ``axis`` (``single`` when it
-    has one point): the shortest decimal rounding of its mean step with
-    which ``axis[0] + step * k``, as the reader rebuilds it, gives the axis
-    back bit for bit; the first difference when no rounding does."""
-    if axis.size == 1:
-        return single
-    k = np.arange(axis.size)
-    mean = (axis[-1] - axis[0]) / (axis.size - 1)
-    for digits in range(1, 18):
-        step = float(f"{mean:.{digits}g}")
-        if np.array_equal(axis[0] + step * k, axis):
-            return step
-    return float(axis[1] - axis[0])
-
-
-def _geometry(grid: GeoGrid) -> dict:
-    """The sidecar keys of a uniform ``grid``; any other raises
-    :class:`NonUniformGrid`."""
-    if not grid.is_uniform():
-        raise NonUniformGrid("file format stores uniformly spaced grids only")
-    return dict(n_lat=grid.n_lat, n_lon=grid.n_lon,
-                lat_start=float(grid.lat_deg[0]),
-                lat_step=_stored_step(grid.lat_deg, -1.0),
-                lon_start=float(grid.lon_deg[0]),
-                lon_step=_stored_step(grid.lon_deg, 1.0))
-
-
-def _write_store(path: Path, magic: str, grid: GeoGrid, chunks, dtype: str,
-                 extra: dict) -> Path:
-    """Stream ``chunks`` over ``grid`` to a payload, then publish a
-    sidecar.
-
-    ``chunks`` is any iterable of ``(k, n_lat, n_lon)`` arrays, each
-    written with one ``write``, so a generator of chunks is never held in
-    memory whole. The sidecar holds ``extra`` (read after the last chunk),
-    the magic, dtype, uniform geometry and one CRC-32 per layer
-    (``checksums``, with ``n_layers``); an RBGRID1 sidecar holds its one
-    layer's as ``checksum``.
-    """
-    geometry = _geometry(grid)
-    layer_bytes = _DTYPES[dtype].itemsize * grid.n_lat * grid.n_lon
-    checksums = []
-    with publishing(path) as tmp, open(tmp, "wb") as fh:
-        for chunk in chunks:
-            blob = memoryview(np.ascontiguousarray(
-                chunk, dtype=_DTYPES[dtype])).cast("B")
-            fh.write(blob)
-            checksums.extend(zlib.crc32(blob[at:at + layer_bytes])
-                             for at in range(0, len(blob), layer_bytes))
-            del chunk, blob  # released before the next chunk is made
-    crcs = dict(checksum=checksums[0]) if magic == GRID_MAGIC \
-        else dict(n_layers=len(checksums), checksums=checksums)
-    publish(_sidecar_path(path), canonical_json(
-        dict(extra, magic=magic, dtype=dtype, **geometry, **crcs)))
-    return path
 
 
 @dataclass(frozen=True)
@@ -385,87 +315,6 @@ def _build(path: Path, cls, *args):
         raise InvalidHeader(f"{path}: {exc}") from exc
 
 
-def write_grid(block: FieldBlock, path: str | os.PathLike) -> Path:
-    """Write a block of one layer as an RBGRID1 f32le payload + JSON
-    sidecar; returns the path. A block of any other layer count raises
-    :class:`WxVerifyError` naming ``path``, and writes nothing.
-
-    Derived variables (WS10) are never stored.
-    """
-    path = Path(path)
-    if len(block.valid_times) != 1:
-        raise WxVerifyError(f"{path}: a field file holds one layer, not "
-                            f"{len(block.valid_times)}")
-    _check_storable(block)
-    return _write_store(path, GRID_MAGIC, block.grid, [block.values],
-                        "f32le", {
-                            "variable": block.variable.key,
-                            "unit": block.variable.unit,
-                            "valid_time": format_time(block.valid_times[0]),
-                            "lead_hours": block.lead_hours[0],
-                        })
-
-
-def _check_storable(block: FieldBlock):
-    if block.variable.derived:
-        raise WxVerifyError(
-            f"{block.variable.key} is derived; compute it, do not store it")
-
-
-def write_stack(chunks: Iterable[FieldBlock], path: str | os.PathLike
-                ) -> Path:
-    """Write a 6-hourly series of one variable as one RBSTACK1 store.
-
-    ``chunks`` yields the series in order, as blocks of consecutive
-    layers (:class:`FieldBlock`). Layer k is valid ``6 k`` hours after
-    the first and has lead ``lead_0 + k * lead_step``, where
-    ``lead_step`` is the lead difference of the first two layers: 0 for
-    truth, 6 for a forecast. Every layer shares the first layer's grid
-    and variable; a layer that does not continue the series raises
-    :class:`WxVerifyError` naming it and leaves no file behind.
-    ``chunks`` is streamed with one write per chunk, so a generator of a
-    year of chunks is never held in memory whole. Derived variables
-    (WS10) are never stored.
-    """
-    path = Path(path)
-    chunks = iter(chunks)
-    first = next(chunks, None)
-    if first is None:
-        raise WxVerifyError(f"{path}: a stack needs at least one field")
-    _check_storable(first)
-    grid, variable = first.grid, first.variable
-    first_time = first.valid_times[0]
-    first_lead = first.lead_hours[0]
-    extra = {"variable": variable.key, "unit": variable.unit,
-             "valid_time": format_time(first_time),
-             "time_step_hours": SIX_HOURS // timedelta(hours=1),
-             "lead_hours": first_lead, "lead_step_hours": 0}
-
-    def layers(chunk):
-        k = 0
-        while chunk is not None:
-            values = chunk.values
-            same = chunk.grid == grid and chunk.variable is variable
-            for when, lead in zip(chunk.valid_times, chunk.lead_hours):
-                if k == 1:
-                    extra["lead_step_hours"] = lead - first_lead
-                if k and (not same or when != first_time + k * SIX_HOURS
-                          or lead != first_lead
-                          + k * extra["lead_step_hours"]):
-                    raise WxVerifyError(
-                        f"{path}: {chunk.variable.key} field at "
-                        f"{format_time(when)} (lead {lead} h) does not "
-                        f"continue the stack as layer {k}")
-                k += 1
-            yield values
-            del values, chunk  # released before the next chunk is made
-            chunk = next(chunks, None)
-
-    stream = layers(first)
-    del first  # a chunk is held only until the next one is written
-    return _write_store(path, STACK_MAGIC, grid, stream, "f32le", extra)
-
-
 @dataclass(frozen=True)
 class _Stack:
     """A parsed RBSTACK1 or RBGRID1 sidecar: the store, its variable and
@@ -547,76 +396,6 @@ class _Stack:
                           values)
 
 
-#: Bytes of each write of a threshold payload: the columns of one day
-#: layer that a group of locations holds (see :func:`write_thresholds`).
-#: The group holds 730 such rows, so this trades the writer's memory
-#: (2.9 MiB at a page a row) against the count of writes (one a row).
-THRESHOLD_WRITE_BYTES = 4096
-
-
-def write_thresholds(thresholds: ThresholdBuild, grid: GeoGrid,
-                     path: str | os.PathLike) -> Path:
-    """Persist heat/cold thresholds with a 365-deep day axis (f32le): the
-    heat thresholds of each calendar day, then the cold ones, with one
-    CRC-32 per day layer, so that a run reads only its days.
-
-    ``thresholds`` is a :class:`ThresholdBuild`, whose chunks of
-    locations are computed as they are written (or any object with its
-    ``chunks()`` and header fields). The float32 thresholds of the chunks
-    fill a group of :data:`THRESHOLD_WRITE_BYTES` worth of locations;
-    each full group goes to its columns of every layer of a preallocated
-    temporary payload, one ``os.pwrite`` a layer, so a write holds one
-    group and never a whole layer of the year. The CRC-32 of each layer
-    runs over its groups in location order. The payload is renamed into
-    place once complete; a build that fails leaves no file behind.
-    """
-    path = Path(path)
-    n_loc = grid.n_lat * grid.n_lon
-    if thresholds.n_locations != n_loc:
-        raise ValueError("threshold location axis does not match grid size")
-    geometry = _geometry(grid)
-    dtype = _DTYPES["f32le"]
-    width = min(n_loc, max(1, THRESHOLD_WRITE_BYTES // dtype.itemsize))
-    group = np.empty((2, DAYS_PER_YEAR, width), dtype)
-    layers = group.reshape(2 * DAYS_PER_YEAR, width)
-    checksums = [0] * len(layers)
-
-    def write_group(fd: int, first: int, count: int):
-        for k, layer in enumerate(layers[:, :count]):
-            checksums[k] = zlib.crc32(layer, checksums[k])
-            if os.pwrite(fd, layer, (k * n_loc + first) * dtype.itemsize) \
-                    != layer.nbytes:
-                raise OSError("short write")
-
-    with publishing(path) as tmp, open(tmp, "wb") as fh:
-        fd = fh.fileno()
-        os.ftruncate(fd, len(layers) * n_loc * dtype.itemsize)
-        held = 0  # locations in the group, which starts at done - held
-        done = 0
-        # chunks follow on from location 0 to the last
-        for start, stop, heat, cold in thresholds.chunks():
-            while done < stop:
-                take = min(stop - done, width - held)
-                cols = slice(done - start, done - start + take)
-                group[0, :, held:held + take] = heat[:, cols]
-                group[1, :, held:held + take] = cold[:, cols]
-                held += take
-                done += take
-                if held == width or done == n_loc:
-                    write_group(fd, done - held, held)
-                    held = 0
-    publish(_sidecar_path(path), canonical_json(dict(
-        magic=THRESH_MAGIC, dtype="f32le", **geometry,
-        n_layers=len(checksums), checksums=checksums,
-        n_days=DAYS_PER_YEAR,
-        years=list(thresholds.years),
-        half_window=thresholds.half_window,
-        q_heat=thresholds.q_heat,
-        q_cold=thresholds.q_cold,
-        percentile_method="linear")))
-    return path
-
-
 def _read_days(store: _Store, first: int, n_days: int
                ) -> tuple[GeoGrid, list[np.ndarray]]:
     """The grid, and the ``(n_days, n_lat, n_lon)`` layers of the run of
@@ -642,10 +421,10 @@ def _read_days(store: _Store, first: int, n_days: int
 
 def read_thresholds(path: str | os.PathLike, days: Iterable[int]
                     ) -> tuple[ThresholdField, GeoGrid, str]:
-    """Thresholds written by :func:`write_thresholds` of the calendar
-    ``days``, their grid, built through the memo :func:`_oriented_grid`,
-    and the hex SHA-256 of the sidecar read; the location axis is the
-    row-major flattening of that grid.
+    """Thresholds written by :func:`~wxverify.writers.write_thresholds` of
+    the calendar ``days``, their grid, built through the memo
+    :func:`_oriented_grid`, and the hex SHA-256 of the sidecar read; the
+    location axis is the row-major flattening of that grid.
 
     Only the shortest run of consecutive calendar days that holds
     ``days`` is read (see :func:`_read_days`), and finiteness and heat >=
@@ -667,49 +446,6 @@ def read_thresholds(path: str | os.PathLike, days: Iterable[int]
                         _header_value(header, "q_heat", float, path),
                         _header_value(header, "q_cold", float, path), first)
     return thresholds, grid, sha256(raw).hexdigest()
-
-
-def write_daily_climatology(parts: Iterable[DailyMeanClimatology],
-                            path: str | os.PathLike) -> Path:
-    """Persist a full-year per-calendar-day mean climatology (f64le,
-    lossless) with one CRC-32 per day, so that a run reads and checks
-    only the days it needs.
-
-    ``parts`` are consecutive runs of days from day 0 that together hold
-    all 365, on one grid, of one variable and over the same years (one
-    part of all 365 days, or the blocks of a build); each is written as
-    it comes, so a generator of parts is never held whole. Parts that do
-    not hold the year so raise ValueError and leave no file behind.
-    """
-    parts = iter(parts)
-    first = next(parts, None)
-    if first is None or first.first_day:
-        raise ValueError("only a climatology of all 365 days is stored")
-    grid, variable, years = first.grid, first.variable, first.years
-
-    def day_means(part):
-        at = 0
-        while part is not None:
-            if part.first_day != at or part.grid != grid \
-                    or part.variable is not variable or part.years != years:
-                raise ValueError(
-                    "only a climatology of all 365 days is stored, in runs "
-                    "of days that follow on, of one grid, variable and years")
-            at += part.day_mean.shape[0]
-            yield part.day_mean
-            del part  # released before the next part is made
-            part = next(parts, None)
-        if at != DAYS_PER_YEAR:
-            raise ValueError("only a climatology of all 365 days is stored")
-
-    stream = day_means(first)
-    del first  # a part is held only until the next one is written
-    return _write_store(Path(path), CLIM_MAGIC, grid, stream, "f64le", {
-        "variable": variable.key,
-        "unit": variable.unit,
-        "n_days": DAYS_PER_YEAR,
-        "years": list(years),
-    })
 
 
 @dataclass(frozen=True)
@@ -741,453 +477,14 @@ class _Climatology:
 
 def read_daily_climatology(path: str | os.PathLike,
                            times: Iterable[datetime]) -> DailyMeanClimatology:
-    """A climatology written by :func:`write_daily_climatology`, of the
-    shortest run of consecutive calendar days that holds the day of each
-    of ``times``, each day read checked against its CRC-32 (see
+    """A climatology written by
+    :func:`~wxverify.writers.write_daily_climatology`, of the shortest run
+    of consecutive calendar days that holds the day of each of ``times``,
+    each day read checked against its CRC-32 (see
     :meth:`_Climatology.days`)."""
     path = Path(path)
     return _Climatology.parse(path, _load_sidecar(path, CLIM_MAGIC)[0]).days(
         calendar_day_index(when) for when in times)
-
-
-# --- CSV interfaces ----------------------------------------------------------
-
-_BESTTRACK_COLUMNS = ["storm_id", "iso_time", "lat", "lon", "mslp_hpa", "wind_ms"]
-
-
-def read_besttrack(path: str | os.PathLike) -> tuple[list[StormTrack], str]:
-    """Best-track CSV -> truth tracks, grouped by storm and time-validated,
-    and the hex SHA-256 of the bytes parsed, which are read once.
-
-    Rows of one storm must already be in strictly increasing 6-hour
-    order; violations raise :class:`NonMonotoneTime`. Implausible MSLP
-    raises :class:`UnitOutOfRange` (via :class:`StormFix`). A UTF-8
-    byte-order mark before the header is skipped.
-    """
-    from .cyclones import TRUTH_SOURCE, StormFix, StormTrack
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-        text = raw.decode("utf-8-sig")
-    except OSError as exc:
-        raise InvalidHeader(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InvalidHeader(f"{path}: not UTF-8 text: {exc.reason} "
-                            f"(byte 0x{exc.object[exc.start]:02x})") from exc
-    by_storm: dict[str, list[StormFix]] = {}
-    reader = csv.DictReader(io.StringIO(text, newline=""))
-    if reader.fieldnames is None or \
-            [c.strip() for c in reader.fieldnames] != _BESTTRACK_COLUMNS:
-        raise InvalidHeader(
-            f"{path}: expected columns {','.join(_BESTTRACK_COLUMNS)}")
-    for lineno, row in enumerate(reader, start=2):
-        try:
-            storm_id = row["storm_id"].strip()
-            fix = StormFix(
-                time=parse_time(row["iso_time"]),
-                lat=float(row["lat"]),
-                lon=float(row["lon"]) % 360.0,
-                min_mslp_pa=float(row["mslp_hpa"]) * 100.0,
-                max_wind_ms=float(row["wind_ms"]),
-            )
-        except (TypeError, ValueError, AttributeError, KeyError) as exc:
-            raise InvalidHeader(f"{path}:{lineno}: bad row: {exc}") from exc
-        fixes = by_storm.setdefault(storm_id, [])
-        if fixes and fix.time != fixes[-1].time + SIX_HOURS:
-            raise NonMonotoneTime(
-                f"{path}:{lineno}: storm {storm_id} fix at "
-                f"{format_time(fix.time)} breaks the strictly "
-                f"increasing 6-hour cadence")
-        fixes.append(fix)
-    tracks = [StormTrack(storm_id, TRUTH_SOURCE, fixes[0].time, tuple(fixes),
-                         tuple([True] * len(fixes)))
-              for storm_id, fixes in by_storm.items()]
-    return tracks, sha256(raw).hexdigest()
-
-
-def write_tracks_csv(tracks: Sequence[StormTrack], path: str | os.PathLike) -> Path:
-    """Track output CSV: best-track schema plus source and tracked flags."""
-    lines = ["storm_id,iso_time,lat,lon,mslp_hpa,wind_ms,source,init_time,"
-             "lead_hours,tracked"]
-    for track in tracks:
-        tail = f"{track.source},{format_time(track.init_time)}"
-        for k, flag in enumerate(track.tracked_mask):
-            fix = track.fix_at_lead(k)
-            when = track.init_time + k * SIX_HOURS
-            if fix is None:
-                lines.append(f"{track.storm_id},{format_time(when)},,,,,"
-                             f"{tail},{6 * k},0")
-            else:
-                lines.append(
-                    f"{track.storm_id},{format_time(fix.time)},{fix.lat!r},"
-                    f"{fix.lon!r},{fix.min_mslp_pa / 100.0!r},{fix.max_wind_ms!r},"
-                    f"{tail},{6 * k},1")
-    return publish(path, text_lines(lines))
-
-
-def write_segments_csv(
-        runs: Sequence[tuple[EventKind, tuple[np.ndarray, np.ndarray,
-                                              np.ndarray]]],
-        path: str | os.PathLike) -> Path:
-    """One ``location,kind,start_day,end_day`` line per run of each
-    ``(kind, (location, start_day, end_day))`` entry, in the given order."""
-    lines = ["location,kind,start_day,end_day"]
-    for kind, (location, start, end) in runs:
-        lines.extend(f"{loc},{kind.value},{first},{last}" for loc, first, last
-                     in zip(location.tolist(), start.tolist(), end.tolist()))
-    return publish(path, text_lines(lines))
-
-
-_STATION_META_COLUMNS = ["id", "lat", "lon", "elev_m"]
-_STATION_OBS_COLUMNS = ["station_id", "iso_time", "variable", "value_si"]
-#: Starting width in bytes of each text column of the station CSVs; a
-#: column with a field that fills its width is read again at twice it,
-#: up to :data:`_MAX_TEXT_WIDTH`.
-_TEXT_WIDTHS = {"id": 16, "station_id": 16, "iso_time": 32, "variable": 8}
-#: Every row takes its column's width, so one long field would cost that
-#: much memory in every row: a text field may hold one byte less than this.
-_MAX_TEXT_WIDTH = 128
-# How np.loadtxt reports a row (counted from 1 without blank lines) whose
-# field count is not the dtype's (numpy >= 1.23).
-_FIELD_COUNT = re.compile(r"requires \d+ columns but (\d+) were found "
-                          r"at row (\d+)")
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-
-
-def read_station_csvs(meta_path: str | os.PathLike, obs_path: str | os.PathLike,
-                      times: Sequence[datetime]) -> StationTable:
-    """Station metadata + raw observation CSVs -> 6-hourly station table
-    at ``times`` (the run's valid times, on 00/06/12/18 UTC).
-
-    Both files are read by numpy's C parser into columns, which are
-    checked and mapped as whole arrays. Raw records are window-averaged
-    onto ``times``. The first faulty data row of a file raises its typed
-    error, naming the path and line: a field count other than the
-    header's, a bad time, variable or value (:class:`InvalidHeader`), a
-    non-finite value or station coordinate (:class:`NonFiniteValue`), an
-    unlisted station (:class:`UnknownStation`), or a repeated (station,
-    time, variable) (:class:`DuplicateObservation`).
-    """
-    from .stations import WindowOverflow, table_from_columns
-    meta_path, obs_path = Path(meta_path), Path(obs_path)
-    stations = _read_station_meta(meta_path)
-    columns = _read_station_obs(obs_path, meta_path.name, stations)
-    times = list(times)
-    try:
-        return table_from_columns(stations, columns, times)
-    except WindowOverflow as exc:
-        raise NonFiniteValue(
-            f"{obs_path}: the mean of the records of station "
-            f"{stations[exc.station_index].station_id} within 15 min of "
-            f"{format_time(times[exc.time_index])} is beyond the float "
-            f"range") from exc
-
-
-def _read_station_obs(path: Path, meta_name: str, stations: Sequence[Station]
-                      ) -> dict:
-    """The records of an observation CSV as variable -> (station index,
-    epoch microseconds, value), each in file order."""
-    rows, cut = _csv_columns(path, _STATION_OBS_COLUMNS)
-    n_rows = len(rows["station_id"])
-    raw_ids, raw_times = rows["station_id"], rows["iso_time"]
-    station = _station_index(raw_ids, stations)
-    when_us, bad_time = _epoch_times(raw_times)
-    variables, var_code = _variable_codes(rows["variable"])
-    value, bad_value = _floats(rows["value_si"])
-    # the checks of one row, in the order its first failure is reported
-    checks = [bad_time, var_code < 0, bad_value,
-              ~(np.isfinite(value) | bad_value), station < 0,
-              _repeats(var_code, station, when_us)]
-    firsts = [int(np.argmax(check)) if check.any() else n_rows
-              for check in checks]
-    k = min(firsts)
-    if k < n_rows:
-        lineno = k + 2
-        kind = firsts.index(k)
-        if kind == 0:
-            try:
-                parse_time(_text(raw_times[k]))
-            except InvalidHeader as exc:
-                raise InvalidHeader(f"{path}:{lineno}: {exc}") from exc
-        if kind in (1, 2):
-            try:
-                if kind == 1:
-                    VariableId.from_key(_text(rows["variable"][k]).strip())
-                float(_text(rows["value_si"][k]))
-            except ValueError as exc:
-                raise InvalidHeader(
-                    f"{path}:{lineno}: bad row: {exc}") from exc
-        if kind == 3:
-            # the value as spelt: read the column again, as Python text
-            text = _loadtxt(path, _STATION_OBS_COLUMNS, np.dtype(object),
-                            k + 1, usecols=3)[k]
-            raise NonFiniteValue(f"{path}:{lineno}: non-finite value "
-                                 f"{_text(text).strip()!r}")
-        sid = _text(raw_ids[k]).strip()
-        if kind == 4:
-            raise UnknownStation(f"{path}:{lineno}: station {sid!r} "
-                                 f"not in {meta_name}")
-        when = _EPOCH + timedelta(microseconds=int(when_us[k]))
-        raise DuplicateObservation(
-            f"{path}:{lineno}: duplicate observation "
-            f"({sid}, {format_time(when)}, {variables[var_code[k]].key})")
-    if cut is not None:
-        raise cut
-    columns = {}
-    for code, variable in enumerate(variables):
-        mine = var_code == code
-        columns[variable] = (station[mine], when_us[mine], value[mine])
-    return columns
-
-
-def _read_station_meta(path: Path) -> list[Station]:
-    """The stations of a metadata CSV, in file order; ids must be unique
-    once stripped of spaces, coordinates finite and latitudes within
-    +-90 degrees."""
-    from .stations import Station
-    rows, cut = _csv_columns(path, _STATION_META_COLUMNS)
-    coords = [_floats(rows[name]) for name in _STATION_META_COLUMNS[1:]]
-    (lat, _), (lon, _), (elev, _) = coords
-    failed = np.logical_or.reduce([bad for _, bad in coords])
-    finite = np.isfinite(lat) & np.isfinite(lon)
-    bad = failed | ~finite | (np.abs(lat) > 90.0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        if failed[k]:
-            try:
-                for name in _STATION_META_COLUMNS[1:]:
-                    float(_text(rows[name][k]))
-            except ValueError as exc:
-                raise InvalidHeader(f"{path}:{k + 2}: bad row: {exc}") from exc
-        # the column at fault: lat, unless lon alone is non-finite
-        place = 2 if math.isfinite(lat[k]) and not finite[k] else 1
-        # the coordinate as spelt: read the column again, as Python text
-        text = _text(_loadtxt(path, _STATION_META_COLUMNS, np.dtype(object),
-                              k + 1, usecols=place)[k]).strip()
-        if not finite[k]:
-            raise NonFiniteValue(f"{path}:{k + 2}: non-finite "
-                                 f"{_STATION_META_COLUMNS[place]} {text!r}")
-        raise UnitOutOfRange(f"{path}:{k + 2}: lat {text!r} is outside "
-                             f"[-90, 90] degrees")
-    if cut is not None:
-        raise cut
-    stations = [Station(_text(raw).strip(), la, lo % 360.0, el)
-                for raw, la, lo, el in zip(rows["id"].tolist(), lat.tolist(),
-                                           lon.tolist(), elev.tolist())]
-    if len({s.station_id for s in stations}) != len(stations):
-        raise InvalidHeader(f"{path}: duplicate station ids")
-    return stations
-
-
-def _csv_columns(path: Path, columns: list[str]
-                 ) -> tuple[dict[str, np.ndarray], InvalidHeader | None]:
-    """The data rows of a CSV whose header, with spaces stripped, is
-    ``columns``, read by ``np.loadtxt`` into one array per column.
-
-    Fields are split as :mod:`csv` splits them: a quoted field may hold
-    commas, doubled quotes and line breaks (each read as ``\n``); blank
-    lines are skipped and not counted; the header is the first line.
-    The columns of :data:`_TEXT_WIDTHS` hold each field's bytes. The
-    others are floats as numpy parses them, or, when numpy cannot parse
-    one of them, each field as Python text (see :func:`_floats`). A row
-    whose field count is not the header's, or with a text field of
-    :data:`_MAX_TEXT_WIDTH` bytes or more, ends the arrays before it; it
-    comes back as the error to raise when no earlier row is at fault.
-    """
-    widths = {name: _TEXT_WIDTHS[name] for name in columns
-              if name in _TEXT_WIDTHS}
-    # a float numpy cannot parse: read the float columns again on their
-    # own as Python text, each field at its own length (S1 keeps their
-    # place, so that the field count is still checked)
-    floats_as_text = False
-    cut, max_rows = None, None
-    while True:
-        dtype = np.dtype([(name, f"S{widths[name]}" if name in widths
-                           else "S1" if floats_as_text else np.float64)
-                          for name in columns])
-        try:
-            rows = _loadtxt(path, columns, dtype, max_rows)
-        except ValueError as exc:
-            match = _FIELD_COUNT.search(str(exc))
-            if match is not None:
-                found, row = map(int, match.groups())
-                cut = InvalidHeader(f"{path}:{row + 1}: expected "
-                                    f"{len(columns)} fields, got {found}")
-                max_rows = row - 1
-            elif not floats_as_text:
-                floats_as_text = True
-            else:
-                raise InvalidHeader(f"{path}: {exc}") from exc
-            continue
-        # a field as wide as its column may have been cut short
-        octets = rows.view(np.uint8).reshape(rows.size, dtype.itemsize)
-        full = {name: octets[:, dtype.fields[name][1] + width - 1] != 0
-                for name, width in widths.items()}
-        full = {name: mask for name, mask in full.items() if mask.any()}
-        grow = [name for name in full if widths[name] < _MAX_TEXT_WIDTH]
-        if grow:
-            for name in grow:
-                widths[name] = min(2 * widths[name], _MAX_TEXT_WIDTH)
-            continue
-        if full:
-            k = min(int(np.argmax(mask)) for mask in full.values())
-            cut = InvalidHeader(f"{path}:{k + 2}: a field is longer than "
-                                f"{_MAX_TEXT_WIDTH - 1} bytes")
-            rows = rows[:k]
-        found = {name: rows[name] for name in columns}
-        if floats_as_text:
-            for place, name in enumerate(columns):
-                if name not in widths:
-                    found[name] = _loadtxt(path, columns, np.dtype(object),
-                                           rows.size, usecols=place)
-        return found, cut
-
-
-def _loadtxt(path: Path, columns: list[str], dtype: np.dtype,
-             max_rows: int | None, usecols: int | None = None) -> np.ndarray:
-    """The data rows of a CSV whose header, with spaces stripped, is
-    ``columns`` (at most ``max_rows``; only column ``usecols`` if given).
-    A UTF-8 byte-order mark before the header is skipped."""
-    try:
-        with open(path, encoding="utf-8-sig", errors="surrogateescape",
-                  newline="") as fh:
-            try:
-                header = next(csv.reader([fh.readline()]), None)
-            except csv.Error:
-                header = None
-        if header is None or [c.strip() for c in header] != columns:
-            raise InvalidHeader(f"{path}: expected columns {','.join(columns)}")
-        if max_rows == 0:
-            return np.zeros(0, dtype=dtype)
-        with warnings.catch_warnings():
-            # no data rows, or blank lines not counted in max_rows
-            warnings.simplefilter("ignore", UserWarning)
-            # numpy reads a path in chunks (a file object line by line);
-            # latin-1 hands it each byte as one character, so a text
-            # field comes back as the file's (UTF-8) bytes
-            return np.loadtxt(path, dtype=dtype, delimiter=",", quotechar='"',
-                              comments=None, skiprows=1, ndmin=1,
-                              max_rows=max_rows, usecols=usecols,
-                              encoding="latin-1")
-    except OSError as exc:
-        raise InvalidHeader(f"cannot read {path}: {exc}") from exc
-
-
-def _text(raw: bytes | str) -> str:
-    """A field's bytes (or Python text as ``np.loadtxt`` reads it, one
-    character a byte) as the text a UTF-8 reader sees; bytes that are not
-    UTF-8 survive as lone surrogates."""
-    if isinstance(raw, str):
-        raw = raw.encode("latin-1")
-    return raw.decode("utf-8", "surrogateescape")
-
-
-def _runs(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of each run of equal neighbours of a 1-D array."""
-    starts = np.flatnonzero(np.concatenate(
-        ([True], column[1:] != column[:-1]))) if column.size \
-        else np.zeros(0, dtype=np.intp)
-    return starts, np.diff(starts, append=column.size)
-
-
-def _distinct(column: np.ndarray) -> tuple[list, np.ndarray]:
-    """The distinct values of a 1-D array, and the index of each element's
-    value among them; a run of equal neighbours is compared once."""
-    starts, lengths = _runs(column)
-    values, inverse = np.unique(column[starts], return_inverse=True)
-    return values.tolist(), np.repeat(inverse.ravel(), lengths)
-
-
-def _floats(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The values of a float column of :func:`_csv_columns` and the mask
-    of fields that ``float()`` rejects (NaN there). A column of Python
-    text is parsed once per distinct spelling."""
-    if column.dtype.kind == "f":
-        return column, np.zeros(column.shape, dtype=bool)
-    spellings, inverse = _distinct(column)
-    parsed = np.full(len(spellings), np.nan)
-    bad = np.zeros(len(spellings), dtype=bool)
-    for k, raw in enumerate(spellings):
-        try:
-            parsed[k] = float(_text(raw))
-        except ValueError:
-            bad[k] = True
-    return parsed[inverse], bad[inverse]
-
-
-def _station_index(raw_ids: np.ndarray, stations: Sequence[Station]
-                   ) -> np.ndarray:
-    """Index among ``stations`` of each raw id once stripped of spaces;
-    -1 for an id not listed."""
-    if not stations:
-        return np.full(raw_ids.shape, -1, dtype=np.intp)
-    keys = np.array([s.station_id.encode("utf-8", "surrogateescape")
-                     for s in stations], dtype=np.bytes_)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    raw_ids = np.ascontiguousarray(raw_ids)  # a column of the rows: strided
-    pos = np.minimum(np.searchsorted(keys, raw_ids), keys.size - 1)
-    hit = keys[pos] == raw_ids
-    index = np.where(hit, order[pos], -1)
-    # ids with spaces around them, or not listed: one lookup per spelling
-    miss = np.flatnonzero(~hit)
-    if miss.size:
-        listed = {s.station_id: si for si, s in enumerate(stations)}
-        spellings, inverse = _distinct(raw_ids[miss])
-        index[miss] = np.array([listed.get(_text(raw).strip(), -1)
-                                for raw in spellings], dtype=np.intp)[inverse]
-    return index
-
-
-def _epoch_times(raw_times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch microseconds of each time field and the mask of fields that
-    :func:`parse_time` rejects (0 there); each distinct spelling is
-    parsed once."""
-    from .stations import epoch_microseconds
-    spellings, inverse = _distinct(raw_times)
-    parsed = np.zeros(len(spellings), dtype=np.int64)
-    failed = np.zeros(len(spellings), dtype=bool)
-    for k, raw in enumerate(spellings):
-        try:
-            parsed[k] = epoch_microseconds(parse_time(_text(raw)))
-        except InvalidHeader:
-            failed[k] = True
-    return parsed[inverse], failed[inverse]
-
-
-def _variable_codes(raw_variables: np.ndarray
-                    ) -> tuple[list[VariableId], np.ndarray]:
-    """The variables of a column and each field's index among them; -1
-    for a field that is no variable key once stripped of spaces."""
-    spellings, inverse = _distinct(raw_variables)
-    variables: list[VariableId] = []
-    codes = []
-    for raw in spellings:
-        try:
-            variable = VariableId.from_key(_text(raw).strip())
-        except ValueError:
-            codes.append(-1)
-            continue
-        if variable not in variables:
-            variables.append(variable)
-        codes.append(variables.index(variable))
-    return variables, np.array(codes, dtype=np.intp)[inverse]
-
-
-def _repeats(var_code: np.ndarray, station: np.ndarray,
-             when_us: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose (variable, station, time) an earlier row
-    already has."""
-    if not when_us.size:
-        return np.zeros(0, dtype=bool)
-    _, rank = _distinct(when_us)
-    key = ((var_code + 1) * (int(station.max()) + 2) + station + 1) \
-        * (int(rank.max()) + 1) + rank
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    repeat = np.zeros(key.size, dtype=bool)
-    repeat[order[1:][key[1:] == key[:-1]]] = True
-    return repeat
 
 
 # --- run manifest ------------------------------------------------------------
@@ -1315,6 +612,30 @@ class RunManifest:
             raise ManifestError(f"{self.path}: bad {key} pattern "
                                 f"{pattern!r}: {exc}") from exc
         return self.root / rel
+
+    def check_leads(self, values: Sequence[int] | None,
+                    default: Sequence[int], flag: str, hours_of
+                    ) -> tuple[int, ...]:
+        """``values`` of the option ``flag`` (``default`` when None), not
+        empty, none repeated and none with lead hours ``hours_of(value)``
+        off the manifest's 6-hourly lead grid; ManifestError naming
+        ``flag`` otherwise."""
+        values = tuple(default if values is None else values)
+        if not values:
+            raise ManifestError(f"{flag}: empty lead list")
+        on_grid = set(self.lead_hours)
+        for k, value in enumerate(values):
+            if value in values[:k]:
+                raise ManifestError(f"{flag} lists {value} more than once")
+            hours = hours_of(value)
+            if not on_grid.issuperset(hours):
+                span = f"{hours[0]}..{hours[-1]}" if len(hours) > 1 \
+                    else hours[0]
+                raise ManifestError(
+                    f"{flag} value {value} ({span} h) is outside the "
+                    f"manifest lead grid (0..{self.max_lead_hours} h, every "
+                    f"6 h)")
+        return values
 
     def truth_path(self, variable: VariableId, when: datetime) -> Path:
         return self._paths("truth_pattern", self.truth_pattern, variable,
@@ -1519,100 +840,6 @@ class FieldSource:
         return read_thresholds(
             _built(self.manifest, "thresholds", self.manifest.thresholds_file,
                    "thresholds_path"), days)
-
-
-class SpilledHistory:
-    """The daily max and min of a run's history years, spilled to disk as
-    a build reduces them (:meth:`write`), and read back by
-    :class:`~wxverify.climatology.ThresholdBuild` a chunk of locations
-    at a time (:meth:`chunks`).
-
-    The scratch file is a ``tempfile.TemporaryFile`` in ``directory``,
-    which has no name to leave behind; it is made at the first write and
-    closed when the ``with`` block is left. It holds one chunk of
-    locations after another, the last padded to the length of the
-    others, and each chunk is laid out ``(n_years, 365, 2, step)``: each
-    day's max, then its min. So a chunk is one read, and the file takes
-    about ``n_years * 2 * 365 * n_locations`` values of disk. A chunk is
-    as many of the default threshold kernel's chunks of locations
-    (:func:`~wxverify.climatology.threshold_chunk`) as make each write of
-    a block of days to it at least ``io.DEFAULT_BUFFER_SIZE`` bytes: one
-    kernel chunk at a time on a coarse grid, more where a block holds few
-    days of many locations, so that the writes do not shrink to a few
-    hundred bytes each. The kernel cuts its own chunks inside each chunk
-    of the file, so the two sizes need not divide.
-    """
-
-    def __init__(self, directory: str | os.PathLike, years: Sequence[int]):
-        self.directory = Path(directory)
-        self.years = tuple(years)
-        self._file = None
-
-    def __enter__(self) -> "SpilledHistory":
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._file is not None:
-            self._file.close()
-
-    def _offset(self, chunk: int, y: int, row: int) -> int:
-        """Byte offset of calendar row ``row`` of year ``y`` in a chunk."""
-        return (((chunk * len(self.years) + y) * DAYS_PER_YEAR + row)
-                * 2 * self.step * self.dtype.itemsize)
-
-    def write(self, y: int, rows: slice, day_max: np.ndarray,
-              day_min: np.ndarray):
-        """Spill the ``(n_rows, n_locations)`` daily max and min of the
-        calendar rows ``rows`` of history year ``y`` (an index into
-        ``years``), in their dtype: one write per chunk of locations. The
-        first write lays the file out."""
-        n_rows = rows.stop - rows.start
-        if self._file is None:
-            self.n_locations = day_max.shape[1]
-            self.dtype = day_max.dtype
-            kernel = threshold_chunk(len(self.years), self.dtype.itemsize)
-            piece = max(1, n_rows) * 2 * kernel * self.dtype.itemsize
-            self.step = min(self.n_locations,
-                            kernel * -(-io.DEFAULT_BUFFER_SIZE // piece))
-            self._n_chunks = -(-self.n_locations // self.step)
-        width = self._n_chunks * self.step
-        padded = np.zeros((n_rows, 2, width), self.dtype)
-        padded[:, 0, :self.n_locations] = day_max
-        padded[:, 1, :self.n_locations] = day_min
-        by_chunk = np.ascontiguousarray(padded.reshape(
-            n_rows, 2, self._n_chunks, self.step).transpose(2, 0, 1, 3))
-        try:
-            if self._file is None:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                self._file = tempfile.TemporaryFile(dir=self.directory)
-            fd = self._file.fileno()
-            for chunk, values in enumerate(by_chunk):
-                if os.pwrite(fd, values, self._offset(chunk, y, rows.start)) \
-                        != values.nbytes:
-                    raise OSError("short write")
-        except OSError as exc:
-            size = 2 * DAYS_PER_YEAR * len(self.years) * width \
-                * self.dtype.itemsize
-            raise WxVerifyError(
-                f"{self.directory}: cannot spill the daily extremes of the "
-                f"history ({size} bytes) there: {exc}") from exc
-
-    def chunks(self):
-        """Yield ``(start, daily_max, daily_min)`` for each chunk of the
-        file in order: the ``(n_years, 365, n)`` daily max and min of
-        locations ``start .. start + n``, from one read into one buffer,
-        which the next chunk reuses, so they hold only until the next is
-        asked for."""
-        slab = np.empty((len(self.years), DAYS_PER_YEAR, 2, self.step),
-                        self.dtype)
-        for chunk in range(self._n_chunks):
-            self._file.seek(self._offset(chunk, 0, 0))
-            if self._file.readinto(slab) != slab.nbytes:
-                raise WxVerifyError(f"{self.directory}: the spilled daily "
-                                    f"extremes of the history are short")
-            start = chunk * self.step
-            held = slab[..., :min(self.step, self.n_locations - start)]
-            yield start, held[:, :, 0], held[:, :, 1]
 
 
 @functools.cache

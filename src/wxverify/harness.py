@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import fileio, metrics
+from . import fileio, metrics, writers
 from .climatology import calendar_day_index, year_times
 from .cyclones import TRUTH_SOURCE, StormFix, StormTrack
 from .errors import InvalidHeader, ManifestError
@@ -590,7 +590,7 @@ def _write_truth(scenario: SyntheticScenario, manifest: fileio.RunManifest,
                     year_chunks = (part for part in (_within(c, lo, hi)
                                                      for c in year_chunks)
                                    if part.valid_times)
-                fileio.write_stack(year_chunks, manifest.truth_path(
+                writers.write_stack(year_chunks, manifest.truth_path(
                     variable, datetime(year, 1, 1, tzinfo=timezone.utc)))
 
 
@@ -605,6 +605,33 @@ def _lagged_forecast(source: fileio.FieldSource, variable: VariableId,
             init + timedelta(hours=lead - lag) for lead in part])
         yield replace(truth, lead_hours=tuple(part), valid_times=tuple(
             init + timedelta(hours=lead) for lead in part))
+
+
+def _check_years(scenario: SyntheticScenario, init_times: Sequence[datetime],
+                 max_lead_hours: int, lag: int):
+    """ManifestError naming the scenario's ``years`` and the first time
+    outside them that a run reads truth at: from ``lag`` hours (the
+    largest lag of its models) before each init to ``max_lead_hours``
+    after it."""
+    years = scenario.years
+    for init in init_times:
+        needs = (f"which --inits {fileio.format_time(init)} needs with "
+                 f"--max-lead-hours {max_lead_hours}"
+                 + (f" and a model lagged {lag} h" if lag else ""))
+        try:
+            first = init - timedelta(hours=lag)
+            last = init + timedelta(hours=max_lead_hours)
+        except OverflowError:
+            raise ManifestError(f"years {list(years)} do not hold the times "
+                                f"{needs}: they run past the calendar") \
+                from None
+        for year in range(first.year, last.year + 1):
+            if year not in years:
+                when = max(first, datetime(year, 1, 1, tzinfo=timezone.utc))
+                raise ManifestError(
+                    f"years {list(years)} do not hold "
+                    f"{fileio.format_time(when)}, {needs}; list its year in "
+                    f"the scenario, or change those options")
 
 
 def write_run(scenario_path: str | Path, out_dir: str | Path, *,
@@ -628,7 +655,6 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
     if not 0 <= stations <= n_points:
         raise ManifestError(f"--stations must lie in 0..{n_points}, the "
                             f"grid points, got {stations}")
-    leads = list(range(0, max_lead_hours + 1, 6))
     init_times = [fileio.parse_time(t) for t in inits.split(",")] if inits \
         else [datetime(scenario.years[-1], 7, 1, tzinfo=timezone.utc)]
     for k, init in enumerate(init_times):
@@ -636,6 +662,10 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
             raise ManifestError(f"--inits lists {fileio.format_time(init)} "
                                 f"more than once")
     model_specs = _model_specs(models or "persistence")
+    _check_years(scenario, init_times, max_lead_hours, max(
+        (lag for kind, lag in model_specs.values() if kind == "lagged"),
+        default=0))
+    leads = list(range(0, max_lead_hours + 1, 6))
     keep: set[datetime] | None = None
     if truth_span == "run":
         if any(kind == "lagged" for kind, _ in model_specs.values()):
@@ -684,7 +714,7 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
                     blocks = _lagged_forecast(
                         source, variable, init, leads, param,
                         source.block_layers(variable))
-                fileio.write_stack(blocks, source.manifest.model_path(
+                writers.write_stack(blocks, source.manifest.model_path(
                     name, init, variable, leads[0]))
 
     if scenario.vortices:

@@ -29,7 +29,6 @@ import json
 import os
 from contextlib import contextmanager, suppress
 from functools import cache
-from importlib import resources
 from numbers import Number
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
@@ -86,6 +85,8 @@ def text_lines(lines: Sequence[str]) -> bytes:
 @cache
 def scorecard_schema() -> dict:
     """The published JSON Schema of a scorecard."""
+    # imported here: about 20 ms in a plain interpreter, for every command
+    from importlib import resources
     ref = resources.files("wxverify").joinpath("schema/scorecard.schema.json")
     return json.loads(ref.read_text(encoding="utf-8"))
 

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from wxverify import fileio
+from wxverify import fileio, writers
 from wxverify.grid import (SIX_HOURS, FieldBlock, GeoGrid, VariableId,
                           latitude_weights)
 from wxverify.metrics import BlockScores, block_scores
@@ -34,7 +34,7 @@ def make_grid(n_lat: int, n_lon: int, lat_top: float = 60.0,
 
 
 def as_build(thresholds):
-    """A ``ThresholdField`` of all 365 days as ``fileio.write_thresholds``
+    """A ``ThresholdField`` of all 365 days as ``writers.write_thresholds``
     takes thresholds: its header fields, and ``chunks()`` that yields one
     chunk of every location, as a ``ThresholdBuild`` yields its chunks."""
     assert thresholds.first_day == 0 and len(thresholds.tau_heat) == 365
@@ -103,7 +103,7 @@ def layer_scores(pred: FieldBlock, truth: FieldBlock,
 
 def spilled_extremes(spill) -> tuple[np.ndarray, np.ndarray]:
     """The ``(n_years, 365, n_locations)`` daily max and min that a
-    ``fileio.SpilledHistory`` holds, gathered from its chunks."""
+    ``writers.SpilledHistory`` holds, gathered from its chunks."""
     parts = [(daily_max.copy(), daily_min.copy())
              for _, daily_max, daily_min in spill.chunks()]
     return tuple(np.concatenate(side, axis=-1) for side in zip(*parts))

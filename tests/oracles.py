@@ -420,9 +420,9 @@ def build_daily_mean_climatology(per_year) -> np.ndarray:
 
 class DailyHistory:
     """Dense multi-year daily extremes on a flat location axis, in memory:
-    the history a :class:`wxverify.climatology.ThresholdBuild` reads
+    the history a :class:`wxverify.thresholds.ThresholdBuild` reads
     through ``chunks()``, as it reads the extremes a build spilled
-    (``fileio.SpilledHistory``), here as one chunk of every location.
+    (``writers.SpilledHistory``), here as one chunk of every location.
 
     ``daily_max`` and ``daily_min`` have shape (n_years, 365,
     n_locations); NaN marks an absent (year, day, location) entry. A
@@ -468,10 +468,11 @@ class DailyHistory:
 def build_thresholds(history, q_heat: float = 0.9, q_cold: float = 0.1,
                      half_window: int = 7):
     """The ``ThresholdField`` of every calendar day of ``history`` (a
-    :class:`DailyHistory` or a ``fileio.SpilledHistory``): the chunks of
+    :class:`DailyHistory` or a ``writers.SpilledHistory``): the chunks of
     the engine's ``ThresholdBuild`` collected in memory, in float64, as
     ``build-climatology`` writes them to disk in float32."""
-    from wxverify.climatology import ThresholdBuild, ThresholdField
+    from wxverify.climatology import ThresholdField
+    from wxverify.thresholds import ThresholdBuild
     build = ThresholdBuild(history, q_heat, q_cold, half_window)
     tau_h = np.empty((365, history.n_locations))
     tau_c = np.empty_like(tau_h)
@@ -496,9 +497,9 @@ def history_from_extremes(extremes):
 
 def reduce_history_by_year(source, variable, means: bool, extremes: bool):
     """The history reduction one year at a time, as
-    ``pipelines._reduce_history`` ran before it worked a block of days
-    across the years: returns the grid, the mean over the years of the
-    daily means when ``means`` (one 365-day float64 total, added in year
+    ``pipeline_climatology._reduce_history`` ran before it worked a block
+    of days across the years: returns the grid, the mean over the years of
+    the daily means when ``means`` (one 365-day float64 total, added in year
     order and divided once by the number of years), and the daily
     extremes as a ``DailyHistory`` when ``extremes`` (None for what is
     not asked for).
@@ -1136,7 +1137,7 @@ def six_hour_times(start, end):
 
 
 def read_station_csvs_rows(meta_path, obs_path, times):
-    """``fileio.read_station_csvs`` one CSV row at a time: each row is
+    """``stationio.read_station_csvs`` one CSV row at a time: each row is
     parsed and checked in turn, and the first faulty one raises. The
     window averaging is the engine's ``table_from_columns``."""
     from pathlib import Path

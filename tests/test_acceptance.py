@@ -30,7 +30,7 @@ from wxverify.grid import (EARTH_RADIUS_KM, GeoGrid, VariableId, haversine_km,
                            latitude_weights)
 from wxverify.harness import (SyntheticScenario, VariableProcess, VortexSpec,
                               make_besttrack, smoothed_forecast)
-from wxverify.pipelines import _mean
+from wxverify.pipeline_evaluate import _mean
 from wxverify.spectra import latitude_circumference_m, midlatitude_spectrum
 from wxverify.stations import (QcThresholds, Station, StationInterpolator,
                                StationTable, apply_qc, epoch_microseconds,
@@ -41,10 +41,33 @@ def ok(criterion: int, message: str):
     print(f"[acceptance] C{criterion:02d} PASS - {message}")
 
 
+def _best_of_3(call) -> float:
+    """The shortest wall time of three calls of ``call``."""
+    best = math.inf
+    for _ in range(3):
+        started = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def _numpy_scores(pred, truth, clim, weights):
+    """WRMSE, bias, ACC and activity of one layer in plain numpy, without
+    preallocated buffers: the timing reference of C01."""
+    w, n = weights[:, None], pred.size
+    err, ap, at = pred - truth, pred - clim, truth - clim
+    return (np.sqrt(np.sum(w * err * err) / n), np.sum(w * err) / n,
+            np.sum(w * ap * at) / np.sqrt(np.sum(w * ap * ap)
+                                          * np.sum(w * at * at)),
+            np.sqrt(np.sum(w * (ap - np.sum(w * ap) / n) ** 2) / n))
+
+
 def test_c01_metric_oracle_suite(rng):
     """WRMSE/ACC/Bias/Activity match scalar-loop oracles on 200 random
-    grids within 1e-12 relative; suite under 10 s."""
-    started = time.perf_counter()
+    grids within 1e-12 relative; the vectorized scoring takes under twice
+    the time of a plain numpy reference of the four metrics on the same
+    grids, each timed as the best of three calls a grid."""
+    kernel_s = reference_s = 0.0
     for _ in range(200):
         n_lat = int(rng.integers(4, 91))
         n_lon = int(rng.integers(8, 181))
@@ -55,6 +78,10 @@ def test_c01_metric_oracle_suite(rng):
         truth = random_field(rng, grid)
         clim = random_field(rng, grid)
         scores = layer_scores(pred, truth, clim, weights=w)
+        kernel_s += _best_of_3(
+            lambda: layer_scores(pred, truth, clim, weights=w))
+        reference_s += _best_of_3(lambda: _numpy_scores(
+            pred.values[0], truth.values[0], clim.values[0], w))
         assert scores.wrmse == pytest.approx(
             oracles.wrmse_loop(pred.values[0], truth.values[0], w), rel=1e-12)
         assert scores.bias == pytest.approx(
@@ -64,10 +91,13 @@ def test_c01_metric_oracle_suite(rng):
             rel=1e-12)
         assert scores.activity == pytest.approx(
             oracles.activity_loop(pred.values[0], clim.values[0], w), rel=1e-12)
-    elapsed = time.perf_counter() - started
-    assert elapsed < 10.0, f"oracle suite took {elapsed:.2f}s"
-    ok(1, f"200 random grids, 4 metrics vs fsum loops at 1e-12 "
-          f"({elapsed:.2f}s)")
+    # timed against a reference on this host and at this moment, not a
+    # wall-clock budget, so a slow or loaded host does not fail it
+    assert kernel_s < 2.0 * reference_s, (
+        f"vectorized scoring took {kernel_s:.4f}s, the numpy reference "
+        f"{reference_s:.4f}s")
+    ok(1, f"200 random grids, 4 metrics vs fsum loops at 1e-12; scoring "
+          f"{kernel_s:.3f}s against {reference_s:.3f}s for plain numpy")
 
 
 def test_c02_weight_normalization(rng):

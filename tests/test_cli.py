@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -20,20 +21,24 @@ from conftest import (CALENDAR_DAYS, CALENDAR_TIMES,
                       assert_read_once_in_whole_days, layer_of, read_store,
                       spilled_extremes, stamped)
 from test_fileio import with_whole_checksum
-from wxverify import fileio, metrics, pipelines
+from wxverify import (fileio, metrics, pipeline_climatology, pipeline_cyclones,
+                      pipeline_evaluate, pipeline_extremes, pipeline_stations,
+                      writers)
 from wxverify.cli import main
 from wxverify.climatology import (SYNOPTIC_HOURS, DailyMeanClimatology,
-                                  ThresholdBuild, calendar_day_index,
+                                  calendar_day_index,
                                   daily_extremes_from_fields, day_span,
                                   year_times)
 from wxverify.errors import ChecksumMismatch, ManifestError
 from wxverify.extremes import EventKind
 from wxverify.grid import (SIX_HOURS, FieldBlock, GeoGrid, VariableId,
                           latitude_weights)
-from wxverify.pipelines import _mean, _region_mask
+from wxverify.pipeline_evaluate import _mean
+from wxverify.pipeline_extremes import _region_mask
 from wxverify.report import (canonical_json, new_scorecard,
                              validate_scorecard)
 from wxverify.spectra import midlatitude_spectrum
+from wxverify.thresholds import ThresholdBuild
 
 EXTREMES_SCENARIO = {
     "seed": 424242,
@@ -469,7 +474,7 @@ class TestStationInputs:
 
 class TestRegions:
     def test_region_mask_box(self):
-        from wxverify.pipelines import _region_mask
+        from wxverify.pipeline_extremes import _region_mask
         from conftest import make_grid
         grid = make_grid(5, 8, lat_top=40.0, lat_bottom=-40.0)
         mask = _region_mask(grid, (-5.0, 25.0, 45.0, 200.0))
@@ -969,9 +974,9 @@ class TestStackReads:
         argv = ["stations", "--manifest", manifest.path,
                 "--station-meta", evaluate_run / "stations_meta.csv",
                 "--station-obs", evaluate_run / "stations_obs.csv"]
-        full = pipelines._station_climatology
+        full = pipeline_stations._station_climatology
         with monkeypatch.context() as whole_year:
-            whole_year.setattr(pipelines, "_station_climatology",
+            whole_year.setattr(pipeline_stations, "_station_climatology",
                                lambda source, variable, days, interpolator:
                                full(source, variable, CALENDAR_DAYS,
                                     interpolator))
@@ -1065,11 +1070,11 @@ def whole_year_stores(run, out):
         fields = [layer_of(stack, i) for i in range(len(stack.valid_times))]
         per_year.append(oracles.daily_means_loop(fields))
         extremes[year] = oracles.daily_extremes_loop(fields)
-    fileio.write_daily_climatology([DailyMeanClimatology(
+    writers.write_daily_climatology([DailyMeanClimatology(
         stack.grid, VariableId.T2M,
         oracles.build_daily_mean_climatology(per_year),
         manifest.history_years)], out / "t2m.rbc")
-    fileio.write_thresholds(
+    writers.write_thresholds(
         ThresholdBuild(oracles.history_from_extremes(extremes)),
         stack.grid, out / "thresholds.rbt")
 
@@ -1107,12 +1112,13 @@ class TestClimatologyMemory:
         manifest = half_year_run / "manifest.json"
         one = with_manifest(half_year_run, "manifest_t2m.json",
                             variables=["t2m"])
-        pipelines.evaluate(manifest, tmp_path / "warm")  # imports, caches
+        # imports, caches
+        pipeline_evaluate.evaluate(manifest, tmp_path / "warm")
         peaks = []
         for name, path in (("one", one), ("four", manifest)):
             tracemalloc.start()
             try:
-                pipelines.evaluate(path, tmp_path / name)
+                pipeline_evaluate.evaluate(path, tmp_path / name)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1138,11 +1144,12 @@ class TestClimatologyMemory:
         log = trace_reads(monkeypatch, "climatology")
         peaks = []
         for manifest in manifests:
-            pipelines.evaluate(manifest, tmp_path / "warm")  # imports, caches
+            # imports, caches
+            pipeline_evaluate.evaluate(manifest, tmp_path / "warm")
             log.clear()
             tracemalloc.start()
             try:
-                pipelines.evaluate(manifest, tmp_path / "out")
+                pipeline_evaluate.evaluate(manifest, tmp_path / "out")
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -1166,9 +1173,9 @@ class TestClimatologyMemory:
         monkeypatch.setattr(fileio.FieldSource, "climatology", climatology)
         tracemalloc.start()
         try:
-            pipelines.stations(half_year_run / "manifest.json",
-                               half_year_run / "stations_meta.csv",
-                               half_year_run / "stations_obs.csv")
+            pipeline_stations.stations(half_year_run / "manifest.json",
+                                       half_year_run / "stations_meta.csv",
+                                       half_year_run / "stations_obs.csv")
         finally:
             tracemalloc.stop()
         assert len(held) == 4
@@ -1296,7 +1303,7 @@ class TestBlockMemory:
                                                        monkeypatch, tmp_path):
         log = trace_reads(monkeypatch, "climatology", "truth_block",
                           "model_block")
-        traced_run(lambda: (log.clear(), pipelines.evaluate(
+        traced_run(lambda: (log.clear(), pipeline_evaluate.evaluate(
             block_run / "manifest.json", tmp_path / "out")))
         # one block of each init: its truth, then its days and three
         # forecasts, both read on the truth's grid
@@ -1320,7 +1327,7 @@ class TestBlockMemory:
         # 8 daily inits: each 4-layer block of a lead day is reduced into
         # the day's extremes and released before the next block is read
         log = trace_reads(monkeypatch, "truth_block", "model_block")
-        traced_run(lambda: (log.clear(), pipelines.extremes(
+        traced_run(lambda: (log.clear(), pipeline_extremes.extremes(
             extremes_run / "manifest.json", tmp_path / "out", [1, 3])))
         # the truth of days 1 and 3, then each model's forecasts of both
         assert [name for name, *_ in log] == \
@@ -1344,7 +1351,7 @@ class TestBlockMemory:
         monkeypatch.setattr(metrics, "CHUNK_BYTES", 2 * 3 * BLOCK_RUN_LAYER)
         log = trace_reads(monkeypatch, "truth_block", "climatology",
                           "model_block")
-        traced_run(lambda: (log.clear(), pipelines.stations(
+        traced_run(lambda: (log.clear(), pipeline_stations.stations(
             block_run / "manifest.json", block_run / "stations_meta.csv",
             block_run / "stations_obs.csv")))
         names = [name for name, *_ in log]
@@ -1366,7 +1373,7 @@ class TestBlockMemory:
         # gridded forecasts held do not grow with the inits
         monkeypatch.setattr(metrics, "CHUNK_BYTES", 2 * 4 * BLOCK_RUN_LAYER)
         log = trace_reads(monkeypatch, "model_block")
-        traced_run(lambda: (log.clear(), pipelines.stations(
+        traced_run(lambda: (log.clear(), pipeline_stations.stations(
             many_inits_run / "manifest.json",
             many_inits_run / "stations_meta.csv",
             many_inits_run / "stations_obs.csv")))
@@ -1421,9 +1428,8 @@ class TestCycloneMemory:
         # for the tracker's search boxes, the sidecars and the tracks
         layer = 121 * 161 * 4
         monkeypatch.setattr(metrics, "CHUNK_BYTES", run_layers * 2 * layer)
-        from wxverify import cyclones
         read, sample = fileio.FieldSource.model_block, \
-            cyclones.homogeneous_sample
+            pipeline_cyclones.homogeneous_sample
         start, peaks = [], []
 
         def model_block(source, *args, **kwargs):
@@ -1437,14 +1443,14 @@ class TestCycloneMemory:
             return sample(*args)
 
         monkeypatch.setattr(fileio.FieldSource, "model_block", model_block)
-        monkeypatch.setattr(cyclones, "homogeneous_sample",
+        monkeypatch.setattr(pipeline_cyclones, "homogeneous_sample",
                             homogeneous_sample)
         outs = []
 
         def run():
             start.clear()
             out = tmp_path / f"out{len(outs)}"
-            outs.append((out, pipelines.cyclones(
+            outs.append((out, pipeline_cyclones.cyclones(
                 fine_cyclone_run / "manifest.json", out,
                 fine_cyclone_run / "besttrack.csv")))
 
@@ -1533,7 +1539,7 @@ class TestStreamedHistory:
         else:
             store = run / "truth/t2m/2023.rbs"
             block = read_store(store)
-            fileio.write_stack([FieldBlock(
+            writers.write_stack([FieldBlock(
                 block.grid, block.variable, block.valid_times[:-4],
                 block.lead_hours[:-4], block.values[:-4])], store)
         capsys.readouterr()
@@ -1551,7 +1557,7 @@ class TestStreamedHistory:
             thresholds_path=str(tmp_path / "out/thresholds.rbt"))
         manifest = with_manifest(extremes_run, "manifest_short.json", **doc)
         block = read_store(victim)
-        fileio.write_stack([FieldBlock(
+        writers.write_stack([FieldBlock(
             block.grid, block.variable, block.valid_times[:-1],
             block.lead_hours[:-1], block.values[:-1])], victim)
         capsys.readouterr()
@@ -1571,7 +1577,7 @@ class TestStreamedHistory:
         manifest = without_thresholds(history_run)
         tracemalloc.start()
         try:
-            pipelines.build_climatology(manifest)
+            pipeline_climatology.build_climatology(manifest)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1593,7 +1599,7 @@ class TestStreamedHistory:
         manifest.write_text(json.dumps(doc))
         real_history = fileio.FieldSource.history
         spills = []
-        real_write = fileio.SpilledHistory.write
+        real_write = writers.SpilledHistory.write
 
         def history(source, variable, year, days, grid=None):
             if len(spills) == 4:
@@ -1601,7 +1607,7 @@ class TestStreamedHistory:
             return real_history(source, variable, year, days, grid)
 
         monkeypatch.setattr(fileio.FieldSource, "history", history)
-        monkeypatch.setattr(fileio.SpilledHistory, "write", lambda spill, *a:
+        monkeypatch.setattr(writers.SpilledHistory, "write", lambda spill, *a:
                             spills.append(spill) or real_write(spill, *a))
         capsys.readouterr()
         assert run_cli(command, "--manifest", manifest) == 2
@@ -1615,11 +1621,11 @@ class TestStreamedHistory:
         # the daily max and min of float32 layers are float32 values: held
         # as float32, they equal those of the layers widened to float64
         manifest = fileio.load_manifest(history_run / "manifest.json")
-        with fileio.SpilledHistory(tmp_path,
-                                   manifest.history_years) as history:
-            pipelines._reduce_history(fileio.FieldSource(manifest),
-                                      VariableId.T2M, tmp_path / "t2m.rbc",
-                                      history)
+        with writers.SpilledHistory(tmp_path,
+                                    manifest.history_years) as history:
+            pipeline_climatology._reduce_history(
+                fileio.FieldSource(manifest), VariableId.T2M,
+                tmp_path / "t2m.rbc", history)
             daily_max, daily_min = spilled_extremes(history)
         assert daily_max.dtype == daily_min.dtype == np.float32
         for y, year in enumerate(manifest.history_years):
@@ -1720,10 +1726,10 @@ def grid_layout(run):
         for init in manifest.init_times:
             for lead in manifest.lead_hours:
                 when = init + timedelta(hours=lead)
-                fileio.write_grid(source.truth_block(variable, [when]),
-                                  grid_manifest.truth_path(variable, when))
+                writers.write_grid(source.truth_block(variable, [when]),
+                                   grid_manifest.truth_path(variable, when))
                 for name in manifest.models:
-                    fileio.write_grid(
+                    writers.write_grid(
                         source.model_block(name, init, variable, [lead]),
                         grid_manifest.model_path(name, init, variable, lead))
     return path
@@ -1878,9 +1884,9 @@ def grid_run(run, root, truth_pattern="truth/{variable}/{time}.rbg"):
     manifest = fileio.load_manifest(path, require=())
     for lead in (6, 0):  # one truth file for every time keeps the init's
         when = init + timedelta(hours=lead)
-        fileio.write_grid(source.truth_block(VariableId.T2M, [when]),
-                          manifest.truth_path(VariableId.T2M, when))
-        fileio.write_grid(
+        writers.write_grid(source.truth_block(VariableId.T2M, [when]),
+                           manifest.truth_path(VariableId.T2M, when))
+        writers.write_grid(
             source.model_block("persistence", init, VariableId.T2M, [lead]),
             manifest.model_path("persistence", init, VariableId.T2M, lead))
     return manifest
@@ -1898,7 +1904,7 @@ class TestGridFilesReadAsStacks:
         init = manifest.init_times[0]
         path = manifest.model_path("persistence", init, VariableId.T2M, 6)
         field = read_store(path)
-        fileio.write_grid(stamped(field, field.valid_times[0], 12), path)
+        writers.write_grid(stamped(field, field.valid_times[0], 12), path)
         capsys.readouterr()
         assert run_cli("evaluate", "--manifest", manifest.path,
                        "--out", tmp_path / "out") == 2
@@ -2598,7 +2604,7 @@ class TestCyclones:
         shutil.copytree(cyclone_run, run)
         store = run / "models/perfect/2025070100/msl.rbs"
         block = read_store(store)
-        fileio.write_stack([FieldBlock(
+        writers.write_stack([FieldBlock(
             block.grid, block.variable, block.valid_times, block.lead_hours,
             block.values / np.float32(100.0))], store)
         capsys.readouterr()
@@ -2756,6 +2762,60 @@ class TestSynthOptions:
         assert expected in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("years, inits, lead, models, outside", [
+        ([2025], "2025-12-30T00:00:00Z", 48, "persistence",
+         "2026-01-01T00:00:00Z"),
+        ([2023, 2024, 2025], "2022-12-31T00:00:00Z", 12, "persistence",
+         "2022-12-31T00:00:00Z"),
+        ([2024, 2026], "2024-12-31T00:00:00Z", 48, "persistence",
+         "2025-01-01T00:00:00Z"),
+        ([2025], "2025-07-01T00:00:00Z,2025-12-31T18:00:00Z", 12,
+         "persistence", "2026-01-01T00:00:00Z"),
+        ([2025], "2025-01-01T12:00:00Z", 12, "perfect,lagged:24",
+         "2024-12-31T12:00:00Z"),
+    ], ids=["past-last-year", "before-first-year", "year-between",
+            "second-init", "lagged-model"])
+    def test_times_outside_the_years_are_exit_2_before_anything_is_written(
+            self, years, inits, lead, models, outside, tmp_path, capsys):
+        # at each init, the truth runs from the largest lag before it to
+        # the last lead after it: every year of it must be generated
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(EVALUATE_SCENARIO, years=years)))
+        out = tmp_path / "run"
+        out.mkdir()
+        rc = run_cli("synth", "--scenario", scenario, "--out", out,
+                     "--inits", inits, "--max-lead-hours", str(lead),
+                     "--models", models)
+        assert rc == 2
+        init = inits.split(",")[-1]
+        lag = " and a model lagged 24 h" if "lagged" in models else ""
+        assert capsys.readouterr().err == (
+            f"error: years {years} do not hold {outside}, which --inits "
+            f"{init} needs with --max-lead-hours {lead}{lag}; list its year "
+            f"in the scenario, or change those options\n")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("years, inits, lead, models, needs", [
+        ([9999], "9999-12-31T00:00:00Z", 48, "persistence", ""),
+        ([2025], "0001-01-01T00:00:00Z", 12, "perfect,lagged:24",
+         " and a model lagged 24 h"),
+    ], ids=["after-the-calendar", "before-the-calendar"])
+    def test_times_past_the_calendar_are_exit_2_before_anything_is_written(
+            self, years, inits, lead, models, needs, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(dict(EVALUATE_SCENARIO, years=years)))
+        out = tmp_path / "run"
+        out.mkdir()
+        assert run_cli("synth", "--scenario", scenario, "--out", out,
+                       "--inits", inits, "--max-lead-hours", str(lead),
+                       "--models", models) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: years {years} do not hold the times "
+                              f"which --inits ")
+        assert err.endswith(f" needs with --max-lead-hours {lead}{needs}: "
+                            f"they run past the calendar\n")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("change, argv, named", [
         ({"processes": []}, [], "scenario"),
         ({"vortices": [dict(CYCLONE_SCENARIO["vortices"][0],
@@ -2862,8 +2922,110 @@ EVERY_COMMAND_SCENARIO = {
 }
 
 
+@pytest.fixture(scope="module")
+def every_command_run(tmp_path_factory):
+    """``EVERY_COMMAND_SCENARIO`` from two inits, with two models, five
+    stations and its climatology built."""
+    root = tmp_path_factory.mktemp("everycommand")
+    scenario = root / "scenario.json"
+    scenario.write_text(json.dumps(EVERY_COMMAND_SCENARIO))
+    run = root / "run"
+    assert run_cli("synth", "--scenario", scenario, "--out", run,
+                   "--inits", "2025-07-01T00:00:00Z,2025-07-02T00:00:00Z",
+                   "--max-lead-hours", "48",
+                   "--models", "persistence,perfect",
+                   "--stations", "5") == 0
+    assert run_cli("build-climatology",
+                   "--manifest", run / "manifest.json") == 0
+    return run
+
+
 class TestStartup:
     """Each command imports only what it runs."""
+
+    #: The modules of wxverify every scoring command loads: the CLI, the
+    #: store readers and the types they read into, and the scorecard
+    SCORING_MODULES = {"wxverify", "wxverify.cli", "wxverify.errors",
+                       "wxverify.fileio", "wxverify.metrics",
+                       "wxverify.climatology", "wxverify.grid",
+                       "wxverify.report"}
+    #: The modules of wxverify each command loads besides: its own module,
+    #: its kernel and its own file interfaces. No scoring command loads
+    #: a store writer or the threshold kernel, and only the event and
+    #: station commands load a CSV interface
+    COMMAND_MODULES = {
+        "build-climatology": {"pipeline_climatology", "thresholds",
+                              "writers"},
+        "evaluate": {"pipeline_evaluate", "spectra"},
+        "extremes": {"pipeline_extremes", "extremes", "eventio"},
+        "cyclones": {"pipeline_cyclones", "cyclones", "eventio"},
+        "stations": {"pipeline_stations", "stations", "stationio"},
+    }
+
+    @pytest.mark.parametrize("command", list(COMMAND_MODULES))
+    def test_each_command_loads_only_its_modules(
+            self, command, every_command_run, tmp_path):
+        run, out = every_command_run, str(tmp_path / "out")
+        argv = [command, "--manifest", str(run / "manifest.json")] + {
+            "build-climatology": [],
+            "evaluate": ["--out", out],
+            "extremes": ["--out", out, "--lead-days", "1"],
+            "cyclones": ["--out", out, "--besttrack",
+                         str(run / "besttrack.csv"), "--lead-days", "1"],
+            "stations": ["--out", out,
+                         "--station-meta", str(run / "stations_meta.csv"),
+                         "--station-obs", str(run / "stations_obs.csv")],
+        }[command]
+        loaded = modules_after(
+            "import contextlib, io\n"
+            "from wxverify.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv!r}) == 0")
+        assert {m for m in loaded if m.split(".")[0] == "wxverify"} == \
+            self.SCORING_MODULES | {f"wxverify.{name}" for name
+                                    in self.COMMAND_MODULES[command]}
+        # only a station window whose sum overflows math.fsum needs it
+        assert "fractions" not in loaded
+
+    def test_main_called_with_arguments_leaves_the_collector_alone(
+            self, tmp_path):
+        card = tmp_path / "scorecard.json"
+        card.write_text(json.dumps(grid_metrics_card()))
+        frozen = gc.get_freeze_count()
+        assert main(["report", "--scorecard", str(card),
+                     "--out", str(tmp_path / "csv")]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_main_as_the_entry_point_ends_frozen(self, tmp_path):
+        # python -m wxverify.cli and the console script call main() with
+        # no arguments: once the outputs are written, interpreter exit
+        # has no heap left to collect
+        card = tmp_path / "scorecard.json"
+        card.write_text(json.dumps(grid_metrics_card()))
+        argv = ["wxverify", "report", "--scorecard", str(card),
+                "--out", str(tmp_path / "csv")]
+        out = run_fresh(
+            "import gc, sys\n"
+            f"sys.argv = {argv!r}\n"
+            "from wxverify.cli import main\n"
+            "assert gc.get_freeze_count() == 0\n"
+            "code = main()\n"
+            "print(code, gc.get_freeze_count() > 0)")
+        assert out.splitlines() == [f"wrote {tmp_path / 'csv'}"
+                                    f"{os.sep}grid_metrics.csv", "0 True"]
+        assert (tmp_path / "csv" / "grid_metrics.csv").exists()
+
+    def test_report_imports_no_importlib_resources(self):
+        # every command imports report, and only scorecard_schema reads a
+        # packaged file. -S keeps site, which may import the module, out
+        src = str(Path(wxverify.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-S", "-c",
+             f"import sys\nsys.path.insert(0, {src!r})\n"
+             "import wxverify.report\n"
+             "print('importlib.resources' in sys.modules)"],
+            capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["False"]
 
     def test_importing_the_cli_loads_no_layer(self):
         loaded = modules_after("import wxverify.cli")
@@ -2993,7 +3155,7 @@ class TestSourceTree:
         # wraps by name; a run reads through FieldSource.climatology
         "fileio.read_daily_climatology",
         # the only writer of RBGRID1 files, which manifests may still name
-        "fileio.write_grid",
+        "writers.write_grid",
         # the published scorecard contract
         "report.scorecard_schema",
         # the console-script entry point
@@ -3106,15 +3268,15 @@ class TestSourceTree:
         "grid.derive_wind_speed",
         "cyclones.StormTracker.advance",
         # a writer, of the parts of one climatology it is handed
-        "fileio.write_daily_climatology.day_means",
+        "writers.write_daily_climatology.day_means",
     }
 
     def test_one_place_decides_which_grid_a_store_is_on(self):
         """Whether a store may be paired with the grid of another is
         decided where ``FieldSource`` opens it, for every command and
-        role: ``pipelines`` compares no ``.grid``, and ``src`` raises
-        ``GridMismatch``, or raises on a comparison of a ``.grid``, in
-        that one place and in the checks of handed blocks alone."""
+        role: no ``pipeline_*`` module compares a ``.grid``, and ``src``
+        raises ``GridMismatch``, or raises on a comparison of a ``.grid``,
+        in that one place and in the checks of handed blocks alone."""
         import ast
 
         def compares_grid(node) -> bool:
@@ -3139,7 +3301,8 @@ class TestSourceTree:
 
         for path in sorted(Path(wxverify.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text(encoding="utf-8"))
-            assert path.stem != "pipelines" or not compares_grid(tree)
+            assert not path.stem.startswith("pipeline_") \
+                or not compares_grid(tree)
             visit(tree, path.stem)
         assert places == {"fileio.FieldSource._open", *self.BLOCK_GRID_CHECKS}
 

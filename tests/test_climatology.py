@@ -16,7 +16,7 @@ import oracles
 from conftest import (CALENDAR_TIMES, layer_of, make_field, make_grid,
                       spilled_extremes)
 from oracles import DailyHistory, build_thresholds
-from wxverify import climatology, fileio
+from wxverify import climatology, fileio, thresholds, writers
 from wxverify.climatology import (DAYS_PER_YEAR, calendar_day_index,
                                   daily_extremes_from_fields,
                                   daily_means_from_fields, day_span,
@@ -24,7 +24,7 @@ from wxverify.climatology import (DAYS_PER_YEAR, calendar_day_index,
 from wxverify.errors import (GridMismatch, InsufficientHistory,
                              ManifestError, WxVerifyError)
 from wxverify.grid import FieldBlock, VariableId
-from wxverify.pipelines import _reduce_history
+from wxverify.pipeline_climatology import _reduce_history
 
 
 def six_hourly_year(year, fn):
@@ -195,13 +195,13 @@ class GeneratedHistory:
 
 
 def reduce_streamed(source, extremes=True):
-    """``pipelines._reduce_history`` of T2M from ``source`` into a scratch
-    directory: its grid, the mean read back from the climatology it wrote
-    and the spilled daily max and min of every location (None without
-    ``extremes``)."""
+    """``pipeline_climatology._reduce_history`` of T2M from ``source``
+    into a scratch directory: its grid, the mean read back from the
+    climatology it wrote and the spilled daily max and min of every
+    location (None without ``extremes``)."""
     with tempfile.TemporaryDirectory() as scratch:
         clim_path = Path(scratch) / "c.rbc"
-        with fileio.SpilledHistory(scratch,
+        with writers.SpilledHistory(scratch,
                                    source.manifest.history_years) as spill:
             grid = _reduce_history(source, VariableId.T2M, clim_path,
                                    spill if extremes else None)
@@ -434,7 +434,7 @@ class TestBuildThresholds:
         q_cold = min(q_cold, q_heat)
         with pytest.MonkeyPatch.context() as patch:
             if chunk_bytes is not None:
-                patch.setattr(climatology, "LIST_CHUNK_BYTES", chunk_bytes)
+                patch.setattr(thresholds, "LIST_CHUNK_BYTES", chunk_bytes)
             try:
                 expected = oracles.thresholds_per_location_loop(
                     dmax, dmin, q_heat, q_cold, half_window)
@@ -694,7 +694,7 @@ class TestDailyMeanClimatology:
             with tempfile.TemporaryDirectory() as scratch:
                 tracemalloc.start()
                 try:
-                    with fileio.SpilledHistory(scratch, years) as spill:
+                    with writers.SpilledHistory(scratch, years) as spill:
                         _reduce_history(GeneratedHistory(years, grid),
                                         VariableId.T2M,
                                         Path(scratch) / "c.rbc", spill)

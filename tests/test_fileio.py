@@ -22,11 +22,11 @@ from conftest import (CALENDAR_DAYS, CALENDAR_TIMES, T0, as_build,
                       assert_read_once_in_whole_days, field_block, layer_of,
                       layer_scores, make_field, make_grid, one_day_a_layer,
                       read_store, stamped)
-from wxverify import climatology, fileio, metrics
+from wxverify import (climatology, eventio, fileio, metrics, stationio,
+                      thresholds, writers)
 from oracles import DailyHistory, build_thresholds
 from wxverify.climatology import (DAYS_PER_YEAR, DailyMeanClimatology,
-                                  ThresholdBuild, ThresholdField,
-                                  threshold_chunk)
+                                  ThresholdField)
 from wxverify.errors import (ChecksumMismatch, DuplicateObservation,
                              HeaderPayloadShapeMismatch, InsufficientHistory,
                              InvalidHeader,
@@ -35,6 +35,7 @@ from wxverify.errors import (ChecksumMismatch, DuplicateObservation,
                              WxVerifyError)
 from wxverify.grid import (SIX_HOURS, FieldBlock, GeoGrid, VariableId,
                           latitude_weights)
+from wxverify.thresholds import ThresholdBuild, threshold_chunk
 
 
 def f32_field(rng, grid, **kw):
@@ -43,12 +44,12 @@ def f32_field(rng, grid, **kw):
 
 
 def write_grid_store(rng, grid, path):
-    return fileio.write_grid(f32_field(rng, grid), path)
+    return writers.write_grid(f32_field(rng, grid), path)
 
 
 def write_threshold_store(rng, grid, path):
     heat = 280.0 + rng.standard_normal((DAYS_PER_YEAR, grid.n_lat * grid.n_lon))
-    return fileio.write_thresholds(as_build(
+    return writers.write_thresholds(as_build(
         ThresholdField(heat, heat - 10.0, (2019, 2020), 7, 0.9, 0.1)), grid, path)
 
 
@@ -57,14 +58,14 @@ STACK_TIMES = [T0 + k * SIX_HOURS for k in range(3)]
 
 
 def write_stack_store(rng, grid, path):
-    return fileio.write_stack(
+    return writers.write_stack(
         (f32_field(rng, grid, variable=VariableId.MSL, valid_time=when)
          for when in STACK_TIMES), path)
 
 
 def write_climatology_store(rng, grid, path):
     day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, *grid.shape))
-    return fileio.write_daily_climatology(
+    return writers.write_daily_climatology(
         [DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))], path)
 
 
@@ -147,7 +148,7 @@ class TestGridRoundTrip:
     def test_bitwise_round_trip(self, rng, tmp_path):
         grid = GeoGrid.uniform(50.0, -2.5, 9, 10.0, 5.0, 12)
         field = f32_field(rng, grid, variable=VariableId.MSL, lead_hours=12)
-        path = fileio.write_grid(field, tmp_path / "f.rbg")
+        path = writers.write_grid(field, tmp_path / "f.rbg")
         back = read_store(path)
         assert back.grid == field.grid
         assert back.variable is field.variable
@@ -158,16 +159,16 @@ class TestGridRoundTrip:
     def test_canonical_serialization(self, rng, tmp_path):
         grid = make_grid(4, 8)
         field = f32_field(rng, grid)
-        p1 = fileio.write_grid(field, tmp_path / "a.rbg")
+        p1 = writers.write_grid(field, tmp_path / "a.rbg")
         back = read_store(p1)
-        p2 = fileio.write_grid(back, tmp_path / "b.rbg")
+        p2 = writers.write_grid(back, tmp_path / "b.rbg")
         assert p1.read_bytes() == p2.read_bytes()
         assert (tmp_path / "a.rbg.json").read_bytes() == \
             (tmp_path / "b.rbg.json").read_bytes()
 
     def test_truncated_payload(self, rng, tmp_path):
         field = f32_field(rng, make_grid(4, 8))
-        path = fileio.write_grid(field, tmp_path / "f.rbg")
+        path = writers.write_grid(field, tmp_path / "f.rbg")
         blob = path.read_bytes()
         path.write_bytes(blob[:-4])
         with pytest.raises(HeaderPayloadShapeMismatch):
@@ -175,7 +176,7 @@ class TestGridRoundTrip:
 
     def test_corrupt_byte_fails_checksum(self, rng, tmp_path):
         field = f32_field(rng, make_grid(4, 8))
-        path = fileio.write_grid(field, tmp_path / "f.rbg")
+        path = writers.write_grid(field, tmp_path / "f.rbg")
         blob = bytearray(path.read_bytes())
         blob[7] ^= 0xFF
         path.write_bytes(bytes(blob))
@@ -187,7 +188,7 @@ class TestGridRoundTrip:
 
     def test_nan_payload_rejected(self, rng, tmp_path):
         field = f32_field(rng, make_grid(2, 4))
-        path = fileio.write_grid(field, tmp_path / "f.rbg")
+        path = writers.write_grid(field, tmp_path / "f.rbg")
         values = np.frombuffer(path.read_bytes(), dtype="<f4").copy()
         values[3] = np.nan
         blob = values.tobytes()
@@ -202,7 +203,7 @@ class TestGridRoundTrip:
         grid = make_grid(2, 4)
         ws = make_field(grid, np.ones(grid.shape), VariableId.WS10)
         with pytest.raises(WxVerifyError):
-            fileio.write_grid(ws, tmp_path / "ws.rbg")
+            writers.write_grid(ws, tmp_path / "ws.rbg")
 
     @pytest.mark.parametrize("n_layers", [0, 2])
     def test_a_block_of_other_than_one_layer_is_not_written(self, n_layers,
@@ -212,7 +213,7 @@ class TestGridRoundTrip:
                            (0,) * n_layers, np.zeros((n_layers, *grid.shape)))
         path = tmp_path / "f.rbg"
         with pytest.raises(WxVerifyError) as err:
-            fileio.write_grid(block, path)
+            writers.write_grid(block, path)
         assert str(err.value).startswith(f"{path}: ")
         assert list(tmp_path.iterdir()) == []
 
@@ -220,11 +221,11 @@ class TestGridRoundTrip:
         grid = GeoGrid(np.array([10.0, 5.0, -3.0]), np.array([0.0, 120.0, 240.0]))
         field = make_field(grid, np.zeros(grid.shape))
         with pytest.raises(NonUniformGrid):
-            fileio.write_grid(field, tmp_path / "f.rbg")
+            writers.write_grid(field, tmp_path / "f.rbg")
 
     def test_south_to_north_file_normalized(self, rng, tmp_path):
         field = f32_field(rng, make_grid(4, 8))
-        path = fileio.write_grid(field, tmp_path / "f.rbg")
+        path = writers.write_grid(field, tmp_path / "f.rbg")
         header = json.loads((tmp_path / "f.rbg.json").read_text())
         # flip rows on disk and rewrite the header as a south-first file
         values = np.frombuffer(path.read_bytes(),
@@ -241,7 +242,7 @@ class TestGridRoundTrip:
 
     def test_negative_longitudes_normalized(self, rng, tmp_path):
         field = f32_field(rng, make_grid(3, 8))
-        path = fileio.write_grid(field, tmp_path / "f.rbg")
+        path = writers.write_grid(field, tmp_path / "f.rbg")
         header = json.loads((tmp_path / "f.rbg.json").read_text())
         # same circle expressed as [-180, 180): columns rolled by half
         values = np.frombuffer(path.read_bytes(), dtype="<f4").reshape(3, 8)
@@ -256,7 +257,7 @@ class TestGridRoundTrip:
         assert np.array_equal(back.values, field.values)
 
     def test_infinite_header_integer_is_invalid_header(self, rng, tmp_path):
-        path = fileio.write_grid(f32_field(rng, make_grid(2, 4)),
+        path = writers.write_grid(f32_field(rng, make_grid(2, 4)),
                                  tmp_path / "f.rbg")
         sidecar = tmp_path / "f.rbg.json"
         sidecar.write_text(sidecar.read_text().replace(
@@ -318,7 +319,7 @@ class TestStackStores:
         heat = 280.0 + rng.standard_normal((DAYS_PER_YEAR, 12))
         cold = heat - 10.0
         tf = ThresholdField(heat, cold, (2019, 2020), 7, 0.9, 0.1)
-        path = fileio.write_thresholds(as_build(tf), grid, tmp_path / "t.rbt")
+        path = writers.write_thresholds(as_build(tf), grid, tmp_path / "t.rbt")
         back, back_grid, digest = fileio.read_thresholds(path, CALENDAR_DAYS)
         assert digest == hashlib.sha256(
             path.with_name("t.rbt.json").read_bytes()).hexdigest()
@@ -332,7 +333,7 @@ class TestStackStores:
                                                                 tmp_path):
         grid = make_grid(30, 40)
         heat = 280.0 + rng.standard_normal((DAYS_PER_YEAR, 1200))
-        path = fileio.write_thresholds(as_build(
+        path = writers.write_thresholds(as_build(
             ThresholdField(heat, heat - 10.0, (2019, 2020), 7, 0.9, 0.1)),
             grid, tmp_path / "t.rbt")
         payload = path.stat().st_size
@@ -351,7 +352,7 @@ class TestStackStores:
         grid = make_grid(3, 4)
         day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, 3, 4))
         clim = DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))
-        path = fileio.write_daily_climatology([clim], tmp_path / "c.rbc")
+        path = writers.write_daily_climatology([clim], tmp_path / "c.rbc")
         back = fileio.read_daily_climatology(path, CALENDAR_TIMES)
         assert back.variable is VariableId.T2M
         assert np.array_equal(back.day_mean, day_mean)  # f64 payload
@@ -359,7 +360,7 @@ class TestStackStores:
     def test_float64_store_read_without_a_copy(self, rng, tmp_path):
         grid = make_grid(40, 60)
         day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, *grid.shape))
-        path = fileio.write_daily_climatology(
+        path = writers.write_daily_climatology(
             [DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))],
             tmp_path / "c.rbc")
         payload = path.stat().st_size
@@ -416,7 +417,7 @@ class TestBestTrack:
     def test_two_storms_grouped(self, tmp_path):
         path = tmp_path / "bt.csv"
         path.write_text(BESTTRACK)
-        tracks, _ = fileio.read_besttrack(path)
+        tracks, _ = eventio.read_besttrack(path)
         assert [t.storm_id for t in tracks] == ["ALPHA", "BETA"]
         assert len(tracks[0].fixes) == 2
         assert len(tracks[1].fixes) == 3
@@ -428,31 +429,31 @@ class TestBestTrack:
         path = tmp_path / "bt.csv"
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(NonMonotoneTime):
-            fileio.read_besttrack(path)
+            eventio.read_besttrack(path)
 
     def test_gap_in_cadence(self, tmp_path):
         bad = BESTTRACK.replace("2025-07-01T06:00:00Z", "2025-07-01T12:00:00Z")
         path = tmp_path / "bt.csv"
         path.write_text(bad)
         with pytest.raises(NonMonotoneTime):
-            fileio.read_besttrack(path)
+            eventio.read_besttrack(path)
 
     def test_plausibility_band(self, tmp_path):
         deep = BESTTRACK.replace("985.0,35.0", "870.0,35.0")
         path = tmp_path / "bt.csv"
         path.write_text(deep)
-        tracks, _ = fileio.read_besttrack(path)  # 870 hPa accepted
+        tracks, _ = eventio.read_besttrack(path)  # 870 hPa accepted
         assert tracks[0].fixes[0].min_mslp_pa == 87000.0
         impossible = BESTTRACK.replace("985.0,35.0", "600.0,35.0")
         path.write_text(impossible)
         with pytest.raises(UnitOutOfRange):
-            fileio.read_besttrack(path)
+            eventio.read_besttrack(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bt.csv"
         path.write_text("a,b\n1,2\n")
         with pytest.raises(InvalidHeader):
-            fileio.read_besttrack(path)
+            eventio.read_besttrack(path)
 
 
 STATION_META = """id,lat,lon,elev_m
@@ -473,7 +474,7 @@ class TestStationCsvs:
     def test_consistent_pair(self, tmp_path):
         (tmp_path / "meta.csv").write_text(STATION_META)
         (tmp_path / "obs.csv").write_text(STATION_OBS)
-        table = fileio.read_station_csvs(tmp_path / "meta.csv",
+        table = stationio.read_station_csvs(tmp_path / "meta.csv",
                                          tmp_path / "obs.csv", STATION_TIMES)
         assert len(table.stations) == 2
         assert table.variables == (VariableId.T2M, VariableId.WS10)
@@ -486,7 +487,7 @@ class TestStationCsvs:
         (tmp_path / "obs.csv").write_text(
             STATION_OBS + "S9,2025-07-01T00:00:00Z,t2m,280.0\n")
         with pytest.raises(UnknownStation):
-            fileio.read_station_csvs(tmp_path / "meta.csv",
+            stationio.read_station_csvs(tmp_path / "meta.csv",
                                      tmp_path / "obs.csv", STATION_TIMES)
 
     def test_duplicate_observation(self, tmp_path):
@@ -494,7 +495,7 @@ class TestStationCsvs:
         (tmp_path / "obs.csv").write_text(
             STATION_OBS + "S1,2025-07-01T00:05:00Z,t2m,288.5\n")
         with pytest.raises(DuplicateObservation):
-            fileio.read_station_csvs(tmp_path / "meta.csv",
+            stationio.read_station_csvs(tmp_path / "meta.csv",
                                      tmp_path / "obs.csv", STATION_TIMES)
 
     def test_metadata_header_with_spaces(self, tmp_path):
@@ -504,7 +505,7 @@ class TestStationCsvs:
                              ("spaced.csv", "id, lat,lon , elev_m")):
             (tmp_path / name).write_text(
                 STATION_META.replace("id,lat,lon,elev_m", header))
-            tables.append(fileio.read_station_csvs(
+            tables.append(stationio.read_station_csvs(
                 tmp_path / name, tmp_path / "obs.csv", STATION_TIMES))
         plain, spaced = tables
         assert spaced.stations == plain.stations
@@ -521,7 +522,8 @@ class TestStationCsvs:
         obs = tmp_path / "obs.csv"
         obs.write_text(STATION_OBS + f"S2,2025-07-01T06:00:00Z,t2m,{value}\n")
         with pytest.raises(NonFiniteValue) as err:
-            fileio.read_station_csvs(tmp_path / "meta.csv", obs, STATION_TIMES)
+            stationio.read_station_csvs(tmp_path / "meta.csv", obs,
+                                        STATION_TIMES)
         line = STATION_OBS.count("\n") + 1
         assert str(err.value) == \
             f"{obs}:{line}: non-finite value {value.strip()!r}"
@@ -533,7 +535,8 @@ class TestStationCsvs:
         obs.write_text(STATION_OBS + "S2,2025-07-01T05:50:00Z,msl,1.7e308\n"
                        "S2,2025-07-01T06:10:00Z,msl,1.7e308\n")
         with pytest.raises(NonFiniteValue) as err:
-            fileio.read_station_csvs(tmp_path / "meta.csv", obs, STATION_TIMES)
+            stationio.read_station_csvs(tmp_path / "meta.csv", obs,
+                                        STATION_TIMES)
         assert str(err.value) == (
             f"{obs}: the mean of the records of station S2 within 15 min "
             f"of 2025-07-01T06:00:00Z is beyond the float range")
@@ -572,7 +575,8 @@ class TestStationCsvs:
         _, error, message = self.FAULTS[order[0]]
         first_row = STATION_OBS.count("\n") + 1
         with pytest.raises(error) as err:
-            fileio.read_station_csvs(tmp_path / "meta.csv", obs, STATION_TIMES)
+            stationio.read_station_csvs(tmp_path / "meta.csv", obs,
+                                        STATION_TIMES)
         assert str(err.value).startswith(f"{obs}:{first_row}: {message}")
 
     def test_metadata_row_with_wrong_field_count(self, tmp_path):
@@ -580,7 +584,7 @@ class TestStationCsvs:
         for row, found in (("S3,1.0,2.0\n", 3), ("S3,1.0,2.0,3.0,4.0\n", 5)):
             (tmp_path / "meta.csv").write_text(STATION_META + row)
             with pytest.raises(InvalidHeader) as err:
-                fileio.read_station_csvs(tmp_path / "meta.csv",
+                stationio.read_station_csvs(tmp_path / "meta.csv",
                                          tmp_path / "obs.csv", STATION_TIMES)
             assert str(err.value) == (f"{tmp_path / 'meta.csv'}:4: expected "
                                       f"4 fields, got {found}")
@@ -594,7 +598,7 @@ class TestStationCsvs:
         (tmp_path / "obs.csv").write_text(
             STATION_OBS + f"{long_id},2025-07-01T06:05:00.000000+00:00,"
                           f"t2m,281.5\n")
-        table = fileio.read_station_csvs(tmp_path / "meta.csv",
+        table = stationio.read_station_csvs(tmp_path / "meta.csv",
                                          tmp_path / "obs.csv", STATION_TIMES)
         t2m = table.variable_index(VariableId.T2M)
         assert table.stations[2].station_id == long_id
@@ -607,13 +611,15 @@ class TestStationCsvs:
         obs = tmp_path / "obs.csv"
         obs.write_text(STATION_OBS + "S1," + "T" * 200 + ",t2m,1.0\n")
         with pytest.raises(InvalidHeader) as err:
-            fileio.read_station_csvs(tmp_path / "meta.csv", obs, STATION_TIMES)
+            stationio.read_station_csvs(tmp_path / "meta.csv", obs,
+                                        STATION_TIMES)
         assert str(err.value) == (f"{obs}:6: a field is longer than 127 "
                                   f"bytes")
         obs.write_text(STATION_OBS + "S9,2025-07-01T00:00:00Z,t2m,1.0\n"
                        + "S1," + "T" * 200 + ",t2m,1.0\n")
         with pytest.raises(UnknownStation):
-            fileio.read_station_csvs(tmp_path / "meta.csv", obs, STATION_TIMES)
+            stationio.read_station_csvs(tmp_path / "meta.csv", obs,
+                                        STATION_TIMES)
 
     def test_values_that_only_python_parses(self, tmp_path):
         # float() takes digit separators and Unicode digits, numpy's
@@ -625,7 +631,7 @@ class TestStationCsvs:
                           "S2,2025-07-01T12:00:00Z,t2m,٢٨٠\n"
                           "S2,2025-07-01T18:00:00Z,t2m,282.5" + " " * 200
             + "\n", encoding="utf-8")
-        table = fileio.read_station_csvs(tmp_path / "meta.csv",
+        table = stationio.read_station_csvs(tmp_path / "meta.csv",
                                          tmp_path / "obs.csv", STATION_TIMES)
         t2m = table.variable_index(VariableId.T2M)
         assert table.values[t2m, 1:4, 1].tolist() == [281.5, 280.0, 282.5]
@@ -755,7 +761,7 @@ def test_columnar_station_reader_matches_row_reader(files):
         meta.write_bytes(meta_bytes)
         obs.write_bytes(obs_bytes)
         want = _read_outcome(oracles.read_station_csvs_rows, meta, obs, times)
-        got = _read_outcome(fileio.read_station_csvs, meta, obs, times)
+        got = _read_outcome(stationio.read_station_csvs, meta, obs, times)
     assert got == want
 
 
@@ -776,9 +782,9 @@ class TestManifest:
             for lead in range(0, max_lead + 1, 6):
                 when = init + timedelta(hours=lead)
                 field = f32_field(rng, grid, valid_time=when)
-                fileio.write_grid(field, tmp_path / "truth" /
+                writers.write_grid(field, tmp_path / "truth" /
                                   f"t2m_{when.strftime('%Y%m%d%H')}.rbg")
-                fileio.write_grid(
+                writers.write_grid(
                     stamped(field, when, lead),
                     tmp_path / "m" /
                     f"t2m_{init.strftime('%Y%m%d%H')}_{lead:03d}.rbg")
@@ -1093,7 +1099,7 @@ class TestFieldSource:
             writes = []
             for name, field in (("fresh", fresh), ("cached", cached)):
                 out = root / "w" / f"{name}{k}.rbg"
-                written, err = outcome(lambda: fileio.write_grid(field, out))
+                written, err = outcome(lambda: writers.write_grid(field, out))
                 writes.append(
                     type(err) if err is not None else
                     (written.read_bytes(),
@@ -1171,8 +1177,9 @@ class TestFieldSource:
         grid = make_grid(3, 4)
         for variable in (VariableId.U10, VariableId.V10):
             field = f32_field(rng, grid, variable=variable)
-            fileio.write_grid(field, manifest.truth_path(variable, T0))
-            fileio.write_grid(field, manifest.model_path("m", T0, variable, 0))
+            writers.write_grid(field, manifest.truth_path(variable, T0))
+            writers.write_grid(field,
+                               manifest.model_path("m", T0, variable, 0))
         source = fileio.FieldSource(manifest)
         for read in (lambda v: source.truth_block(v, [T0]),
                      lambda v: source.model_block("m", T0, v, [0])):
@@ -1259,10 +1266,10 @@ class TestStacks:
             # rewriting what was read gives the same fields back, or fails
             # as writing its first field alone does (a regional grid across
             # 0E is not uniform in the engine convention)
-            written, err = outcome(lambda: fileio.write_stack(
+            written, err = outcome(lambda: writers.write_stack(
                 (layer_of(whole, k) for k in range(n_layers)),
                 root / "again.rbs"))
-            _, grid_err = outcome(lambda: fileio.write_grid(
+            _, grid_err = outcome(lambda: writers.write_grid(
                 layer_of(whole, 0), root / "again.rbg"))
             assert type(err) is type(grid_err)
             if err is None:
@@ -1273,11 +1280,11 @@ class TestStacks:
     def test_canonical_serialization(self, rng, tmp_path):
         fields = [f32_field(rng, make_grid(3, 4), valid_time=when, lead_hours=6 * k)
                   for k, when in enumerate(times_from(T0, 3))]
-        first = fileio.write_stack(fields, tmp_path / "a.rbs")
+        first = writers.write_stack(fields, tmp_path / "a.rbs")
         back = read_store(first)
         assert isinstance(back, FieldBlock)
         assert back.lead_hours == (0, 6, 12)
-        second = fileio.write_stack((layer_of(back, k) for k in range(3)),
+        second = writers.write_stack((layer_of(back, k) for k in range(3)),
                                     tmp_path / "b.rbs")
         assert first.read_bytes() == second.read_bytes()
         assert (tmp_path / "a.rbs.json").read_bytes() == \
@@ -1290,7 +1297,7 @@ class TestStacks:
                                                             tmp_path):
         manifest = stack_manifest(tmp_path)
         times = times_from(T0, 4)
-        path = fileio.write_stack(
+        path = writers.write_stack(
             (f32_field(rng, make_grid(3, 4), valid_time=when)
              for when in times), manifest.truth_path(VariableId.T2M, T0))
         blob = path.read_bytes()
@@ -1314,14 +1321,14 @@ class TestStacks:
             self, rng, tmp_path):
         manifest = stack_manifest(tmp_path)
         grid = make_grid(3, 4)
-        fileio.write_stack((f32_field(rng, grid, valid_time=when)
+        writers.write_stack((f32_field(rng, grid, valid_time=when)
                             for when in times_from(T0, 3)),
                            manifest.truth_path(VariableId.T2M, T0))
         forecast = [f32_field(rng, grid, valid_time=when, lead_hours=6 * k)
                     for k, when in enumerate(times_from(T0, 2))]
-        model = fileio.write_stack(
+        model = writers.write_stack(
             forecast, manifest.model_path("m", T0, VariableId.T2M, 0))
-        fileio.write_stack(
+        writers.write_stack(
             forecast, manifest.model_path("one-run", T0, VariableId.T2M, 0))
         source = fileio.FieldSource(manifest)
         path = manifest.truth_path(VariableId.T2M, T0)
@@ -1386,15 +1393,15 @@ class TestStacks:
             fields[0] = make_field(grid, np.ones(grid.shape), VariableId.WS10)
         path = tmp_path / "s.rbs"
         with pytest.raises(WxVerifyError):
-            fileio.write_stack(fields, path)
+            writers.write_stack(fields, path)
         assert list(tmp_path.iterdir()) == []
 
     def test_chunks_write_what_their_fields_write(self, rng, tmp_path):
         fields = [f32_field(rng, make_grid(3, 4), valid_time=when,
                             lead_hours=6 * k)
                   for k, when in enumerate(times_from(T0, 7))]
-        by_field = fileio.write_stack(fields, tmp_path / "a.rbs")
-        chunked = fileio.write_stack(
+        by_field = writers.write_stack(fields, tmp_path / "a.rbs")
+        chunked = writers.write_stack(
             [field_block(*fields[:3]), fields[3], field_block(*fields[4:])],
             tmp_path / "b.rbs")
         assert by_field.read_bytes() == chunked.read_bytes()
@@ -1425,7 +1432,7 @@ class TestStacks:
         with pytest.raises(WxVerifyError,
                            match=f"does not continue the stack as layer "
                                  f"{layer}$"):
-            fileio.write_stack(iter(chunks), tmp_path / "s.rbs")
+            writers.write_stack(iter(chunks), tmp_path / "s.rbs")
         assert list(tmp_path.iterdir()) == []
 
     def test_a_stream_of_chunks_holds_one_chunk_at_a_time(self, tmp_path):
@@ -1441,7 +1448,7 @@ class TestStacks:
         chunk_bytes = k * grid.n_lat * grid.n_lon * 8
         tracemalloc.start()
         try:
-            path = fileio.write_stack(chunks(), tmp_path / "s.rbs")
+            path = writers.write_stack(chunks(), tmp_path / "s.rbs")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1451,11 +1458,11 @@ class TestStacks:
     def test_history_year_formats_one_path(self, rng, tmp_path, monkeypatch):
         manifest = stack_manifest(tmp_path)
         times = fileio.year_times(T0.year)
-        fileio.write_stack(
+        writers.write_stack(
             [field_block(*[f32_field(rng, make_grid(2, 3), valid_time=when)
                            for when in times])],
             manifest.history_path(VariableId.T2M, T0))
-        fileio.write_stack(
+        writers.write_stack(
             [f32_field(rng, make_grid(2, 3), valid_time=when, lead_hours=6 * k)
              for k, when in enumerate(times_from(T0, 3))],
             manifest.model_path("m", T0, VariableId.T2M, 0))
@@ -1483,7 +1490,7 @@ class TestStacks:
         manifest = stack_manifest(tmp_path, history_years=[year])
         grid = make_grid(2, 3)
         times = fileio.year_times(year)
-        path = fileio.write_stack((f32_field(rng, grid, valid_time=when)
+        path = writers.write_stack((f32_field(rng, grid, valid_time=when)
                                    for when in times),
                                   manifest.history_path(VariableId.T2M,
                                                         times[0]))
@@ -1515,7 +1522,7 @@ class TestStacks:
 
     def test_history_year_must_be_whole(self, rng, tmp_path):
         manifest = stack_manifest(tmp_path)
-        fileio.write_stack((f32_field(rng, make_grid(2, 3), valid_time=when)
+        writers.write_stack((f32_field(rng, make_grid(2, 3), valid_time=when)
                             for when in times_from(T0, 8)),
                            manifest.history_path(VariableId.T2M, T0))
         with pytest.raises(ManifestError, match="holds no layer valid at "
@@ -1526,7 +1533,7 @@ class TestStacks:
     def test_sidecar_parsed_once_per_source(self, rng, tmp_path, monkeypatch):
         manifest = stack_manifest(tmp_path)
         times = times_from(T0, 5)
-        fileio.write_stack((f32_field(rng, make_grid(3, 4), valid_time=when)
+        writers.write_stack((f32_field(rng, make_grid(3, 4), valid_time=when)
                             for when in times),
                            manifest.truth_path(VariableId.T2M, T0))
         loads = []
@@ -1606,7 +1613,7 @@ class TestBlocks:
         old = times_from(new_year - 3 * SIX_HOURS, 3)
         new = times_from(new_year, 4)
         for times in (old, new):
-            fileio.write_stack((f32_field(rng, grid, valid_time=when)
+            writers.write_stack((f32_field(rng, grid, valid_time=when)
                                 for when in times),
                                manifest.truth_path(VariableId.T2M, times[0]))
         source = fileio.FieldSource(manifest)
@@ -1628,7 +1635,7 @@ class TestBlocks:
         fields = [f32_field(rng, make_grid(3, 4), valid_time=when,
                             lead_hours=6 * k)
                   for k, when in enumerate(times_from(T0, 6))]
-        path = fileio.write_stack(
+        path = writers.write_stack(
             fields, manifest.model_path("m", T0, VariableId.T2M, 0))
         source = fileio.FieldSource(manifest)
         block = source.model_block("m", T0, VariableId.T2M, [6, 18, 24])
@@ -1659,7 +1666,7 @@ class TestBlocks:
         forecast = [f32_field(rng, make_grid(3, 4), valid_time=when,
                               lead_hours=6 * k)
                     for k, when in enumerate(times_from(T0, 3))]
-        fileio.write_stack(
+        writers.write_stack(
             forecast, manifest.model_path("one-run", T0, VariableId.T2M, 0))
         source = fileio.FieldSource(manifest)
         with pytest.raises(ManifestError, match="has lead 6 h, not 0 h"):
@@ -1679,11 +1686,11 @@ class TestBlocks:
             fields = [f32_field(rng, grid, variable=variable, valid_time=when)
                       for when in times]
             if layout == "stack":
-                fileio.write_stack(fields,
+                writers.write_stack(fields,
                                    manifest.truth_path(variable, times[0]))
             else:
                 for field in fields:
-                    fileio.write_grid(field, manifest.truth_path(
+                    writers.write_grid(field, manifest.truth_path(
                         variable, field.valid_times[0]))
         source = fileio.FieldSource(manifest)
         block = source.truth_block(VariableId.WS10, times)
@@ -1702,7 +1709,7 @@ class TestClimatologyByDay:
     def clim_path(self, rng, tmp_path):
         grid = make_grid(3, 4)
         day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, *grid.shape))
-        return fileio.write_daily_climatology(
+        return writers.write_daily_climatology(
             [DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))],
             tmp_path / "c.rbc")
 
@@ -1772,7 +1779,7 @@ class TestClimatologyByDay:
         part = DailyMeanClimatology(grid, VariableId.T2M,
                                     np.zeros((3, *grid.shape)), (2020,), 363)
         with pytest.raises(ValueError, match="all 365 days"):
-            fileio.write_daily_climatology([part], tmp_path / "c.rbc")
+            writers.write_daily_climatology([part], tmp_path / "c.rbc")
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("parts", ["days", "gap", "short", "long",
@@ -1783,7 +1790,7 @@ class TestClimatologyByDay:
         # of one variable and years, raise and leave no file behind
         grid = make_grid(2, 3)
         day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, *grid.shape))
-        whole = fileio.write_daily_climatology(
+        whole = writers.write_daily_climatology(
             [DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))],
             tmp_path / "whole/c.rbc")
         edges = [0, 1, 59, 60, 200, DAYS_PER_YEAR]
@@ -1805,10 +1812,10 @@ class TestClimatologyByDay:
         streamed = (DailyMeanClimatology(*piece) for piece in pieces)
         if parts != "days":
             with pytest.raises(ValueError, match="all 365 days"):
-                fileio.write_daily_climatology(streamed, got)
+                writers.write_daily_climatology(streamed, got)
             assert list(got.parent.iterdir()) == []
             return
-        fileio.write_daily_climatology(streamed, got)
+        writers.write_daily_climatology(streamed, got)
         for suffix in ("", ".json"):
             assert Path(f"{got}{suffix}").read_bytes() == \
                 Path(f"{whole}{suffix}").read_bytes()
@@ -1827,9 +1834,9 @@ def lattice_history(rng, n_years: int, n_loc: int) -> DailyHistory:
 def locations_a_chunk(monkeypatch, n_years: int, n: int):
     """Patch the threshold kernel to take ``n`` locations of a history of
     ``n_years`` float32 years a chunk."""
-    k = max(climatology._list_lengths(n_years * 15, 0.9, 0.1))
-    monkeypatch.setattr(climatology, "LIST_CHUNK_BYTES",
-                        n * k * climatology._window_days(7) * 4)
+    k = max(thresholds._list_lengths(n_years * 15, 0.9, 0.1))
+    monkeypatch.setattr(thresholds, "LIST_CHUNK_BYTES",
+                        n * k * thresholds._window_days(7) * 4)
     assert threshold_chunk(n_years, 4) == n
 
 
@@ -1849,9 +1856,9 @@ class TestStreamedThresholds:
         history = lattice_history(rng, 3, 36)
         locations_a_chunk(monkeypatch, 3, chunk)
         if write_bytes is not None:
-            monkeypatch.setattr(fileio, "THRESHOLD_WRITE_BYTES", write_bytes)
+            monkeypatch.setattr(writers, "THRESHOLD_WRITE_BYTES", write_bytes)
         held = build_thresholds(history)
-        path = fileio.write_thresholds(ThresholdBuild(history), grid,
+        path = writers.write_thresholds(ThresholdBuild(history), grid,
                                        tmp_path / "t.rbt")
         layers = np.concatenate([held.tau_heat, held.tau_cold]).astype("<f4")
         assert path.read_bytes() == layers.tobytes()
@@ -1860,7 +1867,7 @@ class TestStreamedThresholds:
         assert header["n_layers"] == 2 * DAYS_PER_YEAR
         assert header["checksums"] == [zlib.crc32(layer.tobytes())
                                        for layer in layers]
-        whole = fileio.write_thresholds(as_build(held), grid,
+        whole = writers.write_thresholds(as_build(held), grid,
                                         tmp_path / "whole.rbt")
         assert whole.with_name("whole.rbt.json").read_bytes() == \
             path.with_name("t.rbt.json").read_bytes()
@@ -1877,13 +1884,13 @@ class TestStreamedThresholds:
         grid = make_grid(36, 72)
         history = lattice_history(rng, 2, 2592)
         locations_a_chunk(monkeypatch, 2, 10)
-        monkeypatch.setattr(fileio, "THRESHOLD_WRITE_BYTES", 1024)
+        monkeypatch.setattr(writers, "THRESHOLD_WRITE_BYTES", 1024)
         group = 2 * DAYS_PER_YEAR * 256 * 4
         one_array = DAYS_PER_YEAR * 2592 * 4
         tracemalloc.start()
         try:
             before, _ = tracemalloc.get_traced_memory()
-            path = fileio.write_thresholds(ThresholdBuild(history), grid,
+            path = writers.write_thresholds(ThresholdBuild(history), grid,
                                            tmp_path / "t.rbt")
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -1900,7 +1907,7 @@ class TestStreamedThresholds:
         daily_max[:, 30:51, 11] = np.nan
         locations_a_chunk(monkeypatch, 2, 5)
         with pytest.raises(InsufficientHistory, match="location 11"):
-            fileio.write_thresholds(
+            writers.write_thresholds(
                 ThresholdBuild(DailyHistory(history.years, daily_max,
                                             history.daily_min)),
                 make_grid(3, 4), tmp_path / "t.rbt")
@@ -1979,7 +1986,7 @@ class TestSpilledHistory:
         history = DailyHistory(years, dmax, dmin)
         edges = [0, *sorted(cuts), DAYS_PER_YEAR]
         with tempfile.TemporaryDirectory() as scratch, \
-                fileio.SpilledHistory(scratch, years) as spill:
+                writers.SpilledHistory(scratch, years) as spill:
             for a, b in zip(edges, edges[1:]):
                 for y in range(n_years):
                     spill.write(y, slice(a, b), dmax[y, a:b], dmin[y, a:b])
@@ -2013,7 +2020,7 @@ class TestSpilledHistory:
         dmax = np.arange(DAYS_PER_YEAR * n_loc, dtype=np.float32).reshape(
             DAYS_PER_YEAR, n_loc)
         kernel = threshold_chunk(2, 4)
-        with fileio.SpilledHistory(tmp_path, (2023, 2024)) as spill:
+        with writers.SpilledHistory(tmp_path, (2023, 2024)) as spill:
             for first in range(0, DAYS_PER_YEAR, days):
                 rows = slice(first, min(first + days, DAYS_PER_YEAR))
                 for y in range(2):
@@ -2057,14 +2064,14 @@ class TestSpilledHistory:
             dmax.shape))).astype(np.float32) / 4
         history = DailyHistory(years, dmax, dmin)
         held = build_thresholds(history, q_heat, q_cold, half_window)
-        with mock.patch.object(climatology, "LIST_CHUNK_BYTES", 30000), \
+        with mock.patch.object(thresholds, "LIST_CHUNK_BYTES", 30000), \
                 tempfile.TemporaryDirectory() as scratch, \
-                fileio.SpilledHistory(scratch, years) as spill:
+                writers.SpilledHistory(scratch, years) as spill:
             for first in range(0, DAYS_PER_YEAR, days):
                 rows = slice(first, min(first + days, DAYS_PER_YEAR))
                 for y in range(2):
                     spill.write(y, rows, dmax[y, rows], dmin[y, rows])
-            kernel = climatology.threshold_chunk(2, 4, q_heat, q_cold,
+            kernel = thresholds.threshold_chunk(2, 4, q_heat, q_cold,
                                                  half_window)
             assert spill.step % kernel and spill.step < n_loc
             spilled = build_thresholds(spill, q_heat, q_cold, half_window)
@@ -2078,7 +2085,7 @@ class TestSpilledHistory:
     def test_a_directory_it_cannot_write_is_an_input_error(self, tmp_path):
         (tmp_path / "taken").write_text("a file where the directory goes")
         day = np.zeros((1, 3), np.float32)
-        with fileio.SpilledHistory(tmp_path / "taken", (2023, 2024)) as spill:
+        with writers.SpilledHistory(tmp_path / "taken", (2023, 2024)) as spill:
             with pytest.raises(WxVerifyError, match="taken: cannot spill"):
                 spill.write(0, slice(0, 1), day, day)
 

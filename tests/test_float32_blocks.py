@@ -17,7 +17,7 @@ from wxverify.cyclones import TrackerConfig, track_storm
 from wxverify.extremes import EventKind, label_event_runs
 from wxverify.grid import (FieldBlock, GeoGrid, VariableId, bilinear_weights,
                            derive_wind_speed, latitude_weights)
-from wxverify.pipelines import _day_extremes
+from wxverify.pipeline_extremes import _day_extremes
 from wxverify.spectra import midlatitude_spectrum
 
 SEEDS = st.integers(0, 2**32 - 1)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (field_block, layer_of, layer_scores, make_field, read_store,
                       truth_fields)
-from wxverify import fileio, harness, metrics
+from wxverify import fileio, harness, metrics, writers
 from wxverify.extremes import EventKind, label_event_runs
 from wxverify.grid import FieldBlock, GeoGrid, VariableId
 from wxverify.harness import (PlantedEpisode, SyntheticScenario, VariableProcess,
@@ -307,7 +307,7 @@ class TestDrawAhead:
             for k, _ in enumerate(blocks):
                 if k == 2:
                     raise DrawFailed(f"writing {path.name}")
-        monkeypatch.setattr(fileio, "write_stack", write_stack)
+        monkeypatch.setattr(writers, "write_stack", write_stack)
         # the traceback, held in `raised`, keeps write_run's frames alive:
         # the helper must have been joined without waiting for them to go
         with pytest.raises(DrawFailed, match="writing 2023.rbs") as raised:
@@ -485,7 +485,7 @@ class TestPipelineClosure:
         stream = truth_fields(sc, VariableId.T2M)
         fields = list(itertools.islice(stream, 6))
         for k, field in enumerate(fields):
-            fileio.write_grid(field, tmp_path / f"{k}.rbg")
+            writers.write_grid(field, tmp_path / f"{k}.rbg")
         back = [read_store(tmp_path / f"{k}.rbg") for k in range(6)]
         for a, b in zip(fields, back):
             assert np.array_equal(a.values, b.values)

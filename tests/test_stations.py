@@ -193,7 +193,7 @@ def t2m_scores(blocks, table, clim=None):
     """``station_scores`` of T2M of forecast ``blocks``, one per init over
     one run of leads, with a grid climatology or without: the blocks and
     the climatology's days are interpolated to the table's stations as
-    ``pipelines.stations`` does."""
+    ``pipeline_stations.stations`` does."""
     interpolator = StationInterpolator(table.stations)
     if clim is not None:
         clim = (clim.first_day,
@@ -530,7 +530,8 @@ class TestStationInterpolator:
                     Station("C", 60.0, 0.0, 0.0))
         day_mean = 280.0 + rng.standard_normal((365, 5, 8))
         clim = DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))
-        # the interpolation pipelines.stations makes of a climatology's days
+        # the interpolation pipeline_stations.stations makes of a
+        # climatology's days
         interpolator = StationInterpolator(stations)
         got = interpolator.weights(clim.grid).apply(clim.day_mean)
         positions = [(s.lat, s.lon) for s in stations]
