@@ -169,10 +169,10 @@ class ThresholdField:
     calendar days: row i is day ``(first_day + i) % 365``, as in
     :class:`DailyMeanClimatology`. A run reads only the days it scores
     from the thresholds ``build-climatology`` stored (see
-    :func:`wxverify.fileio.read_thresholds`). tau_heat >= tau_cold holds
-    everywhere and every entry is finite. A float32 array (thresholds
-    read from a store) is kept as float32, and any other is converted to
-    float64.
+    :meth:`wxverify.fileio.FieldSource.thresholds`). tau_heat >= tau_cold
+    holds everywhere and every entry is finite. A float32 array
+    (thresholds read from a store) is kept as float32, and any other is
+    converted to float64.
     """
 
     tau_heat: np.ndarray

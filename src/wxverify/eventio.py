@@ -1,9 +1,10 @@
 """The CSV interfaces of the event commands: the best-track reader of
-``cyclones`` (:func:`read_besttrack`), its track writer
+``cyclones`` (:func:`read_besttrack`) and writer of ``synth``
+(:func:`write_besttrack`), the track writer of ``cyclones``
 (:func:`write_tracks_csv`) and the event-segment writer of ``extremes``
 (:func:`write_segments_csv`).
 
-Only those two commands import this module. Every CSV is published
+Only those commands import this module. Every CSV is published
 through :func:`wxverify.report.publish`, and a bad best-track row raises
 a typed error naming the file and line.
 """
@@ -24,7 +25,7 @@ from .report import publish, text_lines
 if TYPE_CHECKING:
     import numpy as np
 
-    from .cyclones import StormTrack
+    from .cyclones import StormFix, StormTrack
     from .extremes import EventKind
 
 _BESTTRACK_COLUMNS = ["storm_id", "iso_time", "lat", "lon", "mslp_hpa", "wind_ms"]
@@ -80,10 +81,26 @@ def read_besttrack(path: str | os.PathLike) -> tuple[list[StormTrack], str]:
     return tracks, sha256(raw).hexdigest()
 
 
+def _fix_row(storm_id: str, fix: StormFix) -> str:
+    """The best-track columns of one fix of storm ``storm_id``."""
+    return (f"{storm_id},{format_time(fix.time)},{fix.lat!r},{fix.lon!r},"
+            f"{fix.min_mslp_pa / 100.0!r},{fix.max_wind_ms!r}")
+
+
+def write_besttrack(tracks: Sequence[StormTrack], path: str | os.PathLike
+                    ) -> Path:
+    """Best-track CSV of every fix of ``tracks``, as
+    :func:`read_besttrack` reads it."""
+    lines = [",".join(_BESTTRACK_COLUMNS)]
+    lines.extend(_fix_row(track.storm_id, fix)
+                 for track in tracks for fix in track.fixes)
+    return publish(path, text_lines(lines))
+
+
 def write_tracks_csv(tracks: Sequence[StormTrack], path: str | os.PathLike) -> Path:
     """Track output CSV: best-track schema plus source and tracked flags."""
-    lines = ["storm_id,iso_time,lat,lon,mslp_hpa,wind_ms,source,init_time,"
-             "lead_hours,tracked"]
+    lines = [",".join([*_BESTTRACK_COLUMNS, "source", "init_time",
+                       "lead_hours", "tracked"])]
     for track in tracks:
         tail = f"{track.source},{format_time(track.init_time)}"
         for k, flag in enumerate(track.tracked_mask):
@@ -93,10 +110,8 @@ def write_tracks_csv(tracks: Sequence[StormTrack], path: str | os.PathLike) -> P
                 lines.append(f"{track.storm_id},{format_time(when)},,,,,"
                              f"{tail},{6 * k},0")
             else:
-                lines.append(
-                    f"{track.storm_id},{format_time(fix.time)},{fix.lat!r},"
-                    f"{fix.lon!r},{fix.min_mslp_pa / 100.0!r},{fix.max_wind_ms!r},"
-                    f"{tail},{6 * k},1")
+                lines.append(f"{_fix_row(track.storm_id, fix)},{tail},"
+                             f"{6 * k},1")
     return publish(path, text_lines(lines))
 
 

@@ -62,8 +62,7 @@ import numpy as np
 
 from . import metrics
 from .climatology import (DAYS_PER_YEAR, SYNOPTIC_HOURS, DailyMeanClimatology,
-                          ThresholdField, calendar_day_index, day_span,
-                          year_times)
+                          ThresholdField, day_span, year_times)
 from .errors import (ChecksumMismatch, GridMismatch,
                      HeaderPayloadShapeMismatch, InvalidHeader, ManifestError,
                      NonFiniteValue)
@@ -75,11 +74,11 @@ STACK_MAGIC = "RBSTACK1"
 THRESH_MAGIC = "RBTHRESH1"
 CLIM_MAGIC = "RBCLIM1"
 
-_TIME_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
-
-
 def format_time(when: datetime) -> str:
-    return when.astimezone(timezone.utc).strftime(_TIME_FORMAT)
+    """``when`` in UTC to the second, as ``YYYY-MM-DDTHH:MM:SSZ`` with a
+    four-digit year, which :func:`parse_time` reads back."""
+    utc = when.astimezone(timezone.utc).replace(tzinfo=None)
+    return utc.isoformat(timespec="seconds") + "Z"
 
 
 def parse_time(text: str) -> datetime:
@@ -296,14 +295,6 @@ def _parse_store(path: Path, header: dict, dtype: str, n_layers: int | None
     return _Store(path, _DTYPES[dtype], n_layers, geometry, tuple(checksums))
 
 
-def _day_layers(header: dict, path: Path, stacks: int) -> int:
-    """Layer count of ``stacks`` stacked 365-day axes, checked against
-    the sidecar's ``n_days``."""
-    if _header_value(header, "n_days", int, path) != DAYS_PER_YEAR:
-        raise InvalidHeader(f"{path}: expected a {DAYS_PER_YEAR}-day axis")
-    return stacks * DAYS_PER_YEAR
-
-
 def _build(path: Path, cls, *args):
     """``cls(*args)`` over a read payload, with its errors typed and naming
     ``path``. The type checks finiteness, so the payload is scanned once."""
@@ -320,7 +311,6 @@ class _Stack:
     """A parsed RBSTACK1 or RBGRID1 sidecar: the store, its variable and
     layer times. An RBGRID1 file is a stack of one layer with lead step 0."""
 
-    magics = (GRID_MAGIC, STACK_MAGIC)  # of the sidecars parse takes
     store: _Store
     variable: VariableId
     first_time: datetime
@@ -419,72 +409,44 @@ def _read_days(store: _Store, first: int, n_days: int
     return grid, out
 
 
-def read_thresholds(path: str | os.PathLike, days: Iterable[int]
-                    ) -> tuple[ThresholdField, GeoGrid, str]:
-    """Thresholds written by :func:`~wxverify.writers.write_thresholds` of
-    the calendar ``days``, their grid, built through the memo
-    :func:`_oriented_grid`, and the hex SHA-256 of the sidecar read; the
-    location axis is the row-major flattening of that grid.
-
-    Only the shortest run of consecutive calendar days that holds
-    ``days`` is read (see :func:`_read_days`), and finiteness and heat >=
-    cold are checked on the days read. The sidecar holds the build's
-    parameters and the CRC-32 of every day layer, and every day read is
-    checked against its CRC-32, so its digest vouches for the thresholds
-    that are read without reading the whole payload.
-    """
-    path = Path(path)
-    header, raw = _load_sidecar(path, THRESH_MAGIC)
-    store = _parse_store(path, header, "f32le", _day_layers(header, path, 2))
-    first, n_days = day_span(days)
-    grid, (heat, cold) = _read_days(store, first, n_days)
-    n_loc = grid.n_lat * grid.n_lon
-    thresholds = _build(path, ThresholdField, heat.reshape(n_days, n_loc),
-                        cold.reshape(n_days, n_loc),
-                        tuple(_header_value(header, "years", list, path)),
-                        _header_value(header, "half_window", int, path),
-                        _header_value(header, "q_heat", float, path),
-                        _header_value(header, "q_cold", float, path), first)
-    return thresholds, grid, sha256(raw).hexdigest()
-
-
 @dataclass(frozen=True)
-class _Climatology:
-    """A parsed RBCLIM1 sidecar: the store, its variable and years."""
+class _Days:
+    """A parsed RBCLIM1 or RBTHRESH1 sidecar: the store of one 365-day
+    axis (a climatology) or of two (the heat, then the cold thresholds,
+    which are of T2M), its variable and years."""
 
-    magics = (CLIM_MAGIC,)  # of the sidecars parse takes
     store: _Store
     variable: VariableId
     years: tuple
+    #: of thresholds, the build's half_window, q_heat and q_cold, and the
+    #: hex SHA-256 of the sidecar bytes parsed; () of a climatology
+    build: tuple = ()
 
     @classmethod
-    def parse(cls, path: Path, header: dict) -> "_Climatology":
-        return cls(_parse_store(path, header, "f64le",
-                                _day_layers(header, path, 1)),
-                   _header_variable(header, path),
-                   tuple(_header_value(header, "years", list, path)))
+    def parse(cls, path: Path, header: dict, raw: bytes) -> "_Days":
+        if _header_value(header, "n_days", int, path) != DAYS_PER_YEAR:
+            raise InvalidHeader(f"{path}: expected a {DAYS_PER_YEAR}-day axis")
+        if header["magic"] == CLIM_MAGIC:
+            return cls(_parse_store(path, header, "f64le", DAYS_PER_YEAR),
+                       _header_variable(header, path),
+                       tuple(_header_value(header, "years", list, path)))
+        return cls(_parse_store(path, header, "f32le", 2 * DAYS_PER_YEAR),
+                   VariableId.T2M,
+                   tuple(_header_value(header, "years", list, path)),
+                   (_header_value(header, "half_window", int, path),
+                    _header_value(header, "q_heat", float, path),
+                    _header_value(header, "q_cold", float, path),
+                    sha256(raw).hexdigest()))
 
-    def days(self, days: Iterable[int]) -> DailyMeanClimatology:
-        """The shortest run of consecutive calendar days that holds
-        ``days`` (see :func:`~wxverify.climatology.day_span`), on a grid
-        built through the memo :func:`_oriented_grid`: one read, or two
-        when the run crosses Dec 31 (see :func:`_read_days`)."""
+    def days(self, days: Iterable[int]
+             ) -> tuple[int, GeoGrid, list[np.ndarray]]:
+        """The first day of the shortest run of consecutive calendar days
+        that holds ``days`` (see :func:`~wxverify.climatology.day_span`),
+        the grid, built through the memo :func:`_oriented_grid`, and the
+        run's layers of each axis: one read of each, or two when the run
+        crosses Dec 31 (see :func:`_read_days`)."""
         first, n_days = day_span(days)
-        grid, (layers,) = _read_days(self.store, first, n_days)
-        return _build(self.store.path, DailyMeanClimatology, grid,
-                      self.variable, layers, self.years, first)
-
-
-def read_daily_climatology(path: str | os.PathLike,
-                           times: Iterable[datetime]) -> DailyMeanClimatology:
-    """A climatology written by
-    :func:`~wxverify.writers.write_daily_climatology`, of the shortest run
-    of consecutive calendar days that holds the day of each of ``times``,
-    each day read checked against its CRC-32 (see
-    :meth:`_Climatology.days`)."""
-    path = Path(path)
-    return _Climatology.parse(path, _load_sidecar(path, CLIM_MAGIC)[0]).days(
-        calendar_day_index(when) for when in times)
+        return (first, *_read_days(self.store, first, n_days))
 
 
 # --- run manifest ------------------------------------------------------------
@@ -689,13 +651,13 @@ class FieldSource:
 
     A truth, model or history path may name an RBSTACK1 store or an
     RBGRID1 file, which reads as a stack of one layer. Every store, a
-    stack or a climatology, is opened by :meth:`_open`, which parses its
-    sidecar once per run and rejects a store of another variable than
-    the one read, or on another grid than the ``grid`` a read is paired
-    with, whatever the command and role. A block of its layers
-    (or days) is read with one seek, checking only the CRC-32s of the
-    layers read and that each layer is valid at the time, and carries
-    the lead, asked for. Fields are blocks of one layer, and a history
+    stack, a climatology or the thresholds, is opened by :meth:`_open`,
+    which parses its sidecar once per run and rejects a store of another
+    variable than the one read, or on another grid than the ``grid`` a
+    read is paired with, whatever the command and role. A block of its
+    layers (or days) is read with one seek, checking only the CRC-32s of
+    the layers read and that each layer is valid at the time, and
+    carries the lead, asked for. Fields are blocks of one layer, and a history
     year is a run of blocks of whole days. A block a command reads holds
     at most one chunk (:meth:`block_layers`, :meth:`history_days`).
     Derived WS10 is computed from U10 and V10 here and nowhere else.
@@ -703,20 +665,25 @@ class FieldSource:
 
     def __init__(self, manifest: RunManifest):
         self.manifest = manifest
-        # store path -> its parsed sidecar, a _Stack or a _Climatology
-        self._opened: dict[Path, _Stack | _Climatology] = {}
+        # (store path, magic asked for) -> its parsed sidecar
+        self._opened: dict[tuple[Path, str | None], _Stack | _Days] = {}
 
     def _open(self, path: Path, variable: VariableId,
-              grid: GeoGrid | None = None, kind=_Stack):
-        """The parsed sidecar of the ``kind`` store (:class:`_Stack` or
-        :class:`_Climatology`) at ``path``; :class:`GridMismatch` naming
-        it unless it holds ``variable`` and, given ``grid``, is on it. Its
-        grid is built only on the shape of ``grid``, one a read has built,
-        so a sidecar cannot make the check allocate more than a read."""
-        opened = self._opened.get(path)
-        if not isinstance(opened, kind):
-            opened = self._opened[path] = kind.parse(
-                path, _load_sidecar(path, *kind.magics)[0])
+              grid: GeoGrid | None = None, magic: str | None = None):
+        """The parsed sidecar of the store at ``path``: a :class:`_Stack`
+        of an RBSTACK1 or RBGRID1 store, or given the ``magic`` of a
+        365-day store (RBCLIM1 or RBTHRESH1), a :class:`_Days`;
+        :class:`GridMismatch` naming it unless it holds ``variable`` and,
+        given ``grid``, is on it. Its grid is built only on the shape of
+        ``grid``, one a read has built, so a sidecar cannot make the check
+        allocate more than a read."""
+        opened = self._opened.get((path, magic))
+        if opened is None:
+            magics = (magic,) if magic else (GRID_MAGIC, STACK_MAGIC)
+            header, raw = _load_sidecar(path, *magics)
+            opened = self._opened[path, magic] = \
+                _Days.parse(path, header, raw) if magic \
+                else _Stack.parse(path, header)
         if opened.variable is not variable:
             raise GridMismatch(f"variable mismatch: {path} holds "
                                f"{opened.variable.key}, not {variable.key}")
@@ -821,25 +788,39 @@ class FieldSource:
                     ) -> DailyMeanClimatology | None:
         """The daily-mean climatology of ``variable`` on the shortest run
         of consecutive calendar days that holds ``days``, read by the day
-        (see :meth:`_Climatology.days`); None for a derived variable or
-        when the manifest declares no climatology. The store is opened
-        as a stack is (:meth:`_open`)."""
+        (see :meth:`_Days.days`); None for a derived variable or when the
+        manifest declares no climatology. The store is opened as a stack
+        is (:meth:`_open`)."""
         if self.manifest.climatology_pattern is None or variable.derived:
             return None
-        return self._open(_built(self.manifest, "climatology",
-                                 self.manifest.climatology_path(variable),
-                                 "daily_mean_pattern"),
-                          variable, grid, _Climatology).days(days)
+        path = _built(self.manifest, "climatology",
+                      self.manifest.climatology_path(variable),
+                      "daily_mean_pattern")
+        stored = self._open(path, variable, grid, CLIM_MAGIC)
+        first, grid, (layers,) = stored.days(days)
+        return _build(path, DailyMeanClimatology, grid, variable, layers,
+                      stored.years, first)
 
     def thresholds(self, days: Iterable[int]
                    ) -> tuple[ThresholdField, GeoGrid, str]:
-        """The extreme thresholds ``build-climatology`` stored, of the
-        calendar ``days``, their grid and the digest of their sidecar (see
-        :func:`read_thresholds`); ManifestError when the manifest names no
-        thresholds file or it has not been built."""
-        return read_thresholds(
-            _built(self.manifest, "thresholds", self.manifest.thresholds_file,
-                   "thresholds_path"), days)
+        """The extreme thresholds of T2M that ``build-climatology`` stored,
+        on the shortest run of consecutive calendar days that holds
+        ``days``, read by the day (see :meth:`_Days.days`), their grid and
+        the hex SHA-256 of their sidecar; ManifestError when the manifest
+        names no thresholds file or it has not been built. The location
+        axis is the row-major flattening of the grid. The store is opened
+        as a stack is (:meth:`_open`). The sidecar holds the build's
+        parameters and the CRC-32 of every day, and each day read is
+        checked against its CRC-32, so the digest vouches for the days
+        read without reading the whole payload."""
+        path = _built(self.manifest, "thresholds",
+                      self.manifest.thresholds_file, "thresholds_path")
+        stored = self._open(path, VariableId.T2M, magic=THRESH_MAGIC)
+        first, grid, (heat, cold) = stored.days(days)
+        *build, digest = stored.build
+        return _build(path, ThresholdField, heat.reshape(len(heat), -1),
+                      cold.reshape(len(cold), -1), stored.years, *build,
+                      first), grid, digest
 
 
 @functools.cache

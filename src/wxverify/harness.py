@@ -40,7 +40,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from . import fileio, metrics, writers
+from . import eventio, fileio, metrics, writers
 from .climatology import calendar_day_index, year_times
 from .cyclones import TRUTH_SOURCE, StormFix, StormTrack
 from .errors import InvalidHeader, ManifestError
@@ -661,6 +661,9 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
         if init in init_times[:k]:
             raise ManifestError(f"--inits lists {fileio.format_time(init)} "
                                 f"more than once")
+        if init.hour % 6 or init.minute or init.second or init.microsecond:
+            raise ManifestError(f"--inits lists {fileio.format_time(init)}; "
+                                f"an init must be at 00, 06, 12 or 18 UTC")
     model_specs = _model_specs(models or "persistence")
     _check_years(scenario, init_times, max_lead_hours, max(
         (lag for kind, lag in model_specs.values() if kind == "lagged"),
@@ -718,13 +721,8 @@ def write_run(scenario_path: str | Path, out_dir: str | Path, *,
                     name, init, variable, leads[0]))
 
     if scenario.vortices:
-        lines = ["storm_id,iso_time,lat,lon,mslp_hpa,wind_ms"]
-        for track in make_besttrack(scenario):
-            for fix in track.fixes:
-                lines.append(f"{track.storm_id},{fileio.format_time(fix.time)},"
-                             f"{fix.lat!r},{fix.lon!r},"
-                             f"{fix.min_mslp_pa / 100.0!r},{fix.max_wind_ms!r}")
-        publish(out_dir / "besttrack.csv", text_lines(lines))
+        eventio.write_besttrack(make_besttrack(scenario),
+                                out_dir / "besttrack.csv")
 
     if stations:
         _write_station_csvs(scenario, source, stations)

@@ -5,7 +5,7 @@ day and location from the pooled daily extremes of the history years
 The estimator is the one :mod:`wxverify.climatology` describes. Only
 ``build-climatology`` runs it, so only that command imports this module;
 a scoring command reads the stored thresholds
-(:func:`wxverify.fileio.read_thresholds`).
+(:meth:`wxverify.fileio.FieldSource.thresholds`).
 """
 
 from __future__ import annotations

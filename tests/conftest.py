@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,11 +15,9 @@ from wxverify.metrics import BlockScores, block_scores
 
 T0 = datetime(2025, 7, 1, 0, tzinfo=timezone.utc)
 
-#: Every calendar day, and a valid time on each: thresholds read for
-#: these days, or a climatology read at these times, hold all 365 days.
+#: Every calendar day: thresholds or a climatology read for these days
+#: hold all 365 days.
 CALENDAR_DAYS = range(365)
-CALENDAR_TIMES = tuple(datetime(2025, 1, 1, tzinfo=timezone.utc)
-                       + timedelta(days=day) for day in CALENDAR_DAYS)
 
 
 def make_grid(n_lat: int, n_lon: int, lat_top: float = 60.0,
@@ -118,6 +116,19 @@ def read_store(path) -> FieldBlock:
     times = [stack.first_time + k * SIX_HOURS
              for k in range(stack.store.n_layers)]
     return stack.block(times, [None] * len(times))
+
+
+def day_source(path) -> fileio.FieldSource:
+    """A run's field source whose manifest names the 365-day store at
+    ``path`` as its thresholds and as the climatology of every variable,
+    so that ``.thresholds(days)`` or ``.climatology(variable, days)``
+    reads it as a run does."""
+    path = Path(path)
+    return fileio.FieldSource(fileio.RunManifest(
+        path=path.parent / "manifest.json", variables=(), init_times=(),
+        max_lead_hours=0, truth_pattern="", models={},
+        climatology_pattern=path.name, thresholds_path=path.name,
+        history_years=(), history_pattern=None, regions={}, sha256=""))
 
 
 @pytest.fixture

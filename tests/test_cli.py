@@ -17,9 +17,8 @@ import pytest
 
 import oracles
 import wxverify
-from conftest import (CALENDAR_DAYS, CALENDAR_TIMES,
-                      assert_read_once_in_whole_days, layer_of, read_store,
-                      spilled_extremes, stamped)
+from conftest import (CALENDAR_DAYS, assert_read_once_in_whole_days,
+                      layer_of, read_store, spilled_extremes, stamped)
 from test_fileio import with_whole_checksum
 from wxverify import (fileio, metrics, pipeline_climatology, pipeline_cyclones,
                       pipeline_evaluate, pipeline_extremes, pipeline_stations,
@@ -2353,8 +2352,7 @@ class TestExtremesReference:
 
         manifest = fileio.load_manifest(manifest_path)
         source = fileio.FieldSource(manifest)
-        thresholds, grid, _ = fileio.read_thresholds(
-            manifest.thresholds_file, CALENDAR_DAYS)
+        thresholds, grid, _ = source.thresholds(CALENDAR_DAYS)
         masks = {"global": _region_mask(grid, None).reshape(-1),
                  "box": _region_mask(grid, box).reshape(-1)}
 
@@ -2728,7 +2726,9 @@ class TestSynthModels:
 class TestSynthOptions:
     @pytest.mark.parametrize("option, value", [
         ("--max-lead-hours", "-6"), ("--max-lead-hours", "10"),
-        ("--stations", "-1"), ("--stations", str(15 * 16 + 1))])
+        ("--stations", "-1"), ("--stations", str(15 * 16 + 1)),
+        ("--inits", "2025-07-18T03:00:00Z"),
+        ("--inits", "2025-07-18T12:30:00Z")])
     def test_bad_value_is_exit_2_before_anything_is_written(
             self, option, value, tmp_path, capsys):
         scenario = tmp_path / "scenario.json"
@@ -3151,9 +3151,6 @@ class TestSourceTree:
     UNREFERENCED = {
         # the benchmark's layer tracer wraps it by name
         "climatology.DailyMeanClimatology.field_for",
-        # the library's reader of one climatology file, which the tracer
-        # wraps by name; a run reads through FieldSource.climatology
-        "fileio.read_daily_climatology",
         # the only writer of RBGRID1 files, which manifests may still name
         "writers.write_grid",
         # the published scorecard contract
@@ -3252,6 +3249,27 @@ class TestSourceTree:
                     isinstance(part, ast.Constant)
                     and "variable mismatch" in str(part.value)
                     for part in ast.walk(node)):
+                places.append(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        for path in sorted(Path(wxverify.__file__).parent.glob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        assert places == ["fileio.FieldSource._open"]
+
+    def test_one_place_parses_a_sidecar(self):
+        """Every store, a stack, a climatology or the thresholds, is
+        parsed where ``FieldSource`` opens it: ``src`` calls
+        ``_load_sidecar`` in that one place."""
+        import ast
+        places = []
+
+        def visit(node, where):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                where = f"{where}.{node.name}"
+            if isinstance(node, ast.Call) and "_load_sidecar" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
                 places.append(where)
             for child in ast.iter_child_nodes(node):
                 visit(child, where)

@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (CALENDAR_TIMES, layer_of, make_field, make_grid,
-                      spilled_extremes)
+from conftest import (CALENDAR_DAYS, day_source, layer_of, make_field,
+                      make_grid, spilled_extremes)
 from oracles import DailyHistory, build_thresholds
-from wxverify import climatology, fileio, thresholds, writers
+from wxverify import climatology, thresholds, writers
 from wxverify.climatology import (DAYS_PER_YEAR, calendar_day_index,
                                   daily_extremes_from_fields,
                                   daily_means_from_fields, day_span,
@@ -205,8 +205,8 @@ def reduce_streamed(source, extremes=True):
                                    source.manifest.history_years) as spill:
             grid = _reduce_history(source, VariableId.T2M, clim_path,
                                    spill if extremes else None)
-            mean = fileio.read_daily_climatology(clim_path,
-                                                 CALENDAR_TIMES).day_mean
+            mean = day_source(clim_path).climatology(
+                VariableId.T2M, CALENDAR_DAYS).day_mean
             spilled = spilled_extremes(spill) if extremes else None
     return grid, mean, spilled
 

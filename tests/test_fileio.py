@@ -7,7 +7,7 @@ import json
 import tempfile
 import tracemalloc
 import zlib
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from unittest import mock
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -18,10 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import (CALENDAR_DAYS, CALENDAR_TIMES, T0, as_build,
-                      assert_read_once_in_whole_days, field_block, layer_of,
-                      layer_scores, make_field, make_grid, one_day_a_layer,
-                      read_store, stamped)
+from conftest import (CALENDAR_DAYS, T0, as_build,
+                      assert_read_once_in_whole_days, day_source, field_block,
+                      layer_of, layer_scores, make_field, make_grid,
+                      one_day_a_layer, read_store, stamped)
 from wxverify import (climatology, eventio, fileio, metrics, stationio,
                       thresholds, writers)
 from oracles import DailyHistory, build_thresholds
@@ -101,12 +101,13 @@ STORES = {
                   lambda s: s.truth_block(VariableId.T2M, [T0]),
                   lambda block: (block.grid, list(block.values))),
     "thresholds": Store(write_threshold_store, lambda path:
-                        fileio.read_thresholds(path, CALENDAR_DAYS),
+                        day_source(path).thresholds(CALENDAR_DAYS),
                         "<f4", lambda m: m.thresholds_file,
                         lambda s: s.thresholds(CALENDAR_DAYS),
                         lambda r: (r[1], [r[0].tau_heat, r[0].tau_cold])),
     "climatology": Store(write_climatology_store, lambda path:
-                         fileio.read_daily_climatology(path, CALENDAR_TIMES),
+                         day_source(path).climatology(VariableId.T2M,
+                                                      CALENDAR_DAYS),
                          "<f8", lambda m: m.climatology_path(VariableId.T2M),
                          lambda s: s.climatology(VariableId.T2M,
                                                  CALENDAR_DAYS),
@@ -320,7 +321,7 @@ class TestStackStores:
         cold = heat - 10.0
         tf = ThresholdField(heat, cold, (2019, 2020), 7, 0.9, 0.1)
         path = writers.write_thresholds(as_build(tf), grid, tmp_path / "t.rbt")
-        back, back_grid, digest = fileio.read_thresholds(path, CALENDAR_DAYS)
+        back, back_grid, digest = day_source(path).thresholds(CALENDAR_DAYS)
         assert digest == hashlib.sha256(
             path.with_name("t.rbt.json").read_bytes()).hexdigest()
         assert back_grid == grid
@@ -339,7 +340,7 @@ class TestStackStores:
         payload = path.stat().st_size
         tracemalloc.start()
         try:
-            back, _, _ = fileio.read_thresholds(path, CALENDAR_DAYS)
+            back, _, _ = day_source(path).thresholds(CALENDAR_DAYS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -353,7 +354,7 @@ class TestStackStores:
         day_mean = 280.0 + rng.standard_normal((DAYS_PER_YEAR, 3, 4))
         clim = DailyMeanClimatology(grid, VariableId.T2M, day_mean, (2020,))
         path = writers.write_daily_climatology([clim], tmp_path / "c.rbc")
-        back = fileio.read_daily_climatology(path, CALENDAR_TIMES)
+        back = day_source(path).climatology(VariableId.T2M, CALENDAR_DAYS)
         assert back.variable is VariableId.T2M
         assert np.array_equal(back.day_mean, day_mean)  # f64 payload
 
@@ -366,7 +367,8 @@ class TestStackStores:
         payload = path.stat().st_size
         tracemalloc.start()
         try:
-            back = fileio.read_daily_climatology(path, CALENDAR_TIMES)
+            back = day_source(path).climatology(VariableId.T2M,
+                                                CALENDAR_DAYS)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -454,6 +456,14 @@ class TestBestTrack:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(InvalidHeader):
             eventio.read_besttrack(path)
+
+    def test_written_best_track_reads_back_as_its_bytes(self, tmp_path):
+        path = tmp_path / "bt.csv"
+        path.write_text(BESTTRACK)
+        tracks, digest = eventio.read_besttrack(path)
+        again = eventio.write_besttrack(tracks, tmp_path / "again.csv")
+        assert again.read_text() == BESTTRACK
+        assert eventio.read_besttrack(again) == (tracks, digest)
 
 
 STATION_META = """id,lat,lon,elev_m
@@ -763,6 +773,15 @@ def test_columnar_station_reader_matches_row_reader(files):
         want = _read_outcome(oracles.read_station_csvs_rows, meta, obs, times)
         got = _read_outcome(stationio.read_station_csvs, meta, obs, times)
     assert got == want
+
+
+class TestTimes:
+    @pytest.mark.parametrize("year", [1, 999, 2025, 9999])
+    def test_a_formatted_time_parses_back(self, year):
+        when = datetime(year, 1, 2, 18, tzinfo=timezone.utc)
+        text = fileio.format_time(when)
+        assert text == f"{year:04d}-01-02T18:00:00Z"
+        assert fileio.parse_time(text) == when
 
 
 class TestManifest:
@@ -1729,9 +1748,11 @@ class TestClimatologyByDay:
                                               store_reads):
         times = [T0.replace(month=1, day=1) + timedelta(days=d, hours=6)
                  for d in days]
-        part = fileio.read_daily_climatology(clim_path, times)
+        part = day_source(clim_path).climatology(
+            VariableId.T2M, map(climatology.calendar_day_index, times))
         assert store_reads == [(clim_path, start, n) for start, n in reads]
-        whole = fileio.read_daily_climatology(clim_path, CALENDAR_TIMES)
+        whole = day_source(clim_path).climatology(VariableId.T2M,
+                                                  CALENDAR_DAYS)
         assert part.first_day == reads[0][0]
         assert part.day_mean.shape[0] == sum(n for _, n in reads)
         assert part.layers(times).tobytes() == whole.layers(times).tobytes()
@@ -1749,13 +1770,11 @@ class TestClimatologyByDay:
         path = write_climatology_store(rng, make_grid(40, 50),
                                        tmp_path / "c.rbc")
         day = 8 * 40 * 50
-        jan = T0.replace(month=1, day=1)
-        times = [jan + timedelta(days=d) for d in (*range(355, 365),
-                                                    *range(10))]
-        fileio.read_daily_climatology(path, times)  # imports, caches
+        days = [*range(355, 365), *range(10)]
+        day_source(path).climatology(VariableId.T2M, days)  # imports, caches
         tracemalloc.start()
         try:
-            clim = fileio.read_daily_climatology(path, times)
+            clim = day_source(path).climatology(VariableId.T2M, days)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1767,11 +1786,9 @@ class TestClimatologyByDay:
         day_bytes = len(blob) // DAYS_PER_YEAR
         blob[10 * day_bytes + 3] ^= 0xFF
         clim_path.write_bytes(bytes(blob))
-        jan = T0.replace(month=1, day=1)
-        fileio.read_daily_climatology(clim_path, [jan + timedelta(days=20)])
+        day_source(clim_path).climatology(VariableId.T2M, [20])
         with pytest.raises(ChecksumMismatch) as err:
-            fileio.read_daily_climatology(clim_path,
-                                          [jan + timedelta(days=10)])
+            day_source(clim_path).climatology(VariableId.T2M, [10])
         assert str(err.value) == f"{clim_path}: CRC-32 mismatch in layer 10"
 
     def test_only_a_full_year_is_written(self, tmp_path):
@@ -1871,7 +1888,7 @@ class TestStreamedThresholds:
                                         tmp_path / "whole.rbt")
         assert whole.with_name("whole.rbt.json").read_bytes() == \
             path.with_name("t.rbt.json").read_bytes()
-        back, back_grid, _ = fileio.read_thresholds(path, CALENDAR_DAYS)
+        back, back_grid, _ = day_source(path).thresholds(CALENDAR_DAYS)
         assert back_grid == grid and back.first_day == 0
         assert back.tau_heat.tobytes() == layers[:DAYS_PER_YEAR].tobytes()
         assert back.tau_cold.tobytes() == layers[DAYS_PER_YEAR:].tobytes()
@@ -1924,10 +1941,10 @@ class TestStreamedThresholds:
     ])
     def test_reads_only_the_days_asked_for(self, threshold_path, days, reads,
                                            store_reads):
-        part, _, _ = fileio.read_thresholds(threshold_path, days)
+        part, _, _ = day_source(threshold_path).thresholds(days)
         assert store_reads == [(threshold_path, start, n)
                                for start, n in reads]
-        whole, _, _ = fileio.read_thresholds(threshold_path, CALENDAR_DAYS)
+        whole, _, _ = day_source(threshold_path).thresholds(CALENDAR_DAYS)
         assert part.first_day == reads[0][0]
         assert part.tau_heat.shape == (sum(n for _, n in reads) // 2, 12)
         rows = part.rows(days)
@@ -1950,10 +1967,10 @@ class TestStreamedThresholds:
         threshold_path.write_bytes(bytes(blob))
         days = (100, 103)
         if not inside:
-            fileio.read_thresholds(threshold_path, days)
+            day_source(threshold_path).thresholds(days)
             return
         with pytest.raises(ChecksumMismatch) as err:
-            fileio.read_thresholds(threshold_path, days)
+            day_source(threshold_path).thresholds(days)
         assert str(err.value) == \
             f"{threshold_path}: CRC-32 mismatch in layer {layer}"
 
@@ -1962,7 +1979,7 @@ class TestStreamedThresholds:
             return layers
         rewrite_store(threshold_path, "<f4", poison)
         with pytest.raises(NonFiniteValue, match=str(threshold_path)):
-            fileio.read_thresholds(threshold_path, days)
+            day_source(threshold_path).thresholds(days)
 
 class TestSpilledHistory:
     """The daily extremes of a history, spilled to an anonymous scratch
